@@ -7,7 +7,8 @@ verify the global invariants that back the paper's claims:
 * **Ownership** - at most one live logical owner per physical page, and
   every mapping points at a VALID page whose OOB reverse mapping agrees.
 * **Counter integrity** - each block's valid count / write pointer match a
-  recount of its page states (catches out-of-band ``Block`` mutation).
+  recount of its page states (catches out-of-band stores to the device
+  arrays).
 * **LazyFTL** - GTD/GMT/UMT mutual consistency, every stale-but-valid page
   is covered by a pending UMT entry (deferred invalidation is *tracked*
   laziness, never a leak), and the zero-merge headline invariant.
@@ -26,6 +27,7 @@ from typing import Any, Dict, List, Optional
 from ..core.lazyftl import LazyFTL
 from ..flash.chip import NandFlash
 from ..flash.oob import PageKind
+from ..flash.page import FREE, VALID, PageState
 from ..ftl.base import FlashTranslationLayer
 from ..ftl.dftl import DftlFTL
 from .report import AuditReport, Violation, ViolationKind
@@ -60,74 +62,74 @@ class _Auditor:
     # ------------------------------------------------------------------
     def audit_block_counters(self) -> None:
         """Recount page states against each block's cached counters."""
-        sequential = self.flash.enforce_sequential
-        for block in self.flash.blocks:
+        flash = self.flash
+        sequential = flash.enforce_sequential
+        ppb = flash.geometry.pages_per_block
+        for pbn in range(flash.geometry.num_blocks):
             self.check()
-            valid = sum(1 for p in block.pages if p.is_valid)
-            if valid != block.valid_count:
+            states = flash.page_states[pbn * ppb:(pbn + 1) * ppb]
+            write_ptr = flash.write_ptr[pbn]
+            valid = states.count(VALID)
+            if valid != flash.valid_count[pbn]:
                 self.fail(
                     ViolationKind.COUNTER_DRIFT,
-                    f"block {block.index} caches valid_count="
-                    f"{block.valid_count} but holds {valid} valid page(s)",
-                    pbn=block.index,
+                    f"block {pbn} caches valid_count="
+                    f"{flash.valid_count[pbn]} but holds {valid} valid "
+                    "page(s)",
+                    pbn=pbn,
                 )
-            programmed = [
-                o for o, p in enumerate(block.pages) if not p.is_free
-            ]
-            if programmed and max(programmed) >= block.write_ptr:
+            programmed = [o for o, st in enumerate(states) if st != FREE]
+            if programmed and max(programmed) >= write_ptr:
                 self.fail(
                     ViolationKind.COUNTER_DRIFT,
-                    f"block {block.index} has a programmed page at offset "
+                    f"block {pbn} has a programmed page at offset "
                     f"{max(programmed)} beyond its write pointer "
-                    f"{block.write_ptr}",
-                    pbn=block.index,
+                    f"{write_ptr}",
+                    pbn=pbn,
                 )
             if sequential:
                 free_below = [
-                    o for o in range(block.write_ptr)
-                    if block.pages[o].is_free
+                    o for o in range(write_ptr) if states[o] == FREE
                 ]
                 if free_below:
                     self.fail(
                         ViolationKind.COUNTER_DRIFT,
-                        f"block {block.index} has free page(s) at "
+                        f"block {pbn} has free page(s) at "
                         f"{free_below[:8]} below the write pointer on a "
                         "sequential-program device",
-                        pbn=block.index,
+                        pbn=pbn,
                     )
+
+    def _valid_data_pages(self):
+        """``(ppn, oob)`` of every VALID page whose OOB marks it DATA."""
+        flash = self.flash
+        oobs = flash.page_oob
+        for ppn, state in enumerate(flash.page_states):
+            if state == VALID:
+                oob = oobs[ppn]
+                if oob is not None and oob.kind is PageKind.DATA:
+                    yield ppn, oob
 
     def audit_oob_reverse_mappings(self) -> None:
         """Every valid data page's OOB lpn must be inside logical space."""
         logical = self.ftl.logical_pages
-        for block in self.flash.blocks:
-            for offset, page in enumerate(block.pages):
-                if not page.is_valid or page.oob is None:
-                    continue
-                if page.oob.kind is not PageKind.DATA:
-                    continue
-                self.check()
-                if not 0 <= page.oob.lpn < logical:
-                    self.fail(
-                        ViolationKind.OOB_MISMATCH,
-                        f"valid data page (block {block.index}, offset "
-                        f"{offset}) claims out-of-range lpn {page.oob.lpn}",
-                        pbn=block.index, lpn=page.oob.lpn,
-                    )
+        ppb = self.flash.geometry.pages_per_block
+        for ppn, oob in self._valid_data_pages():
+            self.check()
+            if not 0 <= oob.lpn < logical:
+                pbn, offset = divmod(ppn, ppb)
+                self.fail(
+                    ViolationKind.OOB_MISMATCH,
+                    f"valid data page (block {pbn}, offset "
+                    f"{offset}) claims out-of-range lpn {oob.lpn}",
+                    pbn=pbn, lpn=oob.lpn,
+                )
 
     def valid_data_owners(self) -> Dict[int, List[int]]:
         """lpn -> ppns of all VALID data pages claiming it (via OOB)."""
         owners: Dict[int, List[int]] = {}
-        geometry = self.flash.geometry
-        for block in self.flash.blocks:
-            for offset, page in enumerate(block.pages):
-                if (
-                    page.is_valid
-                    and page.oob is not None
-                    and page.oob.kind is PageKind.DATA
-                ):
-                    owners.setdefault(page.oob.lpn, []).append(
-                        geometry.ppn_of(block.index, offset)
-                    )
+        for ppn, oob in self._valid_data_pages():
+            owners.setdefault(oob.lpn, []).append(ppn)
         return owners
 
     def audit_unique_ownership(self) -> None:
@@ -146,17 +148,18 @@ class _Auditor:
     def check_data_page(self, lpn: int, ppn: int, source: str) -> bool:
         """A mapping entry must point at a VALID data page owning ``lpn``."""
         self.check()
-        pbn, offset = self.flash.geometry.split_ppn(ppn)
-        page = self.flash.blocks[pbn].pages[offset]
-        if not page.is_valid:
+        pbn = self.flash.geometry.block_of(ppn)
+        state = self.flash.page_states[ppn]
+        oob = self.flash.page_oob[ppn]
+        if state != VALID:
             self.fail(
                 ViolationKind.DANGLING_MAPPING,
                 f"{source} maps lpn {lpn} to ppn {ppn} whose page is "
-                f"{page.state.value}",
+                f"{PageState(state).name.lower()}",
                 lpn=lpn, ppn=ppn, pbn=pbn,
             )
             return False
-        if page.oob is None or page.oob.kind is not PageKind.DATA:
+        if oob is None or oob.kind is not PageKind.DATA:
             self.fail(
                 ViolationKind.DANGLING_MAPPING,
                 f"{source} maps lpn {lpn} to ppn {ppn} which is not a "
@@ -164,11 +167,11 @@ class _Auditor:
                 lpn=lpn, ppn=ppn, pbn=pbn,
             )
             return False
-        if page.oob.lpn != lpn:
+        if oob.lpn != lpn:
             self.fail(
                 ViolationKind.OOB_MISMATCH,
                 f"{source} maps lpn {lpn} to ppn {ppn} but the page's OOB "
-                f"claims lpn {page.oob.lpn}",
+                f"claims lpn {oob.lpn}",
                 lpn=lpn, ppn=ppn, pbn=pbn,
             )
             return False
@@ -177,12 +180,14 @@ class _Auditor:
     def check_mapping_page(self, tvpn: int, tppn: int, source: str) -> bool:
         """A directory entry must point at a VALID mapping page."""
         self.check()
-        pbn, offset = self.flash.geometry.split_ppn(tppn)
-        page = self.flash.blocks[pbn].pages[offset]
-        if not page.is_valid or page.oob is None \
-                or page.oob.kind is not PageKind.MAPPING:
-            state = page.state.value if page.oob is None \
-                else f"{page.state.value} {page.oob.kind.value}"
+        pbn = self.flash.geometry.block_of(tppn)
+        state_code = self.flash.page_states[tppn]
+        oob = self.flash.page_oob[tppn]
+        if state_code != VALID or oob is None \
+                or oob.kind is not PageKind.MAPPING:
+            state = PageState(state_code).name.lower()
+            if oob is not None:
+                state = f"{state} {oob.kind.value}"
             self.fail(
                 ViolationKind.GMT_INCONSISTENT,
                 f"{source} locates translation page {tvpn} at ppn {tppn} "
@@ -190,11 +195,11 @@ class _Auditor:
                 lpn=tvpn, ppn=tppn, pbn=pbn,
             )
             return False
-        if page.oob.lpn != tvpn:
+        if oob.lpn != tvpn:
             self.fail(
                 ViolationKind.GMT_INCONSISTENT,
                 f"{source} locates translation page {tvpn} at ppn {tppn} "
-                f"whose OOB claims tvpn {page.oob.lpn}",
+                f"whose OOB claims tvpn {oob.lpn}",
                 lpn=tvpn, ppn=tppn, pbn=pbn,
             )
             return False
@@ -202,8 +207,8 @@ class _Auditor:
 
     def page_content(self, ppn: int) -> Any:
         """Raw page payload, bypassing the device (audit is free)."""
-        pbn, offset = self.flash.geometry.split_ppn(ppn)
-        return self.flash.blocks[pbn].pages[offset].data
+        self.flash.geometry.check_ppn(ppn)
+        return self.flash.page_data[ppn]
 
 
 def _audit_lazyftl(a: _Auditor, ftl: LazyFTL) -> None:

@@ -168,9 +168,7 @@ def _redirect(ftl: FlashTranslationLayer, lpn: int, wrong_ppn: int) -> None:
         tvpn = maps.tvpn_of(lpn)
         tppn = maps.gtd.get(tvpn)
         assert tppn is not None, "resolved lpn must have a GMT page"
-        ppb = ftl.flash.geometry.pages_per_block
-        page = ftl.flash.blocks[tppn // ppb].pages[tppn % ppb]
-        page.data[lpn % maps.entries_per_page] = wrong_ppn
+        ftl.flash.page_data[tppn][lpn % maps.entries_per_page] = wrong_ppn
         maps._cache.clear()  # drop any copy cached during recovery
         return
     assert isinstance(ftl, PageFTL)

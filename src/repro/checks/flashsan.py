@@ -23,12 +23,13 @@ CLI enables them with ``--sanitize``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.geometry import FlashGeometry
 from ..flash.parallel import ParallelNandFlash
 from ..flash.oob import OOBData
+from ..flash.page import FREE, INVALID, PageState
 from ..flash.timing import SLC_TIMING, TimingModel
 from ..ftl.base import FlashTranslationLayer, HostResult
 from .report import (
@@ -112,7 +113,7 @@ class SanitizedNandFlash(NandFlash):
     # ------------------------------------------------------------------
     def read_page(self, ppn: int) -> Tuple[Any, Optional[OOBData], float]:
         pbn, offset = self.geometry.split_ppn(ppn)
-        if self._powered and self.blocks[pbn].pages[offset].is_free:
+        if self._powered and self.page_states[ppn] == FREE:
             self.report(
                 ViolationKind.READ_UNWRITTEN,
                 f"read of never-programmed/erased page "
@@ -138,29 +139,27 @@ class SanitizedNandFlash(NandFlash):
     ) -> float:
         pbn, offset = self.geometry.split_ppn(ppn)
         if self._powered:
-            block = self.blocks[pbn]
-            if block.is_bad:
+            if self.is_bad[pbn]:
                 self.report(
                     ViolationKind.BAD_BLOCK_OP,
                     f"program on retired (bad) block {pbn}",
                     ppn=ppn, pbn=pbn,
                 )
-            page = block.pages[offset]
-            if not page.is_free:
-                owner = page.oob.lpn if page.oob is not None else None
+            state = self.page_states[ppn]
+            if state != FREE:
                 self.report(
                     ViolationKind.PROGRAM_WITHOUT_ERASE,
-                    f"program of {page.state.value} page without erase "
-                    f"(block {pbn}, offset {offset}, current owner "
-                    f"lpn={owner})",
+                    f"program of {PageState(state).name.lower()} page "
+                    f"without erase (block {pbn}, offset {offset}, current "
+                    f"owner lpn={self._owner(ppn)})",
                     ppn=ppn, pbn=pbn,
                     lpn=oob.lpn if oob is not None else None,
                 )
-            elif self.enforce_sequential and offset != block.write_ptr:
+            elif self.enforce_sequential and offset != self.write_ptr[pbn]:
                 self.report(
                     ViolationKind.PROGRAM_OUT_OF_ORDER,
                     f"non-sequential program in block {pbn}: offset "
-                    f"{offset}, write pointer at {block.write_ptr}",
+                    f"{offset}, write pointer at {self.write_ptr[pbn]}",
                     ppn=ppn, pbn=pbn,
                 )
         latency = super().program_page(ppn, data, oob)
@@ -171,22 +170,21 @@ class SanitizedNandFlash(NandFlash):
     def erase_block(self, pbn: int) -> float:
         self.geometry.check_block(pbn)
         if self._powered:
-            block = self.blocks[pbn]
-            if block.is_bad:
+            if self.is_bad[pbn]:
                 self.report(
                     ViolationKind.BAD_BLOCK_OP,
                     f"erase of retired (bad) block {pbn}",
                     pbn=pbn,
                 )
-            elif block.valid_count > 0:
+            elif self.valid_count[pbn] > 0:
                 owners = sorted(
-                    block.pages[o].oob.lpn
-                    for o in block.valid_offsets()
-                    if block.pages[o].oob is not None
+                    self.page_oob[p].lpn
+                    for p in self.valid_ppns(pbn)
+                    if self.page_oob[p] is not None
                 )[:8]
                 self.report(
                     ViolationKind.ERASE_WITH_VALID,
-                    f"erase of block {pbn} holding {block.valid_count} "
+                    f"erase of block {pbn} holding {self.valid_count[pbn]} "
                     f"valid page(s) (live lpns include {owners}) - data "
                     "must be relocated before the erase",
                     pbn=pbn,
@@ -197,25 +195,38 @@ class SanitizedNandFlash(NandFlash):
 
     def invalidate_page(self, ppn: int) -> None:
         pbn, offset = self.geometry.split_ppn(ppn)
-        page = self.blocks[pbn].pages[offset]
-        if page.is_free:
+        state = self.page_states[ppn]
+        owner = self._owner(ppn)
+        if state == FREE:
             self.report(
                 ViolationKind.INVALIDATE_UNWRITTEN,
                 f"invalidate of never-programmed/erased page "
                 f"(block {pbn}, offset {offset})",
                 ppn=ppn, pbn=pbn,
             )
-        elif page.is_invalid:
+        elif state == INVALID:
             self.report(
                 ViolationKind.DOUBLE_INVALIDATE,
                 f"double invalidate of page (block {pbn}, offset {offset}"
-                f", lpn={page.oob.lpn if page.oob is not None else None})"
-                " - the owner was already retired once",
+                f", lpn={owner}) - the owner was already retired once",
                 ppn=ppn, pbn=pbn,
             )
         super().invalidate_page(ppn)
-        self.history.record("invalidate", pbn, offset,
-                            page.oob.lpn if page.oob is not None else None)
+        self.history.record("invalidate", pbn, offset, owner)
+
+    def program_run(
+        self,
+        ppn: int,
+        datas: Sequence[Any],
+        oobs: Sequence[Optional[OOBData]],
+    ) -> float:
+        # Every page of a bulk run gets the per-op audit above.
+        return self._program_each(ppn, datas, oobs)
+
+    def _owner(self, ppn: int) -> Optional[int]:
+        """lpn recorded in the page's OOB, if any (for report text)."""
+        oob = self.page_oob[ppn]
+        return oob.lpn if oob is not None else None
 
 
 class SanitizedParallelNandFlash(SanitizedNandFlash, ParallelNandFlash):

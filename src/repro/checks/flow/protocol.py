@@ -20,12 +20,10 @@ computed from a write frontier (the ``frontier * pages_per_block +
 write_ptr`` idiom, or an ``alloc_page``-style call) must pass through a
 ``program_page`` call on every path before it escapes the function
 (return, attribute/subscript store, or handed to a non-programming
-call).  The *inline-program* idiom of the hot paths counts as
-programming evidence too: stamping ``page.oob = make_oob(...)`` on a
-page object that was itself indexed by the frontier's write pointer
-(``page = block.pages[wp]`` with ``wp`` appearing in the PPN
-arithmetic) is the in-place twin of the ``program_page`` call.
-Exception paths are exempt: unwinding without programming is the
+call).  Only a device call counts: there is no in-place way to program
+a page from outside ``repro.flash`` (FTL003 forbids stores to the device
+arrays), so a PPN that escapes without one names a page that was never
+written.  Exception paths are exempt: unwinding without programming is the
 crash-model's business (crashmc), not a protocol leak.
 
 **C. erase only with relocation evidence** - a statement that (directly)
@@ -148,58 +146,11 @@ class PpnLifecycleRule(FlowRule):
                 ):
                     frontier_defs.append((stmt, target))
 
-        self._add_inline_program_evidence(stmts, frontier_defs,
-                                          program_stmts)
         self._check_pairing(analysis, map_reads, map_writes,
                             invalidate_evidence)
         self._check_frontier_escape(analysis, frontier_defs,
                                     program_stmts, aliases)
         self._check_erase(analysis, erase_stmts, relocation_evidence)
-
-    # -- inline-program recognition ------------------------------------
-    @classmethod
-    def _add_inline_program_evidence(
-        cls,
-        stmts: List[Tuple[BasicBlock, int, ast.stmt]],
-        frontier_defs: List[Tuple[ast.stmt, str]],
-        program_stmts: Dict[str, List[ast.stmt]],
-    ) -> None:
-        """Count ``page.oob = make_oob(...)`` as programming the frontier.
-
-        The untraced fast paths program in place instead of calling
-        ``flash.program_page``: they look the frontier page up by write
-        pointer (``page = block.pages[wp]``), flip its state and stamp
-        its OOB.  The page subscript and the PPN arithmetic share the
-        write-pointer name, which is how the two are tied back together
-        here - an OOB stamp on a page indexed by an unrelated variable
-        earns no evidence.
-        """
-        if not frontier_defs:
-            return
-        page_defs: Dict[str, Set[str]] = {}
-        oob_stamps: List[Tuple[ast.stmt, str]] = []  # (stmt, page var)
-        for _block, _index, stmt in stmts:
-            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-                continue
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name) \
-                    and isinstance(stmt.value, ast.Subscript):
-                page_defs.setdefault(target.id, set()).update(
-                    _expr_load_names(stmt.value.slice)
-                )
-            elif isinstance(target, ast.Attribute) \
-                    and target.attr == "oob" \
-                    and isinstance(target.value, ast.Name) \
-                    and any(isinstance(n, ast.Call)
-                            for n in ast.walk(stmt.value)):
-                oob_stamps.append((stmt, target.value.id))
-        if not oob_stamps:
-            return
-        for def_stmt, var in frontier_defs:
-            frontier_names = _expr_load_names(def_stmt.value)
-            for stmt, page_var in oob_stamps:
-                if page_defs.get(page_var, set()) & frontier_names:
-                    program_stmts.setdefault(var, []).append(stmt)
 
     # -- A: update/invalidate pairing ----------------------------------
     def _check_pairing(self, analysis: FunctionAnalysis,

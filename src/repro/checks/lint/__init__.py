@@ -5,7 +5,7 @@ Rules (all suppressible per line with ``# ftlint: disable[=FTLxxx]``):
 ======  ==============================================================
 FTL001  no wall-clock reads in core/ftl/flash/sim (virtual time only)
 FTL002  no unseeded randomness in core/ftl/flash/sim
-FTL003  Block state mutated only inside repro.flash
+FTL003  device state arrays stored to only inside repro.flash
 FTL004  span_start/span_end + push_cause/pop_cause pair per function
 FTL005  no bare/overbroad except without re-raise
 FTL006  no mutable default arguments

@@ -1,12 +1,17 @@
-"""FTL003: only the flash package may mutate Block internals.
+"""FTL003: only the flash package may store to the device state arrays.
 
-FTL schemes must drive the device exclusively through the
-:class:`~repro.flash.chip.NandFlash` operation surface (program / read /
-erase / invalidate), which is where latency accounting, power-fault
-injection and the sanitizer hooks live.  Reaching around it - assigning
-``block.is_bad`` or calling ``block.force_erase()`` from mapping code -
-bypasses all three, so any such touch outside ``src/repro/flash`` is a
-layering violation.
+:class:`~repro.flash.chip.NandFlash` keeps all page and block state in
+flat arrays that are public *to read* (``flash.write_ptr[pbn]``,
+``flash.page_states[ppn]``, ...) so FTLs, GC policies and auditors can
+inspect the device without a call.  The hazard that remains is the other
+direction: a store - ``flash.valid_count[pbn] -= 1``,
+``flash.page_states[a:b] = ...``, rebinding ``flash.is_bad`` - from
+outside ``src/repro/flash`` changes device state without the raw
+operation that owns the NAND checks, latency accounting, power-fault
+injection and sanitizer hooks, and silently desynchronises the counters
+from the page states (the ``block-counter-drift`` audit catches it only
+after the fact).  FTL schemes must go through program / erase /
+invalidate; fault-seeding tests opt out per line.
 """
 
 from __future__ import annotations
@@ -16,17 +21,18 @@ from typing import Optional
 
 from .base import Rule
 
-#: Block attributes that only flash-layer code may assign.
-_GUARDED_ATTRS = frozenset({
-    "is_bad", "erase_count", "_write_ptr", "_valid_count",
+#: NandFlash state arrays that only flash-layer code may store to.
+_GUARDED_ARRAYS = frozenset({
+    "page_states", "page_data", "page_oob",
+    "write_ptr", "valid_count", "erase_count", "is_bad",
 })
-#: Block mutators that only flash-layer (or test/fault) code may call.
+#: Device mutators that only flash-layer (or test/fault) code may call.
 _GUARDED_CALLS = frozenset({"force_erase", "mark_bad"})
 
 
 class BlockMutationRule(Rule):
     RULE_ID = "FTL003"
-    MESSAGE = "Block state may only be mutated inside repro.flash"
+    MESSAGE = "device state arrays may only be stored to inside repro.flash"
 
     @classmethod
     def applies_to(cls, scope: Optional[str]) -> bool:
@@ -35,11 +41,14 @@ class BlockMutationRule(Rule):
         return scope != "flash"
 
     def _check_target(self, target: ast.expr) -> None:
-        if (isinstance(target, ast.Attribute)
-                and target.attr in _GUARDED_ATTRS):
+        # ``x.valid_count = ...`` rebinds the array; ``x.valid_count[i] =
+        # ...`` (index or slice) stores into it.
+        array = target.value if isinstance(target, ast.Subscript) else target
+        if (isinstance(array, ast.Attribute)
+                and array.attr in _GUARDED_ARRAYS):
             self.report(
                 target,
-                f"assignment to Block.{target.attr} outside repro.flash; "
+                f"store to device array .{array.attr} outside repro.flash; "
                 "go through the NandFlash operation surface",
             )
 
@@ -61,7 +70,7 @@ class BlockMutationRule(Rule):
         if isinstance(func, ast.Attribute) and func.attr in _GUARDED_CALLS:
             self.report(
                 node,
-                f".{func.attr}() call outside repro.flash; Block "
+                f".{func.attr}() call outside repro.flash; block "
                 "retirement/erasure belongs to the device layer",
             )
         self.generic_visit(node)

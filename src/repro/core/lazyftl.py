@@ -26,7 +26,7 @@ from typing import Any, List, Optional
 from ..flash.chip import NandFlash
 from ..flash.errors import BadBlockError
 from ..flash.oob import PageKind, SequenceCounter, make_oob
-from ..flash.page import PageState
+from ..flash.page import VALID
 from ..ftl.base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
 from ..obs.events import Cause, EventType
 from ..obs.tracer import Tracer
@@ -43,11 +43,9 @@ from .umt import UpdateMappingTable, group_by_tvpn
 #: latest checkpoint at a fixed location.
 ANCHOR_BLOCKS = (0, 1)
 
-#: Enum members pre-resolved for the per-page identity check in
+#: Enum member pre-resolved for the per-page identity check in
 #: :meth:`LazyFTL._deferred_invalidate` (called once per displaced GMT
 #: entry - a commit-path hot spot).
-_VALID = PageState.VALID
-_INVALID = PageState.INVALID
 _DATA = PageKind.DATA
 
 
@@ -93,7 +91,7 @@ class LazyFTL(FlashTranslationLayer):
                 f"{logical_pages} logical pages with this configuration"
             )
         for anchor in ANCHOR_BLOCKS:
-            if flash.block(anchor).is_bad:
+            if flash.is_bad[anchor]:
                 raise ValueError(
                     f"checkpoint anchor block {anchor} is factory-bad; "
                     "this device cannot host LazyFTL's recovery design"
@@ -104,7 +102,7 @@ class LazyFTL(FlashTranslationLayer):
         self._seq = SequenceCounter()
         self._pool = BlockPool(
             b for b in range(geometry.num_blocks)
-            if b not in ANCHOR_BLOCKS and not flash.block(b).is_bad
+            if b not in ANCHOR_BLOCKS and not flash.is_bad[b]
         )
         self._umt = UpdateMappingTable(self.entries_per_page)
         self._uba = BlockArea("UBA", self.config.uba_blocks)
@@ -159,32 +157,13 @@ class LazyFTL(FlashTranslationLayer):
             self._begin_op()
         self.stats.host_reads += 1
         flash = self.flash
-        fast = self._tracer is None and flash.maintenance_fast_path()
         umt_ppn = self._umt.ppn_at(lpn)
         if umt_ppn >= 0:
-            if fast:
-                # Inline data read (scalar boundary-op hot spot); twin of
-                # the call below (see NandFlash.maintenance_fast_path).
-                ppb = self._pages_per_block
-                page = flash.blocks[umt_ppn // ppb].pages[umt_ppn % ppb]
-                fstats = flash.stats
-                read_us = flash.timing.page_read_us
-                fstats.page_reads += 1
-                fstats.read_us += read_us
-                return HostResult(read_us, page.data)
             data, _, latency = flash.read_page(umt_ppn)
             return HostResult(latency, data)
         ppn, latency = self._maps.lookup(lpn)
         if ppn is None:
             return HostResult(latency + UNMAPPED_READ_US)
-        if fast:
-            ppb = self._pages_per_block
-            page = flash.blocks[ppn // ppb].pages[ppn % ppb]
-            fstats = flash.stats
-            read_us = flash.timing.page_read_us
-            fstats.page_reads += 1
-            fstats.read_us += read_us
-            return HostResult(latency + read_us, page.data)
         data, _, read_lat = flash.read_page(ppn)
         return HostResult(latency + read_lat, data)
 
@@ -199,8 +178,7 @@ class LazyFTL(FlashTranslationLayer):
         if stripe is None:
             frontier = self._uba.frontier
             if frontier is None or \
-                    flash.blocks[frontier]._write_ptr >= \
-                    self._pages_per_block:
+                    flash.write_ptr[frontier] >= self._pages_per_block:
                 latency = self._ensure_update_frontier()
                 frontier = self._uba.frontier
             else:
@@ -215,40 +193,7 @@ class LazyFTL(FlashTranslationLayer):
         # Resolve the superseded copy only now: the frontier work above may
         # have converted the block holding it (removing its UMT entry).
         old_ppn = self._umt.ppn_at(lpn)
-        ppb = self._pages_per_block
-        block = flash.blocks[frontier]
-        wp = block._write_ptr
-        ppn = frontier * ppb + wp
-        if self._tracer is None and flash.maintenance_fast_path():
-            # Inline program + old-copy invalidate (scalar boundary-op
-            # hot spot); twin of the calls below, bit-identical (see
-            # NandFlash.maintenance_fast_path).
-            page = block.pages[wp]
-            page.state = PageState.VALID
-            page.data = data
-            seq = self._seq
-            s = seq._next
-            seq._next = s + 1
-            page.oob = make_oob((lpn, s, PageKind.DATA, False))
-            block.note_programmed()
-            fstats = flash.stats
-            program_us = flash.timing.page_program_us
-            fstats.page_programs += 1
-            fstats.program_us += program_us
-            latency += program_us
-            if old_ppn >= 0:
-                # The old copy lives in the UBA/CBA: invalidate now.
-                oblock = flash.blocks[old_ppn // ppb]
-                opage = oblock.pages[old_ppn % ppb]
-                if opage.state is PageState.VALID:
-                    opage.state = PageState.INVALID
-                    oblock.note_invalidated()
-                else:  # defensive: keep the slow path's accounting
-                    flash.invalidate_page(old_ppn)
-            self._umt.set(lpn, ppn, cold=False)
-            if self._ckpt_interval > 0:
-                latency += self._periodic_checkpoint()
-            return HostResult(latency)
+        ppn = frontier * self._pages_per_block + flash.write_ptr[frontier]
         latency += flash.program_page(
             ppn, data, make_oob((lpn, self._seq.next(), PageKind.DATA, False))
         )
@@ -309,11 +254,11 @@ class LazyFTL(FlashTranslationLayer):
         """
         if self._uba_stripe is None:
             return
-        blocks = self.flash.blocks
+        write_ptr = self.flash.write_ptr
         ppb = self._pages_per_block
 
         def open_of(members: List[int]) -> List[int]:
-            return [b for b in members if blocks[b]._write_ptr < ppb]
+            return [b for b in members if write_ptr[b] < ppb]
 
         self._uba_stripe.reset(open_of(self._uba.snapshot()))
         self._cba_stripe.reset(open_of(self._cba.snapshot()))
@@ -334,7 +279,8 @@ class LazyFTL(FlashTranslationLayer):
                 return 0.0
             return self._open_update_block()
         frontier = self._uba.frontier
-        if frontier is not None and not self.flash.block(frontier).is_full:
+        if frontier is not None and \
+                self.flash.write_ptr[frontier] < self._pages_per_block:
             return 0.0
         return self._open_update_block()
 
@@ -363,7 +309,8 @@ class LazyFTL(FlashTranslationLayer):
                 return 0.0
             return self._open_cold_block()
         frontier = self._cba.frontier
-        if frontier is not None and not self.flash.block(frontier).is_full:
+        if frontier is not None and \
+                self.flash.write_ptr[frontier] < self._pages_per_block:
             return 0.0
         return self._open_cold_block()
 
@@ -401,21 +348,19 @@ class LazyFTL(FlashTranslationLayer):
 
     def _cheapest_convert_victim(self, area: BlockArea) -> int:
         """Full block in ``area`` whose commit touches fewest GMT pages."""
-        geometry = self.flash.geometry
+        flash = self.flash
+        oobs = flash.page_oob
         frontier = area.frontier
         best_pbn = None
         best_cost = None
         for pbn in area:
             if pbn == frontier and len(area) > 1:
                 continue  # keep absorbing writes in the frontier
-            block = self.flash.block(pbn)
             tvpns = set()
-            for offset in block.valid_offsets():
-                page = block.pages[offset]
-                if self._umt.points_to(
-                    page.oob.lpn, geometry.ppn_of(pbn, offset)
-                ):
-                    tvpns.add(page.oob.lpn // self.entries_per_page)
+            for ppn in flash.valid_ppns(pbn):
+                lpn = oobs[ppn].lpn
+                if self._umt.points_to(lpn, ppn):
+                    tvpns.add(lpn // self.entries_per_page)
             cost = len(tvpns)
             if best_cost is None or cost < best_cost:
                 best_pbn = pbn
@@ -439,23 +384,17 @@ class LazyFTL(FlashTranslationLayer):
         tracer = self._tracer
         if tracer is not None:
             tracer.span_start(None, Cause.CONVERT)
-        block = self.flash.blocks[pbn]
-        base = pbn * self._pages_per_block
+        flash = self.flash
         umt = self._umt
-        pages = block.pages
-        VALID = PageState.VALID
+        oobs = flash.page_oob
         # Inline umt.points_to: the pair scan mutates nothing, so the
         # flat ppn array and its length are loop invariants (lpns from
         # OOB are non-negative by construction).
         uppn = umt._ppn
         ulen = len(uppn)
         pairs = []
-        for offset in range(block._write_ptr):
-            page = pages[offset]
-            if page.state is not VALID:
-                continue
-            lpn = page.oob.lpn
-            ppn = base + offset
+        for ppn in flash.valid_ppns(pbn):
+            lpn = oobs[ppn].lpn
             if lpn < ulen and uppn[lpn] == ppn:
                 pairs.append((lpn, ppn))
             # A valid page the UMT does not point to was committed early by
@@ -478,28 +417,7 @@ class LazyFTL(FlashTranslationLayer):
                     # inserted through set(), so it is always in range.
                     group.append((lpn, uppn[lpn]))
                     n_committed += 1
-        on_superseded = self._deferred_invalidate
-        if tracer is None and self.flash.maintenance_fast_path():
-            # Prebound twin of _deferred_invalidate: same page-identity
-            # check, with the known-VALID invalidation done inline (one
-            # call per displaced entry is the commit-path hot spot).
-            blocks = self.flash.blocks
-            ppb = self._pages_per_block
-
-            def on_superseded(lpn, old_ppn, _blocks=blocks, _ppb=ppb):
-                oblock = _blocks[old_ppn // _ppb]
-                opage = oblock.pages[old_ppn % _ppb]
-                oob = opage.oob
-                if (
-                    opage.state is _VALID
-                    and oob is not None
-                    and oob.kind is _DATA
-                    and oob.lpn == lpn
-                ):
-                    opage.state = _INVALID
-                    oblock.note_invalidated()
-
-        latency = self._maps.commit(groups, on_superseded)
+        latency = self._maps.commit(groups, self._deferred_invalidate)
         if batched:
             # With global batching every UMT entry covered by a committed
             # GMT page was just committed, so retire them per page in bulk.
@@ -524,16 +442,15 @@ class LazyFTL(FlashTranslationLayer):
         since; the page-identity check (state + OOB lpn) makes the
         invalidation safe in that case.
         """
-        ppb = self._pages_per_block
-        page = self.flash.blocks[old_ppn // ppb].pages[old_ppn % ppb]
-        oob = page.oob
+        flash = self.flash
+        oob = flash.page_oob[old_ppn]
         if (
-            page.state is _VALID
+            flash.page_states[old_ppn] == VALID
             and oob is not None
             and oob.kind is _DATA
             and oob.lpn == lpn
         ):
-            self.flash.invalidate_page(old_ppn)
+            flash.invalidate_page(old_ppn)
 
     # ------------------------------------------------------------------
     # Garbage collection (merge-free)
@@ -547,21 +464,19 @@ class LazyFTL(FlashTranslationLayer):
         return latency
 
     def _collect_one(self, forced_victim: Optional[int] = None) -> float:
-        blocks = self.flash.blocks
+        flash = self.flash
         if forced_victim is not None:
-            victim = self.flash.block(forced_victim)
+            victim: Optional[int] = forced_victim
         else:
             # select_greedy's order is total (fewest valid, then lowest
-            # index), so a lazy candidate iterator picks the same victim
-            # as a materialised list.
-            victim = select_greedy(map(
-                blocks.__getitem__,
-                chain(self._dba, self._maps.full_blocks),
-            ))
+            # pbn), so set iteration order cannot change the victim.
+            victim = select_greedy(
+                chain(self._dba, self._maps.full_blocks), flash.valid_count
+            )
         if victim is None:
             raise OutOfBlocksError("LazyFTL GC found no victim")
         if forced_victim is None and \
-                victim.valid_count >= victim.pages_per_block:
+                flash.valid_count[victim] >= self._pages_per_block:
             raise OutOfBlocksError(
                 "LazyFTL GC victim fully valid - no reclaimable slack "
                 "(reduce logical_pages or enlarge the device)"
@@ -569,20 +484,19 @@ class LazyFTL(FlashTranslationLayer):
         self.stats.gc_runs += 1
         tracer = self._tracer
         if tracer is not None:
-            tracer.span_start(EventType.GC_START, Cause.GC,
-                              ppn=victim.index)
+            tracer.span_start(EventType.GC_START, Cause.GC, ppn=victim)
         try:
             self._in_maintenance = True
             try:
-                if victim.index in self._maps.full_blocks:
-                    latency = self._maps.collect(victim.index)
+                if victim in self._maps.full_blocks:
+                    latency = self._maps.collect(victim)
                 else:
-                    latency = self._collect_data_block(victim.index)
+                    latency = self._collect_data_block(victim)
             finally:
                 self._in_maintenance = False
-            self._dba.discard(victim.index)
+            self._dba.discard(victim)
             try:
-                latency += self.flash.erase_block(victim.index)
+                latency += flash.erase_block(victim)
             except BadBlockError:
                 # The block wore out on this erase.  Its live pages were
                 # already relocated above, so nothing is lost - retire it
@@ -590,18 +504,20 @@ class LazyFTL(FlashTranslationLayer):
                 self.stats.bad_blocks_retired += 1
                 return latency
             self.stats.gc_erases += 1
-            self._pool.release(victim.index)
+            self._pool.release(victim)
             return latency
         finally:
             if tracer is not None:
-                tracer.span_end(EventType.GC_END, ppn=victim.index)
+                tracer.span_end(EventType.GC_END, ppn=victim)
 
     # flowlint: hot
     def _collect_data_block(self, pbn: int) -> float:
         """Relocate a DBA victim's live pages into the cold area."""
         latency = 0.0
         flash = self.flash
-        blocks = flash.blocks
+        states = flash.page_states
+        oobs = flash.page_oob
+        write_ptr = flash.write_ptr
         read_page = flash.read_page
         program_page = flash.program_page
         invalidate_page = flash.invalidate_page
@@ -611,15 +527,7 @@ class LazyFTL(FlashTranslationLayer):
         stats = self.stats
         cba = self._cba
         ppb = self._pages_per_block
-        base = pbn * ppb
-        block = blocks[pbn]
-        pages = block.pages
-        VALID = PageState.VALID
         DATA = PageKind.DATA
-        offsets = [
-            o for o in range(block._write_ptr)
-            if pages[o].state is VALID
-        ]
         # The CBA frontier only changes through _ensure_cold_frontier (no
         # host writes run mid-GC), so it is tracked in a local and
         # re-fetched only after that call instead of through the property
@@ -627,103 +535,14 @@ class LazyFTL(FlashTranslationLayer):
         # instead rotates across the open blocks every copy.
         stripe = self._cba_stripe
         frontier = cba.frontier
-        if flash.maintenance_fast_path():
-            # Inline twin of the loop below: replicates the untraced
-            # raw-op closures' page/stats mutations (see
-            # NandFlash.maintenance_fast_path) without a Python call per
-            # page; float accumulation order matches, so both produce
-            # bit-identical results.
-            fstats = flash.stats
-            timing = flash.timing
-            read_us = timing.page_read_us
-            program_us = timing.page_program_us
-            seq = self._seq
-            uppn = umt._ppn
-            ucold = umt._cold
-            by_tvpn = umt._by_tvpn
-            epp = umt.entries_per_page
-            umt_set = umt.set
-            INVALID = PageState.INVALID
-            note_invalidated = block.note_invalidated
-            for offset in offsets:
-                page = pages[offset]
-                if page.state is not VALID:
-                    # Mid-pass conversion invalidated it (see the slow
-                    # loop's comment) - skip the dead page.
-                    continue
-                src = base + offset
-                lpn = page.oob.lpn
-                umt_ppn = uppn[lpn] if lpn < len(uppn) else -1
-                if umt_ppn >= 0 and umt_ppn != src:
-                    # Superseded: deferred invalidation resolves for free.
-                    page.state = INVALID
-                    note_invalidated()
-                    continue
-                data = page.data
-                fstats.page_reads += 1
-                fstats.read_us += read_us
-                latency += read_us
-                if stripe is not None:
-                    frontier = stripe.next_slot(flash)
-                    if frontier is None or \
-                            len(stripe.open_blocks) < stripe.ways:
-                        latency += self._open_cold_block()
-                        frontier = stripe.open_blocks[-1]
-                elif frontier is None or \
-                        blocks[frontier]._write_ptr >= ppb:
-                    latency += self._ensure_cold_frontier()
-                    frontier = cba.frontier
-                fblock = blocks[frontier]
-                wp = fblock._write_ptr
-                dst = frontier * ppb + wp
-                dpage = fblock.pages[wp]
-                dpage.state = VALID
-                dpage.data = data
-                # seq re-read per page: _ensure_cold_frontier may have
-                # programmed mapping pages, advancing the counter.
-                s = seq._next
-                seq._next = s + 1
-                dpage.oob = make_oob((lpn, s, DATA, True))
-                fblock.note_programmed()
-                fstats.page_programs += 1
-                fstats.program_us += program_us
-                latency += program_us
-                # Inline umt.set(lpn, dst, cold=True): the flat arrays
-                # only grow through _grow_to (array.extend, in place), so
-                # the aliases stay valid; growth falls back to the method.
-                if lpn < len(uppn):
-                    if uppn[lpn] < 0:
-                        umt._count += 1
-                        tvpn = lpn // epp
-                        peers = by_tvpn.get(tvpn)
-                        if peers is None:
-                            by_tvpn[tvpn] = {lpn}
-                        else:
-                            peers.add(lpn)
-                    uppn[lpn] = dst
-                    ucold[lpn] = 1
-                else:
-                    umt_set(lpn, dst, cold=True)
-                if page.state is VALID:
-                    page.state = INVALID
-                    note_invalidated()
-                else:
-                    # A conversion inside _ensure_cold_frontier resolved
-                    # this page's deferred invalidation first; keep the
-                    # redundant-invalidate accounting of the slow loop.
-                    invalidate_page(src)
-                stats.gc_page_copies += 1
-            return latency
-        for offset in offsets:
-            page = pages[offset]
-            if page.state is not VALID:
+        for src in flash.valid_ppns(pbn):
+            if states[src] != VALID:
                 # A cold-block conversion triggered earlier in this very
                 # loop can commit a UMT entry whose displaced GMT value is
                 # this page (deferred invalidation resolving mid-pass);
-                # the snapshot above is then stale - skip the dead page.
+                # the valid_ppns snapshot is then stale - skip the dead page.
                 continue
-            src = base + offset
-            lpn = page.oob.lpn
+            lpn = oobs[src].lpn
             umt_ppn = ppn_at(lpn)
             if umt_ppn >= 0 and umt_ppn != src:
                 # Superseded by a later write whose mapping is still in the
@@ -738,10 +557,10 @@ class LazyFTL(FlashTranslationLayer):
                         len(stripe.open_blocks) < stripe.ways:
                     latency += self._open_cold_block()
                     frontier = stripe.open_blocks[-1]
-            elif frontier is None or blocks[frontier]._write_ptr >= ppb:
+            elif frontier is None or write_ptr[frontier] >= ppb:
                 latency += self._ensure_cold_frontier()
                 frontier = cba.frontier
-            dst = frontier * ppb + blocks[frontier]._write_ptr
+            dst = frontier * ppb + write_ptr[frontier]
             latency += program_page(
                 dst, data, make_oob((lpn, seq_next(), DATA, True)),
             )
@@ -762,14 +581,13 @@ class LazyFTL(FlashTranslationLayer):
             return 0.0
         soft_threshold = 2 * self.config.gc_free_threshold
         used = 0.0
-        blocks = self.flash.blocks
+        valid_count = self.flash.valid_count
         while used < budget_us and len(self._pool) <= soft_threshold:
-            victim = select_greedy(map(
-                blocks.__getitem__,
-                chain(self._dba, self._maps.full_blocks),
-            ))
+            victim = select_greedy(
+                chain(self._dba, self._maps.full_blocks), valid_count
+            )
             if victim is None or \
-                    victim.valid_count >= victim.pages_per_block:
+                    valid_count[victim] >= self._pages_per_block:
                 break  # nothing profitably reclaimable right now
             used += self._collect_one()
         return used

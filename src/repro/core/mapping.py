@@ -19,7 +19,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import PageKind, SequenceCounter, make_oob
-from ..flash.page import PageState
 from ..ftl.pool import BlockPool
 from ..ftl.stats import FtlStats
 from ..obs.events import Cause, EventType
@@ -45,6 +44,7 @@ class MappingStore:
         self.seq = seq
         self.gtd = GlobalTranslationDirectory(num_tvpns)
         self.entries_per_page = flash.geometry.map_entries_per_page
+        self._pages_per_block = flash.geometry.pages_per_block
         self.cache_pages = cache_pages
         self._cache = LruCache(cache_pages)
         self._frontier: Optional[int] = None
@@ -187,40 +187,7 @@ class MappingStore:
         latency = self._ensure_frontier()
         flash = self.flash
         frontier = self._frontier
-        block = flash.blocks[frontier]
-        ppb = len(block.pages)
-        wp = block._write_ptr
-        ppn = frontier * ppb + wp
-        if self.tracer is None and flash.maintenance_fast_path():
-            # Inline program + displaced-page invalidate (commit-path hot
-            # spot); twin of the calls below, bit-identical by
-            # construction (see NandFlash.maintenance_fast_path).
-            page = block.pages[wp]
-            page.state = PageState.VALID
-            page.data = content
-            seq = self.seq
-            s = seq._next
-            seq._next = s + 1
-            page.oob = make_oob((tvpn, s, PageKind.MAPPING, False))
-            block.note_programmed()
-            fstats = flash.stats
-            program_us = flash.timing.page_program_us
-            fstats.page_programs += 1
-            fstats.program_us += program_us
-            latency += program_us
-            self.stats.map_writes += 1
-            old = self.gtd.get(tvpn)
-            if old is not None:
-                oblock = flash.blocks[old // ppb]
-                opage = oblock.pages[old % ppb]
-                if opage.state is PageState.VALID:
-                    opage.state = PageState.INVALID
-                    oblock.note_invalidated()
-                else:  # defensive: keep the slow path's accounting
-                    flash.invalidate_page(old)
-            self.gtd.set(tvpn, ppn)
-            self._cache.put(tvpn, content)
-            return latency
+        ppn = frontier * self._pages_per_block + flash.write_ptr[frontier]
         latency += flash.program_page(
             ppn,
             content,
@@ -258,8 +225,7 @@ class MappingStore:
             return 0.0
         frontier = self._frontier
         if frontier is not None:
-            block = self.flash.blocks[frontier]
-            if block._write_ptr < len(block.pages):
+            if self.flash.write_ptr[frontier] < self._pages_per_block:
                 return 0.0
             self._full_blocks.add(frontier)
         self._frontier = self.pool.allocate()
@@ -273,7 +239,7 @@ class MappingStore:
         """Relocate a victim MBA block's valid GMT pages; caller erases."""
         latency = 0.0
         flash = self.flash
-        blocks = flash.blocks
+        write_ptr = flash.write_ptr
         read_page = flash.read_page
         program_page = flash.program_page
         invalidate_page = flash.invalidate_page
@@ -281,66 +247,8 @@ class MappingStore:
         gtd_set = self.gtd.set
         stats = self.stats
         tracer = self.tracer
-        ppb = flash.geometry.pages_per_block
-        base = pbn * ppb
-        block = blocks[pbn]
-        pages = block.pages
-        VALID = PageState.VALID
-        offsets = [
-            o for o in range(block._write_ptr)
-            if pages[o].state is VALID
-        ]
-        if tracer is None and flash.maintenance_fast_path():
-            # Inline twin of the loop below: replicates the untraced
-            # raw-op closures' page/stats mutations (see
-            # NandFlash.maintenance_fast_path) without a Python call per
-            # page; float accumulation order matches bit for bit.
-            fstats = flash.stats
-            timing = flash.timing
-            read_us = timing.page_read_us
-            program_us = timing.page_program_us
-            seq = self.seq
-            INVALID = PageState.INVALID
-            MAPPING = PageKind.MAPPING
-            stripe = self.stripe
-            frontier = self._frontier
-            for offset in offsets:
-                spage = pages[offset]
-                content = spage.data
-                tvpn = spage.oob.lpn
-                fstats.page_reads += 1
-                fstats.read_us += read_us
-                latency += read_us
-                stats.map_reads += 1
-                # Striped: rotate the pick every program.  Serial: only
-                # refresh once the open block fills.  Either way the
-                # call itself never adds latency here.
-                if stripe is not None or frontier is None or \
-                        blocks[frontier]._write_ptr >= ppb:
-                    self._ensure_frontier()
-                    frontier = self._frontier
-                fblock = blocks[frontier]
-                wp = fblock._write_ptr
-                dst = frontier * ppb + wp
-                dpage = fblock.pages[wp]
-                dpage.state = VALID
-                dpage.data = content
-                s = seq._next
-                seq._next = s + 1
-                dpage.oob = make_oob((tvpn, s, MAPPING, False))
-                fblock.note_programmed()
-                fstats.page_programs += 1
-                fstats.program_us += program_us
-                latency += program_us
-                stats.map_writes += 1
-                stats.gc_page_copies += 1
-                gtd_set(tvpn, dst)
-                spage.state = INVALID
-                block.note_invalidated()
-            self._full_blocks.discard(pbn)
-            return latency
-        for offset in offsets:
-            src = base + offset
+        ppb = self._pages_per_block
+        for src in flash.valid_ppns(pbn):
             content, oob, read_lat = read_page(src)
             latency += read_lat
             stats.map_reads += 1
@@ -348,7 +256,7 @@ class MappingStore:
                 tracer.emit(EventType.MAP_READ, lpn=oob.lpn, ppn=src)
             latency += self._ensure_frontier()
             frontier = self._frontier
-            dst = frontier * ppb + blocks[frontier]._write_ptr
+            dst = frontier * ppb + write_ptr[frontier]
             latency += program_page(
                 dst,
                 content,

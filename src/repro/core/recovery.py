@@ -125,12 +125,10 @@ class CheckpointScribe:
         """Switch to the other anchor, erasing its stale contents."""
         other = self.anchors[1] if self._current == self.anchors[0] \
             else self.anchors[0]
-        block = self.flash.block(other)
-        for offset in block.programmed_offsets():
-            if block.pages[offset].is_valid:
-                block.invalidate(offset)
+        for ppn in self.flash.valid_ppns(other):
+            self.flash.invalidate_page(ppn)
         latency = 0.0
-        if not block.is_empty:
+        if not self.flash.block(other).is_empty:
             try:
                 latency += self.flash.erase_block(other)
             except BadBlockError as exc:

@@ -6,7 +6,9 @@ Public surface:
 * :class:`TimingModel` and the ``SLC_TIMING`` / ``MLC_TIMING`` /
   ``UNIT_TIMING`` presets - per-operation latencies;
 * :class:`NandFlash` - the device itself (read / program / erase + power
-  loss injection via :class:`PowerFault`);
+  loss injection via :class:`PowerFault`), owner of the flat page/block
+  state arrays; :class:`Block` is a read-only per-block view of them and
+  :class:`PageState` names the per-page state codes;
 * :class:`OOBData`, :class:`PageKind`, :class:`SequenceCounter` - spare-area
   metadata used by FTL recovery;
 * :class:`FlashStats`, :func:`wear_summary` - accounting.
@@ -34,7 +36,7 @@ from .geometry import (
 )
 from .parallel import ParallelNandFlash
 from .oob import OOBData, PageKind, SequenceCounter
-from .page import Page, PageState
+from .page import PageState
 from .stats import FlashStats, wear_summary
 from .timing import MLC_TIMING, SLC_TIMING, UNIT_TIMING, TimingModel
 
@@ -59,7 +61,6 @@ __all__ = [
     "OOBData",
     "PageKind",
     "SequenceCounter",
-    "Page",
     "PageState",
     "FlashStats",
     "wear_summary",

@@ -1,212 +1,107 @@
-"""One NAND erase block: a fixed array of pages with NAND programming rules.
+"""Read-only view of one NAND erase block.
 
-The block enforces the two constraints that shape every FTL design:
-
-* **erase-before-write** - a page can only be programmed while FREE;
-* **sequential programming** - pages within a block must be programmed in
-  ascending offset order (the NOP=1 rule of SLC/MLC NAND).
-
-It also maintains the counters (valid pages, write pointer, erase count) that
-garbage-collection and wear-leveling policies consume.
+All device state lives in flat arrays owned by
+:class:`~repro.flash.chip.NandFlash` (page states / data / OOB indexed by
+ppn, counters indexed by pbn); a :class:`Block` is a window onto one
+block's slice of them for code that thinks block-at-a-time (log-block
+schemes, the checkpoint scribe, auditors, tests).  It holds no state of
+its own and has no mutators: programs, invalidations and erases go through
+the device's raw operations, which is the only place the NAND rules
+(erase-before-write, sequential programming) are implemented.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .errors import EraseError, ProgramError, ReadError
 from .oob import OOBData
-from .page import Page, PageState
+from .page import FREE, VALID
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .chip import NandFlash
 
 
 class Block:
-    """A fixed-size erase block.
+    """Window onto block ``index`` of ``flash``'s state arrays."""
 
-    Attributes:
-        index: The block's physical block number on the device.
-        erase_count: How many times this block has been erased (wear).
-    """
+    __slots__ = ("_flash", "index", "_base", "pages_per_block")
 
-    __slots__ = (
-        "index",
-        "pages",
-        "erase_count",
-        "is_bad",
-        "_write_ptr",
-        "_valid_count",
-    )
-
-    def __init__(self, index: int, pages_per_block: int):
-        if pages_per_block <= 0:
-            raise ValueError("pages_per_block must be positive")
+    def __init__(self, flash: "NandFlash", index: int):
+        self._flash = flash
         self.index = index
-        self.pages: List[Page] = [Page() for _ in range(pages_per_block)]
-        self.erase_count = 0
-        self.is_bad = False
-        self._write_ptr = 0          # next programmable offset
-        self._valid_count = 0
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def pages_per_block(self) -> int:
-        return len(self.pages)
+        self.pages_per_block = flash.geometry.pages_per_block
+        self._base = index * self.pages_per_block
 
     @property
     def write_ptr(self) -> int:
         """Offset of the next free page (== pages programmed since erase)."""
-        return self._write_ptr
+        return self._flash.write_ptr[self.index]
 
     @property
     def valid_count(self) -> int:
         """Number of VALID pages currently in the block."""
-        return self._valid_count
+        return self._flash.valid_count[self.index]
 
     @property
     def invalid_count(self) -> int:
         """Number of INVALID (stale) pages currently in the block."""
-        return self._write_ptr - self._valid_count
+        flash = self._flash
+        return flash.write_ptr[self.index] - flash.valid_count[self.index]
 
     @property
     def free_count(self) -> int:
         """Number of still-programmable pages."""
-        return len(self.pages) - self._write_ptr
+        return self.pages_per_block - self._flash.write_ptr[self.index]
 
     @property
     def is_full(self) -> bool:
         """True when every page has been programmed since the last erase."""
-        return self._write_ptr >= len(self.pages)
+        return self._flash.write_ptr[self.index] >= self.pages_per_block
 
     @property
     def is_empty(self) -> bool:
         """True when the block is fully erased."""
-        return self._write_ptr == 0
+        return self._flash.write_ptr[self.index] == 0
+
+    @property
+    def erase_count(self) -> int:
+        """How many times this block has been erased (wear)."""
+        return self._flash.erase_count[self.index]
+
+    @property
+    def is_bad(self) -> bool:
+        """True once the block is retired (wear-out or factory mark)."""
+        return bool(self._flash.is_bad[self.index])
+
+    def is_free(self, offset: int) -> bool:
+        """True when the page at ``offset`` is erased and programmable."""
+        return self._flash.page_states[self._ppn(offset)] == FREE
+
+    def is_valid(self, offset: int) -> bool:
+        """True when the page at ``offset`` holds a live copy."""
+        return self._flash.page_states[self._ppn(offset)] == VALID
+
+    def oob(self, offset: int) -> Optional[OOBData]:
+        """Spare-area metadata of the page at ``offset`` (uncharged peek)."""
+        return self._flash.page_oob[self._ppn(offset)]
 
     def valid_offsets(self) -> Iterator[int]:
         """Yield the offsets of all VALID pages, ascending."""
-        for offset in range(self._write_ptr):
-            if self.pages[offset].state is PageState.VALID:
-                yield offset
+        base = self._base
+        return (ppn - base for ppn in self._flash.valid_ppns(self.index))
 
     def programmed_offsets(self) -> Iterator[int]:
         """Yield offsets of all programmed (valid or invalid) pages."""
-        return iter(range(self._write_ptr))
+        return iter(range(self._flash.write_ptr[self.index]))
 
-    # ------------------------------------------------------------------
-    # NAND operations (invoked by the chip, which does the accounting)
-    # ------------------------------------------------------------------
-    def read(self, offset: int) -> Tuple[Any, Optional[OOBData]]:
-        """Return ``(data, oob)`` of a programmed page.
-
-        Reading an unprogrammed page is a simulator usage bug, so it raises
-        :class:`ReadError` rather than returning garbage silently.
-        """
-        page = self.pages[offset]
-        if page.is_free:
-            raise ReadError(
-                f"read of unprogrammed page (block {self.index}, offset {offset})"
-            )
-        return page.data, page.oob
-
-    def program(self, offset: int, data: Any, oob: Optional[OOBData],
-                enforce_sequential: bool = True) -> None:
-        """Program one page, enforcing NAND constraints."""
-        page = self.pages[offset]
-        if not page.is_free:
-            raise ProgramError(
-                f"program of non-free page (block {self.index}, offset {offset})"
-            )
-        if enforce_sequential and offset != self._write_ptr:
-            raise ProgramError(
-                f"non-sequential program in block {self.index}: "
-                f"offset {offset}, expected {self._write_ptr}"
-            )
-        page.program(data, oob)
-        if offset >= self._write_ptr:
-            self._write_ptr = offset + 1
-        self._valid_count += 1
-
-    def invalidate(self, offset: int) -> bool:
-        """Mark a VALID page stale; returns False when it already was.
-
-        A False return means the caller's bookkeeping tried to retire the
-        same physical copy twice - the chip surfaces that explicitly (see
-        :meth:`repro.flash.chip.NandFlash.invalidate_page`) instead of
-        letting it pass as a silent no-op.
-        """
-        page = self.pages[offset]
-        if page.is_free:
-            raise ProgramError(
-                f"invalidate of free page (block {self.index}, offset {offset})"
-            )
-        if not page.is_valid:
-            return False
-        page.invalidate()
-        self._valid_count -= 1
-        return True
-
-    # ------------------------------------------------------------------
-    # Inline-program accounting (the untraced fast paths)
-    # ------------------------------------------------------------------
-    def note_programmed(self) -> None:
-        """Advance the frontier counters for one in-place page program.
-
-        The untraced fast paths (the ``maintenance_fast_path`` replay
-        loops and the batch-replay kernels) program the frontier page by
-        mutating it directly instead of calling :meth:`program` - they
-        have already established the page is FREE and at the write
-        pointer, and they skip the checks to stay cheap.  This is the
-        sanctioned way for them to keep the block counters honest; it is
-        the accounting half of :meth:`program` with the NAND-constraint
-        checks elided.
-        """
-        self._write_ptr += 1
-        self._valid_count += 1
-
-    def note_programmed_run(self, write_ptr: int, added_valid: int) -> None:
-        """Bulk twin of :meth:`note_programmed` for an epoch of programs.
-
-        ``write_ptr`` is the post-run pointer; ``added_valid`` is how
-        many of the newly programmed pages are VALID.
-        """
-        self._write_ptr = write_ptr
-        self._valid_count += added_valid
-
-    def note_invalidated(self) -> None:
-        """Account one in-place VALID -> INVALID page flip.
-
-        Fast-path twin of :meth:`invalidate`: the caller has already
-        checked the page was VALID and flipped its state.
-        """
-        self._valid_count -= 1
-
-    def erase(self) -> None:
-        """Erase the whole block, resetting every page to FREE."""
-        if self._valid_count > 0:
-            raise EraseError(
-                f"erase of block {self.index} with {self._valid_count} valid pages"
-            )
-        for page in self.pages:
-            page.reset()
-        self._write_ptr = 0
-        self._valid_count = 0
-        self.erase_count += 1
-
-    def force_erase(self) -> None:
-        """Erase even if valid pages remain (test/fault tooling only)."""
-        for page in self.pages:
-            page.reset()
-        self._write_ptr = 0
-        self._valid_count = 0
-        self.erase_count += 1
-
-    def mark_bad(self) -> None:
-        """Permanently retire the block (wear-out or factory mark)."""
-        self.is_bad = True
+    def _ppn(self, offset: int) -> int:
+        if not 0 <= offset < self.pages_per_block:
+            raise IndexError(f"page offset {offset} outside block")
+        return self._base + offset
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Block({self.index}, valid={self._valid_count}, "
-            f"wp={self._write_ptr}/{len(self.pages)}, erases={self.erase_count})"
+            f"Block({self.index}, valid={self.valid_count}, "
+            f"wp={self.write_ptr}/{self.pages_per_block}, "
+            f"erases={self.erase_count})"
         )

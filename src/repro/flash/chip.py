@@ -5,6 +5,14 @@
 ``invalidate_page`` bookkeeping - enforces NAND constraints, charges latency
 per the timing model, and supports power-loss injection for recovery tests.
 
+Device state is struct-of-arrays: one state byte, one payload slot and one
+OOB slot per ppn, and one write pointer / valid count / erase count / bad
+flag per block.  Each raw operation is a single method - power, fault,
+range, bad-block and NAND-rule checks, a few array stores, the stats update
+and an ``if tracer is not None`` emit - and it is the only place that
+operation's semantics are written down; subclasses (parallel timing, the
+flashsan sanitizer) wrap it through ``super()``.
+
 Every operation returns its latency in microseconds; FTLs sum these into the
 service time of the host request they are working on.
 """
@@ -12,7 +20,7 @@ service time of the host request they are working on.
 from __future__ import annotations
 
 import warnings
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.events import EventType
 from .block import Block
@@ -28,13 +36,13 @@ from .errors import (
 from .fault import PowerFault
 from .geometry import FlashGeometry
 from .oob import OOBData
-from .page import PageState
+from .page import FREE, INVALID, VALID, PageState
 from .stats import FlashStats
 from .timing import SLC_TIMING, TimingModel
 
 
 class NandFlash:
-    """A raw NAND device: geometry + timing + block array.
+    """A raw NAND device: geometry + timing + flat page/block state arrays.
 
     Args:
         geometry: Physical layout of the device.
@@ -42,6 +50,18 @@ class NandFlash:
             constants).
         enforce_sequential: Enforce in-block sequential programming.  All
             shipped FTLs program sequentially; tests may relax this.
+
+    State arrays (read freely; only this package may store to them):
+
+    ========================  =========  ================================
+    ``page_states[ppn]``      bytearray  :class:`PageState` code
+    ``page_data[ppn]``        list       payload object (None if erased)
+    ``page_oob[ppn]``         list       :class:`OOBData` (None if erased)
+    ``write_ptr[pbn]``        list       next programmable offset
+    ``valid_count[pbn]``      list       VALID pages in the block
+    ``erase_count[pbn]``      list       erases so far (wear)
+    ``is_bad[pbn]``           bytearray  1 once the block is retired
+    ========================  =========  ================================
     """
 
     def __init__(
@@ -58,237 +78,30 @@ class NandFlash:
         if endurance is not None and endurance < 1:
             raise ValueError("endurance must be >= 1 or None")
         self.endurance = endurance
-        self.blocks: List[Block] = [
-            Block(i, self.geometry.pages_per_block)
-            for i in range(self.geometry.num_blocks)
-        ]
+        # Scalars of the (frozen) geometry, cached for the per-op address
+        # math and range checks.
+        num_blocks = self._num_blocks = self.geometry.num_blocks
+        ppb = self._ppb = self.geometry.pages_per_block
+        total = self._total_pages = num_blocks * ppb
+        self.page_states = bytearray(total)
+        self.page_data: List[Any] = [None] * total
+        self.page_oob: List[Optional[OOBData]] = [None] * total
+        self.write_ptr: List[int] = [0] * num_blocks
+        self.valid_count: List[int] = [0] * num_blocks
+        self.erase_count: List[int] = [0] * num_blocks
+        self.is_bad = bytearray(num_blocks)
+        #: One erased block's worth of each page column (erase is a slice
+        #: assignment from these).
+        self._erased_states = bytes(ppb)
+        self._erased_slots: List[None] = [None] * ppb
+        self.blocks: List[Block] = [Block(self, i) for i in range(num_blocks)]
         for pbn in initial_bad_blocks:
-            self.geometry.check_block(pbn)
-            self.blocks[pbn].mark_bad()
+            self.mark_bad(pbn)
         self.stats = FlashStats()
         self.fault = PowerFault()
         self._powered = True
-        self._tracer = None
-        self._rebind_fast_paths()
-
-    # ------------------------------------------------------------------
-    # Tracer attachment and fast/slow dispatch
-    # ------------------------------------------------------------------
-    #: Raw-op methods that get an instance-bound fast variant while no
-    #: tracer is attached.
-    _FAST_BOUND = (
-        "read_page", "probe_page", "program_page", "erase_block",
-        "invalidate_page", "block",
-    )
-
-    @property
-    def tracer(self):
-        """Optional :class:`repro.obs.tracer.Tracer` (None by default)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self._tracer = value
-        self._rebind_fast_paths()
-
-    def _rebind_fast_paths(self) -> None:
-        """Install (or remove) instance-bound untraced raw-op variants.
-
-        With no tracer attached, each raw operation is a closure that has
-        pre-resolved the geometry scalars, timing constants, block list and
-        stats object, and carries no tracer branch at all - the untraced
-        run does zero observability work.  Attaching a tracer removes the
-        bindings so calls fall through to the traced class methods.
-
-        Subclasses (the flashsan sanitizer overrides these methods) are
-        left untouched: an instance binding would shadow their overrides.
-        """
-        if type(self) is not NandFlash:
-            return
-        d = self.__dict__
-        if self._tracer is not None:
-            for name in self._FAST_BOUND:
-                d.pop(name, None)
-            return
-        geometry = self.geometry
-        total_pages = geometry.total_pages
-        num_blocks = geometry.num_blocks
-        ppb = geometry.pages_per_block
-        check_ppn = geometry.check_ppn
-        check_block = geometry.check_block
-        blocks = self.blocks
-        stats = self.stats
-        fault = self.fault
-        on_program = fault.on_program
-        on_erase = fault.on_erase
-        read_us = self.timing.page_read_us
-        program_us = self.timing.page_program_us
-        erase_us = self.timing.block_erase_us
-        endurance = self.endurance
-        FREE = PageState.FREE
-        VALID = PageState.VALID
-        INVALID = PageState.INVALID
-
-        def read_page(ppn: int) -> Tuple[Any, Optional[OOBData], float]:
-            if not self._powered:
-                raise DeviceOffError("flash device is powered off")
-            if not 0 <= ppn < total_pages:
-                check_ppn(ppn)
-            page = blocks[ppn // ppb].pages[ppn % ppb]
-            if page.state is FREE:
-                raise ReadError(
-                    f"read of unprogrammed page "
-                    f"(block {ppn // ppb}, offset {ppn % ppb})"
-                )
-            stats.page_reads += 1
-            stats.read_us += read_us
-            return page.data, page.oob, read_us
-
-        def probe_page(ppn: int) -> Tuple[Optional[OOBData], float]:
-            if not self._powered:
-                raise DeviceOffError("flash device is powered off")
-            if not 0 <= ppn < total_pages:
-                check_ppn(ppn)
-            page = blocks[ppn // ppb].pages[ppn % ppb]
-            stats.page_reads += 1
-            stats.read_us += read_us
-            if page.state is FREE:
-                return None, read_us
-            return page.oob, read_us
-
-        def program_page(
-            ppn: int, data: Any, oob: Optional[OOBData] = None
-        ) -> float:
-            if not self._powered:
-                raise DeviceOffError("flash device is powered off")
-            # _remaining is None exactly when on_program() would return
-            # False (disarmed, or already tripped - tripping nulls the
-            # countdown), so the common unarmed case skips the call.
-            if fault._remaining is not None and on_program(ppn):
-                self._powered = False
-                raise PowerLossError(
-                    f"power lost before programming ppn {ppn}"
-                )
-            if not 0 <= ppn < total_pages:
-                check_ppn(ppn)
-            pbn = ppn // ppb
-            offset = ppn % ppb
-            block = blocks[pbn]
-            if block.is_bad:
-                raise BadBlockError(pbn, block.erase_count)
-            page = block.pages[offset]
-            if page.state is not FREE:
-                raise ProgramError(
-                    f"program of non-free page (block {pbn}, "
-                    f"offset {offset})"
-                )
-            write_ptr = block._write_ptr
-            if offset != write_ptr and self.enforce_sequential:
-                raise ProgramError(
-                    f"non-sequential program in block {pbn}: "
-                    f"offset {offset}, expected {write_ptr}"
-                )
-            page.state = VALID
-            page.data = data
-            page.oob = oob
-            if offset >= write_ptr:
-                block._write_ptr = offset + 1
-            block._valid_count += 1
-            stats.page_programs += 1
-            stats.program_us += program_us
-            return program_us
-
-        def erase_block(pbn: int) -> float:
-            if not self._powered:
-                raise DeviceOffError("flash device is powered off")
-            if fault._remaining is not None and on_erase(pbn):
-                self._powered = False
-                raise PowerLossError(f"power lost before erasing block {pbn}")
-            if not 0 <= pbn < num_blocks:
-                check_block(pbn)
-            block = blocks[pbn]
-            if block.is_bad:
-                raise BadBlockError(pbn, block.erase_count)
-            stats.block_erases += 1
-            stats.erase_us += erase_us
-            if endurance is not None and block.erase_count >= endurance:
-                block.force_erase()  # contents are gone either way
-                block.mark_bad()
-                raise BadBlockError(pbn, block.erase_count)
-            if block._valid_count > 0:
-                raise EraseError(
-                    f"erase of block {pbn} with {block._valid_count} "
-                    "valid pages"
-                )
-            # Inlined Block.erase: pages at or past the write pointer were
-            # never programmed since the last erase, so they are already
-            # FREE/None/None and need no reset.
-            for page in block.pages[:block._write_ptr]:
-                page.state = FREE
-                page.data = None
-                page.oob = None
-            block._write_ptr = 0
-            block.erase_count += 1
-            return erase_us
-
-        def invalidate_page(ppn: int) -> None:
-            if not 0 <= ppn < total_pages:
-                check_ppn(ppn)
-            pbn = ppn // ppb
-            offset = ppn % ppb
-            block = blocks[pbn]
-            page = block.pages[offset]
-            state = page.state
-            if state is VALID:
-                page.state = INVALID
-                block._valid_count -= 1
-                return
-            if state is FREE:
-                raise ProgramError(
-                    f"invalidate of free page (block {pbn}, "
-                    f"offset {offset})"
-                )
-            stats.redundant_invalidates += 1
-            warnings.warn(
-                RedundantInvalidateWarning(
-                    f"page (block {pbn}, offset {offset}) invalidated "
-                    "twice - double supersession in FTL bookkeeping"
-                ),
-                stacklevel=2,
-            )
-
-        def block(pbn: int) -> Block:
-            if 0 <= pbn < num_blocks:
-                return blocks[pbn]
-            check_block(pbn)
-            raise AssertionError("unreachable")  # pragma: no cover
-
-        d["read_page"] = read_page
-        d["probe_page"] = probe_page
-        d["program_page"] = program_page
-        d["erase_block"] = erase_block
-        d["invalidate_page"] = invalidate_page
-        d["block"] = block
-
-    def maintenance_fast_path(self) -> bool:
-        """True when maintenance loops may inline raw page operations.
-
-        GC/conversion relocation loops (and the batch-replay kernels in
-        :mod:`repro.perf.batch`) can skip the per-op call overhead and
-        mutate pages and stats directly - but only when nothing observes
-        the per-op stream: exact :class:`NandFlash` (the flashsan
-        sanitizer subclasses it to audit every raw op), powered, no
-        tracer attached, and the power-fault injector disarmed (fault
-        countdowns must see every program/erase).  Inline sequences
-        replicate the closures' state and stats updates exactly, so
-        eligibility changes speed, never results.
-        """
-        return (
-            type(self) is NandFlash
-            and self._powered
-            and self._tracer is None
-            and self.fault._remaining is None
-        )
+        #: Optional :class:`repro.obs.tracer.Tracer` (None by default).
+        self.tracer: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Power management (crash simulation)
@@ -312,24 +125,31 @@ class NandFlash:
         self._powered = True
         self.fault.disarm()
 
-    def _check_power(self) -> None:
-        if not self._powered:
-            raise DeviceOffError("flash device is powered off")
-
     # ------------------------------------------------------------------
     # Raw NAND operations
     # ------------------------------------------------------------------
     def read_page(self, ppn: int) -> Tuple[Any, Optional[OOBData], float]:
-        """Read a page; returns ``(data, oob, latency_us)``."""
-        self._check_power()
-        block, offset = self.geometry.split_ppn(ppn)
-        data, oob = self.blocks[block].read(offset)
+        """Read a page; returns ``(data, oob, latency_us)``.
+
+        Reading an unprogrammed page is a simulator usage bug, so it raises
+        :class:`ReadError` rather than returning garbage silently.
+        """
+        if not self._powered:
+            raise DeviceOffError("flash device is powered off")
+        if not 0 <= ppn < self._total_pages:
+            self.geometry.check_ppn(ppn)
+        if self.page_states[ppn] == FREE:
+            raise ReadError(
+                f"read of unprogrammed page (block {ppn // self._ppb}, "
+                f"offset {ppn % self._ppb})"
+            )
         latency = self.timing.page_read_us
-        self.stats.page_reads += 1
-        self.stats.read_us += latency
-        if self._tracer is not None:
-            self._tracer.flash_op(EventType.PAGE_READ, ppn, latency)
-        return data, oob, latency
+        stats = self.stats
+        stats.page_reads += 1
+        stats.read_us += latency
+        if self.tracer is not None:
+            self.tracer.flash_op(EventType.PAGE_READ, ppn, latency)
+        return self.page_data[ppn], self.page_oob[ppn], latency
 
     def read_oob(self, ppn: int) -> Tuple[Optional[OOBData], float]:
         """Read only the spare area of a page.
@@ -349,73 +169,174 @@ class NandFlash:
         raising; recovery scans use this to classify blocks (real
         controllers detect erased pages as all-0xFF).  Charged as a read.
         """
-        self._check_power()
-        block, offset = self.geometry.split_ppn(ppn)
-        page = self.blocks[block].pages[offset]
+        if not self._powered:
+            raise DeviceOffError("flash device is powered off")
+        if not 0 <= ppn < self._total_pages:
+            self.geometry.check_ppn(ppn)
         latency = self.timing.page_read_us
-        self.stats.page_reads += 1
-        self.stats.read_us += latency
-        if self._tracer is not None:
-            self._tracer.flash_op(EventType.PAGE_READ, ppn, latency)
-        if page.is_free:
-            return None, latency
-        return page.oob, latency
+        stats = self.stats
+        stats.page_reads += 1
+        stats.read_us += latency
+        if self.tracer is not None:
+            self.tracer.flash_op(EventType.PAGE_READ, ppn, latency)
+        # An erased page's OOB slot is None already.
+        return self.page_oob[ppn], latency
 
     def program_page(
         self, ppn: int, data: Any, oob: Optional[OOBData] = None
     ) -> float:
         """Program a page; returns the latency in microseconds.
 
-        Raises :class:`PowerLossError` (leaving the page unprogrammed) if an
+        Enforces erase-before-write (the page must be FREE) and, with
+        ``enforce_sequential``, ascending in-block program order.  Raises
+        :class:`PowerLossError` (leaving the page unprogrammed) if an
         armed fault trips on this operation.
         """
-        self._check_power()
-        if self.fault.on_program(ppn):
+        if not self._powered:
+            raise DeviceOffError("flash device is powered off")
+        fault = self.fault
+        # _remaining is None exactly when on_program() would return False
+        # (disarmed, or already tripped), so the unarmed case skips the call.
+        if fault._remaining is not None and fault.on_program(ppn):
             self._powered = False
             raise PowerLossError(f"power lost before programming ppn {ppn}")
-        block, offset = self.geometry.split_ppn(ppn)
-        if self.blocks[block].is_bad:
-            raise BadBlockError(block, self.blocks[block].erase_count)
-        self.blocks[block].program(
-            offset, data, oob, enforce_sequential=self.enforce_sequential
-        )
+        if not 0 <= ppn < self._total_pages:
+            self.geometry.check_ppn(ppn)
+        ppb = self._ppb
+        pbn = ppn // ppb
+        offset = ppn - pbn * ppb
+        if self.is_bad[pbn]:
+            raise BadBlockError(pbn, self.erase_count[pbn])
+        states = self.page_states
+        if states[ppn] != FREE:
+            raise ProgramError(
+                f"program of non-free page (block {pbn}, offset {offset})"
+            )
+        write_ptr = self.write_ptr[pbn]
+        if offset != write_ptr and self.enforce_sequential:
+            raise ProgramError(
+                f"non-sequential program in block {pbn}: "
+                f"offset {offset}, expected {write_ptr}"
+            )
+        states[ppn] = VALID
+        self.page_data[ppn] = data
+        self.page_oob[ppn] = oob
+        if offset >= write_ptr:
+            self.write_ptr[pbn] = offset + 1
+        self.valid_count[pbn] += 1
         latency = self.timing.page_program_us
-        self.stats.page_programs += 1
-        self.stats.program_us += latency
-        if self._tracer is not None:
-            self._tracer.flash_op(
+        stats = self.stats
+        stats.page_programs += 1
+        stats.program_us += latency
+        if self.tracer is not None:
+            self.tracer.flash_op(
                 EventType.PAGE_PROGRAM, ppn, latency,
                 lpn=oob.lpn if oob is not None else None,
             )
         return latency
 
+    def program_run(
+        self,
+        ppn: int,
+        datas: Sequence[Any],
+        oobs: Sequence[Optional[OOBData]],
+    ) -> float:
+        """Program ``len(datas)`` consecutive pages starting at ``ppn``.
+
+        Equivalent to calling :meth:`program_page` once per page, in
+        order, and summing the latencies - same resulting state, same
+        ``FlashStats`` (floats accumulated one add per page), same
+        exception at the same page.  When the whole run is plainly legal
+        (powered, no armed fault, no tracer, inside one good block,
+        starting at its write pointer, every target FREE) the stores are
+        slice assignments; anything else takes the per-page calls, which
+        then raise or trace exactly as they always do.
+        """
+        n = len(datas)
+        if len(oobs) != n:
+            raise ValueError("datas and oobs must have the same length")
+        ppb = self._ppb
+        end = ppn + n
+        pbn = ppn // ppb
+        states = self.page_states
+        if not (
+            self._powered
+            and self.fault._remaining is None
+            and self.tracer is None
+            and 0 <= ppn < self._total_pages
+            and end <= (pbn + 1) * ppb
+            and not self.is_bad[pbn]
+            and ppn - pbn * ppb == self.write_ptr[pbn]
+            and states.count(FREE, ppn, end) == n
+        ):
+            return self._program_each(ppn, datas, oobs)
+        states[ppn:end] = bytes((VALID,)) * n
+        self.page_data[ppn:end] = datas
+        self.page_oob[ppn:end] = oobs
+        self.write_ptr[pbn] += n
+        self.valid_count[pbn] += n
+        latency = self.timing.page_program_us
+        stats = self.stats
+        stats.page_programs += n
+        program_us = stats.program_us
+        total = 0.0
+        for _ in range(n):
+            program_us += latency
+            total += latency
+        stats.program_us = program_us
+        return total
+
+    def _program_each(
+        self,
+        ppn: int,
+        datas: Sequence[Any],
+        oobs: Sequence[Optional[OOBData]],
+    ) -> float:
+        """:meth:`program_run` as literal per-page :meth:`program_page`
+        calls (through ``self``, so subclass overrides apply)."""
+        total = 0.0
+        for i in range(len(datas)):
+            total += self.program_page(ppn + i, datas[i], oobs[i])
+        return total
+
     def erase_block(self, pbn: int) -> float:
         """Erase a block; returns the latency in microseconds.
 
-        With an ``endurance`` limit configured, the erase that would
-        exceed it *fails*: the block is marked bad (its stale contents are
-        discarded, as the FTL has already relocated anything live) and
-        :class:`BadBlockError` is raised after charging the erase time -
-        real controllers discover wear-out exactly this way.
+        A block still holding VALID pages raises :class:`EraseError`
+        (after charging the erase).  With an ``endurance`` limit
+        configured, the erase that would exceed it *fails*: the block is
+        marked bad (its stale contents are discarded, as the FTL has
+        already relocated anything live) and :class:`BadBlockError` is
+        raised after charging the erase time - real controllers discover
+        wear-out exactly this way.
         """
-        self._check_power()
-        if self.fault.on_erase(pbn):
+        if not self._powered:
+            raise DeviceOffError("flash device is powered off")
+        fault = self.fault
+        if fault._remaining is not None and fault.on_erase(pbn):
             self._powered = False
             raise PowerLossError(f"power lost before erasing block {pbn}")
-        self.geometry.check_block(pbn)
-        block = self.blocks[pbn]
-        if block.is_bad:
-            raise BadBlockError(pbn, block.erase_count)
+        if not 0 <= pbn < self._num_blocks:
+            self.geometry.check_block(pbn)
+        if self.is_bad[pbn]:
+            raise BadBlockError(pbn, self.erase_count[pbn])
         latency = self.timing.block_erase_us
-        self.stats.block_erases += 1
-        self.stats.erase_us += latency
-        if self._tracer is not None:
-            self._tracer.flash_op(EventType.BLOCK_ERASE, pbn, latency)
-        if self.endurance is not None and block.erase_count >= self.endurance:
-            block.force_erase()  # contents are gone either way
-            block.mark_bad()
-            raise BadBlockError(pbn, block.erase_count)
-        block.erase()
+        stats = self.stats
+        stats.block_erases += 1
+        stats.erase_us += latency
+        if self.tracer is not None:
+            self.tracer.flash_op(EventType.BLOCK_ERASE, pbn, latency)
+        endurance = self.endurance
+        if endurance is not None and self.erase_count[pbn] >= endurance:
+            self.force_erase(pbn)  # contents are gone either way
+            self.mark_bad(pbn)
+            raise BadBlockError(pbn, self.erase_count[pbn])
+        if self.valid_count[pbn] > 0:
+            raise EraseError(
+                f"erase of block {pbn} with {self.valid_count[pbn]} "
+                "valid pages"
+            )
+        self.force_erase(pbn)
         return latency
 
     # ------------------------------------------------------------------
@@ -431,34 +352,79 @@ class NandFlash:
         bookkeeping retired the same copy twice.  The flashsan sanitizer
         turns both into structured violations.
         """
-        block, offset = self.geometry.split_ppn(ppn)
-        if not self.blocks[block].invalidate(offset):
-            self.stats.redundant_invalidates += 1
-            warnings.warn(
-                RedundantInvalidateWarning(
-                    f"page (block {block}, offset {offset}) invalidated "
-                    "twice - double supersession in FTL bookkeeping"
-                ),
-                stacklevel=2,
+        if not 0 <= ppn < self._total_pages:
+            self.geometry.check_ppn(ppn)
+        states = self.page_states
+        state = states[ppn]
+        if state == VALID:
+            states[ppn] = INVALID
+            self.valid_count[ppn // self._ppb] -= 1
+            return
+        pbn, offset = divmod(ppn, self._ppb)
+        if state == FREE:
+            raise ProgramError(
+                f"invalidate of free page (block {pbn}, offset {offset})"
             )
+        self.stats.redundant_invalidates += 1
+        warnings.warn(
+            RedundantInvalidateWarning(
+                f"page (block {pbn}, offset {offset}) invalidated "
+                "twice - double supersession in FTL bookkeeping"
+            ),
+            stacklevel=2,
+        )
 
-    def page_state(self, ppn: int):
+    def force_erase(self, pbn: int) -> None:
+        """Reset a block to erased even if valid pages remain.
+
+        The state half of :meth:`erase_block` (which calls it after its
+        checks); called directly only by test/fault tooling.  Charges
+        nothing and emits nothing.
+        """
+        self.geometry.check_block(pbn)
+        ppb = self._ppb
+        base = pbn * ppb
+        self.page_states[base:base + ppb] = self._erased_states
+        self.page_data[base:base + ppb] = self._erased_slots
+        self.page_oob[base:base + ppb] = self._erased_slots
+        self.write_ptr[pbn] = 0
+        self.valid_count[pbn] = 0
+        self.erase_count[pbn] += 1
+
+    def mark_bad(self, pbn: int) -> None:
+        """Permanently retire a block (wear-out or factory mark)."""
+        self.geometry.check_block(pbn)
+        self.is_bad[pbn] = 1
+
+    # ------------------------------------------------------------------
+    # Uncharged introspection
+    # ------------------------------------------------------------------
+    def page_state(self, ppn: int) -> PageState:
         """Return the :class:`~repro.flash.page.PageState` of a page."""
-        block, offset = self.geometry.split_ppn(ppn)
-        return self.blocks[block].pages[offset].state
+        self.geometry.check_ppn(ppn)
+        return PageState(self.page_states[ppn])
+
+    def valid_ppns(self, pbn: int) -> List[int]:
+        """ppns of the block's VALID pages, ascending (GC's work list)."""
+        base = pbn * self._ppb
+        states = self.page_states
+        return [
+            ppn for ppn in range(base, base + self.write_ptr[pbn])
+            if states[ppn] == VALID
+        ]
 
     def block(self, pbn: int) -> Block:
-        """Return the :class:`Block` object for physical block ``pbn``."""
+        """Return the read-only :class:`Block` view of block ``pbn``."""
         self.geometry.check_block(pbn)
         return self.blocks[pbn]
 
     def erase_counts(self) -> List[int]:
         """Per-block erase counts (wear profile)."""
-        return [b.erase_count for b in self.blocks]
+        return list(self.erase_count)
 
     def bad_blocks(self) -> List[int]:
         """Indices of all retired (bad) blocks."""
-        return [b.index for b in self.blocks if b.is_bad]
+        return [pbn for pbn, bad in enumerate(self.is_bad) if bad]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         g = self.geometry

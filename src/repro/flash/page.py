@@ -1,74 +1,31 @@
-"""A single physical flash page and its lifecycle.
+"""The lifecycle of a physical flash page.
 
 Pages move ``FREE -> VALID -> INVALID`` and only an erase of the whole block
 returns them to ``FREE``.  Validity is an FTL-level notion (real NAND does
-not know which pages are stale) but, as in FlashSim-style simulators, we keep
-it on the page so garbage-collection policies and statistics can read it
+not know which pages are stale) but, as in FlashSim-style simulators, the
+device keeps it so garbage-collection policies and statistics can read it
 directly.
+
+There is no per-page object: :class:`~repro.flash.chip.NandFlash` stores one
+state code per ppn in a flat ``bytearray`` (``flash.page_states``), and the
+codes are the integer values of :class:`PageState`.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Any, Optional
-
-from .oob import OOBData
+from enum import IntEnum
 
 
-class PageState(Enum):
-    """Lifecycle state of one physical page."""
+class PageState(IntEnum):
+    """Lifecycle state of one physical page (the byte stored per ppn)."""
 
-    FREE = "free"        #: erased, programmable
-    VALID = "valid"      #: holds the live copy of some logical page
-    INVALID = "invalid"  #: holds a stale copy awaiting garbage collection
+    FREE = 0     #: erased, programmable
+    VALID = 1    #: holds the live copy of some logical page
+    INVALID = 2  #: holds a stale copy awaiting garbage collection
 
 
-class Page:
-    """One physical page: state, optional data payload, and OOB metadata.
-
-    The payload is an arbitrary Python object; simulations that only count
-    operations pass ``None``, while correctness tests store version tokens
-    and verify read-your-writes through the whole FTL stack.
-    """
-
-    __slots__ = ("state", "data", "oob")
-
-    def __init__(self) -> None:
-        self.state: PageState = PageState.FREE
-        self.data: Any = None
-        self.oob: Optional[OOBData] = None
-
-    @property
-    def is_free(self) -> bool:
-        """True when the page is erased and can be programmed."""
-        return self.state is PageState.FREE
-
-    @property
-    def is_valid(self) -> bool:
-        """True when the page holds the live copy of a logical page."""
-        return self.state is PageState.VALID
-
-    @property
-    def is_invalid(self) -> bool:
-        """True when the page holds a stale copy."""
-        return self.state is PageState.INVALID
-
-    def program(self, data: Any, oob: Optional[OOBData]) -> None:
-        """Store content; caller (the block) has checked NAND constraints."""
-        self.state = PageState.VALID
-        self.data = data
-        self.oob = oob
-
-    def invalidate(self) -> None:
-        """Mark the stored copy stale (page becomes GC-reclaimable)."""
-        self.state = PageState.INVALID
-
-    def reset(self) -> None:
-        """Return to the erased state (block erase path)."""
-        self.state = PageState.FREE
-        self.data = None
-        self.oob = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        lpn = self.oob.lpn if self.oob is not None else None
-        return f"Page(state={self.state.value}, lpn={lpn})"
+#: Plain-int aliases for loops that compare ``flash.page_states[ppn]`` per
+#: page (a module global is cheaper than an enum attribute lookup).
+FREE = int(PageState.FREE)
+VALID = int(PageState.VALID)
+INVALID = int(PageState.INVALID)

@@ -42,10 +42,8 @@ imbalance.  It is reported to an attached tracer via
 decomposition (like host-side queueing), never inside the cause
 buckets.
 
-Because this class is a real subclass, every fast path keyed on exact
-``type(x) is NandFlash`` - the untraced closure bindings, FTL inline
-maintenance twins, and the batch-replay engines - automatically
-disqualifies itself and falls back to the (bit-identical) slow paths.
+The batch-replay engine (:func:`repro.perf.batch.engine_for`) declines
+this device: its planners model one frontier and one clock.
 
 ``serialize_timing=True`` forces every op to start at the current op
 makespan instead of its unit clock, turning timing back into the serial
@@ -55,7 +53,7 @@ use to separate placement determinism from timing overlap.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.events import EventType
 from .chip import NandFlash
@@ -150,12 +148,12 @@ class ParallelNandFlash(NandFlash):
     # the endurance-failure erase below.
 
     def read_page(self, ppn: int) -> Tuple[Any, Optional[OOBData], float]:
-        tracer = self._tracer
-        self._tracer = None
+        tracer = self.tracer
+        self.tracer = None
         try:
             data, oob, raw = super().read_page(ppn)
         finally:
-            self._tracer = tracer
+            self.tracer = tracer
         unit = (ppn // self.geometry.pages_per_block) % self._units
         delta, wait = self._advance(unit, raw)
         if tracer is not None:
@@ -163,12 +161,12 @@ class ParallelNandFlash(NandFlash):
         return data, oob, delta
 
     def probe_page(self, ppn: int) -> Tuple[Optional[OOBData], float]:
-        tracer = self._tracer
-        self._tracer = None
+        tracer = self.tracer
+        self.tracer = None
         try:
             oob, raw = super().probe_page(ppn)
         finally:
-            self._tracer = tracer
+            self.tracer = tracer
         unit = (ppn // self.geometry.pages_per_block) % self._units
         delta, wait = self._advance(unit, raw)
         if tracer is not None:
@@ -178,12 +176,12 @@ class ParallelNandFlash(NandFlash):
     def program_page(
         self, ppn: int, data: Any, oob: Optional[OOBData] = None
     ) -> float:
-        tracer = self._tracer
-        self._tracer = None
+        tracer = self.tracer
+        self.tracer = None
         try:
             raw = super().program_page(ppn, data, oob)
         finally:
-            self._tracer = tracer
+            self.tracer = tracer
         unit = (ppn // self.geometry.pages_per_block) % self._units
         delta, wait = self._advance(unit, raw)
         if tracer is not None:
@@ -193,9 +191,18 @@ class ParallelNandFlash(NandFlash):
             )
         return delta
 
+    def program_run(
+        self,
+        ppn: int,
+        datas: Sequence[Any],
+        oobs: Sequence[Optional[OOBData]],
+    ) -> float:
+        # Per-unit clocks advance op by op: no slice shortcut.
+        return self._program_each(ppn, datas, oobs)
+
     def erase_block(self, pbn: int) -> float:
-        tracer = self._tracer
-        self._tracer = None
+        tracer = self.tracer
+        self.tracer = None
         stats = self.stats
         erases_before = stats.block_erases
         try:
@@ -215,7 +222,7 @@ class ParallelNandFlash(NandFlash):
                     )
             raise
         finally:
-            self._tracer = tracer
+            self.tracer = tracer
         delta, wait = self._advance(pbn % self._units, raw)
         if tracer is not None:
             self._trace_op(tracer, EventType.BLOCK_ERASE, pbn, delta, wait)

@@ -94,7 +94,7 @@ class BastFTL(FlashTranslationLayer):
         data_pbn = self._block_map.get(lbn)
         if data_pbn is not None:
             block = self.flash.block(data_pbn)
-            if block.pages[off].is_valid:
+            if block.is_valid(off):
                 ppn = self.flash.geometry.ppn_of(data_pbn, off)
                 data, _, latency = self.flash.read_page(ppn)
                 return HostResult(latency, data)
@@ -113,7 +113,7 @@ class BastFTL(FlashTranslationLayer):
             latency += self._program(data_pbn, off, lpn, data)
             return HostResult(latency)
         block = self.flash.block(data_pbn)
-        if block.pages[off].is_free:
+        if block.is_free(off):
             latency += self._program(data_pbn, off, lpn, data)
             return HostResult(latency)
         # Update: must go to this logical block's log block.
@@ -166,7 +166,7 @@ class BastFTL(FlashTranslationLayer):
         data_pbn = self._block_map.get(lbn)
         if data_pbn is not None:
             block = self.flash.block(data_pbn)
-            if block.pages[off].is_valid:
+            if block.is_valid(off):
                 self.flash.invalidate_page(
                     self.flash.geometry.ppn_of(data_pbn, off)
                 )
@@ -228,7 +228,7 @@ class BastFTL(FlashTranslationLayer):
         geometry = self.flash.geometry
         data_block = self.flash.block(data_pbn)
         for off in range(k, self.pages_per_block):
-            if not data_block.pages[off].is_valid:
+            if not data_block.is_valid(off):
                 continue
             src = geometry.ppn_of(data_pbn, off)
             data, oob, read_lat = self.flash.read_page(src)
@@ -254,7 +254,7 @@ class BastFTL(FlashTranslationLayer):
         for off in range(self.pages_per_block):
             if off in log.entries:
                 src = geometry.ppn_of(log.pbn, log.entries[off])
-            elif data_block.pages[off].is_valid:
+            elif data_block.is_valid(off):
                 src = geometry.ppn_of(data_pbn, off)
             else:
                 continue

@@ -24,7 +24,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import PageKind, SequenceCounter, make_oob
-from ..flash.page import PageState
 from ..obs.events import Cause, EventType
 from ..perf.maptable import MapTable
 from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
@@ -131,18 +130,7 @@ class DftlFTL(FlashTranslationLayer):
         ppn, latency = self._lookup(lpn)
         if ppn is None:
             return HostResult(latency + UNMAPPED_READ_US)
-        flash = self.flash
-        if self._tracer is None and flash.maintenance_fast_path():
-            # Inline data read (scalar boundary-op hot spot); twin of the
-            # call below (see NandFlash.maintenance_fast_path).
-            ppb = self._pages_per_block
-            page = flash.blocks[ppn // ppb].pages[ppn % ppb]
-            fstats = flash.stats
-            read_us = flash.timing.page_read_us
-            fstats.page_reads += 1
-            fstats.read_us += read_us
-            return HostResult(latency + read_us, page.data)
-        data, _, read_lat = flash.read_page(ppn)
+        data, _, read_lat = self.flash.read_page(ppn)
         return HostResult(latency + read_lat, data)
 
     def write(self, lpn: int, data: Any = None) -> HostResult:
@@ -160,45 +148,14 @@ class DftlFTL(FlashTranslationLayer):
             # consecutive programs land on different parallel units.
             latency += self._ensure_data_active()
             active = self._data_active
-        elif active is None or flash.blocks[active]._write_ptr >= ppb:
+        elif active is None or flash.write_ptr[active] >= ppb:
             latency += self._ensure_data_active()
             active = self._data_active
         # Re-resolve after space allocation: GC may have relocated the old
         # copy meanwhile (the CMT entry is kept current by GC).
         entry = self._cmt[lpn]  # present: _lookup just inserted/refreshed it
         old_ppn = entry.ppn
-        block = flash.blocks[active]
-        wp = block._write_ptr
-        ppn = active * ppb + wp
-        if self._tracer is None and flash.maintenance_fast_path():
-            # Inline program + old-copy invalidate (scalar boundary-op
-            # hot spot); twin of the calls below, bit-identical (see
-            # NandFlash.maintenance_fast_path).
-            page = block.pages[wp]
-            page.state = PageState.VALID
-            page.data = data
-            seq = self._seq
-            s = seq._next
-            seq._next = s + 1
-            page.oob = make_oob((lpn, s, PageKind.DATA, False))
-            block.note_programmed()
-            fstats = flash.stats
-            program_us = flash.timing.page_program_us
-            fstats.page_programs += 1
-            fstats.program_us += program_us
-            latency += program_us
-            if old_ppn is not None:
-                oblock = flash.blocks[old_ppn // ppb]
-                opage = oblock.pages[old_ppn % ppb]
-                if opage.state is PageState.VALID:
-                    opage.state = PageState.INVALID
-                    oblock.note_invalidated()
-                else:  # defensive: keep the slow path's accounting
-                    flash.invalidate_page(old_ppn)
-            entry.ppn = ppn
-            entry.dirty = True
-            self._cmt.move_to_end(lpn)
-            return HostResult(latency)
+        ppn = active * ppb + flash.write_ptr[active]
         latency += flash.program_page(
             ppn, data, make_oob((lpn, self._seq.next(), PageKind.DATA, False))
         )
@@ -301,40 +258,7 @@ class DftlFTL(FlashTranslationLayer):
         """Write a new version of a translation page and update the GTD."""
         latency = self._ensure_trans_active()
         flash = self.flash
-        trans_active = self._trans_active
-        ppb = self._pages_per_block
-        block = flash.blocks[trans_active]
-        wp = block._write_ptr
-        ppn = trans_active * ppb + wp
-        if self._tracer is None and flash.maintenance_fast_path():
-            # Inline program + displaced-page invalidate (eviction-flush
-            # and GC-commit hot spot); twin of the calls below,
-            # bit-identical (see NandFlash.maintenance_fast_path).
-            page = block.pages[wp]
-            page.state = PageState.VALID
-            page.data = content
-            seq = self._seq
-            s = seq._next
-            seq._next = s + 1
-            page.oob = make_oob((tvpn, s, PageKind.MAPPING, False))
-            block.note_programmed()
-            fstats = flash.stats
-            program_us = flash.timing.page_program_us
-            fstats.page_programs += 1
-            fstats.program_us += program_us
-            latency += program_us
-            self.stats.map_writes += 1
-            old = self._gtd[tvpn]
-            if old is not None:
-                oblock = flash.blocks[old // ppb]
-                opage = oblock.pages[old % ppb]
-                if opage.state is PageState.VALID:
-                    opage.state = PageState.INVALID
-                    oblock.note_invalidated()
-                else:  # defensive: keep the slow path's accounting
-                    flash.invalidate_page(old)
-            self._gtd[tvpn] = ppn
-            return latency
+        ppn = self._frontier(self._trans_active)
         latency += flash.program_page(
             ppn,
             content,
@@ -353,8 +277,7 @@ class DftlFTL(FlashTranslationLayer):
     # Space management
     # ------------------------------------------------------------------
     def _frontier(self, pbn: int) -> int:
-        return pbn * self._pages_per_block \
-            + self.flash.blocks[pbn]._write_ptr
+        return pbn * self._pages_per_block + self.flash.write_ptr[pbn]
 
     def _ensure_data_active(self) -> float:
         stripe = self._data_stripe
@@ -372,7 +295,7 @@ class DftlFTL(FlashTranslationLayer):
             return latency
         active = self._data_active
         if active is not None:
-            if self.flash.blocks[active]._write_ptr < self._pages_per_block:
+            if self.flash.write_ptr[active] < self._pages_per_block:
                 return 0.0
             self._data_blocks.add(active)
             self._data_active = None
@@ -410,12 +333,13 @@ class DftlFTL(FlashTranslationLayer):
             self._trans_active = pbn
             return latency
         active = self._trans_active
-        if active is not None and \
-                self.flash.blocks[active]._write_ptr < self._pages_per_block:
+        write_ptr = self.flash.write_ptr
+        ppb = self._pages_per_block
+        if active is not None and write_ptr[active] < ppb:
             return 0.0
         latency = 0.0
         while self._trans_active is None or \
-                self.flash.block(self._trans_active).is_full:
+                write_ptr[self._trans_active] >= ppb:
             if self._trans_active is not None:
                 self._trans_blocks.add(self._trans_active)
                 self._trans_active = None
@@ -443,7 +367,7 @@ class DftlFTL(FlashTranslationLayer):
             return 0.0
         active = self._gc_active
         if active is not None:
-            if self.flash.blocks[active]._write_ptr < self._pages_per_block:
+            if self.flash.write_ptr[active] < self._pages_per_block:
                 return 0.0
             self._data_blocks.add(active)
         self._gc_active = self._pool.allocate()
@@ -456,123 +380,60 @@ class DftlFTL(FlashTranslationLayer):
         return latency
 
     def _collect_one(self) -> float:
-        blocks = self.flash.blocks
+        flash = self.flash
         # select_greedy has a total deterministic order (fewest valid,
-        # then lowest index), so feeding it a lazy iterator instead of a
-        # materialised list cannot change the victim.
-        victim = select_greedy(map(
-            blocks.__getitem__,
-            chain(self._data_blocks, self._trans_blocks),
-        ))
+        # then lowest pbn), so set iteration order cannot change the
+        # victim.
+        victim = select_greedy(
+            chain(self._data_blocks, self._trans_blocks), flash.valid_count
+        )
         if victim is None:
             raise OutOfBlocksError("DFTL GC found no victim")
-        if victim.valid_count >= victim.pages_per_block:
+        if flash.valid_count[victim] >= self._pages_per_block:
             raise OutOfBlocksError(
                 "DFTL GC victim fully valid - no reclaimable slack"
             )
         self.stats.gc_runs += 1
         tracer = self._tracer
         if tracer is not None:
-            tracer.span_start(EventType.GC_START, Cause.GC,
-                              ppn=victim.index)
+            tracer.span_start(EventType.GC_START, Cause.GC, ppn=victim)
         try:
             self._in_gc = True
             try:
-                if victim.index in self._trans_blocks:
-                    latency = self._collect_trans_block(victim.index)
+                if victim in self._trans_blocks:
+                    latency = self._collect_trans_block(victim)
                 else:
-                    latency = self._collect_data_block(victim.index)
+                    latency = self._collect_data_block(victim)
             finally:
                 self._in_gc = False
-            latency += self.flash.erase_block(victim.index)
+            latency += flash.erase_block(victim)
         finally:
             if tracer is not None:
-                tracer.span_end(EventType.GC_END, ppn=victim.index)
+                tracer.span_end(EventType.GC_END, ppn=victim)
         self.stats.gc_erases += 1
-        self._data_blocks.discard(victim.index)
-        self._trans_blocks.discard(victim.index)
-        self._pool.release(victim.index)
+        self._data_blocks.discard(victim)
+        self._trans_blocks.discard(victim)
+        self._pool.release(victim)
         return latency
 
     def _collect_trans_block(self, pbn: int) -> float:
         """Relocate a victim's valid translation pages."""
         latency = 0.0
         flash = self.flash
-        blocks = flash.blocks
         read_page = flash.read_page
         program_page = flash.program_page
         invalidate_page = flash.invalidate_page
         seq_next = self._seq.next
         stats = self.stats
         tracer = self._tracer
-        ppb = self._pages_per_block
-        base = pbn * ppb
-        block = blocks[pbn]
-        pages = block.pages
-        VALID = PageState.VALID
-        offsets = [
-            o for o in range(block._write_ptr)
-            if pages[o].state is VALID
-        ]
-        if tracer is None and flash.maintenance_fast_path():
-            # Inline twin of the loop below (see
-            # NandFlash.maintenance_fast_path); bit-identical stats and
-            # float accumulation by construction.
-            fstats = flash.stats
-            timing = flash.timing
-            read_us = timing.page_read_us
-            program_us = timing.page_program_us
-            seq = self._seq
-            gtd = self._gtd
-            INVALID = PageState.INVALID
-            MAPPING = PageKind.MAPPING
-            trans_stripe = self._trans_stripe
-            trans_active = self._trans_active
-            for offset in offsets:
-                spage = pages[offset]
-                content = spage.data
-                tvpn = spage.oob.lpn
-                fstats.page_reads += 1
-                fstats.read_us += read_us
-                latency += read_us
-                stats.map_reads += 1
-                if trans_stripe is not None or trans_active is None or \
-                        blocks[trans_active]._write_ptr >= ppb:
-                    # _in_gc is set, so this never reclaims: it only
-                    # retires the full block and allocates (returns 0.0).
-                    # Striped devices re-enter per page to rotate the
-                    # destination across parallel units.
-                    latency += self._ensure_trans_active()
-                    trans_active = self._trans_active
-                tblock = blocks[trans_active]
-                wp = tblock._write_ptr
-                dst = trans_active * ppb + wp
-                dpage = tblock.pages[wp]
-                dpage.state = VALID
-                dpage.data = content
-                s = seq._next
-                seq._next = s + 1
-                dpage.oob = make_oob((tvpn, s, MAPPING, False))
-                tblock.note_programmed()
-                fstats.page_programs += 1
-                fstats.program_us += program_us
-                latency += program_us
-                stats.map_writes += 1
-                stats.gc_page_copies += 1
-                gtd[tvpn] = dst
-                spage.state = INVALID
-                block.note_invalidated()
-            return latency
-        for offset in offsets:
-            src = base + offset
+        for src in flash.valid_ppns(pbn):
             content, oob, read_lat = read_page(src)
             latency += read_lat
             stats.map_reads += 1
             if tracer is not None:
                 tracer.emit(EventType.MAP_READ, lpn=oob.lpn, ppn=src)
             latency += self._ensure_trans_active()
-            trans_active = self._trans_active
-            dst = trans_active * ppb + blocks[trans_active]._write_ptr
+            dst = self._frontier(self._trans_active)
             latency += program_page(
                 dst,
                 content,
@@ -595,7 +456,7 @@ class DftlFTL(FlashTranslationLayer):
         """
         latency = 0.0
         flash = self.flash
-        blocks = flash.blocks
+        write_ptr = flash.write_ptr
         read_page = flash.read_page
         program_page = flash.program_page
         invalidate_page = flash.invalidate_page
@@ -603,128 +464,23 @@ class DftlFTL(FlashTranslationLayer):
         stats = self.stats
         ppb = self._pages_per_block
         entries_per_page = self.entries_per_page
-        base = pbn * ppb
-        block = blocks[pbn]
-        pages = block.pages
-        VALID = PageState.VALID
         DATA = PageKind.DATA
         moved: Dict[int, List[Tuple[int, int]]] = {}  # tvpn -> [(lpn, dst)]
         moved_setdefault = moved.setdefault
-        offsets = [
-            o for o in range(block._write_ptr)
-            if pages[o].state is VALID
-        ]
         # The GC destination only changes through _gc_destination (host
         # writes never interleave with a GC pass), so it lives in a local
         # refreshed after that call rather than being re-read per page.
         gc_stripe = self._gc_stripe
         gc_active = self._gc_active
-        if flash.maintenance_fast_path():
-            # Inline twin of the loop below (see
-            # NandFlash.maintenance_fast_path); bit-identical stats and
-            # float accumulation by construction.
-            fstats = flash.stats
-            timing = flash.timing
-            read_us = timing.page_read_us
-            program_us = timing.page_program_us
-            seq = self._seq
-            seq_val = seq._next
-            INVALID = PageState.INVALID
-            for offset in offsets:
-                spage = pages[offset]
-                fstats.page_reads += 1
-                fstats.read_us += read_us
-                latency += read_us
-                if gc_stripe is not None or gc_active is None or \
-                        blocks[gc_active]._write_ptr >= ppb:
-                    self._gc_destination()  # always returns 0.0
-                    gc_active = self._gc_active
-                lpn = spage.oob.lpn
-                gblock = blocks[gc_active]
-                wp = gblock._write_ptr
-                dst = gc_active * ppb + wp
-                dpage = gblock.pages[wp]
-                dpage.state = VALID
-                dpage.data = spage.data
-                dpage.oob = make_oob((lpn, seq_val, DATA, False))
-                seq_val += 1
-                gblock.note_programmed()
-                fstats.page_programs += 1
-                fstats.program_us += program_us
-                latency += program_us
-                spage.state = INVALID
-                block.note_invalidated()
-                stats.gc_page_copies += 1
-                moved_setdefault(
-                    lpn // entries_per_page, []
-                ).append((lpn, dst))
-            seq._next = seq_val
-            # Inline twin of the moved-commit loop below: _load_tpage and
-            # _program_tpage fold into this pass (no per-tpage Python
-            # call), with identical stats and float-accumulation order.
-            gtd = self._gtd
-            cmt_get = self._cmt.get
-            trans_stripe = self._trans_stripe
-            trans_active = self._trans_active
-            MAPPING = PageKind.MAPPING
-            for tvpn, pairs in moved.items():
-                tppn = gtd[tvpn]
-                if tppn is None:
-                    content = [None] * entries_per_page
-                else:
-                    tpage = blocks[tppn // ppb].pages[tppn % ppb]
-                    fstats.page_reads += 1
-                    fstats.read_us += read_us
-                    stats.map_reads += 1
-                    content = list(tpage.data)
-                    latency += read_us
-                for lpn, dst in pairs:
-                    content[lpn % entries_per_page] = dst
-                    entry = cmt_get(lpn)
-                    if entry is not None:
-                        entry.ppn = dst
-                        entry.dirty = False
-                if trans_stripe is not None or trans_active is None \
-                        or blocks[trans_active]._write_ptr >= ppb:
-                    # In-GC the reclaim is skipped (reserve covers the
-                    # allocation), so this only pulls a pool block.
-                    latency += self._ensure_trans_active()
-                    trans_active = self._trans_active
-                tblock = blocks[trans_active]
-                wp = tblock._write_ptr
-                ppn = trans_active * ppb + wp
-                page = tblock.pages[wp]
-                page.state = VALID
-                page.data = content
-                s = seq._next
-                seq._next = s + 1
-                page.oob = make_oob((tvpn, s, MAPPING, False))
-                tblock.note_programmed()
-                fstats.page_programs += 1
-                fstats.program_us += program_us
-                latency += program_us
-                stats.map_writes += 1
-                old = gtd[tvpn]
-                if old is not None:
-                    oblock = blocks[old // ppb]
-                    opage = oblock.pages[old % ppb]
-                    if opage.state is VALID:
-                        opage.state = INVALID
-                        oblock.note_invalidated()
-                    else:  # defensive: keep the slow path's accounting
-                        invalidate_page(old)
-                gtd[tvpn] = ppn
-            return latency
-        for offset in offsets:
-            src = base + offset
+        for src in flash.valid_ppns(pbn):
             data, oob, read_lat = read_page(src)
             latency += read_lat
             if gc_stripe is not None or gc_active is None or \
-                    blocks[gc_active]._write_ptr >= ppb:
+                    write_ptr[gc_active] >= ppb:
                 latency += self._gc_destination()
                 gc_active = self._gc_active
             lpn = oob.lpn
-            dst = gc_active * ppb + blocks[gc_active]._write_ptr
+            dst = gc_active * ppb + write_ptr[gc_active]
             latency += program_page(
                 dst, data, make_oob((lpn, seq_next(), DATA, False))
             )

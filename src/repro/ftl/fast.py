@@ -95,7 +95,7 @@ class FastFTL(FlashTranslationLayer):
             self._block_map[lbn] = data_pbn
             latency += self._program(data_pbn, off, lpn, data)
             return HostResult(latency)
-        if self.flash.block(data_pbn).pages[off].is_free:
+        if self.flash.block(data_pbn).is_free(off):
             # A partial merge can leave this slot free while a newer copy
             # still lives in a log block - retire that copy first.
             self._invalidate_current(lpn)
@@ -133,11 +133,11 @@ class FastFTL(FlashTranslationLayer):
         lbn, off = divmod(lpn, self.pages_per_block)
         if self._sw is not None and self._sw.lbn == lbn:
             sw_block = self.flash.block(self._sw.pbn)
-            if off < sw_block.write_ptr and sw_block.pages[off].is_valid:
+            if off < sw_block.write_ptr and sw_block.is_valid(off):
                 return self.flash.geometry.ppn_of(self._sw.pbn, off)
         data_pbn = self._block_map.get(lbn)
         if data_pbn is not None:
-            if self.flash.block(data_pbn).pages[off].is_valid:
+            if self.flash.block(data_pbn).is_valid(off):
                 return self.flash.geometry.ppn_of(data_pbn, off)
         return None
 
@@ -216,7 +216,7 @@ class FastFTL(FlashTranslationLayer):
             self.stats.merges_partial += 1
             data_block = self.flash.block(data_pbn)
             for off in range(sw_block.write_ptr, self.pages_per_block):
-                if not data_block.pages[off].is_valid:
+                if not data_block.is_valid(off):
                     continue
                 src = geometry.ppn_of(data_pbn, off)
                 data, oob, read_lat = self.flash.read_page(src)
@@ -251,7 +251,7 @@ class FastFTL(FlashTranslationLayer):
         latency = 0.0
         lbns = []
         for off in victim_block.valid_offsets():
-            oob = victim_block.pages[off].oob
+            oob = victim_block.oob(off)
             lbn = oob.lpn // self.pages_per_block
             if lbn not in lbns:
                 lbns.append(lbn)

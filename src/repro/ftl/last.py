@@ -121,7 +121,7 @@ class LastFTL(FlashTranslationLayer):
             latency += self._program(data_pbn, off, lpn, data)
             self._touch(lpn)
             return HostResult(latency)
-        if self.flash.block(data_pbn).pages[off].is_free:
+        if self.flash.block(data_pbn).is_free(off):
             self._invalidate_current(lpn)
             latency += self._program(data_pbn, off, lpn, data)
             self._touch(lpn)
@@ -169,11 +169,11 @@ class LastFTL(FlashTranslationLayer):
         seq = self._seq_logs.get(lbn)
         if seq is not None:
             block = self.flash.block(seq.pbn)
-            if off < block.write_ptr and block.pages[off].is_valid:
+            if off < block.write_ptr and block.is_valid(off):
                 return self.flash.geometry.ppn_of(seq.pbn, off)
         data_pbn = self._block_map.get(lbn)
         if data_pbn is not None and \
-                self.flash.block(data_pbn).pages[off].is_valid:
+                self.flash.block(data_pbn).is_valid(off):
             return self.flash.geometry.ppn_of(data_pbn, off)
         return None
 
@@ -239,7 +239,7 @@ class LastFTL(FlashTranslationLayer):
             self.stats.merges_partial += 1
             data_block = self.flash.block(data_pbn)
             for off in range(log_block.write_ptr, self.pages_per_block):
-                if not data_block.pages[off].is_valid:
+                if not data_block.is_valid(off):
                     continue
                 src = geometry.ppn_of(data_pbn, off)
                 data, oob, read_lat = self.flash.read_page(src)
@@ -313,7 +313,7 @@ class LastFTL(FlashTranslationLayer):
         latency = 0.0
         lbns: List[int] = []
         for off in victim_block.valid_offsets():
-            lbn = victim_block.pages[off].oob.lpn // self.pages_per_block
+            lbn = victim_block.oob(off).lpn // self.pages_per_block
             if lbn not in lbns:
                 lbns.append(lbn)
         for lbn in lbns:

@@ -166,7 +166,7 @@ class NftlFTL(FlashTranslationLayer):
     def _writable_depth(self, chain: _Chain, offset: int) -> Optional[int]:
         """Shallowest chain member whose slot at ``offset`` is still free."""
         for depth, pbn in enumerate(chain.blocks):
-            if self.flash.block(pbn).pages[offset].is_free:
+            if self.flash.block(pbn).is_free(offset):
                 return depth
         return None
 

@@ -16,8 +16,7 @@ from typing import Any, Optional, Set
 
 from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
-from ..flash.oob import OOBData, PageKind, SequenceCounter, make_oob
-from ..flash.page import PageState
+from ..flash.oob import OOBData, SequenceCounter
 from ..obs.events import Cause, EventType
 from ..perf.maptable import MapTable
 from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
@@ -92,18 +91,7 @@ class PageFTL(FlashTranslationLayer):
         ppn = self._map.raw[lpn]
         if ppn < 0:
             return HostResult(UNMAPPED_READ_US)
-        flash = self.flash
-        if self._tracer is None and flash.maintenance_fast_path():
-            # Inline data read (scalar boundary-op hot spot); twin of the
-            # call below (see NandFlash.maintenance_fast_path).
-            ppb = self._pages_per_block
-            page = flash.blocks[ppn // ppb].pages[ppn % ppb]
-            fstats = flash.stats
-            read_us = flash.timing.page_read_us
-            fstats.page_reads += 1
-            fstats.read_us += read_us
-            return HostResult(read_us, page.data)
-        data, _, latency = flash.read_page(ppn)
+        data, _, latency = self.flash.read_page(ppn)
         return HostResult(latency, data)
 
     def write(self, lpn: int, data: Any = None) -> HostResult:
@@ -113,42 +101,8 @@ class PageFTL(FlashTranslationLayer):
             self._begin_op()
         self.stats.host_writes += 1
         latency = self._ensure_active()
-        active = self._active
         flash = self.flash
-        ppb = self._pages_per_block
-        block = flash.blocks[active]
-        wp = block._write_ptr
-        ppn = active * ppb + wp
-        if self._tracer is None and flash.maintenance_fast_path():
-            # Inline program + old-copy invalidate (scalar boundary-op
-            # hot spot); twin of the calls below, bit-identical (see
-            # NandFlash.maintenance_fast_path; make_oob produces the same
-            # tuple the validated OOBData constructor would).
-            page = block.pages[wp]
-            page.state = PageState.VALID
-            page.data = data
-            seq = self._seq
-            s = seq._next
-            seq._next = s + 1
-            page.oob = make_oob((lpn, s, PageKind.DATA, False))
-            block.note_programmed()
-            fstats = flash.stats
-            program_us = flash.timing.page_program_us
-            fstats.page_programs += 1
-            fstats.program_us += program_us
-            latency += program_us
-            map_raw = self._map.raw
-            old = map_raw[lpn]
-            if old >= 0:
-                oblock = flash.blocks[old // ppb]
-                opage = oblock.pages[old % ppb]
-                if opage.state is PageState.VALID:
-                    opage.state = PageState.INVALID
-                    oblock.note_invalidated()
-                else:  # defensive: keep the slow path's accounting
-                    flash.invalidate_page(old)
-            map_raw[lpn] = ppn
-            return HostResult(latency)
+        ppn = self._frontier(self._active)
         latency += flash.program_page(
             ppn, data, OOBData(lpn, self._seq.next())
         )
@@ -194,7 +148,7 @@ class PageFTL(FlashTranslationLayer):
         max_seq = -1
         pages_read = 0
         for pbn in range(geometry.num_blocks):
-            if flash.block(pbn).is_bad:
+            if flash.is_bad[pbn]:
                 continue
             for offset in range(geometry.pages_per_block):
                 ppn = geometry.ppn_of(pbn, offset)
@@ -215,7 +169,7 @@ class PageFTL(FlashTranslationLayer):
         ftl._data_blocks = set(occupied)
         ftl._pool = BlockPool(
             b for b in range(geometry.num_blocks)
-            if b not in occupied and not flash.block(b).is_bad
+            if b not in occupied and not flash.is_bad[b]
         )
         ftl._active = None
         ftl._gc_active = None
@@ -228,8 +182,7 @@ class PageFTL(FlashTranslationLayer):
     # ------------------------------------------------------------------
     def _frontier(self, pbn: int) -> int:
         """Physical page number of the block's next free page."""
-        block = self.flash.block(pbn)
-        return self.flash.geometry.ppn_of(pbn, block.write_ptr)
+        return pbn * self._pages_per_block + self.flash.write_ptr[pbn]
 
     def _ensure_active(self) -> float:
         """Make sure the active block has a free page; may run GC."""
@@ -270,15 +223,14 @@ class PageFTL(FlashTranslationLayer):
     def _collect_one(self) -> float:
         """Run one GC pass: relocate a victim's valid pages, erase it."""
         flash = self.flash
-        blocks = flash.blocks
         # select_greedy's key is a total order, so set iteration order
         # cannot change the victim.
         victim = select_greedy(  # ftlint: disable=FTL012
-            map(blocks.__getitem__, self._data_blocks)
+            self._data_blocks, flash.valid_count
         )
         if victim is None:
             raise OutOfBlocksError("GC found no victim block")
-        if victim.valid_count >= victim.pages_per_block:
+        if flash.valid_count[victim] >= self._pages_per_block:
             raise OutOfBlocksError(
                 "GC victim is fully valid - logical space leaves no "
                 "reclaimable slack (reduce logical_pages)"
@@ -286,90 +238,27 @@ class PageFTL(FlashTranslationLayer):
         self.stats.gc_runs += 1
         tracer = self._tracer
         if tracer is not None:
-            tracer.span_start(EventType.GC_START, Cause.GC,
-                              ppn=victim.index)
+            tracer.span_start(EventType.GC_START, Cause.GC, ppn=victim)
         latency = 0.0
         try:
-            if tracer is None and flash.maintenance_fast_path():
-                latency = self._relocate_fast(victim)
-            else:
-                geometry = flash.geometry
-                for offset in list(victim.valid_offsets()):
-                    src = geometry.ppn_of(victim.index, offset)
-                    data, oob, read_lat = flash.read_page(src)
-                    latency += read_lat
-                    latency += self._gc_destination()
-                    dst = self._frontier(self._gc_active)
-                    latency += flash.program_page(
-                        dst, data, OOBData(lpn=oob.lpn, seq=self._seq.next())
-                    )
-                    self._map.raw[oob.lpn] = dst
-                    flash.invalidate_page(src)
-                    self.stats.gc_page_copies += 1
-            latency += flash.erase_block(victim.index)
+            for src in flash.valid_ppns(victim):
+                data, oob, read_lat = flash.read_page(src)
+                latency += read_lat
+                latency += self._gc_destination()
+                dst = self._frontier(self._gc_active)
+                latency += flash.program_page(
+                    dst, data, OOBData(lpn=oob.lpn, seq=self._seq.next())
+                )
+                self._map.raw[oob.lpn] = dst
+                flash.invalidate_page(src)
+                self.stats.gc_page_copies += 1
+            latency += flash.erase_block(victim)
         finally:
             if tracer is not None:
-                tracer.span_end(EventType.GC_END, ppn=victim.index)
+                tracer.span_end(EventType.GC_END, ppn=victim)
         self.stats.gc_erases += 1
-        self._data_blocks.discard(victim.index)
-        self._pool.release(victim.index)
-        return latency
-
-    # flowlint: hot
-    def _relocate_fast(self, victim: Any) -> float:
-        """Inline twin of the relocation loop in :meth:`_collect_one`.
-
-        Replicates the untraced raw-op closures' page and stats mutations
-        (see :meth:`repro.flash.chip.NandFlash.maintenance_fast_path`)
-        without a Python call per page; float accumulation order is the
-        loop above's, so both produce bit-identical results.
-        """
-        flash = self.flash
-        blocks = flash.blocks
-        fstats = flash.stats
-        stats = self.stats
-        timing = flash.timing
-        read_us = timing.page_read_us
-        program_us = timing.page_program_us
-        ppb = self._pages_per_block
-        map_raw = self._map.raw
-        seq = self._seq
-        seq_val = seq._next
-        VALID = PageState.VALID
-        INVALID = PageState.INVALID
-        DATA = PageKind.DATA
-        vpages = victim.pages
-        stripe = self._gc_stripe
-        gc_active = self._gc_active
-        latency = 0.0
-        for offset in list(victim.valid_offsets()):
-            page = vpages[offset]
-            fstats.page_reads += 1
-            fstats.read_us += read_us
-            latency += read_us
-            # Striped: rotate the pick every copy.  Serial: only refresh
-            # once the destination fills.  The call never adds latency.
-            if stripe is not None or gc_active is None or \
-                    blocks[gc_active]._write_ptr >= ppb:
-                self._gc_destination()
-                gc_active = self._gc_active
-            gblock = blocks[gc_active]
-            wp = gblock._write_ptr
-            lpn = page.oob.lpn
-            dpage = gblock.pages[wp]
-            dpage.state = VALID
-            dpage.data = page.data
-            dpage.oob = make_oob((lpn, seq_val, DATA, False))
-            seq_val += 1
-            gblock.note_programmed()
-            fstats.page_programs += 1
-            fstats.program_us += program_us
-            latency += program_us
-            map_raw[lpn] = gc_active * ppb + wp
-            page.state = INVALID
-            victim.note_invalidated()
-            stats.gc_page_copies += 1
-        seq._next = seq_val
+        self._data_blocks.discard(victim)
+        self._pool.release(victim)
         return latency
 
     def _gc_destination(self) -> float:

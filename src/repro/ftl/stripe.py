@@ -82,13 +82,13 @@ class StripedFrontier:
         retired set); the caller opens replacements.
         """
         open_blocks = self.open_blocks
-        blocks = flash.blocks
+        write_ptr = flash.write_ptr
         ppb = flash.geometry.pages_per_block
         while open_blocks:
             if self._cursor >= len(open_blocks):
                 self._cursor = 0
             pbn = open_blocks[self._cursor]
-            if blocks[pbn]._write_ptr < ppb:
+            if write_ptr[pbn] < ppb:
                 self._cursor += 1
                 return pbn
             open_blocks.pop(self._cursor)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..flash.block import Block
 from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import OOBData, SequenceCounter
@@ -162,33 +161,28 @@ class SuperblockFTL(FlashTranslationLayer):
         victim is erased and dropped first.
         """
         self.stats.gc_runs += 1
-        geometry = self.flash.geometry
-        candidates = [
-            self.flash.block(pbn) for pbn in group.blocks[:-1]
-        ] or [self.flash.block(group.blocks[0])]
-        victim = select_greedy(candidates)
+        victim = select_greedy(
+            group.blocks[:-1] or group.blocks[:1], self.flash.valid_count
+        )
         tracer = self._tracer
         if tracer is not None:
-            tracer.span_start(EventType.GC_START, Cause.GC,
-                              ppn=victim.index)
+            tracer.span_start(EventType.GC_START, Cause.GC, ppn=victim)
         try:
             return self._clean_group_inner(group, victim)
         finally:
             if tracer is not None:
-                tracer.span_end(EventType.GC_END, ppn=victim.index)
+                tracer.span_end(EventType.GC_END, ppn=victim)
 
-    def _clean_group_inner(self, group: _Superblock,
-                           victim: Block) -> float:
+    def _clean_group_inner(self, group: _Superblock, victim: int) -> float:
         geometry = self.flash.geometry
         latency = 0.0
         # Move the victim's live pages into the newest block's free pages;
         # allocate a relocation block if the group has no room.
         relocation: Optional[int] = None
-        for offset in list(victim.valid_offsets()):
-            src = geometry.ppn_of(victim.index, offset)
+        for src in self.flash.valid_ppns(victim):
             data, oob, read_lat = self.flash.read_page(src)
             latency += read_lat
-            dst = self._relocation_slot(group, victim.index)
+            dst = self._relocation_slot(group, victim)
             if dst is None:
                 if relocation is None:
                     relocation = self._pool.allocate()
@@ -201,10 +195,10 @@ class SuperblockFTL(FlashTranslationLayer):
             group.page_map[oob.lpn % self.group_pages] = dst
             self.flash.invalidate_page(src)
             self.stats.gc_page_copies += 1
-        latency += self.flash.erase_block(victim.index)
+        latency += self.flash.erase_block(victim)
         self.stats.gc_erases += 1
-        group.blocks.remove(victim.index)
-        self._pool.release(victim.index)
+        group.blocks.remove(victim)
+        self._pool.release(victim)
         return latency
 
     def _relocation_slot(self, group: _Superblock,

@@ -32,12 +32,17 @@ differential tests in ``tests/test_batch_replay.py``):
   the same arithmetic, so results are identical with or without the
   ``[perf]`` extra installed.
 
-Eligibility is conservative: batching engages only for an exact
-:class:`~repro.flash.chip.NandFlash` (sanitized subclasses replay
-scalar), with no tracer attached, the power-fault injector disarmed, and
-a scheme registered in :data:`PLANNERS`.  Log-block schemes (BAST, FAST,
-LAST, NFTL, superblock) declare no planner and transparently stay
-scalar.
+Eligibility is conservative (see :func:`engine_for`): batching engages
+only for an exact :class:`~repro.flash.chip.NandFlash` (sanitized and
+parallel subclasses replay scalar), with no tracer attached, the
+power-fault injector disarmed, and a scheme registered in
+:data:`PLANNERS`.  Log-block schemes (BAST, FAST, LAST, NFTL, superblock)
+declare no planner and transparently stay scalar.
+
+Executors never touch device state themselves: an epoch's programs are
+one :meth:`~repro.flash.chip.NandFlash.program_run` (the frontier block's
+pages, in order) followed by the epoch's ``invalidate_page`` calls - all
+NAND semantics stay in the device.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ from array import array
 from typing import Any, Dict, Optional, Tuple, Type
 
 from ..core.lazyftl import LazyFTL
+from ..flash.chip import NandFlash
 from ..flash.oob import PageKind, make_oob
-from ..flash.page import PageState
 from ..ftl.base import FlashTranslationLayer
 from ..ftl.dftl import DftlFTL
 from ..ftl.pure_page import PageFTL
@@ -112,8 +117,6 @@ MIN_EPOCH = 8
 #: construction, so this threshold is purely a speed knob.
 NUMPY_MIN_EPOCH = 64
 
-_VALID = PageState.VALID
-_INVALID = PageState.INVALID
 _DATA = PageKind.DATA
 
 
@@ -221,6 +224,22 @@ def _timing_open(
 # ----------------------------------------------------------------------
 # Per-scheme planners + executors
 # ----------------------------------------------------------------------
+def _program_epoch(flash: NandFlash, first_ppn: int, oobs: list,
+                   stale: list) -> None:
+    """Apply one epoch's writes to the device: the frontier run (replayed
+    payloads are None), then the copies those writes superseded.
+
+    Programs go first so a page written and overwritten inside the same
+    epoch is VALID by the time its invalidate arrives; programs and
+    invalidates of different pages commute, so the end state equals the
+    scalar interleaving.
+    """
+    flash.program_run(first_ppn, [None] * len(oobs), oobs)
+    invalidate_page = flash.invalidate_page
+    for ppn in stale:
+        invalidate_page(ppn)
+
+
 class _PagePlanner:
     """Ideal page-mapping FTL: the whole map is in RAM, so an epoch is
     bounded only by active-block room (writes) and mappedness (reads)."""
@@ -247,8 +266,7 @@ class _PagePlanner:
         active = ftl._active
         room = 0
         if active is not None:
-            room = ftl._pages_per_block \
-                - self.flash.blocks[active]._write_ptr
+            room = ftl._pages_per_block - self.flash.write_ptr[active]
         logical = self.logical_pages
         written: set = set()
         j = start
@@ -277,60 +295,40 @@ class _PagePlanner:
         lpns = cols.lpns
         read_us = self.read_us
         program_us = self.program_us
-        ppb = ftl._pages_per_block
-        blocks = flash.blocks
         active = ftl._active
-        if active is not None:
-            block = blocks[active]
-            pages = block.pages
-            write_ptr = block._write_ptr
-            base = active * ppb
-        else:  # planner guarantees a write-free epoch
-            block = None
-            pages = ()
-            write_ptr = 0
-            base = 0
+        # Planner guarantees a write-free epoch when there is no active
+        # block, so first_ppn is then never used.
+        first_ppn = -1 if active is None else ftl._frontier(active)
+        ppn = first_ppn
         raw = ftl._map.raw
         seq = ftl._seq
         seq_val = seq._next
-        invalidate_page = flash.invalidate_page
         make = make_oob
         last: Dict[int, int] = {}  # lpn -> ppn of its newest epoch write
-        n_writes = 0
+        oobs: list = []   # one per epoch write, in program order
+        stale: list = []  # superseded ppns, in write order
         end = start + h
         j = start
         while j < end:
             if ops[j]:
                 lpn = lpns[j]
-                page = pages[write_ptr]
-                page.state = _VALID
-                page.data = None
-                page.oob = make((lpn, seq_val, _DATA, False))
+                oobs.append(make((lpn, seq_val, _DATA, False)))
                 seq_val += 1
-                ppn = base + write_ptr
-                write_ptr += 1
                 old = last.get(lpn, -1)
                 if old < 0:
                     old = raw[lpn]
                 if old >= 0:
-                    old_block = blocks[old // ppb]
-                    old_page = old_block.pages[old % ppb]
-                    if old_page.state is _VALID:
-                        old_page.state = _INVALID
-                        old_block.note_invalidated()
-                    else:  # preserve redundant-invalidate accounting
-                        invalidate_page(old)
+                    stale.append(old)
                 last[lpn] = ppn
-                n_writes += 1
+                ppn += 1
             j += 1
         stats = ftl.stats
         fstats = flash.stats
+        n_writes = len(oobs)
         if n_writes:
-            block.note_programmed_run(write_ptr, n_writes)
+            _program_epoch(flash, first_ppn, oobs, stale)
             seq._next = seq_val
             ftl._map.set_many(last.items())
-            fstats.page_programs += n_writes
-            fstats.program_us += n_writes * program_us
         n_reads = h - n_writes
         if n_reads:
             fstats.page_reads += n_reads
@@ -376,8 +374,7 @@ class _DftlPlanner:
         active = ftl._data_active
         room = 0
         if active is not None:
-            room = ftl._pages_per_block \
-                - self.flash.blocks[active]._write_ptr
+            room = ftl._pages_per_block - self.flash.write_ptr[active]
         logical = self.logical_pages
         j = start
         while j < limit:
@@ -403,63 +400,42 @@ class _DftlPlanner:
         lpns = cols.lpns
         read_us = self.read_us
         program_us = self.program_us
-        ppb = ftl._pages_per_block
-        blocks = flash.blocks
         cmt = ftl._cmt
         move_to_end = cmt.move_to_end
         active = ftl._data_active
-        if active is not None:
-            block = blocks[active]
-            pages = block.pages
-            write_ptr = block._write_ptr
-            base = active * ppb
-        else:  # planner guarantees a write-free epoch
-            block = None
-            pages = ()
-            write_ptr = 0
-            base = 0
+        # Planner guarantees a write-free epoch when there is no active
+        # block, so first_ppn is then never used.
+        first_ppn = -1 if active is None else ftl._frontier(active)
+        ppn = first_ppn
         seq = ftl._seq
         seq_val = seq._next
-        invalidate_page = flash.invalidate_page
         make = make_oob
         none_reads: list = []  # epoch offsets of unmapped (ppn None) reads
-        n_writes = 0
+        oobs: list = []   # one per epoch write, in program order
+        stale: list = []  # superseded ppns, in write order
         end = start + h
         j = start
         while j < end:
             lpn = lpns[j]
             entry = cmt[lpn]
             if ops[j]:
-                old = entry.ppn
-                page = pages[write_ptr]
-                page.state = _VALID
-                page.data = None
-                page.oob = make((lpn, seq_val, _DATA, False))
+                oobs.append(make((lpn, seq_val, _DATA, False)))
                 seq_val += 1
-                ppn = base + write_ptr
-                write_ptr += 1
-                if old is not None:
-                    old_block = blocks[old // ppb]
-                    old_page = old_block.pages[old % ppb]
-                    if old_page.state is _VALID:
-                        old_page.state = _INVALID
-                        old_block.note_invalidated()
-                    else:
-                        invalidate_page(old)
+                if entry.ppn is not None:
+                    stale.append(entry.ppn)
                 entry.ppn = ppn
                 entry.dirty = True
-                n_writes += 1
+                ppn += 1
             elif entry.ppn is None:
                 none_reads.append(j - start)
             move_to_end(lpn)
             j += 1
         stats = ftl.stats
         fstats = flash.stats
+        n_writes = len(oobs)
         if n_writes:
-            block.note_programmed_run(write_ptr, n_writes)
+            _program_epoch(flash, first_ppn, oobs, stale)
             seq._next = seq_val
-            fstats.page_programs += n_writes
-            fstats.program_us += n_writes * program_us
         n_reads = h - n_writes
         data_reads = n_reads - len(none_reads)
         if data_reads:
@@ -527,8 +503,7 @@ class _LazyPlanner:
         frontier = ftl._uba.frontier
         room = 0
         if frontier is not None:
-            room = ftl._pages_per_block \
-                - self.flash.blocks[frontier]._write_ptr
+            room = ftl._pages_per_block - self.flash.write_ptr[frontier]
         interval = ftl._ckpt_interval
         if interval > 0:
             # _periodic_checkpoint increments *then* compares, so the
@@ -570,8 +545,7 @@ class _LazyPlanner:
         lpns = cols.lpns
         read_us = self.read_us
         program_us = self.program_us
-        ppb = ftl._pages_per_block
-        blocks = flash.blocks
+        page_data = flash.page_data
         umt = ftl._umt
         ppn_at = umt.ppn_at
         maps = ftl._maps
@@ -580,24 +554,19 @@ class _LazyPlanner:
         cache_data = maps._cache._data
         entries_per_page = self.entries_per_page
         frontier = ftl._uba.frontier
-        if frontier is not None:
-            block = blocks[frontier]
-            pages = block.pages
-            write_ptr = block._write_ptr
-            base = frontier * ppb
-        else:  # planner guarantees a write-free epoch
-            block = None
-            pages = ()
-            write_ptr = 0
-            base = 0
+        # Planner guarantees a write-free epoch when there is no frontier
+        # block, so first_ppn is then never used.
+        first_ppn = -1 if frontier is None else \
+            frontier * ftl._pages_per_block + flash.write_ptr[frontier]
+        ppn = first_ppn
         seq = ftl._seq
         seq_val = seq._next
-        invalidate_page = flash.invalidate_page
         make = make_oob
         last: Dict[int, int] = {}  # lpn -> ppn of its newest epoch write
         touched_tvpns: list = []  # cache hits, in access order
         services = array("d", bytes(8 * h))
-        n_writes = 0
+        oobs: list = []   # one per epoch write, in program order
+        stale: list = []  # superseded UBA/CBA ppns, in write order
         map_reads = 0
         flash_reads = 0
         end = start + h
@@ -609,26 +578,15 @@ class _LazyPlanner:
                 old = last.get(lpn, -1)
                 if old < 0:
                     old = ppn_at(lpn)
-                page = pages[write_ptr]
-                page.state = _VALID
-                page.data = None
-                page.oob = make((lpn, seq_val, _DATA, False))
+                oobs.append(make((lpn, seq_val, _DATA, False)))
                 seq_val += 1
-                ppn = base + write_ptr
-                write_ptr += 1
                 if old >= 0:
-                    # Old copy in UBA/CBA: invalidate immediately (GMT
-                    # copies are invalidated lazily at commit, exactly as
-                    # the scalar path defers them).
-                    old_block = blocks[old // ppb]
-                    old_page = old_block.pages[old % ppb]
-                    if old_page.state is _VALID:
-                        old_page.state = _INVALID
-                        old_block.note_invalidated()
-                    else:
-                        invalidate_page(old)
+                    # Old copy in UBA/CBA: invalidated with the epoch's
+                    # programs (GMT copies are invalidated lazily at
+                    # commit, exactly as the scalar path defers them).
+                    stale.append(old)
                 last[lpn] = ppn
-                n_writes += 1
+                ppn += 1
                 services[k] = program_us
             elif lpn in last or ppn_at(lpn) >= 0:
                 services[k] = read_us  # UMT hit: one data read
@@ -648,7 +606,7 @@ class _LazyPlanner:
                     if tppn is None:
                         services[k] = 0.0  # unmapped read, no GMT page
                     else:
-                        content = blocks[tppn // ppb].pages[tppn % ppb].data
+                        content = page_data[tppn]
                         map_reads += 1
                         flash_reads += 1
                         if content[lpn % entries_per_page] is not None:
@@ -660,14 +618,13 @@ class _LazyPlanner:
             k += 1
         stats = ftl.stats
         fstats = flash.stats
+        n_writes = len(oobs)
         if n_writes:
-            block.note_programmed_run(write_ptr, n_writes)
+            _program_epoch(flash, first_ppn, oobs, stale)
             seq._next = seq_val
             umt.set_many(last.items())
             if ftl._ckpt_interval > 0:
                 ftl._writes_since_checkpoint += n_writes
-            fstats.page_programs += n_writes
-            fstats.program_us += n_writes * program_us
         if touched_tvpns:
             maps._cache.touch_many(touched_tvpns)
         if flash_reads:
@@ -695,26 +652,27 @@ def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:
     """A :class:`BatchEngine` for ``ftl``, or None when ineligible.
 
     Ineligible (replay stays scalar): unregistered scheme, a flash
-    subclass (the sanitizer wraps every raw op), an attached tracer, an
-    armed power-fault injector (program counting must see every op), a
-    powered-off device, a multi-unit geometry (striped frontiers break
-    the planners' single-frontier arithmetic), or a timing model with
-    non-integer-valued latencies (bulk ``n * latency`` would not be
-    bit-exact).
+    subclass (the sanitizer audits and the parallel device clocks every
+    raw op; epochs count reads in bulk), an attached tracer (it must see
+    per-op events), an armed power-fault injector (the trip point must
+    be a per-request boundary), a powered-off device, a multi-unit
+    geometry (striped frontiers break the planners' single-frontier
+    arithmetic), or a timing model with non-integer-valued latencies
+    (bulk ``n * latency`` would not be bit-exact).
     """
     planner_cls = PLANNERS.get(type(ftl))
     if planner_cls is None:
         return None
     flash = ftl.flash
-    if not flash.maintenance_fast_path():
+    if type(flash) is not NandFlash:
+        return None
+    if not flash.powered or flash.fault.armed:
+        return None
+    if flash.tracer is not None or ftl._tracer is not None:
         return None
     if flash.geometry.parallel_units > 1:
         # Striped FTLs rotate writes across several open frontier
         # blocks; the planners model a single frontier per area.
-        # (ParallelNandFlash is already excluded as a subclass above -
-        # this also covers a plain NandFlash on a multi-unit geometry.)
-        return None
-    if ftl._tracer is not None:
         return None
     timing = flash.timing
     if not (float(timing.page_read_us).is_integer()

@@ -1,12 +1,12 @@
 """Parallel sweep runner: fan scheme x trace cells over worker processes.
 
 A sweep is a list of independent measurement cells (one scheme replaying
-one trace on one device).  Cells carry only picklable *inputs* - never a
-:class:`~repro.flash.chip.NandFlash` or an FTL instance: the engine's
-untraced fast paths are instance-bound closures, which cannot cross a
-process boundary.  Each worker rebuilds the device and scheme from scratch
-instead, so a parallel run replays exactly what a serial run would and the
-results are bit-identical (regression-tested).
+one trace on one device).  Cells carry only small picklable *inputs* -
+never a :class:`~repro.flash.chip.NandFlash` or an FTL instance, whose
+state arrays would have to be copied to every worker.  Each worker
+rebuilds the device and scheme from scratch instead, so a parallel run
+replays exactly what a serial run would and the results are bit-identical
+(regression-tested).
 
 ``jobs <= 1`` runs every cell in-process with no pool at all, which keeps
 single-job invocations debuggable (breakpoints, profilers and coverage all

@@ -189,10 +189,10 @@ class TestFrontierEscape:
                     return ppn
         """, "FTL010") == []
 
-    def test_inline_oob_stamp_counts_as_program(self):
-        # The untraced fast paths program in place: the page is indexed
-        # by the same write pointer that forms the PPN, and stamping its
-        # OOB is the program step.
+    def test_inline_oob_stamp_is_not_program_evidence(self):
+        # Stamping fields on some page object is not a device program:
+        # only a program_* call writes a page, so the PPN still escapes
+        # unprogrammed (into the mapping update).
         assert flagged("""
             class M:
                 def write(self, block, data, lpn):
@@ -204,7 +204,7 @@ class TestFrontierEscape:
                     page.oob = make_oob(lpn, self.seq)
                     self.umt.set(lpn, ppn)
                     return ppn
-        """, "FTL010") == []
+        """, "FTL010") == [(10, "FTL010")]
 
     def test_oob_stamp_on_unrelated_page_earns_no_credit(self):
         # OOB written to a page indexed by something other than the

@@ -280,13 +280,12 @@ class FTLConformance:
     @staticmethod
     def count_valid_data_pages(ftl):
         """Count VALID pages holding host data (not mapping/checkpoint)."""
-        from repro.flash import PageKind
+        from repro.flash import PageKind, PageState
 
-        count = 0
-        for block in ftl.flash.blocks:
-            for page in block.pages:
-                if page.is_valid and (
-                    page.oob is None or page.oob.kind is PageKind.DATA
-                ):
-                    count += 1
-        return count
+        flash = ftl.flash
+        return sum(
+            1
+            for state, oob in zip(flash.page_states, flash.page_oob)
+            if state == PageState.VALID
+            and (oob is None or oob.kind is PageKind.DATA)
+        )

@@ -118,7 +118,7 @@ class TestLazyInvalidation:
             (b.index, o)
             for b in ftl.flash.blocks
             for o in b.valid_offsets()
-            if b.pages[o].oob.kind is PageKind.DATA and b.pages[o].oob.lpn == 0
+            if b.oob(o).kind is PageKind.DATA and b.oob(o).lpn == 0
         ]
         assert len(valid) == 1
 
@@ -131,7 +131,7 @@ class TestLazyInvalidation:
             1
             for b in ftl.flash.blocks
             for o in b.valid_offsets()
-            if b.pages[o].oob.kind is PageKind.DATA and b.pages[o].oob.lpn == 0
+            if b.oob(o).kind is PageKind.DATA and b.oob(o).lpn == 0
         )
         assert valid == 2              # deferred: both copies look valid
         assert ftl.read(0).data == "new"
@@ -140,7 +140,7 @@ class TestLazyInvalidation:
             1
             for b in ftl.flash.blocks
             for o in b.valid_offsets()
-            if b.pages[o].oob.kind is PageKind.DATA and b.pages[o].oob.lpn == 0
+            if b.oob(o).kind is PageKind.DATA and b.oob(o).lpn == 0
         )
         assert valid_after == 1
 
@@ -175,7 +175,7 @@ class TestGarbageCollection:
             1
             for b in ftl.flash.blocks
             for o in b.programmed_offsets()
-            if b.pages[o].oob is not None and b.pages[o].oob.cold
+            if b.oob(o) is not None and b.oob(o).cold
         )
         assert cold_pages > 0
 

@@ -8,6 +8,7 @@ from repro.flash import (
     NandFlash,
     OOBData,
     PageKind,
+    PageState,
     SequenceCounter,
     UNIT_TIMING,
 )
@@ -77,8 +78,7 @@ class TestLookupAndCommit:
         store.commit({0: [(1, 11)]}, on_superseded=lambda l, p: None)
         second = store.gtd.get(0)
         assert first != second
-        pbn, off = store.flash.geometry.split_ppn(first)
-        assert store.flash.block(pbn).pages[off].is_invalid
+        assert store.flash.page_state(first) is PageState.INVALID
 
 
 class TestFrontierAndGC:

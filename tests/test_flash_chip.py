@@ -3,7 +3,9 @@
 import pytest
 
 from repro.flash import (
+    BadBlockError,
     FlashGeometry,
+    MLC_TIMING,
     NandFlash,
     OOBData,
     PageState,
@@ -11,6 +13,7 @@ from repro.flash import (
     UNIT_TIMING,
     SLC_TIMING,
 )
+from repro.obs.tracer import Tracer
 
 
 def make_chip(blocks=4, pages=8, timing=SLC_TIMING):
@@ -114,3 +117,62 @@ class TestStatsSnapshots:
             "read_us", "program_us", "erase_us",
             "redundant_invalidates",
         }
+
+
+class TestOneImplementationPerOp:
+    """Each raw op is one class method: what it does cannot depend on
+    whether a tracer is attached or on when a setting was assigned."""
+
+    RAW_OPS = ("read_page", "probe_page", "program_page", "program_run",
+               "erase_block", "invalidate_page", "block")
+
+    @staticmethod
+    def script(chip):
+        """program / read / probe / invalidate / erase x2; returns the
+        latencies and the exception of the over-endurance erase."""
+        latencies = [
+            chip.program_page(0, "a", OOBData(lpn=1, seq=0)),
+            chip.read_page(0)[2],
+            chip.probe_page(1)[1],
+        ]
+        chip.invalidate_page(0)
+        latencies.append(chip.erase_block(0))
+        with pytest.raises(BadBlockError) as exc:
+            chip.erase_block(0)
+        return latencies, exc.value
+
+    @pytest.mark.parametrize("attach_first", [False, True])
+    def test_timing_and_endurance_reassigned_after_construction(
+            self, attach_first):
+        untraced, traced = make_chip(), make_chip()
+        if attach_first:
+            traced.tracer = Tracer()
+        for chip in (untraced, traced):
+            chip.timing = MLC_TIMING
+            chip.endurance = 1
+        if not attach_first:
+            traced.tracer = Tracer()
+        lat_u, err_u = self.script(untraced)
+        lat_t, err_t = self.script(traced)
+        assert lat_u == lat_t == [
+            MLC_TIMING.page_program_us, MLC_TIMING.page_read_us,
+            MLC_TIMING.page_read_us, MLC_TIMING.block_erase_us,
+        ]
+        assert untraced.stats == traced.stats
+        assert untraced.stats.block_erases == 2  # the failed erase is charged
+        assert (err_u.pbn, err_u.erase_count) == \
+            (err_t.pbn, err_t.erase_count) == (0, 2)
+        assert untraced.bad_blocks() == traced.bad_blocks() == [0]
+
+    def test_tracer_never_changes_which_function_runs(self):
+        chip = make_chip()
+        for tracer in (None, Tracer(), None):
+            chip.tracer = tracer
+            for name in self.RAW_OPS:
+                assert getattr(chip, name).__func__ is \
+                    getattr(NandFlash, name)
+            shadows = [
+                name for name, value in vars(chip).items()
+                if callable(value) and callable(getattr(NandFlash, name, None))
+            ]
+            assert shadows == []

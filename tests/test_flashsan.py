@@ -90,7 +90,7 @@ class TestNandLegality:
 
     def test_bad_block_program_and_erase(self):
         flash = make_flash()
-        flash.blocks[1].mark_bad()  # ftlint: disable=FTL003 - seeding the fault
+        flash.mark_bad(1)  # ftlint: disable=FTL003 - seeding the fault
         v = catch(flash, lambda: flash.program_page(GEOMETRY.ppn_of(1, 0), "x"))
         assert v.kind is ViolationKind.BAD_BLOCK_OP
         v = catch(flash, lambda: flash.erase_block(1))
@@ -256,7 +256,7 @@ class TestAuditors:
         flash, ftl = self.small_page_ftl()
         ftl.write(0, "x")
         block = next(b for b in flash.blocks if b.valid_count)
-        block._valid_count += 1  # ftlint: disable=FTL003 - seeding the fault
+        flash.valid_count[block.index] += 1  # ftlint: disable=FTL003 - seeding the fault
         report = audit_ftl(ftl)
         assert any(v.kind is ViolationKind.COUNTER_DRIFT
                    and v.pbn == block.index
@@ -358,11 +358,10 @@ class TestLazyFTLAudit:
         for block in ftl.flash.blocks:
             if block.index in staging:
                 continue
-            for offset, page in enumerate(block.pages):
-                if (page.is_valid and page.oob is not None
-                        and page.oob.kind.value == "data"):
-                    victim = (page.oob.lpn,
-                              geometry.ppn_of(block.index, offset))
+            for offset in block.valid_offsets():
+                oob = block.oob(offset)
+                if oob is not None and oob.kind.value == "data":
+                    victim = (oob.lpn, geometry.ppn_of(block.index, offset))
                     break
             if victim:
                 break

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flash.block import Block
+from repro.flash import FlashGeometry, NandFlash
 from repro.ftl.gc_policy import select_cost_benefit, select_greedy
 from repro.ftl.pool import BlockPool, OutOfBlocksError
 
@@ -52,50 +52,50 @@ class TestBlockPool:
         assert p.snapshot() == [5, 6]
 
 
-def block_with(index, valid, programmed, pages=8):
-    b = Block(index, pages)
-    for i in range(programmed):
-        b.program(i, i, None)
-    for i in range(valid, programmed):
-        b.invalidate(i)
-    return b
+PAGES = 8
+
+
+def valid_counts(*counts):
+    """A device valid-count array: index = pbn, value = VALID pages."""
+    return list(counts)
 
 
 class TestGreedyPolicy:
     def test_picks_fewest_valid(self):
-        blocks = [
-            block_with(0, valid=5, programmed=8),
-            block_with(1, valid=2, programmed=8),
-            block_with(2, valid=7, programmed=8),
-        ]
-        assert select_greedy(blocks).index == 1
+        assert select_greedy([0, 1, 2], valid_counts(5, 2, 7)) == 1
 
     def test_tie_breaks_by_index(self):
-        blocks = [
-            block_with(2, valid=3, programmed=8),
-            block_with(1, valid=3, programmed=8),
-        ]
-        assert select_greedy(blocks).index == 1
+        assert select_greedy([2, 1], valid_counts(9, 3, 3)) == 1
 
     def test_empty_candidates(self):
-        assert select_greedy([]) is None
+        assert select_greedy([], valid_counts()) is None
+
+    def test_reads_the_device_array(self):
+        flash = NandFlash(FlashGeometry(num_blocks=3, pages_per_block=PAGES,
+                                        page_size=512))
+        for pbn, valid in enumerate((5, 2, 7)):
+            for off in range(PAGES):
+                flash.program_page(pbn * PAGES + off, off)
+            for off in range(valid, PAGES):
+                flash.invalidate_page(pbn * PAGES + off)
+        assert select_greedy(range(3), flash.valid_count) == 1
 
 
 class TestCostBenefitPolicy:
     def test_prefers_old_sparse_blocks(self):
-        young_sparse = block_with(0, valid=2, programmed=8)
-        old_sparse = block_with(1, valid=2, programmed=8)
         ages = {0: 1.0, 1: 100.0}
         pick = select_cost_benefit(
-            [young_sparse, old_sparse], age_of=lambda b: ages[b.index]
+            [0, 1], valid_counts(2, 2), PAGES, age_of=ages.__getitem__
         )
-        assert pick.index == 1
+        assert pick == 1
 
     def test_fully_valid_block_never_picked_over_reclaimable(self):
-        full = block_with(0, valid=8, programmed=8)
-        sparse = block_with(1, valid=6, programmed=8)
-        pick = select_cost_benefit([full, sparse], age_of=lambda b: 1.0)
-        assert pick.index == 1
+        pick = select_cost_benefit(
+            [0, 1], valid_counts(8, 6), PAGES, age_of=lambda pbn: 1.0
+        )
+        assert pick == 1
 
     def test_empty_candidates(self):
-        assert select_cost_benefit([], age_of=lambda b: 1.0) is None
+        assert select_cost_benefit(
+            [], valid_counts(), PAGES, age_of=lambda pbn: 1.0
+        ) is None

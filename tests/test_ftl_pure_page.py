@@ -85,6 +85,6 @@ class TestPageFTLSpecifics:
             (b.index, o)
             for b in ftl.flash.blocks
             for o in b.valid_offsets()
-            if b.pages[o].oob is not None and b.pages[o].oob.lpn == 5
+            if b.oob(o) is not None and b.oob(o).lpn == 5
         ]
         assert len(valid_for_5) == 1

@@ -119,41 +119,61 @@ class TestFTL002UnseededRandom:
 class TestFTL003BlockMutation:
     def test_attribute_assignment_flagged(self):
         assert rule_ids("""
-            def retire(block):
-                block.is_bad = True
+            def retire(flash):
+                flash.is_bad = bytearray(8)
         """) == ["FTL003"]
 
     def test_augmented_assignment_flagged(self):
         assert rule_ids("""
-            def bump(block):
-                block.erase_count += 1
+            def bump(flash, pbn):
+                flash.erase_count[pbn] += 1
         """) == ["FTL003"]
 
-    def test_private_counter_flagged(self):
+    def test_counter_array_rebind_flagged(self):
         assert "FTL003" in rule_ids("""
-            def drift(block):
-                block._valid_count = 0
+            def drift(flash):
+                flash.valid_count = [0] * 8
         """)
+
+    def test_subscript_and_slice_stores_flagged(self):
+        # Positive fixture: every store form into a device array.
+        assert rule_ids("""
+            def stamp(self, ppn, oob):
+                flash = self.flash
+                flash.page_states[ppn] = 1
+                flash.page_oob[ppn] = oob
+                flash.page_data[ppn:ppn + 4] = [None] * 4
+                self.flash.write_ptr[ppn // 64] += 1
+        """) == ["FTL003"] * 4
 
     def test_force_erase_call_flagged(self):
         # Also trips FTL010: an evidence-free erase is exactly what the
         # flow protocol rule exists to catch.
         assert rule_ids("""
-            def nuke(block):
-                block.force_erase()
+            def nuke(flash, pbn):
+                flash.force_erase(pbn)
         """) == ["FTL003", "FTL010"]
 
     def test_flash_scope_exempt(self):
         assert rule_ids("""
-            def retire(self, block):
-                block.is_bad = True
-                block.force_erase()
+            def retire(self, pbn):
+                self.is_bad[pbn] = 1
+                self.force_erase(pbn)
         """, scope="flash") == []
 
     def test_reads_not_flagged(self):
+        # Negative fixture: the arrays are public to read, alias and
+        # copy; stores into a *copy* or into a payload object fetched
+        # from page_data are not stores into device state.
         assert rule_ids("""
-            def wear(block):
-                return block.erase_count + int(block.is_bad)
+            def wear(flash, pbn, ppn):
+                counts = list(flash.erase_count)
+                counts[pbn] = 0
+                states = flash.page_states
+                content = flash.page_data[ppn]
+                flash.page_data[ppn][3] = 7
+                return (counts, states[ppn] == 1, content,
+                        flash.write_ptr[pbn] + int(flash.is_bad[pbn]))
         """) == []
 
 

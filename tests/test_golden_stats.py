@@ -1,8 +1,8 @@
 """Golden-stats regression gate: the engine's modeled statistics are
 bit-identical to the committed pre-overhaul snapshot.
 
-The PR-3 hot-path overhaul (array-backed maps, slotted flash state,
-pre-bound untraced fast paths) is a pure performance change: every
+Engine restructurings (array-backed maps, flat array-backed flash state
+with one implementation per raw op) are pure host-side changes: every
 simulated number - erases, merges, GC copies, response-time
 distributions, RAM model, device-busy time - must come out exactly as the
 seed engine produced it.  ``tests/golden/engine_stats.json`` was captured

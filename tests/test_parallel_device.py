@@ -268,12 +268,11 @@ def _run(ftl, ops):
 
 
 def _placement(flash):
-    """Physical image: (state, data, lpn) for every page, per block."""
+    """Physical image: (state, data, lpn) for every page, in ppn order."""
     return [
-        [(page.state, page.data,
-          page.oob.lpn if page.oob is not None else None)
-         for page in block.pages]
-        for block in flash.blocks
+        (state, data, oob.lpn if oob is not None else None)
+        for state, data, oob in zip(
+            flash.page_states, flash.page_data, flash.page_oob)
     ]
 
 

@@ -16,6 +16,7 @@ from repro.core.umt import UpdateMappingTable, group_by_tvpn
 from repro.flash import (
     FlashGeometry,
     NandFlash,
+    PageState,
     PowerLossError,
     UNIT_TIMING,
 )
@@ -114,10 +115,8 @@ class TestLazyFTLInvariants:
         assert ftl.stats.merges_total == 0
         # Every UMT entry points at a valid flash page holding that lpn.
         for lpn, entry in ftl.umt.items():
-            pbn, off = ftl.flash.geometry.split_ppn(entry.ppn)
-            page = ftl.flash.block(pbn).pages[off]
-            assert page.is_valid
-            assert page.oob.lpn == lpn
+            assert ftl.flash.page_state(entry.ppn) is PageState.VALID
+            assert ftl.flash.page_oob[entry.ppn].lpn == lpn
 
     @SLOW
     @given(ops=ops_strategy)

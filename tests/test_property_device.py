@@ -1,12 +1,25 @@
-"""Property-based tests for the LAST baseline and the block-device layer."""
+"""Property-based tests for the LAST baseline, the block-device layer and
+the raw NAND device (bulk ``program_run`` vs scalar programs)."""
 
 import random
+import warnings
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.checks.flashsan import SanitizedNandFlash
+from repro.checks.report import SanitizerViolation
 from repro.core import LazyConfig, LazyFTL
 from repro.device import FlashBlockDevice
-from repro.flash import FlashGeometry, NandFlash, UNIT_TIMING
+from repro.flash import (
+    UNIT_TIMING,
+    FlashError,
+    FlashGeometry,
+    NandFlash,
+    OOBData,
+    PageState,
+    ParallelNandFlash,
+    TimingModel,
+)
 from repro.ftl.last import LastFTL
 
 LOGICAL = 48
@@ -100,3 +113,125 @@ class TestBlockDeviceSectorSemantics:
                 assert got == expect
         for lba, value in shadow.items():
             assert device.read(lba, 1).sectors == [value]
+
+
+# ----------------------------------------------------------------------
+# Raw device: random op scripts, legal and illegal, on the serial, 4x1x1
+# parallel and sanitized devices.  Two claims:
+#
+# * ``program_run`` is *n* ``program_page`` calls - same page-state bytes,
+#   data/OOB, write pointers, valid counts, ``FlashStats``, returned
+#   latency, exception type and first failing page, and an armed
+#   ``PowerFault`` trips at the same op index through either;
+# * after every step the per-block counters agree with a recount of the
+#   page-state array (``valid_count[b] == count(VALID)``, nothing
+#   programmed at or past the write pointer).
+# ----------------------------------------------------------------------
+BLOCKS, PPB = 8, 4
+TOTAL = BLOCKS * PPB
+#: Latencies that are not exactly representable, so the order in which
+#: FlashStats accumulates them is visible in the compared floats.
+TIMING = TimingModel(page_read_us=0.1, page_program_us=0.7,
+                     block_erase_us=1.3)
+
+DEVICES = {
+    "serial": lambda seq: NandFlash(
+        FlashGeometry(BLOCKS, PPB, 512), TIMING,
+        enforce_sequential=seq),
+    "parallel": lambda seq: ParallelNandFlash(
+        FlashGeometry(BLOCKS, PPB, 512, channels=4), TIMING,
+        enforce_sequential=seq),
+    "sanitized": lambda seq: SanitizedNandFlash(
+        FlashGeometry(BLOCKS, PPB, 512), TIMING,
+        enforce_sequential=seq),
+}
+
+# Addresses reach one past either end of the device so range errors are
+# part of every script; the "frontier" forms aim at a block's current
+# write pointer so legal programs (and whole legal runs) are common too.
+ppns = st.integers(-1, TOTAL)
+pbns = st.integers(0, BLOCKS - 1)
+ops = st.one_of(
+    st.tuples(st.just("program"), ppns),
+    st.tuples(st.just("run"), ppns, st.integers(0, PPB + 1)),
+    st.tuples(st.just("frontier_program"), pbns),
+    st.tuples(st.just("frontier_run"), pbns, st.integers(1, PPB + 1)),
+    st.tuples(st.just("read"), ppns),
+    st.tuples(st.just("probe"), ppns),
+    st.tuples(st.just("invalidate"), ppns),
+    st.tuples(st.just("erase"), st.integers(-1, BLOCKS)),
+)
+
+
+def apply(flash, op, step, bulk):
+    """Run one script op; returns ``(result, exception type or None)``."""
+    kind, addr = op[0], op[1]
+    if kind.startswith("frontier_"):
+        kind = kind[len("frontier_"):]
+        addr = addr * PPB + flash.write_ptr[addr]
+    try:
+        if kind == "program":
+            return flash.program_page(
+                addr, step, OOBData(lpn=step, seq=step)), None
+        if kind == "run":
+            datas = [(step, i) for i in range(op[2])]
+            oobs = [OOBData(lpn=step, seq=i) for i in range(op[2])]
+            if bulk:
+                return flash.program_run(addr, datas, oobs), None
+            total = 0.0
+            for i in range(op[2]):
+                total += flash.program_page(addr + i, datas[i], oobs[i])
+            return total, None
+        if kind == "read":
+            return flash.read_page(addr), None
+        if kind == "probe":
+            return flash.probe_page(addr), None
+        if kind == "invalidate":
+            return flash.invalidate_page(addr), None
+        return flash.erase_block(addr), None
+    except (FlashError, SanitizerViolation) as exc:
+        return None, type(exc)
+
+
+def image(flash):
+    return (
+        bytes(flash.page_states), list(flash.page_data),
+        list(flash.page_oob), list(flash.write_ptr),
+        list(flash.valid_count), list(flash.erase_count),
+        bytes(flash.is_bad), flash.stats.as_dict(), flash.powered,
+        flash.fault.tripped, flash.fault.trip_op_index,
+        flash.fault.trip_site,
+    )
+
+
+def check_counters(flash):
+    for pbn in range(BLOCKS):
+        states = flash.page_states[pbn * PPB:(pbn + 1) * PPB]
+        assert flash.valid_count[pbn] == states.count(PageState.VALID)
+        tail = states[flash.write_ptr[pbn]:]
+        assert tail.count(PageState.FREE) == len(tail)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    device=st.sampled_from(sorted(DEVICES)),
+    sequential=st.booleans(),
+    script=st.lists(ops, max_size=40),
+    fault_at=st.none() | st.integers(0, 12),
+    endurance=st.none() | st.integers(1, 2),
+)
+def test_bulk_run_is_n_scalar_programs(device, sequential, script,
+                                       fault_at, endurance):
+    bulk, scalar = DEVICES[device](sequential), DEVICES[device](sequential)
+    for flash in (bulk, scalar):
+        flash.endurance = endurance
+        if fault_at is not None:
+            flash.fault.arm_at_op_index(fault_at)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # redundant invalidates are legal
+        for step, op in enumerate(script):
+            got = apply(bulk, op, step, bulk=True)
+            want = apply(scalar, op, step, bulk=False)
+            assert got == want, (step, op)
+            assert image(bulk) == image(scalar), (step, op)
+            check_counters(bulk)

@@ -55,9 +55,9 @@ class TestBadAnchorBlock:
         ftl.checkpoint()
         flash.power_off()
         # Simulate the anchor block wearing out while the device was off.
-        anchor = flash.block(ANCHOR_BLOCKS[0])
-        anchor.force_erase()  # ftlint: disable=FTL003 - fault injection
-        anchor.mark_bad()  # ftlint: disable=FTL003 - fault injection
+        anchor = ANCHOR_BLOCKS[0]
+        flash.force_erase(anchor)  # ftlint: disable=FTL003 - fault injection
+        flash.mark_bad(anchor)  # ftlint: disable=FTL003 - fault injection
         with pytest.raises(ValueError, match="anchor"):
             recover(flash, LOGICAL, ftl.config)
 
@@ -130,7 +130,7 @@ class TestCrashDuringRecovery:
         # Power restored: the exact same device must now recover fully -
         # the aborted attempt left no partial state behind (recovery is
         # read-only until it returns).
-        flash._rebind_fast_paths()
+        del flash.probe_page  # drop the monkeypatch; the class method is back
         recovered, _ = recover(flash, LOGICAL, ftl.config)
         for lpn, value in expected.items():
             assert recovered.read(lpn).data == value

@@ -19,7 +19,13 @@ from hypothesis.stateful import (
 )
 
 from repro.core import LazyConfig, LazyFTL, recover
-from repro.flash import FlashGeometry, NandFlash, PowerLossError, UNIT_TIMING
+from repro.flash import (
+    UNIT_TIMING,
+    FlashGeometry,
+    NandFlash,
+    PageState,
+    PowerLossError,
+)
 
 LOGICAL = 64
 CONFIG = LazyConfig(uba_blocks=2, cba_blocks=2, gc_free_threshold=3)
@@ -119,9 +125,8 @@ class LazyFTLMachine(RuleBasedStateMachine):
         if not self.powered:
             return
         for lpn, entry in self.ftl.umt.items():
-            pbn, off = self.flash.geometry.split_ppn(entry.ppn)
-            page = self.flash.block(pbn).pages[off]
-            assert page.is_valid and page.oob.lpn == lpn
+            assert self.flash.page_state(entry.ppn) is PageState.VALID
+            assert self.flash.page_oob[entry.ppn].lpn == lpn
 
     def teardown(self):
         if not self.powered:
