@@ -48,10 +48,11 @@ Results land in ``BENCH_pr9.json`` at the repo root:
   run-to-run than the compute cells; ``batch:*`` cells use
   ``max_regression_pct_batch`` (default 20) because their short epochs
   make them the noisiest compute cells;
-* ``--replay-mode auto|scalar|batched`` forces the replay path for the
+* ``--replay-mode auto|scalar`` forces the replay path for the
   whole suite (paired before/after measurements of the batch engine);
 * ``--profile N`` additionally runs each engine cell once under cProfile
-  and stores the top-N cumulative-time functions in the BENCH file;
+  and stores the top-N self-time functions in the BENCH file (ranked by
+  cumulative time the list was only ever the wrapper frames);
 * ``--smoke`` shrinks the workload so the whole suite runs in a couple
   of seconds - this is what the ``tools/check_all.py`` gate executes.
 
@@ -180,7 +181,7 @@ def build_cells(smoke: bool):
 
 
 def _profile_cell(run, top_n: int) -> list:
-    """One cProfile'd run of a cell -> top-N cumulative-time entries."""
+    """One cProfile'd run of a cell -> top-N self-time entries."""
     import cProfile
 
     profiler = cProfile.Profile()
@@ -191,7 +192,7 @@ def _profile_cell(run, top_n: int) -> list:
     # getstats() rows: inlinetime is self time, totaltime is cumulative.
     rows = sorted(
         profiler.getstats(),
-        key=lambda row: row.totaltime, reverse=True,
+        key=lambda row: row.inlinetime, reverse=True,
     )
     for row in rows:
         if len(entries) >= top_n:
@@ -691,13 +692,13 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="compare against the committed 'after' "
                              "baseline; exit 1 on regression")
-    parser.add_argument("--replay-mode", choices=("auto", "scalar",
-                                                  "batched"), default=None,
+    parser.add_argument("--replay-mode", choices=("auto", "scalar"),
+                        default=None,
                         help="force the replay path for every cell "
                              "(default: the simulator's own default)")
     parser.add_argument("--profile", type=int, default=0, metavar="N",
                         help="also run each engine cell once under "
-                             "cProfile; store the top-N cumulative "
+                             "cProfile; store the top-N self-time "
                              "functions in the BENCH file on --record")
     parser.add_argument("--calibrate-gate", type=int, default=0,
                         metavar="ROUNDS",

@@ -3,10 +3,11 @@
 PR 3/4 hand-optimised the replay and GC inner loops: methods pre-bound
 to locals, no per-iteration objects, no closures.  FTL007/FTL008 pin two
 specific regressions by name; this rule generalises them flow-aware for
-any function marked hot.  A function is *hot* when it is one of the
-simulator replay loops (the FTL008 registry) or when its ``def`` line -
-or the line directly above it - carries a ``# flowlint: hot`` marker,
-which is how the GC/commit inner loops in the schemes opt in.
+any function marked hot.  A function is *hot* when it is the simulator
+replay loop (:data:`repro.checks.rulebase.REPLAY_LOOP`, shared with
+FTL008) or when its ``def`` line - or the line directly above it -
+carries a ``# flowlint: hot`` marker, which is how the GC/commit inner
+loops in the schemes opt in.
 
 Inside every loop of a hot function the rule flags:
 
@@ -39,13 +40,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .base import FlowRule, FunctionAnalysis
 from .summaries import ModuleSummaries
-
-#: Replay functions that are hot by definition (kept in sync with
-#: FTL008's registry in repro.checks.lint.replayattrs).
-_REPLAY_REGISTRY = {
-    "simulator.py": frozenset({"warm_up", "_replay_fast",
-                               "_replay_batched", "_replay_traced"}),
-}
 
 #: Marker comment that opts a function into hot-loop analysis.
 HOT_MARKER = "# flowlint: hot"
@@ -84,11 +78,8 @@ class HotLoopRule(FlowRule):
 
     # ------------------------------------------------------------------
     def _is_hot(self, func: ast.FunctionDef) -> bool:
-        path = self.context.path.replace("\\", "/")
-        for suffix, names in _REPLAY_REGISTRY.items():
-            if path.endswith("/" + suffix) or path == suffix:
-                if func.name in names:
-                    return True
+        if self.context.is_replay_loop(func):
+            return True
         lines = self.context.source_lines
         for lineno in (func.lineno, func.lineno - 1):
             if 1 <= lineno <= len(lines) \

@@ -1,15 +1,14 @@
-"""FTL008: no per-request attribute access in the simulator replay loops.
+"""FTL008: no per-request attribute access in the simulator replay loop.
 
-The replay loops in ``repro/sim/simulator.py`` (``warm_up``,
-``_replay_fast``, ``_replay_batched``, ``_replay_traced``) iterate the
-columnar trace form
-(:mod:`repro.traces.columnar`): four machine-typed arrays, unpacked by
-``zip``.  Touching ``IORequest`` attributes - ``.op``, ``.is_write``,
-``.pages``, ``.lpn``, ``.npages``, ``.arrival_us`` - inside those
-functions means a request *object* was materialised on the per-request
-path, which is exactly the allocation + attribute-lookup + Enum-compare
-tax the columnar engine removed.  This rule flags any such access so the
-hot loops stay object-free.
+The replay loop in ``repro/sim/simulator.py`` (``Simulator._replay``,
+named once in :data:`repro.checks.rulebase.REPLAY_LOOP`) iterates the
+columnar trace form (:mod:`repro.traces.columnar`): four machine-typed
+arrays, read by index.  Touching ``IORequest`` attributes - ``.op``,
+``.is_write``, ``.pages``, ``.lpn``, ``.npages``, ``.arrival_us`` -
+inside that function means a request *object* was materialised on the
+per-request path, which is exactly the allocation + attribute-lookup +
+Enum-compare tax the columnar engine removed.  This rule flags any such
+access so the hot loop stays object-free.
 
 Legitimate exceptions (e.g. a debug helper that inspects one request)
 opt out per line with ``# ftlint: disable=FTL008`` and a comment saying
@@ -22,9 +21,6 @@ import ast
 
 from .base import Rule
 
-#: Functions in simulator.py that constitute the replay hot path.
-_REPLAY_FUNCTIONS = ("warm_up", "_replay_fast", "_replay_batched",
-                     "_replay_traced")
 #: IORequest attribute names whose access marks a per-request object.
 #: (``npages`` is excluded: it is also the name of a ColumnarTrace
 #: column, which the loops legitimately read.)
@@ -35,16 +31,12 @@ _REQUEST_ATTRS = frozenset({
 
 class ReplayAttrRule(Rule):
     RULE_ID = "FTL008"
-    MESSAGE = ("simulator replay loops must iterate trace columns, not "
-               "per-request objects (.op/.is_write/.pages/...)")
+    MESSAGE = ("the simulator replay loop must iterate trace columns, "
+               "not per-request objects (.op/.is_write/.pages/...)")
     SCOPES = frozenset({"sim"})
 
-    def _applies_to_file(self) -> bool:
-        path = self.context.path.replace("\\", "/")
-        return path.endswith("/simulator.py") or path == "simulator.py"
-
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        if self._applies_to_file() and node.name in _REPLAY_FUNCTIONS:
+        if self.context.is_replay_loop(node):
             for child in ast.walk(node):
                 if (
                     isinstance(child, ast.Attribute)

@@ -22,6 +22,12 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
 
+#: The simulator's one per-request replay loop, as (file name, function
+#: name): FTL008 keeps it free of request objects and FTL013 treats it as
+#: hot without a ``# flowlint: hot`` marker.
+REPLAY_LOOP = ("simulator.py", "_replay")
+
+
 @dataclass(frozen=True)
 class LintViolation:
     """One linter finding, formatted ``path:line:col: RULE message``."""
@@ -62,6 +68,13 @@ class FileContext:
             return True  # bare disable: every rule
         named = directive[1:].split()[0] if directive[1:].split() else ""
         return rule_id in {r.strip() for r in named.split(",")}
+
+    def is_replay_loop(self, func: ast.FunctionDef) -> bool:
+        """True when ``func`` in this file is :data:`REPLAY_LOOP`."""
+        suffix, name = REPLAY_LOOP
+        path = self.path.replace("\\", "/")
+        return func.name == name and (
+            path == suffix or path.endswith("/" + suffix))
 
 
 class Rule(ast.NodeVisitor):

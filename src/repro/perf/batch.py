@@ -11,11 +11,15 @@ in bulk (map tables via :meth:`~repro.perf.maptable.MapTable.set_many`,
 flash/FTL counters bulk-incremented, responses recorded through
 :meth:`~repro.sim.metrics.ResponseStats.record_many`).
 
-:class:`BatchEngine` alternates vectorized epochs with the *exact*
-scalar per-request logic of ``Simulator._replay_fast`` at every epoch
-boundary: the request that would trigger the slow event runs scalar
-(GC, commit, eviction and multi-page expansion all happen there), then
-planning resumes.
+The replay loop itself lives in one place,
+:meth:`repro.sim.simulator.Simulator._replay`: it asks the planner for a
+horizon, hands horizons of at least :data:`MIN_EPOCH` requests to
+:meth:`BatchEngine.run_epoch`, and services everything else - the short
+horizons and the boundary request that would trigger the slow event (GC,
+commit, eviction and multi-page expansion all happen there) - with its
+ordinary per-request body, then plans again.  This module holds only what
+is batch-specific: eligibility, the planners and executors, and the epoch
+timing kernels.
 
 Bit-identity contract (enforced by the golden-stats gate and the
 differential tests in ``tests/test_batch_replay.py``):
@@ -47,7 +51,6 @@ NAND semantics stay in the device.
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Any, Dict, Optional, Tuple, Type
 
@@ -60,10 +63,6 @@ from ..ftl.pure_page import PageFTL
 from ..sim.metrics import ResponseStats
 from ..traces.columnar import ColumnarTrace
 
-#: Environment switch forcing the pure-Python fallback kernels even when
-#: numpy is importable (used by the batchdiff gate and the parity tests).
-FALLBACK_ENV = "REPRO_BATCH_FALLBACK"
-
 try:  # pragma: no cover - exercised via both branches in CI
     import numpy as _numpy
 except ImportError:  # pragma: no cover
@@ -72,15 +71,15 @@ except ImportError:  # pragma: no cover
 #: Active backend: the numpy module, or None for the array/memoryview
 #: fallback.  Module-global so tests can monkeypatch it and so every
 #: kernel observes one consistent choice.
-_np: Any = None if os.environ.get(FALLBACK_ENV) else _numpy
+_np: Any = _numpy
 
 
 def set_backend(name: str) -> None:
     """Select the kernel backend: ``"numpy"``, ``"fallback"`` or ``"auto"``.
 
-    ``"auto"`` restores the default (numpy when importable and
-    :data:`FALLBACK_ENV` is unset).  Raises when ``"numpy"`` is requested
-    but not installed (install the ``[perf]`` extra).
+    ``"auto"`` restores the default (numpy when importable, else the
+    fallback).  Raises when ``"numpy"`` is requested but not installed
+    (install the ``[perf]`` extra).
     """
     global _np
     if name == "fallback":
@@ -93,7 +92,7 @@ def set_backend(name: str) -> None:
             )
         _np = _numpy
     elif name == "auto":
-        _np = None if os.environ.get(FALLBACK_ENV) else _numpy
+        _np = _numpy
     else:
         raise ValueError(f"unknown batch backend {name!r}")
 
@@ -678,17 +677,20 @@ def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:
     if not (float(timing.page_read_us).is_integer()
             and float(timing.page_program_us).is_integer()):
         return None
-    return BatchEngine(ftl, planner_cls(ftl))
+    return BatchEngine(planner_cls(ftl))
 
 
 class BatchEngine:
-    """Alternates vectorized epochs with exact scalar boundary steps."""
+    """What the replay driver needs from an eligible scheme: the planner's
+    horizon, and one call that executes an epoch and times it."""
 
-    __slots__ = ("ftl", "planner")
+    __slots__ = ("planner", "plan_epoch")
 
-    def __init__(self, ftl: FlashTranslationLayer, planner: Any):
-        self.ftl = ftl
+    def __init__(self, planner: Any):
         self.planner = planner
+        #: ``plan_epoch(cols, start, limit) -> h``: how many upcoming
+        #: requests can be serviced with no slow event.
+        self.plan_epoch = planner.plan_epoch
 
     def supports(self, cols: ColumnarTrace) -> bool:
         """True when this trace's arrival pattern can use epochs at all.
@@ -699,126 +701,29 @@ class BatchEngine:
         """
         return cols.arrivals is None or self.planner.idle_gaps_free
 
-    # flowlint: hot
-    def replay(self, cols: ColumnarTrace, responses: ResponseStats) -> float:
-        """The batched twin of ``Simulator._replay_fast``; returns busy.
+    def run_epoch(
+        self,
+        cols: ColumnarTrace,
+        start: int,
+        h: int,
+        responses: Optional[ResponseStats],
+        device_free_at: float,
+        busy: float,
+    ) -> Tuple[float, float]:
+        """Service the planned ``h``-request epoch at ``start`` in bulk.
 
-        Epochs of at least :data:`MIN_EPOCH` requests run through the
-        executor + timing kernels; everything else - including the
-        boundary request that would trigger the slow event - runs the
-        verbatim scalar per-request logic below, so GC, conversions,
-        evictions, checkpoints and multi-page expansion behave (and
-        accumulate floats) exactly as in the scalar loop.
+        Records the responses and returns the advanced
+        ``(device_free_at, busy)`` exactly as ``h`` turns of the scalar
+        loop would; ``responses=None`` is a warm-up - state only, no
+        timing.
         """
-        ftl = self.ftl
-        plan = self.planner.plan_epoch
-        execute = self.planner.execute_epoch
-        ftl_write = ftl.write
-        ftl_read = ftl.read
-        background_work = ftl.background_work
-        record = responses.record
-        ops = cols.ops
-        lpns = cols.lpns
-        npages = cols.npages
-        arrivals = cols.arrivals
-        ops_mv = memoryview(ops)
-        n = len(ops)
-        device_free_at = 0.0
-        busy = 0.0
-        i = 0
-        while i < n:
-            h = plan(cols, i, n)
-            if h >= MIN_EPOCH:
-                services = execute(cols, i, h)
-                if arrivals is None:
-                    device_free_at, busy = _timing_closed(
-                        ops_mv[i:i + h], services, responses,
-                        device_free_at, busy,
-                    )
-                else:
-                    device_free_at, busy = _timing_open(
-                        ops_mv[i:i + h], arrivals, i, services, responses,
-                        device_free_at, busy,
-                    )
-                i += h
-                continue
-            # Scalar through the short horizon plus the boundary request.
-            stop = i + h + 1
-            if stop > n:
-                stop = n
-            while i < stop:
-                op = ops[i]
-                lpn = lpns[i]
-                count = npages[i]
-                if arrivals is None:
-                    arrival = device_free_at
-                else:
-                    arrival = arrivals[i]
-                    if arrival != arrival:  # NaN: closed-loop request
-                        arrival = device_free_at
-                    elif arrival > device_free_at:
-                        used = background_work(arrival - device_free_at)
-                        if used > 0:
-                            device_free_at += used
-                            busy += used
-                start = device_free_at if device_free_at > arrival \
-                    else arrival
-                if op:
-                    if count == 1:
-                        service = ftl_write(lpn, None).latency_us
-                    else:
-                        service = 0.0
-                        for p in range(lpn, lpn + count):
-                            service += ftl_write(p, None).latency_us
-                elif count == 1:
-                    service = ftl_read(lpn).latency_us
-                else:
-                    service = 0.0
-                    for p in range(lpn, lpn + count):
-                        service += ftl_read(p).latency_us
-                completion = start + service
-                record(op, completion - arrival)
-                device_free_at = completion
-                busy += service
-                i += 1
-        return busy
-
-    # flowlint: hot
-    def warm(self, cols: ColumnarTrace) -> None:
-        """The batched twin of ``Simulator.warm_up``: no timing, no
-        response recording, no idle-gap housekeeping - just state."""
-        ftl = self.ftl
-        plan = self.planner.plan_epoch
-        execute = self.planner.execute_epoch
-        ftl_write = ftl.write
-        ftl_read = ftl.read
-        ops = cols.ops
-        lpns = cols.lpns
-        npages = cols.npages
-        n = len(ops)
-        i = 0
-        while i < n:
-            h = plan(cols, i, n)
-            if h >= MIN_EPOCH:
-                execute(cols, i, h)  # services discarded: untimed
-                i += h
-                continue
-            stop = i + h + 1
-            if stop > n:
-                stop = n
-            while i < stop:
-                op = ops[i]
-                lpn = lpns[i]
-                count = npages[i]
-                if op:
-                    if count == 1:
-                        ftl_write(lpn, None)
-                    else:
-                        for p in range(lpn, lpn + count):
-                            ftl_write(p, None)
-                elif count == 1:
-                    ftl_read(lpn)
-                else:
-                    for p in range(lpn, lpn + count):
-                        ftl_read(p)
-                i += 1
+        services = self.planner.execute_epoch(cols, start, h)
+        if responses is None:
+            return device_free_at, busy
+        ops_slice = memoryview(cols.ops)[start:start + h]
+        if cols.arrivals is None:
+            return _timing_closed(
+                ops_slice, services, responses, device_free_at, busy)
+        return _timing_open(
+            ops_slice, cols.arrivals, start, services, responses,
+            device_free_at, busy)

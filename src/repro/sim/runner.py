@@ -113,8 +113,7 @@ def run_scheme(
             and a full mapping audit runs after the measured trace; the
             first violation raises :class:`repro.checks.SanitizerViolation`.
         replay_mode: Passed to :class:`~repro.sim.simulator.Simulator`
-            (``auto``/``scalar``/``batched``); None uses the simulator's
-            default (the ``REPRO_REPLAY_MODE`` environment, then auto).
+            (``auto``/``scalar``); None means auto.
     """
     device = device if device is not None else DeviceSpec()
     opts = dict(DEFAULT_OPTIONS.get(scheme, {}))

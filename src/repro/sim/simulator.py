@@ -13,9 +13,7 @@ evaluation): the device serves one request at a time (FCFS).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Dict, Optional
 
 from ..flash.stats import FlashStats, wear_summary
@@ -23,18 +21,15 @@ from ..ftl.base import FlashTranslationLayer
 from ..ftl.stats import FtlStats
 from ..obs.tracer import Tracer
 from ..perf import batch as _batch
-from ..traces.columnar import NO_ARRIVAL
+from ..traces.columnar import ColumnarTrace
 from ..traces.model import Trace
 from .metrics import ResponseStats
 
 #: Replay-mode selection: ``auto`` engages the epoch-segmented batch
-#: kernels (repro.perf.batch) whenever the scheme/device is eligible,
-#: ``scalar`` forces the per-request loop, ``batched`` documents intent
-#: (identical to auto: ineligible schemes still fall back to scalar).
-REPLAY_MODES = ("auto", "scalar", "batched")
-
-#: Environment override for the default replay mode.
-REPLAY_MODE_ENV = "REPRO_REPLAY_MODE"
+#: kernels (repro.perf.batch) whenever the scheme/device is eligible;
+#: ``scalar`` never asks for them - the reference path the golden gate,
+#: batchdiff and ftlbench compare the kernels against.
+REPLAY_MODES = ("auto", "scalar")
 
 
 @dataclass
@@ -97,9 +92,9 @@ class Simulator:
             events are emitted per page operation, and the result carries
             a per-cause time attribution.  When None (the default) the
             whole replay path is tracing-free.
-        replay_mode: One of :data:`REPLAY_MODES`; None reads the
-            ``REPRO_REPLAY_MODE`` environment variable (default
-            ``auto``).  Traced replays always run scalar regardless.
+        replay_mode: One of :data:`REPLAY_MODES`; None means ``auto``.
+            Traced replays always run scalar regardless (the batch
+            engine declines an FTL with a tracer attached).
     """
 
     def __init__(
@@ -111,7 +106,7 @@ class Simulator:
         self.ftl = ftl
         self.tracer = tracer
         if replay_mode is None:
-            replay_mode = os.environ.get(REPLAY_MODE_ENV, "auto")
+            replay_mode = "auto"
         if replay_mode not in REPLAY_MODES:
             raise ValueError(
                 f"replay_mode must be one of {REPLAY_MODES}, "
@@ -122,33 +117,9 @@ class Simulator:
             ftl.attach_tracer(tracer)
 
     def warm_up(self, trace: Trace) -> None:
-        """Run a trace without recording statistics (pre-conditioning).
-
-        Reuses the batch-replay kernels (untimed) when eligible, so the
-        warm-up path shares one dispatch implementation with
-        :meth:`_replay_batched` instead of duplicating the scalar
-        columnar loop.
-        """
-        cols = trace.to_columnar()
-        if self.tracer is None and self.replay_mode != "scalar":
-            engine = _batch.engine_for(self.ftl)
-            if engine is not None:
-                engine.warm(cols)
-                return
-        ftl_write = self.ftl.write
-        ftl_read = self.ftl.read
-        for op, lpn, npages in zip(cols.ops, cols.lpns, cols.npages):
-            if op:
-                if npages == 1:
-                    ftl_write(lpn, None)
-                else:
-                    for p in range(lpn, lpn + npages):
-                        ftl_write(p, None)
-            elif npages == 1:
-                ftl_read(lpn)
-            else:
-                for p in range(lpn, lpn + npages):
-                    ftl_read(p)
+        """Run a trace without recording statistics (pre-conditioning):
+        arrivals are ignored and idle gaps grant no background work."""
+        self._replay(trace.to_columnar(), None)
 
     def run(
         self,
@@ -167,11 +138,16 @@ class Simulator:
         if warmup is not None:
             # Warm-up is pre-conditioning, not measurement: keep it out of
             # the trace so event streams describe only the measured run.
-            if tracer is not None:
+            if tracer is None:
+                self.warm_up(warmup)
+            else:
                 tracer.suspend()
-            self.warm_up(warmup)
-            if tracer is not None:
-                tracer.resume()
+                try:
+                    self.warm_up(warmup)
+                finally:
+                    # A warm-up that raises must not leave the tracer
+                    # muted for every later run on this simulator.
+                    tracer.resume()
         if tracer is not None:
             tracer.begin_run(self.ftl.name)
         flash_before = self.ftl.flash.stats.snapshot() if reset_counters \
@@ -179,12 +155,9 @@ class Simulator:
         ftl_before = self.ftl.stats.snapshot() if reset_counters \
             else FtlStats()
         responses = ResponseStats()
-        if tracer is not None:
-            busy = self._replay_traced(trace, responses, tracer)
-            attribution = tracer.attribution.scheme_summary(self.ftl.name)
-        else:
-            busy = self._replay_batched(trace, responses)
-            attribution = None
+        busy = self._replay(trace.to_columnar(), responses)
+        attribution = None if tracer is None \
+            else tracer.attribution.scheme_summary(self.ftl.name)
         return SimulationResult(
             scheme=self.ftl.name,
             trace_name=trace.name,
@@ -199,158 +172,103 @@ class Simulator:
             attribution=attribution,
         )
 
-    def _replay_batched(self, trace: Trace, responses: ResponseStats) -> float:
-        """Untraced replay through the epoch-segmented batch engine.
+    def _replay(
+        self, cols: ColumnarTrace, responses: Optional[ResponseStats]
+    ) -> float:
+        """The one per-request replay loop; returns device-busy time.
 
-        Delegates to :mod:`repro.perf.batch` when the scheme registers an
-        epoch planner and the device is eligible (exact
-        :class:`~repro.flash.chip.NandFlash`, fault injector disarmed,
-        integer-valued timing); everything else - including
-        ``replay_mode="scalar"`` - runs :meth:`_replay_fast`.  Both paths
-        produce bit-identical statistics (the golden-stats gate runs once
-        per replay mode).
+        Every replay - warm-up, untraced, traced, and the requests
+        between batch epochs - is this sequence of float operations, so
+        all of them agree bit for bit by construction::
+
+            while requests remain:
+                engine?  plan -> h >= MIN_EPOCH -> bulk epoch, continue
+                scalar segment: the short horizon + the boundary request
+                                (the whole trace when there is no engine)
+
+        ``responses=None`` is a warm-up: arrivals are ignored, nothing is
+        recorded, idle gaps grant no ``background_work`` and the tracer
+        sees no host-level calls.  The batch engine is asked once per
+        replay; it declines by itself under a tracer, a sanitizer, a
+        parallel device and the rest of :func:`~repro.perf.batch.engine_for`'s
+        list, and then the scalar segment simply spans the trace.
         """
-        if self.replay_mode != "scalar":
-            engine = _batch.engine_for(self.ftl)
-            if engine is not None:
-                cols = trace.to_columnar()
-                if engine.supports(cols):
-                    return engine.replay(cols, responses)
-        return self._replay_fast(trace, responses)
-
-    def _replay_fast(self, trace: Trace, responses: ResponseStats) -> float:
-        """Untraced replay: zero observability work on the per-op path.
-
-        Iterates the trace columns directly - no per-request object, no
-        Enum identity compare - with method lookups hoisted out of the
-        loop and no tracer branch inside it.  Float accumulation happens
-        in exactly the order of the traced twin below, so both produce
-        bit-identical statistics for the same FTL behaviour.
-        """
-        cols = trace.to_columnar()
         ftl = self.ftl
         ftl_write = ftl.write
         ftl_read = ftl.read
-        background_work = ftl.background_work
-        record = responses.record
+        ops = cols.ops
+        lpns = cols.lpns
+        npages = cols.npages
+        n = len(ops)
+        arrivals = record = tracer = None
+        if responses is not None:
+            arrivals = cols.arrivals
+            record = responses.record
+            tracer = self.tracer
+        engine = None if self.replay_mode == "scalar" \
+            else _batch.engine_for(ftl)
+        if engine is not None and responses is not None \
+                and not engine.supports(cols):
+            engine = None
+        min_epoch = _batch.MIN_EPOCH
         device_free_at = 0.0
         busy = 0.0
-        arrivals = cols.arrivals
-        if arrivals is None:
-            # Fully closed-loop: every request is issued the instant the
-            # device frees up, so the arrival logic drops out entirely.
-            # Single-page requests (the common case) skip the range()
-            # construction; ``service = x`` and ``service = 0.0 + x`` are
-            # the same IEEE-754 value, so the split stays bit-identical.
-            for op, lpn, npages in zip(cols.ops, cols.lpns, cols.npages):
-                if op:
-                    if npages == 1:
-                        service = ftl_write(lpn, None).latency_us
-                    else:
-                        service = 0.0
-                        for p in range(lpn, lpn + npages):
-                            service += ftl_write(p, None).latency_us
-                elif npages == 1:
-                    service = ftl_read(lpn).latency_us
-                else:
-                    service = 0.0
-                    for p in range(lpn, lpn + npages):
-                        service += ftl_read(p).latency_us
-                completion = device_free_at + service
-                record(op, completion - device_free_at)
+        i = 0
+        while i < n:
+            stop = n
+            if engine is not None:
+                h = engine.plan_epoch(cols, i, n)
+                if h >= min_epoch:
+                    device_free_at, busy = engine.run_epoch(
+                        cols, i, h, responses, device_free_at, busy)
+                    i += h
+                    continue
+                # Scalar through the short horizon plus the boundary
+                # request (the one that triggers the slow event).
+                stop = min(i + h + 1, n)
+            for i in range(i, stop):
+                op = ops[i]
+                first_lpn = lpns[i]
+                count = npages[i]
+                arrival = device_free_at if arrivals is None else arrivals[i]
+                if arrival != arrival:  # NaN: closed-loop request
+                    arrival = device_free_at
+                elif arrival > device_free_at:
+                    # The device is idle until this arrival: offer the gap
+                    # to the FTL's housekeeping (background GC etc.).
+                    if tracer is not None:
+                        tracer.set_clock(device_free_at)
+                    used = ftl.background_work(arrival - device_free_at)
+                    if used > 0:
+                        device_free_at += used
+                        busy += used
+                    if tracer is not None:
+                        # Idle-time housekeeping belongs to no host op:
+                        # fence it so the latency recorder never folds its
+                        # flash time into the next request's decomposition.
+                        tracer.op_fence()
+                start = device_free_at if device_free_at > arrival \
+                    else arrival
+                if tracer is not None:
+                    if start > arrival:
+                        # Open-loop wait behind the busy device: response
+                        # time = queueing + service; the recorder keeps
+                        # them separate.
+                        tracer.queue_delay(op, start - arrival)
+                    # Events of this request are stamped from its service
+                    # start; flash ops advance the clock as they happen.
+                    tracer.set_clock(start)
+                service = 0.0
+                for lpn in range(first_lpn, first_lpn + count):
+                    latency = ftl_write(lpn, None).latency_us if op \
+                        else ftl_read(lpn).latency_us
+                    service += latency
+                    if tracer is not None:
+                        tracer.host_op(op, lpn, latency)
+                completion = start + service
+                if record is not None:
+                    record(op, completion - arrival)
                 device_free_at = completion
                 busy += service
-            return busy
-        for op, lpn, npages, arrival in zip(
-            cols.ops, cols.lpns, cols.npages, arrivals
-        ):
-            if arrival != arrival:  # NaN: closed-loop request
-                arrival = device_free_at
-            elif arrival > device_free_at:
-                # The device is idle until this arrival: offer the gap to
-                # the FTL's housekeeping (background GC etc.).
-                used = background_work(arrival - device_free_at)
-                if used > 0:
-                    device_free_at += used
-                    busy += used
-            start = device_free_at if device_free_at > arrival else arrival
-            if op:
-                if npages == 1:
-                    service = ftl_write(lpn, None).latency_us
-                else:
-                    service = 0.0
-                    for p in range(lpn, lpn + npages):
-                        service += ftl_write(p, None).latency_us
-            elif npages == 1:
-                service = ftl_read(lpn).latency_us
-            else:
-                service = 0.0
-                for p in range(lpn, lpn + npages):
-                    service += ftl_read(p).latency_us
-            completion = start + service
-            record(op, completion - arrival)
-            device_free_at = completion
-            busy += service
-        return busy
-
-    def _replay_traced(
-        self, trace: Trace, responses: ResponseStats, tracer: Tracer
-    ) -> float:
-        """Traced replay: stamps the event clock and emits host events.
-
-        Same columnar iteration and hoisting as :meth:`_replay_fast`
-        (the tracer calls are the only difference), with float
-        accumulation in the identical order so traced and untraced runs
-        agree bit-for-bit.
-        """
-        cols = trace.to_columnar()
-        ftl = self.ftl
-        ftl_write = ftl.write
-        ftl_read = ftl.read
-        background_work = ftl.background_work
-        record = responses.record
-        set_clock = tracer.set_clock
-        host_op = tracer.host_op
-        device_free_at = 0.0
-        busy = 0.0
-        arrivals = cols.arrivals if cols.arrivals is not None \
-            else repeat(NO_ARRIVAL)
-        for op, first_lpn, npages, arrival in zip(
-            cols.ops, cols.lpns, cols.npages, arrivals
-        ):
-            if arrival != arrival:  # NaN: closed-loop request
-                arrival = device_free_at
-            elif arrival > device_free_at:
-                set_clock(device_free_at)
-                used = background_work(arrival - device_free_at)
-                if used > 0:
-                    device_free_at += used
-                    busy += used
-                # Idle-time housekeeping belongs to no host op: fence it so
-                # the latency recorder never folds its flash time into the
-                # next request's decomposition.
-                tracer.op_fence()
-            start = arrival if arrival > device_free_at else device_free_at
-            if start > arrival:
-                # Open-loop wait behind the busy device: response time =
-                # queueing + service; the recorder keeps them separate.
-                tracer.queue_delay(op, start - arrival)
-            # Events of this request are stamped from its service start;
-            # flash ops advance the clock as they happen.
-            set_clock(start)
-            service = 0.0
-            if op:
-                for lpn in range(first_lpn, first_lpn + npages):
-                    op_latency = ftl_write(lpn, None).latency_us
-                    service += op_latency
-                    host_op(op, lpn, op_latency)
-            else:
-                for lpn in range(first_lpn, first_lpn + npages):
-                    op_latency = ftl_read(lpn).latency_us
-                    service += op_latency
-                    host_op(op, lpn, op_latency)
-            completion = start + service
-            record(op, completion - arrival)
-            device_free_at = completion
-            busy += service
+            i = stop
         return busy

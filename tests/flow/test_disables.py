@@ -50,7 +50,7 @@ CASES = {
                 self._page_map = {{}}{d}
     """),
     "FTL008": ("sim", "src/repro/sim/simulator.py", """
-        def _replay_fast(self, trace, responses):
+        def _replay(self, trace, responses):
             for request in trace.requests:
                 op = request.op{d}
     """),

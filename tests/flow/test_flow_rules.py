@@ -382,7 +382,7 @@ class TestHotLoop:
 
     def test_replay_registry_is_hot_by_name(self):
         assert flagged("""
-            def _replay_fast(self, trace, responses):
+            def _replay(self, trace, responses):
                 for op in trace.ops:
                     fn = lambda v: v + 1
                 return fn

@@ -5,13 +5,16 @@ to the scalar replay loop.  These tests attack that promise from every
 side:
 
 * Hypothesis generates arbitrary mixed workloads (single- and
-  multi-page requests, closed-loop and timestamped arrivals) and
-  asserts digest equality scalar vs batched, per scheme, on both
-  kernel backends;
+  multi-page requests, closed-loop and timestamped arrivals, with and
+  without idle gaps) and asserts digest equality three ways - scalar vs
+  batched on both kernel backends vs traced - per scheme;
+* one function is the replay loop: warm-up, the untraced run, the traced
+  run and the batch engine's boundary requests are all observed to
+  execute it;
 * the eligibility gate is probed directly: sanitized flash subclasses,
   attached tracers, armed fault injectors, powered-off devices and
   fractional timing models must all decline batching (and therefore
-  replay scalar even under ``replay_mode="batched"``);
+  replay scalar even under ``replay_mode="auto"``);
 * the bulk-update primitives the executors lean on (``add_many``,
   ``record_many``, ``set_many``, ``touch_many``) are checked one by
   one against their per-element twins, including validation behaviour.
@@ -22,13 +25,13 @@ golden, so planner edge cases (frontier exhaustion mid-epoch,
 checkpoint budgets, unmapped reads, CMT misses) get fuzzed.
 """
 
-import os
 from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import OpLatencyRecorder, Tracer
 from repro.perf import batch
 from repro.perf.maptable import MapTable
 from repro.sim.factory import default_lazy_config, standard_setup
@@ -49,20 +52,36 @@ HAVE_NUMPY = batch._numpy is not None
 #: Scheme x option cells the differential fuzz covers: the three
 #: planner-registered schemes, plus LazyFTL's stateful ablation knobs
 #: (the translation-page cache mutates on read; periodic checkpoints
-#: bound write epochs).
+#: bound write epochs; background GC turns the idle gaps of a
+#: timestamped trace into real work, which sends the whole replay
+#: through the scalar segment).
 CELLS = [
     ("ideal", {}),
     ("DFTL", {}),
     ("LazyFTL", {}),
     ("LazyFTL", {"config": default_lazy_config(map_cache_pages=4)}),
     ("LazyFTL", {"config": default_lazy_config(checkpoint_interval=40)}),
+    ("LazyFTL", {"config": default_lazy_config(background_gc=True)}),
 ]
+
+#: Arrival spacings: closed loop, a saturated queue (25 us apart against
+#: 200 us programs), and sparse arrivals that leave idle gaps.
+ARRIVAL_STEPS = [0.0, 25.0, 1500.0]
 
 
 @pytest.fixture(autouse=True)
 def _restore_backend():
     yield
     batch.set_backend("auto")
+
+
+def make_ftl(scheme="LazyFTL", **kwargs):
+    _, ftl, _ = standard_setup(
+        scheme, num_blocks=DEVICE.num_blocks,
+        pages_per_block=DEVICE.pages_per_block, page_size=DEVICE.page_size,
+        logical_fraction=DEVICE.logical_fraction, **kwargs,
+    )
+    return ftl
 
 
 def make_trace(drawn, arrival_step):
@@ -101,60 +120,106 @@ request_lists = st.lists(
 class TestDifferentialFuzz:
     @settings(deadline=None, max_examples=15)
     @given(drawn=request_lists,
-           arrival_step=st.sampled_from([0.0, 25.0]),
+           arrival_step=st.sampled_from(ARRIVAL_STEPS),
            cell=st.sampled_from(range(len(CELLS))))
     def test_batched_replay_is_bit_identical(
         self, drawn, arrival_step, cell
     ):
         scheme, options = CELLS[cell]
         trace = make_trace(drawn, arrival_step)
-        reference = engine_digest(run_scheme(
-            scheme, trace, device=DEVICE, precondition="steady",
-            replay_mode="scalar", **options,
-        ))
+
+        def digest(**how):
+            return engine_digest(run_scheme(
+                scheme, trace, device=DEVICE, precondition="steady",
+                **how, **options,
+            ))
+
+        reference = digest(replay_mode="scalar")
         backends = ["fallback", "numpy"] if HAVE_NUMPY else ["fallback"]
         for backend in backends:
             batch.set_backend(backend)
-            candidate = engine_digest(run_scheme(
-                scheme, trace, device=DEVICE, precondition="steady",
-                replay_mode="batched", **options,
-            ))
-            assert candidate == reference, (
+            assert digest(replay_mode="auto") == reference, (
                 f"{scheme} {options} diverged on the {backend} kernels"
             )
+        traced = digest(tracer=Tracer(latency=OpLatencyRecorder()))
+        assert traced == reference, f"{scheme} {options} diverged traced"
 
     @settings(deadline=None, max_examples=10)
     @given(drawn=request_lists)
     def test_warm_up_leaves_identical_state(self, drawn):
         """warm_up dispatches through the same kernels; the post-warm-up
-        *measured* run must not care which mode warmed the device."""
-        trace = make_trace(drawn, 0.0)
+        *measured* run must not care which mode warmed the device - nor
+        whether the warm-up trace carried timestamps, which warm-up
+        ignores (background GC on, so a granted idle gap would show)."""
         probe = make_trace(
             [(False, lpn, 1) for lpn in range(0, DEVICE.logical_pages, 7)],
             0.0,
         )
-        digests = {}
-        for mode in ("scalar", "batched"):
-            _, ftl, _ = standard_setup(
-                "LazyFTL",
-                num_blocks=DEVICE.num_blocks,
-                pages_per_block=DEVICE.pages_per_block,
-                page_size=DEVICE.page_size,
-                logical_fraction=DEVICE.logical_fraction,
-            )
-            simulator = Simulator(ftl, replay_mode=mode)
-            simulator.warm_up(trace)
-            digests[mode] = engine_digest(simulator.run(probe))
-        assert digests["batched"] == digests["scalar"]
+        digests = []
+        for mode in ("scalar", "auto"):
+            for arrival_step in (0.0, 1500.0):
+                ftl = make_ftl(
+                    config=default_lazy_config(background_gc=True))
+                simulator = Simulator(ftl, replay_mode=mode)
+                simulator.warm_up(make_trace(drawn, arrival_step))
+                digests.append(engine_digest(simulator.run(probe)))
+        assert all(digest == digests[0] for digest in digests[1:])
+
+
+class TestOneReplayLoop:
+    """``Simulator._replay`` is the only per-request loop: every host
+    page op of every kind of replay is issued from inside it."""
+
+    @pytest.mark.parametrize(
+        "how", ["warm_up", "untraced", "traced", "batched"])
+    def test_every_replay_runs_the_one_loop(self, monkeypatch, how):
+        state = {"depth": 0, "calls": 0, "host_ops": 0}
+        original = Simulator._replay
+
+        def replay_spy(self, cols, responses):
+            state["calls"] += 1
+            state["depth"] += 1
+            try:
+                return original(self, cols, responses)
+            finally:
+                state["depth"] -= 1
+
+        monkeypatch.setattr(Simulator, "_replay", replay_spy)
+        ftl = make_ftl()
+        for name in ("read", "write"):
+            def host_spy(*args, _real=getattr(ftl, name)):
+                assert state["depth"] == 1, "host op outside _replay"
+                state["host_ops"] += 1
+                return _real(*args)
+            monkeypatch.setattr(ftl, name, host_spy)
+        trace = make_trace(
+            [(lpn % 3 != 2, lpn % 150, 1 + (lpn % 29 == 0))
+             for lpn in range(400)], 0.0)
+        if how == "warm_up":
+            Simulator(ftl, replay_mode="scalar").warm_up(trace)
+        elif how == "untraced":
+            Simulator(ftl, replay_mode="scalar").run(trace)
+        elif how == "traced":
+            Simulator(ftl, tracer=Tracer()).run(trace)
+        else:
+            Simulator(ftl).run(trace)
+        assert state["calls"] == 1
+        done = ftl.stats.host_reads + ftl.stats.host_writes
+        assert done == trace.page_ops
+        if how == "batched":
+            # Epochs carried the rest; the boundary requests between
+            # them went through the loop's own body.
+            assert 0 < state["host_ops"] < trace.page_ops
+        else:
+            assert state["host_ops"] == trace.page_ops
+
+    def test_batch_engine_has_no_loop_of_its_own(self):
+        assert not hasattr(batch.BatchEngine, "replay")
+        assert not hasattr(batch.BatchEngine, "warm")
 
 
 class TestEligibilityGate:
-    def _ftl(self, scheme="LazyFTL", **kwargs):
-        _, ftl, _ = standard_setup(
-            scheme, num_blocks=64, pages_per_block=8, page_size=512,
-            logical_fraction=0.6, **kwargs,
-        )
-        return ftl
+    _ftl = staticmethod(make_ftl)
 
     def test_registered_schemes_get_an_engine(self):
         for scheme in ("ideal", "DFTL", "LazyFTL"):
@@ -209,28 +274,33 @@ class TestEligibilityGate:
 
 class TestReplayModeSelection:
     def test_invalid_mode_raises(self):
-        _, ftl, _ = standard_setup("ideal", num_blocks=64,
-                                   pages_per_block=8, page_size=512)
+        ftl = make_ftl("ideal")
         with pytest.raises(ValueError, match="replay_mode"):
             Simulator(ftl, replay_mode="vectorised")
 
-    def test_environment_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_MODE", "scalar")
-        _, ftl, _ = standard_setup("ideal", num_blocks=64,
-                                   pages_per_block=8, page_size=512)
-        assert Simulator(ftl).replay_mode == "scalar"
-        monkeypatch.delenv("REPRO_REPLAY_MODE")
-        assert Simulator(ftl).replay_mode == "auto"
+    def test_batched_mode_is_gone(self):
+        """``"batched"`` was a second spelling of ``"auto"``."""
+        ftl = make_ftl("ideal")
+        with pytest.raises(ValueError, match="replay_mode"):
+            Simulator(ftl, replay_mode="batched")
 
-    def test_fallback_env_forces_fallback_backend(self):
-        assert batch.backend_name() in ("numpy", "fallback")
+    def test_environment_is_ignored(self, monkeypatch):
+        """No environment variable picks a path: the constructor argument
+        and ``set_backend`` are the only selectors."""
+        monkeypatch.setenv("REPRO_REPLAY_MODE", "scalar")
+        monkeypatch.setenv("REPRO_BATCH_FALLBACK", "1")
+        ftl = make_ftl("ideal")
+        assert Simulator(ftl).replay_mode == "auto"
+        batch.set_backend("auto")
+        assert batch.backend_name() == (
+            "numpy" if HAVE_NUMPY else "fallback")
+
+    def test_set_backend_selects_the_kernels(self):
         batch.set_backend("fallback")
         assert batch.backend_name() == "fallback"
         batch.set_backend("auto")
-        expected = "fallback" if (
-            batch._numpy is None or os.environ.get(batch.FALLBACK_ENV)
-        ) else "numpy"
-        assert batch.backend_name() == expected
+        assert batch.backend_name() == (
+            "numpy" if HAVE_NUMPY else "fallback")
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="backend"):

@@ -390,7 +390,7 @@ class TestFTL008ReplayAttrs:
 
     def test_request_attribute_in_replay_loop_flagged(self):
         assert self.sim_lint("""
-            def _replay_fast(self, trace, responses):
+            def _replay(self, trace, responses):
                 for request in trace.requests:
                     if request.op is OpType.WRITE:
                         pass
@@ -398,7 +398,7 @@ class TestFTL008ReplayAttrs:
 
     def test_is_write_and_pages_flagged(self):
         assert self.sim_lint("""
-            def warm_up(self, trace):
+            def _replay(self, trace, responses):
                 for request in trace.requests:
                     if request.is_write:
                         for p in request.pages:
@@ -408,7 +408,7 @@ class TestFTL008ReplayAttrs:
     def test_columnar_npages_column_not_flagged(self):
         # cols.npages is a legitimate ColumnarTrace column read.
         assert self.sim_lint("""
-            def _replay_fast(self, trace, responses):
+            def _replay(self, trace, responses):
                 cols = trace.to_columnar()
                 for op, lpn, npages in zip(cols.ops, cols.lpns, cols.npages):
                     pass
@@ -422,20 +422,20 @@ class TestFTL008ReplayAttrs:
 
     def test_other_files_in_sim_scope_not_flagged(self):
         assert self.sim_lint("""
-            def _replay_fast(self, trace, responses):
+            def _replay(self, trace, responses):
                 return trace.requests[0].op
         """, path="src/repro/sim/runner.py") == []
 
     def test_per_line_disable(self):
         assert self.sim_lint("""
-            def _replay_traced(self, trace, responses, tracer):
+            def _replay(self, trace, responses):
                 first = trace.requests[0]
                 return first.arrival_us  # ftlint: disable=FTL008
         """) == []
 
     def test_nested_helper_inside_replay_function_flagged(self):
         assert self.sim_lint("""
-            def _replay_fast(self, trace, responses):
+            def _replay(self, trace, responses):
                 def peek(request):
                     return request.lpn
                 return peek

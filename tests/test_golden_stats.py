@@ -21,6 +21,7 @@ import pathlib
 
 import pytest
 
+from repro.obs import OpLatencyRecorder, Tracer
 from repro.perf import batch
 from repro.sim.factory import SCHEMES
 from repro.sim.golden import (
@@ -61,11 +62,16 @@ def test_snapshot_covers_every_scheme_and_trace(golden):
     assert set(golden) == expected
 
 
-#: The gate runs once per replay mode: the scalar loop, the batch
-#: engine on its default (numpy) kernels, and the batch engine on the
-#: pure-``array`` fallback kernels - all three must reproduce the
-#: committed snapshot bit for bit.
-REPLAY_GATES = ("scalar", "batched", "batched-fallback")
+#: The gate runs once per way the one replay loop can be driven: forced
+#: scalar, the batch engine on its default (numpy) kernels, the batch
+#: engine on the pure-``array`` fallback kernels, and traced with a
+#: latency recorder attached - all four must reproduce the committed
+#: snapshot bit for bit.
+REPLAY_GATES = ("scalar", "batched", "batched-fallback", "traced")
+
+
+def recording_tracer():
+    return Tracer(latency=OpLatencyRecorder())
 
 
 @pytest.mark.parametrize("gate", REPLAY_GATES)
@@ -79,7 +85,8 @@ def test_scheme_stats_bit_identical(golden, scheme, gate):
             key = f"{scheme}/{trace.name}"
             live = engine_digest(run_scheme(
                 scheme, trace, device=GOLDEN_DEVICE, precondition="steady",
-                replay_mode="scalar" if gate == "scalar" else "batched",
+                replay_mode="scalar" if gate == "scalar" else "auto",
+                tracer=recording_tracer() if gate == "traced" else None,
             ))
             assert live == golden[key], (
                 f"{key} [{gate}]: engine statistics drifted from the "
@@ -103,23 +110,24 @@ def test_4ch_snapshot_covers_every_striped_scheme(golden_4ch):
 def test_4ch_scheme_stats_bit_identical(golden, golden_4ch, scheme):
     """Striped-scheme digests on the 4-channel device match the snapshot.
 
-    Only the scalar path runs here: multi-unit geometries disqualify the
-    batch-replay planners (striped frontiers rotate between blocks the
-    planners model as one), so ``replay_mode="batched"`` falls back to
-    the same scalar loop.  Each digest is also cross-checked against the
-    serial snapshot: strictly less device-busy time - the whole point of
-    the channels.
+    Only the scalar path runs here (untraced, then traced): multi-unit
+    geometries disqualify the batch-replay planners (striped frontiers
+    rotate between blocks the planners model as one).  Each digest is
+    also cross-checked against the serial snapshot: strictly less
+    device-busy time - the whole point of the channels.
     """
     for trace in golden_traces():
         key = f"{scheme}/{trace.name}"
-        live = engine_digest(run_scheme(
-            scheme, trace, device=GOLDEN_DEVICE_4CH, precondition="steady",
-        ))
-        assert live == golden_4ch[key], (
-            f"{key} [4ch]: engine statistics drifted from the 4-channel "
-            "golden snapshot - a change altered striped placement or "
-            "overlap timing"
-        )
+        for tracer in (None, recording_tracer()):
+            live = engine_digest(run_scheme(
+                scheme, trace, device=GOLDEN_DEVICE_4CH,
+                precondition="steady", tracer=tracer,
+            ))
+            assert live == golden_4ch[key], (
+                f"{key} [4ch{', traced' if tracer else ''}]: engine "
+                "statistics drifted from the 4-channel golden snapshot - "
+                "a change altered striped placement or overlap timing"
+            )
         assert live["device_busy_us"] < golden[key]["device_busy_us"]
 
 

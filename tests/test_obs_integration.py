@@ -28,8 +28,14 @@ from repro.obs import (
     TraceEvent,
     Tracer,
 )
-from repro.sim import DeviceSpec, compare_schemes, run_scheme
-from repro.traces import uniform_random
+from repro.sim import (
+    DeviceSpec,
+    Simulator,
+    compare_schemes,
+    run_scheme,
+    standard_setup,
+)
+from repro.traces import IORequest, OpType, Trace, uniform_random
 
 pytestmark = pytest.mark.obs
 
@@ -214,3 +220,27 @@ class TestZeroOverheadContract:
         assert traced.responses.overall.summary() == \
             plain.responses.overall.summary()
         assert traced.ftl_stats.as_dict() == plain.ftl_stats.as_dict()
+
+
+class TestWarmUpSuspension:
+    def test_failed_warm_up_does_not_mute_the_tracer(self):
+        """A warm-up that raises must resume the tracer on the way out:
+        the next run on the same simulator is traced as usual."""
+        _, ftl, logical_pages = standard_setup(
+            "LazyFTL", num_blocks=SMALL_DEVICE.num_blocks,
+            pages_per_block=SMALL_DEVICE.pages_per_block,
+            page_size=SMALL_DEVICE.page_size,
+            logical_fraction=SMALL_DEVICE.logical_fraction,
+        )
+        ring = RingBufferSink(capacity=10000)
+        tracer = Tracer(sinks=[ring])
+        simulator = Simulator(ftl, tracer=tracer)
+        trace = heavy_random_writes(requests=50)
+        past_the_end = Trace(
+            [IORequest(op=OpType.WRITE, lpn=logical_pages, npages=1)])
+        with pytest.raises(ValueError):
+            simulator.run(trace, warmup=past_the_end)
+        assert tracer.enabled
+        result = simulator.run(trace)
+        assert ring.events
+        assert result.attribution is not None

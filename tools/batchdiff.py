@@ -12,8 +12,8 @@ the full :func:`repro.sim.golden.engine_digest` (flash counters, FTL
 stats, response-time summary, wear map, RAM model, busy time) must
 compare equal with ``==``.
 
-Schemes without an epoch planner silently take the scalar path under
-``replay_mode="batched"`` (the engine declines), so running the whole
+Schemes without an epoch planner take the scalar path under
+``replay_mode="auto"`` too (the engine declines), so running the whole
 zoo also guards the dispatch gating itself.
 
 Run:  PYTHONPATH=src python tools/batchdiff.py [--requests N]
@@ -27,7 +27,6 @@ Exit status 0 when every digest matches, 1 on the first divergence
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 import sys
 from typing import Dict, List, Tuple
@@ -97,7 +96,7 @@ def run_diff(requests: int, schemes: Tuple[str, ...]) -> int:
             for backend in backends:
                 batch.set_backend(backend)
                 try:
-                    candidate = digest_for(scheme, trace, "batched")
+                    candidate = digest_for(scheme, trace, "auto")
                 finally:
                     batch.set_backend("auto")
                 mismatched = diff_keys(reference, candidate)
@@ -127,9 +126,6 @@ def main(argv=None) -> int:
     unknown = [name for name in schemes if name not in SCHEMES]
     if unknown:
         parser.error(f"unknown scheme(s): {', '.join(unknown)}")
-    if os.environ.get(batch.FALLBACK_ENV):
-        print(f"note: {batch.FALLBACK_ENV} is set; numpy kernels are "
-              "exercised anyway via set_backend")
     failures = run_diff(args.requests, schemes)
     if failures:
         print(f"batchdiff: FAILED ({failures} divergent digest(s))")
