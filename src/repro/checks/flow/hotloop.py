@@ -264,6 +264,3 @@ class HotLoopRule(FlowRule):
                         and isinstance(node.ctx, (ast.Store, ast.Del)):
                     rebound.add(node.id)
         return rebound
-    # Subtlety: a chain whose root is rebound mid-loop (e.g. the CBA
-    # frontier refetched after _ensure_cold_frontier) is legitimately
-    # re-evaluated, which is why rebound roots are exempt above.

@@ -21,7 +21,7 @@ mapping is committed at conversion time, or sooner if GC stumbles on it
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.errors import BadBlockError
@@ -32,7 +32,7 @@ from ..obs.events import Cause, EventType
 from ..obs.tracer import Tracer
 from ..ftl.gc_policy import select_greedy
 from ..ftl.pool import BlockPool, OutOfBlocksError
-from ..ftl.stripe import StripedFrontier, stripe_ways
+from ..ftl.stripe import Frontier, stripe_ways
 from .areas import BlockArea, DataBlockSet
 from .config import LazyConfig
 from .mapping import MappingStore
@@ -115,27 +115,17 @@ class LazyFTL(FlashTranslationLayer):
             self._seq,
             self.num_tvpns,
             cache_pages=self.config.map_cache_pages,
+            spare=self.config.gc_free_threshold,
         )
-        # Striped frontiers: on a multi-channel device keep several
-        # blocks open per area and rotate programs across parallel units
-        # so bursts overlap.  At 1x1x1 the stripes stay None and every
-        # code path below is the pre-existing single-frontier one.
+        # The UBA and CBA frontiers keep several blocks open on a
+        # multi-channel device and rotate programs across parallel units
+        # so bursts overlap (one way on the serial device).  Both areas
+        # already track their members, so full blocks need no retiring.
         units = geometry.parallel_units
-        self._parallel_units = units
-        if units > 1:
-            self._uba_stripe: Optional[StripedFrontier] = StripedFrontier(
-                units, stripe_ways(units, self.config.uba_blocks)
-            )
-            self._cba_stripe: Optional[StripedFrontier] = StripedFrontier(
-                units, stripe_ways(units, self.config.cba_blocks)
-            )
-            self._maps.stripe = StripedFrontier(units, stripe_ways(units))
-            self._maps.stripe_reserve = self.config.gc_free_threshold
-            self._begin_op = getattr(flash, "begin_host_op", None)
-        else:
-            self._uba_stripe = None
-            self._cba_stripe = None
-            self._begin_op = None
+        self._uba_frontier = Frontier(
+            flash, self._pool, stripe_ways(units, self.config.uba_blocks))
+        self._cba_frontier = Frontier(
+            flash, self._pool, stripe_ways(units, self.config.cba_blocks))
         self._in_maintenance = False
         self._writes_since_checkpoint = 0
         #: Hoisted from the (frozen) config: write() skips the periodic-
@@ -174,22 +164,16 @@ class LazyFTL(FlashTranslationLayer):
             self._begin_op()
         self.stats.host_writes += 1
         flash = self.flash
-        stripe = self._uba_stripe
-        if stripe is None:
-            frontier = self._uba.frontier
-            if frontier is None or \
-                    flash.write_ptr[frontier] >= self._pages_per_block:
-                latency = self._ensure_update_frontier()
-                frontier = self._uba.frontier
-            else:
-                latency = 0.0
+        # The reclaim below runs before the allocation, so an extra UBA
+        # way may open on any free block.
+        frontier = self._uba_frontier.take(0)
+        if frontier is None:
+            latency = self._reclaim_if_needed()
+            open_lat, frontier = self._open_block(
+                self._uba, self._uba_frontier)
+            latency += open_lat
         else:
-            frontier = stripe.next_slot(flash)
-            if frontier is None or len(stripe.open_blocks) < stripe.ways:
-                latency = self._open_update_block()
-                frontier = stripe.open_blocks[-1]
-            else:
-                latency = 0.0
+            latency = 0.0
         # Resolve the superseded copy only now: the frontier work above may
         # have converted the block holding it (removing its UMT entry).
         old_ppn = self._umt.ppn_at(lpn)
@@ -242,93 +226,42 @@ class LazyFTL(FlashTranslationLayer):
     def dba_blocks(self) -> List[int]:
         return self._dba.snapshot()
 
-    def _rebuild_stripes(self) -> None:
-        """Re-derive striped-frontier rotations after recovery/restore.
+    def _restore_blocks(
+        self,
+        uba: List[int],
+        cba: List[int],
+        dba: List[int],
+        free: List[int],
+        maps_state: Dict[str, object],
+    ) -> None:
+        """Crash recovery's entry point: install the recovered block roles.
 
         Rotation state is never persisted: the open blocks of each area
-        are exactly its non-full members, so recovery (which restores
-        the area deques) can always reconstruct an equivalent rotation.
-        The mapping store keeps at most its single recovered frontier -
-        extra pre-crash open mapping blocks were retired as full, which
-        wastes their free pages but stays correct.
+        are exactly its non-full members, so every frontier is re-derived
+        from the membership lists (oldest first) handed in here.
         """
-        if self._uba_stripe is None:
-            return
-        write_ptr = self.flash.write_ptr
-        ppb = self._pages_per_block
-
-        def open_of(members: List[int]) -> List[int]:
-            return [b for b in members if write_ptr[b] < ppb]
-
-        self._uba_stripe.reset(open_of(self._uba.snapshot()))
-        self._cba_stripe.reset(open_of(self._cba.snapshot()))
-        maps = self._maps
-        if maps.stripe is not None:
-            frontier = maps._frontier
-            maps.stripe.reset([] if frontier is None else [frontier])
+        self._uba.restore(uba)
+        self._cba.restore(cba)
+        self._dba.restore(dba)
+        self._pool.refill(free)
+        self._maps.restore(maps_state)
+        self._uba_frontier.reset(self._uba)
+        self._cba_frontier.reset(self._cba)
 
     # ------------------------------------------------------------------
     # Frontier management and conversion
     # ------------------------------------------------------------------
-    def _ensure_update_frontier(self) -> float:
-        """Guarantee the UBA frontier has a free page."""
-        stripe = self._uba_stripe
-        if stripe is not None:
-            if stripe.next_slot(self.flash) is not None and \
-                    len(stripe.open_blocks) >= stripe.ways:
-                return 0.0
-            return self._open_update_block()
-        frontier = self._uba.frontier
-        if frontier is not None and \
-                self.flash.write_ptr[frontier] < self._pages_per_block:
-            return 0.0
-        return self._open_update_block()
-
-    def _open_update_block(self) -> float:
-        """Allocate and push a fresh UBA block (conversion pressure first)."""
-        latency = self._reclaim_if_needed()
-        if self._uba.is_at_capacity:
-            latency += self._convert_oldest(self._uba)
-        stripe = self._uba_stripe
-        if stripe is None:
-            self._uba.push(self._pool.allocate())
-        else:
-            pbn = self._pool.allocate_on(
-                stripe.uncovered_unit(), stripe.units
-            )
-            self._uba.push(pbn)
-            stripe.note_open(pbn)
-        return latency
-
-    def _ensure_cold_frontier(self) -> float:
-        """Guarantee the CBA frontier has a free page (GC destination)."""
-        stripe = self._cba_stripe
-        if stripe is not None:
-            if stripe.next_slot(self.flash) is not None and \
-                    len(stripe.open_blocks) >= stripe.ways:
-                return 0.0
-            return self._open_cold_block()
-        frontier = self._cba.frontier
-        if frontier is not None and \
-                self.flash.write_ptr[frontier] < self._pages_per_block:
-            return 0.0
-        return self._open_cold_block()
-
-    def _open_cold_block(self) -> float:
-        """Allocate and push a fresh CBA block (GC destination)."""
+    def _open_block(
+        self, area: BlockArea, frontier: Frontier
+    ) -> Tuple[float, int]:
+        """Open a fresh UBA/CBA block, converting the area's oldest one
+        first when it is at capacity; returns (latency, pbn)."""
         latency = 0.0
-        if self._cba.is_at_capacity:
-            latency += self._convert_oldest(self._cba)
-        stripe = self._cba_stripe
-        if stripe is None:
-            self._cba.push(self._pool.allocate())
-        else:
-            pbn = self._pool.allocate_on(
-                stripe.uncovered_unit(), stripe.units
-            )
-            self._cba.push(pbn)
-            stripe.note_open(pbn)
-        return latency
+        if area.is_at_capacity:
+            latency = self._convert_oldest(area)
+        pbn = frontier.open()
+        area.push(pbn)
+        return latency, pbn
 
     def _convert_oldest(self, area: BlockArea) -> float:
         """Convert one of the area's blocks into an ordinary data block.
@@ -375,12 +308,11 @@ class LazyFTL(FlashTranslationLayer):
         block's valid pages.
         """
         self.stats.converts += 1
-        if self._uba_stripe is not None:
-            # A still-open striped frontier block can be converted (flush
-            # and capacity pressure both do it); drop it from rotation
-            # before its pages are committed.
-            self._uba_stripe.discard(pbn)
-            self._cba_stripe.discard(pbn)
+        # A still-open frontier block can be converted (flush and
+        # capacity pressure both do it); drop it from rotation before
+        # its pages are committed.
+        self._uba_frontier.discard(pbn)
+        self._cba_frontier.discard(pbn)
         tracer = self._tracer
         if tracer is not None:
             tracer.span_start(None, Cause.CONVERT)
@@ -525,16 +457,11 @@ class LazyFTL(FlashTranslationLayer):
         ppn_at = umt.ppn_at
         seq_next = self._seq.next
         stats = self.stats
-        cba = self._cba
         ppb = self._pages_per_block
         DATA = PageKind.DATA
-        # The CBA frontier only changes through _ensure_cold_frontier (no
-        # host writes run mid-GC), so it is tracked in a local and
-        # re-fetched only after that call instead of through the property
-        # on every relocated page.  On a striped CBA the destination
-        # instead rotates across the open blocks every copy.
-        stripe = self._cba_stripe
-        frontier = cba.frontier
+        cba = self._cba
+        cba_frontier = self._cba_frontier
+        cba_take = cba_frontier.take
         for src in flash.valid_ppns(pbn):
             if states[src] != VALID:
                 # A cold-block conversion triggered earlier in this very
@@ -551,15 +478,12 @@ class LazyFTL(FlashTranslationLayer):
                 continue
             data, _, read_lat = read_page(src)
             latency += read_lat
-            if stripe is not None:
-                frontier = stripe.next_slot(flash)
-                if frontier is None or \
-                        len(stripe.open_blocks) < stripe.ways:
-                    latency += self._open_cold_block()
-                    frontier = stripe.open_blocks[-1]
-            elif frontier is None or write_ptr[frontier] >= ppb:
-                latency += self._ensure_cold_frontier()
-                frontier = cba.frontier
+            # Inside GC an extra way may only take a block the pool can
+            # spare; a usable open block beats draining the pool.
+            frontier = cba_take(1)
+            if frontier is None:
+                open_lat, frontier = self._open_block(cba, cba_frontier)
+                latency += open_lat
             dst = frontier * ppb + write_ptr[frontier]
             latency += program_page(
                 dst, data, make_oob((lpn, seq_next(), DATA, True)),

@@ -21,6 +21,7 @@ from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import PageKind, SequenceCounter, make_oob
 from ..ftl.pool import BlockPool
 from ..ftl.stats import FtlStats
+from ..ftl.stripe import Frontier, stripe_ways
 from ..obs.events import Cause, EventType
 from ..perf.maptable import LruCache
 from .gtd import GlobalTranslationDirectory
@@ -37,9 +38,9 @@ class MappingStore:
         seq: SequenceCounter,
         num_tvpns: int,
         cache_pages: int = 0,
+        spare: int = 0,
     ):
         self.flash = flash
-        self.pool = pool
         self.stats = stats
         self.seq = seq
         self.gtd = GlobalTranslationDirectory(num_tvpns)
@@ -47,19 +48,20 @@ class MappingStore:
         self._pages_per_block = flash.geometry.pages_per_block
         self.cache_pages = cache_pages
         self._cache = LruCache(cache_pages)
-        self._frontier: Optional[int] = None
         self._full_blocks: Set[int] = set()
+        #: The MBA's open blocks; full ones retire to ``_full_blocks`` as
+        #: the rotation walks over them.  Allocation comes from the
+        #: shared pool whose GC reserve is sized for it (no recursive GC
+        #: here); an extra way opens only while the pool holds more than
+        #: ``spare`` blocks (LazyFTL passes its GC threshold), so
+        #: striping never steals the reclaim cushion.
+        self._frontier = Frontier(
+            flash, pool, stripe_ways(flash.geometry.parallel_units),
+            self._full_blocks.add,
+        )
+        self._spare = spare
         #: Optional tracer, threaded down by LazyFTL.attach_tracer.
         self.tracer = None
-        #: Optional striped frontier (multi-channel devices only), set by
-        #: LazyFTL after construction.  When present, ``_frontier``
-        #: always aliases the rotation's current pick, so the program
-        #: paths below need no other changes.
-        self.stripe = None
-        #: Free blocks to keep in reserve before opening *extra* striped
-        #: mapping frontiers (the first block is always allocatable, as
-        #: before).  Sized to the GC threshold by LazyFTL.
-        self.stripe_reserve = 0
 
     # ------------------------------------------------------------------
     # Membership (for GC candidate enumeration and checkpoints)
@@ -71,27 +73,11 @@ class MappingStore:
 
     @property
     def frontier(self) -> Optional[int]:
-        return self._frontier
+        """The mapping block the next GMT page write goes to, if open."""
+        return self._frontier.peek()
 
     def all_blocks(self) -> List[int]:
-        blocks = sorted(self._full_blocks)
-        if self.stripe is not None:
-            for pbn in self.stripe.open_blocks:
-                if pbn not in self._full_blocks:
-                    blocks.append(pbn)
-            if self._frontier is not None and \
-                    self._frontier not in blocks:
-                blocks.append(self._frontier)
-        elif self._frontier is not None:
-            blocks.append(self._frontier)
-        return blocks
-
-    def open_blocks(self) -> List[int]:
-        """Every currently-writable mapping block (1 unstriped, else the
-        striped rotation)."""
-        if self.stripe is not None:
-            return list(self.stripe.open_blocks)
-        return [] if self._frontier is None else [self._frontier]
+        return sorted(self._full_blocks) + self._frontier.open_blocks
 
     # ------------------------------------------------------------------
     # Lookup
@@ -156,13 +142,15 @@ class MappingStore:
         latency = 0.0
         entries_per_page = self.entries_per_page
         stats = self.stats
-        ensure_frontier = self._ensure_frontier
+        frontier = self._frontier
+        spare = self._spare
         load = self.load
         program = self._program
         for tvpn in sorted(groups):
             # Reserve the slot first so the allocation cannot interleave
             # with the content snapshot below.
-            latency += ensure_frontier()
+            if frontier.take(spare) is None:
+                frontier.open()
             content, read_lat = load(tvpn)
             latency += read_lat
             group = groups[tvpn]
@@ -184,11 +172,12 @@ class MappingStore:
 
     def _program(self, tvpn: int, content: List[Optional[int]]) -> float:
         """Write a new version of GMT page ``tvpn``; update GTD and cache."""
-        latency = self._ensure_frontier()
         flash = self.flash
-        frontier = self._frontier
-        ppn = frontier * self._pages_per_block + flash.write_ptr[frontier]
-        latency += flash.program_page(
+        pbn = self._frontier.take(self._spare)
+        if pbn is None:
+            pbn = self._frontier.open()
+        ppn = pbn * self._pages_per_block + flash.write_ptr[pbn]
+        latency = flash.program_page(
             ppn,
             content,
             make_oob((tvpn, self.seq.next(), PageKind.MAPPING, False)),
@@ -202,34 +191,6 @@ class MappingStore:
         self.gtd.set(tvpn, ppn)
         self._cache.put(tvpn, content)
         return latency
-
-    def _ensure_frontier(self) -> float:
-        """Keep a writable mapping block; allocation comes from the shared
-        pool whose GC reserve is sized for it (no recursive GC here)."""
-        stripe = self.stripe
-        if stripe is not None:
-            # Rotate across the open mapping blocks (full ones retire to
-            # _full_blocks as the rotation walks over them); open extra
-            # ways only while the pool can spare blocks beyond the GC
-            # reserve, so striping never steals the reclaim cushion.
-            pbn = stripe.next_slot(self.flash, self._full_blocks.add)
-            if pbn is None or (
-                len(stripe.open_blocks) < stripe.ways
-                and len(self.pool) > self.stripe_reserve
-            ):
-                pbn = self.pool.allocate_on(
-                    stripe.uncovered_unit(), stripe.units
-                )
-                stripe.note_open(pbn)
-            self._frontier = pbn
-            return 0.0
-        frontier = self._frontier
-        if frontier is not None:
-            if self.flash.write_ptr[frontier] < self._pages_per_block:
-                return 0.0
-            self._full_blocks.add(frontier)
-        self._frontier = self.pool.allocate()
-        return 0.0
 
     # ------------------------------------------------------------------
     # Garbage collection of mapping blocks
@@ -248,15 +209,19 @@ class MappingStore:
         stats = self.stats
         tracer = self.tracer
         ppb = self._pages_per_block
+        frontier = self._frontier
+        take = frontier.take
+        spare = self._spare
         for src in flash.valid_ppns(pbn):
             content, oob, read_lat = read_page(src)
             latency += read_lat
             stats.map_reads += 1
             if tracer is not None:
                 tracer.emit(EventType.MAP_READ, lpn=oob.lpn, ppn=src)
-            latency += self._ensure_frontier()
-            frontier = self._frontier
-            dst = frontier * ppb + write_ptr[frontier]
+            dst_pbn = take(spare)
+            if dst_pbn is None:
+                dst_pbn = frontier.open()
+            dst = dst_pbn * ppb + write_ptr[dst_pbn]
             latency += program_page(
                 dst,
                 content,
@@ -281,32 +246,29 @@ class MappingStore:
     def snapshot(self) -> Dict[str, object]:
         """Checkpoint fragment: GTD + MBA membership.
 
-        The ``open`` key (extra striped frontier blocks beyond
-        ``frontier``) only appears on multi-channel devices, keeping
-        serial-device checkpoints byte-identical to before striping
-        existed.
+        ``frontier`` is the newest open block; the ``open`` key (older
+        open blocks) only appears when several are open, so
+        serial-device checkpoints never carry it.
         """
+        open_blocks = self._frontier.open_blocks
         state: Dict[str, object] = {
             "gtd": self.gtd.snapshot(),
             "full_blocks": sorted(self._full_blocks),
-            "frontier": self._frontier,
+            "frontier": open_blocks[-1] if open_blocks else None,
         }
-        if self.stripe is not None:
-            extras = [
-                pbn for pbn in self.stripe.open_blocks
-                if pbn != self._frontier
-            ]
-            if extras:
-                state["open"] = extras
+        if len(open_blocks) > 1:
+            state["open"] = open_blocks[:-1]
         return state
 
     def restore(self, state: Dict[str, object]) -> None:
+        """Install a :meth:`snapshot` - or, in crash recovery, the same
+        fragment rebuilt from the OOB scan."""
         self.gtd.restore(state["gtd"])  # type: ignore[arg-type]
-        self._full_blocks = set(state["full_blocks"])  # type: ignore[arg-type]
-        self._frontier = state["frontier"]  # type: ignore[assignment]
-        if self.stripe is not None:
-            open_blocks = list(state.get("open", ()))  # type: ignore[call-overload]
-            if self._frontier is not None:
-                open_blocks.append(self._frontier)
-            self.stripe.reset(open_blocks)
+        # In place: the frontier retires blocks through this set's add.
+        self._full_blocks.clear()
+        self._full_blocks.update(state["full_blocks"])  # type: ignore[arg-type]
+        open_blocks = list(state.get("open", ()))  # type: ignore[call-overload]
+        if state["frontier"] is not None:
+            open_blocks.append(state["frontier"])
+        self._frontier.reset(open_blocks)
         self._cache.clear()

@@ -33,7 +33,6 @@ from ..flash.chip import NandFlash
 from ..flash.errors import BadBlockError
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import OOBData, PageKind, SequenceCounter
-from ..ftl.pool import BlockPool
 from ..ftl.stats import FtlStats
 from ..obs.events import Cause
 from .config import LazyConfig
@@ -226,8 +225,8 @@ def recover(
             | set(state["maps"]["full_blocks"])
             | ({state["maps"]["frontier"]}
                if state["maps"]["frontier"] is not None else set())
-            # Extra striped mapping frontiers (multi-channel devices
-            # only; absent from serial-device checkpoints).
+            # Older open mapping blocks (only present when several
+            # were open; never in serial-device checkpoints).
             | set(state["maps"].get("open", ()))
         )
         scanned = set(full_scan)
@@ -336,7 +335,7 @@ def recover(
     uba: List[Tuple[int, int]] = []  # (min_seq, pbn)
     cba: List[Tuple[int, int]] = []
     mba_full: List[int] = []
-    mba_frontier: List[Tuple[int, int]] = []
+    mba_open: List[Tuple[int, int]] = []
     scanned = frozenset(full_scan)
     dba: List[int] = [] if state is None else [
         b for b in state["dba"] if b not in scanned
@@ -352,7 +351,7 @@ def recover(
             if flash.block(pbn).is_full:
                 mba_full.append(pbn)
             else:
-                mba_frontier.append((min_seq, pbn))
+                mba_open.append((min_seq, pbn))
             continue
         if pbn in umt_blocks:
             if umt_state[umt_blocks[pbn][0]][1]:  # cold flag
@@ -363,25 +362,28 @@ def recover(
             dba.append(pbn)
 
     ftl._umt.restore(umt_state)
-    ftl._maps.gtd.restore(gtd)
-    ftl._maps._full_blocks = set(mba_full)
-    mba_frontier.sort()
-    ftl._maps._frontier = mba_frontier[-1][1] if mba_frontier else None
-    for _, pbn in mba_frontier[:-1]:
-        ftl._maps._full_blocks.add(pbn)
+    # The mapping store keeps only its newest partially-written block
+    # open; older ones retire as full, which wastes their free pages but
+    # stays correct.
+    mba_open.sort()
     uba.sort()
     cba.sort()
-    ftl._uba.restore(pbn for _, pbn in uba)
-    ftl._cba.restore(pbn for _, pbn in cba)
-    ftl._dba.restore(dba)
-    ftl._pool = BlockPool(sorted(free))
-    ftl._maps.pool = ftl._pool
+    ftl._restore_blocks(
+        uba=[pbn for _, pbn in uba],
+        cba=[pbn for _, pbn in cba],
+        dba=dba,
+        free=sorted(free),
+        maps_state={
+            "gtd": gtd,
+            "full_blocks": mba_full + [pbn for _, pbn in mba_open[:-1]],
+            "frontier": mba_open[-1][1] if mba_open else None,
+        },
+    )
     max_seq = max(max_seq, checkpoint_seq)
     for oobs in block_pages.values():
         for oob in oobs:
             max_seq = max(max_seq, oob.seq)
     ftl._seq.fast_forward(max_seq)
-    ftl._rebuild_stripes()
     ftl.stats.recovery_reads += pages_read
     if tracer is not None:
         tracer.pop_cause()

@@ -43,7 +43,7 @@ decomposition (like host-side queueing), never inside the cause
 buckets.
 
 The batch-replay engine (:func:`repro.perf.batch.engine_for`) declines
-this device: its planners model one frontier and one clock.
+this device: its epoch timing kernels model one clock.
 
 ``serialize_timing=True`` forces every op to start at the current op
 makespan instead of its unit clock, turning timing back into the serial

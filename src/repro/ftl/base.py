@@ -80,6 +80,10 @@ class FlashTranslationLayer(ABC):
         #: by a single ``if self._tracer is not None`` branch so the
         #: disabled path costs nothing (see repro.obs).
         self._tracer: "Tracer | None" = None
+        #: Host-op boundary hook of a parallel device (resets its
+        #: per-unit clocks); None on the serial device, so schemes guard
+        #: the call instead of paying for a no-op per host op.
+        self._begin_op = getattr(flash, "begin_host_op", None)
 
     # ------------------------------------------------------------------
     # Host interface

@@ -29,7 +29,7 @@ from ..perf.maptable import MapTable
 from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
 from .gc_policy import select_greedy
 from .pool import BlockPool, OutOfBlocksError
-from .stripe import StripedFrontier, stripe_ways
+from .stripe import Frontier, stripe_ways
 
 
 class _CmtEntry:
@@ -92,32 +92,19 @@ class DftlFTL(FlashTranslationLayer):
         self._pool = BlockPool(range(flash.geometry.num_blocks))
         self._data_blocks: Set[int] = set()
         self._trans_blocks: Set[int] = set()
-        self._data_active: Optional[int] = None
-        self._gc_active: Optional[int] = None
-        self._trans_active: Optional[int] = None
         self._in_gc = False
         self._pages_per_block = flash.geometry.pages_per_block
         self._seq = SequenceCounter()
-        units = flash.geometry.parallel_units
-        if units > 1:
-            # Multi-channel device: rotate each active frontier across up
-            # to ``ways`` concurrently-open blocks so program bursts (host
-            # writes, GC relocation, eviction flushes) land on different
-            # parallel units and overlap.  Serial devices keep the stripes
-            # at None and run the original single-active paths unchanged.
-            ways = stripe_ways(units)
-            self._data_stripe: Optional[StripedFrontier] = \
-                StripedFrontier(units, ways)
-            self._gc_stripe: Optional[StripedFrontier] = \
-                StripedFrontier(units, ways)
-            self._trans_stripe: Optional[StripedFrontier] = \
-                StripedFrontier(units, ways)
-            self._begin_op = getattr(flash, "begin_host_op", None)
-        else:
-            self._data_stripe = None
-            self._gc_stripe = None
-            self._trans_stripe = None
-            self._begin_op = None
+        # Each frontier rotates over up to ``ways`` concurrently-open
+        # blocks so program bursts (host writes, GC relocation, eviction
+        # flushes) land on different parallel units and overlap; one way
+        # on the serial device.
+        ways = stripe_ways(flash.geometry.parallel_units)
+        pool = self._pool
+        self._data_active = Frontier(flash, pool, ways, self._data_blocks.add)
+        self._gc_active = Frontier(flash, pool, ways, self._data_blocks.add)
+        self._trans_active = Frontier(
+            flash, pool, ways, self._trans_blocks.add)
 
     # ------------------------------------------------------------------
     # Host interface
@@ -142,15 +129,10 @@ class DftlFTL(FlashTranslationLayer):
         flash = self.flash
         ppb = self._pages_per_block
         _, latency = self._lookup(lpn)
-        active = self._data_active
-        if self._data_stripe is not None:
-            # Striped: rotate the data frontier every host write so
-            # consecutive programs land on different parallel units.
-            latency += self._ensure_data_active()
-            active = self._data_active
-        elif active is None or flash.write_ptr[active] >= ppb:
-            latency += self._ensure_data_active()
-            active = self._data_active
+        active = self._data_active.take(self.gc_free_threshold)
+        if active is None:
+            latency += self._reclaim_if_needed()
+            active = self._data_active.open()
         # Re-resolve after space allocation: GC may have relocated the old
         # copy meanwhile (the CMT entry is kept current by GC).
         entry = self._cmt[lpn]  # present: _lookup just inserted/refreshed it
@@ -223,7 +205,7 @@ class DftlFTL(FlashTranslationLayer):
         # Reserve the translation-page slot *first*: allocating it may run
         # GC, and GC can rewrite this very translation page.  Snapshotting
         # the content before the allocation would clobber GC's update.
-        latency = self._ensure_trans_active()
+        latency, _ = self._trans_destination()
         content, read_lat = self._load_tpage(tvpn)
         latency += read_lat
         lo = tvpn * self.entries_per_page
@@ -256,9 +238,9 @@ class DftlFTL(FlashTranslationLayer):
 
     def _program_tpage(self, tvpn: int, content: List[Optional[int]]) -> float:
         """Write a new version of a translation page and update the GTD."""
-        latency = self._ensure_trans_active()
+        latency, pbn = self._trans_destination()
         flash = self.flash
-        ppn = self._frontier(self._trans_active)
+        ppn = self._frontier(pbn)
         latency += flash.program_page(
             ppn,
             content,
@@ -279,99 +261,26 @@ class DftlFTL(FlashTranslationLayer):
     def _frontier(self, pbn: int) -> int:
         return pbn * self._pages_per_block + self.flash.write_ptr[pbn]
 
-    def _ensure_data_active(self) -> float:
-        stripe = self._data_stripe
-        if stripe is not None:
-            pbn = stripe.next_slot(self.flash, self._data_blocks.add)
-            latency = 0.0
-            if pbn is None or (len(stripe.open_blocks) < stripe.ways
-                               and len(self._pool) > self.gc_free_threshold):
-                latency = self._reclaim_if_needed()
-                new = self._pool.allocate_on(
-                    stripe.uncovered_unit(), stripe.units)
-                stripe.note_open(new)
-                pbn = new
-            self._data_active = pbn
-            return latency
-        active = self._data_active
-        if active is not None:
-            if self.flash.write_ptr[active] < self._pages_per_block:
-                return 0.0
-            self._data_blocks.add(active)
-            self._data_active = None
-        latency = self._reclaim_if_needed()
-        self._data_active = self._pool.allocate()
-        return latency
-
-    def _ensure_trans_active(self) -> float:
-        """Translation active block.
+    def _trans_destination(self) -> Tuple[float, int]:
+        """Latency spent making room and a translation block with room.
 
         Triggers GC when the pool runs low - except while GC itself is
         running, where the free-threshold reserve covers the allocation
         (guarding against unbounded recursion).
         """
-        stripe = self._trans_stripe
-        if stripe is not None:
-            flash = self.flash
-            pool = self._pool
-            pbn = stripe.next_slot(flash, self._trans_blocks.add)
-            latency = 0.0
-            reserve = 1 if self._in_gc else self.gc_free_threshold
-            if pbn is None or (len(stripe.open_blocks) < stripe.ways
-                               and len(pool) > reserve):
-                if not self._in_gc:
-                    latency = self._reclaim_if_needed()
-                    # GC may itself have rotated or opened translation
-                    # blocks; re-check before pulling another pool block.
-                    pbn = stripe.next_slot(flash, self._trans_blocks.add)
-                if pbn is None or (len(stripe.open_blocks) < stripe.ways
-                                   and len(pool) > reserve):
-                    new = pool.allocate_on(
-                        stripe.uncovered_unit(), stripe.units)
-                    stripe.note_open(new)
-                    pbn = new
-            self._trans_active = pbn
-            return latency
-        active = self._trans_active
-        write_ptr = self.flash.write_ptr
-        ppb = self._pages_per_block
-        if active is not None and write_ptr[active] < ppb:
-            return 0.0
+        frontier = self._trans_active
+        spare = 1 if self._in_gc else self.gc_free_threshold
         latency = 0.0
-        while self._trans_active is None or \
-                write_ptr[self._trans_active] >= ppb:
-            if self._trans_active is not None:
-                self._trans_blocks.add(self._trans_active)
-                self._trans_active = None
+        pbn = frontier.take(spare)
+        if pbn is None:
             if not self._in_gc:
-                latency += self._reclaim_if_needed()
-            if self._trans_active is None:
-                # GC run by the reclaim above may itself have programmed
-                # translation pages and installed a fresh active block
-                # (possibly already full again - the loop handles that);
-                # allocating unconditionally here would leak it.
-                self._trans_active = self._pool.allocate()
-        return latency
-
-    def _gc_destination(self) -> float:
-        stripe = self._gc_stripe
-        if stripe is not None:
-            pbn = stripe.next_slot(self.flash, self._data_blocks.add)
-            if pbn is None or (len(stripe.open_blocks) < stripe.ways
-                               and len(self._pool) > 1):
-                new = self._pool.allocate_on(
-                    stripe.uncovered_unit(), stripe.units)
-                stripe.note_open(new)
-                pbn = new
-            self._gc_active = pbn
-            return 0.0
-        active = self._gc_active
-        if active is not None:
-            if self.flash.write_ptr[active] < self._pages_per_block:
-                return 0.0
-            self._data_blocks.add(active)
-        self._gc_active = self._pool.allocate()
-        return 0.0
+                latency = self._reclaim_if_needed()
+                # GC may itself have rotated or opened translation
+                # blocks; re-check before pulling another pool block.
+                pbn = frontier.take(spare)
+            if pbn is None:
+                pbn = frontier.open()
+        return latency, pbn
 
     def _reclaim_if_needed(self) -> float:
         latency = 0.0
@@ -432,8 +341,9 @@ class DftlFTL(FlashTranslationLayer):
             stats.map_reads += 1
             if tracer is not None:
                 tracer.emit(EventType.MAP_READ, lpn=oob.lpn, ppn=src)
-            latency += self._ensure_trans_active()
-            dst = self._frontier(self._trans_active)
+            room_lat, dst_pbn = self._trans_destination()
+            latency += room_lat
+            dst = self._frontier(dst_pbn)
             latency += program_page(
                 dst,
                 content,
@@ -467,18 +377,15 @@ class DftlFTL(FlashTranslationLayer):
         DATA = PageKind.DATA
         moved: Dict[int, List[Tuple[int, int]]] = {}  # tvpn -> [(lpn, dst)]
         moved_setdefault = moved.setdefault
-        # The GC destination only changes through _gc_destination (host
-        # writes never interleave with a GC pass), so it lives in a local
-        # refreshed after that call rather than being re-read per page.
-        gc_stripe = self._gc_stripe
-        gc_active = self._gc_active
+        gc_frontier = self._gc_active
+        gc_take = gc_frontier.take
         for src in flash.valid_ppns(pbn):
             data, oob, read_lat = read_page(src)
             latency += read_lat
-            if gc_stripe is not None or gc_active is None or \
-                    write_ptr[gc_active] >= ppb:
-                latency += self._gc_destination()
-                gc_active = self._gc_active
+            # GC destination: never triggers nested GC.
+            gc_active = gc_take(1)
+            if gc_active is None:
+                gc_active = gc_frontier.open()
             lpn = oob.lpn
             dst = gc_active * ppb + write_ptr[gc_active]
             latency += program_page(

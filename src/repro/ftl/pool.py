@@ -25,6 +25,11 @@ class BlockPool:
     """
 
     def __init__(self, blocks: Iterable[int]):
+        self.refill(blocks)
+
+    def refill(self, blocks: Iterable[int]) -> None:
+        """Replace the contents in place (crash recovery), so every
+        frontier and store sharing this pool sees the recovered list."""
         self._free: Deque[int] = deque(blocks)
         self._members = set(self._free)
         if len(self._members) != len(self._free):
@@ -60,19 +65,18 @@ class BlockPool:
     def allocate_on(self, unit: int, units: int) -> int:
         """Pop the oldest free block on parallel unit ``unit``.
 
-        Used by striped frontiers to open one block per channel/die.
-        Falls back to plain FIFO :meth:`allocate` when the unit has no
-        free block - correctness (having *a* frontier) always beats
-        stripe placement.  At ``units == 1`` this is exactly
-        :meth:`allocate`.
+        Used by :class:`~repro.ftl.stripe.Frontier` to open one block
+        per channel/die.  Falls back to plain FIFO :meth:`allocate` when
+        the unit has no free block - correctness (having *a* frontier) always beats
+        stripe placement.  At ``units == 1`` every block is on unit 0,
+        so this is exactly :meth:`allocate`.
         """
-        if units > 1:
-            free = self._free
-            for index, pbn in enumerate(free):
-                if pbn % units == unit:
-                    del free[index]
-                    self._members.discard(pbn)
-                    return pbn
+        free = self._free
+        for index, pbn in enumerate(free):
+            if pbn % units == unit:
+                del free[index]
+                self._members.discard(pbn)
+                return pbn
         return self.allocate()
 
     def snapshot(self) -> list:

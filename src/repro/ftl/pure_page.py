@@ -12,7 +12,7 @@ exactly what makes it impractical and motivates DFTL and LazyFTL.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Set
+from typing import Any, Set
 
 from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
@@ -22,7 +22,7 @@ from ..perf.maptable import MapTable
 from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
 from .gc_policy import select_greedy
 from .pool import BlockPool, OutOfBlocksError
-from .stripe import StripedFrontier, stripe_ways
+from .stripe import Frontier, stripe_ways
 
 
 class PageFTL(FlashTranslationLayer):
@@ -59,25 +59,15 @@ class PageFTL(FlashTranslationLayer):
         self._pages_per_block = flash.geometry.pages_per_block
         self._pool = BlockPool(range(flash.geometry.num_blocks))
         self._data_blocks: Set[int] = set()
-        self._active: Optional[int] = None
-        self._gc_active: Optional[int] = None
         self._seq = SequenceCounter()
-        # Striped frontiers on multi-channel devices: the host and GC
-        # active slots each rotate over up to `ways` open blocks so
-        # program bursts overlap across parallel units.  None at 1x1x1,
-        # keeping the single-slot paths bit-identical.
-        units = flash.geometry.parallel_units
-        if units > 1:
-            ways = stripe_ways(units)
-            self._active_stripe: Optional[StripedFrontier] = \
-                StripedFrontier(units, ways)
-            self._gc_stripe: Optional[StripedFrontier] = \
-                StripedFrontier(units, ways)
-            self._begin_op = getattr(flash, "begin_host_op", None)
-        else:
-            self._active_stripe = None
-            self._gc_stripe = None
-            self._begin_op = None
+        # Host and GC destinations each rotate over up to `ways` open
+        # blocks so program bursts overlap across parallel units (one
+        # way on the serial device); full blocks retire to the data set
+        # (through its bound ``add``: refill that set, never rebind it).
+        ways = stripe_ways(flash.geometry.parallel_units)
+        retire = self._data_blocks.add
+        self._active = Frontier(flash, self._pool, ways, retire)
+        self._gc_active = Frontier(flash, self._pool, ways, retire)
 
     # ------------------------------------------------------------------
     # Host interface
@@ -100,9 +90,16 @@ class PageFTL(FlashTranslationLayer):
         if self._begin_op is not None:
             self._begin_op()
         self.stats.host_writes += 1
-        latency = self._ensure_active()
         flash = self.flash
-        ppn = self._frontier(self._active)
+        # An extra way opens only while the pool sits above the GC
+        # threshold, so striping never eats the reclaim cushion.
+        pbn = self._active.take(self.gc_free_threshold)
+        if pbn is None:
+            latency = self._reclaim_if_needed()
+            pbn = self._active.open()
+        else:
+            latency = 0.0
+        ppn = self._frontier(pbn)
         latency += flash.program_page(
             ppn, data, OOBData(lpn, self._seq.next())
         )
@@ -166,13 +163,11 @@ class PageFTL(FlashTranslationLayer):
         for lpn, (_, ppn) in best.items():
             if lpn < logical_pages:
                 map_raw[lpn] = ppn
-        ftl._data_blocks = set(occupied)
-        ftl._pool = BlockPool(
+        ftl._data_blocks.update(occupied)
+        ftl._pool.refill(
             b for b in range(geometry.num_blocks)
             if b not in occupied and not flash.is_bad[b]
         )
-        ftl._active = None
-        ftl._gc_active = None
         ftl._seq.fast_forward(max_seq)
         ftl.stats.recovery_reads += pages_read
         return ftl
@@ -183,36 +178,6 @@ class PageFTL(FlashTranslationLayer):
     def _frontier(self, pbn: int) -> int:
         """Physical page number of the block's next free page."""
         return pbn * self._pages_per_block + self.flash.write_ptr[pbn]
-
-    def _ensure_active(self) -> float:
-        """Make sure the active block has a free page; may run GC."""
-        stripe = self._active_stripe
-        if stripe is not None:
-            # Rotate across the open blocks (full ones retire to the
-            # data set); open extra ways only while the pool sits above
-            # the GC threshold so striping never eats the reclaim
-            # cushion.
-            latency = 0.0
-            pbn = stripe.next_slot(self.flash, self._data_blocks.add)
-            if pbn is None or (
-                len(stripe.open_blocks) < stripe.ways
-                and len(self._pool) > self.gc_free_threshold
-            ):
-                latency += self._reclaim_if_needed()
-                pbn = self._pool.allocate_on(
-                    stripe.uncovered_unit(), stripe.units
-                )
-                stripe.note_open(pbn)
-            self._active = pbn
-            return latency
-        latency = 0.0
-        if self._active is not None and self.flash.block(self._active).is_full:
-            self._data_blocks.add(self._active)
-            self._active = None
-        if self._active is None:
-            latency += self._reclaim_if_needed()
-            self._active = self._pool.allocate()
-        return latency
 
     def _reclaim_if_needed(self) -> float:
         latency = 0.0
@@ -244,8 +209,11 @@ class PageFTL(FlashTranslationLayer):
             for src in flash.valid_ppns(victim):
                 data, oob, read_lat = flash.read_page(src)
                 latency += read_lat
-                latency += self._gc_destination()
-                dst = self._frontier(self._gc_active)
+                # GC destination: never triggers nested GC.
+                pbn = self._gc_active.take(1)
+                if pbn is None:
+                    pbn = self._gc_active.open()
+                dst = self._frontier(pbn)
                 latency += flash.program_page(
                     dst, data, OOBData(lpn=oob.lpn, seq=self._seq.next())
                 )
@@ -260,25 +228,3 @@ class PageFTL(FlashTranslationLayer):
         self._data_blocks.discard(victim)
         self._pool.release(victim)
         return latency
-
-    def _gc_destination(self) -> float:
-        """Ensure the GC active block has room; never triggers nested GC."""
-        stripe = self._gc_stripe
-        if stripe is not None:
-            pbn = stripe.next_slot(self.flash, self._data_blocks.add)
-            if pbn is None or (
-                len(stripe.open_blocks) < stripe.ways
-                and len(self._pool) > 1
-            ):
-                pbn = self._pool.allocate_on(
-                    stripe.uncovered_unit(), stripe.units
-                )
-                stripe.note_open(pbn)
-            self._gc_active = pbn
-            return 0.0
-        if self._gc_active is not None and self.flash.block(self._gc_active).is_full:
-            self._data_blocks.add(self._gc_active)
-            self._gc_active = None
-        if self._gc_active is None:
-            self._gc_active = self._pool.allocate()
-        return 0.0

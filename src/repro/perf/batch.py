@@ -262,7 +262,7 @@ class _PagePlanner:
         lpns = cols.lpns
         npages = cols.npages
         raw = ftl._map.raw
-        active = ftl._active
+        active = ftl._active.peek()
         room = 0
         if active is not None:
             room = ftl._pages_per_block - self.flash.write_ptr[active]
@@ -277,7 +277,7 @@ class _PagePlanner:
                 break  # scalar path raises the proper range error
             if ops[j]:
                 if room <= 0:
-                    break  # active full/absent: _ensure_active may GC
+                    break  # active full/absent: opening one may GC
                 room -= 1
                 if raw[lpn] < 0:
                     written.add(lpn)
@@ -294,7 +294,7 @@ class _PagePlanner:
         lpns = cols.lpns
         read_us = self.read_us
         program_us = self.program_us
-        active = ftl._active
+        active = ftl._active.peek()
         # Planner guarantees a write-free epoch when there is no active
         # block, so first_ppn is then never used.
         first_ppn = -1 if active is None else ftl._frontier(active)
@@ -370,7 +370,7 @@ class _DftlPlanner:
         lpns = cols.lpns
         npages = cols.npages
         cmt = ftl._cmt
-        active = ftl._data_active
+        active = ftl._data_active.peek()
         room = 0
         if active is not None:
             room = ftl._pages_per_block - self.flash.write_ptr[active]
@@ -401,7 +401,7 @@ class _DftlPlanner:
         program_us = self.program_us
         cmt = ftl._cmt
         move_to_end = cmt.move_to_end
-        active = ftl._data_active
+        active = ftl._data_active.peek()
         # Planner guarantees a write-free epoch when there is no active
         # block, so first_ppn is then never used.
         first_ppn = -1 if active is None else ftl._frontier(active)
@@ -499,7 +499,7 @@ class _LazyPlanner:
         cache_on = maps.cache_pages > 0
         cache_data = maps._cache._data
         entries_per_page = self.entries_per_page
-        frontier = ftl._uba.frontier
+        frontier = ftl._uba_frontier.peek()
         room = 0
         if frontier is not None:
             room = ftl._pages_per_block - self.flash.write_ptr[frontier]
@@ -552,7 +552,7 @@ class _LazyPlanner:
         cache_on = maps.cache_pages > 0
         cache_data = maps._cache._data
         entries_per_page = self.entries_per_page
-        frontier = ftl._uba.frontier
+        frontier = ftl._uba_frontier.peek()
         # Planner guarantees a write-free epoch when there is no frontier
         # block, so first_ppn is then never used.
         first_ppn = -1 if frontier is None else \
@@ -655,9 +655,10 @@ def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:
     raw op; epochs count reads in bulk), an attached tracer (it must see
     per-op events), an armed power-fault injector (the trip point must
     be a per-request boundary), a powered-off device, a multi-unit
-    geometry (striped frontiers break the planners' single-frontier
-    arithmetic), or a timing model with non-integer-valued latencies
-    (bulk ``n * latency`` would not be bit-exact).
+    geometry (an epoch is one run on the block ``Frontier.peek`` names,
+    timed on one clock; a multi-way rotation moves every write), or a
+    timing model with non-integer-valued latencies (bulk ``n * latency``
+    would not be bit-exact).
     """
     planner_cls = PLANNERS.get(type(ftl))
     if planner_cls is None:
@@ -670,8 +671,8 @@ def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:
     if flash.tracer is not None or ftl._tracer is not None:
         return None
     if flash.geometry.parallel_units > 1:
-        # Striped FTLs rotate writes across several open frontier
-        # blocks; the planners model a single frontier per area.
+        # Every scheme's frontier then rotates writes across several
+        # open blocks, and the timing kernels have no per-unit clocks.
         return None
     timing = flash.timing
     if not (float(timing.page_read_us).is_integer()

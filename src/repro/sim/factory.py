@@ -107,8 +107,8 @@ def standard_setup(
     :class:`~repro.flash.ParallelNandFlash` (overlapped per-unit command
     timing) and striping-capable schemes (LazyFTL, DFTL, ideal) spread
     their frontier allocation across the units.  The default ``1x1x1``
-    builds the plain serial device, bit-identical to before the knob
-    existed.
+    builds the plain serial device, on which the same frontier code
+    keeps one block open per area.
 
     A ``tracer`` (:class:`~repro.obs.Tracer`) is attached before the FTL
     is returned, so construction-time flash traffic and direct host calls

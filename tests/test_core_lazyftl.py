@@ -196,6 +196,26 @@ class TestGarbageCollection:
         for lpn in range(48):
             assert ftl.read(lpn).data is not None
 
+    def test_striped_cold_area_survives_at_the_headline_gc_threshold(self):
+        """A CBA with a usable open block must not demand an extra way
+        from an empty pool (OutOfBlocksError after ~15k of these writes
+        before the frontier's one ``spare`` rule covered the CBA)."""
+        from repro.sim.factory import default_lazy_config, standard_setup
+
+        _, ftl, logical = standard_setup(
+            "LazyFTL", num_blocks=512, pages_per_block=64, page_size=512,
+            logical_fraction=0.8, channels=4,
+            config=default_lazy_config(uba_blocks=32, cba_blocks=4,
+                                       gc_free_threshold=4),
+        )
+        for lpn in range(logical):
+            ftl.write(lpn)
+        rng = random.Random(5)
+        for _ in range(20000):
+            ftl.write(rng.randrange(logical))
+        assert ftl.stats.gc_runs > 0
+        assert ftl.stats.merges_total == 0
+
     def test_unmapped_read_costs_nothing(self):
         ftl = make_lazy()
         r = ftl.read(95)

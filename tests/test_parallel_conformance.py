@@ -5,8 +5,8 @@ including the mid-trace POWER_CYCLE recovery test - for every scheme that
 stripes its frontier allocation (LazyFTL, the ideal page FTL, DFTL)
 across three device geometries:
 
-* ``1x1x1`` - the serial baseline (striping machinery fully disabled;
-  must behave exactly like the historical suites),
+* ``1x1x1`` - the serial baseline (every frontier one way wide; must
+  behave exactly like the historical suites),
 * ``2x1x1`` - two channels, the smallest striped configuration,
 * ``4x2x1`` - four channels x two dies = eight parallel units, more
   units than the frontier stripes ways (MAX_STRIPE_WAYS = 4), so

@@ -23,7 +23,7 @@ Runs, in order:
 7. **perfbench** - ``benchmarks/perfbench.py --smoke --check``: replays
    the smoke throughput suite and fails when any cell regresses more
    than ``[tool.perfbench] max_regression_pct`` against the committed
-   ``BENCH_pr3.json`` 'after' baseline;
+   ``BENCH_pr9.json`` 'after' baseline (``perfbench.BENCH_PATH``);
 8. **batchdiff** - ``tools/batchdiff.py``: scalar vs batched replay
    digests over two short deterministic workloads for every scheme,
    with both kernel backends (numpy and the pure-``array`` fallback) -
@@ -210,9 +210,9 @@ def step_crashmc(config: dict) -> bool:
     """Crash-consistency smoke: explore every boundary of a short mixed
     workload for each recovery-capable scheme, then run the --mutate
     oracle self-test (the checker must flag deliberate corruption), then
-    re-explore LazyFTL on a 2-channel device so recovery is exercised
-    against striped frontiers.  The exhaustive acceptance matrix is
-    ``repro crashcheck --full``."""
+    re-explore both schemes on a 2-channel device so recovery is
+    exercised against multi-way frontiers.  The exhaustive acceptance
+    matrix is ``repro crashcheck --full``."""
     ops = str(config["crashmc_ops"])
     explored = run_step("crashmc:explore", [
         sys.executable, "-m", "repro", "crashcheck",
@@ -230,7 +230,7 @@ def step_crashmc(config: dict) -> bool:
         return False
     return run_step("crashmc:2ch", [
         sys.executable, "-m", "repro", "crashcheck",
-        "--scheme", "LazyFTL", "--ops", ops,
+        "--scheme", "LazyFTL", "--scheme", "ideal", "--ops", ops,
         "--geometry", "2x1x1",
     ])
 
