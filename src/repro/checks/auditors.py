@@ -30,6 +30,7 @@ from ..flash.oob import PageKind
 from ..flash.page import FREE, VALID, PageState
 from ..ftl.base import FlashTranslationLayer
 from ..ftl.dftl import DftlFTL
+from ..ftl.mapping import MappingStore
 from .report import AuditReport, Violation, ViolationKind
 
 
@@ -211,6 +212,53 @@ class _Auditor:
         return self.flash.page_data[ppn]
 
 
+def _audit_flash_map(
+    a: _Auditor,
+    maps: MappingStore,
+    resolved: Dict[int, Optional[int]],
+    source: str,
+) -> Dict[int, int]:
+    """The flash-resident page table, audited the way a read resolves it.
+
+    ``resolved`` arrives holding the scheme's RAM-side entries (UMT / CMT),
+    which win over flash, and leaves holding every logical page's mapping.
+    Returns the live translation pages, tvpn -> ppn.
+    """
+    logical_pages = a.ftl.logical_pages
+    entries_per_page = maps.entries_per_page
+    # Directory entries locate live mapping pages whose OOB names them
+    # back.
+    pages: Dict[int, int] = {}
+    for tvpn, tppn in maps.gtd.items():
+        if a.check_mapping_page(tvpn, tppn, "GTD"):
+            pages[tvpn] = tppn
+    # Every logical page without a RAM-side entry resolves through them;
+    # committed mappings must be exact.
+    for tvpn, tppn in pages.items():
+        base = tvpn * entries_per_page
+        for idx, ppn in enumerate(a.page_content(tppn)):
+            lpn = base + idx
+            if ppn is None or lpn >= logical_pages or lpn in resolved:
+                continue
+            if a.check_data_page(lpn, ppn, f"{source} {tvpn}"):
+                resolved[lpn] = ppn
+    # Ownership: no physical page serves two logical pages.
+    by_ppn: Dict[int, List[int]] = {}
+    for lpn, ppn in resolved.items():
+        if ppn is not None:
+            by_ppn.setdefault(ppn, []).append(lpn)
+    for ppn, lpns in sorted(by_ppn.items()):
+        a.check()
+        if len(lpns) > 1:
+            a.fail(
+                ViolationKind.MULTI_OWNER,
+                f"physical page {ppn} is the mapped target of "
+                f"{len(lpns)} logical pages ({sorted(lpns)[:8]})",
+                ppn=ppn,
+            )
+    return pages
+
+
 def _audit_lazyftl(a: _Auditor, ftl: LazyFTL) -> None:
     """GTD/GMT/UMT mutual consistency + the zero-merge invariant."""
     # 1. The headline claim: LazyFTL never merges.
@@ -222,10 +270,8 @@ def _audit_lazyftl(a: _Auditor, ftl: LazyFTL) -> None:
             " the paper's zero-merge invariant is broken",
         )
     staging = set(ftl.uba_blocks) | set(ftl.cba_blocks)
-    maps = ftl.mapping_store
-    entries_per_page = maps.entries_per_page
     # 2. Every UMT entry points at a live data page inside the UBA/CBA.
-    resolved: Dict[int, int] = {}
+    resolved: Dict[int, Optional[int]] = {}
     for lpn, entry in ftl.umt.items():
         if a.check_data_page(lpn, entry.ppn, "UMT"):
             pbn, _ = a.flash.geometry.split_ppn(entry.ppn)
@@ -239,41 +285,10 @@ def _audit_lazyftl(a: _Auditor, ftl: LazyFTL) -> None:
                     lpn=lpn, ppn=entry.ppn, pbn=pbn,
                 )
         resolved[lpn] = entry.ppn
-    # 3. GTD entries locate live GMT pages whose OOB names them back.
-    gmt_pages: Dict[int, int] = {}
-    for tvpn in range(len(maps.gtd)):
-        tppn = maps.gtd.get(tvpn)
-        if tppn is None:
-            continue
-        if a.check_mapping_page(tvpn, tppn, "GTD"):
-            gmt_pages[tvpn] = tppn
-    # 4. Resolve every logical page the way a read would (UMT wins, GMT
-    #    otherwise); committed mappings must be exact.
-    for tvpn, tppn in gmt_pages.items():
-        content = a.page_content(tppn)
-        base = tvpn * entries_per_page
-        for idx, ppn in enumerate(content):
-            lpn = base + idx
-            if ppn is None or lpn >= ftl.logical_pages:
-                continue
-            if lpn in resolved:
-                continue  # GMT value deliberately stale; UMT supersedes
-            if a.check_data_page(lpn, ppn, f"GMT page {tvpn}"):
-                resolved[lpn] = ppn
-    # 5. Ownership: no physical page serves two logical pages.
-    by_ppn: Dict[int, List[int]] = {}
-    for lpn, ppn in resolved.items():
-        by_ppn.setdefault(ppn, []).append(lpn)
-    for ppn, lpns in sorted(by_ppn.items()):
-        a.check()
-        if len(lpns) > 1:
-            a.fail(
-                ViolationKind.MULTI_OWNER,
-                f"physical page {ppn} is the mapped target of "
-                f"{len(lpns)} logical pages ({sorted(lpns)[:8]})",
-                ppn=ppn,
-            )
-    # 6. Laziness is tracked, never leaked: a valid data page that is not
+    # 3. The GMT under them (a GMT value the UMT supersedes is
+    #    deliberately stale), and unique ownership of the result.
+    _audit_flash_map(a, ftl.mapping_store, resolved, "GMT page")
+    # 4. Laziness is tracked, never leaked: a valid data page that is not
     #    the resolved copy of its lpn must have a pending UMT entry that
     #    supersedes it (it will be invalidated at commit time).
     for lpn, ppns in sorted(a.valid_data_owners().items()):
@@ -293,28 +308,22 @@ def _audit_lazyftl(a: _Auditor, ftl: LazyFTL) -> None:
 
 def _audit_dftl(a: _Auditor, ftl: DftlFTL) -> None:
     """CMT/translation-page consistency and GTD agreement."""
-    entries_per_page = ftl.entries_per_page
-    # 1. GTD entries locate live translation pages.
-    tpages: Dict[int, int] = {}
-    for tvpn in range(ftl.num_tvpns):
-        tppn = ftl._gtd[tvpn]
-        if tppn is None:
-            continue
-        if a.check_mapping_page(tvpn, tppn, "GTD"):
-            tpages[tvpn] = tppn
+    maps = ftl._maps
+    # 1. The translation pages, with the CMT winning over them.
+    resolved = {lpn: entry.ppn for lpn, entry in ftl._cmt.items()}
+    tpages = _audit_flash_map(a, maps, resolved, "translation page")
     # 2. CMT entries: clean ones mirror flash, dirty ones point at live
     #    data that flash has not caught up with yet.
-    resolved: Dict[int, Optional[int]] = {}
     for lpn, entry in ftl._cmt.items():
-        tvpn = lpn // entries_per_page
         if entry.ppn is not None:
             a.check_data_page(lpn, entry.ppn, "CMT")
         if not entry.dirty:
             a.check()
+            tvpn, idx = divmod(lpn, maps.entries_per_page)
             tppn = tpages.get(tvpn)
             flash_ppn = None
             if tppn is not None:
-                flash_ppn = a.page_content(tppn)[lpn % entries_per_page]
+                flash_ppn = a.page_content(tppn)[idx]
             if flash_ppn != entry.ppn:
                 a.fail(
                     ViolationKind.CMT_INCONSISTENT,
@@ -322,31 +331,6 @@ def _audit_dftl(a: _Auditor, ftl: DftlFTL) -> None:
                     f"but translation page {tvpn} holds {flash_ppn}",
                     lpn=lpn, ppn=entry.ppn,
                 )
-        resolved[lpn] = entry.ppn
-    # 3. Resolve every logical page (CMT wins, translation page otherwise)
-    #    and verify unique ownership.
-    for tvpn, tppn in tpages.items():
-        content = a.page_content(tppn)
-        base = tvpn * entries_per_page
-        for idx, ppn in enumerate(content):
-            lpn = base + idx
-            if ppn is None or lpn >= ftl.logical_pages or lpn in resolved:
-                continue
-            if a.check_data_page(lpn, ppn, f"translation page {tvpn}"):
-                resolved[lpn] = ppn
-    by_ppn: Dict[int, List[int]] = {}
-    for lpn, ppn in resolved.items():
-        if ppn is not None:
-            by_ppn.setdefault(ppn, []).append(lpn)
-    for ppn, lpns in sorted(by_ppn.items()):
-        a.check()
-        if len(lpns) > 1:
-            a.fail(
-                ViolationKind.MULTI_OWNER,
-                f"physical page {ppn} is the mapped target of "
-                f"{len(lpns)} logical pages ({sorted(lpns)[:8]})",
-                ppn=ppn,
-            )
 
 
 def audit_ftl(ftl: FlashTranslationLayer) -> AuditReport:

@@ -55,6 +55,13 @@ _MAP_WRITE_METHODS = frozenset({
     "set", "insert", "put", "store", "update", "commit",
 })
 
+#: The page rewrite of the shared :class:`~repro.ftl.mapping.MappingStore`
+#: (``self._maps.program``).  The store lives in another module, out of
+#: reach of the intra-module summaries, so its contract is stated here:
+#: besides programming the new copy of a translation page it repoints the
+#: GTD and invalidates the old copy itself.
+_STORE_REWRITE_METHOD = "program"
+
 #: Method names that read the *current* (old) mapping of a key.
 _MAP_READ_METHODS = frozenset({"ppn_at", "lookup", "get", "points_to"})
 
@@ -176,6 +183,8 @@ def classify_call(
         events |= ProtocolEvent.MAP_WRITE
     if lowered in _MAP_READ_METHODS and _is_map_receiver(chain):
         events |= ProtocolEvent.MAP_READ
+    if lowered == _STORE_REWRITE_METHOD and _is_map_receiver(chain):
+        events |= ProtocolEvent.MAP_WRITE | ProtocolEvent.INVALIDATE
     return events
 
 

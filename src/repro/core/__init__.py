@@ -13,9 +13,8 @@ Public surface:
 
 from .areas import BlockArea, DataBlockSet
 from .config import LazyConfig
-from .gtd import GlobalTranslationDirectory
+from ..ftl.mapping import GlobalTranslationDirectory, MappingStore
 from .lazyftl import ANCHOR_BLOCKS, LazyFTL
-from .mapping import MappingStore
 from .recovery import CheckpointError, CheckpointScribe, RecoveryReport, recover
 from .umt import UmtEntry, UpdateMappingTable, group_by_tvpn
 

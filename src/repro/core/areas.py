@@ -6,7 +6,7 @@ LazyFTL partitions physical blocks into four roles:
 * **CBA** (cold block area) - absorbs GC relocations, FIFO-converted;
 * **DBA** (data block area) - converted blocks; the GC victim pool;
 * **MBA** (mapping block area) - GMT pages (managed by
-  :class:`~repro.core.mapping.MappingStore`).
+  :class:`~repro.ftl.mapping.MappingStore`).
 
 The frontier of the UBA/CBA is the newest block (tail of the FIFO); the
 conversion victim is the oldest (head).  Because conversion moves no data,

@@ -29,13 +29,12 @@ from ..flash.oob import PageKind, SequenceCounter, make_oob
 from ..flash.page import VALID
 from ..ftl.base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
 from ..obs.events import Cause, EventType
-from ..obs.tracer import Tracer
 from ..ftl.gc_policy import select_greedy
+from ..ftl.mapping import MappingStore
 from ..ftl.pool import BlockPool, OutOfBlocksError
 from ..ftl.stripe import Frontier, stripe_ways
 from .areas import BlockArea, DataBlockSet
 from .config import LazyConfig
-from .mapping import MappingStore
 from .umt import UpdateMappingTable, group_by_tvpn
 
 #: Physical blocks reserved as checkpoint anchors (ping-pong pair).  They
@@ -114,8 +113,8 @@ class LazyFTL(FlashTranslationLayer):
             self.stats,
             self._seq,
             self.num_tvpns,
+            self._map_destination,
             cache_pages=self.config.map_cache_pages,
-            spare=self.config.gc_free_threshold,
         )
         # The UBA and CBA frontiers keep several blocks open on a
         # multi-channel device and rotate programs across parallel units
@@ -194,15 +193,6 @@ class LazyFTL(FlashTranslationLayer):
         """UMT + GTD (+ optional GMT cache): the paper's RAM story."""
         return self._umt.ram_bytes() + self._maps.ram_bytes()
 
-    def attach_tracer(self, tracer: Tracer) -> Tracer:
-        super().attach_tracer(tracer)
-        self._maps.tracer = tracer
-        return tracer
-
-    def detach_tracer(self) -> None:
-        super().detach_tracer()
-        self._maps.tracer = None
-
     # ------------------------------------------------------------------
     # Introspection used by benchmarks, analysis and recovery
     # ------------------------------------------------------------------
@@ -251,6 +241,19 @@ class LazyFTL(FlashTranslationLayer):
     # ------------------------------------------------------------------
     # Frontier management and conversion
     # ------------------------------------------------------------------
+    def _map_destination(self, frontier: Frontier) -> Tuple[float, int]:
+        """The mapping store's destination policy: never reclaim.
+
+        GMT pages are written from inside conversion and GC, and the
+        pool's GC reserve is sized for them, so a dry rotation simply
+        takes a pool block; an extra way opens only while the pool holds
+        more than the GC threshold, so striping never eats that reserve.
+        """
+        pbn = frontier.take(self.config.gc_free_threshold)
+        if pbn is None:
+            pbn = frontier.open()
+        return 0.0, pbn
+
     def _open_block(
         self, area: BlockArea, frontier: Frontier
     ) -> Tuple[float, int]:

@@ -6,7 +6,10 @@
   merges);
 * :class:`FastFTL` - fully-associative log blocks (long full-merge stalls);
 * :class:`DftlFTL` - demand-cached page mapping (the strongest baseline);
-* :class:`BlockPool`, GC policies and :class:`FtlStats` - shared machinery.
+* :class:`BlockPool`, the GC victim policy and :class:`FtlStats` - shared
+  machinery;
+* :mod:`repro.ftl.mapping` - the flash-resident page table (translation
+  pages + GTD) that DFTL and LazyFTL share.
 
 LazyFTL itself, the paper's contribution, lives in :mod:`repro.core`.
 """
@@ -18,7 +21,7 @@ from .fast import FastFTL
 from .last import LastFTL
 from .nftl import NftlFTL
 from .superblock import SuperblockFTL
-from .gc_policy import select_cost_benefit, select_greedy
+from .gc_policy import select_greedy
 from .pool import BlockPool, OutOfBlocksError
 from .pure_page import PageFTL
 from .stats import FtlStats
@@ -37,6 +40,5 @@ __all__ = [
     "BlockPool",
     "OutOfBlocksError",
     "FtlStats",
-    "select_cost_benefit",
     "select_greedy",
 ]

@@ -134,8 +134,9 @@ class FlashTranslationLayer(ABC):
     def attach_tracer(self, tracer: Tracer) -> Tracer:
         """Attach an event tracer to this FTL and its flash device.
 
-        Subclasses with traced sub-components (LazyFTL's MappingStore)
-        extend this to thread the tracer further down.
+        Sub-components that emit events (the MappingStore) read the
+        device's ``tracer`` attribute, so there is nothing further to
+        thread.
         """
         self._tracer = tracer
         self.flash.tracer = tracer

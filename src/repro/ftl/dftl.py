@@ -8,11 +8,17 @@ all dirty entries of the same translation page are flushed together).
 Garbage collection updates translation pages directly when it relocates
 data ("lazy copying").
 
-LazyFTL inherits DFTL's in-flash map + RAM directory skeleton but defers and
-batches mapping updates through the UMT instead of paying per-eviction
-read-modify-writes.  Reference: Gupta, Kim, Urgaonkar, "DFTL: a flash
-translation layer employing demand-based selective caching of page-level
-address mappings" (ASPLOS 2009).
+The translation pages, the GTD that locates them and their blocks are the
+shared :class:`~repro.ftl.mapping.MappingStore`; what is DFTL's own is the
+CMT, which dirty entries a flush or a GC pass writes back, and the
+store's destination policy (:meth:`DftlFTL._trans_destination`: reclaim
+when the pool is low, except inside GC).  LazyFTL keeps that skeleton but
+defers and batches mapping updates through the UMT instead of paying
+per-eviction read-modify-writes.
+
+Reference: Gupta, Kim, Urgaonkar, "DFTL: a flash translation layer
+employing demand-based selective caching of page-level address mappings"
+(ASPLOS 2009).
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import PageKind, SequenceCounter, make_oob
 from ..obs.events import Cause, EventType
-from ..perf.maptable import MapTable
 from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
 from .gc_policy import select_greedy
+from .mapping import MappingStore
 from .pool import BlockPool, OutOfBlocksError
 from .stripe import Frontier, stripe_ways
 
@@ -79,11 +85,6 @@ class DftlFTL(FlashTranslationLayer):
         self.cmt_entries = cmt_entries
         self.gc_free_threshold = gc_free_threshold
         self.batch_eviction = batch_eviction
-        self.entries_per_page = flash.geometry.map_entries_per_page
-        self.num_tvpns = (
-            logical_pages + self.entries_per_page - 1
-        ) // self.entries_per_page
-        self._gtd = MapTable(self.num_tvpns)
         # The CMT is a bounded LRU keyed by lpn with per-entry dirty bits;
         # it is sparse by design (capacity << logical space), so a flat
         # table would waste the RAM the scheme exists to save.
@@ -91,20 +92,25 @@ class DftlFTL(FlashTranslationLayer):
             OrderedDict())  # ftlint: disable=FTL007
         self._pool = BlockPool(range(flash.geometry.num_blocks))
         self._data_blocks: Set[int] = set()
-        self._trans_blocks: Set[int] = set()
         self._in_gc = False
         self._pages_per_block = flash.geometry.pages_per_block
         self._seq = SequenceCounter()
         # Each frontier rotates over up to ``ways`` concurrently-open
-        # blocks so program bursts (host writes, GC relocation, eviction
-        # flushes) land on different parallel units and overlap; one way
-        # on the serial device.
+        # blocks so program bursts (host writes, GC relocation) land on
+        # different parallel units and overlap; one way on the serial
+        # device.
         ways = stripe_ways(flash.geometry.parallel_units)
         pool = self._pool
         self._data_active = Frontier(flash, pool, ways, self._data_blocks.add)
         self._gc_active = Frontier(flash, pool, ways, self._data_blocks.add)
-        self._trans_active = Frontier(
-            flash, pool, ways, self._trans_blocks.add)
+        # The translation pages, their directory and their blocks; only
+        # where the next one may go (_trans_destination) is DFTL's.
+        entries = flash.geometry.map_entries_per_page
+        self._maps = MappingStore(
+            flash, pool, self.stats, self._seq,
+            (logical_pages + entries - 1) // entries,
+            self._trans_destination,
+        )
 
     # ------------------------------------------------------------------
     # Host interface
@@ -151,14 +157,11 @@ class DftlFTL(FlashTranslationLayer):
     def ram_bytes(self) -> int:
         """CMT (8 B/entry: lpn + ppn) + GTD (4 B/translation page)."""
         return self.cmt_entries * 2 * MAP_ENTRY_BYTES + \
-            self.num_tvpns * MAP_ENTRY_BYTES
+            self._maps.ram_bytes()
 
     # ------------------------------------------------------------------
     # Translation path
     # ------------------------------------------------------------------
-    def _tvpn_of(self, lpn: int) -> int:
-        return lpn // self.entries_per_page
-
     def _lookup(self, lpn: int) -> Tuple[Optional[int], float]:
         """Resolve lpn via CMT, fetching from flash on a miss."""
         entry = self._cmt.get(lpn)
@@ -172,16 +175,8 @@ class DftlFTL(FlashTranslationLayer):
             tracer.push_cause(Cause.MAPPING)
         try:
             latency = self._make_room()
-            tvpn = self._tvpn_of(lpn)
-            tppn = self._gtd[tvpn]
-            ppn: Optional[int] = None
-            if tppn is not None:
-                content, _, read_lat = self.flash.read_page(tppn)
-                latency += read_lat
-                self.stats.map_reads += 1
-                if tracer is not None:
-                    tracer.emit(EventType.MAP_READ, lpn=tvpn, ppn=tppn)
-                ppn = content[lpn % self.entries_per_page]
+            ppn, read_lat = self._maps.lookup(lpn)
+            latency += read_lat
         finally:
             if tracer is not None:
                 tracer.pop_cause()
@@ -196,20 +191,18 @@ class DftlFTL(FlashTranslationLayer):
             if not victim.dirty:
                 self._cmt.popitem(last=False)
                 continue
-            latency += self._flush_tvpn(self._tvpn_of(victim_lpn))
+            latency += self._flush_tvpn(self._maps.tvpn_of(victim_lpn))
             self._cmt.pop(victim_lpn, None)
         return latency
 
     def _flush_tvpn(self, tvpn: int) -> float:
         """Write back dirty CMT entries of one translation page."""
-        # Reserve the translation-page slot *first*: allocating it may run
-        # GC, and GC can rewrite this very translation page.  Snapshotting
-        # the content before the allocation would clobber GC's update.
-        latency, _ = self._trans_destination()
-        content, read_lat = self._load_tpage(tvpn)
-        latency += read_lat
-        lo = tvpn * self.entries_per_page
-        hi = lo + self.entries_per_page
+        maps = self._maps
+        # checkout may run GC, which writes back (and cleans) the entries
+        # it moves: the dirty set is only read after it.
+        content, latency = maps.checkout(tvpn)
+        lo = tvpn * maps.entries_per_page
+        hi = lo + maps.entries_per_page
         if self.batch_eviction:
             dirty_lpns = [
                 l for l, e in self._cmt.items() if e.dirty and lo <= l < hi
@@ -222,38 +215,7 @@ class DftlFTL(FlashTranslationLayer):
             entry = self._cmt[l]
             content[l - lo] = entry.ppn
             entry.dirty = False
-        latency += self._program_tpage(tvpn, content)
-        return latency
-
-    def _load_tpage(self, tvpn: int) -> Tuple[List[Optional[int]], float]:
-        """Fetch a translation page's content (fresh empty page if absent)."""
-        tppn = self._gtd[tvpn]
-        if tppn is None:
-            return [None] * self.entries_per_page, 0.0
-        content, _, latency = self.flash.read_page(tppn)
-        self.stats.map_reads += 1
-        if self._tracer is not None:
-            self._tracer.emit(EventType.MAP_READ, lpn=tvpn, ppn=tppn)
-        return list(content), latency
-
-    def _program_tpage(self, tvpn: int, content: List[Optional[int]]) -> float:
-        """Write a new version of a translation page and update the GTD."""
-        latency, pbn = self._trans_destination()
-        flash = self.flash
-        ppn = self._frontier(pbn)
-        latency += flash.program_page(
-            ppn,
-            content,
-            make_oob((tvpn, self._seq.next(), PageKind.MAPPING, False)),
-        )
-        self.stats.map_writes += 1
-        if self._tracer is not None:
-            self._tracer.emit(EventType.MAP_WRITE, lpn=tvpn, ppn=ppn)
-        old = self._gtd[tvpn]
-        if old is not None:
-            flash.invalidate_page(old)
-        self._gtd[tvpn] = ppn
-        return latency
+        return latency + maps.program(tvpn, content)
 
     # ------------------------------------------------------------------
     # Space management
@@ -261,14 +223,14 @@ class DftlFTL(FlashTranslationLayer):
     def _frontier(self, pbn: int) -> int:
         return pbn * self._pages_per_block + self.flash.write_ptr[pbn]
 
-    def _trans_destination(self) -> Tuple[float, int]:
-        """Latency spent making room and a translation block with room.
+    def _trans_destination(self, frontier: Frontier) -> Tuple[float, int]:
+        """The mapping store's destination policy: latency spent making
+        room, and a translation block with room.
 
         Triggers GC when the pool runs low - except while GC itself is
         running, where the free-threshold reserve covers the allocation
         (guarding against unbounded recursion).
         """
-        frontier = self._trans_active
         spare = 1 if self._in_gc else self.gc_free_threshold
         latency = 0.0
         pbn = frontier.take(spare)
@@ -294,7 +256,7 @@ class DftlFTL(FlashTranslationLayer):
         # then lowest pbn), so set iteration order cannot change the
         # victim.
         victim = select_greedy(
-            chain(self._data_blocks, self._trans_blocks), flash.valid_count
+            chain(self._data_blocks, self._maps.full_blocks), flash.valid_count
         )
         if victim is None:
             raise OutOfBlocksError("DFTL GC found no victim")
@@ -309,8 +271,8 @@ class DftlFTL(FlashTranslationLayer):
         try:
             self._in_gc = True
             try:
-                if victim in self._trans_blocks:
-                    latency = self._collect_trans_block(victim)
+                if victim in self._maps.full_blocks:
+                    latency = self._maps.collect(victim)
                 else:
                     latency = self._collect_data_block(victim)
             finally:
@@ -321,40 +283,7 @@ class DftlFTL(FlashTranslationLayer):
                 tracer.span_end(EventType.GC_END, ppn=victim)
         self.stats.gc_erases += 1
         self._data_blocks.discard(victim)
-        self._trans_blocks.discard(victim)
         self._pool.release(victim)
-        return latency
-
-    def _collect_trans_block(self, pbn: int) -> float:
-        """Relocate a victim's valid translation pages."""
-        latency = 0.0
-        flash = self.flash
-        read_page = flash.read_page
-        program_page = flash.program_page
-        invalidate_page = flash.invalidate_page
-        seq_next = self._seq.next
-        stats = self.stats
-        tracer = self._tracer
-        for src in flash.valid_ppns(pbn):
-            content, oob, read_lat = read_page(src)
-            latency += read_lat
-            stats.map_reads += 1
-            if tracer is not None:
-                tracer.emit(EventType.MAP_READ, lpn=oob.lpn, ppn=src)
-            room_lat, dst_pbn = self._trans_destination()
-            latency += room_lat
-            dst = self._frontier(dst_pbn)
-            latency += program_page(
-                dst,
-                content,
-                make_oob((oob.lpn, seq_next(), PageKind.MAPPING, False)),
-            )
-            stats.map_writes += 1
-            if tracer is not None:
-                tracer.emit(EventType.MAP_WRITE, lpn=oob.lpn, ppn=dst)
-            stats.gc_page_copies += 1
-            self._gtd[oob.lpn] = dst
-            invalidate_page(src)
         return latency
 
     def _collect_data_block(self, pbn: int) -> float:
@@ -373,7 +302,8 @@ class DftlFTL(FlashTranslationLayer):
         seq_next = self._seq.next
         stats = self.stats
         ppb = self._pages_per_block
-        entries_per_page = self.entries_per_page
+        maps = self._maps
+        entries_per_page = maps.entries_per_page
         DATA = PageKind.DATA
         moved: Dict[int, List[Tuple[int, int]]] = {}  # tvpn -> [(lpn, dst)]
         moved_setdefault = moved.setdefault
@@ -395,13 +325,13 @@ class DftlFTL(FlashTranslationLayer):
             stats.gc_page_copies += 1
             moved_setdefault(lpn // entries_per_page, []).append((lpn, dst))
         for tvpn, pairs in moved.items():
-            content, read_lat = self._load_tpage(tvpn)
+            content, read_lat = maps.load(tvpn)
             latency += read_lat
             for lpn, dst in pairs:
-                content[lpn % self.entries_per_page] = dst
+                content[lpn % entries_per_page] = dst
                 entry = self._cmt.get(lpn)
                 if entry is not None:
                     entry.ppn = dst
                     entry.dirty = False
-            latency += self._program_tpage(tvpn, content)
+            latency += maps.program(tvpn, content)
         return latency

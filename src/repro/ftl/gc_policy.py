@@ -1,17 +1,14 @@
-"""Garbage-collection victim selection policies.
+"""Garbage-collection victim selection.
 
-All shipped FTLs default to the greedy policy (fewest valid pages first),
-the choice of the DFTL/LazyFTL line of work.  Cost-benefit (age-weighted)
-selection is provided for the ablation benchmarks.
-
-Policies work on physical block numbers plus the device's per-block
-valid-count array (``flash.valid_count``) - all the validity metadata a
-victim scan needs.
+All shipped FTLs use the greedy policy (fewest valid pages first), the
+choice of the DFTL/LazyFTL line of work.  It works on physical block
+numbers plus the device's per-block valid-count array
+(``flash.valid_count``) - all the validity metadata a victim scan needs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 def select_greedy(
@@ -36,33 +33,4 @@ def select_greedy(
         ):
             best = pbn
             best_valid = valid
-    return best
-
-
-def select_cost_benefit(
-    candidates: Iterable[int],
-    valid_count: Sequence[int],
-    pages_per_block: int,
-    age_of: Callable[[int], float],
-) -> Optional[int]:
-    """Classic cost-benefit victim selection (Rosenblum & Ousterhout).
-
-    Maximises ``benefit/cost = age * (1 - u) / (1 + u)`` where ``u`` is the
-    block's valid-page utilisation.  ``age_of`` maps a pbn to a staleness
-    value (e.g. current sequence number minus the block's last-program
-    sequence).
-    """
-    best: Optional[int] = None
-    best_score = float("-inf")
-    for pbn in candidates:
-        u = valid_count[pbn] / pages_per_block
-        if u >= 1.0:
-            score = float("-inf")  # nothing reclaimable
-        else:
-            score = age_of(pbn) * (1.0 - u) / (1.0 + u)
-        if score > best_score or (
-            score == best_score and best is not None and pbn < best
-        ):
-            best = pbn
-            best_score = score
     return best

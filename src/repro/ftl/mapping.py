@@ -1,15 +1,24 @@
-"""MappingStore: the in-flash Global Mapping Table (GMT) and its MBA blocks.
+"""MappingStore: the flash-resident page table both flash-map schemes share.
 
-The GMT is a page-level map stored in dedicated mapping pages: entry ``i``
-of GMT page ``t`` holds the physical location of logical page
-``t * entries_per_page + i``.  The RAM-resident GTD locates each GMT page.
-All GMT updates arrive in *batches* from block conversion - the mechanism
-that lets LazyFTL amortise one mapping-page read-modify-write over many
-host writes.
+The page-level map lives in dedicated *translation pages* (LazyFTL's GMT
+pages): entry ``i`` of translation page ``t`` holds the physical location
+of logical page ``t * entries_per_page + i``.  A small RAM directory, the
+GTD, locates the current flash copy of each translation page, and the
+pages are appended to the store's own blocks (LazyFTL's mapping block
+area), which the owner garbage-collects through :meth:`collect`.
 
-An optional bounded RAM cache of GMT page contents (off by default) is
-provided for ablation experiments; the paper's base design always reads
-GMT pages from flash.
+DFTL and LazyFTL differ in *when* entries reach this table - DFTL on CMT
+eviction and GC, LazyFTL in batches at block conversion
+(:meth:`MappingStore.commit`) - and in where the next translation page may
+go.  That second difference is the one thing an owner supplies: a
+*destination policy* ``destination(frontier) -> (latency, pbn)`` that
+returns an open block with a free page and the simulated time spent
+making room for it.  LazyFTL's never reclaims (its pool's GC reserve is
+sized for the mapping blocks); DFTL's may run GC first.
+
+An optional bounded RAM cache of translation-page contents (off by
+default) is provided for ablation experiments; the paper's base design
+always reads them from flash.
 """
 
 from __future__ import annotations
@@ -19,16 +28,50 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import PageKind, SequenceCounter, make_oob
-from ..ftl.pool import BlockPool
-from ..ftl.stats import FtlStats
-from ..ftl.stripe import Frontier, stripe_ways
 from ..obs.events import Cause, EventType
-from ..perf.maptable import LruCache
-from .gtd import GlobalTranslationDirectory
+from ..perf.maptable import LruCache, MapTable
+from .pool import BlockPool
+from .stats import FtlStats
+from .stripe import Frontier, stripe_ways
+
+#: ``destination(frontier) -> (latency, pbn)``: the owner's policy for
+#: where the next translation page goes.
+Destination = Callable[[Frontier], Tuple[float, int]]
+
+
+class GlobalTranslationDirectory(MapTable):
+    """The GTD: one RAM entry per translation page, locating its current
+    flash copy.
+
+    An entry of None means the translation page has never been written:
+    every logical page it covers is unmapped.  With 2 KiB pages each
+    translation page covers 512 logical pages, so the directory is ~1/512
+    the size of a full page map - the small RAM structure that makes an
+    in-flash mapping affordable.  It *is* a flat
+    :class:`~repro.perf.maptable.MapTable` (sentinel -1), so probes on
+    the translation hot path are one call, or none through ``raw``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, num_tvpns: int):
+        if num_tvpns <= 0:
+            raise ValueError("num_tvpns must be positive")
+        super().__init__(num_tvpns)
+
+    #: ``gtd.set(tvpn, ppn)``: the table's own item store under the name
+    #: the directory's callers (and the flow lint) know it by.
+    set = MapTable.__setitem__
+    #: How many translation pages exist on flash.
+    materialized = MapTable.mapped_count
+
+    def ram_bytes(self) -> int:
+        """4 bytes per directory entry, the paper's convention."""
+        return len(self.raw) * MAP_ENTRY_BYTES
 
 
 class MappingStore:
-    """Manages GMT pages, the GTD, and the mapping block area (MBA)."""
+    """Translation pages, the GTD that locates them, and their blocks."""
 
     def __init__(
         self,
@@ -37,8 +80,8 @@ class MappingStore:
         stats: FtlStats,
         seq: SequenceCounter,
         num_tvpns: int,
+        destination: Destination,
         cache_pages: int = 0,
-        spare: int = 0,
     ):
         self.flash = flash
         self.stats = stats
@@ -49,110 +92,128 @@ class MappingStore:
         self.cache_pages = cache_pages
         self._cache = LruCache(cache_pages)
         self._full_blocks: Set[int] = set()
-        #: The MBA's open blocks; full ones retire to ``_full_blocks`` as
-        #: the rotation walks over them.  Allocation comes from the
-        #: shared pool whose GC reserve is sized for it (no recursive GC
-        #: here); an extra way opens only while the pool holds more than
-        #: ``spare`` blocks (LazyFTL passes its GC threshold), so
-        #: striping never steals the reclaim cushion.
+        #: The store's open blocks; full ones retire to ``_full_blocks``
+        #: as the rotation walks over them.  Every page allocation goes
+        #: through ``_destination``, so the owner alone decides when an
+        #: extra way may open and whether room is made by reclaiming.
         self._frontier = Frontier(
             flash, pool, stripe_ways(flash.geometry.parallel_units),
             self._full_blocks.add,
         )
-        self._spare = spare
-        #: Optional tracer, threaded down by LazyFTL.attach_tracer.
-        self.tracer = None
+        self._destination = destination
 
     # ------------------------------------------------------------------
     # Membership (for GC candidate enumeration and checkpoints)
     # ------------------------------------------------------------------
     @property
     def full_blocks(self) -> Set[int]:
-        """Retired (full) mapping blocks - the MBA's GC candidates."""
+        """Retired (full) translation blocks - the store's GC candidates."""
         return self._full_blocks
 
     @property
     def frontier(self) -> Optional[int]:
-        """The mapping block the next GMT page write goes to, if open."""
+        """The block the next translation page write goes to, if open."""
         return self._frontier.peek()
 
     def all_blocks(self) -> List[int]:
         return sorted(self._full_blocks) + self._frontier.open_blocks
 
     # ------------------------------------------------------------------
-    # Lookup
+    # Reads
     # ------------------------------------------------------------------
     def tvpn_of(self, lpn: int) -> int:
         return lpn // self.entries_per_page
 
-    def lookup(self, lpn: int) -> Tuple[Optional[int], float]:
-        """Resolve ``lpn`` through the GMT; returns (ppn|None, latency)."""
-        tvpn = self.tvpn_of(lpn)
-        idx = lpn % self.entries_per_page
-        cached = self._cache.get(tvpn)
-        if cached is not None:
-            return cached[idx], 0.0
-        tppn = self.gtd.get(tvpn)
-        if tppn is None:
+    def _read(
+        self, tvpn: int
+    ) -> Tuple[Optional[List[Optional[int]]], float]:
+        """The one flash read of a translation page: ``(content, latency)``
+        without copying, ``(None, 0.0)`` if the page was never written.
+
+        The events carry the caller's cause: a host lookup scopes it to
+        ``mapping``, commits and GC keep their own.
+        """
+        tppn = self.gtd.raw[tvpn]
+        if tppn < 0:
             return None, 0.0
-        tracer = self.tracer
+        content, _, latency = self.flash.read_page(tppn)
+        self.stats.map_reads += 1
+        tracer = self.flash.tracer
+        if tracer is not None:
+            tracer.emit(EventType.MAP_READ, lpn=tvpn, ppn=tppn)
+        return content, latency
+
+    def lookup(self, lpn: int) -> Tuple[Optional[int], float]:
+        """Resolve ``lpn`` through the table; returns (ppn|None, latency)."""
+        entries = self.entries_per_page
+        tvpn = lpn // entries
+        if self.cache_pages > 0:
+            cached = self._cache.get(tvpn)
+            if cached is not None:
+                return cached[lpn % entries], 0.0
+        tracer = self.flash.tracer
         if tracer is not None:
             tracer.push_cause(Cause.MAPPING)
         try:
-            content, _, latency = self.flash.read_page(tppn)
+            content, latency = self._read(tvpn)
         finally:
             if tracer is not None:
                 tracer.pop_cause()
-                tracer.emit(EventType.MAP_READ, lpn=tvpn, ppn=tppn)
-        self.stats.map_reads += 1
-        self._cache.put(tvpn, list(content))
-        return content[idx], latency
+        if content is None:
+            return None, 0.0
+        if self.cache_pages > 0:
+            self._cache.put(tvpn, list(content))
+        return content[lpn % entries], latency
 
     def load(self, tvpn: int) -> Tuple[List[Optional[int]], float]:
-        """Full content of a GMT page (a fresh empty page if absent)."""
-        cached = self._cache.get(tvpn)
-        if cached is not None:
-            return list(cached), 0.0
-        tppn = self.gtd.get(tvpn)
-        if tppn is None:
+        """An editable copy of a translation page (empty if absent)."""
+        if self.cache_pages > 0:
+            cached = self._cache.get(tvpn)
+            if cached is not None:
+                return list(cached), 0.0
+        content, latency = self._read(tvpn)
+        if content is None:
             return [None] * self.entries_per_page, 0.0
-        content, _, latency = self.flash.read_page(tppn)
-        self.stats.map_reads += 1
-        if self.tracer is not None:
-            self.tracer.emit(EventType.MAP_READ, lpn=tvpn, ppn=tppn)
         return list(content), latency
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
+    def checkout(self, tvpn: int) -> Tuple[List[Optional[int]], float]:
+        """Reserve room for a rewrite of ``tvpn``, then :meth:`load` it.
+
+        In that order: a reclaiming destination policy can run GC, and GC
+        can rewrite this very page, so content snapshotted before the
+        reservation would clobber GC's update when it is programmed.
+        Outside GC every read-modify-write starts here and ends in
+        :meth:`program`.
+        """
+        latency, _ = self._destination(self._frontier)
+        content, read_lat = self.load(tvpn)
+        return content, latency + read_lat
+
     def commit(
         self,
         groups: Dict[int, List[Tuple[int, int]]],
         on_superseded: Callable[[int, int], None],
     ) -> float:
-        """Apply batched mapping updates, one GMT page write per group.
+        """Apply batched mapping updates, one page write per group.
 
         Args:
             groups: tvpn -> list of (lpn, new_ppn), as produced by
                 :func:`repro.core.umt.group_by_tvpn`.
             on_superseded: Called with ``(lpn, old_ppn)`` for every entry
-                whose previous GMT value is displaced - the hook LazyFTL
+                whose previous value is displaced - the hook LazyFTL
                 uses for its deferred invalidation of old data pages.
         """
         latency = 0.0
         entries_per_page = self.entries_per_page
         stats = self.stats
-        frontier = self._frontier
-        spare = self._spare
-        load = self.load
-        program = self._program
+        checkout = self.checkout
+        program = self.program
         for tvpn in sorted(groups):
-            # Reserve the slot first so the allocation cannot interleave
-            # with the content snapshot below.
-            if frontier.take(spare) is None:
-                frontier.open()
-            content, read_lat = load(tvpn)
-            latency += read_lat
+            content, room_lat = checkout(tvpn)
+            latency += room_lat
             group = groups[tvpn]
             for lpn, new_ppn in group:
                 idx = lpn % entries_per_page
@@ -162,42 +223,44 @@ class MappingStore:
                 content[idx] = new_ppn
             stats.batched_commits += len(group)
             latency += program(tvpn, content)
-        if self.tracer is not None:
-            self.tracer.emit(
+        tracer = self.flash.tracer
+        if tracer is not None:
+            tracer.emit(
                 EventType.BATCH_COMMIT,
                 entries=sum(len(g) for g in groups.values()),
                 gmt_pages=len(groups),
             )
         return latency
 
-    def _program(self, tvpn: int, content: List[Optional[int]]) -> float:
-        """Write a new version of GMT page ``tvpn``; update GTD and cache."""
+    def program(self, tvpn: int, content: List[Optional[int]]) -> float:
+        """Write a new version of page ``tvpn``; update GTD and cache."""
         flash = self.flash
-        pbn = self._frontier.take(self._spare)
-        if pbn is None:
-            pbn = self._frontier.open()
+        latency, pbn = self._destination(self._frontier)
         ppn = pbn * self._pages_per_block + flash.write_ptr[pbn]
-        latency = flash.program_page(
+        latency += flash.program_page(
             ppn,
             content,
             make_oob((tvpn, self.seq.next(), PageKind.MAPPING, False)),
         )
         self.stats.map_writes += 1
-        if self.tracer is not None:
-            self.tracer.emit(EventType.MAP_WRITE, lpn=tvpn, ppn=ppn)
+        tracer = flash.tracer
+        if tracer is not None:
+            tracer.emit(EventType.MAP_WRITE, lpn=tvpn, ppn=ppn)
         old = self.gtd.get(tvpn)
         if old is not None:
             flash.invalidate_page(old)
         self.gtd.set(tvpn, ppn)
-        self._cache.put(tvpn, content)
+        if self.cache_pages > 0:
+            self._cache.put(tvpn, content)
         return latency
 
     # ------------------------------------------------------------------
-    # Garbage collection of mapping blocks
+    # Garbage collection of translation blocks
     # ------------------------------------------------------------------
     # flowlint: hot
     def collect(self, pbn: int) -> float:
-        """Relocate a victim MBA block's valid GMT pages; caller erases."""
+        """Relocate a victim block's valid translation pages; the caller
+        erases it."""
         latency = 0.0
         flash = self.flash
         write_ptr = flash.write_ptr
@@ -207,20 +270,18 @@ class MappingStore:
         seq_next = self.seq.next
         gtd_set = self.gtd.set
         stats = self.stats
-        tracer = self.tracer
+        tracer = flash.tracer
         ppb = self._pages_per_block
         frontier = self._frontier
-        take = frontier.take
-        spare = self._spare
+        destination = self._destination
         for src in flash.valid_ppns(pbn):
             content, oob, read_lat = read_page(src)
             latency += read_lat
             stats.map_reads += 1
             if tracer is not None:
                 tracer.emit(EventType.MAP_READ, lpn=oob.lpn, ppn=src)
-            dst_pbn = take(spare)
-            if dst_pbn is None:
-                dst_pbn = frontier.open()
+            room_lat, dst_pbn = destination(frontier)
+            latency += room_lat
             dst = dst_pbn * ppb + write_ptr[dst_pbn]
             latency += program_page(
                 dst,
@@ -244,7 +305,7 @@ class MappingStore:
         return self.gtd.ram_bytes() + cache_bytes
 
     def snapshot(self) -> Dict[str, object]:
-        """Checkpoint fragment: GTD + MBA membership.
+        """Checkpoint fragment: GTD + block membership.
 
         ``frontier`` is the newest open block; the ``open`` key (older
         open blocks) only appears when several are open, so

@@ -19,7 +19,7 @@ The ``ftlint`` rule FTL007 steers new schemes toward this module instead
 of fresh ``dict``-based maps.
 
 :class:`LruCache` is the companion bounded cache (used by the GMT
-ablation cache in :mod:`repro.core.mapping`): an explicit OrderedDict
+ablation cache in :mod:`repro.ftl.mapping`): an explicit OrderedDict
 LRU that only pays ``move_to_end`` on a *hit* - a fresh insert already
 lands at the MRU end, so the miss path is a plain insert plus bounded
 eviction.

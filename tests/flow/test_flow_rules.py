@@ -115,6 +115,26 @@ class TestPairing:
                     self.cmt.commit(groups, self._deferred_invalidate)
         """, "FTL010") == []
 
+    def test_shared_store_rewrite_satisfies(self):
+        # DFTL's eviction shape: the old copy is invalidated inside the
+        # shared MappingStore (another module), so its ``program`` is
+        # credited by contract; a same-named call on a non-map receiver
+        # earns nothing.
+        source = """
+            class M:
+                def _flush(self, tvpn):
+                    content, _ = self._maps.checkout(tvpn)
+                    self.{receiver}.program(tvpn, content)
+
+                def lookup(self, lpn):
+                    entry = self._cmt.get(lpn)
+                    self._flush(lpn // 8)
+                    self._cmt[lpn] = entry
+        """
+        assert flagged(source.format(receiver="_maps"), "FTL010") == []
+        assert flagged(source.format(receiver="_chip"), "FTL010") == [
+            (10, "FTL010")]
+
     def test_aliased_table_write_is_detected(self):
         # Pre-bound method idiom: the write goes through a local alias.
         assert flagged("""

@@ -1,155 +1,264 @@
-"""Unit tests for the MappingStore (GMT pages, GTD, MBA management)."""
+"""Unit tests for the MappingStore (translation pages, GTD, its blocks).
 
-import pytest
+The store is one class behind two owners, so the behaviour tests run
+twice: the base classes under LazyFTL's destination policy (never
+reclaim), their ``...UnderDftlPolicy`` subclasses under DFTL's (reclaim
+when the pool is low, except inside GC).  Each store is the one the
+scheme itself builds, so the policy under test is the real one.
+"""
 
-from repro.core.mapping import MappingStore
+from repro.core import LazyConfig, LazyFTL
 from repro.flash import (
     FlashGeometry,
     NandFlash,
-    OOBData,
-    PageKind,
     PageState,
     SequenceCounter,
     UNIT_TIMING,
 )
+from repro.ftl import DftlFTL
+from repro.ftl.mapping import MappingStore
 from repro.ftl.pool import BlockPool
 from repro.ftl.stats import FtlStats
 
+#: Six translation pages of 16 entries (64-byte pages, 4-byte entries).
+LOGICAL_PAGES = 6 * 16
 
-def make_store(cache_pages=0, blocks=16, pages=4, page_size=64):
-    flash = NandFlash(
-        FlashGeometry(num_blocks=blocks, pages_per_block=pages,
-                      page_size=page_size),
+
+def make_flash(pages=4, blocks=96):
+    return NandFlash(
+        FlashGeometry(num_blocks=blocks, pages_per_block=pages, page_size=64),
         timing=UNIT_TIMING,
     )
-    pool = BlockPool(range(blocks))
-    stats = FtlStats()
-    seq = SequenceCounter()
-    store = MappingStore(flash, pool, stats, seq, num_tvpns=6,
-                         cache_pages=cache_pages)
-    return store
+
+
+def lazy_store(cache_pages=0, pages=4, flash=None):
+    config = LazyConfig(map_cache_pages=cache_pages)
+    flash = flash or make_flash(pages)
+    return LazyFTL(flash, LOGICAL_PAGES, config).mapping_store
+
+
+def dftl_store(pages=4, flash=None):
+    return DftlFTL(flash or make_flash(pages), LOGICAL_PAGES)._maps
+
+
+def ignore(lpn, ppn):
+    pass
 
 
 class TestLookupAndCommit:
+    make_store = staticmethod(lazy_store)
+
     def test_unmapped_lookup_free(self):
-        store = make_store()
+        store = self.make_store()
         ppn, latency = store.lookup(0)
         assert ppn is None
         assert latency == 0.0
         assert store.stats.map_reads == 0
 
     def test_commit_then_lookup(self):
-        store = make_store()
-        store.commit({0: [(3, 99)]}, on_superseded=lambda l, p: None)
+        store = self.make_store()
+        store.commit({0: [(3, 99)]}, on_superseded=ignore)
         ppn, latency = store.lookup(3)
         assert ppn == 99
-        assert latency == 1.0  # one GMT page read
+        assert latency == 1.0  # one translation page read
         assert store.stats.map_writes == 1
         assert store.stats.batched_commits == 1
 
     def test_commit_batches_same_page(self):
-        store = make_store()
-        store.commit({0: [(0, 10), (1, 11), (2, 12)]},
-                     on_superseded=lambda l, p: None)
+        store = self.make_store()
+        store.commit({0: [(0, 10), (1, 11), (2, 12)]}, on_superseded=ignore)
         assert store.stats.map_writes == 1
         assert store.stats.batched_commits == 3
 
     def test_commit_reports_superseded(self):
-        store = make_store()
+        store = self.make_store()
         superseded = []
-        store.commit({0: [(3, 99)]}, on_superseded=lambda l, p: None)
+        store.commit({0: [(3, 99)]}, on_superseded=ignore)
         store.commit({0: [(3, 120)]},
                      on_superseded=lambda l, p: superseded.append((l, p)))
         assert superseded == [(3, 99)]
         assert store.lookup(3)[0] == 120
 
     def test_recommit_same_value_not_superseded(self):
-        store = make_store()
-        store.commit({0: [(3, 99)]}, on_superseded=lambda l, p: None)
+        store = self.make_store()
+        store.commit({0: [(3, 99)]}, on_superseded=ignore)
         called = []
         store.commit({0: [(3, 99)]},
                      on_superseded=lambda l, p: called.append((l, p)))
         assert called == []
 
     def test_old_gmt_page_invalidated_on_rewrite(self):
-        store = make_store()
-        store.commit({0: [(0, 10)]}, on_superseded=lambda l, p: None)
+        store = self.make_store()
+        store.commit({0: [(0, 10)]}, on_superseded=ignore)
         first = store.gtd.get(0)
-        store.commit({0: [(1, 11)]}, on_superseded=lambda l, p: None)
+        store.commit({0: [(1, 11)]}, on_superseded=ignore)
         second = store.gtd.get(0)
         assert first != second
         assert store.flash.page_state(first) is PageState.INVALID
 
+    def test_program_rewrites_a_loaded_page(self):
+        # The read-modify-write DFTL's GC does without going through commit.
+        store = self.make_store()
+        content, latency = store.load(2)
+        assert content == [None] * 16 and latency == 0.0
+        content[1] = 77
+        store.program(2, content)
+        first = store.gtd.get(2)
+        content, latency = store.load(2)
+        assert content[1] == 77 and latency == 1.0
+        content[2] = 78
+        store.program(2, content)
+        assert store.flash.page_state(first) is PageState.INVALID
+        assert store.lookup(33)[0] == 77
+        assert store.lookup(34)[0] == 78
+        assert store.stats.map_writes == 2
+        assert store.stats.batched_commits == 0
+
+
+class TestLookupAndCommitUnderDftlPolicy(TestLookupAndCommit):
+    make_store = staticmethod(dftl_store)
+
 
 class TestFrontierAndGC:
+    make_store = staticmethod(lazy_store)
+
     def test_frontier_retires_when_full(self):
-        store = make_store(pages=2)
+        store = self.make_store(pages=2)
         for tvpn in range(3):
-            store.commit({tvpn: [(tvpn * 16, tvpn)]},
-                         on_superseded=lambda l, p: None)
+            store.commit({tvpn: [(tvpn * 16, tvpn)]}, on_superseded=ignore)
         assert len(store.full_blocks) >= 1
 
     def test_collect_relocates_valid_pages(self):
-        store = make_store(pages=2)
+        store = self.make_store(pages=2)
         # Fill one mapping block with two live GMT pages, retire it.
-        store.commit({0: [(0, 1)]}, on_superseded=lambda l, p: None)
-        store.commit({1: [(16, 2)]}, on_superseded=lambda l, p: None)
-        store.commit({2: [(32, 3)]}, on_superseded=lambda l, p: None)
+        store.commit({0: [(0, 1)]}, on_superseded=ignore)
+        store.commit({1: [(16, 2)]}, on_superseded=ignore)
+        store.commit({2: [(32, 3)]}, on_superseded=ignore)
         victim = next(iter(store.full_blocks))
         copies_before = store.stats.gc_page_copies
         store.collect(victim)
         assert store.stats.gc_page_copies > copies_before
-        # Every GTD entry still resolves after relocation.
+        assert victim not in store.full_blocks
+        # The directory is exact after relocation: every entry names a
+        # valid mapping page outside the victim that says so itself.
+        flash = store.flash
+        for tvpn, tppn in store.gtd.items():
+            assert flash.geometry.block_of(tppn) != victim
+            assert flash.page_state(tppn) is PageState.VALID
+            assert flash.page_oob[tppn].lpn == tvpn
         assert store.lookup(0)[0] == 1
         assert store.lookup(16)[0] == 2
+        assert store.lookup(32)[0] == 3
         store.flash.erase_block(victim)  # caller's job; must not raise
 
     def test_all_blocks_listing(self):
-        store = make_store()
+        store = self.make_store()
         assert store.all_blocks() == []
-        store.commit({0: [(0, 1)]}, on_superseded=lambda l, p: None)
+        store.commit({0: [(0, 1)]}, on_superseded=ignore)
         assert store.frontier in store.all_blocks()
+
+
+class TestFrontierAndGCUnderDftlPolicy(TestFrontierAndGC):
+    make_store = staticmethod(dftl_store)
 
 
 class TestCache:
     def test_cache_hit_is_free(self):
-        store = make_store(cache_pages=2)
-        store.commit({0: [(0, 7)]}, on_superseded=lambda l, p: None)
+        store = lazy_store(cache_pages=2)
+        store.commit({0: [(0, 7)]}, on_superseded=ignore)
         assert store.lookup(0) == (7, 0.0)  # programmed content is cached
         assert store.stats.map_reads == 0
 
     def test_cache_capacity_evicts_lru(self):
-        store = make_store(cache_pages=1)
-        store.commit({0: [(0, 7)]}, on_superseded=lambda l, p: None)
-        store.commit({1: [(16, 8)]}, on_superseded=lambda l, p: None)
+        store = lazy_store(cache_pages=1)
+        store.commit({0: [(0, 7)]}, on_superseded=ignore)
+        store.commit({1: [(16, 8)]}, on_superseded=ignore)
         # tvpn 0 was evicted by tvpn 1: lookup now reads flash.
         ppn, latency = store.lookup(0)
         assert ppn == 7
         assert latency == 1.0
 
+    def test_lookup_admits_a_private_copy(self):
+        store = lazy_store(cache_pages=1)
+        store.commit({0: [(0, 7)]}, on_superseded=ignore)
+        store.commit({1: [(16, 8)]}, on_superseded=ignore)
+        assert store.lookup(0) == (7, 1.0)  # miss: read and admitted
+        assert store.lookup(0) == (7, 0.0)
+        on_flash = store.flash.page_data[store.gtd.get(0)]
+        assert store._cache.get(0) == on_flash
+        assert store._cache.get(0) is not on_flash
+
     def test_cache_coherent_after_collect(self):
-        store = make_store(cache_pages=4, pages=2)
-        store.commit({0: [(0, 1)]}, on_superseded=lambda l, p: None)
-        store.commit({1: [(16, 2)]}, on_superseded=lambda l, p: None)
-        store.commit({2: [(32, 3)]}, on_superseded=lambda l, p: None)
+        store = lazy_store(cache_pages=4, pages=2)
+        store.commit({0: [(0, 1)]}, on_superseded=ignore)
+        store.commit({1: [(16, 2)]}, on_superseded=ignore)
+        store.commit({2: [(32, 3)]}, on_superseded=ignore)
         victim = next(iter(store.full_blocks))
         store.collect(victim)
         assert store.lookup(0)[0] == 1
 
     def test_ram_accounting(self):
-        assert make_store(cache_pages=0).ram_bytes() == 6 * 4
-        cached = make_store(cache_pages=2)
-        assert cached.ram_bytes() == 6 * 4 + 2 * 16 * 4
+        assert lazy_store(cache_pages=0).ram_bytes() == 6 * 4
+        assert lazy_store(cache_pages=2).ram_bytes() == 6 * 4 + 2 * 16 * 4
+        assert dftl_store().ram_bytes() == 6 * 4
 
 
 class TestSnapshotRestore:
+    make_store = staticmethod(lazy_store)
+
     def test_roundtrip(self):
-        store = make_store()
-        store.commit({0: [(0, 5)], 2: [(33, 6)]},
-                     on_superseded=lambda l, p: None)
+        store = self.make_store(pages=2)
+        for value in range(3):  # three full blocks ...
+            store.commit({0: [(0, value)], 2: [(33, 6)]},
+                         on_superseded=ignore)
+        store.commit({1: [(16, 9)]}, on_superseded=ignore)  # ... one open
+        assert len(store.full_blocks) == 3
         snap = store.snapshot()
-        other = make_store()
-        other.flash = store.flash  # same device
+        other = self.make_store(flash=store.flash)  # same device
         other.restore(snap)
-        assert other.gtd.get(0) == store.gtd.get(0)
+        assert other.gtd.snapshot() == store.gtd.snapshot()
+        assert other.full_blocks == store.full_blocks
         assert other.frontier == store.frontier
+        assert other.lookup(0) == store.lookup(0) == (2, 1.0)
+        assert other.lookup(33)[0] == 6
+
+
+class TestSnapshotRestoreUnderDftlPolicy(TestSnapshotRestore):
+    make_store = staticmethod(dftl_store)
+
+
+class TestReserveBeforeSnapshot:
+    def test_checkout_sees_what_the_reservation_wrote(self):
+        flash = make_flash()
+        pool = BlockPool(range(flash.geometry.num_blocks))
+        reclaims = []
+
+        def destination(frontier):
+            # DFTL's shape: the first request for room runs a GC pass
+            # that moves lpn 5 and writes its new location into
+            # translation page 0 - the very page being checked out.
+            if not reclaims:
+                reclaims.append("gc")
+                content, _ = store.load(0)
+                content[5] = 500
+                store.program(0, content)
+            pbn = frontier.take(0)
+            return 3.0, frontier.open() if pbn is None else pbn
+
+        store = MappingStore(flash, pool, FtlStats(), SequenceCounter(),
+                             num_tvpns=6, destination=destination)
+        store.commit({0: [(5, 50), (6, 60)]}, on_superseded=ignore)
+
+        reclaims.clear()
+        content, latency = store.checkout(0)
+        assert reclaims == ["gc"]
+        assert content[5] == 500  # not the 50 from before the reservation
+        assert latency == 3.0 + 1.0  # making room + one page read
+
+        # commit goes through the same door.
+        content[5] = 50
+        store.program(0, content)
+        reclaims.clear()
+        store.commit({0: [(6, 61)]}, on_superseded=ignore)
+        assert store.lookup(5)[0] == 500
+        assert store.lookup(6)[0] == 61

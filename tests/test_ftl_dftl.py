@@ -86,9 +86,10 @@ class TestDftlTranslation:
 
     def test_gtd_none_until_first_flush(self):
         ftl = make_dftl()
-        assert all(t is None for t in ftl._gtd)
+        assert all(t is None for t in ftl._maps.gtd)
         ftl.write(0, "x")
-        assert all(t is None for t in ftl._gtd)  # mapping still only in CMT
+        # mapping still only in CMT
+        assert all(t is None for t in ftl._maps.gtd)
 
     def test_ram_bytes_scales_with_cmt(self):
         small = make_dftl(cmt=8)

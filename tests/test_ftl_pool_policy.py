@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flash import FlashGeometry, NandFlash
-from repro.ftl.gc_policy import select_cost_benefit, select_greedy
+from repro.ftl.gc_policy import select_greedy
 from repro.ftl.pool import BlockPool, OutOfBlocksError
 
 
@@ -79,23 +79,3 @@ class TestGreedyPolicy:
             for off in range(valid, PAGES):
                 flash.invalidate_page(pbn * PAGES + off)
         assert select_greedy(range(3), flash.valid_count) == 1
-
-
-class TestCostBenefitPolicy:
-    def test_prefers_old_sparse_blocks(self):
-        ages = {0: 1.0, 1: 100.0}
-        pick = select_cost_benefit(
-            [0, 1], valid_counts(2, 2), PAGES, age_of=ages.__getitem__
-        )
-        assert pick == 1
-
-    def test_fully_valid_block_never_picked_over_reclaimable(self):
-        pick = select_cost_benefit(
-            [0, 1], valid_counts(8, 6), PAGES, age_of=lambda pbn: 1.0
-        )
-        assert pick == 1
-
-    def test_empty_candidates(self):
-        assert select_cost_benefit(
-            [], valid_counts(), PAGES, age_of=lambda pbn: 1.0
-        ) is None

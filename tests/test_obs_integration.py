@@ -132,15 +132,22 @@ class TestSchemeSignatures:
         assert kinds  # every merge is tagged with its kind
 
     def test_mapping_traffic_tagged_for_dftl(self):
-        # A CMT far smaller than the footprint forces host-path misses.
-        ring = RingBufferSink(capacity=200000)
-        run_scheme("DFTL", heavy_random_writes(), device=SMALL_DEVICE,
-                   tracer=Tracer(sinks=[ring]), cmt_entries=64)
-        events = ring.events
-        map_reads = [e for e in events if e.type is EventType.MAP_READ]
-        assert map_reads  # CMT misses read translation pages
-        host_path = [e for e in map_reads if e.cause is Cause.MAPPING]
-        assert host_path  # host-path lookups are attributed to mapping
+        # Both flash-map schemes read translation pages on the host path
+        # - DFTL on CMT misses (a CMT far smaller than the footprint
+        # forces them), LazyFTL on reads the UMT does not cover - through
+        # one read primitive, so both tag them the same way.
+        for scheme, options in (("DFTL", {"cmt_entries": 64}),
+                                ("LazyFTL", {})):
+            ring = RingBufferSink(capacity=200000)
+            run_scheme(scheme, heavy_random_writes(), device=SMALL_DEVICE,
+                       tracer=Tracer(sinks=[ring]), **options)
+            map_reads = [e for e in ring.events
+                         if e.type is EventType.MAP_READ]
+            assert map_reads, scheme  # translation pages were read
+            host_path = [e for e in map_reads if e.cause is Cause.MAPPING]
+            # host-path lookups are attributed to mapping, never to host
+            assert host_path, scheme
+            assert not [e for e in map_reads if e.cause is Cause.HOST], scheme
 
     def test_housekeeping_share_ranks_schemes(self):
         tracer = Tracer()
