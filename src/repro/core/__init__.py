@@ -11,7 +11,7 @@ Public surface:
   analysis and extensions.
 """
 
-from .areas import BlockArea, DataBlockSet
+from .areas import BlockArea
 from .config import LazyConfig
 from ..ftl.mapping import GlobalTranslationDirectory, MappingStore
 from .lazyftl import ANCHOR_BLOCKS, LazyFTL
@@ -23,7 +23,6 @@ __all__ = [
     "LazyFTL",
     "LazyConfig",
     "BlockArea",
-    "DataBlockSet",
     "GlobalTranslationDirectory",
     "MappingStore",
     "CheckpointError",

@@ -4,7 +4,8 @@ LazyFTL partitions physical blocks into four roles:
 
 * **UBA** (update block area) - absorbs host writes, FIFO-converted;
 * **CBA** (cold block area) - absorbs GC relocations, FIFO-converted;
-* **DBA** (data block area) - converted blocks; the GC victim pool;
+* **DBA** (data block area) - converted blocks; the GC victim pool,
+  held by the collector (:class:`~repro.ftl.gc_policy.GarbageCollector`);
 * **MBA** (mapping block area) - GMT pages (managed by
   :class:`~repro.ftl.mapping.MappingStore`).
 
@@ -16,7 +17,7 @@ a block leaves the UBA/CBA simply by having its mapping entries committed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Set
+from typing import Deque, Iterable, List, Optional
 
 
 class BlockArea:
@@ -79,33 +80,3 @@ class BlockArea:
         self._fifo = deque(blocks)
         if len(set(self._fifo)) != len(self._fifo):
             raise ValueError(f"duplicate blocks restored into {self.name}")
-
-
-class DataBlockSet:
-    """The DBA: converted data blocks, i.e. the GC victim pool."""
-
-    def __init__(self) -> None:
-        self._members: Set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, pbn: int) -> bool:
-        return pbn in self._members
-
-    def __iter__(self):
-        # Raw set order is fine here: every consumer feeds select_greedy,
-        # whose (valid_count, erase_count, pbn) key is a total order.
-        return iter(self._members)  # ftlint: disable=FTL012
-
-    def add(self, pbn: int) -> None:
-        self._members.add(pbn)
-
-    def discard(self, pbn: int) -> None:
-        self._members.discard(pbn)
-
-    def snapshot(self) -> List[int]:
-        return sorted(self._members)
-
-    def restore(self, blocks: Iterable[int]) -> None:
-        self._members = set(blocks)

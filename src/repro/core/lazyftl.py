@@ -20,20 +20,18 @@ mapping is committed at conversion time, or sooner if GC stumbles on it
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..flash.chip import NandFlash
-from ..flash.errors import BadBlockError
 from ..flash.oob import PageKind, SequenceCounter, make_oob
 from ..flash.page import VALID
 from ..ftl.base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
 from ..obs.events import Cause, EventType
-from ..ftl.gc_policy import select_greedy
+from ..ftl.gc_policy import GarbageCollector
 from ..ftl.mapping import MappingStore
-from ..ftl.pool import BlockPool, OutOfBlocksError
+from ..ftl.pool import BlockPool
 from ..ftl.stripe import Frontier, stripe_ways
-from .areas import BlockArea, DataBlockSet
+from .areas import BlockArea
 from .config import LazyConfig
 from .umt import UpdateMappingTable, group_by_tvpn
 
@@ -99,14 +97,10 @@ class LazyFTL(FlashTranslationLayer):
         #: multiply-add instead of a method call through the geometry object.
         self._pages_per_block = geometry.pages_per_block
         self._seq = SequenceCounter()
-        self._pool = BlockPool(
-            b for b in range(geometry.num_blocks)
-            if b not in ANCHOR_BLOCKS and not flash.is_bad[b]
-        )
+        self._pool = BlockPool.for_device(flash, reserved=ANCHOR_BLOCKS)
         self._umt = UpdateMappingTable(self.entries_per_page)
         self._uba = BlockArea("UBA", self.config.uba_blocks)
         self._cba = BlockArea("CBA", self.config.cba_blocks)
-        self._dba = DataBlockSet()
         self._maps = MappingStore(
             flash,
             self._pool,
@@ -115,6 +109,11 @@ class LazyFTL(FlashTranslationLayer):
             self.num_tvpns,
             self._map_destination,
             cache_pages=self.config.map_cache_pages,
+        )
+        # The DBA is the collector's victim pool, ``self._gc.blocks``.
+        self._gc = GarbageCollector(
+            flash, self._pool, self.stats, self.config.gc_free_threshold,
+            self._collect_data_block, self._maps,
         )
         # The UBA and CBA frontiers keep several blocks open on a
         # multi-channel device and rotate programs across parallel units
@@ -125,7 +124,6 @@ class LazyFTL(FlashTranslationLayer):
             flash, self._pool, stripe_ways(units, self.config.uba_blocks))
         self._cba_frontier = Frontier(
             flash, self._pool, stripe_ways(units, self.config.cba_blocks))
-        self._in_maintenance = False
         self._writes_since_checkpoint = 0
         #: Hoisted from the (frozen) config: write() skips the periodic-
         #: checkpoint call entirely when checkpointing is off (the default).
@@ -167,7 +165,9 @@ class LazyFTL(FlashTranslationLayer):
         # way may open on any free block.
         frontier = self._uba_frontier.take(0)
         if frontier is None:
-            latency = self._reclaim_if_needed()
+            latency = self._gc.reclaim()
+            if self.config.wear_threshold is not None:
+                latency += self._maybe_wear_level()
             open_lat, frontier = self._open_block(
                 self._uba, self._uba_frontier)
             latency += open_lat
@@ -214,7 +214,7 @@ class LazyFTL(FlashTranslationLayer):
 
     @property
     def dba_blocks(self) -> List[int]:
-        return self._dba.snapshot()
+        return sorted(self._gc.blocks)
 
     def _restore_blocks(
         self,
@@ -232,7 +232,8 @@ class LazyFTL(FlashTranslationLayer):
         """
         self._uba.restore(uba)
         self._cba.restore(cba)
-        self._dba.restore(dba)
+        self._gc.blocks.clear()
+        self._gc.blocks.update(dba)
         self._pool.refill(free)
         self._maps.restore(maps_state)
         self._uba_frontier.reset(self._uba)
@@ -279,7 +280,7 @@ class LazyFTL(FlashTranslationLayer):
         else:
             pbn = area.pop_oldest()
         latency = self._convert_block(pbn)
-        self._dba.add(pbn)
+        self._gc.blocks.add(pbn)
         return latency
 
     def _cheapest_convert_victim(self, area: BlockArea) -> int:
@@ -390,61 +391,6 @@ class LazyFTL(FlashTranslationLayer):
     # ------------------------------------------------------------------
     # Garbage collection (merge-free)
     # ------------------------------------------------------------------
-    def _reclaim_if_needed(self) -> float:
-        latency = 0.0
-        while len(self._pool) <= self.config.gc_free_threshold:
-            latency += self._collect_one()
-        if self.config.wear_threshold is not None:
-            latency += self._maybe_wear_level()
-        return latency
-
-    def _collect_one(self, forced_victim: Optional[int] = None) -> float:
-        flash = self.flash
-        if forced_victim is not None:
-            victim: Optional[int] = forced_victim
-        else:
-            # select_greedy's order is total (fewest valid, then lowest
-            # pbn), so set iteration order cannot change the victim.
-            victim = select_greedy(
-                chain(self._dba, self._maps.full_blocks), flash.valid_count
-            )
-        if victim is None:
-            raise OutOfBlocksError("LazyFTL GC found no victim")
-        if forced_victim is None and \
-                flash.valid_count[victim] >= self._pages_per_block:
-            raise OutOfBlocksError(
-                "LazyFTL GC victim fully valid - no reclaimable slack "
-                "(reduce logical_pages or enlarge the device)"
-            )
-        self.stats.gc_runs += 1
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.span_start(EventType.GC_START, Cause.GC, ppn=victim)
-        try:
-            self._in_maintenance = True
-            try:
-                if victim in self._maps.full_blocks:
-                    latency = self._maps.collect(victim)
-                else:
-                    latency = self._collect_data_block(victim)
-            finally:
-                self._in_maintenance = False
-            self._dba.discard(victim)
-            try:
-                latency += flash.erase_block(victim)
-            except BadBlockError:
-                # The block wore out on this erase.  Its live pages were
-                # already relocated above, so nothing is lost - retire it
-                # (never returned to the pool) and keep collecting.
-                self.stats.bad_blocks_retired += 1
-                return latency
-            self.stats.gc_erases += 1
-            self._pool.release(victim)
-            return latency
-        finally:
-            if tracer is not None:
-                tracer.span_end(EventType.GC_END, ppn=victim)
-
     # flowlint: hot
     def _collect_data_block(self, pbn: int) -> float:
         """Relocate a DBA victim's live pages into the cold area."""
@@ -508,15 +454,11 @@ class LazyFTL(FlashTranslationLayer):
             return 0.0
         soft_threshold = 2 * self.config.gc_free_threshold
         used = 0.0
-        valid_count = self.flash.valid_count
         while used < budget_us and len(self._pool) <= soft_threshold:
-            victim = select_greedy(
-                chain(self._dba, self._maps.full_blocks), valid_count
-            )
-            if victim is None or \
-                    valid_count[victim] >= self._pages_per_block:
+            victim = self._gc.select()
+            if victim is None:
                 break  # nothing profitably reclaimable right now
-            used += self._collect_one()
+            used += self._gc.collect(victim)
         return used
 
     def _maybe_wear_level(self) -> float:
@@ -526,15 +468,11 @@ class LazyFTL(FlashTranslationLayer):
         usable = [b for b in range(len(counts)) if b not in ANCHOR_BLOCKS]
         max_wear = max(counts[b] for b in usable)
         coldest = min(
-            (b for b in self._dba),
-            key=lambda b: (counts[b], b),
-            default=None,
-        )
-        if coldest is None:
+            self._gc.blocks, key=lambda b: (counts[b], b), default=None)
+        if coldest is None or \
+                max_wear - counts[coldest] <= self.config.wear_threshold:
             return 0.0
-        if max_wear - counts[coldest] <= self.config.wear_threshold:
-            return 0.0
-        return self._collect_one(forced_victim=coldest)
+        return self._gc.collect(coldest)
 
     # ------------------------------------------------------------------
     # Flush and checkpointing
@@ -565,7 +503,7 @@ class LazyFTL(FlashTranslationLayer):
             "maps": self._maps.snapshot(),
             "uba": self._uba.snapshot(),
             "cba": self._cba.snapshot(),
-            "dba": self._dba.snapshot(),
+            "dba": self.dba_blocks,
             "free": self._pool.snapshot(),
         }
         if self.config.checkpoint_umt:
@@ -581,9 +519,7 @@ class LazyFTL(FlashTranslationLayer):
                 tracer.pop_cause()
 
     def _periodic_checkpoint(self) -> float:
-        if self.config.checkpoint_interval <= 0:
-            return 0.0
         self._writes_since_checkpoint += 1
-        if self._writes_since_checkpoint < self.config.checkpoint_interval:
+        if self._writes_since_checkpoint < self._ckpt_interval:
             return 0.0
         return self.checkpoint()

@@ -14,6 +14,8 @@ from typing import Any
 
 from ..flash.chip import NandFlash
 from ..obs.tracer import Tracer
+from .gc_policy import recycle_block
+from .pool import BlockPool
 from .stats import FtlStats
 
 
@@ -64,6 +66,9 @@ class FlashTranslationLayer(ABC):
     #: The simulator disables the chip's sequential-programming check for
     #: such schemes.
     requires_random_program: bool = False
+
+    #: Every scheme builds its free-block pool in ``__init__``.
+    _pool: BlockPool
 
     def __init__(self, flash: NandFlash, logical_pages: int):
         if logical_pages <= 0:
@@ -123,6 +128,10 @@ class FlashTranslationLayer(ABC):
         arrival finds the device idle.
         """
         return 0.0
+
+    def _erase(self, pbn: int) -> float:
+        """Erase a dead block and release it (or retire it, worn out)."""
+        return recycle_block(self.flash, self._pool, self.stats, pbn)
 
     # ------------------------------------------------------------------
     # Observability

@@ -76,7 +76,7 @@ class BastFTL(FlashTranslationLayer):
         self.num_log_blocks = num_log_blocks
         self._block_map = MapTable(self.num_lbns)
         self._logs: "OrderedDict[int, _LogBlock]" = OrderedDict()  # LRU
-        self._pool = BlockPool(range(flash.geometry.num_blocks))
+        self._pool = BlockPool.for_device(flash)
         self._seq = SequenceCounter()
 
     # ------------------------------------------------------------------
@@ -270,10 +270,4 @@ class BastFTL(FlashTranslationLayer):
         self._block_map[lbn] = new_pbn
         latency += self._erase(data_pbn)
         latency += self._erase(log.pbn)
-        return latency
-
-    def _erase(self, pbn: int) -> float:
-        latency = self.flash.erase_block(pbn)
-        self.stats.gc_erases += 1
-        self._pool.release(pbn)
         return latency

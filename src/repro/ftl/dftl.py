@@ -24,17 +24,16 @@ employing demand-based selective caching of page-level address mappings"
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import chain
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import PageKind, SequenceCounter, make_oob
-from ..obs.events import Cause, EventType
+from ..obs.events import Cause
 from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
-from .gc_policy import select_greedy
+from .gc_policy import GarbageCollector
 from .mapping import MappingStore
-from .pool import BlockPool, OutOfBlocksError
+from .pool import BlockPool
 from .stripe import Frontier, stripe_ways
 
 
@@ -90,19 +89,9 @@ class DftlFTL(FlashTranslationLayer):
         # table would waste the RAM the scheme exists to save.
         self._cmt: "OrderedDict[int, _CmtEntry]" = (
             OrderedDict())  # ftlint: disable=FTL007
-        self._pool = BlockPool(range(flash.geometry.num_blocks))
-        self._data_blocks: Set[int] = set()
-        self._in_gc = False
+        pool = self._pool = BlockPool.for_device(flash)
         self._pages_per_block = flash.geometry.pages_per_block
         self._seq = SequenceCounter()
-        # Each frontier rotates over up to ``ways`` concurrently-open
-        # blocks so program bursts (host writes, GC relocation) land on
-        # different parallel units and overlap; one way on the serial
-        # device.
-        ways = stripe_ways(flash.geometry.parallel_units)
-        pool = self._pool
-        self._data_active = Frontier(flash, pool, ways, self._data_blocks.add)
-        self._gc_active = Frontier(flash, pool, ways, self._data_blocks.add)
         # The translation pages, their directory and their blocks; only
         # where the next one may go (_trans_destination) is DFTL's.
         entries = flash.geometry.map_entries_per_page
@@ -111,6 +100,18 @@ class DftlFTL(FlashTranslationLayer):
             (logical_pages + entries - 1) // entries,
             self._trans_destination,
         )
+        self._gc = GarbageCollector(
+            flash, pool, self.stats, gc_free_threshold,
+            self._collect_data_block, self._maps,
+        )
+        # Each frontier rotates over up to ``ways`` concurrently-open
+        # blocks so program bursts (host writes, GC relocation) land on
+        # different parallel units and overlap; one way on the serial
+        # device.  Full blocks retire to the collector's victim pool.
+        ways = stripe_ways(flash.geometry.parallel_units)
+        retire = self._gc.blocks.add
+        self._data_active = Frontier(flash, pool, ways, retire)
+        self._gc_active = Frontier(flash, pool, ways, retire)
 
     # ------------------------------------------------------------------
     # Host interface
@@ -137,7 +138,7 @@ class DftlFTL(FlashTranslationLayer):
         _, latency = self._lookup(lpn)
         active = self._data_active.take(self.gc_free_threshold)
         if active is None:
-            latency += self._reclaim_if_needed()
+            latency += self._gc.reclaim()
             active = self._data_active.open()
         # Re-resolve after space allocation: GC may have relocated the old
         # copy meanwhile (the CMT entry is kept current by GC).
@@ -220,9 +221,6 @@ class DftlFTL(FlashTranslationLayer):
     # ------------------------------------------------------------------
     # Space management
     # ------------------------------------------------------------------
-    def _frontier(self, pbn: int) -> int:
-        return pbn * self._pages_per_block + self.flash.write_ptr[pbn]
-
     def _trans_destination(self, frontier: Frontier) -> Tuple[float, int]:
         """The mapping store's destination policy: latency spent making
         room, and a translation block with room.
@@ -231,60 +229,18 @@ class DftlFTL(FlashTranslationLayer):
         running, where the free-threshold reserve covers the allocation
         (guarding against unbounded recursion).
         """
-        spare = 1 if self._in_gc else self.gc_free_threshold
+        spare = 1 if self._gc.active else self.gc_free_threshold
         latency = 0.0
         pbn = frontier.take(spare)
         if pbn is None:
-            if not self._in_gc:
-                latency = self._reclaim_if_needed()
+            if not self._gc.active:
+                latency = self._gc.reclaim()
                 # GC may itself have rotated or opened translation
                 # blocks; re-check before pulling another pool block.
                 pbn = frontier.take(spare)
             if pbn is None:
                 pbn = frontier.open()
         return latency, pbn
-
-    def _reclaim_if_needed(self) -> float:
-        latency = 0.0
-        while len(self._pool) <= self.gc_free_threshold:
-            latency += self._collect_one()
-        return latency
-
-    def _collect_one(self) -> float:
-        flash = self.flash
-        # select_greedy has a total deterministic order (fewest valid,
-        # then lowest pbn), so set iteration order cannot change the
-        # victim.
-        victim = select_greedy(
-            chain(self._data_blocks, self._maps.full_blocks), flash.valid_count
-        )
-        if victim is None:
-            raise OutOfBlocksError("DFTL GC found no victim")
-        if flash.valid_count[victim] >= self._pages_per_block:
-            raise OutOfBlocksError(
-                "DFTL GC victim fully valid - no reclaimable slack"
-            )
-        self.stats.gc_runs += 1
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.span_start(EventType.GC_START, Cause.GC, ppn=victim)
-        try:
-            self._in_gc = True
-            try:
-                if victim in self._maps.full_blocks:
-                    latency = self._maps.collect(victim)
-                else:
-                    latency = self._collect_data_block(victim)
-            finally:
-                self._in_gc = False
-            latency += flash.erase_block(victim)
-        finally:
-            if tracer is not None:
-                tracer.span_end(EventType.GC_END, ppn=victim)
-        self.stats.gc_erases += 1
-        self._data_blocks.discard(victim)
-        self._pool.release(victim)
-        return latency
 
     def _collect_data_block(self, pbn: int) -> float:
         """Relocate valid data pages and commit their new mappings.

@@ -69,7 +69,7 @@ class FastFTL(FlashTranslationLayer):
         self._sw: Optional[_SWLog] = None
         self._rw_blocks: List[int] = []   # allocation (age) order
         self._rw_map = MapTable(logical_pages)  # lpn -> latest RW copy
-        self._pool = BlockPool(range(flash.geometry.num_blocks))
+        self._pool = BlockPool.for_device(flash)
         self._seq = SequenceCounter()
 
     # ------------------------------------------------------------------
@@ -229,7 +229,7 @@ class FastFTL(FlashTranslationLayer):
                 self.flash.invalidate_page(src)
                 self.stats.merge_page_copies += 1
         self._block_map[sw.lbn] = sw.pbn
-        latency += self._drain_and_erase(data_pbn)
+        latency += self._erase(data_pbn)
         return latency
 
     def _merge_oldest_rw(self) -> float:
@@ -257,7 +257,7 @@ class FastFTL(FlashTranslationLayer):
                 lbns.append(lbn)
         for lbn in lbns:
             latency += self._full_merge_lbn(lbn)
-        latency += self._drain_and_erase(victim)
+        latency += self._erase(victim)
         return latency
 
     def _full_merge_lbn(self, lbn: int) -> float:
@@ -286,17 +286,10 @@ class FastFTL(FlashTranslationLayer):
             self.stats.merge_page_copies += 1
         old_pbn = self._block_map[lbn]
         self._block_map[lbn] = new_pbn
-        latency += self._drain_and_erase(old_pbn)
+        latency += self._erase(old_pbn)
         if self._sw is not None and self._sw.lbn == lbn:
             # All the SW block's valid pages belonged to this lbn and were
             # just consumed; retire the now-empty SW block.
-            latency += self._drain_and_erase(self._sw.pbn)
+            latency += self._erase(self._sw.pbn)
             self._sw = None
-        return latency
-
-    def _drain_and_erase(self, pbn: int) -> float:
-        """Erase a block whose pages are all stale and return it to the pool."""
-        latency = self.flash.erase_block(pbn)
-        self.stats.gc_erases += 1
-        self._pool.release(pbn)
         return latency

@@ -92,7 +92,7 @@ class LastFTL(FlashTranslationLayer):
         self._cold_blocks: List[int] = []
         self._rw_map = MapTable(logical_pages)  # lpn -> latest random-log ppn
         self._recent: "OrderedDict[int, None]" = OrderedDict()  # hot filter
-        self._pool = BlockPool(range(flash.geometry.num_blocks))
+        self._pool = BlockPool.for_device(flash)
         self._seq = SequenceCounter()
         #: Dead hot/cold log blocks reclaimed without any merge.
         self.dead_block_erases = 0
@@ -351,10 +351,4 @@ class LastFTL(FlashTranslationLayer):
         if seq is not None and self.flash.block(seq.pbn).valid_count == 0:
             self._seq_logs.pop(lbn)
             latency += self._erase(seq.pbn)
-        return latency
-
-    def _erase(self, pbn: int) -> float:
-        latency = self.flash.erase_block(pbn)
-        self.stats.gc_erases += 1
-        self._pool.release(pbn)
         return latency

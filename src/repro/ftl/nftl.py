@@ -74,7 +74,7 @@ class NftlFTL(FlashTranslationLayer):
                 f"({self.num_lbns} primaries + slack)"
             )
         self._chains: Dict[int, _Chain] = {}
-        self._pool = BlockPool(range(flash.geometry.num_blocks))
+        self._pool = BlockPool.for_device(flash)
         self._seq = SequenceCounter()
 
     # ------------------------------------------------------------------
@@ -199,9 +199,7 @@ class NftlFTL(FlashTranslationLayer):
             self.flash.invalidate_page(src)
             self.stats.merge_page_copies += 1
         for pbn in chain.blocks:
-            latency += self.flash.erase_block(pbn)
-            self.stats.gc_erases += 1
-            self._pool.release(pbn)
+            latency += self._erase(pbn)
         chain.blocks = [fresh]
         chain.latest = {offset: 0 for offset in chain.latest}
         return latency

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, Optional
+from typing import Deque, Iterable, Optional, Sequence
 
+from ..flash.chip import NandFlash
 from ..flash.errors import FlashError
 
 
@@ -26,6 +27,17 @@ class BlockPool:
 
     def __init__(self, blocks: Iterable[int]):
         self.refill(blocks)
+
+    @classmethod
+    def for_device(
+        cls, flash: NandFlash, reserved: Sequence[int] = ()
+    ) -> "BlockPool":
+        """Every usable block of a fresh device in block order: neither
+        factory-bad nor ``reserved`` (LazyFTL's checkpoint anchors)."""
+        return cls(
+            b for b in range(flash.geometry.num_blocks)
+            if not flash.is_bad[b] and b not in reserved
+        )
 
     def refill(self, blocks: Iterable[int]) -> None:
         """Replace the contents in place (crash recovery), so every

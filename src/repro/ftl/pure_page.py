@@ -17,11 +17,10 @@ from typing import Any, Set
 from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import OOBData, SequenceCounter
-from ..obs.events import Cause, EventType
 from ..perf.maptable import MapTable
 from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
-from .gc_policy import select_greedy
-from .pool import BlockPool, OutOfBlocksError
+from .gc_policy import GarbageCollector
+from .pool import BlockPool
 from .stripe import Frontier, stripe_ways
 
 
@@ -57,15 +56,16 @@ class PageFTL(FlashTranslationLayer):
         self.gc_free_threshold = gc_free_threshold
         self._map = MapTable(logical_pages)
         self._pages_per_block = flash.geometry.pages_per_block
-        self._pool = BlockPool(range(flash.geometry.num_blocks))
-        self._data_blocks: Set[int] = set()
+        self._pool = BlockPool.for_device(flash)
         self._seq = SequenceCounter()
+        self._gc = GarbageCollector(
+            flash, self._pool, self.stats, gc_free_threshold,
+            self._collect_data_block)
         # Host and GC destinations each rotate over up to `ways` open
-        # blocks so program bursts overlap across parallel units (one
-        # way on the serial device); full blocks retire to the data set
-        # (through its bound ``add``: refill that set, never rebind it).
+        # blocks so program bursts overlap across parallel units (one way
+        # on the serial device); full blocks retire to GC's victim pool.
         ways = stripe_ways(flash.geometry.parallel_units)
-        retire = self._data_blocks.add
+        retire = self._gc.blocks.add
         self._active = Frontier(flash, self._pool, ways, retire)
         self._gc_active = Frontier(flash, self._pool, ways, retire)
 
@@ -95,7 +95,7 @@ class PageFTL(FlashTranslationLayer):
         # threshold, so striping never eats the reclaim cushion.
         pbn = self._active.take(self.gc_free_threshold)
         if pbn is None:
-            latency = self._reclaim_if_needed()
+            latency = self._gc.reclaim()
             pbn = self._active.open()
         else:
             latency = 0.0
@@ -163,11 +163,9 @@ class PageFTL(FlashTranslationLayer):
         for lpn, (_, ppn) in best.items():
             if lpn < logical_pages:
                 map_raw[lpn] = ppn
-        ftl._data_blocks.update(occupied)
+        ftl._gc.blocks.update(occupied)
         ftl._pool.refill(
-            b for b in range(geometry.num_blocks)
-            if b not in occupied and not flash.is_bad[b]
-        )
+            b for b in ftl._pool.snapshot() if b not in occupied)
         ftl._seq.fast_forward(max_seq)
         ftl.stats.recovery_reads += pages_read
         return ftl
@@ -179,52 +177,22 @@ class PageFTL(FlashTranslationLayer):
         """Physical page number of the block's next free page."""
         return pbn * self._pages_per_block + self.flash.write_ptr[pbn]
 
-    def _reclaim_if_needed(self) -> float:
-        latency = 0.0
-        while len(self._pool) <= self.gc_free_threshold:
-            latency += self._collect_one()
-        return latency
-
-    def _collect_one(self) -> float:
-        """Run one GC pass: relocate a victim's valid pages, erase it."""
+    def _collect_data_block(self, victim: int) -> float:
+        """Relocate a victim's valid pages and repoint the RAM map."""
         flash = self.flash
-        # select_greedy's key is a total order, so set iteration order
-        # cannot change the victim.
-        victim = select_greedy(  # ftlint: disable=FTL012
-            self._data_blocks, flash.valid_count
-        )
-        if victim is None:
-            raise OutOfBlocksError("GC found no victim block")
-        if flash.valid_count[victim] >= self._pages_per_block:
-            raise OutOfBlocksError(
-                "GC victim is fully valid - logical space leaves no "
-                "reclaimable slack (reduce logical_pages)"
-            )
-        self.stats.gc_runs += 1
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.span_start(EventType.GC_START, Cause.GC, ppn=victim)
         latency = 0.0
-        try:
-            for src in flash.valid_ppns(victim):
-                data, oob, read_lat = flash.read_page(src)
-                latency += read_lat
-                # GC destination: never triggers nested GC.
-                pbn = self._gc_active.take(1)
-                if pbn is None:
-                    pbn = self._gc_active.open()
-                dst = self._frontier(pbn)
-                latency += flash.program_page(
-                    dst, data, OOBData(lpn=oob.lpn, seq=self._seq.next())
-                )
-                self._map.raw[oob.lpn] = dst
-                flash.invalidate_page(src)
-                self.stats.gc_page_copies += 1
-            latency += flash.erase_block(victim)
-        finally:
-            if tracer is not None:
-                tracer.span_end(EventType.GC_END, ppn=victim)
-        self.stats.gc_erases += 1
-        self._data_blocks.discard(victim)
-        self._pool.release(victim)
+        for src in flash.valid_ppns(victim):
+            data, oob, read_lat = flash.read_page(src)
+            latency += read_lat
+            # GC destination: never triggers nested GC.
+            pbn = self._gc_active.take(1)
+            if pbn is None:
+                pbn = self._gc_active.open()
+            dst = self._frontier(pbn)
+            latency += flash.program_page(
+                dst, data, OOBData(lpn=oob.lpn, seq=self._seq.next())
+            )
+            self._map.raw[oob.lpn] = dst
+            flash.invalidate_page(src)
+            self.stats.gc_page_copies += 1
         return latency

@@ -83,7 +83,7 @@ class SuperblockFTL(FlashTranslationLayer):
                 f"{self.group_max_blocks})"
             )
         self._groups: Dict[int, _Superblock] = {}
-        self._pool = BlockPool(range(flash.geometry.num_blocks))
+        self._pool = BlockPool.for_device(flash)
         self._seq = SequenceCounter()
 
     # ------------------------------------------------------------------
@@ -195,10 +195,8 @@ class SuperblockFTL(FlashTranslationLayer):
             group.page_map[oob.lpn % self.group_pages] = dst
             self.flash.invalidate_page(src)
             self.stats.gc_page_copies += 1
-        latency += self.flash.erase_block(victim)
-        self.stats.gc_erases += 1
+        latency += self._erase(victim)
         group.blocks.remove(victim)
-        self._pool.release(victim)
         return latency
 
     def _relocation_slot(self, group: _Superblock,

@@ -111,7 +111,9 @@ class TraceEvent:
             record["lpn"] = self.lpn
         if self.ppn is not None:
             record["ppn"] = self.ppn
-        if self.dur_us:
+        # Flash ops always carry their duration: a fully overlapped op
+        # on a multi-channel device adds 0.0 to the makespan.
+        if self.dur_us or self.type in FLASH_OP_TYPES:
             record["dur_us"] = round(self.dur_us, 3)
         if self.extra:
             record.update(self.extra)

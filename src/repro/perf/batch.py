@@ -404,7 +404,8 @@ class _DftlPlanner:
         active = ftl._data_active.peek()
         # Planner guarantees a write-free epoch when there is no active
         # block, so first_ppn is then never used.
-        first_ppn = -1 if active is None else ftl._frontier(active)
+        first_ppn = -1 if active is None else (
+            active * ftl._pages_per_block + flash.write_ptr[active])
         ppn = first_ppn
         seq = ftl._seq
         seq_val = seq._next

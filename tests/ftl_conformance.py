@@ -38,8 +38,10 @@ class FTLConformance:
     def make_ftl(self, flash):  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def new_device(self, sanitize=False):
-        """Fresh device for :attr:`GEOMETRY` - parallel when it says so."""
+    def new_device(self, sanitize=False, **device_kwargs):
+        """Fresh device for :attr:`GEOMETRY` - parallel when it says so;
+        ``device_kwargs`` (``endurance``, ``initial_bad_blocks``) go to
+        its constructor."""
         parallel = self.GEOMETRY.parallel_units > 1
         if sanitize:
             from repro.checks import (
@@ -51,17 +53,17 @@ class FTLConformance:
                    else SanitizedNandFlash)
         else:
             cls = ParallelNandFlash if parallel else NandFlash
-        return cls(self.GEOMETRY, timing=UNIT_TIMING)
+        return cls(self.GEOMETRY, timing=UNIT_TIMING, **device_kwargs)
 
-    def new_ftl(self):
+    def new_ftl(self, **device_kwargs):
         if self.SANITIZE:
             from repro.checks import SanitizedFTL
 
-            flash = self.new_device(sanitize=True)
+            flash = self.new_device(sanitize=True, **device_kwargs)
             ftl = self.make_ftl(flash)
             flash.enforce_sequential = not ftl.requires_random_program
             return SanitizedFTL(ftl)
-        flash = self.new_device()
+        flash = self.new_device(**device_kwargs)
         ftl = self.make_ftl(flash)
         flash.enforce_sequential = not ftl.requires_random_program
         return ftl
@@ -146,6 +148,61 @@ class FTLConformance:
         for i in range(self.LOGICAL_PAGES * 6):
             ftl.write(rng.randrange(self.LOGICAL_PAGES), i)
         assert ftl.flash.stats.block_erases > 0
+
+    # ------------------------------------------------------------------
+    # Bad blocks and wear-out
+    # ------------------------------------------------------------------
+    #: Factory-bad blocks of the wear-out device (not a LazyFTL anchor).
+    BAD_BLOCKS = (3, 17)
+
+    def wear_out(self, endurance, until_retired=None):
+        """Random overwrites on a device with factory-bad blocks and a
+        finite erase budget, reading one earlier write back per step.
+
+        Stops once ``until_retired`` blocks have worn out, or - with
+        None - when the device dies, which must be a clean
+        ``OutOfBlocksError`` (a ``BadBlockError`` escaping the scheme
+        fails the test).  Returns ``(ftl, acked, died)``.
+        """
+        from repro.ftl import OutOfBlocksError
+
+        ftl = self.new_ftl(endurance=endurance,
+                           initial_bad_blocks=self.BAD_BLOCKS)
+        rng = random.Random(0)
+        acked = {}
+        try:
+            for i in range(400_000):
+                if ftl.stats.bad_blocks_retired == until_retired:
+                    return ftl, acked, False
+                lpn = rng.randrange(self.LOGICAL_PAGES)
+                ftl.write(lpn, (lpn, i))
+                acked[lpn] = (lpn, i)
+                probe = rng.choice(list(acked)) if i % 16 == 0 else lpn
+                assert ftl.read(probe).data == acked[probe], (
+                    f"op {i}: lpn {probe} lost on a wearing device")
+        except OutOfBlocksError:
+            return ftl, acked, True
+        raise AssertionError("the erase budget never ran out")
+
+    def test_wear_out_retired_without_data_loss(self):
+        """Factory-bad blocks are never allocated and a block that wears
+        out is retired under the scheme's feet: nothing acknowledged is
+        lost and the device carries on."""
+        ftl, acked, died = self.wear_out(endurance=20, until_retired=2)
+        assert not died, "two retired blocks must not exhaust the device"
+        for lpn, value in acked.items():
+            assert ftl.read(lpn).data == value, f"lpn {lpn} corrupted"
+        for pbn in self.BAD_BLOCKS:
+            assert ftl.flash.write_ptr[pbn] == 0, (
+                f"factory-bad block {pbn} was allocated")
+
+    def test_device_end_of_life_raises_cleanly(self):
+        """When wear-out eats the spare capacity the scheme fails with
+        OutOfBlocksError - never a BadBlockError - and read-your-writes
+        held for every operation up to that point."""
+        ftl, acked, died = self.wear_out(endurance=6)
+        assert died
+        assert ftl.stats.bad_blocks_retired > 0
 
     # ------------------------------------------------------------------
     # Crash recovery

@@ -1,6 +1,9 @@
-"""Tests for bad-block management and device end-of-life semantics."""
+"""Tests for bad-block management at the chip and LazyFTL's anchors.
 
-import random
+Wear-out and end-of-life behaviour is part of the contract every scheme
+obeys: see ``FTLConformance.test_wear_out_retired_without_data_loss`` and
+``test_device_end_of_life_raises_cleanly`` in tests/ftl_conformance.py.
+"""
 
 import pytest
 
@@ -11,7 +14,6 @@ from repro.flash import (
     NandFlash,
     UNIT_TIMING,
 )
-from repro.ftl.pool import OutOfBlocksError
 
 
 class TestChipBadBlocks:
@@ -92,35 +94,3 @@ class TestLazyFTLBadBlocks:
             LazyFTL(flash, logical_pages=96,
                     config=LazyConfig(uba_blocks=4, cba_blocks=2,
                                       gc_free_threshold=3))
-
-    def test_wear_out_retired_without_data_loss(self):
-        ftl = self.make(endurance=28)
-        rng = random.Random(0)
-        shadow = {}
-        retired_seen = 0
-        for i in range(8000):
-            lpn = rng.randrange(96)
-            ftl.write(lpn, (lpn, i))
-            shadow[lpn] = (lpn, i)
-            retired_seen = ftl.stats.bad_blocks_retired
-        assert retired_seen > 0, "endurance 28 must retire some blocks"
-        for lpn, value in shadow.items():
-            assert ftl.read(lpn).data == value
-
-    def test_device_end_of_life_raises_cleanly(self):
-        """When wear-out eats all spare capacity, writes fail with
-        OutOfBlocksError; previously written data remains readable."""
-        ftl = self.make(endurance=4)
-        rng = random.Random(1)
-        shadow = {}
-        died = False
-        try:
-            for i in range(60000):
-                lpn = rng.randrange(96)
-                ftl.write(lpn, (lpn, i))
-                shadow[lpn] = (lpn, i)
-        except OutOfBlocksError:
-            died = True
-        assert died, "endurance 4 must exhaust the device"
-        for lpn, value in shadow.items():
-            assert ftl.read(lpn).data == value

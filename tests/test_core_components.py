@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     BlockArea,
-    DataBlockSet,
     GlobalTranslationDirectory,
     LazyConfig,
     UmtEntry,
@@ -170,23 +169,6 @@ class TestBlockArea:
     def test_capacity_below_two_rejected(self):
         with pytest.raises(ValueError):
             BlockArea("UBA", capacity=1)
-
-
-class TestDataBlockSet:
-    def test_membership(self):
-        dba = DataBlockSet()
-        dba.add(5)
-        assert 5 in dba
-        assert len(dba) == 1
-        dba.discard(5)
-        assert 5 not in dba
-        dba.discard(5)  # idempotent
-
-    def test_snapshot_sorted(self):
-        dba = DataBlockSet()
-        for b in (9, 3, 7):
-            dba.add(b)
-        assert dba.snapshot() == [3, 7, 9]
 
 
 class TestLazyConfig:

@@ -34,6 +34,14 @@ class TestLazyFTLConformance(FTLConformance):
         ftl.flush()
         assert self.count_valid_data_pages(ftl) == len(live)
 
+    def test_device_end_of_life_raises_cleanly(self):
+        """Extension: LazyFTL reads never allocate, so everything it
+        acknowledged stays readable on the dead device."""
+        ftl, acked, died = self.wear_out(endurance=6)
+        assert died and ftl.stats.bad_blocks_retired > 0
+        for lpn, value in acked.items():
+            assert ftl.read(lpn).data == value
+
 
 def make_lazy(blocks=40, pages=8, page_size=64, logical=96, **cfg):
     """Small device with 16-entry GMT pages so mapping behaviour is visible."""
@@ -195,6 +203,22 @@ class TestGarbageCollection:
             ftl.write(rng.randrange(96), i)
         for lpn in range(48):
             assert ftl.read(lpn).data is not None
+
+    def test_dba_is_the_collectors_victim_pool(self):
+        """Converted blocks join the collector's set, GC victims leave
+        it; the public view is sorted (checkpoints persist it)."""
+        ftl = make_lazy()
+        rng = random.Random(2)
+        for i in range(3000):
+            ftl.write(rng.randrange(96), i)
+        dba = ftl.dba_blocks
+        assert dba and dba == sorted(ftl._gc.blocks)
+        staged = set(ftl.uba_blocks) | set(ftl.cba_blocks)
+        assert not staged & set(dba)
+        assert not any(pbn in ftl._pool for pbn in dba)
+        victim = ftl._gc.select()
+        ftl._gc.collect()
+        assert victim not in ftl.dba_blocks
 
     def test_striped_cold_area_survives_at_the_headline_gc_threshold(self):
         """A CBA with a usable open block must not demand an extra way

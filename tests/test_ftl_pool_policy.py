@@ -51,6 +51,15 @@ class TestBlockPool:
         p.allocate()
         assert p.snapshot() == [5, 6]
 
+    def test_for_device_skips_bad_and_reserved_blocks(self):
+        flash = NandFlash(
+            FlashGeometry(num_blocks=8, pages_per_block=2, page_size=64),
+            initial_bad_blocks=[2, 5],
+        )
+        assert BlockPool.for_device(flash).snapshot() == [0, 1, 3, 4, 6, 7]
+        assert BlockPool.for_device(flash, reserved=(0, 1)).snapshot() == \
+            [3, 4, 6, 7]
+
 
 PAGES = 8
 

@@ -45,6 +45,13 @@ class TestTraceEvent:
         assert "dur_us" not in record
         assert set(record) == {"type", "ts", "scheme", "cause", "lpn"}
 
+    def test_flash_op_record_keeps_zero_duration(self):
+        """A fully overlapped op on a striped device adds 0.0 to the
+        makespan; its record must still say so."""
+        event = TraceEvent(type=EventType.PAGE_PROGRAM, ts=5.0,
+                           scheme="ideal", cause=Cause.HOST, ppn=9)
+        assert event.to_record()["dur_us"] == 0.0
+
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             TraceEvent.from_record(

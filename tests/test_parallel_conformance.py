@@ -110,8 +110,8 @@ class TestSanitizedLazyFTL4x2(_LazyScheme, FTLConformance):
         super().test_valid_page_conservation()
         self.last_ftl.assert_clean()
 
-    def new_ftl(self):
-        self.last_ftl = super().new_ftl()
+    def new_ftl(self, **device_kwargs):
+        self.last_ftl = super().new_ftl(**device_kwargs)
         return self.last_ftl
 
 

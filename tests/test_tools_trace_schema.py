@@ -70,6 +70,32 @@ class TestCheckTraceSchema:
         assert "GCEnd without a matching start" in err
         assert "unclosed MergeStart" in err
 
+    def test_zero_duration_flash_op_passes(self, tmp_path):
+        path = tmp_path / "overlapped.jsonl"
+        path.write_text(json.dumps(
+            {"type": "PageProgram", "ts": 5, "scheme": "x",
+             "cause": "host", "ppn": 1, "dur_us": 0.0}) + "\n")
+        proc = run_tool(str(path))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_striped_trace_is_clean(self, tmp_path):
+        """4x1x1: overlapped ops have a zero marginal makespan."""
+        path = tmp_path / "striped.jsonl"
+        device = DeviceSpec(num_blocks=96, pages_per_block=16,
+                            page_size=512, logical_fraction=0.7,
+                            channels=4)
+        tracer = Tracer(sinks=[JsonlSink(str(path))])
+        run_scheme(
+            "LazyFTL",
+            uniform_random(400, int(device.logical_pages * 0.9),
+                           write_ratio=0.9, seed=3),
+            device=device, tracer=tracer,
+        )
+        tracer.close()
+        assert '"dur_us": 0.0' in path.read_text()
+        proc = run_tool(str(path))
+        assert proc.returncode == 0, proc.stderr
+
     def test_usage_errors(self, tmp_path):
         assert run_tool().returncode == 2
         assert run_tool(str(tmp_path / "missing.jsonl")).returncode == 2

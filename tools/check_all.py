@@ -14,7 +14,8 @@ Runs, in order:
    ``--require-mypy`` - the default when ``$CI`` is set - makes a
    missing mypy a failure);
 5. **trace schema** - generates a small end-to-end trace via
-   ``python -m repro compare --trace-out`` and validates it with
+   ``python -m repro compare --trace-out``, on the serial device and at
+   ``--geometry 4x1x1``, and validates each with
    ``tools/check_trace_schema.py`` (including cause-stack consistency);
 6. **report** - renders a small latency-decomposition run report under
    ``--sanitize`` (so the per-op decomposition invariant is audited),
@@ -142,25 +143,29 @@ def step_mypy(config: dict) -> bool:
 
 
 def step_trace(config: dict) -> bool:
+    """Serial and 4-channel: a fully overlapped flash op on the striped
+    device has a zero marginal makespan the schema must still accept."""
     with tempfile.TemporaryDirectory(prefix="check_all_") as tmp:
-        trace_path = str(pathlib.Path(tmp) / "smoke.jsonl")
-        produced = run_step("trace:generate", [
-            sys.executable, "-m", "repro", "compare",
-            "--trace", "random",
-            "--requests", str(config["trace_requests"]),
-            "--blocks", "96", "--pages-per-block", "16",
-            "--page-size", "512", "--logical-fraction", "0.7",
-            "--schemes", "DFTL", "LazyFTL",
-            "--sanitize",
-            "--trace-out", trace_path,
-        ])
-        if not produced:
-            return False
-        return run_step("trace:schema", [
-            sys.executable,
-            str(_REPO_ROOT / "tools" / "check_trace_schema.py"),
-            trace_path,
-        ])
+        for geometry in ("1x1x1", "4x1x1"):
+            trace_path = str(pathlib.Path(tmp) / f"smoke-{geometry}.jsonl")
+            produced = run_step(f"trace:generate:{geometry}", [
+                sys.executable, "-m", "repro", "compare",
+                "--trace", "random",
+                "--requests", str(config["trace_requests"]),
+                "--blocks", "96", "--pages-per-block", "16",
+                "--page-size", "512", "--logical-fraction", "0.7",
+                "--geometry", geometry,
+                "--schemes", "DFTL", "LazyFTL",
+                "--sanitize",
+                "--trace-out", trace_path,
+            ])
+            if not produced or not run_step(f"trace:schema:{geometry}", [
+                sys.executable,
+                str(_REPO_ROOT / "tools" / "check_trace_schema.py"),
+                trace_path,
+            ]):
+                return False
+        return True
 
 
 def step_report(config: dict) -> bool:

@@ -85,7 +85,7 @@ def check_trace(path: str, limit: int = 20):
             if event.dur_us < 0:
                 yield lineno, f"negative dur_us {event.dur_us}"
                 emitted += 1
-            if event.type in FLASH_OP_TYPES and event.dur_us <= 0:
+            if event.type in FLASH_OP_TYPES and "dur_us" not in record:
                 yield lineno, f"flash op {event.type.value} without dur_us"
                 emitted += 1
             if event.type in FLASH_OP_TYPES:
