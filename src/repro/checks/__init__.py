@@ -17,7 +17,6 @@ from .auditors import audit_ftl
 from .flashsan import (
     SanitizedFTL,
     SanitizedNandFlash,
-    SanitizedParallelNandFlash,
     audit_latency,
 )
 from .report import (
@@ -34,7 +33,6 @@ __all__ = [
     "audit_latency",
     "SanitizedFTL",
     "SanitizedNandFlash",
-    "SanitizedParallelNandFlash",
     "AuditReport",
     "OpHistory",
     "OpRecord",

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ...core import LazyConfig, LazyFTL
-from ...flash import (
-    FlashGeometry,
-    NandFlash,
-    ParallelNandFlash,
-    UNIT_TIMING,
-)
+from ...flash import FlashGeometry, NandFlash, UNIT_TIMING
 from ...ftl import FlashTranslationLayer
 from ...ftl.pure_page import PageFTL
 from ...sim.factory import build_ftl
@@ -100,9 +95,7 @@ def build_instance(
         dies=device.dies,
         planes=device.planes,
     )
-    device_cls = ParallelNandFlash if geometry.parallel_units > 1 \
-        else NandFlash
-    flash = device_cls(geometry, timing=UNIT_TIMING)
+    flash = NandFlash(geometry, timing=UNIT_TIMING)
     if scheme == "LazyFTL":
         config = LazyConfig(
             uba_blocks=4,

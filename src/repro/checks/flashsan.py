@@ -27,7 +27,6 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.geometry import FlashGeometry
-from ..flash.parallel import ParallelNandFlash
 from ..flash.oob import OOBData
 from ..flash.page import FREE, INVALID, PageState
 from ..flash.timing import SLC_TIMING, TimingModel
@@ -227,16 +226,6 @@ class SanitizedNandFlash(NandFlash):
         """lpn recorded in the page's OOB, if any (for report text)."""
         oob = self.page_oob[ppn]
         return oob.lpn if oob is not None else None
-
-
-class SanitizedParallelNandFlash(SanitizedNandFlash, ParallelNandFlash):
-    """Audited multi-channel device: sanitizer checks + overlap timing.
-
-    Cooperative MRO composition: each audited op runs the sanitizer's
-    pre-checks first, then :class:`ParallelNandFlash` performs the op and
-    rewrites the returned latency to its overlap-adjusted delta.  No body
-    needed - both parents delegate through ``super()``.
-    """
 
 
 def audit_latency(recorder: Any) -> list:

@@ -140,8 +140,6 @@ class LazyFTL(FlashTranslationLayer):
     def read(self, lpn: int) -> HostResult:
         if not 0 <= lpn < self.logical_pages:
             self._check_lpn(lpn)
-        if self._begin_op is not None:
-            self._begin_op()
         self.stats.host_reads += 1
         flash = self.flash
         umt_ppn = self._umt.ppn_at(lpn)
@@ -157,8 +155,6 @@ class LazyFTL(FlashTranslationLayer):
     def write(self, lpn: int, data: Any = None) -> HostResult:
         if not 0 <= lpn < self.logical_pages:
             self._check_lpn(lpn)
-        if self._begin_op is not None:
-            self._begin_op()
         self.stats.host_writes += 1
         flash = self.flash
         # The reclaim below runs before the allocation, so an extra UBA

@@ -32,6 +32,10 @@ class DeviceResult:
 class FlashBlockDevice:
     """A magnetic-disk-like sector interface over an FTL.
 
+    Like the simulator, this layer drives the FTL, so it marks the
+    host-op boundary of the device's per-unit clocks
+    (``flash.begin_host_op()``) before every page operation and flush.
+
     Args:
         ftl: Any :class:`~repro.ftl.base.FlashTranslationLayer`.
         sector_size: Host sector size in bytes (must divide the page size).
@@ -77,6 +81,7 @@ class FlashBlockDevice:
         while remaining > 0:
             lpn, first = divmod(cursor, self.sectors_per_page)
             take = min(remaining, self.sectors_per_page - first)
+            self.ftl.flash.begin_host_op()
             result = self.ftl.read(lpn)
             latency += result.latency_us
             page = result.data if result.data is not None \
@@ -107,11 +112,13 @@ class FlashBlockDevice:
                 page = chunk
             else:
                 self.rmw_count += 1
+                self.ftl.flash.begin_host_op()
                 current = self.ftl.read(lpn)
                 latency += current.latency_us
                 page = (list(current.data) if current.data is not None
                         else [None] * self.sectors_per_page)
                 page[first:first + take] = chunk
+            self.ftl.flash.begin_host_op()
             latency += self.ftl.write(lpn, page).latency_us
             cursor += take
             offset += take
@@ -120,4 +127,7 @@ class FlashBlockDevice:
     def flush(self) -> float:
         """Propagate a host flush/sync (LazyFTL commits its UMT)."""
         flush = getattr(self.ftl, "flush", None)
-        return flush() if callable(flush) else 0.0
+        if not callable(flush):
+            return 0.0
+        self.ftl.flash.begin_host_op()
+        return flush()

@@ -7,8 +7,10 @@ Public surface:
   ``UNIT_TIMING`` presets - per-operation latencies;
 * :class:`NandFlash` - the device itself (read / program / erase + power
   loss injection via :class:`PowerFault`), owner of the flat page/block
-  state arrays; :class:`Block` is a read-only per-block view of them and
-  :class:`PageState` names the per-page state codes;
+  state arrays and of the per-unit busy-until clocks that overlap ops on
+  a multi-channel / multi-die geometry; :class:`Block` is a read-only
+  per-block view of the arrays and :class:`PageState` names the per-page
+  state codes;
 * :class:`OOBData`, :class:`PageKind`, :class:`SequenceCounter` - spare-area
   metadata used by FTL recovery;
 * :class:`FlashStats`, :func:`wear_summary` - accounting.
@@ -34,7 +36,6 @@ from .geometry import (
     geometry_for_capacity,
     parse_parallelism,
 )
-from .parallel import ParallelNandFlash
 from .oob import OOBData, PageKind, SequenceCounter
 from .page import PageState
 from .stats import FlashStats, wear_summary
@@ -57,7 +58,6 @@ __all__ = [
     "FlashGeometry",
     "geometry_for_capacity",
     "parse_parallelism",
-    "ParallelNandFlash",
     "OOBData",
     "PageKind",
     "SequenceCounter",

@@ -8,13 +8,36 @@ per the timing model, and supports power-loss injection for recovery tests.
 Device state is struct-of-arrays: one state byte, one payload slot and one
 OOB slot per ppn, and one write pointer / valid count / erase count / bad
 flag per block.  Each raw operation is a single method - power, fault,
-range, bad-block and NAND-rule checks, a few array stores, the stats update
-and an ``if tracer is not None`` emit - and it is the only place that
-operation's semantics are written down; subclasses (parallel timing, the
-flashsan sanitizer) wrap it through ``super()``.
+range, bad-block and NAND-rule checks, a few array stores, the stats update,
+the clock charge and an ``if tracer is not None`` emit - and it is the only
+place that operation's semantics are written down (the flashsan sanitizer
+audits it through ``super()``).
 
 Every operation returns its latency in microseconds; FTLs sum these into the
 service time of the host request they are working on.
+
+Timing model
+------------
+
+One *busy-until* clock per parallel unit (a (channel, die) pair; see
+:meth:`FlashGeometry.parallel_units`), relative to the start of the current
+host operation - :meth:`NandFlash.begin_host_op`, marked by the replay
+driver, never by an FTL.  Each raw op is charged in one place
+(:meth:`NandFlash._charge`), after the ``FlashStats`` update - which stays
+*raw*: device work, wear and energy do not depend on overlap - and before
+the tracer emit: it starts when its unit is free (the optimistic end of
+real controller pipelines) and returns, and traces, only the *delta* by
+which it extends the host op's makespan, so the latencies of one host op
+sum to that makespan under perfect per-unit queueing.  With one unit
+``delta == raw`` always, so the charge sits behind a single ``units > 1``
+test instead of being a second device class.
+
+An op's *channel wait* - how much longer its unit was busy than the
+least-busy one at issue, i.e. stripe imbalance - goes to an attached tracer
+just before the op's own event and stays outside the service-time
+decomposition.  ``serialize_timing = True`` starts every op at the current
+makespan instead of its unit clock: serial timing on unchanged placement,
+the lever the property tests use to tell the two apart.
 """
 
 from __future__ import annotations
@@ -102,6 +125,19 @@ class NandFlash:
         self._powered = True
         #: Optional :class:`repro.obs.tracer.Tracer` (None by default).
         self.tracer: Optional[Any] = None
+        # Per-unit busy-until clocks (see "Timing model" above); busy time
+        # and channel wait accrue only with more than one unit.
+        units = self._units = self.geometry.parallel_units
+        self._unit_busy: List[float] = [0.0] * units
+        self._op_end = 0.0
+        #: Force serial timing (placement unchanged); property-test lever.
+        self.serialize_timing = False
+        #: Cumulative raw device time per parallel unit (load balance).
+        self.unit_busy_us: List[float] = [0.0] * units
+        #: Cumulative stripe-imbalance wait (see "Timing model").
+        self.channel_wait_us = 0.0
+        #: Host-op boundaries marked (:meth:`begin_host_op` calls).
+        self.host_ops = 0
 
     # ------------------------------------------------------------------
     # Power management (crash simulation)
@@ -126,6 +162,45 @@ class NandFlash:
         self.fault.disarm()
 
     # ------------------------------------------------------------------
+    # Host-op boundary and the busy-until clocks
+    # ------------------------------------------------------------------
+    def begin_host_op(self) -> None:
+        """Reset the relative unit clocks at a host request boundary.
+
+        Called by whoever drives the FTL - ``Simulator`` before every page
+        op and ``background_work`` grant, ``FlashBlockDevice`` before every
+        page op - so an op's flash commands overlap against a common origin
+        and its deltas sum to its makespan.  A bare FTL driven without it
+        on a multi-unit device (recovery scans, ad-hoc loops) keeps one
+        continuous pipeline: deterministic, but consecutive host ops
+        overlap and a latency can be 0.0.  At one unit nothing reads the
+        clocks, so the simulator skips the call there.
+        """
+        self._unit_busy = [0.0] * self._units
+        self._op_end = 0.0
+        self.host_ops += 1
+
+    def _charge(self, unit: int, raw_us: float) -> float:
+        """Advance unit ``unit`` by ``raw_us``; return the op's delta
+        (reporting its channel wait, if any, to an attached tracer)."""
+        busy = self._unit_busy
+        op_end = self._op_end
+        if self.serialize_timing:
+            start, wait = op_end, 0.0
+        else:
+            start = busy[unit]
+            wait = start - min(busy)
+        end = busy[unit] = start + raw_us
+        self.unit_busy_us[unit] += raw_us
+        self.channel_wait_us += wait
+        if wait > 0.0 and self.tracer is not None:
+            self.tracer.channel_wait(wait)
+        if end <= op_end:
+            return 0.0
+        self._op_end = end
+        return end - op_end
+
+    # ------------------------------------------------------------------
     # Raw NAND operations
     # ------------------------------------------------------------------
     def read_page(self, ppn: int) -> Tuple[Any, Optional[OOBData], float]:
@@ -147,6 +222,8 @@ class NandFlash:
         stats = self.stats
         stats.page_reads += 1
         stats.read_us += latency
+        if self._units > 1:
+            latency = self._charge(ppn // self._ppb % self._units, latency)
         if self.tracer is not None:
             self.tracer.flash_op(EventType.PAGE_READ, ppn, latency)
         return self.page_data[ppn], self.page_oob[ppn], latency
@@ -177,6 +254,8 @@ class NandFlash:
         stats = self.stats
         stats.page_reads += 1
         stats.read_us += latency
+        if self._units > 1:
+            latency = self._charge(ppn // self._ppb % self._units, latency)
         if self.tracer is not None:
             self.tracer.flash_op(EventType.PAGE_READ, ppn, latency)
         # An erased page's OOB slot is None already.
@@ -228,6 +307,8 @@ class NandFlash:
         stats = self.stats
         stats.page_programs += 1
         stats.program_us += latency
+        if self._units > 1:
+            latency = self._charge(pbn % self._units, latency)
         if self.tracer is not None:
             self.tracer.flash_op(
                 EventType.PAGE_PROGRAM, ppn, latency,
@@ -247,10 +328,11 @@ class NandFlash:
         order, and summing the latencies - same resulting state, same
         ``FlashStats`` (floats accumulated one add per page), same
         exception at the same page.  When the whole run is plainly legal
-        (powered, no armed fault, no tracer, inside one good block,
-        starting at its write pointer, every target FREE) the stores are
-        slice assignments; anything else takes the per-page calls, which
-        then raise or trace exactly as they always do.
+        (powered, no armed fault, no tracer, one parallel unit, inside one
+        good block, starting at its write pointer, every target FREE) the
+        stores are slice assignments; anything else takes the per-page
+        calls, which then raise, trace or advance the unit clocks exactly
+        as they always do.
         """
         n = len(datas)
         if len(oobs) != n:
@@ -263,6 +345,7 @@ class NandFlash:
             self._powered
             and self.fault._remaining is None
             and self.tracer is None
+            and self._units == 1
             and 0 <= ppn < self._total_pages
             and end <= (pbn + 1) * ppb
             and not self.is_bad[pbn]
@@ -324,6 +407,8 @@ class NandFlash:
         stats = self.stats
         stats.block_erases += 1
         stats.erase_us += latency
+        if self._units > 1:
+            latency = self._charge(pbn % self._units, latency)
         if self.tracer is not None:
             self.tracer.flash_op(EventType.BLOCK_ERASE, pbn, latency)
         endurance = self.endurance
@@ -421,6 +506,22 @@ class NandFlash:
     def erase_counts(self) -> List[int]:
         """Per-block erase counts (wear profile)."""
         return list(self.erase_count)
+
+    def parallel_summary(self) -> dict:
+        """Per-unit load and imbalance counters (all simulated us)."""
+        total = sum(self.unit_busy_us)
+        return {
+            "units": self._units,
+            "channels": self.geometry.channels,
+            "dies": self.geometry.dies,
+            "unit_busy_us": list(self.unit_busy_us),
+            "busy_imbalance": (
+                max(self.unit_busy_us) / (total / self._units)
+                if total > 0 else 0.0
+            ),
+            "channel_wait_us": self.channel_wait_us,
+            "host_ops": self.host_ops,
+        }
 
     def bad_blocks(self) -> List[int]:
         """Indices of all retired (bad) blocks."""

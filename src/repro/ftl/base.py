@@ -51,6 +51,12 @@ class FlashTranslationLayer(ABC):
     page each) plus :meth:`ram_bytes`, and share the stats object and the
     unmapped-read convention defined here.
 
+    Schemes contain no clock code: whoever drives the FTL marks the
+    host-op boundary of a multi-unit device (``flash.begin_host_op``;
+    the simulator and the block device do, before every page op).  A
+    bare ``ftl.write()`` without it is timed on one continuous pipeline:
+    it may overlap the previous op's flash work, down to 0.0.
+
     Args:
         flash: The raw device this FTL manages (exclusively).
         logical_pages: Size of the logical address space exported to the
@@ -85,10 +91,6 @@ class FlashTranslationLayer(ABC):
         #: by a single ``if self._tracer is not None`` branch so the
         #: disabled path costs nothing (see repro.obs).
         self._tracer: "Tracer | None" = None
-        #: Host-op boundary hook of a parallel device (resets its
-        #: per-unit clocks); None on the serial device, so schemes guard
-        #: the call instead of paying for a no-op per host op.
-        self._begin_op = getattr(flash, "begin_host_op", None)
 
     # ------------------------------------------------------------------
     # Host interface

@@ -181,8 +181,12 @@ class BastFTL(FlashTranslationLayer):
         return latency
 
     def _merge(self, lbn: int) -> float:
-        """Merge ``lbn``'s log block with its data block (cheapest form)."""
-        log = self._logs.pop(lbn)
+        """Merge ``lbn``'s log block with its data block (cheapest form).
+
+        The log stays attached until the merge returns: a full merge that
+        cannot allocate (a dying device) must leave its pages readable.
+        """
+        log = self._logs[lbn]
         data_pbn = self._block_map[lbn]
         log_block = self.flash.block(log.pbn)
         k = log_block.write_ptr
@@ -201,13 +205,16 @@ class BastFTL(FlashTranslationLayer):
                               lpn=lbn, kind=kind)
         try:
             if kind == "switch":
-                return self._switch_merge(lbn, log, data_pbn)
-            if kind == "partial":
-                return self._partial_merge(lbn, log, data_pbn, k)
-            return self._full_merge(lbn, log, data_pbn)
+                latency = self._switch_merge(lbn, log, data_pbn)
+            elif kind == "partial":
+                latency = self._partial_merge(lbn, log, data_pbn, k)
+            else:
+                latency = self._full_merge(lbn, log, data_pbn)
         finally:
             if tracer is not None:
                 tracer.span_end(EventType.MERGE_END, lpn=lbn, kind=kind)
+        del self._logs[lbn]
+        return latency
 
     def _switch_merge(self, lbn: int, log: _LogBlock, data_pbn: int) -> float:
         """The full, in-order log block simply becomes the data block."""

@@ -33,7 +33,7 @@ from ..obs.events import Cause
 from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
 from .gc_policy import GarbageCollector
 from .mapping import MappingStore
-from .pool import BlockPool
+from .pool import BlockPool, OutOfBlocksError
 from .stripe import Frontier, stripe_ways
 
 
@@ -118,8 +118,6 @@ class DftlFTL(FlashTranslationLayer):
     # ------------------------------------------------------------------
     def read(self, lpn: int) -> HostResult:
         self._check_lpn(lpn)
-        if self._begin_op is not None:
-            self._begin_op()
         self.stats.host_reads += 1
         ppn, latency = self._lookup(lpn)
         if ppn is None:
@@ -130,8 +128,6 @@ class DftlFTL(FlashTranslationLayer):
     def write(self, lpn: int, data: Any = None) -> HostResult:
         if not 0 <= lpn < self.logical_pages:
             self._check_lpn(lpn)
-        if self._begin_op is not None:
-            self._begin_op()
         self.stats.host_writes += 1
         flash = self.flash
         ppb = self._pages_per_block
@@ -265,29 +261,40 @@ class DftlFTL(FlashTranslationLayer):
         moved_setdefault = moved.setdefault
         gc_frontier = self._gc_active
         gc_take = gc_frontier.take
-        for src in flash.valid_ppns(pbn):
-            data, oob, read_lat = read_page(src)
-            latency += read_lat
-            # GC destination: never triggers nested GC.
-            gc_active = gc_take(1)
-            if gc_active is None:
-                gc_active = gc_frontier.open()
-            lpn = oob.lpn
-            dst = gc_active * ppb + write_ptr[gc_active]
-            latency += program_page(
-                dst, data, make_oob((lpn, seq_next(), DATA, False))
-            )
-            invalidate_page(src)
-            stats.gc_page_copies += 1
-            moved_setdefault(lpn // entries_per_page, []).append((lpn, dst))
-        for tvpn, pairs in moved.items():
-            content, read_lat = maps.load(tvpn)
-            latency += read_lat
-            for lpn, dst in pairs:
-                content[lpn % entries_per_page] = dst
-                entry = self._cmt.get(lpn)
-                if entry is not None:
-                    entry.ppn = dst
-                    entry.dirty = False
-            latency += maps.program(tvpn, content)
+        try:
+            for src in flash.valid_ppns(pbn):
+                data, oob, read_lat = read_page(src)
+                latency += read_lat
+                # GC destination: never triggers nested GC.
+                gc_active = gc_take(1)
+                if gc_active is None:
+                    gc_active = gc_frontier.open()
+                lpn = oob.lpn
+                dst = gc_active * ppb + write_ptr[gc_active]
+                latency += program_page(
+                    dst, data, make_oob((lpn, seq_next(), DATA, False))
+                )
+                invalidate_page(src)
+                stats.gc_page_copies += 1
+                moved_setdefault(
+                    lpn // entries_per_page, []).append((lpn, dst))
+            for tvpn in list(moved):
+                content, read_lat = maps.load(tvpn)
+                latency += read_lat
+                for lpn, dst in moved[tvpn]:
+                    content[lpn % entries_per_page] = dst
+                    entry = self._cmt.get(lpn)
+                    if entry is not None:
+                        entry.ppn = dst
+                        entry.dirty = False
+                latency += maps.program(tvpn, content)
+                del moved[tvpn]
+        except OutOfBlocksError:
+            # The device died mid-collection: pin the mappings of pages
+            # already moved in the CMT (dirty, over budget if need be), or
+            # they turn unreadable once this victim is erased.
+            for pairs in moved.values():
+                for lpn, dst in pairs:
+                    self._cmt[lpn] = _CmtEntry(dst, dirty=True)
+            raise
         return latency

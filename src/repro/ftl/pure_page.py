@@ -75,8 +75,6 @@ class PageFTL(FlashTranslationLayer):
     def read(self, lpn: int) -> HostResult:
         if not 0 <= lpn < self.logical_pages:
             self._check_lpn(lpn)
-        if self._begin_op is not None:
-            self._begin_op()
         self.stats.host_reads += 1
         ppn = self._map.raw[lpn]
         if ppn < 0:
@@ -87,8 +85,6 @@ class PageFTL(FlashTranslationLayer):
     def write(self, lpn: int, data: Any = None) -> HostResult:
         if not 0 <= lpn < self.logical_pages:
             self._check_lpn(lpn)
-        if self._begin_op is not None:
-            self._begin_op()
         self.stats.host_writes += 1
         flash = self.flash
         # An extra way opens only while the pool sits above the GC

@@ -5,8 +5,8 @@ data/GC/translation blocks, LazyFTL's UBA, CBA and mapping-block area)
 appends to a :class:`Frontier`.  It keeps up to ``ways`` blocks open -
 ideally one per parallel unit - and rotates page allocations round-robin
 across them, so bursts of programs (host writes, GC relocation, GMT
-commits) land on different units of a
-:class:`~repro.flash.parallel.ParallelNandFlash` and overlap.  There is
+commits) land on different parallel units of the
+:class:`~repro.flash.chip.NandFlash` and overlap.  There is
 one implementation for every geometry: :func:`stripe_ways` is 1 at one
 parallel unit, where the rotation degenerates to "keep the block until
 it is full, retire it, open the next".

@@ -11,9 +11,8 @@ JSON-serialisable dict):
   :class:`~repro.sim.simulator.SimulationResult`.
 
 Snapshots are what ``repro report --json`` prints, what ``--snapshot``
-saves, what ``tools/check_trace_schema.py`` validates in CI, and what
-``benchmarks/perfbench.py`` embeds in BENCH files so the perf trajectory
-carries tail data.  :func:`render_report` turns one into the terminal
+saves and what ``tools/check_trace_schema.py`` validates in CI.
+:func:`render_report` turns one into the terminal
 dashboard (latency table, top-cause tail breakdown, sparklines) - it
 works identically on a live run and on a reloaded snapshot.
 """

@@ -205,9 +205,10 @@ class Tracer:
     def channel_wait(self, wait_us: float) -> None:
         """Record time a raw op waited on its busy parallel unit.
 
-        Emitted by :class:`~repro.flash.parallel.ParallelNandFlash` for
-        ops that started after the least-busy unit was already free -
-        the time lost to stripe imbalance.  Like queueing it sits
+        Emitted by :class:`~repro.flash.chip.NandFlash` on a multi-unit
+        geometry, just before the op's own event, for ops that started
+        after the least-busy unit was already free - the time lost to
+        stripe imbalance.  Like queueing it sits
         *outside* the per-op service decomposition (the op's traced
         ``dur_us`` is its marginal makespan contribution, which already
         absorbs the wait), so it lands in its own recorder bucket and

@@ -37,8 +37,8 @@ differential tests in ``tests/test_batch_replay.py``):
   ``[perf]`` extra installed.
 
 Eligibility is conservative (see :func:`engine_for`): batching engages
-only for an exact :class:`~repro.flash.chip.NandFlash` (sanitized and
-parallel subclasses replay scalar), with no tracer attached, the
+only for an exact :class:`~repro.flash.chip.NandFlash` (the sanitized
+subclass replays scalar) with one parallel unit, no tracer attached, the
 power-fault injector disarmed, and a scheme registered in
 :data:`PLANNERS`.  Log-block schemes (BAST, FAST, LAST, NFTL, superblock)
 declare no planner and transparently stay scalar.
@@ -652,14 +652,15 @@ def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:
     """A :class:`BatchEngine` for ``ftl``, or None when ineligible.
 
     Ineligible (replay stays scalar): unregistered scheme, a flash
-    subclass (the sanitizer audits and the parallel device clocks every
-    raw op; epochs count reads in bulk), an attached tracer (it must see
-    per-op events), an armed power-fault injector (the trip point must
-    be a per-request boundary), a powered-off device, a multi-unit
-    geometry (an epoch is one run on the block ``Frontier.peek`` names,
-    timed on one clock; a multi-way rotation moves every write), or a
-    timing model with non-integer-valued latencies (bulk ``n * latency``
-    would not be bit-exact).
+    subclass (the sanitizer audits every raw op; epochs count reads in
+    bulk), an attached tracer (it must see per-op events), an armed
+    power-fault injector (the trip point must be a per-request
+    boundary), a powered-off device, a multi-unit geometry (the device
+    then charges a per-unit clock on every raw op, and an epoch is one
+    run on the block ``Frontier.peek`` names, timed on one clock; a
+    multi-way rotation moves every write), or a timing model with
+    non-integer-valued latencies (bulk ``n * latency`` would not be
+    bit-exact).
     """
     planner_cls = PLANNERS.get(type(ftl))
     if planner_cls is None:

@@ -103,12 +103,12 @@ def standard_setup(
     structured :class:`~repro.checks.SanitizerViolation`.
 
     ``channels``/``dies``/``planes`` select the device parallelism; with
-    more than one parallel unit the device is a
-    :class:`~repro.flash.ParallelNandFlash` (overlapped per-unit command
-    timing) and striping-capable schemes (LazyFTL, DFTL, ideal) spread
-    their frontier allocation across the units.  The default ``1x1x1``
-    builds the plain serial device, on which the same frontier code
-    keeps one block open per area.
+    more than one parallel unit (channels x dies - planes only widen
+    addressing) the device overlaps commands per unit and
+    striping-capable schemes (LazyFTL, DFTL, ideal) spread their
+    frontier allocation across the units.  On the default ``1x1x1`` the
+    same device is serial and the same frontier code keeps one block
+    open per area.
 
     A ``tracer`` (:class:`~repro.obs.Tracer`) is attached before the FTL
     is returned, so construction-time flash traffic and direct host calls
@@ -124,19 +124,12 @@ def standard_setup(
         dies=dies,
         planes=planes,
     )
-    parallel = geometry.parallel_units > 1 or planes > 1
     if sanitize:
         from ..checks import SanitizedFTL, SanitizedNandFlash
-        from ..checks.flashsan import SanitizedParallelNandFlash
 
-        device_cls = SanitizedParallelNandFlash if parallel \
-            else SanitizedNandFlash
-        flash = device_cls(geometry, timing=timing)
+        flash = SanitizedNandFlash(geometry, timing=timing)
     else:
-        from ..flash import ParallelNandFlash
-
-        device_cls = ParallelNandFlash if parallel else NandFlash
-        flash = device_cls(geometry, timing=timing)
+        flash = NandFlash(geometry, timing=timing)
     logical_pages = int(geometry.total_pages * logical_fraction)
     ftl = build_ftl(scheme, flash, logical_pages, **options)
     if sanitize:

@@ -190,12 +190,20 @@ class Simulator:
         recorded, idle gaps grant no ``background_work`` and the tracer
         sees no host-level calls.  The batch engine is asked once per
         replay; it declines by itself under a tracer, a sanitizer, a
-        parallel device and the rest of :func:`~repro.perf.batch.engine_for`'s
+        multi-unit device and the rest of :func:`~repro.perf.batch.engine_for`'s
         list, and then the scalar segment simply spans the trace.
+
+        This loop is where a host op starts, so it marks the boundary
+        for the device's per-unit clocks (``begin_host_op``) before every
+        page operation and ``background_work`` grant - skipped, once per
+        replay, on a one-unit device, which never reads its clocks.
         """
         ftl = self.ftl
         ftl_write = ftl.write
         ftl_read = ftl.read
+        flash = ftl.flash
+        begin_host_op = flash.begin_host_op \
+            if flash.geometry.parallel_units > 1 else None
         ops = cols.ops
         lpns = cols.lpns
         npages = cols.npages
@@ -238,6 +246,8 @@ class Simulator:
                     # to the FTL's housekeeping (background GC etc.).
                     if tracer is not None:
                         tracer.set_clock(device_free_at)
+                    if begin_host_op is not None:
+                        begin_host_op()
                     used = ftl.background_work(arrival - device_free_at)
                     if used > 0:
                         device_free_at += used
@@ -260,6 +270,8 @@ class Simulator:
                     tracer.set_clock(start)
                 service = 0.0
                 for lpn in range(first_lpn, first_lpn + count):
+                    if begin_host_op is not None:
+                        begin_host_op()
                     latency = ftl_write(lpn, None).latency_us if op \
                         else ftl_read(lpn).latency_us
                     service += latency

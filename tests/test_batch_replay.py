@@ -236,6 +236,24 @@ class TestEligibilityGate:
         assert batch.engine_for(wrapped) is None
         assert batch.engine_for(wrapped._ftl) is None
 
+    def test_planes_only_geometry_is_a_serial_device(self):
+        """Planes widen addressing, not timing: ``1x1x2`` has one
+        parallel unit, so it is the plain serial device - the engine
+        engages and agrees with scalar replay bit for bit."""
+        assert batch.engine_for(self._ftl(planes=2)) is not None
+        trace = make_trace(
+            [(lpn % 4 != 3, lpn * 7 % 150, 1) for lpn in range(600)], 0.0)
+        digests = [
+            engine_digest(Simulator(
+                self._ftl(planes=2), replay_mode=mode).run(trace))
+            for mode in ("auto", "scalar")
+        ]
+        assert digests[0] == digests[1]
+
+    def test_multi_unit_geometry_declines(self):
+        assert batch.engine_for(self._ftl(channels=2)) is None
+        assert batch.engine_for(self._ftl(dies=2)) is None
+
     def test_attached_tracer_declines(self):
         from repro.obs import Tracer
 

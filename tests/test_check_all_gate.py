@@ -2,7 +2,7 @@
 
 The gate script is subprocess-driven and stdlib-only, so these tests load
 it by path and drive ``main()`` with stubbed stage runners - no real
-pytest/perfbench subprocesses are spawned.
+pytest/ftlbench subprocesses are spawned.
 """
 
 import importlib.util
@@ -107,6 +107,22 @@ class TestRequireMypy:
         monkeypatch.setattr(importlib.util, "find_spec",
                             lambda name: None)
         assert check_all.step_mypy({"_require_mypy": False}) is True
+
+
+class TestFtlbenchStage:
+    def test_ftlbench_replaced_perfbench(self, check_all):
+        assert "ftlbench" in check_all.STEPS
+        assert "perfbench" not in check_all.STEPS
+        assert set(check_all.RUNNERS) == set(check_all.STEPS)
+
+    def test_stage_runs_the_smoke_round(self, check_all, monkeypatch):
+        seen = []
+        monkeypatch.setattr(check_all, "run_step",
+                            lambda name, argv: seen.append(argv) or True)
+        assert check_all.step_ftlbench({}) is True
+        (argv,) = seen
+        assert argv[1].endswith("benchmarks/ftlbench/run.py")
+        assert argv[2:] == ["--smoke"]
 
 
 class TestFlowlintStage:

@@ -34,14 +34,6 @@ class TestLazyFTLConformance(FTLConformance):
         ftl.flush()
         assert self.count_valid_data_pages(ftl) == len(live)
 
-    def test_device_end_of_life_raises_cleanly(self):
-        """Extension: LazyFTL reads never allocate, so everything it
-        acknowledged stays readable on the dead device."""
-        ftl, acked, died = self.wear_out(endurance=6)
-        assert died and ftl.stats.bad_blocks_retired > 0
-        for lpn, value in acked.items():
-            assert ftl.read(lpn).data == value
-
 
 def make_lazy(blocks=40, pages=8, page_size=64, logical=96, **cfg):
     """Small device with 16-entry GMT pages so mapping behaviour is visible."""

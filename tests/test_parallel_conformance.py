@@ -14,7 +14,7 @@ across three device geometries:
 
 One sanitized (flashsan) variant per scheme runs the same contract under
 full per-op auditing on the widest geometry, composing the sanitizer
-with :class:`~repro.flash.parallel.ParallelNandFlash` overlap timing.
+with the device's per-unit overlap timing.
 """
 
 import random

@@ -1,33 +1,51 @@
 """Unit and property tests for the parallel device model.
 
-Covers the three layers the multi-channel work added:
+Covers the layers the multi-channel work added:
 
 * :class:`FlashGeometry` parallel addressing - the block-interleaved
   ppn -> (channel, die, plane, block, page) layout, its validation, and
   the ``CxDxP`` spec parser behind ``--geometry``;
-* :class:`ParallelNandFlash` busy-until timing - overlap across units,
-  serialization within a unit, the ``serialize_timing`` lever, channel
-  waits and the host-op clock reset;
+* :class:`NandFlash` busy-until timing on a multi-unit geometry -
+  overlap across units, serialization within a unit, the
+  ``serialize_timing`` lever, channel waits, the host-op clock reset,
+  and error paths that charge and trace the same at 1 and N units;
+* the host-op boundary, which the replay driver marks (never an FTL):
+  every scheme gets the same clock model through ``Simulator.run``, and
+  ``background_work`` is timed against its own origin;
 * the Hypothesis property separating *placement* from *timing*: for
   random workloads, per-channel overlap never reorders or changes acked
   results - an N-channel run with serialized timing forced produces the
   same acked results as the 1x1x1 run, and flipping overlap on changes
-  per-op latencies (only downward) while placement stays bit-identical.
+  per-op latencies (only downward) while placement stays bit-identical;
+* the parallel probe (formerly ``benchmarks/perfbench.py``): what four
+  channels buy LazyFTL in simulated time, with the latency
+  decomposition exact under overlap timing.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import LazyConfig, LazyFTL
 from repro.flash import (
+    BadBlockError,
+    EraseError,
+    FlashError,
     FlashGeometry,
     NandFlash,
     OOBData,
-    ParallelNandFlash,
     UNIT_TIMING,
     parse_parallelism,
 )
 from repro.flash.timing import SLC_TIMING
+from repro.obs import OpLatencyRecorder, Tracer
+from repro.obs.events import EventType
+from repro.sim import SCHEMES, Simulator, standard_setup
+from repro.sim.runner import DeviceSpec, run_scheme
+from repro.traces import IORequest, OpType, Trace
+from repro.traces.financial import financial1
+from repro.traces.synthetic import uniform_random, warmup_fill
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +132,7 @@ class TestParallelGeometry:
 # ----------------------------------------------------------------------
 def make_parallel(channels=2, dies=1, blocks=8, pages=4,
                   timing=SLC_TIMING):
-    return ParallelNandFlash(
+    return NandFlash(
         FlashGeometry(num_blocks=blocks, pages_per_block=pages,
                       page_size=64, channels=channels, dies=dies),
         timing=timing,
@@ -123,7 +141,7 @@ def make_parallel(channels=2, dies=1, blocks=8, pages=4,
 
 class TestParallelTiming:
     def test_single_unit_delta_equals_raw(self):
-        flash = ParallelNandFlash(
+        flash = NandFlash(
             FlashGeometry(num_blocks=4, pages_per_block=4, page_size=64),
             timing=SLC_TIMING,
         )
@@ -230,6 +248,130 @@ class TestParallelTiming:
                                       SLC_TIMING.block_erase_us]
 
 
+class _Spy:
+    """Minimal tracer: records what the device reports, in order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def flash_op(self, event, addr, latency, lpn=None):
+        self.calls.append((event, addr, latency))
+
+    def channel_wait(self, wait_us):
+        self.calls.append(("channel_wait", wait_us))
+
+
+class TestErrorPathsChargeAndTrace:
+    """The erases that raise *after* the charge - endurance failure and a
+    block with valid pages - cost and report the same at 1 and N units
+    (the clock sits between the stats update and the one trace emit)."""
+
+    @staticmethod
+    def script(channels):
+        flash = NandFlash(
+            FlashGeometry(num_blocks=8, pages_per_block=4, page_size=64,
+                          channels=channels),
+            timing=SLC_TIMING, endurance=1,
+        )
+        flash.tracer = _Spy()
+        outcomes = []
+        for op, args in (
+            (flash.program_page, (0, "a", OOBData(lpn=0, seq=1))),
+            (flash.erase_block, (0,)),       # valid page: EraseError
+            (flash.invalidate_page, (0,)),
+            (flash.erase_block, (0,)),       # the one erase endurance allows
+            (flash.erase_block, (0,)),       # worn out: BadBlockError
+            (flash.erase_block, (0,)),       # already bad: nothing charged
+        ):
+            flash.begin_host_op()
+            try:
+                outcomes.append(op(*args))
+            except FlashError as exc:
+                outcomes.append(type(exc))
+        return flash, outcomes
+
+    def test_same_outcomes_stats_and_events_at_1_and_4_units(self):
+        serial, serial_outcomes = self.script(channels=1)
+        striped, striped_outcomes = self.script(channels=4)
+        erase_us = SLC_TIMING.block_erase_us
+        assert serial_outcomes == striped_outcomes == [
+            SLC_TIMING.page_program_us, EraseError, None, erase_us,
+            BadBlockError, BadBlockError,
+        ]
+        assert striped.stats.as_dict() == serial.stats.as_dict()
+        assert striped.stats.block_erases == 3
+        assert striped.tracer.calls == serial.tracer.calls == [
+            (EventType.PAGE_PROGRAM, 0, SLC_TIMING.page_program_us),
+            (EventType.BLOCK_ERASE, 0, erase_us),
+            (EventType.BLOCK_ERASE, 0, erase_us),
+            (EventType.BLOCK_ERASE, 0, erase_us),
+        ]
+
+    def test_failed_erases_advance_the_unit_clock(self):
+        flash, _ = self.script(channels=4)
+        assert flash.unit_busy_us == [
+            SLC_TIMING.page_program_us + 3 * SLC_TIMING.block_erase_us,
+            0.0, 0.0, 0.0,
+        ]
+        # The last attempt hit the is-bad precheck: the clocks were
+        # reset for it and nothing was charged.
+        assert flash._op_end == 0.0
+
+
+# ----------------------------------------------------------------------
+# The host-op boundary belongs to the replay driver
+# ----------------------------------------------------------------------
+SMOKE_DEVICE = DeviceSpec(num_blocks=96, pages_per_block=16, page_size=512,
+                          logical_fraction=0.7)
+SMOKE_4CH = replace(SMOKE_DEVICE, channels=4)
+
+
+class TestDriverMarksTheBoundary:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_no_host_op_is_cheaper_than_its_own_flash_op(self, scheme):
+        """Every scheme gets the same clock model at 4x1x1: a host write
+        programs at least one page and a mapped read reads at least one,
+        each against a fresh origin - consecutive host ops never overlap,
+        whether or not the scheme stripes."""
+        trace = uniform_random(600, 800, write_ratio=0.6, seed=5)
+        result = run_scheme(scheme, trace, device=SMOKE_4CH,
+                            warmup=warmup_fill(800))
+        assert result.responses.writes.min >= SLC_TIMING.page_program_us
+        assert result.responses.reads.min >= SLC_TIMING.page_read_us
+
+    def test_background_work_is_timed_from_its_own_origin(self):
+        """Idle-time GC is no part of the host op before it: the time
+        ``background_work`` reports is the makespan of its own flash ops
+        (per unit they run back to back from t=0, so the makespan is the
+        busiest unit's raw time)."""
+        flash, ftl, _ = standard_setup(
+            "LazyFTL", num_blocks=48, pages_per_block=8, page_size=64,
+            logical_fraction=0.25, timing=UNIT_TIMING, channels=2,
+            config=LazyConfig(uba_blocks=4, cba_blocks=2,
+                              gc_free_threshold=3, background_gc=True),
+        )
+        grants = []
+        inner = ftl.background_work
+
+        def spy(budget_us):
+            before = list(flash.unit_busy_us)
+            used = inner(budget_us)
+            own = [now - was for now, was in zip(flash.unit_busy_us, before)]
+            grants.append((used, max(own)))
+            return used
+
+        ftl.background_work = spy
+        closed = uniform_random(1500, 96, seed=2)
+        Simulator(ftl).run(Trace([
+            IORequest(op=OpType.WRITE, lpn=request.lpn,
+                      arrival_us=i * 40.0)
+            for i, request in enumerate(closed)
+        ], name="open-loop"))
+        assert any(used > 0 for used, _ in grants)
+        for used, makespan in grants:
+            assert used == makespan
+
+
 # ----------------------------------------------------------------------
 # Property: placement determinism vs timing overlap
 # ----------------------------------------------------------------------
@@ -253,10 +395,15 @@ def _lazy_on(flash):
 
 
 def _run(ftl, ops):
-    """Replay ``ops``; return (acked results, per-op latencies)."""
+    """Replay ``ops``; return (acked results, per-op latencies).
+
+    Drives a bare FTL, so it marks the host-op boundary itself (the
+    simulator's job in a real replay).
+    """
     acked = []
     latencies = []
     for i, (is_write, lpn) in enumerate(ops):
+        ftl.flash.begin_host_op()
         if is_write:
             result = ftl.write(lpn, (lpn, i))
             acked.append(("w", lpn))
@@ -286,9 +433,9 @@ class TestOverlapNeverChangesResults:
             FlashGeometry(num_blocks=40, pages_per_block=8, page_size=64),
             timing=UNIT_TIMING,
         )
-        forced = ParallelNandFlash(geometry, timing=UNIT_TIMING)
+        forced = NandFlash(geometry, timing=UNIT_TIMING)
         forced.serialize_timing = True
-        overlapped = ParallelNandFlash(geometry, timing=UNIT_TIMING)
+        overlapped = NandFlash(geometry, timing=UNIT_TIMING)
 
         serial_acked, _ = _run(_lazy_on(serial_flash), ops)
         forced_acked, forced_lat = _run(_lazy_on(forced), ops)
@@ -310,3 +457,38 @@ class TestOverlapNeverChangesResults:
         for serialized_us, overlapped_us in zip(forced_lat, over_lat):
             assert overlapped_us <= serialized_us + 1e-9
             assert overlapped_us >= 0.0
+
+
+# ----------------------------------------------------------------------
+# The parallel probe: what the channels buy, and that the books balance
+# ----------------------------------------------------------------------
+class TestParallelProbe:
+    """LazyFTL's macro workload (synthetic Financial1, steady state) on
+    the smoke device, serial vs 4x1x1.  Both runs are deterministic, so
+    the floors are noise-free."""
+
+    #: Minimum *simulated* gain of four channels (``device_busy_us`` is
+    #: the sum of per-op service makespans - simulated time under the
+    #: closed-loop model).
+    MIN_SPEEDUP = 1.5
+    #: Minimum fraction of service time attributed to a named cause.
+    MIN_ATTRIBUTED = 0.99
+
+    def test_four_channels_pay_and_the_decomposition_stays_exact(self):
+        trace = financial1(2500, SMOKE_DEVICE.logical_pages, seed=202)
+        serial = run_scheme("LazyFTL", trace, device=SMOKE_DEVICE,
+                            precondition="steady")
+        recorder = OpLatencyRecorder()
+        striped = run_scheme("LazyFTL", trace, device=SMOKE_4CH,
+                             precondition="steady",
+                             tracer=Tracer(latency=recorder))
+        assert serial.device_busy_us / striped.device_busy_us \
+            >= self.MIN_SPEEDUP
+        summary = recorder.scheme_summary("LazyFTL")
+        # Channel waits are reported beside the decomposition and never
+        # leak into unattributed time.
+        assert summary["classes"]["overall"]["attributed_fraction"] \
+            >= self.MIN_ATTRIBUTED
+        assert summary["invariant"]["checked_ops"] == trace.page_ops
+        assert summary["invariant"]["violations"] == 0
+        assert summary["channel_wait"]["total_us"] > 0

@@ -17,7 +17,6 @@ from repro.flash import (
     NandFlash,
     OOBData,
     PageState,
-    ParallelNandFlash,
     TimingModel,
 )
 from repro.ftl.last import LastFTL
@@ -138,7 +137,7 @@ DEVICES = {
     "serial": lambda seq: NandFlash(
         FlashGeometry(BLOCKS, PPB, 512), TIMING,
         enforce_sequential=seq),
-    "parallel": lambda seq: ParallelNandFlash(
+    "parallel": lambda seq: NandFlash(
         FlashGeometry(BLOCKS, PPB, 512, channels=4), TIMING,
         enforce_sequential=seq),
     "sanitized": lambda seq: SanitizedNandFlash(

@@ -21,10 +21,14 @@ Runs, in order:
    ``--sanitize`` (so the per-op decomposition invariant is audited),
    saves the snapshot, and validates its schema with
    ``tools/check_trace_schema.py``;
-7. **perfbench** - ``benchmarks/perfbench.py --smoke --check``: replays
-   the smoke throughput suite and fails when any cell regresses more
-   than ``[tool.perfbench] max_regression_pct`` against the committed
-   ``BENCH_pr9.json`` 'after' baseline (``perfbench.BENCH_PATH``);
+7. **ftlbench** - ``benchmarks/ftlbench/run.py --smoke``: one smoke
+   round of the repository benchmark (every workload in its own child
+   process, about 5 s); exit code 1 on any failed output check (host
+   ops match the trace, no redundant invalidates, repeats agree on
+   every simulated statistic) or failed op (a replay that raises,
+   read-your-writes on the aged device).  It gates that the measured
+   paths work, not their speed - speed is judged on paired
+   parent/change rounds (``--compare``);
 8. **batchdiff** - ``tools/batchdiff.py``: scalar vs batched replay
    digests over two short deterministic workloads for every scheme,
    with both kernel backends (numpy and the pure-``array`` fallback) -
@@ -63,7 +67,7 @@ except ModuleNotFoundError:  # Python < 3.11
     tomllib = None
 
 STEPS = ("ftlint", "flowlint", "pytest", "mypy", "trace", "report",
-         "perfbench", "batchdiff", "crashmc")
+         "ftlbench", "batchdiff", "crashmc")
 
 #: The CFG/dataflow rule ids (kept in sync with
 #: ``repro.checks.lint.FLOW_RULE_IDS``; this module stays stdlib-only
@@ -194,10 +198,10 @@ def step_report(config: dict) -> bool:
         ])
 
 
-def step_perfbench(config: dict) -> bool:
-    return run_step("perfbench", [
-        sys.executable, str(_REPO_ROOT / "benchmarks" / "perfbench.py"),
-        "--smoke", "--check",
+def step_ftlbench(config: dict) -> bool:
+    return run_step("ftlbench", [
+        sys.executable,
+        str(_REPO_ROOT / "benchmarks" / "ftlbench" / "run.py"), "--smoke",
     ])
 
 
@@ -247,7 +251,7 @@ RUNNERS = {
     "mypy": step_mypy,
     "trace": step_trace,
     "report": step_report,
-    "perfbench": step_perfbench,
+    "ftlbench": step_ftlbench,
     "batchdiff": step_batchdiff,
     "crashmc": step_crashmc,
 }
