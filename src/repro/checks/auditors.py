@@ -13,7 +13,11 @@ verify the global invariants that back the paper's claims:
   is covered by a pending UMT entry (deferred invalidation is *tracked*
   laziness, never a leak), and the zero-merge headline invariant.
 * **DFTL** - CMT/translation-page consistency (clean entries mirror flash,
-  dirty entries point at live data) and GTD/translation-page agreement.
+  dirty entries point at live data), GTD/translation-page agreement, and
+  the per-translation-page dirty index against the entries' dirty flags.
+* **Victim pools** - every GC candidate sits in the bucket of its current
+  valid count, unless the device still lists it as invalidated since the
+  collector last looked (read, never drained, here).
 
 Audits are side-effect free: they read RAM tables and page state directly
 and never issue device operations, so they can run mid-benchmark without
@@ -22,7 +26,7 @@ perturbing latencies or statistics.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from ..core.lazyftl import LazyFTL
 from ..flash.chip import NandFlash
@@ -30,6 +34,7 @@ from ..flash.oob import PageKind
 from ..flash.page import FREE, VALID, PageState
 from ..ftl.base import FlashTranslationLayer
 from ..ftl.dftl import DftlFTL
+from ..ftl.gc_policy import GarbageCollector
 from ..ftl.mapping import MappingStore
 from .report import AuditReport, Violation, ViolationKind
 
@@ -98,6 +103,37 @@ class _Auditor:
                         f"block {pbn} has free page(s) at "
                         f"{free_below[:8]} below the write pointer on a "
                         "sequential-program device",
+                        pbn=pbn,
+                    )
+
+    def audit_victim_pools(self) -> None:
+        """GC's valid-count buckets against the device's counts."""
+        gc = getattr(self.ftl, "_gc", None)
+        if not isinstance(gc, GarbageCollector):
+            return
+        pools = {"the victim pool": gc.blocks}
+        if gc.maps is not None:
+            pools["the store's full blocks"] = gc.maps.full_blocks
+        flash = self.flash
+        for name, pool in pools.items():
+            self.check()
+            if sorted(pool._bucket_of.items()) != sorted(
+                    (pbn, valid) for valid, bucket in enumerate(pool._buckets)
+                    for pbn in bucket):
+                self.fail(
+                    ViolationKind.COUNTER_DRIFT,
+                    f"the buckets of {name} disagree with its member table",
+                )
+            for pbn, valid in pool._bucket_of.items():
+                self.check()
+                if valid != flash.valid_count[pbn] \
+                        and pbn not in flash.invalidated:
+                    self.fail(
+                        ViolationKind.COUNTER_DRIFT,
+                        f"block {pbn} of {name} is bucketed under {valid} "
+                        f"valid page(s) but holds {flash.valid_count[pbn]} "
+                        "and is not awaiting a refresh - GC would pick by "
+                        "a stale count",
                         pbn=pbn,
                     )
 
@@ -331,6 +367,24 @@ def _audit_dftl(a: _Auditor, ftl: DftlFTL) -> None:
                     f"but translation page {tvpn} holds {flash_ppn}",
                     lpn=lpn, ppn=entry.ppn,
                 )
+    # 3. The dirty index is the dirty flags, grouped by translation page.
+    dirty: Dict[int, Set[int]] = {}
+    for lpn, entry in ftl._cmt.items():
+        if entry.dirty:
+            dirty.setdefault(maps.tvpn_of(lpn), set()).add(lpn)
+    indexed = ftl._dirty.pages
+    for tvpn in sorted(dirty.keys() | indexed.keys()):
+        a.check()
+        flagged, listed = dirty.get(tvpn, set()), indexed.get(tvpn, set())
+        if flagged != listed:
+            a.fail(
+                ViolationKind.CMT_INCONSISTENT,
+                f"dirty index of translation page {tvpn} lists lpns "
+                f"{sorted(listed)[:8]} but the dirty CMT entries are "
+                f"{sorted(flagged)[:8]} (a flush would write back the "
+                "listed ones only)",
+                lpn=min(flagged ^ listed),
+            )
 
 
 def audit_ftl(ftl: FlashTranslationLayer) -> AuditReport:
@@ -343,6 +397,7 @@ def audit_ftl(ftl: FlashTranslationLayer) -> AuditReport:
     """
     auditor = _Auditor(ftl)
     auditor.audit_block_counters()
+    auditor.audit_victim_pools()
     auditor.audit_oob_reverse_mappings()
     if isinstance(ftl, LazyFTL):
         _audit_lazyftl(auditor, ftl)

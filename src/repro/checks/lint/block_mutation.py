@@ -24,7 +24,7 @@ from .base import Rule
 #: NandFlash state arrays that only flash-layer code may store to.
 _GUARDED_ARRAYS = frozenset({
     "page_states", "page_data", "page_oob",
-    "write_ptr", "valid_count", "erase_count", "is_bad",
+    "write_ptr", "valid_count", "erase_count", "is_bad", "invalidated",
 })
 #: Device mutators that only flash-layer (or test/fault) code may call.
 _GUARDED_CALLS = frozenset({"force_erase", "mark_bad"})

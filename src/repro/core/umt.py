@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..flash.geometry import MAP_ENTRY_BYTES
+from ..ftl.mapping import LpnsByPage
 from ..perf.maptable import UNMAPPED
 
 
@@ -41,9 +42,10 @@ class UpdateMappingTable:
     """lpn -> :class:`UmtEntry` map with conversion helpers.
 
     Entries are additionally indexed by the GMT page (tvpn) that holds
-    their mapping, because conversion commits *every* UMT entry of a GMT
-    page whenever that page is rewritten - the global batching that makes
-    one mapping-page read-modify-write absorb updates from many blocks.
+    their mapping (:class:`~repro.ftl.mapping.LpnsByPage`, shared with
+    DFTL), because conversion commits *every* UMT entry of a GMT page
+    whenever that page is rewritten - the global batching that makes one
+    mapping-page read-modify-write absorb updates from many blocks.
 
     Hot paths (LazyFTL's per-write UMT probe) should use :meth:`ppn_at`,
     which answers from the flat array without allocating an entry object.
@@ -56,7 +58,7 @@ class UpdateMappingTable:
         self._ppn = array("q")
         self._cold = bytearray()
         self._count = 0
-        self._by_tvpn: Dict[int, set] = {}
+        self._by_tvpn = LpnsByPage(entries_per_page)
 
     def _grow_to(self, lpn: int) -> None:
         """Extend the flat tables so index ``lpn`` is addressable."""
@@ -93,80 +95,31 @@ class UpdateMappingTable:
         self._cold[lpn] = 1 if cold else 0
         if was_absent:
             self._count += 1
-            tvpn = lpn // self.entries_per_page
-            peers = self._by_tvpn.get(tvpn)
-            if peers is None:
-                self._by_tvpn[tvpn] = {lpn}
-            else:
-                peers.add(lpn)
+            self._by_tvpn.add(lpn)
 
     def set_many(
         self, pairs: "Iterable[Tuple[int, int]]", cold: bool = False
     ) -> None:
         """Bulk :meth:`set`: commit one batch-replay epoch's deferred
-        entries in a single pass.
-
-        Equivalent to calling ``set(lpn, ppn, cold)`` per pair: the count
-        and the per-tvpn index update only for previously-absent lpns, so
-        handing in each lpn's *final* epoch mapping produces exactly the
-        state the per-write path would have left.
-        """
-        flag = 1 if cold else 0
-        entries_per_page = self.entries_per_page
-        by_tvpn = self._by_tvpn
-        added = 0
+        entries (each lpn's *final* epoch mapping) in a single call."""
         for lpn, ppn in pairs:
-            if lpn >= len(self._ppn):
-                self._grow_to(lpn)
-            ppns = self._ppn
-            if ppns[lpn] < 0:
-                added += 1
-                tvpn = lpn // entries_per_page
-                peers = by_tvpn.get(tvpn)
-                if peers is None:
-                    by_tvpn[tvpn] = {lpn}
-                else:
-                    peers.add(lpn)
-            ppns[lpn] = ppn
-            self._cold[lpn] = flag
-        self._count += added
+            self.set(lpn, ppn, cold)
 
     def pop(self, lpn: int) -> Optional[UmtEntry]:
         """Remove and return the entry (None if absent)."""
-        if not (0 <= lpn < len(self._ppn)):
-            return None
-        ppn = self._ppn[lpn]
-        if ppn < 0:
-            return None
-        entry = UmtEntry(ppn, bool(self._cold[lpn]))
-        self._ppn[lpn] = UNMAPPED
-        self._cold[lpn] = 0
-        self._count -= 1
-        tvpn = lpn // self.entries_per_page
-        peers = self._by_tvpn.get(tvpn)
-        if peers is not None:
-            peers.discard(lpn)
-            if not peers:
-                del self._by_tvpn[tvpn]
+        entry = self.get(lpn)
+        self.discard(lpn)
         return entry
 
     def discard(self, lpn: int) -> None:
-        """Remove the entry for ``lpn`` if present, returning nothing.
-
-        The allocation-free twin of :meth:`pop` for callers that drop the
-        entry (batch commits retire tens of thousands per run).
-        """
+        """Remove the entry for ``lpn`` if present, returning nothing (no
+        entry object is built: batch commits retire tens of thousands)."""
         if not (0 <= lpn < len(self._ppn)) or self._ppn[lpn] < 0:
             return
         self._ppn[lpn] = UNMAPPED
         self._cold[lpn] = 0
         self._count -= 1
-        tvpn = lpn // self.entries_per_page
-        peers = self._by_tvpn.get(tvpn)
-        if peers is not None:
-            peers.discard(lpn)
-            if not peers:
-                del self._by_tvpn[tvpn]
+        self._by_tvpn.discard(lpn)
 
     def discard_tvpn(self, tvpn: int) -> None:
         """Remove every entry covered by GMT page ``tvpn`` in one pass.
@@ -175,9 +128,7 @@ class UpdateMappingTable:
         each rewritten GMT page, so retiring them per page skips the
         per-lpn tvpn-index bookkeeping :meth:`discard` would repeat.
         """
-        peers = self._by_tvpn.pop(tvpn, None)
-        if not peers:
-            return
+        peers = self._by_tvpn.pages.pop(tvpn, ())
         ppns = self._ppn
         cold = self._cold
         for lpn in peers:
@@ -187,7 +138,7 @@ class UpdateMappingTable:
 
     def lpns_in_tvpn(self, tvpn: int) -> List[int]:
         """All lpns with deferred entries covered by GMT page ``tvpn``."""
-        return sorted(self._by_tvpn.get(tvpn, ()))
+        return sorted(self._by_tvpn.pages.get(tvpn, ()))
 
     def items(self) -> Iterator[Tuple[int, UmtEntry]]:
         ppns = self._ppn
@@ -219,7 +170,7 @@ class UpdateMappingTable:
         self._ppn = array("q")
         self._cold = bytearray()
         self._count = 0
-        self._by_tvpn = {}
+        self._by_tvpn.pages.clear()
         for lpn, (ppn, cold) in state.items():
             self.set(lpn, ppn, cold)
 

@@ -43,7 +43,7 @@ the lever the property tests use to tell the two apart.
 from __future__ import annotations
 
 import warnings
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs.events import EventType
 from .block import Block
@@ -84,6 +84,8 @@ class NandFlash:
     ``valid_count[pbn]``      list       VALID pages in the block
     ``erase_count[pbn]``      list       erases so far (wear)
     ``is_bad[pbn]``           bytearray  1 once the block is retired
+    ``invalidated``           set        pbns that lost a VALID page since
+                                         :meth:`take_invalidated`
     ========================  =========  ================================
     """
 
@@ -113,6 +115,8 @@ class NandFlash:
         self.valid_count: List[int] = [0] * num_blocks
         self.erase_count: List[int] = [0] * num_blocks
         self.is_bad = bytearray(num_blocks)
+        #: Blocks whose valid count dropped since :meth:`take_invalidated`.
+        self.invalidated: Set[int] = set()
         #: One erased block's worth of each page column (erase is a slice
         #: assignment from these).
         self._erased_states = bytes(ppb)
@@ -435,7 +439,9 @@ class NandFlash:
         already-stale page is counted (``stats.redundant_invalidates``)
         and reported via :class:`RedundantInvalidateWarning` - the FTL's
         bookkeeping retired the same copy twice.  The flashsan sanitizer
-        turns both into structured violations.
+        turns both into structured violations.  Short of an erase nothing
+        else lowers a block's valid count, so the block is noted in
+        ``invalidated`` for whoever indexes blocks by it (GC's victim pool).
         """
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)
@@ -444,6 +450,7 @@ class NandFlash:
         if state == VALID:
             states[ppn] = INVALID
             self.valid_count[ppn // self._ppb] -= 1
+            self.invalidated.add(ppn // self._ppb)
             return
         pbn, offset = divmod(ppn, self._ppb)
         if state == FREE:
@@ -458,6 +465,12 @@ class NandFlash:
             ),
             stacklevel=2,
         )
+
+    def take_invalidated(self) -> Set[int]:
+        """Hand over the blocks noted in ``invalidated``; start afresh."""
+        touched = self.invalidated
+        self.invalidated = set()
+        return touched
 
     def force_erase(self, pbn: int) -> None:
         """Reset a block to erased even if valid pages remain.

@@ -12,9 +12,13 @@ The translation pages, the GTD that locates them and their blocks are the
 shared :class:`~repro.ftl.mapping.MappingStore`; what is DFTL's own is the
 CMT, which dirty entries a flush or a GC pass writes back, and the
 store's destination policy (:meth:`DftlFTL._trans_destination`: reclaim
-when the pool is low, except inside GC).  LazyFTL keeps that skeleton but
-defers and batches mapping updates through the UMT instead of paying
-per-eviction read-modify-writes.
+when the pool is low, except inside GC).  Dirty entries are also indexed
+by translation page (the UMT's :class:`~repro.ftl.mapping.LpnsByPage`),
+so a flush never walks the CMT; :meth:`DftlFTL._mark_dirty` and
+:meth:`DftlFTL._mark_clean` are the only places the flag flips, and they
+keep the index with it.  LazyFTL keeps that skeleton but defers and
+batches mapping updates through the UMT instead of paying per-eviction
+read-modify-writes.
 
 Reference: Gupta, Kim, Urgaonkar, "DFTL: a flash translation layer
 employing demand-based selective caching of page-level address mappings"
@@ -32,19 +36,19 @@ from ..flash.oob import PageKind, SequenceCounter, make_oob
 from ..obs.events import Cause
 from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
 from .gc_policy import GarbageCollector
-from .mapping import MappingStore
+from .mapping import LpnsByPage, MappingStore
 from .pool import BlockPool, OutOfBlocksError
 from .stripe import Frontier, stripe_ways
 
 
 class _CmtEntry:
-    """One cached mapping entry."""
+    """One cached mapping entry; born clean."""
 
     __slots__ = ("ppn", "dirty")
 
-    def __init__(self, ppn: Optional[int], dirty: bool):
+    def __init__(self, ppn: Optional[int]):
         self.ppn = ppn
-        self.dirty = dirty
+        self.dirty = False
 
 
 class DftlFTL(FlashTranslationLayer):
@@ -100,6 +104,8 @@ class DftlFTL(FlashTranslationLayer):
             (logical_pages + entries - 1) // entries,
             self._trans_destination,
         )
+        #: The dirty CMT entries' lpns, by translation page.
+        self._dirty = LpnsByPage(entries)
         self._gc = GarbageCollector(
             flash, pool, self.stats, gc_free_threshold,
             self._collect_data_block, self._maps,
@@ -147,7 +153,7 @@ class DftlFTL(FlashTranslationLayer):
         if old_ppn is not None:
             flash.invalidate_page(old_ppn)
         entry.ppn = ppn
-        entry.dirty = True
+        self._mark_dirty(lpn, entry)
         self._cmt.move_to_end(lpn)
         return HostResult(latency)
 
@@ -177,41 +183,54 @@ class DftlFTL(FlashTranslationLayer):
         finally:
             if tracer is not None:
                 tracer.pop_cause()
-        self._cmt[lpn] = _CmtEntry(ppn, dirty=False)
+        self._cmt[lpn] = _CmtEntry(ppn)
         return ppn, latency
+
+    def _mark_dirty(self, lpn: int, entry: _CmtEntry) -> None:
+        """The one place a CMT entry turns dirty (flag and index)."""
+        entry.dirty = True
+        self._dirty.add(lpn)
+
+    def _mark_clean(self, lpn: int, entry: _CmtEntry) -> None:
+        """The one place a CMT entry turns clean: flash now holds it."""
+        entry.dirty = False
+        self._dirty.discard(lpn)
 
     def _make_room(self) -> float:
         """Evict until the CMT has room for one more entry."""
         latency = 0.0
         while len(self._cmt) >= self.cmt_entries:
             victim_lpn, victim = next(iter(self._cmt.items()))
-            if not victim.dirty:
-                self._cmt.popitem(last=False)
-                continue
-            latency += self._flush_tvpn(self._maps.tvpn_of(victim_lpn))
+            if victim.dirty:
+                latency += self._flush_tvpn(victim_lpn)
             self._cmt.pop(victim_lpn, None)
         return latency
 
-    def _flush_tvpn(self, tvpn: int) -> float:
-        """Write back dirty CMT entries of one translation page."""
+    # flowlint: hot
+    def _flush_tvpn(self, victim_lpn: int) -> float:
+        """Write back the dirty CMT entries of the eviction victim's
+        translation page - without batch eviction, only one of them."""
         maps = self._maps
+        tvpn = maps.tvpn_of(victim_lpn)
         # checkout may run GC, which writes back (and cleans) the entries
         # it moves: the dirty set is only read after it.
         content, latency = maps.checkout(tvpn)
-        lo = tvpn * maps.entries_per_page
-        hi = lo + maps.entries_per_page
+        dirty = self._dirty.pages.get(tvpn, ())
         if self.batch_eviction:
-            dirty_lpns = [
-                l for l, e in self._cmt.items() if e.dirty and lo <= l < hi
-            ]
+            lpns = list(dirty)
+        elif victim_lpn in dirty:
+            lpns = [victim_lpn]
         else:
-            dirty_lpns = [next(
-                l for l, e in self._cmt.items() if e.dirty and lo <= l < hi
-            )]
-        for l in dirty_lpns:
-            entry = self._cmt[l]
-            content[l - lo] = entry.ppn
-            entry.dirty = False
+            # That GC already wrote the victim back: the page's first
+            # still-dirty entry in CMT order goes instead, if there is one.
+            lpns = [l for l in self._cmt if l in dirty][:1]
+        # The stores commute (one slot and one entry per lpn), so the
+        # order the index hands the lpns out in cannot show.
+        lo = tvpn * maps.entries_per_page
+        for lpn in lpns:
+            entry = self._cmt[lpn]
+            content[lpn - lo] = entry.ppn
+            self._mark_clean(lpn, entry)
         return latency + maps.program(tvpn, content)
 
     # ------------------------------------------------------------------
@@ -286,7 +305,7 @@ class DftlFTL(FlashTranslationLayer):
                     entry = self._cmt.get(lpn)
                     if entry is not None:
                         entry.ppn = dst
-                        entry.dirty = False
+                        self._mark_clean(lpn, entry)
                 latency += maps.program(tvpn, content)
                 del moved[tvpn]
         except OutOfBlocksError:
@@ -295,6 +314,7 @@ class DftlFTL(FlashTranslationLayer):
             # they turn unreadable once this victim is erased.
             for pairs in moved.values():
                 for lpn, dst in pairs:
-                    self._cmt[lpn] = _CmtEntry(dst, dirty=True)
+                    entry = self._cmt[lpn] = _CmtEntry(dst)
+                    self._mark_dirty(lpn, entry)
             raise
         return latency

@@ -4,6 +4,8 @@ All shipped FTLs use the greedy policy (fewest valid pages first), the
 choice of the DFTL/LazyFTL line of work.  It works on physical block
 numbers plus the device's per-block valid-count array
 (``flash.valid_count``) - all the validity metadata a victim scan needs.
+:func:`select_greedy` defines the policy; the collector keeps candidates
+in :class:`~repro.ftl.pool.VictimPool` sets, the same order as an index.
 
 The page-mapping schemes (LazyFTL, DFTL, ideal) run one collector,
 :class:`GarbageCollector`, and differ only in the *relocate callable*
@@ -13,14 +15,13 @@ they hand it.  Every scheme - the block-mapping ones too - erases through
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence, Set
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..flash.chip import NandFlash
 from ..flash.errors import BadBlockError
 from ..obs.events import Cause, EventType
 from .mapping import MappingStore
-from .pool import BlockPool, OutOfBlocksError
+from .pool import BlockPool, OutOfBlocksError, VictimPool
 from .stats import FtlStats
 
 
@@ -29,24 +30,12 @@ def select_greedy(
 ) -> Optional[int]:
     """Candidate pbn with the fewest valid pages (cheapest to reclaim).
 
-    Ties break toward the lower block number for determinism, so the
-    result does not depend on candidate order.  Returns None when there
-    are no candidates.  (Kept as a plain loop: a ``min`` with a tuple key
-    allocates per candidate and measures ~3x slower on the GC victim
-    scan.)
+    Ties break toward the lower block number, so the result does not
+    depend on candidate order; None when there are no candidates.  The
+    definition: collectors ask a :class:`~repro.ftl.pool.VictimPool`.
     """
-    best: Optional[int] = None
-    best_valid = 0
-    for pbn in candidates:
-        valid = valid_count[pbn]
-        if (
-            best is None
-            or valid < best_valid
-            or (valid == best_valid and pbn < best)
-        ):
-            best = pbn
-            best_valid = valid
-    return best
+    return min(
+        candidates, key=lambda pbn: (valid_count[pbn], pbn), default=None)
 
 
 def recycle_block(
@@ -92,7 +81,7 @@ class GarbageCollector:
         self.maps = maps
         #: Full data blocks - the victim pool (LazyFTL's DBA).  Frontiers
         #: retire into it through its bound ``add``: refill it in place.
-        self.blocks: Set[int] = set()
+        self.blocks = VictimPool(flash)
         #: True during a pass; destination policies read it to open an
         #: extra way on ``spare`` = 1 and never to reclaim recursively.
         self.active = False
@@ -100,15 +89,18 @@ class GarbageCollector:
     def select(self) -> Optional[int]:
         """The greedy victim; None if there is no candidate or even the
         best is fully valid (nothing to reclaim)."""
-        valid_count = self.flash.valid_count
-        map_blocks = self.maps.full_blocks if self.maps is not None else ()
-        # select_greedy's order is total (fewest valid, then lowest
-        # pbn), so set iteration order cannot change the victim.
-        victim = select_greedy(chain(self.blocks, map_blocks), valid_count)
-        if victim is not None and \
-                valid_count[victim] < self.flash.geometry.pages_per_block:
-            return victim
-        return None
+        # min() over one bucket, then over (valid, pbn) pairs: that is
+        # select_greedy's total order (fewest valid, then lowest pbn), so
+        # neither the order of ``touched`` nor of a bucket can show.
+        touched = self.flash.take_invalidated()
+        self.blocks.refresh(touched)
+        best = self.blocks.pick()
+        if self.maps is not None:
+            self.maps.full_blocks.refresh(touched)
+            pick = self.maps.full_blocks.pick()
+            if pick is not None and (best is None or pick < best):
+                best = pick
+        return None if best is None else best[1]
 
     def reclaim(self) -> float:
         """Collect until the pool is back above ``threshold``."""

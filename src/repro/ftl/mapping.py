@@ -30,7 +30,7 @@ from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import PageKind, SequenceCounter, make_oob
 from ..obs.events import Cause, EventType
 from ..perf.maptable import LruCache, MapTable
-from .pool import BlockPool
+from .pool import BlockPool, VictimPool
 from .stats import FtlStats
 from .stripe import Frontier, stripe_ways
 
@@ -70,6 +70,31 @@ class GlobalTranslationDirectory(MapTable):
         return len(self.raw) * MAP_ENTRY_BYTES
 
 
+class LpnsByPage:
+    """lpns grouped by the translation page that holds their entry.
+
+    Both schemes rewrite a translation page with every pending entry it
+    covers, so both keep this index: the UMT over all its entries, DFTL
+    over its dirty CMT entries.  Simulator bookkeeping, not modelled RAM.
+    """
+
+    def __init__(self, entries_per_page: int):
+        self.entries_per_page = entries_per_page
+        #: tvpn -> its lpns; a page with none left is dropped.
+        self.pages: Dict[int, Set[int]] = {}
+
+    def add(self, lpn: int) -> None:
+        self.pages.setdefault(lpn // self.entries_per_page, set()).add(lpn)
+
+    def discard(self, lpn: int) -> None:
+        tvpn = lpn // self.entries_per_page
+        peers = self.pages.get(tvpn)
+        if peers is not None:
+            peers.discard(lpn)
+            if not peers:
+                del self.pages[tvpn]
+
+
 class MappingStore:
     """Translation pages, the GTD that locates them, and their blocks."""
 
@@ -91,14 +116,15 @@ class MappingStore:
         self._pages_per_block = flash.geometry.pages_per_block
         self.cache_pages = cache_pages
         self._cache = LruCache(cache_pages)
-        self._full_blocks: Set[int] = set()
-        #: The store's open blocks; full ones retire to ``_full_blocks``
+        #: Retired (full) translation blocks - the store's GC candidates.
+        self.full_blocks = VictimPool(flash)
+        #: The store's open blocks; full ones retire to ``full_blocks``
         #: as the rotation walks over them.  Every page allocation goes
         #: through ``_destination``, so the owner alone decides when an
         #: extra way may open and whether room is made by reclaiming.
         self._frontier = Frontier(
             flash, pool, stripe_ways(flash.geometry.parallel_units),
-            self._full_blocks.add,
+            self.full_blocks.add,
         )
         self._destination = destination
 
@@ -106,17 +132,12 @@ class MappingStore:
     # Membership (for GC candidate enumeration and checkpoints)
     # ------------------------------------------------------------------
     @property
-    def full_blocks(self) -> Set[int]:
-        """Retired (full) translation blocks - the store's GC candidates."""
-        return self._full_blocks
-
-    @property
     def frontier(self) -> Optional[int]:
         """The block the next translation page write goes to, if open."""
         return self._frontier.peek()
 
     def all_blocks(self) -> List[int]:
-        return sorted(self._full_blocks) + self._frontier.open_blocks
+        return sorted(self.full_blocks) + self._frontier.open_blocks
 
     # ------------------------------------------------------------------
     # Reads
@@ -294,7 +315,7 @@ class MappingStore:
             stats.gc_page_copies += 1
             gtd_set(oob.lpn, dst)
             invalidate_page(src)
-        self._full_blocks.discard(pbn)
+        self.full_blocks.discard(pbn)
         return latency
 
     # ------------------------------------------------------------------
@@ -314,7 +335,7 @@ class MappingStore:
         open_blocks = self._frontier.open_blocks
         state: Dict[str, object] = {
             "gtd": self.gtd.snapshot(),
-            "full_blocks": sorted(self._full_blocks),
+            "full_blocks": sorted(self.full_blocks),
             "frontier": open_blocks[-1] if open_blocks else None,
         }
         if len(open_blocks) > 1:
@@ -326,8 +347,8 @@ class MappingStore:
         fragment rebuilt from the OOB scan."""
         self.gtd.restore(state["gtd"])  # type: ignore[arg-type]
         # In place: the frontier retires blocks through this set's add.
-        self._full_blocks.clear()
-        self._full_blocks.update(state["full_blocks"])  # type: ignore[arg-type]
+        self.full_blocks.clear()
+        self.full_blocks.update(state["full_blocks"])  # type: ignore[arg-type]
         open_blocks = list(state.get("open", ()))  # type: ignore[call-overload]
         if state["frontier"] is not None:
             open_blocks.append(state["frontier"])

@@ -1,9 +1,11 @@
-"""Free-block pool shared by all FTL implementations."""
+"""Block pools: the free blocks every FTL allocates from, and the full
+blocks a garbage collector picks its victims from."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, Optional, Sequence
+from collections.abc import MutableSet
+from typing import Deque, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.errors import FlashError
@@ -94,3 +96,70 @@ class BlockPool:
     def snapshot(self) -> list:
         """Current free blocks in allocation order (for checkpoints)."""
         return list(self._free)
+
+
+class VictimPool(MutableSet):
+    """A collector's candidate victims (full blocks), filed by valid count.
+
+    A set for its owners (frontiers retire into ``add``, recovery refills
+    it in place, checkpoints iterate it); :meth:`pick` is
+    :func:`~repro.ftl.gc_policy.select_greedy` over the members without
+    the scan.  A member is never programmed and leaves before it is
+    erased, so only invalidation moves its count: the device lists those
+    blocks (``flash.invalidated``), the one collector of that device takes
+    the list and :meth:`refresh` re-files them.
+    """
+
+    def __init__(self, flash: NandFlash):
+        self._flash = flash
+        #: pbn -> the count it is filed under, and the members per count.
+        self._bucket_of: Dict[int, int] = {}
+        self._buckets = [
+            set() for _ in range(flash.geometry.pages_per_block + 1)]
+
+    def __contains__(self, pbn: object) -> bool:
+        return pbn in self._bucket_of
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._bucket_of)
+
+    def __len__(self) -> int:
+        return len(self._bucket_of)
+
+    def add(self, pbn: int) -> None:
+        if pbn not in self._bucket_of:
+            valid = self._bucket_of[pbn] = self._flash.valid_count[pbn]
+            self._buckets[valid].add(pbn)
+
+    def discard(self, pbn: int) -> None:
+        if pbn in self._bucket_of:
+            self._buckets[self._bucket_of.pop(pbn)].discard(pbn)
+
+    def clear(self) -> None:  # the mixin's pops are quadratic on a dict
+        for pbn in list(self._bucket_of):
+            self.discard(pbn)
+
+    def update(self, pbns: Iterable[int]) -> None:
+        for pbn in pbns:
+            self.add(pbn)
+
+    # flowlint: hot
+    def refresh(self, touched: Iterable[int]) -> None:
+        """Re-file the members among ``touched`` under their count now."""
+        bucket_of = self._bucket_of
+        buckets = self._buckets
+        valid_count = self._flash.valid_count
+        for pbn in touched:
+            if pbn in bucket_of:
+                buckets[bucket_of[pbn]].discard(pbn)
+                valid = bucket_of[pbn] = valid_count[pbn]
+                buckets[valid].add(pbn)
+
+    # flowlint: hot
+    def pick(self) -> Optional[Tuple[int, int]]:
+        """``(valid, pbn)`` of the member ``select_greedy`` would choose;
+        None if none has a page to reclaim (the last bucket is not read)."""
+        for valid, bucket in enumerate(self._buckets[:-1]):
+            if bucket:
+                return valid, min(bucket)
+        return None

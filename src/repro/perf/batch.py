@@ -401,6 +401,7 @@ class _DftlPlanner:
         program_us = self.program_us
         cmt = ftl._cmt
         move_to_end = cmt.move_to_end
+        mark_dirty = ftl._mark_dirty
         active = ftl._data_active.peek()
         # Planner guarantees a write-free epoch when there is no active
         # block, so first_ppn is then never used.
@@ -424,7 +425,7 @@ class _DftlPlanner:
                 if entry.ppn is not None:
                     stale.append(entry.ppn)
                 entry.ppn = ppn
-                entry.dirty = True
+                mark_dirty(lpn, entry)
                 ppn += 1
             elif entry.ppn is None:
                 none_reads.append(j - start)

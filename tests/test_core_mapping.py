@@ -16,7 +16,7 @@ from repro.flash import (
     UNIT_TIMING,
 )
 from repro.ftl import DftlFTL
-from repro.ftl.mapping import MappingStore
+from repro.ftl.mapping import LpnsByPage, MappingStore
 from repro.ftl.pool import BlockPool
 from repro.ftl.stats import FtlStats
 
@@ -43,6 +43,23 @@ def dftl_store(pages=4, flash=None):
 
 def ignore(lpn, ppn):
     pass
+
+
+class TestLpnsByPage:
+    """The by-page index the UMT and DFTL's dirty CMT entries share."""
+
+    def test_groups_by_translation_page_and_drops_empty_pages(self):
+        index = LpnsByPage(16)
+        for lpn in (3, 17, 5, 3, 40):
+            index.add(lpn)
+        assert index.pages == {0: {3, 5}, 1: {17}, 2: {40}}
+        index.discard(17)
+        index.discard(17)                 # absent: no-op
+        index.discard(99)                 # page never indexed: no-op
+        assert index.pages == {0: {3, 5}, 2: {40}}
+        index.discard(40)
+        index.discard(3)
+        assert index.pages == {0: {5}}
 
 
 class TestLookupAndCommit:

@@ -10,6 +10,7 @@ from repro.flash import (
     OOBData,
     PageState,
     ProgramError,
+    RedundantInvalidateWarning,
     UNIT_TIMING,
     SLC_TIMING,
 )
@@ -77,6 +78,22 @@ class TestBasicOps:
         chip.invalidate_page(0)
         assert chip.stats.total_us == before
         assert chip.page_state(0) is PageState.INVALID
+
+    def test_invalidate_notes_the_block_until_taken(self):
+        chip = make_chip(blocks=3, pages=2)
+        for ppn in range(6):
+            chip.program_page(ppn, ppn)
+        assert chip.invalidated == set()      # programs are not noted
+        chip.invalidate_page(4)
+        chip.invalidate_page(0)
+        chip.invalidate_page(1)
+        assert chip.invalidated == {0, 2}
+        assert chip.take_invalidated() == {0, 2}
+        assert chip.invalidated == set() and chip.take_invalidated() == set()
+        with pytest.warns(RedundantInvalidateWarning):
+            chip.invalidate_page(4)           # no count moved: not noted
+        chip.erase_block(0)                   # nor does an erase
+        assert chip.invalidated == set()
 
     def test_read_oob_charges_a_read(self):
         chip = make_chip(timing=UNIT_TIMING)

@@ -313,6 +313,76 @@ class TestDftlAudit:
         assert any(v.kind is ViolationKind.CMT_INCONSISTENT
                    for v in report.violations)
 
+    def test_dirty_index_missing_an_entry(self):
+        """Mutation: a write that forgot to index what it dirtied."""
+        _, ftl = self.make_dftl()
+        lpn = next(l for l, e in ftl._cmt.items() if e.dirty)
+        ftl._dirty.discard(lpn)
+        report = audit_ftl(ftl)
+        assert any(v.kind is ViolationKind.CMT_INCONSISTENT
+                   and v.lpn == lpn for v in report.violations)
+
+    def test_dirty_index_listing_a_clean_entry(self):
+        _, ftl = self.make_dftl()
+        lpn, entry = next((l, e) for l, e in ftl._cmt.items() if e.dirty)
+        entry.dirty = False                   # cleaned behind the index
+        report = audit_ftl(ftl)
+        assert any(v.kind is ViolationKind.CMT_INCONSISTENT
+                   and v.lpn == lpn and "dirty index" in v.message
+                   for v in report.violations)
+
+
+class TestVictimPoolAudit:
+    """Every scheme with a GarbageCollector: a candidate's bucket is its
+    valid count, or the device still lists it as invalidated."""
+
+    def make(self, scheme):
+        if scheme == "ideal":
+            flash = NandFlash(
+                FlashGeometry(num_blocks=24, pages_per_block=8,
+                              page_size=64), timing=UNIT_TIMING)
+            ftl = PageFTL(flash, logical_pages=96)
+            rng = random.Random(8)
+            for i in range(400):
+                ftl.write(rng.randrange(96), i)
+            return flash, ftl
+        if scheme == "DFTL":
+            return TestDftlAudit().make_dftl()
+        return TestLazyFTLAudit().make_lazy()
+
+    @pytest.mark.parametrize("scheme", ["ideal", "DFTL", "LazyFTL"])
+    def test_pending_invalidations_are_not_drift_and_not_drained(
+            self, scheme):
+        flash, ftl = self.make(scheme)
+        pending = set(flash.invalidated)
+        assert pending                        # stale buckets exist now
+        assert audit_ftl(ftl).clean
+        assert flash.invalidated == pending   # the audit only looked
+        ftl._gc.select()
+        assert not flash.invalidated and audit_ftl(ftl).clean
+
+    @pytest.mark.parametrize("scheme", ["ideal", "DFTL", "LazyFTL"])
+    def test_stale_bucket(self, scheme):
+        """Mutation: an invalidation the device did not note."""
+        flash, ftl = self.make(scheme)
+        pbn = next(b for b in ftl._gc.blocks if flash.valid_count[b])
+        ftl._gc.select()                      # buckets are current now
+        flash.invalidate_page(flash.valid_ppns(pbn)[0])
+        flash.invalidated.discard(pbn)        # ... but nobody was told
+        report = audit_ftl(ftl)
+        assert any(v.kind is ViolationKind.COUNTER_DRIFT and v.pbn == pbn
+                   and "bucketed" in v.message for v in report.violations)
+
+    def test_member_table_and_buckets_disagree(self):
+        flash, ftl = self.make("ideal")
+        pool = ftl._gc.blocks
+        pbn = next(iter(pool))
+        pool._buckets[pool._bucket_of[pbn]].discard(pbn)
+        report = audit_ftl(ftl)
+        assert any(v.kind is ViolationKind.COUNTER_DRIFT
+                   and "member table" in v.message
+                   for v in report.violations)
+
 
 class TestLazyFTLAudit:
     def make_lazy(self):

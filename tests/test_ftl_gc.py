@@ -14,7 +14,7 @@ import pytest
 from repro.flash import FlashGeometry, NandFlash, UNIT_TIMING
 from repro.ftl import FtlStats, OutOfBlocksError
 from repro.ftl.gc_policy import GarbageCollector, recycle_block
-from repro.ftl.pool import BlockPool
+from repro.ftl.pool import BlockPool, VictimPool
 from repro.obs import JsonlSink, Tracer
 
 PAGES = 4
@@ -87,7 +87,6 @@ class TestSelect:
 
     def test_translation_blocks_are_candidates(self):
         class Maps:
-            full_blocks = set()
             collected = []
 
             def collect(self, pbn):
@@ -97,6 +96,8 @@ class TestSelect:
 
         maps = Maps()
         owner = Owner(maps=maps)
+        # The store's candidates are a victim pool over the same device.
+        maps.full_blocks = VictimPool(owner.flash)
         owner.fill(2)
         map_block = owner.fill(0)
         owner.gc.blocks.discard(map_block)

@@ -1,0 +1,290 @@
+"""The GC victim index answers exactly what the linear scan would.
+
+``GarbageCollector.select()`` no longer walks its candidates: they sit in
+valid-count buckets (:class:`~repro.ftl.pool.VictimPool`) that are
+re-sorted from the device's list of invalidated blocks.  The policy is
+still :func:`~repro.ftl.gc_policy.select_greedy` - fewest valid pages,
+then lowest pbn, a fully-valid best refused - and these tests hold the
+index to it three ways: a hypothesis state machine over a bare device,
+an oracle wrapped around every pick of real steady-state runs, and a
+count of how many valid counts a pick reads.
+"""
+
+import random
+from itertools import chain
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
+
+from repro.core import LazyConfig
+from repro.flash import UNIT_TIMING, FlashGeometry, NandFlash
+from repro.ftl import FtlStats
+from repro.ftl.gc_policy import GarbageCollector, select_greedy
+from repro.ftl.pool import BlockPool, VictimPool
+from repro.sim.factory import standard_setup
+
+BLOCKS = 8
+PAGES = 4
+
+
+def oracle(gc):
+    """The victim by the linear scan: the definition of the policy."""
+    flash = gc.flash
+    map_blocks = gc.maps.full_blocks if gc.maps is not None else ()
+    victim = select_greedy(chain(gc.blocks, map_blocks), flash.valid_count)
+    if victim is not None and \
+            flash.valid_count[victim] < flash.geometry.pages_per_block:
+        return victim
+    return None
+
+
+class TestVictimPoolIsASet:
+    def make(self):
+        flash = NandFlash(
+            FlashGeometry(num_blocks=BLOCKS, pages_per_block=PAGES,
+                          page_size=64), timing=UNIT_TIMING)
+        return flash, VictimPool(flash)
+
+    def test_set_surface(self):
+        _, pool = self.make()
+        assert len(pool) == 0 and 3 not in pool and pool == set()
+        pool.add(3)
+        pool.add(3)
+        pool.update([5, 1])
+        assert len(pool) == 3 and 3 in pool
+        assert sorted(pool) == [1, 3, 5]
+        assert pool == {1, 3, 5} and {1, 3, 5} == pool
+        assert pool != {1, 3}
+        pool.discard(3)
+        pool.discard(3)
+        assert pool == {1, 5}
+        other = VictimPool(pool._flash)
+        other.update(pool)
+        assert other == pool
+        pool.clear()
+        assert len(pool) == 0 and list(pool) == [] and pool.pick() is None
+
+    def test_pick_follows_the_count_it_was_told_about(self):
+        flash, pool = self.make()
+        for pbn in (2, 4):
+            for off in range(PAGES):
+                flash.program_page(pbn * PAGES + off, off)
+            pool.add(pbn)
+        assert pool.pick() is None            # both fully valid: refused
+        flash.invalidate_page(4 * PAGES)
+        assert pool.pick() is None            # not told yet
+        pool.refresh(flash.take_invalidated())
+        assert pool.pick() == (PAGES - 1, 4)
+        flash.invalidate_page(2 * PAGES)
+        pool.refresh(flash.take_invalidated())
+        assert pool.pick() == (PAGES - 1, 2)  # tie: the lower pbn
+
+    def test_refresh_ignores_blocks_it_does_not_hold(self):
+        flash, pool = self.make()
+        flash.program_page(0, "x")
+        flash.invalidate_page(0)
+        pool.refresh(flash.take_invalidated())
+        assert len(pool) == 0
+        pool.add(0)                           # bucketed at its count now
+        assert pool.pick() == (0, 0)
+
+
+class VictimIndexMachine(RuleBasedStateMachine):
+    """Arbitrary program / invalidate / membership churn on a small
+    device; after every step both pools' picks equal the linear scan.
+
+    The one rule the owners keep is kept here too: a candidate is never
+    programmed (it is full, or was closed by conversion), so only
+    invalidation moves its count.
+    """
+
+    @initialize()
+    def setup(self):
+        self.flash = NandFlash(
+            FlashGeometry(num_blocks=BLOCKS, pages_per_block=PAGES,
+                          page_size=64), timing=UNIT_TIMING)
+
+        class Maps:
+            full_blocks = VictimPool(self.flash)
+
+        self.gc = GarbageCollector(
+            self.flash, BlockPool([]), FtlStats(), 1,
+            relocate=lambda pbn: 0.0, maps=Maps())
+        self.pools = (self.gc.blocks, self.gc.maps.full_blocks)
+
+    def member(self, pbn):
+        return any(pbn in pool for pool in self.pools)
+
+    @rule(pbn=st.integers(0, BLOCKS - 1))
+    def program(self, pbn):
+        if self.member(pbn) or self.flash.write_ptr[pbn] >= PAGES:
+            return
+        self.flash.program_page(
+            pbn * PAGES + self.flash.write_ptr[pbn], None)
+
+    @rule(ppn=st.integers(0, BLOCKS * PAGES - 1))
+    def invalidate(self, ppn):
+        if self.flash.block(ppn // PAGES).is_valid(ppn % PAGES):
+            self.flash.invalidate_page(ppn)
+
+    @rule(pbn=st.integers(0, BLOCKS - 1), which=st.integers(0, 1))
+    def add(self, pbn, which):
+        if not self.member(pbn):
+            self.pools[which].add(pbn)
+
+    def drop(self, pbn):
+        for pool in self.pools:
+            pool.discard(pbn)
+
+    @rule(pbn=st.integers(0, BLOCKS - 1))
+    def discard(self, pbn):
+        self.drop(pbn)
+
+    @rule(pbn=st.integers(0, BLOCKS - 1), refill=st.integers(0, PAGES),
+          which=st.integers(0, 1))
+    def erase_and_re_add(self, pbn, refill, which):
+        """A GC pass and the block's next life, in one step."""
+        self.drop(pbn)
+        for ppn in self.flash.valid_ppns(pbn):
+            self.flash.invalidate_page(ppn)
+        self.flash.erase_block(pbn)
+        for off in range(refill):
+            self.flash.program_page(pbn * PAGES + off, None)
+        self.pools[which].add(pbn)
+
+    @rule(drained=st.booleans())
+    def recover(self, drained):
+        """Refill in place, as ``_restore_blocks`` / ``restore`` do - on
+        a device whose list the dead instance may have drained."""
+        if drained:
+            self.flash.take_invalidated()
+        for pool in self.pools:
+            members = sorted(pool)
+            pool.clear()
+            pool.update(members)
+
+    @rule()
+    def select(self):
+        expected = oracle(self.gc)
+        assert self.gc.select() == expected
+        assert not self.flash.invalidated     # drained
+
+    @invariant()
+    def picks_equal_the_linear_scan(self):
+        flash = self.flash
+        # Peek, do not drain: refresh is idempotent, and the list keeps
+        # growing across steps until ``select`` takes it.
+        for pool in self.pools:
+            pool.refresh(set(flash.invalidated))
+            best = select_greedy(iter(pool), flash.valid_count)
+            if best is not None and flash.valid_count[best] == PAGES:
+                best = None                   # a fully-valid best: refused
+            pick = pool.pick()
+            assert (None if pick is None else pick[1]) == best
+            if pick is not None:
+                assert pick[0] == flash.valid_count[best]
+        assert not set(self.pools[0]) & set(self.pools[1])
+
+
+VictimIndexMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=60, deadline=None)
+TestVictimIndexMachine = VictimIndexMachine.TestCase
+
+
+# ----------------------------------------------------------------------
+# Inside real runs
+# ----------------------------------------------------------------------
+def steady_ftl(scheme, channels=1, num_blocks=96, pages_per_block=16):
+    options = {}
+    if scheme == "LazyFTL":
+        options["config"] = LazyConfig(
+            uba_blocks=6, cba_blocks=3, gc_free_threshold=6)
+    elif scheme == "DFTL":
+        options["cmt_entries"] = 64
+    flash, ftl, logical = standard_setup(
+        scheme, num_blocks=num_blocks, pages_per_block=pages_per_block,
+        page_size=512, logical_fraction=0.7, timing=UNIT_TIMING,
+        channels=channels, **options)
+    return flash, ftl, logical
+
+
+def churn(flash, ftl, logical, rounds, seed=4):
+    """Sequential fill, then skewed overwrites: GC steady state."""
+    rng = random.Random(seed)
+    hot = max(1, logical // 5)
+    for lpn in range(logical):
+        flash.begin_host_op()
+        ftl.write(lpn, lpn)
+    for i in range(rounds * logical):
+        lpn = rng.randrange(hot) if rng.random() < 0.8 \
+            else rng.randrange(logical)
+        flash.begin_host_op()
+        ftl.write(lpn, i)
+
+
+@pytest.mark.parametrize("channels", [1, 4])
+@pytest.mark.parametrize("scheme", ["LazyFTL", "DFTL", "ideal"])
+def test_every_pick_of_a_steady_run_equals_the_linear_scan(scheme, channels):
+    flash, ftl, logical = steady_ftl(scheme, channels)
+    gc = ftl._gc
+    indexed_select = gc.select
+    picks = []
+
+    def checked_select():
+        expected = oracle(gc)             # reads only; before the drain
+        victim = indexed_select()
+        assert victim == expected
+        picks.append(gc.maps is not None and victim in gc.maps.full_blocks)
+        return victim
+
+    gc.select = checked_select
+    churn(flash, ftl, logical, rounds=4)
+    assert len(picks) > 50
+    # Both pools were in play wherever there are two.
+    assert any(picks) == (gc.maps is not None) and not all(picks)
+    for lpn in range(0, logical, 7):
+        assert ftl.read(lpn).data is not None
+
+
+class CountingList(list):
+    """A valid-count array that counts how often it is read."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return list.__getitem__(self, index)
+
+
+@pytest.mark.parametrize("num_blocks", [256, 1024])
+@pytest.mark.parametrize("scheme", ["LazyFTL", "DFTL"])
+def test_a_pick_reads_only_the_blocks_invalidated_since_the_last(
+        scheme, num_blocks):
+    """No scan left: ``select()`` reads one valid count per block the
+    device lists as invalidated - whatever the size of the device."""
+    flash, ftl, logical = steady_ftl(
+        scheme, num_blocks=num_blocks, pages_per_block=8)
+    counts = CountingList(flash.valid_count)
+    flash.valid_count = counts  # ftlint: disable=FTL003 - same counts, counted
+    gc = ftl._gc
+    indexed_select = gc.select
+    excess = []
+
+    def counted_select():
+        pending = len(flash.invalidated)
+        before = counts.reads
+        victim = indexed_select()
+        excess.append(counts.reads - before - pending)
+        return victim
+
+    gc.select = counted_select
+    churn(flash, ftl, logical, rounds=1)
+    assert len(excess) > num_blocks // 8
+    assert max(excess) <= 0
