@@ -23,7 +23,7 @@ CLI enables them with ``--sanitize``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.geometry import FlashGeometry
@@ -213,14 +213,11 @@ class SanitizedNandFlash(NandFlash):
         super().invalidate_page(ppn)
         self.history.record("invalidate", pbn, offset, owner)
 
-    def program_run(
-        self,
-        ppn: int,
-        datas: Sequence[Any],
-        oobs: Sequence[Optional[OOBData]],
-    ) -> float:
-        # Every page of a bulk run gets the per-op audit above.
-        return self._program_each(ppn, datas, oobs)
+    def takes_runs(self) -> bool:
+        # No bulk path: ``read_run`` / ``program_run`` / ``invalidate_run``
+        # then call the audited ops above once per page (audit and history
+        # record for each), and FTLs move pages one at a time.
+        return False
 
     def _owner(self, ppn: int) -> Optional[int]:
         """lpn recorded in the page's OOB, if any (for report text)."""

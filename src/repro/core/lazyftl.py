@@ -7,9 +7,12 @@ is committed to the in-flash GMT in batch, grouped per GMT page, and the
 block - without moving a byte of data - becomes an ordinary DBA block.
 Garbage collection picks a DBA (or MBA) victim, relocates its truly-valid
 pages into the *cold frontier* (CBA) with mappings again deferred through
-the UMT, and erases it.  Cold blocks convert exactly like update blocks.
-There is no merge operation anywhere; that is the paper's headline claim
-and it holds here by construction (asserted by the test suite).
+the UMT, and erases it - by *run* (:func:`repro.ftl.stripe.relocate`): the
+live pages that fit the destination block move in one bulk read / program
+/ invalidate, and conversions only happen between runs.  Cold blocks
+convert exactly like update blocks.  There is no merge operation anywhere;
+that is the paper's headline claim and it holds here by construction
+(asserted by the test suite).
 
 Deferred invalidation: when a host write supersedes a page whose mapping
 already lives in the GMT, the old flash copy is *not* invalidated
@@ -20,7 +23,7 @@ mapping is committed at conversion time, or sooner if GC stumbles on it
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.oob import PageKind, SequenceCounter, make_oob
@@ -30,7 +33,7 @@ from ..obs.events import Cause, EventType
 from ..ftl.gc_policy import GarbageCollector
 from ..ftl.mapping import MappingStore
 from ..ftl.pool import BlockPool
-from ..ftl.stripe import Frontier, stripe_ways
+from ..ftl.stripe import Frontier, relocate, stripe_ways
 from .areas import BlockArea
 from .config import LazyConfig
 from .umt import UpdateMappingTable, group_by_tvpn
@@ -387,56 +390,54 @@ class LazyFTL(FlashTranslationLayer):
     # ------------------------------------------------------------------
     # Garbage collection (merge-free)
     # ------------------------------------------------------------------
-    # flowlint: hot
     def _collect_data_block(self, pbn: int) -> float:
-        """Relocate a DBA victim's live pages into the cold area."""
-        latency = 0.0
+        """Relocate a DBA victim's live pages into the cold area (by run,
+        through the one driver), their mappings deferred in the UMT."""
+        umt_set = self._umt.set
+        set_many = self._umt.set_many
+        return relocate(
+            self.flash, self._cba_frontier, self._live_pages(pbn),
+            self._cold_destination, self._seq, self.stats,
+            lambda lpn, dst: umt_set(lpn, dst, True),
+            lambda pairs: set_many(pairs, True), cold=True,
+        )
+
+    # flowlint: hot
+    def _live_pages(self, pbn: int) -> Iterator[int]:
+        """The victim's truly-live pages, each judged when the driver
+        reaches for it - after every conversion before it.  A gathered
+        page stays live until its run is written: no conversion inside a
+        run, its lpn is absent from the UMT (or points at it), and no two
+        live pages of a victim share an lpn."""
         flash = self.flash
         states = flash.page_states
         oobs = flash.page_oob
-        write_ptr = flash.write_ptr
-        read_page = flash.read_page
-        program_page = flash.program_page
         invalidate_page = flash.invalidate_page
-        umt = self._umt
-        ppn_at = umt.ppn_at
-        seq_next = self._seq.next
-        stats = self.stats
-        ppb = self._pages_per_block
-        DATA = PageKind.DATA
-        cba = self._cba
-        cba_frontier = self._cba_frontier
-        cba_take = cba_frontier.take
+        uppn = self._umt._ppn  # inline umt.ppn_at: the array grows in place
         for src in flash.valid_ppns(pbn):
             if states[src] != VALID:
                 # A cold-block conversion triggered earlier in this very
-                # loop can commit a UMT entry whose displaced GMT value is
+                # pass can commit a UMT entry whose displaced GMT value is
                 # this page (deferred invalidation resolving mid-pass);
                 # the valid_ppns snapshot is then stale - skip the dead page.
                 continue
             lpn = oobs[src].lpn
-            umt_ppn = ppn_at(lpn)
+            umt_ppn = uppn[lpn] if lpn < len(uppn) else -1
             if umt_ppn >= 0 and umt_ppn != src:
                 # Superseded by a later write whose mapping is still in the
                 # UMT: the deferred invalidation resolves here, for free.
                 invalidate_page(src)
                 continue
-            data, _, read_lat = read_page(src)
-            latency += read_lat
-            # Inside GC an extra way may only take a block the pool can
-            # spare; a usable open block beats draining the pool.
-            frontier = cba_take(1)
-            if frontier is None:
-                open_lat, frontier = self._open_block(cba, cba_frontier)
-                latency += open_lat
-            dst = frontier * ppb + write_ptr[frontier]
-            latency += program_page(
-                dst, data, make_oob((lpn, seq_next(), DATA, True)),
-            )
-            umt.set(lpn, dst, cold=True)
-            invalidate_page(src)
-            stats.gc_page_copies += 1
-        return latency
+            yield src
+
+    def _cold_destination(self, frontier: Frontier) -> Tuple[float, int]:
+        """GC's destination: the cold frontier, converting the oldest CBA
+        block when a new one must open.  Inside GC an extra way may only
+        take a block the pool can spare (``take(1)``)."""
+        pbn = frontier.take(1)
+        if pbn is None:
+            return self._open_block(self._cba, frontier)
+        return 0.0, pbn
 
     def background_work(self, budget_us: float) -> float:
         """Idle-time GC: opportunistically refill the free pool.

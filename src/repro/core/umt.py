@@ -95,15 +95,28 @@ class UpdateMappingTable:
         self._cold[lpn] = 1 if cold else 0
         if was_absent:
             self._count += 1
-            self._by_tvpn.add(lpn)
+            self._by_tvpn.pages[lpn // self.entries_per_page].add(lpn)
 
     def set_many(
         self, pairs: "Iterable[Tuple[int, int]]", cold: bool = False
     ) -> None:
-        """Bulk :meth:`set`: commit one batch-replay epoch's deferred
-        entries (each lpn's *final* epoch mapping) in a single call."""
+        """Bulk :meth:`set`, one pass: a relocated run's new locations or a
+        replay epoch's deferred entries (each lpn's *final* mapping)."""
+        ppns = self._ppn
+        colds = self._cold
+        flag = 1 if cold else 0
+        pages = self._by_tvpn.pages
+        entries_per_page = self.entries_per_page
+        added = 0
         for lpn, ppn in pairs:
-            self.set(lpn, ppn, cold)
+            if lpn >= len(ppns):
+                self._grow_to(lpn)  # extends both columns in place
+            if ppns[lpn] < 0:
+                added += 1
+                pages[lpn // entries_per_page].add(lpn)
+            ppns[lpn] = ppn
+            colds[lpn] = flag
+        self._count += added
 
     def pop(self, lpn: int) -> Optional[UmtEntry]:
         """Remove and return the entry (None if absent)."""

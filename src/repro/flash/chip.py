@@ -4,6 +4,8 @@
 ``read_page``, ``program_page``, ``erase_block`` plus the simulator-level
 ``invalidate_page`` bookkeeping - enforces NAND constraints, charges latency
 per the timing model, and supports power-loss injection for recovery tests.
+Three *run ops* (``read_run``, ``program_run``, ``invalidate_run``) issue
+the same operations many pages at a time - see "Run ops" below.
 
 Device state is struct-of-arrays: one state byte, one payload slot and one
 OOB slot per ppn, and one write pointer / valid count / erase count / bad
@@ -38,6 +40,41 @@ just before the op's own event and stays outside the service-time
 decomposition.  ``serialize_timing = True`` starts every op at the current
 makespan instead of its unit clock: serial timing on unchanged placement,
 the lever the property tests use to tell the two apart.
+
+Run ops
+-------
+
+A *run* is a list of pages moved together (a GC victim's live pages bound
+for one destination block, the GMT pages of one commit).  Each run op is,
+by contract, **its scalar op called once per page, in order**: same state
+bytes, same ``FlashStats`` (floats accumulated one add per page), same
+returned values, same exception raised at the same page with every earlier
+page done.  The bulk stores are taken only when the whole run is plainly
+legal; anything else *is* the per-page calls, through ``self`` so subclass
+overrides apply.
+
+==================  ===================  ==================================
+run op              n calls of           bulk path needs
+==================  ===================  ==================================
+``read_run``        ``read_page``        :meth:`NandFlash.takes_runs`; every
+                                         ppn in range and programmed
+``program_run``     ``program_page``     :meth:`NandFlash.takes_runs`; one
+                                         good block, from its write
+                                         pointer, every target FREE
+``invalidate_run``  ``invalidate_page``  :meth:`NandFlash.takes_runs`; then
+                                         per page: in range and VALID
+==================  ===================  ==================================
+
+:meth:`NandFlash.takes_runs` is the one place the device-wide conditions
+are written: powered, no armed fault (the trip point is a page), no tracer
+(it must see per-op events in order), one parallel unit (no per-unit
+clock to charge) and integer-valued read/program latencies (a caller that
+moves by run sums a run's reads before its programs; integer-valued floats
+add exactly in any order).  Whoever wants to batch asks it - the run ops
+here, :meth:`repro.ftl.stripe.Frontier.run_limit` for GC relocation and
+GMT commits, ``repro.perf.batch.engine_for`` for replay epochs - and gets
+the scalar op order whenever it says no; the sanitizer always says no, so
+every page of a run gets its per-op audit.
 """
 
 from __future__ import annotations
@@ -320,6 +357,63 @@ class NandFlash:
             )
         return latency
 
+    def takes_runs(self) -> bool:
+        """May a run op take its bulk path - and may callers batch at all?
+
+        The one statement of the device-wide conditions (module docstring,
+        "Run ops"); read-only.  Tracers attach and faults arm at any time,
+        so the answer is asked when needed, never cached.
+        """
+        timing = self.timing
+        return (
+            self._powered
+            and self.fault._remaining is None
+            and self.tracer is None
+            and self._units == 1
+            and float(timing.page_read_us).is_integer()
+            and float(timing.page_program_us).is_integer()
+        )
+
+    def read_run(
+        self, ppns: Sequence[int]
+    ) -> Tuple[List[Any], List[Optional[OOBData]], float]:
+        """Read the pages ``ppns``; returns ``(datas, oobs, latency_us)``.
+
+        Equivalent to calling :meth:`read_page` once per page, in order,
+        and summing the latencies.
+        """
+        n = len(ppns)
+        # FREE is 0, so all() over the state bytes is "every page
+        # programmed"; the range test first keeps a negative ppn from
+        # indexing from the end.
+        if not (
+            n
+            and self.takes_runs()
+            and min(ppns) >= 0
+            and max(ppns) < self._total_pages
+            and all(map(self.page_states.__getitem__, ppns))
+        ):
+            datas, oobs, total = [], [], 0.0
+            for ppn in ppns:
+                data, oob, latency = self.read_page(ppn)
+                datas.append(data)
+                oobs.append(oob)
+                total += latency
+            return datas, oobs, total
+        latency = self.timing.page_read_us
+        stats = self.stats
+        stats.page_reads += n
+        read_us = stats.read_us
+        total = 0.0
+        for _ in range(n):
+            read_us += latency
+            total += latency
+        stats.read_us = read_us
+        page_data = self.page_data
+        page_oob = self.page_oob
+        return ([page_data[ppn] for ppn in ppns],
+                [page_oob[ppn] for ppn in ppns], total)
+
     def program_run(
         self,
         ppn: int,
@@ -329,14 +423,9 @@ class NandFlash:
         """Program ``len(datas)`` consecutive pages starting at ``ppn``.
 
         Equivalent to calling :meth:`program_page` once per page, in
-        order, and summing the latencies - same resulting state, same
-        ``FlashStats`` (floats accumulated one add per page), same
-        exception at the same page.  When the whole run is plainly legal
-        (powered, no armed fault, no tracer, one parallel unit, inside one
-        good block, starting at its write pointer, every target FREE) the
-        stores are slice assignments; anything else takes the per-page
-        calls, which then raise, trace or advance the unit clocks exactly
-        as they always do.
+        order, and summing the latencies.  A plainly legal run (inside one
+        good block, starting at its write pointer, every target FREE) is
+        stored by slice assignment.
         """
         n = len(datas)
         if len(oobs) != n:
@@ -346,17 +435,17 @@ class NandFlash:
         pbn = ppn // ppb
         states = self.page_states
         if not (
-            self._powered
-            and self.fault._remaining is None
-            and self.tracer is None
-            and self._units == 1
+            self.takes_runs()
             and 0 <= ppn < self._total_pages
             and end <= (pbn + 1) * ppb
             and not self.is_bad[pbn]
             and ppn - pbn * ppb == self.write_ptr[pbn]
             and states.count(FREE, ppn, end) == n
         ):
-            return self._program_each(ppn, datas, oobs)
+            total = 0.0
+            for i in range(n):
+                total += self.program_page(ppn + i, datas[i], oobs[i])
+            return total
         states[ppn:end] = bytes((VALID,)) * n
         self.page_data[ppn:end] = datas
         self.page_oob[ppn:end] = oobs
@@ -371,19 +460,6 @@ class NandFlash:
             program_us += latency
             total += latency
         stats.program_us = program_us
-        return total
-
-    def _program_each(
-        self,
-        ppn: int,
-        datas: Sequence[Any],
-        oobs: Sequence[Optional[OOBData]],
-    ) -> float:
-        """:meth:`program_run` as literal per-page :meth:`program_page`
-        calls (through ``self``, so subclass overrides apply)."""
-        total = 0.0
-        for i in range(len(datas)):
-            total += self.program_page(ppn + i, datas[i], oobs[i])
         return total
 
     def erase_block(self, pbn: int) -> float:
@@ -465,6 +541,31 @@ class NandFlash:
             ),
             stacklevel=2,
         )
+
+    def invalidate_run(self, ppns: Sequence[int]) -> None:
+        """Mark the pages ``ppns`` stale: :meth:`invalidate_page` once per
+        page, in order (a run op; a VALID page in range is stored here)."""
+        invalidate_page = self.invalidate_page
+        if not self.takes_runs():
+            for ppn in ppns:
+                invalidate_page(ppn)
+            return
+        states = self.page_states
+        valid_count = self.valid_count
+        invalidated = self.invalidated
+        ppb = self._ppb
+        total = self._total_pages
+        noted = -1  # a run mostly stays in one block: note it once
+        for ppn in ppns:
+            if 0 <= ppn < total and states[ppn] == VALID:
+                states[ppn] = INVALID
+                pbn = ppn // ppb
+                valid_count[pbn] -= 1
+                if pbn != noted:
+                    invalidated.add(pbn)
+                    noted = pbn
+            else:
+                invalidate_page(ppn)  # raises or warns as it always does
 
     def take_invalidated(self) -> Set[int]:
         """Hand over the blocks noted in ``invalidated``; start afresh."""

@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from functools import partial
+from itertools import repeat
+from typing import List, Sequence
 
 class PageKind(Enum):
     """What a physical page holds, as recorded in its OOB area."""
@@ -71,6 +73,15 @@ class OOBData(_OOBBase):
 make_oob = partial(tuple.__new__, OOBData)
 
 
+def run_oobs(lpns: Sequence[int], first_seq: int, kind: PageKind,
+             cold: bool) -> List[OOBData]:
+    """The OOBs of a *run*: ``lpns`` programmed in order on consecutive
+    sequence numbers from ``first_seq`` (unvalidated, like make_oob)."""
+    return list(map(make_oob, zip(
+        lpns, range(first_seq, first_seq + len(lpns)),
+        repeat(kind), repeat(cold))))
+
+
 class SequenceCounter:
     """Monotonic counter handing out OOB sequence numbers.
 
@@ -93,6 +104,13 @@ class SequenceCounter:
         value = self._next
         self._next += 1
         return value
+
+    def take(self, n: int) -> int:
+        """Hand out ``n`` consecutive numbers (a run's programs, in page
+        order); returns the first."""
+        first = self._next
+        self._next += n
+        return first
 
     def fast_forward(self, seen: int) -> None:
         """Ensure future values are strictly greater than ``seen``.

@@ -28,7 +28,7 @@ employing demand-based selective caching of page-level address mappings"
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
@@ -38,7 +38,7 @@ from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
 from .gc_policy import GarbageCollector
 from .mapping import LpnsByPage, MappingStore
 from .pool import BlockPool, OutOfBlocksError
-from .stripe import Frontier, stripe_ways
+from .stripe import Frontier, relocate, spare_block, stripe_ways
 
 
 class _CmtEntry:
@@ -260,43 +260,27 @@ class DftlFTL(FlashTranslationLayer):
     def _collect_data_block(self, pbn: int) -> float:
         """Relocate valid data pages and commit their new mappings.
 
-        Mapping updates are grouped per translation page (DFTL's lazy
-        copying): one read-modify-write commits every moved entry of that
-        page.
+        Pages move by run through the one driver
+        (:func:`~repro.ftl.stripe.relocate`).  Mapping updates are grouped
+        per translation page (DFTL's lazy copying): one read-modify-write
+        commits every moved entry of that page.
         """
-        latency = 0.0
-        flash = self.flash
-        write_ptr = flash.write_ptr
-        read_page = flash.read_page
-        program_page = flash.program_page
-        invalidate_page = flash.invalidate_page
-        seq_next = self._seq.next
-        stats = self.stats
-        ppb = self._pages_per_block
         maps = self._maps
         entries_per_page = maps.entries_per_page
-        DATA = PageKind.DATA
         moved: Dict[int, List[Tuple[int, int]]] = {}  # tvpn -> [(lpn, dst)]
-        moved_setdefault = moved.setdefault
-        gc_frontier = self._gc_active
-        gc_take = gc_frontier.take
+
+        def record(lpn: int, dst: int) -> None:
+            moved.setdefault(lpn // entries_per_page, []).append((lpn, dst))
+
+        def record_run(pairs: Iterable[Tuple[int, int]]) -> None:
+            for lpn, dst in pairs:
+                record(lpn, dst)
+
         try:
-            for src in flash.valid_ppns(pbn):
-                data, oob, read_lat = read_page(src)
-                latency += read_lat
-                # GC destination: never triggers nested GC.
-                gc_active = gc_take(1)
-                if gc_active is None:
-                    gc_active = gc_frontier.open()
-                lpn = oob.lpn
-                dst = gc_active * ppb + write_ptr[gc_active]
-                latency += program_page(
-                    dst, data, make_oob((lpn, seq_next(), DATA, False))
-                )
-                invalidate_page(src)
-                stats.gc_page_copies += 1
-                moved_setdefault(
-                    lpn // entries_per_page, []).append((lpn, dst))
+            latency = relocate(
+                self.flash, self._gc_active, self.flash.valid_ppns(pbn),
+                spare_block, self._seq, self.stats, record, record_run,
+            )
             for tvpn in list(moved):
                 content, read_lat = maps.load(tvpn)
                 latency += read_lat

@@ -9,7 +9,9 @@ in :class:`~repro.ftl.pool.VictimPool` sets, the same order as an index.
 
 The page-mapping schemes (LazyFTL, DFTL, ideal) run one collector,
 :class:`GarbageCollector`, and differ only in the *relocate callable*
-they hand it.  Every scheme - the block-mapping ones too - erases through
+they hand it - each of which, like ``MappingStore.collect``, moves its
+victim's pages through the one loop, :func:`repro.ftl.stripe.relocate`.
+Every scheme - the block-mapping ones too - erases through
 :func:`recycle_block`, so every scheme survives a worn-out block.
 """
 

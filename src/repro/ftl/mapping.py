@@ -23,20 +23,17 @@ always reads them from flash.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from collections import defaultdict
+from typing import Callable, DefaultDict, Dict, List, Optional, Set, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
-from ..flash.oob import PageKind, SequenceCounter, make_oob
+from ..flash.oob import PageKind, SequenceCounter, make_oob, run_oobs
 from ..obs.events import Cause, EventType
 from ..perf.maptable import LruCache, MapTable
 from .pool import BlockPool, VictimPool
 from .stats import FtlStats
-from .stripe import Frontier, stripe_ways
-
-#: ``destination(frontier) -> (latency, pbn)``: the owner's policy for
-#: where the next translation page goes.
-Destination = Callable[[Frontier], Tuple[float, int]]
+from .stripe import Destination, Frontier, relocate, stripe_ways
 
 
 class GlobalTranslationDirectory(MapTable):
@@ -80,11 +77,12 @@ class LpnsByPage:
 
     def __init__(self, entries_per_page: int):
         self.entries_per_page = entries_per_page
-        #: tvpn -> its lpns; a page with none left is dropped.
-        self.pages: Dict[int, Set[int]] = {}
+        #: tvpn -> its lpns; a page with none left is dropped.  File with
+        #: ``pages[tvpn].add(lpn)``; read with ``get`` / ``pop`` only.
+        self.pages: DefaultDict[int, Set[int]] = defaultdict(set)
 
     def add(self, lpn: int) -> None:
-        self.pages.setdefault(lpn // self.entries_per_page, set()).add(lpn)
+        self.pages[lpn // self.entries_per_page].add(lpn)
 
     def discard(self, lpn: int) -> None:
         tvpn = lpn // self.entries_per_page
@@ -213,12 +211,18 @@ class MappingStore:
         content, read_lat = self.load(tvpn)
         return content, latency + read_lat
 
+    # flowlint: hot
     def commit(
         self,
         groups: Dict[int, List[Tuple[int, int]]],
         on_superseded: Callable[[int, int], None],
     ) -> float:
         """Apply batched mapping updates, one page write per group.
+
+        The sorted groups go out by *run* (as pages do in
+        :func:`~repro.ftl.stripe.relocate`): as many as fit the block the
+        destination names share one :meth:`_commit_run`.  At a run limit
+        of 1 each is the :meth:`checkout` / :meth:`program` pair.
 
         Args:
             groups: tvpn -> list of (lpn, new_ppn), as produced by
@@ -228,22 +232,41 @@ class MappingStore:
                 uses for its deferred invalidation of old data pages.
         """
         latency = 0.0
-        entries_per_page = self.entries_per_page
-        stats = self.stats
-        checkout = self.checkout
-        program = self.program
-        for tvpn in sorted(groups):
-            content, room_lat = checkout(tvpn)
-            latency += room_lat
-            group = groups[tvpn]
-            for lpn, new_ppn in group:
-                idx = lpn % entries_per_page
-                old_ppn = content[idx]
-                if old_ppn is not None and old_ppn != new_ppn:
-                    on_superseded(lpn, old_ppn)
-                content[idx] = new_ppn
-            stats.batched_commits += len(group)
-            latency += program(tvpn, content)
+        tvpns = sorted(groups)
+        frontier = self._frontier
+        # The ablation cache is kept current page by page.
+        limit = 1 if self.cache_pages > 0 else frontier.run_limit()
+        if limit == 1:
+            checkout = self.checkout
+            program = self.program
+            entries_per_page = self.entries_per_page
+            stats = self.stats
+            for tvpn in tvpns:
+                content, room_lat = checkout(tvpn)
+                latency += room_lat
+                group = groups[tvpn]
+                for lpn, new_ppn in group:
+                    idx = lpn % entries_per_page
+                    old_ppn = content[idx]
+                    if old_ppn is not None and old_ppn != new_ppn:
+                        on_superseded(lpn, old_ppn)
+                    content[idx] = new_ppn
+                stats.batched_commits += len(group)
+                latency += program(tvpn, content)
+        else:
+            destination = self._destination
+            done = 0
+            while done < len(tvpns):
+                # Reserve as checkout and then program would: two asks, so
+                # the rotation moves as it always did.
+                room_lat, _ = destination(frontier)
+                latency += room_lat
+                room_lat, pbn = destination(frontier)
+                latency += room_lat
+                room = self._pages_per_block - self.flash.write_ptr[pbn]
+                run = tvpns[done:done + min(limit, room)]
+                latency += self._commit_run(run, pbn, groups, on_superseded)
+                done += len(run)
         tracer = self.flash.tracer
         if tracer is not None:
             tracer.emit(
@@ -251,6 +274,38 @@ class MappingStore:
                 entries=sum(len(g) for g in groups.values()),
                 gmt_pages=len(groups),
             )
+        return latency
+
+    def _commit_run(self, run, pbn, groups, on_superseded) -> float:
+        """Rewrite the translation pages ``run``, their commit groups
+        applied, into block ``pbn`` (which has room for them)."""
+        flash = self.flash
+        stats = self.stats
+        entries_per_page = self.entries_per_page
+        gtd = self.gtd.raw
+        old = [gtd[tvpn] for tvpn in run if gtd[tvpn] >= 0]
+        pages, _, latency = flash.read_run(old)
+        stats.map_reads += len(old)
+        fetched = iter(pages)
+        contents = []
+        for tvpn in run:  # a page never written starts empty
+            content = list(next(fetched)) if gtd[tvpn] >= 0 \
+                else [None] * entries_per_page
+            for lpn, new_ppn in groups[tvpn]:  # as the scalar arm applies
+                idx = lpn % entries_per_page
+                old_ppn = content[idx]
+                if old_ppn is not None and old_ppn != new_ppn:
+                    on_superseded(lpn, old_ppn)
+                content[idx] = new_ppn
+            stats.batched_commits += len(groups[tvpn])
+            contents.append(content)
+        n = len(run)
+        dst = pbn * self._pages_per_block + flash.write_ptr[pbn]
+        latency += flash.program_run(dst, contents, run_oobs(
+            run, self.seq.take(n), PageKind.MAPPING, False))
+        stats.map_writes += n
+        flash.invalidate_run(old)
+        self.gtd.set_many(zip(run, range(dst, dst + n)))
         return latency
 
     def program(self, tvpn: int, content: List[Optional[int]]) -> float:
@@ -278,43 +333,14 @@ class MappingStore:
     # ------------------------------------------------------------------
     # Garbage collection of translation blocks
     # ------------------------------------------------------------------
-    # flowlint: hot
     def collect(self, pbn: int) -> float:
-        """Relocate a victim block's valid translation pages; the caller
-        erases it."""
-        latency = 0.0
-        flash = self.flash
-        write_ptr = flash.write_ptr
-        read_page = flash.read_page
-        program_page = flash.program_page
-        invalidate_page = flash.invalidate_page
-        seq_next = self.seq.next
-        gtd_set = self.gtd.set
-        stats = self.stats
-        tracer = flash.tracer
-        ppb = self._pages_per_block
-        frontier = self._frontier
-        destination = self._destination
-        for src in flash.valid_ppns(pbn):
-            content, oob, read_lat = read_page(src)
-            latency += read_lat
-            stats.map_reads += 1
-            if tracer is not None:
-                tracer.emit(EventType.MAP_READ, lpn=oob.lpn, ppn=src)
-            room_lat, dst_pbn = destination(frontier)
-            latency += room_lat
-            dst = dst_pbn * ppb + write_ptr[dst_pbn]
-            latency += program_page(
-                dst,
-                content,
-                make_oob((oob.lpn, seq_next(), PageKind.MAPPING, False)),
-            )
-            stats.map_writes += 1
-            if tracer is not None:
-                tracer.emit(EventType.MAP_WRITE, lpn=oob.lpn, ppn=dst)
-            stats.gc_page_copies += 1
-            gtd_set(oob.lpn, dst)
-            invalidate_page(src)
+        """Relocate a victim block's valid translation pages (by run,
+        through the one driver); the caller erases it."""
+        latency = relocate(
+            self.flash, self._frontier, self.flash.valid_ppns(pbn),
+            self._destination, self.seq, self.stats,
+            self.gtd.set, self.gtd.set_many, PageKind.MAPPING,
+        )
         self.full_blocks.discard(pbn)
         return latency
 

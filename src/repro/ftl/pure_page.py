@@ -21,7 +21,7 @@ from ..perf.maptable import MapTable
 from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
 from .gc_policy import GarbageCollector
 from .pool import BlockPool
-from .stripe import Frontier, stripe_ways
+from .stripe import Frontier, relocate, spare_block, stripe_ways
 
 
 class PageFTL(FlashTranslationLayer):
@@ -174,21 +174,10 @@ class PageFTL(FlashTranslationLayer):
         return pbn * self._pages_per_block + self.flash.write_ptr[pbn]
 
     def _collect_data_block(self, victim: int) -> float:
-        """Relocate a victim's valid pages and repoint the RAM map."""
-        flash = self.flash
-        latency = 0.0
-        for src in flash.valid_ppns(victim):
-            data, oob, read_lat = flash.read_page(src)
-            latency += read_lat
-            # GC destination: never triggers nested GC.
-            pbn = self._gc_active.take(1)
-            if pbn is None:
-                pbn = self._gc_active.open()
-            dst = self._frontier(pbn)
-            latency += flash.program_page(
-                dst, data, OOBData(lpn=oob.lpn, seq=self._seq.next())
-            )
-            self._map.raw[oob.lpn] = dst
-            flash.invalidate_page(src)
-            self.stats.gc_page_copies += 1
-        return latency
+        """Relocate a victim's valid pages (by run, through the one
+        driver) and repoint the RAM map."""
+        return relocate(
+            self.flash, self._gc_active, self.flash.valid_ppns(victim),
+            spare_block, self._seq, self.stats,
+            self._map.raw.__setitem__, self._map.set_many,
+        )

@@ -13,7 +13,9 @@ it is full, retire it, open the next".
 
 The frontier is RAM-side bookkeeping: it reads the device's write
 pointers and takes blocks from the pool but never programs flash, and it
-is only *advisory* about placement.  Crash recovery does not persist
+is only *advisory* about placement.  :meth:`Frontier.run_limit` says how
+far a caller may batch; :func:`relocate`, the one loop every GC pass moves
+pages through, batches by it.  Crash recovery does not persist
 rotation state; it is rebuilt (:meth:`Frontier.reset`) from the non-full
 blocks each area already tracks, because a set of open blocks degenerates
 to ordinary partially-written blocks, which every conversion/GC path
@@ -22,10 +24,17 @@ already handles.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from itertools import islice
+from operator import attrgetter
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from ..flash.chip import NandFlash
+from ..flash.oob import PageKind, SequenceCounter, make_oob, run_oobs
+from ..obs.events import EventType
 from .pool import BlockPool
+from .stats import FtlStats
+
+_LPN = attrgetter("lpn")
 
 #: Upper bound on concurrently-open blocks per frontier.  Keeps the
 #: extra pool footprint (mapping/translation frontiers allocate beyond
@@ -75,7 +84,8 @@ class Frontier:
     """
 
     __slots__ = ("pool", "units", "ways", "open_blocks", "_cursor",
-                 "_write_ptr", "_pages_per_block", "_on_full")
+                 "_write_ptr", "_pages_per_block", "_on_full",
+                 "_device_takes_runs")
 
     def __init__(
         self,
@@ -92,6 +102,7 @@ class Frontier:
         self._write_ptr = flash.write_ptr
         self._pages_per_block = flash.geometry.pages_per_block
         self._on_full = on_full
+        self._device_takes_runs = flash.takes_runs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -123,6 +134,16 @@ class Frontier:
             del open_blocks[cursor]
             self._on_full(pbn)
         return None
+
+    def run_limit(self) -> int:
+        """Most pages one *run* may put into a block :meth:`take` names: a
+        whole block (callers clip it to the free pages) when the rotation
+        is one way and :meth:`~repro.flash.chip.NandFlash.takes_runs`, else
+        1.  Ask once per pass, never keep it: tracers attach and faults arm
+        in between."""
+        if self.ways == 1 and self._device_takes_runs():
+            return self._pages_per_block
+        return 1
 
     def open(self) -> int:
         """Allocate a block on an uncovered unit and add it to the rotation."""
@@ -179,3 +200,88 @@ class Frontier:
                 self._on_full(pbn)
         self.open_blocks = reopened[-self.ways:]
         self._cursor = 0
+
+
+#: ``destination(frontier) -> (latency, pbn)``: an owner's policy for where
+#: the next page goes - a block with a free page, and the time making room.
+Destination = Callable[[Frontier], Tuple[float, int]]
+
+
+def spare_block(frontier: Frontier) -> Tuple[float, int]:
+    """The plain in-GC destination: an open block, else a pool block the
+    pool can spare - never a nested reclaim."""
+    pbn = frontier.take(1)
+    if pbn is None:
+        pbn = frontier.open()
+    return 0.0, pbn
+
+
+# flowlint: hot
+def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
+             destination: Destination, seq: SequenceCounter, stats: FtlStats,
+             record: Callable[[int, int], None],
+             record_run: Callable[[Iterable[Tuple[int, int]]], None],
+             kind: PageKind = PageKind.DATA, cold: bool = False) -> float:
+    """Move the live pages ``srcs`` into ``frontier``'s blocks (the caller
+    erases theirs); returns the simulated time.  The one relocation loop.
+
+    Pages move by *run*: the live pages that fit the block ``destination``
+    just named, ``frontier.run_limit()`` at most.  A run's first page is
+    read before ``destination`` is asked - it may convert, reclaim or
+    raise ``OutOfBlocksError`` exactly where it always did - and the rest
+    is gathered after (a lazy ``srcs`` only advances there), so nothing
+    ``destination`` does can touch a gathered page: it is asked *between*
+    runs.  A ``MAPPING`` copy is also a map read and a map write.
+    """
+    latency = 0.0
+    limit = frontier.run_limit()
+    write_ptr = flash.write_ptr
+    read_page = flash.read_page
+    program_page = flash.program_page
+    invalidate_page = flash.invalidate_page
+    seq_next = seq.next
+    ppb = flash.geometry.pages_per_block
+    mapping = kind is PageKind.MAPPING
+    tracer = flash.tracer if mapping else None
+    srcs = iter(srcs)
+    for src in srcs:
+        data, oob, read_lat = read_page(src)
+        latency += read_lat
+        lpn = oob.lpn
+        if mapping:
+            stats.map_reads += 1
+            if tracer is not None:
+                tracer.emit(EventType.MAP_READ, lpn=lpn, ppn=src)
+        room_lat, pbn = destination(frontier)
+        latency += room_lat
+        offset = write_ptr[pbn]
+        dst = pbn * ppb + offset
+        if limit == 1:
+            # Striped, traced, fault-armed, sanitized, fractional timing:
+            # the scalar ops (a striped replay is a fifth slower through
+            # the lists below).
+            latency += program_page(
+                dst, data, make_oob((lpn, seq_next(), kind, cold)))
+            if mapping:
+                stats.map_writes += 1
+                if tracer is not None:
+                    tracer.emit(EventType.MAP_WRITE, lpn=lpn, ppn=dst)
+            record(lpn, dst)
+            invalidate_page(src)
+            stats.gc_page_copies += 1
+            continue
+        # One run (these lists *are* the run, one per destination block):
+        # gather, read, program, record and invalidate in bulk.
+        rest = list(islice(srcs, min(limit, ppb - offset) - 1))
+        datas, oobs, read_lat = flash.read_run(rest)
+        lpns = [lpn, *map(_LPN, oobs)]
+        n = len(lpns)
+        latency += read_lat + flash.program_run(
+            dst, [data, *datas], run_oobs(lpns, seq.take(n), kind, cold))
+        if mapping:
+            stats.map_reads += n - 1
+            stats.map_writes += n
+        record_run(zip(lpns, range(dst, dst + n)))
+        flash.invalidate_run([src, *rest])
+        stats.gc_page_copies += n
+    return latency

@@ -45,8 +45,8 @@ declare no planner and transparently stay scalar.
 
 Executors never touch device state themselves: an epoch's programs are
 one :meth:`~repro.flash.chip.NandFlash.program_run` (the frontier block's
-pages, in order) followed by the epoch's ``invalidate_page`` calls - all
-NAND semantics stay in the device.
+pages, in order) followed by one ``invalidate_run`` of the copies they
+superseded - all NAND semantics stay in the device.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import Any, Dict, Optional, Tuple, Type
 
 from ..core.lazyftl import LazyFTL
 from ..flash.chip import NandFlash
-from ..flash.oob import PageKind, make_oob
+from ..flash.oob import PageKind, run_oobs
 from ..ftl.base import FlashTranslationLayer
 from ..ftl.dftl import DftlFTL
 from ..ftl.pure_page import PageFTL
@@ -223,9 +223,10 @@ def _timing_open(
 # ----------------------------------------------------------------------
 # Per-scheme planners + executors
 # ----------------------------------------------------------------------
-def _program_epoch(flash: NandFlash, first_ppn: int, oobs: list,
+def _program_epoch(ftl: Any, first_ppn: int, written: list,
                    stale: list) -> None:
-    """Apply one epoch's writes to the device: the frontier run (replayed
+    """Apply one epoch's writes to the device: the frontier run (``written``
+    lpns in program order on consecutive sequence numbers; replayed
     payloads are None), then the copies those writes superseded.
 
     Programs go first so a page written and overwritten inside the same
@@ -233,10 +234,10 @@ def _program_epoch(flash: NandFlash, first_ppn: int, oobs: list,
     invalidates of different pages commute, so the end state equals the
     scalar interleaving.
     """
-    flash.program_run(first_ppn, [None] * len(oobs), oobs)
-    invalidate_page = flash.invalidate_page
-    for ppn in stale:
-        invalidate_page(ppn)
+    flash = ftl.flash
+    flash.program_run(first_ppn, [None] * len(written), run_oobs(
+        written, ftl._seq.take(len(written)), _DATA, False))
+    flash.invalidate_run(stale)
 
 
 class _PagePlanner:
@@ -300,19 +301,15 @@ class _PagePlanner:
         first_ppn = -1 if active is None else ftl._frontier(active)
         ppn = first_ppn
         raw = ftl._map.raw
-        seq = ftl._seq
-        seq_val = seq._next
-        make = make_oob
         last: Dict[int, int] = {}  # lpn -> ppn of its newest epoch write
-        oobs: list = []   # one per epoch write, in program order
+        written: list = []  # lpn of each epoch write, in program order
         stale: list = []  # superseded ppns, in write order
         end = start + h
         j = start
         while j < end:
             if ops[j]:
                 lpn = lpns[j]
-                oobs.append(make((lpn, seq_val, _DATA, False)))
-                seq_val += 1
+                written.append(lpn)
                 old = last.get(lpn, -1)
                 if old < 0:
                     old = raw[lpn]
@@ -323,10 +320,9 @@ class _PagePlanner:
             j += 1
         stats = ftl.stats
         fstats = flash.stats
-        n_writes = len(oobs)
+        n_writes = len(written)
         if n_writes:
-            _program_epoch(flash, first_ppn, oobs, stale)
-            seq._next = seq_val
+            _program_epoch(ftl, first_ppn, written, stale)
             ftl._map.set_many(last.items())
         n_reads = h - n_writes
         if n_reads:
@@ -408,11 +404,8 @@ class _DftlPlanner:
         first_ppn = -1 if active is None else (
             active * ftl._pages_per_block + flash.write_ptr[active])
         ppn = first_ppn
-        seq = ftl._seq
-        seq_val = seq._next
-        make = make_oob
         none_reads: list = []  # epoch offsets of unmapped (ppn None) reads
-        oobs: list = []   # one per epoch write, in program order
+        written: list = []  # lpn of each epoch write, in program order
         stale: list = []  # superseded ppns, in write order
         end = start + h
         j = start
@@ -420,8 +413,7 @@ class _DftlPlanner:
             lpn = lpns[j]
             entry = cmt[lpn]
             if ops[j]:
-                oobs.append(make((lpn, seq_val, _DATA, False)))
-                seq_val += 1
+                written.append(lpn)
                 if entry.ppn is not None:
                     stale.append(entry.ppn)
                 entry.ppn = ppn
@@ -433,10 +425,9 @@ class _DftlPlanner:
             j += 1
         stats = ftl.stats
         fstats = flash.stats
-        n_writes = len(oobs)
+        n_writes = len(written)
         if n_writes:
-            _program_epoch(flash, first_ppn, oobs, stale)
-            seq._next = seq_val
+            _program_epoch(ftl, first_ppn, written, stale)
         n_reads = h - n_writes
         data_reads = n_reads - len(none_reads)
         if data_reads:
@@ -560,13 +551,10 @@ class _LazyPlanner:
         first_ppn = -1 if frontier is None else \
             frontier * ftl._pages_per_block + flash.write_ptr[frontier]
         ppn = first_ppn
-        seq = ftl._seq
-        seq_val = seq._next
-        make = make_oob
         last: Dict[int, int] = {}  # lpn -> ppn of its newest epoch write
         touched_tvpns: list = []  # cache hits, in access order
         services = array("d", bytes(8 * h))
-        oobs: list = []   # one per epoch write, in program order
+        written: list = []  # lpn of each epoch write, in program order
         stale: list = []  # superseded UBA/CBA ppns, in write order
         map_reads = 0
         flash_reads = 0
@@ -579,8 +567,7 @@ class _LazyPlanner:
                 old = last.get(lpn, -1)
                 if old < 0:
                     old = ppn_at(lpn)
-                oobs.append(make((lpn, seq_val, _DATA, False)))
-                seq_val += 1
+                written.append(lpn)
                 if old >= 0:
                     # Old copy in UBA/CBA: invalidated with the epoch's
                     # programs (GMT copies are invalidated lazily at
@@ -619,10 +606,9 @@ class _LazyPlanner:
             k += 1
         stats = ftl.stats
         fstats = flash.stats
-        n_writes = len(oobs)
+        n_writes = len(written)
         if n_writes:
-            _program_epoch(flash, first_ppn, oobs, stale)
-            seq._next = seq_val
+            _program_epoch(ftl, first_ppn, written, stale)
             umt.set_many(last.items())
             if ftl._ckpt_interval > 0:
                 ftl._writes_since_checkpoint += n_writes
@@ -654,32 +640,21 @@ def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:
 
     Ineligible (replay stays scalar): unregistered scheme, a flash
     subclass (the sanitizer audits every raw op; epochs count reads in
-    bulk), an attached tracer (it must see per-op events), an armed
-    power-fault injector (the trip point must be a per-request
-    boundary), a powered-off device, a multi-unit geometry (the device
-    then charges a per-unit clock on every raw op, and an epoch is one
-    run on the block ``Frontier.peek`` names, timed on one clock; a
-    multi-way rotation moves every write), or a timing model with
-    non-integer-valued latencies (bulk ``n * latency`` would not be
-    bit-exact).
+    bulk), a tracer on the FTL, or a device that takes no runs
+    (:meth:`~repro.flash.chip.NandFlash.takes_runs` - the one statement
+    of: powered, no armed fault since the trip point must be a
+    per-request boundary, no tracer since it must see per-op events, one
+    parallel unit since an epoch is one run on the block
+    ``Frontier.peek`` names timed on one clock, integer-valued latencies
+    since bulk ``n * latency`` must be bit-exact).
     """
     planner_cls = PLANNERS.get(type(ftl))
     if planner_cls is None:
         return None
     flash = ftl.flash
-    if type(flash) is not NandFlash:
+    if type(flash) is not NandFlash or ftl._tracer is not None:
         return None
-    if not flash.powered or flash.fault.armed:
-        return None
-    if flash.tracer is not None or ftl._tracer is not None:
-        return None
-    if flash.geometry.parallel_units > 1:
-        # Every scheme's frontier then rotates writes across several
-        # open blocks, and the timing kernels have no per-unit clocks.
-        return None
-    timing = flash.timing
-    if not (float(timing.page_read_us).is_integer()
-            and float(timing.page_program_us).is_integer()):
+    if not flash.takes_runs():
         return None
     return BatchEngine(planner_cls(ftl))
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.flash import OOBData, PageKind, SequenceCounter, wear_summary
+from repro.flash.oob import run_oobs
 from repro.flash.timing import TimingModel
 
 
@@ -55,6 +56,23 @@ class TestSequenceCounter:
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
             SequenceCounter(start=-1)
+
+    def test_take_hands_out_consecutive_numbers(self):
+        c = SequenceCounter(start=7)
+        assert c.take(3) == 7          # 7, 8, 9
+        assert c.next() == 10
+        assert c.take(0) == 11 and c.current == 11
+        assert c.take(1) == 11 and c.next() == 12
+
+    def test_run_oobs_are_the_scalar_oobs(self):
+        c, scalar = SequenceCounter(start=4), SequenceCounter(start=4)
+        lpns = [9, 3, 3, 0]
+        bulk = run_oobs(lpns, c.take(len(lpns)), PageKind.MAPPING, True)
+        assert bulk == [OOBData(lpn, scalar.next(), PageKind.MAPPING, True)
+                        for lpn in lpns]
+        assert all(type(oob) is OOBData for oob in bulk)
+        assert c.current == scalar.current
+        assert run_oobs([], c.take(0), PageKind.DATA, False) == []
 
 
 class TestTimingModel:

@@ -116,6 +116,43 @@ class TestNandLegality:
         assert v.kind is ViolationKind.INVALIDATE_UNWRITTEN
 
 
+class TestRunOpsAreAuditedPageByPage:
+    """The sanitizer takes no runs: a run op is its audited scalar op per
+    page - same findings at the same page, one history record each."""
+
+    def test_it_refuses_runs(self):
+        assert make_flash().takes_runs() is False
+        assert NandFlash(GEOMETRY, timing=UNIT_TIMING).takes_runs() is True
+
+    def test_every_page_of_a_run_is_recorded(self):
+        flash = make_flash(history=16)
+        oobs = [OOBData(lpn=10 + i, seq=i) for i in range(3)]
+        flash.program_run(0, ["a", "b", "c"], oobs)
+        assert flash.read_run([2, 0])[0] == ["c", "a"]
+        flash.invalidate_run([1, 2])
+        flash.program_page(3, "d")  # anything: fetch the history
+        v = catch(flash, lambda: flash.read_page(7))
+        assert [(op.op, op.offset, op.lpn) for op in v.history] == [
+            ("program", 0, 10), ("program", 1, 11), ("program", 2, 12),
+            ("read", 2, 12), ("read", 0, 10),
+            ("invalidate", 1, 11), ("invalidate", 2, 12),
+            ("program", 3, None),
+        ]
+
+    def test_a_run_fails_at_the_page_its_scalar_op_would(self):
+        flash = make_flash()
+        flash.program_run(0, ["a", "b"], [None, None])
+        v = catch(flash, lambda: flash.read_run([1, 2, 0]))
+        assert (v.kind, v.ppn) == (ViolationKind.READ_UNWRITTEN, 2)
+        assert flash.stats.page_reads == 1  # page 1 was read, page 0 never
+        flash.invalidate_page(0)
+        v = catch(flash, lambda: flash.invalidate_run([1, 0]))
+        assert (v.kind, v.ppn) == (ViolationKind.DOUBLE_INVALIDATE, 0)
+        assert flash.valid_count[0] == 0  # page 1 was retired first
+        v = catch(flash, lambda: flash.program_run(1, ["x"], [None]))
+        assert v.kind is ViolationKind.PROGRAM_WITHOUT_ERASE
+
+
 class TestReportStructure:
     def test_history_tail_attached(self):
         flash = make_flash(history=4)

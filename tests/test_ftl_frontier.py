@@ -20,9 +20,25 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.flash import FlashGeometry, NandFlash, OOBData, UNIT_TIMING
+from repro.checks.flashsan import SanitizedNandFlash
+from repro.flash import (
+    UNIT_TIMING,
+    FlashGeometry,
+    NandFlash,
+    OOBData,
+    SequenceCounter,
+    TimingModel,
+)
 from repro.ftl.pool import BlockPool, OutOfBlocksError
-from repro.ftl.stripe import MAX_STRIPE_WAYS, Frontier, stripe_ways
+from repro.ftl.stats import FtlStats
+from repro.ftl.stripe import (
+    MAX_STRIPE_WAYS,
+    Frontier,
+    relocate,
+    spare_block,
+    stripe_ways,
+)
+from repro.obs.tracer import Tracer
 
 PAGES = 4
 
@@ -158,6 +174,77 @@ class TestSpareRule:
         flash, _, frontier, _ = make()
         pbn = frontier.open()
         assert [frontier.take(0) for _ in range(3)] == [pbn] * 3
+
+
+class TestRunLimit:
+    """How far a pass may batch: a whole block on a one-way rotation over
+    a device that takes runs, else one page - asked afresh every pass."""
+
+    def test_one_way_on_a_plain_device_is_a_block(self):
+        _, _, frontier, _ = make()
+        assert frontier.run_limit() == PAGES
+
+    def test_several_ways_is_one(self):
+        # Whatever the device says: the rotation hands consecutive pages
+        # to different blocks.
+        _, _, frontier, _ = make(units=1, ways=2)
+        assert frontier.run_limit() == 1
+        _, _, striped, _ = make(units=4)
+        assert striped.run_limit() == 1
+
+    def test_one_way_over_several_units_is_one(self):
+        _, _, frontier, _ = make(units=2, ways=1)
+        assert frontier.run_limit() == 1
+
+    def test_device_refusing_runs_is_one_and_is_never_cached(self):
+        flash, _, frontier, _ = make()
+        assert frontier.run_limit() == PAGES
+        flash.tracer = Tracer()
+        assert frontier.run_limit() == 1
+        flash.tracer = None
+        flash.fault.arm_after_programs(10 ** 12)
+        assert frontier.run_limit() == 1
+        flash.fault.disarm()
+        flash.timing = TimingModel(page_read_us=0.1)
+        assert frontier.run_limit() == 1
+        flash.timing = UNIT_TIMING
+        flash.power_off()
+        assert frontier.run_limit() == 1
+        flash.power_on()
+        assert frontier.run_limit() == PAGES
+
+    def test_sanitized_device_is_one(self):
+        flash = SanitizedNandFlash(
+            FlashGeometry(num_blocks=8, pages_per_block=PAGES, page_size=64),
+            timing=UNIT_TIMING)
+        frontier = Frontier(flash, BlockPool(range(8)), 1)
+        assert frontier.run_limit() == 1
+
+    def test_a_run_is_clipped_to_the_free_pages_of_the_block(self):
+        # relocate() moves 6 live pages into a block with 3 free pages:
+        # a run of 3 there, then a run of 3 in the next block.
+        flash, pool, frontier, _ = make()
+        victim, partial = pool.allocate(), frontier.open()
+        program(flash, victim, PAGES)
+        extra = pool.allocate()
+        program(flash, extra, 2)
+        program(flash, partial, 1)
+        runs = []
+        program_run = flash.program_run
+
+        def spy(ppn, datas, oobs):
+            runs.append((ppn // PAGES, len(datas)))
+            return program_run(ppn, datas, oobs)
+
+        flash.program_run = spy
+        stats = FtlStats()
+        srcs = flash.valid_ppns(victim) + flash.valid_ppns(extra)
+        relocate(flash, frontier, srcs, spare_block, SequenceCounter(),
+                 stats, lambda lpn, dst: None, lambda pairs: None)
+        assert [n for _, n in runs] == [PAGES - 1, 3]
+        assert runs[0][0] == partial and runs[1][0] != partial
+        assert stats.gc_page_copies == 6
+        assert flash.valid_count[victim] == flash.valid_count[extra] == 0
 
 
 class TestPlacement:

@@ -1,8 +1,8 @@
 """Property-based tests for the LAST baseline, the block-device layer and
-the raw NAND device (bulk ``program_run`` vs scalar programs)."""
+the raw NAND device (the bulk run ops vs their scalar expansion)."""
 
-import random
 import warnings
+from unittest.mock import patch
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -11,6 +11,7 @@ from repro.checks.report import SanitizerViolation
 from repro.core import LazyConfig, LazyFTL
 from repro.device import FlashBlockDevice
 from repro.flash import (
+    SLC_TIMING,
     UNIT_TIMING,
     FlashError,
     FlashGeometry,
@@ -116,11 +117,15 @@ class TestBlockDeviceSectorSemantics:
 
 # ----------------------------------------------------------------------
 # Raw device: random op scripts, legal and illegal, on the serial, 4x1x1
-# parallel and sanitized devices.  Two claims:
+# parallel and sanitized devices, with fractional latencies (every run op
+# then *is* its per-page calls) and integer ones (the serial device takes
+# the bulk paths).  Two claims:
 #
-# * ``program_run`` is *n* ``program_page`` calls - same page-state bytes,
-#   data/OOB, write pointers, valid counts, ``FlashStats``, returned
-#   latency, exception type and first failing page, and an armed
+# * a run op is *n* scalar ops - ``program_run`` / ``read_run`` /
+#   ``invalidate_run`` against ``program_page`` / ``read_page`` /
+#   ``invalidate_page`` in order: same page-state bytes, data/OOB, write
+#   pointers, valid counts, ``invalidated``, ``FlashStats``, returned
+#   values, warnings, exception type and first failing page, and an armed
 #   ``PowerFault`` trips at the same op index through either;
 # * after every step the per-block counters agree with a recount of the
 #   page-state array (``valid_count[b] == count(VALID)``, nothing
@@ -128,68 +133,110 @@ class TestBlockDeviceSectorSemantics:
 # ----------------------------------------------------------------------
 BLOCKS, PPB = 8, 4
 TOTAL = BLOCKS * PPB
-#: Latencies that are not exactly representable, so the order in which
-#: FlashStats accumulates them is visible in the compared floats.
-TIMING = TimingModel(page_read_us=0.1, page_program_us=0.7,
-                     block_erase_us=1.3)
+TIMINGS = {
+    #: Latencies that are not exactly representable, so the order in
+    #: which FlashStats accumulates them is visible in the compared floats.
+    "fractional": TimingModel(page_read_us=0.1, page_program_us=0.7,
+                              block_erase_us=1.3),
+    "integer": SLC_TIMING,
+}
 
 DEVICES = {
-    "serial": lambda seq: NandFlash(
-        FlashGeometry(BLOCKS, PPB, 512), TIMING,
+    "serial": lambda timing, seq: NandFlash(
+        FlashGeometry(BLOCKS, PPB, 512), timing,
         enforce_sequential=seq),
-    "parallel": lambda seq: NandFlash(
-        FlashGeometry(BLOCKS, PPB, 512, channels=4), TIMING,
+    "parallel": lambda timing, seq: NandFlash(
+        FlashGeometry(BLOCKS, PPB, 512, channels=4), timing,
         enforce_sequential=seq),
-    "sanitized": lambda seq: SanitizedNandFlash(
-        FlashGeometry(BLOCKS, PPB, 512), TIMING,
+    "sanitized": lambda timing, seq: SanitizedNandFlash(
+        FlashGeometry(BLOCKS, PPB, 512), timing,
         enforce_sequential=seq),
 }
 
 # Addresses reach one past either end of the device so range errors are
 # part of every script; the "frontier" forms aim at a block's current
-# write pointer so legal programs (and whole legal runs) are common too.
+# write pointer and the "block" forms at its programmed / VALID pages, so
+# legal programs and whole legal runs are common too.  Address lists may
+# repeat a page (a second invalidate of it is redundant) and be empty.
 ppns = st.integers(-1, TOTAL)
 pbns = st.integers(0, BLOCKS - 1)
+ppn_lists = st.lists(ppns, max_size=PPB + 2)
 ops = st.one_of(
     st.tuples(st.just("program"), ppns),
     st.tuples(st.just("run"), ppns, st.integers(0, PPB + 1)),
     st.tuples(st.just("frontier_program"), pbns),
     st.tuples(st.just("frontier_run"), pbns, st.integers(1, PPB + 1)),
     st.tuples(st.just("read"), ppns),
+    st.tuples(st.just("read_run"), ppn_lists),
+    st.tuples(st.just("block_read_run"), pbns, ppn_lists),
     st.tuples(st.just("probe"), ppns),
     st.tuples(st.just("invalidate"), ppns),
+    st.tuples(st.just("invalidate_run"), ppn_lists),
+    st.tuples(st.just("block_invalidate_run"), pbns, ppn_lists),
     st.tuples(st.just("erase"), st.integers(-1, BLOCKS)),
 )
 
 
 def apply(flash, op, step, bulk):
-    """Run one script op; returns ``(result, exception type or None)``."""
+    """Run one script op; returns ``(result, exception type or None,
+    warning categories)``."""
     kind, addr = op[0], op[1]
     if kind.startswith("frontier_"):
         kind = kind[len("frontier_"):]
         addr = addr * PPB + flash.write_ptr[addr]
-    try:
-        if kind == "program":
-            return flash.program_page(
-                addr, step, OOBData(lpn=step, seq=step)), None
-        if kind == "run":
-            datas = [(step, i) for i in range(op[2])]
-            oobs = [OOBData(lpn=step, seq=i) for i in range(op[2])]
-            if bulk:
-                return flash.program_run(addr, datas, oobs), None
-            total = 0.0
-            for i in range(op[2]):
-                total += flash.program_page(addr + i, datas[i], oobs[i])
-            return total, None
-        if kind == "read":
-            return flash.read_page(addr), None
-        if kind == "probe":
-            return flash.probe_page(addr), None
-        if kind == "invalidate":
-            return flash.invalidate_page(addr), None
-        return flash.erase_block(addr), None
-    except (FlashError, SanitizerViolation) as exc:
-        return None, type(exc)
+    elif kind == "block_read_run":
+        # The block's programmed pages, then whatever else was drawn.
+        kind = "read_run"
+        addr = list(range(addr * PPB, addr * PPB + flash.write_ptr[addr]))
+        addr += op[2]
+    elif kind == "block_invalidate_run":
+        kind = "invalidate_run"
+        addr = flash.valid_ppns(addr) + op[2]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = _apply(flash, kind, addr, op, step, bulk)
+            error = None
+        except (FlashError, SanitizerViolation) as exc:
+            result, error = None, type(exc)
+    return result, error, [w.category for w in caught]
+
+
+def _apply(flash, kind, addr, op, step, bulk):
+    if kind == "program":
+        return flash.program_page(addr, step, OOBData(lpn=step, seq=step))
+    if kind == "run":
+        datas = [(step, i) for i in range(op[2])]
+        oobs = [OOBData(lpn=step, seq=i) for i in range(op[2])]
+        if bulk:
+            return flash.program_run(addr, datas, oobs)
+        total = 0.0
+        for i in range(op[2]):
+            total += flash.program_page(addr + i, datas[i], oobs[i])
+        return total
+    if kind == "read":
+        return flash.read_page(addr)
+    if kind == "read_run":
+        if bulk:
+            return flash.read_run(addr)
+        datas, oobs, total = [], [], 0.0
+        for ppn in addr:
+            data, oob, latency = flash.read_page(ppn)
+            datas.append(data)
+            oobs.append(oob)
+            total += latency
+        return datas, oobs, total
+    if kind == "probe":
+        return flash.probe_page(addr)
+    if kind == "invalidate":
+        return flash.invalidate_page(addr)
+    if kind == "invalidate_run":
+        if bulk:
+            return flash.invalidate_run(addr)
+        for ppn in addr:
+            flash.invalidate_page(ppn)
+        return None
+    return flash.erase_block(addr)
 
 
 def image(flash):
@@ -197,7 +244,8 @@ def image(flash):
         bytes(flash.page_states), list(flash.page_data),
         list(flash.page_oob), list(flash.write_ptr),
         list(flash.valid_count), list(flash.erase_count),
-        bytes(flash.is_bad), flash.stats.as_dict(), flash.powered,
+        bytes(flash.is_bad), set(flash.invalidated),
+        flash.stats.as_dict(), flash.powered,
         flash.fault.tripped, flash.fault.trip_op_index,
         flash.fault.trip_site,
     )
@@ -211,26 +259,50 @@ def check_counters(flash):
         assert tail.count(PageState.FREE) == len(tail)
 
 
-@settings(deadline=None, max_examples=300)
+@settings(deadline=None, max_examples=400)
 @given(
     device=st.sampled_from(sorted(DEVICES)),
+    timing=st.sampled_from(sorted(TIMINGS)),
     sequential=st.booleans(),
     script=st.lists(ops, max_size=40),
     fault_at=st.none() | st.integers(0, 12),
     endurance=st.none() | st.integers(1, 2),
 )
-def test_bulk_run_is_n_scalar_programs(device, sequential, script,
+def test_bulk_run_is_n_scalar_programs(device, timing, sequential, script,
                                        fault_at, endurance):
-    bulk, scalar = DEVICES[device](sequential), DEVICES[device](sequential)
+    bulk, scalar = (DEVICES[device](TIMINGS[timing], sequential)
+                    for _ in range(2))
     for flash in (bulk, scalar):
         flash.endurance = endurance
         if fault_at is not None:
             flash.fault.arm_at_op_index(fault_at)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # redundant invalidates are legal
-        for step, op in enumerate(script):
-            got = apply(bulk, op, step, bulk=True)
-            want = apply(scalar, op, step, bulk=False)
-            assert got == want, (step, op)
-            assert image(bulk) == image(scalar), (step, op)
-            check_counters(bulk)
+    for step, op in enumerate(script):
+        got = apply(bulk, op, step, bulk=True)
+        want = apply(scalar, op, step, bulk=False)
+        assert got == want, (step, op)
+        assert image(bulk) == image(scalar), (step, op)
+        check_counters(bulk)
+
+
+def test_the_bulk_paths_are_taken_and_refused():
+    """The fuzz above is vacuous if the serial integer-timing device never
+    leaves the per-page calls - or if a refusing device ever does."""
+    for device, timing, bulk_expected in [
+        ("serial", "integer", True), ("serial", "fractional", False),
+        ("parallel", "integer", False), ("sanitized", "integer", False),
+    ]:
+        flash = DEVICES[device](TIMINGS[timing], True)
+        assert flash.takes_runs() is bulk_expected
+        with patch.object(NandFlash, "program_page", autospec=True,
+                          side_effect=NandFlash.program_page) as program, \
+                patch.object(NandFlash, "read_page", autospec=True,
+                             side_effect=NandFlash.read_page) as read, \
+                patch.object(NandFlash, "invalidate_page", autospec=True,
+                             side_effect=NandFlash.invalidate_page) as inval:
+            flash.program_run(0, [0, 1, 2], [None] * 3)
+            flash.read_run([2, 0])
+            flash.invalidate_run([1, 2])
+        calls = (program.call_count, read.call_count, inval.call_count)
+        assert calls == ((0, 0, 0) if bulk_expected else (3, 2, 2))
+        assert bytes(flash.page_states[:4]) == bytes((1, 2, 2, 0))
+        assert flash.invalidated == {0}

@@ -1,0 +1,293 @@
+"""Moving pages by run is moving them one at a time - and runs do happen.
+
+GC relocation (:func:`repro.ftl.stripe.relocate`) and LazyFTL's GMT commit
+(:meth:`repro.ftl.mapping.MappingStore.commit`) issue one bulk read, one
+``program_run`` and one bulk invalidate per destination block whenever the
+device takes runs, and the scalar op sequence whenever it does not.  Three
+claims:
+
+* *differential* - a device that refuses runs for a reason that changes
+  nothing else (a power fault armed far beyond the workload) ends a
+  fill + steady-overwrite replay in exactly the state of the plain one;
+* *counting* - on the plain device a GC pass and a conversion make no
+  per-page calls, and with a tracer attached they make exactly the
+  scalar calls in the scalar order;
+* *end of life* - an ``OutOfBlocksError`` from DFTL's GC destination at a
+  run boundary still pins the mapping of every page already moved.
+"""
+
+import random
+from contextlib import ExitStack, contextmanager
+from unittest.mock import patch
+
+import pytest
+
+from repro.core import LazyConfig, LazyFTL
+from repro.flash import SLC_TIMING, FlashGeometry, NandFlash
+from repro.flash.page import VALID
+from repro.ftl import DftlFTL, OutOfBlocksError, PageFTL
+from repro.obs.tracer import Tracer
+
+GEOMETRY = FlashGeometry(num_blocks=64, pages_per_block=16, page_size=64)
+LOGICAL = 600  # of 1024 physical pages; 16 map entries per page -> 38 tvpns
+
+SCHEMES = {
+    "LazyFTL": lambda flash: LazyFTL(flash, LOGICAL, LazyConfig(
+        uba_blocks=4, cba_blocks=2, gc_free_threshold=3)),
+    "DFTL": lambda flash: DftlFTL(flash, LOGICAL, cmt_entries=48,
+                                  gc_free_threshold=3),
+    "ideal": lambda flash: PageFTL(flash, LOGICAL, gc_free_threshold=2),
+}
+RAW_OPS = ("read_page", "read_run", "program_page", "program_run",
+           "invalidate_page", "invalidate_run")
+
+
+def build(scheme, refuse_runs=False):
+    flash = NandFlash(GEOMETRY, SLC_TIMING)
+    if refuse_runs:
+        flash.fault.arm_after_programs(10 ** 12)  # never trips
+    return SCHEMES[scheme](flash)
+
+
+def replay(ftl, overwrites=2500, seed=5):
+    """Fill, then skewed overwrites with some reads; per-op latencies."""
+    rng = random.Random(seed)
+    latencies = [ftl.write(lpn, ("fill", lpn)).latency_us
+                 for lpn in range(LOGICAL)]
+    for i in range(overwrites):
+        hot = rng.random() < 0.8
+        lpn = rng.randrange(LOGICAL // 5) if hot else rng.randrange(LOGICAL)
+        if rng.random() < 0.15:
+            latencies.append(ftl.read(lpn).latency_us)
+        else:
+            latencies.append(ftl.write(lpn, (i, lpn)).latency_us)
+    return latencies
+
+
+def ram_state(ftl):
+    """The scheme's RAM tables and checkpoint fragment."""
+    if isinstance(ftl, PageFTL):
+        return list(ftl._map.raw)
+    state = {"maps": ftl._maps.snapshot()}
+    if isinstance(ftl, DftlFTL):
+        state["cmt"] = [(lpn, e.ppn, e.dirty) for lpn, e in ftl._cmt.items()]
+        state["dirty"] = {t: sorted(l) for t, l in ftl._dirty.pages.items()}
+    else:
+        state["umt"] = ftl.umt.snapshot()
+        state["areas"] = (ftl.uba_blocks, ftl.cba_blocks, ftl.dba_blocks)
+    return state
+
+
+def full_image(ftl):
+    flash = ftl.flash
+    return {
+        "ftl_stats": ftl.stats.as_dict(),
+        "flash_stats": flash.stats.as_dict(),
+        "page_states": bytes(flash.page_states),
+        "page_data": list(flash.page_data),
+        "page_oob": list(flash.page_oob),
+        "write_ptr": list(flash.write_ptr),
+        "valid_count": list(flash.valid_count),
+        "erase_count": list(flash.erase_count),
+        "free": ftl._pool.snapshot(),
+        "seq": ftl._seq.current,
+        "ram": ram_state(ftl),
+    }
+
+
+@contextmanager
+def counted():
+    """Count (and order) the raw-op calls made on any NandFlash."""
+    calls = {name: 0 for name in RAW_OPS}
+    order = []
+
+    def spy(name):
+        real = getattr(NandFlash, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            order.append((name, args[0]))
+            return real(self, *args)
+        return wrapper
+
+    with ExitStack() as stack:
+        for name in RAW_OPS:
+            stack.enter_context(patch.object(NandFlash, name, spy(name)))
+        yield calls, order
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+class TestByRunIsByPage:
+    def test_refusing_runs_changes_nothing(self, scheme):
+        by_run, by_page = build(scheme), build(scheme, refuse_runs=True)
+        with counted() as (calls, _):
+            run_latencies = replay(by_run)
+        assert calls["program_run"] > 0, "the plain device never took a run"
+        with counted() as (calls, _):
+            page_latencies = replay(by_page)
+        assert calls["program_run"] == calls["read_run"] == \
+            calls["invalidate_run"] == 0, "a refusing device was sent a run"
+        assert run_latencies == page_latencies
+        assert by_run.stats.gc_runs > 100  # GC steady state reached
+        want = full_image(by_page)
+        for key, got in full_image(by_run).items():
+            assert got == want[key], key
+        # The never-tripping fault is the only difference between them.
+        assert by_page.flash.fault.armed and not by_run.flash.fault.armed
+
+
+
+def test_lazyftl_flush_and_checkpoint_agree_too():
+    by_run, by_page = build("LazyFTL"), build("LazyFTL", refuse_runs=True)
+    for ftl in (by_run, by_page):
+        replay(ftl, overwrites=900)
+    assert by_run.flush() == by_page.flush()
+    assert by_run.checkpoint() == by_page.checkpoint()
+    assert full_image(by_run) == full_image(by_page)
+
+
+def aged(scheme, tracer=None):
+    """A device in GC steady state; the tracer attaches only afterwards."""
+    ftl = build(scheme)
+    replay(ftl, overwrites=1200)
+    ftl.flash.tracer = tracer
+    return ftl
+
+
+def data_victim(ftl):
+    """A full data block with live and dead pages (the greedy pick may be
+    a translation block; this names a data one)."""
+    valid = ftl.flash.valid_count
+    return min((pbn for pbn in ftl._gc.blocks if 2 <= valid[pbn] < 16),
+               key=lambda pbn: (-valid[pbn], pbn))
+
+
+class TestRunsReallyHappen:
+    def test_ideal_data_victim_moves_in_one_run_per_destination(self):
+        ftl = aged("ideal")
+        victim = data_victim(ftl)
+        live = ftl.flash.valid_count[victim]
+        copies = ftl.stats.gc_page_copies
+        with counted() as (calls, order):
+            ftl._gc.collect(victim)
+        assert ftl.stats.gc_page_copies - copies == live
+        assert calls["program_page"] == calls["invalidate_page"] == 0
+        destinations = {ppn // 16 for name, ppn in order
+                        if name == "program_run"}
+        assert 1 <= len(destinations) <= 2
+        assert calls["read_page"] == calls["program_run"] == \
+            calls["invalidate_run"] == len(destinations)
+        assert calls["read_run"] <= len(destinations)
+
+    def test_lazyftl_data_victim_and_its_conversions(self):
+        ftl = aged("LazyFTL")
+        victim = data_victim(ftl)
+        converts = ftl.stats.converts
+        with counted() as (calls, _):
+            ftl._gc.collect(victim)
+        # Copies, and the GMT pages of any conversion the pass forced, all
+        # went out by run; only a run's first page is read alone.
+        assert calls["program_page"] == 0
+        runs = 2 + 2 * (ftl.stats.converts - converts)
+        assert 1 <= calls["program_run"] <= runs
+        assert calls["read_page"] <= calls["program_run"]
+
+    @pytest.mark.parametrize("scheme", ["LazyFTL", "DFTL"])
+    def test_mapping_victim_moves_in_one_run_per_destination(self, scheme):
+        ftl = aged(scheme)
+        maps = ftl._maps
+        victim = min(maps.full_blocks, key=lambda pbn: (
+            -ftl.flash.valid_count[pbn], pbn))
+        live = ftl.flash.valid_count[victim]
+        assert live >= 2
+        copies, reads, writes = (ftl.stats.gc_page_copies,
+                                 ftl.stats.map_reads, ftl.stats.map_writes)
+        with counted() as (calls, order):
+            ftl._gc.collect(victim)
+        assert ftl.stats.gc_page_copies - copies == live
+        assert ftl.stats.map_reads - reads == live
+        assert ftl.stats.map_writes - writes == live
+        assert calls["program_page"] == calls["invalidate_page"] == 0
+        destinations = {ppn // 16 for name, ppn in order
+                        if name == "program_run"}
+        assert calls["read_page"] == calls["program_run"] == \
+            len(destinations) <= 2
+
+    @pytest.mark.parametrize("scheme", ["ideal", "LazyFTL-map"])
+    def test_a_traced_pass_is_the_scalar_op_sequence(self, scheme):
+        ftl = aged(scheme.split("-")[0], tracer=Tracer())
+        if scheme == "ideal":
+            victim = data_victim(ftl)
+        else:
+            victim = min(ftl._maps.full_blocks, key=lambda pbn: (
+                -ftl.flash.valid_count[pbn], pbn))
+        srcs = ftl.flash.valid_ppns(victim)
+        with counted() as (calls, order):
+            ftl._gc.collect(victim)
+        assert calls["program_run"] == calls["read_run"] == \
+            calls["invalidate_run"] == 0
+        assert calls["program_page"] == calls["invalidate_page"] == len(srcs)
+        # read src -> program dst -> invalidate src, page by page.
+        assert [name for name, _ in order] == \
+            ["read_page", "program_page", "invalidate_page"] * len(srcs)
+        assert [ppn for name, ppn in order if name != "program_page"] == \
+            [src for src in srcs for _ in range(2)]
+
+    def test_one_conversion_is_at_most_two_program_runs(self):
+        ftl = aged("LazyFTL")
+        oldest = ftl._uba.oldest
+        tvpns = {ftl.flash.page_oob[ppn].lpn // ftl.entries_per_page
+                 for ppn in ftl.flash.valid_ppns(oldest)
+                 if ftl.umt.points_to(ftl.flash.page_oob[ppn].lpn, ppn)}
+        assert len(tvpns) >= 3
+        writes = ftl.stats.map_writes
+        with counted() as (calls, _):
+            ftl._convert_oldest(ftl._uba)
+        assert ftl.stats.map_writes - writes >= len(tvpns)
+        assert calls["program_page"] == 0
+        assert 1 <= calls["program_run"] <= 2
+        assert calls["read_page"] == 0 and calls["read_run"] <= 2
+
+
+@pytest.mark.parametrize("refuse_runs", [False, True])
+@pytest.mark.parametrize("room", [0, 5])
+def test_dftl_end_of_life_at_a_run_boundary_pins_what_moved(
+        refuse_runs, room):
+    """The pool dries up with ``room`` free pages left in the GC block:
+    the first ``room`` live pages of the victim move (one full run on the
+    plain device), then the destination raises.  Every moved page's
+    mapping must be pinned dirty in the CMT - the victim is about to be
+    erased by nobody, but its pages are already invalid."""
+    ftl = build("DFTL", refuse_runs=refuse_runs)
+    replay(ftl, overwrites=1200)
+    flash = ftl.flash
+    victim = data_victim(ftl)
+    srcs = flash.valid_ppns(victim)
+    assert len(srcs) > room
+    lpns = [flash.page_oob[src].lpn for src in srcs]
+    payloads = [flash.page_data[src] for src in srcs]
+    # Leave exactly ``room`` free pages in the GC block, and no pool.
+    def pad(pbn, until):
+        while 16 - flash.write_ptr[pbn] > until:
+            flash.program_page(pbn * 16 + flash.write_ptr[pbn], None)
+
+    gc_block = ftl._gc_active.take(1)
+    if gc_block is not None and 16 - flash.write_ptr[gc_block] < room:
+        pad(gc_block, 0)
+        gc_block = ftl._gc_active.take(1)  # retires it: None
+    if gc_block is None:
+        gc_block = ftl._gc_active.open()
+    pad(gc_block, room)
+    ftl._pool.refill([])
+    with pytest.raises(OutOfBlocksError):
+        ftl._collect_data_block(victim)
+    moved, left = lpns[:room], lpns[room:]
+    for lpn, payload in zip(moved, payloads):
+        entry = ftl._cmt[lpn]
+        assert entry.dirty and lpn in ftl._dirty.pages[lpn // 16]
+        assert entry.ppn // 16 == gc_block
+        assert flash.page_states[entry.ppn] == VALID
+        assert flash.page_data[entry.ppn] == payload
+        assert ftl.read(lpn).data == payload  # a CMT hit: no allocation
+    assert [flash.page_states[src] == VALID for src in srcs] == \
+        [False] * room + [True] * len(left)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""batchdiff - scalar vs batched replay equivalence smoke.
+"""batchdiff - scalar vs batched replay, by-page vs by-run GC equivalence smoke.
 
 The batch-replay engine (``repro.perf.batch``) promises *bit-identical*
 modeled statistics to the scalar replay loop: epoch kernels only
@@ -16,6 +16,14 @@ Schemes without an epoch planner take the scalar path under
 ``replay_mode="auto"`` too (the engine declines), so running the whole
 zoo also guards the dispatch gating itself.
 
+A second axis, ``runs``, audits the same promise one layer down: GC
+relocation and GMT commits move pages by *run* whenever the device takes
+runs (``NandFlash.takes_runs``), and page by page otherwise.  Every
+scheme with a ``GarbageCollector`` (LazyFTL, DFTL, ideal) replays both
+workloads once more on a device that refuses runs for a reason that
+changes nothing else - a power fault armed to trip after 10**12 programs
+- and that digest must equal the reference too: by run == by page.
+
 Run:  PYTHONPATH=src python tools/batchdiff.py [--requests N]
 Exit status 0 when every digest matches, 1 on the first divergence
 (the differing digest keys are printed).
@@ -30,13 +38,16 @@ import argparse
 import pathlib
 import sys
 from typing import Dict, List, Tuple
+from unittest.mock import patch
 
 sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
 )
 
+from repro.ftl.gc_policy import GarbageCollector  # noqa: E402
 from repro.perf import batch  # noqa: E402
-from repro.sim.factory import SCHEMES  # noqa: E402
+from repro.sim import runner  # noqa: E402
+from repro.sim.factory import SCHEMES, standard_setup  # noqa: E402
 from repro.sim.golden import engine_digest  # noqa: E402
 from repro.sim.runner import DeviceSpec, run_scheme  # noqa: E402
 from repro.traces.synthetic import hot_cold, uniform_random  # noqa: E402
@@ -71,16 +82,44 @@ def build_traces(requests: int) -> List:
     ]
 
 
-def digest_for(scheme: str, trace, replay_mode: str) -> Dict[str, object]:
-    result = run_scheme(
-        scheme, trace, device=DEVICE, precondition="steady",
-        replay_mode=replay_mode,
-    )
-    return engine_digest(result)
+def digest_for(scheme: str, trace, replay_mode: str,
+               refuse_runs: bool = False) -> Tuple[Dict[str, object], bool]:
+    """``(digest, moves_by_run)``: the replay's digest, and whether the
+    scheme relocates through the one collector (the ``runs`` axis applies).
+
+    ``refuse_runs`` arms the device's power fault far beyond any replay
+    before the FTL sees it: ``takes_runs()`` is then False for the whole
+    run (every internal move is a run of one, and the batch engine
+    declines) and nothing else changes.
+    """
+    built = []
+
+    def setup(*args, **kwargs):
+        flash, ftl, logical_pages = standard_setup(*args, **kwargs)
+        if refuse_runs:
+            flash.fault.arm_after_programs(10 ** 12)
+        built.append(ftl)
+        return flash, ftl, logical_pages
+
+    with patch.object(runner, "standard_setup", setup):
+        result = run_scheme(
+            scheme, trace, device=DEVICE, precondition="steady",
+            replay_mode=replay_mode,
+        )
+    return engine_digest(result), isinstance(
+        getattr(built[0], "_gc", None), GarbageCollector)
 
 
 def diff_keys(a: Dict[str, object], b: Dict[str, object]) -> List[str]:
     return [key for key in a if a[key] != b.get(key)]
+
+
+def verdict(axis: str, reference: Dict[str, object],
+            candidate: Dict[str, object]) -> str:
+    mismatched = diff_keys(reference, candidate)
+    if mismatched:
+        return f"{axis}:DIVERGED({','.join(mismatched)})"
+    return f"{axis}:ok"
 
 
 def run_diff(requests: int, schemes: Tuple[str, ...]) -> int:
@@ -91,20 +130,20 @@ def run_diff(requests: int, schemes: Tuple[str, ...]) -> int:
     for trace in build_traces(requests):
         for scheme in schemes:
             batch.set_backend("auto")
-            reference = digest_for(scheme, trace, "scalar")
+            reference, moves_by_run = digest_for(scheme, trace, "scalar")
             verdicts = []
             for backend in backends:
                 batch.set_backend(backend)
                 try:
-                    candidate = digest_for(scheme, trace, "auto")
+                    candidate, _ = digest_for(scheme, trace, "auto")
                 finally:
                     batch.set_backend("auto")
-                mismatched = diff_keys(reference, candidate)
-                if mismatched:
-                    failures += 1
-                    verdicts.append(f"{backend}:DIVERGED({','.join(mismatched)})")
-                else:
-                    verdicts.append(f"{backend}:ok")
+                verdicts.append(verdict(backend, reference, candidate))
+            if moves_by_run:
+                refused, _ = digest_for(
+                    scheme, trace, "scalar", refuse_runs=True)
+                verdicts.append(verdict("runs", reference, refused))
+            failures += sum("DIVERGED" in v for v in verdicts)
             print(f"{trace.name:22s} {scheme:11s} {'  '.join(verdicts)}")
     return failures
 
@@ -133,7 +172,7 @@ def main(argv=None) -> int:
     print(f"batchdiff: all digests bit-identical "
           f"({len(schemes)} scheme(s), scalar vs batched, "
           f"{'numpy+fallback' if batch._numpy is not None else 'fallback'} "
-          "kernels)")
+          "kernels; by page vs by run)")
     return 0
 
 

@@ -32,7 +32,9 @@ Runs, in order:
 8. **batchdiff** - ``tools/batchdiff.py``: scalar vs batched replay
    digests over two short deterministic workloads for every scheme,
    with both kernel backends (numpy and the pure-``array`` fallback) -
-   the batch engine's bit-identical contract, end to end;
+   the batch engine's bit-identical contract, end to end - and, for the
+   schemes that garbage-collect through the one collector, with runs
+   allowed vs refused: GC and commit by run == by page;
 9. **crashmc** - ``python -m repro crashcheck``: crash-consistency
    smoke (every program/erase boundary of a short mixed workload for
    each recovery-capable scheme, plus the ``--mutate`` oracle
@@ -208,7 +210,8 @@ def step_ftlbench(config: dict) -> bool:
 def step_batchdiff(config: dict) -> bool:
     """Batch-replay equivalence smoke: every scheme's modeled statistics
     must be bit-identical between scalar and batched replay, on both
-    kernel backends.  See tools/batchdiff.py."""
+    kernel backends, and between GC/commit by run and by page.  See
+    tools/batchdiff.py."""
     return run_step("batchdiff", [
         sys.executable, str(_REPO_ROOT / "tools" / "batchdiff.py"),
         "--requests", str(config["batchdiff_requests"]),
