@@ -36,6 +36,7 @@ from ..ftl.base import FlashTranslationLayer
 from ..ftl.dftl import DftlFTL
 from ..ftl.gc_policy import GarbageCollector
 from ..ftl.mapping import MappingStore
+from ..ftl.pure_page import PageFTL
 from .report import AuditReport, Violation, ViolationKind
 
 
@@ -390,10 +391,10 @@ def _audit_dftl(a: _Auditor, ftl: DftlFTL) -> None:
 def audit_ftl(ftl: FlashTranslationLayer) -> AuditReport:
     """Audit a quiescent FTL; returns the structured report.
 
-    Generic invariants run for every scheme; LazyFTL and DFTL additionally
-    get their scheme-specific mapping-consistency audits.  Schemes with
-    eager invalidation (everything except LazyFTL) are held to the strict
-    one-valid-copy-per-lpn rule.
+    Generic invariants run for every scheme; LazyFTL, DFTL and the ideal
+    scheme additionally have their page maps checked against flash.
+    Schemes with eager invalidation (everything except LazyFTL) are held
+    to the strict one-valid-copy-per-lpn rule.
     """
     auditor = _Auditor(ftl)
     auditor.audit_block_counters()
@@ -405,4 +406,7 @@ def audit_ftl(ftl: FlashTranslationLayer) -> AuditReport:
         auditor.audit_unique_ownership()
         if isinstance(ftl, DftlFTL):
             _audit_dftl(auditor, ftl)
+        elif isinstance(ftl, PageFTL):
+            for lpn, ppn in ftl._map.items():
+                auditor.check_data_page(lpn, ppn, "the RAM map")
     return auditor.report

@@ -17,17 +17,11 @@ from .base import FileContext, LintViolation, Rule
 from .block_mutation import BlockMutationRule
 from .defaults import MutableDefaultRule
 from .excepts import ExceptHygieneRule
-from .maptypes import DictMapRule
 from .randomness import UnseededRandomRule
-from .replayattrs import ReplayAttrRule
-from .setrebuild import SetRebuildRule
 from .spans import SpanBalanceRule
 from .wallclock import WallClockRule
-from ..flow import FLOW_RULES
 
-#: All registered rules, in report order.  FTL001-FTL009 are single-node
-#: AST rules; FTL010+ come from repro.checks.flow and reason over
-#: per-function CFGs (see that package's docs).
+#: All registered rules, in report order.
 ALL_RULES: Sequence[Type[Rule]] = (
     WallClockRule,
     UnseededRandomRule,
@@ -35,13 +29,7 @@ ALL_RULES: Sequence[Type[Rule]] = (
     SpanBalanceRule,
     ExceptHygieneRule,
     MutableDefaultRule,
-    DictMapRule,
-    ReplayAttrRule,
-    SetRebuildRule,
-) + tuple(FLOW_RULES)
-
-#: Rules that require control-flow analysis (the ``flowlint`` stage).
-FLOW_RULE_IDS = frozenset(rule.RULE_ID for rule in FLOW_RULES)
+)
 
 
 def scope_of(path: str) -> Optional[str]:

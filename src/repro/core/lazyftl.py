@@ -402,7 +402,6 @@ class LazyFTL(FlashTranslationLayer):
             lambda pairs: set_many(pairs, True), cold=True,
         )
 
-    # flowlint: hot
     def _live_pages(self, pbn: int) -> Iterator[int]:
         """The victim's truly-live pages, each judged when the driver
         reaches for it - after every conversion before it.  A gathered

@@ -223,7 +223,7 @@ class BastFTL(FlashTranslationLayer):
         # A switch merge only fires when the log block is full and
         # in-order, so every page of the old data block is superseded
         # by construction; no per-page invalidation precedes the erase.
-        latency = self._erase(data_pbn)  # ftlint: disable=FTL010
+        latency = self._erase(data_pbn)
         return latency
 
     def _partial_merge(

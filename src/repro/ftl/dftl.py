@@ -91,8 +91,7 @@ class DftlFTL(FlashTranslationLayer):
         # The CMT is a bounded LRU keyed by lpn with per-entry dirty bits;
         # it is sparse by design (capacity << logical space), so a flat
         # table would waste the RAM the scheme exists to save.
-        self._cmt: "OrderedDict[int, _CmtEntry]" = (
-            OrderedDict())  # ftlint: disable=FTL007
+        self._cmt: "OrderedDict[int, _CmtEntry]" = OrderedDict()
         pool = self._pool = BlockPool.for_device(flash)
         self._pages_per_block = flash.geometry.pages_per_block
         self._seq = SequenceCounter()
@@ -206,7 +205,6 @@ class DftlFTL(FlashTranslationLayer):
             self._cmt.pop(victim_lpn, None)
         return latency
 
-    # flowlint: hot
     def _flush_tvpn(self, victim_lpn: int) -> float:
         """Write back the dirty CMT entries of the eviction victim's
         translation page - without batch eviction, only one of them."""

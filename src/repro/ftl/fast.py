@@ -195,13 +195,14 @@ class FastFTL(FlashTranslationLayer):
         """Retire the SW log block: switch if complete, else partial merge."""
         tracer = self._tracer
         if tracer is not None:
+            lbn = self._sw.lbn  # the inner call clears self._sw
             tracer.span_start(EventType.MERGE_START, Cause.MERGE,
-                              lpn=self._sw.lbn, kind="sw")
+                              lpn=lbn, kind="sw")
         try:
             return self._merge_sw_inner()
         finally:
             if tracer is not None:
-                tracer.span_end(EventType.MERGE_END, kind="sw")
+                tracer.span_end(EventType.MERGE_END, lpn=lbn, kind="sw")
 
     def _merge_sw_inner(self) -> float:
         sw = self._sw
@@ -236,13 +237,14 @@ class FastFTL(FlashTranslationLayer):
         """Reclaim the oldest RW log block via full merges of its lbns."""
         tracer = self._tracer
         if tracer is not None:
+            victim = self._rw_blocks[0]  # the inner call pops it
             tracer.span_start(EventType.MERGE_START, Cause.MERGE,
-                              ppn=self._rw_blocks[0], kind="rw")
+                              ppn=victim, kind="rw")
         try:
             return self._merge_oldest_rw_inner()
         finally:
             if tracer is not None:
-                tracer.span_end(EventType.MERGE_END, kind="rw")
+                tracer.span_end(EventType.MERGE_END, ppn=victim, kind="rw")
 
     def _merge_oldest_rw_inner(self) -> float:
         victim = self._rw_blocks.pop(0)

@@ -57,7 +57,7 @@ class GlobalTranslationDirectory(MapTable):
         super().__init__(num_tvpns)
 
     #: ``gtd.set(tvpn, ppn)``: the table's own item store under the name
-    #: the directory's callers (and the flow lint) know it by.
+    #: the directory's callers know it by.
     set = MapTable.__setitem__
     #: How many translation pages exist on flash.
     materialized = MapTable.mapped_count
@@ -211,7 +211,6 @@ class MappingStore:
         content, read_lat = self.load(tvpn)
         return content, latency + read_lat
 
-    # flowlint: hot
     def commit(
         self,
         groups: Dict[int, List[Tuple[int, int]]],

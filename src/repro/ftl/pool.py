@@ -143,7 +143,6 @@ class VictimPool(MutableSet):
         for pbn in pbns:
             self.add(pbn)
 
-    # flowlint: hot
     def refresh(self, touched: Iterable[int]) -> None:
         """Re-file the members among ``touched`` under their count now."""
         bucket_of = self._bucket_of
@@ -155,7 +154,6 @@ class VictimPool(MutableSet):
                 valid = bucket_of[pbn] = valid_count[pbn]
                 buckets[valid].add(pbn)
 
-    # flowlint: hot
     def pick(self) -> Optional[Tuple[int, int]]:
         """``(valid, pbn)`` of the member ``select_greedy`` would choose;
         None if none has a page to reclaim (the last bucket is not read)."""

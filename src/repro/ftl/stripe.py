@@ -216,7 +216,6 @@ def spare_block(frontier: Frontier) -> Tuple[float, int]:
     return 0.0, pbn
 
 
-# flowlint: hot
 def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
              destination: Destination, seq: SequenceCounter, stats: FtlStats,
              record: Callable[[int, int], None],

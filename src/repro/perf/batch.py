@@ -256,7 +256,6 @@ class _PagePlanner:
         self.logical_pages = ftl.logical_pages
         self.idle_gaps_free = True  # base background_work is a no-op
 
-    # flowlint: hot
     def plan_epoch(self, cols: ColumnarTrace, start: int, limit: int) -> int:
         ftl = self.ftl
         ops = cols.ops
@@ -287,7 +286,6 @@ class _PagePlanner:
             j += 1
         return j - start
 
-    # flowlint: hot
     def execute_epoch(self, cols: ColumnarTrace, start: int, h: int) -> Any:
         ftl = self.ftl
         flash = self.flash
@@ -359,7 +357,6 @@ class _DftlPlanner:
         self.logical_pages = ftl.logical_pages
         self.idle_gaps_free = True  # base background_work is a no-op
 
-    # flowlint: hot
     def plan_epoch(self, cols: ColumnarTrace, start: int, limit: int) -> int:
         ftl = self.ftl
         ops = cols.ops
@@ -387,7 +384,6 @@ class _DftlPlanner:
             j += 1
         return j - start
 
-    # flowlint: hot
     def execute_epoch(self, cols: ColumnarTrace, start: int, h: int) -> Any:
         ftl = self.ftl
         flash = self.flash
@@ -480,7 +476,6 @@ class _LazyPlanner:
         # the engine then replays timestamped traces entirely scalar.
         self.idle_gaps_free = not ftl.config.background_gc
 
-    # flowlint: hot
     def plan_epoch(self, cols: ColumnarTrace, start: int, limit: int) -> int:
         ftl = self.ftl
         ops = cols.ops
@@ -529,7 +524,6 @@ class _LazyPlanner:
             j += 1
         return j - start
 
-    # flowlint: hot
     def execute_epoch(self, cols: ColumnarTrace, start: int, h: int) -> Any:
         ftl = self.ftl
         flash = self.flash

@@ -28,13 +28,13 @@ def check_all(monkeypatch):
 class TestFormatSummary:
     def test_totals_and_alignment(self, check_all):
         lines = check_all.format_summary([
-            ("ftlint", "OK", 1.25),
-            ("flowlint", "FAILED", 2.5),
-            ("pytest", "SKIPPED", 0.0),
+            ("lint", "OK", 1.25),
+            ("pytest", "FAILED", 2.5),
+            ("mypy", "SKIPPED", 0.0),
         ])
         assert lines[0] == "check_all stage summary:"
-        assert "ftlint" in lines[1] and "OK" in lines[1]
-        assert "flowlint" in lines[2] and "FAILED" in lines[2]
+        assert "lint" in lines[1] and "OK" in lines[1]
+        assert "pytest" in lines[2] and "FAILED" in lines[2]
         assert lines[-1].strip().startswith("total")
         assert "3.75s" in lines[-1]
 
@@ -106,7 +106,20 @@ class TestRequireMypy:
                                                   monkeypatch):
         monkeypatch.setattr(importlib.util, "find_spec",
                             lambda name: None)
-        assert check_all.step_mypy({"_require_mypy": False}) is True
+        assert check_all.step_mypy({"_require_mypy": False}) is None
+
+    def test_unrun_stage_reads_skipped_in_the_summary(self, check_all,
+                                                      monkeypatch, capsys):
+        # A stage that did not run is neither OK nor a failure.
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name: None)
+        monkeypatch.setattr(check_all, "STEPS", ("mypy",))
+        assert check_all.main([]) == 0
+        summary = capsys.readouterr().out.split(
+            "check_all stage summary:")[1]
+        assert "SKIPPED" in summary and "OK" not in summary
+        assert check_all.main(["--require-mypy"]) == 1
+        assert "check_all: FAILED (mypy)" in capsys.readouterr().out
 
 
 class TestFtlbenchStage:
@@ -125,11 +138,20 @@ class TestFtlbenchStage:
         assert argv[2:] == ["--smoke"]
 
 
-class TestFlowlintStage:
-    def test_flow_rule_ids_match_engine(self, check_all):
-        from repro.checks.lint import FLOW_RULE_IDS
-        assert set(check_all.FLOW_RULE_IDS) == set(FLOW_RULE_IDS)
+class TestLintStage:
+    def test_one_lint_stage(self, check_all):
+        assert [s for s in check_all.STEPS if "lint" in s] == ["lint"]
 
-    def test_flowlint_stage_registered(self, check_all):
-        assert "flowlint" in check_all.STEPS
-        assert "flowlint" in check_all.RUNNERS
+    def test_stage_runs_every_rule_over_the_configured_trees(
+            self, check_all, monkeypatch):
+        seen = []
+        monkeypatch.setattr(check_all, "run_step",
+                            lambda name, argv: seen.append(argv) or True)
+        assert check_all.step_lint({"lint_paths": ["src/repro", "tools"]})
+        (argv,) = seen
+        assert argv[1].endswith("tools/ftlint.py")
+        assert argv[2:] == ["src/repro", "tools"]
+
+    def test_skip_choices_follow_the_stages(self, check_all):
+        with pytest.raises(SystemExit):
+            check_all.main(["--skip", "ftlint"])  # a stage name no more

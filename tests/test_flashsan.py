@@ -32,6 +32,8 @@ from repro.flash import (
 from repro.ftl import DftlFTL, PageFTL
 from repro.ftl.base import HostResult
 
+from .test_seeded_hazards import MapsUnprogrammedPage
+
 
 GEOMETRY = FlashGeometry(num_blocks=8, pages_per_block=4, page_size=2048)
 
@@ -306,6 +308,21 @@ class TestAuditors:
         report = audit_ftl(ftl)
         assert any(v.kind is ViolationKind.OOB_MISMATCH
                    for v in report.violations)
+
+    def test_ideal_map_is_checked_against_flash(self):
+        # The seeded scheme maps lpn 8 to the frontier page and never
+        # programs it; the next write fills that page for lpn 2.
+        flash = NandFlash(GEOMETRY, timing=UNIT_TIMING)
+        ftl = MapsUnprogrammedPage(flash, logical_pages=16)
+        ftl.write(1, "one")
+        ftl.write(8, "lost")
+        [v] = audit_ftl(ftl).violations
+        assert v.kind is ViolationKind.DANGLING_MAPPING
+        assert (v.lpn, v.ppn) == (8, ftl._map[8])
+        ftl.write(2, "two")
+        [v] = audit_ftl(ftl).violations
+        assert v.kind is ViolationKind.OOB_MISMATCH
+        assert (v.lpn, v.ppn) == (8, ftl._map[2])
 
 
 class TestDftlAudit:

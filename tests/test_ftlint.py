@@ -11,6 +11,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 from repro.checks.lint import ALL_RULES, lint_source, scope_of
 
 TOOL = str(
@@ -147,12 +149,10 @@ class TestFTL003BlockMutation:
         """) == ["FTL003"] * 4
 
     def test_force_erase_call_flagged(self):
-        # Also trips FTL010: an evidence-free erase is exactly what the
-        # flow protocol rule exists to catch.
         assert rule_ids("""
             def nuke(flash, pbn):
                 flash.force_erase(pbn)
-        """) == ["FTL003", "FTL010"]
+        """) == ["FTL003"]
 
     def test_flash_scope_exempt(self):
         assert rule_ids("""
@@ -295,189 +295,70 @@ class TestFTL006MutableDefaults:
         """, scope=None) == []
 
 
-class TestFTL007DictMaps:
-    def test_dict_literal_map_flagged(self):
-        assert rule_ids("""
-            class F:
-                def __init__(self):
-                    self._page_map = {}
-        """, scope="ftl") == ["FTL007"]
-
-    def test_ordereddict_map_flagged_in_core(self):
-        assert rule_ids("""
-            from collections import OrderedDict
-            class F:
-                def __init__(self):
-                    self._gtd = OrderedDict()
-        """, scope="core") == ["FTL007"]
-
-    def test_defaultdict_and_annassign_flagged(self):
-        assert "FTL007" in rule_ids("""
-            import collections
-            class F:
-                def __init__(self):
-                    self._cmt: dict = collections.defaultdict(int)
-        """, scope="ftl")
-
-    def test_dict_comprehension_flagged(self):
-        assert "FTL007" in rule_ids("""
-            class F:
-                def __init__(self, n):
-                    self.l2p_map = {i: None for i in range(n)}
-        """, scope="core")
-
-    def test_maptable_assignment_ok(self):
-        assert rule_ids("""
-            from repro.perf.maptable import MapTable
-            class F:
-                def __init__(self, n):
-                    self._map = MapTable(n)
-        """, scope="ftl") == []
-
-    def test_non_map_dict_attribute_ok(self):
-        assert rule_ids("""
-            class F:
-                def __init__(self):
-                    self._stats_by_cause = {}
-        """, scope="ftl") == []
-
-    def test_local_dict_named_map_ok(self):
-        # Only *attributes* are translation state; locals are scratch.
-        assert rule_ids("""
-            def group(pairs):
-                tvpn_map = {}
-                return tvpn_map
-        """, scope="core") == []
-
-    def test_outside_hot_scopes_ok(self):
-        src = """
-            class F:
-                def __init__(self):
-                    self._page_map = {}
-        """
-        assert rule_ids(src, scope="analysis") == []
-        assert rule_ids(src, scope=None) == []
-
-    def test_per_line_disable(self):
-        assert rule_ids("""
-            class F:
-                def __init__(self):
-                    self._cmt = {}  # ftlint: disable=FTL007
-        """, scope="ftl") == []
-
-    def test_disable_works_on_wrapped_value_line(self):
-        # The violation is reported on the dict construction, so the
-        # allowlist comment lives there when the assignment wraps (the
-        # DFTL CMT pattern).
-        assert rule_ids("""
-            from collections import OrderedDict
-            class F:
-                def __init__(self):
-                    self._cmt = (
-                        OrderedDict())  # ftlint: disable=FTL007
-        """, scope="ftl") == []
+#: rule id -> minimal snippet with a ``{d}`` placeholder on the exact
+#: line the rule reports.
+DISABLE_CASES = {
+    "FTL001": """
+        import time
+        t = time.time(){d}
+    """,
+    "FTL002": """
+        import random
+        x = random.randrange(10){d}
+    """,
+    "FTL003": """
+        def retire(block):
+            block.is_bad = True{d}
+    """,
+    "FTL004": """
+        def gc(self):{d}
+            self._tracer.span_start("gc", "gc")
+            self.collect()
+    """,
+    "FTL005": """
+        try:
+            risky()
+        except Exception:{d}
+            log()
+    """,
+    "FTL006": """
+        def f(x, seen=[]):{d}
+            pass
+    """,
+}
 
 
-class TestFTL008ReplayAttrs:
-    SIM_PATH = "src/repro/sim/simulator.py"
+@pytest.mark.parametrize("rule_id", sorted(DISABLE_CASES))
+class TestDisables:
+    """Per-line ``# ftlint: disable`` works for every rule: the snippet
+    fires without it, goes silent under the named and the bare form, and
+    a disable naming a *different* rule does not suppress it."""
 
-    def sim_lint(self, source, path=None):
-        return [
-            v.rule_id
-            for v in lint_source(textwrap.dedent(source),
-                                 path=path or self.SIM_PATH, scope="sim")
-        ]
+    @staticmethod
+    def run(rule_id, disable):
+        [rule] = [r for r in ALL_RULES if r.RULE_ID == rule_id]
+        source = textwrap.dedent(DISABLE_CASES[rule_id]).format(d=disable)
+        return [v.rule_id for v in lint_source(
+            source, path="fixture.py", scope="core", rules=[rule])]
 
-    def test_request_attribute_in_replay_loop_flagged(self):
-        assert self.sim_lint("""
-            def _replay(self, trace, responses):
-                for request in trace.requests:
-                    if request.op is OpType.WRITE:
-                        pass
-        """) == ["FTL008"]
+    def test_snippet_fires_without_disable(self, rule_id):
+        assert self.run(rule_id, "") == [rule_id]
 
-    def test_is_write_and_pages_flagged(self):
-        assert self.sim_lint("""
-            def _replay(self, trace, responses):
-                for request in trace.requests:
-                    if request.is_write:
-                        for p in request.pages:
-                            pass
-        """) == ["FTL008", "FTL008"]
+    def test_named_disable_suppresses(self, rule_id):
+        assert self.run(rule_id, f"  # ftlint: disable={rule_id}") == []
 
-    def test_columnar_npages_column_not_flagged(self):
-        # cols.npages is a legitimate ColumnarTrace column read.
-        assert self.sim_lint("""
-            def _replay(self, trace, responses):
-                cols = trace.to_columnar()
-                for op, lpn, npages in zip(cols.ops, cols.lpns, cols.npages):
-                    pass
-        """) == []
+    def test_bare_disable_suppresses(self, rule_id):
+        assert self.run(rule_id, "  # ftlint: disable") == []
 
-    def test_outside_replay_functions_not_flagged(self):
-        assert self.sim_lint("""
-            def run(self, trace):
-                return trace.requests[0].op
-        """) == []
-
-    def test_other_files_in_sim_scope_not_flagged(self):
-        assert self.sim_lint("""
-            def _replay(self, trace, responses):
-                return trace.requests[0].op
-        """, path="src/repro/sim/runner.py") == []
-
-    def test_per_line_disable(self):
-        assert self.sim_lint("""
-            def _replay(self, trace, responses):
-                first = trace.requests[0]
-                return first.arrival_us  # ftlint: disable=FTL008
-        """) == []
-
-    def test_nested_helper_inside_replay_function_flagged(self):
-        assert self.sim_lint("""
-            def _replay(self, trace, responses):
-                def peek(request):
-                    return request.lpn
-                return peek
-        """) == ["FTL008"]
-
-
-class TestFTL009SetRebuild:
-    def test_comprehension_condition_flagged(self):
-        assert rule_ids("""
-            def f(candidates, scanned):
-                return [b for b in candidates if b not in set(scanned)]
-        """) == ["FTL009"]
-
-    def test_loop_body_membership_flagged(self):
-        assert rule_ids("""
-            def f(candidates, scanned):
-                for b in candidates:
-                    if b in frozenset(scanned):
-                        yield b
-        """) == ["FTL009"]
-
-    def test_loop_dependent_set_ok(self):
-        assert rule_ids("""
-            def f(groups):
-                return [g for g in groups if g.pbn in set(g.peers)]
-        """) == []
-
-    def test_hoisted_set_ok(self):
-        assert rule_ids("""
-            def f(candidates, scanned):
-                scanned = frozenset(scanned)
-                return [b for b in candidates if b not in scanned]
-        """) == []
-
-    def test_set_outside_loop_ok(self):
-        assert rule_ids("""
-            def f(b, scanned):
-                return b in set(scanned)
-        """) == []
+    def test_disable_for_other_rule_does_not_suppress(self, rule_id):
+        other = "FTL001" if rule_id != "FTL001" else "FTL002"
+        assert self.run(rule_id, f"  # ftlint: disable={other}") == [rule_id]
 
 
 class TestEngine:
+    def test_every_rule_has_a_disable_case(self):
+        assert set(DISABLE_CASES) == {r.RULE_ID for r in ALL_RULES}
+
     def test_inline_suppression_bare(self):
         assert rule_ids("""
             import random
@@ -515,8 +396,8 @@ class TestEngine:
 
     def test_every_rule_has_id_and_message(self):
         ids = [rule.RULE_ID for rule in ALL_RULES]
-        assert len(ids) == len(set(ids)) == 13
-        assert ids == [f"FTL{n:03d}" for n in range(1, 14)]
+        assert len(ids) == len(set(ids)) == 6
+        assert ids == [f"FTL{n:03d}" for n in range(1, 7)]
         assert all(rule.MESSAGE for rule in ALL_RULES)
 
 

@@ -141,3 +141,25 @@ def test_collector_key_shape(golden):
     assert set(sample) <= set(golden)
     for key, digest in sample.items():
         assert digest == golden[key]
+
+
+_COLLECT_BOTH = """
+import json, sys
+from repro.sim.golden import (
+    collect_golden_digests, collect_golden_digests_4ch)
+json.dump([collect_golden_digests(), collect_golden_digests_4ch()],
+          sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ("1", "4242"))
+def test_snapshots_reproduce_under_any_hash_seed(golden, golden_4ch,
+                                                 hash_seed,
+                                                 json_under_hash_seed):
+    """Both committed files, regenerated in a fresh interpreter under a
+    pinned ``PYTHONHASHSEED``, twice: a statistic that depends on set or
+    dict-of-str iteration order cannot equal one snapshot under both
+    seeds.  This is the exact, run-time form of the deleted lint rule
+    FTL012 (docs/INTERNALS.md, "The hazard ledger")."""
+    assert json_under_hash_seed(hash_seed, "-c", _COLLECT_BOTH) == \
+        [golden, golden_4ch]

@@ -131,6 +131,22 @@ class TestSchemeSignatures:
                  if e.type is EventType.MERGE_START}
         assert kinds  # every merge is tagged with its kind
 
+    @pytest.mark.parametrize("scheme", ["BAST", "FAST", "NFTL", "LAST"])
+    def test_merge_end_repeats_the_address_of_its_start(self, scheme):
+        _, events, _ = traced_run(scheme)
+        open_merges, kinds = [], set()
+        for e in events:
+            if e.type is EventType.MERGE_START:
+                open_merges.append(e)
+            elif e.type is EventType.MERGE_END:
+                start = open_merges.pop()
+                assert (e.lpn, e.ppn, e.extra.get("kind")) == \
+                    (start.lpn, start.ppn, start.extra["kind"]), scheme
+                assert (e.lpn, e.ppn) != (None, None), scheme
+                kinds.add(start.extra["kind"])
+        # both of FAST's merge paths ran (sequential and random log)
+        assert kinds >= {"FAST": {"sw", "rw"}}.get(scheme, set())
+
     def test_mapping_traffic_tagged_for_dftl(self):
         # Both flash-map schemes read translation pages on the host path
         # - DFTL on CMT misses (a CMT far smaller than the footprint

@@ -3,25 +3,22 @@
 
 Runs, in order:
 
-1. **ftlint** - the single-node AST lint rules (FTL001-FTL009) over
-   the configured trees;
-2. **flowlint** - the CFG/dataflow rules (FTL010-FTL013) over
-   ``src/repro`` (same engine, ``--select``-ed so the expensive flow
-   analyses are a separately-timed gate);
-3. **pytest** - the tier-1 test suite (``PYTHONPATH=src pytest -q``);
-4. **mypy** - static types for the ``[tool.mypy] files`` trees
-   (skipped with a notice when mypy is not installed, unless
+1. **lint** - ftlint's six syntactic rules (FTL001-FTL006) over the
+   configured trees;
+2. **pytest** - the tier-1 test suite (``PYTHONPATH=src pytest -q``);
+3. **mypy** - static types for the ``[tool.mypy] files`` trees
+   (reported as ``SKIPPED`` when mypy is not installed, unless
    ``--require-mypy`` - the default when ``$CI`` is set - makes a
    missing mypy a failure);
-5. **trace schema** - generates a small end-to-end trace via
+4. **trace schema** - generates a small end-to-end trace via
    ``python -m repro compare --trace-out``, on the serial device and at
    ``--geometry 4x1x1``, and validates each with
    ``tools/check_trace_schema.py`` (including cause-stack consistency);
-6. **report** - renders a small latency-decomposition run report under
+5. **report** - renders a small latency-decomposition run report under
    ``--sanitize`` (so the per-op decomposition invariant is audited),
    saves the snapshot, and validates its schema with
    ``tools/check_trace_schema.py``;
-7. **ftlbench** - ``benchmarks/ftlbench/run.py --smoke``: one smoke
+6. **ftlbench** - ``benchmarks/ftlbench/run.py --smoke``: one smoke
    round of the repository benchmark (every workload in its own child
    process, about 5 s); exit code 1 on any failed output check (host
    ops match the trace, no redundant invalidates, repeats agree on
@@ -29,13 +26,13 @@ Runs, in order:
    read-your-writes on the aged device).  It gates that the measured
    paths work, not their speed - speed is judged on paired
    parent/change rounds (``--compare``);
-8. **batchdiff** - ``tools/batchdiff.py``: scalar vs batched replay
+7. **batchdiff** - ``tools/batchdiff.py``: scalar vs batched replay
    digests over two short deterministic workloads for every scheme,
    with both kernel backends (numpy and the pure-``array`` fallback) -
    the batch engine's bit-identical contract, end to end - and, for the
    schemes that garbage-collect through the one collector, with runs
    allowed vs refused: GC and commit by run == by page;
-9. **crashmc** - ``python -m repro crashcheck``: crash-consistency
+8. **crashmc** - ``python -m repro crashcheck``: crash-consistency
    smoke (every program/erase boundary of a short mixed workload for
    each recovery-capable scheme, plus the ``--mutate`` oracle
    self-test).
@@ -44,7 +41,7 @@ Configuration lives in ``pyproject.toml`` under ``[tool.check_all]``
 (lint paths, the trace smoke command).  Exit status 0 when every step
 passes, 1 otherwise; each step's verdict is printed as it completes and
 a per-stage wall-clock summary closes the run, so CI logs show exactly
-which gate failed and where the time went.
+which gate failed, which did not run, and where the time went.
 
 Run:  python tools/check_all.py [--skip pytest] [--require-mypy] ...
 """
@@ -59,6 +56,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from typing import Optional
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 _SRC = _REPO_ROOT / "src"
@@ -68,14 +66,8 @@ try:
 except ModuleNotFoundError:  # Python < 3.11
     tomllib = None
 
-STEPS = ("ftlint", "flowlint", "pytest", "mypy", "trace", "report",
+STEPS = ("lint", "pytest", "mypy", "trace", "report",
          "ftlbench", "batchdiff", "crashmc")
-
-#: The CFG/dataflow rule ids (kept in sync with
-#: ``repro.checks.lint.FLOW_RULE_IDS``; this module stays stdlib-only
-#: and subprocess-driven, so the ids are spelled out here and the
-#: ``flowlint`` stage's --select would fail loudly on a typo).
-FLOW_RULE_IDS = ("FTL010", "FTL011", "FTL012", "FTL013")
 
 
 def load_config() -> dict:
@@ -113,22 +105,10 @@ def run_step(name: str, argv: list) -> bool:
     return ok
 
 
-def step_ftlint(config: dict) -> bool:
-    return run_step("ftlint", [
+def step_lint(config: dict) -> bool:
+    return run_step("lint", [
         sys.executable, str(_REPO_ROOT / "tools" / "ftlint.py"),
-        "--ignore", ",".join(FLOW_RULE_IDS),
         *config["lint_paths"],
-    ])
-
-
-def step_flowlint(config: dict) -> bool:
-    """The dataflow rules, scoped to the analysed source tree (the flow
-    rules only patrol repro sub-packages anyway; tests/fixture corpora
-    of deliberately-bad snippets must not fail the gate)."""
-    return run_step("flowlint", [
-        sys.executable, str(_REPO_ROOT / "tools" / "ftlint.py"),
-        "--select", ",".join(FLOW_RULE_IDS),
-        str(_REPO_ROOT / "src" / "repro"),
     ])
 
 
@@ -136,7 +116,9 @@ def step_pytest(config: dict) -> bool:
     return run_step("pytest", [sys.executable, "-m", "pytest", "-q"])
 
 
-def step_mypy(config: dict) -> bool:
+def step_mypy(config: dict) -> Optional[bool]:
+    """None - the stage did not run - when mypy is absent and not
+    required: the summary must not list an unrun gate as ``OK``."""
     if importlib.util.find_spec("mypy") is None:
         if config.get("_require_mypy"):
             print("== mypy: FAILED (mypy not installed but required; "
@@ -144,7 +126,7 @@ def step_mypy(config: dict) -> bool:
             return False
         print("== mypy: SKIPPED (mypy not installed; config is in "
               "[tool.mypy] of pyproject.toml)", flush=True)
-        return True
+        return None
     return run_step("mypy", [sys.executable, "-m", "mypy"])
 
 
@@ -248,8 +230,7 @@ def step_crashmc(config: dict) -> bool:
 
 
 RUNNERS = {
-    "ftlint": step_ftlint,
-    "flowlint": step_flowlint,
+    "lint": step_lint,
     "pytest": step_pytest,
     "mypy": step_mypy,
     "trace": step_trace,
@@ -301,7 +282,8 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         ok = RUNNERS[name](config)
         elapsed = time.perf_counter() - started
-        results.append((name, "OK" if ok else "FAILED", elapsed))
+        status = "SKIPPED" if ok is None else "OK" if ok else "FAILED"
+        results.append((name, status, elapsed))
     print()
     for line in format_summary(results):
         print(line)

@@ -5,8 +5,8 @@ Usage::
 
     python tools/ftlint.py                # lint src/repro
     python tools/ftlint.py src tests      # lint specific trees
-    python tools/ftlint.py --select FTL010,FTL011,FTL012,FTL013
-    python tools/ftlint.py --ignore FTL013 --format=github
+    python tools/ftlint.py --select FTL003,FTL004
+    python tools/ftlint.py --ignore FTL006 --format=github
     python tools/ftlint.py --list-rules
 
 Exit status: 0 when clean, 1 when any violation is found, 2 on usage
