@@ -28,13 +28,14 @@ def comparison_rows(
             int(r["gc_copies"]),
             int(r["map_reads"]),
             int(r["map_writes"]),
+            int(r["map_gc_copies"]),
         ])
     return rows
 
 
 COMPARISON_HEADERS = [
     "scheme", "mean_us", "p99_us", "max_us",
-    "erases", "merges", "copies", "map_rd", "map_wr",
+    "erases", "merges", "copies", "map_rd", "map_wr", "map_gc",
 ]
 
 

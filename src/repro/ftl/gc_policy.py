@@ -1,11 +1,13 @@
 """Garbage collection: the victim policy, the one erase step, the driver.
 
-All shipped FTLs use the greedy policy (fewest valid pages first), the
-choice of the DFTL/LazyFTL line of work.  It works on physical block
-numbers plus the device's per-block valid-count array
-(``flash.valid_count``) - all the validity metadata a victim scan needs.
-:func:`select_greedy` defines the policy; the collector keeps candidates
-in :class:`~repro.ftl.pool.VictimPool` sets, the same order as an index.
+Within one kind of block every shipped FTL is greedy (fewest valid pages
+first, :func:`select_greedy`), the choice of the DFTL/LazyFTL line of
+work.  It works on physical block numbers plus the device's per-block
+valid-count array (``flash.valid_count``) - all the validity metadata a
+victim scan needs; the collector keeps candidates in
+:class:`~repro.ftl.pool.VictimPool` sets, the same order as an index.
+*Between* data and translation blocks - the two flash-map schemes have
+both - :func:`select_victim` decides, and it is not the mixed greedy order.
 
 The page-mapping schemes (LazyFTL, DFTL, ideal) run one collector,
 :class:`GarbageCollector`, and differ only in the *relocate callable*
@@ -17,7 +19,7 @@ Every scheme - the block-mapping ones too - erases through
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.errors import BadBlockError
@@ -38,6 +40,39 @@ def select_greedy(
     """
     return min(
         candidates, key=lambda pbn: (valid_count[pbn], pbn), default=None)
+
+
+#: A full translation block is the victim only when it is at most 1/4 as
+#: valid as the best data block.  Ablation (EXPERIMENTS E17): the old mixed
+#: greedy order is 2.14x of ideal on the ftlbench device and 1/4 is 1.56x;
+#: 1/2 gives back a sixth of that, 1/8 is within 2 % either way for a third
+#: more full translation blocks, "only when empty" is worse everywhere.
+MAP_VICTIM_RATIO = 4
+
+Pick = Optional[Tuple[int, int]]
+
+
+def select_victim(data: Pick, maps: Pick, last_block: bool) -> Optional[int]:
+    """The victim among the best data and the best translation block, each
+    a ``(valid, pbn)`` pick or None (no member with a page to reclaim).
+
+    Translation pages are the hottest pages on the device: a block of them
+    empties itself a few hundred commits later, so collecting it as soon as
+    it ties the best data block (~63 % valid in steady state) re-copies
+    pages about to die.  It must be ``MAP_VICTIM_RATIO`` times emptier to
+    win.  Liveness: a data pass with v live pages can *consume* ~2v/ppb
+    blocks (the copies and their translation rewrites) to free one, so on
+    the pool's ``last_block`` - the ``spare = 1`` level GC-time allocation
+    runs at - the plain greedy order, the largest immediate reclaim,
+    applies.  (Measured instead, E17: a cap on full translation blocks
+    starves DFTL at 3x the minimum and costs a sixth of the gain at 1.5x;
+    a ``len(pool) < threshold`` guard costs LazyFTL half of it.)
+    """
+    if data is None or maps is None or last_block:
+        best = min(filter(None, (data, maps)), default=None)
+    else:
+        best = maps if MAP_VICTIM_RATIO * maps[0] <= data[0] else data
+    return None if best is None else best[1]
 
 
 def recycle_block(
@@ -61,7 +96,7 @@ def recycle_block(
 
 
 class GarbageCollector:
-    """Greedy GC over an owner's full data and translation blocks.
+    """GC over an owner's full data and translation blocks.
 
     One pass: pick a victim -> refuse a fully-valid one -> open the GC
     span -> relocate -> erase -> release.  ``relocate(pbn) -> latency``
@@ -89,20 +124,24 @@ class GarbageCollector:
         self.active = False
 
     def select(self) -> Optional[int]:
-        """The greedy victim; None if there is no candidate or even the
-        best is fully valid (nothing to reclaim)."""
-        # min() over one bucket, then over (valid, pbn) pairs: that is
-        # select_greedy's total order (fewest valid, then lowest pbn), so
-        # neither the order of ``touched`` nor of a bucket can show.
+        """:func:`select_victim` over both pools' picks; None if there is
+        no candidate or even the best is fully valid (nothing to reclaim)."""
+        # Each pick is min() over one bucket - select_greedy's total order -
+        # so neither the order of ``touched`` nor of a bucket can show.
         touched = self.flash.take_invalidated()
         self.blocks.refresh(touched)
-        best = self.blocks.pick()
+        maps = None
         if self.maps is not None:
             self.maps.full_blocks.refresh(touched)
-            pick = self.maps.full_blocks.pick()
-            if pick is not None and (best is None or pick < best):
-                best = pick
-        return None if best is None else best[1]
+            maps = self.maps.full_blocks.pick()
+        return select_victim(self.blocks.pick(), maps, len(self.pool) <= 1)
+
+    def state(self) -> str:
+        """The numbers an ``OutOfBlocksError`` under this collector needs."""
+        maps = self.maps and self.maps.full_blocks.describe()
+        return (f"free pool {len(self.pool)}, GC threshold {self.threshold}; "
+                f"data blocks: {self.blocks.describe()}; "
+                f"translation blocks: {maps}")
 
     def reclaim(self) -> float:
         """Collect until the pool is back above ``threshold``."""
@@ -118,9 +157,8 @@ class GarbageCollector:
             victim = self.select()
             if victim is None:
                 raise OutOfBlocksError(
-                    "GC found no victim with reclaimable slack "
-                    "(reduce logical_pages or enlarge the device)"
-                )
+                    "GC found no victim with reclaimable slack (reduce "
+                    f"logical_pages or enlarge the device) [{self.state()}]")
         self.stats.gc_runs += 1
         tracer = self.flash.tracer
         if tracer is not None:
@@ -134,6 +172,8 @@ class GarbageCollector:
                 self.blocks.discard(victim)
             return latency + recycle_block(
                 self.flash, self.pool, self.stats, victim)
+        except OutOfBlocksError as exc:  # starved, or a mis-sized device?
+            raise OutOfBlocksError(f"{exc} [{self.state()}]") from exc
         finally:
             self.active = False
             if tracer is not None:

@@ -154,6 +154,11 @@ class VictimPool(MutableSet):
                 valid = bucket_of[pbn] = valid_count[pbn]
                 buckets[valid].add(pbn)
 
+    def describe(self) -> str:
+        """Member count and best pick as they are now, for error messages."""
+        self.refresh(self._flash.invalidated)  # a peek: the list stays
+        return f"{len(self)} full, best (valid, pbn) {self.pick()}"
+
     def pick(self) -> Optional[Tuple[int, int]]:
         """``(valid, pbn)`` of the member ``select_greedy`` would choose;
         None if none has a page to reclaim (the last bucket is not read)."""

@@ -28,6 +28,8 @@ class FtlStats:
         merge_page_copies: pages copied during merges.
         map_reads / map_writes: translation (GMT/translation-page) flash
             operations.
+        map_gc_copies: the ``map_writes`` that are GC re-copies of a live
+            translation page; the rest are commits.
         converts: LazyFTL block conversions (UBA/CBA block -> DBA block).
         batched_commits: mapping entries committed to the GMT in batch.
         checkpoint_writes: checkpoint pages programmed.
@@ -46,6 +48,7 @@ class FtlStats:
         "merge_page_copies",
         "map_reads",
         "map_writes",
+        "map_gc_copies",
         "converts",
         "batched_commits",
         "checkpoint_writes",
@@ -68,6 +71,7 @@ class FtlStats:
         merge_page_copies: int = 0,
         map_reads: int = 0,
         map_writes: int = 0,
+        map_gc_copies: int = 0,
         converts: int = 0,
         batched_commits: int = 0,
         checkpoint_writes: int = 0,
@@ -85,6 +89,7 @@ class FtlStats:
         self.merge_page_copies = merge_page_copies
         self.map_reads = map_reads
         self.map_writes = map_writes
+        self.map_gc_copies = map_gc_copies
         self.converts = converts
         self.batched_commits = batched_commits
         self.checkpoint_writes = checkpoint_writes

@@ -230,7 +230,8 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
     raise ``OutOfBlocksError`` exactly where it always did - and the rest
     is gathered after (a lazy ``srcs`` only advances there), so nothing
     ``destination`` does can touch a gathered page: it is asked *between*
-    runs.  A ``MAPPING`` copy is also a map read and a map write.
+    runs.  A ``MAPPING`` copy is also a map read and a map write - the one
+    map write that is a GC copy (``map_gc_copies``), not a commit.
     """
     latency = 0.0
     limit = frontier.run_limit()
@@ -263,6 +264,7 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
                 dst, data, make_oob((lpn, seq_next(), kind, cold)))
             if mapping:
                 stats.map_writes += 1
+                stats.map_gc_copies += 1
                 if tracer is not None:
                     tracer.emit(EventType.MAP_WRITE, lpn=lpn, ppn=dst)
             record(lpn, dst)
@@ -280,6 +282,7 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
         if mapping:
             stats.map_reads += n - 1
             stats.map_writes += n
+            stats.map_gc_copies += n
         record_run(zip(lpns, range(dst, dst + n)))
         flash.invalidate_run([src, *rest])
         stats.gc_page_copies += n

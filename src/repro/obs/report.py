@@ -97,6 +97,7 @@ def build_snapshot(
         "latency": latency,
         "response": responses,
         "attribution": result.attribution,
+        "ftl": result.ftl_stats.as_dict(),
     }
     if series is not None:
         snapshot["series"] = series.snapshot(scheme)
@@ -315,6 +316,18 @@ def render_report(snapshot: Dict[str, Any]) -> str:
             f"\ndecomposition invariant: {verdict} over "
             f"{invariant.get('checked_ops', 0):,} ops "
             f"(max residual {invariant.get('max_residual_us', 0.0):.3g} us)"
+        )
+    # --- FTL counters (older snapshots have none) ---------------------
+    ftl = snapshot.get("ftl")
+    if ftl:
+        map_gc = ftl["map_gc_copies"]
+        lines.append(
+            f"\nFTL stats: {ftl['gc_runs']:,} GC passes, "
+            f"{ftl['gc_page_copies']:,} GC page copies "
+            f"({map_gc:,} of them translation pages); "
+            f"{ftl['map_writes']:,} map page writes = "
+            f"{ftl['map_writes'] - map_gc:,} commits + "
+            f"{map_gc:,} GC re-copies; {ftl['map_reads']:,} map page reads"
         )
     # --- series sparklines -------------------------------------------
     series = snapshot.get("series")

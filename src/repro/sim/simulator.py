@@ -78,6 +78,7 @@ class SimulationResult:
             + self.ftl_stats.merge_page_copies,
             "map_reads": self.ftl_stats.map_reads,
             "map_writes": self.ftl_stats.map_writes,
+            "map_gc_copies": self.ftl_stats.map_gc_copies,
             "ram_kb": self.ram_bytes / 1024.0,
         }
 

@@ -2,16 +2,17 @@
 
 ``GarbageCollector.select()`` no longer walks its candidates: they sit in
 valid-count buckets (:class:`~repro.ftl.pool.VictimPool`) that are
-re-sorted from the device's list of invalidated blocks.  The policy is
-still :func:`~repro.ftl.gc_policy.select_greedy` - fewest valid pages,
-then lowest pbn, a fully-valid best refused - and these tests hold the
-index to it three ways: a hypothesis state machine over a bare device,
-an oracle wrapped around every pick of real steady-state runs, and a
-count of how many valid counts a pick reads.
+re-sorted from the device's list of invalidated blocks.  Within a pool
+the policy is still :func:`~repro.ftl.gc_policy.select_greedy` - fewest
+valid pages, then lowest pbn, a fully-valid best refused - and between
+the data and the translation pool it is
+:func:`~repro.ftl.gc_policy.select_victim`.  These tests pin that rule's
+boundary and hold the index to the definition three ways: a hypothesis
+state machine over a bare device, an oracle wrapped around every pick of
+real steady-state runs, and a count of how many valid counts a pick reads.
 """
 
 import random
-from itertools import chain
 
 import pytest
 from hypothesis import settings
@@ -26,7 +27,11 @@ from hypothesis.stateful import (
 from repro.core import LazyConfig
 from repro.flash import UNIT_TIMING, FlashGeometry, NandFlash
 from repro.ftl import FtlStats
-from repro.ftl.gc_policy import GarbageCollector, select_greedy
+from repro.ftl.gc_policy import (
+    GarbageCollector,
+    select_greedy,
+    select_victim,
+)
 from repro.ftl.pool import BlockPool, VictimPool
 from repro.sim.factory import standard_setup
 
@@ -34,15 +39,71 @@ BLOCKS = 8
 PAGES = 4
 
 
+def scan(pool, flash):
+    """A pool's best ``(valid, pbn)`` by the linear scan, a fully-valid
+    best refused: what :meth:`VictimPool.pick` must answer."""
+    best = select_greedy(pool, flash.valid_count)
+    if best is None or \
+            flash.valid_count[best] == flash.geometry.pages_per_block:
+        return None
+    return flash.valid_count[best], best
+
+
 def oracle(gc):
-    """The victim by the linear scan: the definition of the policy."""
-    flash = gc.flash
-    map_blocks = gc.maps.full_blocks if gc.maps is not None else ()
-    victim = select_greedy(chain(gc.blocks, map_blocks), flash.valid_count)
-    if victim is not None and \
-            flash.valid_count[victim] < flash.geometry.pages_per_block:
-        return victim
-    return None
+    """The victim by the definition: the policy over two linear scans."""
+    maps = None if gc.maps is None else scan(gc.maps.full_blocks, gc.flash)
+    return select_victim(scan(gc.blocks, gc.flash), maps, len(gc.pool) <= 1)
+
+
+class TestSelectVictim:
+    """The rule between the two pools, on bare ``(valid, pbn)`` picks."""
+
+    def test_a_quarter_as_valid_wins(self):
+        assert select_victim((8, 5), (2, 9), False) == 9     # 4*m == d
+        assert select_victim((40, 5), (0, 9), False) == 9
+
+    def test_one_page_over_a_quarter_loses(self):
+        assert select_victim((7, 5), (2, 9), False) == 5     # 4*m == d + 1
+        assert select_victim((40, 5), (11, 9), False) == 5
+        assert select_victim((3, 9), (3, 5), False) == 9     # the old tie
+
+    def test_no_data_candidate_takes_the_translation_block(self):
+        assert select_victim(None, (15, 9), False) == 9
+        assert select_victim((15, 5), None, False) == 5
+
+    def test_nothing_reclaimable_is_refused(self):
+        assert select_victim(None, None, False) is None
+        assert select_victim(None, None, True) is None
+
+    def test_on_the_last_block_the_plain_greedy_order_applies(self):
+        assert select_victim((7, 5), (6, 9), True) == 9
+        assert select_victim((6, 5), (7, 9), True) == 5
+        assert select_victim((3, 7), (3, 2), True) == 2      # tie: lower pbn
+        assert select_victim((3, 2), (3, 7), True) == 2
+        assert select_victim(None, (15, 9), True) == 9
+
+    def test_select_reads_the_pool_level_it_decides_liveness_at(self):
+        flash = NandFlash(
+            FlashGeometry(num_blocks=BLOCKS, pages_per_block=PAGES,
+                          page_size=64), timing=UNIT_TIMING)
+
+        class Maps:
+            full_blocks = VictimPool(flash)
+
+        gc = GarbageCollector(flash, BlockPool([6, 7]), FtlStats(), 1,
+                              relocate=lambda pbn: 0.0, maps=Maps())
+        for pbn in (0, 1):
+            for off in range(PAGES):
+                flash.program_page(pbn * PAGES + off, off)
+        gc.blocks.add(0)
+        Maps.full_blocks.add(1)
+        assert gc.select() is None            # fully-valid bests: refused
+        flash.invalidate_page(0)              # data block: 3 of 4 valid
+        flash.invalidate_page(PAGES)
+        flash.invalidate_page(PAGES + 1)      # translation block: 2 of 4
+        assert gc.select() == 0               # 4 * 2 > 3: deferred
+        gc.pool.allocate()
+        assert gc.select() == 1               # last block: greedy
 
 
 class TestVictimPoolIsASet:
@@ -118,6 +179,11 @@ class VictimIndexMachine(RuleBasedStateMachine):
             self.flash, BlockPool([]), FtlStats(), 1,
             relocate=lambda pbn: 0.0, maps=Maps())
         self.pools = (self.gc.blocks, self.gc.maps.full_blocks)
+
+    @rule(free=st.integers(0, 3))
+    def free_pool(self, free):
+        """Only its length is read: both sides of ``len(pool) <= 1``."""
+        self.gc.pool.refill(range(BLOCKS, BLOCKS + free))
 
     def member(self, pbn):
         return any(pbn in pool for pool in self.pools)

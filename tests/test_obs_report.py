@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.ftl import FtlStats
 from repro.obs import OpLatencyRecorder, Tracer
 from repro.obs.report import (
     SNAPSHOT_SCHEMA,
@@ -161,6 +162,7 @@ class TestRender:
             page_ops = 1
             device_busy_us = 0.0
             attribution = None
+            ftl_stats = FtlStats()
 
             class responses:
                 @staticmethod

@@ -9,14 +9,23 @@ ONLY when a behaviour change is intentional and understood - never to
 "fix" a failing golden test after a refactor that was supposed to be
 statistics-neutral.
 
-Run:  PYTHONPATH=src python tools/gen_golden_stats.py
+Run:  PYTHONPATH=src python tools/gen_golden_stats.py [--check]
+
+``--check`` writes nothing: it regenerates in memory and prints what an
+intentional change moved, one line per entry and field (``scheme/trace``,
+field, old -> new) - the review a bare pytest ``==`` truncates - and exits
+1 if anything differs.  It is a manual tool: ``check_all``'s pytest step
+already replays both files, and a second replay there would tell nothing
+new.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import sys
+from typing import Iterator, Tuple
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "src"))
@@ -38,7 +47,51 @@ def _write(path: pathlib.Path, digests: dict) -> None:
     print(f"wrote {len(digests)} digests to {path}")
 
 
+def flatten(value: object, prefix: str = "") -> Iterator[Tuple[str, object]]:
+    """``(dotted field, leaf)`` pairs of a digest, nested dicts walked."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from flatten(value[key], f"{prefix}.{key}" if prefix else key)
+    else:
+        yield prefix, value
+
+
+def diff_digests(old: dict, new: dict) -> list:
+    """``(entry, field, old, new)`` for every leaf that differs; a missing
+    entry or field reads ``None`` on its side."""
+    rows = []
+    for entry in sorted(set(old) | set(new)):
+        before = dict(flatten(old.get(entry, {})))
+        after = dict(flatten(new.get(entry, {})))
+        for field in sorted(set(before) | set(after)):
+            if before.get(field) != after.get(field):
+                rows.append(
+                    (entry, field, before.get(field), after.get(field)))
+    return rows
+
+
+def _check(path: pathlib.Path, digests: dict) -> int:
+    # Through JSON, as the committed side went: int keys become strings.
+    rows = diff_digests(json.loads(path.read_text(encoding="utf-8")),
+                        json.loads(json.dumps(digests)))
+    for entry, field, old, new in rows:
+        print(f"{path.name}: {entry}: {field}: {old!r} -> {new!r}")
+    entries = len({row[0] for row in rows})
+    print(f"{path.name}: {len(rows)} fields differ in {entries} of "
+          f"{len(digests)} entries")
+    return 1 if rows else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="write nothing; print a per-entry, per-field diff against the "
+             "committed files and exit 1 if there is one")
+    args = parser.parse_args()
+    if args.check:
+        return _check(GOLDEN_PATH, collect_golden_digests()) \
+            | _check(GOLDEN_4CH_PATH, collect_golden_digests_4ch())
     # Two snapshot files on purpose: the serial one keeps its exact
     # key set (its test asserts key-set equality, so adding 4-channel
     # digests there would break the seed gate), the 4-channel one pins
