@@ -18,15 +18,14 @@ Simulated numbers only, so every cell repeats exactly.  The liveness arm
 import dataclasses
 
 from repro.ftl import gc_policy
-from repro.sim import HEADLINE_DEVICE, Simulator
-from repro.sim.factory import standard_setup
+from repro.sim import HEADLINE_DEVICE
 from repro.sim.report import format_table
 from repro.sim.runner import DEFAULT_OPTIONS, lazy_headline_options
 from repro.traces import financial1, financial2, hot_cold, tpcc
 from repro.traces.model import merge_traces
 from repro.traces.synthetic import uniform_random, warmup_fill
 
-from conftest import N_REQUESTS, emit
+from conftest import N_REQUESTS, emit, measure
 from ftlbench.workloads import (
     FULL,
     WORKLOAD_BY_NAME,
@@ -60,16 +59,6 @@ def with_ratio(ratio, run):
     finally:
         gc_policy.select_victim = select_victim
         gc_policy.MAP_VICTIM_RATIO = SHIPPED
-
-
-def measure(scheme, device, options, warm, trace):
-    """One replay; the result and the FTL (for its full map blocks)."""
-    _, ftl, _ = standard_setup(
-        scheme, num_blocks=device.num_blocks,
-        pages_per_block=device.pages_per_block, page_size=device.page_size,
-        logical_fraction=device.logical_fraction, timing=device.timing,
-        **options)
-    return Simulator(ftl).run(trace, warmup=warm), ftl
 
 
 def row(label, scheme, k, result, ftl, ideal_us):

@@ -57,6 +57,36 @@ def pytest_terminal_summary(terminalreporter):
             write(line)
 
 
+def measure(scheme, device, options, warm, trace):
+    """One replay of ``trace`` after ``warm`` on a fresh ``device``
+    (a :class:`~repro.sim.runner.DeviceSpec`); returns the result and the
+    FTL, for what the result does not carry (E17, E18)."""
+    from repro.sim import Simulator
+    from repro.sim.factory import standard_setup
+
+    _, ftl, _ = standard_setup(
+        scheme, num_blocks=device.num_blocks,
+        pages_per_block=device.pages_per_block, page_size=device.page_size,
+        logical_fraction=device.logical_fraction, timing=device.timing,
+        **options)
+    return Simulator(ftl).run(trace, warmup=warm), ftl
+
+
+def lazy_by_page(run):
+    """``run()`` with LazyFTL's read run op replaced by the page loop it
+    inherits from (restored after): the host read path before PR 22,
+    without the per-request reuse of a held GMT page (E11, E18)."""
+    from repro.core import LazyFTL
+    from repro.ftl.base import FlashTranslationLayer
+
+    read_run = LazyFTL.read_run
+    try:
+        LazyFTL.read_run = FlashTranslationLayer.read_run
+        return run()
+    finally:
+        LazyFTL.read_run = read_run
+
+
 def run_cells(cells, jobs=None):
     """Run a list of :class:`repro.perf.SweepCell` measurement cells.
 

@@ -23,14 +23,14 @@ CLI enables them with ``--sanitize``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.geometry import FlashGeometry
 from ..flash.oob import OOBData
 from ..flash.page import FREE, INVALID, PageState
 from ..flash.timing import SLC_TIMING, TimingModel
-from ..ftl.base import FlashTranslationLayer, HostResult
+from ..ftl.base import BeginPage, EndPage, FlashTranslationLayer, HostResult
 from .report import (
     AuditReport,
     OpHistory,
@@ -280,23 +280,51 @@ class SanitizedFTL:
     # ------------------------------------------------------------------
     def read(self, lpn: int) -> HostResult:
         result = self._ftl.read(lpn)
-        if lpn in self._shadow and result.data != self._shadow[lpn]:
-            self._report(Violation(
-                kind=ViolationKind.SHADOW_MISMATCH,
-                message=(
-                    f"read of lpn {lpn} returned {result.data!r} but the "
-                    f"shadow map expects {self._shadow[lpn]!r}"
-                ),
-                scheme=self._ftl.name,
-                lpn=lpn,
-                history=self._flash_history(),
-            ))
+        self._compare(lpn, result.data)
         return result
 
     def write(self, lpn: int, data: Any = None) -> HostResult:
         result = self._ftl.write(lpn, data)
         self._shadow[lpn] = data
         return result
+
+    # The run ops are spelled out: ``__getattr__`` would hand the wrapped
+    # scheme's to the driver and every multi-page request would skip the
+    # shadow map.
+    def read_run(self, lpn: int, n: int, begin_page: BeginPage = None,
+                 end_page: EndPage = None) -> HostResult:
+        result = self._ftl.read_run(lpn, n, begin_page, end_page)
+        for page, data in enumerate(result.data, lpn):
+            self._compare(page, data)
+        return result
+
+    def write_run(self, lpn: int, datas: Sequence[Any],
+                  begin_page: BeginPage = None,
+                  end_page: EndPage = None) -> HostResult:
+        shadow = self._shadow
+
+        def page_written(is_write: bool, page: int, latency: float) -> None:
+            # Per page, so a run that raises half way leaves the shadow
+            # map at the pages it completed.
+            shadow[page] = datas[page - lpn]
+            if end_page is not None:
+                end_page(is_write, page, latency)
+
+        return self._ftl.write_run(lpn, datas, begin_page, page_written)
+
+    def _compare(self, lpn: int, data: Any) -> None:
+        """Read-your-writes: ``data`` must be what was last written."""
+        if lpn in self._shadow and data != self._shadow[lpn]:
+            self._report(Violation(
+                kind=ViolationKind.SHADOW_MISMATCH,
+                message=(
+                    f"read of lpn {lpn} returned {data!r} but the "
+                    f"shadow map expects {self._shadow[lpn]!r}"
+                ),
+                scheme=self._ftl.name,
+                lpn=lpn,
+                history=self._flash_history(),
+            ))
 
     def trim(self, lpn: int) -> HostResult:
         result = self._ftl.trim(lpn)

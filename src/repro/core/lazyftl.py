@@ -28,7 +28,13 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from ..flash.chip import NandFlash
 from ..flash.oob import PageKind, SequenceCounter, make_oob
 from ..flash.page import VALID
-from ..ftl.base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
+from ..ftl.base import (
+    UNMAPPED_READ_US,
+    BeginPage,
+    EndPage,
+    FlashTranslationLayer,
+    HostResult,
+)
 from ..obs.events import Cause, EventType
 from ..ftl.gc_policy import GarbageCollector
 from ..ftl.mapping import MappingStore
@@ -149,11 +155,66 @@ class LazyFTL(FlashTranslationLayer):
         if umt_ppn >= 0:
             data, _, latency = flash.read_page(umt_ppn)
             return HostResult(latency, data)
-        ppn, latency = self._maps.lookup(lpn)
+        entries = self.entries_per_page
+        content, latency = self._maps.fetch(lpn // entries)
+        ppn = None if content is None else content[lpn % entries]
         if ppn is None:
             return HostResult(latency + UNMAPPED_READ_US)
         data, _, read_lat = flash.read_page(ppn)
         return HostResult(latency + read_lat, data)
+
+    def read_run(self, lpn: int, n: int, begin_page: BeginPage = None,
+                 end_page: EndPage = None) -> HostResult:
+        """:meth:`read` once per page, in order - except that a GMT page
+        fetched for one page of the run is not fetched again while the
+        lpns that follow stay inside it.  The controller holds it for the
+        length of the request and drops it at the end: a page register,
+        as the commit path holds one during its read-modify-write, not
+        modelled RAM (``ram_bytes()`` does not move).  This is the only
+        place the rule is written, and the loop is the same in every
+        engine configuration; the reused lookups make no ``map_reads``,
+        ``page_reads`` or ``read_us`` and emit no ``MAP_READ``.  (With the
+        ablation cache on, the first miss already made the rest hits.)
+        """
+        first = lpn
+        if not 0 <= first < self.logical_pages:
+            self._check_lpn(first)
+        stop = min(first + n, self.logical_pages)
+        read_page = self.flash.read_page
+        fetch = self._maps.fetch
+        entries = self.entries_per_page
+        stats = self.stats
+        uppn = self._umt._ppn  # inline umt.ppn_at: reads do not grow it
+        ulen = len(uppn)
+        held = -1  # the tvpn of ``content``, the GMT page held
+        content = None
+        total = 0.0
+        datas: List[Any] = []
+        for lpn in range(first, stop):
+            if begin_page is not None:
+                begin_page()
+            stats.host_reads += 1
+            latency = 0.0
+            data = None
+            ppn = uppn[lpn] if lpn < ulen else -1
+            if ppn < 0:
+                tvpn = lpn // entries
+                if tvpn != held:
+                    content, latency = fetch(tvpn)
+                    held = tvpn
+                ppn = None if content is None else content[lpn % entries]
+            if ppn is None:
+                latency += UNMAPPED_READ_US
+            else:
+                data, _, read_lat = read_page(ppn)
+                latency += read_lat
+            total += latency
+            datas.append(data)
+            if end_page is not None:
+                end_page(False, lpn, latency)
+        if stop < first + n:
+            self._check_lpn(stop)  # the run left the logical space here
+        return HostResult(total, datas)
 
     def write(self, lpn: int, data: Any = None) -> HostResult:
         if not 0 <= lpn < self.logical_pages:

@@ -72,57 +72,67 @@ class FlashBlockDevice:
     # Host interface
     # ------------------------------------------------------------------
     def read(self, lba: int, n_sectors: int = 1) -> DeviceResult:
-        """Read ``n_sectors`` starting at sector ``lba``."""
+        """Read ``n_sectors`` starting at sector ``lba``: the pages the
+        span touches, as one host run op."""
         self._check_range(lba, n_sectors)
-        latency = 0.0
+        per_page = self.sectors_per_page
+        lpn, first = divmod(lba, per_page)
+        pages = (first + n_sectors + per_page - 1) // per_page
+        result = self.ftl.read_run(
+            lpn, pages, self.ftl.flash.begin_host_op)
         sectors: List[Any] = []
-        cursor = lba
-        remaining = n_sectors
-        while remaining > 0:
-            lpn, first = divmod(cursor, self.sectors_per_page)
-            take = min(remaining, self.sectors_per_page - first)
-            self.ftl.flash.begin_host_op()
-            result = self.ftl.read(lpn)
-            latency += result.latency_us
-            page = result.data if result.data is not None \
-                else [None] * self.sectors_per_page
-            sectors.extend(page[first:first + take])
-            cursor += take
-            remaining -= take
-        return DeviceResult(latency, sectors)
+        for page in result.data:
+            sectors.extend(page if page is not None else [None] * per_page)
+        return DeviceResult(
+            result.latency_us, sectors[first:first + n_sectors])
 
     def write(self, lba: int, sectors: Sequence[Any]) -> DeviceResult:
         """Write consecutive sectors starting at ``lba``.
 
-        Writes aligned to whole pages go straight through; partial pages
-        first read the page's current content (read-modify-write), which
-        is exactly the penalty misaligned sector traffic pays on a
-        page-mapping FTL.
+        The whole pages of the span go straight through, as one host run
+        op; a partial page at either end first reads the page's current
+        content (read-modify-write), which is exactly the penalty
+        misaligned sector traffic pays on a page-mapping FTL.
         """
         n_sectors = len(sectors)
         self._check_range(lba, n_sectors)
+        per_page = self.sectors_per_page
+        begin_host_op = self.ftl.flash.begin_host_op
         latency = 0.0
-        cursor = lba
+        lpn, first = divmod(lba, per_page)
         offset = 0
-        while offset < n_sectors:
-            lpn, first = divmod(cursor, self.sectors_per_page)
-            take = min(n_sectors - offset, self.sectors_per_page - first)
-            chunk = list(sectors[offset:offset + take])
-            if take == self.sectors_per_page:
-                page = chunk
-            else:
-                self.rmw_count += 1
-                self.ftl.flash.begin_host_op()
-                current = self.ftl.read(lpn)
-                latency += current.latency_us
-                page = (list(current.data) if current.data is not None
-                        else [None] * self.sectors_per_page)
-                page[first:first + take] = chunk
-            self.ftl.flash.begin_host_op()
-            latency += self.ftl.write(lpn, page).latency_us
-            cursor += take
-            offset += take
+        if first:  # partial head
+            offset = min(n_sectors, per_page - first)
+            latency += self._write_partial(lpn, first, sectors[:offset])
+            lpn += 1
+        whole = (n_sectors - offset) // per_page
+        if whole:
+            stop = offset + whole * per_page
+            latency += self.ftl.write_run(
+                lpn,
+                [list(sectors[at:at + per_page])
+                 for at in range(offset, stop, per_page)],
+                begin_host_op,
+            ).latency_us
+            lpn += whole
+            offset = stop
+        if offset < n_sectors:  # partial tail
+            latency += self._write_partial(lpn, 0, sectors[offset:])
         return DeviceResult(latency)
+
+    def _write_partial(self, lpn: int, first: int,
+                       chunk: Sequence[Any]) -> float:
+        """Read-modify-write ``chunk`` into page ``lpn`` at sector
+        ``first``; returns the latency of the read and the write."""
+        self.rmw_count += 1
+        ftl = self.ftl
+        ftl.flash.begin_host_op()
+        current = ftl.read(lpn)
+        page = (list(current.data) if current.data is not None
+                else [None] * self.sectors_per_page)
+        page[first:first + len(chunk)] = chunk
+        ftl.flash.begin_host_op()
+        return current.latency_us + ftl.write(lpn, page).latency_us
 
     def flush(self) -> float:
         """Propagate a host flush/sync (LazyFTL commits its UMT)."""

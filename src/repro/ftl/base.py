@@ -2,15 +2,36 @@
 
 An FTL receives page-granular host reads and writes, issues raw flash
 operations against its :class:`~repro.flash.chip.NandFlash`, and returns the
-accumulated latency of each host operation.  The simulator
-(:mod:`repro.sim.simulator`) expands multi-page requests, applies queueing,
-and aggregates response times.
+accumulated latency of each host operation.  A multi-page request is a
+*run*: one :meth:`FlashTranslationLayer.read_run` /
+:meth:`~FlashTranslationLayer.write_run` call over its consecutive logical
+pages.  The simulator (:mod:`repro.sim.simulator`) issues those calls,
+applies queueing, and aggregates response times.
+
+Host run ops
+------------
+
+Like the device's run ops (:mod:`repro.flash.chip`, "Run ops"), a host run
+op is by contract **the scalar op once per page, in order**: same data,
+same ``FtlStats`` / ``FlashStats``, same state afterwards, same exception at
+the same page with every earlier page done.  The default implementation
+*is* that loop.  Every scheme inherits ``write_run``, and seven of the
+eight ``read_run`` (DFTL on purpose: a CMT miss loads one entry, as
+published).  The one override, and the one stated exception, is
+:meth:`repro.core.lazyftl.LazyFTL.read_run`, which does not fetch a
+translation page twice in a row for the same request.
+
+Whoever drives the FTL has duties at every *page* of a run - the host-op
+boundary of a multi-unit device before it, the tracer's host event after
+it - so a run op takes them as two optional callables:
+``begin_page()`` and ``end_page(is_write, lpn, latency_us)`` (the
+signatures of ``flash.begin_host_op`` and ``tracer.host_op``).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Callable, Optional, Sequence
 
 from ..flash.chip import NandFlash
 from ..obs.tracer import Tracer
@@ -19,8 +40,13 @@ from .pool import BlockPool
 from .stats import FtlStats
 
 
+#: The driver's per-page duties inside a run op (module docstring).
+BeginPage = Optional[Callable[[], None]]
+EndPage = Optional[Callable[[bool, int, float], None]]
+
+
 class HostResult:
-    """Outcome of one page-granular host operation.
+    """Outcome of one host operation: a page op, or a run op's pages.
 
     One is allocated per host page operation, so this is a slotted plain
     class: frozen-dataclass construction costs an ``object.__setattr__``
@@ -30,8 +56,10 @@ class HostResult:
         latency_us: Simulated time the FTL spent serving the operation
             (raw flash ops it issued, including any GC / merge work it had
             to do inline - the foreground-GC accounting the paper uses).
+            For a run op, the page latencies summed in order from 0.0.
         data: For reads, the stored payload (None if the logical page was
-            never written).  For writes, None.
+            never written); for ``read_run``, the list of them, one per
+            page.  For writes, None.
     """
 
     __slots__ = ("latency_us", "data")
@@ -48,12 +76,13 @@ class FlashTranslationLayer(ABC):
     """Base class for all FTL schemes.
 
     Subclasses implement :meth:`read` and :meth:`write` (single logical
-    page each) plus :meth:`ram_bytes`, and share the stats object and the
-    unmapped-read convention defined here.
+    page each) plus :meth:`ram_bytes`, and share the stats object, the
+    default run ops and the unmapped-read convention defined here.
 
     Schemes contain no clock code: whoever drives the FTL marks the
     host-op boundary of a multi-unit device (``flash.begin_host_op``;
-    the simulator and the block device do, before every page op).  A
+    the simulator and the block device do, before every page op - inside
+    a run op through its ``begin_page``).  A
     bare ``ftl.write()`` without it is timed on one continuous pipeline:
     it may overlap the previous op's flash work, down to 0.0.
 
@@ -102,6 +131,39 @@ class FlashTranslationLayer(ABC):
     @abstractmethod
     def write(self, lpn: int, data: Any = None) -> HostResult:
         """Serve a host write of one logical page."""
+
+    def read_run(self, lpn: int, n: int, begin_page: BeginPage = None,
+                 end_page: EndPage = None) -> HostResult:
+        """Serve a host read of the ``n`` logical pages from ``lpn``:
+        :meth:`read` once per page, in order (module docstring, "Host run
+        ops"); ``data`` is the list of payloads."""
+        total = 0.0
+        datas = []
+        for lpn in range(lpn, lpn + n):
+            if begin_page is not None:
+                begin_page()
+            result = self.read(lpn)
+            latency = result.latency_us
+            total += latency
+            datas.append(result.data)
+            if end_page is not None:
+                end_page(False, lpn, latency)
+        return HostResult(total, datas)
+
+    def write_run(self, lpn: int, datas: Sequence[Any],
+                  begin_page: BeginPage = None,
+                  end_page: EndPage = None) -> HostResult:
+        """Serve a host write of ``datas`` to the consecutive logical pages
+        from ``lpn``: :meth:`write` once per page, in order."""
+        total = 0.0
+        for lpn, data in enumerate(datas, lpn):
+            if begin_page is not None:
+                begin_page()
+            latency = self.write(lpn, data).latency_us
+            total += latency
+            if end_page is not None:
+                end_page(True, lpn, latency)
+        return HostResult(total)
 
     def trim(self, lpn: int) -> HostResult:
         """Discard a logical page (optional; default is a no-op).

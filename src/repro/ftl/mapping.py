@@ -162,14 +162,16 @@ class MappingStore:
             tracer.emit(EventType.MAP_READ, lpn=tvpn, ppn=tppn)
         return content, latency
 
-    def lookup(self, lpn: int) -> Tuple[Optional[int], float]:
-        """Resolve ``lpn`` through the table; returns (ppn|None, latency)."""
-        entries = self.entries_per_page
-        tvpn = lpn // entries
+    def fetch(
+        self, tvpn: int
+    ) -> Tuple[Optional[List[Optional[int]]], float]:
+        """What a host lookup reads: translation page ``tvpn`` from the
+        ablation cache, else from flash under the ``mapping`` cause (and
+        admitted); shared, not copied - ``(None, 0.0)`` if never written."""
         if self.cache_pages > 0:
             cached = self._cache.get(tvpn)
             if cached is not None:
-                return cached[lpn % entries], 0.0
+                return cached, 0.0
         tracer = self.flash.tracer
         if tracer is not None:
             tracer.push_cause(Cause.MAPPING)
@@ -178,10 +180,17 @@ class MappingStore:
         finally:
             if tracer is not None:
                 tracer.pop_cause()
+        if content is not None and self.cache_pages > 0:
+            content = list(content)
+            self._cache.put(tvpn, content)
+        return content, latency
+
+    def lookup(self, lpn: int) -> Tuple[Optional[int], float]:
+        """Resolve ``lpn`` through the table; returns (ppn|None, latency)."""
+        entries = self.entries_per_page
+        content, latency = self.fetch(lpn // entries)
         if content is None:
             return None, 0.0
-        if self.cache_pages > 0:
-            self._cache.put(tvpn, list(content))
         return content[lpn % entries], latency
 
     def load(self, tvpn: int) -> Tuple[List[Optional[int]], float]:

@@ -8,10 +8,12 @@ stay bit-identical, because the figures in EXPERIMENTS.md were produced
 by the pre-overhaul engine.
 
 This module defines the canonical *golden workload* (a small device, two
-deterministic traces, every scheme) and an :func:`engine_digest` that
+deterministic single-page traces, every scheme; one multi-page trace for
+the page-mapping schemes, whose requests go through the host run ops) and
+an :func:`engine_digest` that
 flattens a :class:`~repro.sim.simulator.SimulationResult` into plain
 JSON-serialisable data.  ``tools/gen_golden_stats.py`` regenerates the
-committed snapshot (``tests/golden/engine_stats.json``) and
+committed snapshots (``tests/golden/engine_stats*.json``) and
 ``tests/test_golden_stats.py`` asserts the current engine still produces
 exactly the committed numbers.  Floats survive the JSON round-trip
 losslessly (``repr`` round-trips IEEE-754 doubles), so ``==`` on the
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
+from ..traces.model import Trace
 from ..traces.synthetic import hot_cold, uniform_random
+from ..traces.websearch import websearch
 from .factory import SCHEMES
 from .runner import DeviceSpec, run_scheme
 from .simulator import SimulationResult
@@ -93,23 +97,43 @@ def engine_digest(result: SimulationResult) -> Dict[str, object]:
     }
 
 
-def collect_golden_digests(
-    schemes: Sequence[str] = SCHEMES,
+def golden_multipage_trace() -> Trace:
+    """The multi-page trace: websearch-shaped 4-16-page requests, a fifth
+    of them writes so the write runs meet GC and conversions too.  Its
+    digests live in a third file (``engine_stats_multipage.json``): the
+    single-page files certify that a host-run-op change moved nothing a
+    single-page request can see."""
+    return websearch(
+        700, GOLDEN_DEVICE.logical_pages, seed=5, write_ratio=0.2,
+        name="golden-multipage",
+    )
+
+
+def _collect(
+    schemes: Sequence[str], traces: Sequence[Trace], device: DeviceSpec,
+    suffix: str = "",
 ) -> Dict[str, Dict[str, object]]:
-    """Run the golden workload and return ``"scheme/trace" -> digest``.
+    """``"scheme/trace<suffix>" -> digest`` on ``device``.
 
     Steady-state preconditioning is part of the workload: it drives every
     scheme's garbage collector before measurement, which is where the
     schemes differ most (and where a refactor would most likely slip).
     """
     digests: Dict[str, Dict[str, object]] = {}
-    for trace in golden_traces():
+    for trace in traces:
         for scheme in schemes:
             result = run_scheme(
-                scheme, trace, device=GOLDEN_DEVICE, precondition="steady",
+                scheme, trace, device=device, precondition="steady",
             )
-            digests[f"{scheme}/{trace.name}"] = engine_digest(result)
+            digests[f"{scheme}/{trace.name}{suffix}"] = engine_digest(result)
     return digests
+
+
+def collect_golden_digests(
+    schemes: Sequence[str] = SCHEMES,
+) -> Dict[str, Dict[str, object]]:
+    """Run the golden workload and return ``"scheme/trace" -> digest``."""
+    return _collect(schemes, golden_traces(), GOLDEN_DEVICE)
 
 
 def collect_golden_digests_4ch(
@@ -122,12 +146,17 @@ def collect_golden_digests_4ch(
     service latencies (``device_busy_us`` drops well below the serial
     figure while flash wear counters stay workload-determined).
     """
-    digests: Dict[str, Dict[str, object]] = {}
-    for trace in golden_traces():
-        for scheme in schemes:
-            result = run_scheme(
-                scheme, trace, device=GOLDEN_DEVICE_4CH,
-                precondition="steady",
-            )
-            digests[f"{scheme}/{trace.name}"] = engine_digest(result)
-    return digests
+    return _collect(schemes, golden_traces(), GOLDEN_DEVICE_4CH)
+
+
+def collect_golden_digests_multipage(
+    schemes: Sequence[str] = STRIPED_SCHEMES,
+) -> Dict[str, Dict[str, object]]:
+    """``"scheme/golden-multipage@device" -> digest`` on both devices:
+    pins the host run ops, and LazyFTL's one GMT read per (request,
+    translation page), serial and striped."""
+    trace = [golden_multipage_trace()]
+    return {
+        **_collect(schemes, trace, GOLDEN_DEVICE, "@1x1x1"),
+        **_collect(schemes, trace, GOLDEN_DEVICE_4CH, "@4x1x1"),
+    }

@@ -194,14 +194,25 @@ class Simulator:
         multi-unit device and the rest of :func:`~repro.perf.batch.engine_for`'s
         list, and then the scalar segment simply spans the trace.
 
+        A multi-page request is one host run op (``ftl.read_run`` /
+        ``ftl.write_run``: by contract the page op once per page, in
+        order, its latency the page latencies summed from 0.0), so a
+        single-page request - one page op, asked directly - is the same
+        arithmetic.  The planner is asked at single-page requests only:
+        an epoch never starts at a multi-page one.
+
         This loop is where a host op starts, so it marks the boundary
         for the device's per-unit clocks (``begin_host_op``) before every
         page operation and ``background_work`` grant - skipped, once per
-        replay, on a one-unit device, which never reads its clocks.
+        replay, on a one-unit device, which never reads its clocks.  The
+        per-page duties of a run (that boundary, the tracer's host event)
+        go into the run op as its ``begin_page`` / ``end_page``.
         """
         ftl = self.ftl
         ftl_write = ftl.write
         ftl_read = ftl.read
+        ftl_write_run = ftl.write_run
+        ftl_read_run = ftl.read_run
         flash = ftl.flash
         begin_host_op = flash.begin_host_op \
             if flash.geometry.parallel_units > 1 else None
@@ -209,11 +220,13 @@ class Simulator:
         lpns = cols.lpns
         npages = cols.npages
         n = len(ops)
-        arrivals = record = tracer = None
+        arrivals = record = tracer = host_op = None
         if responses is not None:
             arrivals = cols.arrivals
             record = responses.record
             tracer = self.tracer
+            if tracer is not None:
+                host_op = tracer.host_op
         engine = None if self.replay_mode == "scalar" \
             else _batch.engine_for(ftl)
         if engine is not None and responses is not None \
@@ -226,7 +239,7 @@ class Simulator:
         while i < n:
             stop = n
             if engine is not None:
-                h = engine.plan_epoch(cols, i, n)
+                h = engine.plan_epoch(cols, i, n) if npages[i] == 1 else 0
                 if h >= min_epoch:
                     device_free_at, busy = engine.run_epoch(
                         cols, i, h, responses, device_free_at, busy)
@@ -269,15 +282,21 @@ class Simulator:
                     # Events of this request are stamped from its service
                     # start; flash ops advance the clock as they happen.
                     tracer.set_clock(start)
-                service = 0.0
-                for lpn in range(first_lpn, first_lpn + count):
+                if count == 1:
                     if begin_host_op is not None:
                         begin_host_op()
-                    latency = ftl_write(lpn, None).latency_us if op \
-                        else ftl_read(lpn).latency_us
-                    service += latency
-                    if tracer is not None:
-                        tracer.host_op(op, lpn, latency)
+                    service = ftl_write(first_lpn, None).latency_us if op \
+                        else ftl_read(first_lpn).latency_us
+                    if host_op is not None:
+                        host_op(op, first_lpn, service)
+                elif op:
+                    service = ftl_write_run(
+                        first_lpn, [None] * count, begin_host_op, host_op,
+                    ).latency_us
+                else:
+                    service = ftl_read_run(
+                        first_lpn, count, begin_host_op, host_op,
+                    ).latency_us
                 completion = start + service
                 if record is not None:
                     record(op, completion - arrival)

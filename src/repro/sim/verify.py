@@ -45,27 +45,30 @@ def verified_replay(
     any mismatch.
 
     Writes store ``(lpn, version)`` tokens; reads are compared against a
-    shadow map.  ``final_sweep`` re-reads every written page at the end.
+    shadow map.  Each request is one host run op, as in the simulator, so
+    the payloads checked went through ``write_run`` / ``read_run``.
+    ``final_sweep`` re-reads every written page at the end.
     """
     shadow: Dict[int, object] = {}
     version = 0
     writes = reads = 0
     for request in trace:
-        for lpn in request.pages:
-            if request.is_write:
-                token = (lpn, version)
-                version += 1
-                ftl.write(lpn, token)
-                shadow[lpn] = token
-                writes += 1
-            else:
-                got = ftl.read(lpn).data
+        pages = request.pages
+        if request.is_write:
+            tokens = list(zip(pages, range(version, version + len(pages))))
+            version += len(pages)
+            ftl.write_run(request.lpn, tokens)
+            shadow.update(zip(pages, tokens))
+            writes += len(pages)
+        else:
+            datas = ftl.read_run(request.lpn, len(pages)).data
+            for lpn, got in zip(pages, datas):
                 expect = shadow.get(lpn)
                 if got != expect:
                     raise IntegrityError(
                         f"lpn {lpn}: read {got!r}, expected {expect!r}"
                     )
-                reads += 1
+            reads += len(pages)
     if final_sweep:
         for lpn, expect in shadow.items():
             got = ftl.read(lpn).data

@@ -128,6 +128,36 @@ class FTLConformance:
             last_i = max(i for i in range(2500) if i % len(hot) == j)
             assert ftl.read(lpn).data == last_i
 
+    def test_multi_page_requests_read_their_writes(self):
+        """The host run ops under GC pressure: 1-16-page ``write_run`` /
+        ``read_run`` requests, every page of every read checked (and,
+        sanitized, cross-checked against the shadow map page by page)."""
+        ftl = self.new_ftl()
+        rng = random.Random(77)
+        expected = {}
+        for i in range(self.LOGICAL_PAGES):
+            n = rng.randint(1, 16)
+            lpn = rng.randrange(self.LOGICAL_PAGES - n + 1)
+            if rng.random() < 0.6:
+                datas = [(page, i) for page in range(lpn, lpn + n)]
+                assert ftl.write_run(lpn, datas).data is None
+                expected.update(zip(range(lpn, lpn + n), datas))
+            else:
+                assert ftl.read_run(lpn, n).data == [
+                    expected.get(page) for page in range(lpn, lpn + n)]
+        assert ftl.flash.stats.block_erases > 0
+        with pytest.raises(ValueError):
+            ftl.read_run(self.LOGICAL_PAGES - 1, 2)
+        # A run that starts outside names its first page, as read() does.
+        with pytest.raises(
+                ValueError, match=f"lpn {self.LOGICAL_PAGES + 5} outside"):
+            ftl.read_run(self.LOGICAL_PAGES + 5, 2)
+        with pytest.raises(ValueError):
+            ftl.write_run(self.LOGICAL_PAGES - 1, ["x", "y"])
+        expected[self.LOGICAL_PAGES - 1] = "x"  # written before the raise
+        for lpn, value in expected.items():
+            assert ftl.read(lpn).data == value, f"lpn {lpn} corrupted"
+
     def test_gc_actually_runs_under_pressure(self):
         ftl = self.new_ftl()
         rng = random.Random(1)

@@ -168,7 +168,7 @@ class TestDifferentialFuzz:
 
 class TestOneReplayLoop:
     """``Simulator._replay`` is the only per-request loop: every host
-    page op of every kind of replay is issued from inside it."""
+    page op and run op of every kind of replay is issued from inside it."""
 
     @pytest.mark.parametrize(
         "how", ["warm_up", "untraced", "traced", "batched"])
@@ -186,12 +186,26 @@ class TestOneReplayLoop:
 
         monkeypatch.setattr(Simulator, "_replay", replay_spy)
         ftl = make_ftl()
+        state["in_run"] = False
         for name in ("read", "write"):
             def host_spy(*args, _real=getattr(ftl, name)):
                 assert state["depth"] == 1, "host op outside _replay"
-                state["host_ops"] += 1
+                # A run op may itself be the page loop: its pages were
+                # counted when the driver issued it.
+                state["host_ops"] += not state["in_run"]
                 return _real(*args)
             monkeypatch.setattr(ftl, name, host_spy)
+        for name in ("read_run", "write_run"):
+            def run_spy(lpn, pages, *hooks, _real=getattr(ftl, name)):
+                assert state["depth"] == 1, "host run op outside _replay"
+                state["host_ops"] += \
+                    pages if isinstance(pages, int) else len(pages)
+                state["in_run"] = True
+                try:
+                    return _real(lpn, pages, *hooks)
+                finally:
+                    state["in_run"] = False
+            monkeypatch.setattr(ftl, name, run_spy)
         trace = make_trace(
             [(lpn % 3 != 2, lpn % 150, 1 + (lpn % 29 == 0))
              for lpn in range(400)], 0.0)

@@ -245,6 +245,27 @@ class TestShadowMap:
         assert v.lpn == 3
         assert "stale!" in v.message
 
+    def test_run_ops_go_through_the_shadow_map(self):
+        """``__getattr__`` would hand the driver the wrapped scheme's run
+        ops and every multi-page request would skip the shadow map."""
+        class LyingFTL(PageFTL):
+            def read_run(self, lpn, n, begin_page=None, end_page=None):
+                real = super().read_run(lpn, n, begin_page, end_page)
+                return HostResult(real.latency_us,
+                                  [*real.data[:-1], "stale!"])
+
+        flash = make_flash()
+        ftl = SanitizedFTL(LyingFTL(flash, logical_pages=16))
+        ftl.write_run(2, ["a", "b", "c"])
+        assert ftl.read(4).data == "c"  # the run reached the shadow map
+        v = catch(ftl, lambda: ftl.read_run(2, 3))
+        assert v.kind is ViolationKind.SHADOW_MISMATCH
+        assert v.lpn == 4
+        # A run that raises half way leaves the shadow at what it wrote.
+        with pytest.raises(ValueError):
+            ftl.write_run(14, ["x", "y", "z"])
+        assert ftl.read(15).data == "y"
+
     def test_trim_clears_shadow(self):
         flash = make_flash()
         ftl = SanitizedFTL(PageFTL(flash, logical_pages=16))

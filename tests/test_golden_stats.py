@@ -30,6 +30,7 @@ from repro.sim.golden import (
     STRIPED_SCHEMES,
     collect_golden_digests,
     engine_digest,
+    golden_multipage_trace,
     golden_traces,
 )
 from repro.sim.runner import run_scheme
@@ -41,6 +42,10 @@ GOLDEN_4CH_PATH = (
     pathlib.Path(__file__).resolve().parent / "golden"
     / "engine_stats_4ch.json"
 )
+GOLDEN_MULTIPAGE_PATH = (
+    pathlib.Path(__file__).resolve().parent / "golden"
+    / "engine_stats_multipage.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,11 @@ def golden():
 @pytest.fixture(scope="module")
 def golden_4ch():
     return json.loads(GOLDEN_4CH_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_multipage():
+    return json.loads(GOLDEN_MULTIPAGE_PATH.read_text())
 
 
 def test_snapshot_covers_every_scheme_and_trace(golden):
@@ -131,6 +141,50 @@ def test_4ch_scheme_stats_bit_identical(golden, golden_4ch, scheme):
         assert live["device_busy_us"] < golden[key]["device_busy_us"]
 
 
+def test_multipage_snapshot_covers_both_devices(golden_multipage):
+    trace = golden_multipage_trace()
+    assert set(golden_multipage) == {
+        f"{scheme}/{trace.name}@{device}"
+        for scheme in STRIPED_SCHEMES for device in ("1x1x1", "4x1x1")
+    }
+    npages = trace.to_columnar().npages  # (clipped at the footprint's end)
+    assert sum(n >= 4 for n in npages) >= 0.99 * len(npages)
+
+
+@pytest.mark.parametrize("gate", REPLAY_GATES)
+@pytest.mark.parametrize("scheme", STRIPED_SCHEMES)
+def test_multipage_stats_bit_identical(golden_multipage, scheme, gate):
+    """Multi-page requests are host run ops: the same digest from every
+    way the one loop can be driven (LazyFTL's one GMT read per request
+    and translation page included), serial and - scalar and traced, the
+    only ways a striped device replays - on four channels."""
+    trace = golden_multipage_trace()
+    if gate == "batched-fallback":
+        batch.set_backend("fallback")
+    try:
+        for device, label in ((GOLDEN_DEVICE, "1x1x1"),
+                              (GOLDEN_DEVICE_4CH, "4x1x1")):
+            live = engine_digest(run_scheme(
+                scheme, trace, device=device, precondition="steady",
+                replay_mode="scalar" if gate == "scalar" else "auto",
+                tracer=recording_tracer() if gate == "traced" else None,
+            ))
+            assert live == golden_multipage[
+                f"{scheme}/{trace.name}@{label}"], f"{label} [{gate}]"
+    finally:
+        batch.set_backend("auto")
+
+
+def test_lazyftl_reads_one_gmt_page_per_request_and_page(golden_multipage):
+    """What the multi-page snapshot is there to pin: far fewer GMT reads
+    than host page reads (128 entries per translation page here), at the
+    same GC, conversion and erase counts the page loop gave."""
+    lazy = golden_multipage["LazyFTL/golden-multipage@1x1x1"]
+    assert lazy["ftl"]["map_reads"] < lazy["ftl"]["host_reads"] / 4
+    dftl = golden_multipage["DFTL/golden-multipage@1x1x1"]
+    assert dftl["ftl"]["host_reads"] == lazy["ftl"]["host_reads"]
+
+
 def test_collector_key_shape(golden):
     """The bulk collector used by the regen tool emits the same keys.
 
@@ -143,23 +197,24 @@ def test_collector_key_shape(golden):
         assert digest == golden[key]
 
 
-_COLLECT_BOTH = """
+_COLLECT_ALL = """
 import json, sys
 from repro.sim.golden import (
-    collect_golden_digests, collect_golden_digests_4ch)
-json.dump([collect_golden_digests(), collect_golden_digests_4ch()],
-          sys.stdout)
+    collect_golden_digests, collect_golden_digests_4ch,
+    collect_golden_digests_multipage)
+json.dump([collect_golden_digests(), collect_golden_digests_4ch(),
+           collect_golden_digests_multipage()], sys.stdout)
 """
 
 
 @pytest.mark.parametrize("hash_seed", ("1", "4242"))
 def test_snapshots_reproduce_under_any_hash_seed(golden, golden_4ch,
-                                                 hash_seed,
+                                                 golden_multipage, hash_seed,
                                                  json_under_hash_seed):
-    """Both committed files, regenerated in a fresh interpreter under a
+    """All committed files, regenerated in a fresh interpreter under a
     pinned ``PYTHONHASHSEED``, twice: a statistic that depends on set or
     dict-of-str iteration order cannot equal one snapshot under both
     seeds.  This is the exact, run-time form of the deleted lint rule
     FTL012 (docs/INTERNALS.md, "The hazard ledger")."""
-    assert json_under_hash_seed(hash_seed, "-c", _COLLECT_BOTH) == \
-        [golden, golden_4ch]
+    assert json_under_hash_seed(hash_seed, "-c", _COLLECT_ALL) == \
+        [golden, golden_4ch, golden_multipage]

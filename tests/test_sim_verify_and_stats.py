@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core import LazyConfig, LazyFTL
 from repro.flash import FlashGeometry, NandFlash, UNIT_TIMING
 from repro.ftl import PageFTL
+from repro.ftl.base import FlashTranslationLayer
 from repro.ftl.stats import FtlStats
 from repro.sim import DeviceSpec, run_scheme
 from repro.sim.verify import IntegrityError, verified_replay
@@ -47,6 +49,10 @@ class TestVerifiedReplay:
                     return type(result)(result.latency_us, "garbage")
                 return result
 
+            # A request is a run op; the default is the page loop.
+            read_run = FlashTranslationLayer.read_run
+            write_run = FlashTranslationLayer.write_run
+
         liar = LyingFTL(ftl)
         trace = Trace([
             IORequest(OpType.WRITE, 0, 1),
@@ -55,6 +61,29 @@ class TestVerifiedReplay:
         ])
         with pytest.raises(IntegrityError):
             verified_replay(liar, trace, final_sweep=False)
+
+    def test_a_request_is_checked_through_the_run_ops(self, monkeypatch):
+        """The payloads compared are the ones ``read_run`` returned - the
+        path the simulator drives - never-written pages included."""
+        flash = NandFlash(FlashGeometry(num_blocks=64, pages_per_block=8),
+                          timing=UNIT_TIMING)
+        ftl = LazyFTL(flash, 128, LazyConfig(uba_blocks=4, cba_blocks=2,
+                                             gc_free_threshold=3))
+        trace = Trace([
+            IORequest(OpType.WRITE, 4, 6),
+            IORequest(OpType.READ, 2, 10),  # 2 holes, 6 written, 2 holes
+        ])
+        assert verified_replay(ftl, trace).reads == 10
+        honest = LazyFTL.read_run
+
+        def lying_read_run(self, lpn, n, *duties):
+            result = honest(self, lpn, n, *duties)
+            result.data[3] = "garbage"
+            return result
+
+        monkeypatch.setattr(LazyFTL, "read_run", lying_read_run)
+        with pytest.raises(IntegrityError, match="lpn 5"):
+            verified_replay(ftl, trace, final_sweep=False)
 
     def test_report_str(self):
         flash = NandFlash(FlashGeometry(num_blocks=16, pages_per_block=8),

@@ -19,10 +19,14 @@ zoo also guards the dispatch gating itself.
 A second axis, ``runs``, audits the same promise one layer down: GC
 relocation and GMT commits move pages by *run* whenever the device takes
 runs (``NandFlash.takes_runs``), and page by page otherwise.  Every
-scheme with a ``GarbageCollector`` (LazyFTL, DFTL, ideal) replays both
+scheme with a ``GarbageCollector`` (LazyFTL, DFTL, ideal) replays the
 workloads once more on a device that refuses runs for a reason that
 changes nothing else - a power fault armed to trip after 10**12 programs
-- and that digest must equal the reference too: by run == by page.
+- and that digest must equal the reference too: by run == by page.  The
+third workload is multi-page (websearch-shaped, 4-16 pages a request), so
+the same axis covers the *host* run ops: GC and conversions land inside
+multi-page requests by run on one device and by page on the other, and
+LazyFTL's reuse of a held GMT page (``read_run``) is the same on both.
 
 Run:  PYTHONPATH=src python tools/batchdiff.py [--requests N]
 Exit status 0 when every digest matches, 1 on the first divergence
@@ -51,6 +55,7 @@ from repro.sim.factory import SCHEMES, standard_setup  # noqa: E402
 from repro.sim.golden import engine_digest  # noqa: E402
 from repro.sim.runner import DeviceSpec, run_scheme  # noqa: E402
 from repro.traces.synthetic import hot_cold, uniform_random  # noqa: E402
+from repro.traces.websearch import websearch  # noqa: E402
 
 #: Same smoke geometry as the check_all trace stage: small enough that
 #: the whole zoo replays in seconds, small enough that GC and (for
@@ -63,11 +68,14 @@ DEVICE = DeviceSpec(
 
 
 def build_traces(requests: int) -> List:
-    """Two deterministic workloads bracketing the epoch planner.
+    """Two deterministic workloads bracketing the epoch planner, and one
+    it never plans.
 
     The read-heavy hot/cold mix produces long vectorizable epochs (the
     fast path the kernels exist for); the write-heavy uniform mix keeps
-    GC churning so nearly every epoch ends at a boundary op.
+    GC churning so nearly every epoch ends at a boundary op; every
+    request of the multi-page mix is a host run op (a third as many
+    requests: each is ~8 pages).
     """
     pages = DEVICE.logical_pages
     return [
@@ -78,6 +86,10 @@ def build_traces(requests: int) -> List:
         uniform_random(
             requests, pages, write_ratio=0.7, seed=13,
             name="batchdiff-writeheavy",
+        ),
+        websearch(
+            max(1, requests // 3), pages, seed=29, write_ratio=0.3,
+            name="batchdiff-multipage",
         ),
     ]
 
@@ -172,7 +184,7 @@ def main(argv=None) -> int:
     print(f"batchdiff: all digests bit-identical "
           f"({len(schemes)} scheme(s), scalar vs batched, "
           f"{'numpy+fallback' if batch._numpy is not None else 'fallback'} "
-          "kernels; by page vs by run)")
+          "kernels; by page vs by run, host run ops included)")
     return 0
 
 

@@ -27,11 +27,12 @@ Runs, in order:
    paths work, not their speed - speed is judged on paired
    parent/change rounds (``--compare``);
 7. **batchdiff** - ``tools/batchdiff.py``: scalar vs batched replay
-   digests over two short deterministic workloads for every scheme,
+   digests over three short deterministic workloads (one of them
+   multi-page: every request a host run op) for every scheme,
    with both kernel backends (numpy and the pure-``array`` fallback) -
    the batch engine's bit-identical contract, end to end - and, for the
    schemes that garbage-collect through the one collector, with runs
-   allowed vs refused: GC and commit by run == by page;
+   allowed vs refused: GC, commit and host requests by run == by page;
 8. **crashmc** - ``python -m repro crashcheck``: crash-consistency
    smoke (every program/erase boundary of a short mixed workload for
    each recovery-capable scheme, plus the ``--mutate`` oracle
@@ -42,6 +43,16 @@ Configuration lives in ``pyproject.toml`` under ``[tool.check_all]``
 passes, 1 otherwise; each step's verdict is printed as it completes and
 a per-stage wall-clock summary closes the run, so CI logs show exactly
 which gate failed, which did not run, and where the time went.
+
+Touching a run op - the device's ``read_run`` / ``program_run`` /
+``invalidate_run``, ``relocate``, ``MappingStore.commit``, or a scheme's
+host ``read_run`` / ``write_run`` - the quick loop before the whole gate
+is ``python tools/gen_golden_stats.py --check`` (the two single-page
+files must print ``0 fields differ``; only a change to what a
+multi-page request *costs* may move ``engine_stats_multipage.json``, on
+purpose), ``python tools/batchdiff.py`` (the ``runs`` column) and
+``pytest tests/test_host_run_ops.py tests/test_relocate_by_run.py`` (run
+ops vs the page loop on twin devices).
 
 Run:  python tools/check_all.py [--skip pytest] [--require-mypy] ...
 """

@@ -3,7 +3,8 @@
 
 Runs the canonical golden workload (see :mod:`repro.sim.golden`) through
 every FTL scheme and writes the digests to
-``tests/golden/engine_stats.json``.  ``tests/test_golden_stats.py``
+``tests/golden/engine_stats.json`` (and the 4-channel and multi-page
+workloads to ``engine_stats_4ch.json`` / ``engine_stats_multipage.json``).  ``tests/test_golden_stats.py``
 compares the live engine against this file bit-for-bit, so regenerate it
 ONLY when a behaviour change is intentional and understood - never to
 "fix" a failing golden test after a refactor that was supposed to be
@@ -15,8 +16,10 @@ Run:  PYTHONPATH=src python tools/gen_golden_stats.py [--check]
 intentional change moved, one line per entry and field (``scheme/trace``,
 field, old -> new) - the review a bare pytest ``==`` truncates - and exits
 1 if anything differs.  It is a manual tool: ``check_all``'s pytest step
-already replays both files, and a second replay there would tell nothing
-new.
+already replays all three files, and a second replay there would tell
+nothing new.  A change to a host run op (``read_run`` / ``write_run``) may
+move ``engine_stats_multipage.json`` only: the other two hold single-page
+traces and must print ``0 fields differ``.
 """
 
 from __future__ import annotations
@@ -33,10 +36,20 @@ sys.path.insert(0, str(_REPO_ROOT / "src"))
 from repro.sim.golden import (  # noqa: E402
     collect_golden_digests,
     collect_golden_digests_4ch,
+    collect_golden_digests_multipage,
 )
 
-GOLDEN_PATH = _REPO_ROOT / "tests" / "golden" / "engine_stats.json"
-GOLDEN_4CH_PATH = _REPO_ROOT / "tests" / "golden" / "engine_stats_4ch.json"
+_GOLDEN_DIR = _REPO_ROOT / "tests" / "golden"
+#: Three snapshot files on purpose: the serial one keeps its exact key
+#: set (its test asserts key-set equality, so adding digests there would
+#: break the seed gate), the 4-channel one pins the striped/overlapped
+#: engine for the schemes that opt in, the multi-page one the host run ops.
+SNAPSHOTS = (
+    (_GOLDEN_DIR / "engine_stats.json", collect_golden_digests),
+    (_GOLDEN_DIR / "engine_stats_4ch.json", collect_golden_digests_4ch),
+    (_GOLDEN_DIR / "engine_stats_multipage.json",
+     collect_golden_digests_multipage),
+)
 
 
 def _write(path: pathlib.Path, digests: dict) -> None:
@@ -90,16 +103,10 @@ def main() -> int:
              "committed files and exit 1 if there is one")
     args = parser.parse_args()
     if args.check:
-        return _check(GOLDEN_PATH, collect_golden_digests()) \
-            | _check(GOLDEN_4CH_PATH, collect_golden_digests_4ch())
-    # Two snapshot files on purpose: the serial one keeps its exact
-    # key set (its test asserts key-set equality, so adding 4-channel
-    # digests there would break the seed gate), the 4-channel one pins
-    # the striped/overlapped engine for the schemes that opt in.
-    _write(GOLDEN_PATH, collect_golden_digests())
-    _write(GOLDEN_4CH_PATH, collect_golden_digests_4ch())
+        return max(_check(path, collect()) for path, collect in SNAPSHOTS)
+    for path, collect in SNAPSHOTS:
+        _write(path, collect())
     return 0
-
 
 if __name__ == "__main__":
     raise SystemExit(main())
