@@ -9,7 +9,9 @@ by the pre-overhaul engine.
 
 This module defines the canonical *golden workload* (a small device, two
 deterministic single-page traces, every scheme; one multi-page trace for
-the page-mapping schemes, whose requests go through the host run ops) and
+the page-mapping schemes, whose requests go through the host run ops; one
+in-order-rewrite trace for the five log-block schemes, whose switch and
+partial merges the other traces never reach) and
 an :func:`engine_digest` that
 flattens a :class:`~repro.sim.simulator.SimulationResult` into plain
 JSON-serialisable data.  ``tools/gen_golden_stats.py`` regenerates the
@@ -22,10 +24,14 @@ loaded digest is a bit-exact comparison.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+import hashlib
+from typing import Dict, Optional, Sequence
 
-from ..traces.model import Trace
-from ..traces.synthetic import hot_cold, uniform_random
+from ..obs.events import TraceEvent
+from ..obs.sinks import TraceSink
+from ..obs.tracer import Tracer
+from ..traces.model import Trace, merge_traces
+from ..traces.synthetic import hot_cold, mixed, sequential, uniform_random
 from ..traces.websearch import websearch
 from .factory import SCHEMES
 from .runner import DeviceSpec, run_scheme
@@ -56,6 +62,10 @@ GOLDEN_DEVICE_4CH = DeviceSpec(
 #: Schemes whose area managers stripe frontier allocation across
 #: parallel units (the rest are serial-only baselines).
 STRIPED_SCHEMES = ("ideal", "DFTL", "LazyFTL")
+
+#: The log-block baselines: the schemes that merge (superblock cleans
+#: in-group instead, through the same per-page copy sequence).
+LOG_BLOCK_SCHEMES = ("NFTL", "BAST", "FAST", "LAST", "superblock")
 
 
 def golden_traces():
@@ -109,6 +119,63 @@ def golden_multipage_trace() -> Trace:
     )
 
 
+def golden_merges_trace() -> Trace:
+    """The merge trace: whole logical blocks rewritten in order (switch
+    merges), a sweep that stops mid-block and sequential runs cut short by
+    random jumps (in-order prefixes: partial merges), random updates in
+    between (full merges, folds).  The two single-page traces above are
+    random and hot/cold only - ``merges_switch == 0`` in every entry of
+    ``engine_stats.json`` - so this is the one snapshot
+    (``engine_stats_merges.json``) that pins the switch path, the partial
+    path and FAST / LAST's sequential logs."""
+    pages = GOLDEN_DEVICE.logical_pages
+    per_block = GOLDEN_DEVICE.pages_per_block
+    return merge_traces([
+        sequential(20 * per_block + 7, pages, seed=3),
+        mixed(900, pages, sequential_fraction=0.9, write_ratio=0.85, seed=13),
+        sequential(40, pages, request_pages=4, seed=5),
+    ], name="golden-merges")
+
+
+class EventStreamHash(TraceSink):
+    """SHA-256 over ``(type, cause, lpn, ppn, kind)`` of every event, in
+    order: pins where each ``MergeStart`` / ``MergeEnd`` sits in the stream
+    of raw ops and which addresses every op between them touched."""
+
+    def __init__(self) -> None:
+        self._sha = hashlib.sha256()
+        self.events = 0
+
+    def emit(self, event: TraceEvent) -> None:
+        self._sha.update(repr((
+            event.type.value, event.cause.value, event.lpn, event.ppn,
+            event.extra.get("kind"),
+        )).encode("ascii"))
+        self.events += 1
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
+def merges_digest(
+    scheme: str, replay_mode: Optional[str] = None, traced: bool = True,
+    **tracer_options: object,
+) -> Dict[str, object]:
+    """:func:`engine_digest` of ``scheme`` over the merge trace plus, when
+    ``traced``, the hash of its event stream (an untraced run yields the
+    engine half alone - the statistics must not depend on the tracer)."""
+    stream = EventStreamHash()
+    digest = engine_digest(run_scheme(
+        scheme, golden_merges_trace(), device=GOLDEN_DEVICE,
+        precondition="steady", replay_mode=replay_mode,
+        tracer=Tracer([stream], **tracer_options) if traced else None,
+    ))
+    if traced:
+        digest["events"] = stream.events
+        digest["events_sha256"] = stream.hexdigest()
+    return digest
+
+
 def _collect(
     schemes: Sequence[str], traces: Sequence[Trace], device: DeviceSpec,
     suffix: str = "",
@@ -160,3 +227,12 @@ def collect_golden_digests_multipage(
         **_collect(schemes, trace, GOLDEN_DEVICE, "@1x1x1"),
         **_collect(schemes, trace, GOLDEN_DEVICE_4CH, "@4x1x1"),
     }
+
+
+def collect_golden_digests_merges(
+    schemes: Sequence[str] = LOG_BLOCK_SCHEMES,
+) -> Dict[str, Dict[str, object]]:
+    """``"scheme/golden-merges" -> digest`` with the event-stream hash:
+    pins every merge kind, and where its span opens and closes."""
+    name = golden_merges_trace().name
+    return {f"{scheme}/{name}": merges_digest(scheme) for scheme in schemes}

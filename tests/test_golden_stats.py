@@ -27,11 +27,14 @@ from repro.sim.factory import SCHEMES
 from repro.sim.golden import (
     GOLDEN_DEVICE,
     GOLDEN_DEVICE_4CH,
+    LOG_BLOCK_SCHEMES,
     STRIPED_SCHEMES,
     collect_golden_digests,
     engine_digest,
+    golden_merges_trace,
     golden_multipage_trace,
     golden_traces,
+    merges_digest,
 )
 from repro.sim.runner import run_scheme
 
@@ -45,6 +48,10 @@ GOLDEN_4CH_PATH = (
 GOLDEN_MULTIPAGE_PATH = (
     pathlib.Path(__file__).resolve().parent / "golden"
     / "engine_stats_multipage.json"
+)
+GOLDEN_MERGES_PATH = (
+    pathlib.Path(__file__).resolve().parent / "golden"
+    / "engine_stats_merges.json"
 )
 
 
@@ -61,6 +68,11 @@ def golden_4ch():
 @pytest.fixture(scope="module")
 def golden_multipage():
     return json.loads(GOLDEN_MULTIPAGE_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_merges():
+    return json.loads(GOLDEN_MERGES_PATH.read_text())
 
 
 def test_snapshot_covers_every_scheme_and_trace(golden):
@@ -185,6 +197,47 @@ def test_lazyftl_reads_one_gmt_page_per_request_and_page(golden_multipage):
     assert dftl["ftl"]["host_reads"] == lazy["ftl"]["host_reads"]
 
 
+def test_merges_snapshot_reaches_every_merge_kind(golden, golden_merges):
+    """What the merge snapshot is there to pin: the switch path - which no
+    entry of the serial snapshot ever takes - and the partial path, for
+    the three schemes that have them; full merges / folds for all four."""
+    name = golden_merges_trace().name
+    assert set(golden_merges) == {f"{s}/{name}" for s in LOG_BLOCK_SCHEMES}
+    assert all(d["ftl"]["merges_switch"] == 0 for d in golden.values())
+    for scheme in ("BAST", "FAST", "LAST"):
+        ftl = golden_merges[f"{scheme}/{name}"]["ftl"]
+        assert ftl["merges_switch"] > 0 and ftl["merges_partial"] > 0
+    for scheme in ("NFTL", "BAST", "FAST", "LAST"):
+        assert golden_merges[f"{scheme}/{name}"]["ftl"]["merges_full"] > 0
+    assert golden_merges[f"superblock/{name}"]["ftl"]["gc_page_copies"] > 0
+
+
+@pytest.mark.parametrize("gate", REPLAY_GATES)
+@pytest.mark.parametrize("scheme", LOG_BLOCK_SCHEMES)
+def test_merges_stats_bit_identical(golden_merges, scheme, gate):
+    """The log-block schemes over the merge trace: untraced through the
+    three replay gates the statistics equal the snapshot's engine half;
+    traced (a latency recorder attached beside the hashing sink) the
+    event-stream hash - every ``MergeStart`` / ``MergeEnd`` and the
+    addresses between them - equals it too."""
+    committed = golden_merges[f"{scheme}/{golden_merges_trace().name}"]
+    if gate == "batched-fallback":
+        batch.set_backend("fallback")
+    try:
+        if gate == "traced":
+            live = merges_digest(scheme, latency=OpLatencyRecorder())
+        else:
+            live = merges_digest(
+                scheme, traced=False,
+                replay_mode="scalar" if gate == "scalar" else "auto")
+            assert live.keys() == committed.keys() - {
+                "events", "events_sha256"}
+            committed = {field: committed[field] for field in live}
+        assert live == committed, f"{scheme} [{gate}]"
+    finally:
+        batch.set_backend("auto")
+
+
 def test_collector_key_shape(golden):
     """The bulk collector used by the regen tool emits the same keys.
 
@@ -201,15 +254,17 @@ _COLLECT_ALL = """
 import json, sys
 from repro.sim.golden import (
     collect_golden_digests, collect_golden_digests_4ch,
-    collect_golden_digests_multipage)
+    collect_golden_digests_merges, collect_golden_digests_multipage)
 json.dump([collect_golden_digests(), collect_golden_digests_4ch(),
-           collect_golden_digests_multipage()], sys.stdout)
+           collect_golden_digests_multipage(),
+           collect_golden_digests_merges()], sys.stdout)
 """
 
 
 @pytest.mark.parametrize("hash_seed", ("1", "4242"))
 def test_snapshots_reproduce_under_any_hash_seed(golden, golden_4ch,
-                                                 golden_multipage, hash_seed,
+                                                 golden_multipage,
+                                                 golden_merges, hash_seed,
                                                  json_under_hash_seed):
     """All committed files, regenerated in a fresh interpreter under a
     pinned ``PYTHONHASHSEED``, twice: a statistic that depends on set or
@@ -217,4 +272,4 @@ def test_snapshots_reproduce_under_any_hash_seed(golden, golden_4ch,
     seeds.  This is the exact, run-time form of the deleted lint rule
     FTL012 (docs/INTERNALS.md, "The hazard ledger")."""
     assert json_under_hash_seed(hash_seed, "-c", _COLLECT_ALL) == \
-        [golden, golden_4ch, golden_multipage]
+        [golden, golden_4ch, golden_multipage, golden_merges]

@@ -3,8 +3,10 @@
 
 Runs the canonical golden workload (see :mod:`repro.sim.golden`) through
 every FTL scheme and writes the digests to
-``tests/golden/engine_stats.json`` (and the 4-channel and multi-page
-workloads to ``engine_stats_4ch.json`` / ``engine_stats_multipage.json``).  ``tests/test_golden_stats.py``
+``tests/golden/engine_stats.json`` (and the 4-channel, multi-page and
+merge workloads to ``engine_stats_4ch.json`` /
+``engine_stats_multipage.json`` / ``engine_stats_merges.json``).
+``tests/test_golden_stats.py``
 compares the live engine against this file bit-for-bit, so regenerate it
 ONLY when a behaviour change is intentional and understood - never to
 "fix" a failing golden test after a refactor that was supposed to be
@@ -16,10 +18,13 @@ Run:  PYTHONPATH=src python tools/gen_golden_stats.py [--check]
 intentional change moved, one line per entry and field (``scheme/trace``,
 field, old -> new) - the review a bare pytest ``==`` truncates - and exits
 1 if anything differs.  It is a manual tool: ``check_all``'s pytest step
-already replays all three files, and a second replay there would tell
+already replays all four files, and a second replay there would tell
 nothing new.  A change to a host run op (``read_run`` / ``write_run``) may
-move ``engine_stats_multipage.json`` only: the other two hold single-page
-traces and must print ``0 fields differ``.
+move ``engine_stats_multipage.json`` only: ``engine_stats.json`` and
+``engine_stats_4ch.json`` hold single-page traces and must print ``0 fields
+differ``.  ``engine_stats_merges.json`` (the five log-block schemes over an
+in-order-rewrite trace, with a hash of the traced event stream) moves only
+when a merge does.
 """
 
 from __future__ import annotations
@@ -36,19 +41,22 @@ sys.path.insert(0, str(_REPO_ROOT / "src"))
 from repro.sim.golden import (  # noqa: E402
     collect_golden_digests,
     collect_golden_digests_4ch,
+    collect_golden_digests_merges,
     collect_golden_digests_multipage,
 )
 
 _GOLDEN_DIR = _REPO_ROOT / "tests" / "golden"
-#: Three snapshot files on purpose: the serial one keeps its exact key
+#: Four snapshot files on purpose: the serial one keeps its exact key
 #: set (its test asserts key-set equality, so adding digests there would
 #: break the seed gate), the 4-channel one pins the striped/overlapped
-#: engine for the schemes that opt in, the multi-page one the host run ops.
+#: engine for the schemes that opt in, the multi-page one the host run ops,
+#: the merge one the switch / partial merges and the merge spans.
 SNAPSHOTS = (
     (_GOLDEN_DIR / "engine_stats.json", collect_golden_digests),
     (_GOLDEN_DIR / "engine_stats_4ch.json", collect_golden_digests_4ch),
     (_GOLDEN_DIR / "engine_stats_multipage.json",
      collect_golden_digests_multipage),
+    (_GOLDEN_DIR / "engine_stats_merges.json", collect_golden_digests_merges),
 )
 
 
