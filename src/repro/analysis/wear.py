@@ -12,9 +12,8 @@ def wear_profile(flash: NandFlash, exclude: Sequence[int] = ()) -> Dict[str, flo
     """Erase-count summary over the device, excluding reserved blocks."""
     skip = set(exclude)
     counts = [
-        block.erase_count
-        for block in flash.blocks
-        if block.index not in skip
+        count for pbn, count in enumerate(flash.erase_count)
+        if pbn not in skip
     ]
     return wear_summary(counts)
 
@@ -27,7 +26,8 @@ def erase_histogram(
         raise ValueError("bins must be >= 1")
     skip = set(exclude)
     counts = [
-        b.erase_count for b in flash.blocks if b.index not in skip
+        count for pbn, count in enumerate(flash.erase_count)
+        if pbn not in skip
     ]
     if not counts:
         return []

@@ -97,14 +97,13 @@ class CheckpointScribe:
                 f"{self.flash.geometry.pages_per_block}"
             )
         latency = 0.0
-        block = self.flash.block(self._current)
-        if block.free_count < n:
+        geometry = self.flash.geometry
+        write_ptr = self.flash.write_ptr
+        if geometry.pages_per_block - write_ptr[self._current] < n:
             latency += self._rotate()
         ckpt_id = self.seq.current
-        geometry = self.flash.geometry
         for index in range(n):
-            block = self.flash.block(self._current)
-            ppn = geometry.ppn_of(self._current, block.write_ptr)
+            ppn = geometry.ppn_of(self._current, write_ptr[self._current])
             fragment = _Fragment(
                 ckpt_id=ckpt_id,
                 total=n,
@@ -127,7 +126,7 @@ class CheckpointScribe:
         for ppn in self.flash.valid_ppns(other):
             self.flash.invalidate_page(ppn)
         latency = 0.0
-        if not self.flash.block(other).is_empty:
+        if self.flash.write_ptr[other] > 0:
             try:
                 latency += self.flash.erase_block(other)
             except BadBlockError as exc:
@@ -348,7 +347,7 @@ def recover(
             continue
         min_seq = min(o.seq for o in found)
         if found[0].kind is PageKind.MAPPING:
-            if flash.block(pbn).is_full:
+            if flash.write_ptr[pbn] >= flash.geometry.pages_per_block:
                 mba_full.append(pbn)
             else:
                 mba_open.append((min_seq, pbn))

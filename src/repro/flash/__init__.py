@@ -8,15 +8,13 @@ Public surface:
 * :class:`NandFlash` - the device itself (read / program / erase + power
   loss injection via :class:`PowerFault`), owner of the flat page/block
   state arrays and of the per-unit busy-until clocks that overlap ops on
-  a multi-channel / multi-die geometry; :class:`Block` is a read-only
-  per-block view of the arrays and :class:`PageState` names the per-page
-  state codes;
+  a multi-channel / multi-die geometry; :class:`PageState` names the
+  per-page state codes;
 * :class:`OOBData`, :class:`PageKind`, :class:`SequenceCounter` - spare-area
   metadata used by FTL recovery;
 * :class:`FlashStats`, :func:`wear_summary` - accounting.
 """
 
-from .block import Block
 from .chip import NandFlash
 from .errors import (
     BadBlockError,
@@ -42,7 +40,6 @@ from .stats import FlashStats, wear_summary
 from .timing import MLC_TIMING, SLC_TIMING, UNIT_TIMING, TimingModel
 
 __all__ = [
-    "Block",
     "NandFlash",
     "BadBlockError",
     "DeviceOffError",

@@ -83,7 +83,6 @@ import warnings
 from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs.events import EventType
-from .block import Block
 from .errors import (
     BadBlockError,
     DeviceOffError,
@@ -158,7 +157,6 @@ class NandFlash:
         #: assignment from these).
         self._erased_states = bytes(ppb)
         self._erased_slots: List[None] = [None] * ppb
-        self.blocks: List[Block] = [Block(self, i) for i in range(num_blocks)]
         for pbn in initial_bad_blocks:
             self.mark_bad(pbn)
         self.stats = FlashStats()
@@ -611,11 +609,6 @@ class NandFlash:
             ppn for ppn in range(base, base + self.write_ptr[pbn])
             if states[ppn] == VALID
         ]
-
-    def block(self, pbn: int) -> Block:
-        """Return the read-only :class:`Block` view of block ``pbn``."""
-        self.geometry.check_block(pbn)
-        return self.blocks[pbn]
 
     def erase_counts(self) -> List[int]:
         """Per-block erase counts (wear profile)."""

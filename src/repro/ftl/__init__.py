@@ -5,6 +5,9 @@
 * :class:`BastFTL` - block-associative log blocks (switch/partial/full
   merges);
 * :class:`FastFTL` - fully-associative log blocks (long full-merge stalls);
+* :mod:`repro.ftl.logblock` - the one merge driver (copy loop +
+  ``MergeStart`` / ``MergeEnd`` bracket) the merging baselines share, and
+  the log buffer FAST and LAST are two configurations of;
 * :class:`DftlFTL` - demand-cached page mapping (the strongest baseline);
 * :class:`BlockPool`, the GC victim policy and :class:`FtlStats` - shared
   machinery;

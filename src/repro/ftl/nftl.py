@@ -22,10 +22,9 @@ from typing import Any, Dict, List, Optional
 
 from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
-from ..flash.oob import OOBData, SequenceCounter
-from ..obs.events import Cause, EventType
-from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
-from .pool import BlockPool
+from ..flash.page import FREE
+from .base import HostResult
+from .logblock import LogBlockFTL
 
 
 class _Chain:
@@ -39,7 +38,7 @@ class _Chain:
         self.latest: Dict[int, int] = {}
 
 
-class NftlFTL(FlashTranslationLayer):
+class NftlFTL(LogBlockFTL):
     """Replacement-block FTL.
 
     Args:
@@ -50,7 +49,6 @@ class NftlFTL(FlashTranslationLayer):
     """
 
     name = "NFTL"
-    requires_random_program = True
 
     def __init__(
         self,
@@ -61,37 +59,16 @@ class NftlFTL(FlashTranslationLayer):
         super().__init__(flash, logical_pages)
         if max_chain < 1:
             raise ValueError("max_chain must be >= 1")
-        pages = flash.geometry.pages_per_block
-        self.pages_per_block = pages
         self.max_chain = max_chain
-        self.num_lbns = (logical_pages + pages - 1) // pages
         # Chains grow on demand and fold under space pressure, so only the
         # primaries plus working slack are a hard requirement.
-        required = self.num_lbns + 4
-        if flash.geometry.num_blocks < required:
-            raise ValueError(
-                f"device too small: NFTL needs >= {required} blocks "
-                f"({self.num_lbns} primaries + slack)"
-            )
+        self._require_blocks(
+            self.num_lbns + 4, f" ({self.num_lbns} primaries + slack)")
         self._chains: Dict[int, _Chain] = {}
-        self._pool = BlockPool.for_device(flash)
-        self._seq = SequenceCounter()
 
     # ------------------------------------------------------------------
     # Host interface
     # ------------------------------------------------------------------
-    def read(self, lpn: int) -> HostResult:
-        self._check_lpn(lpn)
-        self.stats.host_reads += 1
-        lbn, offset = divmod(lpn, self.pages_per_block)
-        chain = self._chains.get(lbn)
-        if chain is None or offset not in chain.latest:
-            return HostResult(UNMAPPED_READ_US)
-        pbn = chain.blocks[chain.latest[offset]]
-        ppn = self.flash.geometry.ppn_of(pbn, offset)
-        data, _, latency = self.flash.read_page(ppn)
-        return HostResult(latency, data)
-
     def write(self, lpn: int, data: Any = None) -> HostResult:
         self._check_lpn(lpn)
         self.stats.host_writes += 1
@@ -115,17 +92,8 @@ class NftlFTL(FlashTranslationLayer):
                     latency += self._reclaim_if_low(exclude=lbn)
                     chain.blocks.append(self._pool.allocate())
                     depth = len(chain.blocks) - 1
-        pbn = chain.blocks[depth]
-        ppn = self.flash.geometry.ppn_of(pbn, offset)
-        latency += self.flash.program_page(
-            ppn, data, OOBData(lpn=lpn, seq=self._seq.next())
-        )
-        previous = chain.latest.get(offset)
-        if previous is not None:
-            old_ppn = self.flash.geometry.ppn_of(
-                chain.blocks[previous], offset
-            )
-            self.flash.invalidate_page(old_ppn)
+        latency += self._program(chain.blocks[depth], offset, lpn, data)
+        self._invalidate_current(lpn)
         chain.latest[offset] = depth
         return HostResult(latency)
 
@@ -142,6 +110,15 @@ class NftlFTL(FlashTranslationLayer):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _locate(self, lpn: int) -> Optional[int]:
+        """In the chain member holding the offset's newest version."""
+        lbn, offset = divmod(lpn, self.pages_per_block)
+        chain = self._chains.get(lbn)
+        if chain is None or offset not in chain.latest:
+            return None
+        return chain.blocks[chain.latest[offset]] * self.pages_per_block \
+            + offset
+
     def _reclaim_if_low(self, exclude: Optional[int] = None) -> float:
         """Under space pressure, fold the longest chain to free blocks.
 
@@ -165,41 +142,18 @@ class NftlFTL(FlashTranslationLayer):
 
     def _writable_depth(self, chain: _Chain, offset: int) -> Optional[int]:
         """Shallowest chain member whose slot at ``offset`` is still free."""
+        states = self.flash.page_states
         for depth, pbn in enumerate(chain.blocks):
-            if self.flash.block(pbn).is_free(offset):
+            if states[pbn * self.pages_per_block + offset] == FREE:
                 return depth
         return None
 
     def _fold(self, lbn: int, chain: _Chain) -> float:
         """Collapse the chain: newest versions into one fresh block."""
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.span_start(EventType.MERGE_START, Cause.MERGE,
-                              lpn=lbn, kind="fold")
-        try:
-            return self._fold_inner(lbn, chain)
-        finally:
-            if tracer is not None:
-                tracer.span_end(EventType.MERGE_END, lpn=lbn, kind="fold")
-
-    def _fold_inner(self, lbn: int, chain: _Chain) -> float:
-        self.stats.merges_full += 1
-        geometry = self.flash.geometry
-        latency = 0.0
-        fresh = self._pool.allocate()
-        for offset, depth in sorted(chain.latest.items()):
-            src = geometry.ppn_of(chain.blocks[depth], offset)
-            data, oob, read_lat = self.flash.read_page(src)
-            latency += read_lat
-            latency += self.flash.program_page(
-                geometry.ppn_of(fresh, offset),
-                data,
-                OOBData(lpn=oob.lpn, seq=self._seq.next()),
-            )
-            self.flash.invalidate_page(src)
-            self.stats.merge_page_copies += 1
-        for pbn in chain.blocks:
-            latency += self._erase(pbn)
-        chain.blocks = [fresh]
-        chain.latest = {offset: 0 for offset in chain.latest}
-        return latency
+        with self._merging("fold", lpn=lbn):
+            latency, fresh = self._gather_into_fresh(lbn)
+            for pbn in chain.blocks:
+                latency += self._erase(pbn)
+            chain.blocks = [fresh]
+            chain.latest = {offset: 0 for offset in chain.latest}
+            return latency

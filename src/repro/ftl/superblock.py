@@ -140,13 +140,12 @@ class SuperblockFTL(FlashTranslationLayer):
     # ------------------------------------------------------------------
     def _frontier(self, group: _Superblock) -> int:
         pbn = group.blocks[-1]
-        block = self.flash.block(pbn)
-        return self.flash.geometry.ppn_of(pbn, block.write_ptr)
+        return pbn * self.pages_per_block + self.flash.write_ptr[pbn]
 
     def _ensure_group_space(self, group: _Superblock) -> float:
         latency = 0.0
         while not group.blocks or \
-                self.flash.block(group.blocks[-1]).is_full:
+                self.flash.write_ptr[group.blocks[-1]] >= self.pages_per_block:
             if len(group.blocks) >= self.group_max_blocks:
                 latency += self._clean_group(group)
                 continue  # cleaning may have opened a relocation frontier
@@ -187,8 +186,8 @@ class SuperblockFTL(FlashTranslationLayer):
                 if relocation is None:
                     relocation = self._pool.allocate()
                     group.blocks.append(relocation)
-                dst_block = self.flash.block(relocation)
-                dst = geometry.ppn_of(relocation, dst_block.write_ptr)
+                dst = geometry.ppn_of(
+                    relocation, self.flash.write_ptr[relocation])
             latency += self.flash.program_page(
                 dst, data, OOBData(lpn=oob.lpn, seq=self._seq.next())
             )
@@ -202,10 +201,8 @@ class SuperblockFTL(FlashTranslationLayer):
     def _relocation_slot(self, group: _Superblock,
                          victim_pbn: int) -> Optional[int]:
         """A free page in an existing member block (excluding the victim)."""
+        write_ptr = self.flash.write_ptr
         for pbn in group.blocks:
-            if pbn == victim_pbn:
-                continue
-            block = self.flash.block(pbn)
-            if not block.is_full:
-                return self.flash.geometry.ppn_of(pbn, block.write_ptr)
+            if pbn != victim_pbn and write_ptr[pbn] < self.pages_per_block:
+                return pbn * self.pages_per_block + write_ptr[pbn]
         return None

@@ -28,6 +28,7 @@ import hashlib
 from typing import Dict, Optional, Sequence
 
 from ..obs.events import TraceEvent
+from ..obs.latency import OpLatencyRecorder
 from ..obs.sinks import TraceSink
 from ..obs.tracer import Tracer
 from ..traces.model import Trace, merge_traces
@@ -159,16 +160,17 @@ class EventStreamHash(TraceSink):
 
 def merges_digest(
     scheme: str, replay_mode: Optional[str] = None, traced: bool = True,
-    **tracer_options: object,
+    latency: Optional[OpLatencyRecorder] = None,
 ) -> Dict[str, object]:
     """:func:`engine_digest` of ``scheme`` over the merge trace plus, when
     ``traced``, the hash of its event stream (an untraced run yields the
-    engine half alone - the statistics must not depend on the tracer)."""
+    engine half alone - the statistics must not depend on the tracer, nor
+    the stream on a ``latency`` recorder beside the hashing sink)."""
     stream = EventStreamHash()
     digest = engine_digest(run_scheme(
         scheme, golden_merges_trace(), device=GOLDEN_DEVICE,
         precondition="steady", replay_mode=replay_mode,
-        tracer=Tracer([stream], **tracer_options) if traced else None,
+        tracer=Tracer([stream], latency=latency) if traced else None,
     ))
     if traced:
         digest["events"] = stream.events

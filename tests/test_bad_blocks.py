@@ -34,7 +34,7 @@ class TestChipBadBlocks:
         with pytest.raises(BadBlockError) as info:
             chip.erase_block(0)
         assert info.value.pbn == 0
-        assert chip.block(0).is_bad
+        assert chip.is_bad[0]
         assert chip.bad_blocks() == [0]
 
     def test_bad_block_contents_are_gone(self):
@@ -45,7 +45,7 @@ class TestChipBadBlocks:
         chip.erase_block(0)
         with pytest.raises(BadBlockError):
             chip.erase_block(0)
-        assert chip.block(0).is_empty
+        assert chip.write_ptr[0] == 0
 
     def test_other_blocks_unaffected(self):
         chip = NandFlash(FlashGeometry(num_blocks=4, pages_per_block=2),

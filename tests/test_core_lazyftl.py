@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from repro.flash import FlashGeometry, NandFlash, PageKind, UNIT_TIMING
+from repro.flash import (
+    FlashGeometry, NandFlash, PageKind, PageState, UNIT_TIMING,
+)
 from repro.core import LazyConfig, LazyFTL
 
 from .ftl_conformance import FTLConformance
@@ -33,6 +35,15 @@ class TestLazyFTLConformance(FTLConformance):
         assert before_flush >= len(live)  # stale copies may linger
         ftl.flush()
         assert self.count_valid_data_pages(ftl) == len(live)
+
+
+def valid_data_copies(flash, lpn):
+    """How many VALID data pages on ``flash`` carry ``lpn`` in their OOB."""
+    return sum(
+        1 for ppn, oob in enumerate(flash.page_oob)
+        if flash.page_states[ppn] == PageState.VALID
+        and oob.kind is PageKind.DATA and oob.lpn == lpn
+    )
 
 
 def make_lazy(blocks=40, pages=8, page_size=64, logical=96, **cfg):
@@ -114,35 +125,18 @@ class TestLazyInvalidation:
         ftl = make_lazy()
         ftl.write(0, "a")
         ftl.write(0, "b")
-        valid = [
-            (b.index, o)
-            for b in ftl.flash.blocks
-            for o in b.valid_offsets()
-            if b.oob(o).kind is PageKind.DATA and b.oob(o).lpn == 0
-        ]
-        assert len(valid) == 1
+        assert valid_data_copies(ftl.flash, 0) == 1
 
     def test_gmt_resident_overwrite_defers_invalidation(self):
         ftl = make_lazy()
         ftl.write(0, "old")
         ftl.flush()                    # mapping now in the GMT
         ftl.write(0, "new")            # old copy NOT invalidated yet
-        valid = sum(
-            1
-            for b in ftl.flash.blocks
-            for o in b.valid_offsets()
-            if b.oob(o).kind is PageKind.DATA and b.oob(o).lpn == 0
-        )
-        assert valid == 2              # deferred: both copies look valid
+        # deferred: both copies look valid
+        assert valid_data_copies(ftl.flash, 0) == 2
         assert ftl.read(0).data == "new"
         ftl.flush()                    # commit resolves the deferral
-        valid_after = sum(
-            1
-            for b in ftl.flash.blocks
-            for o in b.valid_offsets()
-            if b.oob(o).kind is PageKind.DATA and b.oob(o).lpn == 0
-        )
-        assert valid_after == 1
+        assert valid_data_copies(ftl.flash, 0) == 1
 
     def test_reads_prefer_umt_over_gmt(self):
         ftl = make_lazy()
@@ -172,11 +166,7 @@ class TestGarbageCollection:
         assert ftl.stats.gc_page_copies >= 0
         # Cold relocations carry the cold flag.
         cold_pages = sum(
-            1
-            for b in ftl.flash.blocks
-            for o in b.programmed_offsets()
-            if b.oob(o) is not None and b.oob(o).cold
-        )
+            1 for oob in ftl.flash.page_oob if oob is not None and oob.cold)
         assert cold_pages > 0
 
     def test_gc_skips_superseded_pages_without_copying(self):

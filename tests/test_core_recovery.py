@@ -74,8 +74,7 @@ class TestCheckpointScribe:
         ftl.write(0, "x")
         ftl.checkpoint()
         assert ftl.stats.checkpoint_writes >= 1
-        anchor = ftl.flash.block(0)
-        assert anchor.write_ptr > 0
+        assert ftl.flash.write_ptr[0] > 0  # block 0 is an anchor
 
     def test_ping_pong_rotation_preserves_previous_checkpoint(self):
         ftl = make_lazy()

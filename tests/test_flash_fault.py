@@ -67,7 +67,7 @@ class TestChipPowerLoss:
             chip.program_page(1, "second")
         assert not chip.powered
         # The tripped program took no effect.
-        assert chip.block(0).write_ptr == 1
+        assert chip.write_ptr[0] == 1
 
     def test_no_ops_while_off(self):
         chip = make_chip()
@@ -100,7 +100,7 @@ class TestChipPowerLoss:
         chip.fault.arm_after_ops(0)
         with pytest.raises(PowerLossError):
             chip.erase_block(0)
-        assert chip.block(0).erase_count == 0
+        assert chip.erase_count[0] == 0
 
 
 class TestArmAtOpIndex:

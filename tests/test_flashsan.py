@@ -315,11 +315,11 @@ class TestAuditors:
     def test_counter_drift(self):
         flash, ftl = self.small_page_ftl()
         ftl.write(0, "x")
-        block = next(b for b in flash.blocks if b.valid_count)
-        flash.valid_count[block.index] += 1  # ftlint: disable=FTL003 - seeding the fault
+        pbn = next(b for b, valid in enumerate(flash.valid_count) if valid)
+        flash.valid_count[pbn] += 1  # ftlint: disable=FTL003 - seeding the fault
         report = audit_ftl(ftl)
         assert any(v.kind is ViolationKind.COUNTER_DRIFT
-                   and v.pbn == block.index
+                   and v.pbn == pbn
                    for v in report.violations)
 
     def test_oob_out_of_range(self):
@@ -366,8 +366,9 @@ class TestDftlAudit:
         flash, ftl = self.make_dftl()
         lpn, entry = next(iter(ftl._cmt.items()))
         free_ppn = next(
-            flash.geometry.ppn_of(b.index, b.write_ptr)
-            for b in flash.blocks if b.free_count
+            flash.geometry.ppn_of(pbn, write_ptr)
+            for pbn, write_ptr in enumerate(flash.write_ptr)
+            if write_ptr < flash.geometry.pages_per_block
         )
         entry.ppn = free_ppn  # points at a FREE page now
         report = audit_ftl(ftl)
@@ -498,20 +499,13 @@ class TestLazyFTLAudit:
     def test_umt_entry_outside_staging_area(self):
         _, ftl = self.make_lazy()
         staging = set(ftl.uba_blocks) | set(ftl.cba_blocks)
-        geometry = ftl.flash.geometry
-        victim = None
-        for block in ftl.flash.blocks:
-            if block.index in staging:
-                continue
-            for offset in block.valid_offsets():
-                oob = block.oob(offset)
-                if oob is not None and oob.kind.value == "data":
-                    victim = (oob.lpn, geometry.ppn_of(block.index, offset))
-                    break
-            if victim:
-                break
-        assert victim is not None
-        lpn, ppn = victim
+        flash = ftl.flash
+        lpn, ppn = next(
+            (flash.page_oob[ppn].lpn, ppn)
+            for pbn in range(flash.geometry.num_blocks) if pbn not in staging
+            for ppn in flash.valid_ppns(pbn)
+            if flash.page_oob[ppn].kind.value == "data"
+        )
         ftl.umt.set(lpn, ppn)  # UMT entry pointing outside UBA/CBA
         report = audit_ftl(ftl)
         assert any(v.kind is ViolationKind.UMT_INCONSISTENT

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.flash import FlashGeometry, NandFlash, UNIT_TIMING
+from repro.flash import FlashGeometry, NandFlash, PageState, UNIT_TIMING
 from repro.ftl.pool import OutOfBlocksError
 from repro.ftl.pure_page import PageFTL
 
@@ -81,10 +81,9 @@ class TestPageFTLSpecifics:
         ftl = self.make()
         ftl.write(5, "a")
         ftl.write(5, "b")
+        flash = ftl.flash
         valid_for_5 = [
-            (b.index, o)
-            for b in ftl.flash.blocks
-            for o in b.valid_offsets()
-            if b.oob(o) is not None and b.oob(o).lpn == 5
+            ppn for ppn, oob in enumerate(flash.page_oob)
+            if flash.page_states[ppn] == PageState.VALID and oob.lpn == 5
         ]
         assert len(valid_for_5) == 1

@@ -25,7 +25,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core import LazyConfig
-from repro.flash import UNIT_TIMING, FlashGeometry, NandFlash
+from repro.flash import UNIT_TIMING, FlashGeometry, NandFlash, PageState
 from repro.ftl import FtlStats
 from repro.ftl.gc_policy import (
     GarbageCollector,
@@ -197,7 +197,7 @@ class VictimIndexMachine(RuleBasedStateMachine):
 
     @rule(ppn=st.integers(0, BLOCKS * PAGES - 1))
     def invalidate(self, ppn):
-        if self.flash.block(ppn // PAGES).is_valid(ppn % PAGES):
+        if self.flash.page_states[ppn] == PageState.VALID:
             self.flash.invalidate_page(ppn)
 
     @rule(pbn=st.integers(0, BLOCKS - 1), which=st.integers(0, 1))
