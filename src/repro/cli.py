@@ -41,7 +41,7 @@ from .checks.crashmc import (
     shrink,
 )
 from .flash.geometry import parse_parallelism
-from .obs import JsonlSink, Tracer
+from .obs import JsonlSink, OpLatencyRecorder, Tracer
 from .perf.sweep import SweepWorkerError
 from .sim import HEADLINE_DEVICE, SCHEMES, DeviceSpec, compare_schemes
 from .sim.report import format_table
@@ -153,6 +153,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     device = _device_from_args(args)
     trace = _trace_from_args(args, device)
     tracer = None
+    recorder = OpLatencyRecorder() if args.metrics else None
     if args.trace_out or args.metrics:
         try:
             sinks = [JsonlSink(args.trace_out)] if args.trace_out else []
@@ -160,7 +161,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             print(f"cannot open --trace-out {args.trace_out}: {exc}",
                   file=sys.stderr)
             return 2
-        tracer = Tracer(sinks=sinks)
+        tracer = Tracer(sinks=sinks, latency=recorder)
     if args.jobs > 1 and tracer is not None:
         print("--jobs > 1 cannot be combined with --trace-out/--metrics: "
               "the event stream cannot cross process boundaries",
@@ -201,14 +202,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if tracer is not None:
         print()
         print(format_attribution(tracer.attribution, schemes=args.schemes))
-    if args.metrics:
+    if recorder is not None:
         print("\nmetrics:")
-        snapshot = tracer.metrics.as_dict()
-        for name, value in sorted(snapshot["counters"].items()):
-            print(f"  {name:28s} {value}")
-        for name, hist in sorted(snapshot["histograms"].items()):
-            print(f"  {name:28s} n={hist['count']} "
-                  f"mean={hist['mean']:.1f} max={hist['max']:.1f}")
+        for scheme in args.schemes:
+            print(f"  {scheme}")
+            counts = tracer.attribution.counts.get(scheme, {})
+            for name, value in sorted(counts.items()):
+                print(f"    events.{name:21s} {value}")
+            summary = recorder.scheme_summary(scheme) or {"classes": {}}
+            for op_class, entry in summary["classes"].items():
+                print(f"    latency.{op_class:20s} n={entry['count']} "
+                      f"mean={entry['mean_us']:.1f} max={entry['max_us']:.1f}")
     if args.trace_out:
         print(f"\ntrace written to {args.trace_out}", file=sys.stderr)
     return 0
@@ -451,8 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="record every simulated event to a JSONL "
                               "trace (inspect with 'repro inspect-trace')")
     compare.add_argument("--metrics", action="store_true",
-                         help="print the tracing counters/histograms "
-                              "after the comparison table")
+                         help="print each scheme's event counts and "
+                              "per-op-class latency after the comparison "
+                              "table")
     compare.add_argument("--sanitize", action="store_true",
                          help="run under the flashsan NAND-semantics "
                               "sanitizer (validates every raw op and "

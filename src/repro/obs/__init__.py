@@ -6,12 +6,12 @@ The subsystem has five layers:
   :class:`TraceEvent`) and its JSONL record format;
 * **tracer** - the :class:`Tracer` threaded through the flash chip, the
   FTL schemes and the simulator; zero overhead when detached;
-* **sinks / metrics** - JSONL and ring-buffer sinks, the streaming
-  per-cause :class:`AttributionSink`, and counters/histograms in a
-  :class:`MetricsRegistry`;
-* **latency / series** - the per-op cause decomposition
-  (:class:`OpLatencyRecorder` over a :class:`MultiResHistogram`) and the
-  windowed time-series :class:`SeriesCollector`;
+* **sinks** - JSONL and ring-buffer sinks and the streaming per-cause
+  :class:`AttributionSink` (time by cause, event counts by type);
+* **metrics / latency / series** - :class:`LatencyDistribution`, the one
+  latency distribution (exact nearest-rank percentiles), the per-op
+  cause decomposition (:class:`OpLatencyRecorder`, one distribution per
+  op class) and the windowed time-series :class:`SeriesCollector`;
 * **report** - one :func:`collect_report` snapshot per run, rendered by
   :func:`render_report` or consumed as JSON (``repro report``).
 
@@ -40,8 +40,8 @@ from .events import (
     EventType,
     TraceEvent,
 )
-from .latency import BUCKETS, MultiResHistogram, OpLatencyRecorder, bucket_of
-from .metrics import Counter, MetricsRegistry, StreamingHistogram
+from .latency import BUCKETS, OpLatencyRecorder, bucket_of
+from .metrics import LatencyDistribution
 from .report import (
     SNAPSHOT_SCHEMA,
     build_snapshot,
@@ -65,12 +65,9 @@ __all__ = [
     "EventType",
     "TraceEvent",
     "BUCKETS",
-    "MultiResHistogram",
     "OpLatencyRecorder",
     "bucket_of",
-    "Counter",
-    "MetricsRegistry",
-    "StreamingHistogram",
+    "LatencyDistribution",
     "SNAPSHOT_SCHEMA",
     "build_snapshot",
     "collect_report",

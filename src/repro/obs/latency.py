@@ -8,7 +8,7 @@ reads; under LazyFTL it should be at most one GC pass plus a batched
 commit.  The :class:`OpLatencyRecorder` splits every logical read / write
 / trim into *cause buckets* using the cause-tagged flash-op events the
 tracer already emits, and feeds each op's end-to-end service latency into
-an HDR-style :class:`MultiResHistogram` per op class, so exact-ish
+a :class:`~repro.obs.metrics.LatencyDistribution` per op class, so exact
 p50/p95/p99/p999 figures carry a per-cause breakdown.
 
 Accounting contract (the flashsan-checked invariant):
@@ -30,10 +30,10 @@ tracer's existing ``if ... is not None`` guards.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Dict, List, Optional, Tuple
 
 from .events import FLASH_OP_TYPES, Cause, EventType, TraceEvent
+from .metrics import LatencyDistribution
 
 #: Cause buckets of the per-op decomposition, in presentation order.
 #: ``queueing`` is per-request wait (outside the service invariant);
@@ -84,144 +84,6 @@ def bucket_of(event: TraceEvent) -> str:
     return "recovery"
 
 
-class MultiResHistogram:
-    """HDR-style multi-resolution histogram of non-negative latencies.
-
-    Each power-of-two range ("octave") is split into ``2**sub_bits``
-    linear sub-buckets (default 32), bounding the relative quantile error
-    by ``1 / 2**sub_bits`` (~3.1 %); sub-microsecond values get 32 linear
-    buckets across [0, 1).  Exact ``count`` / ``total`` / ``min`` /
-    ``max`` ride alongside, so single-sample and extreme quantiles are
-    exact.
-
-    Documented edge-case behaviour (regression-tested):
-
-    * quantiles on an **empty** histogram return ``0.0``;
-    * with a **single observation** every quantile returns exactly that
-      value (bucket midpoints are clamped to ``[min, max]``);
-    * finite samples above :attr:`max_trackable_us` land in one
-      **overflow bucket** (counted in :attr:`overflow`) and quantiles
-      falling there return the exact tracked ``max``;
-    * ``NaN`` and infinite samples raise ``ValueError`` - they would
-      otherwise corrupt every later query.
-    """
-
-    __slots__ = ("sub_bits", "_sub", "max_trackable_us", "count", "total",
-                 "overflow", "_min", "_max", "_buckets", "_overflow_index")
-
-    def __init__(self, sub_bits: int = 5,
-                 max_trackable_us: float = float(2 ** 30)):
-        if not 1 <= sub_bits <= 10:
-            raise ValueError("sub_bits must be in [1, 10]")
-        self.sub_bits = sub_bits
-        self._sub = 1 << sub_bits
-        self.max_trackable_us = max_trackable_us
-        self.count = 0
-        self.total = 0.0
-        self.overflow = 0
-        self._min = math.inf
-        self._max = 0.0
-        self._buckets: Dict[int, int] = {}
-        # One index past every representable octave.
-        self._overflow_index = self._sub * (64 + 1)
-
-    def add(self, value: float) -> None:
-        if math.isnan(value) or math.isinf(value):
-            raise ValueError(
-                f"latency sample must be finite, got {value!r}"
-            )
-        if value < 0:
-            raise ValueError("latency samples must be non-negative")
-        self.count += 1
-        self.total += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        index = self._index_of(value)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
-
-    def _index_of(self, value: float) -> int:
-        sub = self._sub
-        if value < 1.0:
-            return int(value * sub)
-        if value > self.max_trackable_us:
-            self.overflow += 1
-            return self._overflow_index
-        # value in [2**octave, 2**(octave+1)); frexp gives the octave
-        # without a log call: value = m * 2**e with m in [0.5, 1).
-        _, e = math.frexp(value)
-        octave = e - 1
-        position = int((value / (2.0 ** octave) - 1.0) * sub)
-        if position >= sub:  # guard the value == 2**(octave+1) fp edge
-            position = sub - 1
-        return sub + octave * sub + position
-
-    def _representative(self, index: int) -> float:
-        """Midpoint of a bucket, clamped to the exact observed range."""
-        sub = self._sub
-        if index >= self._overflow_index:
-            rep = self._max
-        elif index < sub:
-            rep = (index + 0.5) / sub
-        else:
-            octave = (index - sub) // sub
-            position = (index - sub) % sub
-            low = (2.0 ** octave) * (1.0 + position / sub)
-            high = (2.0 ** octave) * (1.0 + (position + 1) / sub)
-            rep = (low + high) / 2.0
-        return min(max(rep, self._min), self._max)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def min(self) -> float:
-        return self._min if self.count else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._max
-
-    def quantile(self, q: float) -> float:
-        """Approximate q-quantile (0 < q <= 1), nearest-rank over buckets.
-
-        Empty histogram: ``0.0``.  Single observation: that exact value.
-        """
-        if not 0 < q <= 1:
-            raise ValueError("q must be in (0, 1]")
-        if not self.count:
-            return 0.0
-        rank = math.ceil(q * self.count)
-        seen = 0
-        for index in sorted(self._buckets):
-            seen += self._buckets[index]
-            if seen >= rank:
-                return self._representative(index)
-        return self._max  # pragma: no cover - defensive
-
-    def percentile(self, q: float) -> float:
-        """Like :meth:`quantile` but on the (0, 100] scale."""
-        if not 0 < q <= 100:
-            raise ValueError("q must be in (0, 100]")
-        return self.quantile(q / 100.0)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean_us": self.mean,
-            "min_us": self.min,
-            "p50_us": self.quantile(0.5),
-            "p95_us": self.quantile(0.95),
-            "p99_us": self.quantile(0.99),
-            "p999_us": self.quantile(0.999),
-            "max_us": self.max,
-            "total_us": self.total,
-            "overflow": self.overflow,
-        }
-
-
 class _ClassAggregate:
     """Per-op-class accumulation: histogram + cause totals + worst ops."""
 
@@ -233,11 +95,11 @@ class _ClassAggregate:
     TOP_K = 12
 
     def __init__(self) -> None:
-        self.hist = MultiResHistogram()
+        self.hist = LatencyDistribution()
         self.by_cause: Dict[str, float] = {}
         self.unattributed_us = 0.0
         self.queue_us = 0.0
-        self.queue_hist = MultiResHistogram()
+        self.queue_hist = LatencyDistribution()
         # Total per-unit queueing observed during this class's host ops
         # on a multi-channel device (see Tracer.channel_wait); like
         # host queueing it sits outside the service decomposition.  The
@@ -272,15 +134,24 @@ class _ClassAggregate:
 
     def as_dict(self) -> Dict[str, object]:
         worst = sorted(self.slowest, key=lambda e: -e[0])
+        hist = self.hist
         return {
-            **self.hist.as_dict(),
+            "count": hist.count,
+            "mean_us": hist.mean,
+            "min_us": hist.min,
+            "p50_us": hist.percentile(50),
+            "p95_us": hist.percentile(95),
+            "p99_us": hist.percentile(99),
+            "p999_us": hist.percentile(99.9),
+            "max_us": hist.max,
+            "total_us": hist.total,
             "by_cause_us": {
                 b: round(v, 3) for b, v in sorted(self.by_cause.items())
             },
             "unattributed_us": round(self.unattributed_us, 3),
             "attributed_fraction": self.attributed_fraction(),
             "queueing_us": round(self.queue_us, 3),
-            "queueing_p99_us": self.queue_hist.quantile(0.99),
+            "queueing_p99_us": self.queue_hist.percentile(99),
             "channel_wait_us": round(self.channel_wait_us, 3),
             "slowest": [
                 {
@@ -313,7 +184,7 @@ class _SchemeLatency:
         #: command sat in its unit's queue while another unit was free);
         #: only ops that actually waited land here, so serial devices
         #: leave it empty.
-        self.channel_wait_hist = MultiResHistogram()
+        self.channel_wait_hist = LatencyDistribution()
         self.checked_ops = 0
         self.violations = 0
         self.max_residual_us = 0.0
@@ -499,8 +370,8 @@ class OpLatencyRecorder:
             "channel_wait": {
                 "samples": state.channel_wait_hist.count,
                 "total_us": round(state.channel_wait_hist.total, 3),
-                "p50_us": state.channel_wait_hist.quantile(0.5),
-                "p99_us": state.channel_wait_hist.quantile(0.99),
+                "p50_us": state.channel_wait_hist.percentile(50),
+                "p99_us": state.channel_wait_hist.percentile(99),
                 "outside_us": round(state.outside_channel_wait_us, 3),
             },
             "invariant": {

@@ -1,139 +1,219 @@
-"""Lightweight metrics primitives: counters and streaming histograms.
+"""The one latency distribution: exact samples, nearest-rank percentiles.
 
-These are deliberately dependency-free and O(1) per observation so the
-tracing-enabled path stays cheap.  The histogram is log2-bucketed (like
-the ones real storage stacks export): exact counts, approximate quantiles
-with one-bucket resolution - good enough to spot a bimodal latency
-profile, which is exactly what merge stalls produce.
+Samples accumulate into ``array('d')`` buffers: one machine double per
+sample instead of a boxed float object, which matters when every replayed
+request records into three distributions (overall + reads/writes) and a
+traced run records every host op's latency once more per op class.
+The simulator's response times (:mod:`repro.sim.metrics`) and the
+per-op latency decomposition (:mod:`repro.obs.latency`) both read their
+percentiles from here.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Tuple
+from array import array
+from typing import Any, Dict, List
+
+try:  # numpy accelerates the bulk paths; everything works without it
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the fallback tests
+    _np = None  # type: ignore[assignment]
 
 
-class Counter:
-    """A named monotonic counter."""
+class LatencyDistribution:
+    """Accumulates latency samples and answers summary queries.
 
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value})"
-
-
-class StreamingHistogram:
-    """Log2-bucketed histogram of non-negative samples.
-
-    Bucket ``i`` counts samples in ``(2**(i-1), 2**i]`` (bucket 0 counts
-    samples <= 1).  Tracks exact count/total/min/max alongside.
+    Keeps raw samples (traces in this reproduction are at most a few
+    hundred thousand requests), so percentiles are exact.
     """
 
-    __slots__ = ("name", "count", "total", "min", "max", "_buckets")
+    __slots__ = ("_samples", "_total", "_sorted", "_min", "_max",
+                 "sorts_performed")
 
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = 0.0
-        self._buckets: Dict[int, int] = {}
+    def __init__(self) -> None:
+        self._samples: "array[float]" = array("d")
+        self._total = 0.0
+        self._sorted = True
+        self._min = math.inf
+        self._max = 0.0
+        #: How many times the sample buffer was actually sorted; queries
+        #: between additions must not grow this (regression-tested).
+        self.sorts_performed = 0
 
     def add(self, value: float) -> None:
-        if math.isnan(value) or math.isinf(value):
-            # A NaN would land in an undefined bucket (math.ceil raises
-            # mid-update, after count/total were already bumped) and an
-            # infinity overflows log2 - reject both up front so the
-            # histogram can never be left half-updated.
+        if not math.isfinite(value):
+            # NaN slips past every comparison-based guard (NaN < 0 is
+            # False) and then poisons the sort memo and every percentile;
+            # infinities make mean/total meaningless.  Reject both.
             raise ValueError(
-                f"histogram samples must be finite, got {value!r}"
+                f"latency samples must be finite, got {value!r}"
             )
         if value < 0:
-            raise ValueError("histogram samples must be non-negative")
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        bucket = 0 if value <= 1.0 else math.ceil(math.log2(value))
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
+            raise ValueError("latency samples must be non-negative")
+        samples = self._samples
+        if samples and value < samples[-1]:
+            self._sorted = False
+        samples.append(value)
+        self._total += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
+
+    def add_many(self, values: Any) -> None:
+        """Bulk :meth:`add`: one epoch's samples in one call.
+
+        Bit-identical to adding each value in order - the running total
+        accumulates strictly sequentially (``np.add.accumulate``, never
+        the pairwise ``np.add.reduce``), min/max/sortedness update to the
+        same results, and validation still rejects non-finite or negative
+        samples before any state changes.  Accepts a numpy array (the
+        vectorized path) or any float sequence (pure-Python path), so the
+        batch engine's fallback backend exercises no numpy at all.
+        """
+        if len(values) == 0:
+            return
+        if _np is not None and isinstance(values, _np.ndarray):
+            if values.dtype != _np.float64:
+                values = values.astype(_np.float64)
+            if not bool(_np.isfinite(values).all()):
+                raise ValueError("latency samples must be finite")
+            if bool((values < 0).any()):
+                raise ValueError("latency samples must be non-negative")
+        else:
+            isfinite = math.isfinite
+            for value in values:  # validate before mutating anything
+                if not isfinite(value):
+                    raise ValueError(
+                        f"latency samples must be finite, got {value!r}"
+                    )
+                if value < 0:
+                    raise ValueError("latency samples must be non-negative")
+        self._extend_unchecked(values)
+
+    def _extend_unchecked(self, values: Any) -> None:
+        """The mutation half of :meth:`add_many`, without validation.
+
+        Internal: callers (``add_many`` and
+        :meth:`~repro.sim.metrics.ResponseStats.record_many`) have already
+        established every value is finite and non-negative, so the batch
+        is applied without re-walking it - ``record_many`` would otherwise
+        validate each response up to three times (overall + per-type
+        distributions).
+        """
+        n = len(values)
+        samples = self._samples
+        if _np is not None and isinstance(values, _np.ndarray):
+            if self._sorted:
+                if (samples and values[0] < samples[-1]) or (
+                    n > 1 and bool((values[1:] < values[:-1]).any())
+                ):
+                    self._sorted = False
+            acc = _np.empty(n + 1)
+            acc[0] = self._total
+            acc[1:] = values
+            _np.add.accumulate(acc, out=acc)
+            self._total = float(acc[n])
+            lo = float(values.min())
+            hi = float(values.max())
+            if lo < self._min:
+                self._min = lo
+            if hi > self._max:
+                self._max = hi
+            samples.frombytes(
+                values.tobytes() if values.flags["C_CONTIGUOUS"]
+                else _np.ascontiguousarray(values).tobytes()
+            )
+            return
+        total = self._total
+        lo = self._min
+        hi = self._max
+        is_sorted = self._sorted
+        last = samples[-1] if samples else None
+        append = samples.append
+        for value in values:
+            if is_sorted and last is not None and value < last:
+                is_sorted = False
+            last = value
+            append(value)
+            total += value
+            if value < lo:
+                lo = value
+            if value > hi:
+                hi = value
+        self._total = total
+        self._min = lo
+        self._max = hi
+        self._sorted = is_sorted
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    @property
+    def count(self) -> int:
+        return len(self._samples)
+
+    @property
+    def total(self) -> float:
+        return self._total
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        return self._total / len(self._samples) if self._samples else 0.0
 
-    def buckets(self) -> List[Tuple[float, int]]:
-        """Sorted ``(upper_bound, count)`` pairs of non-empty buckets."""
-        return [(2.0 ** b, self._buckets[b]) for b in sorted(self._buckets)]
+    @property
+    def max(self) -> float:
+        return self._max if self._samples else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Approximate q-quantile (0 < q <= 1): its bucket's upper bound.
+    @property
+    def min(self) -> float:
+        return self._min if self._samples else 0.0
 
-        Documented edge cases: an **empty** histogram returns ``0.0`` for
-        every q; a **single observation** returns exactly that value
-        (the upper bound is clamped to the tracked ``max``); quantiles
-        landing in the top bucket never exceed ``max``.
+    def percentile(self, q: float) -> float:
+        """Exact q-quantile (0 < q <= 100), nearest-rank method.
+
+        Documented edge cases: an **empty** distribution returns ``0.0``
+        for every q; a **single sample** returns exactly that sample.
         """
-        if not 0 < q <= 1:
-            raise ValueError("q must be in (0, 1]")
-        if not self.count:
+        if not 0 < q <= 100:
+            raise ValueError("q must be in (0, 100]")
+        if not self._samples:
             return 0.0
-        rank = math.ceil(q * self.count)
-        seen = 0
-        for upper, n in self.buckets():
-            seen += n
-            if seen >= rank:
-                return min(upper, self.max)
-        return self.max  # pragma: no cover - defensive
+        self._ensure_sorted()
+        rank = max(1, math.ceil(q / 100.0 * len(self._samples)))
+        return self._samples[rank - 1]
 
-    def as_dict(self) -> Dict[str, object]:
+    def cdf_points(self, resolution: int = 100) -> List[tuple]:
+        """(latency, cumulative fraction) pairs for CDF plots (E6)."""
+        if not self._samples:
+            return []
+        self._ensure_sorted()
+        n = len(self._samples)
+        points = []
+        for i in range(1, resolution + 1):
+            idx = max(0, math.ceil(i / resolution * n) - 1)
+            points.append((self._samples[idx], i / resolution))
+        return points
+
+    def summary(self) -> Dict[str, float]:
+        """Mean / tail figures used by every benchmark report."""
         return {
             "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min if self.count else 0.0,
-            "max": self.max,
-            "p50": self.quantile(0.5),
-            "p99": self.quantile(0.99),
-            "buckets": self.buckets(),
+            "mean_us": self.mean,
+            "p50_us": self.percentile(50),
+            "p95_us": self.percentile(95),
+            "p99_us": self.percentile(99),
+            "p999_us": self.percentile(99.9) if self.count >= 1000
+            else self.percentile(99),
+            "max_us": self.max,
         }
 
-
-class MetricsRegistry:
-    """Name -> Counter/StreamingHistogram registry owned by a Tracer."""
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, StreamingHistogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter(name)
-        return counter
-
-    def histogram(self, name: str) -> StreamingHistogram:
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = StreamingHistogram(name)
-        return histogram
-
-    def counters(self) -> Iterator[Counter]:
-        return iter(sorted(self._counters.values(), key=lambda c: c.name))
-
-    def histograms(self) -> Iterator[StreamingHistogram]:
-        return iter(sorted(self._histograms.values(), key=lambda h: h.name))
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "counters": {c.name: c.value for c in self.counters()},
-            "histograms": {h.name: h.as_dict() for h in self.histograms()},
-        }
+    def _ensure_sorted(self) -> None:
+        """Sort once, memoize: repeated percentile/CDF queries between
+        additions reuse the sorted buffer instead of re-sorting."""
+        if not self._sorted:
+            # array('d') has no in-place sort; round-trip through a list.
+            self._samples = array("d", sorted(self._samples))
+            self._sorted = True
+            self.sorts_performed += 1

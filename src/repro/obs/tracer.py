@@ -19,9 +19,9 @@ When attached, the tracer:
 * tracks **spans** (GCStart/GCEnd, MergeStart/MergeEnd, conversions) and
   computes their simulated duration;
 * fans every event out to the configured sinks, to the built-in
-  :class:`~repro.obs.sinks.AttributionSink`, and into the
-  :class:`~repro.obs.metrics.MetricsRegistry` (per-type counters plus
-  latency histograms for flash ops and host ops).
+  :class:`~repro.obs.sinks.AttributionSink` (per-cause time and per-type
+  event counts) and, when attached, to an
+  :class:`~repro.obs.latency.OpLatencyRecorder`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
 
 from .events import Cause, EventType, TraceEvent
-from .metrics import MetricsRegistry
 from .sinks import AttributionSink, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,9 +41,7 @@ class Tracer:
 
     Args:
         sinks: Extra sinks (JSONL writer, ring buffer, time-series
-            collector, ...).  The attribution aggregator and metrics
-            registry are built in.
-        metrics: Optional externally-owned registry to record into.
+            collector, ...).  The attribution aggregator is built in.
         latency: Optional :class:`~repro.obs.latency.OpLatencyRecorder`;
             when attached, every event is folded into the per-op cause
             decomposition and the simulator's fences / queue delays are
@@ -54,7 +51,6 @@ class Tracer:
     def __init__(
         self,
         sinks: Iterable[TraceSink] = (),
-        metrics: Optional[MetricsRegistry] = None,
         latency: Optional["OpLatencyRecorder"] = None,
     ):
         self.sinks: List[TraceSink] = list(sinks)
@@ -65,7 +61,6 @@ class Tracer:
         self._wait_sinks = [
             sink for sink in self.sinks if hasattr(sink, "channel_wait")
         ]
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.attribution = AttributionSink()
         self.latency = latency
         self.clock = 0.0
@@ -151,7 +146,6 @@ class Tracer:
         self.attribution.emit(event)
         if self.latency is not None:
             self.latency.observe(event)
-        self.metrics.counter(f"events.{type.value}").inc()
         for sink in self.sinks:
             sink.emit(event)
 
@@ -169,7 +163,6 @@ class Tracer:
         """
         if self.enabled:
             self.emit(type, lpn=lpn, ppn=ppn, dur_us=dur_us)
-            self.metrics.histogram(f"flash.{type.value}_us").add(dur_us)
         self.clock += dur_us
 
     def host_op(self, is_write: bool, lpn: int, dur_us: float) -> None:
@@ -178,14 +171,12 @@ class Tracer:
             return
         type = EventType.HOST_WRITE if is_write else EventType.HOST_READ
         self.emit(type, lpn=lpn, dur_us=dur_us)
-        self.metrics.histogram(f"host.{type.value}_us").add(dur_us)
 
     def host_trim(self, lpn: int, dur_us: float = 0.0) -> None:
         """Record a completed page-granular host discard/trim."""
         if not self.enabled:
             return
         self.emit(EventType.HOST_TRIM, lpn=lpn, dur_us=dur_us)
-        self.metrics.histogram("host.HostTrim_us").add(dur_us)
 
     def op_fence(self) -> None:
         """Mark subsequent flash time as belonging to no host op.

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _device_from_args, _trace_from_args, build_parser, main
+from repro.obs import Tracer
+from repro.sim import compare_schemes
 
 
 SMALL_DEVICE = [
@@ -131,8 +133,33 @@ class TestTracingCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "metrics:" in out
+        assert "\n  LazyFTL\n" in out
         assert "events.HostWrite" in out
-        assert "flash.PageProgram_us" in out
+        assert "latency.write" in out and "latency.overall" in out
+
+    def test_compare_metrics_are_per_scheme(self, capsys):
+        """Each scheme's printed event counts are its own run's, not the
+        sum over every scheme of the comparison."""
+        argv = ["compare", "--trace", "random", "--requests", "200",
+                "--schemes", "LazyFTL", "DFTL", "--metrics", *SMALL_DEVICE]
+        assert main(argv) == 0
+        printed, scheme = {}, None
+        for line in capsys.readouterr().out.split("metrics:")[-1].splitlines():
+            if line.strip() in ("LazyFTL", "DFTL"):
+                scheme = line.strip()
+            elif line.strip().startswith("events.HostWrite "):
+                printed[scheme] = int(line.split()[-1])
+
+        args = build_parser().parse_args(argv)
+        device = _device_from_args(args)
+        results = compare_schemes(
+            _trace_from_args(args, device), schemes=("LazyFTL", "DFTL"),
+            device=device, tracer=Tracer(),
+        )
+        assert printed == {
+            s: results[s].attribution["events"]["HostWrite"]
+            for s in ("LazyFTL", "DFTL")
+        }
 
     def test_inspect_trace_empty(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -1,75 +1,21 @@
-"""Edge-case regression tests for the two histogram primitives the
-reports are built on: ``StreamingHistogram`` (log2-bucketed, tracer
-metrics) and ``LatencyDistribution`` (exact, simulator responses).
+"""Edge-case regression tests for ``LatencyDistribution``, the one latency
+distribution every report is built on (simulator responses and the
+per-op latency decomposition alike).
 
 Pinned behaviours: NaN / infinity / negative samples are rejected
-*before* any internal state mutates (no half-updated histograms), an
-empty distribution answers 0.0 for every quantile, a single observation
-is reported exactly, and top-bucket quantiles never exceed the tracked
-maximum."""
+*before* any internal state mutates (no half-updated distributions), an
+empty distribution answers 0.0 for every quantile, and a single
+observation is reported exactly."""
 
 import math
 
 import pytest
 
-from repro.obs.metrics import StreamingHistogram
-from repro.sim.metrics import LatencyDistribution
+from repro.obs.metrics import LatencyDistribution
 
 pytestmark = pytest.mark.obs
 
 BAD_SAMPLES = (float("nan"), float("inf"), -float("inf"), -1.0, -1e-12)
-
-
-class TestStreamingHistogram:
-    def test_empty_is_all_zero(self):
-        hist = StreamingHistogram("t")
-        assert hist.quantile(0.5) == 0.0
-        assert hist.quantile(1.0) == 0.0
-        assert hist.mean == 0.0
-        assert hist.as_dict()["min"] == 0.0
-        assert hist.buckets() == []
-
-    def test_single_observation_is_exact(self):
-        hist = StreamingHistogram("t")
-        hist.add(37.5)
-        # 37.5 lands in the (32, 64] bucket; the quantile clamps the
-        # bucket's upper bound to the tracked max, so it is exact.
-        for q in (0.001, 0.5, 1.0):
-            assert hist.quantile(q) == 37.5
-
-    def test_top_bucket_quantile_clamped_to_max(self):
-        hist = StreamingHistogram("t")
-        hist.add(1.0)
-        hist.add(1000.0)  # bucket upper bound is 1024
-        assert hist.quantile(1.0) == 1000.0
-
-    @pytest.mark.parametrize("bad", BAD_SAMPLES)
-    def test_rejects_bad_samples_without_partial_state(self, bad):
-        hist = StreamingHistogram("t")
-        hist.add(5.0)
-        with pytest.raises(ValueError):
-            hist.add(bad)
-        # The rejected sample must not have touched any accumulator.
-        assert hist.count == 1
-        assert hist.total == 5.0
-        assert hist.min == 5.0
-        assert hist.max == 5.0
-        assert sum(n for _, n in hist.buckets()) == 1
-
-    def test_zero_and_subunit_samples_share_bucket_zero(self):
-        hist = StreamingHistogram("t")
-        hist.add(0.0)
-        hist.add(0.5)
-        hist.add(1.0)
-        assert hist.buckets() == [(1.0, 3)]
-        assert hist.min == 0.0
-
-    def test_quantile_domain(self):
-        hist = StreamingHistogram("t")
-        with pytest.raises(ValueError):
-            hist.quantile(0.0)
-        with pytest.raises(ValueError):
-            hist.quantile(1.1)
 
 
 class TestLatencyDistribution:

@@ -1,6 +1,6 @@
-"""Unit tests for the per-op latency decomposition layer: the
-multi-resolution histogram, cause bucketing, and the OpLatencyRecorder
-invariant (sum of parts == whole) including fencing and queueing."""
+"""Unit tests for the per-op latency decomposition layer: cause
+bucketing, the OpLatencyRecorder invariant (sum of parts == whole)
+including fencing and queueing, and its exact quantiles."""
 
 import math
 
@@ -9,7 +9,6 @@ import pytest
 from repro.obs import Cause, EventType, TraceEvent
 from repro.obs.latency import (
     BUCKETS,
-    MultiResHistogram,
     OpLatencyRecorder,
     bucket_of,
 )
@@ -25,74 +24,6 @@ def _flash(type, cause, dur, scheme="X", ppn=0):
 def _host(type, dur, scheme="X"):
     return TraceEvent(type=type, ts=0.0, scheme=scheme, cause=Cause.HOST,
                       lpn=0, dur_us=dur)
-
-
-class TestMultiResHistogram:
-    def test_empty_quantiles_are_zero(self):
-        hist = MultiResHistogram()
-        assert hist.quantile(0.5) == 0.0
-        assert hist.quantile(1.0) == 0.0
-        assert hist.count == 0
-        assert hist.min == 0.0
-        assert hist.max == 0.0
-
-    def test_single_observation_is_exact_everywhere(self):
-        hist = MultiResHistogram()
-        hist.add(1234.5)
-        for q in (0.001, 0.5, 0.99, 0.999, 1.0):
-            assert hist.quantile(q) == 1234.5
-        assert hist.mean == 1234.5
-
-    def test_quantile_relative_error_bound(self):
-        hist = MultiResHistogram()
-        values = [float(v) for v in range(1, 20000, 7)]
-        for v in values:
-            hist.add(v)
-        values.sort()
-        for q in (0.5, 0.9, 0.99, 0.999):
-            exact = values[math.ceil(q * len(values)) - 1]
-            approx = hist.quantile(q)
-            assert abs(approx - exact) / exact < 1.0 / 32 + 1e-9
-
-    def test_sub_microsecond_resolution(self):
-        hist = MultiResHistogram()
-        for v in (0.1, 0.2, 0.9):
-            hist.add(v)
-        assert hist.quantile(0.5) == pytest.approx(0.2, abs=1.0 / 32)
-
-    def test_overflow_bucket(self):
-        hist = MultiResHistogram(max_trackable_us=1000.0)
-        hist.add(5.0)
-        hist.add(999999.0)
-        assert hist.overflow == 1
-        # The overflow quantile reports the exact tracked max.
-        assert hist.quantile(1.0) == 999999.0
-        assert hist.as_dict()["overflow"] == 1
-
-    def test_rejects_nan_and_inf(self):
-        hist = MultiResHistogram()
-        for bad in (float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValueError):
-                hist.add(bad)
-        with pytest.raises(ValueError):
-            hist.add(-1.0)
-        assert hist.count == 0  # rejected samples left no partial state
-
-    def test_quantile_domain_checked(self):
-        hist = MultiResHistogram()
-        with pytest.raises(ValueError):
-            hist.quantile(0.0)
-        with pytest.raises(ValueError):
-            hist.quantile(1.5)
-        with pytest.raises(ValueError):
-            hist.percentile(0.0)
-
-    def test_power_of_two_boundary(self):
-        hist = MultiResHistogram()
-        for v in (1.0, 2.0, 4.0, 1024.0, 2.0 ** 30):
-            hist.add(v)  # exact octave boundaries must not misindex
-        assert hist.count == 5
-        assert hist.quantile(1.0) == 2.0 ** 30
 
 
 class TestBucketOf:
@@ -236,3 +167,19 @@ class TestOpLatencyRecorder:
         rec.observe(_host(EventType.HOST_READ, 0.0, scheme="A"))
         rec.observe(_host(EventType.HOST_READ, 0.0, scheme="B"))
         assert sorted(rec.as_dict()) == ["A", "B"]
+
+    def test_quantiles_are_exact_nearest_rank(self):
+        """A device whose page program takes exactly 200 us must report a
+        200.0 median write, not the midpoint of a histogram bucket."""
+        durations = [200.0] * 700 + [225.0 + 37.0 * i for i in range(301)]
+        durations = durations[1::2] + durations[::2]  # not in sorted order
+        rec = OpLatencyRecorder()
+        for dur in durations:
+            rec.observe(_host(EventType.HOST_WRITE, dur))
+        write = rec.scheme_summary("X")["classes"]["write"]
+        ranked = sorted(durations)
+        for key, q in (("p50_us", 0.5), ("p99_us", 0.99),
+                       ("p999_us", 0.999)):
+            assert write[key] == ranked[math.ceil(q * len(ranked)) - 1], key
+        assert write["p50_us"] == 200.0
+        assert "overflow" not in write

@@ -11,9 +11,7 @@ from repro.obs import (
     Cause,
     EventType,
     JsonlSink,
-    MetricsRegistry,
     RingBufferSink,
-    StreamingHistogram,
     TraceEvent,
     Tracer,
 )
@@ -137,11 +135,13 @@ class TestTracerEmission:
         tracer.host_op(True, lpn=1, dur_us=200.0)
         tracer.host_op(False, lpn=2, dur_us=25.0)
         tracer.flash_op(EventType.PAGE_READ, ppn=0, dur_us=25.0)
-        snapshot = tracer.metrics.as_dict()
-        assert snapshot["counters"]["events.HostWrite"] == 1
-        assert snapshot["counters"]["events.HostRead"] == 1
-        assert snapshot["histograms"]["flash.PageRead_us"]["count"] == 1
-        assert snapshot["histograms"]["host.HostWrite_us"]["mean"] == 200.0
+        tracer.begin_run("Y")
+        tracer.host_op(True, lpn=1, dur_us=200.0)
+        assert tracer.attribution.counts == {
+            "X": {"HostWrite": 1, "HostRead": 1, "PageRead": 1},
+            "Y": {"HostWrite": 1},
+        }
+        assert tracer.attribution.time_by_cause == {"X": {"host": 25.0}}
 
 
 class TestJsonlSink:
@@ -186,33 +186,3 @@ class TestRingBufferSink:
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             RingBufferSink(capacity=0)
-
-
-class TestStreamingHistogram:
-    def test_buckets_power_of_two(self):
-        h = StreamingHistogram("t")
-        for v in (0.5, 1.0, 2.0, 3.0, 1000.0):
-            h.add(v)
-        uppers = dict(h.buckets())
-        assert uppers[1.0] == 2   # 0.5 and 1.0
-        assert uppers[2.0] == 1
-        assert uppers[4.0] == 1   # 3.0 rounds up to the 4-bucket
-        assert uppers[1024.0] == 1
-        assert h.count == 5
-        assert h.max == 1000.0
-
-    def test_quantile_clamped_to_max(self):
-        h = StreamingHistogram("t")
-        h.add(1000.0)  # falls in the (512, 1024] bucket
-        assert h.quantile(1.0) == 1000.0  # not 1024
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingHistogram("t").add(-1.0)
-
-    def test_registry_reuses_instruments(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc(2)
-        registry.counter("a").inc(3)
-        assert registry.as_dict()["counters"]["a"] == 5
-        assert registry.histogram("h") is registry.histogram("h")
