@@ -20,20 +20,45 @@ committed snapshots (``tests/golden/engine_stats*.json``) and
 exactly the committed numbers.  Floats survive the JSON round-trip
 losslessly (``repr`` round-trips IEEE-754 doubles), so ``==`` on the
 loaded digest is a bit-exact comparison.
+
+:func:`collect_trace_digests` pins the workloads themselves
+(``tests/golden/trace_digests.json``): a hash of every generator's,
+parser's, join's and slice's columns, so a change to how a trace is held
+cannot move a request unnoticed.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Sequence
+import os
+import random
+import tempfile
+from typing import Dict, List, Optional, Sequence
 
 from ..obs.events import TraceEvent
 from ..obs.latency import OpLatencyRecorder
 from ..obs.sinks import TraceSink
 from ..obs.tracer import Tracer
-from ..traces.model import Trace, merge_traces
-from ..traces.synthetic import hot_cold, mixed, sequential, uniform_random
-from ..traces.websearch import websearch
+from ..traces import (
+    IORequest,
+    OpType,
+    Trace,
+    financial1,
+    financial2,
+    hot_cold,
+    load_trace,
+    merge_traces,
+    mixed,
+    parse_msr,
+    parse_spc,
+    save_trace,
+    sequential,
+    tpcc,
+    uniform_random,
+    warmup_fill,
+    websearch,
+    zipf,
+)
 from .factory import SCHEMES
 from .runner import DeviceSpec, run_scheme
 from .simulator import SimulationResult
@@ -238,3 +263,116 @@ def collect_golden_digests_merges(
     pins every merge kind, and where its span opens and closes."""
     name = golden_merges_trace().name
     return {f"{scheme}/{name}": merges_digest(scheme) for scheme in schemes}
+
+
+#: The parser tests' SPC and MSR lines (``tests/test_traces_spc.py``,
+#: ``tests/test_traces_msr.py``), parsed for the trace digests.
+SPC_LINES = (
+    "# Financial-style header",
+    "0,0,2048,W,0.000",
+    "0,8,2048,W,0.001",
+    "0,0,2048,R,0.002",
+    "",
+    "1,0,4096,R,0.003",
+)
+MSR_LINES = (
+    "Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime",
+    "128166372003061629,src1,0,Write,0,4096,100",
+    "128166372003071629,src1,0,Write,8192,4096,100",
+    "128166372003081629,src1,0,Read,0,4096,100",
+    "128166372003091629,src1,1,Read,0,2048,100",
+)
+
+
+def trace_digest(trace: Trace) -> str:
+    """SHA-256 over a trace's name and each column's bytes (``None`` for
+    the arrivals of a closed-loop trace)."""
+    sha = hashlib.sha256(trace.name.encode("utf-8"))
+    cols = trace.to_columnar()
+    for column in (cols.ops, cols.lpns, cols.npages, cols.arrivals):
+        sha.update(b"None" if column is None else column.tobytes())
+    return sha.hexdigest()
+
+
+def _open_loop(n: int, seed: int, name: str) -> Trace:
+    """Timestamped multi-page requests on a coarse clock (equal arrivals
+    within and across traces exercise the merge's tie-break)."""
+    rng = random.Random(seed)
+    return Trace([
+        IORequest(OpType.WRITE if rng.random() < 0.6 else OpType.READ,
+                  rng.randrange(500), 1 + rng.randrange(4),
+                  arrival_us=float(rng.randrange(40)))
+        for _ in range(n)
+    ], name=name)
+
+
+def golden_trace_set() -> List[Trace]:
+    """Every generator at two parameter sets (the second with multi-page
+    requests where the generator takes a size), both parsers, joins of
+    closed-, open- and mixed-loop traces, and slices."""
+    fp = 1000
+    spc = parse_spc(SPC_LINES)
+    msr = parse_msr(MSR_LINES)
+    opened = [_open_loop(60, seed, f"open-{seed}") for seed in (1, 2)]
+    part_open = Trace([
+        IORequest(OpType.WRITE, 3, 1, arrival_us=5.0),
+        IORequest(OpType.READ, 7, 2),
+        IORequest(OpType.WRITE, 1, 1, arrival_us=2.5),
+    ], name="part-open")
+    random4 = uniform_random(300, fp, max_request_pages=4, seed=2,
+                             name="random-4")
+    return [
+        uniform_random(300, fp, write_ratio=0.7, seed=1),
+        random4,
+        sequential(300, fp, seed=1),
+        sequential(300, 999, write_ratio=0.5, request_pages=4, seed=2,
+                   name="sequential-4"),
+        hot_cold(300, fp, seed=1),
+        hot_cold(300, fp, write_ratio=0.6, hot_fraction=0.1,
+                 hot_probability=0.9, max_request_pages=4, seed=2,
+                 name="hot-cold-4"),
+        zipf(300, fp, seed=1),
+        zipf(300, fp, write_ratio=0.5, theta=0.6, max_request_pages=4,
+             seed=2, name="zipf-4"),
+        mixed(300, fp, seed=1),
+        mixed(300, fp, sequential_fraction=0.2, write_ratio=0.4, seed=2,
+              name="mixed-2"),
+        warmup_fill(fp),
+        warmup_fill(999, request_pages=4, name="warmup-fill-4"),
+        financial1(300, fp, seed=1),
+        financial1(300, 4096, seed=2, write_ratio=0.5, name="financial1-2"),
+        financial2(300, fp, seed=1),
+        financial2(300, 4096, seed=2, write_ratio=0.3, name="financial2-2"),
+        websearch(300, fp, seed=1),
+        websearch(300, 4096, seed=2, write_ratio=0.2, theta=0.5,
+                  name="websearch-2"),
+        tpcc(300, fp, seed=1),
+        tpcc(300, 4096, seed=2, name="tpcc-2"),
+        spc,
+        parse_spc(SPC_LINES, compact=False, name="spc-sparse"),
+        msr,
+        parse_msr(MSR_LINES, compact=False, rebase_time=False,
+                  name="msr-sparse"),
+        merge_traces(opened, name="merged-open"),
+        merge_traces([opened[0], spc, msr], name="merged-parsed"),
+        merge_traces([opened[1], random4, part_open], name="merged-mixed"),
+        merge_traces([random4, warmup_fill(fp)], name="merged-closed"),
+        random4.slice(50, 120),
+        opened[0].slice(10, 40),
+        part_open.slice(1, 3),
+    ]
+
+
+def collect_trace_digests() -> Dict[str, str]:
+    """``trace name -> trace_digest`` for :func:`golden_trace_set`, and
+    ``load:<name>`` for a :func:`save_trace` -> :func:`load_trace` round
+    trip of each join."""
+    traces = golden_trace_set()
+    digests = {trace.name: trace_digest(trace) for trace in traces}
+    with tempfile.TemporaryDirectory(prefix="trace-digests-") as tmp:
+        for trace in traces:
+            if trace.name.startswith("merged-"):
+                path = os.path.join(tmp, f"{trace.name}.trace")
+                save_trace(trace, path)
+                digests[f"load:{trace.name}"] = trace_digest(load_trace(path))
+    return digests

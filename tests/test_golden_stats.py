@@ -30,6 +30,7 @@ from repro.sim.golden import (
     LOG_BLOCK_SCHEMES,
     STRIPED_SCHEMES,
     collect_golden_digests,
+    collect_trace_digests,
     engine_digest,
     golden_merges_trace,
     golden_multipage_trace,
@@ -52,6 +53,9 @@ GOLDEN_MULTIPAGE_PATH = (
 GOLDEN_MERGES_PATH = (
     pathlib.Path(__file__).resolve().parent / "golden"
     / "engine_stats_merges.json"
+)
+TRACE_DIGESTS_PATH = (
+    pathlib.Path(__file__).resolve().parent / "golden" / "trace_digests.json"
 )
 
 
@@ -236,6 +240,13 @@ def test_merges_stats_bit_identical(golden_merges, scheme, gate):
         assert live == committed, f"{scheme} [{gate}]"
     finally:
         batch.set_backend("auto")
+
+
+def test_trace_digests_unchanged():
+    """Every generator, parser, join, slice and save/load round trip still
+    yields the committed columns, byte for byte."""
+    assert collect_trace_digests() == \
+        json.loads(TRACE_DIGESTS_PATH.read_text())
 
 
 def test_collector_key_shape(golden):

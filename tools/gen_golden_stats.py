@@ -5,7 +5,8 @@ Runs the canonical golden workload (see :mod:`repro.sim.golden`) through
 every FTL scheme and writes the digests to
 ``tests/golden/engine_stats.json`` (and the 4-channel, multi-page and
 merge workloads to ``engine_stats_4ch.json`` /
-``engine_stats_multipage.json`` / ``engine_stats_merges.json``).
+``engine_stats_multipage.json`` / ``engine_stats_merges.json``, and the
+hashes of the workloads' columns to ``trace_digests.json``).
 ``tests/test_golden_stats.py``
 compares the live engine against this file bit-for-bit, so regenerate it
 ONLY when a behaviour change is intentional and understood - never to
@@ -43,6 +44,7 @@ from repro.sim.golden import (  # noqa: E402
     collect_golden_digests_4ch,
     collect_golden_digests_merges,
     collect_golden_digests_multipage,
+    collect_trace_digests,
 )
 
 _GOLDEN_DIR = _REPO_ROOT / "tests" / "golden"
@@ -50,13 +52,15 @@ _GOLDEN_DIR = _REPO_ROOT / "tests" / "golden"
 #: set (its test asserts key-set equality, so adding digests there would
 #: break the seed gate), the 4-channel one pins the striped/overlapped
 #: engine for the schemes that opt in, the multi-page one the host run ops,
-#: the merge one the switch / partial merges and the merge spans.
+#: the merge one the switch / partial merges and the merge spans.  The
+#: fifth holds no statistics: it hashes the workloads' columns.
 SNAPSHOTS = (
     (_GOLDEN_DIR / "engine_stats.json", collect_golden_digests),
     (_GOLDEN_DIR / "engine_stats_4ch.json", collect_golden_digests_4ch),
     (_GOLDEN_DIR / "engine_stats_multipage.json",
      collect_golden_digests_multipage),
     (_GOLDEN_DIR / "engine_stats_merges.json", collect_golden_digests_merges),
+    (_GOLDEN_DIR / "trace_digests.json", collect_trace_digests),
 )
 
 
