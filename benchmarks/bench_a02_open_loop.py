@@ -10,7 +10,7 @@ response times.
 from repro.flash import FlashGeometry, NandFlash
 from repro.sim import Simulator, build_ftl
 from repro.sim.report import format_series
-from repro.traces import IORequest, Trace, uniform_random, warmup_fill
+from repro.traces import Trace, uniform_random, warmup_fill
 
 from conftest import emit
 
@@ -30,10 +30,9 @@ def run_experiment():
         ftl = build_ftl(scheme, flash, logical, **options)
         footprint = int(logical * 0.8)
         closed = uniform_random(N, footprint, seed=0)
-        trace = Trace(
-            [IORequest(r.op, r.lpn, r.npages,
-                       arrival_us=i * INTERARRIVAL_US)
-             for i, r in enumerate(closed)],
+        trace = Trace.from_columns(
+            closed.ops, closed.lpns, closed.npages,
+            [i * INTERARRIVAL_US for i in range(N)],
             name="random-open-loop",
         )
         sim = Simulator(ftl)

@@ -9,7 +9,7 @@ work done during gaps.
 from repro.flash import FlashGeometry, NandFlash
 from repro.sim import Simulator, build_ftl, default_lazy_config
 from repro.sim.report import format_table
-from repro.traces import IORequest, Trace, uniform_random, warmup_fill
+from repro.traces import Trace, merge_traces, uniform_random, warmup_fill
 
 from conftest import emit
 
@@ -26,16 +26,15 @@ def run_variant(background_gc):
     ftl = build_ftl("LazyFTL", flash, logical, config=config)
     footprint = int(logical * 0.85)
     closed = uniform_random(N, footprint, seed=0)
-    trace = Trace(
-        [IORequest(r.op, r.lpn, r.npages, arrival_us=i * INTERARRIVAL_US)
-         for i, r in enumerate(closed)],
+    trace = Trace.from_columns(
+        closed.ops, closed.lpns, closed.npages,
+        [i * INTERARRIVAL_US for i in range(N)],
         name="random-open-loop",
     )
-    warm = Trace(
-        warmup_fill(footprint).requests
-        + uniform_random(footprint // 2, footprint, seed=987).requests,
-        name="warmup",
-    )
+    warm = merge_traces([
+        warmup_fill(footprint),
+        uniform_random(footprint // 2, footprint, seed=987),
+    ], name="warmup")
     return Simulator(ftl).run(trace, warmup=warm)
 
 

@@ -19,11 +19,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-# The binary trace cache stays at its default location
-# (~/.cache/repro-traces, or $REPRO_TRACE_CACHE_DIR): the second run of
-# any bench_e* module loads every workload's columns from disk instead of
-# re-running a generator or parsing trace text.  Set REPRO_TRACE_CACHE=0
-# to benchmark cold-parse behaviour.
+# Every workload here is generated on each run: generators are pure
+# functions of their seeded parameters and never touch the binary trace
+# cache (repro.traces.cache), which holds parsed trace files only.
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 

@@ -136,12 +136,12 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
              "$REPRO_TRACE_CACHE_DIR or ~/.cache/repro-traces)")
     parser.add_argument(
         "--no-trace-cache", action="store_true",
-        help="disable the binary trace cache (always re-parse/"
-             "re-generate workloads)")
+        help="disable the binary trace cache (always re-parse the "
+             "trace file)")
 
 
 def _configure_cache(args: argparse.Namespace) -> None:
-    """Apply the cache CLI flags before any trace is built."""
+    """Apply the cache CLI flags before the trace file is parsed."""
     if args.no_trace_cache:
         trace_cache.configure(enabled=False)
     elif args.trace_cache_dir is not None:
@@ -149,7 +149,6 @@ def _configure_cache(args: argparse.Namespace) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    _configure_cache(args)
     device = _device_from_args(args)
     trace = _trace_from_args(args, device)
     tracer = None
@@ -263,7 +262,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             return 2
         tracer = None
     else:
-        _configure_cache(args)
         device = _device_from_args(args)
         trace = _trace_from_args(args, device)
         try:
@@ -297,7 +295,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
-    _configure_cache(args)
     device = _device_from_args(args)
     trace = _trace_from_args(args, device)
     c = characterize(trace)
@@ -442,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="cross-scheme comparison")
     _add_trace_arguments(compare)
     _add_device_arguments(compare)
-    _add_cache_arguments(compare)
     compare.add_argument(
         "--schemes", nargs="+", choices=list(SCHEMES),
         # Default to the paper's five; NFTL/LAST/superblock opt in (the
@@ -482,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_arguments(report)
     _add_device_arguments(report)
-    _add_cache_arguments(report)
     report.add_argument("--scheme", choices=list(SCHEMES),
                         default="LazyFTL")
     report.add_argument("--steady", action="store_true",
@@ -513,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     charac = sub.add_parser("characterize", help="workload statistics")
     _add_trace_arguments(charac)
     _add_device_arguments(charac)
-    _add_cache_arguments(charac)
     charac.set_defaults(func=cmd_characterize)
 
     replay = sub.add_parser("replay-spc", help="replay a real SPC trace")

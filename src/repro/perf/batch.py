@@ -61,7 +61,7 @@ from ..ftl.base import FlashTranslationLayer
 from ..ftl.dftl import DftlFTL
 from ..ftl.pure_page import PageFTL
 from ..sim.metrics import ResponseStats
-from ..traces.columnar import ColumnarTrace
+from ..traces.model import Trace
 
 try:  # pragma: no cover - exercised via both branches in CI
     import numpy as _numpy
@@ -256,7 +256,7 @@ class _PagePlanner:
         self.logical_pages = ftl.logical_pages
         self.idle_gaps_free = True  # base background_work is a no-op
 
-    def plan_epoch(self, cols: ColumnarTrace, start: int, limit: int) -> int:
+    def plan_epoch(self, cols: Trace, start: int, limit: int) -> int:
         ftl = self.ftl
         ops = cols.ops
         lpns = cols.lpns
@@ -286,7 +286,7 @@ class _PagePlanner:
             j += 1
         return j - start
 
-    def execute_epoch(self, cols: ColumnarTrace, start: int, h: int) -> Any:
+    def execute_epoch(self, cols: Trace, start: int, h: int) -> Any:
         ftl = self.ftl
         flash = self.flash
         ops = cols.ops
@@ -357,7 +357,7 @@ class _DftlPlanner:
         self.logical_pages = ftl.logical_pages
         self.idle_gaps_free = True  # base background_work is a no-op
 
-    def plan_epoch(self, cols: ColumnarTrace, start: int, limit: int) -> int:
+    def plan_epoch(self, cols: Trace, start: int, limit: int) -> int:
         ftl = self.ftl
         ops = cols.ops
         lpns = cols.lpns
@@ -384,7 +384,7 @@ class _DftlPlanner:
             j += 1
         return j - start
 
-    def execute_epoch(self, cols: ColumnarTrace, start: int, h: int) -> Any:
+    def execute_epoch(self, cols: Trace, start: int, h: int) -> Any:
         ftl = self.ftl
         flash = self.flash
         ops = cols.ops
@@ -476,7 +476,7 @@ class _LazyPlanner:
         # the engine then replays timestamped traces entirely scalar.
         self.idle_gaps_free = not ftl.config.background_gc
 
-    def plan_epoch(self, cols: ColumnarTrace, start: int, limit: int) -> int:
+    def plan_epoch(self, cols: Trace, start: int, limit: int) -> int:
         ftl = self.ftl
         ops = cols.ops
         lpns = cols.lpns
@@ -524,7 +524,7 @@ class _LazyPlanner:
             j += 1
         return j - start
 
-    def execute_epoch(self, cols: ColumnarTrace, start: int, h: int) -> Any:
+    def execute_epoch(self, cols: Trace, start: int, h: int) -> Any:
         ftl = self.ftl
         flash = self.flash
         ops = cols.ops
@@ -665,7 +665,7 @@ class BatchEngine:
         #: requests can be serviced with no slow event.
         self.plan_epoch = planner.plan_epoch
 
-    def supports(self, cols: ColumnarTrace) -> bool:
+    def supports(self, cols: Trace) -> bool:
         """True when this trace's arrival pattern can use epochs at all.
 
         Timestamped traces hand idle gaps to ``background_work``; if the
@@ -676,7 +676,7 @@ class BatchEngine:
 
     def run_epoch(
         self,
-        cols: ColumnarTrace,
+        cols: Trace,
         start: int,
         h: int,
         responses: Optional[ResponseStats],

@@ -288,8 +288,7 @@ def trace_digest(trace: Trace) -> str:
     """SHA-256 over a trace's name and each column's bytes (``None`` for
     the arrivals of a closed-loop trace)."""
     sha = hashlib.sha256(trace.name.encode("utf-8"))
-    cols = trace.to_columnar()
-    for column in (cols.ops, cols.lpns, cols.npages, cols.arrivals):
+    for column in (trace.ops, trace.lpns, trace.npages, trace.arrivals):
         sha.update(b"None" if column is None else column.tobytes())
     return sha.hexdigest()
 

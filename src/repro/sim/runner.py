@@ -186,9 +186,6 @@ def compare_schemes(
             )
         from ..perf.sweep import SweepCell, run_sweep
 
-        # Build the columns once up front: cell pickling ships the four
-        # machine-typed arrays to every worker, never an object list.
-        trace.to_columnar()
         cells = [
             SweepCell(
                 name=scheme,

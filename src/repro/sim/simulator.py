@@ -21,7 +21,6 @@ from ..ftl.base import FlashTranslationLayer
 from ..ftl.stats import FtlStats
 from ..obs.tracer import Tracer
 from ..perf import batch as _batch
-from ..traces.columnar import ColumnarTrace
 from ..traces.model import Trace
 from .metrics import ResponseStats
 
@@ -120,7 +119,7 @@ class Simulator:
     def warm_up(self, trace: Trace) -> None:
         """Run a trace without recording statistics (pre-conditioning):
         arrivals are ignored and idle gaps grant no background work."""
-        self._replay(trace.to_columnar(), None)
+        self._replay(trace, None)
 
     def run(
         self,
@@ -156,7 +155,7 @@ class Simulator:
         ftl_before = self.ftl.stats.snapshot() if reset_counters \
             else FtlStats()
         responses = ResponseStats()
-        busy = self._replay(trace.to_columnar(), responses)
+        busy = self._replay(trace, responses)
         attribution = None if tracer is None \
             else tracer.attribution.scheme_summary(self.ftl.name)
         return SimulationResult(
@@ -174,7 +173,7 @@ class Simulator:
         )
 
     def _replay(
-        self, cols: ColumnarTrace, responses: Optional[ResponseStats]
+        self, cols: Trace, responses: Optional[ResponseStats]
     ) -> float:
         """The one per-request replay loop; returns device-busy time.
 

@@ -9,16 +9,15 @@ Built-in generators (all deterministic under ``seed``):
 * :func:`tpcc` - mixed OLTP with table-shaped locality;
 * :func:`parse_spc_file` - loads real SPC-format traces when you have them.
 
-The canonical in-memory form is :class:`ColumnarTrace` (struct-of-arrays;
-see :mod:`repro.traces.columnar`); parsed and generated workloads are
-memoised on disk by the binary trace cache (:mod:`repro.traces.cache`).
+A :class:`Trace` is four machine-typed columns (struct of arrays; see
+:mod:`repro.traces.model`); parsed trace files are memoised on disk by the
+binary trace cache (:mod:`repro.traces.cache`).
 """
 
 from . import cache
-from .columnar import NO_ARRIVAL, ColumnarTrace
 from .financial import financial1, financial2
 from .io import TraceFormatError, dump_trace, load_trace, parse_trace, save_trace
-from .model import IORequest, OpType, Trace, merge_traces
+from .model import NO_ARRIVAL, IORequest, OpType, Trace, merge_traces
 from .msr import MSRFormatError, parse_msr, parse_msr_file, parse_msr_line
 from .spc import SPCFormatError, parse_spc, parse_spc_file, parse_spc_line
 from .stats import characterize
@@ -37,7 +36,6 @@ __all__ = [
     "IORequest",
     "OpType",
     "Trace",
-    "ColumnarTrace",
     "NO_ARRIVAL",
     "cache",
     "merge_traces",

@@ -1,11 +1,16 @@
-"""Binary trace cache: disk-cached columnar traces.
+"""Binary trace cache: disk-cached columns of parsed trace files.
 
-Parsing trace text (or re-running a synthetic generator) on every
-benchmark invocation is pure overhead - the workload is deterministic
-given its source file or generator parameters.  This module persists
-:class:`~repro.traces.columnar.ColumnarTrace` columns in a struct-packed
-binary format so the second run of any experiment loads machine-typed
-arrays straight from disk.
+Tokenising trace text (a multi-hundred-MB SPC file, or a saved trace) on
+every benchmark invocation is pure overhead - the parse is deterministic
+given the file.  This module persists a :class:`~repro.traces.model.Trace`'s
+columns in a struct-packed binary format so the second load of an
+unchanged file reads machine-typed arrays straight from disk.
+
+Generated traces do not go through the cache.  A generator is a pure
+function of its seeded parameters, and regenerating costs no more than
+loading its columns back did (EXPERIMENTS.md, "One trace form: the cache
+keeps parsed files only"), so caching it bought nothing measurable and
+cost a key per generator.
 
 File format (one trace per file, extension ``.rtc``)::
 
@@ -16,18 +21,16 @@ File format (one trace per file, extension ``.rtc``)::
              npages (n x i64)[, arrivals (n x f64) when flags bit 0]
 
 Invalidation is by *key*, not by file inspection: the cache filename is a
-SHA-256 over a canonical JSON encoding of the lookup key, and callers put
-everything that determines the trace into the key - source path +
-``mtime_ns`` + size for parsed files, the full parameter set + seed for
-generators, and the format version for everybody.  Touching the source,
-changing a parameter, or bumping ``FORMAT_VERSION`` therefore misses
-naturally; a corrupt or truncated cache file (bad magic, bad CRC, wrong
-byte order) is treated as a miss and silently rebuilt.
+SHA-256 over a canonical JSON encoding of the lookup key - source path +
+``mtime_ns`` + size + parse parameters + the format version.  Touching
+the source, changing a parameter, or bumping ``FORMAT_VERSION`` therefore
+misses naturally; a corrupt or truncated cache file (bad magic, bad CRC,
+wrong byte order) is treated as a miss and silently rebuilt.
 
 The cache is on by default under ``~/.cache/repro-traces``; override the
 directory with ``REPRO_TRACE_CACHE_DIR``/:func:`configure` or disable it
-entirely with ``REPRO_TRACE_CACHE=0`` / ``--no-trace-cache`` on the CLI.
-All filesystem failures degrade to building in memory - a read-only home
+entirely with ``REPRO_TRACE_CACHE=0`` / ``replay-spc --no-trace-cache``.
+All filesystem failures degrade to parsing in memory - a read-only home
 directory costs performance, never correctness.
 
 Instrumentation: the module-level :data:`stats` counters record hits,
@@ -48,7 +51,7 @@ from array import array
 from pathlib import Path
 from typing import Callable, Optional
 
-from .columnar import ColumnarTrace
+from .model import Trace
 
 MAGIC = b"RPTC"
 FORMAT_VERSION = 1
@@ -88,24 +91,24 @@ stats = CacheStats()
 # ----------------------------------------------------------------------
 # Serialisation
 # ----------------------------------------------------------------------
-def dumps_columnar(cols: ColumnarTrace) -> bytes:
-    """Serialise columns to the binary cache format."""
-    name_bytes = cols.name.encode("utf-8")
+def dumps_columnar(trace: Trace) -> bytes:
+    """Serialise a trace's columns to the binary cache format."""
+    name_bytes = trace.name.encode("utf-8")
     flags = 0
-    payload = [name_bytes, cols.ops.tobytes(), cols.lpns.tobytes(),
-               cols.npages.tobytes()]
-    if cols.arrivals is not None:
+    payload = [name_bytes, trace.ops.tobytes(), trace.lpns.tobytes(),
+               trace.npages.tobytes()]
+    if trace.arrivals is not None:
         flags |= _FLAG_ARRIVALS
-        payload.append(cols.arrivals.tobytes())
+        payload.append(trace.arrivals.tobytes())
     body = b"".join(payload)
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, flags, _BYTE_ORDER_TAG,
-        len(cols), len(name_bytes), zlib.crc32(body),
+        len(trace), len(name_bytes), zlib.crc32(body),
     )
     return header + body
 
 
-def loads_columnar(data: bytes) -> Optional[ColumnarTrace]:
+def loads_columnar(data: bytes) -> Optional[Trace]:
     """Deserialise the binary cache format; None on any corruption."""
     if len(data) < _HEADER.size:
         return None
@@ -136,8 +139,7 @@ def loads_columnar(data: bytes) -> Optional[ColumnarTrace]:
     if flags & _FLAG_ARRIVALS:
         arrivals = array("d")
         arrivals.frombytes(body[offset:offset + n * 8])
-    return ColumnarTrace(ops, lpns, npages, arrivals, name=name,
-                         validate=False)
+    return Trace.from_columns(ops, lpns, npages, arrivals, name=name)
 
 
 # ----------------------------------------------------------------------
@@ -158,21 +160,21 @@ class TraceCache:
     def path_for(self, key: dict) -> Path:
         return self.root / f"{_key_digest(key)}.rtc"
 
-    def load(self, key: dict) -> Optional[ColumnarTrace]:
-        """The cached columns for ``key``, or None on miss/corruption."""
+    def load(self, key: dict) -> Optional[Trace]:
+        """The cached trace for ``key``, or None on miss/corruption."""
         try:
             data = self.path_for(key).read_bytes()
         except OSError:
             return None
         return loads_columnar(data)
 
-    def store(self, key: dict, cols: ColumnarTrace) -> bool:
-        """Atomically persist columns; False (never raises) on IO failure."""
+    def store(self, key: dict, trace: Trace) -> bool:
+        """Atomically persist a trace; False (never raises) on IO failure."""
         target = self.path_for(key)
         tmp = target.with_name(target.name + f".tmp{os.getpid()}")
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(dumps_columnar(cols))
+            tmp.write_bytes(dumps_columnar(trace))
             os.replace(tmp, target)
         except OSError:
             try:
@@ -225,33 +227,34 @@ def active() -> Optional[TraceCache]:
     return _cache
 
 
-def fetch(key: dict, build: Callable[[], ColumnarTrace]) -> ColumnarTrace:
-    """Return the columns for ``key``, building (and storing) on a miss.
+def fetch(key: Optional[dict], build: Callable[[], Trace]) -> Trace:
+    """Return the trace for ``key``, building (and storing) on a miss.
 
-    Every call returns a fresh :class:`ColumnarTrace` (cache files are
-    re-read per fetch), so callers may rename the result freely.
+    A None key (a file that cannot be stat'ed) builds without the cache.
+    Every call returns a fresh :class:`Trace` (cache files are re-read
+    per fetch), so callers may rename the result freely.
     """
     cache = active()
-    if cache is None:
+    if key is None or cache is None:
         stats.builds += 1
         return build()
-    cols = cache.load(key)
-    if cols is not None:
+    trace = cache.load(key)
+    if trace is not None:
         stats.hits += 1
-        return cols
+        return trace
     stats.misses += 1
     stats.builds += 1
-    cols = build()
-    if cache.store(key, cols):
+    trace = build()
+    if cache.store(key, trace):
         stats.stores += 1
-    return cols
+    return trace
 
 
 def file_key(kind: str, path, **params) -> Optional[dict]:
     """Cache key for a parsed source file: identity + mtime/size + params.
 
-    None when the file cannot be stat'ed (caller falls through to the
-    parser, which raises its usual error).
+    None when the file cannot be stat'ed (:func:`fetch` then falls
+    through to the parser, which raises its usual error).
     """
     try:
         st = os.stat(path)
@@ -265,8 +268,3 @@ def file_key(kind: str, path, **params) -> Optional[dict]:
         "size": st.st_size,
         **params,
     }
-
-
-def params_key(kind: str, **params) -> dict:
-    """Cache key for a parameter-determined (generated) trace."""
-    return {"kind": kind, "version": FORMAT_VERSION, **params}

@@ -23,8 +23,6 @@ import random
 from array import array
 from typing import Optional
 
-from . import cache as trace_cache
-from .columnar import ColumnarTrace
 from .model import Trace
 
 
@@ -45,36 +43,26 @@ def _oltp_trace(
         raise ValueError("n_requests must be non-negative")
     if footprint_pages < 16:
         raise ValueError("footprint_pages too small for an OLTP layout")
-
-    def build() -> ColumnarTrace:
-        rng = random.Random(seed)
-        n_regions = 16
-        region = footprint_pages // n_regions
-        hot_regions = [1, 4, 7, 11]  # fixed so runs with equal seeds align
-        cold_regions = [i for i in range(n_regions) if i not in hot_regions]
-        ops = array("b")
-        lpns = array("q")
-        npages_col = array("q")
-        for _ in range(n_requests):
-            if rng.random() < 0.8:
-                r = rng.choice(hot_regions)
-            else:
-                r = rng.choice(cold_regions)
-            base = r * region
-            npages = 2 if rng.random() < 0.1 else 1
-            lpn = base + rng.randrange(max(1, region - npages + 1))
-            ops.append(1 if rng.random() < write_ratio else 0)
-            lpns.append(lpn)
-            npages_col.append(npages)
-        return ColumnarTrace(ops, lpns, npages_col, validate=False)
-
-    key = trace_cache.params_key(
-        "synthetic:oltp", n=n_requests, footprint=footprint_pages,
-        write_ratio=write_ratio, seed=seed,
-    )
-    cols = trace_cache.fetch(key, build)
-    cols.name = name
-    return Trace.from_columnar(cols)
+    rng = random.Random(seed)
+    n_regions = 16
+    region = footprint_pages // n_regions
+    hot_regions = [1, 4, 7, 11]  # fixed so runs with equal seeds align
+    cold_regions = [i for i in range(n_regions) if i not in hot_regions]
+    ops = array("b")
+    lpns = array("q")
+    npages_col = array("q")
+    for _ in range(n_requests):
+        if rng.random() < 0.8:
+            r = rng.choice(hot_regions)
+        else:
+            r = rng.choice(cold_regions)
+        base = r * region
+        npages = 2 if rng.random() < 0.1 else 1
+        lpn = base + rng.randrange(max(1, region - npages + 1))
+        ops.append(1 if rng.random() < write_ratio else 0)
+        lpns.append(lpn)
+        npages_col.append(npages)
+    return Trace.from_columns(ops, lpns, npages_col, name=name)
 
 
 def financial1(

@@ -8,7 +8,7 @@ real trace).  Format, one request per line::
     W <lpn> <npages> [<arrival_us>]
     R <lpn> <npages> [<arrival_us>]
 
-Parsing builds the columnar form directly (no per-line ``IORequest``
+Parsing fills a trace's columns directly (no per-line ``IORequest``
 allocation), and :func:`load_trace` consults the binary trace cache
 (:mod:`repro.traces.cache`, keyed on path + mtime + size) so repeated
 loads of an unchanged file skip text parsing entirely.
@@ -20,8 +20,7 @@ from array import array
 from typing import Optional, TextIO
 
 from . import cache as trace_cache
-from .columnar import NO_ARRIVAL, ColumnarTrace
-from .model import Trace
+from .model import NO_ARRIVAL, Trace
 
 _HEADER_PREFIX = "# repro-trace v1"
 
@@ -32,15 +31,14 @@ class TraceFormatError(ValueError):
 
 def dump_trace(trace: Trace, stream: TextIO) -> None:
     """Serialise a trace to an open text stream."""
-    cols = trace.to_columnar()
     stream.write(f"{_HEADER_PREFIX} name={trace.name}\n")
-    arrivals = cols.arrivals
+    arrivals = trace.arrivals
     if arrivals is None:
-        for op, lpn, npages in zip(cols.ops, cols.lpns, cols.npages):
+        for op, lpn, npages in zip(trace.ops, trace.lpns, trace.npages):
             stream.write(f"{'W' if op else 'R'} {lpn} {npages}\n")
         return
     for op, lpn, npages, arrival in zip(
-        cols.ops, cols.lpns, cols.npages, arrivals
+        trace.ops, trace.lpns, trace.npages, arrivals
     ):
         code = "W" if op else "R"
         if arrival != arrival:  # NaN: closed-loop request
@@ -55,8 +53,9 @@ def save_trace(trace: Trace, path: str) -> None:
         dump_trace(trace, f)
 
 
-def _parse_columnar(stream: TextIO, name: Optional[str]) -> ColumnarTrace:
-    """Parse the text format into columns (counted as a text parse)."""
+def parse_trace(stream: TextIO, name: Optional[str] = None) -> Trace:
+    """Deserialise a trace from an open text stream (counted as a text
+    parse)."""
     trace_cache.stats.text_parses += 1
     trace_name = name or "trace"
     ops = array("b")
@@ -110,16 +109,9 @@ def _parse_columnar(stream: TextIO, name: Optional[str]) -> ColumnarTrace:
         ops.append(op)
         lpns.append(lpn)
         npages_col.append(npages)
-    return ColumnarTrace(
-        ops, lpns, npages_col,
-        arrivals if any_arrival else None,
-        name=trace_name, validate=False,
-    )
-
-
-def parse_trace(stream: TextIO, name: Optional[str] = None) -> Trace:
-    """Deserialise a trace from an open text stream."""
-    return Trace.from_columnar(_parse_columnar(stream, name))
+    return Trace.from_columns(ops, lpns, npages_col,
+                              arrivals if any_arrival else None,
+                              name=trace_name)
 
 
 def load_trace(path: str, name: Optional[str] = None) -> Trace:
@@ -129,12 +121,11 @@ def load_trace(path: str, name: Optional[str] = None) -> Trace:
     Cache entries key on (path, mtime_ns, size): editing or touching the
     file re-parses, an unchanged file on a second run does not.
     """
-    def build() -> ColumnarTrace:
+    def build() -> Trace:
         with open(path) as f:
-            return _parse_columnar(f, name=None)
+            return parse_trace(f)
 
-    key = trace_cache.file_key("trace-file", path)
-    cols = build() if key is None else trace_cache.fetch(key, build)
+    trace = trace_cache.fetch(trace_cache.file_key("trace-file", path), build)
     if name is not None:
-        cols.name = name
-    return Trace.from_columnar(cols)
+        trace.name = name
+    return trace

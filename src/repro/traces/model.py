@@ -1,4 +1,4 @@
-"""I/O trace model: requests, traces, and page-level expansion.
+"""I/O trace model: requests and traces.
 
 A trace is an ordered sequence of host requests.  Requests address logical
 *pages* (the FTL's unit); parsers for sector-granular formats (SPC) convert
@@ -12,22 +12,33 @@ on the way in.  Arrival timestamps are optional:
   Synthetic generators default to closed-loop, which isolates FTL overheads
   from arrival-process artefacts.
 
-:class:`IORequest`/:class:`Trace` are the validated construction and
-test-facing API; the engine's canonical in-memory form is the columnar
-struct-of-arrays representation (:mod:`repro.traces.columnar`), which
-``Trace.to_columnar()`` produces losslessly and the replay loops iterate
-directly.  Parsers and generators build columns natively and wrap them in
-a ``Trace`` facade whose ``requests`` list materialises lazily, so a
-workload that is only ever replayed never allocates a request object.
+A :class:`Trace` *is* four parallel machine-typed columns (struct of
+arrays), which the replay loop in :mod:`repro.sim.simulator` reads by
+index:
+
+* ``ops``      - ``array('b')``: 1 for a write, 0 for a read;
+* ``lpns``     - ``array('q')``: first logical page of each request;
+* ``npages``   - ``array('q')``: run length in pages (>= 1);
+* ``arrivals`` - ``array('d')`` or None: arrival timestamps in
+  microseconds.  ``None`` means the whole trace is closed-loop; inside an
+  array, a :data:`NO_ARRIVAL` (NaN) entry marks one closed-loop request
+  (mixed traces come from :func:`merge_traces`).  ``IORequest`` rejects
+  a NaN timestamp, so the sentinel can mean nothing else.
+
+:class:`IORequest` is the validated per-request view: ``Trace(requests)``
+builds the columns from requests, and iterating or indexing a trace
+builds request objects on the fly - a trace never stores one.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .columnar import ColumnarTrace, concatenate, merge_by_arrival
+#: Sentinel stored in the ``arrivals`` column for a closed-loop request.
+NO_ARRIVAL = float("nan")
 
 
 class OpType(Enum):
@@ -58,8 +69,9 @@ class IORequest:
             raise ValueError("lpn must be non-negative")
         if self.npages < 1:
             raise ValueError("npages must be >= 1")
-        # NaN is rejected too (it is the columnar closed-loop sentinel and
-        # compares false against everything): use arrival_us=None instead.
+        # NaN is rejected too (it is the closed-loop sentinel of the
+        # arrivals column and compares false against everything): use
+        # arrival_us=None instead.
         if self.arrival_us is not None and not self.arrival_us >= 0:
             raise ValueError("arrival_us must be non-negative")
 
@@ -73,128 +85,154 @@ class IORequest:
         return range(self.lpn, self.lpn + self.npages)
 
 
+def _column(typecode: str, values) -> array:
+    if isinstance(values, array) and values.typecode == typecode:
+        return values
+    return array(typecode, values)
+
+
 class Trace:
-    """An ordered collection of :class:`IORequest` with summary accessors.
+    """An ordered sequence of requests, held as four columns plus a name.
 
-    A trace is immutable by convention once constructed: ``requests`` is
-    exposed for inspection and tests, but mutating it (or the columns) is
-    unsupported - the summary accessors (:attr:`page_ops`,
-    :attr:`write_page_ops`, :attr:`max_lpn`, :meth:`footprint`, ...) are
-    memoized on first use and never invalidated.  Build a new ``Trace``
-    (or use :meth:`slice` / :meth:`scaled_to`) instead of editing one in
-    place.
+    A trace is immutable by convention once constructed: the summary
+    accessors (:attr:`page_ops`, :attr:`write_page_ops`, :attr:`max_lpn`,
+    :meth:`footprint`, ...) are memoized on first use and never
+    invalidated.  Build a new trace (:meth:`slice`, :func:`merge_traces`)
+    instead of editing the columns in place.
 
-    Pickling ships the columnar form, not the request objects: a pickled
-    trace costs four machine-typed arrays, which is what lets parallel
-    sweeps (:mod:`repro.perf.sweep`) send workloads to worker processes
-    cheaply.
+    Pickling ships the four columns, which is what lets parallel sweeps
+    (:mod:`repro.perf.sweep`) send workloads to worker processes cheaply.
     """
 
-    def __init__(self, requests: Sequence[IORequest], name: str = "trace"):
-        self._requests: Optional[List[IORequest]] = list(requests)
-        self._columnar: Optional[ColumnarTrace] = None
-        self.name = name
+    __slots__ = ("name", "ops", "lpns", "npages", "arrivals",
+                 "_page_ops", "_write_page_ops", "_max_lpn", "_footprint")
+
+    def __init__(self, requests: Iterable[IORequest], name: str = "trace"):
+        write = OpType.WRITE
+        ops = array("b")
+        lpns = array("q")
+        npages = array("q")
+        arrivals = array("d")
+        for r in requests:
+            ops.append(1 if r.op is write else 0)
+            lpns.append(r.lpn)
+            npages.append(r.npages)
+            arrivals.append(NO_ARRIVAL if r.arrival_us is None
+                            else r.arrival_us)
+        closed_loop = all(arrival != arrival for arrival in arrivals)
+        self._set_columns(ops, lpns, npages,
+                          None if closed_loop else arrivals, name)
 
     @classmethod
-    def from_columnar(cls, columnar: ColumnarTrace,
-                      name: Optional[str] = None) -> "Trace":
-        """Wrap an existing columnar trace without materialising objects."""
+    def from_columns(cls, ops, lpns, npages, arrivals=None,
+                     name: str = "trace") -> "Trace":
+        """A trace over existing columns (no copy when they are already
+        arrays of the right type).  Generators, parsers and joins build
+        their columns themselves, so only the shape is checked here; the
+        values are checked when a request is viewed."""
         trace = cls.__new__(cls)
-        trace._requests = None
-        trace._columnar = columnar
-        trace.name = name if name is not None else columnar.name
+        trace._set_columns(
+            _column("b", ops), _column("q", lpns), _column("q", npages),
+            None if arrivals is None else _column("d", arrivals), name)
         return trace
 
-    @property
-    def requests(self) -> List[IORequest]:
-        """The request objects (materialised lazily from the columns).
+    def _set_columns(self, ops: array, lpns: array, npages: array,
+                     arrivals: Optional[array], name: str) -> None:
+        n = len(ops)
+        if len(lpns) != n or len(npages) != n or (
+                arrivals is not None and len(arrivals) != n):
+            raise ValueError("trace columns must have equal lengths")
+        self.ops = ops
+        self.lpns = lpns
+        self.npages = npages
+        self.arrivals = arrivals
+        self.name = name
+        self._page_ops: Optional[int] = None
+        self._write_page_ops: Optional[int] = None
+        self._max_lpn: Optional[int] = None
+        self._footprint: Optional[int] = None
 
-        Treat as read-only: see the class docstring.
-        """
-        if self._requests is None:
-            self._requests = self._columnar.to_requests()
-        return self._requests
+    def to_columnar(self) -> "Trace":
+        """The trace itself: its columns are the struct-of-arrays form
+        (kept because ``benchmarks/ftlbench`` still calls it)."""
+        return self
 
-    def to_columnar(self) -> ColumnarTrace:
-        """The canonical struct-of-arrays form (built once, then cached)."""
-        if self._columnar is None:
-            self._columnar = ColumnarTrace.from_requests(
-                self._requests, name=self.name
-            )
-        return self._columnar
+    def __reduce__(self):
+        return (Trace.from_columns,
+                (self.ops, self.lpns, self.npages, self.arrivals, self.name))
 
     def __len__(self) -> int:
-        if self._requests is not None:
-            return len(self._requests)
-        return len(self._columnar)
+        return len(self.ops)
+
+    def __getitem__(self, i: int) -> IORequest:
+        arrival = NO_ARRIVAL if self.arrivals is None else self.arrivals[i]
+        return IORequest(
+            OpType.WRITE if self.ops[i] else OpType.READ,
+            self.lpns[i], self.npages[i],
+            None if arrival != arrival else arrival,
+        )
 
     def __iter__(self) -> Iterator[IORequest]:
-        return iter(self.requests)
-
-    def __getitem__(self, i):
-        return self.requests[i]
-
-    def __getstate__(self):
-        # Ship columns across process boundaries, never object lists.
-        return {"name": self.name, "columnar": self.to_columnar()}
-
-    def __setstate__(self, state) -> None:
-        self._requests = None
-        self._columnar = state["columnar"]
-        self.name = state["name"]
+        return map(self.__getitem__, range(len(self)))
 
     # ------------------------------------------------------------------
-    # Summary properties used by reports and by E2 (trace characteristics)
-    # - memoized via the columnar form (each was O(n) per access before).
+    # Memoized summaries used by reports and by E2 (trace characteristics)
     # ------------------------------------------------------------------
     @property
     def page_ops(self) -> int:
         """Total page-granular operations once requests are expanded."""
-        return self.to_columnar().page_ops
+        if self._page_ops is None:
+            self._page_ops = sum(self.npages)
+        return self._page_ops
 
     @property
     def write_page_ops(self) -> int:
-        return self.to_columnar().write_page_ops
+        if self._write_page_ops is None:
+            self._write_page_ops = sum(
+                npages for op, npages in zip(self.ops, self.npages) if op
+            )
+        return self._write_page_ops
 
     @property
     def read_page_ops(self) -> int:
-        return self.to_columnar().read_page_ops
+        return self.page_ops - self.write_page_ops
 
     @property
     def write_ratio(self) -> float:
         """Fraction of page operations that are writes."""
-        return self.to_columnar().write_ratio
+        total = self.page_ops
+        return self.write_page_ops / total if total else 0.0
 
     @property
     def max_lpn(self) -> int:
         """Highest logical page touched (-1 for an empty trace)."""
-        return self.to_columnar().max_lpn
+        if self._max_lpn is None:
+            self._max_lpn = max(
+                (lpn + npages - 1
+                 for lpn, npages in zip(self.lpns, self.npages)),
+                default=-1,
+            )
+        return self._max_lpn
 
     def footprint(self) -> int:
         """Number of distinct logical pages touched."""
-        return self.to_columnar().footprint()
+        if self._footprint is None:
+            seen: set = set()
+            update = seen.update
+            for lpn, npages in zip(self.lpns, self.npages):
+                update(range(lpn, lpn + npages))
+            self._footprint = len(seen)
+        return self._footprint
 
     def slice(self, start: int, stop: int) -> "Trace":
-        """A sub-trace of requests [start, stop)."""
-        if self._requests is None:
-            return Trace.from_columnar(
-                self._columnar.slice(start, stop),
-                name=f"{self.name}[{start}:{stop}]",
-            )
-        return Trace(self._requests[start:stop],
-                     name=f"{self.name}[{start}:{stop}]")
-
-    def scaled_to(self, n_requests: int) -> "Trace":
-        """Truncate (or cycle) the trace to exactly ``n_requests`` requests."""
-        if not len(self):
-            raise ValueError("cannot scale an empty trace")
-        requests = self.requests
-        reqs: List[IORequest] = []
-        i = 0
-        while len(reqs) < n_requests:
-            reqs.append(requests[i % len(requests)])
-            i += 1
-        return Trace(reqs, name=self.name)
+        """A sub-trace of requests [start, stop) (columns are copied)."""
+        arrivals = self.arrivals
+        return Trace.from_columns(
+            self.ops[start:stop], self.lpns[start:stop],
+            self.npages[start:stop],
+            None if arrivals is None else arrivals[start:stop],
+            name=f"{self.name}[{start}:{stop}]",
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -204,21 +242,35 @@ class Trace:
 
 
 def merge_traces(traces: Sequence[Trace], name: str = "merged") -> Trace:
-    """Interleave open-loop traces by arrival time (or concatenate).
+    """Join traces: interleave by arrival time, or concatenate.
 
     When every request of every trace carries an arrival timestamp, the
-    merge sorts by ``(arrival_us, source index, position)`` - a
+    requests are ordered by ``(arrival_us, source index, position)`` - a
     deterministic tie-break equal to a stable sort of the concatenation,
     so two requests arriving at the same instant keep their source order.
     If any request is closed-loop (no timestamp), interleaving by time is
     meaningless and the traces are concatenated in the order given.
-
-    The merge happens on the columnar form directly; no request objects
-    are materialised.
     """
-    columns = [t.to_columnar() for t in traces]
-    if any(part.has_closed_loop_requests for part in columns):
-        merged = concatenate(columns, name=name)
-    else:
-        merged = merge_by_arrival(columns, name=name)
-    return Trace.from_columnar(merged)
+    ops = array("b")
+    lpns = array("q")
+    npages = array("q")
+    arrivals = array("d")
+    for trace in traces:
+        ops.extend(trace.ops)
+        lpns.extend(trace.lpns)
+        npages.extend(trace.npages)
+        arrivals.extend(array("d", [NO_ARRIVAL]) * len(trace)
+                        if trace.arrivals is None else trace.arrivals)
+    if all(arrival == arrival for arrival in arrivals):
+        # Fully open-loop: Python's sort is stable, so sorting positions
+        # of the concatenation by arrival is the (arrival, source,
+        # position) order.
+        order = sorted(range(len(ops)), key=arrivals.__getitem__)
+        return Trace.from_columns(
+            array("b", [ops[i] for i in order]),
+            array("q", [lpns[i] for i in order]),
+            array("q", [npages[i] for i in order]),
+            array("d", [arrivals[i] for i in order]), name=name)
+    closed_loop = all(trace.arrivals is None for trace in traces)
+    return Trace.from_columns(ops, lpns, npages,
+                              None if closed_loop else arrivals, name=name)

@@ -13,7 +13,8 @@ other staple corpus of the FTL/SSD literature.  Format: CSV lines ::
 
 Like the SPC parser, addresses can be compacted onto a dense page space
 (preserving overwrite behaviour) so a trace slice fits a simulated device;
-parsing emits columns natively and :func:`parse_msr_file` is binary-cached.
+parsing fills the trace's columns directly and :func:`parse_msr_file` is
+binary-cached.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from array import array
 from typing import Iterable, Optional
 
 from . import cache as trace_cache
-from .columnar import ColumnarTrace
 from .model import IORequest, OpType, Trace
-from .spc import _compact_columns
+from .spc import _check_max_requests, _compact_columns
 
 
 class MSRFormatError(ValueError):
@@ -75,41 +75,6 @@ def parse_msr_line(
     )
 
 
-def _parse_msr_columnar(
-    lines: Iterable[str],
-    page_size: int,
-    name: str,
-    max_requests: Optional[int],
-    compact: bool,
-    rebase_time: bool,
-) -> ColumnarTrace:
-    trace_cache.stats.text_parses += 1
-    ops = array("b")
-    lpns = array("q")
-    npages = array("q")
-    arrivals = array("d")
-    count = 0
-    for line in lines:
-        request = parse_msr_line(line, page_size=page_size)
-        if request is None:
-            continue
-        ops.append(1 if request.op is OpType.WRITE else 0)
-        lpns.append(request.lpn)
-        npages.append(request.npages)
-        arrivals.append(request.arrival_us)
-        count += 1
-        if max_requests is not None and count >= max_requests:
-            break
-    if rebase_time and count:
-        t0 = min(arrivals)
-        arrivals = array("d", (t - t0 for t in arrivals))
-    cols = ColumnarTrace(ops, lpns, npages, arrivals, name=name,
-                         validate=False)
-    if compact:
-        cols = _compact_columns(cols)
-    return cols
-
-
 def parse_msr(
     lines: Iterable[str],
     page_size: int = 2048,
@@ -121,15 +86,33 @@ def parse_msr(
     """Parse an iterable of MSR CSV lines into a :class:`Trace`.
 
     Args:
+        max_requests: Stop after this many requests (None: read all).
         compact: Remap touched pages onto a dense 0..N space (see
             :mod:`repro.traces.spc`).
         rebase_time: Shift arrival timestamps so the trace starts at 0
             (filetimes are astronomically large otherwise).
     """
-    return Trace.from_columnar(_parse_msr_columnar(
-        lines, page_size=page_size, name=name, max_requests=max_requests,
-        compact=compact, rebase_time=rebase_time,
-    ))
+    _check_max_requests(max_requests)
+    trace_cache.stats.text_parses += 1
+    ops = array("b")
+    lpns = array("q")
+    npages = array("q")
+    arrivals = array("d")
+    for line in lines:
+        if max_requests is not None and len(ops) >= max_requests:
+            break
+        request = parse_msr_line(line, page_size=page_size)
+        if request is None:
+            continue
+        ops.append(1 if request.op is OpType.WRITE else 0)
+        lpns.append(request.lpn)
+        npages.append(request.npages)
+        arrivals.append(request.arrival_us)
+    if rebase_time and arrivals:
+        t0 = min(arrivals)
+        arrivals = array("d", (t - t0 for t in arrivals))
+    trace = Trace.from_columns(ops, lpns, npages, arrivals, name=name)
+    return _compact_columns(trace) if compact else trace
 
 
 def parse_msr_file(
@@ -140,18 +123,17 @@ def parse_msr_file(
     compact: bool = True,
 ) -> Trace:
     """Parse an MSR Cambridge trace file from disk (binary-cached)."""
-    def build() -> ColumnarTrace:
+    def build() -> Trace:
         with open(path) as f:
-            return _parse_msr_columnar(
+            return parse_msr(
                 f, page_size=page_size, name=name or path,
                 max_requests=max_requests, compact=compact,
-                rebase_time=True,
             )
 
     key = trace_cache.file_key(
         "msr-file", path,
         page_size=page_size, max_requests=max_requests, compact=compact,
     )
-    cols = build() if key is None else trace_cache.fetch(key, build)
-    cols.name = name or path
-    return Trace.from_columnar(cols)
+    trace = trace_cache.fetch(key, build)
+    trace.name = name or path
+    return trace

@@ -13,8 +13,8 @@ The SPC trace format is CSV with fields::
 
 If you have the real ``Financial1.spc`` etc. from the UMass Trace Repository,
 :func:`parse_spc_file` turns them into :class:`~repro.traces.model.Trace`
-objects directly usable by the simulator and benchmarks.  Parsing emits
-the columnar form natively, and :func:`parse_spc_file` goes through the
+objects directly usable by the simulator and benchmarks.  Parsing fills
+the trace's columns directly, and :func:`parse_spc_file` goes through the
 binary trace cache (keyed on path + mtime + size + parse parameters) so a
 multi-hundred-MB SPC file is tokenised once per content, not once per run.
 """
@@ -25,7 +25,6 @@ from array import array
 from typing import Iterable, Optional
 
 from . import cache as trace_cache
-from .columnar import ColumnarTrace
 from .model import IORequest, OpType, Trace
 
 SECTOR_BYTES = 512
@@ -80,35 +79,9 @@ def parse_spc_line(
     )
 
 
-def _parse_spc_columnar(
-    lines: Iterable[str],
-    page_size: int,
-    name: str,
-    max_requests: Optional[int],
-    compact: bool,
-) -> ColumnarTrace:
-    trace_cache.stats.text_parses += 1
-    ops = array("b")
-    lpns = array("q")
-    npages = array("q")
-    arrivals = array("d")
-    count = 0
-    for line in lines:
-        req = parse_spc_line(line, page_size=page_size)
-        if req is None:
-            continue
-        ops.append(1 if req.op is OpType.WRITE else 0)
-        lpns.append(req.lpn)
-        npages.append(req.npages)
-        arrivals.append(req.arrival_us)
-        count += 1
-        if max_requests is not None and count >= max_requests:
-            break
-    cols = ColumnarTrace(ops, lpns, npages, arrivals, name=name,
-                         validate=False)
-    if compact:
-        cols = _compact_columns(cols)
-    return cols
+def _check_max_requests(max_requests: Optional[int]) -> None:
+    if max_requests is not None and max_requests < 0:
+        raise ValueError("max_requests must be non-negative")
 
 
 def parse_spc(
@@ -121,14 +94,29 @@ def parse_spc(
     """Parse an iterable of SPC lines into a :class:`Trace`.
 
     Args:
+        max_requests: Stop after this many requests (None: read all).
         compact: Remap the touched logical pages onto a dense 0..N space
             (preserving relative order) so the trace fits a simulated device
             without modelling the original volume's full capacity.
     """
-    return Trace.from_columnar(_parse_spc_columnar(
-        lines, page_size=page_size, name=name,
-        max_requests=max_requests, compact=compact,
-    ))
+    _check_max_requests(max_requests)
+    trace_cache.stats.text_parses += 1
+    ops = array("b")
+    lpns = array("q")
+    npages = array("q")
+    arrivals = array("d")
+    for line in lines:
+        if max_requests is not None and len(ops) >= max_requests:
+            break
+        req = parse_spc_line(line, page_size=page_size)
+        if req is None:
+            continue
+        ops.append(1 if req.op is OpType.WRITE else 0)
+        lpns.append(req.lpn)
+        npages.append(req.npages)
+        arrivals.append(req.arrival_us)
+    trace = Trace.from_columns(ops, lpns, npages, arrivals, name=name)
+    return _compact_columns(trace) if compact else trace
 
 
 def parse_spc_file(
@@ -139,9 +127,9 @@ def parse_spc_file(
     compact: bool = True,
 ) -> Trace:
     """Parse an SPC trace file from disk (binary-cached per content/params)."""
-    def build() -> ColumnarTrace:
+    def build() -> Trace:
         with open(path) as f:  # noqa: PTH123 - plain file handling is fine
-            return _parse_spc_columnar(
+            return parse_spc(
                 f, page_size=page_size, name=name or path,
                 max_requests=max_requests, compact=compact,
             )
@@ -150,12 +138,12 @@ def parse_spc_file(
         "spc-file", path,
         page_size=page_size, max_requests=max_requests, compact=compact,
     )
-    cols = build() if key is None else trace_cache.fetch(key, build)
-    cols.name = name or path
-    return Trace.from_columnar(cols)
+    trace = trace_cache.fetch(key, build)
+    trace.name = name or path
+    return trace
 
 
-def _compact_columns(cols: ColumnarTrace) -> ColumnarTrace:
+def _compact_columns(trace: Trace) -> Trace:
     """Remap sparse logical pages onto a dense address space.
 
     Pages are assigned dense addresses in first-touch order, which preserves
@@ -164,13 +152,13 @@ def _compact_columns(cols: ColumnarTrace) -> ColumnarTrace:
     """
     page_of: dict = {}
     next_free = 0
-    src_arrivals = cols.arrivals
+    src_arrivals = trace.arrivals
     out_ops = array("b")
     out_lpns = array("q")
     out_npages = array("q")
     out_arrivals = array("d") if src_arrivals is not None else None
     for i, (op, lpn, npages) in enumerate(
-        zip(cols.ops, cols.lpns, cols.npages)
+        zip(trace.ops, trace.lpns, trace.npages)
     ):
         mapped = []
         for page in range(lpn, lpn + npages):
@@ -195,5 +183,5 @@ def _compact_columns(cols: ColumnarTrace) -> ColumnarTrace:
         out_npages.append(run_len)
         if out_arrivals is not None:
             out_arrivals.append(src_arrivals[i])
-    return ColumnarTrace(out_ops, out_lpns, out_npages, out_arrivals,
-                         name=cols.name, validate=False)
+    return Trace.from_columns(out_ops, out_lpns, out_npages, out_arrivals,
+                              name=trace.name)

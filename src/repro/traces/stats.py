@@ -35,11 +35,11 @@ def characterize(trace: Trace) -> Dict[str, float]:
     touches: Counter = Counter()
     sequential_hits = 0
     prev_end = None
-    for r in trace:
-        touches.update(r.pages)
-        if prev_end is not None and r.lpn == prev_end:
+    for lpn, npages in zip(trace.lpns, trace.npages):
+        touches.update(range(lpn, lpn + npages))
+        if lpn == prev_end:
             sequential_hits += 1
-        prev_end = r.lpn + r.npages
+        prev_end = lpn + npages
     total_touches = sum(touches.values())
     footprint = len(touches)
     hot_n = max(1, footprint // 5)

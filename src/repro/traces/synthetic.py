@@ -9,10 +9,8 @@ literature uses to separate scheme behaviours:
 * hot/cold and zipf skew drive garbage-collection efficiency and the hot-cold
   separation logic of LazyFTL's update/cold areas.
 
-All generators are deterministic given ``seed``; each emits the columnar
-form natively (no ``IORequest`` allocation) and is memoised in the binary
-trace cache keyed on its full parameter set, so a repeated benchmark run
-loads the columns from disk instead of re-running the RNG loop.
+All generators are deterministic given ``seed`` and fill a trace's
+columns directly (no ``IORequest`` allocation).
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ import random
 from array import array
 from typing import Optional
 
-from . import cache as trace_cache
-from .columnar import ColumnarTrace
 from .model import Trace
 
 
@@ -35,18 +31,6 @@ def _sizes(rng: random.Random, max_pages: int) -> int:
     while size < max_pages and rng.random() < 0.3:
         size += 1
     return size
-
-
-def _cached(key: dict, default_name: str, name: Optional[str], build) -> Trace:
-    """Fetch-or-build columns, then apply the caller's name override.
-
-    The name is not part of the cache key (two calls differing only in
-    ``name`` share an entry); it is stamped on the freshly-loaded columns
-    after the fetch.
-    """
-    cols = trace_cache.fetch(key, build)
-    cols.name = name or default_name
-    return Trace.from_columnar(cols)
 
 
 def uniform_random(
@@ -63,26 +47,18 @@ def uniform_random(
     random logical block, defeating any block-level locality assumption.
     """
     _check_common(n_requests, footprint_pages, write_ratio)
-
-    def build() -> ColumnarTrace:
-        rng = random.Random(seed)
-        ops = array("b")
-        lpns = array("q")
-        npages_col = array("q")
-        for _ in range(n_requests):
-            npages = _sizes(rng, max_request_pages)
-            lpn = rng.randrange(max(1, footprint_pages - npages + 1))
-            ops.append(1 if rng.random() < write_ratio else 0)
-            lpns.append(lpn)
-            npages_col.append(npages)
-        return ColumnarTrace(ops, lpns, npages_col, validate=False)
-
-    key = trace_cache.params_key(
-        "synthetic:uniform_random", n=n_requests, footprint=footprint_pages,
-        write_ratio=write_ratio, max_request_pages=max_request_pages,
-        seed=seed,
-    )
-    return _cached(key, f"random-w{write_ratio:.2f}", name, build)
+    rng = random.Random(seed)
+    ops = array("b")
+    lpns = array("q")
+    npages_col = array("q")
+    for _ in range(n_requests):
+        npages = _sizes(rng, max_request_pages)
+        lpn = rng.randrange(max(1, footprint_pages - npages + 1))
+        ops.append(1 if rng.random() < write_ratio else 0)
+        lpns.append(lpn)
+        npages_col.append(min(npages, footprint_pages - lpn))
+    return Trace.from_columns(ops, lpns, npages_col,
+                              name=name or f"random-w{write_ratio:.2f}")
 
 
 def sequential(
@@ -99,28 +75,22 @@ def sequential(
     baseline where all FTLs should be close to the ideal scheme.
     """
     _check_common(n_requests, footprint_pages, write_ratio)
-
-    def build() -> ColumnarTrace:
-        rng = random.Random(seed)
-        ops = array("b")
-        lpns = array("q")
-        npages_col = array("q")
-        lpn = 0
-        for _ in range(n_requests):
-            npages = min(request_pages, footprint_pages - lpn)
-            ops.append(1 if rng.random() < write_ratio else 0)
-            lpns.append(lpn)
-            npages_col.append(npages)
-            lpn += npages
-            if lpn >= footprint_pages:
-                lpn = 0
-        return ColumnarTrace(ops, lpns, npages_col, validate=False)
-
-    key = trace_cache.params_key(
-        "synthetic:sequential", n=n_requests, footprint=footprint_pages,
-        write_ratio=write_ratio, request_pages=request_pages, seed=seed,
-    )
-    return _cached(key, "sequential", name, build)
+    _check_request_pages(request_pages)
+    rng = random.Random(seed)
+    ops = array("b")
+    lpns = array("q")
+    npages_col = array("q")
+    lpn = 0
+    for _ in range(n_requests):
+        npages = min(request_pages, footprint_pages - lpn)
+        ops.append(1 if rng.random() < write_ratio else 0)
+        lpns.append(lpn)
+        npages_col.append(npages)
+        lpn += npages
+        if lpn >= footprint_pages:
+            lpn = 0
+    return Trace.from_columns(ops, lpns, npages_col,
+                              name=name or "sequential")
 
 
 def hot_cold(
@@ -144,33 +114,23 @@ def hot_cold(
         raise ValueError("hot_fraction must be in (0, 1]")
     if not 0.0 <= hot_probability <= 1.0:
         raise ValueError("hot_probability must be in [0, 1]")
-
-    def build() -> ColumnarTrace:
-        rng = random.Random(seed)
-        hot_pages = max(1, int(footprint_pages * hot_fraction))
-        ops = array("b")
-        lpns = array("q")
-        npages_col = array("q")
-        for _ in range(n_requests):
-            npages = _sizes(rng, max_request_pages)
-            if rng.random() < hot_probability:
-                lpn = rng.randrange(max(1, hot_pages - npages + 1))
-            else:
-                lo = hot_pages
-                hi = max(lo + 1, footprint_pages - npages + 1)
-                lpn = rng.randrange(lo, hi)
-            ops.append(1 if rng.random() < write_ratio else 0)
-            lpns.append(lpn)
-            npages_col.append(min(npages, footprint_pages - lpn))
-        return ColumnarTrace(ops, lpns, npages_col, validate=False)
-
-    key = trace_cache.params_key(
-        "synthetic:hot_cold", n=n_requests, footprint=footprint_pages,
-        write_ratio=write_ratio, hot_fraction=hot_fraction,
-        hot_probability=hot_probability,
-        max_request_pages=max_request_pages, seed=seed,
-    )
-    return _cached(key, "hot-cold", name, build)
+    rng = random.Random(seed)
+    hot_pages = max(1, int(footprint_pages * hot_fraction))
+    ops = array("b")
+    lpns = array("q")
+    npages_col = array("q")
+    for _ in range(n_requests):
+        npages = _sizes(rng, max_request_pages)
+        if rng.random() < hot_probability:
+            lpn = rng.randrange(max(1, hot_pages - npages + 1))
+        else:
+            lo = hot_pages
+            hi = max(lo + 1, footprint_pages - npages + 1)
+            lpn = rng.randrange(lo, hi)
+        ops.append(1 if rng.random() < write_ratio else 0)
+        lpns.append(lpn)
+        npages_col.append(min(npages, footprint_pages - lpn))
+    return Trace.from_columns(ops, lpns, npages_col, name=name or "hot-cold")
 
 
 def zipf(
@@ -191,34 +151,26 @@ def zipf(
     _check_common(n_requests, footprint_pages, write_ratio)
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be in (0, 1)")
-
-    def build() -> ColumnarTrace:
-        rng = random.Random(seed)
-        scatter = 2654435761 % footprint_pages or 1  # Knuth multiplicative hash
-        if scatter % 2 == 0:
-            scatter += 1
-        ops = array("b")
-        lpns = array("q")
-        npages_col = array("q")
-        exponent = 1.0 / (1.0 - theta)
-        for _ in range(n_requests):
-            u = rng.random()
-            rank = int(footprint_pages * (u ** exponent))
-            rank = min(rank, footprint_pages - 1)
-            lpn = (rank * scatter) % footprint_pages
-            npages = _sizes(rng, max_request_pages)
-            npages = min(npages, footprint_pages - lpn)
-            ops.append(1 if rng.random() < write_ratio else 0)
-            lpns.append(lpn)
-            npages_col.append(npages)
-        return ColumnarTrace(ops, lpns, npages_col, validate=False)
-
-    key = trace_cache.params_key(
-        "synthetic:zipf", n=n_requests, footprint=footprint_pages,
-        write_ratio=write_ratio, theta=theta,
-        max_request_pages=max_request_pages, seed=seed,
-    )
-    return _cached(key, f"zipf-{theta}", name, build)
+    rng = random.Random(seed)
+    scatter = 2654435761 % footprint_pages or 1  # Knuth multiplicative hash
+    if scatter % 2 == 0:
+        scatter += 1
+    ops = array("b")
+    lpns = array("q")
+    npages_col = array("q")
+    exponent = 1.0 / (1.0 - theta)
+    for _ in range(n_requests):
+        u = rng.random()
+        rank = int(footprint_pages * (u ** exponent))
+        rank = min(rank, footprint_pages - 1)
+        lpn = (rank * scatter) % footprint_pages
+        npages = _sizes(rng, max_request_pages)
+        npages = min(npages, footprint_pages - lpn)
+        ops.append(1 if rng.random() < write_ratio else 0)
+        lpns.append(lpn)
+        npages_col.append(npages)
+    return Trace.from_columns(ops, lpns, npages_col,
+                              name=name or f"zipf-{theta}")
 
 
 def mixed(
@@ -237,31 +189,21 @@ def mixed(
     _check_common(n_requests, footprint_pages, write_ratio)
     if not 0.0 <= sequential_fraction <= 1.0:
         raise ValueError("sequential_fraction must be in [0, 1]")
-
-    def build() -> ColumnarTrace:
-        rng = random.Random(seed)
-        ops = array("b")
-        lpns = array("q")
-        npages_col = array("q")
-        cursor = 0
-        for _ in range(n_requests):
-            if rng.random() < sequential_fraction:
-                lpn = cursor
-                cursor = (cursor + 1) % footprint_pages
-            else:
-                lpn = rng.randrange(footprint_pages)
-                cursor = (lpn + 1) % footprint_pages
-            ops.append(1 if rng.random() < write_ratio else 0)
-            lpns.append(lpn)
-            npages_col.append(1)
-        return ColumnarTrace(ops, lpns, npages_col, validate=False)
-
-    key = trace_cache.params_key(
-        "synthetic:mixed", n=n_requests, footprint=footprint_pages,
-        sequential_fraction=sequential_fraction, write_ratio=write_ratio,
-        seed=seed,
-    )
-    return _cached(key, "mixed", name, build)
+    rng = random.Random(seed)
+    ops = array("b")
+    lpns = array("q")
+    cursor = 0
+    for _ in range(n_requests):
+        if rng.random() < sequential_fraction:
+            lpn = cursor
+            cursor = (cursor + 1) % footprint_pages
+        else:
+            lpn = rng.randrange(footprint_pages)
+            cursor = (lpn + 1) % footprint_pages
+        ops.append(1 if rng.random() < write_ratio else 0)
+        lpns.append(lpn)
+    return Trace.from_columns(ops, lpns, array("q", [1]) * n_requests,
+                              name=name or "mixed")
 
 
 def warmup_fill(
@@ -277,25 +219,12 @@ def warmup_fill(
     """
     if footprint_pages <= 0:
         raise ValueError("footprint_pages must be positive")
-
-    def build() -> ColumnarTrace:
-        ops = array("b")
-        lpns = array("q")
-        npages_col = array("q")
-        lpn = 0
-        while lpn < footprint_pages:
-            npages = min(request_pages, footprint_pages - lpn)
-            ops.append(1)
-            lpns.append(lpn)
-            npages_col.append(npages)
-            lpn += npages
-        return ColumnarTrace(ops, lpns, npages_col, validate=False)
-
-    key = trace_cache.params_key(
-        "synthetic:warmup_fill", footprint=footprint_pages,
-        request_pages=request_pages,
-    )
-    return _cached(key, "warmup-fill", name, build)
+    _check_request_pages(request_pages)
+    lpns = array("q", range(0, footprint_pages, request_pages))
+    npages = array("q", [request_pages]) * len(lpns)
+    npages[-1] = footprint_pages - lpns[-1]
+    return Trace.from_columns(array("b", [1]) * len(lpns), lpns, npages,
+                              name=name)
 
 
 def _check_common(n_requests: int, footprint_pages: int, write_ratio: float) -> None:
@@ -305,3 +234,8 @@ def _check_common(n_requests: int, footprint_pages: int, write_ratio: float) -> 
         raise ValueError("footprint_pages must be positive")
     if not 0.0 <= write_ratio <= 1.0:
         raise ValueError("write_ratio must be in [0, 1]")
+
+
+def _check_request_pages(request_pages: int) -> None:
+    if request_pages < 1:
+        raise ValueError("request_pages must be >= 1")

@@ -12,8 +12,6 @@ import random
 from array import array
 from typing import NamedTuple, Optional
 
-from . import cache as trace_cache
-from .columnar import ColumnarTrace
 from .model import Trace
 
 
@@ -47,36 +45,26 @@ def tpcc(
         raise ValueError("n_requests must be non-negative")
     if footprint_pages < len(_TABLES) * 8:
         raise ValueError("footprint_pages too small for the table layout")
-
-    def build() -> ColumnarTrace:
-        rng = random.Random(seed)
-        # Lay tables out contiguously.
-        extents = []
-        base = 0
-        for t in _TABLES:
-            size = max(4, int(footprint_pages * t.fraction))
-            extents.append((t, base, size))
-            base += size
-        weights = [t.access_weight for t, _, _ in extents]
-        cursors = {t.name: 0 for t in _TABLES}
-        ops = array("b")
-        lpns = array("q")
-        npages_col = array("q")
-        for _ in range(n_requests):
-            t, start, size = rng.choices(extents, weights=weights, k=1)[0]
-            if t.append_only:
-                lpn = start + cursors[t.name]
-                cursors[t.name] = (cursors[t.name] + 1) % size
-            else:
-                lpn = start + rng.randrange(size)
-            ops.append(1 if rng.random() < t.write_ratio else 0)
-            lpns.append(lpn)
-            npages_col.append(1)
-        return ColumnarTrace(ops, lpns, npages_col, validate=False)
-
-    key = trace_cache.params_key(
-        "synthetic:tpcc", n=n_requests, footprint=footprint_pages, seed=seed,
-    )
-    cols = trace_cache.fetch(key, build)
-    cols.name = name or "tpcc"
-    return Trace.from_columnar(cols)
+    rng = random.Random(seed)
+    # Lay tables out contiguously.
+    extents = []
+    base = 0
+    for t in _TABLES:
+        size = max(4, int(footprint_pages * t.fraction))
+        extents.append((t, base, size))
+        base += size
+    weights = [t.access_weight for t, _, _ in extents]
+    cursors = {t.name: 0 for t in _TABLES}
+    ops = array("b")
+    lpns = array("q")
+    for _ in range(n_requests):
+        t, start, size = rng.choices(extents, weights=weights, k=1)[0]
+        if t.append_only:
+            lpn = start + cursors[t.name]
+            cursors[t.name] = (cursors[t.name] + 1) % size
+        else:
+            lpn = start + rng.randrange(size)
+        ops.append(1 if rng.random() < t.write_ratio else 0)
+        lpns.append(lpn)
+    return Trace.from_columns(ops, lpns, array("q", [1]) * n_requests,
+                              name=name or "tpcc")

@@ -13,8 +13,6 @@ import random
 from array import array
 from typing import Optional
 
-from . import cache as trace_cache
-from .columnar import ColumnarTrace
 from .model import Trace
 
 
@@ -33,32 +31,23 @@ def websearch(
         raise ValueError("footprint_pages too small")
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be in (0, 1)")
-
-    def build() -> ColumnarTrace:
-        rng = random.Random(seed)
-        exponent = 1.0 / (1.0 - theta)
-        scatter = 2654435761 % footprint_pages or 1
-        if scatter % 2 == 0:
-            scatter += 1
-        ops = array("b")
-        lpns = array("q")
-        npages_col = array("q")
-        for _ in range(n_requests):
-            u = rng.random()
-            rank = min(int(footprint_pages * (u ** exponent)),
-                       footprint_pages - 1)
-            lpn = (rank * scatter) % footprint_pages
-            npages = rng.choice((4, 4, 8, 8, 8, 16))  # 8-32 KiB on 2 KiB pages
-            npages = min(npages, footprint_pages - lpn)
-            ops.append(1 if rng.random() < write_ratio else 0)
-            lpns.append(lpn)
-            npages_col.append(npages)
-        return ColumnarTrace(ops, lpns, npages_col, validate=False)
-
-    key = trace_cache.params_key(
-        "synthetic:websearch", n=n_requests, footprint=footprint_pages,
-        seed=seed, write_ratio=write_ratio, theta=theta,
-    )
-    cols = trace_cache.fetch(key, build)
-    cols.name = name or "websearch"
-    return Trace.from_columnar(cols)
+    rng = random.Random(seed)
+    exponent = 1.0 / (1.0 - theta)
+    scatter = 2654435761 % footprint_pages or 1
+    if scatter % 2 == 0:
+        scatter += 1
+    ops = array("b")
+    lpns = array("q")
+    npages_col = array("q")
+    for _ in range(n_requests):
+        u = rng.random()
+        rank = min(int(footprint_pages * (u ** exponent)),
+                   footprint_pages - 1)
+        lpn = (rank * scatter) % footprint_pages
+        npages = rng.choice((4, 4, 8, 8, 8, 16))  # 8-32 KiB on 2 KiB pages
+        npages = min(npages, footprint_pages - lpn)
+        ops.append(1 if rng.random() < write_ratio else 0)
+        lpns.append(lpn)
+        npages_col.append(npages)
+    return Trace.from_columns(ops, lpns, npages_col,
+                              name=name or "websearch")

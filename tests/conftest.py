@@ -1,8 +1,8 @@
 """Test configuration: make ``src/`` importable even without installation,
 and point the binary trace cache at a per-session temporary directory so
 tests never read or write the developer's ``~/.cache/repro-traces``
-(hermeticity: a stale user cache could otherwise mask a generator change,
-and tests would pollute it in return)."""
+(hermeticity: the trace files tests save and load would pollute it, and a
+stale user cache could answer for a parser change)."""
 
 import json
 import os

@@ -298,8 +298,8 @@ class TestEligibilityGate:
         ftl = self._ftl(config=default_lazy_config(background_gc=True))
         engine = batch.engine_for(ftl)
         assert engine is not None
-        closed = make_trace([(True, 0, 1)] * 12, 0.0).to_columnar()
-        open_loop = make_trace([(True, 0, 1)] * 12, 50.0).to_columnar()
+        closed = make_trace([(True, 0, 1)] * 12, 0.0)
+        open_loop = make_trace([(True, 0, 1)] * 12, 50.0)
         assert engine.supports(closed)
         assert not engine.supports(open_loop)
 

@@ -163,7 +163,7 @@ def test_multipage_snapshot_covers_both_devices(golden_multipage):
         f"{scheme}/{trace.name}@{device}"
         for scheme in STRIPED_SCHEMES for device in ("1x1x1", "4x1x1")
     }
-    npages = trace.to_columnar().npages  # (clipped at the footprint's end)
+    npages = trace.npages  # (clipped at the footprint's end)
     assert sum(n >= 4 for n in npages) >= 0.99 * len(npages)
 
 

@@ -1,28 +1,33 @@
-"""Satellite tests for the columnar trace engine and binary trace cache.
+"""Tests for the one trace form and the binary trace cache.
 
-Covers the PR-4 pipeline end to end: lossless ``Trace`` <->
-``ColumnarTrace`` round-trips (property-style over seeded random
-workloads), the ``.rtc`` binary format, cache hit/miss/invalidation
-semantics (mtime bump, parameter change, format-version bump, corrupt
-file fallback), the merged columnar path against the object path, and
-the headline acceptance property: a second invocation of the benchmark
-workload build performs zero trace text parsing.
+Covers the columns-are-the-trace model end to end: lossless
+``Trace(requests)`` -> ``list(trace)`` round trips (seeded and
+hypothesis-driven), summaries against a naive recomputation, pickling,
+slicing, ``merge_traces`` against a stable sort of the concatenation, the
+``.rtc`` binary format, and cache hit/miss/invalidation semantics for
+parsed files (mtime bump, content edit, format-version bump, corrupt file
+fallback, unwritable cache directory).
 """
 
-import importlib.util
 import math
 import os
-import pathlib
+import pickle
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.traces import cache as trace_cache
 from repro.traces import load_trace, save_trace, uniform_random
-from repro.traces.columnar import NO_ARRIVAL, ColumnarTrace
-from repro.traces.model import IORequest, OpType, Trace, merge_traces
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
+from repro.traces.model import (
+    NO_ARRIVAL,
+    IORequest,
+    OpType,
+    Trace,
+    merge_traces,
+)
 
 
 @pytest.fixture
@@ -57,32 +62,61 @@ def random_requests(rng, n, open_loop_fraction=0.5):
     return requests
 
 
+def assert_summaries_naive(trace, requests):
+    """Every memoized summary equals a recomputation over the requests."""
+    page_ops = sum(r.npages for r in requests)
+    writes = sum(r.npages for r in requests if r.is_write)
+    assert trace.page_ops == page_ops
+    assert trace.write_page_ops == writes
+    assert trace.read_page_ops == page_ops - writes
+    assert trace.write_ratio == (writes / page_ops if page_ops else 0.0)
+    assert trace.max_lpn == max(
+        (r.lpn + r.npages - 1 for r in requests), default=-1)
+    assert trace.footprint() == len({p for r in requests for p in r.pages})
+
+
+requests_strategy = st.lists(
+    st.builds(
+        IORequest,
+        st.sampled_from(OpType),
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=1, max_value=6),
+        # Coarse arrivals: equal timestamps exercise the merge tie-break.
+        st.one_of(st.none(),
+                  st.integers(min_value=0, max_value=20).map(float)),
+    ),
+    max_size=40,
+)
+
+
 class TestColumnarRoundTrip:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("open_loop_fraction", [0.0, 0.5, 1.0])
     def test_requests_columns_requests(self, seed, open_loop_fraction):
         rng = random.Random(seed)
         requests = random_requests(rng, 200, open_loop_fraction)
-        cols = ColumnarTrace.from_requests(requests, name="rt")
-        assert cols.to_requests() == requests
-        # Equality holds at the columnar layer too.
-        assert ColumnarTrace.from_requests(cols.to_requests()) == cols
+        trace = Trace(requests, name="rt")
+        assert list(trace) == requests
+        assert [trace[i] for i in range(len(trace))] == requests
+        assert trace[-1] == requests[-1]
 
     def test_trace_facade_round_trip(self):
+        # A pickled trace ships its four columns and comes back whole.
         rng = random.Random(7)
         requests = random_requests(rng, 100)
         trace = Trace(requests, name="facade")
-        rebuilt = trace.to_columnar().to_trace()
-        assert rebuilt.requests == requests
+        rebuilt = pickle.loads(pickle.dumps(trace))
+        assert rebuilt.name == "facade"
+        assert list(rebuilt) == requests
         assert rebuilt.page_ops == trace.page_ops
         assert rebuilt.footprint() == trace.footprint()
         assert rebuilt.max_lpn == trace.max_lpn
 
     def test_fully_closed_loop_drops_arrival_column(self):
         requests = [IORequest(OpType.WRITE, i, 1) for i in range(5)]
-        cols = ColumnarTrace.from_requests(requests)
-        assert cols.arrivals is None
-        assert cols.to_requests() == requests
+        trace = Trace(requests)
+        assert trace.arrivals is None
+        assert list(trace) == requests
 
     def test_mixed_loop_uses_nan_sentinel(self):
         requests = [
@@ -90,84 +124,101 @@ class TestColumnarRoundTrip:
             IORequest(OpType.READ, 1, 2),
             IORequest(OpType.WRITE, 2, 1, arrival_us=9.5),
         ]
-        cols = ColumnarTrace.from_requests(requests)
-        assert list(cols.arrivals)[0] == 5.0
-        assert math.isnan(cols.arrivals[1])
+        trace = Trace(requests)
+        assert list(trace.arrivals)[0] == 5.0
+        assert math.isnan(trace.arrivals[1])
         # The sentinel converts back to arrival_us=None, losslessly.
-        assert cols.to_requests() == requests
+        assert list(trace) == requests
 
     def test_none_arrivals_equal_all_nan_column(self):
-        closed = ColumnarTrace([1], [0], [1], None)
-        sentinel = ColumnarTrace([1], [0], [1], [NO_ARRIVAL])
-        assert closed == sentinel
-        assert sentinel == closed
+        closed = Trace.from_columns([1], [0], [1], None)
+        sentinel = Trace.from_columns([1], [0], [1], [NO_ARRIVAL])
+        assert list(closed) == list(sentinel) == \
+            [IORequest(OpType.WRITE, 0, 1)]
 
     @pytest.mark.parametrize("kwargs", [
-        dict(ops=[2], lpns=[0], npages=[1]),
         dict(ops=[1], lpns=[-1], npages=[1]),
         dict(ops=[1], lpns=[0], npages=[0]),
+        dict(ops=[1], lpns=[0], npages=[-2]),
         dict(ops=[1], lpns=[0], npages=[1], arrivals=[-1.0]),
         dict(ops=[1, 0], lpns=[0], npages=[1]),
         dict(ops=[1], lpns=[0], npages=[1], arrivals=[1.0, 2.0]),
     ])
     def test_invalid_columns_rejected(self, kwargs):
+        # Unequal columns fail at construction; out-of-range values as
+        # soon as a request is viewed (IORequest validates).
         with pytest.raises(ValueError):
-            ColumnarTrace(**kwargs)
+            list(Trace.from_columns(**kwargs))
 
     def test_summaries_match_object_layer(self):
         rng = random.Random(11)
         requests = random_requests(rng, 150)
-        cols = ColumnarTrace.from_requests(requests)
-        assert cols.page_ops == sum(r.npages for r in requests)
-        assert cols.write_page_ops == sum(
-            r.npages for r in requests if r.is_write
-        )
-        assert cols.max_lpn == max(
-            r.lpn + r.npages - 1 for r in requests
-        )
-        assert cols.footprint() == len(
-            {p for r in requests for p in r.pages}
-        )
+        assert_summaries_naive(Trace(requests), requests)
+
+    def test_columns_are_machine_typed(self):
+        trace = Trace.from_columns([1, 0], [4, 9], [2, 1], [0.5, 1.5])
+        assert [column.typecode for column in (
+            trace.ops, trace.lpns, trace.npages, trace.arrivals)] == \
+            ["b", "q", "q", "d"]
+        ops = array("b", [1])
+        assert Trace.from_columns(ops, [0], [1]).ops is ops  # no copy
+
+    @settings(max_examples=100, deadline=None)
+    @given(requests_strategy, requests_strategy, st.data())
+    def test_round_trip_property(self, first, second, data):
+        trace = Trace(first, name="p")
+        assert list(trace) == first
+        assert_summaries_naive(trace, first)
+        rebuilt = pickle.loads(pickle.dumps(trace))
+        assert (rebuilt.name, list(rebuilt)) == ("p", first)
+        start = data.draw(st.integers(0, len(first)))
+        stop = data.draw(st.integers(start, len(first)))
+        part = trace.slice(start, stop)
+        assert list(part) == first[start:stop]
+        assert part.name == f"p[{start}:{stop}]"
+        assert_summaries_naive(part, first[start:stop])
+        merged = list(merge_traces([trace, Trace(second)]))
+        joined = first + second
+        if all(r.arrival_us is not None for r in joined):
+            joined = sorted(joined, key=lambda r: r.arrival_us)
+        assert merged == joined
 
 
 class TestBinaryFormat:
-    def round_trip(self, cols):
-        return trace_cache.loads_columnar(trace_cache.dumps_columnar(cols))
+    def round_trip(self, trace):
+        return trace_cache.loads_columnar(trace_cache.dumps_columnar(trace))
+
+    def single(self):
+        return Trace([IORequest(OpType.WRITE, 0, 1)])
 
     def test_round_trip_preserves_columns_and_name(self):
         rng = random.Random(3)
-        cols = ColumnarTrace.from_requests(
-            random_requests(rng, 120), name="binary-rt"
-        )
-        loaded = self.round_trip(cols)
-        assert loaded == cols
+        requests = random_requests(rng, 120)
+        loaded = self.round_trip(Trace(requests, name="binary-rt"))
+        assert list(loaded) == requests
         assert loaded.name == "binary-rt"
 
     def test_round_trip_closed_loop(self):
-        cols = ColumnarTrace([1, 0], [4, 9], [2, 1], None, name="cl")
-        loaded = self.round_trip(cols)
-        assert loaded == cols and loaded.arrivals is None
+        trace = Trace.from_columns([1, 0], [4, 9], [2, 1], None, name="cl")
+        loaded = self.round_trip(trace)
+        assert list(loaded) == list(trace) and loaded.arrivals is None
 
     def test_bad_magic_rejected(self):
-        data = trace_cache.dumps_columnar(ColumnarTrace([1], [0], [1]))
+        data = trace_cache.dumps_columnar(self.single())
         assert trace_cache.loads_columnar(b"XXXX" + data[4:]) is None
 
     def test_truncated_payload_rejected(self):
-        data = trace_cache.dumps_columnar(ColumnarTrace([1], [0], [1]))
+        data = trace_cache.dumps_columnar(self.single())
         assert trace_cache.loads_columnar(data[:-3]) is None
         assert trace_cache.loads_columnar(data[:4]) is None
 
     def test_flipped_payload_byte_fails_crc(self):
-        data = bytearray(
-            trace_cache.dumps_columnar(ColumnarTrace([1], [0], [1]))
-        )
+        data = bytearray(trace_cache.dumps_columnar(self.single()))
         data[-1] ^= 0xFF
         assert trace_cache.loads_columnar(bytes(data)) is None
 
     def test_future_format_version_rejected(self):
-        data = bytearray(
-            trace_cache.dumps_columnar(ColumnarTrace([1], [0], [1]))
-        )
+        data = bytearray(trace_cache.dumps_columnar(self.single()))
         data[4] ^= 0xFF  # version field follows the 4-byte magic
         assert trace_cache.loads_columnar(bytes(data)) is None
 
@@ -176,8 +227,6 @@ class TestCacheInvalidation:
     def write_trace_file(self, tmp_path, n=50, seed=0):
         path = tmp_path / "w.trace"
         save_trace(uniform_random(n, 256, seed=seed, name="w"), str(path))
-        # The generator above also runs through the cache; zero the
-        # counters so each test observes only its own load_trace calls.
         trace_cache.stats.reset()
         return path
 
@@ -192,14 +241,14 @@ class TestCacheInvalidation:
         assert fresh_cache.stats.hits == 1
         assert fresh_cache.stats.text_parses == 0
         assert fresh_cache.stats.builds == 0
-        assert second.to_columnar() == first.to_columnar()
+        assert list(second) == list(first)
         assert second.name == first.name
 
     def test_mtime_bump_invalidates(self, fresh_cache, tmp_path):
         path = self.write_trace_file(tmp_path)
         load_trace(str(path))
-        st = os.stat(path)
-        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
+        st_ = os.stat(path)
+        os.utime(path, ns=(st_.st_atime_ns, st_.st_mtime_ns + 1_000_000))
         fresh_cache.stats.reset()
         load_trace(str(path))
         assert fresh_cache.stats.misses == 1
@@ -213,23 +262,7 @@ class TestCacheInvalidation:
         fresh_cache.stats.reset()
         reloaded = load_trace(str(path))
         assert fresh_cache.stats.misses == 1
-        assert reloaded.requests[-1] == IORequest(OpType.WRITE, 7, 1)
-
-    def test_generator_param_change_misses(self, fresh_cache):
-        uniform_random(40, 128, seed=0)
-        fresh_cache.stats.reset()
-        uniform_random(40, 128, seed=1)
-        assert fresh_cache.stats.misses == 1
-        fresh_cache.stats.reset()
-        uniform_random(40, 128, seed=0)
-        assert fresh_cache.stats.hits == 1
-        assert fresh_cache.stats.builds == 0
-
-    def test_generator_second_run_identical(self, fresh_cache):
-        cold = uniform_random(60, 128, seed=5)
-        warm = uniform_random(60, 128, seed=5)
-        assert fresh_cache.stats.hits == 1
-        assert warm.to_columnar() == cold.to_columnar()
+        assert reloaded[-1] == IORequest(OpType.WRITE, 7, 1)
 
     def test_format_version_bump_invalidates(self, fresh_cache, tmp_path,
                                              monkeypatch):
@@ -257,7 +290,7 @@ class TestCacheInvalidation:
         assert fresh_cache.stats.misses == 1
         assert fresh_cache.stats.text_parses == 1
         assert fresh_cache.stats.stores == 1  # rebuilt and re-persisted
-        assert recovered.to_columnar() == first.to_columnar()
+        assert list(recovered) == list(first)
 
     def test_disabled_cache_always_builds(self, tmp_path):
         trace_cache.configure(enabled=False)
@@ -273,20 +306,28 @@ class TestCacheInvalidation:
             trace_cache.stats.reset()
             trace_cache.configure()
 
-    def test_store_failure_degrades_gracefully(self, tmp_path, monkeypatch):
-        # A cache rooted somewhere unwritable builds in memory instead.
+    def test_store_failure_degrades_gracefully(self, tmp_path):
+        # A cache rooted somewhere unwritable parses in memory instead.
+        path = self.write_trace_file(tmp_path, n=30, seed=2)
         blocked = tmp_path / "blocked"
         blocked.write_text("a file, not a directory")
         trace_cache.configure(blocked / "sub")
         try:
             trace_cache.stats.reset()
-            trace = uniform_random(30, 64, seed=2)
+            trace = load_trace(str(path))
             assert len(trace) == 30
             assert trace_cache.stats.stores == 0
             assert trace_cache.stats.builds == 1
         finally:
             trace_cache.stats.reset()
             trace_cache.configure()
+
+    def test_generators_bypass_the_cache(self, fresh_cache):
+        uniform_random(40, 128, seed=0)
+        uniform_random(40, 128, seed=0)
+        assert fresh_cache.stats.snapshot() == {
+            "hits": 0, "misses": 0, "stores": 0, "builds": 0,
+            "text_parses": 0}
 
 
 class TestMergedColumnarPath:
@@ -299,14 +340,12 @@ class TestMergedColumnarPath:
             IORequest(OpType.READ, 2, 1, arrival_us=10.0),
             IORequest(OpType.READ, 3, 1, arrival_us=15.0),
         ], name="b")
-        merged = merge_traces([a, b], name="m")
+        merged = list(merge_traces([a, b], name="m"))
         # Object-path reference: stable sort of the concatenation by
         # arrival keeps source order on ties (a's 10.0 before b's 10.0).
-        reference = sorted(
-            a.requests + b.requests, key=lambda r: r.arrival_us
-        )
-        assert merged.requests == reference
-        assert [r.lpn for r in merged.requests] == [0, 2, 3, 1]
+        reference = sorted(list(a) + list(b), key=lambda r: r.arrival_us)
+        assert merged == reference
+        assert [r.lpn for r in merged] == [0, 2, 3, 1]
 
     def test_merge_deterministic_across_repeats(self):
         rng = random.Random(13)
@@ -319,39 +358,15 @@ class TestMergedColumnarPath:
             ], name=f"t{i}")
             for i in range(3)
         ]
-        first = merge_traces(traces).to_columnar()
+        first = list(merge_traces(traces))
         for _ in range(3):
-            assert merge_traces(traces).to_columnar() == first
+            assert list(merge_traces(traces)) == first
 
     def test_any_closed_loop_request_concatenates(self):
         a = Trace([IORequest(OpType.WRITE, 0, 1, arrival_us=50.0)])
         b = Trace([IORequest(OpType.WRITE, 1, 1)])
         merged = merge_traces([a, b])
-        assert [r.lpn for r in merged.requests] == [0, 1]
-        assert merged.requests[1].arrival_us is None
-
-
-class TestBenchSecondInvocationZeroTextParse:
-    """Acceptance: re-running a bench module re-parses no trace text."""
-
-    def load_bench_conftest(self):
-        spec = importlib.util.spec_from_file_location(
-            "bench_conftest", REPO / "benchmarks" / "conftest.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_headline_workloads_second_build_is_all_hits(self, fresh_cache):
-        bench = self.load_bench_conftest()
-        cold = bench.headline_traces(footprint=2048)
-        assert fresh_cache.stats.builds == len(cold)
-        fresh_cache.stats.reset()
-        warm = bench.headline_traces(footprint=2048)
-        # Zero text parsing *and* zero generator re-runs on the second
-        # invocation: every workload loads from the binary cache.
-        assert fresh_cache.stats.text_parses == 0
-        assert fresh_cache.stats.builds == 0
-        assert fresh_cache.stats.hits == len(warm)
-        for one, two in zip(cold, warm):
-            assert two.to_columnar() == one.to_columnar()
+        assert [r.lpn for r in merged] == [0, 1]
+        assert merged[1].arrival_us is None
+        closed = merge_traces([b, b])
+        assert closed.arrivals is None and len(closed) == 2

@@ -63,6 +63,11 @@ class TestBounds:
     def test_request_count(self):
         assert len(uniform_random(123, FOOTPRINT)) == 123
 
+    def test_uniform_random_clips_requests_larger_than_footprint(self):
+        t = uniform_random(2000, 4, max_request_pages=8)
+        assert t.max_lpn < 4
+        assert all(r.npages >= 1 for r in t)
+
 
 class TestWriteRatios:
     def test_uniform_random_write_ratio(self):
@@ -148,6 +153,16 @@ class TestValidation:
     def test_negative_requests(self):
         with pytest.raises(ValueError):
             sequential(-1, FOOTPRINT)
+
+    def test_sequential_zero_request_pages(self):
+        # Used to emit zero-page requests, which IORequest rejects.
+        with pytest.raises(ValueError):
+            sequential(10, FOOTPRINT, request_pages=0)
+
+    def test_warmup_fill_zero_request_pages(self):
+        # Used to never terminate (the cursor advanced by 0 pages).
+        with pytest.raises(ValueError):
+            warmup_fill(FOOTPRINT, request_pages=0)
 
 
 class TestCharacterize:

@@ -72,21 +72,6 @@ class TestTrace:
         assert len(s) == 2
         assert s[0].op is OpType.READ
 
-    def test_scaled_to_truncates(self):
-        t = self.make()
-        assert len(t.scaled_to(2)) == 2
-
-    def test_scaled_to_cycles(self):
-        t = self.make()
-        s = t.scaled_to(7)
-        assert len(s) == 7
-        assert s[3].lpn == t[0].lpn
-
-    def test_scaled_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Trace([]).scaled_to(3)
-
-
 class TestMergeTraces:
     def test_merge_open_loop_sorts_by_arrival(self):
         a = Trace([IORequest(OpType.READ, 0, 1, arrival_us=5.0)])

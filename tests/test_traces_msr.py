@@ -82,6 +82,13 @@ class TestParseTrace:
     def test_max_requests(self):
         assert len(parse_msr(self.LINES, max_requests=2)) == 2
 
+    def test_max_requests_zero_reads_nothing(self):
+        assert len(parse_msr(self.LINES, max_requests=0)) == 0
+
+    def test_negative_max_requests_rejected(self):
+        with pytest.raises(ValueError):
+            parse_msr(self.LINES, max_requests=-1)
+
     def test_parse_file(self, tmp_path):
         from repro.traces import parse_msr_file
         p = tmp_path / "t.csv"

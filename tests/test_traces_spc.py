@@ -86,6 +86,13 @@ class TestParseTrace:
         t = parse_spc(self.LINES, max_requests=2)
         assert len(t) == 2
 
+    def test_max_requests_zero_reads_nothing(self):
+        assert len(parse_spc(self.LINES, max_requests=0)) == 0
+
+    def test_negative_max_requests_rejected(self):
+        with pytest.raises(ValueError):
+            parse_spc(self.LINES, max_requests=-1)
+
     def test_arrivals_preserved(self):
         t = parse_spc(self.LINES)
         arrivals = [r.arrival_us for r in t]
