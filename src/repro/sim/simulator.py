@@ -25,7 +25,7 @@ from ..traces.model import Trace
 from .metrics import ResponseStats
 
 #: Replay-mode selection: ``auto`` engages the epoch-segmented batch
-#: kernels (repro.perf.batch) whenever the scheme/device is eligible;
+#: engine (repro.perf.batch) whenever the scheme/device is eligible;
 #: ``scalar`` never asks for them - the reference path the golden gate,
 #: batchdiff and ftlbench compare the kernels against.
 REPLAY_MODES = ("auto", "scalar")
@@ -189,9 +189,11 @@ class Simulator:
         ``responses=None`` is a warm-up: arrivals are ignored, nothing is
         recorded, idle gaps grant no ``background_work`` and the tracer
         sees no host-level calls.  The batch engine is asked once per
-        replay; it declines by itself under a tracer, a sanitizer, a
-        multi-unit device and the rest of :func:`~repro.perf.batch.engine_for`'s
-        list, and then the scalar segment simply spans the trace.
+        replay; it declines by itself for every scheme but LazyFTL, under
+        a tracer, a sanitizer, a multi-unit device and the rest of
+        :func:`~repro.perf.batch.engine_for`'s list, and a timed replay of
+        a timestamped trace does not use it (epochs are closed loop); the
+        scalar segment then simply spans the trace.
 
         A multi-page request is one host run op (``ftl.read_run`` /
         ``ftl.write_run``: by contract the page op once per page, in
@@ -240,8 +242,10 @@ class Simulator:
             if engine is not None:
                 h = engine.plan_epoch(cols, i, n) if npages[i] == 1 else 0
                 if h >= min_epoch:
-                    device_free_at, busy = engine.run_epoch(
-                        cols, i, h, responses, device_free_at, busy)
+                    # Epochs are closed loop, where the busy total and
+                    # device_free_at are the same sums of the same floats.
+                    device_free_at = busy = engine.run_epoch(
+                        cols, i, h, responses, device_free_at)
                     i += h
                     continue
                 # Scalar through the short horizon plus the boundary

@@ -7,7 +7,8 @@ side:
 * Hypothesis generates arbitrary mixed workloads (single- and
   multi-page requests, closed-loop and timestamped arrivals, with and
   without idle gaps) and asserts digest equality three ways - scalar vs
-  batched on both kernel backends vs traced - per scheme;
+  batched on both kernel backends vs traced - per LazyFTL option cell
+  (timestamped traces check that open-loop replay stays scalar);
 * one function is the replay loop: warm-up, the untraced run, the traced
   run and the batch engine's boundary requests are all observed to
   execute it;
@@ -22,7 +23,7 @@ side:
 ``tests/test_golden_stats.py`` pins the same contract against the
 committed snapshot; here the workloads are adversarial instead of
 golden, so planner edge cases (frontier exhaustion mid-epoch,
-checkpoint budgets, unmapped reads, CMT misses) get fuzzed.
+checkpoint budgets, unmapped reads, ablation-cache misses) get fuzzed.
 """
 
 from array import array
@@ -49,15 +50,12 @@ DEVICE = DeviceSpec(
 
 HAVE_NUMPY = batch._numpy is not None
 
-#: Scheme x option cells the differential fuzz covers: the three
-#: planner-registered schemes, plus LazyFTL's stateful ablation knobs
-#: (the translation-page cache mutates on read; periodic checkpoints
-#: bound write epochs; background GC turns the idle gaps of a
-#: timestamped trace into real work, which sends the whole replay
-#: through the scalar segment).
+#: Option cells the differential fuzz covers: LazyFTL, the one scheme
+#: with an epoch planner, plus its stateful ablation knobs (the
+#: translation-page cache mutates on read; periodic checkpoints bound
+#: write epochs; background GC does real work in the idle gaps of a
+#: timestamped trace, which replays in the scalar segment).
 CELLS = [
-    ("ideal", {}),
-    ("DFTL", {}),
     ("LazyFTL", {}),
     ("LazyFTL", {"config": default_lazy_config(map_cache_pages=4)}),
     ("LazyFTL", {"config": default_lazy_config(checkpoint_interval=40)}),
@@ -236,11 +234,12 @@ class TestEligibilityGate:
     _ftl = staticmethod(make_ftl)
 
     def test_registered_schemes_get_an_engine(self):
-        for scheme in ("ideal", "DFTL", "LazyFTL"):
-            assert batch.engine_for(self._ftl(scheme)) is not None
+        """LazyFTL is the one scheme with an epoch planner."""
+        assert batch.engine_for(self._ftl("LazyFTL")) is not None
 
     def test_unregistered_schemes_decline(self):
-        for scheme in ("BAST", "FAST", "LAST", "NFTL", "superblock"):
+        for scheme in ("ideal", "DFTL", "BAST", "FAST", "LAST", "NFTL",
+                       "superblock"):
             assert batch.engine_for(self._ftl(scheme)) is None
 
     def test_sanitized_flash_declines(self):
@@ -303,16 +302,31 @@ class TestEligibilityGate:
         assert engine.supports(closed)
         assert not engine.supports(open_loop)
 
+    def test_timestamped_traces_replay_scalar(self):
+        """The one timing kernel is the closed-loop one: a timestamped
+        trace replays in the scalar segment even when idle gaps are no-ops,
+        and agrees with forced scalar replay bit for bit."""
+        engine = batch.engine_for(self._ftl())
+        open_loop = make_trace(
+            [(lpn % 4 == 3, lpn * 7 % 150, 1) for lpn in range(400)], 25.0)
+        assert not engine.supports(open_loop)
+        digests = [
+            engine_digest(Simulator(self._ftl(), replay_mode=mode)
+                          .run(open_loop))
+            for mode in ("auto", "scalar")
+        ]
+        assert digests[0] == digests[1]
+
 
 class TestReplayModeSelection:
     def test_invalid_mode_raises(self):
-        ftl = make_ftl("ideal")
+        ftl = make_ftl()
         with pytest.raises(ValueError, match="replay_mode"):
             Simulator(ftl, replay_mode="vectorised")
 
     def test_batched_mode_is_gone(self):
         """``"batched"`` was a second spelling of ``"auto"``."""
-        ftl = make_ftl("ideal")
+        ftl = make_ftl()
         with pytest.raises(ValueError, match="replay_mode"):
             Simulator(ftl, replay_mode="batched")
 
@@ -321,7 +335,7 @@ class TestReplayModeSelection:
         and ``set_backend`` are the only selectors."""
         monkeypatch.setenv("REPRO_REPLAY_MODE", "scalar")
         monkeypatch.setenv("REPRO_BATCH_FALLBACK", "1")
-        ftl = make_ftl("ideal")
+        ftl = make_ftl()
         assert Simulator(ftl).replay_mode == "auto"
         batch.set_backend("auto")
         assert batch.backend_name() == (

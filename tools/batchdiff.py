@@ -12,9 +12,10 @@ the full :func:`repro.sim.golden.engine_digest` (flash counters, FTL
 stats, response-time summary, wear map, RAM model, busy time) must
 compare equal with ``==``.
 
-Schemes without an epoch planner take the scalar path under
-``replay_mode="auto"`` too (the engine declines), so running the whole
-zoo also guards the dispatch gating itself.
+LazyFTL is the one scheme with an epoch planner; every other scheme
+takes the scalar path under ``replay_mode="auto"`` too (the engine
+declines), so running the whole zoo also guards the dispatch gating
+itself.
 
 A second axis, ``runs``, audits the same promise one layer down: GC
 relocation and GMT commits move pages by *run* whenever the device takes
@@ -68,8 +69,8 @@ DEVICE = DeviceSpec(
 
 
 def build_traces(requests: int) -> List:
-    """Two deterministic workloads bracketing the epoch planner, and one
-    it never plans.
+    """Two deterministic workloads bracketing LazyFTL's epoch planner,
+    and one it never plans.
 
     The read-heavy hot/cold mix produces long vectorizable epochs (the
     fast path the kernels exist for); the write-heavy uniform mix keeps
