@@ -45,9 +45,10 @@ Run ops
 -------
 
 A *run* is a list of pages moved together (a GC victim's live pages bound
-for one destination block, the GMT pages of one commit).  Each run op is,
-by contract, **its scalar op called once per page, in order**: same state
-bytes, same ``FlashStats`` (floats accumulated one add per page), same
+for the frontier's open blocks, the GMT pages of one commit).  Each run op
+is, by contract, **its scalar op called once per page, in order**: same
+state bytes, same ``FlashStats`` (floats: one add per page, or the exact
+product when the latency is integer-valued), same unit clocks, same
 returned values, same exception raised at the same page with every earlier
 page done.  The bulk stores are taken only when the whole run is plainly
 legal; anything else *is* the per-page calls, through ``self`` so subclass
@@ -58,29 +59,36 @@ run op              n calls of           bulk path needs
 ==================  ===================  ==================================
 ``read_run``        ``read_page``        :meth:`NandFlash.takes_runs`; every
                                          ppn in range and programmed
-``program_run``     ``program_page``     :meth:`NandFlash.takes_runs`; one
-                                         good block, from its write
-                                         pointer, every target FREE
+``program_run``     ``read_page`` of     :meth:`NandFlash.takes_runs`; every
+                    ``reads[i]`` (if     read programmed; per good block,
+                    any), then           its pages contiguous from its
+                    ``program_page``     write pointer, every one FREE
 ``invalidate_run``  ``invalidate_page``  :meth:`NandFlash.takes_runs`; then
                                          per page: in range and VALID
 ==================  ===================  ==================================
 
+A bulk path charges the unit clocks in the scalar op order, in one loop
+(:meth:`NandFlash._charge_run`): a channel wait reads the least-busy clock
+at each op, so ``program_run`` is told the read before each program.
 :meth:`NandFlash.takes_runs` is the one place the device-wide conditions
 are written: powered, no armed fault (the trip point is a page), no tracer
-(it must see per-op events in order), one parallel unit (no per-unit
-clock to charge) and integer-valued read/program latencies (a caller that
-moves by run sums a run's reads before its programs; integer-valued floats
-add exactly in any order).  Whoever wants to batch asks it - the run ops
-here, :meth:`repro.ftl.stripe.Frontier.run_limit` for GC relocation and
-GMT commits, ``repro.perf.batch.engine_for`` for replay epochs - and gets
-the scalar op order whenever it says no; the sanitizer always says no, so
+(it must see per-op events in order), no ``serialize_timing`` (the
+property-test lever keeps the scalar ops) and integer-valued latencies (a
+caller that moves by run sums a run's latencies in another association;
+integer-valued floats add exactly in any order).  Whoever wants to batch
+asks it - the run ops here, :func:`repro.ftl.stripe.relocate` and
+:meth:`repro.ftl.mapping.MappingStore.commit` once per pass,
+``repro.perf.batch.engine_for`` for replay epochs - and gets the
+scalar op order whenever it says no; the sanitizer always says no, so
 every page of a run gets its per-op audit.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import (Any, Iterable, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from ..obs.events import EventType
 from .errors import (
@@ -239,6 +247,32 @@ class NandFlash:
         self._op_end = end
         return end - op_end
 
+    def _charge_run(self, pages: Iterable[Optional[int]],
+                    raws: Iterable[float]) -> float:
+        """:meth:`_charge` an op on each page (None: no op) for its raw
+        time, in order; returns the deltas summed (bulk run ops only)."""
+        busy = self._unit_busy
+        was = list(busy)
+        wait = self.channel_wait_us
+        ppb, units = self._ppb, self._units
+        least = min(busy)  # clocks only rise: it moves when its unit does
+        for page, raw_us in zip(pages, raws):
+            if page is not None:
+                unit = page // ppb % units
+                start = busy[unit]
+                wait += start - least
+                busy[unit] = start + raw_us
+                if start == least:
+                    least = min(busy)
+        self.channel_wait_us = wait
+        # Integer-valued: each clock rose by its ops' sum, the makespan
+        # is the latest clock.
+        for unit in range(units):
+            self.unit_busy_us[unit] += busy[unit] - was[unit]
+        op_end = self._op_end
+        self._op_end = max(op_end, *busy)
+        return self._op_end - op_end
+
     # ------------------------------------------------------------------
     # Raw NAND operations
     # ------------------------------------------------------------------
@@ -367,9 +401,10 @@ class NandFlash:
             self._powered
             and self.fault._remaining is None
             and self.tracer is None
-            and self._units == 1
+            and not self.serialize_timing
             and float(timing.page_read_us).is_integer()
             and float(timing.page_program_us).is_integer()
+            and float(timing.block_erase_us).is_integer()
         )
 
     def read_run(
@@ -401,12 +436,10 @@ class NandFlash:
         latency = self.timing.page_read_us
         stats = self.stats
         stats.page_reads += n
-        read_us = stats.read_us
-        total = 0.0
-        for _ in range(n):
-            read_us += latency
-            total += latency
-        stats.read_us = read_us
+        # n adds of an integer-valued latency: one exact multiply.
+        stats.read_us += latency * n
+        total = latency * n if self._units == 1 \
+            else self._charge_run(ppns, repeat(latency))
         page_data = self.page_data
         page_oob = self.page_oob
         return ([page_data[ppn] for ppn in ppns],
@@ -414,51 +447,85 @@ class NandFlash:
 
     def program_run(
         self,
-        ppn: int,
+        ppn: Union[int, Sequence[int]],
         datas: Sequence[Any],
         oobs: Sequence[Optional[OOBData]],
+        reads: Optional[Sequence[Optional[int]]] = None,
     ) -> float:
-        """Program ``len(datas)`` consecutive pages starting at ``ppn``.
+        """Program ``len(datas)`` pages: from ``ppn`` on, or at the ppns
+        ``ppn`` lists.
 
-        Equivalent to calling :meth:`program_page` once per page, in
-        order, and summing the latencies.  A plainly legal run (inside one
-        good block, starting at its write pointer, every target FREE) is
-        stored by slice assignment.
+        Equivalent to, once per page in order, :meth:`read_page` of
+        ``reads[i]`` (when given and not None: the read a copy or a
+        read-modify-write does first; its data the caller took from the
+        state arrays) and :meth:`program_page`, the latencies summed.  A
+        plainly legal run is stored by slice assignment per block.
         """
         n = len(datas)
         if len(oobs) != n:
             raise ValueError("datas and oobs must have the same length")
-        ppb = self._ppb
-        end = ppn + n
-        pbn = ppn // ppb
-        states = self.page_states
-        if not (
-            self.takes_runs()
-            and 0 <= ppn < self._total_pages
-            and end <= (pbn + 1) * ppb
-            and not self.is_bad[pbn]
-            and ppn - pbn * ppb == self.write_ptr[pbn]
-            and states.count(FREE, ppn, end) == n
-        ):
+        ppns = range(ppn, ppn + n) if isinstance(ppn, int) else ppn
+        srcs = [src for src in reads or () if src is not None]
+        ways = self._run_ways(ppns, srcs)
+        if not ways:
             total = 0.0
             for i in range(n):
-                total += self.program_page(ppn + i, datas[i], oobs[i])
+                if reads and reads[i] is not None:
+                    total += self.read_page(reads[i])[2]
+                total += self.program_page(ppns[i], datas[i], oobs[i])
             return total
-        states[ppn:end] = bytes((VALID,)) * n
-        self.page_data[ppn:end] = datas
-        self.page_oob[ppn:end] = oobs
-        self.write_ptr[pbn] += n
-        self.valid_count[pbn] += n
+        for j in range(ways):
+            start = ppns[j]
+            end = start + len(range(j, n, ways))
+            self.page_states[start:end] = bytes((VALID,)) * (end - start)
+            self.page_data[start:end] = datas[j::ways]
+            self.page_oob[start:end] = oobs[j::ways]
+            self.write_ptr[start // self._ppb] += end - start
+            self.valid_count[start // self._ppb] += end - start
+        read_lat = self.timing.page_read_us
         latency = self.timing.page_program_us
         stats = self.stats
+        stats.page_reads += len(srcs)
         stats.page_programs += n
-        program_us = stats.program_us
-        total = 0.0
-        for _ in range(n):
-            program_us += latency
-            total += latency
-        stats.program_us = program_us
-        return total
+        # n adds of an integer-valued latency: one exact multiply.
+        stats.read_us += read_lat * len(srcs)
+        stats.program_us += latency * n
+        if self._units == 1:
+            return read_lat * len(srcs) + latency * n
+        # The scalar op order: page i's read (if any), then its program.
+        steps: List[Optional[int]] = [None] * (2 * n)
+        if reads:
+            steps[0::2] = reads
+        steps[1::2] = ppns
+        return self._charge_run(steps, [read_lat, latency] * n)
+
+    def _run_ways(self, ppns: Sequence[int], srcs: Sequence[int]) -> int:
+        """How many blocks a plainly legal :meth:`program_run` rotates over,
+        else 0: block *j* of *L* gets pages *j*, *j* + *L*, ..."""
+        n = len(ppns)
+        states = self.page_states
+        if not (n and self.takes_runs() and (not srcs or (
+                min(srcs) >= 0 and max(srcs) < self._total_pages
+                and all(map(states.__getitem__, srcs))))):
+            return 0
+        ppb = self._ppb
+        ways = 1
+        while ways < n and ppns[ways] // ppb != ppns[0] // ppb:
+            ways += 1
+        if len({start // ppb for start in ppns[:ways]}) < ways:
+            return 0
+        for j in range(ways):
+            start = ppns[j]
+            end = start + len(range(j, n, ways))
+            pbn = start // ppb
+            if not (0 <= start and end <= (pbn + 1) * ppb <= self._total_pages
+                    and not self.is_bad[pbn]
+                    and start - pbn * ppb == self.write_ptr[pbn]
+                    and states.count(FREE, start, end) == end - start
+                    and (isinstance(ppns, range)
+                         or ppns[j::ways] == list(range(start, end)))):
+                return 0
+        return ways
 
     def erase_block(self, pbn: int) -> float:
         """Erase a block; returns the latency in microseconds.

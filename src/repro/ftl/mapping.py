@@ -227,10 +227,12 @@ class MappingStore:
     ) -> float:
         """Apply batched mapping updates, one page write per group.
 
-        The sorted groups go out by *run* (as pages do in
-        :func:`~repro.ftl.stripe.relocate`): as many as fit the block the
-        destination names share one :meth:`_commit_run`.  At a run limit
-        of 1 each is the :meth:`checkout` / :meth:`program` pair.
+        The sorted groups go out by *run* when the device takes runs (as
+        pages do in :func:`~repro.ftl.stripe.relocate`): a page's two asks
+        (as :meth:`checkout`, then :meth:`program`), then the pages
+        :meth:`~repro.ftl.stripe.Frontier.run_plan` places after it at two
+        asks each, in one :meth:`_commit_run`.  Otherwise each is the
+        :meth:`checkout` / :meth:`program` pair.
 
         Args:
             groups: tvpn -> list of (lpn, new_ppn), as produced by
@@ -243,8 +245,7 @@ class MappingStore:
         tvpns = sorted(groups)
         frontier = self._frontier
         # The ablation cache is kept current page by page.
-        limit = 1 if self.cache_pages > 0 else frontier.run_limit()
-        if limit == 1:
+        if self.cache_pages > 0 or not self.flash.takes_runs():
             checkout = self.checkout
             program = self.program
             entries_per_page = self.entries_per_page
@@ -265,15 +266,14 @@ class MappingStore:
             destination = self._destination
             done = 0
             while done < len(tvpns):
-                # Reserve as checkout and then program would: two asks, so
-                # the rotation moves as it always did.
                 room_lat, _ = destination(frontier)
                 latency += room_lat
                 room_lat, pbn = destination(frontier)
                 latency += room_lat
-                room = self._pages_per_block - self.flash.write_ptr[pbn]
-                run = tvpns[done:done + min(limit, room)]
-                latency += self._commit_run(run, pbn, groups, on_superseded)
+                plan = frontier.run_plan(pbn, len(tvpns) - done - 1, 2)
+                frontier.advance(len(plan) - 1, 2)
+                run = tvpns[done:done + len(plan)]
+                latency += self._commit_run(run, plan, groups, on_superseded)
                 done += len(run)
         tracer = self.flash.tracer
         if tracer is not None:
@@ -284,20 +284,19 @@ class MappingStore:
             )
         return latency
 
-    def _commit_run(self, run, pbn, groups, on_superseded) -> float:
+    def _commit_run(self, run, dsts, groups, on_superseded) -> float:
         """Rewrite the translation pages ``run``, their commit groups
-        applied, into block ``pbn`` (which has room for them)."""
+        applied, to the pages ``dsts`` (free, as planned); each page's read
+        of its old copy, if any, is charged just before its program."""
         flash = self.flash
         stats = self.stats
         entries_per_page = self.entries_per_page
         gtd = self.gtd.raw
-        old = [gtd[tvpn] for tvpn in run if gtd[tvpn] >= 0]
-        pages, _, latency = flash.read_run(old)
-        stats.map_reads += len(old)
-        fetched = iter(pages)
+        page_data = flash.page_data
+        old = [gtd[tvpn] if gtd[tvpn] >= 0 else None for tvpn in run]
         contents = []
-        for tvpn in run:  # a page never written starts empty
-            content = list(next(fetched)) if gtd[tvpn] >= 0 \
+        for tvpn, tppn in zip(run, old):  # a page never written starts empty
+            content = list(page_data[tppn]) if tppn is not None \
                 else [None] * entries_per_page
             for lpn, new_ppn in groups[tvpn]:  # as the scalar arm applies
                 idx = lpn % entries_per_page
@@ -307,13 +306,14 @@ class MappingStore:
                 content[idx] = new_ppn
             stats.batched_commits += len(groups[tvpn])
             contents.append(content)
+        stale = [tppn for tppn in old if tppn is not None]
+        stats.map_reads += len(stale)
         n = len(run)
-        dst = pbn * self._pages_per_block + flash.write_ptr[pbn]
-        latency += flash.program_run(dst, contents, run_oobs(
-            run, self.seq.take(n), PageKind.MAPPING, False))
+        latency = flash.program_run(dsts, contents, run_oobs(
+            run, self.seq.take(n), PageKind.MAPPING, False), old)
         stats.map_writes += n
-        flash.invalidate_run(old)
-        self.gtd.set_many(zip(run, range(dst, dst + n)))
+        flash.invalidate_run(stale)
+        self.gtd.set_many(zip(run, dsts))
         return latency
 
     def program(self, tvpn: int, content: List[Optional[int]]) -> float:

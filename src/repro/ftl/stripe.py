@@ -13,9 +13,9 @@ it is full, retire it, open the next".
 
 The frontier is RAM-side bookkeeping: it reads the device's write
 pointers and takes blocks from the pool but never programs flash, and it
-is only *advisory* about placement.  :meth:`Frontier.run_limit` says how
-far a caller may batch; :func:`relocate`, the one loop every GC pass moves
-pages through, batches by it.  Crash recovery does not persist
+is only *advisory* about placement.  :meth:`Frontier.run_plan` says where
+the pages of a batch would go; :func:`relocate`, the one loop every GC
+pass moves pages through, batches by it.  Crash recovery does not persist
 rotation state; it is rebuilt (:meth:`Frontier.reset`) from the non-full
 blocks each area already tracks, because a set of open blocks degenerates
 to ordinary partially-written blocks, which every conversion/GC path
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import attrgetter
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.oob import PageKind, SequenceCounter, make_oob, run_oobs
@@ -84,8 +84,7 @@ class Frontier:
     """
 
     __slots__ = ("pool", "units", "ways", "open_blocks", "_cursor",
-                 "_write_ptr", "_pages_per_block", "_on_full",
-                 "_device_takes_runs")
+                 "_write_ptr", "_pages_per_block", "_on_full", "_spare")
 
     def __init__(
         self,
@@ -102,7 +101,8 @@ class Frontier:
         self._write_ptr = flash.write_ptr
         self._pages_per_block = flash.geometry.pages_per_block
         self._on_full = on_full
-        self._device_takes_runs = flash.takes_runs
+        #: The ``spare`` of the last :meth:`take` (:meth:`run_plan`).
+        self._spare = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -120,6 +120,7 @@ class Frontier:
         """
         open_blocks = self.open_blocks
         write_ptr = self._write_ptr
+        self._spare = spare
         while open_blocks:
             cursor = self._cursor
             if cursor >= len(open_blocks):
@@ -135,15 +136,53 @@ class Frontier:
             self._on_full(pbn)
         return None
 
-    def run_limit(self) -> int:
-        """Most pages one *run* may put into a block :meth:`take` names: a
-        whole block (callers clip it to the free pages) when the rotation
-        is one way and :meth:`~repro.flash.chip.NandFlash.takes_runs`, else
-        1.  Ask once per pass, never keep it: tracers attach and faults arm
-        in between."""
-        if self.ways == 1 and self._device_takes_runs():
-            return self._pages_per_block
-        return 1
+    def run_plan(self, held: int, k: int, asks: int = 1) -> Sequence[int]:
+        """The pages of a *run*: the one bound for ``held`` (the block the
+        last ask named; the page is not yet programmed), then where up to
+        ``k`` more would go at ``asks`` :meth:`take` calls a page, the last
+        naming its block.
+
+        It stops at the first page one of whose takes would evict a full
+        block or return None (a dry rotation, or an extra way under the
+        ``spare`` rule as the last :meth:`take` applied it).  Pure:
+        :meth:`advance` then moves the cursor for the pages used.
+        """
+        open_blocks = self.open_blocks
+        ways = len(open_blocks)
+        ppb = self._pages_per_block
+        write_ptr = self._write_ptr
+        start = held * ppb + write_ptr[held]
+        if ways < self.ways and len(self.pool) > self._spare:
+            return [start]
+        if ways == 1:  # the rest of the block
+            return range(start, start + 1 + min(k, ppb - 1 - write_ptr[held]))
+        free = [ppb - write_ptr[pbn] for pbn in open_blocks]
+        free[open_blocks.index(held)] -= 1
+        plan = [start] * (k + 1)
+        cursor = self._cursor
+        page = ask = 0
+        while page < k:  # take() on a copy of the rotation, ask by ask
+            if cursor >= ways:
+                cursor = 0
+            if not free[cursor]:
+                break
+            cursor += 1
+            ask += 1
+            if ask == asks:
+                ask = 0
+                page += 1
+                free[cursor - 1] -= 1
+                plan[page] = (open_blocks[cursor - 1] + 1) * ppb \
+                    - free[cursor - 1] - 1
+        return plan[:page + 1]
+
+    def advance(self, pages: int, asks: int = 1) -> None:
+        """Move the cursor as the asks of ``pages`` pages of a
+        :meth:`run_plan` would have."""
+        if pages:
+            ways = len(self.open_blocks)
+            cursor = self._cursor if self._cursor < ways else 0
+            self._cursor = (cursor + pages * asks - 1) % ways + 1
 
     def open(self) -> int:
         """Allocate a block on an uncovered unit and add it to the rotation."""
@@ -204,6 +243,9 @@ class Frontier:
 
 #: ``destination(frontier) -> (latency, pbn)``: an owner's policy for where
 #: the next page goes - a block with a free page, and the time making room.
+#: Every policy asks ``frontier.take(spare)`` first, with one ``spare``
+#: throughout a run, and when that hands it a block returns ``(0.0, pbn)``
+#: and does nothing else - the rule :meth:`Frontier.run_plan` stands on.
 Destination = Callable[[Frontier], Tuple[float, int]]
 
 
@@ -224,18 +266,19 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
     """Move the live pages ``srcs`` into ``frontier``'s blocks (the caller
     erases theirs); returns the simulated time.  The one relocation loop.
 
-    Pages move by *run*: the live pages that fit the block ``destination``
-    just named, ``frontier.run_limit()`` at most.  A run's first page is
-    read before ``destination`` is asked - it may convert, reclaim or
-    raise ``OutOfBlocksError`` exactly where it always did - and the rest
-    is gathered after (a lazy ``srcs`` only advances there), so nothing
-    ``destination`` does can touch a gathered page: it is asked *between*
-    runs.  A ``MAPPING`` copy is also a map read and a map write - the one
-    map write that is a GC copy (``map_gc_copies``), not a commit.
+    Pages move by *run* when the device takes runs: a page is read, then
+    ``destination`` is asked - it may convert, reclaim or raise
+    ``OutOfBlocksError`` exactly where it always did - and the pages that
+    follow are gathered (a lazy ``srcs`` only advances there) as far as
+    :meth:`Frontier.run_plan` places them: ``destination`` is asked
+    *between* runs.  A ``MAPPING`` copy is also a map read and a map write
+    - the one map write that is a GC copy (``map_gc_copies``).
     """
     latency = 0.0
-    limit = frontier.run_limit()
+    runs = flash.takes_runs()
     write_ptr = flash.write_ptr
+    page_data = flash.page_data
+    page_oob = flash.page_oob
     read_page = flash.read_page
     program_page = flash.program_page
     invalidate_page = flash.invalidate_page
@@ -254,12 +297,10 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
                 tracer.emit(EventType.MAP_READ, lpn=lpn, ppn=src)
         room_lat, pbn = destination(frontier)
         latency += room_lat
-        offset = write_ptr[pbn]
-        dst = pbn * ppb + offset
-        if limit == 1:
-            # Striped, traced, fault-armed, sanitized, fractional timing:
-            # the scalar ops (a striped replay is a fifth slower through
-            # the lists below).
+        if not runs:
+            # Traced, fault-armed, sanitized, fractional timing: the
+            # scalar ops.
+            dst = pbn * ppb + write_ptr[pbn]
             latency += program_page(
                 dst, data, make_oob((lpn, seq_next(), kind, cold)))
             if mapping:
@@ -271,19 +312,21 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
             invalidate_page(src)
             stats.gc_page_copies += 1
             continue
-        # One run (these lists *are* the run, one per destination block):
-        # gather, read, program, record and invalidate in bulk.
-        rest = list(islice(srcs, min(limit, ppb - offset) - 1))
-        datas, oobs, read_lat = flash.read_run(rest)
-        lpns = [lpn, *map(_LPN, oobs)]
-        n = len(lpns)
-        latency += read_lat + flash.program_run(
-            dst, [data, *datas], run_oobs(lpns, seq.take(n), kind, cold))
+        # One run: gather, program, record and invalidate in bulk.
+        plan = frontier.run_plan(pbn, ppb)
+        rest = list(islice(srcs, len(plan) - 1))
+        frontier.advance(len(rest))
+        n = len(rest) + 1
+        dsts = plan[:n]
+        lpns = [lpn, *map(_LPN, map(page_oob.__getitem__, rest))]
+        latency += flash.program_run(
+            dsts, [data, *map(page_data.__getitem__, rest)],
+            run_oobs(lpns, seq.take(n), kind, cold), [None, *rest])
         if mapping:
             stats.map_reads += n - 1
             stats.map_writes += n
             stats.map_gc_copies += n
-        record_run(zip(lpns, range(dst, dst + n)))
+        record_run(zip(lpns, dsts))
         flash.invalidate_run([src, *rest])
         stats.gc_page_copies += n
     return latency

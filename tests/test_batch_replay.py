@@ -267,6 +267,16 @@ class TestEligibilityGate:
         assert batch.engine_for(self._ftl(channels=2)) is None
         assert batch.engine_for(self._ftl(dies=2)) is None
 
+    @pytest.mark.parametrize("channels,dies", [(4, 1), (2, 2)])
+    def test_striped_device_declines_though_it_takes_runs(self, channels,
+                                                          dies):
+        """An epoch is timed on one clock: ``engine_for`` declines a
+        multi-unit device itself, not through ``takes_runs()``, which
+        says yes there."""
+        ftl = self._ftl(channels=channels, dies=dies)
+        assert ftl.flash.takes_runs()
+        assert batch.engine_for(ftl) is None
+
     def test_attached_tracer_declines(self):
         from repro.obs import Tracer
 

@@ -9,6 +9,8 @@ one way, checks the trace against the serial rule the frontier replaced:
 keep the block until it is full, retire it, open the next.
 """
 
+import random
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -176,49 +178,119 @@ class TestSpareRule:
         assert [frontier.take(0) for _ in range(3)] == [pbn] * 3
 
 
+def relocated(flash, frontier, count=PAGES):
+    """Relocate a freshly programmed victim of ``count`` pages through
+    :func:`relocate`; returns how many ``program_page`` and
+    ``program_run`` calls it made."""
+    victim = frontier.pool.allocate()
+    program(flash, victim, count)
+    calls = {"program_page": 0, "program_run": 0}
+    for name in calls:
+        real = getattr(flash, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        setattr(flash, name, spy)
+    try:
+        relocate(flash, frontier, flash.valid_ppns(victim), spare_block,
+                 SequenceCounter(), FtlStats(), lambda lpn, dst: None,
+                 lambda pairs: None)
+    finally:
+        for name in calls:
+            delattr(flash, name)
+    return calls["program_page"], calls["program_run"]
+
+
 class TestRunLimit:
-    """How far a pass may batch: a whole block on a one-way rotation over
-    a device that takes runs, else one page - asked afresh every pass."""
+    """How far a pass may batch: the run plan (:meth:`Frontier.run_plan`)
+    says where the pages after an ask would go, on any rotation, and the
+    device is asked afresh every pass whether it takes runs at all."""
 
     def test_one_way_on_a_plain_device_is_a_block(self):
         _, _, frontier, _ = make()
-        assert frontier.run_limit() == PAGES
+        pbn = frontier.open()
+        assert list(frontier.run_plan(pbn, 2 * PAGES)) == \
+            list(range(pbn * PAGES, (pbn + 1) * PAGES))
 
-    def test_several_ways_is_one(self):
-        # Whatever the device says: the rotation hands consecutive pages
-        # to different blocks.
-        _, _, frontier, _ = make(units=1, ways=2)
-        assert frontier.run_limit() == 1
-        _, _, striped, _ = make(units=4)
-        assert striped.run_limit() == 1
+    def test_several_ways_rotate_page_by_page(self):
+        # Consecutive pages go to consecutive blocks of the rotation; each
+        # block's pages stay contiguous from its write pointer.
+        flash, _, frontier, _ = make(units=4)
+        opened = [frontier.open() for _ in range(4)]
+        program(flash, opened[2], 2)
+        held = frontier.take(0)
+        assert held == opened[0]
+        first = [pbn * PAGES + flash.write_ptr[pbn] for pbn in opened]
+        assert frontier.run_plan(held, 6) == [
+            first[0], first[1], first[2], first[3], first[0] + 1,
+            first[1] + 1, first[2] + 1]
+        # opened[2] takes the 3rd and 7th page; the 11th would find it
+        # full, so the plan ends before it.
+        assert len(frontier.run_plan(held, 20)) == 10
 
-    def test_one_way_over_several_units_is_one(self):
+    def test_one_way_over_several_units_is_a_block(self):
         _, _, frontier, _ = make(units=2, ways=1)
-        assert frontier.run_limit() == 1
+        pbn = frontier.open()
+        assert len(frontier.run_plan(pbn, 2 * PAGES)) == PAGES
+
+    def test_a_plan_is_the_takes_it_stands_for(self):
+        # Against the real thing: the pages the plan names are those the
+        # takes would hand out (one or two asks a page), it stops where a
+        # take would evict or return None, and advance() leaves the
+        # cursor where the takes leave it.
+        rng = random.Random(7)
+        for _ in range(400):
+            units = rng.choice([1, 2, 4])
+            ways = rng.randint(1, 4)
+            flash, pool, frontier, _ = make(units=units, ways=ways)
+            for _ in range(rng.randint(1, ways)):
+                program(flash, frontier.open(), rng.randint(0, PAGES - 1))
+            frontier._cursor = rng.randint(0, len(frontier.open_blocks))
+            spare = rng.randint(0, 16)
+            held = frontier.take(spare)
+            if held is None:
+                held = frontier.open()
+            asks, k = rng.choice([1, 2]), rng.randint(0, 3 * PAGES)
+            plan = frontier.run_plan(held, k, asks)
+            taken = [held * PAGES + flash.write_ptr[held]]
+            program(flash, held)
+            planned = Frontier(flash, pool, ways)
+            planned.open_blocks = list(frontier.open_blocks)
+            planned._cursor = frontier._cursor
+            planned.advance(len(plan) - 1, asks)
+            while len(taken) <= k:
+                rotation = list(frontier.open_blocks)
+                pbns = [frontier.take(spare) for _ in range(asks)]
+                if None in pbns or frontier.open_blocks != rotation:
+                    break
+                taken.append(pbns[-1] * PAGES + flash.write_ptr[pbns[-1]])
+                program(flash, pbns[-1])
+                cursor = frontier._cursor
+            assert list(plan) == taken
+            if len(taken) > 1:
+                assert planned._cursor == cursor
 
     def test_device_refusing_runs_is_one_and_is_never_cached(self):
-        flash, _, frontier, _ = make()
-        assert frontier.run_limit() == PAGES
+        flash, _, frontier, _ = make(blocks=32)
+        assert relocated(flash, frontier) == (0, 1)
         flash.tracer = Tracer()
-        assert frontier.run_limit() == 1
+        assert relocated(flash, frontier) == (PAGES, 0)
         flash.tracer = None
         flash.fault.arm_after_programs(10 ** 12)
-        assert frontier.run_limit() == 1
+        assert relocated(flash, frontier) == (PAGES, 0)
         flash.fault.disarm()
         flash.timing = TimingModel(page_read_us=0.1)
-        assert frontier.run_limit() == 1
+        assert relocated(flash, frontier) == (PAGES, 0)
         flash.timing = UNIT_TIMING
-        flash.power_off()
-        assert frontier.run_limit() == 1
-        flash.power_on()
-        assert frontier.run_limit() == PAGES
+        assert relocated(flash, frontier)[0] == 0
 
     def test_sanitized_device_is_one(self):
         flash = SanitizedNandFlash(
             FlashGeometry(num_blocks=8, pages_per_block=PAGES, page_size=64),
             timing=UNIT_TIMING)
         frontier = Frontier(flash, BlockPool(range(8)), 1)
-        assert frontier.run_limit() == 1
+        assert relocated(flash, frontier) == (PAGES, 0)
 
     def test_a_run_is_clipped_to_the_free_pages_of_the_block(self):
         # relocate() moves 6 live pages into a block with 3 free pages:
@@ -232,9 +304,9 @@ class TestRunLimit:
         runs = []
         program_run = flash.program_run
 
-        def spy(ppn, datas, oobs):
-            runs.append((ppn // PAGES, len(datas)))
-            return program_run(ppn, datas, oobs)
+        def spy(ppns, datas, oobs, reads=None):
+            runs.append((ppns[0] // PAGES, len(datas)))
+            return program_run(ppns, datas, oobs, reads)
 
         flash.program_run = spy
         stats = FtlStats()

@@ -136,9 +136,11 @@ def test_4ch_snapshot_covers_every_striped_scheme(golden_4ch):
 def test_4ch_scheme_stats_bit_identical(golden, golden_4ch, scheme):
     """Striped-scheme digests on the 4-channel device match the snapshot.
 
-    Only the scalar path runs here (untraced, then traced): multi-unit
-    geometries disqualify the batch-replay planners (striped frontiers
-    rotate between blocks the planners model as one).  Each digest is
+    Only the scalar replay loop runs here: multi-unit geometries
+    disqualify the batch-replay planners (striped frontiers rotate
+    between blocks the planners model as one).  Untraced, GC relocation
+    and GMT commits move by run over the striped rotation; traced, page
+    by page - both must match the one snapshot.  Each digest is
     also cross-checked against the serial snapshot: strictly less
     device-busy time - the whole point of the channels.
     """

@@ -116,17 +116,21 @@ class TestBlockDeviceSectorSemantics:
 
 
 # ----------------------------------------------------------------------
-# Raw device: random op scripts, legal and illegal, on the serial, 4x1x1
-# parallel and sanitized devices, with fractional latencies (every run op
-# then *is* its per-page calls) and integer ones (the serial device takes
-# the bulk paths).  Two claims:
+# Raw device: random op scripts, legal and illegal, on the serial, 2x1x1,
+# 4x1x1 and 2x2x1 parallel, serial-timed 4x1x1 and sanitized devices, with
+# fractional latencies (every run op then *is* its per-page calls) and
+# integer ones (all but the serial-timed and sanitized devices take the
+# bulk paths).  Two claims:
 #
-# * a run op is *n* scalar ops - ``program_run`` / ``read_run`` /
-#   ``invalidate_run`` against ``program_page`` / ``read_page`` /
-#   ``invalidate_page`` in order: same page-state bytes, data/OOB, write
-#   pointers, valid counts, ``invalidated``, ``FlashStats``, returned
-#   values, warnings, exception type and first failing page, and an armed
-#   ``PowerFault`` trips at the same op index through either;
+# * a run op is *n* scalar ops - ``program_run`` (consecutive, or striped
+#   over several blocks with the read each program follows) /
+#   ``read_run`` / ``invalidate_run`` against ``program_page`` /
+#   ``read_page`` / ``invalidate_page`` in order: same page-state bytes,
+#   data/OOB, write pointers, valid counts, ``invalidated``,
+#   ``FlashStats``, unit clocks, busy times, channel wait and host-op
+#   count, returned values, warnings, exception type and first failing
+#   page, and an armed ``PowerFault`` trips at the same op index through
+#   either;
 # * after every step the per-block counters agree with a recount of the
 #   page-state array (``valid_count[b] == count(VALID)``, nothing
 #   programmed at or past the write pointer).
@@ -148,6 +152,15 @@ DEVICES = {
     "parallel": lambda timing, seq: NandFlash(
         FlashGeometry(BLOCKS, PPB, 512, channels=4), timing,
         enforce_sequential=seq),
+    "parallel_2": lambda timing, seq: NandFlash(
+        FlashGeometry(BLOCKS, PPB, 512, channels=2), timing,
+        enforce_sequential=seq),
+    "parallel_2x2": lambda timing, seq: NandFlash(
+        FlashGeometry(BLOCKS, PPB, 512, channels=2, dies=2), timing,
+        enforce_sequential=seq),
+    "serialized": lambda timing, seq: serialized(NandFlash(
+        FlashGeometry(BLOCKS, PPB, 512, channels=4), timing,
+        enforce_sequential=seq)),
     "sanitized": lambda timing, seq: SanitizedNandFlash(
         FlashGeometry(BLOCKS, PPB, 512), timing,
         enforce_sequential=seq),
@@ -162,6 +175,10 @@ ppns = st.integers(-1, TOTAL)
 pbns = st.integers(0, BLOCKS - 1)
 ppn_lists = st.lists(ppns, max_size=PPB + 2)
 ops = st.one_of(
+    st.tuples(st.just("begin"), st.just(0)),
+    st.tuples(st.just("stripe_run"), st.lists(pbns, min_size=1, max_size=3),
+              st.integers(0, 2 * PPB), st.lists(st.none() | ppns,
+                                                max_size=2 * PPB)),
     st.tuples(st.just("program"), ppns),
     st.tuples(st.just("run"), ppns, st.integers(0, PPB + 1)),
     st.tuples(st.just("frontier_program"), pbns),
@@ -192,6 +209,19 @@ def apply(flash, op, step, bulk):
     elif kind == "block_invalidate_run":
         kind = "invalidate_run"
         addr = flash.valid_ppns(addr) + op[2]
+    elif kind == "stripe_run":
+        # Page i on block addr[i % L] from its write pointer: a rotation
+        # (illegal when a block repeats or fills).
+        ways = len(addr)
+        addr = [addr[i % ways] * PPB + flash.write_ptr[addr[i % ways]]
+                + i // ways for i in range(op[2])]
+        # A drawn read names the i-th programmed page (so whole legal
+        # runs are common), or a raw ppn while nothing is programmed.
+        programmed = [ppn for ppn in range(TOTAL) if flash.page_states[ppn]]
+        reads = [None if i is None else
+                 programmed[i % len(programmed)] if programmed else i
+                 for i in op[3]]
+        op = (kind, addr, op[2], reads)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -203,6 +233,21 @@ def apply(flash, op, step, bulk):
 
 
 def _apply(flash, kind, addr, op, step, bulk):
+    if kind == "begin":
+        return flash.begin_host_op()
+    if kind == "stripe_run":
+        n = len(addr)
+        datas = [(step, i) for i in range(n)]
+        oobs = [OOBData(lpn=step, seq=i) for i in range(n)]
+        reads = (op[3] + [None] * n)[:n]
+        if bulk:
+            return flash.program_run(addr, datas, oobs, reads)
+        total = 0.0
+        for i in range(n):
+            if reads[i] is not None:
+                total += flash.read_page(reads[i])[2]
+            total += flash.program_page(addr[i], datas[i], oobs[i])
+        return total
     if kind == "program":
         return flash.program_page(addr, step, OOBData(lpn=step, seq=step))
     if kind == "run":
@@ -247,8 +292,14 @@ def image(flash):
         bytes(flash.is_bad), set(flash.invalidated),
         flash.stats.as_dict(), flash.powered,
         flash.fault.tripped, flash.fault.trip_op_index,
-        flash.fault.trip_site,
+        flash.fault.trip_site, list(flash._unit_busy), flash._op_end,
+        list(flash.unit_busy_us), flash.channel_wait_us, flash.host_ops,
     )
+
+
+def serialized(flash):
+    flash.serialize_timing = True
+    return flash
 
 
 def check_counters(flash):
@@ -289,7 +340,8 @@ def test_the_bulk_paths_are_taken_and_refused():
     leaves the per-page calls - or if a refusing device ever does."""
     for device, timing, bulk_expected in [
         ("serial", "integer", True), ("serial", "fractional", False),
-        ("parallel", "integer", False), ("sanitized", "integer", False),
+        ("parallel", "integer", True), ("parallel_2x2", "integer", True),
+        ("serialized", "integer", False), ("sanitized", "integer", False),
     ]:
         flash = DEVICES[device](TIMINGS[timing], True)
         assert flash.takes_runs() is bulk_expected

@@ -1,17 +1,20 @@
 """Moving pages by run is moving them one at a time - and runs do happen.
 
 GC relocation (:func:`repro.ftl.stripe.relocate`) and LazyFTL's GMT commit
-(:meth:`repro.ftl.mapping.MappingStore.commit`) issue one bulk read, one
-``program_run`` and one bulk invalidate per destination block whenever the
-device takes runs, and the scalar op sequence whenever it does not.  Three
-claims:
+(:meth:`repro.ftl.mapping.MappingStore.commit`) issue one ``program_run``
+(each page's read charged just before its program) and one bulk invalidate
+per run whenever the device takes runs - on a striped device too, a run
+rotating over the frontier's open blocks - and the scalar op sequence
+whenever it does not.  Three claims:
 
 * *differential* - a device that refuses runs for a reason that changes
   nothing else (a power fault armed far beyond the workload) ends a
-  fill + steady-overwrite replay in exactly the state of the plain one;
-* *counting* - on the plain device a GC pass and a conversion make no
-  per-page calls, and with a tracer attached they make exactly the
-  scalar calls in the scalar order;
+  fill + steady-overwrite replay in exactly the state of the plain one,
+  per-unit busy time and channel wait included, at 1x1x1, 4x1x1 and
+  2x2x1;
+* *counting* - on the plain and the 4x1x1 device a GC pass and a
+  conversion make no per-page program calls, and with a tracer attached
+  they make exactly the scalar calls in the scalar order;
 * *end of life* - an ``OutOfBlocksError`` from DFTL's GC destination at a
   run boundary still pins the mapping of every page already moved.
 """
@@ -29,6 +32,8 @@ from repro.ftl import DftlFTL, OutOfBlocksError, PageFTL
 from repro.obs.tracer import Tracer
 
 GEOMETRY = FlashGeometry(num_blocks=64, pages_per_block=16, page_size=64)
+#: (channels, dies) of the geometries the differential runs on.
+STRIPES = {"1x1x1": (1, 1), "4x1x1": (4, 1), "2x2x1": (2, 2)}
 LOGICAL = 600  # of 1024 physical pages; 16 map entries per page -> 38 tvpns
 
 SCHEMES = {
@@ -42,21 +47,32 @@ RAW_OPS = ("read_page", "read_run", "program_page", "program_run",
            "invalidate_page", "invalidate_run")
 
 
-def build(scheme, refuse_runs=False):
-    flash = NandFlash(GEOMETRY, SLC_TIMING)
+def build(scheme, refuse_runs=False, stripe="1x1x1"):
+    channels, dies = STRIPES[stripe]
+    flash = NandFlash(FlashGeometry(
+        num_blocks=GEOMETRY.num_blocks,
+        pages_per_block=GEOMETRY.pages_per_block,
+        page_size=GEOMETRY.page_size, channels=channels, dies=dies,
+    ), SLC_TIMING)
     if refuse_runs:
         flash.fault.arm_after_programs(10 ** 12)  # never trips
     return SCHEMES[scheme](flash)
 
 
 def replay(ftl, overwrites=2500, seed=5):
-    """Fill, then skewed overwrites with some reads; per-op latencies."""
+    """Fill, then skewed overwrites with some reads; per-op latencies.
+    Each request starts a host op on the device, as the simulator's
+    replay loop does."""
     rng = random.Random(seed)
-    latencies = [ftl.write(lpn, ("fill", lpn)).latency_us
-                 for lpn in range(LOGICAL)]
+    begin = ftl.flash.begin_host_op
+    latencies = []
+    for lpn in range(LOGICAL):
+        begin()
+        latencies.append(ftl.write(lpn, ("fill", lpn)).latency_us)
     for i in range(overwrites):
         hot = rng.random() < 0.8
         lpn = rng.randrange(LOGICAL // 5) if hot else rng.randrange(LOGICAL)
+        begin()
         if rng.random() < 0.15:
             latencies.append(ftl.read(lpn).latency_us)
         else:
@@ -106,7 +122,11 @@ def counted():
 
         def wrapper(self, *args):
             calls[name] += 1
-            order.append((name, args[0]))
+            # A program run's first target: a ppn, or a sequence of them.
+            first = args[0]
+            if name == "program_run" and not isinstance(first, int):
+                first = first[0]
+            order.append((name, first))
             return real(self, *args)
         return wrapper
 
@@ -116,10 +136,15 @@ def counted():
         yield calls, order
 
 
-@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("scheme,stripe", [
+    pytest.param(scheme, stripe, id=scheme if stripe == "1x1x1"
+                 else f"{scheme}-{stripe}")
+    for stripe in STRIPES for scheme in sorted(SCHEMES)
+])
 class TestByRunIsByPage:
-    def test_refusing_runs_changes_nothing(self, scheme):
-        by_run, by_page = build(scheme), build(scheme, refuse_runs=True)
+    def test_refusing_runs_changes_nothing(self, scheme, stripe):
+        by_run = build(scheme, stripe=stripe)
+        by_page = build(scheme, refuse_runs=True, stripe=stripe)
         with counted() as (calls, _):
             run_latencies = replay(by_run)
         assert calls["program_run"] > 0, "the plain device never took a run"
@@ -132,6 +157,10 @@ class TestByRunIsByPage:
         want = full_image(by_page)
         for key, got in full_image(by_run).items():
             assert got == want[key], key
+        # Per-unit busy time and channel wait: the run ops charged every
+        # unit clock in the scalar op order.
+        assert by_run.flash.parallel_summary() == \
+            by_page.flash.parallel_summary()
         # The never-tripping fault is the only difference between them.
         assert by_page.flash.fault.armed and not by_run.flash.fault.armed
 
@@ -146,9 +175,9 @@ def test_lazyftl_flush_and_checkpoint_agree_too():
     assert full_image(by_run) == full_image(by_page)
 
 
-def aged(scheme, tracer=None):
+def aged(scheme, tracer=None, stripe="1x1x1"):
     """A device in GC steady state; the tracer attaches only afterwards."""
-    ftl = build(scheme)
+    ftl = build(scheme, stripe=stripe)
     replay(ftl, overwrites=1200)
     ftl.flash.tracer = tracer
     return ftl
@@ -232,6 +261,39 @@ class TestRunsReallyHappen:
             ["read_page", "program_page", "invalidate_page"] * len(srcs)
         assert [ppn for name, ppn in order if name != "program_page"] == \
             [src for src in srcs for _ in range(2)]
+
+    @pytest.mark.parametrize("scheme", ["ideal", "LazyFTL"])
+    def test_a_striped_gc_pass_moves_by_run(self, scheme):
+        ftl = aged(scheme, stripe="4x1x1")
+        victim = data_victim(ftl)
+        copies = ftl.stats.gc_page_copies
+        with counted() as (calls, _):
+            ftl._gc.collect(victim)
+        assert ftl.stats.gc_page_copies > copies
+        # Copies, and the GMT pages of any conversion the pass forced, all
+        # went out by run; only a run's first page is read alone.
+        assert calls["program_page"] == 0
+        assert 1 <= calls["program_run"]
+        assert calls["read_page"] <= calls["program_run"]
+
+    def test_a_striped_conversion_moves_by_run(self):
+        ftl = aged("LazyFTL", stripe="4x1x1")
+        writes = ftl.stats.map_writes
+        with counted() as (calls, _):
+            ftl._convert_oldest(ftl._uba)
+        assert ftl.stats.map_writes - writes >= 2
+        assert calls["program_page"] == calls["read_page"] == 0
+        assert calls["program_run"] >= 1
+
+    def test_a_traced_striped_pass_is_the_scalar_op_sequence(self):
+        ftl = aged("ideal", tracer=Tracer(), stripe="4x1x1")
+        victim = data_victim(ftl)
+        srcs = ftl.flash.valid_ppns(victim)
+        with counted() as (calls, order):
+            ftl._gc.collect(victim)
+        assert calls["program_run"] == calls["invalidate_run"] == 0
+        assert [name for name, _ in order] == \
+            ["read_page", "program_page", "invalidate_page"] * len(srcs)
 
     def test_one_conversion_is_at_most_two_program_runs(self):
         ftl = aged("LazyFTL")

@@ -28,6 +28,10 @@ third workload is multi-page (websearch-shaped, 4-16 pages a request), so
 the same axis covers the *host* run ops: GC and conversions land inside
 multi-page requests by run on one device and by page on the other, and
 LazyFTL's reuse of a held GMT page (``read_run``) is the same on both.
+The ``runs`` pair is replayed on a striped device as well (per-unit
+clocks, frontiers rotating over several blocks) - ``4x1x1`` under the
+write-heavy mix, ``2x2x1`` under the multi-page one - where the per-unit
+load and channel wait (``parallel_summary()``) must match too.
 
 Run:  PYTHONPATH=src python tools/batchdiff.py [--requests N]
 Exit status 0 when every digest matches, 1 on the first divergence
@@ -40,6 +44,7 @@ Exit status 0 when every digest matches, 1 on the first divergence
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 from typing import Dict, List, Tuple
@@ -66,6 +71,12 @@ from repro.traces.websearch import websearch  # noqa: E402
 DEVICE = DeviceSpec(
     num_blocks=96, pages_per_block=16, page_size=512, logical_fraction=0.7
 )
+#: The striped device of the ``runs`` axis per workload: name, channels,
+#: dies (the read-heavy mix barely collects garbage, so it has none).
+STRIPES = {
+    "batchdiff-writeheavy": ("4x1x1", 4, 1),
+    "batchdiff-multipage": ("2x2x1", 2, 2),
+}
 
 
 def build_traces(requests: int) -> List:
@@ -96,8 +107,10 @@ def build_traces(requests: int) -> List:
 
 
 def digest_for(scheme: str, trace, replay_mode: str,
-               refuse_runs: bool = False) -> Tuple[Dict[str, object], bool]:
-    """``(digest, moves_by_run)``: the replay's digest, and whether the
+               refuse_runs: bool = False, device: DeviceSpec = DEVICE,
+               ) -> Tuple[Dict[str, object], bool]:
+    """``(digest, moves_by_run)``: the replay's digest (with the device's
+    ``parallel_summary()`` on a striped ``device``), and whether the
     scheme relocates through the one collector (the ``runs`` axis applies).
 
     ``refuse_runs`` arms the device's power fault far beyond any replay
@@ -116,10 +129,13 @@ def digest_for(scheme: str, trace, replay_mode: str,
 
     with patch.object(runner, "standard_setup", setup):
         result = run_scheme(
-            scheme, trace, device=DEVICE, precondition="steady",
+            scheme, trace, device=device, precondition="steady",
             replay_mode=replay_mode,
         )
-    return engine_digest(result), isinstance(
+    digest = engine_digest(result)
+    if device is not DEVICE:
+        digest["parallel"] = built[0].flash.parallel_summary()
+    return digest, isinstance(
         getattr(built[0], "_gc", None), GarbageCollector)
 
 
@@ -156,6 +172,16 @@ def run_diff(requests: int, schemes: Tuple[str, ...]) -> int:
                 refused, _ = digest_for(
                     scheme, trace, "scalar", refuse_runs=True)
                 verdicts.append(verdict("runs", reference, refused))
+                if trace.name in STRIPES:
+                    name, channels, dies = STRIPES[trace.name]
+                    device = dataclasses.replace(
+                        DEVICE, channels=channels, dies=dies)
+                    by_run, _ = digest_for(
+                        scheme, trace, "scalar", device=device)
+                    by_page, _ = digest_for(
+                        scheme, trace, "scalar", refuse_runs=True,
+                        device=device)
+                    verdicts.append(verdict(f"runs{name}", by_run, by_page))
             failures += sum("DIVERGED" in v for v in verdicts)
             print(f"{trace.name:22s} {scheme:11s} {'  '.join(verdicts)}")
     return failures

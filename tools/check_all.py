@@ -32,7 +32,9 @@ Runs, in order:
    with both kernel backends (numpy and the pure-``array`` fallback) -
    the batch engine's bit-identical contract, end to end - and, for the
    schemes that garbage-collect through the one collector, with runs
-   allowed vs refused: GC, commit and host requests by run == by page;
+   allowed vs refused, on the serial device and a striped one (4x1x1,
+   2x2x1; per-unit load and channel wait compared too): GC, commit and
+   host requests by run == by page;
 8. **crashmc** - ``python -m repro crashcheck``: crash-consistency
    smoke (every program/erase boundary of a short mixed workload for
    each recovery-capable scheme, plus the ``--mutate`` oracle
