@@ -5,7 +5,6 @@ DESIGN.md calls out:
 
 * **global batching** (commit all UMT entries of a GMT page together) -
   the mechanism that amortises conversion cost;
-* the optional **GMT page cache** extension (off in the base design);
 * the **per-request reuse** of a held GMT page (``LazyFTL.read_run``, PR
   22; on in every other row) - its row drives LazyFTL through the page
   loop instead.
@@ -21,7 +20,6 @@ NO_REUSE = "no per-request GMT reuse"
 VARIANTS = (
     ("base (global batching)", {}),
     ("no global batching", {"global_batching": False}),
-    ("with 64-page GMT cache", {"map_cache_pages": 64}),
     (NO_REUSE, {}),
     ("cheapest-convert policy", {"convert_policy": "cheapest"}),
 )
@@ -67,13 +65,9 @@ def test_e11_translation_overhead(benchmark):
     by_label = dict(results)
     base = by_label["base (global batching)"]
     unbatched = by_label["no global batching"]
-    cached = by_label["with 64-page GMT cache"]
     # Global batching must reduce mapping writes substantially.
     assert base.ftl_stats.map_writes < unbatched.ftl_stats.map_writes * 0.8
     assert base.mean_response_us <= unbatched.mean_response_us
-    # The cache extension removes repeat GMT reads - across requests,
-    # which holding a page for the length of one request does not.
-    assert cached.ftl_stats.map_reads < base.ftl_stats.map_reads
     no_reuse = by_label[NO_REUSE]
     assert base.ftl_stats.map_reads < no_reuse.ftl_stats.map_reads
     assert base.ftl_stats.map_writes == no_reuse.ftl_stats.map_writes

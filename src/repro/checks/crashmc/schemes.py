@@ -162,7 +162,6 @@ def _redirect(ftl: FlashTranslationLayer, lpn: int, wrong_ppn: int) -> None:
         tppn = maps.gtd.get(tvpn)
         assert tppn is not None, "resolved lpn must have a GMT page"
         ftl.flash.page_data[tppn][lpn % maps.entries_per_page] = wrong_ppn
-        maps._cache.clear()  # drop any copy cached during recovery
         return
     assert isinstance(ftl, PageFTL)
     ftl._map.raw[lpn] = wrong_ppn

@@ -214,9 +214,9 @@ class SanitizedNandFlash(NandFlash):
         self.history.record("invalidate", pbn, offset, owner)
 
     def takes_runs(self) -> bool:
-        # No bulk path: ``read_run`` / ``program_run`` / ``invalidate_run``
-        # then call the audited ops above once per page (audit and history
-        # record for each), and FTLs move pages one at a time.
+        # No bulk path: ``program_run`` / ``invalidate_run`` then call the
+        # audited ops above once per page (audit and history record for
+        # each), and FTLs move pages one at a time.
         return False
 
     def _owner(self, ppn: int) -> Optional[int]:

@@ -24,10 +24,6 @@ class LazyConfig:
             host page writes (0 disables periodic checkpoints; explicit
             :meth:`~repro.core.lazyftl.LazyFTL.checkpoint` calls still
             work).
-        map_cache_pages: Optional RAM cache of recently used GMT pages
-            (0 disables).  An *extension* beyond the paper's base design,
-            used by the ablation benchmarks; the headline configuration
-            keeps it off.
         wear_threshold: Static wear-leveling trigger - when the spread
             between the most- and least-erased block exceeds this, the
             coldest data block is forcibly recycled.  None disables.
@@ -55,7 +51,6 @@ class LazyConfig:
     cba_blocks: int = 4
     gc_free_threshold: int = 4
     checkpoint_interval: int = 0
-    map_cache_pages: int = 0
     wear_threshold: Optional[int] = None
     global_batching: bool = True
     convert_policy: str = "fifo"
@@ -71,8 +66,6 @@ class LazyConfig:
             raise ValueError("gc_free_threshold must be >= 3")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be non-negative")
-        if self.map_cache_pages < 0:
-            raise ValueError("map_cache_pages must be non-negative")
         if self.wear_threshold is not None and self.wear_threshold < 1:
             raise ValueError("wear_threshold must be >= 1 or None")
         if self.convert_policy not in ("fifo", "cheapest"):

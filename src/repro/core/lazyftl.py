@@ -117,7 +117,6 @@ class LazyFTL(FlashTranslationLayer):
             self._seq,
             self.num_tvpns,
             self._map_destination,
-            cache_pages=self.config.map_cache_pages,
         )
         # The DBA is the collector's victim pool, ``self._gc.blocks``.
         self._gc = GarbageCollector(
@@ -173,8 +172,7 @@ class LazyFTL(FlashTranslationLayer):
         modelled RAM (``ram_bytes()`` does not move).  This is the only
         place the rule is written, and the loop is the same in every
         engine configuration; the reused lookups make no ``map_reads``,
-        ``page_reads`` or ``read_us`` and emit no ``MAP_READ``.  (With the
-        ablation cache on, the first miss already made the rest hits.)
+        ``page_reads`` or ``read_us`` and emit no ``MAP_READ``.
         """
         first = lpn
         if not 0 <= first < self.logical_pages:

@@ -4,8 +4,8 @@
 ``read_page``, ``program_page``, ``erase_block`` plus the simulator-level
 ``invalidate_page`` bookkeeping - enforces NAND constraints, charges latency
 per the timing model, and supports power-loss injection for recovery tests.
-Three *run ops* (``read_run``, ``program_run``, ``invalidate_run``) issue
-the same operations many pages at a time - see "Run ops" below.
+Two *run ops* (``program_run``, ``invalidate_run``) issue the same
+operations many pages at a time - see "Run ops" below.
 
 Device state is struct-of-arrays: one state byte, one payload slot and one
 OOB slot per ppn, and one write pointer / valid count / erase count / bad
@@ -57,8 +57,6 @@ overrides apply.
 ==================  ===================  ==================================
 run op              n calls of           bulk path needs
 ==================  ===================  ==================================
-``read_run``        ``read_page``        :meth:`NandFlash.takes_runs`; every
-                                         ppn in range and programmed
 ``program_run``     ``read_page`` of     :meth:`NandFlash.takes_runs`; every
                     ``reads[i]`` (if     read programmed; per good block,
                     any), then           its pages contiguous from its
@@ -86,7 +84,6 @@ every page of a run gets its per-op audit.
 from __future__ import annotations
 
 import warnings
-from itertools import repeat
 from typing import (Any, Iterable, List, Optional, Sequence, Set, Tuple,
                     Union)
 
@@ -406,44 +403,6 @@ class NandFlash:
             and float(timing.page_program_us).is_integer()
             and float(timing.block_erase_us).is_integer()
         )
-
-    def read_run(
-        self, ppns: Sequence[int]
-    ) -> Tuple[List[Any], List[Optional[OOBData]], float]:
-        """Read the pages ``ppns``; returns ``(datas, oobs, latency_us)``.
-
-        Equivalent to calling :meth:`read_page` once per page, in order,
-        and summing the latencies.
-        """
-        n = len(ppns)
-        # FREE is 0, so all() over the state bytes is "every page
-        # programmed"; the range test first keeps a negative ppn from
-        # indexing from the end.
-        if not (
-            n
-            and self.takes_runs()
-            and min(ppns) >= 0
-            and max(ppns) < self._total_pages
-            and all(map(self.page_states.__getitem__, ppns))
-        ):
-            datas, oobs, total = [], [], 0.0
-            for ppn in ppns:
-                data, oob, latency = self.read_page(ppn)
-                datas.append(data)
-                oobs.append(oob)
-                total += latency
-            return datas, oobs, total
-        latency = self.timing.page_read_us
-        stats = self.stats
-        stats.page_reads += n
-        # n adds of an integer-valued latency: one exact multiply.
-        stats.read_us += latency * n
-        total = latency * n if self._units == 1 \
-            else self._charge_run(ppns, repeat(latency))
-        page_data = self.page_data
-        page_oob = self.page_oob
-        return ([page_data[ppn] for ppn in ppns],
-                [page_oob[ppn] for ppn in ppns], total)
 
     def program_run(
         self,

@@ -16,9 +16,8 @@ returns an open block with a free page and the simulated time spent
 making room for it.  LazyFTL's never reclaims (its pool's GC reserve is
 sized for the mapping blocks); DFTL's may run GC first.
 
-An optional bounded RAM cache of translation-page contents (off by
-default) is provided for ablation experiments; the paper's base design
-always reads them from flash.
+No translation page is held in RAM: every lookup reads it from flash, as
+in the paper.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import PageKind, SequenceCounter, make_oob, run_oobs
 from ..obs.events import Cause, EventType
-from ..perf.maptable import LruCache, MapTable
+from ..perf.maptable import MapTable
 from .pool import BlockPool, VictimPool
 from .stats import FtlStats
 from .stripe import Destination, Frontier, relocate, stripe_ways
@@ -104,7 +103,6 @@ class MappingStore:
         seq: SequenceCounter,
         num_tvpns: int,
         destination: Destination,
-        cache_pages: int = 0,
     ):
         self.flash = flash
         self.stats = stats
@@ -112,8 +110,6 @@ class MappingStore:
         self.gtd = GlobalTranslationDirectory(num_tvpns)
         self.entries_per_page = flash.geometry.map_entries_per_page
         self._pages_per_block = flash.geometry.pages_per_block
-        self.cache_pages = cache_pages
-        self._cache = LruCache(cache_pages)
         #: Retired (full) translation blocks - the store's GC candidates.
         self.full_blocks = VictimPool(flash)
         #: The store's open blocks; full ones retire to ``full_blocks``
@@ -165,25 +161,17 @@ class MappingStore:
     def fetch(
         self, tvpn: int
     ) -> Tuple[Optional[List[Optional[int]]], float]:
-        """What a host lookup reads: translation page ``tvpn`` from the
-        ablation cache, else from flash under the ``mapping`` cause (and
-        admitted); shared, not copied - ``(None, 0.0)`` if never written."""
-        if self.cache_pages > 0:
-            cached = self._cache.get(tvpn)
-            if cached is not None:
-                return cached, 0.0
+        """What a host lookup reads: translation page ``tvpn`` from flash
+        under the ``mapping`` cause; shared, not copied - ``(None, 0.0)``
+        if never written."""
         tracer = self.flash.tracer
         if tracer is not None:
             tracer.push_cause(Cause.MAPPING)
         try:
-            content, latency = self._read(tvpn)
+            return self._read(tvpn)
         finally:
             if tracer is not None:
                 tracer.pop_cause()
-        if content is not None and self.cache_pages > 0:
-            content = list(content)
-            self._cache.put(tvpn, content)
-        return content, latency
 
     def lookup(self, lpn: int) -> Tuple[Optional[int], float]:
         """Resolve ``lpn`` through the table; returns (ppn|None, latency)."""
@@ -195,10 +183,6 @@ class MappingStore:
 
     def load(self, tvpn: int) -> Tuple[List[Optional[int]], float]:
         """An editable copy of a translation page (empty if absent)."""
-        if self.cache_pages > 0:
-            cached = self._cache.get(tvpn)
-            if cached is not None:
-                return list(cached), 0.0
         content, latency = self._read(tvpn)
         if content is None:
             return [None] * self.entries_per_page, 0.0
@@ -244,8 +228,7 @@ class MappingStore:
         latency = 0.0
         tvpns = sorted(groups)
         frontier = self._frontier
-        # The ablation cache is kept current page by page.
-        if self.cache_pages > 0 or not self.flash.takes_runs():
+        if not self.flash.takes_runs():
             checkout = self.checkout
             program = self.program
             entries_per_page = self.entries_per_page
@@ -317,7 +300,7 @@ class MappingStore:
         return latency
 
     def program(self, tvpn: int, content: List[Optional[int]]) -> float:
-        """Write a new version of page ``tvpn``; update GTD and cache."""
+        """Write a new version of page ``tvpn``; update the GTD."""
         flash = self.flash
         latency, pbn = self._destination(self._frontier)
         ppn = pbn * self._pages_per_block + flash.write_ptr[pbn]
@@ -334,8 +317,6 @@ class MappingStore:
         if old is not None:
             flash.invalidate_page(old)
         self.gtd.set(tvpn, ppn)
-        if self.cache_pages > 0:
-            self._cache.put(tvpn, content)
         return latency
 
     # ------------------------------------------------------------------
@@ -356,8 +337,7 @@ class MappingStore:
     # Accounting / persistence
     # ------------------------------------------------------------------
     def ram_bytes(self) -> int:
-        cache_bytes = self.cache_pages * self.entries_per_page * MAP_ENTRY_BYTES
-        return self.gtd.ram_bytes() + cache_bytes
+        return self.gtd.ram_bytes()
 
     def snapshot(self) -> Dict[str, object]:
         """Checkpoint fragment: GTD + block membership.
@@ -387,4 +367,3 @@ class MappingStore:
         if state["frontier"] is not None:
             open_blocks.append(state["frontier"])
         self._frontier.reset(open_blocks)
-        self._cache.clear()

@@ -70,7 +70,7 @@ class LatencyDistribution:
         same results, and validation still rejects non-finite or negative
         samples before any state changes.  Accepts a numpy array (the
         vectorized path) or any float sequence (pure-Python path), so the
-        batch engine's fallback backend exercises no numpy at all.
+        batch engine's ``array`` kernel exercises no numpy at all.
         """
         if len(values) == 0:
             return

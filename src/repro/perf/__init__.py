@@ -4,8 +4,7 @@
 changing what it computes:
 
 * :mod:`repro.perf.maptable` - array-backed logical->physical tables
-  (:class:`MapTable`) and the explicit :class:`LruCache`, used by every
-  FTL scheme's hot path;
+  (:class:`MapTable`), used by every FTL scheme's hot path;
 * :mod:`repro.perf.sweep` - the multiprocessing sweep runner that fans
   scheme x trace cells across worker processes.
 
@@ -14,11 +13,10 @@ leave simulated results bit-identical (enforced by
 ``tests/test_golden_stats.py``).
 """
 
-from .maptable import UNMAPPED, LruCache, MapTable
+from .maptable import UNMAPPED, MapTable
 
 __all__ = [
     "MapTable",
-    "LruCache",
     "UNMAPPED",
     "SweepCell",
     "SweepWorkerError",

@@ -6,8 +6,9 @@ structure makes cheap: writes touch RAM and the update frontier only,
 reads of deferred pages hit the UMT, and translation reads happen only
 on a miss - all of which can be certified in advance.
 :meth:`BatchEngine.plan_epoch` answers, from position ``start`` in the
-trace columns, how many upcoming single-page requests need no slow event
-(conversion, GC, checkpoint, frontier exhaustion, ablation-cache miss);
+trace columns, how many upcoming single-page requests need no slow event:
+it stops only at a multi-page request, an out-of-range lpn, a full UBA
+frontier (conversion and GC come after it) or the checkpoint budget;
 :meth:`repro.sim.simulator.Simulator._replay`, the one replay loop,
 hands horizons of at least :data:`MIN_EPOCH` requests to
 :meth:`BatchEngine.run_epoch` and services everything else - the short
@@ -32,9 +33,10 @@ differential tests in ``tests/test_batch_replay.py``):
 * bulk read-counter increments use ``n * latency_us``, which equals ``n``
   repeated additions only for integer-valued latencies; a fractional
   timing model takes no runs, so :func:`engine_for` declines it;
-* the numpy kernel and the pure ``array`` fallback are the same
-  arithmetic, so results are identical with or without the ``[perf]``
-  extra installed;
+* the numpy kernel and the pure ``array`` kernel are the same
+  arithmetic, so results are identical whichever an epoch takes: its
+  length picks (:data:`NUMPY_MIN_EPOCH`), and a machine without the
+  ``[perf]`` extra always takes the ``array`` kernel;
 * the executor never stores to the device arrays: an epoch's programs
   are one :meth:`~repro.flash.chip.NandFlash.program_run` followed by
   one ``invalidate_run`` of the copies they superseded.
@@ -45,7 +47,7 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate
 from operator import sub
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from ..core.lazyftl import LazyFTL
 from ..flash.chip import NandFlash
@@ -55,41 +57,14 @@ from ..sim.metrics import ResponseStats
 from ..traces.model import Trace
 
 try:  # pragma: no cover - exercised via both branches in CI
-    import numpy as _numpy
+    import numpy as _np
 except ImportError:  # pragma: no cover
-    _numpy = None  # type: ignore[assignment]
-
-#: Active backend: the numpy module, or None for the array/memoryview
-#: fallback.  Module-global so tests can monkeypatch it and so every
-#: kernel observes one consistent choice.
-_np: Any = _numpy
-
-
-def set_backend(name: str) -> None:
-    """Select the kernel backend: ``"numpy"``, ``"fallback"`` or ``"auto"``.
-
-    ``"auto"`` restores the default (numpy when importable, else the
-    fallback).  Raises when ``"numpy"`` is requested but not installed
-    (install the ``[perf]`` extra).
-    """
-    global _np
-    if name == "fallback":
-        _np = None
-    elif name == "numpy":
-        if _numpy is None:
-            raise RuntimeError(
-                "numpy backend requested but numpy is not installed; "
-                "install the [perf] extra"
-            )
-        _np = _numpy
-    elif name == "auto":
-        _np = _numpy
-    else:
-        raise ValueError(f"unknown batch backend {name!r}")
+    _np = None  # type: ignore[assignment]
 
 
 def backend_name() -> str:
-    """The active backend: ``"numpy"`` or ``"fallback"``."""
+    """The kernel long epochs take: ``"numpy"`` when numpy imports, else
+    ``"fallback"`` (the ``array`` kernel)."""
     return "fallback" if _np is None else "numpy"
 
 
@@ -102,8 +77,9 @@ MIN_EPOCH = 8
 #: Epochs shorter than this use the pure ``array`` kernel even when
 #: numpy is installed: a numpy kernel invocation has ~tens of
 #: microseconds of fixed cost (array creation, ufunc dispatch, masking)
-#: that only amortises over long epochs.  Both backends are bit-identical
-#: by construction, so this threshold is purely a speed knob.
+#: that only amortises over long epochs.  Both kernels are bit-identical
+#: by construction, so this threshold is purely a speed knob - and, with
+#: whether numpy imports, the only thing that picks a kernel.
 NUMPY_MIN_EPOCH = 64
 
 _DATA = PageKind.DATA
@@ -164,13 +140,11 @@ def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:
 
 
 class BatchEngine:
-    """LazyFTL's epoch planner and executor: the UMT-hit horizon, bounded
-    by UBA frontier room and the periodic-checkpoint budget.
+    """LazyFTL's epoch planner and executor: the single-page horizon,
+    bounded by UBA frontier room and the periodic-checkpoint budget.
 
-    GMT-resident reads stay batchable when the ablation cache is off
-    (a stateless GTD probe + at most two flash reads); with the cache
-    enabled, cached pages replay their recency via ``touch_many`` and a
-    cache *miss* ends the epoch (``put`` mutates the LRU)."""
+    Every single-page read is batchable: a UMT hit is one data read, a
+    GMT-resident read a stateless GTD probe plus at most two."""
 
     __slots__ = ("ftl", "flash", "read_us", "program_us", "logical_pages",
                  "entries_per_page")
@@ -200,12 +174,6 @@ class BatchEngine:
         ops = cols.ops
         lpns = cols.lpns
         npages = cols.npages
-        umt_ppn = ftl._umt._ppn
-        umt_len = len(umt_ppn)
-        maps = ftl._maps
-        cache_on = maps.cache_pages > 0
-        cache_data = maps._cache._data
-        entries_per_page = self.entries_per_page
         frontier = ftl._uba_frontier.peek()
         room = 0
         if frontier is not None:
@@ -221,7 +189,6 @@ class BatchEngine:
             if room < 0:
                 room = 0
         logical = self.logical_pages
-        written: set = set()
         j = start
         while j < limit:
             if npages[j] != 1:
@@ -233,13 +200,6 @@ class BatchEngine:
                 if room <= 0:
                     break  # frontier full / conversion / checkpoint due
                 room -= 1
-                written.add(lpn)
-            elif (lpn >= umt_len or umt_ppn[lpn] < 0) \
-                    and lpn not in written:
-                # GMT path: stateless unless the ablation cache would
-                # admit a new page.
-                if cache_on and (lpn // entries_per_page) not in cache_data:
-                    break
             j += 1
         return j - start
 
@@ -254,10 +214,7 @@ class BatchEngine:
         page_data = flash.page_data
         umt = ftl._umt
         ppn_at = umt.ppn_at
-        maps = ftl._maps
-        gtd_get = maps.gtd.get
-        cache_on = maps.cache_pages > 0
-        cache_data = maps._cache._data
+        gtd_get = ftl._maps.gtd.get
         entries_per_page = self.entries_per_page
         frontier = ftl._uba_frontier.peek()
         # The planner guarantees a write-free epoch when there is no
@@ -266,7 +223,6 @@ class BatchEngine:
             frontier * ftl._pages_per_block + flash.write_ptr[frontier]
         ppn = first_ppn
         last: Dict[int, int] = {}  # lpn -> ppn of its newest epoch write
-        touched_tvpns: list = []  # cache hits, in access order
         services = array("d", bytes(8 * h))
         written: list = []  # lpn of each epoch write, in program order
         stale: list = []  # superseded UBA/CBA ppns, in write order
@@ -294,28 +250,18 @@ class BatchEngine:
                 services[k] = read_us  # UMT hit: one data read
                 flash_reads += 1
             else:
-                tvpn = lpn // entries_per_page
-                if cache_on:
-                    content = cache_data[tvpn]  # planner-certified hit
-                    touched_tvpns.append(tvpn)
-                    if content[lpn % entries_per_page] is not None:
-                        services[k] = read_us
-                        flash_reads += 1
-                    else:
-                        services[k] = 0.0  # unmapped read, cache answered
+                tppn = gtd_get(lpn // entries_per_page)
+                if tppn is None:
+                    services[k] = 0.0  # unmapped read, no GMT page
                 else:
-                    tppn = gtd_get(tvpn)
-                    if tppn is None:
-                        services[k] = 0.0  # unmapped read, no GMT page
-                    else:
-                        content = page_data[tppn]
-                        map_reads += 1
+                    content = page_data[tppn]
+                    map_reads += 1
+                    flash_reads += 1
+                    if content[lpn % entries_per_page] is not None:
+                        services[k] = read_us + read_us
                         flash_reads += 1
-                        if content[lpn % entries_per_page] is not None:
-                            services[k] = read_us + read_us
-                            flash_reads += 1
-                        else:
-                            services[k] = read_us  # translation read only
+                    else:
+                        services[k] = read_us  # translation read only
             j += 1
             k += 1
         stats = ftl.stats
@@ -332,8 +278,6 @@ class BatchEngine:
             umt.set_many(last.items())
             if ftl._ckpt_interval > 0:
                 ftl._writes_since_checkpoint += n_writes
-        if touched_tvpns:
-            maps._cache.touch_many(touched_tvpns)
         if flash_reads:
             fstats.page_reads += flash_reads
             fstats.read_us += flash_reads * read_us

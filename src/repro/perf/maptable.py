@@ -17,18 +17,11 @@ Two access levels:
 
 What a ``dict``-based map would cost is measured, not linted: ftlbench
 gates ``replay_kops_per_s`` and ``peak_rss_mb`` on every workload.
-
-:class:`LruCache` is the companion bounded cache (used by the GMT
-ablation cache in :mod:`repro.ftl.mapping`): an explicit OrderedDict
-LRU that only pays ``move_to_end`` on a *hit* - a fresh insert already
-lands at the MRU end, so the miss path is a plain insert plus bounded
-eviction.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 #: Sentinel stored in :attr:`MapTable.raw` for an unmapped entry.
@@ -141,68 +134,3 @@ class MapTable:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MapTable(size={len(self.raw)}, mapped={self.mapped_count()})"
 
-
-class LruCache:
-    """Bounded LRU map with an allocation-free miss path.
-
-    Recency bookkeeping costs exactly one ``move_to_end`` and only on a
-    hit (or an overwrite of an existing key): a fresh insert already sits
-    at the MRU end of the underlying ``OrderedDict``, so re-inserting or
-    re-moving it - what the seed GMT cache did - is pure overhead.
-    ``capacity <= 0`` disables storage entirely (every ``get`` misses),
-    which is how the off-by-default GMT ablation cache behaves.
-    """
-
-    __slots__ = ("capacity", "_data")
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._data: "OrderedDict[int, object]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._data
-
-    def get(self, key: int):
-        """Return the cached value (marking it most-recent) or None."""
-        data = self._data
-        value = data.get(key)
-        if value is not None:
-            data.move_to_end(key)
-        return value
-
-    def put(self, key: int, value) -> None:
-        """Insert/overwrite ``key`` as most-recent; evict past capacity."""
-        if self.capacity <= 0:
-            return
-        data = self._data
-        if key in data:
-            data[key] = value
-            data.move_to_end(key)
-            return
-        data[key] = value
-        while len(data) > self.capacity:
-            data.popitem(last=False)
-
-    def touch_many(self, keys: Iterable[int]) -> None:
-        """Replay a sequence of hits' recency updates in access order.
-
-        Equivalent to the ``move_to_end`` that :meth:`get` performs on
-        each hit, applied in the same order - the batch-replay executors
-        collect an epoch's cache hits and commit the LRU reordering here
-        in one pass.  Unknown keys are ignored (a miss moves nothing).
-        """
-        data = self._data
-        move_to_end = data.move_to_end
-        for key in keys:
-            if key in data:
-                move_to_end(key)
-
-    def keys(self):
-        """Keys in eviction order (least-recent first)."""
-        return self._data.keys()
-
-    def clear(self) -> None:
-        self._data.clear()

@@ -7,7 +7,7 @@ side:
 * Hypothesis generates arbitrary mixed workloads (single- and
   multi-page requests, closed-loop and timestamped arrivals, with and
   without idle gaps) and asserts digest equality three ways - scalar vs
-  batched on both kernel backends vs traced - per LazyFTL option cell
+  batched on each timing kernel vs traced - per LazyFTL option cell
   (timestamped traces check that open-loop replay stays scalar);
 * one function is the replay loop: warm-up, the untraced run, the traced
   run and the batch engine's boundary requests are all observed to
@@ -17,13 +17,13 @@ side:
   fractional timing models must all decline batching (and therefore
   replay scalar even under ``replay_mode="auto"``);
 * the bulk-update primitives the executors lean on (``add_many``,
-  ``record_many``, ``set_many``, ``touch_many``) are checked one by
-  one against their per-element twins, including validation behaviour.
+  ``record_many``, ``set_many``) are checked one by one against their
+  per-element twins, including validation behaviour.
 
 ``tests/test_golden_stats.py`` pins the same contract against the
 committed snapshot; here the workloads are adversarial instead of
 golden, so planner edge cases (frontier exhaustion mid-epoch,
-checkpoint budgets, unmapped reads, ablation-cache misses) get fuzzed.
+checkpoint budgets, unmapped reads) get fuzzed.
 """
 
 from array import array
@@ -48,16 +48,20 @@ DEVICE = DeviceSpec(
     num_blocks=64, pages_per_block=8, page_size=512, logical_fraction=0.6
 )
 
-HAVE_NUMPY = batch._numpy is not None
+HAVE_NUMPY = batch._np is not None
+
+#: The timing kernels the fuzz forces onto every epoch: ``array`` as on a
+#: machine without numpy, ``numpy`` as if every epoch were long (by
+#: default no epoch this short reaches ``NUMPY_MIN_EPOCH``).
+KERNELS = ("array", "numpy") if HAVE_NUMPY else ("array",)
 
 #: Option cells the differential fuzz covers: LazyFTL, the one scheme
-#: with an epoch planner, plus its stateful ablation knobs (the
-#: translation-page cache mutates on read; periodic checkpoints bound
-#: write epochs; background GC does real work in the idle gaps of a
-#: timestamped trace, which replays in the scalar segment).
+#: with an epoch planner, plus its stateful ablation knobs (periodic
+#: checkpoints bound write epochs; background GC does real work in the
+#: idle gaps of a timestamped trace, which replays in the scalar
+#: segment).
 CELLS = [
     ("LazyFTL", {}),
-    ("LazyFTL", {"config": default_lazy_config(map_cache_pages=4)}),
     ("LazyFTL", {"config": default_lazy_config(checkpoint_interval=40)}),
     ("LazyFTL", {"config": default_lazy_config(background_gc=True)}),
 ]
@@ -65,12 +69,6 @@ CELLS = [
 #: Arrival spacings: closed loop, a saturated queue (25 us apart against
 #: 200 us programs), and sparse arrivals that leave idle gaps.
 ARRIVAL_STEPS = [0.0, 25.0, 1500.0]
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    batch.set_backend("auto")
 
 
 def make_ftl(scheme="LazyFTL", **kwargs):
@@ -133,12 +131,15 @@ class TestDifferentialFuzz:
             ))
 
         reference = digest(replay_mode="scalar")
-        backends = ["fallback", "numpy"] if HAVE_NUMPY else ["fallback"]
-        for backend in backends:
-            batch.set_backend(backend)
-            assert digest(replay_mode="auto") == reference, (
-                f"{scheme} {options} diverged on the {backend} kernels"
-            )
+        for kernel in KERNELS:
+            with pytest.MonkeyPatch.context() as patch:
+                if kernel == "array":
+                    patch.setattr(batch, "_np", None)
+                else:
+                    patch.setattr(batch, "NUMPY_MIN_EPOCH", batch.MIN_EPOCH)
+                assert digest(replay_mode="auto") == reference, (
+                    f"{scheme} {options} diverged on the {kernel} kernel"
+                )
         traced = digest(tracer=Tracer(latency=OpLatencyRecorder()))
         assert traced == reference, f"{scheme} {options} diverged traced"
 
@@ -342,30 +343,16 @@ class TestReplayModeSelection:
 
     def test_environment_is_ignored(self, monkeypatch):
         """No environment variable picks a path: the constructor argument
-        and ``set_backend`` are the only selectors."""
+        picks the replay, and epoch length and whether numpy imports pick
+        the kernel."""
         monkeypatch.setenv("REPRO_REPLAY_MODE", "scalar")
         monkeypatch.setenv("REPRO_BATCH_FALLBACK", "1")
         ftl = make_ftl()
         assert Simulator(ftl).replay_mode == "auto"
-        batch.set_backend("auto")
         assert batch.backend_name() == (
             "numpy" if HAVE_NUMPY else "fallback")
-
-    def test_set_backend_selects_the_kernels(self):
-        batch.set_backend("fallback")
+        monkeypatch.setattr(batch, "_np", None)  # a machine without numpy
         assert batch.backend_name() == "fallback"
-        batch.set_backend("auto")
-        assert batch.backend_name() == (
-            "numpy" if HAVE_NUMPY else "fallback")
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="backend"):
-            batch.set_backend("simd")
-
-    @pytest.mark.skipif(HAVE_NUMPY, reason="numpy is installed")
-    def test_numpy_backend_without_numpy_raises(self):
-        with pytest.raises(RuntimeError, match="numpy"):
-            batch.set_backend("numpy")
 
 
 class TestBulkPrimitives:
@@ -389,7 +376,7 @@ class TestBulkPrimitives:
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
     def test_add_many_numpy_path_matches(self):
-        np = batch._numpy
+        np = batch._np
         values = np.asarray([1.0, 2.5, 0.0, 9.75])
         one = LatencyDistribution()
         for value in values:

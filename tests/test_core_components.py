@@ -182,8 +182,8 @@ class TestLazyConfig:
         {"cba_blocks": 1},
         {"gc_free_threshold": 2},
         {"checkpoint_interval": -1},
-        {"map_cache_pages": -1},
         {"wear_threshold": 0},
+        {"convert_policy": "lru"},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

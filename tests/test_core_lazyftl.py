@@ -250,27 +250,6 @@ class TestRamAccounting:
         assert len(ftl.umt) <= max_entries
 
 
-class TestMapCacheExtension:
-    def test_cache_eliminates_repeat_gmt_reads(self):
-        cached = make_lazy(map_cache_pages=4)
-        uncached = make_lazy()
-        for ftl in (cached, uncached):
-            ftl.write(0, "x")
-            ftl.flush()
-            for _ in range(10):
-                ftl.read(0)
-        assert cached.stats.map_reads < uncached.stats.map_reads
-
-    def test_cache_stays_coherent_with_commits(self):
-        ftl = make_lazy(map_cache_pages=4)
-        ftl.write(0, "a")
-        ftl.flush()
-        ftl.read(0)          # populate cache
-        ftl.write(0, "b")
-        ftl.flush()          # rewrites GMT page; cache must follow
-        assert ftl.read(0).data == "b"
-
-
 class TestWearLeveling:
     def test_wear_leveling_narrows_erase_spread(self):
         from repro.flash import wear_summary

@@ -7,7 +7,7 @@ when the pool is low, except inside GC).  Each store is the one the
 scheme itself builds, so the policy under test is the real one.
 """
 
-from repro.core import LazyConfig, LazyFTL
+from repro.core import LazyFTL
 from repro.flash import (
     FlashGeometry,
     NandFlash,
@@ -31,10 +31,8 @@ def make_flash(pages=4, blocks=96):
     )
 
 
-def lazy_store(cache_pages=0, pages=4, flash=None):
-    config = LazyConfig(map_cache_pages=cache_pages)
-    flash = flash or make_flash(pages)
-    return LazyFTL(flash, LOGICAL_PAGES, config).mapping_store
+def lazy_store(pages=4, flash=None):
+    return LazyFTL(flash or make_flash(pages), LOGICAL_PAGES).mapping_store
 
 
 def dftl_store(pages=4, flash=None):
@@ -179,44 +177,10 @@ class TestFrontierAndGCUnderDftlPolicy(TestFrontierAndGC):
     make_store = staticmethod(dftl_store)
 
 
-class TestCache:
-    def test_cache_hit_is_free(self):
-        store = lazy_store(cache_pages=2)
-        store.commit({0: [(0, 7)]}, on_superseded=ignore)
-        assert store.lookup(0) == (7, 0.0)  # programmed content is cached
-        assert store.stats.map_reads == 0
-
-    def test_cache_capacity_evicts_lru(self):
-        store = lazy_store(cache_pages=1)
-        store.commit({0: [(0, 7)]}, on_superseded=ignore)
-        store.commit({1: [(16, 8)]}, on_superseded=ignore)
-        # tvpn 0 was evicted by tvpn 1: lookup now reads flash.
-        ppn, latency = store.lookup(0)
-        assert ppn == 7
-        assert latency == 1.0
-
-    def test_lookup_admits_a_private_copy(self):
-        store = lazy_store(cache_pages=1)
-        store.commit({0: [(0, 7)]}, on_superseded=ignore)
-        store.commit({1: [(16, 8)]}, on_superseded=ignore)
-        assert store.lookup(0) == (7, 1.0)  # miss: read and admitted
-        assert store.lookup(0) == (7, 0.0)
-        on_flash = store.flash.page_data[store.gtd.get(0)]
-        assert store._cache.get(0) == on_flash
-        assert store._cache.get(0) is not on_flash
-
-    def test_cache_coherent_after_collect(self):
-        store = lazy_store(cache_pages=4, pages=2)
-        store.commit({0: [(0, 1)]}, on_superseded=ignore)
-        store.commit({1: [(16, 2)]}, on_superseded=ignore)
-        store.commit({2: [(32, 3)]}, on_superseded=ignore)
-        victim = next(iter(store.full_blocks))
-        store.collect(victim)
-        assert store.lookup(0)[0] == 1
-
-    def test_ram_accounting(self):
-        assert lazy_store(cache_pages=0).ram_bytes() == 6 * 4
-        assert lazy_store(cache_pages=2).ram_bytes() == 6 * 4 + 2 * 16 * 4
+class TestRamBytes:
+    def test_the_gtd_is_all_the_ram(self):
+        """No translation page is held in RAM: 4 bytes per GTD entry."""
+        assert lazy_store().ram_bytes() == 6 * 4
         assert dftl_store().ram_bytes() == 6 * 4
 
 

@@ -130,13 +130,14 @@ class TestRunOpsAreAuditedPageByPage:
         flash = make_flash(history=16)
         oobs = [OOBData(lpn=10 + i, seq=i) for i in range(3)]
         flash.program_run(0, ["a", "b", "c"], oobs)
-        assert flash.read_run([2, 0])[0] == ["c", "a"]
+        # A copy of page 2 to page 4: its read, then its program.
+        flash.program_run(4, ["c"], [OOBData(lpn=12, seq=3)], [2])
         flash.invalidate_run([1, 2])
         flash.program_page(3, "d")  # anything: fetch the history
         v = catch(flash, lambda: flash.read_page(7))
         assert [(op.op, op.offset, op.lpn) for op in v.history] == [
             ("program", 0, 10), ("program", 1, 11), ("program", 2, 12),
-            ("read", 2, 12), ("read", 0, 10),
+            ("read", 2, 12), ("program", 0, 12),
             ("invalidate", 1, 11), ("invalidate", 2, 12),
             ("program", 3, None),
         ]
@@ -144,9 +145,11 @@ class TestRunOpsAreAuditedPageByPage:
     def test_a_run_fails_at_the_page_its_scalar_op_would(self):
         flash = make_flash()
         flash.program_run(0, ["a", "b"], [None, None])
-        v = catch(flash, lambda: flash.read_run([1, 2, 0]))
+        v = catch(flash, lambda: flash.program_run(
+            4, ["x", "y"], [None, None], [1, 2]))
         assert (v.kind, v.ppn) == (ViolationKind.READ_UNWRITTEN, 2)
-        assert flash.stats.page_reads == 1  # page 1 was read, page 0 never
+        # Page 1 was read and copied to page 4; page 5 was never programmed.
+        assert flash.stats.page_reads == 1 and flash.write_ptr[1] == 1
         flash.invalidate_page(0)
         v = catch(flash, lambda: flash.invalidate_run([1, 0]))
         assert (v.kind, v.ppn) == (ViolationKind.DOUBLE_INVALIDATE, 0)

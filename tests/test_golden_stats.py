@@ -18,6 +18,7 @@ in the commit message.
 
 import json
 import pathlib
+from array import array
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.sim.golden import (
     golden_traces,
     merges_digest,
 )
+from repro.sim.metrics import ResponseStats
 from repro.sim.runner import run_scheme
 
 GOLDEN_PATH = (
@@ -89,38 +91,65 @@ def test_snapshot_covers_every_scheme_and_trace(golden):
 
 
 #: The gate runs once per way the one replay loop can be driven: forced
-#: scalar, the batch engine on its default (numpy) kernels, the batch
-#: engine on the pure-``array`` fallback kernels, and traced with a
-#: latency recorder attached - all four must reproduce the committed
-#: snapshot bit for bit.
-REPLAY_GATES = ("scalar", "batched", "batched-fallback", "traced")
+#: scalar, the batch engine as it runs by default (no golden epoch
+#: reaches ``NUMPY_MIN_EPOCH``, so every one takes the pure-``array``
+#: kernel), the batch engine with every epoch on the numpy kernel, and
+#: traced with a latency recorder attached - all four must reproduce the
+#: committed snapshot bit for bit.
+REPLAY_GATES = ("scalar", "batched", "batched-numpy", "traced")
 
 
 def recording_tracer():
     return Tracer(latency=OpLatencyRecorder())
 
 
+def arm(gate, monkeypatch):
+    """``batched-numpy``: send every epoch to the numpy kernel (skipped
+    where numpy does not import)."""
+    if gate == "batched-numpy":
+        if batch._np is None:
+            pytest.skip("numpy is not installed")
+        monkeypatch.setattr(batch, "NUMPY_MIN_EPOCH", batch.MIN_EPOCH)
+
+
+@pytest.mark.parametrize("numpy_epochs", [False, True])
+def test_only_the_numpy_gate_takes_the_numpy_kernel(monkeypatch,
+                                                    numpy_epochs):
+    """What the ``batched-numpy`` gate is there for: by default the
+    golden epochs are too short for the numpy kernel."""
+    if numpy_epochs:
+        arm("batched-numpy", monkeypatch)
+    kernels = []  # per epoch: did the numpy kernel time it?
+    record_many = ResponseStats.record_many
+
+    def spy(self, ops, responses):
+        kernels.append(not isinstance(responses, array))
+        return record_many(self, ops, responses)
+
+    monkeypatch.setattr(ResponseStats, "record_many", spy)
+    for trace in golden_traces():
+        run_scheme("LazyFTL", trace, device=GOLDEN_DEVICE,
+                   precondition="steady")
+    assert kernels and set(kernels) == {numpy_epochs}
+
+
 @pytest.mark.parametrize("gate", REPLAY_GATES)
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_scheme_stats_bit_identical(golden, scheme, gate):
+def test_scheme_stats_bit_identical(golden, scheme, gate, monkeypatch):
     """Each scheme's digests match the snapshot exactly, per trace."""
-    if gate == "batched-fallback":
-        batch.set_backend("fallback")
-    try:
-        for trace in golden_traces():
-            key = f"{scheme}/{trace.name}"
-            live = engine_digest(run_scheme(
-                scheme, trace, device=GOLDEN_DEVICE, precondition="steady",
-                replay_mode="scalar" if gate == "scalar" else "auto",
-                tracer=recording_tracer() if gate == "traced" else None,
-            ))
-            assert live == golden[key], (
-                f"{key} [{gate}]: engine statistics drifted from the "
-                "golden snapshot - a hot-path change altered modeled "
-                "behaviour"
-            )
-    finally:
-        batch.set_backend("auto")
+    arm(gate, monkeypatch)
+    for trace in golden_traces():
+        key = f"{scheme}/{trace.name}"
+        live = engine_digest(run_scheme(
+            scheme, trace, device=GOLDEN_DEVICE, precondition="steady",
+            replay_mode="scalar" if gate == "scalar" else "auto",
+            tracer=recording_tracer() if gate == "traced" else None,
+        ))
+        assert live == golden[key], (
+            f"{key} [{gate}]: engine statistics drifted from the "
+            "golden snapshot - a hot-path change altered modeled "
+            "behaviour"
+        )
 
 
 def test_4ch_snapshot_covers_every_striped_scheme(golden_4ch):
@@ -171,26 +200,23 @@ def test_multipage_snapshot_covers_both_devices(golden_multipage):
 
 @pytest.mark.parametrize("gate", REPLAY_GATES)
 @pytest.mark.parametrize("scheme", STRIPED_SCHEMES)
-def test_multipage_stats_bit_identical(golden_multipage, scheme, gate):
+def test_multipage_stats_bit_identical(golden_multipage, scheme, gate,
+                                      monkeypatch):
     """Multi-page requests are host run ops: the same digest from every
     way the one loop can be driven (LazyFTL's one GMT read per request
     and translation page included), serial and - scalar and traced, the
     only ways a striped device replays - on four channels."""
     trace = golden_multipage_trace()
-    if gate == "batched-fallback":
-        batch.set_backend("fallback")
-    try:
-        for device, label in ((GOLDEN_DEVICE, "1x1x1"),
-                              (GOLDEN_DEVICE_4CH, "4x1x1")):
-            live = engine_digest(run_scheme(
-                scheme, trace, device=device, precondition="steady",
-                replay_mode="scalar" if gate == "scalar" else "auto",
-                tracer=recording_tracer() if gate == "traced" else None,
-            ))
-            assert live == golden_multipage[
-                f"{scheme}/{trace.name}@{label}"], f"{label} [{gate}]"
-    finally:
-        batch.set_backend("auto")
+    arm(gate, monkeypatch)
+    for device, label in ((GOLDEN_DEVICE, "1x1x1"),
+                          (GOLDEN_DEVICE_4CH, "4x1x1")):
+        live = engine_digest(run_scheme(
+            scheme, trace, device=device, precondition="steady",
+            replay_mode="scalar" if gate == "scalar" else "auto",
+            tracer=recording_tracer() if gate == "traced" else None,
+        ))
+        assert live == golden_multipage[
+            f"{scheme}/{trace.name}@{label}"], f"{label} [{gate}]"
 
 
 def test_lazyftl_reads_one_gmt_page_per_request_and_page(golden_multipage):
@@ -220,28 +246,25 @@ def test_merges_snapshot_reaches_every_merge_kind(golden, golden_merges):
 
 @pytest.mark.parametrize("gate", REPLAY_GATES)
 @pytest.mark.parametrize("scheme", LOG_BLOCK_SCHEMES)
-def test_merges_stats_bit_identical(golden_merges, scheme, gate):
+def test_merges_stats_bit_identical(golden_merges, scheme, gate,
+                                   monkeypatch):
     """The log-block schemes over the merge trace: untraced through the
     three replay gates the statistics equal the snapshot's engine half;
     traced (a latency recorder attached beside the hashing sink) the
     event-stream hash - every ``MergeStart`` / ``MergeEnd`` and the
     addresses between them - equals it too."""
     committed = golden_merges[f"{scheme}/{golden_merges_trace().name}"]
-    if gate == "batched-fallback":
-        batch.set_backend("fallback")
-    try:
-        if gate == "traced":
-            live = merges_digest(scheme, latency=OpLatencyRecorder())
-        else:
-            live = merges_digest(
-                scheme, traced=False,
-                replay_mode="scalar" if gate == "scalar" else "auto")
-            assert live.keys() == committed.keys() - {
-                "events", "events_sha256"}
-            committed = {field: committed[field] for field in live}
-        assert live == committed, f"{scheme} [{gate}]"
-    finally:
-        batch.set_backend("auto")
+    arm(gate, monkeypatch)
+    if gate == "traced":
+        live = merges_digest(scheme, latency=OpLatencyRecorder())
+    else:
+        live = merges_digest(
+            scheme, traced=False,
+            replay_mode="scalar" if gate == "scalar" else "auto")
+        assert live.keys() == committed.keys() - {
+            "events", "events_sha256"}
+        committed = {field: committed[field] for field in live}
+    assert live == committed, f"{scheme} [{gate}]"
 
 
 def test_trace_digests_unchanged():

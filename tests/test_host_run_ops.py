@@ -227,19 +227,6 @@ class TestGmtReadsOfOneRequest:
         assert ftl.read_run(0, 5).data[2] == "new"
         assert ftl.stats.map_reads - before == 1
 
-    def test_the_ablation_cache_sees_the_same_pages(self):
-        cached = LazyConfig(uba_blocks=4, cba_blocks=2, gc_free_threshold=3,
-                            map_cache_pages=2)
-        twins = []
-        for op in (LazyFTL.read_run, FlashTranslationLayer.read_run):
-            ftl, _, _ = build(config=cached)
-            ftl.write_run(0, [("v", lpn) for lpn in range(64)])
-            ftl.flush()
-            latencies = [op(ftl, lpn, 12).latency_us for lpn in (40, 4, 44)]
-            twins.append((latencies, ftl.stats.map_reads,
-                          list(ftl.mapping_store._cache.keys())))
-        assert twins[0] == twins[1]  # a first miss makes the rest hits
-
 
 def multipage_trace(requests=300, seed=3):
     rng = random.Random(seed)

@@ -1,14 +1,12 @@
-"""Tests for repro.perf.maptable: MapTable and the explicit LruCache.
+"""Tests for repro.perf.maptable: MapTable.
 
 MapTable must behave exactly like the ``List[Optional[int]]`` /
-``Dict[int, int]`` hybrids it replaced (the -1 sentinel never leaks), and
-LruCache must implement true LRU semantics - the eviction-order test here
-is the regression gate for the "move_to_end only on hit" optimisation.
+``Dict[int, int]`` hybrids it replaced (the -1 sentinel never leaks).
 """
 
 import pytest
 
-from repro.perf.maptable import UNMAPPED, LruCache, MapTable
+from repro.perf.maptable import UNMAPPED, MapTable
 
 
 class TestMapTable:
@@ -99,59 +97,3 @@ class TestMapTable:
         with pytest.raises(ValueError):
             MapTable(-1)
 
-
-class TestLruCache:
-    def test_eviction_order_is_least_recently_used(self):
-        """The eviction-order contract behind the GMT ablation cache.
-
-        After touching key 1 (a hit), key 2 becomes the LRU entry: the
-        next insert past capacity must evict 2, not 1.  The seed's
-        OrderedDict cache got this via move_to_end on every access; the
-        explicit cache must preserve it while only paying on hits.
-        """
-        cache = LruCache(3)
-        cache.put(1, "a")
-        cache.put(2, "b")
-        cache.put(3, "c")
-        assert cache.get(1) == "a"          # 1 becomes most-recent
-        cache.put(4, "d")                   # evicts 2 (now least-recent)
-        assert 2 not in cache
-        assert list(cache.keys()) == [3, 1, 4]
-
-    def test_overwrite_refreshes_recency(self):
-        cache = LruCache(2)
-        cache.put(1, "a")
-        cache.put(2, "b")
-        cache.put(1, "a2")                  # overwrite: 2 is now LRU
-        cache.put(3, "c")
-        assert 2 not in cache
-        assert cache.get(1) == "a2"
-        assert cache.get(3) == "c"
-
-    def test_fresh_insert_is_most_recent(self):
-        cache = LruCache(2)
-        cache.put(1, "a")
-        cache.put(2, "b")
-        cache.put(3, "c")                   # evicts 1 (oldest insert)
-        assert 1 not in cache
-        assert list(cache.keys()) == [2, 3]
-
-    def test_miss_returns_none_without_reordering(self):
-        cache = LruCache(2)
-        cache.put(1, "a")
-        cache.put(2, "b")
-        assert cache.get(99) is None
-        assert list(cache.keys()) == [1, 2]
-
-    def test_zero_capacity_stores_nothing(self):
-        cache = LruCache(0)
-        cache.put(1, "a")
-        assert len(cache) == 0
-        assert cache.get(1) is None
-
-    def test_clear(self):
-        cache = LruCache(2)
-        cache.put(1, "a")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get(1) is None

@@ -28,7 +28,6 @@ BATCH = SRC / "perf" / "batch.py"
 
 CELLS = {
     "default": {},
-    "map_cache_pages=4": {"config": default_lazy_config(map_cache_pages=4)},
     "checkpoint_interval=40": {
         "config": default_lazy_config(checkpoint_interval=40)},
 }
@@ -36,8 +35,6 @@ CELLS = {
 EPOCH_PINS = {
     ("default", "golden-random"): (77, 1424, "180d98e3b4131c6d"),
     ("default", "golden-hotcold"): (55, 1146, "2867cb2ab7cffb77"),
-    ("map_cache_pages=4", "golden-random"): (73, 897, "81187c36291ce968"),
-    ("map_cache_pages=4", "golden-hotcold"): (61, 878, "1e0ae3dfed30e971"),
     ("checkpoint_interval=40", "golden-random"):
         (84, 1341, "26518ea998cd2f91"),
     ("checkpoint_interval=40", "golden-hotcold"):

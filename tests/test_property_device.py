@@ -124,8 +124,8 @@ class TestBlockDeviceSectorSemantics:
 #
 # * a run op is *n* scalar ops - ``program_run`` (consecutive, or striped
 #   over several blocks with the read each program follows) /
-#   ``read_run`` / ``invalidate_run`` against ``program_page`` /
-#   ``read_page`` / ``invalidate_page`` in order: same page-state bytes,
+#   ``invalidate_run`` against ``read_page`` / ``program_page`` /
+#   ``invalidate_page`` in order: same page-state bytes,
 #   data/OOB, write pointers, valid counts, ``invalidated``,
 #   ``FlashStats``, unit clocks, busy times, channel wait and host-op
 #   count, returned values, warnings, exception type and first failing
@@ -184,8 +184,6 @@ ops = st.one_of(
     st.tuples(st.just("frontier_program"), pbns),
     st.tuples(st.just("frontier_run"), pbns, st.integers(1, PPB + 1)),
     st.tuples(st.just("read"), ppns),
-    st.tuples(st.just("read_run"), ppn_lists),
-    st.tuples(st.just("block_read_run"), pbns, ppn_lists),
     st.tuples(st.just("probe"), ppns),
     st.tuples(st.just("invalidate"), ppns),
     st.tuples(st.just("invalidate_run"), ppn_lists),
@@ -201,11 +199,6 @@ def apply(flash, op, step, bulk):
     if kind.startswith("frontier_"):
         kind = kind[len("frontier_"):]
         addr = addr * PPB + flash.write_ptr[addr]
-    elif kind == "block_read_run":
-        # The block's programmed pages, then whatever else was drawn.
-        kind = "read_run"
-        addr = list(range(addr * PPB, addr * PPB + flash.write_ptr[addr]))
-        addr += op[2]
     elif kind == "block_invalidate_run":
         kind = "invalidate_run"
         addr = flash.valid_ppns(addr) + op[2]
@@ -261,16 +254,6 @@ def _apply(flash, kind, addr, op, step, bulk):
         return total
     if kind == "read":
         return flash.read_page(addr)
-    if kind == "read_run":
-        if bulk:
-            return flash.read_run(addr)
-        datas, oobs, total = [], [], 0.0
-        for ppn in addr:
-            data, oob, latency = flash.read_page(ppn)
-            datas.append(data)
-            oobs.append(oob)
-            total += latency
-        return datas, oobs, total
     if kind == "probe":
         return flash.probe_page(addr)
     if kind == "invalidate":
@@ -352,9 +335,9 @@ def test_the_bulk_paths_are_taken_and_refused():
                 patch.object(NandFlash, "invalidate_page", autospec=True,
                              side_effect=NandFlash.invalidate_page) as inval:
             flash.program_run(0, [0, 1, 2], [None] * 3)
-            flash.read_run([2, 0])
+            flash.program_run(PPB, [3], [None], [2])  # a copy of page 2
             flash.invalidate_run([1, 2])
         calls = (program.call_count, read.call_count, inval.call_count)
-        assert calls == ((0, 0, 0) if bulk_expected else (3, 2, 2))
+        assert calls == ((0, 0, 0) if bulk_expected else (4, 1, 2))
         assert bytes(flash.page_states[:4]) == bytes((1, 2, 2, 0))
         assert flash.invalidated == {0}

@@ -6,11 +6,13 @@ modeled statistics to the scalar replay loop: epoch kernels only
 vectorise stretches the planner proved free of GC/boundary work, and
 float accumulation order is preserved.  This tool audits that promise
 end-to-end: every scheme replays the same deterministic workloads three
-ways - scalar, batched with the numpy kernels (when numpy is
-installed), and batched with the pure ``array`` fallback kernels - and
-the full :func:`repro.sim.golden.engine_digest` (flash counters, FTL
-stats, response-time summary, wear map, RAM model, busy time) must
-compare equal with ``==``.
+ways - scalar, batched with every epoch on the numpy timing kernel (when
+numpy is installed; by default only epochs of ``NUMPY_MIN_EPOCH`` ops
+take it), and batched with every epoch on the pure ``array`` kernel, as
+on a machine without numpy - and the full
+:func:`repro.sim.golden.engine_digest` (flash counters, FTL stats,
+response-time summary, wear map, RAM model, busy time) must compare
+equal with ``==``.
 
 LazyFTL is the one scheme with an epoch planner; every other scheme
 takes the scalar path under ``replay_mode="auto"`` too (the engine
@@ -151,23 +153,27 @@ def verdict(axis: str, reference: Dict[str, object],
     return f"{axis}:ok"
 
 
+def forced_kernel(name: str):
+    """Every epoch on the numpy kernel, or on the ``array`` kernel as on a
+    machine without numpy (``"fallback"``)."""
+    if name == "numpy":
+        return patch.object(batch, "NUMPY_MIN_EPOCH", batch.MIN_EPOCH)
+    return patch.object(batch, "_np", None)
+
+
 def run_diff(requests: int, schemes: Tuple[str, ...]) -> int:
-    backends = ["fallback"]
-    if batch._numpy is not None:
-        backends.insert(0, "numpy")
+    kernels = ["fallback"]
+    if batch._np is not None:
+        kernels.insert(0, "numpy")
     failures = 0
     for trace in build_traces(requests):
         for scheme in schemes:
-            batch.set_backend("auto")
             reference, moves_by_run = digest_for(scheme, trace, "scalar")
             verdicts = []
-            for backend in backends:
-                batch.set_backend(backend)
-                try:
+            for kernel in kernels:
+                with forced_kernel(kernel):
                     candidate, _ = digest_for(scheme, trace, "auto")
-                finally:
-                    batch.set_backend("auto")
-                verdicts.append(verdict(backend, reference, candidate))
+                verdicts.append(verdict(kernel, reference, candidate))
             if moves_by_run:
                 refused, _ = digest_for(
                     scheme, trace, "scalar", refuse_runs=True)
@@ -210,7 +216,7 @@ def main(argv=None) -> int:
         return 1
     print(f"batchdiff: all digests bit-identical "
           f"({len(schemes)} scheme(s), scalar vs batched, "
-          f"{'numpy+fallback' if batch._numpy is not None else 'fallback'} "
+          f"{'numpy+fallback' if batch._np is not None else 'fallback'} "
           "kernels; by page vs by run, host run ops included)")
     return 0
 

@@ -29,7 +29,7 @@ Runs, in order:
 7. **batchdiff** - ``tools/batchdiff.py``: scalar vs batched replay
    digests over three short deterministic workloads (one of them
    multi-page: every request a host run op) for every scheme,
-   with both kernel backends (numpy and the pure-``array`` fallback) -
+   with every epoch on each timing kernel (numpy and the pure ``array``) -
    the batch engine's bit-identical contract, end to end - and, for the
    schemes that garbage-collect through the one collector, with runs
    allowed vs refused, on the serial device and a striped one (4x1x1,
@@ -205,7 +205,7 @@ def step_ftlbench(config: dict) -> bool:
 def step_batchdiff(config: dict) -> bool:
     """Batch-replay equivalence smoke: every scheme's modeled statistics
     must be bit-identical between scalar and batched replay, on both
-    kernel backends, and between GC/commit by run and by page.  See
+    timing kernels, and between GC/commit by run and by page.  See
     tools/batchdiff.py."""
     return run_step("batchdiff", [
         sys.executable, str(_REPO_ROOT / "tools" / "batchdiff.py"),
