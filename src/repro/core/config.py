@@ -37,10 +37,6 @@ class LazyConfig:
             ``"cheapest"`` converts the block whose pending entries span
             the fewest distinct GMT pages (fewest read-modify-writes now,
             at the cost of keeping old blocks staged longer).
-        checkpoint_umt: Include a UMT snapshot in checkpoints (extension).
-            Checkpoints grow, but recovery resolves pre-checkpoint data
-            pages from the snapshot instead of reading GMT pages, cutting
-            recovery flash reads when checkpoints are fresh.
         background_gc: Run garbage collection during device idle time
             (extension; only observable under open-loop replay).  Keeps
             the free pool above ``2 x gc_free_threshold`` opportunistically
@@ -54,7 +50,6 @@ class LazyConfig:
     wear_threshold: Optional[int] = None
     global_batching: bool = True
     convert_policy: str = "fifo"
-    checkpoint_umt: bool = False
     background_gc: bool = False
 
     def __post_init__(self) -> None:

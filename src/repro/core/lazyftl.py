@@ -452,12 +452,10 @@ class LazyFTL(FlashTranslationLayer):
     def _collect_data_block(self, pbn: int) -> float:
         """Relocate a DBA victim's live pages into the cold area (by run,
         through the one driver), their mappings deferred in the UMT."""
-        umt_set = self._umt.set
         set_many = self._umt.set_many
         return relocate(
             self.flash, self._cba_frontier, self._live_pages(pbn),
             self._cold_destination, self._seq, self.stats,
-            lambda lpn, dst: umt_set(lpn, dst, True),
             lambda pairs: set_many(pairs, True), cold=True,
         )
 
@@ -561,8 +559,6 @@ class LazyFTL(FlashTranslationLayer):
             "dba": self.dba_blocks,
             "free": self._pool.snapshot(),
         }
-        if self.config.checkpoint_umt:
-            state["umt"] = self._umt.snapshot()
         self._writes_since_checkpoint = 0
         tracer = self._tracer
         if tracer is not None:

@@ -82,9 +82,7 @@ class CheckpointScribe:
             len(state["uba"]) + len(state["cba"]) + len(state["dba"])
             + len(state["free"]) + len(state["maps"]["full_blocks"]) + 8
         )
-        umt_bytes = 2 * MAP_ENTRY_BYTES * len(state.get("umt", ()))
-        nbytes = (gtd_entries + list_entries) * MAP_ENTRY_BYTES \
-            + umt_bytes + 64
+        nbytes = (gtd_entries + list_entries) * MAP_ENTRY_BYTES + 64
         page = self.flash.geometry.page_size
         return max(1, (nbytes + page - 1) // page)
 
@@ -284,20 +282,7 @@ def recover(
 
     umt_state: Dict[int, Tuple[int, bool]] = {}
     gmt_content: Dict[int, list] = {}
-    ckpt_umt: Optional[Dict[int, Tuple[int, bool]]] = (
-        state.get("umt") if state is not None else None
-    )
     for lpn, (seq, ppn, cold) in data_best.items():
-        if ckpt_umt is not None and seq <= ckpt_seq_bound:
-            # Fast path (checkpoint_umt extension): this copy predates the
-            # checkpoint, so the snapshot already classified it - no GMT
-            # read needed.  (It may have been committed *after* the
-            # checkpoint; re-listing it in the UMT is harmless: the entry
-            # agrees with the GMT and simply gets re-committed later.)
-            entry = ckpt_umt.get(lpn)
-            if entry is not None and entry[0] == ppn:
-                umt_state[lpn] = (ppn, cold)
-            continue
         tvpn = lpn // ftl.entries_per_page
         tppn = gtd[tvpn]
         committed: Optional[int] = None

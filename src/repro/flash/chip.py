@@ -73,12 +73,14 @@ are written: powered, no armed fault (the trip point is a page), no tracer
 (it must see per-op events in order), no ``serialize_timing`` (the
 property-test lever keeps the scalar ops) and integer-valued latencies (a
 caller that moves by run sums a run's latencies in another association;
-integer-valued floats add exactly in any order).  Whoever wants to batch
-asks it - the run ops here, :func:`repro.ftl.stripe.relocate` and
-:meth:`repro.ftl.mapping.MappingStore.commit` once per pass,
-``repro.perf.batch.engine_for`` for replay epochs - and gets the
-scalar op order whenever it says no; the sanitizer always says no, so
-every page of a run gets its per-op audit.
+integer-valued floats add exactly in any order).  The run ops here ask
+it and take the scalar op order whenever it says no; the sanitizer always
+says no, so every page of a run gets its per-op audit.
+:func:`repro.ftl.stripe.relocate` and
+:meth:`repro.ftl.mapping.MappingStore.commit` ask it once per pass only
+to size their runs - one page when it says no, the same code either way,
+so a traced, faulted or sanitized pass runs what the benchmark runs -
+and ``repro.perf.batch.engine_for`` asks it for replay epochs.
 """
 
 from __future__ import annotations
@@ -387,11 +389,13 @@ class NandFlash:
         return latency
 
     def takes_runs(self) -> bool:
-        """May a run op take its bulk path - and may callers batch at all?
+        """May a run op take its bulk path - and may a caller's runs be
+        longer than one page?
 
         The one statement of the device-wide conditions (module docstring,
         "Run ops"); read-only.  Tracers attach and faults arm at any time,
-        so the answer is asked when needed, never cached.
+        so the answer is asked when needed (by GC relocation and the GMT
+        commit once per pass), never cached.
         """
         timing = self.timing
         return (

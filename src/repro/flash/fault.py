@@ -61,10 +61,6 @@ class PowerFault:
         """Trip the fault just before the ``n+1``-th program from now."""
         self._arm(n, count_erases=False)
 
-    def arm_after_ops(self, n: int) -> None:
-        """Like :meth:`arm_after_programs` but erases count down too."""
-        self._arm(n, count_erases=True)
-
     def arm_at_op_index(self, index: int) -> None:
         """Trip exactly before the state-changing op with this 0-based index.
 

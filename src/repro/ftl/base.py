@@ -215,10 +215,6 @@ class FlashTranslationLayer(ABC):
         self.flash.tracer = tracer
         return tracer
 
-    def detach_tracer(self) -> None:
-        self._tracer = None
-        self.flash.tracer = None
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -267,17 +267,15 @@ class DftlFTL(FlashTranslationLayer):
         entries_per_page = maps.entries_per_page
         moved: Dict[int, List[Tuple[int, int]]] = {}  # tvpn -> [(lpn, dst)]
 
-        def record(lpn: int, dst: int) -> None:
-            moved.setdefault(lpn // entries_per_page, []).append((lpn, dst))
-
         def record_run(pairs: Iterable[Tuple[int, int]]) -> None:
             for lpn, dst in pairs:
-                record(lpn, dst)
+                moved.setdefault(lpn // entries_per_page, []).append(
+                    (lpn, dst))
 
         try:
             latency = relocate(
                 self.flash, self._gc_active, self.flash.valid_ppns(pbn),
-                spare_block, self._seq, self.stats, record, record_run,
+                spare_block, self._seq, self.stats, record_run,
             )
             for tvpn in list(moved):
                 content, read_lat = maps.load(tvpn)

@@ -197,8 +197,8 @@ class MappingStore:
         In that order: a reclaiming destination policy can run GC, and GC
         can rewrite this very page, so content snapshotted before the
         reservation would clobber GC's update when it is programmed.
-        Outside GC every read-modify-write starts here and ends in
-        :meth:`program`.
+        Outside GC, DFTL's every read-modify-write starts here and ends in
+        :meth:`program`; :meth:`commit` keeps the same order per run.
         """
         latency, _ = self._destination(self._frontier)
         content, read_lat = self.load(tvpn)
@@ -211,12 +211,13 @@ class MappingStore:
     ) -> float:
         """Apply batched mapping updates, one page write per group.
 
-        The sorted groups go out by *run* when the device takes runs (as
-        pages do in :func:`~repro.ftl.stripe.relocate`): a page's two asks
-        (as :meth:`checkout`, then :meth:`program`), then the pages
+        The sorted groups go out by *run* (as pages do in
+        :func:`~repro.ftl.stripe.relocate`): a page's two asks - the first
+        followed by the :meth:`load` of its old copy, as :meth:`checkout`
+        does - then the pages
         :meth:`~repro.ftl.stripe.Frontier.run_plan` places after it at two
-        asks each, in one :meth:`_commit_run`.  Otherwise each is the
-        :meth:`checkout` / :meth:`program` pair.
+        asks each, in one :meth:`_commit_run`.  A device that takes no runs
+        gets one-page runs.
 
         Args:
             groups: tvpn -> list of (lpn, new_ppn), as produced by
@@ -228,36 +229,21 @@ class MappingStore:
         latency = 0.0
         tvpns = sorted(groups)
         frontier = self._frontier
-        if not self.flash.takes_runs():
-            checkout = self.checkout
-            program = self.program
-            entries_per_page = self.entries_per_page
-            stats = self.stats
-            for tvpn in tvpns:
-                content, room_lat = checkout(tvpn)
-                latency += room_lat
-                group = groups[tvpn]
-                for lpn, new_ppn in group:
-                    idx = lpn % entries_per_page
-                    old_ppn = content[idx]
-                    if old_ppn is not None and old_ppn != new_ppn:
-                        on_superseded(lpn, old_ppn)
-                    content[idx] = new_ppn
-                stats.batched_commits += len(group)
-                latency += program(tvpn, content)
-        else:
-            destination = self._destination
-            done = 0
-            while done < len(tvpns):
-                room_lat, _ = destination(frontier)
-                latency += room_lat
-                room_lat, pbn = destination(frontier)
-                latency += room_lat
-                plan = frontier.run_plan(pbn, len(tvpns) - done - 1, 2)
-                frontier.advance(len(plan) - 1, 2)
-                run = tvpns[done:done + len(plan)]
-                latency += self._commit_run(run, plan, groups, on_superseded)
-                done += len(run)
+        destination = self._destination
+        runs = self.flash.takes_runs()
+        done = 0
+        while done < len(tvpns):
+            room_lat, _ = destination(frontier)
+            content, read_lat = self.load(tvpns[done])
+            latency += room_lat + read_lat
+            room_lat, pbn = destination(frontier)
+            more = len(tvpns) - done - 1 if runs else 0
+            plan = frontier.run_plan(pbn, more, 2)
+            frontier.advance(len(plan) - 1, 2)
+            run = tvpns[done:done + len(plan)]
+            latency += room_lat + self._commit_run(
+                run, plan, content, groups, on_superseded)
+            done += len(run)
         tracer = self.flash.tracer
         if tracer is not None:
             tracer.emit(
@@ -267,34 +253,39 @@ class MappingStore:
             )
         return latency
 
-    def _commit_run(self, run, dsts, groups, on_superseded) -> float:
+    def _commit_run(self, run, dsts, first, groups, on_superseded) -> float:
         """Rewrite the translation pages ``run``, their commit groups
-        applied, to the pages ``dsts`` (free, as planned); each page's read
-        of its old copy, if any, is charged just before its program."""
+        applied, to the pages ``dsts`` (free, as planned).  ``first`` is
+        the loaded content of ``run[0]``; each later page's read of its old
+        copy, if any, is charged just before its program."""
         flash = self.flash
         stats = self.stats
         entries_per_page = self.entries_per_page
         gtd = self.gtd.raw
         page_data = flash.page_data
         old = [gtd[tvpn] if gtd[tvpn] >= 0 else None for tvpn in run]
-        contents = []
-        for tvpn, tppn in zip(run, old):  # a page never written starts empty
-            content = list(page_data[tppn]) if tppn is not None \
-                else [None] * entries_per_page
-            for lpn, new_ppn in groups[tvpn]:  # as the scalar arm applies
+        reads = [None, *old[1:]]
+        contents = [first]
+        for tppn in reads[1:]:  # a page never written starts empty
+            contents.append(list(page_data[tppn]) if tppn is not None
+                            else [None] * entries_per_page)
+        for tvpn, content in zip(run, contents):
+            for lpn, new_ppn in groups[tvpn]:
                 idx = lpn % entries_per_page
                 old_ppn = content[idx]
                 if old_ppn is not None and old_ppn != new_ppn:
                     on_superseded(lpn, old_ppn)
                 content[idx] = new_ppn
             stats.batched_commits += len(groups[tvpn])
-            contents.append(content)
         stale = [tppn for tppn in old if tppn is not None]
-        stats.map_reads += len(stale)
+        stats.map_reads += len(reads) - reads.count(None)
         n = len(run)
         latency = flash.program_run(dsts, contents, run_oobs(
-            run, self.seq.take(n), PageKind.MAPPING, False), old)
+            run, self.seq.take(n), PageKind.MAPPING, False), reads)
         stats.map_writes += n
+        tracer = flash.tracer
+        if tracer is not None:  # one-page runs: after their program
+            tracer.emit(EventType.MAP_WRITE, lpn=run[0], ppn=dsts[0])
         flash.invalidate_run(stale)
         self.gtd.set_many(zip(run, dsts))
         return latency
@@ -327,8 +318,8 @@ class MappingStore:
         through the one driver); the caller erases it."""
         latency = relocate(
             self.flash, self._frontier, self.flash.valid_ppns(pbn),
-            self._destination, self.seq, self.stats,
-            self.gtd.set, self.gtd.set_many, PageKind.MAPPING,
+            self._destination, self.seq, self.stats, self.gtd.set_many,
+            PageKind.MAPPING,
         )
         self.full_blocks.discard(pbn)
         return latency

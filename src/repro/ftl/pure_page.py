@@ -178,6 +178,5 @@ class PageFTL(FlashTranslationLayer):
         driver) and repoint the RAM map."""
         return relocate(
             self.flash, self._gc_active, self.flash.valid_ppns(victim),
-            spare_block, self._seq, self.stats,
-            self._map.raw.__setitem__, self._map.set_many,
+            spare_block, self._seq, self.stats, self._map.set_many,
         )

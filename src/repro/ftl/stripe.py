@@ -29,7 +29,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..flash.chip import NandFlash
-from ..flash.oob import PageKind, SequenceCounter, make_oob, run_oobs
+from ..flash.oob import PageKind, SequenceCounter, run_oobs
 from ..obs.events import EventType
 from .pool import BlockPool
 from .stats import FtlStats
@@ -260,30 +260,26 @@ def spare_block(frontier: Frontier) -> Tuple[float, int]:
 
 def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
              destination: Destination, seq: SequenceCounter, stats: FtlStats,
-             record: Callable[[int, int], None],
              record_run: Callable[[Iterable[Tuple[int, int]]], None],
              kind: PageKind = PageKind.DATA, cold: bool = False) -> float:
     """Move the live pages ``srcs`` into ``frontier``'s blocks (the caller
     erases theirs); returns the simulated time.  The one relocation loop.
 
-    Pages move by *run* when the device takes runs: a page is read, then
-    ``destination`` is asked - it may convert, reclaim or raise
-    ``OutOfBlocksError`` exactly where it always did - and the pages that
-    follow are gathered (a lazy ``srcs`` only advances there) as far as
-    :meth:`Frontier.run_plan` places them: ``destination`` is asked
-    *between* runs.  A ``MAPPING`` copy is also a map read and a map write
-    - the one map write that is a GC copy (``map_gc_copies``).
+    Pages move by *run*: a page is read, then ``destination`` is asked -
+    it may convert, reclaim or raise ``OutOfBlocksError`` exactly where it
+    always did - and the pages that follow are gathered (a lazy ``srcs``
+    only advances there) as far as :meth:`Frontier.run_plan` places them:
+    ``destination`` is asked *between* runs.  A device that takes no runs
+    (:meth:`~repro.flash.chip.NandFlash.takes_runs`) gets one-page runs,
+    which its run ops serve with the scalar ops.  A ``MAPPING`` copy is
+    also a map read and a map write - the one map write that is a GC copy
+    (``map_gc_copies``).
     """
     latency = 0.0
-    runs = flash.takes_runs()
-    write_ptr = flash.write_ptr
+    more = flash.geometry.pages_per_block if flash.takes_runs() else 0
     page_data = flash.page_data
     page_oob = flash.page_oob
     read_page = flash.read_page
-    program_page = flash.program_page
-    invalidate_page = flash.invalidate_page
-    seq_next = seq.next
-    ppb = flash.geometry.pages_per_block
     mapping = kind is PageKind.MAPPING
     tracer = flash.tracer if mapping else None
     srcs = iter(srcs)
@@ -297,23 +293,7 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
                 tracer.emit(EventType.MAP_READ, lpn=lpn, ppn=src)
         room_lat, pbn = destination(frontier)
         latency += room_lat
-        if not runs:
-            # Traced, fault-armed, sanitized, fractional timing: the
-            # scalar ops.
-            dst = pbn * ppb + write_ptr[pbn]
-            latency += program_page(
-                dst, data, make_oob((lpn, seq_next(), kind, cold)))
-            if mapping:
-                stats.map_writes += 1
-                stats.map_gc_copies += 1
-                if tracer is not None:
-                    tracer.emit(EventType.MAP_WRITE, lpn=lpn, ppn=dst)
-            record(lpn, dst)
-            invalidate_page(src)
-            stats.gc_page_copies += 1
-            continue
-        # One run: gather, program, record and invalidate in bulk.
-        plan = frontier.run_plan(pbn, ppb)
+        plan = frontier.run_plan(pbn, more)
         rest = list(islice(srcs, len(plan) - 1))
         frontier.advance(len(rest))
         n = len(rest) + 1
@@ -326,6 +306,8 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
             stats.map_reads += n - 1
             stats.map_writes += n
             stats.map_gc_copies += n
+            if tracer is not None:  # one-page runs: after their program
+                tracer.emit(EventType.MAP_WRITE, lpn=lpn, ppn=dsts[0])
         record_run(zip(lpns, dsts))
         flash.invalidate_run([src, *rest])
         stats.gc_page_copies += n

@@ -9,13 +9,6 @@
 * :mod:`~repro.sim.report` - table/series formatting for benchmarks.
 """
 
-from .export import (
-    CSV_COLUMNS,
-    result_to_dict,
-    result_to_row,
-    results_to_csv,
-    results_to_json,
-)
 from .factory import (
     RECOVERABLE_SCHEMES,
     SCHEMES,
@@ -41,11 +34,6 @@ from .simulator import SimulationResult, Simulator
 from .verify import IntegrityError, VerificationReport, verified_replay
 
 __all__ = [
-    "CSV_COLUMNS",
-    "result_to_dict",
-    "result_to_row",
-    "results_to_csv",
-    "results_to_json",
     "RECOVERABLE_SCHEMES",
     "SCHEMES",
     "RecoveryUnsupportedError",

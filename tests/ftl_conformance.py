@@ -268,7 +268,7 @@ class FTLConformance:
         rng = random.Random(4242)
         acked = {}
         inflight = None
-        flash.fault.arm_after_ops(self.LOGICAL_PAGES * 2)
+        flash.fault.arm_at_op_index(self.LOGICAL_PAGES * 2)
         try:
             for i in range(self.LOGICAL_PAGES * 6):
                 lpn = rng.randrange(self.LOGICAL_PAGES)

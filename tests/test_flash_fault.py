@@ -40,9 +40,9 @@ class TestPowerFaultController:
         assert not f.on_erase()
         assert f.on_program()
 
-    def test_arm_after_ops_counts_erases(self):
+    def test_arm_at_op_index_counts_erases(self):
         f = PowerFault()
-        f.arm_after_ops(1)
+        f.arm_at_op_index(1)
         assert not f.on_erase()
         assert f.on_program()
 
@@ -97,7 +97,7 @@ class TestChipPowerLoss:
 
     def test_erase_fault(self):
         chip = make_chip()
-        chip.fault.arm_after_ops(0)
+        chip.fault.arm_at_op_index(0)
         with pytest.raises(PowerLossError):
             chip.erase_block(0)
         assert chip.erase_count[0] == 0

@@ -180,32 +180,39 @@ class TestSpareRule:
 
 def relocated(flash, frontier, count=PAGES):
     """Relocate a freshly programmed victim of ``count`` pages through
-    :func:`relocate`; returns how many ``program_page`` and
-    ``program_run`` calls it made."""
+    :func:`relocate`; returns the page count of each ``program_run`` call
+    it made, having checked that it made no ``program_page`` call outside
+    one."""
     victim = frontier.pool.allocate()
     program(flash, victim, count)
-    calls = {"program_page": 0, "program_run": 0}
-    for name in calls:
-        real = getattr(flash, name)
+    runs = []
+    program_run, program_page = flash.program_run, flash.program_page
 
-        def spy(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        setattr(flash, name, spy)
+    def run_spy(ppns, datas, oobs, reads=None):
+        runs.append(len(datas))
+        flash.program_page = program_page  # the run's own calls
+        try:
+            return program_run(ppns, datas, oobs, reads)
+        finally:
+            flash.program_page = page_spy
+
+    def page_spy(*args):
+        raise AssertionError("relocate() programmed a page outside a run")
+
+    flash.program_run, flash.program_page = run_spy, page_spy
     try:
         relocate(flash, frontier, flash.valid_ppns(victim), spare_block,
-                 SequenceCounter(), FtlStats(), lambda lpn, dst: None,
-                 lambda pairs: None)
+                 SequenceCounter(), FtlStats(), lambda pairs: None)
     finally:
-        for name in calls:
-            delattr(flash, name)
-    return calls["program_page"], calls["program_run"]
+        del flash.program_run, flash.program_page
+    return runs
 
 
 class TestRunLimit:
     """How far a pass may batch: the run plan (:meth:`Frontier.run_plan`)
     says where the pages after an ask would go, on any rotation, and the
-    device is asked afresh every pass whether it takes runs at all."""
+    device is asked afresh every pass whether it takes runs longer than
+    one page."""
 
     def test_one_way_on_a_plain_device_is_a_block(self):
         _, _, frontier, _ = make()
@@ -273,24 +280,24 @@ class TestRunLimit:
 
     def test_device_refusing_runs_is_one_and_is_never_cached(self):
         flash, _, frontier, _ = make(blocks=32)
-        assert relocated(flash, frontier) == (0, 1)
+        assert relocated(flash, frontier) == [PAGES]
         flash.tracer = Tracer()
-        assert relocated(flash, frontier) == (PAGES, 0)
+        assert relocated(flash, frontier) == [1] * PAGES
         flash.tracer = None
         flash.fault.arm_after_programs(10 ** 12)
-        assert relocated(flash, frontier) == (PAGES, 0)
+        assert relocated(flash, frontier) == [1] * PAGES
         flash.fault.disarm()
         flash.timing = TimingModel(page_read_us=0.1)
-        assert relocated(flash, frontier) == (PAGES, 0)
+        assert relocated(flash, frontier) == [1] * PAGES
         flash.timing = UNIT_TIMING
-        assert relocated(flash, frontier)[0] == 0
+        assert relocated(flash, frontier) == [PAGES]
 
     def test_sanitized_device_is_one(self):
         flash = SanitizedNandFlash(
             FlashGeometry(num_blocks=8, pages_per_block=PAGES, page_size=64),
             timing=UNIT_TIMING)
         frontier = Frontier(flash, BlockPool(range(8)), 1)
-        assert relocated(flash, frontier) == (PAGES, 0)
+        assert relocated(flash, frontier) == [1] * PAGES
 
     def test_a_run_is_clipped_to_the_free_pages_of_the_block(self):
         # relocate() moves 6 live pages into a block with 3 free pages:
@@ -312,7 +319,7 @@ class TestRunLimit:
         stats = FtlStats()
         srcs = flash.valid_ppns(victim) + flash.valid_ppns(extra)
         relocate(flash, frontier, srcs, spare_block, SequenceCounter(),
-                 stats, lambda lpn, dst: None, lambda pairs: None)
+                 stats, lambda pairs: None)
         assert [n for _, n in runs] == [PAGES - 1, 3]
         assert runs[0][0] == partial and runs[1][0] != partial
         assert stats.gc_page_copies == 6

@@ -199,7 +199,7 @@ def test_a_merge_that_dies_half_way_still_closes_its_span(
     else:
         after = 0 if (scheme, kind) == ("BAST", "switch") else 1
         saboteur = Saboteur(
-            kind, lambda: flash.fault.arm_after_ops(after),
+            kind, lambda: flash.fault.arm_at_op_index(after),
             flash.fault.disarm, lambda: flash.fault.tripped)
         expected = PowerLossError
     path = tmp_path / "died.jsonl"

@@ -37,6 +37,15 @@ def make_lazy(flash, **cfg):
     return LazyFTL(flash, logical_pages=LOGICAL, config=LazyConfig(**defaults))
 
 
+def torn_total(flash):
+    """How many pages the newest checkpoint spans, from its first
+    fragment (the one every torn set still has)."""
+    firsts = [flash.page_data[ppn] for pbn in ANCHOR_BLOCKS
+              for ppn in flash.valid_ppns(pbn)
+              if flash.page_data[ppn].index == 0]
+    return max(firsts, key=lambda fragment: fragment.ckpt_id).total
+
+
 def write_workload(ftl, n, seed=5):
     rng = random.Random(seed)
     expected = {}
@@ -70,13 +79,14 @@ class TestTornCheckpoint:
         back to scanning and every acknowledged write survives.
         """
         flash = make_flash()
-        # checkpoint_umt makes checkpoints span several of the 64-byte
-        # pages, so a mid-checkpoint cut leaves a genuinely torn set.
-        ftl = make_lazy(flash, checkpoint_umt=True)
+        ftl = make_lazy(flash)
         expected = write_workload(ftl, 150)
         flash.fault.arm_after_programs(1)
         with pytest.raises(PowerLossError):
             ftl.checkpoint()
+        # The checkpoint spans several of the 64-byte pages, so the cut
+        # left a genuinely torn set.
+        assert torn_total(flash) > 1
         recovered, report = recover(flash, LOGICAL, ftl.config)
         # The only checkpoint ever attempted is torn, so recovery must
         # not claim to have used one.
@@ -88,7 +98,7 @@ class TestTornCheckpoint:
         """An older complete checkpoint plus scans must win over a newer
         torn one; no acknowledged write may be lost."""
         flash = make_flash()
-        ftl = make_lazy(flash, checkpoint_umt=True)
+        ftl = make_lazy(flash)
         expected = write_workload(ftl, 100, seed=6)
         ftl.checkpoint()  # complete checkpoint A
         rng = random.Random(7)
@@ -99,6 +109,7 @@ class TestTornCheckpoint:
         flash.fault.arm_after_programs(1)
         with pytest.raises(PowerLossError):
             ftl.checkpoint()  # checkpoint B is torn
+        assert torn_total(flash) > 1
         recovered, report = recover(flash, LOGICAL, ftl.config)
         assert report.checkpoint_found  # A, not the torn B
         for lpn, value in expected.items():

@@ -3,9 +3,9 @@
 GC relocation (:func:`repro.ftl.stripe.relocate`) and LazyFTL's GMT commit
 (:meth:`repro.ftl.mapping.MappingStore.commit`) issue one ``program_run``
 (each page's read charged just before its program) and one bulk invalidate
-per run whenever the device takes runs - on a striped device too, a run
-rotating over the frontier's open blocks - and the scalar op sequence
-whenever it does not.  Three claims:
+per run - on a striped device too, a run rotating over the frontier's open
+blocks.  On a device that takes no runs every run is one page long, and
+the run ops serve it with the scalar op sequence.  Four claims:
 
 * *differential* - a device that refuses runs for a reason that changes
   nothing else (a power fault armed far beyond the workload) ends a
@@ -14,21 +14,31 @@ whenever it does not.  Three claims:
   2x2x1;
 * *counting* - on the plain and the 4x1x1 device a GC pass and a
   conversion make no per-page program calls, and with a tracer attached
-  they make exactly the scalar calls in the scalar order;
+  they make one-page runs whose scalar calls come in the scalar order;
+* *one path* - the source of ``relocate``, ``commit`` and ``_commit_run``
+  names no scalar program or invalidate and branches on no
+  ``takes_runs()``, and on the sanitizer's device a GC pass and a
+  conversion go through ``program_run`` in one-page runs;
 * *end of life* - an ``OutOfBlocksError`` from DFTL's GC destination at a
   run boundary still pins the mapping of every page already moved.
 """
 
+import ast
+import inspect
 import random
+import textwrap
 from contextlib import ExitStack, contextmanager
 from unittest.mock import patch
 
 import pytest
 
+from repro.checks.flashsan import SanitizedNandFlash
 from repro.core import LazyConfig, LazyFTL
-from repro.flash import SLC_TIMING, FlashGeometry, NandFlash
+from repro.flash import SLC_TIMING, FlashGeometry, NandFlash, PageKind
 from repro.flash.page import VALID
 from repro.ftl import DftlFTL, OutOfBlocksError, PageFTL
+from repro.ftl.mapping import MappingStore
+from repro.ftl.stripe import relocate
 from repro.obs.tracer import Tracer
 
 GEOMETRY = FlashGeometry(num_blocks=64, pages_per_block=16, page_size=64)
@@ -45,11 +55,12 @@ SCHEMES = {
 }
 RAW_OPS = ("read_page", "program_page", "program_run", "invalidate_page",
            "invalidate_run")
+SCALAR_OPS = ("read_page", "program_page", "invalidate_page")
 
 
-def build(scheme, refuse_runs=False, stripe="1x1x1"):
+def build(scheme, refuse_runs=False, stripe="1x1x1", device=NandFlash):
     channels, dies = STRIPES[stripe]
-    flash = NandFlash(FlashGeometry(
+    flash = device(FlashGeometry(
         num_blocks=GEOMETRY.num_blocks,
         pages_per_block=GEOMETRY.pages_per_block,
         page_size=GEOMETRY.page_size, channels=channels, dies=dies,
@@ -113,9 +124,11 @@ def full_image(ftl):
 
 @contextmanager
 def counted():
-    """Count (and order) the raw-op calls made on any NandFlash."""
+    """Count (and order) the raw-op calls made on any NandFlash, and list
+    the page count of each run op call."""
     calls = {name: 0 for name in RAW_OPS}
     order = []
+    sizes = {"program_run": [], "invalidate_run": []}
 
     def spy(name):
         real = getattr(NandFlash, name)
@@ -124,8 +137,12 @@ def counted():
             calls[name] += 1
             # A program run's first target: a ppn, or a sequence of them.
             first = args[0]
-            if name == "program_run" and not isinstance(first, int):
-                first = first[0]
+            if name == "program_run":
+                sizes[name].append(len(args[1]))
+                if not isinstance(first, int):
+                    first = first[0]
+            elif name == "invalidate_run":
+                sizes[name].append(len(first))
             order.append((name, first))
             return real(self, *args)
         return wrapper
@@ -133,7 +150,26 @@ def counted():
     with ExitStack() as stack:
         for name in RAW_OPS:
             stack.enter_context(patch.object(NandFlash, name, spy(name)))
-        yield calls, order
+        yield calls, order, sizes
+
+
+def assert_one_page_runs(calls, sizes):
+    """Every run op call moved at most one page - exactly one a program
+    run (a commit's invalidate run is empty for a never-written page)."""
+    assert calls["program_run"] > 0
+    assert set(sizes["program_run"]) == {1}
+    assert set(sizes["invalidate_run"]) <= {0, 1}
+
+
+def assert_reads_lead_runs(flash, order):
+    """Each page read alone is the old copy of a GMT page, read just
+    before the run that rewrites it (the data pages its entries supersede
+    are invalidated in between)."""
+    ops = [(name, ppn) for name, ppn in order if name != "invalidate_page"]
+    for (name, ppn), (after, _) in zip(ops, ops[1:] + [(None, None)]):
+        if name == "read_page":
+            assert flash.page_oob[ppn].kind is PageKind.MAPPING
+            assert after == "program_run"
 
 
 @pytest.mark.parametrize("scheme,stripe", [
@@ -145,13 +181,13 @@ class TestByRunIsByPage:
     def test_refusing_runs_changes_nothing(self, scheme, stripe):
         by_run = build(scheme, stripe=stripe)
         by_page = build(scheme, refuse_runs=True, stripe=stripe)
-        with counted() as (calls, _):
+        with counted() as (calls, _, sizes):
             run_latencies = replay(by_run)
-        assert calls["program_run"] > 0, "the plain device never took a run"
-        with counted() as (calls, _):
+        assert max(sizes["program_run"]) > 1, \
+            "the plain device never took a run"
+        with counted() as (calls, _, sizes):
             page_latencies = replay(by_page)
-        assert calls["program_run"] == calls["invalidate_run"] == 0, \
-            "a refusing device was sent a run"
+        assert_one_page_runs(calls, sizes)
         assert run_latencies == page_latencies
         assert by_run.stats.gc_runs > 100  # GC steady state reached
         want = full_image(by_page)
@@ -197,7 +233,7 @@ class TestRunsReallyHappen:
         victim = data_victim(ftl)
         live = ftl.flash.valid_count[victim]
         copies = ftl.stats.gc_page_copies
-        with counted() as (calls, order):
+        with counted() as (calls, order, _):
             ftl._gc.collect(victim)
         assert ftl.stats.gc_page_copies - copies == live
         assert calls["program_page"] == calls["invalidate_page"] == 0
@@ -211,7 +247,7 @@ class TestRunsReallyHappen:
         ftl = aged("LazyFTL")
         victim = data_victim(ftl)
         converts = ftl.stats.converts
-        with counted() as (calls, _):
+        with counted() as (calls, _, _):
             ftl._gc.collect(victim)
         # Copies, and the GMT pages of any conversion the pass forced, all
         # went out by run; only a run's first page is read alone.
@@ -230,7 +266,7 @@ class TestRunsReallyHappen:
         assert live >= 2
         copies, reads, writes = (ftl.stats.gc_page_copies,
                                  ftl.stats.map_reads, ftl.stats.map_writes)
-        with counted() as (calls, order):
+        with counted() as (calls, order, _):
             ftl._gc.collect(victim)
         assert ftl.stats.gc_page_copies - copies == live
         assert ftl.stats.map_reads - reads == live
@@ -250,14 +286,16 @@ class TestRunsReallyHappen:
             victim = min(ftl._maps.full_blocks, key=lambda pbn: (
                 -ftl.flash.valid_count[pbn], pbn))
         srcs = ftl.flash.valid_ppns(victim)
-        with counted() as (calls, order):
+        with counted() as (calls, order, sizes):
             ftl._gc.collect(victim)
-        assert calls["program_run"] == calls["invalidate_run"] == 0
+        assert_one_page_runs(calls, sizes)
+        assert calls["program_run"] == calls["invalidate_run"] == len(srcs)
         assert calls["program_page"] == calls["invalidate_page"] == len(srcs)
         # read src -> program dst -> invalidate src, page by page.
-        assert [name for name, _ in order] == \
+        scalar = [(name, ppn) for name, ppn in order if name in SCALAR_OPS]
+        assert [name for name, _ in scalar] == \
             ["read_page", "program_page", "invalidate_page"] * len(srcs)
-        assert [ppn for name, ppn in order if name != "program_page"] == \
+        assert [ppn for name, ppn in scalar if name != "program_page"] == \
             [src for src in srcs for _ in range(2)]
 
     @pytest.mark.parametrize("scheme", ["ideal", "LazyFTL"])
@@ -265,7 +303,7 @@ class TestRunsReallyHappen:
         ftl = aged(scheme, stripe="4x1x1")
         victim = data_victim(ftl)
         copies = ftl.stats.gc_page_copies
-        with counted() as (calls, _):
+        with counted() as (calls, _, _):
             ftl._gc.collect(victim)
         assert ftl.stats.gc_page_copies > copies
         # Copies, and the GMT pages of any conversion the pass forced, all
@@ -277,20 +315,21 @@ class TestRunsReallyHappen:
     def test_a_striped_conversion_moves_by_run(self):
         ftl = aged("LazyFTL", stripe="4x1x1")
         writes = ftl.stats.map_writes
-        with counted() as (calls, _):
+        with counted() as (calls, order, _):
             ftl._convert_oldest(ftl._uba)
         assert ftl.stats.map_writes - writes >= 2
-        assert calls["program_page"] == calls["read_page"] == 0
+        assert calls["program_page"] == 0
         assert calls["program_run"] >= 1
+        assert_reads_lead_runs(ftl.flash, order)
 
     def test_a_traced_striped_pass_is_the_scalar_op_sequence(self):
         ftl = aged("ideal", tracer=Tracer(), stripe="4x1x1")
         victim = data_victim(ftl)
         srcs = ftl.flash.valid_ppns(victim)
-        with counted() as (calls, order):
+        with counted() as (calls, order, sizes):
             ftl._gc.collect(victim)
-        assert calls["program_run"] == calls["invalidate_run"] == 0
-        assert [name for name, _ in order] == \
+        assert_one_page_runs(calls, sizes)
+        assert [name for name, _ in order if name in SCALAR_OPS] == \
             ["read_page", "program_page", "invalidate_page"] * len(srcs)
 
     def test_one_conversion_is_at_most_two_program_runs(self):
@@ -301,12 +340,74 @@ class TestRunsReallyHappen:
                  if ftl.umt.points_to(ftl.flash.page_oob[ppn].lpn, ppn)}
         assert len(tvpns) >= 3
         writes = ftl.stats.map_writes
-        with counted() as (calls, _):
+        with counted() as (calls, order, _):
             ftl._convert_oldest(ftl._uba)
         assert ftl.stats.map_writes - writes >= len(tvpns)
         assert calls["program_page"] == 0
         assert 1 <= calls["program_run"] <= 2
-        assert calls["read_page"] == 0
+        assert calls["read_page"] <= calls["program_run"]
+        assert_reads_lead_runs(ftl.flash, order)
+
+
+def _mentions(node, names):
+    """Does ``node`` call ``takes_runs`` or load one of ``names``?"""
+    return any(
+        isinstance(sub, ast.Attribute) and sub.attr == "takes_runs"
+        or isinstance(sub, ast.Name) and sub.id in names
+        for sub in ast.walk(node))
+
+
+class TestOnePath:
+    """One way to move pages: ``takes_runs()`` only sizes the plan."""
+
+    @pytest.mark.parametrize("mover", [
+        relocate, MappingStore.commit, MappingStore._commit_run,
+    ], ids=lambda mover: mover.__name__)
+    def test_no_scalar_arm(self, mover):
+        assert "record" not in inspect.signature(mover).parameters
+        tree = ast.parse(textwrap.dedent(inspect.getsource(mover)))
+        named = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Attribute, ast.Name))}
+        assert not named & {"program_page", "invalidate_page"}
+        # Names bound, directly or not, to the answer of takes_runs().
+        bound = set()
+        while True:
+            fresh = {target.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Assign)
+                     and _mentions(node.value, bound)
+                     for target in node.targets
+                     if isinstance(target, ast.Name)} - bound
+            if not fresh:
+                break
+            bound |= fresh
+        # The answer may size a plan; no statement may branch on it.
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.If, ast.While)):
+                assert not _mentions(node.test, bound), ast.unparse(node.test)
+            if isinstance(node, (ast.For, ast.While)):
+                assert not any(
+                    isinstance(sub, ast.Attribute)
+                    and sub.attr == "takes_runs" for sub in ast.walk(node)), \
+                    "takes_runs() asked inside a loop"
+
+    def test_the_sanitizer_sees_one_page_runs(self):
+        ftl = build("LazyFTL", device=SanitizedNandFlash)
+        replay(ftl, overwrites=1200)  # audited: a finding raises
+        victim = data_victim(ftl)
+        live = ftl.flash.valid_count[victim]
+        with counted() as (calls, _, sizes):
+            ftl._gc.collect(victim)
+        assert_one_page_runs(calls, sizes)
+        assert calls["program_page"] == calls["program_run"] >= live
+        writes = ftl.stats.map_writes
+        with counted() as (calls, order, sizes):
+            ftl._convert_oldest(ftl._uba)
+        assert ftl.stats.map_writes - writes >= 2
+        assert_one_page_runs(calls, sizes)
+        assert calls["program_page"] == calls["program_run"] == \
+            ftl.stats.map_writes - writes
+        assert_reads_lead_runs(ftl.flash, order)
 
 
 @pytest.mark.parametrize("refuse_runs", [False, True])

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""batchdiff - scalar vs batched replay, by-page vs by-run GC equivalence smoke.
+"""batchdiff - scalar vs batched replay, runs vs one-page runs equivalence smoke.
 
 The batch-replay engine (``repro.perf.batch``) promises *bit-identical*
 modeled statistics to the scalar replay loop: epoch kernels only
@@ -20,16 +20,18 @@ declines), so running the whole zoo also guards the dispatch gating
 itself.
 
 A second axis, ``runs``, audits the same promise one layer down: GC
-relocation and GMT commits move pages by *run* whenever the device takes
-runs (``NandFlash.takes_runs``), and page by page otherwise.  Every
-scheme with a ``GarbageCollector`` (LazyFTL, DFTL, ideal) replays the
-workloads once more on a device that refuses runs for a reason that
-changes nothing else - a power fault armed to trip after 10**12 programs
-- and that digest must equal the reference too: by run == by page.  The
-third workload is multi-page (websearch-shaped, 4-16 pages a request), so
-the same axis covers the *host* run ops: GC and conversions land inside
-multi-page requests by run on one device and by page on the other, and
-LazyFTL's reuse of a held GMT page (``read_run``) is the same on both.
+relocation and GMT commits move pages by *run*, through the same code
+on every device; ``NandFlash.takes_runs`` only decides whether a run may
+be longer than one page.  Every scheme with a ``GarbageCollector``
+(LazyFTL, DFTL, ideal) replays the workloads once more on a device that
+refuses runs for a reason that changes nothing else - a power fault
+armed to trip after 10**12 programs - and that digest must equal the
+reference too: runs allowed == one-page runs, through the same code.
+The third workload is multi-page (websearch-shaped, 4-16 pages a
+request), so the same axis covers the *host* run ops: GC and
+conversions land inside multi-page requests in runs on one device and
+in one-page runs on the other, and LazyFTL's reuse of a held GMT page
+(``read_run``) is the same on both.
 The ``runs`` pair is replayed on a striped device as well (per-unit
 clocks, frontiers rotating over several blocks) - ``4x1x1`` under the
 write-heavy mix, ``2x2x1`` under the multi-page one - where the per-unit
@@ -217,7 +219,7 @@ def main(argv=None) -> int:
     print(f"batchdiff: all digests bit-identical "
           f"({len(schemes)} scheme(s), scalar vs batched, "
           f"{'numpy+fallback' if batch._np is not None else 'fallback'} "
-          "kernels; by page vs by run, host run ops included)")
+          "kernels; runs allowed vs one-page runs, host run ops included)")
     return 0
 
 

@@ -32,9 +32,9 @@ Runs, in order:
    with every epoch on each timing kernel (numpy and the pure ``array``) -
    the batch engine's bit-identical contract, end to end - and, for the
    schemes that garbage-collect through the one collector, with runs
-   allowed vs refused, on the serial device and a striped one (4x1x1,
-   2x2x1; per-unit load and channel wait compared too): GC, commit and
-   host requests by run == by page;
+   allowed vs one-page runs, through the same code, on the serial device
+   and a striped one (4x1x1, 2x2x1; per-unit load and channel wait
+   compared too): GC, commit and host requests alike;
 8. **crashmc** - ``python -m repro crashcheck``: crash-consistency
    smoke (every program/erase boundary of a short mixed workload for
    each recovery-capable scheme, plus the ``--mutate`` oracle
@@ -46,8 +46,8 @@ passes, 1 otherwise; each step's verdict is printed as it completes and
 a per-stage wall-clock summary closes the run, so CI logs show exactly
 which gate failed, which did not run, and where the time went.
 
-Touching a run op - the device's ``read_run`` / ``program_run`` /
-``invalidate_run``, ``relocate``, ``MappingStore.commit``, or a scheme's
+Touching a run op - the device's ``program_run`` / ``invalidate_run``,
+``relocate``, ``MappingStore.commit``, or a scheme's
 host ``read_run`` / ``write_run`` - the quick loop before the whole gate
 is ``python tools/gen_golden_stats.py --check`` (the two single-page
 files must print ``0 fields differ``; only a change to what a
@@ -205,7 +205,8 @@ def step_ftlbench(config: dict) -> bool:
 def step_batchdiff(config: dict) -> bool:
     """Batch-replay equivalence smoke: every scheme's modeled statistics
     must be bit-identical between scalar and batched replay, on both
-    timing kernels, and between GC/commit by run and by page.  See
+    timing kernels, and between GC/commit runs allowed and one-page runs
+    (the same code).  See
     tools/batchdiff.py."""
     return run_step("batchdiff", [
         sys.executable, str(_REPO_ROOT / "tools" / "batchdiff.py"),
