@@ -46,7 +46,6 @@ from .sim import (
     compare_schemes,
     run_scheme,
     standard_setup,
-    verified_replay,
 )
 from .traces import (
     IORequest,
@@ -93,7 +92,6 @@ __all__ = [
     "compare_schemes",
     "run_scheme",
     "standard_setup",
-    "verified_replay",
     "IORequest",
     "OpType",
     "Trace",

@@ -4,6 +4,8 @@ Public surface:
 
 * :class:`SanitizedNandFlash` / :class:`SanitizedFTL` - validating wrappers
   around the raw device and any FTL scheme (``flashsan``);
+* :class:`ShadowModel` - the one model of host-visible state, which
+  ``SanitizedFTL`` drives and the crash checker's oracle reads;
 * :func:`audit_ftl` - side-effect-free full-state mapping audit;
 * :class:`Violation` / :class:`SanitizerViolation` / :class:`AuditReport` -
   the structured report types every finding is delivered as;
@@ -27,12 +29,14 @@ from .report import (
     Violation,
     ViolationKind,
 )
+from .shadow import ShadowModel
 
 __all__ = [
     "audit_ftl",
     "audit_latency",
     "SanitizedFTL",
     "SanitizedNandFlash",
+    "ShadowModel",
     "AuditReport",
     "OpHistory",
     "OpRecord",

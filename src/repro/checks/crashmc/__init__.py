@@ -23,7 +23,7 @@ from .model import (
     CrashPointResult,
     CrashReport,
     DurabilityViolation,
-    ShadowModel,
+    oracle,
 )
 from .schemes import CRASH_SCHEMES, DEFAULT_DEVICE, DeviceParams
 from .shrink import ShrinkResult, shrink
@@ -38,7 +38,7 @@ __all__ = [
     "CrashPointResult",
     "CrashReport",
     "DurabilityViolation",
-    "ShadowModel",
+    "oracle",
     "CRASH_SCHEMES",
     "DEFAULT_DEVICE",
     "DeviceParams",

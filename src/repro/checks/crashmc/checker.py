@@ -3,9 +3,10 @@
 One *crash case* is fully determined by picklable inputs: a scheme, a
 workload (seed + length, or an explicit op list), and a crash index - the
 0-based program/erase boundary where power is cut.  :func:`check_case`
-replays the workload against a fresh device with the fault armed at that
-boundary, tracks a :class:`~repro.checks.crashmc.model.ShadowModel` of
-acknowledged state alongside, recovers the survivor through the standard
+replays the workload through :class:`~repro.checks.flashsan.SanitizedFTL`
+on a fresh device with the fault armed at that boundary - its
+:class:`~repro.checks.shadow.ShadowModel` records acknowledged state and
+checks every powered read - recovers the survivor through the standard
 :func:`repro.sim.recover_ftl` protocol, and validates it twice:
 
 1. the flashsan full-state audit (:func:`repro.checks.audit_ftl`) - the
@@ -29,8 +30,9 @@ from ...flash import PowerLossError
 from ...perf.sweep import SweepWorkerError, run_tasks
 from ...sim.factory import recover_ftl
 from ..auditors import audit_ftl
+from ..flashsan import SanitizedFTL
 from .model import CrashPointResult, CrashReport, DurabilityViolation, \
-    ShadowModel
+    oracle
 from .schemes import DEFAULT_DEVICE, DeviceParams, build_instance, \
     corrupt_one_entry
 from .workload import Op, decode_ops, encode_ops, mixed_ops
@@ -144,39 +146,31 @@ def check_case(case: CrashCase) -> CrashPointResult:
     flash, ftl = build_instance(
         case.scheme, case.device, case.checkpoint_interval
     )
-    shadow = ShadowModel(case.device.logical_pages)
-    violations: List[DurabilityViolation] = []
+    host = SanitizedFTL(ftl, on_violation="record")
     flash.fault.arm_at_op_index(case.crash_index)
     tripped = False
     try:
         for i, (kind, lpn) in enumerate(ops):
             if kind == "w":
-                value = (lpn, i)
-                shadow.begin("w", lpn, value)
-                ftl.write(lpn, value)
-                shadow.commit()
+                host.write(lpn, (lpn, i))
             elif kind == "d":
-                shadow.begin("d", lpn, None)
-                ftl.trim(lpn)
-                shadow.commit()
+                host.trim(lpn)
             else:
-                got = ftl.read(lpn).data
-                error = shadow.check_read(lpn, got)
-                if error is not None:
-                    violations.append(
-                        DurabilityViolation("replay", lpn, error)
-                    )
+                host.read(lpn)
     except PowerLossError:
         tripped = True
+    violations = [DurabilityViolation("replay", finding.lpn, finding.message)
+                  for finding in host.violations]
     trip = flash.fault.trip_report() if tripped else ""
     if not tripped:
         # The workload has fewer boundaries than the crash index: power
         # off cleanly after the final op instead (nothing is in flight).
         flash.power_off()
     recovered = recover_ftl(ftl)
+    model = host.model
     mutated = None
     if case.mutate:
-        mutated = corrupt_one_entry(recovered, sorted(shadow.acked))
+        mutated = corrupt_one_entry(recovered, sorted(model.acked))
     audit = audit_ftl(recovered)
     for finding in audit.violations:
         violations.append(DurabilityViolation(
@@ -184,13 +178,13 @@ def check_case(case: CrashCase) -> CrashPointResult:
             f"{finding.kind.value}: {finding.message}",
         ))
     violations.extend(
-        shadow.oracle(lambda lpn: recovered.read(lpn).data)
+        oracle(model, lambda lpn: recovered.read(lpn).data)
     )
     return CrashPointResult(
         crash_index=case.crash_index,
         tripped=tripped,
         trip=trip,
-        acked_ops=shadow.acked_ops,
+        acked_ops=model.acked_ops,
         violations=tuple(violations),
         mutated=mutated,
     )

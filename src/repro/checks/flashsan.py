@@ -9,10 +9,11 @@ Two cooperating layers, both opt-in and zero-cost when unused:
   recent op history so every finding carries a "how did we get here" tail.
 
 * :class:`SanitizedFTL` - a transparent wrapper around any
-  :class:`~repro.ftl.base.FlashTranslationLayer` that maintains a
-  **read-your-writes shadow map** (host writes recorded, host reads
-  cross-checked) and exposes :meth:`SanitizedFTL.audit`, a full-state
-  mapping audit (see :mod:`repro.checks.auditors`).
+  :class:`~repro.ftl.base.FlashTranslationLayer` that drives the
+  **host-state model** (:class:`~repro.checks.shadow.ShadowModel`: host
+  writes and trims recorded, every host read checked by content) and
+  exposes :meth:`SanitizedFTL.audit`, a full-state mapping audit (see
+  :mod:`repro.checks.auditors`).
 
 Violations surface as structured :class:`~repro.checks.report.Violation`
 reports, raised as :class:`~repro.checks.report.SanitizerViolation` in
@@ -23,7 +24,8 @@ CLI enables them with ``--sanitize``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from itertools import count
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.geometry import FlashGeometry
@@ -38,6 +40,7 @@ from .report import (
     Violation,
     ViolationKind,
 )
+from .shadow import ShadowModel
 
 #: Accepted ``on_violation`` policies.
 MODES = ("raise", "record")
@@ -255,10 +258,13 @@ def audit_latency(recorder: Any) -> list:
 class SanitizedFTL:
     """Transparent FTL wrapper adding the host-level sanitizer checks.
 
-    Delegates every attribute to the wrapped scheme, intercepts the host
-    interface to maintain the read-your-writes shadow map, and exposes
-    :meth:`audit` for the full-state mapping invariants.  Drop-in for the
-    simulator, the conformance suite, and the CLI.
+    Delegates every attribute to the wrapped scheme and drives
+    :attr:`model` (a :class:`~repro.checks.shadow.ShadowModel`) through
+    the host interface: every write and trim is recorded, every read is
+    checked against it, and :meth:`sweep` reads the whole logical space
+    back.  :meth:`audit` checks the full-state mapping invariants.
+    Drop-in for the simulator, the conformance suite, the crash checker
+    and the CLI.
     """
 
     def __init__(
@@ -270,7 +276,9 @@ class SanitizedFTL:
             raise ValueError(f"on_violation must be one of {MODES}")
         self._ftl = ftl
         self.on_violation = on_violation
-        self._shadow: Dict[int, Any] = {}
+        #: What each lpn may read back: the one host-state model.
+        self.model = ShadowModel(ftl.logical_pages)
+        self._versions = count()
         self.violations: list = []
         if isinstance(ftl.flash, SanitizedNandFlash):
             ftl.flash.scheme = ftl.name
@@ -280,56 +288,72 @@ class SanitizedFTL:
     # ------------------------------------------------------------------
     def read(self, lpn: int) -> HostResult:
         result = self._ftl.read(lpn)
-        self._compare(lpn, result.data)
+        self._check(lpn, result.data)
         return result
 
     def write(self, lpn: int, data: Any = None) -> HostResult:
+        data = self._payload(lpn, data)
+        self.model.begin("w", lpn, data)
         result = self._ftl.write(lpn, data)
-        self._shadow[lpn] = data
+        self.model.commit()
         return result
 
     # The run ops are spelled out: ``__getattr__`` would hand the wrapped
     # scheme's to the driver and every multi-page request would skip the
-    # shadow map.
+    # model.
     def read_run(self, lpn: int, n: int, begin_page: BeginPage = None,
                  end_page: EndPage = None) -> HostResult:
         result = self._ftl.read_run(lpn, n, begin_page, end_page)
         for page, data in enumerate(result.data, lpn):
-            self._compare(page, data)
+            self._check(page, data)
         return result
 
     def write_run(self, lpn: int, datas: Sequence[Any],
                   begin_page: BeginPage = None,
                   end_page: EndPage = None) -> HostResult:
-        shadow = self._shadow
+        datas = [self._payload(page, data)
+                 for page, data in enumerate(datas, lpn)]
+        model = self.model
 
         def page_written(is_write: bool, page: int, latency: float) -> None:
-            # Per page, so a run that raises half way leaves the shadow
-            # map at the pages it completed.
-            shadow[page] = datas[page - lpn]
+            # Per page, so a run that raises half way leaves the model at
+            # the pages it completed.
+            model.begin("w", page, datas[page - lpn])
+            model.commit()
             if end_page is not None:
                 end_page(is_write, page, latency)
 
         return self._ftl.write_run(lpn, datas, begin_page, page_written)
 
-    def _compare(self, lpn: int, data: Any) -> None:
-        """Read-your-writes: ``data`` must be what was last written."""
-        if lpn in self._shadow and data != self._shadow[lpn]:
+    def trim(self, lpn: int) -> HostResult:
+        self.model.begin("d", lpn, None)
+        result = self._ftl.trim(lpn)
+        self.model.commit()
+        return result
+
+    def sweep(self) -> None:
+        """Read every logical page back against the model (the end of a
+        replay: pages no request read again are checked too)."""
+        for lpn in range(self._ftl.logical_pages):
+            self.read(lpn)
+
+    def _payload(self, lpn: int, data: Any) -> Any:
+        """``data``, or a fresh ``(lpn, version)`` token when the host
+        sends none, so a simulator replay's reads are checked by content.
+        The payload moves no statistic."""
+        return (lpn, next(self._versions)) if data is None else data
+
+    def _check(self, lpn: int, data: Any) -> None:
+        """Report a read the model does not allow."""
+        error = self.model.check_read(lpn, data)
+        if error is not None:
             self._report(Violation(
                 kind=ViolationKind.SHADOW_MISMATCH,
-                message=(
-                    f"read of lpn {lpn} returned {data!r} but the "
-                    f"shadow map expects {self._shadow[lpn]!r}"
-                ),
+                message=f"lpn {lpn}: {error}",
                 scheme=self._ftl.name,
                 lpn=lpn,
                 history=self._flash_history(),
             ))
-
-    def trim(self, lpn: int) -> HostResult:
-        result = self._ftl.trim(lpn)
-        self._shadow.pop(lpn, None)
-        return result
 
     # ------------------------------------------------------------------
     # Auditing

@@ -300,17 +300,6 @@ class NandFlash:
             self.tracer.flash_op(EventType.PAGE_READ, ppn, latency)
         return self.page_data[ppn], self.page_oob[ppn], latency
 
-    def read_oob(self, ppn: int) -> Tuple[Optional[OOBData], float]:
-        """Read only the spare area of a page.
-
-        Recovery scans read OOB areas block by block; real controllers can
-        fetch the spare bytes alone, but we charge a full page read to stay
-        conservative (the paper's recovery cost model does the same).
-        """
-        data, oob, latency = self.read_page(ppn)
-        del data
-        return oob, latency
-
     def probe_page(self, ppn: int) -> Tuple[Optional[OOBData], float]:
         """Read a page's OOB, tolerating erased pages.
 

@@ -121,54 +121,6 @@ class FlashGeometry:
         """
         return self.channels * self.dies
 
-    def channel_of(self, block: int) -> int:
-        """Channel that erase block ``block`` lives on."""
-        self.check_block(block)
-        return block % self.channels
-
-    def die_of(self, block: int) -> int:
-        """Die (within its channel) that erase block ``block`` lives on."""
-        self.check_block(block)
-        return (block // self.channels) % self.dies
-
-    def plane_of(self, block: int) -> int:
-        """Plane (within its die) that erase block ``block`` lives on."""
-        self.check_block(block)
-        return (block // (self.channels * self.dies)) % self.planes
-
-    def unit_of(self, block: int) -> int:
-        """Parallel unit (flat channel+die index) of erase block ``block``.
-
-        ``unit = die * channels + channel``; blocks on the same unit
-        serialize, blocks on different units overlap.  With the
-        block-interleaved layout this is simply
-        ``block % parallel_units``.
-        """
-        self.check_block(block)
-        return block % self.parallel_units
-
-    def unit_of_ppn(self, ppn: int) -> int:
-        """Parallel unit of the block containing physical page ``ppn``."""
-        self.check_ppn(ppn)
-        return (ppn // self.pages_per_block) % self.parallel_units
-
-    def decompose_ppn(self, ppn: int) -> tuple:
-        """Full physical coordinates ``(channel, die, plane, block, page)``.
-
-        ``block`` is the flat erase-block number (the same value
-        :meth:`block_of` returns), included so the tuple round-trips
-        through :meth:`ppn_of` without re-deriving the stripe index.
-        """
-        self.check_ppn(ppn)
-        block, page = divmod(ppn, self.pages_per_block)
-        return (
-            block % self.channels,
-            (block // self.channels) % self.dies,
-            (block // (self.channels * self.dies)) % self.planes,
-            block,
-            page,
-        )
-
     def __repr__(self) -> str:
         parallel = (
             f", {self.channels}ch x {self.dies}die x {self.planes}pl "

@@ -6,10 +6,9 @@ this module keeps the *trajectory*: fixed-width windows of simulated time
 translation-cache hit-rate estimate, erase-count variance and per-cause
 stall fractions.  Windows live in a bounded ring (oldest evicted first,
 **counted** in :attr:`SeriesCollector.windows_dropped` - never silently),
-and export as JSONL (one window per line) or Prometheus-style text
-exposition for scraping a live service frontend later (ROADMAP item 2).
+and export as JSONL (one window per line).
 
-Metric definitions (documented once, used by report + exposition):
+Metric definitions (documented once, used by report + export):
 
 * ``ops_per_sec`` - host page ops completed in the window / window span;
 * ``waf`` - raw page programs / host page writes in the window (write
@@ -300,69 +299,3 @@ class SeriesCollector(TraceSink):
                 target.write("\n")
                 written += 1
         return written
-
-    def to_prometheus(self, scheme: Optional[str] = None) -> str:
-        """Prometheus-style text exposition of the latest window state."""
-        lines = [
-            "# HELP repro_ops_per_sec host page ops per second "
-            "(latest window, simulated time)",
-            "# TYPE repro_ops_per_sec gauge",
-            "# HELP repro_waf write amplification (latest window)",
-            "# TYPE repro_waf gauge",
-            "# HELP repro_map_hit_rate UMT/CMT hit-rate estimate "
-            "(latest window)",
-            "# TYPE repro_map_hit_rate gauge",
-            "# HELP repro_erase_count_variance per-block erase-count "
-            "variance (cumulative)",
-            "# TYPE repro_erase_count_variance gauge",
-            "# HELP repro_host_ops_total host page ops (retained windows)",
-            "# TYPE repro_host_ops_total counter",
-            "# HELP repro_flash_time_us_total simulated flash time by "
-            "cause (retained windows)",
-            "# TYPE repro_flash_time_us_total counter",
-            "# HELP repro_windows_dropped_total series ring evictions",
-            "# TYPE repro_windows_dropped_total counter",
-        ]
-        schemes = [scheme] if scheme is not None else self.schemes()
-        for name in schemes:
-            windows = self.windows(name)
-            if not windows:
-                continue
-            label = f'{{scheme="{name}"}}'
-            latest = windows[-1]
-            for metric, key in (
-                ("repro_ops_per_sec", "ops_per_sec"),
-                ("repro_waf", "waf"),
-                ("repro_map_hit_rate", "map_hit_rate"),
-                ("repro_erase_count_variance", "erase_variance"),
-            ):
-                value = latest.get(key)
-                if value is not None:
-                    lines.append(f"{metric}{label} {value:.6g}")
-            lines.append(
-                f"repro_host_ops_total{label} "
-                f"{sum(w['host_ops'] for w in windows)}"
-            )
-            by_cause: Dict[str, float] = {}
-            for window in windows:
-                for cause, spent in self._cause_times(window).items():
-                    by_cause[cause] = by_cause.get(cause, 0.0) + spent
-            for cause, spent in sorted(by_cause.items()):
-                lines.append(
-                    f'repro_flash_time_us_total{{scheme="{name}",'
-                    f'cause="{cause}"}} {spent:.6g}'
-                )
-            lines.append(
-                f"repro_windows_dropped_total{label} "
-                f"{self.windows_dropped(name)}"
-            )
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def _cause_times(window: Dict[str, object]) -> Dict[str, float]:
-        fractions = window["stall_fractions"]
-        flash_us = float(window["flash_time_us"])
-        return {
-            cause: share * flash_us
-            for cause, share in fractions.items()  # type: ignore[union-attr]
-        }

@@ -5,7 +5,6 @@
 * :func:`build_ftl` / :func:`standard_setup` - scheme construction;
 * :func:`run_scheme` / :func:`compare_schemes` / :func:`sweep` /
   :class:`DeviceSpec` - cross-scheme experiments;
-* :func:`verified_replay` - end-to-end data-integrity checking;
 * :mod:`~repro.sim.report` - table/series formatting for benchmarks.
 """
 
@@ -31,7 +30,6 @@ from .runner import (
     sweep,
 )
 from .simulator import SimulationResult, Simulator
-from .verify import IntegrityError, VerificationReport, verified_replay
 
 __all__ = [
     "RECOVERABLE_SCHEMES",
@@ -56,7 +54,4 @@ __all__ = [
     "sweep",
     "SimulationResult",
     "Simulator",
-    "IntegrityError",
-    "VerificationReport",
-    "verified_replay",
 ]

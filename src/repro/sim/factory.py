@@ -98,8 +98,9 @@ def standard_setup(
 
     With ``sanitize=True`` the device is a validating
     :class:`~repro.checks.SanitizedNandFlash` and the returned FTL is
-    wrapped in :class:`~repro.checks.SanitizedFTL` (read-your-writes
-    shadow map + :meth:`audit`); any NAND-contract breach raises a
+    wrapped in :class:`~repro.checks.SanitizedFTL` (every read checked
+    by content against the host-state model + :meth:`audit`); any
+    NAND-contract breach raises a
     structured :class:`~repro.checks.SanitizerViolation`.
 
     ``channels``/``dies``/``planes`` select the device parallelism; with

@@ -12,17 +12,6 @@ from typing import Dict, Iterable, List, Sequence, Union
 Cell = Union[str, int, float]
 
 
-def format_cell(value: Cell, width: int) -> str:
-    if isinstance(value, float):
-        text = f"{value:,.1f}"
-    elif isinstance(value, int):
-        text = f"{value:,}"
-    else:
-        text = str(value)
-    return text.rjust(width) if isinstance(value, (int, float)) \
-        else text.ljust(width)
-
-
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[Cell]],

@@ -19,8 +19,9 @@ class FTLConformance:
 
     Set ``SANITIZE = True`` in a subclass to run the whole suite under the
     flashsan sanitizer (see repro.checks): the device validates every raw
-    operation, the FTL is wrapped in the read-your-writes shadow checker,
-    and any contract breach fails the test with a structured report.
+    operation, the FTL is wrapped in ``SanitizedFTL`` (every read checked
+    against its host-state model), and any contract breach fails the test
+    with a structured report.
     """
 
     #: Device used by the conformance workloads (small so GC churns).
@@ -131,7 +132,8 @@ class FTLConformance:
     def test_multi_page_requests_read_their_writes(self):
         """The host run ops under GC pressure: 1-16-page ``write_run`` /
         ``read_run`` requests, every page of every read checked (and,
-        sanitized, cross-checked against the shadow map page by page)."""
+        sanitized, cross-checked against the host-state model page by
+        page)."""
         ftl = self.new_ftl()
         rng = random.Random(77)
         expected = {}
@@ -260,8 +262,8 @@ class FTLConformance:
         )
 
         # An unsanitized device, even for SANITIZE subclasses: the
-        # sanitizer wrapper keeps RAM shadow state that legitimately dies
-        # with the power, so recovery always starts from the raw chip.
+        # sanitizer wrapper keeps a RAM host-state model that legitimately
+        # dies with the power, so recovery always starts from the raw chip.
         flash = self.new_device()
         ftl = self.make_ftl(flash)
         flash.enforce_sequential = not ftl.requires_random_program

@@ -10,18 +10,19 @@ and the ``--mutate`` oracle self-test.
 
 import pytest
 
+from repro.checks import ShadowModel
 from repro.checks.crashmc import (
     CrashCase,
     CrashReport,
     DeviceParams,
     DurabilityViolation,
-    ShadowModel,
     check_case,
     count_boundaries,
     decode_ops,
     encode_ops,
     explore,
     mixed_ops,
+    oracle,
 )
 from repro.perf.sweep import SweepWorkerError
 
@@ -65,14 +66,14 @@ class TestShadowModel:
         m.begin("w", 3, "v1")
         m.commit()
         assert m.allowed_after_crash(3) == {"v1"}
-        violations = m.oracle(lambda lpn: "v1" if lpn == 3 else None)
+        violations = oracle(m, lambda lpn: "v1" if lpn == 3 else None)
         assert violations == []
 
     def test_lost_write_classified(self):
         m = ShadowModel(8)
         m.begin("w", 3, "v1")
         m.commit()
-        (v,) = m.oracle(lambda lpn: None)
+        (v,) = oracle(m, lambda lpn: None)
         assert v.kind == "lost_write" and v.lpn == 3
 
     def test_inflight_write_allows_old_or_new_never_garbage(self):
@@ -81,14 +82,14 @@ class TestShadowModel:
         m.commit()
         m.begin("w", 2, "new")  # never committed: the crash hit here
         assert m.allowed_after_crash(2) == {"old", "new"}
-        assert m.oracle(lambda lpn: "old" if lpn == 2 else None) == []
-        assert m.oracle(lambda lpn: "new" if lpn == 2 else None) == []
-        (v,) = m.oracle(lambda lpn: "garbage" if lpn == 2 else None)
+        assert oracle(m, lambda lpn: "old" if lpn == 2 else None) == []
+        assert oracle(m, lambda lpn: "new" if lpn == 2 else None) == []
+        (v,) = oracle(m, lambda lpn: "garbage" if lpn == 2 else None)
         assert v.kind == "torn_value"
 
     def test_phantom_classified(self):
         m = ShadowModel(8)
-        (v,) = m.oracle(lambda lpn: "ghost" if lpn == 5 else None)
+        (v,) = oracle(m, lambda lpn: "ghost" if lpn == 5 else None)
         assert v.kind == "phantom" and v.lpn == 5
 
     def test_discard_relaxes_to_old_or_nothing(self):
@@ -98,9 +99,9 @@ class TestShadowModel:
         m.begin("d", 1, None)
         m.commit()
         assert m.allowed_after_crash(1) == {"kept", None}
-        assert m.oracle(lambda lpn: "kept" if lpn == 1 else None) == []
-        assert m.oracle(lambda lpn: None) == []
-        (v,) = m.oracle(lambda lpn: "other" if lpn == 1 else None)
+        assert oracle(m, lambda lpn: "kept" if lpn == 1 else None) == []
+        assert oracle(m, lambda lpn: None) == []
+        (v,) = oracle(m, lambda lpn: "other" if lpn == 1 else None)
         assert v.kind == "torn_value"
 
     def test_write_after_discard_retightens(self):
@@ -161,6 +162,26 @@ class TestExplore:
         assert result.tripped
         assert "op index 10" in result.trip
         assert result.acked_ops < 80
+
+    def test_a_powered_misread_is_a_replay_finding(self, monkeypatch):
+        """The replay runs through ``SanitizedFTL`` in record mode: a read
+        its model does not allow becomes a ``replay`` violation, and the
+        case still crashes, recovers and is judged."""
+        from repro.ftl import PageFTL
+
+        honest = PageFTL.read
+
+        def misread(self, lpn):
+            result = honest(self, lpn)
+            return type(result)(result.latency_us, "garbage") \
+                if lpn == 3 else result
+
+        monkeypatch.setattr(PageFTL, "read", misread)
+        result = check_case(CrashCase(scheme="ideal", crash_index=10 ** 6,
+                                      ops=(("w", 3), ("r", 3), ("r", 4))))
+        assert not result.tripped
+        assert [(v.kind, v.lpn) for v in result.violations][0] \
+            == ("replay", 3)
 
     def test_worker_errors_stay_loud(self):
         with pytest.raises((ValueError, SweepWorkerError)):

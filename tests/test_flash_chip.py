@@ -94,14 +94,6 @@ class TestBasicOps:
         chip.erase_block(0)                   # nor does an erase
         assert chip.invalidated == set()
 
-    def test_read_oob_charges_a_read(self):
-        chip = make_chip(timing=UNIT_TIMING)
-        chip.program_page(0, "a", OOBData(lpn=9, seq=1))
-        oob, lat = chip.read_oob(0)
-        assert oob.lpn == 9
-        assert lat == 1.0
-        assert chip.stats.page_reads == 1
-
 
 class TestEraseCounts:
     def test_erase_counts_per_block(self):

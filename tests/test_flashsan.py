@@ -250,7 +250,7 @@ class TestShadowMap:
 
     def test_run_ops_go_through_the_shadow_map(self):
         """``__getattr__`` would hand the driver the wrapped scheme's run
-        ops and every multi-page request would skip the shadow map."""
+        ops and every multi-page request would skip the model."""
         class LyingFTL(PageFTL):
             def read_run(self, lpn, n, begin_page=None, end_page=None):
                 real = super().read_run(lpn, n, begin_page, end_page)
@@ -260,21 +260,78 @@ class TestShadowMap:
         flash = make_flash()
         ftl = SanitizedFTL(LyingFTL(flash, logical_pages=16))
         ftl.write_run(2, ["a", "b", "c"])
-        assert ftl.read(4).data == "c"  # the run reached the shadow map
+        assert ftl.read(4).data == "c"  # the run reached the model
         v = catch(ftl, lambda: ftl.read_run(2, 3))
         assert v.kind is ViolationKind.SHADOW_MISMATCH
         assert v.lpn == 4
-        # A run that raises half way leaves the shadow at what it wrote.
+        # A run that raises half way leaves the model at what it wrote.
         with pytest.raises(ValueError):
             ftl.write_run(14, ["x", "y", "z"])
         assert ftl.read(15).data == "y"
 
     def test_trim_clears_shadow(self):
+        """A trim clears the acknowledged value: the page may read back
+        its old value or nothing."""
         flash = make_flash()
         ftl = SanitizedFTL(PageFTL(flash, logical_pages=16))
         ftl.write(3, "payload")
         ftl.trim(3)
-        ftl.read(3)  # whatever comes back, no shadow entry to contradict
+        ftl.read(3)
+        assert ftl.model.check_read(3, "payload") is None
+        assert ftl.model.check_read(3, None) is None
+
+    def test_post_trim_third_value_flagged(self):
+        class LyingFTL(PageFTL):
+            def read(self, lpn):
+                real = super().read(lpn)
+                return HostResult(real.latency_us, data="other")
+
+        ftl = SanitizedFTL(LyingFTL(make_flash(), logical_pages=16))
+        ftl.write(3, "payload")
+        ftl.trim(3)
+        v = catch(ftl, lambda: ftl.read(3))
+        assert v.kind is ViolationKind.SHADOW_MISMATCH
+        assert v.lpn == 3
+        assert "'other'" in v.message and "'payload'" in v.message
+
+    def test_phantom_read_flagged(self):
+        """A never-written page must read back empty."""
+        class LyingFTL(PageFTL):
+            def read(self, lpn):
+                real = super().read(lpn)
+                return HostResult(real.latency_us, data="ghost")
+
+        ftl = SanitizedFTL(LyingFTL(make_flash(), logical_pages=16))
+        v = catch(ftl, lambda: ftl.read(7))
+        assert v.kind is ViolationKind.SHADOW_MISMATCH
+        assert v.lpn == 7
+        assert "never-written" in v.message
+
+    def test_no_payload_writes_a_version_token(self):
+        """The simulator sends no payload; the wrapper writes a fresh
+        ``(lpn, version)`` token so its reads are checked by content."""
+        ftl = SanitizedFTL(PageFTL(make_flash(), logical_pages=16))
+        ftl.write(3)
+        ftl.write_run(5, [None, "given"])
+        ftl.write(3)
+        assert [ftl.read(lpn).data for lpn in (3, 5, 6)] \
+            == [(3, 2), (5, 1), "given"]
+
+    def test_sweep_reads_every_page(self):
+        """A page no request reads again is still held to its last
+        write by the sweep."""
+        class ForgetsLpn9(PageFTL):
+            def read(self, lpn):
+                real = super().read(lpn)
+                return HostResult(real.latency_us,
+                                  None if lpn == 9 else real.data)
+
+        ftl = SanitizedFTL(ForgetsLpn9(make_flash(), logical_pages=16),
+                           on_violation="record")
+        ftl.write(9, "kept")
+        ftl.sweep()
+        [v] = ftl.violations
+        assert v.kind is ViolationKind.SHADOW_MISMATCH and v.lpn == 9
 
     def test_delegation_preserves_surface(self):
         flash = make_flash()

@@ -1,6 +1,6 @@
 """Unit tests for the windowed time-series collector: window bucketing,
-gap filling, counted ring eviction, metric derivation, and the JSONL /
-Prometheus export formats."""
+gap filling, counted ring eviction, metric derivation, and the JSONL
+export."""
 
 import io
 import json
@@ -142,20 +142,6 @@ class TestExport:
         assert all(l["scheme"] == "X" for l in lines)
         assert lines[0]["schema"] == 1
         assert lines[0]["host_writes"] == 1
-
-    def test_prometheus_exposition(self):
-        collector = SeriesCollector(window_us=1000.0)
-        _fill(collector)
-        text = collector.to_prometheus()
-        assert 'repro_ops_per_sec{scheme="X"}' in text
-        assert 'repro_waf{scheme="X"} 1' in text
-        assert ('repro_flash_time_us_total{scheme="X",cause="host"} 400'
-                in text)
-        assert 'repro_windows_dropped_total{scheme="X"} 0' in text
-        # Exposition format: every non-comment line is "name value".
-        for line in text.strip().splitlines():
-            if not line.startswith("#"):
-                assert len(line.split(" ")) == 2
 
     def test_snapshot_shape(self):
         collector = SeriesCollector(window_us=1000.0)

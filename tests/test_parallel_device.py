@@ -3,8 +3,8 @@
 Covers the layers the multi-channel work added:
 
 * :class:`FlashGeometry` parallel addressing - the block-interleaved
-  ppn -> (channel, die, plane, block, page) layout, its validation, and
-  the ``CxDxP`` spec parser behind ``--geometry``;
+  layout (as the device's unit clocks see it), its validation, and the
+  ``CxDxP`` spec parser behind ``--geometry``;
 * :class:`NandFlash` busy-until timing on a multi-unit geometry -
   overlap across units, serialization within a unit, the
   ``serialize_timing`` lever, channel waits, the host-op clock reset,
@@ -62,42 +62,29 @@ class TestParallelGeometry:
         assert g.parallel_units == 4
 
     def test_block_interleaved_layout(self):
-        # Consecutive blocks round-robin channels first, then dies.
-        assert [self.g.channel_of(b) for b in range(8)] == \
-            [0, 1, 2, 3, 0, 1, 2, 3]
-        assert [self.g.die_of(b) for b in range(8)] == \
-            [0, 0, 0, 0, 1, 1, 1, 1]
-        assert [self.g.unit_of(b) for b in range(8)] == list(range(8))
-        # The stripe wraps: block 8 is back on (channel 0, die 0).
-        assert self.g.unit_of(8) == 0
-
-    def test_decompose_ppn_zero(self):
-        assert self.g.decompose_ppn(0) == (0, 0, 0, 0, 0)
-
-    def test_decompose_last_ppn(self):
-        last = self.g.total_pages - 1
-        channel, die, plane, block, page = self.g.decompose_ppn(last)
-        assert block == self.g.num_blocks - 1
-        assert page == self.g.pages_per_block - 1
-        assert channel == (self.g.num_blocks - 1) % self.g.channels
-        assert die == ((self.g.num_blocks - 1) // self.g.channels) \
-            % self.g.dies
-        assert plane == 0
-
-    def test_decompose_round_trips_through_ppn_of(self):
-        for ppn in range(self.g.total_pages):
-            channel, die, plane, block, page = self.g.decompose_ppn(ppn)
-            assert self.g.ppn_of(block, page) == ppn
-            assert self.g.unit_of_ppn(ppn) == die * self.g.channels \
-                + channel
-            assert self.g.unit_of(block) == self.g.unit_of_ppn(ppn)
+        # Consecutive blocks round-robin over the units (channels first,
+        # then dies): block b overlaps block b + 1 and serializes with
+        # block b + units, where the stripe wraps.
+        units = self.g.parallel_units
+        for b in range(units):
+            flash = NandFlash(self.g, timing=SLC_TIMING)
+            flash.begin_host_op()
+            flash.erase_block(b)
+            assert flash.erase_block(b + 1) == 0.0
+            assert flash.erase_block(b + units) \
+                == SLC_TIMING.block_erase_us
 
     def test_channel_boundary_ppns(self):
         # Last page of block 0 and first page of block 1 sit on
-        # different channels under block interleaving.
+        # different units under block interleaving.
         ppb = self.g.pages_per_block
-        assert self.g.unit_of_ppn(ppb - 1) == 0
-        assert self.g.unit_of_ppn(ppb) == 1
+        flash = NandFlash(self.g, timing=SLC_TIMING)
+        for ppn in range(ppb - 1):
+            flash.program_page(ppn, "a", OOBData(lpn=ppn, seq=ppn))
+        flash.begin_host_op()
+        assert flash.program_page(ppb - 1, "a", OOBData(lpn=0, seq=9)) \
+            == SLC_TIMING.page_program_us
+        assert flash.program_page(ppb, "b", OOBData(lpn=1, seq=10)) == 0.0
 
     def test_divisibility_validated(self):
         with pytest.raises(ValueError, match="divisible"):

@@ -11,6 +11,7 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.checks import SanitizedFTL
 from repro.core import LazyConfig, LazyFTL, recover
 from repro.core.umt import UpdateMappingTable, group_by_tvpn
 from repro.flash import (
@@ -20,7 +21,15 @@ from repro.flash import (
     PowerLossError,
     UNIT_TIMING,
 )
-from repro.ftl import BastFTL, DftlFTL, FastFTL, PageFTL
+from repro.ftl import (
+    BastFTL,
+    DftlFTL,
+    FastFTL,
+    LastFTL,
+    NftlFTL,
+    PageFTL,
+    SuperblockFTL,
+)
 from repro.ftl.pool import BlockPool
 from repro.sim.metrics import LatencyDistribution
 from repro.traces import parse_spc
@@ -31,15 +40,28 @@ SLOW = settings(deadline=None, max_examples=25,
 FAST_SETTINGS = settings(deadline=None, max_examples=60)
 
 
+#: Schemes that group pages into logical blocks, on a 24-block device.
+BLOCK_SCHEMES = {
+    "BAST": lambda flash: BastFTL(flash, LOGICAL, num_log_blocks=3),
+    "FAST": lambda flash: FastFTL(flash, LOGICAL, num_rw_log_blocks=3),
+    "NFTL": lambda flash: NftlFTL(flash, LOGICAL, max_chain=2),
+    "LAST": lambda flash: LastFTL(flash, LOGICAL, num_seq_log_blocks=1,
+                                  num_hot_blocks=1, num_cold_blocks=1,
+                                  hot_window=16),
+    "superblock": lambda flash: SuperblockFTL(flash, LOGICAL,
+                                              blocks_per_superblock=4),
+}
+
+
 def build(scheme: str):
-    if scheme in ("BAST", "FAST"):
+    if scheme in BLOCK_SCHEMES:
         flash = NandFlash(
             FlashGeometry(num_blocks=24, pages_per_block=4, page_size=64),
-            timing=UNIT_TIMING, enforce_sequential=False,
+            timing=UNIT_TIMING,
         )
-        if scheme == "BAST":
-            return BastFTL(flash, LOGICAL, num_log_blocks=3)
-        return FastFTL(flash, LOGICAL, num_rw_log_blocks=3)
+        ftl = BLOCK_SCHEMES[scheme](flash)
+        flash.enforce_sequential = not ftl.requires_random_program
+        return ftl
     flash = NandFlash(
         FlashGeometry(num_blocks=28, pages_per_block=4, page_size=64),
         timing=UNIT_TIMING,
@@ -60,46 +82,71 @@ ops_strategy = st.lists(
 )
 
 
+#: Host ops as the crash checker spells them: write, read, discard.
+host_ops_strategy = st.lists(
+    st.tuples(st.sampled_from("wrd"),
+              st.integers(min_value=0, max_value=LOGICAL - 1)),
+    min_size=1,
+    max_size=300,
+)
+
+
 class TestReadYourWrites:
-    """The fundamental FTL contract, searched over op sequences."""
+    """The fundamental FTL contract, searched over op sequences: every
+    read, and the final sweep of every page, checked against
+    ``SanitizedFTL``'s host-state model."""
 
     @staticmethod
     def check(scheme, ops):
-        ftl = build(scheme)
-        shadow = {}
-        for i, (is_write, lpn) in enumerate(ops):
-            if is_write:
-                ftl.write(lpn, (lpn, i))
-                shadow[lpn] = (lpn, i)
+        ftl = SanitizedFTL(build(scheme))
+        for kind, lpn in ops:
+            if kind == "w":
+                ftl.write(lpn)
+            elif kind == "d":
+                ftl.trim(lpn)
             else:
-                assert ftl.read(lpn).data == shadow.get(lpn)
-        for lpn, value in shadow.items():
-            assert ftl.read(lpn).data == value
+                ftl.read(lpn)
+        ftl.sweep()
 
     @SLOW
-    @given(ops=ops_strategy)
+    @given(ops=host_ops_strategy)
     def test_lazyftl(self, ops):
         self.check("LazyFTL", ops)
 
     @SLOW
-    @given(ops=ops_strategy)
+    @given(ops=host_ops_strategy)
     def test_dftl(self, ops):
         self.check("DFTL", ops)
 
     @SLOW
-    @given(ops=ops_strategy)
+    @given(ops=host_ops_strategy)
     def test_bast(self, ops):
         self.check("BAST", ops)
 
     @SLOW
-    @given(ops=ops_strategy)
+    @given(ops=host_ops_strategy)
     def test_fast(self, ops):
         self.check("FAST", ops)
 
     @SLOW
-    @given(ops=ops_strategy)
+    @given(ops=host_ops_strategy)
     def test_ideal(self, ops):
         self.check("ideal", ops)
+
+    @SLOW
+    @given(ops=host_ops_strategy)
+    def test_nftl(self, ops):
+        self.check("NFTL", ops)
+
+    @SLOW
+    @given(ops=host_ops_strategy)
+    def test_last(self, ops):
+        self.check("LAST", ops)
+
+    @SLOW
+    @given(ops=host_ops_strategy)
+    def test_superblock(self, ops):
+        self.check("superblock", ops)
 
 
 class TestLazyFTLInvariants:

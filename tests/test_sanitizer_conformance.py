@@ -2,7 +2,8 @@
 
 This is the sanitizer's headline guarantee: the behavioural suite (heavy
 overwrite pressure, GC churn, hot-spot hammering) runs with every raw
-NAND operation validated and the read-your-writes shadow map armed, and
+NAND operation validated and every host read checked against the
+host-state model, and
 *zero* violations are tolerated.  A scheme that skips an erase, programs
 out of order, double-invalidates, or leaks a stale mapping fails here
 with a structured report instead of silently corrupting a benchmark.

@@ -4,9 +4,11 @@ The path-sensitive lint rules FTL010-FTL013 were deleted because every
 hazard they named fails loudly when the code *runs*.  This file seeds
 each of those hazards into a scheme as a small subclass - modelled on
 the deleted rules' own known-bad fixtures - replays one seeded random
-read/write trace through it on the plain device and again under
-flashsan, and asserts the specific report that stops it.  The
-unmodified schemes are clean under the very same replay.
+read/write trace through it with the simulator, every read checked by
+content against ``SanitizedFTL``'s host-state model, on the plain device
+and again on flashsan's validating device, and asserts the specific
+report that stops it.  The unmodified schemes are clean under the very
+same replay.
 """
 
 import json
@@ -34,7 +36,7 @@ from repro.flash import (
 from repro.ftl import PageFTL
 from repro.ftl.base import HostResult
 from repro.ftl.pool import OutOfBlocksError
-from repro.sim.verify import IntegrityError, verified_replay
+from repro.sim import Simulator
 from repro.traces import uniform_random
 
 GEOMETRY = FlashGeometry(num_blocks=32, pages_per_block=8, page_size=64)
@@ -121,36 +123,40 @@ class PicksVictimInHashOrder(PageFTL):
 
 
 def build(cls, sanitized):
+    """``cls`` behind ``SanitizedFTL``, on flashsan's validating device
+    when ``sanitized``, else on the plain one."""
     flash = (SanitizedNandFlash if sanitized else NandFlash)(GEOMETRY)
     if issubclass(cls, LazyFTL):
         ftl = cls(flash, LOGICAL_PAGES,
                   LazyConfig(uba_blocks=2, cba_blocks=2))
     else:
         ftl = cls(flash, LOGICAL_PAGES)
-    return SanitizedFTL(ftl) if sanitized else ftl
+    return SanitizedFTL(ftl)
 
 
 def replay(ftl):
-    """The seeded loop: every read checked, a double invalidate is an
-    error (ftlbench counts them the same way), then the full audit."""
+    """The seeded loop: the simulator's replay with every read checked,
+    a double invalidate an error (ftlbench counts them the same way),
+    then every page read back and the full audit."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RedundantInvalidateWarning)
-        verified_replay(ftl, TRACE)
-    if isinstance(ftl, SanitizedFTL):
-        return ftl.assert_clean()
-    return audit_ftl(ftl)
+        Simulator(ftl).run(TRACE)
+    ftl.sweep()
+    return ftl.assert_clean()
 
 
-#: seeded scheme -> (what stops it on the plain device, under flashsan).
+#: seeded scheme -> (what stops it on the plain device, on flashsan's).
 #: An exception type is raised as is; a ViolationKind arrives in a
 #: SanitizerViolation.
 SEEDED = {
     KeepsStaleCopy: (OutOfBlocksError, OutOfBlocksError),
-    LeaksDeferredCopy: (IntegrityError, ViolationKind.SHADOW_MISMATCH),
+    LeaksDeferredCopy: (ViolationKind.SHADOW_MISMATCH,
+                        ViolationKind.SHADOW_MISMATCH),
     MapsUnprogrammedPage: (RedundantInvalidateWarning,
                            ViolationKind.DOUBLE_INVALIDATE),
     ErasesWithoutRelocating: (EraseError, ViolationKind.ERASE_WITH_VALID),
-    SwallowsTornWrite: (IntegrityError, ViolationKind.SHADOW_MISMATCH),
+    SwallowsTornWrite: (ViolationKind.SHADOW_MISMATCH,
+                        ViolationKind.SHADOW_MISMATCH),
 }
 
 
@@ -178,13 +184,26 @@ class TestSeededHazardsFailLoudly:
                 replay(ftl)
 
 
+@pytest.mark.parametrize("seeded", (LeaksDeferredCopy, SwallowsTornWrite),
+                         ids=lambda cls: cls.__name__)
+def test_the_simulator_replay_checks_content(seeded):
+    """The simulator sends no payload; ``SanitizedFTL`` writes version
+    tokens in its place, so a read that returns another write's data is
+    caught in the replay itself - before GC runs out of blocks on the
+    leaked copies, before the torn map's double invalidate."""
+    ftl = build(seeded, sanitized=True)
+    with pytest.raises(SanitizerViolation) as caught:
+        Simulator(ftl).run(TRACE)
+    assert caught.value.violation.kind is ViolationKind.SHADOW_MISMATCH
+
+
 def test_stale_copies_are_multi_owner_to_the_audit():
     """FTL010-A again: long before the device fills up, the audit names
     the copy that was never invalidated."""
     ftl = build(KeepsStaleCopy, sanitized=False)
     for lpn in (3, 4, 3):
         ftl.write(lpn, lpn)
-    [finding] = audit_ftl(ftl).violations
+    [finding] = audit_ftl(ftl.wrapped).violations
     assert finding.kind is ViolationKind.MULTI_OWNER
     assert finding.lpn == 3
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.checks import SanitizedFTL
 from repro.flash import FlashGeometry, NandFlash, UNIT_TIMING
 from repro.ftl import PageFTL
 from repro.sim import (
@@ -12,7 +13,6 @@ from repro.sim import (
     run_scheme,
     standard_setup,
     sweep,
-    verified_replay,
 )
 from repro.sim.report import format_series, format_table, relative_to
 from repro.traces import IORequest, OpType, Trace, uniform_random
@@ -139,11 +139,12 @@ class TestVerifiedReplay:
             FlashGeometry(num_blocks=32, pages_per_block=8),
             timing=UNIT_TIMING,
         )
-        ftl = PageFTL(flash, logical_pages=128)
+        ftl = SanitizedFTL(PageFTL(flash, logical_pages=128))
         trace = uniform_random(1000, 128, write_ratio=0.7, seed=3)
-        report = verified_replay(ftl, trace)
-        assert report.writes + report.reads == trace.page_ops
-        assert report.distinct_pages > 0
+        Simulator(ftl).run(trace)
+        ftl.sweep()
+        assert ftl.model.acked_ops == trace.write_page_ops
+        assert ftl.model.acked
 
 
 class TestReports:

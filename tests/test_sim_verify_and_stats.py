@@ -1,96 +1,93 @@
-"""Tests for the verifier, FTL stats arithmetic and steady preconditioning."""
+"""Tests for content-checked replay, FTL stats arithmetic and steady
+preconditioning."""
 
 import pytest
 
+from repro.checks import SanitizedFTL, SanitizerViolation, ViolationKind
 from repro.core import LazyConfig, LazyFTL
 from repro.flash import FlashGeometry, NandFlash, UNIT_TIMING
 from repro.ftl import PageFTL
-from repro.ftl.base import FlashTranslationLayer
+from repro.ftl.base import HostResult
 from repro.ftl.stats import FtlStats
-from repro.sim import DeviceSpec, run_scheme
-from repro.sim.verify import IntegrityError, verified_replay
+from repro.sim import DeviceSpec, Simulator, run_scheme
 from repro.traces import IORequest, OpType, Trace, uniform_random
 
 
+def verified_replay(ftl, trace):
+    """The simulator's replay with every read checked, then the sweep."""
+    Simulator(ftl).run(trace)
+    ftl.sweep()
+
+
 class TestVerifiedReplay:
+    """A replay verified by content: ``SanitizedFTL`` over the scheme
+    writes ``(lpn, version)`` tokens where the simulator sends no
+    payload, checks every read against its model, and ``sweep()`` reads
+    every page back at the end."""
+
     def test_counts(self):
         flash = NandFlash(FlashGeometry(num_blocks=16, pages_per_block=8),
                           timing=UNIT_TIMING)
-        ftl = PageFTL(flash, logical_pages=64)
+        ftl = SanitizedFTL(PageFTL(flash, logical_pages=64))
         trace = Trace([
             IORequest(OpType.WRITE, 0, 2),
             IORequest(OpType.READ, 0, 1),
             IORequest(OpType.READ, 50, 1),  # never written: must read None
         ])
-        report = verified_replay(ftl, trace)
-        assert report.writes == 2
-        assert report.reads == 2
-        assert report.distinct_pages == 2
+        verified_replay(ftl, trace)
+        assert ftl.model.acked_ops == 2
+        assert ftl.model.acked == {0: (0, 0), 1: (1, 1)}
+        assert ftl.read(1).data == (1, 1)
 
     def test_detects_corruption(self):
-        flash = NandFlash(FlashGeometry(num_blocks=16, pages_per_block=8),
-                          timing=UNIT_TIMING)
-        ftl = PageFTL(flash, logical_pages=64)
+        class LyingFTL(PageFTL):
+            """Corrupts the second read."""
 
-        class LyingFTL:
-            """Wraps an FTL and corrupts one read."""
-
-            def __init__(self, inner):
-                self.inner = inner
-                self.reads = 0
-
-            def write(self, lpn, data):
-                return self.inner.write(lpn, data)
+            reads = 0
 
             def read(self, lpn):
-                result = self.inner.read(lpn)
+                result = super().read(lpn)
                 self.reads += 1
                 if self.reads == 2:
-                    return type(result)(result.latency_us, "garbage")
+                    return HostResult(result.latency_us, "garbage")
                 return result
 
-            # A request is a run op; the default is the page loop.
-            read_run = FlashTranslationLayer.read_run
-            write_run = FlashTranslationLayer.write_run
-
-        liar = LyingFTL(ftl)
+        flash = NandFlash(FlashGeometry(num_blocks=16, pages_per_block=8),
+                          timing=UNIT_TIMING)
+        ftl = SanitizedFTL(LyingFTL(flash, logical_pages=64))
         trace = Trace([
             IORequest(OpType.WRITE, 0, 1),
             IORequest(OpType.READ, 0, 1),
             IORequest(OpType.READ, 0, 1),
         ])
-        with pytest.raises(IntegrityError):
-            verified_replay(liar, trace, final_sweep=False)
+        with pytest.raises(SanitizerViolation) as caught:
+            Simulator(ftl).run(trace)
+        assert caught.value.violation.kind is ViolationKind.SHADOW_MISMATCH
+        assert caught.value.violation.lpn == 0
 
     def test_a_request_is_checked_through_the_run_ops(self, monkeypatch):
         """The payloads compared are the ones ``read_run`` returned - the
         path the simulator drives - never-written pages included."""
         flash = NandFlash(FlashGeometry(num_blocks=64, pages_per_block=8),
                           timing=UNIT_TIMING)
-        ftl = LazyFTL(flash, 128, LazyConfig(uba_blocks=4, cba_blocks=2,
-                                             gc_free_threshold=3))
+        ftl = SanitizedFTL(LazyFTL(flash, 128, LazyConfig(
+            uba_blocks=4, cba_blocks=2, gc_free_threshold=3)))
         trace = Trace([
             IORequest(OpType.WRITE, 4, 6),
             IORequest(OpType.READ, 2, 10),  # 2 holes, 6 written, 2 holes
         ])
-        assert verified_replay(ftl, trace).reads == 10
+        verified_replay(ftl, trace)
         honest = LazyFTL.read_run
+        for index, lpn in ((3, 5), (0, 2)):  # a written page, a hole
 
-        def lying_read_run(self, lpn, n, *duties):
-            result = honest(self, lpn, n, *duties)
-            result.data[3] = "garbage"
-            return result
+            def lying_read_run(self, first, n, *duties, index=index):
+                result = honest(self, first, n, *duties)
+                result.data[index] = "garbage"
+                return result
 
-        monkeypatch.setattr(LazyFTL, "read_run", lying_read_run)
-        with pytest.raises(IntegrityError, match="lpn 5"):
-            verified_replay(ftl, trace, final_sweep=False)
-
-    def test_report_str(self):
-        flash = NandFlash(FlashGeometry(num_blocks=16, pages_per_block=8),
-                          timing=UNIT_TIMING)
-        ftl = PageFTL(flash, logical_pages=64)
-        report = verified_replay(ftl, Trace([IORequest(OpType.WRITE, 0, 1)]))
-        assert "1 requests" in str(report)
+            monkeypatch.setattr(LazyFTL, "read_run", lying_read_run)
+            with pytest.raises(SanitizerViolation, match=f"lpn {lpn}:"):
+                Simulator(ftl).run(trace)
 
 
 class TestFtlStatsArithmetic:

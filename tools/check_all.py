@@ -11,13 +11,17 @@ Runs, in order:
    ``--require-mypy`` - the default when ``$CI`` is set - makes a
    missing mypy a failure);
 4. **trace schema** - generates a small end-to-end trace via
-   ``python -m repro compare --trace-out``, on the serial device and at
-   ``--geometry 4x1x1``, and validates each with
+   ``python -m repro compare --sanitize --trace-out``, on the serial
+   device and at ``--geometry 4x1x1``, and validates each with
    ``tools/check_trace_schema.py`` (including cause-stack consistency);
 5. **report** - renders a small latency-decomposition run report under
    ``--sanitize`` (so the per-op decomposition invariant is audited),
    saves the snapshot, and validates its schema with
-   ``tools/check_trace_schema.py``;
+   ``tools/check_trace_schema.py``.
+   Both ``--sanitize`` stages also check every host read by content:
+   ``SanitizedFTL`` writes a ``(lpn, version)`` token where the
+   simulator sends no payload and checks each read against its
+   host-state model;
 6. **ftlbench** - ``benchmarks/ftlbench/run.py --smoke``: one smoke
    round of the repository benchmark (every workload in its own child
    process, about 5 s); exit code 1 on any failed output check (host
