@@ -309,9 +309,9 @@ def _audit_lazyftl(a: _Auditor, ftl: LazyFTL) -> None:
     staging = set(ftl.uba_blocks) | set(ftl.cba_blocks)
     # 2. Every UMT entry points at a live data page inside the UBA/CBA.
     resolved: Dict[int, Optional[int]] = {}
-    for lpn, entry in ftl.umt.items():
-        if a.check_data_page(lpn, entry.ppn, "UMT"):
-            pbn, _ = a.flash.geometry.split_ppn(entry.ppn)
+    for lpn, ppn in ftl.umt.items():
+        if a.check_data_page(lpn, ppn, "UMT"):
+            pbn, _ = a.flash.geometry.split_ppn(ppn)
             a.check()
             if pbn not in staging:
                 a.fail(
@@ -319,9 +319,9 @@ def _audit_lazyftl(a: _Auditor, ftl: LazyFTL) -> None:
                     f"UMT entry for lpn {lpn} points into block {pbn} "
                     "which is in neither the update nor the cold area "
                     "(deferred entries must live in UBA/CBA)",
-                    lpn=lpn, ppn=entry.ppn, pbn=pbn,
+                    lpn=lpn, ppn=ppn, pbn=pbn,
                 )
-        resolved[lpn] = entry.ppn
+        resolved[lpn] = ppn
     # 3. The GMT under them (a GMT value the UMT supersedes is
     #    deliberately stale), and unique ownership of the result.
     _audit_flash_map(a, ftl.mapping_store, resolved, "GMT page")

@@ -3,10 +3,12 @@
 Two cooperating layers, both opt-in and zero-cost when unused:
 
 * :class:`SanitizedNandFlash` - a drop-in :class:`~repro.flash.chip.NandFlash`
-  that checks **NAND legality** before every raw operation (erase-before-
-  program, in-block sequential order, no reads of never-programmed pages,
-  no ops on retired blocks, no redundant invalidates) and remembers the
-  recent op history so every finding carries a "how did we get here" tail.
+  that reports **NAND legality**: every refusal of the chip that names a
+  rule (erase-before-program, in-block sequential order, no reads of
+  never-programmed pages, no ops on retired blocks, no erase of live
+  data), plus the redundant invalidates the chip tolerates.  It remembers
+  the recent op history so every finding carries a "how did we get here"
+  tail.
 
 * :class:`SanitizedFTL` - a transparent wrapper around any
   :class:`~repro.ftl.base.FlashTranslationLayer` that drives the
@@ -25,13 +27,12 @@ CLI enables them with ``--sanitize``.
 from __future__ import annotations
 
 from itertools import count
-from typing import Any, Iterable, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..flash.chip import NandFlash
-from ..flash.geometry import FlashGeometry
+from ..flash.errors import FlashError
 from ..flash.oob import OOBData
-from ..flash.page import FREE, INVALID, PageState
-from ..flash.timing import SLC_TIMING, TimingModel
+from ..flash.page import INVALID
 from ..ftl.base import BeginPage, EndPage, FlashTranslationLayer, HostResult
 from .report import (
     AuditReport,
@@ -47,35 +48,28 @@ MODES = ("raise", "record")
 
 
 class SanitizedNandFlash(NandFlash):
-    """A NandFlash that audits every raw operation before performing it.
+    """A NandFlash that reports every NAND rule a raw operation breaks.
 
-    The underlying chip already rejects most illegal operations with flash
-    errors; the sanitizer's contribution is (a) catching them *before* any
-    state changes, with a structured report and op history instead of a
-    bare exception, (b) checking contracts the chip deliberately tolerates
-    (redundant invalidates), and (c) carrying the scheme name so findings
-    in a multi-scheme comparison are attributable.
+    The chip states each rule once and refuses a breach with a flash
+    error that names it (:attr:`~repro.flash.errors.FlashError.rule`).
+    The sanitizer calls every op through ``super()`` and files such a
+    refusal as a structured :class:`Violation` carrying the scheme name
+    and the recent op history.  The one contract it checks itself is the
+    one the chip tolerates: a redundant invalidate, which the chip only
+    counts and warns about.
+
+    Takes :class:`~repro.flash.chip.NandFlash`'s arguments, plus:
 
     Args:
-        on_violation: ``"raise"`` (default) aborts at the first finding;
-            ``"record"`` collects findings on :attr:`violations` and lets
-            the run continue (the chip may still raise its own error for
-            the operation afterwards).
+        on_violation: ``"raise"`` (default) aborts at the first finding
+            with :class:`SanitizerViolation`; ``"record"`` collects
+            findings on :attr:`violations` and re-raises the chip's error.
         history: How many recent raw ops each report carries.
     """
 
-    def __init__(
-        self,
-        geometry: Optional[FlashGeometry] = None,
-        timing: TimingModel = SLC_TIMING,
-        enforce_sequential: bool = True,
-        endurance: Optional[int] = None,
-        initial_bad_blocks: Iterable[int] = (),
-        on_violation: str = "raise",
-        history: int = 16,
-    ):
-        super().__init__(geometry, timing, enforce_sequential, endurance,
-                         initial_bad_blocks)
+    def __init__(self, *args: Any, on_violation: str = "raise",
+                 history: int = 16, **kwargs: Any):
+        super().__init__(*args, **kwargs)
         if on_violation not in MODES:
             raise ValueError(f"on_violation must be one of {MODES}")
         self.on_violation = on_violation
@@ -87,49 +81,42 @@ class SanitizedNandFlash(NandFlash):
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def report(
-        self,
-        kind: ViolationKind,
-        message: str,
-        lpn: Optional[int] = None,
-        ppn: Optional[int] = None,
-        pbn: Optional[int] = None,
-    ) -> Violation:
+    def report(self, kind: ViolationKind, message: str,
+               lpn: Optional[int] = None, ppn: Optional[int] = None,
+               pbn: Optional[int] = None) -> None:
         """File one finding according to the ``on_violation`` policy."""
-        violation = Violation(
-            kind=kind,
-            message=message,
-            scheme=self.scheme,
-            lpn=lpn,
-            ppn=ppn,
-            pbn=pbn,
-            history=self.history.tail(),
-        )
+        violation = Violation(kind, message, self.scheme, lpn, ppn, pbn,
+                              self.history.tail())
         if self.on_violation == "raise":
             raise SanitizerViolation(violation)
         self.violations.append(violation)
-        return violation
+
+    def _call(self, op: Callable[..., Any], *args: Any,
+              ppn: Optional[int] = None, pbn: Optional[int] = None,
+              lpn: Optional[int] = None) -> Any:
+        """``op(*args)``, reporting a refusal that names a NAND rule
+        (the chip's error propagates in ``record`` mode)."""
+        try:
+            return op(*args)
+        except FlashError as err:
+            if err.rule is not None:
+                self.report(ViolationKind(err.rule), str(err),
+                            lpn=lpn, ppn=ppn, pbn=pbn)
+            raise
 
     # ------------------------------------------------------------------
     # Audited raw operations
     # ------------------------------------------------------------------
     def read_page(self, ppn: int) -> Tuple[Any, Optional[OOBData], float]:
         pbn, offset = self.geometry.split_ppn(ppn)
-        if self._powered and self.page_states[ppn] == FREE:
-            self.report(
-                ViolationKind.READ_UNWRITTEN,
-                f"read of never-programmed/erased page "
-                f"(block {pbn}, offset {offset})",
-                ppn=ppn, pbn=pbn,
-            )
-        result = super().read_page(ppn)
+        result = self._call(super().read_page, ppn, ppn=ppn, pbn=pbn)
         self.history.record("read", pbn, offset,
                             result[1].lpn if result[1] is not None else None)
         return result
 
     def probe_page(self, ppn: int) -> Tuple[Optional[OOBData], float]:
         # Probing erased pages is the *sanctioned* way to classify blocks
-        # during recovery scans, so no free-page check here.
+        # during recovery scans: the chip refuses nothing here.
         pbn, offset = self.geometry.split_ppn(ppn)
         result = super().probe_page(ppn)
         self.history.record("probe", pbn, offset,
@@ -140,80 +127,29 @@ class SanitizedNandFlash(NandFlash):
         self, ppn: int, data: Any, oob: Optional[OOBData] = None
     ) -> float:
         pbn, offset = self.geometry.split_ppn(ppn)
-        if self._powered:
-            if self.is_bad[pbn]:
-                self.report(
-                    ViolationKind.BAD_BLOCK_OP,
-                    f"program on retired (bad) block {pbn}",
-                    ppn=ppn, pbn=pbn,
-                )
-            state = self.page_states[ppn]
-            if state != FREE:
-                self.report(
-                    ViolationKind.PROGRAM_WITHOUT_ERASE,
-                    f"program of {PageState(state).name.lower()} page "
-                    f"without erase (block {pbn}, offset {offset}, current "
-                    f"owner lpn={self._owner(ppn)})",
-                    ppn=ppn, pbn=pbn,
-                    lpn=oob.lpn if oob is not None else None,
-                )
-            elif self.enforce_sequential and offset != self.write_ptr[pbn]:
-                self.report(
-                    ViolationKind.PROGRAM_OUT_OF_ORDER,
-                    f"non-sequential program in block {pbn}: offset "
-                    f"{offset}, write pointer at {self.write_ptr[pbn]}",
-                    ppn=ppn, pbn=pbn,
-                )
-        latency = super().program_page(ppn, data, oob)
-        self.history.record("program", pbn, offset,
-                            oob.lpn if oob is not None else None)
+        lpn = oob.lpn if oob is not None else None
+        latency = self._call(super().program_page, ppn, data, oob,
+                             ppn=ppn, pbn=pbn, lpn=lpn)
+        self.history.record("program", pbn, offset, lpn)
         return latency
 
     def erase_block(self, pbn: int) -> float:
         self.geometry.check_block(pbn)
-        if self._powered:
-            if self.is_bad[pbn]:
-                self.report(
-                    ViolationKind.BAD_BLOCK_OP,
-                    f"erase of retired (bad) block {pbn}",
-                    pbn=pbn,
-                )
-            elif self.valid_count[pbn] > 0:
-                owners = sorted(
-                    self.page_oob[p].lpn
-                    for p in self.valid_ppns(pbn)
-                    if self.page_oob[p] is not None
-                )[:8]
-                self.report(
-                    ViolationKind.ERASE_WITH_VALID,
-                    f"erase of block {pbn} holding {self.valid_count[pbn]} "
-                    f"valid page(s) (live lpns include {owners}) - data "
-                    "must be relocated before the erase",
-                    pbn=pbn,
-                )
-        latency = super().erase_block(pbn)
+        latency = self._call(super().erase_block, pbn, pbn=pbn)
         self.history.record("erase", pbn)
         return latency
 
     def invalidate_page(self, ppn: int) -> None:
         pbn, offset = self.geometry.split_ppn(ppn)
-        state = self.page_states[ppn]
         owner = self._owner(ppn)
-        if state == FREE:
-            self.report(
-                ViolationKind.INVALIDATE_UNWRITTEN,
-                f"invalidate of never-programmed/erased page "
-                f"(block {pbn}, offset {offset})",
-                ppn=ppn, pbn=pbn,
-            )
-        elif state == INVALID:
+        if self.page_states[ppn] == INVALID:
             self.report(
                 ViolationKind.DOUBLE_INVALIDATE,
                 f"double invalidate of page (block {pbn}, offset {offset}"
                 f", lpn={owner}) - the owner was already retired once",
                 ppn=ppn, pbn=pbn,
             )
-        super().invalidate_page(ppn)
+        self._call(super().invalidate_page, ppn, ppn=ppn, pbn=pbn)
         self.history.record("invalidate", pbn, offset, owner)
 
     def takes_runs(self) -> bool:
@@ -221,11 +157,6 @@ class SanitizedNandFlash(NandFlash):
         # audited ops above once per page (audit and history record for
         # each), and FTLs move pages one at a time.
         return False
-
-    def _owner(self, ppn: int) -> Optional[int]:
-        """lpn recorded in the page's OOB, if any (for report text)."""
-        oob = self.page_oob[ppn]
-        return oob.lpn if oob is not None else None
 
 
 def audit_latency(recorder: Any) -> list:

@@ -28,11 +28,6 @@ class LintViolation:
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
 
-    def render_github(self) -> str:
-        """GitHub Actions workflow-command form (``--format=github``)."""
-        return (f"::error file={self.path},line={self.line},"
-                f"col={self.col},title={self.rule_id}::{self.message}")
-
 
 @dataclass(frozen=True)
 class FileContext:

@@ -108,30 +108,3 @@ def lint_paths(
             violations.extend(lint_file(p, rules=rule_list))
     return violations
 
-
-def select_rules(
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> List[Type[Rule]]:
-    """Resolve ``--select``/``--ignore`` rule-id lists to rule classes.
-
-    ``select`` keeps only the named rules; ``ignore`` then drops its
-    names from whatever survived.  Unknown ids raise ``ValueError`` so
-    CLI typos fail loudly instead of silently linting nothing.
-    """
-    known = {rule.RULE_ID: rule for rule in ALL_RULES}
-    chosen: List[Type[Rule]] = list(ALL_RULES)
-    for label, ids in (("--select", select), ("--ignore", ignore)):
-        if ids is None:
-            continue
-        unknown = sorted(set(ids) - set(known))
-        if unknown:
-            raise ValueError(
-                f"{label}: unknown rule id(s): {', '.join(unknown)}")
-    if select is not None:
-        wanted = set(select)
-        chosen = [rule for rule in chosen if rule.RULE_ID in wanted]
-    if ignore is not None:
-        dropped = set(ignore)
-        chosen = [rule for rule in chosen if rule.RULE_ID not in dropped]
-    return chosen

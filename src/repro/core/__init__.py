@@ -16,7 +16,7 @@ from .config import LazyConfig
 from ..ftl.mapping import GlobalTranslationDirectory, MappingStore
 from .lazyftl import ANCHOR_BLOCKS, LazyFTL
 from .recovery import CheckpointError, CheckpointScribe, RecoveryReport, recover
-from .umt import UmtEntry, UpdateMappingTable, group_by_tvpn
+from .umt import UpdateMappingTable, group_by_tvpn
 
 __all__ = [
     "ANCHOR_BLOCKS",
@@ -29,7 +29,6 @@ __all__ = [
     "CheckpointScribe",
     "RecoveryReport",
     "recover",
-    "UmtEntry",
     "UpdateMappingTable",
     "group_by_tvpn",
 ]

@@ -242,7 +242,7 @@ class LazyFTL(FlashTranslationLayer):
             # The old copy lives in the UBA/CBA: invalidate immediately.
             # (GMT-resident old copies are invalidated lazily at commit.)
             flash.invalidate_page(old_ppn)
-        self._umt.set(lpn, ppn, cold=False)
+        self._umt.set(lpn, ppn)
         if self._ckpt_interval > 0:
             latency += self._periodic_checkpoint()
         return HostResult(latency)
@@ -452,11 +452,10 @@ class LazyFTL(FlashTranslationLayer):
     def _collect_data_block(self, pbn: int) -> float:
         """Relocate a DBA victim's live pages into the cold area (by run,
         through the one driver), their mappings deferred in the UMT."""
-        set_many = self._umt.set_many
         return relocate(
             self.flash, self._cba_frontier, self._live_pages(pbn),
             self._cold_destination, self._seq, self.stats,
-            lambda pairs: set_many(pairs, True), cold=True,
+            self._umt.set_many, cold=True,
         )
 
     def _live_pages(self, pbn: int) -> Iterator[int]:

@@ -280,9 +280,9 @@ def recover(
             gtd[tvpn] = ppn
             map_seq[tvpn] = seq
 
-    umt_state: Dict[int, Tuple[int, bool]] = {}
+    umt_state: Dict[int, int] = {}
     gmt_content: Dict[int, list] = {}
-    for lpn, (seq, ppn, cold) in data_best.items():
+    for lpn, (seq, ppn, _) in data_best.items():
         tvpn = lpn // ftl.entries_per_page
         tppn = gtd[tvpn]
         committed: Optional[int] = None
@@ -307,13 +307,13 @@ def recover(
             if c_oob is not None and c_oob.kind is PageKind.DATA \
                     and c_oob.lpn == lpn and c_oob.seq > seq:
                 continue
-        umt_state[lpn] = (ppn, cold)
+        umt_state[lpn] = ppn
 
     # ------------------------------------------------------------------
     # 5. Classify scanned blocks into areas and rebuild the instance
     # ------------------------------------------------------------------
     umt_blocks: Dict[int, List[int]] = {}
-    for lpn, (ppn, cold) in umt_state.items():
+    for lpn, ppn in umt_state.items():
         umt_blocks.setdefault(geometry.block_of(ppn), []).append(lpn)
 
     uba: List[Tuple[int, int]] = []  # (min_seq, pbn)
@@ -338,7 +338,7 @@ def recover(
                 mba_open.append((min_seq, pbn))
             continue
         if pbn in umt_blocks:
-            if umt_state[umt_blocks[pbn][0]][1]:  # cold flag
+            if data_best[umt_blocks[pbn][0]][2]:  # the OOB's cold flag
                 cba.append((min_seq, pbn))
             else:
                 uba.append((min_seq, pbn))

@@ -7,8 +7,9 @@ size is bounded by the page capacity of those two small areas, so unlike
 the ideal FTL's full map it stays tiny regardless of device capacity.
 
 Storage is a flat ``array('q')`` of physical page numbers indexed by lpn
-(sentinel -1 = absent) plus a parallel ``bytearray`` of cold flags, grown
-on demand.  The reported RAM footprint stays entry-count based (the
+(sentinel -1 = absent), grown on demand.  Whether a copy is cold is the
+OOB's business (recovery sorts UBA from CBA by the flag it scans), not
+the table's.  The reported RAM footprint stays entry-count based (the
 paper's 8-bytes-per-entry convention); the flat layout is a simulator
 speed optimization, not a change to the modeled structure.
 """
@@ -16,7 +17,6 @@ speed optimization, not a change to the modeled structure.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..flash.geometry import MAP_ENTRY_BYTES
@@ -24,22 +24,8 @@ from ..ftl.mapping import LpnsByPage
 from ..perf.maptable import UNMAPPED
 
 
-@dataclass(frozen=True)
-class UmtEntry:
-    """One deferred mapping entry.
-
-    Attributes:
-        ppn: Current physical location of the logical page (in UBA or CBA).
-        cold: True when the copy was placed by garbage collection (lives in
-            the cold area); used by conversion bookkeeping and recovery.
-    """
-
-    ppn: int
-    cold: bool = False
-
-
 class UpdateMappingTable:
-    """lpn -> :class:`UmtEntry` map with conversion helpers.
+    """lpn -> ppn map of the deferred entries, with conversion helpers.
 
     Entries are additionally indexed by the GMT page (tvpn) that holds
     their mapping (:class:`~repro.ftl.mapping.LpnsByPage`, shared with
@@ -48,7 +34,7 @@ class UpdateMappingTable:
     mapping-page read-modify-write absorb updates from many blocks.
 
     Hot paths (LazyFTL's per-write UMT probe) should use :meth:`ppn_at`,
-    which answers from the flat array without allocating an entry object.
+    which answers from the flat array with the -1 sentinel.
     """
 
     def __init__(self, entries_per_page: int = 512) -> None:
@@ -56,7 +42,6 @@ class UpdateMappingTable:
             raise ValueError("entries_per_page must be positive")
         self.entries_per_page = entries_per_page
         self._ppn = array("q")
-        self._cold = bytearray()
         self._count = 0
         self._by_tvpn = LpnsByPage(entries_per_page)
 
@@ -65,7 +50,6 @@ class UpdateMappingTable:
         size = len(self._ppn)
         new_size = max(lpn + 1, size * 2, 64)
         self._ppn.extend(array("q", (UNMAPPED,)) * (new_size - size))
-        self._cold.extend(bytes(new_size - size))
 
     def __len__(self) -> int:
         return self._count
@@ -73,12 +57,10 @@ class UpdateMappingTable:
     def __contains__(self, lpn: int) -> bool:
         return 0 <= lpn < len(self._ppn) and self._ppn[lpn] >= 0
 
-    def get(self, lpn: int) -> Optional[UmtEntry]:
-        if 0 <= lpn < len(self._ppn):
-            ppn = self._ppn[lpn]
-            if ppn >= 0:
-                return UmtEntry(ppn, bool(self._cold[lpn]))
-        return None
+    def get(self, lpn: int) -> Optional[int]:
+        """Physical location of ``lpn``, or None when absent."""
+        ppn = self.ppn_at(lpn)
+        return ppn if ppn >= 0 else None
 
     def ppn_at(self, lpn: int) -> int:
         """Physical location of ``lpn``, or -1 when absent (hot path)."""
@@ -86,51 +68,37 @@ class UpdateMappingTable:
             return self._ppn[lpn]
         return UNMAPPED
 
-    def set(self, lpn: int, ppn: int, cold: bool = False) -> None:
+    def set(self, lpn: int, ppn: int) -> None:
         """Insert or replace the deferred entry for ``lpn``."""
         if lpn >= len(self._ppn):
             self._grow_to(lpn)
         was_absent = self._ppn[lpn] < 0
         self._ppn[lpn] = ppn
-        self._cold[lpn] = 1 if cold else 0
         if was_absent:
             self._count += 1
             self._by_tvpn.pages[lpn // self.entries_per_page].add(lpn)
 
-    def set_many(
-        self, pairs: "Iterable[Tuple[int, int]]", cold: bool = False
-    ) -> None:
+    def set_many(self, pairs: "Iterable[Tuple[int, int]]") -> None:
         """Bulk :meth:`set`, one pass: a relocated run's new locations or a
         replay epoch's deferred entries (each lpn's *final* mapping)."""
         ppns = self._ppn
-        colds = self._cold
-        flag = 1 if cold else 0
         pages = self._by_tvpn.pages
         entries_per_page = self.entries_per_page
         added = 0
         for lpn, ppn in pairs:
             if lpn >= len(ppns):
-                self._grow_to(lpn)  # extends both columns in place
+                self._grow_to(lpn)  # extends the column in place
             if ppns[lpn] < 0:
                 added += 1
                 pages[lpn // entries_per_page].add(lpn)
             ppns[lpn] = ppn
-            colds[lpn] = flag
         self._count += added
 
-    def pop(self, lpn: int) -> Optional[UmtEntry]:
-        """Remove and return the entry (None if absent)."""
-        entry = self.get(lpn)
-        self.discard(lpn)
-        return entry
-
     def discard(self, lpn: int) -> None:
-        """Remove the entry for ``lpn`` if present, returning nothing (no
-        entry object is built: batch commits retire tens of thousands)."""
+        """Remove the entry for ``lpn`` if present."""
         if not (0 <= lpn < len(self._ppn)) or self._ppn[lpn] < 0:
             return
         self._ppn[lpn] = UNMAPPED
-        self._cold[lpn] = 0
         self._count -= 1
         self._by_tvpn.discard(lpn)
 
@@ -143,23 +111,19 @@ class UpdateMappingTable:
         """
         peers = self._by_tvpn.pages.pop(tvpn, ())
         ppns = self._ppn
-        cold = self._cold
         for lpn in peers:
             ppns[lpn] = UNMAPPED
-            cold[lpn] = 0
         self._count -= len(peers)
 
     def lpns_in_tvpn(self, tvpn: int) -> List[int]:
         """All lpns with deferred entries covered by GMT page ``tvpn``."""
         return sorted(self._by_tvpn.pages.get(tvpn, ()))
 
-    def items(self) -> Iterator[Tuple[int, UmtEntry]]:
-        ppns = self._ppn
-        cold = self._cold
-        for lpn in range(len(ppns)):
-            ppn = ppns[lpn]
+    def items(self) -> Iterator[Tuple[int, int]]:
+        """``(lpn, ppn)`` of every deferred entry, by ascending lpn."""
+        for lpn, ppn in enumerate(self._ppn):
             if ppn >= 0:
-                yield lpn, UmtEntry(ppn, bool(cold[lpn]))
+                yield lpn, ppn
 
     def points_to(self, lpn: int, ppn: int) -> bool:
         """True when the UMT maps ``lpn`` exactly to ``ppn``.
@@ -174,18 +138,12 @@ class UpdateMappingTable:
         """8 bytes per entry (lpn + ppn), the paper's convention."""
         return self._count * 2 * MAP_ENTRY_BYTES
 
-    def snapshot(self) -> Dict[int, Tuple[int, bool]]:
-        """Serializable copy for checkpoints."""
-        return {lpn: (e.ppn, e.cold) for lpn, e in self.items()}
-
-    def restore(self, state: Dict[int, Tuple[int, bool]]) -> None:
-        """Replace contents from a checkpoint/recovery scan."""
+    def restore(self, state: Dict[int, int]) -> None:
+        """Replace contents with ``{lpn: ppn}`` (a recovery scan's)."""
         self._ppn = array("q")
-        self._cold = bytearray()
         self._count = 0
         self._by_tvpn.pages.clear()
-        for lpn, (ppn, cold) in state.items():
-            self.set(lpn, ppn, cold)
+        self.set_many(state.items())
 
 
 def group_by_tvpn(

@@ -12,8 +12,9 @@ OOB slot per ppn, and one write pointer / valid count / erase count / bad
 flag per block.  Each raw operation is a single method - power, fault,
 range, bad-block and NAND-rule checks, a few array stores, the stats update,
 the clock charge and an ``if tracer is not None`` emit - and it is the only
-place that operation's semantics are written down (the flashsan sanitizer
-audits it through ``super()``).
+place that operation's semantics are written down.  A refusal that enforces
+a NAND rule names it (:attr:`~repro.flash.errors.FlashError.rule`); the
+flashsan sanitizer calls the op through ``super()`` and reports that name.
 
 Every operation returns its latency in microseconds; FTLs sum these into the
 service time of the host request they are working on.
@@ -287,8 +288,9 @@ class NandFlash:
             self.geometry.check_ppn(ppn)
         if self.page_states[ppn] == FREE:
             raise ReadError(
-                f"read of unprogrammed page (block {ppn // self._ppb}, "
-                f"offset {ppn % self._ppb})"
+                f"read of never-programmed/erased page (block "
+                f"{ppn // self._ppb}, offset {ppn % self._ppb})",
+                rule="read-unwritten-page",
             )
         latency = self.timing.page_read_us
         stats = self.stats
@@ -346,17 +348,21 @@ class NandFlash:
         pbn = ppn // ppb
         offset = ppn - pbn * ppb
         if self.is_bad[pbn]:
-            raise BadBlockError(pbn, self.erase_count[pbn])
+            raise BadBlockError(pbn, self.erase_count[pbn], "program")
         states = self.page_states
         if states[ppn] != FREE:
             raise ProgramError(
-                f"program of non-free page (block {pbn}, offset {offset})"
+                f"program of {PageState(states[ppn]).name.lower()} page "
+                f"without erase (block {pbn}, offset {offset}, current "
+                f"owner lpn={self._owner(ppn)})",
+                rule="program-without-erase",
             )
         write_ptr = self.write_ptr[pbn]
         if offset != write_ptr and self.enforce_sequential:
             raise ProgramError(
-                f"non-sequential program in block {pbn}: "
-                f"offset {offset}, expected {write_ptr}"
+                f"non-sequential program in block {pbn}: offset {offset}, "
+                f"write pointer at {write_ptr}",
+                rule="program-out-of-order",
             )
         states[ppn] = VALID
         self.page_data[ppn] = data
@@ -483,12 +489,11 @@ class NandFlash:
         """Erase a block; returns the latency in microseconds.
 
         A block still holding VALID pages raises :class:`EraseError`
-        (after charging the erase).  With an ``endurance`` limit
-        configured, the erase that would exceed it *fails*: the block is
-        marked bad (its stale contents are discarded, as the FTL has
-        already relocated anything live) and :class:`BadBlockError` is
-        raised after charging the erase time - real controllers discover
-        wear-out exactly this way.
+        (after charging the erase; nothing is lost).  Otherwise, with an
+        ``endurance`` limit configured, the erase that would exceed it
+        *fails*: the block is marked bad (its stale contents are
+        discarded) and :class:`BadBlockError` is raised after charging the
+        erase time - real controllers discover wear-out exactly this way.
         """
         if not self._powered:
             raise DeviceOffError("flash device is powered off")
@@ -499,7 +504,7 @@ class NandFlash:
         if not 0 <= pbn < self._num_blocks:
             self.geometry.check_block(pbn)
         if self.is_bad[pbn]:
-            raise BadBlockError(pbn, self.erase_count[pbn])
+            raise BadBlockError(pbn, self.erase_count[pbn], "erase")
         latency = self.timing.block_erase_us
         stats = self.stats
         stats.block_erases += 1
@@ -508,16 +513,21 @@ class NandFlash:
             latency = self._charge(pbn % self._units, latency)
         if self.tracer is not None:
             self.tracer.flash_op(EventType.BLOCK_ERASE, pbn, latency)
+        if self.valid_count[pbn] > 0:
+            oobs = self.page_oob
+            owners = sorted(oobs[ppn].lpn for ppn in self.valid_ppns(pbn)
+                            if oobs[ppn] is not None)[:8]
+            raise EraseError(
+                f"erase of block {pbn} holding {self.valid_count[pbn]} "
+                f"valid page(s) (live lpns include {owners}) - data must "
+                "be relocated before the erase",
+                rule="erase-with-valid-pages",
+            )
         endurance = self.endurance
         if endurance is not None and self.erase_count[pbn] >= endurance:
-            self.force_erase(pbn)  # contents are gone either way
+            self.force_erase(pbn)  # stale contents are gone either way
             self.mark_bad(pbn)
             raise BadBlockError(pbn, self.erase_count[pbn])
-        if self.valid_count[pbn] > 0:
-            raise EraseError(
-                f"erase of block {pbn} with {self.valid_count[pbn]} "
-                "valid pages"
-            )
         self.force_erase(pbn)
         return latency
 
@@ -548,7 +558,9 @@ class NandFlash:
         pbn, offset = divmod(ppn, self._ppb)
         if state == FREE:
             raise ProgramError(
-                f"invalidate of free page (block {pbn}, offset {offset})"
+                f"invalidate of never-programmed/erased page (block {pbn}, "
+                f"offset {offset})",
+                rule="invalidate-unwritten-page",
             )
         self.stats.redundant_invalidates += 1
         warnings.warn(
@@ -628,6 +640,11 @@ class NandFlash:
             ppn for ppn in range(base, base + self.write_ptr[pbn])
             if states[ppn] == VALID
         ]
+
+    def _owner(self, ppn: int) -> Optional[int]:
+        """lpn recorded in the page's OOB, if any (for refusal text)."""
+        oob = self.page_oob[ppn]
+        return oob.lpn if oob is not None else None
 
     def erase_counts(self) -> List[int]:
         """Per-block erase counts (wear profile)."""

@@ -3,13 +3,27 @@
 All flash-level failures derive from :class:`FlashError` so callers can catch
 device problems with a single ``except`` clause while still being able to
 distinguish programming-constraint violations from simulated power failures.
+A refusal that enforces a NAND rule names it in :attr:`FlashError.rule`.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class FlashError(Exception):
-    """Base class for every error raised by the flash device simulator."""
+    """Base class for every error raised by the flash device simulator.
+
+    Attributes:
+        rule: The NAND rule a legality refusal enforces, by its flashsan
+            name (a :class:`repro.checks.report.ViolationKind` value, e.g.
+            ``"program-without-erase"``); None for every other failure -
+            range errors, power loss, a block wearing out.
+    """
+
+    def __init__(self, *args: object, rule: Optional[str] = None):
+        super().__init__(*args)
+        self.rule = rule
 
 
 class OutOfRangeError(FlashError):
@@ -32,7 +46,7 @@ class ProgramError(FlashError):
 
 
 class EraseError(FlashError):
-    """An erase operation was invalid (e.g. erasing a bad block index)."""
+    """An erase was refused: the block still holds VALID pages."""
 
 
 class ReadError(FlashError):
@@ -68,15 +82,21 @@ class RedundantInvalidateWarning(UserWarning):
 class BadBlockError(FlashError):
     """A block wore out (erase failure) or was already marked bad.
 
-    Raised by the erase that exhausts a block's endurance; the block is
-    permanently retired and refuses all further programs and erases.  The
-    FTL is expected to catch this, drop the block from its accounting, and
-    continue on the remaining capacity.
+    Raised by the erase that exhausts a block's endurance (no ``op``, no
+    rule); the block is permanently retired and refuses all further
+    programs and erases (``op`` names the refused one, and the rule is
+    ``bad-block-op``).  The FTL is expected to catch the wear-out, drop
+    the block from its accounting, and continue on the remaining capacity.
     """
 
-    def __init__(self, pbn: int, erase_count: int):
+    def __init__(self, pbn: int, erase_count: int,
+                 op: Optional[str] = None):
         self.pbn = pbn
         self.erase_count = erase_count
-        super().__init__(
-            f"block {pbn} is bad (wore out after {erase_count} erases)"
-        )
+        if op is None:
+            super().__init__(
+                f"block {pbn} is bad (wore out after {erase_count} erases)"
+            )
+        else:
+            super().__init__(f"{op} of retired (bad) block {pbn}",
+                             rule="bad-block-op")

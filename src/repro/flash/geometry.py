@@ -28,8 +28,6 @@ class FlashGeometry:
         num_blocks: Total number of erase blocks on the device.
         pages_per_block: Pages in one erase block.
         page_size: Data bytes per page (excluding the OOB spare area).
-        oob_size: Spare ("out of band") bytes per page, used by FTLs for
-            reverse mappings, sequence numbers and flags.
         channels: Independent command channels (1 = the serial device of
             the paper's evaluation).
         dies: NAND dies per channel.  A (channel, die) pair is one
@@ -52,7 +50,6 @@ class FlashGeometry:
     num_blocks: int = 1024
     pages_per_block: int = 64
     page_size: int = 2048
-    oob_size: int = 64
     channels: int = 1
     dies: int = 1
     planes: int = 1
@@ -64,8 +61,6 @@ class FlashGeometry:
             raise ValueError("pages_per_block must be positive")
         if self.page_size <= 0:
             raise ValueError("page_size must be positive")
-        if self.oob_size < 0:
-            raise ValueError("oob_size must be non-negative")
         if self.channels <= 0:
             raise ValueError("channels must be positive")
         if self.dies <= 0:

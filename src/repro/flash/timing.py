@@ -21,26 +21,16 @@ class TimingModel:
         page_read_us: Time to read one page into the controller.
         page_program_us: Time to program (write) one page.
         block_erase_us: Time to erase one block.
-        bus_transfer_us: Serial transfer time per page between controller and
-            host; folded into every host-visible read/write.  The classic FTL
-            simulators set this to 0 and we default likewise.
     """
 
     page_read_us: float = 25.0
     page_program_us: float = 200.0
     block_erase_us: float = 1500.0
-    bus_transfer_us: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("page_read_us", "page_program_us", "block_erase_us",
-                     "bus_transfer_us"):
+        for name in ("page_read_us", "page_program_us", "block_erase_us"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-    @property
-    def copy_us(self) -> float:
-        """Cost of an internal page copy (read + program, no bus)."""
-        return self.page_read_us + self.page_program_us
 
 
 #: Small-block SLC NAND of the paper's era (Samsung K9 class): the constants

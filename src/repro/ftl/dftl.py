@@ -60,8 +60,9 @@ class DftlFTL(FlashTranslationLayer):
         cmt_entries: CMT capacity in mapping entries (the RAM knob swept by
             the E9 experiment).
         gc_free_threshold: GC runs when the free pool is at or below this.
-        batch_eviction: Flush all dirty CMT entries of a translation page
-            together on eviction (DFTL's batching optimisation).
+
+    Eviction is batched (DFTL's batching optimisation): a flush writes
+    back every dirty CMT entry of the victim's translation page.
     """
 
     name = "DFTL"
@@ -72,7 +73,6 @@ class DftlFTL(FlashTranslationLayer):
         logical_pages: int,
         cmt_entries: int = 2048,
         gc_free_threshold: int = 4,
-        batch_eviction: bool = True,
     ):
         super().__init__(flash, logical_pages)
         if cmt_entries < 1:
@@ -87,7 +87,6 @@ class DftlFTL(FlashTranslationLayer):
             )
         self.cmt_entries = cmt_entries
         self.gc_free_threshold = gc_free_threshold
-        self.batch_eviction = batch_eviction
         # The CMT is a bounded LRU keyed by lpn with per-entry dirty bits;
         # it is sparse by design (capacity << logical space), so a flat
         # table would waste the RAM the scheme exists to save.
@@ -207,21 +206,13 @@ class DftlFTL(FlashTranslationLayer):
 
     def _flush_tvpn(self, victim_lpn: int) -> float:
         """Write back the dirty CMT entries of the eviction victim's
-        translation page - without batch eviction, only one of them."""
+        translation page."""
         maps = self._maps
         tvpn = maps.tvpn_of(victim_lpn)
         # checkout may run GC, which writes back (and cleans) the entries
         # it moves: the dirty set is only read after it.
         content, latency = maps.checkout(tvpn)
-        dirty = self._dirty.pages.get(tvpn, ())
-        if self.batch_eviction:
-            lpns = list(dirty)
-        elif victim_lpn in dirty:
-            lpns = [victim_lpn]
-        else:
-            # That GC already wrote the victim back: the page's first
-            # still-dirty entry in CMT order goes instead, if there is one.
-            lpns = [l for l in self._cmt if l in dirty][:1]
+        lpns = list(self._dirty.pages.get(tvpn, ()))
         # The stores commute (one slot and one entry per lpn), so the
         # order the index hands the lpns out in cannot show.
         lo = tvpn * maps.entries_per_page

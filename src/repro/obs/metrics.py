@@ -61,46 +61,17 @@ class LatencyDistribution:
         if value > self._max:
             self._max = value
 
-    def add_many(self, values: Any) -> None:
-        """Bulk :meth:`add`: one epoch's samples in one call.
-
-        Bit-identical to adding each value in order - the running total
-        accumulates strictly sequentially (``np.add.accumulate``, never
-        the pairwise ``np.add.reduce``), min/max/sortedness update to the
-        same results, and validation still rejects non-finite or negative
-        samples before any state changes.  Accepts a numpy array (the
-        vectorized path) or any float sequence (pure-Python path), so the
-        batch engine's ``array`` kernel exercises no numpy at all.
-        """
-        if len(values) == 0:
-            return
-        if _np is not None and isinstance(values, _np.ndarray):
-            if values.dtype != _np.float64:
-                values = values.astype(_np.float64)
-            if not bool(_np.isfinite(values).all()):
-                raise ValueError("latency samples must be finite")
-            if bool((values < 0).any()):
-                raise ValueError("latency samples must be non-negative")
-        else:
-            isfinite = math.isfinite
-            for value in values:  # validate before mutating anything
-                if not isfinite(value):
-                    raise ValueError(
-                        f"latency samples must be finite, got {value!r}"
-                    )
-                if value < 0:
-                    raise ValueError("latency samples must be non-negative")
-        self._extend_unchecked(values)
-
     def _extend_unchecked(self, values: Any) -> None:
-        """The mutation half of :meth:`add_many`, without validation.
+        """Bulk :meth:`add`, without validation: one epoch's samples.
 
-        Internal: callers (``add_many`` and
-        :meth:`~repro.sim.metrics.ResponseStats.record_many`) have already
+        Internal: the caller
+        (:meth:`~repro.sim.metrics.ResponseStats.record_many`) has already
         established every value is finite and non-negative, so the batch
-        is applied without re-walking it - ``record_many`` would otherwise
-        validate each response up to three times (overall + per-type
-        distributions).
+        is applied without re-walking it.  Bit-identical to adding each
+        value in order - the running total accumulates strictly
+        sequentially (``np.add.accumulate``, never the pairwise
+        ``np.add.reduce``) and min/max/sortedness update to the same
+        results.  Takes a numpy array or any float sequence.
         """
         n = len(values)
         samples = self._samples

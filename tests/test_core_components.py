@@ -6,7 +6,6 @@ from repro.core import (
     BlockArea,
     GlobalTranslationDirectory,
     LazyConfig,
-    UmtEntry,
     UpdateMappingTable,
     group_by_tvpn,
 )
@@ -47,14 +46,16 @@ class TestGTD:
 
 
 class TestUMT:
-    def test_set_get_pop(self):
+    def test_set_get_discard(self):
         umt = UpdateMappingTable()
-        umt.set(5, 100, cold=True)
+        umt.set(5, 100)
         assert 5 in umt
-        assert umt.get(5) == UmtEntry(100, True)
-        assert umt.pop(5) == UmtEntry(100, True)
+        assert umt.get(5) == 100
+        umt.discard(5)
         assert 5 not in umt
-        assert umt.pop(5) is None
+        assert umt.get(5) is None
+        umt.discard(5)
+        assert len(umt) == 0
 
     def test_points_to(self):
         umt = UpdateMappingTable()
@@ -66,8 +67,8 @@ class TestUMT:
     def test_replacement(self):
         umt = UpdateMappingTable()
         umt.set(1, 10)
-        umt.set(1, 20, cold=True)
-        assert umt.get(1) == UmtEntry(20, True)
+        umt.set(1, 20)
+        assert umt.get(1) == 20
         assert len(umt) == 1
 
     def test_ram_bytes_is_eight_per_entry(self):
@@ -79,21 +80,21 @@ class TestUMT:
     def test_snapshot_restore(self):
         umt = UpdateMappingTable()
         umt.set(1, 10)
-        umt.set(2, 20, cold=True)
+        umt.set(2, 20)
         other = UpdateMappingTable()
-        other.restore(umt.snapshot())
-        assert other.get(2) == UmtEntry(20, True)
+        other.restore(dict(umt.items()))
+        assert other.get(2) == 20
         assert len(other) == 2
 
     def test_discard_tvpn_drops_exactly_one_pages_entries(self):
         umt = UpdateMappingTable(entries_per_page=16)
         # lpns 0, 15 -> tvpn 0; lpns 16, 31 -> tvpn 1.
         for lpn in (0, 15, 16, 31):
-            umt.set(lpn, 100 + lpn, cold=(lpn == 15))
+            umt.set(lpn, 100 + lpn)
         umt.discard_tvpn(0)
         assert 0 not in umt and 15 not in umt
-        assert umt.get(16) == UmtEntry(116, False)
-        assert umt.get(31) == UmtEntry(131, False)
+        assert umt.get(16) == 116
+        assert umt.get(31) == 131
         assert len(umt) == 2
         assert sorted(lpn for lpn, _ in umt.items()) == [16, 31]
 
@@ -101,19 +102,19 @@ class TestUMT:
         bulk = UpdateMappingTable(entries_per_page=16)
         one_by_one = UpdateMappingTable(entries_per_page=16)
         for lpn in (1, 3, 14, 20):
-            bulk.set(lpn, 50 + lpn, cold=bool(lpn % 2))
-            one_by_one.set(lpn, 50 + lpn, cold=bool(lpn % 2))
+            bulk.set(lpn, 50 + lpn)
+            one_by_one.set(lpn, 50 + lpn)
         bulk.discard_tvpn(0)
         for lpn in (1, 3, 14):
-            one_by_one.pop(lpn)
-        assert bulk.snapshot() == one_by_one.snapshot()
+            one_by_one.discard(lpn)
+        assert dict(bulk.items()) == dict(one_by_one.items())
         assert len(bulk) == len(one_by_one) == 1
 
     def test_discard_missing_tvpn_is_a_noop(self):
         umt = UpdateMappingTable()
         umt.set(1, 10)
         umt.discard_tvpn(99)
-        assert umt.get(1) == UmtEntry(10, False)
+        assert umt.get(1) == 10
         assert len(umt) == 1
 
 

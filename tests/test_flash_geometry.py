@@ -29,7 +29,6 @@ class TestFlashGeometry:
         ("num_blocks", -1),
         ("pages_per_block", 0),
         ("page_size", 0),
-        ("oob_size", -1),
     ])
     def test_invalid_parameters_rejected(self, field, value):
         kwargs = {field: value}

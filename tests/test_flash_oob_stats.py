@@ -76,10 +76,6 @@ class TestSequenceCounter:
 
 
 class TestTimingModel:
-    def test_copy_cost(self):
-        t = TimingModel(page_read_us=25, page_program_us=200)
-        assert t.copy_us == 225
-
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             TimingModel(page_read_us=-1)

@@ -8,6 +8,8 @@ for: an FTL that skips an erase is caught at the faulting operation with
 the op-history tail attached.
 """
 
+import ast
+import inspect
 import random
 import warnings
 
@@ -22,9 +24,14 @@ from repro.checks import (
 )
 from repro.core import LazyConfig, LazyFTL
 from repro.flash import (
+    BadBlockError,
+    EraseError,
+    FlashError,
     FlashGeometry,
     NandFlash,
     OOBData,
+    PageState,
+    PowerLossError,
     ProgramError,
     RedundantInvalidateWarning,
     UNIT_TIMING,
@@ -116,6 +123,119 @@ class TestNandLegality:
         flash = make_flash()
         v = catch(flash, lambda: flash.invalidate_page(0))
         assert v.kind is ViolationKind.INVALIDATE_UNWRITTEN
+
+
+class TestOneStatementOfEachRule:
+    """The chip states each NAND rule once and its refusal names the rule;
+    the sanitizer reports that name instead of checking the rule again."""
+
+    @staticmethod
+    def worn_live_block(flash):
+        """Block 0 at the end of its endurance, holding live page 0."""
+        flash.program_page(0, "a", OOBData(lpn=3, seq=0))
+        flash.invalidate_page(0)
+        flash.erase_block(0)
+        flash.program_page(0, "b", OOBData(lpn=7, seq=1))
+
+    def test_worn_out_erase_of_a_live_block_is_refused(self):
+        chip = NandFlash(GEOMETRY, timing=UNIT_TIMING, endurance=1)
+        self.worn_live_block(chip)
+        with pytest.raises(EraseError) as exc_info:
+            chip.erase_block(0)
+        assert exc_info.value.rule == "erase-with-valid-pages"
+        assert "[7]" in str(exc_info.value)  # the live lpns
+        assert chip.page_state(0) is PageState.VALID
+        assert chip.valid_count[0] == 1 and not chip.is_bad[0]
+        assert chip.stats.block_erases == 2  # still charged
+
+    def test_worn_out_erase_of_a_live_block_on_flashsan(self):
+        flash = make_flash(endurance=1)
+        self.worn_live_block(flash)
+        v = catch(flash, lambda: flash.erase_block(0))
+        assert (v.kind, v.pbn) == (ViolationKind.ERASE_WITH_VALID, 0)
+        assert flash.page_state(0) is PageState.VALID
+
+    @staticmethod
+    def refusals():
+        """(rule, the refused op, what its message names) for every rule
+        the chip enforces."""
+        def out_of_order(chip):
+            chip.program_page(2, "x")
+
+        def without_erase(chip):
+            chip.program_page(0, "a", OOBData(lpn=3, seq=0))
+            chip.program_page(0, "b")
+
+        def unwritten_read(chip):
+            chip.read_page(5)
+
+        def bad_block(chip):
+            chip.mark_bad(1)  # ftlint: disable=FTL003 - seeding the fault
+            chip.erase_block(1)
+
+        def live_erase(chip):
+            chip.program_page(0, "a", OOBData(lpn=11, seq=0))
+            chip.erase_block(0)
+
+        def unwritten_invalidate(chip):
+            chip.invalidate_page(0)
+
+        return [
+            ("program-out-of-order", out_of_order, ["write pointer at 0"]),
+            ("program-without-erase", without_erase, ["lpn=3"]),
+            ("read-unwritten-page", unwritten_read, ["block 1, offset 1"]),
+            ("bad-block-op", bad_block, ["block 1"]),
+            ("erase-with-valid-pages", live_erase, ["[11]"]),
+            ("invalidate-unwritten-page", unwritten_invalidate,
+             ["block 0, offset 0"]),
+        ]
+
+    def test_every_refusal_names_its_rule(self):
+        rules = []
+        for rule, refused, words in self.refusals():
+            chip = NandFlash(GEOMETRY, timing=UNIT_TIMING)
+            with pytest.raises(FlashError) as exc_info:
+                refused(chip)
+            assert exc_info.value.rule == rule
+            assert all(word in str(exc_info.value) for word in words), rule
+            flash = make_flash()
+            v = catch(flash, lambda: refused(flash))
+            assert v.kind is ViolationKind(rule)
+            assert v.message == str(exc_info.value)
+            rules.append(rule)
+        assert len(set(rules)) == 6
+
+    def test_power_loss_and_wear_out_name_no_rule(self):
+        chip = NandFlash(GEOMETRY, timing=UNIT_TIMING, endurance=1)
+        chip.erase_block(0)
+        with pytest.raises(BadBlockError) as exc_info:
+            chip.erase_block(0)
+        assert exc_info.value.rule is None
+        chip.fault.arm_at_op_index(0)
+        with pytest.raises(PowerLossError) as exc_info:
+            chip.program_page(GEOMETRY.ppn_of(1, 0), "x")
+        assert exc_info.value.rule is None
+
+    def test_the_sanitizer_states_no_rule_again(self):
+        """Of the chip's state the sanitizer reads only the page state,
+        and compares it only as ``== INVALID`` in ``invalidate_page``:
+        the redundant invalidate the chip tolerates."""
+        tree = ast.parse(inspect.getsource(SanitizedNandFlash))
+        [cls] = tree.body
+        compares = []
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Attribute):
+                    assert node.attr not in {
+                        "is_bad", "valid_count", "write_ptr",
+                        "enforce_sequential"}, (method.name, node.attr)
+                if isinstance(node, ast.Compare) and "page_state" \
+                        in ast.unparse(node):
+                    compares.append((method.name, ast.unparse(node)))
+        assert compares == [
+            ("invalidate_page", "self.page_states[ppn] == INVALID")]
 
 
 class TestRunOpsAreAuditedPageByPage:
@@ -549,7 +669,7 @@ class TestLazyFTLAudit:
         # Pick a pending UMT entry and drop it: its superseded GMT copy
         # (still VALID, by deferred invalidation) is now a leak.
         lpn = next(lpn for lpn, _ in ftl.umt.items())
-        ftl.umt.pop(lpn)
+        ftl.umt.discard(lpn)
         report = audit_ftl(ftl)
         assert not report.clean
         kinds = {v.kind for v in report.violations}

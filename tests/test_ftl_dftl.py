@@ -5,10 +5,8 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.checks import audit_ftl
 from repro.flash import FlashGeometry, NandFlash, UNIT_TIMING
 from repro.ftl.dftl import DftlFTL
-from repro.sim.factory import standard_setup
 
 from .ftl_conformance import FTLConformance
 
@@ -25,14 +23,6 @@ class TestDftlConformanceTinyCache(FTLConformance):
     def make_ftl(self, flash):
         return DftlFTL(flash, logical_pages=self.LOGICAL_PAGES,
                        cmt_entries=4)
-
-
-class TestDftlUnbatchedConformance(FTLConformance):
-    """Same contract with one entry written back per flush."""
-
-    def make_ftl(self, flash):
-        return DftlFTL(flash, logical_pages=self.LOGICAL_PAGES,
-                       cmt_entries=64, batch_eviction=False)
 
 
 def make_dftl(blocks=32, pages=8, page_size=64, logical=64, cmt=8, **kw):
@@ -66,21 +56,13 @@ class TestDftlTranslation:
         assert ftl.stats.map_reads >= 1
 
     def test_batch_eviction_flushes_same_tpage_entries_together(self):
-        batched = make_dftl(cmt=4, batch_eviction=True)
+        batched = make_dftl(cmt=4)
         # lpns 0..3 share translation page 0 (16 entries per tpage)
         for lpn in range(4):
             batched.write(lpn, lpn)
         batched.write(20, "overflow")  # force eviction of lpn 0 (dirty)
         # one flush wrote back all four dirty entries -> single map write
         assert batched.stats.map_writes == 1
-
-    def test_unbatched_eviction_writes_per_entry(self):
-        unbatched = make_dftl(cmt=4, batch_eviction=False)
-        for lpn in range(4):
-            unbatched.write(lpn, lpn)
-        for lpn in range(20, 24):
-            unbatched.write(lpn, lpn)  # evict all four, one flush each
-        assert unbatched.stats.map_writes >= 3
 
     def test_clean_eviction_is_free(self):
         ftl = make_dftl(cmt=2)
@@ -131,14 +113,10 @@ class TestDftlDirtyIndex:
             assert ftl._dirty.pages == self.dirty_by_flag(ftl)
         assert ftl.stats.gc_runs > 0 and ftl.stats.map_writes > 0
 
-    @pytest.mark.parametrize("batch_eviction", [True, False])
-    def test_flush_never_walks_the_cmt(self, batch_eviction):
+    def test_flush_never_walks_the_cmt(self):
         """No scan left: however many entries are cached, writing back
-        one translation page's dirty ones iterates nothing but them.
-        (Without batch eviction the one sanctioned walk - after a GC
-        pass cleaned the victim mid-flush - is counted apart.)"""
-        ftl = make_dftl(blocks=40, pages=8, logical=192, cmt=48,
-                        batch_eviction=batch_eviction)
+        one translation page's dirty ones iterates nothing but them."""
+        ftl = make_dftl(blocks=40, pages=8, logical=192, cmt=48)
 
         class CountingCmt(OrderedDict):
             in_flush = False
@@ -155,61 +133,21 @@ class TestDftlDirtyIndex:
         ftl._cmt = CountingCmt()
         flush = ftl._flush_tvpn
         flushes = []
-        cleaned_by_gc = []
 
         def watched_flush(victim_lpn):
-            gc_runs = ftl.stats.gc_runs
             CountingCmt.in_flush = True
             try:
                 return flush(victim_lpn)
             finally:
                 CountingCmt.in_flush = False
                 flushes.append(victim_lpn)
-                if ftl.stats.gc_runs > gc_runs:
-                    cleaned_by_gc.append(victim_lpn)
 
         ftl._flush_tvpn = watched_flush
         rng = random.Random(13)
         for i in range(4000):
             ftl.write(rng.randrange(192), i)
         assert len(flushes) > 500
-        if batch_eviction:
-            assert CountingCmt.walks == 0
-        else:
-            assert CountingCmt.walks <= len(cleaned_by_gc)
-
-
-class TestDftlUnbatchedEviction:
-    def test_victim_cleaned_by_the_flushs_own_gc(self):
-        """Regression: ``checkout`` can run GC, GC writes back (and
-        cleans) every entry it moves, and when that was the eviction
-        victim - the only dirty entry of its translation page - the
-        unbatched flush found nothing to write and died with a bare
-        StopIteration.  It rewrites the page unchanged instead, as the
-        batched flush always did for an empty dirty set."""
-        flash, ftl, logical = standard_setup(
-            "DFTL", num_blocks=64, pages_per_block=16, page_size=512,
-            logical_fraction=0.8, cmt_entries=32, batch_eviction=False)
-        for lpn in range(logical):
-            ftl.write(lpn, lpn)
-        rng = random.Random(2)
-        expected = {}
-        for i in range(14000):    # the parent raised after 11 347
-            lpn = rng.randrange(logical)
-            ftl.write(lpn, i)
-            expected[lpn] = i
-        assert audit_ftl(ftl).clean
-        for lpn, value in expected.items():
-            assert ftl.read(lpn).data == value
-
-    def test_flushes_the_victim_itself(self):
-        unbatched = make_dftl(cmt=4, batch_eviction=False)
-        for lpn in range(4):
-            unbatched.write(lpn, lpn)
-        unbatched.write(20, "overflow")   # evicts lpn 0 alone
-        assert 0 not in unbatched._cmt
-        assert unbatched._dirty.pages == {0: {1, 2, 3}, 1: {20}}
-        assert unbatched.stats.map_writes == 1
+        assert CountingCmt.walks == 0
 
 
 class TestDftlGC:

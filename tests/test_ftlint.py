@@ -424,44 +424,3 @@ class TestCli:
         assert result.returncode == 0
         for rule in ALL_RULES:
             assert rule.RULE_ID in result.stdout
-
-    @staticmethod
-    def _two_violation_file(tmp_path):
-        bad = tmp_path / "repro" / "ftl" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import random\nimport time\n"
-                       "x = random.randrange(4)\nt = time.time()\n")
-        return bad
-
-    def test_select_runs_only_named_rules(self, tmp_path):
-        bad = self._two_violation_file(tmp_path)
-        result = run_tool("--select", "FTL002", str(bad))
-        assert result.returncode == 1
-        assert "FTL002" in result.stdout
-        assert "FTL001" not in result.stdout
-
-    def test_ignore_drops_named_rules(self, tmp_path):
-        bad = self._two_violation_file(tmp_path)
-        result = run_tool("--ignore", "FTL002", str(bad))
-        assert result.returncode == 1
-        assert "FTL001" in result.stdout
-        assert "FTL002" not in result.stdout
-
-    def test_select_and_ignore_compose_to_clean(self, tmp_path):
-        bad = self._two_violation_file(tmp_path)
-        result = run_tool("--select", "FTL001", "--ignore", "FTL001",
-                          str(bad))
-        assert result.returncode == 0
-
-    def test_unknown_rule_id_exits_two(self):
-        result = run_tool("--select", "FTL999")
-        assert result.returncode == 2
-        assert "FTL999" in result.stderr
-
-    def test_github_format(self, tmp_path):
-        bad = self._two_violation_file(tmp_path)
-        result = run_tool("--format=github", "--select", "FTL002",
-                          str(bad))
-        assert result.returncode == 1
-        assert result.stdout.startswith(
-            f"::error file={bad},line=3,col=4,title=FTL002::")

@@ -161,9 +161,9 @@ class TestLazyFTLInvariants:
                 ftl.read(lpn)
         assert ftl.stats.merges_total == 0
         # Every UMT entry points at a valid flash page holding that lpn.
-        for lpn, entry in ftl.umt.items():
-            assert ftl.flash.page_state(entry.ppn) is PageState.VALID
-            assert ftl.flash.page_oob[entry.ppn].lpn == lpn
+        for lpn, ppn in ftl.umt.items():
+            assert ftl.flash.page_state(ppn) is PageState.VALID
+            assert ftl.flash.page_oob[ppn].lpn == lpn
 
     @SLOW
     @given(ops=ops_strategy)
@@ -286,7 +286,7 @@ class TestDataStructureProperties:
         for lpn in set(lpns):
             assert lpn in umt.lpns_in_tvpn(lpn // 16)
         for lpn in set(lpns):
-            umt.pop(lpn)
+            umt.discard(lpn)
         assert len(umt) == 0
         for lpn in set(lpns):
             assert umt.lpns_in_tvpn(lpn // 16) == []

@@ -100,7 +100,7 @@ def ram_state(ftl):
         state["cmt"] = [(lpn, e.ppn, e.dirty) for lpn, e in ftl._cmt.items()]
         state["dirty"] = {t: sorted(l) for t, l in ftl._dirty.pages.items()}
     else:
-        state["umt"] = ftl.umt.snapshot()
+        state["umt"] = dict(ftl.umt.items())
         state["areas"] = (ftl.uba_blocks, ftl.cba_blocks, ftl.dba_blocks)
     return state
 

@@ -124,9 +124,9 @@ class LazyFTLMachine(RuleBasedStateMachine):
     def umt_entries_point_at_valid_pages(self):
         if not self.powered:
             return
-        for lpn, entry in self.ftl.umt.items():
-            assert self.flash.page_state(entry.ppn) is PageState.VALID
-            assert self.flash.page_oob[entry.ppn].lpn == lpn
+        for lpn, ppn in self.ftl.umt.items():
+            assert self.flash.page_state(ppn) is PageState.VALID
+            assert self.flash.page_oob[ppn].lpn == lpn
 
     def teardown(self):
         if not self.powered:

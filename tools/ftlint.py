@@ -5,13 +5,10 @@ Usage::
 
     python tools/ftlint.py                # lint src/repro
     python tools/ftlint.py src tests      # lint specific trees
-    python tools/ftlint.py --select FTL003,FTL004
-    python tools/ftlint.py --ignore FTL006 --format=github
     python tools/ftlint.py --list-rules
 
 Exit status: 0 when clean, 1 when any violation is found, 2 on usage
-errors.  Violations print as ``path:line:col: FTLxxx message``, or as
-``::error file=...`` workflow commands with ``--format=github``.
+errors.  Violations print as ``path:line:col: FTLxxx message``.
 """
 
 from __future__ import annotations
@@ -24,16 +21,6 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.checks.lint import ALL_RULES, lint_paths  # noqa: E402
-from repro.checks.lint.engine import select_rules  # noqa: E402
-
-
-def _rule_id_list(raw: str) -> list:
-    """argparse type for comma/space separated rule ids."""
-    ids = [part for chunk in raw.split(",") for part in chunk.split()
-           if part]
-    if not ids:
-        raise argparse.ArgumentTypeError("expected at least one rule id")
-    return ids
 
 
 def main(argv=None) -> int:
@@ -46,13 +33,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule table and exit")
-    parser.add_argument("--select", type=_rule_id_list, metavar="IDS",
-                        help="run only these rule ids (comma-separated)")
-    parser.add_argument("--ignore", type=_rule_id_list, metavar="IDS",
-                        help="skip these rule ids (comma-separated)")
-    parser.add_argument("--format", choices=("text", "github"),
-                        default="text",
-                        help="violation output format (default: text)")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -68,16 +48,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    try:
-        rules = select_rules(select=args.select, ignore=args.ignore)
-    except ValueError as exc:
-        print(f"ftlint: {exc}", file=sys.stderr)
-        return 2
-
-    violations = lint_paths(args.paths, rules=rules)
+    violations = lint_paths(args.paths)
     for violation in violations:
-        print(violation.render_github() if args.format == "github"
-              else violation.render())
+        print(violation.render())
     if violations:
         print(f"\nftlint: {len(violations)} violation(s)", file=sys.stderr)
         return 1
