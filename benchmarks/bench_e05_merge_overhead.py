@@ -4,10 +4,12 @@ The abstract's central claim: LazyFTL "eliminates the overhead of merge
 operations completely".  This experiment counts every merge kind for the
 log-block schemes and verifies that the page-mapping schemes - LazyFTL by
 construction - perform zero merges, replacing them with cheap conversions.
+Its device-time table is the traced flash time by cause, so each row
+totals the scheme's device busy time.
 """
 
-from repro.analysis import BREAKDOWN_HEADERS, breakdown_rows
-from repro.flash import SLC_TIMING
+from repro.analysis import format_attribution
+from repro.obs import Tracer
 from repro.sim import HEADLINE_DEVICE, compare_schemes
 from repro.sim.report import format_table
 from repro.traces import uniform_random
@@ -18,14 +20,19 @@ SCHEMES = ("BAST", "FAST", "DFTL", "LazyFTL")
 
 
 def run_experiment():
+    """Returns ``(results, attribution)``: the schemes' results and the
+    tracer's per-cause run totals."""
     footprint = int(HEADLINE_DEVICE.logical_pages * 0.8)
     trace = uniform_random(N_REQUESTS, footprint, seed=0, name="random")
-    return compare_schemes(trace, schemes=SCHEMES, device=HEADLINE_DEVICE,
-                           precondition="steady")
+    tracer = Tracer()
+    results = compare_schemes(trace, schemes=SCHEMES, device=HEADLINE_DEVICE,
+                              precondition="steady", tracer=tracer)
+    return results, tracer.attribution
 
 
 def test_e05_merge_overhead(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    results, attribution = benchmark.pedantic(run_experiment, rounds=1,
+                                              iterations=1)
     rows = []
     for scheme in SCHEMES:
         s = results[scheme].ftl_stats
@@ -50,10 +57,9 @@ def test_e05_merge_overhead(benchmark):
     )
     text += (f"\nLazyFTL commits per mapping-page write: {avg_batch:.1f} "
              "(conversion cost amortised)")
-    text += "\n\n" + format_table(
-        BREAKDOWN_HEADERS,
-        breakdown_rows(results, SLC_TIMING),
-        title="device-time breakdown (where each scheme's time goes)",
+    text += "\n\n" + format_attribution(
+        attribution, schemes=SCHEMES,
+        title="device-time breakdown: flash time by cause (ms)",
     )
     emit("e05_merge_overhead", text)
 
@@ -65,3 +71,7 @@ def test_e05_merge_overhead(benchmark):
     bast = results["BAST"].ftl_stats
     assert bast.merges_full > bast.merges_switch
     assert results["LazyFTL"].ftl_stats.converts > 0
+    # Every flash op is counted once: the table totals the busy time.
+    for scheme in SCHEMES:
+        assert attribution.scheme_summary(scheme)["total_us"] == \
+            results[scheme].device_busy_us

@@ -5,17 +5,8 @@ from .attribution import (
     ATTRIBUTION_HEADERS,
     attribute_trace,
     attribution_rows,
-    cause_shares,
-    event_counts,
     format_attribution,
-    housekeeping_share,
     read_trace,
-)
-from .breakdown import (
-    BREAKDOWN_HEADERS,
-    breakdown_rows,
-    overhead_ratio,
-    time_breakdown,
 )
 from .compare import (
     COMPARISON_HEADERS,
@@ -30,15 +21,8 @@ __all__ = [
     "ATTRIBUTION_HEADERS",
     "attribute_trace",
     "attribution_rows",
-    "cause_shares",
-    "event_counts",
     "format_attribution",
-    "housekeeping_share",
     "read_trace",
-    "BREAKDOWN_HEADERS",
-    "breakdown_rows",
-    "overhead_ratio",
-    "time_breakdown",
     "COMPARISON_HEADERS",
     "check_expected_ordering",
     "comparison_rows",

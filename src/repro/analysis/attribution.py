@@ -11,9 +11,9 @@ full-merge storms.
 
 The module is stream-shaped: :func:`read_trace` yields events lazily so
 multi-million-event traces never need to fit in memory, and
-:func:`attribute_trace` folds them through the same
-:class:`~repro.obs.sinks.AttributionSink` used for live runs, so offline
-and online attribution can never disagree.
+:func:`attribute_trace` folds them into the same
+:class:`~repro.obs.tally.RunTotals` the tracer keeps for live runs, so
+offline and online attribution can never disagree.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import (
     Union,
 )
 
-from ..obs.events import Cause, EventType, TraceEvent
-from ..obs.sinks import AttributionSink
+from ..obs.events import Cause, TraceEvent
+from ..obs.tally import RunTotals
 
 #: Column order of the attribution table: causes first (most interesting
 #: left-most), then the structural counters.
@@ -41,7 +41,7 @@ ATTRIBUTION_HEADERS = [
     "recovery_ms", "total_ms", "merges", "converts", "gc_runs",
 ]
 
-#: Cause order used by the table and the share breakdown.
+#: Cause order used by the table.
 CAUSE_ORDER = [
     Cause.HOST, Cause.GC, Cause.MERGE, Cause.MAPPING, Cause.CONVERT,
     Cause.RECOVERY,
@@ -80,23 +80,21 @@ def read_trace(
             raise ValueError(f"bad trace record on line {lineno}: {exc}")
 
 
-def attribute_trace(
-    events: Iterable[TraceEvent],
-) -> AttributionSink:
+def attribute_trace(events: Iterable[TraceEvent]) -> RunTotals:
     """Fold a stream of events into per-scheme, per-cause flash time."""
-    sink = AttributionSink()
+    totals = RunTotals()
     for event in events:
-        sink.emit(event)
-    return sink
+        totals.emit(event)
+    return totals
 
 
 def attribution_rows(
-    sink: AttributionSink, schemes: Optional[Sequence[str]] = None
+    totals: RunTotals, schemes: Optional[Sequence[str]] = None
 ) -> List[List[object]]:
     """Table rows (matching :data:`ATTRIBUTION_HEADERS`) for each scheme."""
     rows: List[List[object]] = []
-    for scheme in schemes if schemes is not None else sink.schemes():
-        summary = sink.scheme_summary(scheme)
+    for scheme in schemes if schemes is not None else totals.schemes():
+        summary = totals.scheme_summary(scheme)
         if summary is None:
             continue
         by_cause = summary["time_by_cause_us"]
@@ -110,47 +108,8 @@ def attribution_rows(
     return rows
 
 
-def cause_shares(
-    sink: AttributionSink, scheme: str
-) -> Dict[str, float]:
-    """Fraction of a scheme's flash time spent per cause (sums to 1.0)."""
-    summary = sink.scheme_summary(scheme)
-    if summary is None:
-        raise KeyError(f"no events for scheme {scheme!r} in this trace")
-    total = summary["total_us"]
-    by_cause = summary["time_by_cause_us"]
-    if total <= 0.0:
-        return {cause.value: 0.0 for cause in CAUSE_ORDER}
-    return {
-        cause.value: by_cause.get(cause.value, 0.0) / total
-        for cause in CAUSE_ORDER
-    }
-
-
-def housekeeping_share(sink: AttributionSink, scheme: str) -> float:
-    """Fraction of flash time NOT serving host I/O directly.
-
-    The single-number summary of FTL overhead: gc + merge + mapping +
-    convert + recovery time over total.  The paper's E5/E11 story in one
-    scalar — LazyFTL's housekeeping is amortised (small, flat), while
-    BAST/FAST concentrate theirs in merge storms.
-    """
-    shares = cause_shares(sink, scheme)
-    return 1.0 - shares[Cause.HOST.value]
-
-
-def event_counts(
-    sink: AttributionSink, scheme: str
-) -> Dict[str, int]:
-    """Per-event-type counts for one scheme (zero-filled over the taxonomy)."""
-    counts = sink.counts.get(scheme)
-    if counts is None:
-        raise KeyError(f"no events for scheme {scheme!r} in this trace")
-    return {etype.value: counts.get(etype.value, 0) for etype in EventType}
-
-
 def format_attribution(
-    sink: AttributionSink,
+    totals: RunTotals,
     schemes: Optional[Sequence[str]] = None,
     title: str = "flash time by cause",
 ) -> str:
@@ -160,5 +119,5 @@ def format_attribution(
     from ..sim.report import format_table
 
     return format_table(
-        ATTRIBUTION_HEADERS, attribution_rows(sink, schemes), title=title
+        ATTRIBUTION_HEADERS, attribution_rows(totals, schemes), title=title
     )

@@ -205,7 +205,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print("\nmetrics:")
         for scheme in args.schemes:
             print(f"  {scheme}")
-            counts = tracer.attribution.counts.get(scheme, {})
+            counts = tracer.attribution.tally(scheme).counts()
             for name, value in sorted(counts.items()):
                 print(f"    events.{name:21s} {value}")
             summary = recorder.scheme_summary(scheme) or {"classes": {}}
@@ -260,12 +260,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"{exc}", file=sys.stderr)
             return 2
-        tracer = None
+        ring = None
     else:
         device = _device_from_args(args)
         trace = _trace_from_args(args, device)
         try:
-            snapshot, _, tracer = collect_report(
+            snapshot, _, ring = collect_report(
                 args.scheme,
                 trace,
                 device=device,
@@ -280,10 +280,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.snapshot:
         save_snapshot(snapshot, args.snapshot)
         print(f"snapshot written to {args.snapshot}", file=sys.stderr)
-    if args.events_out and tracer is not None and tracer.ring is not None:
-        written = tracer.ring.dump(args.events_out)
+    if args.events_out and ring is not None:
+        written = ring.dump(args.events_out)
         print(f"{written} events written to {args.events_out} "
-              f"({tracer.ring.dropped} dropped by the ring)",
+              f"({ring.dropped} dropped by the ring)",
               file=sys.stderr)
     if args.json:
         import json as _json

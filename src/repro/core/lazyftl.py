@@ -248,7 +248,7 @@ class LazyFTL(FlashTranslationLayer):
         return HostResult(latency)
 
     def ram_bytes(self) -> int:
-        """UMT + GTD (+ optional GMT cache): the paper's RAM story."""
+        """UMT + GTD: the paper's RAM story."""
         return self._umt.ram_bytes() + self._maps.ram_bytes()
 
     # ------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Observability: structured event tracing and metrics for the simulator.
 
-The subsystem has five layers:
+The subsystem has six layers:
 
 * **events** - the typed taxonomy (:class:`EventType`, :class:`Cause`,
   :class:`TraceEvent`) and its JSONL record format;
 * **tracer** - the :class:`Tracer` threaded through the flash chip, the
   FTL schemes and the simulator; zero overhead when detached;
-* **sinks** - JSONL and ring-buffer sinks and the streaming per-cause
-  :class:`AttributionSink` (time by cause, event counts by type);
+* **sinks** - JSONL and ring-buffer sinks;
+* **tally** - the one fold of the stream: a ``Tally`` of count and time
+  per (event type, cause), cut per run (``RunTotals``, the tracer's
+  ``attribution``), per window and per host op;
 * **metrics / latency / series** - :class:`LatencyDistribution`, the one
   latency distribution (exact nearest-rank percentiles), the per-op
   cause decomposition (:class:`OpLatencyRecorder`, one distribution per
@@ -23,7 +25,7 @@ Quick start::
     tracer = Tracer([JsonlSink("run.jsonl")])
     results = compare_schemes(trace, device=HEADLINE_DEVICE, tracer=tracer)
     tracer.close()
-    print(tracer.attribution.as_dict())
+    print(tracer.attribution.scheme_summary("LazyFTL"))
 
 or, from the command line::
 
@@ -40,7 +42,7 @@ from .events import (
     EventType,
     TraceEvent,
 )
-from .latency import BUCKETS, OpLatencyRecorder, bucket_of
+from .latency import OpLatencyRecorder
 from .metrics import LatencyDistribution
 from .report import (
     SNAPSHOT_SCHEMA,
@@ -53,7 +55,8 @@ from .report import (
     validate_snapshot,
 )
 from .series import SERIES_SCHEMA_VERSION, SeriesCollector
-from .sinks import AttributionSink, JsonlSink, RingBufferSink, TraceSink
+from .sinks import JsonlSink, RingBufferSink, TraceSink
+from .tally import BUCKETS, bucket_of
 from .tracer import Tracer
 
 __all__ = [
@@ -78,7 +81,6 @@ __all__ = [
     "validate_snapshot",
     "SERIES_SCHEMA_VERSION",
     "SeriesCollector",
-    "AttributionSink",
     "JsonlSink",
     "RingBufferSink",
     "TraceSink",

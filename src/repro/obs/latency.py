@@ -1,6 +1,6 @@
 """Per-operation latency decomposition: make every microsecond attributable.
 
-The attribution sink answers "where did the *run's* time go"; this module
+The tracer's run totals answer "where did the *run's* time go"; this module
 answers the finer question the paper's tail-latency discussion actually
 turns on: **where did each host operation's time go?**  A slow p999 write
 under FAST is a full merge; under DFTL it is a burst of translation-page
@@ -23,8 +23,10 @@ Accounting contract (the flashsan-checked invariant):
   its own bucket per op class but sits *outside* the service-time
   invariant: ``response = queueing + service``.
 
-Zero overhead when detached: the recorder only ever runs behind the
-tracer's existing ``if ... is not None`` guards.
+The per-op part is a cut of the one fold (:mod:`repro.obs.tally`): the
+flash ops between two completions fold into a pending tally, read out
+per bucket.  Zero overhead when detached: the recorder only ever runs behind
+the tracer's existing ``if ... is not None`` guards.
 """
 
 from __future__ import annotations
@@ -32,33 +34,9 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-from .events import FLASH_OP_TYPES, Cause, EventType, TraceEvent
+from .events import FLASH_OP_TYPES, EventType, TraceEvent
 from .metrics import LatencyDistribution
-
-#: Cause buckets of the per-op decomposition, in presentation order.
-#: ``queueing`` is per-request wait (outside the service invariant);
-#: ``unattributed`` is the explicitly-labeled residual.
-BUCKETS = (
-    "device_read",       # raw page reads serving the host directly
-    "device_program",    # raw page programs serving the host directly
-    "device_erase",      # raw erases charged to the host path
-    "gc",                # garbage-collection relocation / erase stall
-    "merge",             # log-block merge stall (BAST/FAST/LAST/NFTL)
-    "translation_read",  # translation-page reads (DFTL CMT / LazyFTL UMT miss)
-    "mapping_commit",    # translation-page writes, GMT commits, conversions
-    "recovery",          # crash-recovery scans / checkpointing
-    "queueing",          # open-loop wait behind a busy device
-    "unattributed",      # residual service time not covered by flash ops
-)
-
-#: Op classes tracked by the recorder (plus the derived ``overall``).
-OP_CLASSES = ("read", "write", "trim")
-
-_DEVICE_BUCKET = {
-    EventType.PAGE_READ: "device_read",
-    EventType.PAGE_PROGRAM: "device_program",
-    EventType.BLOCK_ERASE: "device_erase",
-}
+from .tally import Cut, Tally
 
 _HOST_CLASS = {
     EventType.HOST_READ: "read",
@@ -67,70 +45,45 @@ _HOST_CLASS = {
 }
 
 
-def bucket_of(event: TraceEvent) -> str:
-    """Cause bucket of one flash-op event (see :data:`BUCKETS`)."""
-    cause = event.cause
-    if cause is Cause.HOST:
-        return _DEVICE_BUCKET[event.type]
-    if cause is Cause.GC:
-        return "gc"
-    if cause is Cause.MERGE:
-        return "merge"
-    if cause is Cause.MAPPING:
-        return ("translation_read" if event.type is EventType.PAGE_READ
-                else "mapping_commit")
-    if cause is Cause.CONVERT:
-        return "mapping_commit"
-    return "recovery"
-
-
 class _ClassAggregate:
-    """Per-op-class accumulation: histogram + cause totals + worst ops."""
+    """Per-op-class accumulation: histogram + op tallies + worst ops."""
 
-    __slots__ = ("hist", "by_cause", "unattributed_us", "queue_us",
-                 "queue_hist", "channel_wait_us", "total_us", "slowest",
-                 "_seq")
+    __slots__ = ("hist", "tally", "unattributed_us", "queue_us",
+                 "queue_hist", "slowest", "_seq")
 
     #: Worst ops kept per class for the tail-cause breakdown.
     TOP_K = 12
 
     def __init__(self) -> None:
         self.hist = LatencyDistribution()
-        self.by_cause: Dict[str, float] = {}
+        # The class's host ops' pending tallies, summed: its cause
+        # buckets and its channel wait (which, like host queueing, sits
+        # outside the service decomposition).
+        self.tally = Tally()
         self.unattributed_us = 0.0
         self.queue_us = 0.0
         self.queue_hist = LatencyDistribution()
-        # Total per-unit queueing observed during this class's host ops
-        # on a multi-channel device (see Tracer.channel_wait); like
-        # host queueing it sits outside the service decomposition.  The
-        # per-sample distribution lives at scheme level
-        # (_SchemeLatency.channel_wait_hist) because samples arrive per
-        # raw flash op, before the op class is known.
-        self.channel_wait_us = 0.0
-        self.total_us = 0.0
         # Min-heap of (dur_us, seq, parts) - the K slowest ops seen.
         self.slowest: List[Tuple[float, int, Dict[str, float]]] = []
         self._seq = 0
 
     def record(self, dur_us: float, parts: Dict[str, float],
-               unattributed: float, channel_wait_us: float = 0.0) -> None:
+               unattributed: float, op: Tally) -> None:
         self.hist.add(dur_us)
-        self.total_us += dur_us
-        for bucket, spent in parts.items():
-            self.by_cause[bucket] = self.by_cause.get(bucket, 0.0) + spent
+        self.tally.merge(op)
         self.unattributed_us += unattributed
-        self.channel_wait_us += channel_wait_us
         self._seq += 1
-        entry = (dur_us, self._seq, dict(parts))
+        entry = (dur_us, self._seq, parts)
         if len(self.slowest) < self.TOP_K:
             heapq.heappush(self.slowest, entry)
         elif dur_us > self.slowest[0][0]:
             heapq.heapreplace(self.slowest, entry)
 
     def attributed_fraction(self) -> float:
-        if self.total_us <= 0.0:
+        total_us = self.hist.total
+        if total_us <= 0.0:
             return 1.0
-        return max(0.0, 1.0 - self.unattributed_us / self.total_us)
+        return max(0.0, 1.0 - self.unattributed_us / total_us)
 
     def as_dict(self) -> Dict[str, object]:
         worst = sorted(self.slowest, key=lambda e: -e[0])
@@ -146,13 +99,14 @@ class _ClassAggregate:
             "max_us": hist.max,
             "total_us": hist.total,
             "by_cause_us": {
-                b: round(v, 3) for b, v in sorted(self.by_cause.items())
+                b: round(v, 3)
+                for b, v in sorted(self.tally.by_bucket().items()) if v > 0.0
             },
             "unattributed_us": round(self.unattributed_us, 3),
             "attributed_fraction": self.attributed_fraction(),
             "queueing_us": round(self.queue_us, 3),
             "queueing_p99_us": self.queue_hist.percentile(99),
-            "channel_wait_us": round(self.channel_wait_us, 3),
+            "channel_wait_us": round(self.tally.wait_us, 3),
             "slowest": [
                 {
                     "dur_us": round(dur, 3),
@@ -168,18 +122,15 @@ class _ClassAggregate:
 class _SchemeLatency:
     """All per-op accounting for one scheme."""
 
-    __slots__ = ("classes", "overall", "outside_us",
-                 "outside_channel_wait_us", "channel_wait_hist",
+    __slots__ = ("classes", "overall", "outside", "channel_wait_hist",
                  "checked_ops", "violations", "max_residual_us")
 
     def __init__(self) -> None:
         self.classes: Dict[str, _ClassAggregate] = {}
         self.overall = _ClassAggregate()
-        #: Flash time fenced off as outside any host op (idle-time
-        #: background work), per bucket.
-        self.outside_us: Dict[str, float] = {}
-        #: Channel wait observed during fenced-off background work.
-        self.outside_channel_wait_us = 0.0
+        #: What was fenced off as outside any host op (idle-time
+        #: background work): its flash time and channel wait.
+        self.outside = Tally()
         #: Per-raw-op distribution of channel waits (how long a flash
         #: command sat in its unit's queue while another unit was free);
         #: only ops that actually waited land here, so serial devices
@@ -210,14 +161,16 @@ class LastOp:
         return sum(self.parts.values()) + self.unattributed_us
 
 
-class OpLatencyRecorder:
-    """Streams tracer events into per-op cause-bucket decompositions.
+class OpLatencyRecorder(Cut):
+    """Cuts the event stream at every host op into cause-bucket parts.
 
     Attach via ``Tracer(latency=OpLatencyRecorder())``; the tracer then
-    forwards every event (:meth:`observe`), every idle-work fence
-    (:meth:`fence`) and every queueing delay (:meth:`note_queue_delay`).
+    hands it every event and channel-wait sample (it is a
+    :class:`~repro.obs.tally.Cut`), every idle-work fence (:meth:`fence`)
+    and every queueing delay (:meth:`note_queue_delay`).  Between two
+    cuts, events fold into one pending :class:`~repro.obs.tally.Tally`.
     State is keyed by scheme, so one recorder can span a whole
-    ``compare_schemes`` run exactly like the attribution sink.
+    ``compare_schemes`` run exactly like the tracer's run totals.
     """
 
     def __init__(self, tolerance_us: float = 1e-3):
@@ -226,43 +179,41 @@ class OpLatencyRecorder:
         #: an invariant violation (float summation-order dust only).
         self.tolerance_us = tolerance_us
         self._schemes: Dict[str, _SchemeLatency] = {}
-        self._pending: Dict[str, float] = {}
-        self._pending_wait = 0.0
+        self._pending = Tally()
         self._current: Optional[str] = None
         self.last_op: Optional[LastOp] = None
 
     # ------------------------------------------------------------------
     # Event intake (driven by the Tracer)
     # ------------------------------------------------------------------
-    def observe(self, event: TraceEvent) -> None:
+    def emit(self, event: TraceEvent) -> None:
         if event.scheme != self._current:
             self._switch(event.scheme)
-        event_type = event.type
-        if event_type in FLASH_OP_TYPES:
-            bucket = bucket_of(event)
-            self._pending[bucket] = (
-                self._pending.get(bucket, 0.0) + event.dur_us
-            )
-            return
-        op_class = _HOST_CLASS.get(event_type)
+        op_class = _HOST_CLASS.get(event.type)
         if op_class is not None:
             self._complete(op_class, event.dur_us)
+        elif event.type in FLASH_OP_TYPES:
+            self._pending.add(event)
+
+    def wait(self, scheme: str, ts: float, wait_us: float) -> None:
+        """Record one raw op's wait behind its busy parallel unit.
+
+        Each sample lands in the scheme-level distribution immediately;
+        its total folds into the pending tally like flash time, but sits
+        outside the service invariant (the traced ``dur_us`` already
+        absorbs the wait).
+        """
+        if scheme != self._current:
+            self._switch(scheme)
+        self._pending.wait_us += wait_us
+        self._state(scheme).channel_wait_hist.add(wait_us)
 
     def fence(self, scheme: str) -> None:
         """Mark pending flash time as outside any host op (idle work)."""
         if scheme != self._current:
             self._switch(scheme)
-        if not self._pending and not self._pending_wait:
-            return
-        state = self._state(scheme)
-        for bucket, spent in self._pending.items():
-            state.outside_us[bucket] = (
-                state.outside_us.get(bucket, 0.0) + spent
-            )
+        self._state(scheme).outside.merge(self._pending)
         self._pending.clear()
-        if self._pending_wait:
-            state.outside_channel_wait_us += self._pending_wait
-            self._pending_wait = 0.0
 
     def note_queue_delay(self, scheme: str, is_write: bool,
                          wait_us: float) -> None:
@@ -273,28 +224,13 @@ class OpLatencyRecorder:
             agg.queue_us += wait_us
             agg.queue_hist.add(wait_us)
 
-    def note_channel_wait(self, scheme: str, wait_us: float) -> None:
-        """Record one raw op's wait behind its busy parallel unit.
-
-        Samples arrive per raw flash op, before the op class is known:
-        each lands in the scheme-level distribution immediately, while
-        the total buffers like the cause buckets and folds into the
-        current host op's class accumulator at completion - outside the
-        service invariant (the traced ``dur_us`` already absorbs the
-        wait).
-        """
-        if scheme != self._current:
-            self._switch(scheme)
-        self._pending_wait += wait_us
-        self._state(scheme).channel_wait_hist.add(wait_us)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _switch(self, scheme: str) -> None:
         # A scheme change mid-stream (compare_schemes) fences whatever
         # the previous scheme left pending so it never leaks across.
-        if self._current is not None and self._pending:
+        if self._current is not None:
             self.fence(self._current)
         self._current = scheme
         self._state(scheme)
@@ -314,8 +250,8 @@ class OpLatencyRecorder:
 
     def _complete(self, op_class: str, dur_us: float) -> None:
         state = self._state(self._current or "")
-        parts = {b: v for b, v in self._pending.items() if v > 0.0}
-        self._pending.clear()
+        pending = self._pending
+        parts = {b: v for b, v in pending.by_bucket().items() if v > 0.0}
         observed = sum(parts.values())
         residual = dur_us - observed
         state.checked_ops += 1
@@ -327,12 +263,10 @@ class OpLatencyRecorder:
         if abs(residual) > state.max_residual_us:
             state.max_residual_us = abs(residual)
         unattributed = residual if residual > 0.0 else 0.0
-        wait = self._pending_wait
-        if wait:
-            self._pending_wait = 0.0
         self._class(state, op_class).record(dur_us, parts, unattributed,
-                                            wait)
-        state.overall.record(dur_us, parts, unattributed, wait)
+                                            pending)
+        state.overall.record(dur_us, parts, unattributed, pending)
+        pending.clear()
         self.last_op = LastOp(op_class, dur_us, parts, unattributed,
                               residual)
 
@@ -365,20 +299,17 @@ class OpLatencyRecorder:
         return {
             "classes": classes,
             "outside_us": {
-                b: round(v, 3) for b, v in sorted(state.outside_us.items())
+                b: round(v, 3)
+                for b, v in sorted(state.outside.by_bucket().items())
             },
             "channel_wait": {
                 "samples": state.channel_wait_hist.count,
                 "total_us": round(state.channel_wait_hist.total, 3),
                 "p50_us": state.channel_wait_hist.percentile(50),
                 "p99_us": state.channel_wait_hist.percentile(99),
-                "outside_us": round(state.outside_channel_wait_us, 3),
+                "outside_us": round(state.outside.wait_us, 3),
             },
-            "invariant": {
-                "checked_ops": state.checked_ops,
-                "violations": state.violations,
-                "max_residual_us": state.max_residual_us,
-            },
+            "invariant": self.invariants()[scheme],
         }
 
     def as_dict(self) -> Dict[str, object]:

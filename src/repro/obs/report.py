@@ -386,10 +386,10 @@ def collect_report(
 ) -> Tuple[Dict[str, Any], Any, Any]:
     """Run one scheme fully instrumented and build its snapshot.
 
-    Returns ``(snapshot, result, tracer)``.  ``ring_capacity > 0``
-    additionally attaches a :class:`RingBufferSink` (reachable as
-    ``tracer.ring`` for ``--events-out`` dumps).  Imports the simulator
-    lazily: obs stays importable below :mod:`repro.sim`.
+    Returns ``(snapshot, result, ring)``: ``ring_capacity > 0`` attaches
+    a :class:`RingBufferSink` (for ``--events-out`` dumps), else ``ring``
+    is None.  Imports the simulator lazily: obs stays importable below
+    :mod:`repro.sim`.
     """
     from ..sim.runner import run_scheme
     from .latency import OpLatencyRecorder
@@ -409,7 +409,6 @@ def collect_report(
         ring = RingBufferSink(capacity=ring_capacity)
         sinks.append(ring)
     tracer = Tracer(sinks=sinks, latency=recorder)
-    tracer.ring = ring  # type: ignore[attr-defined]
     result = run_scheme(
         scheme, trace, device=device, precondition=precondition,
         tracer=tracer, sanitize=sanitize, **options,
@@ -419,4 +418,4 @@ def collect_report(
         events_dropped=ring.dropped if ring is not None else 0,
         events_emitted=tracer.events_emitted,
     )
-    return snapshot, result, tracer
+    return snapshot, result, ring

@@ -1,12 +1,13 @@
 """Windowed time-series over the simulated clock.
 
-The attribution sink and the latency recorder aggregate over a whole run;
-this module keeps the *trajectory*: fixed-width windows of simulated time
-(default 0.1 s) holding ops/s, write amplification, GC debt, the
-translation-cache hit-rate estimate, erase-count variance and per-cause
-stall fractions.  Windows live in a bounded ring (oldest evicted first,
-**counted** in :attr:`SeriesCollector.windows_dropped` - never silently),
-and export as JSONL (one window per line).
+The tracer's run totals aggregate over a whole run and the latency
+recorder per host op; this module keeps the *trajectory*: fixed-width
+windows of simulated time (default 0.1 s) holding ops/s, write
+amplification, GC debt, the translation-cache hit-rate estimate,
+erase-count variance and per-cause stall fractions.  Windows live in a
+bounded ring (oldest evicted first, **counted** in
+:attr:`SeriesCollector.windows_dropped` - never silently), and export as
+JSONL (one window per line).
 
 Metric definitions (documented once, used by report + export):
 
@@ -23,9 +24,11 @@ Metric definitions (documented once, used by report + export):
   given, else over blocks seen erasing);
 * ``stall_fractions`` - per-cause share of the window's flash time.
 
-A :class:`SeriesCollector` is a plain :class:`~repro.obs.sinks.TraceSink`:
-pass it to the tracer's sink list.  State is keyed by scheme (the tracer
-clock restarts per scheme in a comparison run).
+Each window is a cut of the one fold (:mod:`repro.obs.tally`): a
+:class:`~repro.obs.tally.Tally` the metrics are read from.  A
+:class:`SeriesCollector` is a :class:`~repro.obs.tally.Cut`: pass it to
+the tracer's sink list.  State is keyed by scheme (the tracer clock
+restarts per scheme in a comparison run).
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import json
 from collections import deque
 from typing import Deque, Dict, List, Optional, TextIO, Union
 
-from .events import FLASH_OP_TYPES, EventType, TraceEvent
-from .sinks import TraceSink
+from .events import Cause, EventType, TraceEvent
+from .tally import Cut, Tally
 
 #: Version stamp of the per-window JSONL record layout.
 SERIES_SCHEMA_VERSION = 1
@@ -45,42 +48,28 @@ DEFAULT_WINDOW_US = 100_000.0
 
 
 class Window:
-    """Raw per-window counters; derived metrics come from :meth:`as_dict`."""
+    """One window's tally; derived metrics come from :meth:`as_dict`."""
 
-    __slots__ = ("index", "host_reads", "host_writes", "host_trims",
-                 "page_reads", "page_programs", "block_erases",
-                 "map_reads", "map_writes", "gc_runs", "converts",
-                 "gc_copy_pages", "channel_wait_us", "time_by_cause")
+    __slots__ = ("index", "tally")
 
     def __init__(self, index: int):
         self.index = index
-        self.host_reads = 0
-        self.host_writes = 0
-        self.host_trims = 0
-        self.page_reads = 0
-        self.page_programs = 0
-        self.block_erases = 0
-        self.map_reads = 0
-        self.map_writes = 0
-        self.gc_runs = 0
-        self.converts = 0
-        self.gc_copy_pages = 0
-        # Stripe-imbalance wait on a multi-channel device (see
-        # Tracer.channel_wait); 0.0 on serial devices.
-        self.channel_wait_us = 0.0
-        self.time_by_cause: Dict[str, float] = {}
-
-    @property
-    def host_ops(self) -> int:
-        return self.host_reads + self.host_writes + self.host_trims
+        self.tally = Tally()
 
     def as_dict(self, window_us: float,
                 erase_variance: float) -> Dict[str, object]:
-        flash_us = sum(self.time_by_cause.values())
-        host_ops = self.host_ops
-        waf = (self.page_programs / self.host_writes
-               if self.host_writes else None)
-        map_hit = (max(0.0, min(1.0, 1.0 - self.map_reads / host_ops))
+        tally = self.tally
+        counts = tally.counts()
+        time_by_cause = tally.by_cause()
+        flash_us = sum(time_by_cause.values())
+        host_reads = counts.get(EventType.HOST_READ, 0)
+        host_writes = counts.get(EventType.HOST_WRITE, 0)
+        host_trims = counts.get(EventType.HOST_TRIM, 0)
+        host_ops = host_reads + host_writes + host_trims
+        page_programs = counts.get(EventType.PAGE_PROGRAM, 0)
+        map_reads = counts.get(EventType.MAP_READ, 0)
+        waf = page_programs / host_writes if host_writes else None
+        map_hit = (max(0.0, min(1.0, 1.0 - map_reads / host_ops))
                    if host_ops else None)
         return {
             "schema": SERIES_SCHEMA_VERSION,
@@ -89,25 +78,26 @@ class Window:
             "window_us": window_us,
             "host_ops": host_ops,
             "ops_per_sec": host_ops / (window_us / 1e6),
-            "host_reads": self.host_reads,
-            "host_writes": self.host_writes,
-            "host_trims": self.host_trims,
-            "page_reads": self.page_reads,
-            "page_programs": self.page_programs,
-            "block_erases": self.block_erases,
-            "map_reads": self.map_reads,
-            "map_writes": self.map_writes,
-            "gc_runs": self.gc_runs,
-            "converts": self.converts,
+            "host_reads": host_reads,
+            "host_writes": host_writes,
+            "host_trims": host_trims,
+            "page_reads": counts.get(EventType.PAGE_READ, 0),
+            "page_programs": page_programs,
+            "block_erases": counts.get(EventType.BLOCK_ERASE, 0),
+            "map_reads": map_reads,
+            "map_writes": counts.get(EventType.MAP_WRITE, 0),
+            "gc_runs": counts.get(EventType.GC_START, 0),
+            "converts": counts.get(EventType.CONVERT, 0),
             "waf": waf,
-            "gc_debt_pages": self.gc_copy_pages,
-            "channel_wait_us": round(self.channel_wait_us, 3),
+            "gc_debt_pages": tally.count(EventType.PAGE_PROGRAM,
+                                         Cause.GC, Cause.MERGE),
+            "channel_wait_us": round(tally.wait_us, 3),
             "map_hit_rate": map_hit,
             "erase_variance": erase_variance,
             "flash_time_us": round(flash_us, 3),
             "stall_fractions": {
                 cause: spent / flash_us
-                for cause, spent in sorted(self.time_by_cause.items())
+                for cause, spent in sorted(time_by_cause.items())
             } if flash_us > 0 else {},
         }
 
@@ -124,7 +114,7 @@ class _SchemeSeries:
         self.erase_counts: Dict[int, int] = {}
 
 
-class SeriesCollector(TraceSink):
+class SeriesCollector(Cut):
     """Folds the event stream into per-window time-series (see module doc).
 
     Args:
@@ -155,17 +145,14 @@ class SeriesCollector(TraceSink):
     # ------------------------------------------------------------------
     def emit(self, event: TraceEvent) -> None:
         window, state = self._window_at(event.scheme, event.ts)
-        self._accumulate(window, state, event)
+        window.tally.add(event)
+        if event.type is EventType.BLOCK_ERASE and event.ppn is not None:
+            counts = state.erase_counts
+            counts[event.ppn] = counts.get(event.ppn, 0) + 1
 
-    def channel_wait(self, scheme: str, ts: float, wait_us: float) -> None:
-        """Fold one stripe-imbalance wait sample into its window.
-
-        Called by the tracer's channel-wait fan-out (multi-channel
-        devices only); not part of the :class:`TraceSink` event
-        interface, so plain sinks never see these samples.
-        """
-        window, _ = self._window_at(scheme, ts)
-        window.channel_wait_us += wait_us
+    def wait(self, scheme: str, ts: float, wait_us: float) -> None:
+        """Fold one stripe-imbalance wait sample into its window."""
+        self._window_at(scheme, ts)[0].tally.wait_us += wait_us
 
     def _window_at(self, scheme: str, ts: float):
         """Resolve (window, state) for a timestamp, closing as needed."""
@@ -195,42 +182,6 @@ class SeriesCollector(TraceSink):
             ))
             window = Window(window.index + 1)
         state.current = window
-
-    def _accumulate(self, window: Window, state: _SchemeSeries,
-                    event: TraceEvent) -> None:
-        event_type = event.type
-        if event_type in FLASH_OP_TYPES:
-            cause = event.cause.value
-            window.time_by_cause[cause] = (
-                window.time_by_cause.get(cause, 0.0) + event.dur_us
-            )
-            if event_type is EventType.PAGE_READ:
-                window.page_reads += 1
-            elif event_type is EventType.PAGE_PROGRAM:
-                window.page_programs += 1
-                if cause in ("gc", "merge"):
-                    window.gc_copy_pages += 1
-            else:
-                window.block_erases += 1
-                pbn = event.ppn
-                if pbn is not None:
-                    state.erase_counts[pbn] = (
-                        state.erase_counts.get(pbn, 0) + 1
-                    )
-        elif event_type is EventType.HOST_READ:
-            window.host_reads += 1
-        elif event_type is EventType.HOST_WRITE:
-            window.host_writes += 1
-        elif event_type is EventType.HOST_TRIM:
-            window.host_trims += 1
-        elif event_type is EventType.MAP_READ:
-            window.map_reads += 1
-        elif event_type is EventType.MAP_WRITE:
-            window.map_writes += 1
-        elif event_type is EventType.GC_START:
-            window.gc_runs += 1
-        elif event_type is EventType.CONVERT:
-            window.converts += 1
 
     def _erase_variance(self, state: _SchemeSeries) -> float:
         counts = state.erase_counts

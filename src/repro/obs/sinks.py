@@ -3,19 +3,19 @@
 * :class:`JsonlSink` - newline-delimited JSON, the durable format
   (validated by ``tools/check_trace_schema.py``);
 * :class:`RingBufferSink` - bounded in-memory buffer for tests and
-  interactive debugging ("what were the last N events before the stall?");
-* :class:`AttributionSink` - streaming per-scheme, per-cause aggregation
-  of simulated flash time; the Tracer always keeps one so the "where did
-  the time go" table is available without re-reading the JSONL file.
+  interactive debugging ("what were the last N events before the stall?").
+
+The tracer's per-cause totals are not a plain sink but a
+:class:`~repro.obs.tally.Cut` (see :mod:`repro.obs.tally`).
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, TextIO, Union
+from typing import Deque, Dict, Iterator, List, TextIO, Union
 
-from .events import FLASH_OP_TYPES, EventType, TraceEvent
+from .events import TraceEvent
 
 
 class TraceSink:
@@ -113,57 +113,3 @@ class RingBufferSink(TraceSink):
             target.write(json.dumps(event.to_record()))
             target.write("\n")
         return len(self._events)
-
-
-class AttributionSink(TraceSink):
-    """Streams events into per-scheme, per-cause time totals.
-
-    Only flash-op events (PageRead/PageProgram/BlockErase) carry device
-    time; their ``cause`` tag decides the bucket.  Event counts are kept
-    for every type, so the summary also answers "how many merges /
-    converts / GC runs did scheme X do?".
-    """
-
-    def __init__(self) -> None:
-        # scheme -> cause value -> simulated microseconds
-        self.time_by_cause: Dict[str, Dict[str, float]] = {}
-        # scheme -> event type value -> count
-        self.counts: Dict[str, Dict[str, int]] = {}
-
-    def emit(self, event: TraceEvent) -> None:
-        scheme = event.scheme
-        counts = self.counts.setdefault(scheme, {})
-        counts[event.type.value] = counts.get(event.type.value, 0) + 1
-        if event.type in FLASH_OP_TYPES:
-            by_cause = self.time_by_cause.setdefault(scheme, {})
-            cause = event.cause.value
-            by_cause[cause] = by_cause.get(cause, 0.0) + event.dur_us
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def schemes(self) -> List[str]:
-        return sorted(set(self.time_by_cause) | set(self.counts))
-
-    def total_us(self, scheme: str) -> float:
-        return sum(self.time_by_cause.get(scheme, {}).values())
-
-    def scheme_summary(self, scheme: str) -> Optional[Dict[str, object]]:
-        """Per-phase attribution for one scheme (None if never seen)."""
-        if scheme not in self.counts and scheme not in self.time_by_cause:
-            return None
-        by_cause = dict(self.time_by_cause.get(scheme, {}))
-        counts = self.counts.get(scheme, {})
-        return {
-            "time_by_cause_us": by_cause,
-            "total_us": sum(by_cause.values()),
-            "events": dict(sorted(counts.items())),
-            "merges": counts.get(EventType.MERGE_START.value, 0),
-            "converts": counts.get(EventType.CONVERT.value, 0),
-            "gc_runs": counts.get(EventType.GC_START.value, 0),
-        }
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            scheme: self.scheme_summary(scheme) for scheme in self.schemes()
-        }

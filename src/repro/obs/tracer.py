@@ -18,10 +18,11 @@ When attached, the tracer:
   innermost cause (default: ``host``);
 * tracks **spans** (GCStart/GCEnd, MergeStart/MergeEnd, conversions) and
   computes their simulated duration;
-* fans every event out to the configured sinks, to the built-in
-  :class:`~repro.obs.sinks.AttributionSink` (per-cause time and per-type
-  event counts) and, when attached, to an
-  :class:`~repro.obs.latency.OpLatencyRecorder`.
+* fans every event out to the configured sinks, to its built-in
+  :class:`~repro.obs.tally.RunTotals` (per-cause time and per-type event
+  counts) and, when attached, to an
+  :class:`~repro.obs.latency.OpLatencyRecorder`; those two and any sink
+  that is a :class:`~repro.obs.tally.Cut` also get the channel waits.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
 
 from .events import Cause, EventType, TraceEvent
-from .sinks import AttributionSink, TraceSink
+from .sinks import TraceSink
+from .tally import Cut, RunTotals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .latency import OpLatencyRecorder
@@ -41,7 +43,7 @@ class Tracer:
 
     Args:
         sinks: Extra sinks (JSONL writer, ring buffer, time-series
-            collector, ...).  The attribution aggregator is built in.
+            collector, ...).  The run totals are built in.
         latency: Optional :class:`~repro.obs.latency.OpLatencyRecorder`;
             when attached, every event is folded into the per-op cause
             decomposition and the simulator's fences / queue delays are
@@ -54,15 +56,12 @@ class Tracer:
         latency: Optional["OpLatencyRecorder"] = None,
     ):
         self.sinks: List[TraceSink] = list(sinks)
-        # Sinks opting into channel-wait samples (multi-channel devices
-        # only emit them when striping is active) declare a
-        # ``channel_wait(scheme, ts, wait_us)`` method; resolved once so
-        # the per-op fan-out is a plain list walk.
-        self._wait_sinks = [
-            sink for sink in self.sinks if hasattr(sink, "channel_wait")
-        ]
-        self.attribution = AttributionSink()
+        self.attribution = RunTotals()
         self.latency = latency
+        # The built-in cuts of the fold; a windowed one may be a sink.
+        self._cuts: List[Cut] = [self.attribution]
+        if latency is not None:
+            self._cuts.append(latency)
         self.clock = 0.0
         self.scheme = ""
         self.enabled = True
@@ -143,9 +142,8 @@ class Tracer:
             extra=extra,
         )
         self.events_emitted += 1
-        self.attribution.emit(event)
-        if self.latency is not None:
-            self.latency.observe(event)
+        for cut in self._cuts:
+            cut.emit(event)
         for sink in self.sinks:
             sink.emit(event)
 
@@ -202,15 +200,16 @@ class Tracer:
         stripe imbalance.  Like queueing it sits
         *outside* the per-op service decomposition (the op's traced
         ``dur_us`` is its marginal makespan contribution, which already
-        absorbs the wait), so it lands in its own recorder bucket and
-        window counter rather than a cause bucket.
+        absorbs the wait), so every cut's tally keeps it beside the cause
+        cells rather than in one.
         """
         if not self.enabled:
             return
-        if self.latency is not None:
-            self.latency.note_channel_wait(self.scheme, wait_us)
-        for sink in self._wait_sinks:
-            sink.channel_wait(self.scheme, self.clock, wait_us)
+        for cut in self._cuts:
+            cut.wait(self.scheme, self.clock, wait_us)
+        for sink in self.sinks:
+            if isinstance(sink, Cut):
+                sink.wait(self.scheme, self.clock, wait_us)
 
     # ------------------------------------------------------------------
     # Spans (GC / merge / convert)

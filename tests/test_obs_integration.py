@@ -15,8 +15,6 @@ import pytest
 from repro.analysis import (
     attribute_trace,
     attribution_rows,
-    cause_shares,
-    housekeeping_share,
     read_trace,
 )
 from repro.obs import (
@@ -94,7 +92,7 @@ class TestEventStreamWellFormed:
 
     def test_gc_flash_ops_attributed_to_gc(self):
         _, events, tracer = traced_run("ideal")
-        by_cause = tracer.attribution.time_by_cause["ideal"]
+        by_cause = tracer.attribution.tally("ideal").by_cause()
         assert by_cause.get("gc", 0.0) > 0.0  # steady-state GC ran
         # ... and the raw events agree: ops inside GC spans carry gc
         depth = 0
@@ -170,12 +168,15 @@ class TestSchemeSignatures:
         trace = heavy_random_writes()
         compare_schemes(trace, schemes=("BAST", "LazyFTL"),
                         device=SMALL_DEVICE, tracer=tracer)
-        sink = tracer.attribution
-        assert housekeeping_share(sink, "BAST") > \
-            housekeeping_share(sink, "LazyFTL")
-        shares = cause_shares(sink, "LazyFTL")
-        assert shares["merge"] == 0.0
-        assert sum(shares.values()) == pytest.approx(1.0)
+        def housekeeping_share(scheme):
+            summary = tracer.attribution.scheme_summary(scheme)
+            by_cause = summary["time_by_cause_us"]
+            return 1.0 - by_cause.get("host", 0.0) / summary["total_us"]
+
+        assert housekeeping_share("BAST") > housekeeping_share("LazyFTL")
+        lazy = tracer.attribution.scheme_summary("LazyFTL")
+        assert lazy["time_by_cause_us"].get("merge", 0.0) == 0.0
+        assert sum(lazy["time_by_cause_us"].values()) == lazy["total_us"]
 
 
 class TestJsonlRoundTrip:

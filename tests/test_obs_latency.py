@@ -7,11 +7,8 @@ import math
 import pytest
 
 from repro.obs import Cause, EventType, TraceEvent
-from repro.obs.latency import (
-    BUCKETS,
-    OpLatencyRecorder,
-    bucket_of,
-)
+from repro.obs.latency import OpLatencyRecorder
+from repro.obs.tally import BUCKETS, bucket_of
 
 pytestmark = pytest.mark.obs
 
@@ -61,9 +58,9 @@ class TestBucketOf:
 class TestOpLatencyRecorder:
     def test_exact_decomposition(self):
         rec = OpLatencyRecorder()
-        rec.observe(_flash(EventType.PAGE_READ, Cause.MAPPING, 25.0))
-        rec.observe(_flash(EventType.PAGE_PROGRAM, Cause.HOST, 200.0))
-        rec.observe(_host(EventType.HOST_WRITE, 225.0))
+        rec.emit(_flash(EventType.PAGE_READ, Cause.MAPPING, 25.0))
+        rec.emit(_flash(EventType.PAGE_PROGRAM, Cause.HOST, 200.0))
+        rec.emit(_host(EventType.HOST_WRITE, 225.0))
         last = rec.last_op
         assert last.op_class == "write"
         assert last.parts == {
@@ -78,8 +75,8 @@ class TestOpLatencyRecorder:
 
     def test_positive_residual_is_unattributed_not_violation(self):
         rec = OpLatencyRecorder()
-        rec.observe(_flash(EventType.PAGE_READ, Cause.HOST, 50.0))
-        rec.observe(_host(EventType.HOST_READ, 80.0))
+        rec.emit(_flash(EventType.PAGE_READ, Cause.HOST, 50.0))
+        rec.emit(_host(EventType.HOST_READ, 80.0))
         last = rec.last_op
         assert last.unattributed_us == pytest.approx(30.0)
         assert last.parts_total() == pytest.approx(80.0)
@@ -91,24 +88,24 @@ class TestOpLatencyRecorder:
 
     def test_negative_residual_counts_as_violation(self):
         rec = OpLatencyRecorder()
-        rec.observe(_flash(EventType.PAGE_PROGRAM, Cause.GC, 500.0))
-        rec.observe(_host(EventType.HOST_WRITE, 200.0))
+        rec.emit(_flash(EventType.PAGE_PROGRAM, Cause.GC, 500.0))
+        rec.emit(_host(EventType.HOST_WRITE, 200.0))
         verdict = rec.invariants()["X"]
         assert verdict["violations"] == 1
         assert verdict["max_residual_us"] == pytest.approx(300.0)
 
     def test_float_dust_within_tolerance_is_not_violation(self):
         rec = OpLatencyRecorder()
-        rec.observe(_flash(EventType.PAGE_READ, Cause.HOST, 25.0))
-        rec.observe(_host(EventType.HOST_READ, 25.0 - 1e-7))
+        rec.emit(_flash(EventType.PAGE_READ, Cause.HOST, 25.0))
+        rec.emit(_host(EventType.HOST_READ, 25.0 - 1e-7))
         assert rec.invariants()["X"]["violations"] == 0
 
     def test_fence_keeps_idle_work_out_of_next_op(self):
         rec = OpLatencyRecorder()
-        rec.observe(_flash(EventType.PAGE_PROGRAM, Cause.GC, 400.0))
+        rec.emit(_flash(EventType.PAGE_PROGRAM, Cause.GC, 400.0))
         rec.fence("X")
-        rec.observe(_flash(EventType.PAGE_READ, Cause.HOST, 25.0))
-        rec.observe(_host(EventType.HOST_READ, 25.0))
+        rec.emit(_flash(EventType.PAGE_READ, Cause.HOST, 25.0))
+        rec.emit(_host(EventType.HOST_READ, 25.0))
         last = rec.last_op
         assert last.parts == {"device_read": 25.0}
         assert rec.invariants()["X"]["violations"] == 0
@@ -117,13 +114,13 @@ class TestOpLatencyRecorder:
 
     def test_scheme_switch_fences_pending(self):
         rec = OpLatencyRecorder()
-        rec.observe(_flash(EventType.PAGE_PROGRAM, Cause.GC, 100.0,
+        rec.emit(_flash(EventType.PAGE_PROGRAM, Cause.GC, 100.0,
                            scheme="A"))
         # Scheme B starts before A completed a host op: A's pending time
         # must not leak into B's first op.
-        rec.observe(_flash(EventType.PAGE_READ, Cause.HOST, 25.0,
+        rec.emit(_flash(EventType.PAGE_READ, Cause.HOST, 25.0,
                            scheme="B"))
-        rec.observe(_host(EventType.HOST_READ, 25.0, scheme="B"))
+        rec.emit(_host(EventType.HOST_READ, 25.0, scheme="B"))
         assert rec.last_op.parts == {"device_read": 25.0}
         assert rec.scheme_summary("A")["outside_us"] == {"gc": 100.0}
         assert rec.schemes() == ["A", "B"]
@@ -131,8 +128,8 @@ class TestOpLatencyRecorder:
     def test_queueing_is_outside_the_service_invariant(self):
         rec = OpLatencyRecorder()
         rec.note_queue_delay("X", True, 500.0)
-        rec.observe(_flash(EventType.PAGE_PROGRAM, Cause.HOST, 200.0))
-        rec.observe(_host(EventType.HOST_WRITE, 200.0))
+        rec.emit(_flash(EventType.PAGE_PROGRAM, Cause.HOST, 200.0))
+        rec.emit(_host(EventType.HOST_WRITE, 200.0))
         summary = rec.scheme_summary("X")
         write = summary["classes"]["write"]
         assert write["queueing_us"] == pytest.approx(500.0)
@@ -141,7 +138,7 @@ class TestOpLatencyRecorder:
 
     def test_trim_class_tracked(self):
         rec = OpLatencyRecorder()
-        rec.observe(_host(EventType.HOST_TRIM, 0.0))
+        rec.emit(_host(EventType.HOST_TRIM, 0.0))
         summary = rec.scheme_summary("X")
         assert summary["classes"]["trim"]["count"] == 1
         # Zero-latency ops are fully attributed by definition.
@@ -151,8 +148,8 @@ class TestOpLatencyRecorder:
         rec = OpLatencyRecorder()
         for i in range(20):
             dur = 100.0 + i
-            rec.observe(_flash(EventType.PAGE_PROGRAM, Cause.HOST, dur))
-            rec.observe(_host(EventType.HOST_WRITE, dur))
+            rec.emit(_flash(EventType.PAGE_PROGRAM, Cause.HOST, dur))
+            rec.emit(_host(EventType.HOST_WRITE, dur))
         overall = rec.scheme_summary("X")["classes"]["overall"]
         slowest = overall["slowest"]
         assert len(slowest) == 12  # TOP_K
@@ -164,8 +161,8 @@ class TestOpLatencyRecorder:
 
     def test_as_dict_covers_all_schemes(self):
         rec = OpLatencyRecorder()
-        rec.observe(_host(EventType.HOST_READ, 0.0, scheme="A"))
-        rec.observe(_host(EventType.HOST_READ, 0.0, scheme="B"))
+        rec.emit(_host(EventType.HOST_READ, 0.0, scheme="A"))
+        rec.emit(_host(EventType.HOST_READ, 0.0, scheme="B"))
         assert sorted(rec.as_dict()) == ["A", "B"]
 
     def test_quantiles_are_exact_nearest_rank(self):
@@ -175,7 +172,7 @@ class TestOpLatencyRecorder:
         durations = durations[1::2] + durations[::2]  # not in sorted order
         rec = OpLatencyRecorder()
         for dur in durations:
-            rec.observe(_host(EventType.HOST_WRITE, dur))
+            rec.emit(_host(EventType.HOST_WRITE, dur))
         write = rec.scheme_summary("X")["classes"]["write"]
         ranked = sorted(durations)
         for key, q in (("p50_us", 0.5), ("p99_us", 0.99),

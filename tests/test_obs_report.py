@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from dataclasses import replace
+
 from repro.ftl import FtlStats
-from repro.obs import OpLatencyRecorder, Tracer
+from repro.obs import Cause, EventType, OpLatencyRecorder, Tracer
 from repro.obs.report import (
     SNAPSHOT_SCHEMA,
     build_snapshot,
@@ -18,7 +20,8 @@ from repro.obs.report import (
     sparkline,
     validate_snapshot,
 )
-from repro.sim import DeviceSpec
+from repro.obs.series import SeriesCollector
+from repro.sim import DeviceSpec, run_scheme
 from repro.traces.synthetic import uniform_random
 
 pytestmark = pytest.mark.obs
@@ -32,10 +35,9 @@ def lazy_snapshot():
     trace = uniform_random(
         1500, int(DEVICE.logical_pages * 0.8), write_ratio=0.7, seed=11,
     )
-    snapshot, result, tracer = collect_report(
+    return collect_report(
         "LazyFTL", trace, device=DEVICE, ring_capacity=128,
     )
-    return snapshot, result, tracer
 
 
 class TestSparkline:
@@ -97,9 +99,9 @@ class TestSnapshot:
                        for e in validate_snapshot(broken))
 
     def test_events_dropped_recorded(self, lazy_snapshot):
-        snapshot, _, tracer = lazy_snapshot
-        assert snapshot["events_dropped"] == tracer.ring.dropped
-        assert snapshot["events_emitted"] == tracer.events_emitted
+        snapshot, _, ring = lazy_snapshot
+        assert snapshot["events_dropped"] == ring.dropped > 0
+        assert snapshot["events_emitted"] == ring.events_seen
         assert snapshot["events_emitted"] > 0
 
 
@@ -193,3 +195,78 @@ class TestCollectReport:
         assert series["windows"], "a measured run must produce windows"
         total_host_ops = sum(w["host_ops"] for w in series["windows"])
         assert total_host_ops == result.requests
+
+
+#: Series window fields and the event type each counts.
+_WINDOW_COUNTS = (
+    ("host_reads", EventType.HOST_READ),
+    ("host_writes", EventType.HOST_WRITE),
+    ("host_trims", EventType.HOST_TRIM),
+    ("page_reads", EventType.PAGE_READ),
+    ("page_programs", EventType.PAGE_PROGRAM),
+    ("block_erases", EventType.BLOCK_ERASE),
+    ("map_reads", EventType.MAP_READ),
+    ("map_writes", EventType.MAP_WRITE),
+    ("gc_runs", EventType.GC_START),
+    ("converts", EventType.CONVERT),
+)
+
+
+class TestOneFold:
+    """The run totals, the series windows and the per-op parts are cuts
+    of one fold: summed over their cuts, the three agree on flash time,
+    event counts and channel wait."""
+
+    @pytest.mark.parametrize("channels", [1, 4], ids=["1x1x1", "4x1x1"])
+    @pytest.mark.parametrize("scheme", ["LazyFTL", "DFTL", "FAST"])
+    def test_run_windows_and_ops_agree(self, scheme, channels):
+        device = replace(DEVICE, channels=channels)
+        trace = uniform_random(
+            1500, int(device.logical_pages * 0.8), write_ratio=0.7, seed=11,
+        )
+        recorder = OpLatencyRecorder()
+        series = SeriesCollector(window_us=20_000.0, capacity=10_000)
+        tracer = Tracer(sinks=[series], latency=recorder)
+        run_scheme(scheme, trace, device=device, precondition="steady",
+                   tracer=tracer)
+        run = tracer.attribution.tally(scheme)
+        windows = series.windows(scheme)
+        assert series.windows_dropped(scheme) == 0 and len(windows) > 1
+        latency = recorder.scheme_summary(scheme)
+        classes = latency["classes"]
+
+        # flash time per cause: run == sum over windows
+        for cause, spent in run.by_cause().items():
+            assert sum(
+                w["flash_time_us"] * w["stall_fractions"].get(cause, 0.0)
+                for w in windows
+            ) == pytest.approx(spent), cause
+        # ... per bucket: run == per-op parts + fenced-off time
+        for bucket, spent in run.by_bucket().items():
+            per_op = sum(entry["by_cause_us"].get(bucket, 0.0)
+                         for op_class, entry in classes.items()
+                         if op_class != "overall")
+            outside = latency["outside_us"].get(bucket, 0.0)
+            assert per_op + outside == pytest.approx(spent, abs=0.01), \
+                bucket
+
+        # event counts per type
+        counts = run.counts()
+        for key, event_type in _WINDOW_COUNTS:
+            assert sum(w[key] for w in windows) == \
+                counts.get(event_type, 0), key
+        assert sum(w["gc_debt_pages"] for w in windows) == run.count(
+            EventType.PAGE_PROGRAM, Cause.GC, Cause.MERGE)
+        for op_class, event_type in (("read", EventType.HOST_READ),
+                                     ("write", EventType.HOST_WRITE)):
+            assert classes[op_class]["count"] == counts[event_type]
+
+        # channel wait: nonzero only on the striped device
+        overall = classes["overall"]
+        wait = latency["channel_wait"]
+        assert (run.wait_us > 0) == (channels > 1)
+        assert sum(w["channel_wait_us"] for w in windows) == \
+            pytest.approx(run.wait_us, abs=1e-3 * len(windows))
+        assert overall["channel_wait_us"] + wait["outside_us"] == \
+            pytest.approx(run.wait_us, abs=0.01)
+        assert wait["total_us"] == pytest.approx(run.wait_us, abs=0.01)

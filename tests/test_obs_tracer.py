@@ -94,7 +94,7 @@ class TestTracerEmission:
         assert (first.ts, first.cause) == (100.0, Cause.GC)
         assert (second.ts, second.cause) == (125.0, Cause.HOST)
         assert tracer.clock == 325.0
-        assert tracer.attribution.total_us("X") == 225.0
+        assert tracer.attribution.scheme_summary("X")["total_us"] == 225.0
 
     def test_suspend_mutes_events_but_keeps_clock(self):
         ring = RingBufferSink()
@@ -118,7 +118,7 @@ class TestTracerEmission:
         assert end.type is EventType.GC_END
         assert end.dur_us == 1525.0
         # the inner flash ops were attributed to gc
-        assert tracer.attribution.time_by_cause["X"] == {"gc": 1525.0}
+        assert tracer.attribution.tally("X").by_cause() == {"gc": 1525.0}
 
     def test_begin_run_resets_state(self):
         tracer = Tracer()
@@ -137,11 +137,13 @@ class TestTracerEmission:
         tracer.flash_op(EventType.PAGE_READ, ppn=0, dur_us=25.0)
         tracer.begin_run("Y")
         tracer.host_op(True, lpn=1, dur_us=200.0)
-        assert tracer.attribution.counts == {
+        totals = tracer.attribution
+        assert {s: totals.tally(s).counts() for s in totals.schemes()} == {
             "X": {"HostWrite": 1, "HostRead": 1, "PageRead": 1},
             "Y": {"HostWrite": 1},
         }
-        assert tracer.attribution.time_by_cause == {"X": {"host": 25.0}}
+        assert totals.tally("X").by_cause() == {"host": 25.0}
+        assert totals.tally("Y").by_cause() == {}
 
 
 class TestJsonlSink:

@@ -178,25 +178,29 @@ def step_report(config: dict) -> bool:
     and validate the snapshot schema (monotone quantiles, attribution
     fractions, series windows) with ``tools/check_trace_schema.py``.
     Runs under --sanitize so the latency-decomposition invariant is part
-    of the flashsan audit."""
+    of the flashsan audit, serial and 4-channel: channel waits, which
+    every cut of the event fold carries, are nonzero only on the
+    striped device."""
     with tempfile.TemporaryDirectory(prefix="check_all_") as tmp:
-        snapshot_path = str(pathlib.Path(tmp) / "report.json")
-        rendered = run_step("report:render", [
-            sys.executable, "-m", "repro", "report",
-            "--trace", "random",
-            "--requests", str(config["report_requests"]),
-            "--blocks", "96", "--pages-per-block", "16",
-            "--page-size", "512", "--logical-fraction", "0.7",
-            "--sanitize",
-            "--snapshot", snapshot_path,
-        ])
-        if not rendered:
-            return False
-        return run_step("report:schema", [
-            sys.executable,
-            str(_REPO_ROOT / "tools" / "check_trace_schema.py"),
-            snapshot_path,
-        ])
+        for geometry in ("1x1x1", "4x1x1"):
+            snapshot_path = str(pathlib.Path(tmp) / f"report-{geometry}.json")
+            rendered = run_step(f"report:render:{geometry}", [
+                sys.executable, "-m", "repro", "report",
+                "--trace", "random",
+                "--requests", str(config["report_requests"]),
+                "--blocks", "96", "--pages-per-block", "16",
+                "--page-size", "512", "--logical-fraction", "0.7",
+                "--geometry", geometry,
+                "--sanitize",
+                "--snapshot", snapshot_path,
+            ])
+            if not rendered or not run_step(f"report:schema:{geometry}", [
+                sys.executable,
+                str(_REPO_ROOT / "tools" / "check_trace_schema.py"),
+                snapshot_path,
+            ]):
+                return False
+        return True
 
 
 def step_ftlbench(config: dict) -> bool:
