@@ -15,6 +15,9 @@ the clock charge and an ``if tracer is not None`` emit - and it is the only
 place that operation's semantics are written down.  A refusal that enforces
 a NAND rule names it (:attr:`~repro.flash.errors.FlashError.rule`); the
 flashsan sanitizer calls the op through ``super()`` and reports that name.
+The map events are stated here too: a read or program of a page whose OOB
+kind is ``MAPPING`` emits ``MapRead`` / ``MapWrite`` (``lpn`` = its tvpn)
+right after its ``PageRead`` / ``PageProgram``, so no FTL writes them.
 
 Every operation returns its latency in microseconds; FTLs sum these into the
 service time of the host request they are working on.
@@ -58,10 +61,11 @@ overrides apply.
 ==================  ===================  ==================================
 run op              n calls of           bulk path needs
 ==================  ===================  ==================================
-``program_run``     ``read_page`` of     :meth:`NandFlash.takes_runs`; every
-                    ``reads[i]`` (if     read programmed; per good block,
-                    any), then           its pages contiguous from its
-                    ``program_page``     write pointer, every one FREE
+``program_run``     ``read_page`` of     :meth:`NandFlash.takes_runs`; no
+                    ``reads[i]`` (if     tracer; every read programmed;
+                    any), then           per good block, its pages
+                    ``program_page``     contiguous from its write
+                                         pointer, every one FREE
 ``invalidate_run``  ``invalidate_page``  :meth:`NandFlash.takes_runs`; then
                                          per page: in range and VALID
 ==================  ===================  ==================================
@@ -70,18 +74,21 @@ A bulk path charges the unit clocks in the scalar op order, in one loop
 (:meth:`NandFlash._charge_run`): a channel wait reads the least-busy clock
 at each op, so ``program_run`` is told the read before each program.
 :meth:`NandFlash.takes_runs` is the one place the device-wide conditions
-are written: powered, no armed fault (the trip point is a page), no tracer
-(it must see per-op events in order), no ``serialize_timing`` (the
-property-test lever keeps the scalar ops) and integer-valued latencies (a
-caller that moves by run sums a run's latencies in another association;
-integer-valued floats add exactly in any order).  The run ops here ask
-it and take the scalar op order whenever it says no; the sanitizer always
-says no, so every page of a run gets its per-op audit.
+are written: powered, no armed fault (the trip point is a page), no
+``serialize_timing`` (the property-test lever keeps the scalar ops) and
+integer-valued latencies (a caller that moves by run sums a run's
+latencies in another association; integer-valued floats add exactly in
+any order).  The run ops here ask it and take the scalar op order
+whenever it says no; the sanitizer always says no, so every page of a
+run gets its per-op audit.  A tracer is no device-wide condition:
+``program_run`` alone serves a traced run with the scalar ops, since the
+tracer must see each op's events in order (:meth:`NandFlash._run_ways`).
 :func:`repro.ftl.stripe.relocate` and
 :meth:`repro.ftl.mapping.MappingStore.commit` ask it once per pass only
 to size their runs - one page when it says no, the same code either way,
-so a traced, faulted or sanitized pass runs what the benchmark runs -
-and ``repro.perf.batch.engine_for`` asks it for replay epochs.
+so a faulted or sanitized pass runs what the benchmark runs, and a
+traced one plans the very same runs - and ``repro.perf.batch.engine_for``
+asks it for replay epochs.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ from .errors import (
 )
 from .fault import PowerFault
 from .geometry import FlashGeometry
-from .oob import OOBData
+from .oob import OOBData, PageKind
 from .page import FREE, INVALID, VALID, PageState
 from .stats import FlashStats
 from .timing import SLC_TIMING, TimingModel
@@ -300,6 +307,9 @@ class NandFlash:
             latency = self._charge(ppn // self._ppb % self._units, latency)
         if self.tracer is not None:
             self.tracer.flash_op(EventType.PAGE_READ, ppn, latency)
+            oob = self.page_oob[ppn]
+            if oob is not None and oob.kind is PageKind.MAPPING:
+                self.tracer.emit(EventType.MAP_READ, lpn=oob.lpn, ppn=ppn)
         return self.page_data[ppn], self.page_oob[ppn], latency
 
     def probe_page(self, ppn: int) -> Tuple[Optional[OOBData], float]:
@@ -377,10 +387,10 @@ class NandFlash:
         if self._units > 1:
             latency = self._charge(pbn % self._units, latency)
         if self.tracer is not None:
-            self.tracer.flash_op(
-                EventType.PAGE_PROGRAM, ppn, latency,
-                lpn=oob.lpn if oob is not None else None,
-            )
+            lpn = oob.lpn if oob is not None else None
+            self.tracer.flash_op(EventType.PAGE_PROGRAM, ppn, latency, lpn=lpn)
+            if oob is not None and oob.kind is PageKind.MAPPING:
+                self.tracer.emit(EventType.MAP_WRITE, lpn=lpn, ppn=ppn)
         return latency
 
     def takes_runs(self) -> bool:
@@ -388,15 +398,14 @@ class NandFlash:
         longer than one page?
 
         The one statement of the device-wide conditions (module docstring,
-        "Run ops"); read-only.  Tracers attach and faults arm at any time,
-        so the answer is asked when needed (by GC relocation and the GMT
-        commit once per pass), never cached.
+        "Run ops"); read-only.  Faults arm at any time, so the answer is
+        asked when needed (by GC relocation and the GMT commit once per
+        pass), never cached.
         """
         timing = self.timing
         return (
             self._powered
             and self.fault._remaining is None
-            and self.tracer is None
             and not self.serialize_timing
             and float(timing.page_read_us).is_integer()
             and float(timing.page_program_us).is_integer()
@@ -462,9 +471,11 @@ class NandFlash:
         else 0: block *j* of *L* gets pages *j*, *j* + *L*, ..."""
         n = len(ppns)
         states = self.page_states
-        if not (n and self.takes_runs() and (not srcs or (
-                min(srcs) >= 0 and max(srcs) < self._total_pages
-                and all(map(states.__getitem__, srcs))))):
+        # A tracer must see per-op events in order: the scalar ops.
+        if not (n and self.tracer is None and self.takes_runs()):
+            return 0
+        if srcs and not (min(srcs) >= 0 and max(srcs) < self._total_pages
+                         and all(map(states.__getitem__, srcs))):
             return 0
         ppb = self._ppb
         ways = 1

@@ -145,17 +145,15 @@ class MappingStore:
         """The one flash read of a translation page: ``(content, latency)``
         without copying, ``(None, 0.0)`` if the page was never written.
 
-        The events carry the caller's cause: a host lookup scopes it to
-        ``mapping``, commits and GC keep their own.
+        The device's events (``PageRead``, then ``MapRead``) carry the
+        caller's cause: a host lookup scopes it to ``mapping``, commits
+        and GC keep their own.
         """
         tppn = self.gtd.raw[tvpn]
         if tppn < 0:
             return None, 0.0
         content, _, latency = self.flash.read_page(tppn)
         self.stats.map_reads += 1
-        tracer = self.flash.tracer
-        if tracer is not None:
-            tracer.emit(EventType.MAP_READ, lpn=tvpn, ppn=tppn)
         return content, latency
 
     def fetch(
@@ -283,9 +281,6 @@ class MappingStore:
         latency = flash.program_run(dsts, contents, run_oobs(
             run, self.seq.take(n), PageKind.MAPPING, False), reads)
         stats.map_writes += n
-        tracer = flash.tracer
-        if tracer is not None:  # one-page runs: after their program
-            tracer.emit(EventType.MAP_WRITE, lpn=run[0], ppn=dsts[0])
         flash.invalidate_run(stale)
         self.gtd.set_many(zip(run, dsts))
         return latency
@@ -301,9 +296,6 @@ class MappingStore:
             make_oob((tvpn, self.seq.next(), PageKind.MAPPING, False)),
         )
         self.stats.map_writes += 1
-        tracer = flash.tracer
-        if tracer is not None:
-            tracer.emit(EventType.MAP_WRITE, lpn=tvpn, ppn=ppn)
         old = self.gtd.get(tvpn)
         if old is not None:
             flash.invalidate_page(old)

@@ -30,7 +30,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.oob import PageKind, SequenceCounter, run_oobs
-from ..obs.events import EventType
 from .pool import BlockPool
 from .stats import FtlStats
 
@@ -273,7 +272,7 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
     (:meth:`~repro.flash.chip.NandFlash.takes_runs`) gets one-page runs,
     which its run ops serve with the scalar ops.  A ``MAPPING`` copy is
     also a map read and a map write - the one map write that is a GC copy
-    (``map_gc_copies``).
+    (``map_gc_copies``); the device emits their events.
     """
     latency = 0.0
     more = flash.geometry.pages_per_block if flash.takes_runs() else 0
@@ -281,7 +280,6 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
     page_oob = flash.page_oob
     read_page = flash.read_page
     mapping = kind is PageKind.MAPPING
-    tracer = flash.tracer if mapping else None
     srcs = iter(srcs)
     for src in srcs:
         data, oob, read_lat = read_page(src)
@@ -289,8 +287,6 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
         lpn = oob.lpn
         if mapping:
             stats.map_reads += 1
-            if tracer is not None:
-                tracer.emit(EventType.MAP_READ, lpn=lpn, ppn=src)
         room_lat, pbn = destination(frontier)
         latency += room_lat
         plan = frontier.run_plan(pbn, more)
@@ -306,8 +302,6 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
             stats.map_reads += n - 1
             stats.map_writes += n
             stats.map_gc_copies += n
-            if tracer is not None:  # one-page runs: after their program
-                tracer.emit(EventType.MAP_WRITE, lpn=lpn, ppn=dsts[0])
         record_run(zip(lpns, dsts))
         flash.invalidate_run([src, *rest])
         stats.gc_page_copies += n

@@ -36,7 +36,13 @@ class Cause(str, Enum):
 
 
 class EventType(str, Enum):
-    """The event taxonomy (see docs/INTERNALS.md, "Observability")."""
+    """The event taxonomy (see docs/INTERNALS.md, "Observability").
+
+    ``MapRead`` / ``MapWrite`` are emitted by the flash device alone,
+    right after the ``PageRead`` / ``PageProgram`` of a page whose OOB
+    kind is ``MAPPING``, with that OOB's ``lpn`` (the tvpn): every
+    translation-page read or write is marked once, whoever issued it.
+    """
 
     HOST_READ = "HostRead"        #: one page-granular host read, at completion
     HOST_WRITE = "HostWrite"      #: one page-granular host write, at completion

@@ -120,14 +120,14 @@ def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:
     :class:`~repro.core.lazyftl.LazyFTL` (a subclass may override
     read/write and silently diverge from the bulk executor), a flash
     subclass (the sanitizer audits every raw op; epochs count reads in
-    bulk), a tracer on the FTL, a device with more than one parallel unit
-    (an epoch is one run on the block ``Frontier.peek`` names, timed on
-    one clock; the striped UBA rotates over several), or a device that
-    takes no runs (:meth:`~repro.flash.chip.NandFlash.takes_runs` - the
-    one statement of: powered, no armed fault since the trip point must
-    be a per-request boundary, no tracer since it must see per-op events,
-    integer-valued latencies since bulk ``n * latency`` must be
-    bit-exact).
+    bulk), a tracer on the FTL (it must see per-op events), a device
+    with more than one parallel unit (an epoch is one run on the block
+    ``Frontier.peek`` names, timed on one clock; the striped UBA rotates
+    over several), or a device that takes no runs
+    (:meth:`~repro.flash.chip.NandFlash.takes_runs` - the one statement
+    of: powered, no armed fault since the trip point must be a
+    per-request boundary, integer-valued latencies since bulk
+    ``n * latency`` must be bit-exact).
     """
     if type(ftl) is not LazyFTL:
         return None

@@ -2,6 +2,7 @@
 survival of acknowledged writes."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 
@@ -10,9 +11,13 @@ from repro.core.recovery import CheckpointError, CheckpointScribe
 from repro.flash import (
     FlashGeometry,
     NandFlash,
+    PageKind,
     PowerLossError,
     UNIT_TIMING,
 )
+from repro.obs.events import Cause, EventType
+from repro.obs.sinks import RingBufferSink
+from repro.obs.tracer import Tracer
 
 CONFIG = LazyConfig(uba_blocks=4, cba_blocks=2, gc_free_threshold=3)
 LOGICAL = 96
@@ -161,6 +166,40 @@ class TestRecoveryBasics:
         _, with_ckpt = recover(ftl.flash, LOGICAL, CONFIG)
         assert with_ckpt.blocks_fully_scanned < ftl.flash.geometry.num_blocks
         assert with_ckpt.blocks_probed > 0
+
+    def test_traced_recovery_reports_each_gmt_read(self):
+        """Each GMT page recovery reads is one ``MapRead`` under the
+        recovery cause; tracing moves no counter and no report field."""
+        recoveries = []
+        for traced in (False, True):
+            ftl = make_lazy()
+            rng = random.Random(6)
+            for i in range(1500):
+                ftl.write(rng.randrange(LOGICAL), i)
+            ftl.checkpoint()
+            for i in range(60):
+                ftl.write(rng.randrange(LOGICAL), (i, "post"))
+            ftl.flash.power_off()
+            ring = RingBufferSink()
+            if traced:
+                ftl.flash.tracer = Tracer([ring])
+            gmt_reads = []
+            real = NandFlash.read_page
+
+            def read_page(flash, ppn):
+                if flash.page_oob[ppn].kind is PageKind.MAPPING:
+                    gmt_reads.append(ppn)
+                return real(flash, ppn)
+
+            with patch.object(NandFlash, "read_page", read_page):
+                recovered, report = recover(ftl.flash, LOGICAL, CONFIG)
+            recoveries.append((recovered.stats.as_dict(), report))
+        assert ring.dropped == 0
+        maps = [event for event in ring.events
+                if event.type is EventType.MAP_READ]
+        assert gmt_reads and [event.ppn for event in maps] == gmt_reads
+        assert {event.cause for event in maps} == {Cause.RECOVERY}
+        assert recoveries[0] == recoveries[1]
 
 
 class TestPowerLossEndToEnd:

@@ -281,8 +281,8 @@ class TestRunLimit:
     def test_device_refusing_runs_is_one_and_is_never_cached(self):
         flash, _, frontier, _ = make(blocks=32)
         assert relocated(flash, frontier) == [PAGES]
-        flash.tracer = Tracer()
-        assert relocated(flash, frontier) == [1] * PAGES
+        flash.tracer = Tracer()  # a tracer sizes nothing
+        assert relocated(flash, frontier) == [PAGES]
         flash.tracer = None
         flash.fault.arm_after_programs(10 ** 12)
         assert relocated(flash, frontier) == [1] * PAGES

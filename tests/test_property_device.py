@@ -21,6 +21,7 @@ from repro.flash import (
     TimingModel,
 )
 from repro.ftl.last import LastFTL
+from repro.obs.tracer import Tracer
 
 LOGICAL = 48
 SLOW = settings(deadline=None, max_examples=25,
@@ -164,6 +165,9 @@ DEVICES = {
     "sanitized": lambda timing, seq: SanitizedNandFlash(
         FlashGeometry(BLOCKS, PPB, 512), timing,
         enforce_sequential=seq),
+    "traced": lambda timing, seq: traced(NandFlash(
+        FlashGeometry(BLOCKS, PPB, 512, channels=4), timing,
+        enforce_sequential=seq)),
 }
 
 # Addresses reach one past either end of the device so range errors are
@@ -285,6 +289,11 @@ def serialized(flash):
     return flash
 
 
+def traced(flash):
+    flash.tracer = Tracer()
+    return flash
+
+
 def check_counters(flash):
     for pbn in range(BLOCKS):
         states = flash.page_states[pbn * PPB:(pbn + 1) * PPB]
@@ -320,14 +329,21 @@ def test_bulk_run_is_n_scalar_programs(device, timing, sequential, script,
 
 def test_the_bulk_paths_are_taken_and_refused():
     """The fuzz above is vacuous if the serial integer-timing device never
-    leaves the per-page calls - or if a refusing device ever does."""
-    for device, timing, bulk_expected in [
-        ("serial", "integer", True), ("serial", "fractional", False),
-        ("parallel", "integer", True), ("parallel_2x2", "integer", True),
-        ("serialized", "integer", False), ("sanitized", "integer", False),
+    leaves the per-page calls - or if a refusing device ever does.  A
+    traced device takes runs but serves ``program_run`` with the scalar
+    calls: the tracer must see each one's events."""
+    bulk, scalar = (0, 0, 0), (4, 1, 2)
+    for device, timing, runs, expected in [
+        ("serial", "integer", True, bulk),
+        ("serial", "fractional", False, scalar),
+        ("parallel", "integer", True, bulk),
+        ("parallel_2x2", "integer", True, bulk),
+        ("serialized", "integer", False, scalar),
+        ("sanitized", "integer", False, scalar),
+        ("traced", "integer", True, (4, 1, 0)),
     ]:
         flash = DEVICES[device](TIMINGS[timing], True)
-        assert flash.takes_runs() is bulk_expected
+        assert flash.takes_runs() is runs
         with patch.object(NandFlash, "program_page", autospec=True,
                           side_effect=NandFlash.program_page) as program, \
                 patch.object(NandFlash, "read_page", autospec=True,
@@ -338,6 +354,6 @@ def test_the_bulk_paths_are_taken_and_refused():
             flash.program_run(PPB, [3], [None], [2])  # a copy of page 2
             flash.invalidate_run([1, 2])
         calls = (program.call_count, read.call_count, inval.call_count)
-        assert calls == ((0, 0, 0) if bulk_expected else (4, 1, 2))
+        assert calls == expected, device
         assert bytes(flash.page_states[:4]) == bytes((1, 2, 2, 0))
         assert flash.invalidated == {0}

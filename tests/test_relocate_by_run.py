@@ -5,16 +5,19 @@ GC relocation (:func:`repro.ftl.stripe.relocate`) and LazyFTL's GMT commit
 (each page's read charged just before its program) and one bulk invalidate
 per run - on a striped device too, a run rotating over the frontier's open
 blocks.  On a device that takes no runs every run is one page long, and
-the run ops serve it with the scalar op sequence.  Four claims:
+the run ops serve it with the scalar op sequence; a tracer sizes no run,
+but the run ops serve a traced device's runs with the scalar ops too.
+Four claims:
 
 * *differential* - a device that refuses runs for a reason that changes
   nothing else (a power fault armed far beyond the workload) ends a
   fill + steady-overwrite replay in exactly the state of the plain one,
   per-unit busy time and channel wait included, at 1x1x1, 4x1x1 and
-  2x2x1;
+  2x2x1 - and, both traced, in the same event stream, whose ``MapRead``
+  / ``MapWrite`` counts are the FTL's ``map_reads`` / ``map_writes``;
 * *counting* - on the plain and the 4x1x1 device a GC pass and a
   conversion make no per-page program calls, and with a tracer attached
-  they make one-page runs whose scalar calls come in the scalar order;
+  they make the same runs, served by scalar calls in the scalar order;
 * *one path* - the source of ``relocate``, ``commit`` and ``_commit_run``
   names no scalar program or invalidate and branches on no
   ``takes_runs()``, and on the sanitizer's device a GC pass and a
@@ -39,7 +42,9 @@ from repro.flash.page import VALID
 from repro.ftl import DftlFTL, OutOfBlocksError, PageFTL
 from repro.ftl.mapping import MappingStore
 from repro.ftl.stripe import relocate
+from repro.obs.events import EventType
 from repro.obs.tracer import Tracer
+from repro.sim.golden import EventStreamHash
 
 GEOMETRY = FlashGeometry(num_blocks=64, pages_per_block=16, page_size=64)
 #: (channels, dies) of the geometries the differential runs on.
@@ -58,7 +63,8 @@ RAW_OPS = ("read_page", "program_page", "program_run", "invalidate_page",
 SCALAR_OPS = ("read_page", "program_page", "invalidate_page")
 
 
-def build(scheme, refuse_runs=False, stripe="1x1x1", device=NandFlash):
+def build(scheme, refuse_runs=False, stripe="1x1x1", device=NandFlash,
+          traced=False):
     channels, dies = STRIPES[stripe]
     flash = device(FlashGeometry(
         num_blocks=GEOMETRY.num_blocks,
@@ -67,7 +73,10 @@ def build(scheme, refuse_runs=False, stripe="1x1x1", device=NandFlash):
     ), SLC_TIMING)
     if refuse_runs:
         flash.fault.arm_after_programs(10 ** 12)  # never trips
-    return SCHEMES[scheme](flash)
+    ftl = SCHEMES[scheme](flash)
+    if traced:
+        ftl.attach_tracer(Tracer([EventStreamHash()]))
+    return ftl
 
 
 def replay(ftl, overwrites=2500, seed=5):
@@ -179,26 +188,51 @@ def assert_reads_lead_runs(flash, order):
 ])
 class TestByRunIsByPage:
     def test_refusing_runs_changes_nothing(self, scheme, stripe):
+        """The plain device's bulk runs, the same runs traced (served by
+        the scalar ops) and the traced one-page runs of a refusing device
+        end in one state; the two traced ones in one event stream."""
         by_run = build(scheme, stripe=stripe)
-        by_page = build(scheme, refuse_runs=True, stripe=stripe)
+        traced = build(scheme, stripe=stripe, traced=True)
+        by_page = build(scheme, refuse_runs=True, stripe=stripe, traced=True)
+        latencies = []
+        for ftl in (by_run, traced):
+            with counted() as (calls, _, sizes):
+                latencies.append(replay(ftl))
+            assert max(sizes["program_run"]) > 1, \
+                "the plain device never took a run"
         with counted() as (calls, _, sizes):
-            run_latencies = replay(by_run)
-        assert max(sizes["program_run"]) > 1, \
-            "the plain device never took a run"
-        with counted() as (calls, _, sizes):
-            page_latencies = replay(by_page)
+            latencies.append(replay(by_page))
         assert_one_page_runs(calls, sizes)
-        assert run_latencies == page_latencies
+        assert latencies[0] == latencies[1] == latencies[2]
         assert by_run.stats.gc_runs > 100  # GC steady state reached
         want = full_image(by_page)
-        for key, got in full_image(by_run).items():
-            assert got == want[key], key
-        # Per-unit busy time and channel wait: the run ops charged every
-        # unit clock in the scalar op order.
-        assert by_run.flash.parallel_summary() == \
-            by_page.flash.parallel_summary()
+        for ftl in (by_run, traced):
+            for key, got in full_image(ftl).items():
+                assert got == want[key], key
+            # Per-unit busy time and channel wait: the run ops charged
+            # every unit clock in the scalar op order.
+            assert ftl.flash.parallel_summary() == \
+                by_page.flash.parallel_summary()
+        streams = [ftl.tracer.sinks[0] for ftl in (traced, by_page)]
+        assert streams[0].events == streams[1].events > 0
+        assert streams[0].hexdigest() == streams[1].hexdigest()
+        assert traced.tracer.clock == by_page.tracer.clock
         # The never-tripping fault is the only difference between them.
-        assert by_page.flash.fault.armed and not by_run.flash.fault.armed
+        assert by_page.flash.fault.armed and not traced.flash.fault.armed
+
+
+@pytest.mark.parametrize("stripe", ["1x1x1", "4x1x1"])
+@pytest.mark.parametrize("scheme", ["LazyFTL", "DFTL"])
+def test_map_events_are_the_map_counters(scheme, stripe):
+    """The device states each map event; the FTL counts each map op.  In
+    a traced steady replay - host lookups, commits or CMT flushes, and
+    translation-block GC - the two agree."""
+    ftl = build(scheme, stripe=stripe, traced=True)
+    replay(ftl)
+    assert ftl.stats.map_gc_copies > 0
+    tally = ftl.tracer.attribution.tally(ftl.tracer.scheme)
+    assert tally.count(EventType.MAP_READ) == ftl.stats.map_reads
+    assert tally.count(EventType.MAP_WRITE) == ftl.stats.map_writes
 
 
 
@@ -277,9 +311,12 @@ class TestRunsReallyHappen:
         assert calls["read_page"] == calls["program_run"] == \
             len(destinations) <= 2
 
+    @pytest.mark.parametrize("stripe", ["1x1x1", "4x1x1"])
     @pytest.mark.parametrize("scheme", ["ideal", "LazyFTL-map"])
-    def test_a_traced_pass_is_the_scalar_op_sequence(self, scheme):
-        ftl = aged(scheme.split("-")[0], tracer=Tracer())
+    def test_a_traced_pass_moves_by_run(self, scheme, stripe):
+        """A tracer sizes no run: the pass plans the runs an untraced one
+        does, and ``program_run`` serves them with the scalar ops."""
+        ftl = aged(scheme.split("-")[0], tracer=Tracer(), stripe=stripe)
         if scheme == "ideal":
             victim = data_victim(ftl)
         else:
@@ -288,15 +325,24 @@ class TestRunsReallyHappen:
         srcs = ftl.flash.valid_ppns(victim)
         with counted() as (calls, order, sizes):
             ftl._gc.collect(victim)
-        assert_one_page_runs(calls, sizes)
-        assert calls["program_run"] == calls["invalidate_run"] == len(srcs)
-        assert calls["program_page"] == calls["invalidate_page"] == len(srcs)
-        # read src -> program dst -> invalidate src, page by page.
+        assert max(sizes["program_run"]) > 1
+        assert sum(sizes["program_run"]) == calls["program_page"] == len(srcs)
+        assert calls["invalidate_page"] == 0
+        # read src -> program dst, page by page, across the runs.
         scalar = [(name, ppn) for name, ppn in order if name in SCALAR_OPS]
         assert [name for name, _ in scalar] == \
-            ["read_page", "program_page", "invalidate_page"] * len(srcs)
-        assert [ppn for name, ppn in scalar if name != "program_page"] == \
-            [src for src in srcs for _ in range(2)]
+            ["read_page", "program_page"] * len(srcs)
+        assert [ppn for name, ppn in scalar if name == "read_page"] == srcs
+
+    @pytest.mark.parametrize("stripe", ["1x1x1", "4x1x1"])
+    def test_a_traced_conversion_moves_by_run(self, stripe):
+        ftl = aged("LazyFTL", tracer=Tracer(), stripe=stripe)
+        writes = ftl.stats.map_writes
+        with counted() as (calls, order, sizes):
+            ftl._convert_oldest(ftl._uba)
+        assert max(sizes["program_run"]) > 1
+        assert sum(sizes["program_run"]) == calls["program_page"] == \
+            ftl.stats.map_writes - writes
 
     @pytest.mark.parametrize("scheme", ["ideal", "LazyFTL"])
     def test_a_striped_gc_pass_moves_by_run(self, scheme):
@@ -321,16 +367,6 @@ class TestRunsReallyHappen:
         assert calls["program_page"] == 0
         assert calls["program_run"] >= 1
         assert_reads_lead_runs(ftl.flash, order)
-
-    def test_a_traced_striped_pass_is_the_scalar_op_sequence(self):
-        ftl = aged("ideal", tracer=Tracer(), stripe="4x1x1")
-        victim = data_victim(ftl)
-        srcs = ftl.flash.valid_ppns(victim)
-        with counted() as (calls, order, sizes):
-            ftl._gc.collect(victim)
-        assert_one_page_runs(calls, sizes)
-        assert [name for name, _ in order if name in SCALAR_OPS] == \
-            ["read_page", "program_page", "invalidate_page"] * len(srcs)
 
     def test_one_conversion_is_at_most_two_program_runs(self):
         ftl = aged("LazyFTL")

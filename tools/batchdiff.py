@@ -35,7 +35,10 @@ in one-page runs on the other, and LazyFTL's reuse of a held GMT page
 The ``runs`` pair is replayed on a striped device as well (per-unit
 clocks, frontiers rotating over several blocks) - ``4x1x1`` under the
 write-heavy mix, ``2x2x1`` under the multi-page one - where the per-unit
-load and channel wait (``parallel_summary()``) must match too.
+load and channel wait (``parallel_summary()``) must match too.  Each
+pair is replayed traced as well (the ``traced`` columns): a tracer sizes
+no run, so the two event streams (:class:`repro.sim.golden.EventStreamHash`
+digest and count) must match along with the statistics.
 
 Run:  PYTHONPATH=src python tools/batchdiff.py [--requests N]
 Exit status 0 when every digest matches, 1 on the first divergence
@@ -59,10 +62,11 @@ sys.path.insert(
 )
 
 from repro.ftl.gc_policy import GarbageCollector  # noqa: E402
+from repro.obs.tracer import Tracer  # noqa: E402
 from repro.perf import batch  # noqa: E402
 from repro.sim import runner  # noqa: E402
 from repro.sim.factory import SCHEMES, standard_setup  # noqa: E402
-from repro.sim.golden import engine_digest  # noqa: E402
+from repro.sim.golden import EventStreamHash, engine_digest  # noqa: E402
 from repro.sim.runner import DeviceSpec, run_scheme  # noqa: E402
 from repro.traces.synthetic import hot_cold, uniform_random  # noqa: E402
 from repro.traces.websearch import websearch  # noqa: E402
@@ -112,10 +116,11 @@ def build_traces(requests: int) -> List:
 
 def digest_for(scheme: str, trace, replay_mode: str,
                refuse_runs: bool = False, device: DeviceSpec = DEVICE,
-               ) -> Tuple[Dict[str, object], bool]:
+               traced: bool = False) -> Tuple[Dict[str, object], bool]:
     """``(digest, moves_by_run)``: the replay's digest (with the device's
-    ``parallel_summary()`` on a striped ``device``), and whether the
-    scheme relocates through the one collector (the ``runs`` axis applies).
+    ``parallel_summary()`` on a striped ``device``, and the measured
+    run's event stream when ``traced``), and whether the scheme
+    relocates through the one collector (the ``runs`` axis applies).
 
     ``refuse_runs`` arms the device's power fault far beyond any replay
     before the FTL sees it: ``takes_runs()`` is then False for the whole
@@ -131,14 +136,19 @@ def digest_for(scheme: str, trace, replay_mode: str,
         built.append(ftl)
         return flash, ftl, logical_pages
 
+    stream = EventStreamHash()
     with patch.object(runner, "standard_setup", setup):
         result = run_scheme(
             scheme, trace, device=device, precondition="steady",
             replay_mode=replay_mode,
+            tracer=Tracer([stream]) if traced else None,
         )
     digest = engine_digest(result)
     if device is not DEVICE:
         digest["parallel"] = built[0].flash.parallel_summary()
+    if traced:
+        digest["events"] = stream.events
+        digest["events_sha256"] = stream.hexdigest()
     return digest, isinstance(
         getattr(built[0], "_gc", None), GarbageCollector)
 
@@ -177,19 +187,25 @@ def run_diff(requests: int, schemes: Tuple[str, ...]) -> int:
                     candidate, _ = digest_for(scheme, trace, "auto")
                 verdicts.append(verdict(kernel, reference, candidate))
             if moves_by_run:
-                refused, _ = digest_for(
-                    scheme, trace, "scalar", refuse_runs=True)
-                verdicts.append(verdict("runs", reference, refused))
+                devices = [("", DEVICE)]
                 if trace.name in STRIPES:
                     name, channels, dies = STRIPES[trace.name]
-                    device = dataclasses.replace(
-                        DEVICE, channels=channels, dies=dies)
-                    by_run, _ = digest_for(
-                        scheme, trace, "scalar", device=device)
-                    by_page, _ = digest_for(
-                        scheme, trace, "scalar", refuse_runs=True,
-                        device=device)
-                    verdicts.append(verdict(f"runs{name}", by_run, by_page))
+                    devices.append((name, dataclasses.replace(
+                        DEVICE, channels=channels, dies=dies)))
+                for name, device in devices:
+                    for traced in (False, True):
+                        if device is DEVICE and not traced:
+                            by_run = reference
+                        else:
+                            by_run, _ = digest_for(
+                                scheme, trace, "scalar", device=device,
+                                traced=traced)
+                        by_page, _ = digest_for(
+                            scheme, trace, "scalar", refuse_runs=True,
+                            device=device, traced=traced)
+                        axis = "traced" if traced else "runs"
+                        verdicts.append(
+                            verdict(axis + name, by_run, by_page))
             failures += sum("DIVERGED" in v for v in verdicts)
             print(f"{trace.name:22s} {scheme:11s} {'  '.join(verdicts)}")
     return failures
@@ -219,7 +235,8 @@ def main(argv=None) -> int:
     print(f"batchdiff: all digests bit-identical "
           f"({len(schemes)} scheme(s), scalar vs batched, "
           f"{'numpy+fallback' if batch._np is not None else 'fallback'} "
-          "kernels; runs allowed vs one-page runs, host run ops included)")
+          "kernels; runs allowed vs one-page runs, untraced and traced, "
+          "host run ops included)")
     return 0
 
 

@@ -38,7 +38,8 @@ Runs, in order:
    schemes that garbage-collect through the one collector, with runs
    allowed vs one-page runs, through the same code, on the serial device
    and a striped one (4x1x1, 2x2x1; per-unit load and channel wait
-   compared too): GC, commit and host requests alike;
+   compared too), untraced and traced (the event stream's hash compared
+   too): GC, commit and host requests alike;
 8. **crashmc** - ``python -m repro crashcheck``: crash-consistency
    smoke (every program/erase boundary of a short mixed workload for
    each recovery-capable scheme, plus the ``--mutate`` oracle
