@@ -7,7 +7,8 @@ run its ~1000x scaled twin - see DESIGN.md.)
 """
 
 from repro.flash import SLC_TIMING
-from repro.sim import DEFAULT_OPTIONS, HEADLINE_DEVICE, lazy_headline_options
+from repro.sim import (DEFAULT_OPTIONS, HEADLINE_DEVICE, dftl_parity_options,
+                       lazy_headline_options)
 from repro.sim.report import format_table
 
 from conftest import emit
@@ -31,7 +32,7 @@ def build_parameter_table() -> str:
         ["LazyFTL UBA blocks (m_u)", lazy_cfg.uba_blocks],
         ["LazyFTL CBA blocks (m_c)", lazy_cfg.cba_blocks],
         ["DFTL CMT entries (RAM parity)",
-         DEFAULT_OPTIONS["DFTL"]["cmt_entries"]],
+         dftl_parity_options(d.num_blocks, d.pages_per_block)["cmt_entries"]],
         ["BAST log blocks", DEFAULT_OPTIONS["BAST"]["num_log_blocks"]],
         ["FAST RW log blocks",
          DEFAULT_OPTIONS["FAST"]["num_rw_log_blocks"]],

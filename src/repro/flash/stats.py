@@ -2,19 +2,71 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, List, Tuple, TypeVar
 
 
-class FlashStats:
+_C = TypeVar("_C", bound="Counters")
+
+
+class Counters:
+    """Named counters: the one implementation behind :class:`FlashStats`
+    and :class:`~repro.ftl.stats.FtlStats`.
+
+    A subclass names its counters once, in ``_FIELDS``, and declares
+    ``__slots__ = _FIELDS``: a plain slotted class rather than a
+    dataclass, because the device and every FTL bump these counters on
+    every raw or host operation, and slotted attribute access keeps that
+    per-op cost minimal.  Counters start at zero - ``0.0`` for the
+    ``*_us`` time accumulators - unless given by keyword.
+    """
+
+    __slots__ = ()
+    _FIELDS: Tuple[str, ...] = ()
+
+    def __init__(self, **counts: float) -> None:
+        unknown = counts.keys() - set(self._FIELDS)
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no counter(s) "
+                            f"{', '.join(sorted(unknown))}")
+        for name in self._FIELDS:
+            setattr(self, name, counts.get(
+                name, 0.0 if name.endswith("_us") else 0))
+
+    def snapshot(self: _C) -> _C:
+        """Return an independent copy of the current counters."""
+        return type(self)(**self.as_dict())
+
+    def diff(self: _C, earlier: _C) -> _C:
+        """Return counters accumulated since an ``earlier`` snapshot."""
+        return type(self)(**{
+            name: getattr(self, name) - getattr(earlier, name)
+            for name in self._FIELDS
+        })
+
+    def as_dict(self) -> Dict[str, Any]:
+        """Flat dictionary view for reports."""
+        return {name: getattr(self, name) for name in self._FIELDS}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        inner = ", ".join(f"{name}={value!r}"
+                          for name, value in self.as_dict().items())
+        return f"{type(self).__name__}({inner})"
+
+
+class FlashStats(Counters):
     """Raw-device operation counters.
 
     ``*_us`` fields accumulate the simulated time spent in each operation
     class so callers can break total device time into read/program/erase
     components without re-multiplying counts by latencies.
-
-    A plain ``__slots__`` class rather than a dataclass: the chip bumps
-    these counters on every raw operation, and slotted attribute access
-    keeps that per-op cost minimal.
+    ``redundant_invalidates`` counts invalidations of already-stale pages
+    (double supersession in FTL bookkeeping; see
+    ``NandFlash.invalidate_page``) and should stay 0.
     """
 
     _FIELDS = (
@@ -29,25 +81,13 @@ class FlashStats:
 
     __slots__ = _FIELDS
 
-    def __init__(
-        self,
-        page_reads: int = 0,
-        page_programs: int = 0,
-        block_erases: int = 0,
-        read_us: float = 0.0,
-        program_us: float = 0.0,
-        erase_us: float = 0.0,
-        redundant_invalidates: int = 0,
-    ):
-        self.page_reads = page_reads
-        self.page_programs = page_programs
-        self.block_erases = block_erases
-        self.read_us = read_us
-        self.program_us = program_us
-        self.erase_us = erase_us
-        #: Invalidations of already-stale pages (double supersession in FTL
-        #: bookkeeping); see NandFlash.invalidate_page.  Should stay 0.
-        self.redundant_invalidates = redundant_invalidates
+    page_reads: int
+    page_programs: int
+    block_erases: int
+    read_us: float
+    program_us: float
+    erase_us: float
+    redundant_invalidates: int
 
     @property
     def total_ops(self) -> int:
@@ -56,57 +96,6 @@ class FlashStats:
     @property
     def total_us(self) -> float:
         return self.read_us + self.program_us + self.erase_us
-
-    def snapshot(self) -> "FlashStats":
-        """Return an independent copy of the current counters."""
-        return FlashStats(
-            page_reads=self.page_reads,
-            page_programs=self.page_programs,
-            block_erases=self.block_erases,
-            read_us=self.read_us,
-            program_us=self.program_us,
-            erase_us=self.erase_us,
-            redundant_invalidates=self.redundant_invalidates,
-        )
-
-    def diff(self, earlier: "FlashStats") -> "FlashStats":
-        """Return counters accumulated since an ``earlier`` snapshot."""
-        return FlashStats(
-            page_reads=self.page_reads - earlier.page_reads,
-            page_programs=self.page_programs - earlier.page_programs,
-            block_erases=self.block_erases - earlier.block_erases,
-            read_us=self.read_us - earlier.read_us,
-            program_us=self.program_us - earlier.program_us,
-            erase_us=self.erase_us - earlier.erase_us,
-            redundant_invalidates=self.redundant_invalidates
-            - earlier.redundant_invalidates,
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dictionary view for reports."""
-        return {
-            "page_reads": self.page_reads,
-            "page_programs": self.page_programs,
-            "block_erases": self.block_erases,
-            "read_us": self.read_us,
-            "program_us": self.program_us,
-            "erase_us": self.erase_us,
-            "redundant_invalidates": self.redundant_invalidates,
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FlashStats):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name)
-            for name in self._FIELDS
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self._FIELDS
-        )
-        return f"FlashStats({inner})"
 
 
 def wear_summary(erase_counts: List[int]) -> Dict[str, float]:

@@ -7,15 +7,11 @@ evaluation discusses: merge kinds, GC copies, and translation overhead.
 
 from __future__ import annotations
 
-from typing import Dict
+from ..flash.stats import Counters
 
 
-class FtlStats:
+class FtlStats(Counters):
     """Counters maintained by every FTL implementation.
-
-    A plain ``__slots__`` class (not a dataclass): every host operation
-    touches at least one of these counters, so attribute access is on the
-    per-op hot path.
 
     Attributes:
         host_reads / host_writes: page-granular host operations served.
@@ -60,75 +56,24 @@ class FtlStats:
 
     __slots__ = _FIELDS
 
-    def __init__(
-        self,
-        host_reads: int = 0,
-        host_writes: int = 0,
-        gc_runs: int = 0,
-        gc_page_copies: int = 0,
-        gc_erases: int = 0,
-        merges_full: int = 0,
-        merges_partial: int = 0,
-        merges_switch: int = 0,
-        merge_page_copies: int = 0,
-        map_reads: int = 0,
-        map_writes: int = 0,
-        map_gc_copies: int = 0,
-        converts: int = 0,
-        batched_commits: int = 0,
-        checkpoint_writes: int = 0,
-        recovery_reads: int = 0,
-        bad_blocks_retired: int = 0,
-    ):
-        self.host_reads = host_reads
-        self.host_writes = host_writes
-        self.gc_runs = gc_runs
-        self.gc_page_copies = gc_page_copies
-        self.gc_erases = gc_erases
-        self.merges_full = merges_full
-        self.merges_partial = merges_partial
-        self.merges_switch = merges_switch
-        self.merge_page_copies = merge_page_copies
-        self.map_reads = map_reads
-        self.map_writes = map_writes
-        self.map_gc_copies = map_gc_copies
-        self.converts = converts
-        self.batched_commits = batched_commits
-        self.checkpoint_writes = checkpoint_writes
-        self.recovery_reads = recovery_reads
-        self.bad_blocks_retired = bad_blocks_retired
+    host_reads: int
+    host_writes: int
+    gc_runs: int
+    gc_page_copies: int
+    gc_erases: int
+    merges_full: int
+    merges_partial: int
+    merges_switch: int
+    merge_page_copies: int
+    map_reads: int
+    map_writes: int
+    map_gc_copies: int
+    converts: int
+    batched_commits: int
+    checkpoint_writes: int
+    recovery_reads: int
+    bad_blocks_retired: int
 
     @property
     def merges_total(self) -> int:
         return self.merges_full + self.merges_partial + self.merges_switch
-
-    def snapshot(self) -> "FtlStats":
-        """Independent copy of the current counters."""
-        return FtlStats(**{
-            name: getattr(self, name) for name in self._FIELDS
-        })
-
-    def diff(self, earlier: "FtlStats") -> "FtlStats":
-        """Counters accumulated since an ``earlier`` snapshot."""
-        return FtlStats(**{
-            name: getattr(self, name) - getattr(earlier, name)
-            for name in self._FIELDS
-        })
-
-    def as_dict(self) -> Dict[str, int]:
-        """Flat dictionary view for reports."""
-        return {name: getattr(self, name) for name in self._FIELDS}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FtlStats):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name)
-            for name in self._FIELDS
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self._FIELDS
-        )
-        return f"FtlStats({inner})"

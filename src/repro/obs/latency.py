@@ -89,14 +89,8 @@ class _ClassAggregate:
         worst = sorted(self.slowest, key=lambda e: -e[0])
         hist = self.hist
         return {
-            "count": hist.count,
-            "mean_us": hist.mean,
+            **hist.summary(),
             "min_us": hist.min,
-            "p50_us": hist.percentile(50),
-            "p95_us": hist.percentile(95),
-            "p99_us": hist.percentile(99),
-            "p999_us": hist.percentile(99.9),
-            "max_us": hist.max,
             "total_us": hist.total,
             "by_cause_us": {
                 b: round(v, 3)

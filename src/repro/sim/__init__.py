@@ -25,6 +25,7 @@ from .runner import (
     HEADLINE_DEVICE,
     DeviceSpec,
     compare_schemes,
+    dftl_parity_options,
     lazy_headline_options,
     run_scheme,
     sweep,
@@ -48,6 +49,7 @@ __all__ = [
     "DEFAULT_OPTIONS",
     "HEADLINE_DEVICE",
     "lazy_headline_options",
+    "dftl_parity_options",
     "DeviceSpec",
     "compare_schemes",
     "run_scheme",

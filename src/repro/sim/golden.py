@@ -184,22 +184,18 @@ class EventStreamHash(TraceSink):
 
 
 def merges_digest(
-    scheme: str, replay_mode: Optional[str] = None, traced: bool = True,
-    latency: Optional[OpLatencyRecorder] = None,
+    scheme: str, latency: Optional[OpLatencyRecorder] = None,
 ) -> Dict[str, object]:
-    """:func:`engine_digest` of ``scheme`` over the merge trace plus, when
-    ``traced``, the hash of its event stream (an untraced run yields the
-    engine half alone - the statistics must not depend on the tracer, nor
-    the stream on a ``latency`` recorder beside the hashing sink)."""
+    """:func:`engine_digest` of ``scheme`` over the merge trace plus the
+    hash of its event stream (which must not depend on a ``latency``
+    recorder beside the hashing sink)."""
     stream = EventStreamHash()
     digest = engine_digest(run_scheme(
         scheme, golden_merges_trace(), device=GOLDEN_DEVICE,
-        precondition="steady", replay_mode=replay_mode,
-        tracer=Tracer([stream], latency=latency) if traced else None,
+        precondition="steady", tracer=Tracer([stream], latency=latency),
     ))
-    if traced:
-        digest["events"] = stream.events
-        digest["events_sha256"] = stream.hexdigest()
+    digest["events"] = stream.events
+    digest["events_sha256"] = stream.hexdigest()
     return digest
 
 

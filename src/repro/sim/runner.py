@@ -55,11 +55,10 @@ HEADLINE_DEVICE = DeviceSpec(
 
 
 #: Per-scheme constructor options used by the headline comparisons.
-#: LazyFTL runs with a 32-block UBA + 4-block CBA (UMT capacity 2304
-#: entries on 64-page blocks); DFTL's CMT is sized to the same number of
-#: entries so the page-mapping schemes compare at **RAM parity**, the
-#: paper's methodology.  BAST/FAST get 16 log blocks, their customary
-#: budget.
+#: LazyFTL's areas and DFTL's CMT depend on the device, so
+#: :func:`run_scheme` adds them (:func:`lazy_headline_options`,
+#: :func:`dftl_parity_options`).  BAST/FAST get 16 log blocks, their
+#: customary budget.
 DEFAULT_OPTIONS: Dict[str, Dict[str, Any]] = {
     "NFTL": {"max_chain": 2},
     "BAST": {"num_log_blocks": 16},
@@ -67,7 +66,7 @@ DEFAULT_OPTIONS: Dict[str, Dict[str, Any]] = {
     "LAST": {"num_seq_log_blocks": 5, "num_hot_blocks": 5,
              "num_cold_blocks": 6, "hot_window": 2048},
     "superblock": {"blocks_per_superblock": 8, "spare_per_superblock": 1},
-    "DFTL": {"cmt_entries": 2304},
+    "DFTL": {},
     "LazyFTL": {},
     "ideal": {},
 }
@@ -85,6 +84,17 @@ def lazy_headline_options(num_blocks: int = 1024) -> Dict[str, Any]:
     uba = max(2, min(32, num_blocks // 16))
     cba = max(2, min(4, num_blocks // 64))
     return {"config": default_lazy_config(uba_blocks=uba, cba_blocks=cba)}
+
+
+def dftl_parity_options(num_blocks: int = 1024,
+                        pages_per_block: int = 64) -> Dict[str, Any]:
+    """DFTL options at **RAM parity** with LazyFTL, the paper's
+    methodology: the CMT holds as many entries as LazyFTL's UMT can (one
+    per UBA/CBA page of :func:`lazy_headline_options` on the same device)
+    - 2304 on 512- to 2048-block devices of 64-page blocks."""
+    config = lazy_headline_options(num_blocks)["config"]
+    return {"cmt_entries":
+            (config.uba_blocks + config.cba_blocks) * pages_per_block}
 
 
 def run_scheme(
@@ -119,6 +129,9 @@ def run_scheme(
     opts = dict(DEFAULT_OPTIONS.get(scheme, {}))
     if scheme == "LazyFTL" and "config" not in options:
         opts.update(lazy_headline_options(device.num_blocks))
+    if scheme == "DFTL":
+        opts.update(dftl_parity_options(device.num_blocks,
+                                        device.pages_per_block))
     opts.update(options)
     flash, ftl, logical_pages = standard_setup(
         scheme,

@@ -26,8 +26,8 @@ from .metrics import ResponseStats
 
 #: Replay-mode selection: ``auto`` engages the epoch-segmented batch
 #: engine (repro.perf.batch) whenever the scheme/device is eligible;
-#: ``scalar`` never asks for them - the reference path the golden gate,
-#: batchdiff and ftlbench compare the kernels against.
+#: ``scalar`` never asks for them - the reference path the golden gate
+#: and ftlbench compare the kernels against.
 REPLAY_MODES = ("auto", "scalar")
 
 

@@ -122,6 +122,15 @@ class TestRequireMypy:
         assert "check_all: FAILED (mypy)" in capsys.readouterr().out
 
 
+class TestStageList:
+    def test_stages_in_order(self, check_all):
+        # No differential stage of its own: the pytest stage's golden
+        # gates replay every engine configuration against the snapshots.
+        assert check_all.STEPS == ("lint", "pytest", "mypy", "trace",
+                                   "report", "ftlbench", "crashmc")
+        assert set(check_all.RUNNERS) == set(check_all.STEPS)
+
+
 class TestFtlbenchStage:
     def test_ftlbench_replaced_perfbench(self, check_all):
         assert "ftlbench" in check_all.STEPS

@@ -93,10 +93,15 @@ def test_snapshot_covers_every_scheme_and_trace(golden):
 #: The gate runs once per way the one replay loop can be driven: forced
 #: scalar, the batch engine as it runs by default (no golden epoch
 #: reaches ``NUMPY_MIN_EPOCH``, so every one takes the pure-``array``
-#: kernel), the batch engine with every epoch on the numpy kernel, and
-#: traced with a latency recorder attached - all four must reproduce the
-#: committed snapshot bit for bit.
-REPLAY_GATES = ("scalar", "batched", "batched-numpy", "traced")
+#: kernel), the batch engine with every epoch on the numpy kernel,
+#: traced with a latency recorder attached, and sanitized - all five must
+#: reproduce the committed snapshot bit for bit.  Under ``sanitized`` the
+#: batch engine declines, the device refuses runs (``takes_runs()`` is
+#: False, so GC, commits and host run ops move one page at a time), every
+#: raw op is audited, every read is checked by content and
+#: ``assert_clean()`` audits the end state: the snapshot then also pins
+#: runs allowed == one-page runs, and that flashsan changes no statistic.
+REPLAY_GATES = ("scalar", "batched", "batched-numpy", "traced", "sanitized")
 
 
 def recording_tracer():
@@ -110,6 +115,17 @@ def arm(gate, monkeypatch):
         if batch._np is None:
             pytest.skip("numpy is not installed")
         monkeypatch.setattr(batch, "NUMPY_MIN_EPOCH", batch.MIN_EPOCH)
+
+
+def replay_digest(scheme, trace, device, gate):
+    """:func:`engine_digest` of one steady-state replay driven as
+    ``gate`` says (armed by :func:`arm` first)."""
+    return engine_digest(run_scheme(
+        scheme, trace, device=device, precondition="steady",
+        replay_mode="scalar" if gate == "scalar" else "auto",
+        tracer=recording_tracer() if gate == "traced" else None,
+        sanitize=gate == "sanitized",
+    ))
 
 
 @pytest.mark.parametrize("numpy_epochs", [False, True])
@@ -140,11 +156,7 @@ def test_scheme_stats_bit_identical(golden, scheme, gate, monkeypatch):
     arm(gate, monkeypatch)
     for trace in golden_traces():
         key = f"{scheme}/{trace.name}"
-        live = engine_digest(run_scheme(
-            scheme, trace, device=GOLDEN_DEVICE, precondition="steady",
-            replay_mode="scalar" if gate == "scalar" else "auto",
-            tracer=recording_tracer() if gate == "traced" else None,
-        ))
+        live = replay_digest(scheme, trace, GOLDEN_DEVICE, gate)
         assert live == golden[key], (
             f"{key} [{gate}]: engine statistics drifted from the "
             "golden snapshot - a hot-path change altered modeled "
@@ -167,23 +179,20 @@ def test_4ch_scheme_stats_bit_identical(golden, golden_4ch, scheme):
 
     Only the scalar replay loop runs here: multi-unit geometries
     disqualify the batch-replay planners (striped frontiers rotate
-    between blocks the planners model as one).  Untraced, GC relocation
-    and GMT commits move by run over the striped rotation; traced, page
-    by page - both must match the one snapshot.  Each digest is
-    also cross-checked against the serial snapshot: strictly less
-    device-busy time - the whole point of the channels.
+    between blocks the planners model as one).  Untraced and traced, GC
+    relocation and GMT commits move by run over the striped rotation;
+    sanitized, page by page - all three must match the one snapshot.
+    Each digest is also cross-checked against the serial snapshot:
+    strictly less device-busy time - the whole point of the channels.
     """
     for trace in golden_traces():
         key = f"{scheme}/{trace.name}"
-        for tracer in (None, recording_tracer()):
-            live = engine_digest(run_scheme(
-                scheme, trace, device=GOLDEN_DEVICE_4CH,
-                precondition="steady", tracer=tracer,
-            ))
+        for gate in ("batched", "traced", "sanitized"):
+            live = replay_digest(scheme, trace, GOLDEN_DEVICE_4CH, gate)
             assert live == golden_4ch[key], (
-                f"{key} [4ch{', traced' if tracer else ''}]: engine "
-                "statistics drifted from the 4-channel golden snapshot - "
-                "a change altered striped placement or overlap timing"
+                f"{key} [4ch, {gate}]: engine statistics drifted from the "
+                "4-channel golden snapshot - a change altered striped "
+                "placement or overlap timing"
             )
         assert live["device_busy_us"] < golden[key]["device_busy_us"]
 
@@ -204,17 +213,14 @@ def test_multipage_stats_bit_identical(golden_multipage, scheme, gate,
                                       monkeypatch):
     """Multi-page requests are host run ops: the same digest from every
     way the one loop can be driven (LazyFTL's one GMT read per request
-    and translation page included), serial and - scalar and traced, the
-    only ways a striped device replays - on four channels."""
+    and translation page included), serial and on four channels (where
+    the batch engine declines, so its two gates replay scalar).  Under
+    ``sanitized`` each host run op meets a device that refuses runs."""
     trace = golden_multipage_trace()
     arm(gate, monkeypatch)
     for device, label in ((GOLDEN_DEVICE, "1x1x1"),
                           (GOLDEN_DEVICE_4CH, "4x1x1")):
-        live = engine_digest(run_scheme(
-            scheme, trace, device=device, precondition="steady",
-            replay_mode="scalar" if gate == "scalar" else "auto",
-            tracer=recording_tracer() if gate == "traced" else None,
-        ))
+        live = replay_digest(scheme, trace, device, gate)
         assert live == golden_multipage[
             f"{scheme}/{trace.name}@{label}"], f"{label} [{gate}]"
 
@@ -249,18 +255,17 @@ def test_merges_snapshot_reaches_every_merge_kind(golden, golden_merges):
 def test_merges_stats_bit_identical(golden_merges, scheme, gate,
                                    monkeypatch):
     """The log-block schemes over the merge trace: untraced through the
-    three replay gates the statistics equal the snapshot's engine half;
-    traced (a latency recorder attached beside the hashing sink) the
-    event-stream hash - every ``MergeStart`` / ``MergeEnd`` and the
+    other four replay gates the statistics equal the snapshot's engine
+    half; traced (a latency recorder attached beside the hashing sink)
+    the event-stream hash - every ``MergeStart`` / ``MergeEnd`` and the
     addresses between them - equals it too."""
-    committed = golden_merges[f"{scheme}/{golden_merges_trace().name}"]
+    trace = golden_merges_trace()
+    committed = golden_merges[f"{scheme}/{trace.name}"]
     arm(gate, monkeypatch)
     if gate == "traced":
         live = merges_digest(scheme, latency=OpLatencyRecorder())
     else:
-        live = merges_digest(
-            scheme, traced=False,
-            replay_mode="scalar" if gate == "scalar" else "auto")
+        live = replay_digest(scheme, trace, GOLDEN_DEVICE, gate)
         assert live.keys() == committed.keys() - {
             "events", "events_sha256"}
         committed = {field: committed[field] for field in live}

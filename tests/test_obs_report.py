@@ -132,6 +132,20 @@ class TestAcceptance:
         )
 
 
+    def test_one_quantile_definition_per_snapshot(self):
+        """Below 1000 samples the response summary and the latency
+        decomposition state the same p999 (the p99 there), as every
+        other figure they share."""
+        trace = uniform_random(400, DEVICE.logical_pages, seed=0,
+                               name="random")
+        snapshot, _, _ = collect_report("LazyFTL", trace, device=DEVICE)
+        response = snapshot["response"]["overall"]
+        overall = snapshot["latency"]["classes"]["overall"]
+        assert response["count"] == 400
+        for key in response:
+            assert overall[key] == response[key], key
+
+
 class TestRender:
     def test_dashboard_sections_present(self, lazy_snapshot):
         snapshot, _, _ = lazy_snapshot

@@ -8,6 +8,7 @@ from repro.sim import (
     DeviceSpec,
     SCHEMES,
     build_ftl,
+    dftl_parity_options,
     lazy_headline_options,
     run_scheme,
 )
@@ -50,6 +51,16 @@ class TestLazyHeadlineOptions:
         assert cfg.cba_blocks >= 2
 
 
+class TestDftlParityOptions:
+    @pytest.mark.parametrize("num_blocks,pages_per_block,entries", [
+        (256, 64, 1280), (512, 64, 2304), (1024, 64, 2304),
+        (2048, 64, 2304), (96, 16, 128)])
+    def test_cmt_holds_what_the_umt_can(self, num_blocks, pages_per_block,
+                                        entries):
+        assert dftl_parity_options(num_blocks, pages_per_block) == \
+            {"cmt_entries": entries}
+
+
 class TestRunSchemeOptionPrecedence:
     DEVICE = DeviceSpec(num_blocks=96, pages_per_block=16, page_size=512,
                         logical_fraction=0.6)
@@ -59,7 +70,17 @@ class TestRunSchemeOptionPrecedence:
         result = run_scheme("DFTL", trace, device=self.DEVICE,
                             cmt_entries=17)
         # ram = cmt*8 + gtd; with 17 entries the cmt part is 136 bytes.
-        assert result.ram_bytes < DEFAULT_OPTIONS["DFTL"]["cmt_entries"] * 8
+        assert result.ram_bytes < dftl_parity_options(
+            self.DEVICE.num_blocks,
+            self.DEVICE.pages_per_block)["cmt_entries"] * 8
+
+    def test_dftl_cmt_at_ram_parity_unless_given(self):
+        trace = uniform_random(200, 512, seed=0)
+        derived = run_scheme("DFTL", trace, device=self.DEVICE)
+        assert derived.ram_bytes == run_scheme(
+            "DFTL", trace, device=self.DEVICE, cmt_entries=128).ram_bytes
+        assert derived.ram_bytes < run_scheme(
+            "DFTL", trace, device=self.DEVICE, cmt_entries=2304).ram_bytes
 
     def test_explicit_lazy_config_suppresses_headline_config(self):
         from repro.core import LazyConfig

@@ -5,7 +5,7 @@ import pytest
 
 from repro.checks import SanitizedFTL, SanitizerViolation, ViolationKind
 from repro.core import LazyConfig, LazyFTL
-from repro.flash import FlashGeometry, NandFlash, UNIT_TIMING
+from repro.flash import FlashGeometry, FlashStats, NandFlash, UNIT_TIMING
 from repro.ftl import PageFTL
 from repro.ftl.base import HostResult
 from repro.ftl.stats import FtlStats
@@ -113,6 +113,29 @@ class TestFtlStatsArithmetic:
         s = FtlStats()
         assert set(s.as_dict()) == set(FtlStats._FIELDS)
         assert set(FtlStats._FIELDS) == set(FtlStats.__slots__)
+
+
+class TestOneCounterImplementation:
+    @pytest.mark.parametrize("cls", [FlashStats, FtlStats])
+    def test_unknown_counter_rejected(self, cls):
+        with pytest.raises(TypeError, match="no counter"):
+            cls(host_writes=1, page_reads=1)
+
+    def test_time_counters_start_as_floats(self):
+        zero = FlashStats().as_dict()
+        assert [name for name, value in zero.items()
+                if isinstance(value, float)] == [
+            "read_us", "program_us", "erase_us"]
+        assert all(type(v) is int for v in FtlStats().as_dict().values())
+
+    def test_equality_is_per_class(self):
+        assert FlashStats(page_reads=2) == FlashStats(page_reads=2)
+        assert FlashStats(page_reads=2) != FlashStats(page_reads=3)
+        assert FlashStats() != FtlStats()
+        flash = FlashStats(page_reads=3, read_us=75.0)
+        assert flash.diff(FlashStats(page_reads=1, read_us=25.0)) == \
+            FlashStats(page_reads=2, read_us=50.0)
+        assert flash.snapshot() == flash and flash.snapshot() is not flash
 
 
 class TestSteadyPreconditioning:

@@ -30,17 +30,7 @@ Runs, in order:
    read-your-writes on the aged device).  It gates that the measured
    paths work, not their speed - speed is judged on paired
    parent/change rounds (``--compare``);
-7. **batchdiff** - ``tools/batchdiff.py``: scalar vs batched replay
-   digests over three short deterministic workloads (one of them
-   multi-page: every request a host run op) for every scheme,
-   with every epoch on each timing kernel (numpy and the pure ``array``) -
-   the batch engine's bit-identical contract, end to end - and, for the
-   schemes that garbage-collect through the one collector, with runs
-   allowed vs one-page runs, through the same code, on the serial device
-   and a striped one (4x1x1, 2x2x1; per-unit load and channel wait
-   compared too), untraced and traced (the event stream's hash compared
-   too): GC, commit and host requests alike;
-8. **crashmc** - ``python -m repro crashcheck``: crash-consistency
+7. **crashmc** - ``python -m repro crashcheck``: crash-consistency
    smoke (every program/erase boundary of a short mixed workload for
    each recovery-capable scheme, plus the ``--mutate`` oracle
    self-test).
@@ -51,15 +41,20 @@ passes, 1 otherwise; each step's verdict is printed as it completes and
 a per-stage wall-clock summary closes the run, so CI logs show exactly
 which gate failed, which did not run, and where the time went.
 
+The pytest stage is also the one differential gate: every way the one
+replay loop can be driven (scalar, batched on either timing kernel,
+traced, sanitized - where the device refuses runs) must reproduce the
+committed golden snapshots (``tests/test_golden_stats.py``).
+
 Touching a run op - the device's ``program_run`` / ``invalidate_run``,
 ``relocate``, ``MappingStore.commit``, or a scheme's
 host ``read_run`` / ``write_run`` - the quick loop before the whole gate
 is ``python tools/gen_golden_stats.py --check`` (the two single-page
 files must print ``0 fields differ``; only a change to what a
 multi-page request *costs* may move ``engine_stats_multipage.json``, on
-purpose), ``python tools/batchdiff.py`` (the ``runs`` column) and
-``pytest tests/test_host_run_ops.py tests/test_relocate_by_run.py`` (run
-ops vs the page loop on twin devices).
+purpose) and ``pytest tests/test_golden_stats.py
+tests/test_relocate_by_run.py tests/test_host_run_ops.py`` (every replay
+gate against the snapshots; run ops vs the page loop on twin devices).
 
 Run:  python tools/check_all.py [--skip pytest] [--require-mypy] ...
 """
@@ -85,7 +80,7 @@ except ModuleNotFoundError:  # Python < 3.11
     tomllib = None
 
 STEPS = ("lint", "pytest", "mypy", "trace", "report",
-         "ftlbench", "batchdiff", "crashmc")
+         "ftlbench", "crashmc")
 
 
 def load_config() -> dict:
@@ -95,7 +90,6 @@ def load_config() -> dict:
         "trace_requests": 300,
         "report_requests": 2000,
         "crashmc_ops": 120,
-        "batchdiff_requests": 600,
     }
     pyproject = _REPO_ROOT / "pyproject.toml"
     if tomllib is None or not pyproject.is_file():
@@ -211,18 +205,6 @@ def step_ftlbench(config: dict) -> bool:
     ])
 
 
-def step_batchdiff(config: dict) -> bool:
-    """Batch-replay equivalence smoke: every scheme's modeled statistics
-    must be bit-identical between scalar and batched replay, on both
-    timing kernels, and between GC/commit runs allowed and one-page runs
-    (the same code).  See
-    tools/batchdiff.py."""
-    return run_step("batchdiff", [
-        sys.executable, str(_REPO_ROOT / "tools" / "batchdiff.py"),
-        "--requests", str(config["batchdiff_requests"]),
-    ])
-
-
 def step_crashmc(config: dict) -> bool:
     """Crash-consistency smoke: explore every boundary of a short mixed
     workload for each recovery-capable scheme, then run the --mutate
@@ -259,7 +241,6 @@ RUNNERS = {
     "trace": step_trace,
     "report": step_report,
     "ftlbench": step_ftlbench,
-    "batchdiff": step_batchdiff,
     "crashmc": step_crashmc,
 }
 
