@@ -15,15 +15,17 @@ from ..flash.geometry import MAP_ENTRY_BYTES, FlashGeometry
 def ram_model(
     geometry: FlashGeometry,
     logical_pages: int,
-    uba_blocks: int = 8,
-    cba_blocks: int = 4,
-    cmt_entries: int = 4096,
+    uba_blocks: int,
+    cba_blocks: int,
+    cmt_entries: int,
     num_log_blocks: int = 16,
 ) -> Dict[str, int]:
     """Analytic RAM footprint (bytes) of each scheme's mapping structures.
 
     Follows the conventions used throughout the FTL literature: 4-byte
-    physical addresses, 8 bytes per cached (lpn, ppn) pair.
+    physical addresses, 8 bytes per cached (lpn, ppn) pair.  The staging
+    areas and the CMT have no default: a caller states the configuration
+    it simulates (:func:`scalability_table` takes the runner's).
     """
     pages = geometry.pages_per_block
     entries_per_page = geometry.map_entries_per_page
@@ -49,19 +51,32 @@ def scalability_table(
     page_size: int = 2048,
     logical_fraction: float = 0.85,
 ) -> Dict[int, Dict[str, int]]:
-    """RAM footprint of each scheme as the device grows.
+    """RAM footprint of each scheme as the device grows, in the
+    configuration :func:`~repro.sim.runner.run_scheme` simulates: LazyFTL's
+    areas from ``lazy_headline_options``, DFTL's CMT at RAM parity with
+    them (``dftl_parity_options``).
 
-    The ideal FTL's RAM grows linearly with capacity while LazyFTL's grows
-    only with the (fixed) UBA/CBA size plus the tiny GTD - the paper's
-    "high scalability" claim in table form.
+    The ideal FTL's RAM grows linearly with capacity while LazyFTL's and
+    DFTL's grow only with the (fixed) UMT / CMT plus the small GTD - the
+    paper's "high scalability" claim in table form.  Each capacity also
+    carries ``"validity map"``: one bit per physical page, which every
+    page-mapping scheme's GC reads to tell live pages from dead ones and
+    no ``ram_bytes()`` counts.
     """
     from ..flash.geometry import geometry_for_capacity
+    from ..sim.runner import dftl_parity_options, lazy_headline_options
 
     table = {}
     for mib in capacities_mib:
         geometry = geometry_for_capacity(
             mib, pages_per_block=pages_per_block, page_size=page_size
         )
+        config = lazy_headline_options(geometry.num_blocks)["config"]
+        cmt = dftl_parity_options(geometry.num_blocks, pages_per_block)
         logical = int(geometry.total_pages * logical_fraction)
-        table[mib] = ram_model(geometry, logical)
+        table[mib] = {
+            **ram_model(geometry, logical, config.uba_blocks,
+                        config.cba_blocks, cmt["cmt_entries"]),
+            "validity map": (geometry.total_pages + 7) // 8,
+        }
     return table

@@ -39,34 +39,27 @@ class DeviceParams:
     page_size: int = 64
     logical_pages: int = 96
     channels: int = 1
-    dies: int = 1
-    planes: int = 1
 
     def key(self) -> str:
         """Stable textual form; round-trips through :meth:`parse`.
 
         Serial devices keep the historical ``NxPxS/L`` form so existing
-        reproducer strings stay valid; parallel geometry appends an
-        ``@CxDxP`` suffix.
+        reproducer strings stay valid; a multi-channel device appends an
+        ``@C`` suffix (its channel count).
         """
         base = (f"{self.num_blocks}x{self.pages_per_block}"
                 f"x{self.page_size}/{self.logical_pages}")
-        if (self.channels, self.dies, self.planes) != (1, 1, 1):
-            base += f"@{self.channels}x{self.dies}x{self.planes}"
+        if self.channels != 1:
+            base += f"@{self.channels}"
         return base
 
     @classmethod
     def parse(cls, text: str) -> "DeviceParams":
-        text, _, parallelism = text.partition("@")
+        text, _, channels = text.partition("@")
         geo, _, logical = text.partition("/")
         nb, pp, ps = geo.split("x")
-        channels = dies = planes = 1
-        if parallelism:
-            channels, dies, planes = (
-                int(part) for part in parallelism.split("x")
-            )
         return cls(int(nb), int(pp), int(ps), int(logical),
-                   channels, dies, planes)
+                   int(channels or 1))
 
 
 DEFAULT_DEVICE = DeviceParams()
@@ -92,8 +85,6 @@ def build_instance(
         pages_per_block=device.pages_per_block,
         page_size=device.page_size,
         channels=device.channels,
-        dies=device.dies,
-        planes=device.planes,
     )
     flash = NandFlash(geometry, timing=UNIT_TIMING)
     if scheme == "LazyFTL":

@@ -40,7 +40,6 @@ from .checks.crashmc import (
     explore,
     shrink,
 )
-from .flash.geometry import parse_parallelism
 from .obs import JsonlSink, OpLatencyRecorder, Tracer
 from .perf.sweep import SweepWorkerError
 from .sim import HEADLINE_DEVICE, SCHEMES, DeviceSpec, compare_schemes
@@ -75,15 +74,12 @@ _GENERATORS = {
 
 
 def _device_from_args(args: argparse.Namespace) -> DeviceSpec:
-    channels, dies, planes = parse_parallelism(args.geometry)
     return DeviceSpec(
         num_blocks=args.blocks,
         pages_per_block=args.pages_per_block,
         page_size=args.page_size,
         logical_fraction=args.logical_fraction,
-        channels=channels,
-        dies=dies,
-        planes=planes,
+        channels=args.channels,
     )
 
 
@@ -91,16 +87,6 @@ def _trace_from_args(args: argparse.Namespace, device: DeviceSpec) -> Trace:
     footprint = int(device.logical_pages * args.footprint_fraction)
     generator = _GENERATORS[args.trace]
     return generator(args.requests, footprint, args.seed)
-
-
-def _geometry_spec(text: str) -> str:
-    # Validate at parse time so a bad spec is a usage error, not a
-    # traceback; the commands re-parse the (known good) string.
-    try:
-        parse_parallelism(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
 
 
 def _add_device_arguments(parser: argparse.ArgumentParser) -> None:
@@ -112,13 +98,11 @@ def _add_device_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--logical-fraction", type=float,
                         default=d.logical_fraction)
     parser.add_argument(
-        "--geometry", metavar="CxDxP", default="1x1x1",
-        type=_geometry_spec,
-        help="device parallelism as channels x dies x planes (e.g. "
-             "4x2x1; dies and planes may be omitted).  More than one "
-             "parallel unit builds a multi-channel device with "
-             "overlapped command timing and striped allocation for "
-             "LazyFTL / DFTL / ideal (default 1x1x1: serial device)")
+        "--channels", metavar="N", type=int, default=1,
+        help="independent channels of the device.  More than one builds "
+             "a multi-channel device with overlapped command timing and "
+             "striped allocation for LazyFTL / DFTL / ideal (default 1: "
+             "serial device)")
 
 
 def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
@@ -358,8 +342,7 @@ def _crashcheck_one_repro(text: str, do_shrink: bool) -> int:
 def cmd_crashcheck(args: argparse.Namespace) -> int:
     if args.repro is not None:
         return _crashcheck_one_repro(args.repro, args.shrink)
-    channels, dies, planes = parse_parallelism(args.geometry)
-    device = DeviceParams(channels=channels, dies=dies, planes=planes)
+    device = DeviceParams(channels=args.channels)
     schemes = args.scheme or (["LazyFTL"] if not args.full
                               else list(CRASH_SCHEMES))
     if args.full:
@@ -544,10 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     crash.add_argument("--full", action="store_true",
                        help="exhaustive acceptance matrix: every "
                             "recovery-capable scheme, >= 2000 ops")
-    crash.add_argument("--geometry", metavar="CxDxP", default="1x1x1",
-                       type=_geometry_spec,
-                       help="device parallelism channelsxdiesxplanes for "
-                            "the checker's small device (default 1x1x1)")
+    crash.add_argument("--channels", metavar="N", type=int, default=1,
+                       help="channels of the checker's small device "
+                            "(default 1)")
     crash.add_argument("--repro", metavar="STRING", default=None,
                        help="replay one crashmc:v1 reproducer string")
     crash.add_argument("--max-report", type=int, default=5,

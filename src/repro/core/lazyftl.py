@@ -127,7 +127,7 @@ class LazyFTL(FlashTranslationLayer):
         # multi-channel device and rotate programs across parallel units
         # so bursts overlap (one way on the serial device).  Both areas
         # already track their members, so full blocks need no retiring.
-        units = geometry.parallel_units
+        units = geometry.channels
         self._uba_frontier = Frontier(
             flash, self._pool, stripe_ways(units, self.config.uba_blocks))
         self._cba_frontier = Frontier(

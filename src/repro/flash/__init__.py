@@ -28,12 +28,7 @@ from .errors import (
     RedundantInvalidateWarning,
 )
 from .fault import PowerFault
-from .geometry import (
-    MAP_ENTRY_BYTES,
-    FlashGeometry,
-    geometry_for_capacity,
-    parse_parallelism,
-)
+from .geometry import MAP_ENTRY_BYTES, FlashGeometry, geometry_for_capacity
 from .oob import OOBData, PageKind, SequenceCounter
 from .page import PageState
 from .stats import FlashStats, wear_summary
@@ -54,7 +49,6 @@ __all__ = [
     "MAP_ENTRY_BYTES",
     "FlashGeometry",
     "geometry_for_capacity",
-    "parse_parallelism",
     "OOBData",
     "PageKind",
     "SequenceCounter",

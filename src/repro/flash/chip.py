@@ -25,8 +25,8 @@ service time of the host request they are working on.
 Timing model
 ------------
 
-One *busy-until* clock per parallel unit (a (channel, die) pair; see
-:meth:`FlashGeometry.parallel_units`), relative to the start of the current
+One *busy-until* clock per parallel unit - a channel
+(:attr:`FlashGeometry.channels`) - relative to the start of the current
 host operation - :meth:`NandFlash.begin_host_op`, marked by the replay
 driver, never by an FTL.  Each raw op is charged in one place
 (:meth:`NandFlash._charge`), after the ``FlashStats`` update - which stays
@@ -51,8 +51,8 @@ Run ops
 A *run* is a list of pages moved together (a GC victim's live pages bound
 for the frontier's open blocks, the GMT pages of one commit).  Each run op
 is, by contract, **its scalar op called once per page, in order**: same
-state bytes, same ``FlashStats`` (floats: one add per page, or the exact
-product when the latency is integer-valued), same unit clocks, same
+state bytes, same ``FlashStats`` (a run's latency sum is the exact
+product, since every latency is integer-valued), same unit clocks, same
 returned values, same exception raised at the same page with every earlier
 page done.  The bulk stores are taken only when the whole run is plainly
 legal; anything else *is* the per-page calls, through ``self`` so subclass
@@ -74,11 +74,12 @@ A bulk path charges the unit clocks in the scalar op order, in one loop
 (:meth:`NandFlash._charge_run`): a channel wait reads the least-busy clock
 at each op, so ``program_run`` is told the read before each program.
 :meth:`NandFlash.takes_runs` is the one place the device-wide conditions
-are written: powered, no armed fault (the trip point is a page), no
-``serialize_timing`` (the property-test lever keeps the scalar ops) and
-integer-valued latencies (a caller that moves by run sums a run's
-latencies in another association; integer-valued floats add exactly in
-any order).  The run ops here ask it and take the scalar op order
+are written: powered, no armed fault (the trip point is a page) and no
+``serialize_timing`` (the property-test lever keeps the scalar ops).
+Latencies need no condition: :class:`TimingModel` admits integer values
+only, so a caller that moves by run may sum a run's latencies in any
+association and get the scalar sum exactly.  The run ops here ask it and
+take the scalar op order
 whenever it says no; the sanitizer always says no, so every page of a
 run gets its per-op audit.  A tracer is no device-wide condition:
 ``program_run`` alone serves a traced run with the scalar ops, since the
@@ -181,7 +182,7 @@ class NandFlash:
         self.tracer: Optional[Any] = None
         # Per-unit busy-until clocks (see "Timing model" above); busy time
         # and channel wait accrue only with more than one unit.
-        units = self._units = self.geometry.parallel_units
+        units = self._units = self.geometry.channels
         self._unit_busy: List[float] = [0.0] * units
         self._op_end = 0.0
         #: Force serial timing (placement unchanged); property-test lever.
@@ -402,14 +403,10 @@ class NandFlash:
         asked when needed (by GC relocation and the GMT commit once per
         pass), never cached.
         """
-        timing = self.timing
         return (
             self._powered
             and self.fault._remaining is None
             and not self.serialize_timing
-            and float(timing.page_read_us).is_integer()
-            and float(timing.page_program_us).is_integer()
-            and float(timing.block_erase_us).is_integer()
         )
 
     def program_run(
@@ -454,7 +451,7 @@ class NandFlash:
         stats = self.stats
         stats.page_reads += len(srcs)
         stats.page_programs += n
-        # n adds of an integer-valued latency: one exact multiply.
+        # n adds of an integer latency: one exact multiply.
         stats.read_us += read_lat * len(srcs)
         stats.program_us += latency * n
         if self._units == 1:
@@ -666,8 +663,6 @@ class NandFlash:
         total = sum(self.unit_busy_us)
         return {
             "units": self._units,
-            "channels": self.geometry.channels,
-            "dies": self.geometry.dies,
             "unit_busy_us": list(self.unit_busy_us),
             "busy_imbalance": (
                 max(self.unit_busy_us) / (total / self._units)

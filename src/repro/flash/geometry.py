@@ -28,31 +28,24 @@ class FlashGeometry:
         num_blocks: Total number of erase blocks on the device.
         pages_per_block: Pages in one erase block.
         page_size: Data bytes per page (excluding the OOB spare area).
-        channels: Independent command channels (1 = the serial device of
-            the paper's evaluation).
-        dies: NAND dies per channel.  A (channel, die) pair is one
-            *parallel unit*: operations on different units overlap in
-            simulated time, operations on the same unit serialize.
-        planes: Planes per die.  Planes share their die's command queue
-            (no independent timing), so they refine *addressing* only.
+        channels: Independent command channels, the device's one level
+            of parallelism (1 = the serial device of the paper's
+            evaluation).  Operations on different channels overlap in
+            simulated time, operations on the same channel serialize.
 
-    Parallel addressing uses block-interleaved striping, low bits first::
+    Parallel addressing uses block-interleaved striping::
 
-        block  = (((stripe * planes + plane) * dies + die) * channels
-                  + channel)
-        ppn    = block * pages_per_block + page
+        channel = block % channels
+        ppn     = block * pages_per_block + page
 
-    i.e. consecutive block numbers round-robin across channels, then
-    dies, then planes - so any run of ``channels * dies`` consecutive
-    blocks covers every parallel unit exactly ``planes`` times.
+    i.e. consecutive block numbers round-robin across channels, so any run
+    of ``channels`` consecutive blocks covers every channel once.
     """
 
     num_blocks: int = 1024
     pages_per_block: int = 64
     page_size: int = 2048
     channels: int = 1
-    dies: int = 1
-    planes: int = 1
 
     def __post_init__(self) -> None:
         if self.num_blocks <= 0:
@@ -63,17 +56,11 @@ class FlashGeometry:
             raise ValueError("page_size must be positive")
         if self.channels <= 0:
             raise ValueError("channels must be positive")
-        if self.dies <= 0:
-            raise ValueError("dies must be positive")
-        if self.planes <= 0:
-            raise ValueError("planes must be positive")
-        ways = self.channels * self.dies * self.planes
-        if self.num_blocks % ways != 0:
+        if self.num_blocks % self.channels != 0:
             raise ValueError(
                 f"num_blocks ({self.num_blocks}) must be divisible by "
-                f"channels*dies*planes ({self.channels}x{self.dies}x"
-                f"{self.planes} = {ways}) so every parallel unit holds "
-                f"the same number of blocks"
+                f"channels ({self.channels}) so every channel holds the "
+                f"same number of blocks"
             )
 
     @property
@@ -101,27 +88,11 @@ class FlashGeometry:
         """
         return self.page_size // MAP_ENTRY_BYTES
 
-    # ------------------------------------------------------------------
-    # Parallelism
-    # ------------------------------------------------------------------
-    @property
-    def parallel_units(self) -> int:
-        """Independently-timed command queues: ``channels * dies``.
-
-        Planes are excluded deliberately - a plane shares its die's
-        queue, so two-plane geometries widen the address space without
-        adding overlap (documented limitation; matches the conservative
-        end of real controllers, which need paired-plane commands to
-        exploit planes).
-        """
-        return self.channels * self.dies
-
     def __repr__(self) -> str:
         parallel = (
-            f", {self.channels}ch x {self.dies}die x {self.planes}pl "
-            f"[block = ((stripe*planes + plane)*dies + die)*channels "
-            f"+ channel; ppn = block*{self.pages_per_block} + page]"
-            if self.parallel_units > 1 or self.planes > 1
+            f", {self.channels}ch [channel = block % {self.channels}; "
+            f"ppn = block*{self.pages_per_block} + page]"
+            if self.channels > 1
             else ""
         )
         return (
@@ -164,31 +135,6 @@ class FlashGeometry:
         """Raise :class:`OutOfRangeError` for an invalid block number."""
         if not 0 <= block < self.num_blocks:
             raise OutOfRangeError("block", block, self.num_blocks)
-
-
-def parse_parallelism(spec: str) -> tuple:
-    """Parse a ``CxDxP`` parallelism spec into ``(channels, dies, planes)``.
-
-    Accepts ``"4"`` (channels only), ``"4x2"`` (channels x dies) or
-    ``"4x2x1"``; omitted components default to 1.  This is the format the
-    ``--geometry`` CLI flag takes.
-    """
-    parts = spec.lower().replace("×", "x").split("x")
-    if not 1 <= len(parts) <= 3:
-        raise ValueError(
-            f"geometry spec {spec!r} is not CxDxP (e.g. 4x2x1)"
-        )
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise ValueError(
-            f"geometry spec {spec!r} is not CxDxP (e.g. 4x2x1)"
-        ) from None
-    if any(v <= 0 for v in values):
-        raise ValueError(f"geometry spec {spec!r} has non-positive parts")
-    while len(values) < 3:
-        values.append(1)
-    return tuple(values)
 
 
 def geometry_for_capacity(

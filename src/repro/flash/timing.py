@@ -17,6 +17,10 @@ from dataclasses import dataclass
 class TimingModel:
     """Per-operation latencies of the flash device.
 
+    Every latency is a whole number of microseconds, as in the
+    trace-driven evaluations this model follows, so sums of latencies are
+    exact in any association (the run ops rely on it).
+
     Attributes:
         page_read_us: Time to read one page into the controller.
         page_program_us: Time to program (write) one page.
@@ -29,8 +33,13 @@ class TimingModel:
 
     def __post_init__(self) -> None:
         for name in ("page_read_us", "page_program_us", "block_erase_us"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
+            if not float(value).is_integer():
+                raise ValueError(
+                    f"{name} must be a whole number of microseconds, "
+                    f"got {value!r}")
 
 
 #: Small-block SLC NAND of the paper's era (Samsung K9 class): the constants

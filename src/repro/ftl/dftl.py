@@ -112,7 +112,7 @@ class DftlFTL(FlashTranslationLayer):
         # blocks so program bursts (host writes, GC relocation) land on
         # different parallel units and overlap; one way on the serial
         # device.  Full blocks retire to the collector's victim pool.
-        ways = stripe_ways(flash.geometry.parallel_units)
+        ways = stripe_ways(flash.geometry.channels)
         retire = self._gc.blocks.add
         self._data_active = Frontier(flash, pool, ways, retire)
         self._gc_active = Frontier(flash, pool, ways, retire)

@@ -117,7 +117,7 @@ class MappingStore:
         #: through ``_destination``, so the owner alone decides when an
         #: extra way may open and whether room is made by reclaiming.
         self._frontier = Frontier(
-            flash, pool, stripe_ways(flash.geometry.parallel_units),
+            flash, pool, stripe_ways(flash.geometry.channels),
             self.full_blocks.add,
         )
         self._destination = destination

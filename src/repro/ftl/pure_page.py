@@ -64,7 +64,7 @@ class PageFTL(FlashTranslationLayer):
         # Host and GC destinations each rotate over up to `ways` open
         # blocks so program bursts overlap across parallel units (one way
         # on the serial device); full blocks retire to GC's victim pool.
-        ways = stripe_ways(flash.geometry.parallel_units)
+        ways = stripe_ways(flash.geometry.channels)
         retire = self._gc.blocks.add
         self._active = Frontier(flash, self._pool, ways, retire)
         self._gc_active = Frontier(flash, self._pool, ways, retire)

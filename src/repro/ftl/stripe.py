@@ -93,7 +93,7 @@ class Frontier:
         on_full: Callable[[int], None] = _ignore,
     ):
         self.pool = pool
-        self.units = flash.geometry.parallel_units
+        self.units = flash.geometry.channels
         self.ways = ways
         self.open_blocks: List[int] = []
         self._cursor = 0

@@ -31,8 +31,9 @@ differential tests in ``tests/test_batch_replay.py``):
   each recorded as the difference of two neighbours - the same additions
   and subtractions in the same order as the scalar loop;
 * bulk read-counter increments use ``n * latency_us``, which equals ``n``
-  repeated additions only for integer-valued latencies; a fractional
-  timing model takes no runs, so :func:`engine_for` declines it;
+  repeated additions because every latency is a whole number of
+  microseconds (:class:`~repro.flash.timing.TimingModel` admits no
+  other);
 * the numpy kernel and the pure ``array`` kernel are the same
   arithmetic, so results are identical whichever an epoch takes: its
   length picks (:data:`NUMPY_MIN_EPOCH`), and a machine without the
@@ -121,20 +122,19 @@ def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:
     read/write and silently diverge from the bulk executor), a flash
     subclass (the sanitizer audits every raw op; epochs count reads in
     bulk), a tracer on the FTL (it must see per-op events), a device
-    with more than one parallel unit (an epoch is one run on the block
+    with more than one channel (an epoch is one run on the block
     ``Frontier.peek`` names, timed on one clock; the striped UBA rotates
     over several), or a device that takes no runs
     (:meth:`~repro.flash.chip.NandFlash.takes_runs` - the one statement
     of: powered, no armed fault since the trip point must be a
-    per-request boundary, integer-valued latencies since bulk
-    ``n * latency`` must be bit-exact).
+    per-request boundary, no ``serialize_timing``).
     """
     if type(ftl) is not LazyFTL:
         return None
     flash = ftl.flash
     if type(flash) is not NandFlash or ftl._tracer is not None:
         return None
-    if flash.geometry.parallel_units > 1 or not flash.takes_runs():
+    if flash.geometry.channels > 1 or not flash.takes_runs():
         return None
     return BatchEngine(ftl)
 

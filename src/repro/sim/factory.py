@@ -85,8 +85,6 @@ def standard_setup(
     sanitize: bool = False,
     tracer: Any = None,
     channels: int = 1,
-    dies: int = 1,
-    planes: int = 1,
     **options: Any,
 ) -> Tuple[NandFlash, Any, int]:
     """Build a (flash, ftl, logical_pages) triple with shared defaults.
@@ -103,13 +101,12 @@ def standard_setup(
     NAND-contract breach raises a
     structured :class:`~repro.checks.SanitizerViolation`.
 
-    ``channels``/``dies``/``planes`` select the device parallelism; with
-    more than one parallel unit (channels x dies - planes only widen
-    addressing) the device overlaps commands per unit and
+    ``channels`` selects the device parallelism; with more than one
+    channel the device overlaps commands per channel and
     striping-capable schemes (LazyFTL, DFTL, ideal) spread their
-    frontier allocation across the units.  On the default ``1x1x1`` the
-    same device is serial and the same frontier code keeps one block
-    open per area.
+    frontier allocation across the channels.  On the default single
+    channel the same device is serial and the same frontier code keeps
+    one block open per area.
 
     A ``tracer`` (:class:`~repro.obs.Tracer`) is attached before the FTL
     is returned, so construction-time flash traffic and direct host calls
@@ -122,8 +119,6 @@ def standard_setup(
         pages_per_block=pages_per_block,
         page_size=page_size,
         channels=channels,
-        dies=dies,
-        planes=planes,
     )
     if sanitize:
         from ..checks import SanitizedFTL, SanitizedNandFlash

@@ -76,7 +76,7 @@ GOLDEN_DEVICE = DeviceSpec(
 #: model (striped placement + overlap timing) for the schemes that opt
 #: into frontier striping.  Kept in a *separate* snapshot file
 #: (``engine_stats_4ch.json``) so the serial snapshot's exact key-set
-#: check keeps certifying that 1x1x1 behaviour never moved.
+#: check keeps certifying that serial behaviour never moved.
 GOLDEN_DEVICE_4CH = DeviceSpec(
     num_blocks=96,
     pages_per_block=16,

@@ -29,8 +29,6 @@ class DeviceSpec:
     logical_fraction: float = 0.85
     timing: TimingModel = SLC_TIMING
     channels: int = 1
-    dies: int = 1
-    planes: int = 1
 
     @property
     def logical_pages(self) -> int:
@@ -142,8 +140,6 @@ def run_scheme(
         timing=device.timing,
         sanitize=sanitize,
         channels=device.channels,
-        dies=device.dies,
-        planes=device.planes,
         **opts,
     )
     footprint = min(trace.max_lpn + 1, logical_pages)

@@ -216,7 +216,7 @@ class Simulator:
         ftl_read_run = ftl.read_run
         flash = ftl.flash
         begin_host_op = flash.begin_host_op \
-            if flash.geometry.parallel_units > 1 else None
+            if flash.geometry.channels > 1 else None
         ops = cols.ops
         lpns = cols.lpns
         npages = cols.npages

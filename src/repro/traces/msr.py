@@ -22,9 +22,8 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Optional
 
-from . import cache as trace_cache
 from .model import IORequest, OpType, Trace
-from .spc import _check_max_requests, _compact_columns
+from .spc import _compact_columns, _parse_columns, _parse_file
 
 
 class MSRFormatError(ValueError):
@@ -92,22 +91,9 @@ def parse_msr(
         rebase_time: Shift arrival timestamps so the trace starts at 0
             (filetimes are astronomically large otherwise).
     """
-    _check_max_requests(max_requests)
-    trace_cache.stats.text_parses += 1
-    ops = array("b")
-    lpns = array("q")
-    npages = array("q")
-    arrivals = array("d")
-    for line in lines:
-        if max_requests is not None and len(ops) >= max_requests:
-            break
-        request = parse_msr_line(line, page_size=page_size)
-        if request is None:
-            continue
-        ops.append(1 if request.op is OpType.WRITE else 0)
-        lpns.append(request.lpn)
-        npages.append(request.npages)
-        arrivals.append(request.arrival_us)
+    ops, lpns, npages, arrivals = _parse_columns(
+        lines, lambda line: parse_msr_line(line, page_size=page_size),
+        max_requests)
     if rebase_time and arrivals:
         t0 = min(arrivals)
         arrivals = array("d", (t - t0 for t in arrivals))
@@ -123,17 +109,5 @@ def parse_msr_file(
     compact: bool = True,
 ) -> Trace:
     """Parse an MSR Cambridge trace file from disk (binary-cached)."""
-    def build() -> Trace:
-        with open(path) as f:
-            return parse_msr(
-                f, page_size=page_size, name=name or path,
-                max_requests=max_requests, compact=compact,
-            )
-
-    key = trace_cache.file_key(
-        "msr-file", path,
-        page_size=page_size, max_requests=max_requests, compact=compact,
-    )
-    trace = trace_cache.fetch(key, build)
-    trace.name = name or path
-    return trace
+    return _parse_file("msr-file", parse_msr, path, page_size, name,
+                       max_requests, compact)

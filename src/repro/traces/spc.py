@@ -22,7 +22,7 @@ multi-hundred-MB SPC file is tokenised once per content, not once per run.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Tuple
 
 from . import cache as trace_cache
 from .model import IORequest, OpType, Trace
@@ -79,9 +79,60 @@ def parse_spc_line(
     )
 
 
-def _check_max_requests(max_requests: Optional[int]) -> None:
+def _parse_columns(
+    lines: Iterable[str],
+    parse_line: Callable[[str], Optional[IORequest]],
+    max_requests: Optional[int],
+) -> Tuple[array, array, array, array]:
+    """The text parsers' one loop: the ``(ops, lpns, npages, arrivals)``
+    columns of ``parse_line`` over ``lines`` (None: a skipped line), at
+    most ``max_requests`` requests (None: all)."""
     if max_requests is not None and max_requests < 0:
         raise ValueError("max_requests must be non-negative")
+    trace_cache.stats.text_parses += 1
+    ops = array("b")
+    lpns = array("q")
+    npages = array("q")
+    arrivals = array("d")
+    for line in lines:
+        if max_requests is not None and len(ops) >= max_requests:
+            break
+        request = parse_line(line)
+        if request is None:
+            continue
+        ops.append(1 if request.op is OpType.WRITE else 0)
+        lpns.append(request.lpn)
+        npages.append(request.npages)
+        arrivals.append(request.arrival_us)
+    return ops, lpns, npages, arrivals
+
+
+def _parse_file(
+    kind: str,
+    parse: Callable[..., Trace],
+    path: str,
+    page_size: int,
+    name: Optional[str],
+    max_requests: Optional[int],
+    compact: bool,
+) -> Trace:
+    """``parse`` of the file at ``path``, through the binary trace cache
+    (keyed on ``kind``, the file's path, mtime and size, and the parse
+    parameters)."""
+    def build() -> Trace:
+        with open(path) as f:  # noqa: PTH123 - plain file handling is fine
+            return parse(
+                f, page_size=page_size, name=name or path,
+                max_requests=max_requests, compact=compact,
+            )
+
+    key = trace_cache.file_key(
+        kind, path,
+        page_size=page_size, max_requests=max_requests, compact=compact,
+    )
+    trace = trace_cache.fetch(key, build)
+    trace.name = name or path
+    return trace
 
 
 def parse_spc(
@@ -99,23 +150,10 @@ def parse_spc(
             (preserving relative order) so the trace fits a simulated device
             without modelling the original volume's full capacity.
     """
-    _check_max_requests(max_requests)
-    trace_cache.stats.text_parses += 1
-    ops = array("b")
-    lpns = array("q")
-    npages = array("q")
-    arrivals = array("d")
-    for line in lines:
-        if max_requests is not None and len(ops) >= max_requests:
-            break
-        req = parse_spc_line(line, page_size=page_size)
-        if req is None:
-            continue
-        ops.append(1 if req.op is OpType.WRITE else 0)
-        lpns.append(req.lpn)
-        npages.append(req.npages)
-        arrivals.append(req.arrival_us)
-    trace = Trace.from_columns(ops, lpns, npages, arrivals, name=name)
+    columns = _parse_columns(
+        lines, lambda line: parse_spc_line(line, page_size=page_size),
+        max_requests)
+    trace = Trace.from_columns(*columns, name=name)
     return _compact_columns(trace) if compact else trace
 
 
@@ -127,20 +165,8 @@ def parse_spc_file(
     compact: bool = True,
 ) -> Trace:
     """Parse an SPC trace file from disk (binary-cached per content/params)."""
-    def build() -> Trace:
-        with open(path) as f:  # noqa: PTH123 - plain file handling is fine
-            return parse_spc(
-                f, page_size=page_size, name=name or path,
-                max_requests=max_requests, compact=compact,
-            )
-
-    key = trace_cache.file_key(
-        "spc-file", path,
-        page_size=page_size, max_requests=max_requests, compact=compact,
-    )
-    trace = trace_cache.fetch(key, build)
-    trace.name = name or path
-    return trace
+    return _parse_file("spc-file", parse_spc, path, page_size, name,
+                       max_requests, compact)
 
 
 def _compact_columns(trace: Trace) -> Trace:

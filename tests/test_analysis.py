@@ -85,18 +85,20 @@ class TestWear:
 class TestRamModel:
     GEOMETRY = FlashGeometry(num_blocks=1024, pages_per_block=64,
                              page_size=2048)
+    #: UBA 32 / CBA 4 and the CMT at parity: the headline configuration.
+    AREAS = dict(uba_blocks=32, cba_blocks=4, cmt_entries=36 * 64)
 
     def test_ideal_is_linear_in_logical_pages(self):
-        model = ram_model(self.GEOMETRY, logical_pages=10000)
+        model = ram_model(self.GEOMETRY, logical_pages=10000, **self.AREAS)
         assert model["ideal"] == 40000
 
     def test_lazyftl_much_smaller_than_ideal(self):
         logical = self.GEOMETRY.total_pages * 8 // 10
-        model = ram_model(self.GEOMETRY, logical_pages=logical)
+        model = ram_model(self.GEOMETRY, logical_pages=logical, **self.AREAS)
         assert model["LazyFTL"] < model["ideal"] / 5
 
     def test_all_schemes_present(self):
-        model = ram_model(self.GEOMETRY, logical_pages=1000)
+        model = ram_model(self.GEOMETRY, logical_pages=1000, **self.AREAS)
         assert set(model) == {"ideal", "BAST", "FAST", "DFTL", "LazyFTL"}
 
     def test_scalability_gap_widens_with_capacity(self):
@@ -106,3 +108,14 @@ class TestRamModel:
         ratio_small = small["ideal"] / small["LazyFTL"]
         ratio_large = large["ideal"] / large["LazyFTL"]
         assert ratio_large > ratio_small
+
+    def test_table_is_the_simulated_configuration(self):
+        """E9's table prices what ``run_scheme`` simulates: DFTL's CMT at
+        RAM parity with LazyFTL's UMT, so the two agree at every
+        capacity; the validity map is one bit per physical page."""
+        table = scalability_table([64, 32768])
+        for mib, row in table.items():
+            assert row["LazyFTL"] == row["DFTL"]
+            assert row["validity map"] == mib * 1024 * 1024 // 2048 // 8
+        assert table[64]["LazyFTL"] // 1024 == 18
+        assert table[32768]["LazyFTL"] // 1024 == 126

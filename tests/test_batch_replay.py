@@ -14,7 +14,7 @@ side:
   execute it;
 * the eligibility gate is probed directly: sanitized flash subclasses,
   attached tracers, armed fault injectors, powered-off devices and
-  fractional timing models must all decline batching (and therefore
+  serial-timed devices must all decline batching (and therefore
   replay scalar even under ``replay_mode="auto"``);
 * the bulk-update primitives the executors lean on (``record_many``,
   ``set_many``) are checked one by one against their
@@ -250,31 +250,14 @@ class TestEligibilityGate:
         assert batch.engine_for(wrapped) is None
         assert batch.engine_for(wrapped._ftl) is None
 
-    def test_planes_only_geometry_is_a_serial_device(self):
-        """Planes widen addressing, not timing: ``1x1x2`` has one
-        parallel unit, so it is the plain serial device - the engine
-        engages and agrees with scalar replay bit for bit."""
-        assert batch.engine_for(self._ftl(planes=2)) is not None
-        trace = make_trace(
-            [(lpn % 4 != 3, lpn * 7 % 150, 1) for lpn in range(600)], 0.0)
-        digests = [
-            engine_digest(Simulator(
-                self._ftl(planes=2), replay_mode=mode).run(trace))
-            for mode in ("auto", "scalar")
-        ]
-        assert digests[0] == digests[1]
-
     def test_multi_unit_geometry_declines(self):
         assert batch.engine_for(self._ftl(channels=2)) is None
-        assert batch.engine_for(self._ftl(dies=2)) is None
 
-    @pytest.mark.parametrize("channels,dies", [(4, 1), (2, 2)])
-    def test_striped_device_declines_though_it_takes_runs(self, channels,
-                                                          dies):
+    def test_striped_device_declines_though_it_takes_runs(self):
         """An epoch is timed on one clock: ``engine_for`` declines a
-        multi-unit device itself, not through ``takes_runs()``, which
+        multi-channel device itself, not through ``takes_runs()``, which
         says yes there."""
-        ftl = self._ftl(channels=channels, dies=dies)
+        ftl = self._ftl(channels=4)
         assert ftl.flash.takes_runs()
         assert batch.engine_for(ftl) is None
 
@@ -295,13 +278,12 @@ class TestEligibilityGate:
         ftl.flash.power_off()
         assert batch.engine_for(ftl) is None
 
-    def test_fractional_timing_declines(self):
-        from repro.flash.timing import TimingModel
-
-        fractional = TimingModel(
-            page_read_us=25.5, page_program_us=200.0, block_erase_us=1500.0
-        )
-        ftl = self._ftl(timing=fractional)
+    def test_serialized_timing_declines(self):
+        """On one channel ``serialize_timing`` changes no latency, only
+        ``takes_runs()``: the engine declines through it."""
+        ftl = self._ftl()
+        ftl.flash.serialize_timing = True
+        assert not ftl.flash.takes_runs()
         assert batch.engine_for(ftl) is None
 
     def test_background_gc_rejects_timestamped_traces(self):

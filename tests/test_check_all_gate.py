@@ -147,6 +147,24 @@ class TestFtlbenchStage:
         assert argv[2:] == ["--smoke"]
 
 
+class TestSmokeStages:
+    @pytest.mark.parametrize("stage", ["trace", "report"])
+    def test_stage_runs_one_and_four_channels(self, check_all, monkeypatch,
+                                             stage):
+        seen = []
+        monkeypatch.setattr(check_all, "run_step",
+                            lambda name, argv: seen.append((name, argv))
+                            or True)
+        config = {"trace_requests": 10, "report_requests": 10}
+        assert check_all.RUNNERS[stage](config) is True
+        runs = [(name, argv[argv.index("--channels") + 1])
+                for name, argv in seen if "--channels" in argv]
+        assert [channels for _, channels in runs] == ["1", "4"]
+        assert all(name.endswith(f":{channels}ch")
+                   for name, channels in runs)
+        assert all("--geometry" not in argv for _, argv in seen)
+
+
 class TestLintStage:
     def test_one_lint_stage(self, check_all):
         assert [s for s in check_all.STEPS if "lint" in s] == ["lint"]

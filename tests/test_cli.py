@@ -46,7 +46,7 @@ class TestCommands:
     def test_compare_with_geometry(self, capsys):
         rc = main([
             "compare", "--trace", "random", "--requests", "300",
-            "--schemes", "LazyFTL", "ideal", "--geometry", "2x1x1",
+            "--schemes", "LazyFTL", "ideal", "--channels", "2",
             *SMALL_DEVICE,
         ])
         assert rc == 0
@@ -56,13 +56,13 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main([
                 "compare", "--trace", "random", "--requests", "100",
-                "--geometry", "nonsense", *SMALL_DEVICE,
+                "--channels", "nonsense", *SMALL_DEVICE,
             ])
 
     def test_crashcheck_geometry(self, capsys):
         rc = main([
             "crashcheck", "--scheme", "LazyFTL", "--ops", "60",
-            "--geometry", "2x1x1",
+            "--channels", "2",
         ])
         assert rc == 0
         out = capsys.readouterr().out

@@ -252,14 +252,14 @@ class TestReproducer:
         assert serial.key() == "40x8x64/96"  # historical form unchanged
         assert DeviceParams.parse(serial.key()) == serial
         striped = DeviceParams(channels=2)
-        assert striped.key() == "40x8x64/96@2x1x1"
+        assert striped.key() == "40x8x64/96@2"
         assert DeviceParams.parse(striped.key()) == striped
 
     def test_round_trip_with_geometry(self):
         case = CrashCase(scheme="LazyFTL", crash_index=9, seed=3,
                          num_ops=50, device=DeviceParams(channels=2))
         text = case.reproducer()
-        assert "dev=40x8x64/96@2x1x1" in text
+        assert "dev=40x8x64/96@2" in text
         assert CrashCase.from_reproducer(text) == case
 
 

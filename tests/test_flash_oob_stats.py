@@ -80,6 +80,15 @@ class TestTimingModel:
         with pytest.raises(ValueError):
             TimingModel(page_read_us=-1)
 
+    @pytest.mark.parametrize("field", ["page_read_us", "page_program_us",
+                                       "block_erase_us"])
+    def test_fractional_latency_rejected(self, field):
+        """Latencies are whole microseconds: the run ops sum them in any
+        association and must get the scalar sum exactly."""
+        with pytest.raises(ValueError, match=field):
+            TimingModel(**{field: 0.1})
+        assert getattr(TimingModel(**{field: 7}), field) == 7
+
 
 class TestWearSummary:
     def test_empty(self):

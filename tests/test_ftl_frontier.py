@@ -29,7 +29,6 @@ from repro.flash import (
     NandFlash,
     OOBData,
     SequenceCounter,
-    TimingModel,
 )
 from repro.ftl.pool import BlockPool, OutOfBlocksError
 from repro.ftl.stats import FtlStats
@@ -287,9 +286,9 @@ class TestRunLimit:
         flash.fault.arm_after_programs(10 ** 12)
         assert relocated(flash, frontier) == [1] * PAGES
         flash.fault.disarm()
-        flash.timing = TimingModel(page_read_us=0.1)
+        flash.serialize_timing = True
         assert relocated(flash, frontier) == [1] * PAGES
-        flash.timing = UNIT_TIMING
+        flash.serialize_timing = False
         assert relocated(flash, frontier) == [PAGES]
 
     def test_sanitized_device_is_one(self):

@@ -5,12 +5,12 @@ including the mid-trace POWER_CYCLE recovery test - for every scheme that
 stripes its frontier allocation (LazyFTL, the ideal page FTL, DFTL)
 across three device geometries:
 
-* ``1x1x1`` - the serial baseline (every frontier one way wide; must
+* one channel - the serial baseline (every frontier one way wide; must
   behave exactly like the historical suites),
-* ``2x1x1`` - two channels, the smallest striped configuration,
-* ``4x2x1`` - four channels x two dies = eight parallel units, more
-  units than the frontier stripes ways (MAX_STRIPE_WAYS = 4), so
-  rotation wraps and ``allocate_on`` placement hints matter.
+* two channels - the smallest striped configuration,
+* eight channels (the ``4x2`` classes) - more units than the frontier
+  stripes ways (MAX_STRIPE_WAYS = 4), so rotation wraps and
+  ``allocate_on`` placement hints matter.
 
 One sanitized (flashsan) variant per scheme runs the same contract under
 full per-op auditing on the widest geometry, composing the sanitizer
@@ -30,8 +30,8 @@ GEO_SERIAL = FlashGeometry(num_blocks=48, pages_per_block=16,
                            page_size=2048)
 GEO_2CH = FlashGeometry(num_blocks=48, pages_per_block=16,
                         page_size=2048, channels=2)
-GEO_4X2 = FlashGeometry(num_blocks=48, pages_per_block=16,
-                        page_size=2048, channels=4, dies=2)
+GEO_8CH = FlashGeometry(num_blocks=48, pages_per_block=16,
+                        page_size=2048, channels=8)
 
 
 class _LazyScheme:
@@ -75,7 +75,7 @@ class TestLazyFTL2Ch(_LazyScheme, FTLConformance):
 
 
 class TestLazyFTL4x2(_LazyScheme, FTLConformance):
-    GEOMETRY = GEO_4X2
+    GEOMETRY = GEO_8CH
 
 
 class TestIdealSerial(_IdealScheme, FTLConformance):
@@ -87,7 +87,7 @@ class TestIdeal2Ch(_IdealScheme, FTLConformance):
 
 
 class TestIdeal4x2(_IdealScheme, FTLConformance):
-    GEOMETRY = GEO_4X2
+    GEOMETRY = GEO_8CH
 
 
 class TestDftlSerial(_DftlScheme, FTLConformance):
@@ -99,11 +99,11 @@ class TestDftl2Ch(_DftlScheme, FTLConformance):
 
 
 class TestDftl4x2(_DftlScheme, FTLConformance):
-    GEOMETRY = GEO_4X2
+    GEOMETRY = GEO_8CH
 
 
 class TestSanitizedLazyFTL4x2(_LazyScheme, FTLConformance):
-    GEOMETRY = GEO_4X2
+    GEOMETRY = GEO_8CH
     SANITIZE = True
 
     def test_valid_page_conservation(self):
@@ -116,10 +116,10 @@ class TestSanitizedLazyFTL4x2(_LazyScheme, FTLConformance):
 
 
 class TestSanitizedIdeal4x2(_IdealScheme, FTLConformance):
-    GEOMETRY = GEO_4X2
+    GEOMETRY = GEO_8CH
     SANITIZE = True
 
 
 class TestSanitizedDftl4x2(_DftlScheme, FTLConformance):
-    GEOMETRY = GEO_4X2
+    GEOMETRY = GEO_8CH
     SANITIZE = True

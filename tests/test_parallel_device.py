@@ -3,8 +3,7 @@
 Covers the layers the multi-channel work added:
 
 * :class:`FlashGeometry` parallel addressing - the block-interleaved
-  layout (as the device's unit clocks see it), its validation, and the
-  ``CxDxP`` spec parser behind ``--geometry``;
+  layout (as the device's unit clocks see it) and its validation;
 * :class:`NandFlash` busy-until timing on a multi-unit geometry -
   overlap across units, serialization within a unit, the
   ``serialize_timing`` lever, channel waits, the host-op clock reset,
@@ -15,7 +14,7 @@ Covers the layers the multi-channel work added:
 * the Hypothesis property separating *placement* from *timing*: for
   random workloads, per-channel overlap never reorders or changes acked
   results - an N-channel run with serialized timing forced produces the
-  same acked results as the 1x1x1 run, and flipping overlap on changes
+  same acked results as the serial run, and flipping overlap on changes
   per-op latencies (only downward) while placement stays bit-identical;
 * the parallel probe (formerly ``benchmarks/perfbench.py``): what four
   channels buy LazyFTL in simulated time, with the latency
@@ -36,7 +35,6 @@ from repro.flash import (
     NandFlash,
     OOBData,
     UNIT_TIMING,
-    parse_parallelism,
 )
 from repro.flash.timing import SLC_TIMING
 from repro.obs import OpLatencyRecorder, Tracer
@@ -52,20 +50,15 @@ from repro.traces.synthetic import uniform_random, warmup_fill
 # Geometry addressing
 # ----------------------------------------------------------------------
 class TestParallelGeometry:
-    # 4 channels x 2 dies x 1 plane = 8 units, 24 blocks -> 3 per unit.
+    # 8 channels, 24 blocks -> 3 per channel.
     g = FlashGeometry(num_blocks=24, pages_per_block=4, page_size=64,
-                      channels=4, dies=2)
-
-    def test_parallel_units_excludes_planes(self):
-        g = FlashGeometry(num_blocks=16, pages_per_block=4, page_size=64,
-                          channels=2, dies=2, planes=2)
-        assert g.parallel_units == 4
+                      channels=8)
 
     def test_block_interleaved_layout(self):
-        # Consecutive blocks round-robin over the units (channels first,
-        # then dies): block b overlaps block b + 1 and serializes with
-        # block b + units, where the stripe wraps.
-        units = self.g.parallel_units
+        # Consecutive blocks round-robin over the channels: block b
+        # overlaps block b + 1 and serializes with block b + units, where
+        # the stripe wraps.
+        units = self.g.channels
         for b in range(units):
             flash = NandFlash(self.g, timing=SLC_TIMING)
             flash.begin_host_op()
@@ -97,31 +90,21 @@ class TestParallelGeometry:
                           channels=0)
 
     def test_repr_documents_layout(self):
-        assert "block = ((stripe*planes + plane)*dies + die)*channels" \
+        assert "8ch [channel = block % 8; ppn = block*4 + page]" \
             in repr(self.g)
         # Serial geometries keep the compact historical repr.
         assert "ch" not in repr(FlashGeometry(num_blocks=8,
                                               pages_per_block=4,
                                               page_size=64))
 
-    def test_parse_parallelism(self):
-        assert parse_parallelism("4") == (4, 1, 1)
-        assert parse_parallelism("4x2") == (4, 2, 1)
-        assert parse_parallelism("4x2x2") == (4, 2, 2)
-        assert parse_parallelism("2×2×1") == (2, 2, 1)
-        for bad in ("", "4x2x1x1", "axb", "0x1x1", "-2"):
-            with pytest.raises(ValueError):
-                parse_parallelism(bad)
-
 
 # ----------------------------------------------------------------------
 # Busy-until timing
 # ----------------------------------------------------------------------
-def make_parallel(channels=2, dies=1, blocks=8, pages=4,
-                  timing=SLC_TIMING):
+def make_parallel(channels=2, blocks=8, pages=4, timing=SLC_TIMING):
     return NandFlash(
         FlashGeometry(num_blocks=blocks, pages_per_block=pages,
-                      page_size=64, channels=channels, dies=dies),
+                      page_size=64, channels=channels),
         timing=timing,
     )
 
@@ -222,7 +205,6 @@ class TestParallelTiming:
         flash.program_page(0, "a", OOBData(lpn=0, seq=1))
         summary = flash.parallel_summary()
         assert summary["units"] == 2
-        assert summary["channels"] == 2
         assert summary["unit_busy_us"] == [SLC_TIMING.page_program_us, 0.0]
         assert summary["host_ops"] == 1
 
@@ -316,7 +298,7 @@ SMOKE_4CH = replace(SMOKE_DEVICE, channels=4)
 class TestDriverMarksTheBoundary:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_no_host_op_is_cheaper_than_its_own_flash_op(self, scheme):
-        """Every scheme gets the same clock model at 4x1x1: a host write
+        """Every scheme gets the same clock model on 4 channels: a host write
         programs at least one page and a mapped read reads at least one,
         each against a fresh origin - consecutive host ops never overlap,
         whether or not the scheme stripes."""
@@ -429,7 +411,7 @@ class TestOverlapNeverChangesResults:
         over_acked, over_lat = _run(_lazy_on(overlapped), ops)
 
         # Timing overlap never reorders or changes acked results: the
-        # N-channel runs ack exactly what the 1x1x1 run acks, in order.
+        # N-channel runs ack exactly what the serial run acks, in order.
         assert forced_acked == serial_acked
         assert over_acked == serial_acked
 
@@ -451,7 +433,7 @@ class TestOverlapNeverChangesResults:
 # ----------------------------------------------------------------------
 class TestParallelProbe:
     """LazyFTL's macro workload (synthetic Financial1, steady state) on
-    the smoke device, serial vs 4x1x1.  Both runs are deterministic, so
+    the smoke device, serial vs 4 channels.  Both runs are deterministic, so
     the floors are noise-free."""
 
     #: Minimum *simulated* gain of four channels (``device_busy_us`` is

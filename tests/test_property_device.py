@@ -18,7 +18,6 @@ from repro.flash import (
     NandFlash,
     OOBData,
     PageState,
-    TimingModel,
 )
 from repro.ftl.last import LastFTL
 from repro.obs.tracer import Tracer
@@ -117,11 +116,10 @@ class TestBlockDeviceSectorSemantics:
 
 
 # ----------------------------------------------------------------------
-# Raw device: random op scripts, legal and illegal, on the serial, 2x1x1,
-# 4x1x1 and 2x2x1 parallel, serial-timed 4x1x1 and sanitized devices, with
-# fractional latencies (every run op then *is* its per-page calls) and
-# integer ones (all but the serial-timed and sanitized devices take the
-# bulk paths).  Two claims:
+# Raw device: random op scripts, legal and illegal, on the serial, 2- and
+# 4-channel, serial-timed (1 and 4 channels) and sanitized devices; all
+# but the serial-timed and sanitized devices take the bulk paths, and on
+# one channel ``serialize_timing`` changes nothing but that.  Two claims:
 #
 # * a run op is *n* scalar ops - ``program_run`` (consecutive, or striped
 #   over several blocks with the read each program follows) /
@@ -138,36 +136,21 @@ class TestBlockDeviceSectorSemantics:
 # ----------------------------------------------------------------------
 BLOCKS, PPB = 8, 4
 TOTAL = BLOCKS * PPB
-TIMINGS = {
-    #: Latencies that are not exactly representable, so the order in
-    #: which FlashStats accumulates them is visible in the compared floats.
-    "fractional": TimingModel(page_read_us=0.1, page_program_us=0.7,
-                              block_erase_us=1.3),
-    "integer": SLC_TIMING,
-}
+
+
+def _device(channels=1, cls=NandFlash):
+    return lambda seq: cls(FlashGeometry(BLOCKS, PPB, 512, channels=channels),
+                           SLC_TIMING, enforce_sequential=seq)
+
 
 DEVICES = {
-    "serial": lambda timing, seq: NandFlash(
-        FlashGeometry(BLOCKS, PPB, 512), timing,
-        enforce_sequential=seq),
-    "parallel": lambda timing, seq: NandFlash(
-        FlashGeometry(BLOCKS, PPB, 512, channels=4), timing,
-        enforce_sequential=seq),
-    "parallel_2": lambda timing, seq: NandFlash(
-        FlashGeometry(BLOCKS, PPB, 512, channels=2), timing,
-        enforce_sequential=seq),
-    "parallel_2x2": lambda timing, seq: NandFlash(
-        FlashGeometry(BLOCKS, PPB, 512, channels=2, dies=2), timing,
-        enforce_sequential=seq),
-    "serialized": lambda timing, seq: serialized(NandFlash(
-        FlashGeometry(BLOCKS, PPB, 512, channels=4), timing,
-        enforce_sequential=seq)),
-    "sanitized": lambda timing, seq: SanitizedNandFlash(
-        FlashGeometry(BLOCKS, PPB, 512), timing,
-        enforce_sequential=seq),
-    "traced": lambda timing, seq: traced(NandFlash(
-        FlashGeometry(BLOCKS, PPB, 512, channels=4), timing,
-        enforce_sequential=seq)),
+    "serial": _device(),
+    "parallel": _device(4),
+    "parallel_2": _device(2),
+    "serialized": lambda seq: serialized(_device(4)(seq)),
+    "serialized_serial": lambda seq: serialized(_device()(seq)),
+    "sanitized": _device(cls=SanitizedNandFlash),
+    "traced": lambda seq: traced(_device(4)(seq)),
 }
 
 # Addresses reach one past either end of the device so range errors are
@@ -305,15 +288,14 @@ def check_counters(flash):
 @settings(deadline=None, max_examples=400)
 @given(
     device=st.sampled_from(sorted(DEVICES)),
-    timing=st.sampled_from(sorted(TIMINGS)),
     sequential=st.booleans(),
     script=st.lists(ops, max_size=40),
     fault_at=st.none() | st.integers(0, 12),
     endurance=st.none() | st.integers(1, 2),
 )
-def test_bulk_run_is_n_scalar_programs(device, timing, sequential, script,
+def test_bulk_run_is_n_scalar_programs(device, sequential, script,
                                        fault_at, endurance):
-    bulk, scalar = (DEVICES[device](TIMINGS[timing], sequential)
+    bulk, scalar = (DEVICES[device](sequential)
                     for _ in range(2))
     for flash in (bulk, scalar):
         flash.endurance = endurance
@@ -328,21 +310,21 @@ def test_bulk_run_is_n_scalar_programs(device, timing, sequential, script,
 
 
 def test_the_bulk_paths_are_taken_and_refused():
-    """The fuzz above is vacuous if the serial integer-timing device never
-    leaves the per-page calls - or if a refusing device ever does.  A
+    """The fuzz above is vacuous if the serial device never leaves the
+    per-page calls - or if a refusing device ever does.  A
     traced device takes runs but serves ``program_run`` with the scalar
     calls: the tracer must see each one's events."""
     bulk, scalar = (0, 0, 0), (4, 1, 2)
-    for device, timing, runs, expected in [
-        ("serial", "integer", True, bulk),
-        ("serial", "fractional", False, scalar),
-        ("parallel", "integer", True, bulk),
-        ("parallel_2x2", "integer", True, bulk),
-        ("serialized", "integer", False, scalar),
-        ("sanitized", "integer", False, scalar),
-        ("traced", "integer", True, (4, 1, 0)),
+    for device, runs, expected in [
+        ("serial", True, bulk),
+        ("serialized_serial", False, scalar),
+        ("parallel", True, bulk),
+        ("parallel_2", True, bulk),
+        ("serialized", False, scalar),
+        ("sanitized", False, scalar),
+        ("traced", True, (4, 1, 0)),
     ]:
-        flash = DEVICES[device](TIMINGS[timing], True)
+        flash = DEVICES[device](True)
         assert flash.takes_runs() is runs
         with patch.object(NandFlash, "program_page", autospec=True,
                           side_effect=NandFlash.program_page) as program, \

@@ -12,10 +12,10 @@ Four claims:
 * *differential* - a device that refuses runs for a reason that changes
   nothing else (a power fault armed far beyond the workload) ends a
   fill + steady-overwrite replay in exactly the state of the plain one,
-  per-unit busy time and channel wait included, at 1x1x1, 4x1x1 and
-  2x2x1 - and, both traced, in the same event stream, whose ``MapRead``
+  per-unit busy time and channel wait included, on 1 and 4 channels -
+  and, both traced, in the same event stream, whose ``MapRead``
   / ``MapWrite`` counts are the FTL's ``map_reads`` / ``map_writes``;
-* *counting* - on the plain and the 4x1x1 device a GC pass and a
+* *counting* - on the plain and the 4-channel device a GC pass and a
   conversion make no per-page program calls, and with a tracer attached
   they make the same runs, served by scalar calls in the scalar order;
 * *one path* - the source of ``relocate``, ``commit`` and ``_commit_run``
@@ -47,8 +47,9 @@ from repro.obs.tracer import Tracer
 from repro.sim.golden import EventStreamHash
 
 GEOMETRY = FlashGeometry(num_blocks=64, pages_per_block=16, page_size=64)
-#: (channels, dies) of the geometries the differential runs on.
-STRIPES = {"1x1x1": (1, 1), "4x1x1": (4, 1), "2x2x1": (2, 2)}
+#: Channels of the geometries the differential runs on, by the label
+#: the golden snapshots give them.
+STRIPES = {"1x1x1": 1, "4x1x1": 4}
 LOGICAL = 600  # of 1024 physical pages; 16 map entries per page -> 38 tvpns
 
 SCHEMES = {
@@ -65,11 +66,10 @@ SCALAR_OPS = ("read_page", "program_page", "invalidate_page")
 
 def build(scheme, refuse_runs=False, stripe="1x1x1", device=NandFlash,
           traced=False):
-    channels, dies = STRIPES[stripe]
     flash = device(FlashGeometry(
         num_blocks=GEOMETRY.num_blocks,
         pages_per_block=GEOMETRY.pages_per_block,
-        page_size=GEOMETRY.page_size, channels=channels, dies=dies,
+        page_size=GEOMETRY.page_size, channels=STRIPES[stripe],
     ), SLC_TIMING)
     if refuse_runs:
         flash.fault.arm_after_programs(10 ** 12)  # never trips

@@ -11,13 +11,13 @@ Runs, in order:
    ``--require-mypy`` - the default when ``$CI`` is set - makes a
    missing mypy a failure);
 4. **trace schema** - generates a small end-to-end trace via
-   ``python -m repro compare --sanitize --trace-out``, on the serial
-   device and at ``--geometry 4x1x1``, and validates each with
+   ``python -m repro compare --sanitize --trace-out``, at
+   ``--channels 1`` and ``--channels 4``, and validates each with
    ``tools/check_trace_schema.py`` (including cause-stack consistency);
 5. **report** - renders a small latency-decomposition run report under
    ``--sanitize`` (so the per-op decomposition invariant is audited),
-   saves the snapshot, and validates its schema with
-   ``tools/check_trace_schema.py``.
+   at ``--channels 1`` and ``--channels 4``, saves each snapshot, and
+   validates its schema with ``tools/check_trace_schema.py``.
    Both ``--sanitize`` stages also check every host read by content:
    ``SanitizedFTL`` writes a ``(lpn, version)`` token where the
    simulator sends no payload and checks each read against its
@@ -146,20 +146,20 @@ def step_trace(config: dict) -> bool:
     """Serial and 4-channel: a fully overlapped flash op on the striped
     device has a zero marginal makespan the schema must still accept."""
     with tempfile.TemporaryDirectory(prefix="check_all_") as tmp:
-        for geometry in ("1x1x1", "4x1x1"):
-            trace_path = str(pathlib.Path(tmp) / f"smoke-{geometry}.jsonl")
-            produced = run_step(f"trace:generate:{geometry}", [
+        for channels in ("1", "4"):
+            trace_path = str(pathlib.Path(tmp) / f"smoke-{channels}.jsonl")
+            produced = run_step(f"trace:generate:{channels}ch", [
                 sys.executable, "-m", "repro", "compare",
                 "--trace", "random",
                 "--requests", str(config["trace_requests"]),
                 "--blocks", "96", "--pages-per-block", "16",
                 "--page-size", "512", "--logical-fraction", "0.7",
-                "--geometry", geometry,
+                "--channels", channels,
                 "--schemes", "DFTL", "LazyFTL",
                 "--sanitize",
                 "--trace-out", trace_path,
             ])
-            if not produced or not run_step(f"trace:schema:{geometry}", [
+            if not produced or not run_step(f"trace:schema:{channels}ch", [
                 sys.executable,
                 str(_REPO_ROOT / "tools" / "check_trace_schema.py"),
                 trace_path,
@@ -177,19 +177,19 @@ def step_report(config: dict) -> bool:
     every cut of the event fold carries, are nonzero only on the
     striped device."""
     with tempfile.TemporaryDirectory(prefix="check_all_") as tmp:
-        for geometry in ("1x1x1", "4x1x1"):
-            snapshot_path = str(pathlib.Path(tmp) / f"report-{geometry}.json")
-            rendered = run_step(f"report:render:{geometry}", [
+        for channels in ("1", "4"):
+            snapshot_path = str(pathlib.Path(tmp) / f"report-{channels}.json")
+            rendered = run_step(f"report:render:{channels}ch", [
                 sys.executable, "-m", "repro", "report",
                 "--trace", "random",
                 "--requests", str(config["report_requests"]),
                 "--blocks", "96", "--pages-per-block", "16",
                 "--page-size", "512", "--logical-fraction", "0.7",
-                "--geometry", geometry,
+                "--channels", channels,
                 "--sanitize",
                 "--snapshot", snapshot_path,
             ])
-            if not rendered or not run_step(f"report:schema:{geometry}", [
+            if not rendered or not run_step(f"report:schema:{channels}ch", [
                 sys.executable,
                 str(_REPO_ROOT / "tools" / "check_trace_schema.py"),
                 snapshot_path,
@@ -230,7 +230,7 @@ def step_crashmc(config: dict) -> bool:
     return run_step("crashmc:2ch", [
         sys.executable, "-m", "repro", "crashcheck",
         "--scheme", "LazyFTL", "--scheme", "ideal", "--ops", ops,
-        "--geometry", "2x1x1",
+        "--channels", "2",
     ])
 
 
