@@ -141,12 +141,10 @@ class _Auditor:
     def _valid_data_pages(self):
         """``(ppn, oob)`` of every VALID page whose OOB marks it DATA."""
         flash = self.flash
-        oobs = flash.page_oob
+        kinds = flash.oob_kind
         for ppn, state in enumerate(flash.page_states):
-            if state == VALID:
-                oob = oobs[ppn]
-                if oob is not None and oob.kind is PageKind.DATA:
-                    yield ppn, oob
+            if state == VALID and kinds[ppn] == PageKind.DATA:
+                yield ppn, flash.oob(ppn)
 
     def audit_oob_reverse_mappings(self) -> None:
         """Every valid data page's OOB lpn must be inside logical space."""
@@ -188,7 +186,7 @@ class _Auditor:
         self.check()
         pbn = self.flash.geometry.block_of(ppn)
         state = self.flash.page_states[ppn]
-        oob = self.flash.page_oob[ppn]
+        oob = self.flash.oob(ppn)
         if state != VALID:
             self.fail(
                 ViolationKind.DANGLING_MAPPING,
@@ -220,12 +218,12 @@ class _Auditor:
         self.check()
         pbn = self.flash.geometry.block_of(tppn)
         state_code = self.flash.page_states[tppn]
-        oob = self.flash.page_oob[tppn]
+        oob = self.flash.oob(tppn)
         if state_code != VALID or oob is None \
                 or oob.kind is not PageKind.MAPPING:
             state = PageState(state_code).name.lower()
             if oob is not None:
-                state = f"{state} {oob.kind.value}"
+                state = f"{state} {oob.kind.name.lower()}"
             self.fail(
                 ViolationKind.GMT_INCONSISTENT,
                 f"{source} locates translation page {tvpn} at ppn {tppn} "
@@ -275,7 +273,7 @@ def _audit_flash_map(
         base = tvpn * entries_per_page
         for idx, ppn in enumerate(a.page_content(tppn)):
             lpn = base + idx
-            if ppn is None or lpn >= logical_pages or lpn in resolved:
+            if ppn < 0 or lpn >= logical_pages or lpn in resolved:
                 continue
             if a.check_data_page(lpn, ppn, f"{source} {tvpn}"):
                 resolved[lpn] = ppn
@@ -358,9 +356,11 @@ def _audit_dftl(a: _Auditor, ftl: DftlFTL) -> None:
             a.check()
             tvpn, idx = divmod(lpn, maps.entries_per_page)
             tppn = tpages.get(tvpn)
-            flash_ppn = None
+            flash_ppn: Optional[int] = None
             if tppn is not None:
                 flash_ppn = a.page_content(tppn)[idx]
+                if flash_ppn < 0:  # UNMAPPED
+                    flash_ppn = None
             if flash_ppn != entry.ppn:
                 a.fail(
                     ViolationKind.CMT_INCONSISTENT,

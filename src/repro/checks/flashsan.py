@@ -107,11 +107,10 @@ class SanitizedNandFlash(NandFlash):
     # ------------------------------------------------------------------
     # Audited raw operations
     # ------------------------------------------------------------------
-    def read_page(self, ppn: int) -> Tuple[Any, Optional[OOBData], float]:
+    def read_page(self, ppn: int) -> Tuple[Any, float]:
         pbn, offset = self.geometry.split_ppn(ppn)
         result = self._call(super().read_page, ppn, ppn=ppn, pbn=pbn)
-        self.history.record("read", pbn, offset,
-                            result[1].lpn if result[1] is not None else None)
+        self.history.record("read", pbn, offset, self._owner(ppn))
         return result
 
     def probe_page(self, ppn: int) -> Tuple[Optional[OOBData], float]:

@@ -23,7 +23,7 @@ from .base import Rule
 
 #: NandFlash state arrays that only flash-layer code may store to.
 _GUARDED_ARRAYS = frozenset({
-    "page_states", "page_data", "page_oob",
+    "page_states", "page_data", "oob_lpn", "oob_seq", "oob_kind", "oob_cold",
     "write_ptr", "valid_count", "erase_count", "is_bad", "invalidated",
 })
 #: Device mutators that only flash-layer (or test/fault) code may call.
@@ -42,7 +42,12 @@ class BlockMutationRule(Rule):
 
     def _check_target(self, target: ast.expr) -> None:
         # ``x.valid_count = ...`` rebinds the array; ``x.valid_count[i] =
-        # ...`` (index or slice) stores into it.
+        # ...`` (index or slice) stores into it, as does each element of
+        # a tuple target.
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._check_target(element)
+            return
         array = target.value if isinstance(target, ast.Subscript) else target
         if (isinstance(array, ast.Attribute)
                 and array.attr in _GUARDED_ARRAYS):

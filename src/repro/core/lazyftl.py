@@ -49,10 +49,10 @@ from .umt import UpdateMappingTable, group_by_tvpn
 #: latest checkpoint at a fixed location.
 ANCHOR_BLOCKS = (0, 1)
 
-#: Enum member pre-resolved for the per-page identity check in
+#: The OOB kind byte of a data page, for the per-page identity check in
 #: :meth:`LazyFTL._deferred_invalidate` (called once per displaced GMT
 #: entry - a commit-path hot spot).
-_DATA = PageKind.DATA
+_DATA = int(PageKind.DATA)
 
 
 class LazyFTL(FlashTranslationLayer):
@@ -152,14 +152,14 @@ class LazyFTL(FlashTranslationLayer):
         flash = self.flash
         umt_ppn = self._umt.ppn_at(lpn)
         if umt_ppn >= 0:
-            data, _, latency = flash.read_page(umt_ppn)
+            data, latency = flash.read_page(umt_ppn)
             return HostResult(latency, data)
         entries = self.entries_per_page
         content, latency = self._maps.fetch(lpn // entries)
-        ppn = None if content is None else content[lpn % entries]
-        if ppn is None:
+        ppn = -1 if content is None else content[lpn % entries]
+        if ppn < 0:
             return HostResult(latency + UNMAPPED_READ_US)
-        data, _, read_lat = flash.read_page(ppn)
+        data, read_lat = flash.read_page(ppn)
         return HostResult(latency + read_lat, data)
 
     def read_run(self, lpn: int, n: int, begin_page: BeginPage = None,
@@ -200,11 +200,11 @@ class LazyFTL(FlashTranslationLayer):
                 if tvpn != held:
                     content, latency = fetch(tvpn)
                     held = tvpn
-                ppn = None if content is None else content[lpn % entries]
-            if ppn is None:
+                ppn = -1 if content is None else content[lpn % entries]
+            if ppn < 0:
                 latency += UNMAPPED_READ_US
             else:
-                data, _, read_lat = read_page(ppn)
+                data, read_lat = read_page(ppn)
                 latency += read_lat
             total += latency
             datas.append(data)
@@ -344,7 +344,7 @@ class LazyFTL(FlashTranslationLayer):
     def _cheapest_convert_victim(self, area: BlockArea) -> int:
         """Full block in ``area`` whose commit touches fewest GMT pages."""
         flash = self.flash
-        oobs = flash.page_oob
+        oob_lpn = flash.oob_lpn
         frontier = area.frontier
         best_pbn = None
         best_cost = None
@@ -353,7 +353,7 @@ class LazyFTL(FlashTranslationLayer):
                 continue  # keep absorbing writes in the frontier
             tvpns = set()
             for ppn in flash.valid_ppns(pbn):
-                lpn = oobs[ppn].lpn
+                lpn = oob_lpn[ppn]
                 if self._umt.points_to(lpn, ppn):
                     tvpns.add(lpn // self.entries_per_page)
             cost = len(tvpns)
@@ -380,7 +380,7 @@ class LazyFTL(FlashTranslationLayer):
             tracer.span_start(None, Cause.CONVERT)
         flash = self.flash
         umt = self._umt
-        oobs = flash.page_oob
+        oob_lpn = flash.oob_lpn
         # Inline umt.points_to: the pair scan mutates nothing, so the
         # flat ppn array and its length are loop invariants (lpns from
         # OOB are non-negative by construction).
@@ -388,7 +388,7 @@ class LazyFTL(FlashTranslationLayer):
         ulen = len(uppn)
         pairs = []
         for ppn in flash.valid_ppns(pbn):
-            lpn = oobs[ppn].lpn
+            lpn = oob_lpn[ppn]
             if lpn < ulen and uppn[lpn] == ppn:
                 pairs.append((lpn, ppn))
             # A valid page the UMT does not point to was committed early by
@@ -437,12 +437,10 @@ class LazyFTL(FlashTranslationLayer):
         invalidation safe in that case.
         """
         flash = self.flash
-        oob = flash.page_oob[old_ppn]
         if (
             flash.page_states[old_ppn] == VALID
-            and oob is not None
-            and oob.kind is _DATA
-            and oob.lpn == lpn
+            and flash.oob_kind[old_ppn] == _DATA
+            and flash.oob_lpn[old_ppn] == lpn
         ):
             flash.invalidate_page(old_ppn)
 
@@ -466,7 +464,7 @@ class LazyFTL(FlashTranslationLayer):
         live pages of a victim share an lpn."""
         flash = self.flash
         states = flash.page_states
-        oobs = flash.page_oob
+        oob_lpn = flash.oob_lpn
         invalidate_page = flash.invalidate_page
         uppn = self._umt._ppn  # inline umt.ppn_at: the array grows in place
         for src in flash.valid_ppns(pbn):
@@ -476,7 +474,7 @@ class LazyFTL(FlashTranslationLayer):
                 # this page (deferred invalidation resolving mid-pass);
                 # the valid_ppns snapshot is then stale - skip the dead page.
                 continue
-            lpn = oobs[src].lpn
+            lpn = oob_lpn[src]
             umt_ppn = uppn[lpn] if lpn < len(uppn) else -1
             if umt_ppn >= 0 and umt_ppn != src:
                 # Superseded by a later write whose mapping is still in the

@@ -191,7 +191,7 @@ def recover(
             max_seq = max(max_seq, oob.seq)
             if oob.kind is not PageKind.CHECKPOINT:
                 continue
-            fragment, _, lat2 = flash.read_page(ppn)
+            fragment, lat2 = flash.read_page(ppn)
             latency += lat2
             pages_read += 1
             candidates.setdefault(fragment.ckpt_id, {})[fragment.index] = \
@@ -285,17 +285,17 @@ def recover(
     for lpn, (seq, ppn, _) in data_best.items():
         tvpn = lpn // ftl.entries_per_page
         tppn = gtd[tvpn]
-        committed: Optional[int] = None
+        committed = -1  # unmapped, as a GMT entry says it
         if tppn is not None:
             if tvpn not in gmt_content:
-                content, _, lat = flash.read_page(tppn)
+                content, lat = flash.read_page(tppn)
                 latency += lat
                 pages_read += 1
                 gmt_content[tvpn] = content
             committed = gmt_content[tvpn][lpn % ftl.entries_per_page]
         if committed == ppn:
             continue  # already committed to the GMT
-        if committed is not None:
+        if committed >= 0:
             # The GMT points somewhere else.  Probe that page: if it is a
             # *newer* copy of this lpn, our scanned candidate is a stale
             # leftover (its live successor sits in an unscanned data

@@ -7,12 +7,13 @@ per the timing model, and supports power-loss injection for recovery tests.
 Two *run ops* (``program_run``, ``invalidate_run``) issue the same
 operations many pages at a time - see "Run ops" below.
 
-Device state is struct-of-arrays: one state byte, one payload slot and one
-OOB slot per ppn, and one write pointer / valid count / erase count / bad
-flag per block.  Each raw operation is a single method - power, fault,
-range, bad-block and NAND-rule checks, a few array stores, the stats update,
-the clock charge and an ``if tracer is not None`` emit - and it is the only
-place that operation's semantics are written down.  A refusal that enforces
+Device state is struct-of-arrays: one state byte, one payload slot and
+four OOB columns (lpn, seq, kind, cold flag) per ppn, and one write
+pointer / valid count / erase count / bad flag per block.  Each raw
+operation is a single method - power, fault, range, bad-block and NAND-rule
+checks, a few array stores, the stats update, the clock charge and an ``if
+tracer is not None`` emit - and it is the only place that operation's
+semantics are written down.  A refusal that enforces
 a NAND rule names it (:attr:`~repro.flash.errors.FlashError.rule`); the
 flashsan sanitizer calls the op through ``super()`` and reports that name.
 The map events are stated here too: a read or program of a page whose OOB
@@ -65,7 +66,8 @@ run op              n calls of           bulk path needs
                     ``reads[i]`` (if     tracer; every read programmed;
                     any), then           per good block, its pages
                     ``program_page``     contiguous from its write
-                                         pointer, every one FREE
+                    (OOB ``lpns[i]``,    pointer, every one FREE
+                    ``first_seq + i``)
 ``invalidate_run``  ``invalidate_page``  :meth:`NandFlash.takes_runs`; then
                                          per page: in range and VALID
 ==================  ===================  ==================================
@@ -95,6 +97,7 @@ asks it for replay epochs.
 from __future__ import annotations
 
 import warnings
+from array import array
 from typing import (Any, Iterable, List, Optional, Sequence, Set, Tuple,
                     Union)
 
@@ -110,10 +113,15 @@ from .errors import (
 )
 from .fault import PowerFault
 from .geometry import FlashGeometry
-from .oob import OOBData, PageKind
+from .oob import OOBData, PageKind, make_oob
 from .page import FREE, INVALID, VALID, PageState
 from .stats import FlashStats
 from .timing import SLC_TIMING, TimingModel
+
+#: The OOB kind byte a read or program tests per op (a plain int: no
+#: enum lookup), and the :class:`PageKind` of each kind byte.
+_MAPPING = int(PageKind.MAPPING)
+_KINDS = (None, *PageKind)
 
 
 class NandFlash:
@@ -131,7 +139,10 @@ class NandFlash:
     ========================  =========  ================================
     ``page_states[ppn]``      bytearray  :class:`PageState` code
     ``page_data[ppn]``        list       payload object (None if erased)
-    ``page_oob[ppn]``         list       :class:`OOBData` (None if erased)
+    ``oob_lpn[ppn]``          array q    OOB lpn (0 if erased)
+    ``oob_seq[ppn]``          array q    OOB sequence number (0 if erased)
+    ``oob_kind[ppn]``         bytearray  :class:`PageKind` (0: no OOB)
+    ``oob_cold[ppn]``         bytearray  OOB cold flag
     ``write_ptr[pbn]``        list       next programmable offset
     ``valid_count[pbn]``      list       VALID pages in the block
     ``erase_count[pbn]``      list       erases so far (wear)
@@ -162,7 +173,10 @@ class NandFlash:
         total = self._total_pages = num_blocks * ppb
         self.page_states = bytearray(total)
         self.page_data: List[Any] = [None] * total
-        self.page_oob: List[Optional[OOBData]] = [None] * total
+        self.oob_lpn = array("q", bytes(8 * total))
+        self.oob_seq = array("q", bytes(8 * total))
+        self.oob_kind = bytearray(total)
+        self.oob_cold = bytearray(total)
         self.write_ptr: List[int] = [0] * num_blocks
         self.valid_count: List[int] = [0] * num_blocks
         self.erase_count: List[int] = [0] * num_blocks
@@ -173,6 +187,7 @@ class NandFlash:
         #: assignment from these).
         self._erased_states = bytes(ppb)
         self._erased_slots: List[None] = [None] * ppb
+        self._erased_words = array("q", bytes(8 * ppb))
         for pbn in initial_bad_blocks:
             self.mark_bad(pbn)
         self.stats = FlashStats()
@@ -284,8 +299,9 @@ class NandFlash:
     # ------------------------------------------------------------------
     # Raw NAND operations
     # ------------------------------------------------------------------
-    def read_page(self, ppn: int) -> Tuple[Any, Optional[OOBData], float]:
-        """Read a page; returns ``(data, oob, latency_us)``.
+    def read_page(self, ppn: int) -> Tuple[Any, float]:
+        """Read a page; returns ``(data, latency_us)`` (its OOB is in the
+        columns, or :meth:`oob`).
 
         Reading an unprogrammed page is a simulator usage bug, so it raises
         :class:`ReadError` rather than returning garbage silently.
@@ -308,10 +324,10 @@ class NandFlash:
             latency = self._charge(ppn // self._ppb % self._units, latency)
         if self.tracer is not None:
             self.tracer.flash_op(EventType.PAGE_READ, ppn, latency)
-            oob = self.page_oob[ppn]
-            if oob is not None and oob.kind is PageKind.MAPPING:
-                self.tracer.emit(EventType.MAP_READ, lpn=oob.lpn, ppn=ppn)
-        return self.page_data[ppn], self.page_oob[ppn], latency
+            if self.oob_kind[ppn] == _MAPPING:
+                self.tracer.emit(EventType.MAP_READ, lpn=self.oob_lpn[ppn],
+                                 ppn=ppn)
+        return self.page_data[ppn], latency
 
     def probe_page(self, ppn: int) -> Tuple[Optional[OOBData], float]:
         """Read a page's OOB, tolerating erased pages.
@@ -332,8 +348,7 @@ class NandFlash:
             latency = self._charge(ppn // self._ppb % self._units, latency)
         if self.tracer is not None:
             self.tracer.flash_op(EventType.PAGE_READ, ppn, latency)
-        # An erased page's OOB slot is None already.
-        return self.page_oob[ppn], latency
+        return self.oob(ppn), latency
 
     def program_page(
         self, ppn: int, data: Any, oob: Optional[OOBData] = None
@@ -377,7 +392,9 @@ class NandFlash:
             )
         states[ppn] = VALID
         self.page_data[ppn] = data
-        self.page_oob[ppn] = oob
+        if oob is not None:  # else the erased columns stay: no OOB
+            (self.oob_lpn[ppn], self.oob_seq[ppn], self.oob_kind[ppn],
+             self.oob_cold[ppn]) = oob
         if offset >= write_ptr:
             self.write_ptr[pbn] = offset + 1
         self.valid_count[pbn] += 1
@@ -413,7 +430,10 @@ class NandFlash:
         self,
         ppn: Union[int, Sequence[int]],
         datas: Sequence[Any],
-        oobs: Sequence[Optional[OOBData]],
+        lpns: Sequence[int],
+        first_seq: int,
+        kind: PageKind,
+        cold: bool,
         reads: Optional[Sequence[Optional[int]]] = None,
     ) -> float:
         """Program ``len(datas)`` pages: from ``ppn`` on, or at the ppns
@@ -422,12 +442,14 @@ class NandFlash:
         Equivalent to, once per page in order, :meth:`read_page` of
         ``reads[i]`` (when given and not None: the read a copy or a
         read-modify-write does first; its data the caller took from the
-        state arrays) and :meth:`program_page`, the latencies summed.  A
-        plainly legal run is stored by slice assignment per block.
+        state arrays) and :meth:`program_page` with the OOB
+        ``(lpns[i], first_seq + i, kind, cold)``, the latencies summed.  A
+        plainly legal run is stored by slice assignment per block and
+        column.
         """
         n = len(datas)
-        if len(oobs) != n:
-            raise ValueError("datas and oobs must have the same length")
+        if len(lpns) != n:
+            raise ValueError("datas and lpns must have the same length")
         ppns = range(ppn, ppn + n) if isinstance(ppn, int) else ppn
         srcs = [src for src in reads or () if src is not None]
         ways = self._run_ways(ppns, srcs)
@@ -435,15 +457,20 @@ class NandFlash:
             total = 0.0
             for i in range(n):
                 if reads and reads[i] is not None:
-                    total += self.read_page(reads[i])[2]
-                total += self.program_page(ppns[i], datas[i], oobs[i])
+                    total += self.read_page(reads[i])[1]
+                total += self.program_page(ppns[i], datas[i], make_oob(
+                    (lpns[i], first_seq + i, kind, cold)))
             return total
         for j in range(ways):
             start = ppns[j]
             end = start + len(range(j, n, ways))
             self.page_states[start:end] = bytes((VALID,)) * (end - start)
             self.page_data[start:end] = datas[j::ways]
-            self.page_oob[start:end] = oobs[j::ways]
+            self.oob_lpn[start:end] = array("q", lpns[j::ways])
+            self.oob_seq[start:end] = array(
+                "q", range(first_seq + j, first_seq + n, ways))
+            self.oob_kind[start:end] = bytes((kind,)) * (end - start)
+            self.oob_cold[start:end] = bytes((cold,)) * (end - start)
             self.write_ptr[start // self._ppb] += end - start
             self.valid_count[start // self._ppb] += end - start
         read_lat = self.timing.page_read_us
@@ -522,9 +549,8 @@ class NandFlash:
         if self.tracer is not None:
             self.tracer.flash_op(EventType.BLOCK_ERASE, pbn, latency)
         if self.valid_count[pbn] > 0:
-            oobs = self.page_oob
-            owners = sorted(oobs[ppn].lpn for ppn in self.valid_ppns(pbn)
-                            if oobs[ppn] is not None)[:8]
+            owners = sorted(oob.lpn for oob in map(
+                self.oob, self.valid_ppns(pbn)) if oob is not None)[:8]
             raise EraseError(
                 f"erase of block {pbn} holding {self.valid_count[pbn]} "
                 f"valid page(s) (live lpns include {owners}) - data must "
@@ -622,7 +648,10 @@ class NandFlash:
         base = pbn * ppb
         self.page_states[base:base + ppb] = self._erased_states
         self.page_data[base:base + ppb] = self._erased_slots
-        self.page_oob[base:base + ppb] = self._erased_slots
+        self.oob_lpn[base:base + ppb] = self._erased_words
+        self.oob_seq[base:base + ppb] = self._erased_words
+        self.oob_kind[base:base + ppb] = self._erased_states
+        self.oob_cold[base:base + ppb] = self._erased_states
         self.write_ptr[pbn] = 0
         self.valid_count[pbn] = 0
         self.erase_count[pbn] += 1
@@ -649,10 +678,20 @@ class NandFlash:
             if states[ppn] == VALID
         ]
 
+    def oob(self, ppn: int) -> Optional[OOBData]:
+        """The page's OOB as read from its columns; None if it has none
+        (erased, or programmed without one)."""
+        if not 0 <= ppn < self._total_pages:
+            self.geometry.check_ppn(ppn)
+        kind = self.oob_kind[ppn]
+        if not kind:
+            return None
+        return make_oob((self.oob_lpn[ppn], self.oob_seq[ppn], _KINDS[kind],
+                         bool(self.oob_cold[ppn])))
+
     def _owner(self, ppn: int) -> Optional[int]:
         """lpn recorded in the page's OOB, if any (for refusal text)."""
-        oob = self.page_oob[ppn]
-        return oob.lpn if oob is not None else None
+        return self.oob_lpn[ppn] if self.oob_kind[ppn] else None
 
     def erase_counts(self) -> List[int]:
         """Per-block erase counts (wear profile)."""

@@ -6,22 +6,27 @@ depends on it: every data page records the logical page it holds and a
 monotonically increasing sequence number, so that after a crash the update
 and cold block areas can be scanned to rebuild the RAM-resident update
 mapping table.
+
+The device stores no :class:`OOBData` per page: it keeps four flat columns
+(``oob_lpn`` / ``oob_seq`` / ``oob_kind`` / ``oob_cold`` on
+:class:`~repro.flash.chip.NandFlash`, kind 0 meaning erased) and builds a
+tuple only at its API edge, :meth:`~repro.flash.chip.NandFlash.oob`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
+from enum import IntEnum
 from functools import partial
-from itertools import repeat
-from typing import List, Sequence
 
-class PageKind(Enum):
-    """What a physical page holds, as recorded in its OOB area."""
 
-    DATA = "data"            #: a host data page
-    MAPPING = "mapping"      #: a GMT / translation page
-    CHECKPOINT = "checkpoint"  #: serialized GTD / UMT checkpoint state
+class PageKind(IntEnum):
+    """What a physical page holds, as recorded in its OOB area: the byte
+    stored per ppn in ``flash.oob_kind`` (0 there: no OOB, erased)."""
+
+    DATA = 1        #: a host data page
+    MAPPING = 2     #: a GMT / translation page
+    CHECKPOINT = 3  #: serialized GTD / UMT checkpoint state
 
 
 _OOBBase = namedtuple("_OOBBase", ("lpn", "seq", "kind", "cold"))
@@ -30,10 +35,11 @@ _OOBBase = namedtuple("_OOBBase", ("lpn", "seq", "kind", "cold"))
 class OOBData(_OOBBase):
     """Spare-area metadata written atomically with a page program.
 
-    One OOBData is allocated per page program - a per-op hot path - so it
-    is a validated named tuple rather than a frozen dataclass: tuple
-    construction is a single C call, while a frozen dataclass pays an
-    ``object.__setattr__`` per field.  Immutability (attribute assignment
+    One OOBData is allocated per scalar page program (a run passes the
+    columns instead) - a per-op hot path - so it is a validated named
+    tuple rather than a frozen dataclass: tuple construction is a single
+    C call, while a frozen dataclass pays an ``object.__setattr__`` per
+    field.  Immutability (attribute assignment
     raises AttributeError) and field validation are preserved.
 
     Attributes:
@@ -71,15 +77,6 @@ class OOBData(_OOBBase):
 #: provably come from frontier math and the :class:`SequenceCounter`
 #: (both non-negative by construction).
 make_oob = partial(tuple.__new__, OOBData)
-
-
-def run_oobs(lpns: Sequence[int], first_seq: int, kind: PageKind,
-             cold: bool) -> List[OOBData]:
-    """The OOBs of a *run*: ``lpns`` programmed in order on consecutive
-    sequence numbers from ``first_seq`` (unvalidated, like make_oob)."""
-    return list(map(make_oob, zip(
-        lpns, range(first_seq, first_seq + len(lpns)),
-        repeat(kind), repeat(cold))))
 
 
 class SequenceCounter:

@@ -34,6 +34,7 @@ from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import PageKind, SequenceCounter, make_oob
 from ..obs.events import Cause
+from ..perf.maptable import UNMAPPED
 from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
 from .gc_policy import GarbageCollector
 from .mapping import LpnsByPage, MappingStore
@@ -126,7 +127,7 @@ class DftlFTL(FlashTranslationLayer):
         ppn, latency = self._lookup(lpn)
         if ppn is None:
             return HostResult(latency + UNMAPPED_READ_US)
-        data, _, read_lat = self.flash.read_page(ppn)
+        data, read_lat = self.flash.read_page(ppn)
         return HostResult(latency + read_lat, data)
 
     def write(self, lpn: int, data: Any = None) -> HostResult:
@@ -218,7 +219,7 @@ class DftlFTL(FlashTranslationLayer):
         lo = tvpn * maps.entries_per_page
         for lpn in lpns:
             entry = self._cmt[lpn]
-            content[lpn - lo] = entry.ppn
+            content[lpn - lo] = UNMAPPED if entry.ppn is None else entry.ppn
             self._mark_clean(lpn, entry)
         return latency + maps.program(tvpn, content)
 

@@ -62,7 +62,7 @@ class LogBlockFTL(FlashTranslationLayer):
         ppn = self._locate(lpn)
         if ppn is None:
             return HostResult(UNMAPPED_READ_US)
-        data, _, latency = self.flash.read_page(ppn)
+        data, latency = self.flash.read_page(ppn)
         return HostResult(latency, data)
 
     @abstractmethod
@@ -106,10 +106,11 @@ class LogBlockFTL(FlashTranslationLayer):
         stats = self.stats
         latency = 0.0
         for off, src in sources:
-            data, oob, read_lat = flash.read_page(src)
+            data, read_lat = flash.read_page(src)
             latency += read_lat
             latency += flash.program_page(
-                base + off, data, OOBData(lpn=oob.lpn, seq=seq_next()))
+                base + off, data, OOBData(lpn=flash.oob_lpn[src],
+                                          seq=seq_next()))
             flash.invalidate_page(src)
             stats.merge_page_copies += 1
         return latency
@@ -312,7 +313,7 @@ class LogBufferFTL(LogBlockFTL):
         with self._merging(self.victim_merge_kind, ppn=victim):
             lbns: List[int] = []
             for ppn in self.flash.valid_ppns(victim):
-                lbn = self.flash.page_oob[ppn].lpn // self.pages_per_block
+                lbn = self.flash.oob_lpn[ppn] // self.pages_per_block
                 if lbn not in lbns:
                     lbns.append(lbn)
             latency = 0.0

@@ -17,19 +17,22 @@ making room for it.  LazyFTL's never reclaims (its pool's GC reserve is
 sized for the mapping blocks); DFTL's may run GC first.
 
 No translation page is held in RAM: every lookup reads it from flash, as
-in the paper.
+in the paper.  A translation page's payload is an ``array('q')`` of
+``entries_per_page`` entries, :data:`~repro.perf.maptable.UNMAPPED` (-1)
+marking an unmapped one.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from typing import Callable, DefaultDict, Dict, List, Optional, Set, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
-from ..flash.oob import PageKind, SequenceCounter, make_oob, run_oobs
+from ..flash.oob import PageKind, SequenceCounter, make_oob
 from ..obs.events import Cause, EventType
-from ..perf.maptable import MapTable
+from ..perf.maptable import UNMAPPED, MapTable
 from .pool import BlockPool, VictimPool
 from .stats import FtlStats
 from .stripe import Destination, Frontier, relocate, stripe_ways
@@ -139,9 +142,7 @@ class MappingStore:
     def tvpn_of(self, lpn: int) -> int:
         return lpn // self.entries_per_page
 
-    def _read(
-        self, tvpn: int
-    ) -> Tuple[Optional[List[Optional[int]]], float]:
+    def _read(self, tvpn: int) -> Tuple[Optional["array[int]"], float]:
         """The one flash read of a translation page: ``(content, latency)``
         without copying, ``(None, 0.0)`` if the page was never written.
 
@@ -152,13 +153,11 @@ class MappingStore:
         tppn = self.gtd.raw[tvpn]
         if tppn < 0:
             return None, 0.0
-        content, _, latency = self.flash.read_page(tppn)
+        content, latency = self.flash.read_page(tppn)
         self.stats.map_reads += 1
         return content, latency
 
-    def fetch(
-        self, tvpn: int
-    ) -> Tuple[Optional[List[Optional[int]]], float]:
+    def fetch(self, tvpn: int) -> Tuple[Optional["array[int]"], float]:
         """What a host lookup reads: translation page ``tvpn`` from flash
         under the ``mapping`` cause; shared, not copied - ``(None, 0.0)``
         if never written."""
@@ -177,19 +176,24 @@ class MappingStore:
         content, latency = self.fetch(lpn // entries)
         if content is None:
             return None, 0.0
-        return content[lpn % entries], latency
+        ppn = content[lpn % entries]
+        return (ppn if ppn >= 0 else None), latency
 
-    def load(self, tvpn: int) -> Tuple[List[Optional[int]], float]:
+    def _empty_page(self) -> "array[int]":
+        """The content of a translation page never written: all unmapped."""
+        return array("q", (UNMAPPED,)) * self.entries_per_page
+
+    def load(self, tvpn: int) -> Tuple["array[int]", float]:
         """An editable copy of a translation page (empty if absent)."""
         content, latency = self._read(tvpn)
         if content is None:
-            return [None] * self.entries_per_page, 0.0
-        return list(content), latency
+            return self._empty_page(), 0.0
+        return content[:], latency
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def checkout(self, tvpn: int) -> Tuple[List[Optional[int]], float]:
+    def checkout(self, tvpn: int) -> Tuple["array[int]", float]:
         """Reserve room for a rewrite of ``tvpn``, then :meth:`load` it.
 
         In that order: a reclaiming destination policy can run GC, and GC
@@ -265,27 +269,27 @@ class MappingStore:
         reads = [None, *old[1:]]
         contents = [first]
         for tppn in reads[1:]:  # a page never written starts empty
-            contents.append(list(page_data[tppn]) if tppn is not None
-                            else [None] * entries_per_page)
+            contents.append(page_data[tppn][:] if tppn is not None
+                            else self._empty_page())
         for tvpn, content in zip(run, contents):
             for lpn, new_ppn in groups[tvpn]:
                 idx = lpn % entries_per_page
                 old_ppn = content[idx]
-                if old_ppn is not None and old_ppn != new_ppn:
+                if old_ppn >= 0 and old_ppn != new_ppn:
                     on_superseded(lpn, old_ppn)
                 content[idx] = new_ppn
             stats.batched_commits += len(groups[tvpn])
         stale = [tppn for tppn in old if tppn is not None]
         stats.map_reads += len(reads) - reads.count(None)
         n = len(run)
-        latency = flash.program_run(dsts, contents, run_oobs(
-            run, self.seq.take(n), PageKind.MAPPING, False), reads)
+        latency = flash.program_run(dsts, contents, run, self.seq.take(n),
+                                    PageKind.MAPPING, False, reads)
         stats.map_writes += n
         flash.invalidate_run(stale)
         self.gtd.set_many(zip(run, dsts))
         return latency
 
-    def program(self, tvpn: int, content: List[Optional[int]]) -> float:
+    def program(self, tvpn: int, content: "array[int]") -> float:
         """Write a new version of page ``tvpn``; update the GTD."""
         flash = self.flash
         latency, pbn = self._destination(self._frontier)

@@ -79,7 +79,7 @@ class PageFTL(FlashTranslationLayer):
         ppn = self._map.raw[lpn]
         if ppn < 0:
             return HostResult(UNMAPPED_READ_US)
-        data, _, latency = self.flash.read_page(ppn)
+        data, latency = self.flash.read_page(ppn)
         return HostResult(latency, data)
 
     def write(self, lpn: int, data: Any = None) -> HostResult:

@@ -25,15 +25,13 @@ already handles.
 from __future__ import annotations
 
 from itertools import islice
-from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..flash.chip import NandFlash
-from ..flash.oob import PageKind, SequenceCounter, run_oobs
+from ..flash.oob import PageKind, SequenceCounter
 from .pool import BlockPool
 from .stats import FtlStats
 
-_LPN = attrgetter("lpn")
 
 #: Upper bound on concurrently-open blocks per frontier.  Keeps the
 #: extra pool footprint (mapping/translation frontiers allocate beyond
@@ -277,14 +275,14 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
     latency = 0.0
     more = flash.geometry.pages_per_block if flash.takes_runs() else 0
     page_data = flash.page_data
-    page_oob = flash.page_oob
+    oob_lpn = flash.oob_lpn
     read_page = flash.read_page
     mapping = kind is PageKind.MAPPING
     srcs = iter(srcs)
     for src in srcs:
-        data, oob, read_lat = read_page(src)
+        data, read_lat = read_page(src)
         latency += read_lat
-        lpn = oob.lpn
+        lpn = oob_lpn[src]
         if mapping:
             stats.map_reads += 1
         room_lat, pbn = destination(frontier)
@@ -294,10 +292,10 @@ def relocate(flash: NandFlash, frontier: Frontier, srcs: Iterable[int],
         frontier.advance(len(rest))
         n = len(rest) + 1
         dsts = plan[:n]
-        lpns = [lpn, *map(_LPN, map(page_oob.__getitem__, rest))]
+        lpns = [lpn, *map(oob_lpn.__getitem__, rest)]
         latency += flash.program_run(
-            dsts, [data, *map(page_data.__getitem__, rest)],
-            run_oobs(lpns, seq.take(n), kind, cold), [None, *rest])
+            dsts, [data, *map(page_data.__getitem__, rest)], lpns,
+            seq.take(n), kind, cold, [None, *rest])
         if mapping:
             stats.map_reads += n - 1
             stats.map_writes += n

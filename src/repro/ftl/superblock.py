@@ -103,7 +103,7 @@ class SuperblockFTL(FlashTranslationLayer):
         _, _, ppn = self._locate(lpn)
         if ppn is None:
             return HostResult(UNMAPPED_READ_US)
-        data, _, latency = self.flash.read_page(ppn)
+        data, latency = self.flash.read_page(ppn)
         return HostResult(latency, data)
 
     def write(self, lpn: int, data: Any = None) -> HostResult:
@@ -179,7 +179,8 @@ class SuperblockFTL(FlashTranslationLayer):
         # allocate a relocation block if the group has no room.
         relocation: Optional[int] = None
         for src in self.flash.valid_ppns(victim):
-            data, oob, read_lat = self.flash.read_page(src)
+            data, read_lat = self.flash.read_page(src)
+            lpn = self.flash.oob_lpn[src]
             latency += read_lat
             dst = self._relocation_slot(group, victim)
             if dst is None:
@@ -189,9 +190,9 @@ class SuperblockFTL(FlashTranslationLayer):
                 dst = geometry.ppn_of(
                     relocation, self.flash.write_ptr[relocation])
             latency += self.flash.program_page(
-                dst, data, OOBData(lpn=oob.lpn, seq=self._seq.next())
+                dst, data, OOBData(lpn=lpn, seq=self._seq.next())
             )
-            group.page_map[oob.lpn % self.group_pages] = dst
+            group.page_map[lpn % self.group_pages] = dst
             self.flash.invalidate_page(src)
             self.stats.gc_page_copies += 1
         latency += self._erase(victim)

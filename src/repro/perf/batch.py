@@ -52,7 +52,7 @@ from typing import Dict, Optional
 
 from ..core.lazyftl import LazyFTL
 from ..flash.chip import NandFlash
-from ..flash.oob import PageKind, run_oobs
+from ..flash.oob import PageKind
 from ..ftl.base import FlashTranslationLayer
 from ..sim.metrics import ResponseStats
 from ..traces.model import Trace
@@ -82,9 +82,6 @@ MIN_EPOCH = 8
 #: by construction, so this threshold is purely a speed knob - and, with
 #: whether numpy imports, the only thing that picks a kernel.
 NUMPY_MIN_EPOCH = 64
-
-_DATA = PageKind.DATA
-
 
 def _record_closed(
     ops_slice: memoryview,
@@ -257,7 +254,7 @@ class BatchEngine:
                     content = page_data[tppn]
                     map_reads += 1
                     flash_reads += 1
-                    if content[lpn % entries_per_page] is not None:
+                    if content[lpn % entries_per_page] >= 0:
                         services[k] = read_us + read_us
                         flash_reads += 1
                     else:
@@ -272,8 +269,8 @@ class BatchEngine:
             # the epoch is VALID by the time its invalidate arrives;
             # programs and invalidates of different pages commute, so the
             # end state equals the scalar interleaving.
-            flash.program_run(first_ppn, [None] * n_writes, run_oobs(
-                written, ftl._seq.take(n_writes), _DATA, False))
+            flash.program_run(first_ppn, [None] * n_writes, written,
+                              ftl._seq.take(n_writes), PageKind.DATA, False)
             flash.invalidate_run(stale)
             umt.set_many(last.items())
             if ftl._ckpt_interval > 0:

@@ -378,7 +378,6 @@ class FTLConformance:
         flash = ftl.flash
         return sum(
             1
-            for state, oob in zip(flash.page_states, flash.page_oob)
-            if state == PageState.VALID
-            and (oob is None or oob.kind is PageKind.DATA)
+            for state, kind in zip(flash.page_states, flash.oob_kind)
+            if state == PageState.VALID and kind in (0, PageKind.DATA)
         )

@@ -40,9 +40,9 @@ class TestLazyFTLConformance(FTLConformance):
 def valid_data_copies(flash, lpn):
     """How many VALID data pages on ``flash`` carry ``lpn`` in their OOB."""
     return sum(
-        1 for ppn, oob in enumerate(flash.page_oob)
-        if flash.page_states[ppn] == PageState.VALID
-        and oob.kind is PageKind.DATA and oob.lpn == lpn
+        1 for ppn, state in enumerate(flash.page_states)
+        if state == PageState.VALID
+        and flash.oob_kind[ppn] == PageKind.DATA and flash.oob_lpn[ppn] == lpn
     )
 
 
@@ -166,7 +166,8 @@ class TestGarbageCollection:
         assert ftl.stats.gc_page_copies >= 0
         # Cold relocations carry the cold flag.
         cold_pages = sum(
-            1 for oob in ftl.flash.page_oob if oob is not None and oob.cold)
+            1 for kind, cold in zip(ftl.flash.oob_kind, ftl.flash.oob_cold)
+            if kind and cold)
         assert cold_pages > 0
 
     def test_gc_skips_superseded_pages_without_copying(self):

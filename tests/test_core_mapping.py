@@ -7,6 +7,8 @@ when the pool is low, except inside GC).  Each store is the one the
 scheme itself builds, so the policy under test is the real one.
 """
 
+from array import array
+
 from repro.core import LazyFTL
 from repro.flash import (
     FlashGeometry,
@@ -19,6 +21,7 @@ from repro.ftl import DftlFTL
 from repro.ftl.mapping import LpnsByPage, MappingStore
 from repro.ftl.pool import BlockPool
 from repro.ftl.stats import FtlStats
+from repro.perf.maptable import UNMAPPED
 
 #: Six translation pages of 16 entries (64-byte pages, 4-byte entries).
 LOGICAL_PAGES = 6 * 16
@@ -115,12 +118,15 @@ class TestLookupAndCommit:
         # The read-modify-write DFTL's GC does without going through commit.
         store = self.make_store()
         content, latency = store.load(2)
-        assert content == [None] * 16 and latency == 0.0
+        assert content == array("q", [UNMAPPED] * 16) and latency == 0.0
         content[1] = 77
         store.program(2, content)
         first = store.gtd.get(2)
         content, latency = store.load(2)
         assert content[1] == 77 and latency == 1.0
+        # An editable copy: the flash page keeps what was programmed.
+        assert content is not store.flash.page_data[first]
+        assert store.lookup(32) == (None, 1.0)
         content[2] = 78
         store.program(2, content)
         assert store.flash.page_state(first) is PageState.INVALID
@@ -160,7 +166,7 @@ class TestFrontierAndGC:
         for tvpn, tppn in store.gtd.items():
             assert flash.geometry.block_of(tppn) != victim
             assert flash.page_state(tppn) is PageState.VALID
-            assert flash.page_oob[tppn].lpn == tvpn
+            assert flash.oob(tppn).lpn == tvpn
         assert store.lookup(0)[0] == 1
         assert store.lookup(16)[0] == 2
         assert store.lookup(32)[0] == 3

@@ -187,7 +187,7 @@ class TestRecoveryBasics:
             real = NandFlash.read_page
 
             def read_page(flash, ppn):
-                if flash.page_oob[ppn].kind is PageKind.MAPPING:
+                if flash.oob_kind[ppn] == PageKind.MAPPING:
                     gmt_reads.append(ppn)
                 return real(flash, ppn)
 

@@ -8,6 +8,7 @@ from repro.flash import (
     FlashGeometry,
     NandFlash,
     OOBData,
+    PageKind,
     PageState,
     RedundantInvalidateWarning,
 )
@@ -64,11 +65,11 @@ class TestProgramming:
         flash = make_block()
         oob = OOBData(lpn=42, seq=7)
         flash.program_page(0, "payload", oob)
-        data, got_oob, _ = flash.read_page(0)
+        data, _ = flash.read_page(0)
         assert data == "payload"
-        assert got_oob.lpn == 42
-        assert got_oob.seq == 7
-        assert flash.page_oob[0] is got_oob
+        assert flash.oob_lpn[0] == 42 and flash.oob_seq[0] == 7
+        assert flash.oob_kind[0] == PageKind.DATA and not flash.oob_cold[0]
+        assert flash.oob(0) == oob and type(flash.oob(0)) is OOBData
 
 
 class TestInvalidateAndCounters:
@@ -113,7 +114,9 @@ class TestErase:
         flash.erase_block(0)
         assert is_erased(flash)
         assert flash.erase_count[0] == 1
-        assert flash.page_data[0] is None and flash.page_oob[0] is None
+        assert flash.page_data[0] is None and flash.oob(0) is None
+        assert (flash.oob_lpn[0], flash.oob_seq[0], flash.oob_kind[0],
+                flash.oob_cold[0]) == (0, 0, 0, 0)
 
     def test_erase_with_valid_pages_refused(self):
         flash = make_block()
@@ -155,5 +158,5 @@ class TestReads:
         flash = make_block()
         flash.program_page(0, "old")
         flash.invalidate_page(0)
-        data, _, _ = flash.read_page(0)
+        data, _ = flash.read_page(0)
         assert data == "old"

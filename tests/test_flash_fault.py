@@ -84,7 +84,7 @@ class TestChipPowerLoss:
         chip.program_page(0, "durable")
         chip.power_off()
         chip.power_on()
-        data, _, _ = chip.read_page(0)
+        data, _ = chip.read_page(0)
         assert data == "durable"
 
     def test_power_on_disarms_fault(self):

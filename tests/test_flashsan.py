@@ -30,6 +30,7 @@ from repro.flash import (
     FlashGeometry,
     NandFlash,
     OOBData,
+    PageKind,
     PageState,
     PowerLossError,
     ProgramError,
@@ -248,10 +249,10 @@ class TestRunOpsAreAuditedPageByPage:
 
     def test_every_page_of_a_run_is_recorded(self):
         flash = make_flash(history=16)
-        oobs = [OOBData(lpn=10 + i, seq=i) for i in range(3)]
-        flash.program_run(0, ["a", "b", "c"], oobs)
+        flash.program_run(0, ["a", "b", "c"], [10, 11, 12], 0, PageKind.DATA,
+                          False)
         # A copy of page 2 to page 4: its read, then its program.
-        flash.program_run(4, ["c"], [OOBData(lpn=12, seq=3)], [2])
+        flash.program_run(4, ["c"], [12], 3, PageKind.DATA, False, [2])
         flash.invalidate_run([1, 2])
         flash.program_page(3, "d")  # anything: fetch the history
         v = catch(flash, lambda: flash.read_page(7))
@@ -264,9 +265,9 @@ class TestRunOpsAreAuditedPageByPage:
 
     def test_a_run_fails_at_the_page_its_scalar_op_would(self):
         flash = make_flash()
-        flash.program_run(0, ["a", "b"], [None, None])
+        flash.program_run(0, ["a", "b"], [0, 1], 0, PageKind.DATA, False)
         v = catch(flash, lambda: flash.program_run(
-            4, ["x", "y"], [None, None], [1, 2]))
+            4, ["x", "y"], [1, 2], 2, PageKind.DATA, False, [1, 2]))
         assert (v.kind, v.ppn) == (ViolationKind.READ_UNWRITTEN, 2)
         # Page 1 was read and copied to page 4; page 5 was never programmed.
         assert flash.stats.page_reads == 1 and flash.write_ptr[1] == 1
@@ -274,7 +275,8 @@ class TestRunOpsAreAuditedPageByPage:
         v = catch(flash, lambda: flash.invalidate_run([1, 0]))
         assert (v.kind, v.ppn) == (ViolationKind.DOUBLE_INVALIDATE, 0)
         assert flash.valid_count[0] == 0  # page 1 was retired first
-        v = catch(flash, lambda: flash.program_run(1, ["x"], [None]))
+        v = catch(flash, lambda: flash.program_run(
+            1, ["x"], [1], 4, PageKind.DATA, False))
         assert v.kind is ViolationKind.PROGRAM_WITHOUT_ERASE
 
 
@@ -681,10 +683,10 @@ class TestLazyFTLAudit:
         staging = set(ftl.uba_blocks) | set(ftl.cba_blocks)
         flash = ftl.flash
         lpn, ppn = next(
-            (flash.page_oob[ppn].lpn, ppn)
+            (flash.oob_lpn[ppn], ppn)
             for pbn in range(flash.geometry.num_blocks) if pbn not in staging
             for ppn in flash.valid_ppns(pbn)
-            if flash.page_oob[ppn].kind.value == "data"
+            if flash.oob(ppn).kind is PageKind.DATA
         )
         ftl.umt.set(lpn, ppn)  # UMT entry pointing outside UBA/CBA
         report = audit_ftl(ftl)

@@ -187,11 +187,11 @@ def relocated(flash, frontier, count=PAGES):
     runs = []
     program_run, program_page = flash.program_run, flash.program_page
 
-    def run_spy(ppns, datas, oobs, reads=None):
+    def run_spy(ppns, datas, *oob_and_reads):
         runs.append(len(datas))
         flash.program_page = program_page  # the run's own calls
         try:
-            return program_run(ppns, datas, oobs, reads)
+            return program_run(ppns, datas, *oob_and_reads)
         finally:
             flash.program_page = page_spy
 
@@ -310,9 +310,9 @@ class TestRunLimit:
         runs = []
         program_run = flash.program_run
 
-        def spy(ppns, datas, oobs, reads=None):
+        def spy(ppns, datas, *oob_and_reads):
             runs.append((ppns[0] // PAGES, len(datas)))
-            return program_run(ppns, datas, oobs, reads)
+            return program_run(ppns, datas, *oob_and_reads)
 
         flash.program_run = spy
         stats = FtlStats()

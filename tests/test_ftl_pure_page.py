@@ -83,7 +83,7 @@ class TestPageFTLSpecifics:
         ftl.write(5, "b")
         flash = ftl.flash
         valid_for_5 = [
-            ppn for ppn, oob in enumerate(flash.page_oob)
-            if flash.page_states[ppn] == PageState.VALID and oob.lpn == 5
+            ppn for ppn, lpn in enumerate(flash.oob_lpn)
+            if flash.page_states[ppn] == PageState.VALID and lpn == 5
         ]
         assert len(valid_for_5) == 1

@@ -143,10 +143,24 @@ class TestFTL003BlockMutation:
             def stamp(self, ppn, oob):
                 flash = self.flash
                 flash.page_states[ppn] = 1
-                flash.page_oob[ppn] = oob
+                flash.oob_seq[ppn] = oob.seq
                 flash.page_data[ppn:ppn + 4] = [None] * 4
                 self.flash.write_ptr[ppn // 64] += 1
         """) == ["FTL003"] * 4
+
+    def test_oob_column_stores_flagged(self):
+        # The four OOB columns are device state: an index store, and each
+        # column of a tuple store, outside repro.flash is flagged.
+        assert rule_ids("""
+            def forge(flash, i, oob):
+                flash.oob_lpn[i] = 7
+                (flash.oob_seq[i], flash.oob_kind[i], flash.oob_cold[i],
+                 other) = oob
+        """) == ["FTL003"] * 4
+        assert rule_ids("""
+            def forge(self, i):
+                self.oob_lpn[i] = 7
+        """, scope="flash") == []
 
     def test_force_erase_call_flagged(self):
         assert rule_ids("""

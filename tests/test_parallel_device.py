@@ -120,7 +120,7 @@ class TestParallelTiming:
             == SLC_TIMING.page_program_us
         assert flash.program_page(1, "b", OOBData(lpn=1, seq=2)) \
             == SLC_TIMING.page_program_us
-        _, _, latency = flash.read_page(0)
+        _, latency = flash.read_page(0)
         assert latency == SLC_TIMING.page_read_us
 
     def test_cross_unit_programs_overlap(self):
@@ -152,7 +152,7 @@ class TestParallelTiming:
             == SLC_TIMING.block_erase_us - SLC_TIMING.page_program_us
         # A read on unit 0 starts behind the program (t=200) and ends at
         # t=225, still inside the erase's shadow: free.
-        _, _, latency = flash.read_page(0)
+        _, latency = flash.read_page(0)
         assert latency == 0.0
         assert flash.unit_busy_us[0] \
             == SLC_TIMING.page_program_us + SLC_TIMING.page_read_us
@@ -388,7 +388,8 @@ def _placement(flash):
     return [
         (state, data, oob.lpn if oob is not None else None)
         for state, data, oob in zip(
-            flash.page_states, flash.page_data, flash.page_oob)
+            flash.page_states, flash.page_data,
+            map(flash.oob, range(len(flash.page_states))))
     ]
 
 

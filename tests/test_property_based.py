@@ -163,7 +163,7 @@ class TestLazyFTLInvariants:
         # Every UMT entry points at a valid flash page holding that lpn.
         for lpn, ppn in ftl.umt.items():
             assert ftl.flash.page_state(ppn) is PageState.VALID
-            assert ftl.flash.page_oob[ppn].lpn == lpn
+            assert ftl.flash.oob(ppn).lpn == lpn
 
     @SLOW
     @given(ops=ops_strategy)

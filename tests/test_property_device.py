@@ -17,6 +17,7 @@ from repro.flash import (
     FlashGeometry,
     NandFlash,
     OOBData,
+    PageKind,
     PageState,
 )
 from repro.ftl.last import LastFTL
@@ -218,26 +219,29 @@ def _apply(flash, kind, addr, op, step, bulk):
     if kind == "stripe_run":
         n = len(addr)
         datas = [(step, i) for i in range(n)]
-        oobs = [OOBData(lpn=step, seq=i) for i in range(n)]
+        lpns, seq, oob_kind, cold = run_columns(step, n)
         reads = (op[3] + [None] * n)[:n]
         if bulk:
-            return flash.program_run(addr, datas, oobs, reads)
+            return flash.program_run(addr, datas, lpns, seq, oob_kind, cold,
+                                     reads)
         total = 0.0
         for i in range(n):
             if reads[i] is not None:
-                total += flash.read_page(reads[i])[2]
-            total += flash.program_page(addr[i], datas[i], oobs[i])
+                total += flash.read_page(reads[i])[1]
+            total += flash.program_page(addr[i], datas[i], OOBData(
+                lpns[i], seq + i, oob_kind, cold))
         return total
     if kind == "program":
         return flash.program_page(addr, step, OOBData(lpn=step, seq=step))
     if kind == "run":
         datas = [(step, i) for i in range(op[2])]
-        oobs = [OOBData(lpn=step, seq=i) for i in range(op[2])]
+        lpns, seq, oob_kind, cold = run_columns(step, op[2])
         if bulk:
-            return flash.program_run(addr, datas, oobs)
+            return flash.program_run(addr, datas, lpns, seq, oob_kind, cold)
         total = 0.0
         for i in range(op[2]):
-            total += flash.program_page(addr + i, datas[i], oobs[i])
+            total += flash.program_page(addr + i, datas[i], OOBData(
+                lpns[i], seq + i, oob_kind, cold))
         return total
     if kind == "read":
         return flash.read_page(addr)
@@ -254,10 +258,18 @@ def _apply(flash, kind, addr, op, step, bulk):
     return flash.erase_block(addr)
 
 
+def run_columns(step, n):
+    """The OOB columns of a run at script step ``step``: ``(lpns,
+    first_seq, kind, cold)``, every field varying with the step."""
+    kind = (PageKind.DATA, PageKind.MAPPING, PageKind.CHECKPOINT)[step % 3]
+    return [step + i for i in range(n)], 100 * step, kind, step % 2 == 1
+
+
 def image(flash):
     return (
         bytes(flash.page_states), list(flash.page_data),
-        list(flash.page_oob), list(flash.write_ptr),
+        bytes(flash.oob_lpn), bytes(flash.oob_seq), bytes(flash.oob_kind),
+        bytes(flash.oob_cold), list(flash.write_ptr),
         list(flash.valid_count), list(flash.erase_count),
         bytes(flash.is_bad), set(flash.invalidated),
         flash.stats.as_dict(), flash.powered,
@@ -332,8 +344,10 @@ def test_the_bulk_paths_are_taken_and_refused():
                              side_effect=NandFlash.read_page) as read, \
                 patch.object(NandFlash, "invalidate_page", autospec=True,
                              side_effect=NandFlash.invalidate_page) as inval:
-            flash.program_run(0, [0, 1, 2], [None] * 3)
-            flash.program_run(PPB, [3], [None], [2])  # a copy of page 2
+            flash.program_run(0, [0, 1, 2], [0, 1, 2], 0, PageKind.DATA,
+                              False)
+            # A copy of page 2.
+            flash.program_run(PPB, [3], [2], 3, PageKind.DATA, False, [2])
             flash.invalidate_run([1, 2])
         calls = (program.call_count, read.call_count, inval.call_count)
         assert calls == expected, device

@@ -121,7 +121,8 @@ def full_image(ftl):
         "flash_stats": flash.stats.as_dict(),
         "page_states": bytes(flash.page_states),
         "page_data": list(flash.page_data),
-        "page_oob": list(flash.page_oob),
+        "oob": (bytes(flash.oob_lpn), bytes(flash.oob_seq),
+                bytes(flash.oob_kind), bytes(flash.oob_cold)),
         "write_ptr": list(flash.write_ptr),
         "valid_count": list(flash.valid_count),
         "erase_count": list(flash.erase_count),
@@ -177,7 +178,7 @@ def assert_reads_lead_runs(flash, order):
     ops = [(name, ppn) for name, ppn in order if name != "invalidate_page"]
     for (name, ppn), (after, _) in zip(ops, ops[1:] + [(None, None)]):
         if name == "read_page":
-            assert flash.page_oob[ppn].kind is PageKind.MAPPING
+            assert flash.oob(ppn).kind is PageKind.MAPPING
             assert after == "program_run"
 
 
@@ -371,9 +372,9 @@ class TestRunsReallyHappen:
     def test_one_conversion_is_at_most_two_program_runs(self):
         ftl = aged("LazyFTL")
         oldest = ftl._uba.oldest
-        tvpns = {ftl.flash.page_oob[ppn].lpn // ftl.entries_per_page
+        tvpns = {ftl.flash.oob_lpn[ppn] // ftl.entries_per_page
                  for ppn in ftl.flash.valid_ppns(oldest)
-                 if ftl.umt.points_to(ftl.flash.page_oob[ppn].lpn, ppn)}
+                 if ftl.umt.points_to(ftl.flash.oob_lpn[ppn], ppn)}
         assert len(tvpns) >= 3
         writes = ftl.stats.map_writes
         with counted() as (calls, order, _):
@@ -461,7 +462,7 @@ def test_dftl_end_of_life_at_a_run_boundary_pins_what_moved(
     victim = data_victim(ftl)
     srcs = flash.valid_ppns(victim)
     assert len(srcs) > room
-    lpns = [flash.page_oob[src].lpn for src in srcs]
+    lpns = [flash.oob_lpn[src] for src in srcs]
     payloads = [flash.page_data[src] for src in srcs]
     # Leave exactly ``room`` free pages in the GC block, and no pool.
     def pad(pbn, until):

@@ -126,7 +126,7 @@ class LazyFTLMachine(RuleBasedStateMachine):
             return
         for lpn, ppn in self.ftl.umt.items():
             assert self.flash.page_state(ppn) is PageState.VALID
-            assert self.flash.page_oob[ppn].lpn == lpn
+            assert self.flash.oob(ppn).lpn == lpn
 
     def teardown(self):
         if not self.powered:

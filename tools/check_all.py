@@ -53,8 +53,11 @@ is ``python tools/gen_golden_stats.py --check`` (the two single-page
 files must print ``0 fields differ``; only a change to what a
 multi-page request *costs* may move ``engine_stats_multipage.json``, on
 purpose) and ``pytest tests/test_golden_stats.py
-tests/test_relocate_by_run.py tests/test_host_run_ops.py`` (every replay
-gate against the snapshots; run ops vs the page loop on twin devices).
+tests/test_relocate_by_run.py tests/test_host_run_ops.py
+tests/test_property_device.py tests/test_flash_oob_stats.py`` (every
+replay gate against the snapshots; run ops vs the page loop on twin
+devices; the fuzzed run-vs-scalar device equivalence; the OOB columns'
+round trip and the per-page live-memory budget).
 
 Run:  python tools/check_all.py [--skip pytest] [--require-mypy] ...
 """
