@@ -9,8 +9,8 @@ from ..sim.simulator import SimulationResult
 
 def comparison_rows(
     results: Dict[str, SimulationResult],
-    order: Sequence[str] = ("NFTL", "BAST", "FAST", "LAST", "superblock",
-                            "DFTL", "LazyFTL", "ideal"),
+    order: Sequence[str] = ("BAST", "FAST", "superblock", "DFTL",
+                            "LazyFTL", "ideal"),
 ) -> List[list]:
     """Rows for the headline table: one per scheme, paper order."""
     rows = []

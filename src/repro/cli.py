@@ -424,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_device_arguments(compare)
     compare.add_argument(
         "--schemes", nargs="+", choices=list(SCHEMES),
-        # Default to the paper's five; NFTL/LAST/superblock opt in (the
-        # historical schemes are slow at headline scale).
+        # Default to the paper's five; superblock opts in.
         default=["BAST", "FAST", "DFTL", "LazyFTL", "ideal"],
     )
     compare.add_argument("--steady", action="store_true",

@@ -5,9 +5,10 @@
 * :class:`BastFTL` - block-associative log blocks (switch/partial/full
   merges);
 * :class:`FastFTL` - fully-associative log blocks (long full-merge stalls);
+* :class:`SuperblockFTL` - superblock-level mapping with in-group
+  cleaning;
 * :mod:`repro.ftl.logblock` - the one merge driver (copy loop +
-  ``MergeStart`` / ``MergeEnd`` bracket) the merging baselines share, and
-  the log buffer FAST and LAST are two configurations of;
+  ``MergeStart`` / ``MergeEnd`` bracket) BAST and FAST share;
 * :class:`DftlFTL` - demand-cached page mapping (the strongest baseline);
 * :class:`BlockPool`, the GC victim policy and :class:`FtlStats` - shared
   machinery;
@@ -21,8 +22,6 @@ from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
 from .bast import BastFTL
 from .dftl import DftlFTL
 from .fast import FastFTL
-from .last import LastFTL
-from .nftl import NftlFTL
 from .superblock import SuperblockFTL
 from .gc_policy import select_greedy
 from .pool import BlockPool, OutOfBlocksError
@@ -36,8 +35,6 @@ __all__ = [
     "BastFTL",
     "DftlFTL",
     "FastFTL",
-    "LastFTL",
-    "NftlFTL",
     "SuperblockFTL",
     "PageFTL",
     "BlockPool",

@@ -15,8 +15,8 @@ Like the device's run ops (:mod:`repro.flash.chip`, "Run ops"), a host run
 op is by contract **the scalar op once per page, in order**: same data,
 same ``FtlStats`` / ``FlashStats``, same state afterwards, same exception at
 the same page with every earlier page done.  The default implementation
-*is* that loop.  Every scheme inherits ``write_run``, and seven of the
-eight ``read_run`` (DFTL on purpose: a CMT miss loads one entry, as
+*is* that loop.  Every scheme inherits ``write_run``, and five of the
+six ``read_run`` (DFTL on purpose: a CMT miss loads one entry, as
 published).  The one override, and the one stated exception, is
 :meth:`repro.core.lazyftl.LazyFTL.read_run`, which does not fetch a
 translation page twice in a row for the same request.

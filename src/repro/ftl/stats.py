@@ -19,9 +19,8 @@ class FtlStats(Counters):
         gc_page_copies: valid data pages relocated by GC.
         gc_erases: blocks erased by GC (data + log + mapping).
         merges_full / merges_partial / merges_switch: log-block merge
-            operations (BAST, FAST, LAST; NFTL counts its folds as full
-            merges; LazyFTL keeps these at zero by construction - the
-            paper's headline claim).
+            operations (BAST and FAST; LazyFTL keeps these at zero by
+            construction - the paper's headline claim).
         merge_page_copies: pages copied during merges (counted in one
             place, ``LogBlockFTL._merge_copy``).
         map_reads / map_writes: translation (GMT/translation-page) flash

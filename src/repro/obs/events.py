@@ -29,7 +29,7 @@ class Cause(str, Enum):
 
     HOST = "host"          #: directly serving a host read/write
     GC = "gc"              #: garbage-collection relocation / erase
-    MERGE = "merge"        #: log-block merge (BAST/FAST/LAST/NFTL)
+    MERGE = "merge"        #: log-block merge (BAST/FAST)
     MAPPING = "mapping"    #: translation-page traffic on the host path
     CONVERT = "convert"    #: LazyFTL UBA/CBA block conversion (GMT commit)
     RECOVERY = "recovery"  #: crash-recovery scans and checkpointing

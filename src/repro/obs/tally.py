@@ -32,7 +32,7 @@ BUCKETS = (
     "device_program",    # raw page programs serving the host directly
     "device_erase",      # raw erases charged to the host path
     "gc",                # garbage-collection relocation / erase stall
-    "merge",             # log-block merge stall (BAST/FAST/LAST/NFTL)
+    "merge",             # log-block merge stall (BAST/FAST)
     "translation_read",  # translation-page reads (DFTL CMT / LazyFTL UMT miss)
     "mapping_commit",    # translation-page writes, GMT commits, conversions
     "recovery",          # crash-recovery scans / checkpointing

@@ -15,17 +15,14 @@ from ..ftl import (
     DftlFTL,
     FastFTL,
     FlashTranslationLayer,
-    LastFTL,
-    NftlFTL,
     PageFTL,
     SuperblockFTL,
 )
 
 #: Scheme names accepted by :func:`build_ftl`, in the paper's
-#: presentation order ("LAST" and "superblock" are extra baselines beyond
-#: the paper's evaluated four - see repro.ftl.last / repro.ftl.superblock).
-SCHEMES = ("NFTL", "BAST", "FAST", "LAST", "superblock", "DFTL",
-           "LazyFTL", "ideal")
+#: presentation order ("superblock" is an extra baseline beyond the
+#: paper's evaluated four - see repro.ftl.superblock).
+SCHEMES = ("BAST", "FAST", "superblock", "DFTL", "LazyFTL", "ideal")
 
 #: Schemes that can rebuild themselves from flash-resident state after a
 #: power loss: LazyFTL via checkpoints + bounded OOB scans (the paper's
@@ -54,10 +51,8 @@ def build_ftl(
     aligned with the scheme's needs.
     """
     builders: Dict[str, Callable[..., FlashTranslationLayer]] = {
-        "nftl": NftlFTL,
         "bast": BastFTL,
         "fast": FastFTL,
-        "last": LastFTL,
         "superblock": SuperblockFTL,
         "dftl": DftlFTL,
         "lazyftl": LazyFTL,
@@ -153,7 +148,7 @@ def recover_ftl(ftl: FlashTranslationLayer) -> FlashTranslationLayer:
 
     Returns a *new* FTL instance of the same scheme on the same device.
     Raises :class:`RecoveryUnsupportedError` for schemes with no recovery
-    design (BAST/FAST/NFTL/LAST/superblock/DFTL as implemented here keep
+    design (BAST/FAST/superblock/DFTL as implemented here keep
     log-block or cached-mapping state that is unrecoverable without
     scheme-side persistence) - a loud error instead of silent corruption.
     """

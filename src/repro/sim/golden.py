@@ -10,7 +10,7 @@ by the pre-overhaul engine.
 This module defines the canonical *golden workload* (a small device, two
 deterministic single-page traces, every scheme; one multi-page trace for
 the page-mapping schemes, whose requests go through the host run ops; one
-in-order-rewrite trace for the five log-block schemes, whose switch and
+in-order-rewrite trace for the three log-block schemes, whose switch and
 partial merges the other traces never reach) and
 an :func:`engine_digest` that
 flattens a :class:`~repro.sim.simulator.SimulationResult` into plain
@@ -91,7 +91,7 @@ STRIPED_SCHEMES = ("ideal", "DFTL", "LazyFTL")
 
 #: The log-block baselines: the schemes that merge (superblock cleans
 #: in-group instead, through the same per-page copy sequence).
-LOG_BLOCK_SCHEMES = ("NFTL", "BAST", "FAST", "LAST", "superblock")
+LOG_BLOCK_SCHEMES = ("BAST", "FAST", "superblock")
 
 
 def golden_traces():
@@ -153,7 +153,7 @@ def golden_merges_trace() -> Trace:
     random and hot/cold only - ``merges_switch == 0`` in every entry of
     ``engine_stats.json`` - so this is the one snapshot
     (``engine_stats_merges.json``) that pins the switch path, the partial
-    path and FAST / LAST's sequential logs."""
+    path and FAST's sequential log."""
     pages = GOLDEN_DEVICE.logical_pages
     per_block = GOLDEN_DEVICE.pages_per_block
     return merge_traces([

@@ -58,11 +58,8 @@ HEADLINE_DEVICE = DeviceSpec(
 #: :func:`dftl_parity_options`).  BAST/FAST get 16 log blocks, their
 #: customary budget.
 DEFAULT_OPTIONS: Dict[str, Dict[str, Any]] = {
-    "NFTL": {"max_chain": 2},
     "BAST": {"num_log_blocks": 16},
     "FAST": {"num_rw_log_blocks": 16},
-    "LAST": {"num_seq_log_blocks": 5, "num_hot_blocks": 5,
-             "num_cold_blocks": 6, "hot_window": 2048},
     "superblock": {"blocks_per_superblock": 8, "spare_per_superblock": 1},
     "DFTL": {},
     "LazyFTL": {},

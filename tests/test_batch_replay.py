@@ -239,8 +239,7 @@ class TestEligibilityGate:
         assert batch.engine_for(self._ftl("LazyFTL")) is not None
 
     def test_unregistered_schemes_decline(self):
-        for scheme in ("ideal", "DFTL", "BAST", "FAST", "LAST", "NFTL",
-                       "superblock"):
+        for scheme in ("ideal", "DFTL", "BAST", "FAST", "superblock"):
             assert batch.engine_for(self._ftl(scheme)) is None
 
     def test_sanitized_flash_declines(self):

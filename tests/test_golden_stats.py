@@ -237,16 +237,15 @@ def test_lazyftl_reads_one_gmt_page_per_request_and_page(golden_multipage):
 
 def test_merges_snapshot_reaches_every_merge_kind(golden, golden_merges):
     """What the merge snapshot is there to pin: the switch path - which no
-    entry of the serial snapshot ever takes - and the partial path, for
-    the three schemes that have them; full merges / folds for all four."""
+    entry of the serial snapshot ever takes - the partial path and full
+    merges, for both merging schemes; superblock's in-group clean."""
     name = golden_merges_trace().name
     assert set(golden_merges) == {f"{s}/{name}" for s in LOG_BLOCK_SCHEMES}
     assert all(d["ftl"]["merges_switch"] == 0 for d in golden.values())
-    for scheme in ("BAST", "FAST", "LAST"):
+    for scheme in ("BAST", "FAST"):
         ftl = golden_merges[f"{scheme}/{name}"]["ftl"]
-        assert ftl["merges_switch"] > 0 and ftl["merges_partial"] > 0
-    for scheme in ("NFTL", "BAST", "FAST", "LAST"):
-        assert golden_merges[f"{scheme}/{name}"]["ftl"]["merges_full"] > 0
+        assert ftl["merges_switch"] > 0 and ftl["merges_partial"] > 0 \
+            and ftl["merges_full"] > 0
     assert golden_merges[f"superblock/{name}"]["ftl"]["gc_page_copies"] > 0
 
 

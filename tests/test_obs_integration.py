@@ -41,8 +41,7 @@ SMALL_DEVICE = DeviceSpec(num_blocks=96, pages_per_block=16, page_size=512,
                           logical_fraction=0.7)
 FOOTPRINT = int(SMALL_DEVICE.logical_pages * 0.9)
 
-ALL_SCHEMES = ("ideal", "NFTL", "BAST", "FAST", "LAST", "superblock",
-               "DFTL", "LazyFTL")
+ALL_SCHEMES = ("ideal", "BAST", "FAST", "superblock", "DFTL", "LazyFTL")
 
 
 def heavy_random_writes(requests=1500, seed=11):
@@ -119,7 +118,7 @@ class TestSchemeSignatures:
         assert summary["events"].get("BatchCommit", 0) > 0
         assert summary["time_by_cause_us"].get("merge", 0.0) == 0.0
 
-    @pytest.mark.parametrize("scheme", ["BAST", "FAST", "NFTL", "LAST"])
+    @pytest.mark.parametrize("scheme", ["BAST", "FAST"])
     def test_log_block_schemes_merge(self, scheme):
         _, events, tracer = traced_run(scheme)
         summary = tracer.attribution.scheme_summary(scheme)
@@ -129,7 +128,7 @@ class TestSchemeSignatures:
                  if e.type is EventType.MERGE_START}
         assert kinds  # every merge is tagged with its kind
 
-    @pytest.mark.parametrize("scheme", ["BAST", "FAST", "NFTL", "LAST"])
+    @pytest.mark.parametrize("scheme", ["BAST", "FAST"])
     def test_merge_end_repeats_the_address_of_its_start(self, scheme):
         _, events, _ = traced_run(scheme)
         open_merges, kinds = [], set()

@@ -1,7 +1,7 @@
 """One merge driver: ``LogBlockFTL._merge_copy`` is the only merge copy
 loop and ``LogBlockFTL._merging`` the only ``MergeStart`` / ``MergeEnd``
-bracket, for BAST, FAST, LAST and NFTL alike - checked in the source, in a
-spy run of every scheme, and at the failure edge the bracket exists for."""
+bracket, for BAST and FAST alike - checked in the source, in a spy run of
+every scheme, and at the failure edge the bracket exists for."""
 
 import ast
 import importlib.util
@@ -16,7 +16,11 @@ from repro.obs import JsonlSink, Tracer
 from repro.obs.events import Cause, EventType
 from repro.obs.sinks import TraceSink
 from repro.sim.factory import standard_setup
-from repro.sim.golden import GOLDEN_DEVICE, golden_merges_trace
+from repro.sim.golden import (
+    GOLDEN_DEVICE,
+    LOG_BLOCK_SCHEMES,
+    golden_merges_trace,
+)
 from repro.sim.runner import DEFAULT_OPTIONS, run_scheme
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -27,8 +31,6 @@ FTL_SOURCES = sorted((REPO / "src" / "repro" / "ftl").glob("*.py"))
 MERGE_KINDS = {
     "BAST": ("switch", "partial", "full*"),
     "FAST": ("sw", "rw*"),
-    "LAST": ("seq", "random*"),
-    "NFTL": ("fold*",),
 }
 
 
@@ -64,6 +66,11 @@ def names_merge_start(node):
 
 
 class TestOneMergeLoop:
+    def test_every_merging_scheme_is_checked(self):
+        """Each log-block scheme but superblock (which cleans in-group and
+        never merges) has its merge kinds above."""
+        assert set(MERGE_KINDS) == set(LOG_BLOCK_SCHEMES) - {"superblock"}
+
     def test_one_function_counts_merge_copies(self):
         assert functions_matching(increments_merge_page_copies) == \
             ["logblock.py:_merge_copy"]
@@ -76,10 +83,9 @@ class TestOneMergeLoop:
         twins = []
         for path in FTL_SOURCES:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.FunctionDef) and (
-                        node.name == "_fold_inner"
-                        or node.name.startswith("_merge")
-                        and node.name.endswith("_inner")):
+                if isinstance(node, ast.FunctionDef) and \
+                        node.name.startswith("_merge") and \
+                        node.name.endswith("_inner"):
                     twins.append(f"{path.name}:{node.name}")
         assert twins == []
 

@@ -1,7 +1,7 @@
 """The paper's claims, read from the committed golden snapshots.
 
 Runs nothing: each claim is checked on every entry of
-``engine_stats.json`` (serial, single-page traces, all eight schemes),
+``engine_stats.json`` (serial, single-page traces, all six schemes),
 ``engine_stats_4ch.json`` (the same traces on four channels, striping
 schemes) and ``engine_stats_multipage.json`` (multi-page requests, serial
 and four channels).  A regeneration of the snapshots that breaks a claim
@@ -12,7 +12,11 @@ fails here by name:
   < BAST (of the schemes a file holds);
 * LazyFTL's mean response is within 1.35x of ideal's ("very close to the
   theoretically optimal solution"; at most 1.31x today, golden-random);
-* LazyFTL erases fewer blocks than DFTL.
+* LazyFTL erases fewer blocks than DFTL;
+* LazyFTL beats superblock, the strongest non-page-mapping scheme on
+  golden-random, on mean response and on erases ("outperforms all the
+  typical existing FTL schemes"; 598 vs 1064 us and 179 vs 315 erases
+  there today).
 """
 
 import json
@@ -83,3 +87,11 @@ def test_lazyftl_erases_fewer_blocks_than_dftl(schemes):
     erases = {scheme: schemes[scheme]["flash"]["block_erases"]
               for scheme in ("LazyFTL", "DFTL")}
     assert erases["LazyFTL"] < erases["DFTL"], erases
+
+
+@pytest.mark.parametrize("schemes", runs(("engine_stats",)))
+def test_lazyftl_beats_superblock(schemes):
+    pair = (schemes["LazyFTL"], schemes["superblock"])
+    means = [mean_us(entry) for entry in pair]
+    erases = [entry["flash"]["block_erases"] for entry in pair]
+    assert means[0] < means[1] and erases[0] < erases[1], (means, erases)

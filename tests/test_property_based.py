@@ -25,8 +25,6 @@ from repro.ftl import (
     BastFTL,
     DftlFTL,
     FastFTL,
-    LastFTL,
-    NftlFTL,
     PageFTL,
     SuperblockFTL,
 )
@@ -44,10 +42,6 @@ FAST_SETTINGS = settings(deadline=None, max_examples=60)
 BLOCK_SCHEMES = {
     "BAST": lambda flash: BastFTL(flash, LOGICAL, num_log_blocks=3),
     "FAST": lambda flash: FastFTL(flash, LOGICAL, num_rw_log_blocks=3),
-    "NFTL": lambda flash: NftlFTL(flash, LOGICAL, max_chain=2),
-    "LAST": lambda flash: LastFTL(flash, LOGICAL, num_seq_log_blocks=1,
-                                  num_hot_blocks=1, num_cold_blocks=1,
-                                  hot_window=16),
     "superblock": lambda flash: SuperblockFTL(flash, LOGICAL,
                                               blocks_per_superblock=4),
 }
@@ -132,16 +126,6 @@ class TestReadYourWrites:
     @given(ops=host_ops_strategy)
     def test_ideal(self, ops):
         self.check("ideal", ops)
-
-    @SLOW
-    @given(ops=host_ops_strategy)
-    def test_nftl(self, ops):
-        self.check("NFTL", ops)
-
-    @SLOW
-    @given(ops=host_ops_strategy)
-    def test_last(self, ops):
-        self.check("LAST", ops)
 
     @SLOW
     @given(ops=host_ops_strategy)

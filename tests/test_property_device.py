@@ -1,5 +1,5 @@
-"""Property-based tests for the LAST baseline, the block-device layer and
-the raw NAND device (the bulk run ops vs their scalar expansion)."""
+"""Property-based tests for the superblock baseline, the block-device
+layer and the raw NAND device (the bulk run ops vs their scalar expansion)."""
 
 import warnings
 from unittest.mock import patch
@@ -20,7 +20,6 @@ from repro.flash import (
     PageKind,
     PageState,
 )
-from repro.ftl.last import LastFTL
 from repro.obs.tracer import Tracer
 
 LOGICAL = 48
@@ -47,17 +46,6 @@ def check_read_your_writes(ftl, ops):
 
 
 class TestExtraBaselinesReadYourWrites:
-    @SLOW
-    @given(ops=ops_strategy)
-    def test_last(self, ops):
-        flash = NandFlash(
-            FlashGeometry(num_blocks=28, pages_per_block=4, page_size=64),
-            timing=UNIT_TIMING, enforce_sequential=False,
-        )
-        ftl = LastFTL(flash, LOGICAL, num_seq_log_blocks=2,
-                      num_hot_blocks=2, num_cold_blocks=2, hot_window=8)
-        check_read_your_writes(ftl, ops)
-
     @SLOW
     @given(ops=ops_strategy)
     def test_superblock(self, ops):

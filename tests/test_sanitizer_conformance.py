@@ -27,12 +27,10 @@ from repro.ftl import (
     BastFTL,
     DftlFTL,
     FastFTL,
-    LastFTL,
-    NftlFTL,
     PageFTL,
     SuperblockFTL,
 )
-from repro.sim import standard_setup
+from repro.sim import SCHEMES, standard_setup
 
 from .ftl_conformance import FTLConformance
 
@@ -54,11 +52,6 @@ class _SanitizedConformance(FTLConformance):
         assert report.checks_run > 0
 
 
-class TestSanitizedNftl(_SanitizedConformance):
-    def make_ftl(self, flash):
-        return NftlFTL(flash, logical_pages=self.LOGICAL_PAGES, max_chain=2)
-
-
 class TestSanitizedBast(_SanitizedConformance):
     def make_ftl(self, flash):
         return BastFTL(flash, logical_pages=self.LOGICAL_PAGES,
@@ -69,13 +62,6 @@ class TestSanitizedFast(_SanitizedConformance):
     def make_ftl(self, flash):
         return FastFTL(flash, logical_pages=self.LOGICAL_PAGES,
                        num_rw_log_blocks=6)
-
-
-class TestSanitizedLast(_SanitizedConformance):
-    def make_ftl(self, flash):
-        return LastFTL(flash, logical_pages=self.LOGICAL_PAGES,
-                       num_seq_log_blocks=3, num_hot_blocks=3,
-                       num_cold_blocks=3, hot_window=64)
 
 
 class TestSanitizedSuperblock(_SanitizedConformance):
@@ -125,10 +111,7 @@ class TestSanitizedPageFTL(_SanitizedConformance):
         return PageFTL(flash, logical_pages=self.LOGICAL_PAGES)
 
 
-@pytest.mark.parametrize("scheme", [
-    "NFTL", "BAST", "FAST", "LAST", "superblock", "DFTL", "LazyFTL",
-    "ideal",
-])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_standard_setup_sanitized_audit(scheme):
     """The factory's sanitize knob yields a clean audit for every scheme
     on the standard small device after mixed write/trim pressure."""

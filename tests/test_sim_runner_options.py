@@ -90,12 +90,9 @@ class TestRunSchemeOptionPrecedence:
                             config=config)
         assert result.requests == 100
 
-    @pytest.mark.parametrize("scheme", ["LAST", "superblock"])
+    @pytest.mark.parametrize("scheme", ["superblock"])
     def test_extra_baselines_run_end_to_end(self, scheme):
         trace = uniform_random(400, 512, seed=1)
-        options = {"LAST": {"num_seq_log_blocks": 2, "num_hot_blocks": 2,
-                            "num_cold_blocks": 2, "hot_window": 64},
-                   "superblock": {"blocks_per_superblock": 4,
-                                  "spare_per_superblock": 1}}[scheme]
-        result = run_scheme(scheme, trace, device=self.DEVICE, **options)
+        result = run_scheme(scheme, trace, device=self.DEVICE,
+                            blocks_per_superblock=4, spare_per_superblock=1)
         assert result.mean_response_us > 0

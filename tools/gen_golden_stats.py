@@ -23,7 +23,7 @@ already replays all four files, and a second replay there would tell
 nothing new.  A change to a host run op (``read_run`` / ``write_run``) may
 move ``engine_stats_multipage.json`` only: ``engine_stats.json`` and
 ``engine_stats_4ch.json`` hold single-page traces and must print ``0 fields
-differ``.  ``engine_stats_merges.json`` (the five log-block schemes over an
+differ``.  ``engine_stats_merges.json`` (the three log-block schemes over an
 in-order-rewrite trace, with a hash of the traced event stream) moves only
 when a merge does.
 """
