@@ -135,7 +135,10 @@ class UpdateMappingTable:
         return 0 <= lpn < len(self._ppn) and self._ppn[lpn] == ppn
 
     def ram_bytes(self) -> int:
-        """8 bytes per entry (lpn + ppn), the paper's convention."""
+        """8 bytes per entry (lpn + ppn), the paper's convention, per entry
+        *held*: occupancy, not the UBA + CBA capacity the table may fill
+        (DFTL's CMT is counted at capacity; see
+        :meth:`repro.core.lazyftl.LazyFTL.ram_bytes`)."""
         return self._count * 2 * MAP_ENTRY_BYTES
 
     def restore(self, state: Dict[int, int]) -> None:

@@ -26,18 +26,14 @@ Bit-identity contract (enforced by the golden-stats gate and the
 differential tests in ``tests/test_batch_replay.py``):
 
 * response times come from a strictly sequential running sum seeded with
-  ``device_free_at`` (``np.add.accumulate`` or
-  :func:`itertools.accumulate`, never the pairwise ``np.add.reduce``),
-  each recorded as the difference of two neighbours - the same additions
-  and subtractions in the same order as the scalar loop;
+  ``device_free_at`` (``np.add.accumulate``, never the pairwise
+  ``np.add.reduce``), each recorded as the difference of two neighbours
+  - the same additions and subtractions in the same order as the scalar
+  loop;
 * bulk read-counter increments use ``n * latency_us``, which equals ``n``
   repeated additions because every latency is a whole number of
   microseconds (:class:`~repro.flash.timing.TimingModel` admits no
   other);
-* the numpy kernel and the pure ``array`` kernel are the same
-  arithmetic, so results are identical whichever an epoch takes: its
-  length picks (:data:`NUMPY_MIN_EPOCH`), and a machine without the
-  ``[perf]`` extra always takes the ``array`` kernel;
 * the executor never stores to the device arrays: an epoch's programs
   are one :meth:`~repro.flash.chip.NandFlash.program_run` followed by
   one ``invalidate_run`` of the copies they superseded.
@@ -46,9 +42,9 @@ differential tests in ``tests/test_batch_replay.py``):
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
-from operator import sub
 from typing import Dict, Optional
+
+import numpy as np
 
 from ..core.lazyftl import LazyFTL
 from ..flash.chip import NandFlash
@@ -57,16 +53,11 @@ from ..ftl.base import FlashTranslationLayer
 from ..sim.metrics import ResponseStats
 from ..traces.model import Trace
 
-try:  # pragma: no cover - exercised via both branches in CI
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
-
 
 def backend_name() -> str:
-    """The kernel long epochs take: ``"numpy"`` when numpy imports, else
-    ``"fallback"`` (the ``array`` kernel)."""
-    return "fallback" if _np is None else "numpy"
+    """The timing kernel's name, kept for the benchmark's run record:
+    every epoch is timed on numpy."""
+    return "numpy"
 
 
 #: Horizons shorter than this replay scalar: below ~8 ops the epoch
@@ -75,13 +66,6 @@ def backend_name() -> str:
 #: moves the crossover.
 MIN_EPOCH = 8
 
-#: Epochs shorter than this use the pure ``array`` kernel even when
-#: numpy is installed: a numpy kernel invocation has ~tens of
-#: microseconds of fixed cost (array creation, ufunc dispatch, masking)
-#: that only amortises over long epochs.  Both kernels are bit-identical
-#: by construction, so this threshold is purely a speed knob - and, with
-#: whether numpy imports, the only thing that picks a kernel.
-NUMPY_MIN_EPOCH = 64
 
 def _record_closed(
     ops_slice: memoryview,
@@ -98,17 +82,10 @@ def _record_closed(
     is ``acc[k+1] - acc[k]`` - the identical subtraction of the identical
     floats, so the bulk form is bit-exact.
     """
-    h = len(services)
-    if _np is not None and h >= NUMPY_MIN_EPOCH:
-        acc = _np.empty(h + 1)
-        acc[0] = device_free_at
-        acc[1:] = _np.frombuffer(services, dtype=_np.float64)
-        _np.add.accumulate(acc, out=acc)
-        responses.record_many(ops_slice, acc[1:] - acc[:h])
-        return float(acc[h])
-    run = array("d", accumulate(services, initial=device_free_at))
-    responses.record_many(ops_slice, array("d", map(sub, run[1:], run[:h])))
-    return run[h]
+    acc = np.add.accumulate(
+        np.frombuffer(array("d", (device_free_at,)) + services))
+    responses.record_many(ops_slice, acc[1:] - acc[:-1])
+    return float(acc[-1])
 
 
 def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:

@@ -7,15 +7,11 @@ re-exported here and from :mod:`repro.sim`.
 from __future__ import annotations
 
 import math
-from array import array
 from typing import Any, Dict
 
-from ..obs.metrics import LatencyDistribution
+import numpy as np
 
-try:  # numpy accelerates the bulk paths; everything works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the fallback tests
-    _np = None  # type: ignore[assignment]
+from ..obs.metrics import LatencyDistribution
 
 
 class ResponseStats:
@@ -38,53 +34,28 @@ class ResponseStats:
     def record_many(self, ops: Any, responses: Any) -> None:
         """Bulk :meth:`record` for one replay epoch.
 
-        ``ops`` is the epoch's slice of the columnar op codes (truthy =
-        write) and ``responses`` its response times, same length.  Every
-        distribution receives its subsequence in trace order, so the
-        result is bit-identical to recording one response at a time.
-        Validation (finite, non-negative) runs once over the batch; the
-        three distributions then extend unchecked.
+        ``ops`` is the epoch's slice of the columnar op codes, a byte
+        buffer (nonzero = write), and ``responses`` its response times,
+        any float sequence of the same length.  Every distribution
+        receives its subsequence in trace order, so the result is
+        bit-identical to recording one response at a time.  Validation
+        (finite, non-negative) runs once over the batch, before any
+        distribution changes; the three then extend unchecked.
         """
-        if len(responses) == 0:
+        values = np.asarray(responses, dtype=np.float64)
+        if len(values) == 0:
             return
-        if _np is not None and isinstance(responses, _np.ndarray):
-            if responses.dtype != _np.float64:
-                responses = responses.astype(_np.float64)
-            if not bool(_np.isfinite(responses).all()):
-                raise ValueError("latency samples must be finite")
-            if bool((responses < 0).any()):
-                raise ValueError("latency samples must be non-negative")
-            op_codes = _np.frombuffer(ops, dtype=_np.int8) \
-                if not isinstance(ops, _np.ndarray) else ops
-            self.overall._extend_unchecked(responses)
-            writes_mask = op_codes != 0
-            write_vals = responses[writes_mask]
-            read_vals = responses[~writes_mask]
-            if len(write_vals):
-                self.writes._extend_unchecked(write_vals)
-            if len(read_vals):
-                self.reads._extend_unchecked(read_vals)
-            return
-        isfinite = math.isfinite
-        for value in responses:
-            if not isfinite(value):
-                raise ValueError(
-                    f"latency samples must be finite, got {value!r}"
-                )
-            if value < 0:
-                raise ValueError("latency samples must be non-negative")
-        self.overall._extend_unchecked(responses)
-        write_vals = array("d")
-        read_vals = array("d")
-        for op, value in zip(ops, responses):
-            if op:
-                write_vals.append(value)
-            else:
-                read_vals.append(value)
-        if write_vals:
-            self.writes._extend_unchecked(write_vals)
-        if read_vals:
-            self.reads._extend_unchecked(read_vals)
+        # min and max propagate a NaN, so these two find every bad sample.
+        lo = float(np.minimum.reduce(values))
+        hi = float(np.maximum.reduce(values))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("latency samples must be finite")
+        if lo < 0:
+            raise ValueError("latency samples must be non-negative")
+        writes = np.frombuffer(ops, dtype=np.int8) != 0
+        self.overall._extend_unchecked(values)
+        self.writes._extend_unchecked(values[writes])
+        self.reads._extend_unchecked(values[~writes])
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         return {

@@ -7,7 +7,7 @@ side:
 * Hypothesis generates arbitrary mixed workloads (single- and
   multi-page requests, closed-loop and timestamped arrivals, with and
   without idle gaps) and asserts digest equality three ways - scalar vs
-  batched on each timing kernel vs traced - per LazyFTL option cell
+  batched vs traced - per LazyFTL option cell
   (timestamped traces check that open-loop replay stays scalar);
 * one function is the replay loop: warm-up, the untraced run, the traced
   run and the batch engine's boundary requests are all observed to
@@ -26,13 +26,15 @@ golden, so planner edge cases (frontier exhaustion mid-epoch,
 checkpoint budgets, unmapped reads) get fuzzed.
 """
 
+import math
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import OpLatencyRecorder, Tracer
+from repro.obs import LatencyDistribution, OpLatencyRecorder, Tracer
 from repro.perf import batch
 from repro.perf.maptable import MapTable
 from repro.sim.factory import default_lazy_config, standard_setup
@@ -47,13 +49,6 @@ from repro.traces import IORequest, OpType, Trace
 DEVICE = DeviceSpec(
     num_blocks=64, pages_per_block=8, page_size=512, logical_fraction=0.6
 )
-
-HAVE_NUMPY = batch._np is not None
-
-#: The timing kernels the fuzz forces onto every epoch: ``array`` as on a
-#: machine without numpy, ``numpy`` as if every epoch were long (by
-#: default no epoch this short reaches ``NUMPY_MIN_EPOCH``).
-KERNELS = ("array", "numpy") if HAVE_NUMPY else ("array",)
 
 #: Option cells the differential fuzz covers: LazyFTL, the one scheme
 #: with an epoch planner, plus its stateful ablation knobs (periodic
@@ -131,15 +126,8 @@ class TestDifferentialFuzz:
             ))
 
         reference = digest(replay_mode="scalar")
-        for kernel in KERNELS:
-            with pytest.MonkeyPatch.context() as patch:
-                if kernel == "array":
-                    patch.setattr(batch, "_np", None)
-                else:
-                    patch.setattr(batch, "NUMPY_MIN_EPOCH", batch.MIN_EPOCH)
-                assert digest(replay_mode="auto") == reference, (
-                    f"{scheme} {options} diverged on the {kernel} kernel"
-                )
+        assert digest(replay_mode="auto") == reference, (
+            f"{scheme} {options} diverged batched")
         traced = digest(tracer=Tracer(latency=OpLatencyRecorder()))
         assert traced == reference, f"{scheme} {options} diverged traced"
 
@@ -324,16 +312,12 @@ class TestReplayModeSelection:
 
     def test_environment_is_ignored(self, monkeypatch):
         """No environment variable picks a path: the constructor argument
-        picks the replay, and epoch length and whether numpy imports pick
-        the kernel."""
+        picks the replay, and every epoch takes the one numpy kernel."""
         monkeypatch.setenv("REPRO_REPLAY_MODE", "scalar")
         monkeypatch.setenv("REPRO_BATCH_FALLBACK", "1")
         ftl = make_ftl()
         assert Simulator(ftl).replay_mode == "auto"
-        assert batch.backend_name() == (
-            "numpy" if HAVE_NUMPY else "fallback")
-        monkeypatch.setattr(batch, "_np", None)  # a machine without numpy
-        assert batch.backend_name() == "fallback"
+        assert batch.backend_name() == "numpy"
 
 
 class TestBulkPrimitives:
@@ -346,6 +330,56 @@ class TestBulkPrimitives:
         bulk = ResponseStats()
         bulk.record_many(memoryview(ops), responses)
         assert bulk.summary() == one.summary()
+
+    @pytest.mark.parametrize("form", ["array", "ndarray"])
+    def test_record_many_takes_any_float_sequence(self, form):
+        values = [10.0, 20.0, 5.0, 40.0]
+        responses = array("d", values) if form == "array" \
+            else np.array(values)
+        one = ResponseStats()
+        for resp in values:
+            one.record(False, resp)
+        bulk = ResponseStats()
+        bulk.record_many(memoryview(bytes(4)), responses)
+        assert bulk.summary() == one.summary()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_record_many_rejects_before_recording(self, bad):
+        """The one validation pass: a NaN, an infinity or a negative
+        sample anywhere in the batch raises and records nothing."""
+        bulk = ResponseStats()
+        with pytest.raises(ValueError, match="finite|non-negative"):
+            bulk.record_many(memoryview(bytes([1, 0, 1])),
+                             np.array([10.0, bad, 30.0]))
+        assert (bulk.overall.count, bulk.reads.count,
+                bulk.writes.count) == (0, 0, 0)
+
+    @pytest.mark.parametrize("head", [[], [1.0], [50.0]])
+    def test_extend_unchecked_matches_add(self, head):
+        """Unsorted input after a sorted or empty buffer: count, total,
+        min, max, every percentile and the sorted flag (as the queries
+        fold it in) end as ``add`` one value at a time leaves them, and
+        the total is the sequential sum (pairwise summation, as
+        ``np.sum``, gives 1.0000000000000034e16 for these values)."""
+        values = [12.25, 1e16, 3.0, 12.25, 0.7, 3.0, 0.7, 0.7]
+        one = LatencyDistribution()
+        bulk = LatencyDistribution()
+        for value in head:
+            one.add(value)
+            bulk.add(value)
+        for value in values:
+            one.add(value)
+        bulk._extend_unchecked(np.array(values))
+        assert (bulk.count, bulk.total, bulk.min, bulk.max) == \
+            (one.count, one.total, one.min, one.max)
+        total = 0.0
+        for value in head + values:
+            total += value
+        assert bulk.total == total
+        assert bulk._sorted == one._sorted is False
+        for q in (1, 25, 50, 75, 99.9, 100):
+            assert bulk.percentile(q) == one.percentile(q)
+        assert bulk._sorted is one._sorted is True
 
     def test_set_many_matches_setitem(self):
         one = MapTable(16)

@@ -18,7 +18,6 @@ in the commit message.
 
 import json
 import pathlib
-from array import array
 
 import pytest
 
@@ -38,7 +37,6 @@ from repro.sim.golden import (
     golden_traces,
     merges_digest,
 )
-from repro.sim.metrics import ResponseStats
 from repro.sim.runner import run_scheme
 
 GOLDEN_PATH = (
@@ -91,16 +89,17 @@ def test_snapshot_covers_every_scheme_and_trace(golden):
 
 
 #: The gate runs once per way the one replay loop can be driven: forced
-#: scalar, the batch engine as it runs by default (no golden epoch
-#: reaches ``NUMPY_MIN_EPOCH``, so every one takes the pure-``array``
-#: kernel), the batch engine with every epoch on the numpy kernel,
-#: traced with a latency recorder attached, and sanitized - all five must
-#: reproduce the committed snapshot bit for bit.  Under ``sanitized`` the
-#: batch engine declines, the device refuses runs (``takes_runs()`` is
-#: False, so GC, commits and host run ops move one page at a time), every
-#: raw op is audited, every read is checked by content and
-#: ``assert_clean()`` audits the end state: the snapshot then also pins
-#: runs allowed == one-page runs, and that flashsan changes no statistic.
+#: scalar, the batch engine as it runs by default (horizons of at least
+#: ``MIN_EPOCH`` requests timed on the numpy kernel), the batch engine
+#: with every horizon down to a single request sent to the kernel,
+#: traced with a latency recorder attached, and sanitized - all five
+#: must reproduce the committed snapshot bit for bit.  Under
+#: ``sanitized`` the batch engine declines, the device refuses runs
+#: (``takes_runs()`` is False, so GC, commits and host run ops move one
+#: page at a time), every raw op is audited, every read is checked by
+#: content and ``assert_clean()`` audits the end state: the snapshot then
+#: also pins runs allowed == one-page runs, and that flashsan changes no
+#: statistic.
 REPLAY_GATES = ("scalar", "batched", "batched-numpy", "traced", "sanitized")
 
 
@@ -109,12 +108,10 @@ def recording_tracer():
 
 
 def arm(gate, monkeypatch):
-    """``batched-numpy``: send every epoch to the numpy kernel (skipped
-    where numpy does not import)."""
+    """``batched-numpy``: hand every horizon, however short, to the
+    numpy kernel (``MIN_EPOCH`` is only a speed knob)."""
     if gate == "batched-numpy":
-        if batch._np is None:
-            pytest.skip("numpy is not installed")
-        monkeypatch.setattr(batch, "NUMPY_MIN_EPOCH", batch.MIN_EPOCH)
+        monkeypatch.setattr(batch, "MIN_EPOCH", 1)
 
 
 def replay_digest(scheme, trace, device, gate):
@@ -126,27 +123,6 @@ def replay_digest(scheme, trace, device, gate):
         tracer=recording_tracer() if gate == "traced" else None,
         sanitize=gate == "sanitized",
     ))
-
-
-@pytest.mark.parametrize("numpy_epochs", [False, True])
-def test_only_the_numpy_gate_takes_the_numpy_kernel(monkeypatch,
-                                                    numpy_epochs):
-    """What the ``batched-numpy`` gate is there for: by default the
-    golden epochs are too short for the numpy kernel."""
-    if numpy_epochs:
-        arm("batched-numpy", monkeypatch)
-    kernels = []  # per epoch: did the numpy kernel time it?
-    record_many = ResponseStats.record_many
-
-    def spy(self, ops, responses):
-        kernels.append(not isinstance(responses, array))
-        return record_many(self, ops, responses)
-
-    monkeypatch.setattr(ResponseStats, "record_many", spy)
-    for trace in golden_traces():
-        run_scheme("LazyFTL", trace, device=GOLDEN_DEVICE,
-                   precondition="steady")
-    assert kernels and set(kernels) == {numpy_epochs}
 
 
 @pytest.mark.parametrize("gate", REPLAY_GATES)

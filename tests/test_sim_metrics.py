@@ -31,6 +31,25 @@ class TestLatencyDistribution:
         assert d.percentile(99) == 99.0
         assert d.percentile(100) == 100.0
 
+    @pytest.mark.parametrize("n", [1000, 2000, 41_000])
+    def test_percentile_is_nearest_rank_at_every_decimal_q(self, n):
+        """Rank ceil(q / 100 * n) with q read as the decimal 99.9: in
+        floats, 99.9 / 100 * 1000 is 999.0000000000001 and rounded up to
+        the sample above (so did 99.9 * n / 100 at n = 41 000)."""
+        d = LatencyDistribution()
+        for v in range(1, n + 1):
+            d.add(float(v))
+        assert d.percentile(99.9) == float(n * 999 // 1000)
+        assert d.percentile(50) == float(n // 2)
+
+    def test_cdf_points_are_nearest_rank(self):
+        """Over 1..100 at resolution 100 the i-th point is sample i; the
+        float form ceil(i / 100 * 100) put i = 7, 14 and 55 one high."""
+        d = LatencyDistribution()
+        for v in range(1, 101):
+            d.add(float(v))
+        assert d.cdf_points() == [(float(i), i / 100) for i in range(1, 101)]
+
     def test_percentile_unsorted_input(self):
         d = LatencyDistribution()
         for v in (5.0, 1.0, 9.0, 3.0):

@@ -42,8 +42,9 @@ a per-stage wall-clock summary closes the run, so CI logs show exactly
 which gate failed, which did not run, and where the time went.
 
 The pytest stage is also the one differential gate: every way the one
-replay loop can be driven (scalar, batched on either timing kernel,
-traced, sanitized - where the device refuses runs) must reproduce the
+replay loop can be driven (scalar, batched with every epoch timed on
+the numpy kernel, traced, sanitized - where the device refuses runs)
+must reproduce the
 committed golden snapshots (``tests/test_golden_stats.py``).
 
 Touching a run op - the device's ``program_run`` / ``invalidate_run``,
