@@ -50,8 +50,8 @@ from .umt import UpdateMappingTable, group_by_tvpn
 ANCHOR_BLOCKS = (0, 1)
 
 #: The OOB kind byte of a data page, for the per-page identity check in
-#: :meth:`LazyFTL._deferred_invalidate` (called once per displaced GMT
-#: entry - a commit-path hot spot).
+#: :meth:`LazyFTL._retire_displaced` (once per displaced GMT entry - a
+#: commit-path hot spot).
 _DATA = int(PageKind.DATA)
 
 
@@ -351,24 +351,35 @@ class LazyFTL(FlashTranslationLayer):
 
     def _cheapest_convert_victim(self, area: BlockArea) -> int:
         """Full block in ``area`` whose commit touches fewest GMT pages."""
-        flash = self.flash
-        oob_lpn = flash.oob_lpn
+        entries = self.entries_per_page
         frontier = area.frontier
         best_pbn = None
         best_cost = None
         for pbn in area:
             if pbn == frontier and len(area) > 1:
                 continue  # keep absorbing writes in the frontier
-            tvpns = set()
-            for ppn in flash.valid_ppns(pbn):
-                lpn = oob_lpn[ppn]
-                if self._umt.points_to(lpn, ppn):
-                    tvpns.add(lpn // self.entries_per_page)
-            cost = len(tvpns)
+            cost = len({lpn // entries for lpn in self._deferred_lpns(pbn)})
             if best_cost is None or cost < best_cost:
                 best_pbn = pbn
                 best_cost = cost
         return best_pbn if best_pbn is not None else area.oldest
+
+    def _deferred_lpns(self, pbn: int) -> List[int]:
+        """The lpns of the block's pages the UMT points to (the entries its
+        conversion commits; a valid page it does not point to was committed
+        early by global batching), from one slice of each column."""
+        flash = self.flash
+        base = pbn * self._pages_per_block
+        end = base + flash.write_ptr[pbn]
+        # Inline umt.points_to (lpns from OOB are non-negative).
+        uppn = self._umt._ppn
+        ulen = len(uppn)
+        return [
+            lpn for ppn, lpn, state in zip(
+                range(base, end), flash.oob_lpn[base:end],
+                flash.page_states[base:end])
+            if state == VALID and lpn < ulen and uppn[lpn] == ppn
+        ]
 
     def _convert_block(self, pbn: int) -> float:
         """Commit a block's deferred mappings to the GMT, in batch.
@@ -386,71 +397,47 @@ class LazyFTL(FlashTranslationLayer):
         tracer = self._tracer
         if tracer is not None:
             tracer.span_start(None, Cause.CONVERT)
-        flash = self.flash
         umt = self._umt
-        oob_lpn = flash.oob_lpn
-        # Inline umt.points_to: the pair scan mutates nothing, so the
-        # flat ppn array and its length are loop invariants (lpns from
-        # OOB are non-negative by construction).
-        uppn = umt._ppn
-        ulen = len(uppn)
-        pairs = []
-        for ppn in flash.valid_ppns(pbn):
-            lpn = oob_lpn[ppn]
-            if lpn < ulen and uppn[lpn] == ppn:
-                pairs.append((lpn, ppn))
-            # A valid page the UMT does not point to was committed early by
-            # a previous conversion's global batching (below); its mapping
-            # is already exact in the GMT.
-        groups = group_by_tvpn(pairs, self.entries_per_page)
+        entries = self.entries_per_page
+        lpns = self._deferred_lpns(pbn)
+        batched = self.config.global_batching
         # Global batching: a GMT page we are going to rewrite anyway also
         # absorbs every other UMT entry it covers - entries from blocks
-        # that have not converted yet.  Their blocks will later skip them.
-        batched = self.config.global_batching
-        n_committed = len(pairs)
+        # that have not converted yet, which will later skip them - so
+        # each group is its GMT page's whole UMT index.  The commit reads
+        # the new ppns from the flat table; the entries go after it.
+        groups = (umt.pages_of({lpn // entries for lpn in lpns}) if batched
+                  else group_by_tvpn(lpns, entries))
+        latency = self._maps.commit(groups, umt._ppn, self._retire_displaced)
         if batched:
-            lpns_in_tvpn = umt.lpns_in_tvpn
-            for tvpn, group in groups.items():
-                in_group = {lpn for lpn, _ in group}
-                for lpn in lpns_in_tvpn(tvpn):
-                    if lpn in in_group:
-                        continue
-                    # Inline umt.ppn_at: every lpn in the tvpn index was
-                    # inserted through set(), so it is always in range.
-                    group.append((lpn, uppn[lpn]))
-                    n_committed += 1
-        latency = self._maps.commit(groups, self._deferred_invalidate)
-        if batched:
-            # With global batching every UMT entry covered by a committed
-            # GMT page was just committed, so retire them per page in bulk.
-            discard_tvpn = umt.discard_tvpn
-            for tvpn in groups:
-                discard_tvpn(tvpn)
+            umt.discard_pages(groups)
         else:
-            discard = umt.discard
-            for lpn, _ in pairs:
-                discard(lpn)
+            for lpn in lpns:
+                umt.discard(lpn)
         if tracer is not None:
             tracer.span_end(
                 EventType.CONVERT, ppn=pbn,
-                entries=n_committed, gmt_pages=len(groups),
+                entries=sum(map(len, groups.values())), gmt_pages=len(groups),
             )
         return latency
 
-    def _deferred_invalidate(self, lpn: int, old_ppn: int) -> None:
-        """Retire a data page displaced by a GMT commit (lazily).
-
-        The GMT may hold a stale address whose block was erased and reused
-        since; the page-identity check (state + OOB lpn) makes the
-        invalidation safe in that case.
-        """
+    def _retire_displaced(self, displaced: List[Tuple[int, int]]) -> None:
+        """Retire the data pages one commit run displaced (lazily), in one
+        bulk invalidation - one page per call on a device that takes no
+        runs.  The GMT may hold a stale address whose block was erased and
+        reused since; the page-identity check (state + kind + OOB lpn)
+        makes the invalidation safe in that case."""
         flash = self.flash
-        if (
-            flash.page_states[old_ppn] == VALID
-            and flash.oob_kind[old_ppn] == _DATA
-            and flash.oob_lpn[old_ppn] == lpn
-        ):
-            flash.invalidate_page(old_ppn)
+        states, kinds, oob_lpn = (flash.page_states, flash.oob_kind,
+                                  flash.oob_lpn)
+        dead = [old for lpn, old in displaced
+                if states[old] == VALID and kinds[old] == _DATA
+                and oob_lpn[old] == lpn]
+        if flash.takes_runs():
+            flash.invalidate_run(dead)
+        else:
+            for ppn in dead:
+                flash.invalidate_page(ppn)
 
     # ------------------------------------------------------------------
     # Garbage collection (merge-free)
@@ -475,12 +462,14 @@ class LazyFTL(FlashTranslationLayer):
         oob_lpn = flash.oob_lpn
         invalidate_page = flash.invalidate_page
         uppn = self._umt._ppn  # inline umt.ppn_at: the array grows in place
-        for src in flash.valid_ppns(pbn):
+        base = pbn * self._pages_per_block
+        # A victim is never programmed, so its write pointer is fixed.
+        for src in range(base, base + flash.write_ptr[pbn]):
             if states[src] != VALID:
-                # A cold-block conversion triggered earlier in this very
-                # pass can commit a UMT entry whose displaced GMT value is
-                # this page (deferred invalidation resolving mid-pass);
-                # the valid_ppns snapshot is then stale - skip the dead page.
+                # Never VALID, or invalidated since the pass began: a
+                # cold-block conversion triggered earlier in this very pass
+                # can commit a UMT entry whose displaced GMT value is this
+                # page (deferred invalidation resolving mid-pass).
                 continue
             lpn = oob_lpn[src]
             umt_ppn = uppn[lpn] if lpn < len(uppn) else -1

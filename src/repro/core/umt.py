@@ -17,7 +17,7 @@ speed optimization, not a change to the modeled structure.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..ftl.mapping import LpnsByPage
@@ -102,22 +102,22 @@ class UpdateMappingTable:
         self._count -= 1
         self._by_tvpn.discard(lpn)
 
-    def discard_tvpn(self, tvpn: int) -> None:
-        """Remove every entry covered by GMT page ``tvpn`` in one pass.
+    def pages_of(self, tvpns: Iterable[int]) -> Dict[int, Set[int]]:
+        """``tvpn -> its lpns`` for each GMT page in ``tvpns`` covering an
+        entry: the index's own sets (global batching's commit groups),
+        valid until the table next changes."""
+        pages = self._by_tvpn.pages
+        return {tvpn: pages[tvpn] for tvpn in tvpns if tvpn in pages}
 
-        Conversion with global batching commits *all* deferred entries of
-        each rewritten GMT page, so retiring them per page skips the
-        per-lpn tvpn-index bookkeeping :meth:`discard` would repeat.
-        """
-        peers = self._by_tvpn.pages.pop(tvpn, ())
+    def discard_pages(self, tvpns: Iterable[int]) -> None:
+        """Remove every entry covered by the GMT pages ``tvpns``."""
+        pages = self._by_tvpn.pages
         ppns = self._ppn
-        for lpn in peers:
-            ppns[lpn] = UNMAPPED
-        self._count -= len(peers)
-
-    def lpns_in_tvpn(self, tvpn: int) -> List[int]:
-        """All lpns with deferred entries covered by GMT page ``tvpn``."""
-        return sorted(self._by_tvpn.pages.get(tvpn, ()))
+        for tvpn in tvpns:
+            lpns = pages.pop(tvpn, ())
+            for lpn in lpns:
+                ppns[lpn] = UNMAPPED
+            self._count -= len(lpns)
 
     def items(self) -> Iterator[Tuple[int, int]]:
         """``(lpn, ppn)`` of every deferred entry, by ascending lpn."""
@@ -150,15 +150,15 @@ class UpdateMappingTable:
 
 
 def group_by_tvpn(
-    pairs: List[Tuple[int, int]], entries_per_page: int
-) -> Dict[int, List[Tuple[int, int]]]:
-    """Group (lpn, ppn) mapping updates by the GMT page that holds them.
+    lpns: Iterable[int], entries_per_page: int
+) -> Dict[int, List[int]]:
+    """Group lpns by the GMT page that holds their mapping.
 
     This grouping is what makes conversion cheap: one GMT page
     read-modify-write commits every update in a group (the paper's batch
     update).
     """
-    groups: Dict[int, List[Tuple[int, int]]] = {}
-    for lpn, ppn in pairs:
-        groups.setdefault(lpn // entries_per_page, []).append((lpn, ppn))
+    groups: Dict[int, List[int]] = {}
+    for lpn in lpns:
+        groups.setdefault(lpn // entries_per_page, []).append(lpn)
     return groups

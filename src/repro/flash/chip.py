@@ -98,6 +98,7 @@ from __future__ import annotations
 
 import warnings
 from array import array
+from operator import itemgetter
 from typing import (Any, Iterable, List, Optional, Sequence, Set, Tuple,
                     Union)
 
@@ -451,7 +452,7 @@ class NandFlash:
         if len(lpns) != n:
             raise ValueError("datas and lpns must have the same length")
         ppns = range(ppn, ppn + n) if isinstance(ppn, int) else ppn
-        srcs = [src for src in reads or () if src is not None]
+        srcs = [src for src in reads if src is not None] if reads else ()
         ways = self._run_ways(ppns, srcs)
         if not ways:
             total = 0.0
@@ -463,16 +464,16 @@ class NandFlash:
             return total
         for j in range(ways):
             start = ppns[j]
-            end = start + len(range(j, n, ways))
-            self.page_states[start:end] = bytes((VALID,)) * (end - start)
+            end = start + (size := len(range(j, n, ways)))
+            self.page_states[start:end] = bytes((VALID,)) * size
             self.page_data[start:end] = datas[j::ways]
             self.oob_lpn[start:end] = array("q", lpns[j::ways])
-            self.oob_seq[start:end] = array(
-                "q", range(first_seq + j, first_seq + n, ways))
-            self.oob_kind[start:end] = bytes((kind,)) * (end - start)
-            self.oob_cold[start:end] = bytes((cold,)) * (end - start)
-            self.write_ptr[start // self._ppb] += end - start
-            self.valid_count[start // self._ppb] += end - start
+            self.oob_seq[start:end] = array(  # a list converts faster
+                "q", list(range(first_seq + j, first_seq + n, ways)))
+            self.oob_kind[start:end] = bytes((kind,)) * size
+            self.oob_cold[start:end] = bytes((cold,)) * size
+            self.write_ptr[start // self._ppb] += size
+            self.valid_count[start // self._ppb] += size
         read_lat = self.timing.page_read_us
         latency = self.timing.page_program_us
         stats = self.stats
@@ -494,18 +495,22 @@ class NandFlash:
         """How many blocks a plainly legal :meth:`program_run` rotates over,
         else 0: block *j* of *L* gets pages *j*, *j* + *L*, ..."""
         n = len(ppns)
-        states = self.page_states
         # A tracer must see per-op events in order: the scalar ops.
         if not (n and self.tracer is None and self.takes_runs()):
             return 0
-        if srcs and not (min(srcs) >= 0 and max(srcs) < self._total_pages
-                         and all(map(states.__getitem__, srcs))):
+        states = self.page_states
+        try:  # every read in range and programmed, in one gather (the
+            # first index repeated keeps its result a tuple)
+            if srcs and (min(srcs) < 0
+                         or FREE in itemgetter(*srcs, srcs[0])(states)):
+                return 0
+        except IndexError:
             return 0
         ppb = self._ppb
         ways = 1
         while ways < n and ppns[ways] // ppb != ppns[0] // ppb:
             ways += 1
-        if len({start // ppb for start in ppns[:ways]}) < ways:
+        if ways > 1 and len({start // ppb for start in ppns[:ways]}) < ways:
             return 0
         for j in range(ways):
             start = ppns[j]
@@ -515,7 +520,7 @@ class NandFlash:
                     and not self.is_bad[pbn]
                     and start - pbn * ppb == self.write_ptr[pbn]
                     and states.count(FREE, start, end) == end - start
-                    and (isinstance(ppns, range)
+                    and (isinstance(ppns, range) and ppns.step == 1
                          or ppns[j::ways] == list(range(start, end)))):
                 return 0
         return ways

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from typing import Callable, DefaultDict, Dict, List, Optional, Set, Tuple
+from typing import (Callable, Collection, DefaultDict, Dict, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
@@ -208,8 +209,9 @@ class MappingStore:
 
     def commit(
         self,
-        groups: Dict[int, List[Tuple[int, int]]],
-        on_superseded: Callable[[int, int], None],
+        groups: Mapping[int, Collection[int]],
+        new_ppn: Sequence[int],
+        on_displaced: Callable[[List[Tuple[int, int]]], None],
     ) -> float:
         """Apply batched mapping updates, one page write per group.
 
@@ -222,11 +224,11 @@ class MappingStore:
         gets one-page runs.
 
         Args:
-            groups: tvpn -> list of (lpn, new_ppn), as produced by
-                :func:`repro.core.umt.group_by_tvpn`.
-            on_superseded: Called with ``(lpn, old_ppn)`` for every entry
-                whose previous value is displaced - the hook LazyFTL
-                uses for its deferred invalidation of old data pages.
+            groups: tvpn -> the lpns it commits (each once, any order).
+            new_ppn: lpn -> its new ppn (LazyFTL's flat UMT column).
+            on_displaced: Called after each run's program with the run's
+                displaced ``(lpn, old_ppn)`` pairs, if any - LazyFTL's
+                deferred invalidation of the old data pages.
         """
         latency = 0.0
         tvpns = sorted(groups)
@@ -244,7 +246,7 @@ class MappingStore:
             frontier.advance(len(plan) - 1, 2)
             run = tvpns[done:done + len(plan)]
             latency += room_lat + self._commit_run(
-                run, plan, content, groups, on_superseded)
+                run, plan, content, groups, new_ppn, on_displaced)
             done += len(run)
         tracer = self.flash.tracer
         if tracer is not None:
@@ -255,38 +257,42 @@ class MappingStore:
             )
         return latency
 
-    def _commit_run(self, run, dsts, first, groups, on_superseded) -> float:
+    def _commit_run(self, run, dsts, first, groups, new_ppn,
+                    on_displaced) -> float:
         """Rewrite the translation pages ``run``, their commit groups
         applied, to the pages ``dsts`` (free, as planned).  ``first`` is
         the loaded content of ``run[0]``; each later page's read of its old
         copy, if any, is charged just before its program."""
         flash = self.flash
-        stats = self.stats
         entries_per_page = self.entries_per_page
         gtd = self.gtd.raw
         page_data = flash.page_data
-        old = [gtd[tvpn] if gtd[tvpn] >= 0 else None for tvpn in run]
-        reads = [None, *old[1:]]
-        contents = [first]
-        for tppn in reads[1:]:  # a page never written starts empty
-            contents.append(page_data[tppn][:] if tppn is not None
-                            else self._empty_page())
+        old = [gtd[tvpn] for tvpn in run]
+        stale = [tppn for tppn in old if tppn >= 0]
+        # A page never written is not read and starts empty.
+        reads = [None, *[tppn if tppn >= 0 else None for tppn in old[1:]]]
+        contents = [first, *[page_data[tppn][:] if tppn >= 0
+                             else self._empty_page() for tppn in old[1:]]]
+        displaced: List[Tuple[int, int]] = []
         for tvpn, content in zip(run, contents):
-            for lpn, new_ppn in groups[tvpn]:
-                idx = lpn % entries_per_page
-                old_ppn = content[idx]
-                if old_ppn >= 0 and old_ppn != new_ppn:
-                    on_superseded(lpn, old_ppn)
-                content[idx] = new_ppn
-            stats.batched_commits += len(groups[tvpn])
-        stale = [tppn for tppn in old if tppn is not None]
-        stats.map_reads += len(reads) - reads.count(None)
+            base = tvpn * entries_per_page
+            for lpn in groups[tvpn]:
+                ppn = new_ppn[lpn]
+                old_ppn = content[lpn - base]
+                if old_ppn >= 0 and old_ppn != ppn:
+                    displaced.append((lpn, old_ppn))
+                content[lpn - base] = ppn
         n = len(run)
+        stats = self.stats
+        stats.batched_commits += sum(map(len, map(groups.__getitem__, run)))
+        stats.map_reads += len(stale) - (old[0] >= 0)
         latency = flash.program_run(dsts, contents, run, self.seq.take(n),
                                     PageKind.MAPPING, False, reads)
         stats.map_writes += n
         flash.invalidate_run(stale)
         self.gtd.set_many(zip(run, dsts))
+        if displaced:
+            on_displaced(displaced)
         return latency
 
     def program(self, tvpn: int, content: "array[int]") -> float:

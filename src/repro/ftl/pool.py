@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import MutableSet
+from itertools import compress
 from typing import Deque, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from ..flash.chip import NandFlash
@@ -162,7 +163,7 @@ class VictimPool(MutableSet):
     def pick(self) -> Optional[Tuple[int, int]]:
         """``(valid, pbn)`` of the member ``select_greedy`` would choose;
         None if none has a page to reclaim (the last bucket is not read)."""
-        for valid, bucket in enumerate(self._buckets[:-1]):
-            if bucket:
-                return valid, min(bucket)
-        return None
+        buckets = self._buckets
+        # The first non-empty bucket, found without a Python-level loop.
+        valid = next(compress(range(len(buckets) - 1), buckets), None)
+        return None if valid is None else (valid, min(buckets[valid]))

@@ -198,10 +198,9 @@ class Frontier:
 
     def discard(self, pbn: int) -> None:
         """Drop a block from the rotation (converted/collected early)."""
-        try:
-            index = self.open_blocks.index(pbn)
-        except ValueError:
+        if pbn not in self.open_blocks:  # the common case: no exception
             return
+        index = self.open_blocks.index(pbn)
         del self.open_blocks[index]
         if index < self._cursor:
             self._cursor -= 1

@@ -181,7 +181,9 @@ class LatencyDistribution:
         additions reuse the sorted buffer instead of re-sorting."""
         self._fold()
         if not self._sorted:
-            # array('d') has no in-place sort; round-trip through a list.
-            self._samples = array("d", sorted(self._samples))
+            # In place through a numpy view, stable as sorted() is (equal
+            # values, -0.0 and 0.0 among them, keep their order); the view
+            # dies with the statement - an exporting array cannot grow.
+            np.frombuffer(self._samples, dtype=np.float64).sort(kind="stable")
             self._sorted = True
             self.sorts_performed += 1

@@ -33,6 +33,12 @@ def _sizes(rng: random.Random, max_pages: int) -> int:
     return size
 
 
+def _columns(n: int) -> "tuple[array, array, array]":
+    """Zeroed op / lpn / npages columns of ``n`` requests, for generators
+    that store each request by index."""
+    return array("b", [0]) * n, array("q", [0]) * n, array("q", [0]) * n
+
+
 def uniform_random(
     n_requests: int,
     footprint_pages: int,
@@ -48,15 +54,20 @@ def uniform_random(
     """
     _check_common(n_requests, footprint_pages, write_ratio)
     rng = random.Random(seed)
-    ops = array("b")
-    lpns = array("q")
-    npages_col = array("q")
-    for _ in range(n_requests):
-        npages = _sizes(rng, max_request_pages)
-        lpn = rng.randrange(max(1, footprint_pages - npages + 1))
-        ops.append(1 if rng.random() < write_ratio else 0)
-        lpns.append(lpn)
-        npages_col.append(min(npages, footprint_pages - lpn))
+    draw = rng.random
+    randrange = rng.randrange
+    sized = max_request_pages > 1  # else _sizes draws nothing: 1 page
+    npages = 1
+    end = footprint_pages
+    ops, lpns, npages_col = _columns(n_requests)
+    for i in range(n_requests):
+        if sized:
+            npages = _sizes(rng, max_request_pages)
+            end = max(1, footprint_pages - npages + 1)
+        lpn = randrange(end)
+        ops[i] = draw() < write_ratio
+        lpns[i] = lpn
+        npages_col[i] = min(npages, footprint_pages - lpn)
     return Trace.from_columns(ops, lpns, npages_col,
                               name=name or f"random-w{write_ratio:.2f}")
 
@@ -115,21 +126,26 @@ def hot_cold(
     if not 0.0 <= hot_probability <= 1.0:
         raise ValueError("hot_probability must be in [0, 1]")
     rng = random.Random(seed)
+    draw = rng.random
+    randrange = rng.randrange
     hot_pages = max(1, int(footprint_pages * hot_fraction))
-    ops = array("b")
-    lpns = array("q")
-    npages_col = array("q")
-    for _ in range(n_requests):
-        npages = _sizes(rng, max_request_pages)
-        if rng.random() < hot_probability:
-            lpn = rng.randrange(max(1, hot_pages - npages + 1))
+    sized = max_request_pages > 1  # else _sizes draws nothing: 1 page
+    npages = 1
+    hot_end = hot_pages
+    cold_end = max(hot_pages + 1, footprint_pages)
+    ops, lpns, npages_col = _columns(n_requests)
+    for i in range(n_requests):
+        if sized:
+            npages = _sizes(rng, max_request_pages)
+            hot_end = max(1, hot_pages - npages + 1)
+            cold_end = max(hot_pages + 1, footprint_pages - npages + 1)
+        if draw() < hot_probability:
+            lpn = randrange(hot_end)
         else:
-            lo = hot_pages
-            hi = max(lo + 1, footprint_pages - npages + 1)
-            lpn = rng.randrange(lo, hi)
-        ops.append(1 if rng.random() < write_ratio else 0)
-        lpns.append(lpn)
-        npages_col.append(min(npages, footprint_pages - lpn))
+            lpn = randrange(hot_pages, cold_end)
+        ops[i] = draw() < write_ratio
+        lpns[i] = lpn
+        npages_col[i] = min(npages, footprint_pages - lpn)
     return Trace.from_columns(ops, lpns, npages_col, name=name or "hot-cold")
 
 

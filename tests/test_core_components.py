@@ -86,46 +86,46 @@ class TestUMT:
         assert other.get(2) == 20
         assert len(other) == 2
 
-    def test_discard_tvpn_drops_exactly_one_pages_entries(self):
+    def test_discard_pages_drops_exactly_those_pages_entries(self):
         umt = UpdateMappingTable(entries_per_page=16)
-        # lpns 0, 15 -> tvpn 0; lpns 16, 31 -> tvpn 1.
-        for lpn in (0, 15, 16, 31):
+        # lpns 0, 15 -> tvpn 0; lpns 16, 31 -> tvpn 1; lpn 40 -> tvpn 2.
+        for lpn in (0, 15, 16, 31, 40):
             umt.set(lpn, 100 + lpn)
-        umt.discard_tvpn(0)
-        assert 0 not in umt and 15 not in umt
+        umt.discard_pages([0, 2])
+        assert 0 not in umt and 15 not in umt and 40 not in umt
         assert umt.get(16) == 116
         assert umt.get(31) == 131
         assert len(umt) == 2
         assert sorted(lpn for lpn, _ in umt.items()) == [16, 31]
+        assert umt.pages_of(range(3)) == {1: {16, 31}}
 
-    def test_discard_tvpn_matches_per_lpn_pops(self):
+    def test_discard_pages_matches_per_lpn_pops(self):
         bulk = UpdateMappingTable(entries_per_page=16)
         one_by_one = UpdateMappingTable(entries_per_page=16)
         for lpn in (1, 3, 14, 20):
             bulk.set(lpn, 50 + lpn)
             one_by_one.set(lpn, 50 + lpn)
-        bulk.discard_tvpn(0)
+        bulk.discard_pages([0])
         for lpn in (1, 3, 14):
             one_by_one.discard(lpn)
         assert dict(bulk.items()) == dict(one_by_one.items())
         assert len(bulk) == len(one_by_one) == 1
 
-    def test_discard_missing_tvpn_is_a_noop(self):
+    def test_discard_missing_page_is_a_noop(self):
         umt = UpdateMappingTable()
         umt.set(1, 10)
-        umt.discard_tvpn(99)
+        umt.discard_pages([99])
         assert umt.get(1) == 10
         assert len(umt) == 1
 
 
 class TestGroupByTvpn:
     def test_groups_by_mapping_page(self):
-        pairs = [(0, 100), (15, 101), (16, 102), (35, 103)]
-        groups = group_by_tvpn(pairs, entries_per_page=16)
+        groups = group_by_tvpn([0, 15, 16, 35], entries_per_page=16)
         assert set(groups) == {0, 1, 2}
-        assert groups[0] == [(0, 100), (15, 101)]
-        assert groups[1] == [(16, 102)]
-        assert groups[2] == [(35, 103)]
+        assert groups[0] == [0, 15]
+        assert groups[1] == [16]
+        assert groups[2] == [35]
 
     def test_empty(self):
         assert group_by_tvpn([], 16) == {}

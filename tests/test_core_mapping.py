@@ -42,8 +42,16 @@ def dftl_store(pages=4, flash=None):
     return DftlFTL(flash or make_flash(pages), LOGICAL_PAGES)._maps
 
 
-def ignore(lpn, ppn):
+def ignore(displaced):
     pass
+
+
+def commit(store, groups, on_displaced=ignore):
+    """``store.commit`` of ``tvpn -> [(lpn, new_ppn), ...]`` groups."""
+    new_ppn = {lpn: ppn for pairs in groups.values() for lpn, ppn in pairs}
+    return store.commit(
+        {tvpn: [lpn for lpn, _ in pairs] for tvpn, pairs in groups.items()},
+        new_ppn, on_displaced)
 
 
 class TestLpnsByPage:
@@ -75,7 +83,7 @@ class TestLookupAndCommit:
 
     def test_commit_then_lookup(self):
         store = self.make_store()
-        store.commit({0: [(3, 99)]}, on_superseded=ignore)
+        commit(store, {0: [(3, 99)]})
         ppn, latency = store.lookup(3)
         assert ppn == 99
         assert latency == 1.0  # one translation page read
@@ -84,32 +92,30 @@ class TestLookupAndCommit:
 
     def test_commit_batches_same_page(self):
         store = self.make_store()
-        store.commit({0: [(0, 10), (1, 11), (2, 12)]}, on_superseded=ignore)
+        commit(store, {0: [(0, 10), (1, 11), (2, 12)]})
         assert store.stats.map_writes == 1
         assert store.stats.batched_commits == 3
 
     def test_commit_reports_superseded(self):
         store = self.make_store()
         superseded = []
-        store.commit({0: [(3, 99)]}, on_superseded=ignore)
-        store.commit({0: [(3, 120)]},
-                     on_superseded=lambda l, p: superseded.append((l, p)))
+        commit(store, {0: [(3, 99)]})
+        commit(store, {0: [(3, 120)]}, superseded.extend)
         assert superseded == [(3, 99)]
         assert store.lookup(3)[0] == 120
 
     def test_recommit_same_value_not_superseded(self):
         store = self.make_store()
-        store.commit({0: [(3, 99)]}, on_superseded=ignore)
+        commit(store, {0: [(3, 99)]})
         called = []
-        store.commit({0: [(3, 99)]},
-                     on_superseded=lambda l, p: called.append((l, p)))
+        commit(store, {0: [(3, 99)]}, called.append)
         assert called == []
 
     def test_old_gmt_page_invalidated_on_rewrite(self):
         store = self.make_store()
-        store.commit({0: [(0, 10)]}, on_superseded=ignore)
+        commit(store, {0: [(0, 10)]})
         first = store.gtd.get(0)
-        store.commit({0: [(1, 11)]}, on_superseded=ignore)
+        commit(store, {0: [(1, 11)]})
         second = store.gtd.get(0)
         assert first != second
         assert store.flash.page_state(first) is PageState.INVALID
@@ -146,15 +152,15 @@ class TestFrontierAndGC:
     def test_frontier_retires_when_full(self):
         store = self.make_store(pages=2)
         for tvpn in range(3):
-            store.commit({tvpn: [(tvpn * 16, tvpn)]}, on_superseded=ignore)
+            commit(store, {tvpn: [(tvpn * 16, tvpn)]})
         assert len(store.full_blocks) >= 1
 
     def test_collect_relocates_valid_pages(self):
         store = self.make_store(pages=2)
         # Fill one mapping block with two live GMT pages, retire it.
-        store.commit({0: [(0, 1)]}, on_superseded=ignore)
-        store.commit({1: [(16, 2)]}, on_superseded=ignore)
-        store.commit({2: [(32, 3)]}, on_superseded=ignore)
+        commit(store, {0: [(0, 1)]})
+        commit(store, {1: [(16, 2)]})
+        commit(store, {2: [(32, 3)]})
         victim = next(iter(store.full_blocks))
         copies_before = store.stats.gc_page_copies
         store.collect(victim)
@@ -175,7 +181,7 @@ class TestFrontierAndGC:
     def test_all_blocks_listing(self):
         store = self.make_store()
         assert store.all_blocks() == []
-        store.commit({0: [(0, 1)]}, on_superseded=ignore)
+        commit(store, {0: [(0, 1)]})
         assert store.frontier in store.all_blocks()
 
 
@@ -196,9 +202,8 @@ class TestSnapshotRestore:
     def test_roundtrip(self):
         store = self.make_store(pages=2)
         for value in range(3):  # three full blocks ...
-            store.commit({0: [(0, value)], 2: [(33, 6)]},
-                         on_superseded=ignore)
-        store.commit({1: [(16, 9)]}, on_superseded=ignore)  # ... one open
+            commit(store, {0: [(0, value)], 2: [(33, 6)]})
+        commit(store, {1: [(16, 9)]})  # ... one open
         assert len(store.full_blocks) == 3
         snap = store.snapshot()
         other = self.make_store(flash=store.flash)  # same device
@@ -234,7 +239,7 @@ class TestReserveBeforeSnapshot:
 
         store = MappingStore(flash, pool, FtlStats(), SequenceCounter(),
                              num_tvpns=6, destination=destination)
-        store.commit({0: [(5, 50), (6, 60)]}, on_superseded=ignore)
+        commit(store, {0: [(5, 50), (6, 60)]})
 
         reclaims.clear()
         content, latency = store.checkout(0)
@@ -246,6 +251,6 @@ class TestReserveBeforeSnapshot:
         content[5] = 50
         store.program(0, content)
         reclaims.clear()
-        store.commit({0: [(6, 61)]}, on_superseded=ignore)
+        commit(store, {0: [(6, 61)]})
         assert store.lookup(5)[0] == 500
         assert store.lookup(6)[0] == 61

@@ -230,19 +230,16 @@ class TestDataStructureProperties:
 
     @FAST_SETTINGS
     @given(
-        pairs=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=10 ** 6),
-                      st.integers(min_value=0, max_value=10 ** 6)),
-            max_size=100,
-        ),
+        lpns=st.lists(st.integers(min_value=0, max_value=10 ** 6),
+                      max_size=100),
         entries_per_page=st.integers(min_value=1, max_value=512),
     )
-    def test_group_by_tvpn_partitions_input(self, pairs, entries_per_page):
-        groups = group_by_tvpn(pairs, entries_per_page)
-        flattened = [p for group in groups.values() for p in group]
-        assert sorted(flattened) == sorted(pairs)
+    def test_group_by_tvpn_partitions_input(self, lpns, entries_per_page):
+        groups = group_by_tvpn(lpns, entries_per_page)
+        flattened = [lpn for group in groups.values() for lpn in group]
+        assert sorted(flattened) == sorted(lpns)
         for tvpn, group in groups.items():
-            for lpn, _ in group:
+            for lpn in group:
                 assert lpn // entries_per_page == tvpn
 
     @FAST_SETTINGS
@@ -267,13 +264,16 @@ class TestDataStructureProperties:
         umt = UpdateMappingTable(entries_per_page=16)
         for i, lpn in enumerate(lpns):
             umt.set(lpn, i)
-        for lpn in set(lpns):
-            assert lpn in umt.lpns_in_tvpn(lpn // 16)
+        tvpns = {lpn // 16 for lpn in lpns}
+        index = umt.pages_of(tvpns)
+        assert index == {tvpn: {lpn for lpn in lpns if lpn // 16 == tvpn}
+                         for tvpn in tvpns}
+        assert {lpn for group in index.values() for lpn in group} == \
+            {lpn for lpn, _ in umt.items()}
         for lpn in set(lpns):
             umt.discard(lpn)
         assert len(umt) == 0
-        for lpn in set(lpns):
-            assert umt.lpns_in_tvpn(lpn // 16) == []
+        assert umt.pages_of(tvpns) == {}
 
 
 class TestParserProperties:

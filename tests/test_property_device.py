@@ -309,6 +309,26 @@ def test_bulk_run_is_n_scalar_programs(device, sequential, script,
         check_counters(bulk)
 
 
+def test_a_stepped_range_is_its_own_pages():
+    """``program_run`` takes a ``range`` of ppns as well as a list; a
+    stepped one names every other page, not the block slice its first
+    page starts.  In-order device: the second page is refused after the
+    first is programmed; relaxed one: pages 0 and 2."""
+    for sequential, states in ((True, (1, 0, 0, 0)), (False, (1, 0, 1, 0))):
+        results = []
+        devices = [DEVICES["serial"](sequential) for _ in range(2)]
+        for flash, bulk, addr in zip(devices, (True, False),
+                                     (range(0, 4, 2), [0, 2])):
+            try:
+                results.append(_apply(flash, "stripe_run", addr,
+                                      ("stripe_run", addr, 2, []), 1, bulk))
+            except FlashError as exc:
+                results.append(type(exc))
+        assert results[0] == results[1]
+        assert image(devices[0]) == image(devices[1])
+        assert bytes(devices[0].page_states[:4]) == bytes(states)
+
+
 def test_the_bulk_paths_are_taken_and_refused():
     """The fuzz above is vacuous if the serial device never leaves the
     per-page calls - or if a refusing device ever does.  A

@@ -385,6 +385,29 @@ class TestRunsReallyHappen:
         assert calls["read_page"] <= calls["program_run"]
         assert_reads_lead_runs(ftl.flash, order)
 
+    @pytest.mark.parametrize("refuse_runs", [False, True])
+    @pytest.mark.parametrize("stripe", sorted(STRIPES))
+    def test_a_conversion_retires_once_per_commit_run(self, stripe,
+                                                      refuse_runs):
+        """The commit hook gets each run's displaced entries in one call,
+        after that run's program - never per entry, never before."""
+        ftl = build("LazyFTL", refuse_runs=refuse_runs, stripe=stripe)
+        replay(ftl, overwrites=1200)
+        retire = ftl._retire_displaced
+        with counted() as (calls, order, _):
+            ftl._retire_displaced = lambda displaced: (
+                order.append(("hook", len(displaced))), retire(displaced))
+            converts = ftl.stats.converts
+            ftl.flush()
+        hooks = [n for name, n in order if name == "hook"]
+        assert ftl.stats.converts - converts >= 2
+        assert sum(hooks) > len(hooks) >= 1
+        assert len(hooks) <= calls["program_run"]
+        runs = [name for name, _ in order
+                if name in ("program_run", "hook")]
+        assert runs[0] == "program_run"
+        assert ("hook", "hook") not in set(zip(runs, runs[1:]))
+
 
 def _mentions(node, names):
     """Does ``node`` call ``takes_runs`` or load one of ``names``?"""
@@ -445,6 +468,25 @@ class TestOnePath:
         assert calls["program_page"] == calls["program_run"] == \
             ftl.stats.map_writes - writes
         assert_reads_lead_runs(ftl.flash, order)
+
+    @pytest.mark.parametrize("device", [NandFlash, SanitizedNandFlash])
+    def test_the_sanitizer_refuses_a_one_block_run(self, device):
+        """A one-block ``range`` run - every run at one channel - is the
+        bulk path's cheapest case; on the sanitizer's device it is still
+        served page by page, each read and program audited."""
+        flash = device(GEOMETRY, SLC_TIMING)
+        flash.program_run(0, [None] * 4, [0, 1, 2, 3], 1, PageKind.DATA,
+                          False)
+        with counted() as (calls, _, _):
+            flash.program_run(range(16, 20), ["a", "b", "c", "d"],
+                              [4, 5, 6, 7], 5, PageKind.DATA, True,
+                              [None, 1, 2, 3])
+        scalar = device is SanitizedNandFlash
+        assert calls["program_page"] == (4 if scalar else 0)
+        assert calls["read_page"] == (3 if scalar else 0)
+        assert flash.page_data[16:20] == ["a", "b", "c", "d"]
+        assert [flash.oob(ppn).seq for ppn in range(16, 20)] == [5, 6, 7, 8]
+        assert flash.write_ptr[1] == flash.valid_count[1] == 4
 
 
 @pytest.mark.parametrize("refuse_runs", [False, True])

@@ -54,10 +54,11 @@ class KeepsStaleCopy(PageFTL):
 
 
 class LeaksDeferredCopy(LazyFTL):
-    """FTL010-A, lazy form: a GMT commit displaces the old address and
-    the deferred invalidation never happens."""
+    """FTL010-A, lazy form: a GMT commit displaces the old addresses and
+    the deferred invalidation never happens - the per-run hook retires
+    none of a commit run's displaced copies."""
 
-    def _deferred_invalidate(self, lpn, old_ppn):
+    def _retire_displaced(self, displaced):
         pass
 
 

@@ -1,5 +1,7 @@
 """Unit tests for latency distributions and response stats."""
 
+import random
+
 import pytest
 
 from repro.sim.metrics import LatencyDistribution, ResponseStats
@@ -104,6 +106,24 @@ class TestLatencyDistribution:
         d.add(2.0)
         assert d.percentile(100) == 9.0
         assert d.sorts_performed == 2
+
+    def test_sorted_buffer_equals_sorted_including_signed_zeros(self):
+        """The sorted buffer is exactly ``sorted()`` of the samples: a
+        stable order, so equal values - 0.0 and -0.0 among them - keep
+        the order they were added in; the buffer still grows after."""
+        rng = random.Random(5)
+        values = [rng.choice((0.0, -0.0, 1.5, 2.0, rng.random() * 10))
+                  for _ in range(2000)]
+        d = LatencyDistribution()
+        for v in values[:1000]:
+            d.add(v)
+        d._extend_unchecked(values[1000:])
+        assert d.percentile(50) == sorted(values)[999]
+        assert d.sorts_performed == 1
+        assert [repr(v) for v in d._samples] == \
+            [repr(v) for v in sorted(values)]
+        d.add(-0.0)
+        assert d.count == 2001 and d.percentile(1) == 0.0
 
     def test_sorted_input_never_sorts(self):
         d = LatencyDistribution()
