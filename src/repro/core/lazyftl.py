@@ -55,6 +55,15 @@ ANCHOR_BLOCKS = (0, 1)
 _DATA = int(PageKind.DATA)
 
 
+def _read_pending(read_run: Any, run: List[int], datas: List[Any]) -> float:
+    """Read the pending data pages ``run`` as one device run, append their
+    data to ``datas`` and empty ``run``; returns the run's latency."""
+    got, latency = read_run(run)
+    datas += got
+    run.clear()
+    return latency
+
+
 class LazyFTL(FlashTranslationLayer):
     """The LazyFTL scheme (paper's primary contribution).
 
@@ -173,43 +182,70 @@ class LazyFTL(FlashTranslationLayer):
         place the rule is written, and the loop is the same in every
         engine configuration; the reused lookups make no ``map_reads``,
         ``page_reads`` or ``read_us`` and emit no ``MAP_READ``.
+
+        The data pages between two GMT fetches go to the device as one
+        :meth:`~repro.flash.chip.NandFlash.read_run`, read before the
+        next fetch (or unmapped page, whose ``None`` keeps its place in
+        ``data``), so the device sees the page loop's op order.  A page
+        with per-page duties (``begin_page`` / ``end_page``), or on a
+        device that takes no runs, is its own run: one ``read_page``.
+        ``host_reads`` counts the pages started, the failing one
+        included, as the page loop does.
         """
         first = lpn
         if not 0 <= first < self.logical_pages:
             self._check_lpn(first)
         stop = min(first + n, self.logical_pages)
-        read_page = self.flash.read_page
+        flash = self.flash
+        read_page = flash.read_page
+        read_run = flash.read_run
+        solo = begin_page is not None or end_page is not None \
+            or not flash.takes_runs()
         fetch = self._maps.fetch
         entries = self.entries_per_page
-        stats = self.stats
         uppn = self._umt._ppn  # inline umt.ppn_at: reads do not grow it
         ulen = len(uppn)
-        held = -1  # the tvpn of ``content``, the GMT page held
+        # The GMT page held, ``content``, maps lpns [base, held_end); the
+        # lpns only rise, so one bound tells whether it covers the next.
+        base = held_end = 0
         content = None
         total = 0.0
         datas: List[Any] = []
-        for lpn in range(first, stop):
-            if begin_page is not None:
-                begin_page()
-            stats.host_reads += 1
-            latency = 0.0
-            data = None
-            ppn = uppn[lpn] if lpn < ulen else -1
-            if ppn < 0:
-                tvpn = lpn // entries
-                if tvpn != held:
-                    content, latency = fetch(tvpn)
-                    held = tvpn
-                ppn = -1 if content is None else content[lpn % entries]
-            if ppn < 0:
-                latency += UNMAPPED_READ_US
-            else:
-                data, read_lat = read_page(ppn)
-                latency += read_lat
-            total += latency
-            datas.append(data)
-            if end_page is not None:
-                end_page(False, lpn, latency)
+        run: List[int] = []  # the data pages not yet read, in order
+        lpn = first - 1  # the last page started: host_reads counts it
+        try:
+            for lpn in range(first, stop):
+                if begin_page is not None:
+                    begin_page()
+                latency = 0.0
+                ppn = uppn[lpn] if lpn < ulen else -1
+                if ppn < 0:
+                    if lpn >= held_end:
+                        if run:
+                            total += _read_pending(read_run, run, datas)
+                        tvpn = lpn // entries
+                        content, latency = fetch(tvpn)
+                        base = tvpn * entries
+                        held_end = base + entries
+                    ppn = -1 if content is None else content[lpn - base]
+                if ppn < 0:
+                    if run:
+                        total += _read_pending(read_run, run, datas)
+                    latency += UNMAPPED_READ_US
+                    datas.append(None)
+                elif solo:
+                    data, read_lat = read_page(ppn)
+                    latency += read_lat
+                    datas.append(data)
+                else:
+                    run.append(ppn)
+                total += latency
+                if end_page is not None:
+                    end_page(False, lpn, latency)
+            if run:
+                total += _read_pending(read_run, run, datas)
+        finally:
+            self.stats.host_reads += lpn + 1 - first
         if stop < first + n:
             self._check_lpn(stop)  # the run left the logical space here
         return HostResult(total, datas)

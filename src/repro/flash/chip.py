@@ -4,8 +4,8 @@
 ``read_page``, ``program_page``, ``erase_block`` plus the simulator-level
 ``invalidate_page`` bookkeeping - enforces NAND constraints, charges latency
 per the timing model, and supports power-loss injection for recovery tests.
-Two *run ops* (``program_run``, ``invalidate_run``) issue the same
-operations many pages at a time - see "Run ops" below.
+Three *run ops* (``read_run``, ``program_run``, ``invalidate_run``) do
+the same operations many pages at a time - see "Run ops" below.
 
 Device state is struct-of-arrays: one state byte, one payload slot and
 four OOB columns (lpn, seq, kind, cold flag) per ppn, and one write
@@ -50,7 +50,8 @@ Run ops
 -------
 
 A *run* is a list of pages moved together (a GC victim's live pages bound
-for the frontier's open blocks, the GMT pages of one commit).  Each run op
+for the frontier's open blocks, the GMT pages of one commit, the data
+pages of a host read between two GMT fetches).  Each run op
 is, by contract, **its scalar op called once per page, in order**: same
 state bytes, same ``FlashStats`` (a run's latency sum is the exact
 product, since every latency is integer-valued), same unit clocks, same
@@ -62,6 +63,9 @@ overrides apply.
 ==================  ===================  ==================================
 run op              n calls of           bulk path needs
 ==================  ===================  ==================================
+``read_run``        ``read_page``        :meth:`NandFlash.takes_runs`; no
+                                         tracer; every page in range and
+                                         programmed
 ``program_run``     ``read_page`` of     :meth:`NandFlash.takes_runs`; no
                     ``reads[i]`` (if     tracer; every read programmed;
                     any), then           per good block, its pages
@@ -84,8 +88,8 @@ association and get the scalar sum exactly.  The run ops here ask it and
 take the scalar op order
 whenever it says no; the sanitizer always says no, so every page of a
 run gets its per-op audit.  A tracer is no device-wide condition:
-``program_run`` alone serves a traced run with the scalar ops, since the
-tracer must see each op's events in order (:meth:`NandFlash._run_ways`).
+``read_run`` and ``program_run`` serve a traced run with the scalar ops,
+since the tracer must see each op's events in order.
 :func:`repro.ftl.stripe.relocate` and
 :meth:`repro.ftl.mapping.MappingStore.commit` ask it once per pass only
 to size their runs - one page when it says no, the same code either way,
@@ -329,6 +333,35 @@ class NandFlash:
                 self.tracer.emit(EventType.MAP_READ, lpn=self.oob_lpn[ppn],
                                  ppn=ppn)
         return self.page_data[ppn], latency
+
+    def read_run(self, ppns: Sequence[int]) -> Tuple[Tuple[Any, ...], float]:
+        """Read the pages ``ppns``: :meth:`read_page` once per page, in
+        order; returns ``(datas, latency)``, the latencies summed.  A run
+        of programmed pages, all in range, is read in one gather."""
+        n = len(ppns)
+        if n > 1 and self.tracer is None and self.takes_runs():
+            gather = itemgetter(*ppns)  # n > 1: it returns a tuple
+            try:
+                legal = FREE not in gather(self.page_states) \
+                    and min(ppns) >= 0
+            except IndexError:
+                legal = False
+            if legal:
+                latency = self.timing.page_read_us
+                stats = self.stats
+                stats.page_reads += n
+                stats.read_us += latency * n
+                if self._units > 1:
+                    return gather(self.page_data), \
+                        self._charge_run(ppns, [latency] * n)
+                return gather(self.page_data), latency * n
+        datas = []
+        total = 0.0
+        for ppn in ppns:
+            data, latency = self.read_page(ppn)
+            datas.append(data)
+            total += latency
+        return tuple(datas), total
 
     def probe_page(self, ppn: int) -> Tuple[Optional[OOBData], float]:
         """Read a page's OOB, tolerating erased pages.

@@ -6,9 +6,10 @@ changing what it computes:
 
 * :mod:`repro.perf.maptable` - array-backed logical->physical tables
   (:class:`MapTable`), used by every FTL scheme's hot path;
-* :mod:`repro.perf.batch` - LazyFTL's epoch batch engine: one planner,
-  one executor and one numpy timing kernel for closed-loop stretches
-  with no slow event (imported by the simulator, not re-exported here);
+* :mod:`repro.perf.batch` - LazyFTL's epoch batch engine: one planner
+  and one executor for closed-loop stretches with no slow event, whose
+  services go to the replay's response column (imported by the
+  simulator, not re-exported here);
 * :mod:`repro.perf.sweep` - the multiprocessing sweep runner that fans
   scheme x trace cells across worker processes.
 

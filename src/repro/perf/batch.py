@@ -15,25 +15,28 @@ hands horizons of at least :data:`MIN_EPOCH` requests to
 horizons and the boundary request that triggers the slow event - with
 its ordinary per-request body.
 
-One planner, one executor, one timing kernel: the engine engages for an
-exact :class:`~repro.core.lazyftl.LazyFTL` replaying a closed loop (see
-:func:`engine_for`).  Ideal and DFTL replay scalar - a DFTL planner is
-slower than none: every CMT miss ends an epoch, and with the default CMT
-most requests miss - and so does a timestamped trace, whose
-``max(device_free_at, arrival)`` queueing recurrence has no bulk form.
+One planner and one executor: the engine engages for an exact
+:class:`~repro.core.lazyftl.LazyFTL` replaying a closed loop (see
+:func:`engine_for`), and an epoch's responses go to the replay's one
+response column, recorded with the scalar turns' in chunks
+(:data:`repro.sim.simulator.RESPONSE_CHUNK`).  Ideal and DFTL replay
+scalar - a DFTL planner is slower than none: every CMT miss ends an
+epoch, and with the default CMT most requests miss - and so does a
+timestamped trace, whose ``max(device_free_at, arrival)`` queueing
+recurrence has no bulk form.
 
 Bit-identity contract (enforced by the golden-stats gate and the
 differential tests in ``tests/test_batch_replay.py``):
 
-* response times come from a strictly sequential running sum seeded with
-  ``device_free_at`` (``np.add.accumulate``, never the pairwise
-  ``np.add.reduce``), each recorded as the difference of two neighbours
-  - the same additions and subtractions in the same order as the scalar
-  loop;
-* bulk read-counter increments use ``n * latency_us``, which equals ``n``
-  repeated additions because every latency is a whole number of
-  microseconds (:class:`~repro.flash.timing.TimingModel` admits no
-  other);
+* every latency is a whole number of microseconds
+  (:class:`~repro.flash.timing.TimingModel` admits no other), so bulk
+  read-counter increments use ``n * latency_us``, which equals ``n``
+  repeated additions, and a closed-loop ``device_free_at`` - a sum of
+  services - is a whole number too: the scalar loop's response
+  ``(device_free_at + s) - device_free_at`` is exactly ``s``.  An epoch
+  appends its services to the column as its responses and advances
+  ``device_free_at`` by their sum - its programs and flash reads times
+  their latencies, which any association of the whole numbers gives;
 * the executor never stores to the device arrays: an epoch's programs
   are one :meth:`~repro.flash.chip.NandFlash.program_run` followed by
   one ``invalidate_run`` of the copies they superseded.
@@ -42,50 +45,30 @@ differential tests in ``tests/test_batch_replay.py``):
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from ..core.lazyftl import LazyFTL
 from ..flash.chip import NandFlash
 from ..flash.oob import PageKind
 from ..ftl.base import FlashTranslationLayer
-from ..sim.metrics import ResponseStats
 from ..traces.model import Trace
 
 
 def backend_name() -> str:
-    """The timing kernel's name, kept for the benchmark's run record:
-    every epoch is timed on numpy."""
+    """The recording kernel's name, kept for the benchmark's run record:
+    every response column is recorded on numpy
+    (:meth:`~repro.sim.metrics.ResponseStats.record_many`)."""
     return "numpy"
 
 
-#: Horizons shorter than this replay scalar: below ~8 ops the epoch
-#: bookkeeping (array slicing, record_many dispatch) costs more than the
-#: per-op calls it saves.  Any positive value is bit-identical; this only
-#: moves the crossover.
+#: Horizons shorter than this replay scalar: below ~8 ops an epoch's
+#: fixed cost (the plan, the executor's setup, one ``program_run`` /
+#: ``invalidate_run`` / ``set_many`` per epoch) is more than the per-op
+#: calls it saves.  Recording is no part of it - an epoch only appends
+#: its services to the response column.  Any positive value is
+#: bit-identical; this only moves the crossover (EXPERIMENTS, "Host side
+#: at column speed").
 MIN_EPOCH = 8
-
-
-def _record_closed(
-    ops_slice: memoryview,
-    services: "array[float]",
-    responses: ResponseStats,
-    device_free_at: float,
-) -> float:
-    """The timing kernel: record one closed-loop epoch's responses and
-    return the advanced ``device_free_at``.
-
-    The scalar loop computes ``completion = device_free_at + service``
-    and records ``completion - device_free_at``; with a running sum
-    ``acc = [dfa, dfa + s0, (dfa + s0) + s1, ...]`` the recorded response
-    is ``acc[k+1] - acc[k]`` - the identical subtraction of the identical
-    floats, so the bulk form is bit-exact.
-    """
-    acc = np.add.accumulate(
-        np.frombuffer(array("d", (device_free_at,)) + services))
-    responses.record_many(ops_slice, acc[1:] - acc[:-1])
-    return float(acc[-1])
 
 
 def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:
@@ -177,8 +160,10 @@ class BatchEngine:
             j += 1
         return j - start
 
-    def _execute(self, cols: Trace, start: int, h: int) -> "array[float]":
-        """Apply the planned epoch's state changes; return its services."""
+    def _execute(self, cols: Trace, start: int,
+                 h: int) -> Tuple["array[float]", float]:
+        """Apply the planned epoch's state changes; return its services
+        and their sum, the epoch's device time."""
         ftl = self.ftl
         flash = self.flash
         ops = cols.ops
@@ -258,25 +243,26 @@ class BatchEngine:
         stats.host_writes += n_writes
         stats.host_reads += h - n_writes
         stats.map_reads += map_reads
-        return services
+        return services, n_writes * program_us + flash_reads * read_us
 
     def run_epoch(
         self,
         cols: Trace,
         start: int,
         h: int,
-        responses: Optional[ResponseStats],
+        column: Optional["array[float]"],
         device_free_at: float,
     ) -> float:
         """Service the planned ``h``-request epoch at ``start`` in bulk.
 
-        Records the responses and returns the advanced ``device_free_at``
-        exactly as ``h`` turns of the scalar loop would (in a closed loop
-        the device-busy total is the same float); ``responses=None`` is a
-        warm-up - state only, no timing.
+        Appends the epoch's responses to the replay's response ``column``
+        and returns the advanced ``device_free_at``, exactly as ``h``
+        turns of the scalar loop would (in a closed loop the device-busy
+        total is the same float); ``column=None`` is a warm-up - state
+        only, no timing.
         """
-        services = self._execute(cols, start, h)
-        if responses is None:
+        services, busy = self._execute(cols, start, h)
+        if column is None:
             return device_free_at
-        return _record_closed(memoryview(cols.ops)[start:start + h],
-                              services, responses, device_free_at)
+        column += services
+        return device_free_at + busy

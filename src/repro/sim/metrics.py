@@ -32,9 +32,10 @@ class ResponseStats:
             self.reads.add(response_us)
 
     def record_many(self, ops: Any, responses: Any) -> None:
-        """Bulk :meth:`record` for one replay epoch.
+        """Bulk :meth:`record`: the replay's recording kernel, called once
+        per chunk of its response column.
 
-        ``ops`` is the epoch's slice of the columnar op codes, a byte
+        ``ops`` is the chunk's slice of the columnar op codes, a byte
         buffer (nonzero = write), and ``responses`` its response times,
         any float sequence of the same length.  Every distribution
         receives its subsequence in trace order, so the result is

@@ -13,6 +13,7 @@ evaluation): the device serves one request at a time (FCFS).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -29,6 +30,16 @@ from .metrics import ResponseStats
 #: ``scalar`` never asks for them - the reference path the golden gate
 #: and ftlbench compare the kernels against.
 REPLAY_MODES = ("auto", "scalar")
+
+#: Requests per recorded chunk of the response column: the replay appends
+#: each response to one ``array('d')`` and hands it to
+#: :meth:`ResponseStats.record_many` once this many are waiting (an epoch
+#: is never cut, so a chunk may run over by one epoch).  Any positive
+#: value records the same statistics; this only bounds the column and the
+#: kernel's numpy temporaries - at 8192, 64 KiB each, under the C
+#: allocator's default 128 KiB mmap threshold (65 536 left
+#: ``point_read_hot``'s peak RSS ~2 MiB higher in ftlbench pairs).
+RESPONSE_CHUNK = 8192
 
 
 @dataclass
@@ -182,18 +193,26 @@ class Simulator:
         all of them agree bit for bit by construction::
 
             while requests remain:
+                column full?  record it, empty it
                 engine?  plan -> h >= MIN_EPOCH -> bulk epoch, continue
                 scalar segment: the short horizon + the boundary request
-                                (the whole trace when there is no engine)
+                                (the rest of the chunk when there is no
+                                engine)
+            record what the column holds
 
-        ``responses=None`` is a warm-up: arrivals are ignored, nothing is
-        recorded, idle gaps grant no ``background_work`` and the tracer
-        sees no host-level calls.  The batch engine is asked once per
-        replay; it declines by itself for every scheme but LazyFTL, under
-        a tracer, a sanitizer, a multi-unit device and the rest of
-        :func:`~repro.perf.batch.engine_for`'s list, and a timed replay of
-        a timestamped trace does not use it (epochs are closed loop); the
-        scalar segment then simply spans the trace.
+        Each response - a scalar turn's, or an epoch's services - is
+        appended to one ``array('d')`` column, recorded through one
+        kernel (:meth:`ResponseStats.record_many`) whenever it holds
+        :data:`RESPONSE_CHUNK` requests, between epochs and segments,
+        and once at the end; a scalar segment also ends where the column
+        fills.  ``responses=None`` is a warm-up: arrivals are ignored,
+        nothing is recorded, idle gaps grant no ``background_work`` and
+        the tracer sees no host-level calls.  The batch engine is asked
+        once per replay; it declines by itself for every scheme but
+        LazyFTL, under a tracer, a sanitizer, a multi-unit device and the
+        rest of :func:`~repro.perf.batch.engine_for`'s list, and a timed
+        replay of a timestamped trace does not use it (epochs are closed
+        loop); the scalar segments then simply span the trace.
 
         A multi-page request is one host run op (``ftl.read_run`` /
         ``ftl.write_run``: by contract the page op once per page, in
@@ -221,10 +240,12 @@ class Simulator:
         lpns = cols.lpns
         npages = cols.npages
         n = len(ops)
-        arrivals = record = tracer = host_op = None
+        arrivals = column = append = record = tracer = host_op = None
         if responses is not None:
             arrivals = cols.arrivals
-            record = responses.record
+            column = array("d")  # the unrecorded responses, in trace order
+            append = column.append
+            record = responses.record_many  # the one recording kernel
             tracer = self.tracer
             if tracer is not None:
                 host_op = tracer.host_op
@@ -234,23 +255,31 @@ class Simulator:
                 and not engine.supports(cols):
             engine = None
         min_epoch = _batch.MIN_EPOCH
+        chunk = RESPONSE_CHUNK
+        recorded = 0  # the requests before this one are recorded
         device_free_at = 0.0
         busy = 0.0
         i = 0
         while i < n:
             stop = n
+            if record is not None:
+                if len(column) >= chunk:
+                    record(memoryview(ops)[recorded:i], column)
+                    del column[:]
+                    recorded = i
+                stop = min(n, i + chunk - len(column))
             if engine is not None:
                 h = engine.plan_epoch(cols, i, n) if npages[i] == 1 else 0
                 if h >= min_epoch:
                     # Epochs are closed loop, where the busy total and
                     # device_free_at are the same sums of the same floats.
                     device_free_at = busy = engine.run_epoch(
-                        cols, i, h, responses, device_free_at)
+                        cols, i, h, column, device_free_at)
                     i += h
                     continue
                 # Scalar through the short horizon plus the boundary
                 # request (the one that triggers the slow event).
-                stop = min(i + h + 1, n)
+                stop = min(i + h + 1, stop)
             for i in range(i, stop):
                 op = ops[i]
                 first_lpn = lpns[i]
@@ -301,9 +330,11 @@ class Simulator:
                         first_lpn, count, begin_host_op, host_op,
                     ).latency_us
                 completion = start + service
-                if record is not None:
-                    record(op, completion - arrival)
+                if append is not None:
+                    append(completion - arrival)
                 device_free_at = completion
                 busy += service
             i = stop
+        if column:
+            record(memoryview(ops)[recorded:], column)
         return busy

@@ -131,9 +131,9 @@ class TestOneImplementationPerOp:
     """Each raw op is one class method: what it does cannot depend on
     whether a tracer is attached or on when a setting was assigned."""
 
-    RAW_OPS = ("read_page", "probe_page", "program_page", "program_run",
-               "erase_block", "invalidate_page", "invalidate_run",
-               "takes_runs", "valid_ppns")
+    RAW_OPS = ("read_page", "read_run", "probe_page", "program_page",
+               "program_run", "erase_block", "invalidate_page",
+               "invalidate_run", "takes_runs", "valid_ppns")
 
     @staticmethod
     def script(chip):

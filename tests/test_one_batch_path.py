@@ -1,5 +1,6 @@
-"""One batch path: ``repro.perf.batch`` holds one epoch planner (LazyFTL's),
-one executor and one timing kernel (closed loop) - checked in the source
+"""One batch path: ``repro.perf.batch`` holds one epoch planner (LazyFTL's)
+and one executor, and the replay records one response column - checked
+in the source
 (the eligibility gate is ``test_batch_replay.TestEligibilityGate``) - and
 that planner's horizons are pinned.
 
@@ -19,12 +20,16 @@ import pathlib
 import pytest
 
 from repro.perf import batch
+from repro.sim import simulator
 from repro.sim.factory import default_lazy_config
 from repro.sim.golden import GOLDEN_DEVICE, golden_traces
 from repro.sim.runner import run_scheme
 
+from .test_integration_openloop import open_loop_trace
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 BATCH = SRC / "perf" / "batch.py"
+SIMULATOR = SRC / "sim" / "simulator.py"
 
 CELLS = {
     "default": {},
@@ -42,15 +47,14 @@ EPOCH_PINS = {
 }
 
 
-@pytest.mark.parametrize("cell", sorted(CELLS))
-def test_lazyftl_epoch_horizons_are_pinned(monkeypatch, cell):
+def check_epoch_pins(monkeypatch, cell):
     epochs = []
     run_epoch = batch.BatchEngine.run_epoch
 
-    def spy(self, cols, start, h, responses, *rest):
-        if responses is not None:
+    def spy(self, cols, start, h, column, *rest):
+        if column is not None:
             epochs.append((start, h))
-        return run_epoch(self, cols, start, h, responses, *rest)
+        return run_epoch(self, cols, start, h, column, *rest)
 
     monkeypatch.setattr(batch.BatchEngine, "run_epoch", spy)
     for trace in golden_traces():
@@ -60,6 +64,40 @@ def test_lazyftl_epoch_horizons_are_pinned(monkeypatch, cell):
         digest = hashlib.sha256(repr(epochs).encode()).hexdigest()[:16]
         assert (len(epochs), sum(h for _, h in epochs), digest) == \
             EPOCH_PINS[(cell, trace.name)], trace.name
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_lazyftl_epoch_horizons_are_pinned(monkeypatch, cell):
+    check_epoch_pins(monkeypatch, cell)
+
+
+def recorded(trace, scheme="LazyFTL"):
+    """What a replay recorded: each distribution's sample bytes and
+    total, and the device-busy time."""
+    result = run_scheme(scheme, trace, device=GOLDEN_DEVICE,
+                        precondition="steady")
+    dists = result.responses.overall, result.responses.reads, \
+        result.responses.writes
+    return ([(bytes(d._samples), d.total) for d in dists],
+            result.device_busy_us)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_the_response_column_records_the_same_in_any_chunk(monkeypatch,
+                                                            chunk):
+    """The replay records its response column once per
+    ``RESPONSE_CHUNK`` requests (never cutting an epoch): a chunk of one
+    or three requests records what the default does - closed loop with
+    epochs, and an open-loop trace - and plans the same epochs."""
+    traces = [*golden_traces(),
+              open_loop_trace(600, GOLDEN_DEVICE.logical_pages, 150.0)]
+    want = [recorded(trace) for trace in traces] + \
+        [recorded(traces[-1], "DFTL")]
+    monkeypatch.setattr(simulator, "RESPONSE_CHUNK", chunk)
+    assert [recorded(trace) for trace in traces] + \
+        [recorded(traces[-1], "DFTL")] == want
+    for cell in CELLS:
+        check_epoch_pins(monkeypatch, cell)
 
 
 def functions_calling(path, attr):
@@ -72,6 +110,17 @@ def functions_calling(path, attr):
                 and node.func.attr == attr for node in ast.walk(func)):
             found.append(func.name)
     return found
+
+
+def functions_naming(path, attr):
+    """``function`` names in ``path`` whose body names ``*.attr``."""
+    return [
+        func.name
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef) and any(
+            isinstance(node, ast.Attribute) and node.attr == attr
+            for node in ast.walk(func))
+    ]
 
 
 class TestOneBatchPath:
@@ -94,4 +143,9 @@ class TestOneBatchPath:
         assert functions_calling(BATCH, "program_run") == ["_execute"]
 
     def test_one_timing_kernel_records_responses(self):
-        assert functions_calling(BATCH, "record_many") == ["_record_closed"]
+        """The replay records its one response column, epochs and scalar
+        turns alike, with ``ResponseStats.record_many``; the engine only
+        appends to the column."""
+        assert functions_naming(SIMULATOR, "record_many") == ["_replay"]
+        assert functions_naming(SIMULATOR, "record") == []
+        assert functions_naming(BATCH, "record_many") == []

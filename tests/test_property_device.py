@@ -4,6 +4,7 @@ layer and the raw NAND device (the bulk run ops vs their scalar expansion)."""
 import warnings
 from unittest.mock import patch
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.checks.flashsan import SanitizedNandFlash
@@ -110,10 +111,10 @@ class TestBlockDeviceSectorSemantics:
 # but the serial-timed and sanitized devices take the bulk paths, and on
 # one channel ``serialize_timing`` changes nothing but that.  Two claims:
 #
-# * a run op is *n* scalar ops - ``program_run`` (consecutive, or striped
-#   over several blocks with the read each program follows) /
-#   ``invalidate_run`` against ``read_page`` / ``program_page`` /
-#   ``invalidate_page`` in order: same page-state bytes,
+# * a run op is *n* scalar ops - ``read_run`` / ``program_run``
+#   (consecutive, or striped over several blocks with the read each
+#   program follows) / ``invalidate_run`` against ``read_page`` /
+#   ``program_page`` / ``invalidate_page`` in order: same page-state bytes,
 #   data/OOB, write pointers, valid counts, ``invalidated``,
 #   ``FlashStats``, unit clocks, busy times, channel wait and host-op
 #   count, returned values, warnings, exception type and first failing
@@ -160,6 +161,8 @@ ops = st.one_of(
     st.tuples(st.just("frontier_program"), pbns),
     st.tuples(st.just("frontier_run"), pbns, st.integers(1, PPB + 1)),
     st.tuples(st.just("read"), ppns),
+    st.tuples(st.just("read_run"), ppn_lists),
+    st.tuples(st.just("block_read_run"), pbns, ppn_lists),
     st.tuples(st.just("probe"), ppns),
     st.tuples(st.just("invalidate"), ppns),
     st.tuples(st.just("invalidate_run"), ppn_lists),
@@ -178,6 +181,12 @@ def apply(flash, op, step, bulk):
     elif kind == "block_invalidate_run":
         kind = "invalidate_run"
         addr = flash.valid_ppns(addr) + op[2]
+    elif kind == "block_read_run":
+        # The block's programmed pages, then the drawn ones: a whole
+        # legal run when nothing is drawn.
+        kind = "read_run"
+        addr = [ppn for ppn in range(addr * PPB, (addr + 1) * PPB)
+                if flash.page_states[ppn]] + op[2]
     elif kind == "stripe_run":
         # Page i on block addr[i % L] from its write pointer: a rotation
         # (illegal when a block repeats or fills).
@@ -233,6 +242,15 @@ def _apply(flash, kind, addr, op, step, bulk):
         return total
     if kind == "read":
         return flash.read_page(addr)
+    if kind == "read_run":
+        if bulk:
+            return flash.read_run(addr)
+        datas, total = [], 0.0
+        for ppn in addr:
+            data, latency = flash.read_page(ppn)
+            datas.append(data)
+            total += latency
+        return tuple(datas), total
     if kind == "probe":
         return flash.probe_page(addr)
     if kind == "invalidate":
@@ -332,9 +350,9 @@ def test_a_stepped_range_is_its_own_pages():
 def test_the_bulk_paths_are_taken_and_refused():
     """The fuzz above is vacuous if the serial device never leaves the
     per-page calls - or if a refusing device ever does.  A
-    traced device takes runs but serves ``program_run`` with the scalar
-    calls: the tracer must see each one's events."""
-    bulk, scalar = (0, 0, 0), (4, 1, 2)
+    traced device takes runs but serves ``program_run`` and ``read_run``
+    with the scalar calls: the tracer must see each one's events."""
+    bulk, scalar = (0, 0, 0), (4, 3, 2)
     for device, runs, expected in [
         ("serial", True, bulk),
         ("serialized_serial", False, scalar),
@@ -342,7 +360,7 @@ def test_the_bulk_paths_are_taken_and_refused():
         ("parallel_2", True, bulk),
         ("serialized", False, scalar),
         ("sanitized", False, scalar),
-        ("traced", True, (4, 1, 0)),
+        ("traced", True, (4, 3, 0)),
     ]:
         flash = DEVICES[device](True)
         assert flash.takes_runs() is runs
@@ -357,7 +375,42 @@ def test_the_bulk_paths_are_taken_and_refused():
             # A copy of page 2.
             flash.program_run(PPB, [3], [2], 3, PageKind.DATA, False, [2])
             flash.invalidate_run([1, 2])
+            # Two programmed pages, one of them stale.
+            got = flash.read_run([0, 2])
         calls = (program.call_count, read.call_count, inval.call_count)
         assert calls == expected, device
+        assert got == ((0, 2), 2 * SLC_TIMING.page_read_us), device
         assert bytes(flash.page_states[:4]) == bytes((1, 2, 2, 0))
         assert flash.invalidated == {0}
+
+
+@pytest.mark.parametrize("device", ["serial", "parallel"])
+@pytest.mark.parametrize("case", ["free", "out_of_range", "negative",
+                                  "powered_off", "armed_fault"])
+def test_read_run_stops_where_the_page_loop_stops(device, case):
+    """``read_run`` on twin devices against ``read_page`` in order: the
+    same exception at the same page, every earlier page charged, the same
+    image - on a FREE page, a page past either end, a powered-off device
+    and an armed fault (which refuses runs; reads do not trip it)."""
+    run = {"free": [0, 1, PPB + 2, 2], "out_of_range": [0, 1, TOTAL, 2],
+           "negative": [0, -1, 2]}.get(case, [0, 2, 1])
+    twins = [DEVICES[device](True) for _ in range(2)]
+    for flash in twins:
+        flash.program_run(0, ["a", "b", "c"], [0, 1, 2], 0, PageKind.DATA,
+                          False)
+        if case == "powered_off":
+            flash.power_off()
+        elif case == "armed_fault":
+            flash.fault.arm_after_programs(1)
+    got = apply(twins[0], ("read_run", run), 0, bulk=True)
+    want = apply(twins[1], ("read_run", run), 0, bulk=False)
+    assert got == want
+    assert image(twins[0]) == image(twins[1])
+    charged = {"free": 2, "out_of_range": 2, "negative": 1,
+               "powered_off": 0}.get(case, 3)
+    assert twins[0].stats.page_reads == charged
+    if case == "armed_fault":
+        assert got == (
+            (("a", "c", "b"), 3 * SLC_TIMING.page_read_us), None, [])
+    else:
+        assert got[0] is None and got[1] is not None

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.obs import metrics as obs_metrics
 from repro.sim.metrics import LatencyDistribution, ResponseStats
 
 
@@ -131,6 +132,26 @@ class TestLatencyDistribution:
             d.add(v)
         assert d.percentile(50) == 2.0
         assert d.sorts_performed == 0
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+    def test_a_chunked_fold_is_the_sequential_sum(self, monkeypatch, chunk):
+        """A backlog is folded ``_FOLD_CHUNK`` samples per numpy call,
+        each run seeded with the total so far: the total is the strictly
+        sequential sum one ``add`` at a time gives, at any chunk size
+        (summing each run apart and adding the sums gives another
+        float here)."""
+        monkeypatch.setattr(obs_metrics, "_FOLD_CHUNK", chunk)
+        rng = random.Random(7)
+        values = [rng.random() * rng.choice((1.0, 1e3, 1e9))
+                  for _ in range(1000)]
+        d = LatencyDistribution()
+        sequential = 0.0
+        for part in (values[:10], values[10:11], values[11:]):
+            d._extend_unchecked(part)
+            for v in part:
+                sequential += v
+            assert d.total == sequential
+        assert (d.min, d.max) == (min(values), max(values))
 
     def test_running_min_max_no_rescan(self):
         """min/max are maintained incrementally (O(1) per query) and

@@ -42,22 +42,27 @@ a per-stage wall-clock summary closes the run, so CI logs show exactly
 which gate failed, which did not run, and where the time went.
 
 The pytest stage is also the one differential gate: every way the one
-replay loop can be driven (scalar, batched with every epoch timed on
-the numpy kernel, traced, sanitized - where the device refuses runs)
-must reproduce the
-committed golden snapshots (``tests/test_golden_stats.py``).
+replay loop can be driven (scalar, batched with epochs of any length,
+traced, sanitized - where the device refuses runs) must reproduce the
+committed golden snapshots (``tests/test_golden_stats.py``).  Every way
+records its responses through one column and one numpy kernel
+(``ResponseStats.record_many``, once per ``RESPONSE_CHUNK`` requests);
+``tests/test_one_batch_path.py`` replays at chunks of 1 and 3.
 
-Touching a run op - the device's ``program_run`` / ``invalidate_run``,
-``relocate``, ``MappingStore.commit``, or a scheme's
+Touching a run op - the device's ``read_run`` / ``program_run`` /
+``invalidate_run``, ``relocate``, ``MappingStore.commit``, or a scheme's
 host ``read_run`` / ``write_run`` - the quick loop before the whole gate
 is ``python tools/gen_golden_stats.py --check`` (the two single-page
 files must print ``0 fields differ``; only a change to what a
 multi-page request *costs* may move ``engine_stats_multipage.json``, on
 purpose) and ``pytest tests/test_golden_stats.py
 tests/test_relocate_by_run.py tests/test_host_run_ops.py
-tests/test_property_device.py tests/test_flash_oob_stats.py`` (every
-replay gate against the snapshots; run ops vs the page loop on twin
-devices; the fuzzed run-vs-scalar device equivalence; the OOB columns'
+tests/test_property_device.py tests/test_flash_chip.py
+tests/test_flash_oob_stats.py`` (every replay gate against the
+snapshots; run ops vs the page loop on twin devices; the fuzzed
+run-vs-scalar device equivalence - ``read_run`` / ``program_run`` /
+``invalidate_run`` - with ``read_run`` stopping where the page loop
+stops; one implementation per raw op, traced or not; the OOB columns'
 round trip and the per-page live-memory budget).
 
 Run:  python tools/check_all.py [--skip pytest] [--require-mypy] ...
