@@ -459,9 +459,9 @@ class LazyFTL(FlashTranslationLayer):
 
     def _retire_displaced(self, displaced: List[Tuple[int, int]]) -> None:
         """Retire the data pages one commit run displaced (lazily), in one
-        bulk invalidation - one page per call on a device that takes no
-        runs.  The GMT may hold a stale address whose block was erased and
-        reused since; the page-identity check (state + kind + OOB lpn)
+        ``invalidate_run`` (which serves a device that takes no runs page
+        by page).  The GMT may hold a stale address whose block was erased
+        and reused since; the page-identity check (state + kind + OOB lpn)
         makes the invalidation safe in that case."""
         flash = self.flash
         states, kinds, oob_lpn = (flash.page_states, flash.oob_kind,
@@ -469,11 +469,7 @@ class LazyFTL(FlashTranslationLayer):
         dead = [old for lpn, old in displaced
                 if states[old] == VALID and kinds[old] == _DATA
                 and oob_lpn[old] == lpn]
-        if flash.takes_runs():
-            flash.invalidate_run(dead)
-        else:
-            for ppn in dead:
-                flash.invalidate_page(ppn)
+        flash.invalidate_run(dead)
 
     # ------------------------------------------------------------------
     # Garbage collection (merge-free)

@@ -6,9 +6,9 @@ changing what it computes:
 
 * :mod:`repro.perf.maptable` - array-backed logical->physical tables
   (:class:`MapTable`), used by every FTL scheme's hot path;
-* :mod:`repro.perf.batch` - LazyFTL's epoch batch engine: one planner
-  and one executor for closed-loop stretches with no slow event, whose
-  services go to the replay's response column (imported by the
+* :mod:`repro.perf.batch` - LazyFTL's epoch batch engine: one loop that
+  serves closed-loop stretches with no slow event in bulk, their
+  services going to the replay's response column (imported by the
   simulator, not re-exported here);
 * :mod:`repro.perf.sweep` - the multiprocessing sweep runner that fans
   scheme x trace cells across worker processes.

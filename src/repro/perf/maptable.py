@@ -98,7 +98,7 @@ class MapTable:
     def set_many(self, pairs: "Iterable[Tuple[int, int]]") -> None:
         """Bulk assignment of ``(index, ppn)`` pairs.
 
-        The batch-replay executors resolve an epoch's final mapping per
+        The batch engine resolves an epoch's final mapping per
         lpn (last write wins) and commit the whole set here in one pass
         over the raw array.  Values must be real mappings (``>= 0``);
         unmapping stays per-index via ``table[i] = None``.

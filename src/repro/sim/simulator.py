@@ -194,10 +194,11 @@ class Simulator:
 
             while requests remain:
                 column full?  record it, empty it
-                engine?  plan -> h >= MIN_EPOCH -> bulk epoch, continue
-                scalar segment: the short horizon + the boundary request
-                                (the rest of the chunk when there is no
-                                engine)
+                engine?  h, served = engine.run(...)
+                         served -> the epoch is done, i += h, continue
+                scalar segment: the declined horizon + the boundary
+                                request (the rest of the chunk when there
+                                is no engine)
             record what the column holds
 
         Each response - a scalar turn's, or an epoch's services - is
@@ -207,7 +208,7 @@ class Simulator:
         and once at the end; a scalar segment also ends where the column
         fills.  ``responses=None`` is a warm-up: arrivals are ignored,
         nothing is recorded, idle gaps grant no ``background_work`` and
-        the tracer sees no host-level calls.  The batch engine is asked
+        the tracer sees no host-level calls.  ``engine_for`` is asked
         once per replay; it declines by itself for every scheme but
         LazyFTL, under a tracer, a sanitizer, a multi-unit device and the
         rest of :func:`~repro.perf.batch.engine_for`'s list, and a timed
@@ -218,8 +219,10 @@ class Simulator:
         ``ftl.write_run``: by contract the page op once per page, in
         order, its latency the page latencies summed from 0.0), so a
         single-page request - one page op, asked directly - is the same
-        arithmetic.  The planner is asked at single-page requests only:
-        an epoch never starts at a multi-page one.
+        arithmetic.  The engine is asked at single-page requests only:
+        an epoch never starts at a multi-page one.  It alone decides
+        whether a horizon is long enough to serve in bulk; a declined one
+        changed nothing and replays here turn by turn.
 
         This loop is where a host op starts, so it marks the boundary
         for the device's per-unit clocks (``begin_host_op``) before every
@@ -254,7 +257,6 @@ class Simulator:
         if engine is not None and responses is not None \
                 and not engine.supports(cols):
             engine = None
-        min_epoch = _batch.MIN_EPOCH
         chunk = RESPONSE_CHUNK
         recorded = 0  # the requests before this one are recorded
         device_free_at = 0.0
@@ -269,15 +271,15 @@ class Simulator:
                     recorded = i
                 stop = min(n, i + chunk - len(column))
             if engine is not None:
-                h = engine.plan_epoch(cols, i, n) if npages[i] == 1 else 0
-                if h >= min_epoch:
+                h, served = engine.run(cols, i, n, column, device_free_at) \
+                    if npages[i] == 1 else (0, None)
+                if served is not None:
                     # Epochs are closed loop, where the busy total and
                     # device_free_at are the same sums of the same floats.
-                    device_free_at = busy = engine.run_epoch(
-                        cols, i, h, column, device_free_at)
+                    device_free_at = busy = served
                     i += h
                     continue
-                # Scalar through the short horizon plus the boundary
+                # Scalar through the declined horizon plus the boundary
                 # request (the one that triggers the slow event).
                 stop = min(i + h + 1, stop)
             for i in range(i, stop):

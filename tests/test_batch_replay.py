@@ -12,17 +12,19 @@ side:
 * one function is the replay loop: warm-up, the untraced run, the traced
   run and the batch engine's boundary requests are all observed to
   execute it;
+* a horizon the engine declines (shorter than ``MIN_EPOCH``) leaves
+  the FTL, the device and the response column as they were;
 * the eligibility gate is probed directly: sanitized flash subclasses,
   attached tracers, armed fault injectors, powered-off devices and
   serial-timed devices must all decline batching (and therefore
   replay scalar even under ``replay_mode="auto"``);
-* the bulk-update primitives the executors lean on (``record_many``,
+* the bulk-update primitives the engine leans on (``record_many``,
   ``set_many``) are checked one by one against their
   per-element twins, including validation behaviour.
 
 ``tests/test_golden_stats.py`` pins the same contract against the
 committed snapshot; here the workloads are adversarial instead of
-golden, so planner edge cases (frontier exhaustion mid-epoch,
+golden, so stop-rule edge cases (frontier exhaustion mid-epoch,
 checkpoint budgets, unmapped reads) get fuzzed.
 """
 
@@ -38,11 +40,12 @@ from repro.obs import LatencyDistribution, OpLatencyRecorder, Tracer
 from repro.perf import batch
 from repro.perf.maptable import MapTable
 from repro.sim.factory import default_lazy_config, standard_setup
-from repro.sim.golden import engine_digest
+from repro.sim.golden import GOLDEN_DEVICE, engine_digest
 from repro.sim.metrics import ResponseStats
-from repro.sim.runner import DeviceSpec, run_scheme
+from repro.sim.runner import DeviceSpec, lazy_headline_options, run_scheme
 from repro.sim.simulator import Simulator
-from repro.traces import IORequest, OpType, Trace
+from repro.traces import (IORequest, OpType, Trace, merge_traces,
+                          uniform_random, warmup_fill)
 
 #: Tiny device: frontiers roll over and GC fires within dozens of
 #: writes, so even short generated workloads cross epoch boundaries.
@@ -51,7 +54,7 @@ DEVICE = DeviceSpec(
 )
 
 #: Option cells the differential fuzz covers: LazyFTL, the one scheme
-#: with an epoch planner, plus its stateful ablation knobs (periodic
+#: with an epoch engine, plus its stateful ablation knobs (periodic
 #: checkpoints bound write epochs; background GC does real work in the
 #: idle gaps of a timestamped trace, which replays in the scalar
 #: segment).
@@ -223,7 +226,7 @@ class TestEligibilityGate:
     _ftl = staticmethod(make_ftl)
 
     def test_registered_schemes_get_an_engine(self):
-        """LazyFTL is the one scheme with an epoch planner."""
+        """LazyFTL is the one scheme with an epoch engine."""
         assert batch.engine_for(self._ftl("LazyFTL")) is not None
 
     def test_unregistered_schemes_decline(self):
@@ -296,6 +299,96 @@ class TestEligibilityGate:
             for mode in ("auto", "scalar")
         ]
         assert digests[0] == digests[1]
+
+
+def steady_golden_lazyftl():
+    """LazyFTL on the golden device, preconditioned as ``run_scheme``'s
+    ``"steady"`` does (filled, then 70 % of it overwritten at random)."""
+    device = GOLDEN_DEVICE
+    _, ftl, logical = standard_setup(
+        "LazyFTL", num_blocks=device.num_blocks,
+        pages_per_block=device.pages_per_block, page_size=device.page_size,
+        logical_fraction=device.logical_fraction,
+        **lazy_headline_options(device.num_blocks),
+    )
+    Simulator(ftl).warm_up(merge_traces([
+        warmup_fill(logical),
+        uniform_random(int(logical * 0.7), logical, write_ratio=1.0,
+                       seed=987),
+    ]))
+    return ftl
+
+
+def engine_visible_state(ftl, column):
+    """Everything an epoch changes: the device columns and counters, the
+    FTL counters, the UMT column, the checkpoint budget, the OOB sequence
+    and the response column."""
+    flash = ftl.flash
+    pages = [bytes(page) if isinstance(page, array) else page
+             for page in flash.page_data]
+    return (
+        bytes(flash.page_states), pages, bytes(flash.oob_lpn),
+        bytes(flash.oob_seq), bytes(flash.oob_kind), bytes(flash.oob_cold),
+        list(flash.write_ptr), list(flash.valid_count),
+        list(flash.erase_count), set(flash.invalidated),
+        flash.stats.as_dict(), ftl.stats.as_dict(),
+        bytes(ftl._umt._ppn), len(ftl._umt),
+        ftl._writes_since_checkpoint, ftl._seq.current, bytes(column),
+    )
+
+
+class TestDeclinedHorizon:
+    """``BatchEngine.run`` tests the stop rules and collects the services
+    in one pass: a horizon shorter than ``MIN_EPOCH`` must come back
+    ``(h, None)`` with nothing changed, since the replay then serves those
+    requests again turn by turn."""
+
+    def check_declines(self, ftl, requests, want_h):
+        engine = batch.engine_for(ftl)
+        assert engine is not None
+        cols = Trace(requests, name="decline")
+        column = array("d", [123.0])
+        before = engine_visible_state(ftl, column)
+        assert engine.run(cols, 0, len(cols), column, 500.0) == \
+            (want_h, None)
+        assert engine_visible_state(ftl, column) == before
+
+    def test_multi_page_request_at_start(self):
+        self.check_declines(steady_golden_lazyftl(), [
+            IORequest(OpType.READ, 4, npages=2),
+            IORequest(OpType.READ, 9),
+        ], 0)
+
+    def test_out_of_range_lpn(self):
+        ftl = steady_golden_lazyftl()
+        self.check_declines(ftl, [
+            IORequest(OpType.READ, 4),
+            IORequest(OpType.WRITE, 5),
+            IORequest(OpType.READ, ftl.logical_pages),
+            IORequest(OpType.READ, 6),
+        ], 2)
+
+    def test_write_with_the_frontier_full(self):
+        ftl = steady_golden_lazyftl()
+        frontier = ftl._uba_frontier
+        lpn = 0
+        while frontier.peek() is None or ftl.flash.write_ptr[
+                frontier.peek()] < ftl.flash.geometry.pages_per_block:
+            ftl.write(lpn)
+            lpn += 1
+        self.check_declines(ftl, [
+            IORequest(OpType.WRITE, 7),
+            IORequest(OpType.READ, 8),
+        ], 0)
+
+    def test_short_horizon_before_a_multi_page_request(self):
+        self.check_declines(steady_golden_lazyftl(), [
+            IORequest(OpType.READ, 4),
+            IORequest(OpType.WRITE, 5),
+            IORequest(OpType.READ, 5),
+            IORequest(OpType.WRITE, 6, npages=3),
+            IORequest(OpType.READ, 9),
+        ], 3)
 
 
 class TestReplayModeSelection:

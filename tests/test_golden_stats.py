@@ -90,8 +90,8 @@ def test_snapshot_covers_every_scheme_and_trace(golden):
 
 #: The gate runs once per way the one replay loop can be driven: forced
 #: scalar, the batch engine as it runs by default (horizons of at least
-#: ``MIN_EPOCH`` requests timed on the numpy kernel), the batch engine
-#: with every horizon down to a single request sent to the kernel,
+#: ``MIN_EPOCH`` requests served as epochs), the batch engine with every
+#: horizon down to a single request served as an epoch,
 #: traced with a latency recorder attached, and sanitized - all five
 #: must reproduce the committed snapshot bit for bit.  Under
 #: ``sanitized`` the batch engine declines, the device refuses runs
@@ -108,8 +108,9 @@ def recording_tracer():
 
 
 def arm(gate, monkeypatch):
-    """``batched-numpy``: hand every horizon, however short, to the
-    numpy kernel (``MIN_EPOCH`` is only a speed knob)."""
+    """``batched-numpy``: serve every horizon, however short, as an
+    epoch (``MIN_EPOCH`` is only a speed knob, read by
+    ``BatchEngine.run`` at call time)."""
     if gate == "batched-numpy":
         monkeypatch.setattr(batch, "MIN_EPOCH", 1)
 
@@ -154,8 +155,8 @@ def test_4ch_scheme_stats_bit_identical(golden, golden_4ch, scheme):
     """Striped-scheme digests on the 4-channel device match the snapshot.
 
     Only the scalar replay loop runs here: multi-unit geometries
-    disqualify the batch-replay planners (striped frontiers rotate
-    between blocks the planners model as one).  Untraced and traced, GC
+    disqualify the batch engine (striped frontiers rotate between
+    blocks an epoch models as one).  Untraced and traced, GC
     relocation and GMT commits move by run over the striped rotation;
     sanitized, page by page - all three must match the one snapshot.
     Each digest is also cross-checked against the serial snapshot:

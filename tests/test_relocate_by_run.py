@@ -4,8 +4,10 @@ GC relocation (:func:`repro.ftl.stripe.relocate`) and LazyFTL's GMT commit
 (:meth:`repro.ftl.mapping.MappingStore.commit`) issue one ``program_run``
 (each page's read charged just before its program) and one bulk invalidate
 per run - on a striped device too, a run rotating over the frontier's open
-blocks.  On a device that takes no runs every run is one page long, and
-the run ops serve it with the scalar op sequence; a tracer sizes no run,
+blocks.  On a device that takes no runs every program run is one page
+long, and the run ops serve every run with the scalar op sequence (the
+data pages a commit run displaced stay one invalidate run, served page
+by page); a tracer sizes no run,
 but the run ops serve a traced device's runs with the scalar ops too.
 Four claims:
 
@@ -163,12 +165,17 @@ def counted():
         yield calls, order, sizes
 
 
-def assert_one_page_runs(calls, sizes):
-    """Every run op call moved at most one page - exactly one a program
-    run (a commit's invalidate run is empty for a never-written page)."""
+def assert_one_page_runs(calls, order, sizes):
+    """Every program run moved exactly one page, and the device served
+    every invalidate run - a commit's old GMT page (none for a
+    never-written page), or the data pages one commit run displaced -
+    with one ``invalidate_page`` per page, in order."""
     assert calls["program_run"] > 0
     assert set(sizes["program_run"]) == {1}
-    assert set(sizes["invalidate_run"]) <= {0, 1}
+    for at, (name, ppns) in enumerate(order):
+        if name == "invalidate_run":
+            assert order[at + 1:at + 1 + len(ppns)] == \
+                [("invalidate_page", ppn) for ppn in ppns]
 
 
 def assert_reads_lead_runs(flash, order):
@@ -201,9 +208,9 @@ class TestByRunIsByPage:
                 latencies.append(replay(ftl))
             assert max(sizes["program_run"]) > 1, \
                 "the plain device never took a run"
-        with counted() as (calls, _, sizes):
+        with counted() as (calls, order, sizes):
             latencies.append(replay(by_page))
-        assert_one_page_runs(calls, sizes)
+        assert_one_page_runs(calls, order, sizes)
         assert latencies[0] == latencies[1] == latencies[2]
         assert by_run.stats.gc_runs > 100  # GC steady state reached
         want = full_image(by_page)
@@ -456,15 +463,15 @@ class TestOnePath:
         replay(ftl, overwrites=1200)  # audited: a finding raises
         victim = data_victim(ftl)
         live = ftl.flash.valid_count[victim]
-        with counted() as (calls, _, sizes):
+        with counted() as (calls, order, sizes):
             ftl._gc.collect(victim)
-        assert_one_page_runs(calls, sizes)
+        assert_one_page_runs(calls, order, sizes)
         assert calls["program_page"] == calls["program_run"] >= live
         writes = ftl.stats.map_writes
         with counted() as (calls, order, sizes):
             ftl._convert_oldest(ftl._uba)
         assert ftl.stats.map_writes - writes >= 2
-        assert_one_page_runs(calls, sizes)
+        assert_one_page_runs(calls, order, sizes)
         assert calls["program_page"] == calls["program_run"] == \
             ftl.stats.map_writes - writes
         assert_reads_lead_runs(ftl.flash, order)
