@@ -108,7 +108,8 @@ class _Auditor:
                     )
 
     def audit_victim_pools(self) -> None:
-        """GC's valid-count buckets against the device's counts."""
+        """GC's valid-count buckets against the device's counts, its
+        seals against the OOB and each cached oldest against its bucket."""
         gc = getattr(self.ftl, "_gc", None)
         if not isinstance(gc, GarbageCollector):
             return
@@ -116,8 +117,10 @@ class _Auditor:
         if gc.maps is not None:
             pools["the store's full blocks"] = gc.maps.full_blocks
         flash = self.flash
+        ppb, blocks = flash.geometry.pages_per_block, flash.geometry.num_blocks
         for name, pool in pools.items():
             self.check()
+            rank = pool._age_rank
             if sorted(pool._bucket_of.items()) != sorted(
                     (pbn, valid) for valid, bucket in enumerate(pool._buckets)
                     for pbn in bucket):
@@ -137,6 +140,21 @@ class _Auditor:
                         "a stale count",
                         pbn=pbn,
                     )
+                last = pbn * ppb + max(flash.write_ptr[pbn] - 1, 0)
+                if rank.get(pbn) != flash.oob_seq[last] * blocks + pbn:
+                    self.fail(
+                        ViolationKind.COUNTER_DRIFT,
+                        f"block {pbn} of {name} is not sealed at seq "
+                        f"{flash.oob_seq[last]}, its last page's - GC "
+                        "would age it wrongly", pbn=pbn)
+            for valid, oldest in enumerate(pool._oldest):
+                if oldest is not None and oldest != min(
+                        pool._buckets[valid], default=None,
+                        key=lambda pbn: rank.get(pbn, -1)):
+                    self.fail(
+                        ViolationKind.COUNTER_DRIFT,
+                        f"block {oldest} is cached as the oldest of {name} "
+                        f"at {valid} valid but is not", pbn=oldest)
 
     def _valid_data_pages(self):
         """``(ppn, oob)`` of every VALID page whose OOB marks it DATA."""

@@ -129,7 +129,8 @@ class LazyFTL(FlashTranslationLayer):
         )
         # The DBA is the collector's victim pool, ``self._gc.blocks``.
         self._gc = GarbageCollector(
-            flash, self._pool, self.stats, self.config.gc_free_threshold,
+            flash, self._pool, self.stats, self._seq,
+            self.config.gc_free_threshold,
             self._collect_data_block, self._maps,
         )
         # The UBA and CBA frontiers keep several blocks open on a

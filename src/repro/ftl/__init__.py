@@ -23,7 +23,7 @@ from .bast import BastFTL
 from .dftl import DftlFTL
 from .fast import FastFTL
 from .superblock import SuperblockFTL
-from .gc_policy import select_greedy
+from .gc_policy import select_cost_benefit, select_greedy
 from .pool import BlockPool, OutOfBlocksError
 from .pure_page import PageFTL
 from .stats import FtlStats
@@ -40,5 +40,6 @@ __all__ = [
     "BlockPool",
     "OutOfBlocksError",
     "FtlStats",
+    "select_cost_benefit",
     "select_greedy",
 ]

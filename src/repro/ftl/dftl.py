@@ -106,7 +106,7 @@ class DftlFTL(FlashTranslationLayer):
         #: The dirty CMT entries' lpns, by translation page.
         self._dirty = LpnsByPage(entries)
         self._gc = GarbageCollector(
-            flash, pool, self.stats, gc_free_threshold,
+            flash, pool, self.stats, self._seq, gc_free_threshold,
             self._collect_data_block, self._maps,
         )
         # Each frontier rotates over up to ``ways`` concurrently-open

@@ -1,13 +1,18 @@
 """Garbage collection: the victim policy, the one erase step, the driver.
 
-Within one kind of block every shipped FTL is greedy (fewest valid pages
-first, :func:`select_greedy`), the choice of the DFTL/LazyFTL line of
-work.  It works on physical block numbers plus the device's per-block
-valid-count array (``flash.valid_count``) - all the validity metadata a
-victim scan needs; the collector keeps candidates in
-:class:`~repro.ftl.pool.VictimPool` sets, the same order as an index.
-*Between* data and translation blocks - the two flash-map schemes have
-both - :func:`select_victim` decides, and it is not the mixed greedy order.
+Among data blocks the page-mapping schemes' collector is cost-benefit
+(:func:`select_cost_benefit`, Rosenblum & Ousterhout's LFS cleaner): the
+block that frees the most pages per page of copy work, weighted by the
+time since it was sealed, so a young hot block whose pages are about to
+die waits and an old cold one is taken before it is fully valid.  Greedy
+(fewest valid pages first, :func:`select_greedy`) stays where emptiness
+is all that counts: among translation blocks, on the free pool's last
+block, and in the superblock scheme.  Both work on physical block
+numbers plus the device's per-block valid-count array
+(``flash.valid_count``); the collector keeps candidates in
+:class:`~repro.ftl.pool.VictimPool` sets, which answer either rule
+without a scan.  *Between* data and translation blocks - the two
+flash-map schemes have both - :func:`select_victim` decides.
 
 The page-mapping schemes (LazyFTL, DFTL, ideal) run one collector,
 :class:`GarbageCollector`, and differ only in the *relocate callable*
@@ -23,6 +28,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from ..flash.chip import NandFlash
 from ..flash.errors import BadBlockError
+from ..flash.oob import SequenceCounter
 from ..obs.events import Cause, EventType
 from .mapping import MappingStore
 from .pool import BlockPool, OutOfBlocksError, VictimPool
@@ -42,6 +48,28 @@ def select_greedy(
         candidates, key=lambda pbn: (valid_count[pbn], pbn), default=None)
 
 
+def select_cost_benefit(
+    candidates: Iterable[int], valid_count: Sequence[int],
+    sealed: Callable[[int], int], now: int, ppb: int,
+) -> Optional[int]:
+    """Candidate pbn with the highest LFS cost-benefit score,
+    ``(ppb - v) * (now - sealed(pbn)) / (ppb + v)`` for ``v`` valid pages:
+    the pages freed per page read and copied, times the block's age.
+
+    ``sealed(pbn)`` is the OOB seq of the block's last programmed page and
+    ``now`` the owner's next one, so ages are positive.  Ties break
+    toward fewer valid pages, then the lower block number; None when there
+    are no candidates.  A fully-valid block scores 0 and is never chosen
+    over one with a page to reclaim.  The definition: collectors ask
+    :meth:`~repro.ftl.pool.VictimPool.pick_cost_benefit`.
+    """
+    def key(pbn: int) -> Tuple[float, int, int]:
+        valid = valid_count[pbn]
+        return (-((ppb - valid) * (now - sealed(pbn)) / (ppb + valid)),
+                valid, pbn)
+    return min(candidates, key=key, default=None)
+
+
 #: A full translation block is the victim only when it is at most 1/4 as
 #: valid as the best data block.  Ablation (EXPERIMENTS E17): the old mixed
 #: greedy order is 2.14x of ideal on the ftlbench device and 1/4 is 1.56x;
@@ -59,14 +87,16 @@ def select_victim(data: Pick, maps: Pick, last_block: bool) -> Optional[int]:
     Translation pages are the hottest pages on the device: a block of them
     empties itself a few hundred commits later, so collecting it as soon as
     it ties the best data block (~63 % valid in steady state) re-copies
-    pages about to die.  It must be ``MAP_VICTIM_RATIO`` times emptier to
-    win.  Liveness: a data pass with v live pages can *consume* ~2v/ppb
-    blocks (the copies and their translation rewrites) to free one, so on
-    the pool's ``last_block`` - the ``spare = 1`` level GC-time allocation
-    runs at - the plain greedy order, the largest immediate reclaim,
-    applies.  (Measured instead, E17: a cap on full translation blocks
-    starves DFTL at 3x the minimum and costs a sixth of the gain at 1.5x;
-    a ``len(pool) < threshold`` guard costs LazyFTL half of it.)
+    pages about to die.  It must be ``MAP_VICTIM_RATIO`` times emptier
+    than the data pick to win.  Liveness: a data pass with v live pages
+    can *consume* ~2v/ppb blocks (the copies and their translation
+    rewrites) to free one, so on the pool's ``last_block`` - the
+    ``spare = 1`` level GC-time allocation runs at - the plain greedy
+    order, the largest immediate reclaim, applies, and the caller hands in
+    the greedy data pick.  (Measured instead, E17: a cap on full
+    translation blocks starves DFTL at 3x the minimum and costs a sixth of
+    the gain at 1.5x; a ``len(pool) < threshold`` guard costs LazyFTL half
+    of it.)
     """
     if data is None or maps is None or last_block:
         best = min(filter(None, (data, maps)), default=None)
@@ -107,11 +137,14 @@ class GarbageCollector:
     """
 
     def __init__(self, flash: NandFlash, pool: BlockPool, stats: FtlStats,
-                 threshold: int, relocate: Callable[[int], float],
+                 seq: SequenceCounter, threshold: int,
+                 relocate: Callable[[int], float],
                  maps: Optional[MappingStore] = None):
         self.flash = flash
         self.pool = pool
         self.stats = stats
+        #: The owner's counter: ``seq.current`` is the cost-benefit "now".
+        self.seq = seq
         #: :meth:`reclaim` runs while the pool holds this many or fewer.
         self.threshold = threshold
         self.relocate = relocate
@@ -124,17 +157,22 @@ class GarbageCollector:
         self.active = False
 
     def select(self) -> Optional[int]:
-        """:func:`select_victim` over both pools' picks; None if there is
+        """:func:`select_victim` over both pools' picks - the data pool's
+        cost-benefit, greedy on the pool's last block - None if there is
         no candidate or even the best is fully valid (nothing to reclaim)."""
-        # Each pick is min() over one bucket - select_greedy's total order -
-        # so neither the order of ``touched`` nor of a bucket can show.
+        # Each pick is a total order over its pool (min() within a bucket,
+        # ties fixed), so neither the order of ``touched`` nor of a bucket
+        # can show.
         touched = self.flash.take_invalidated()
         self.blocks.refresh(touched)
         maps = None
         if self.maps is not None:
             self.maps.full_blocks.refresh(touched)
             maps = self.maps.full_blocks.pick()
-        return select_victim(self.blocks.pick(), maps, len(self.pool) <= 1)
+        last_block = len(self.pool) <= 1
+        data = self.blocks.pick() if last_block \
+            else self.blocks.pick_cost_benefit(self.seq.current)
+        return select_victim(data, maps, last_block)
 
     def state(self) -> str:
         """The numbers an ``OutOfBlocksError`` under this collector needs."""

@@ -6,7 +6,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import MutableSet
 from itertools import compress
-from typing import Deque, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import (
+    Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple)
 
 from ..flash.chip import NandFlash
 from ..flash.errors import FlashError
@@ -103,20 +104,32 @@ class VictimPool(MutableSet):
     """A collector's candidate victims (full blocks), filed by valid count.
 
     A set for its owners (frontiers retire into ``add``, recovery refills
-    it in place, checkpoints iterate it); :meth:`pick` is
-    :func:`~repro.ftl.gc_policy.select_greedy` over the members without
-    the scan.  A member is never programmed and leaves before it is
-    erased, so only invalidation moves its count: the device lists those
-    blocks (``flash.invalidated``), the one collector of that device takes
-    the list and :meth:`refresh` re-files them.
+    it in place, checkpoints iterate it).  Two picks answer without a
+    scan: :meth:`pick` is :func:`~repro.ftl.gc_policy.select_greedy` and
+    :meth:`pick_cost_benefit` is
+    :func:`~repro.ftl.gc_policy.select_cost_benefit` over the members.  A
+    member is never programmed and leaves before it is erased, so only
+    invalidation moves its count: the device lists those blocks
+    (``flash.invalidated``), the one collector of that device takes the
+    list and :meth:`refresh` re-files them.  Its seal - the OOB seq of its
+    last programmed page - is read once, at :meth:`add`, and each bucket
+    caches its oldest member: set when a block is filed, dropped when
+    that member leaves and found again by one ``min`` at the next
+    cost-benefit pick.
     """
 
     def __init__(self, flash: NandFlash):
         self._flash = flash
+        ppb = flash.geometry.pages_per_block
         #: pbn -> the count it is filed under, and the members per count.
         self._bucket_of: Dict[int, int] = {}
-        self._buckets = [
-            set() for _ in range(flash.geometry.pages_per_block + 1)]
+        self._buckets = [set() for _ in range(ppb + 1)]
+        #: pbn -> ``seal * num_blocks + pbn``: its seal, ties to the lower
+        #: pbn, as one int (``min`` by it is the oldest member).
+        self._age_rank: Dict[int, int] = {}
+        #: Per count, the bucket's member of least rank; None while
+        #: unknown (the bucket is empty, or that member left).
+        self._oldest: List[Optional[int]] = [None] * (ppb + 1)
 
     def __contains__(self, pbn: object) -> bool:
         return pbn in self._bucket_of
@@ -127,14 +140,41 @@ class VictimPool(MutableSet):
     def __len__(self) -> int:
         return len(self._bucket_of)
 
+    def seal(self, pbn: int) -> int:
+        """The OOB seq of the member's last programmed page, as read at
+        :meth:`add`."""
+        return self._age_rank[pbn] // self._flash.geometry.num_blocks
+
     def add(self, pbn: int) -> None:
         if pbn not in self._bucket_of:
-            valid = self._bucket_of[pbn] = self._flash.valid_count[pbn]
-            self._buckets[valid].add(pbn)
+            flash = self._flash
+            geometry = flash.geometry
+            # The page below the write pointer (an empty block's first
+            # page, erased: seq 0).
+            last = pbn * geometry.pages_per_block + \
+                max(flash.write_ptr[pbn] - 1, 0)
+            self._age_rank[pbn] = \
+                flash.oob_seq[last] * geometry.num_blocks + pbn
+            self._file(pbn, flash.valid_count[pbn])
+
+    def _file(self, pbn: int, valid: int) -> None:
+        self._bucket_of[pbn] = valid
+        bucket = self._buckets[valid]
+        oldest = self._oldest[valid]
+        if not bucket or oldest is not None and \
+                self._age_rank[pbn] < self._age_rank[oldest]:
+            self._oldest[valid] = pbn
+        bucket.add(pbn)
+
+    def _unfile(self, pbn: int, valid: int) -> None:
+        self._buckets[valid].discard(pbn)
+        if self._oldest[valid] == pbn:
+            self._oldest[valid] = None
 
     def discard(self, pbn: int) -> None:
         if pbn in self._bucket_of:
-            self._buckets[self._bucket_of.pop(pbn)].discard(pbn)
+            self._unfile(pbn, self._bucket_of.pop(pbn))
+            del self._age_rank[pbn]
 
     def clear(self) -> None:  # the mixin's pops are quadratic on a dict
         for pbn in list(self._bucket_of):
@@ -146,14 +186,29 @@ class VictimPool(MutableSet):
 
     def refresh(self, touched: Iterable[int]) -> None:
         """Re-file the members among ``touched`` under their count now."""
+        # _unfile then _file, inlined: this runs once per block
+        # invalidated between two picks.
         bucket_of = self._bucket_of
         buckets = self._buckets
+        oldest = self._oldest
+        rank = self._age_rank
         valid_count = self._flash.valid_count
         for pbn in touched:
             if pbn in bucket_of:
-                buckets[bucket_of[pbn]].discard(pbn)
-                valid = bucket_of[pbn] = valid_count[pbn]
-                buckets[valid].add(pbn)
+                was = bucket_of[pbn]
+                valid = valid_count[pbn]
+                if valid == was:
+                    continue
+                buckets[was].discard(pbn)
+                if oldest[was] == pbn:
+                    oldest[was] = None
+                bucket_of[pbn] = valid
+                bucket = buckets[valid]
+                first = oldest[valid]
+                if not bucket or first is not None and \
+                        rank[pbn] < rank[first]:
+                    oldest[valid] = pbn
+                bucket.add(pbn)
 
     def describe(self) -> str:
         """Member count and best pick as they are now, for error messages."""
@@ -167,3 +222,26 @@ class VictimPool(MutableSet):
         # The first non-empty bucket, found without a Python-level loop.
         valid = next(compress(range(len(buckets) - 1), buckets), None)
         return None if valid is None else (valid, min(buckets[valid]))
+
+    def pick_cost_benefit(self, now: int) -> Optional[Tuple[int, int]]:
+        """``(valid, pbn)`` of the member ``select_cost_benefit`` would
+        choose at sequence number ``now``; None as :meth:`pick`.
+
+        Within a bucket the oldest member scores highest, so the pick
+        weighs one member per non-empty bucket, fewest valid first.
+        """
+        buckets = self._buckets
+        oldest = self._oldest
+        rank = self._age_rank
+        ppb = len(buckets) - 1
+        blocks = self._flash.geometry.num_blocks
+        best: Optional[Tuple[int, int]] = None
+        best_score = 0.0
+        for valid in compress(range(ppb), buckets):
+            pbn = oldest[valid]
+            if pbn is None:
+                pbn = oldest[valid] = min(buckets[valid], key=rank.__getitem__)
+            score = (ppb - valid) * (now - rank[pbn] // blocks) / (ppb + valid)
+            if best is None or score > best_score:
+                best, best_score = (valid, pbn), score
+        return best

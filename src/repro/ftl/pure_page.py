@@ -1,10 +1,10 @@
 """The ideal page-mapping FTL (the paper's "theoretically optimal" baseline).
 
 Keeps the entire logical-to-physical page map in RAM, writes host pages
-log-structured into an active block, and reclaims space with greedy garbage
-collection.  No mapping traffic ever hits flash, so its response time is a
-lower bound that LazyFTL is measured against ("very close to the
-theoretically optimal solution").
+log-structured into an active block, and reclaims space with the shared
+cost-benefit garbage collector LazyFTL and DFTL run.  No mapping traffic
+ever hits flash, so its response time is a lower bound that LazyFTL is
+measured against ("very close to the theoretically optimal solution").
 
 Its RAM cost - 4 bytes per logical page, tens of MB for real devices - is
 exactly what makes it impractical and motivates DFTL and LazyFTL.
@@ -59,7 +59,7 @@ class PageFTL(FlashTranslationLayer):
         self._pool = BlockPool.for_device(flash)
         self._seq = SequenceCounter()
         self._gc = GarbageCollector(
-            flash, self._pool, self.stats, gc_free_threshold,
+            flash, self._pool, self.stats, self._seq, gc_free_threshold,
             self._collect_data_block)
         # Host and GC destinations each rotate over up to `ways` open
         # blocks so program bursts overlap across parallel units (one way

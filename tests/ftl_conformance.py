@@ -177,10 +177,12 @@ class FTLConformance:
         """Random overwrites on a device with factory-bad blocks and a
         finite erase budget, reading one earlier write back per step.
 
-        Stops once ``until_retired`` blocks have worn out, or - with
-        None - when the device dies, which must be a clean
-        ``OutOfBlocksError`` (a ``BadBlockError`` escaping the scheme
-        fails the test).  Returns ``(ftl, acked, died)``.
+        Stops once ``until_retired`` or more blocks have worn out (one
+        write's GC passes can retire several: wear is even, so blocks
+        wear out together), or - with None - when the device dies, which
+        must be a clean ``OutOfBlocksError`` (a ``BadBlockError``
+        escaping the scheme fails the test).  Returns
+        ``(ftl, acked, died)``.
         """
         from repro.ftl import OutOfBlocksError
 
@@ -190,7 +192,8 @@ class FTLConformance:
         acked = {}
         try:
             for i in range(400_000):
-                if ftl.stats.bad_blocks_retired == until_retired:
+                if until_retired is not None and \
+                        ftl.stats.bad_blocks_retired >= until_retired:
                     return ftl, acked, False
                 lpn = rng.randrange(self.LOGICAL_PAGES)
                 ftl.write(lpn, (lpn, i))

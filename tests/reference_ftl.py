@@ -2,8 +2,13 @@
 written out the plain way (the style of wiscsee's ``pmftl.py``).
 
 An ``l2p`` / ``p2l`` pair, a live-page count per block, a deque of free
-blocks and a greedy victim: fewest live pages, the lower block number on
-a tie.  Garbage collection runs when the host log needs a new block
+blocks and a cost-benefit victim (Rosenblum & Ousterhout's LFS cleaner):
+the full block with the highest ``(ppb - v) * age / (ppb + v)`` for
+``v`` live pages, where a block's age is the number of appends - host
+and GC - since its last one; fewer live pages, then the lower block
+number, on a tie.  While the deque holds one block or none the victim is
+greedy instead: fewest live pages, the lower block number on a tie.
+Garbage collection runs when the host log needs a new block
 while the deque holds ``gc_free_threshold`` blocks or fewer - the
 reserve :class:`repro.ftl.pure_page.PageFTL` keeps - and moves the
 victim's live pages, in page order, to the end of a log: the host's own
@@ -27,6 +32,8 @@ class ReferenceFTL:
         self.l2p = {}  # lpn -> ppn of its live copy
         self.p2l = {}  # ppn -> lpn, live pages only
         self.valid = [0] * num_blocks  # live pages per block
+        self.appends = 0  # every append so far: the next one's number
+        self.sealed = [0] * num_blocks  # the number of each block's last
         self.free = deque(range(num_blocks))  # erased, oldest-freed first
         self.used = set()  # full blocks: the GC candidates
         # A log is [open block or None, pages written in it].
@@ -51,8 +58,16 @@ class ReferenceFTL:
         self._append(lpn, log)
 
     def victim(self):
-        """Greedy: the full block with the fewest live pages."""
-        return min(self.used, key=lambda pbn: (self.valid[pbn], pbn))
+        """Cost-benefit; greedy on the last free block."""
+        if len(self.free) <= 1:
+            return min(self.used, key=lambda pbn: (self.valid[pbn], pbn))
+
+        def key(pbn):
+            valid = self.valid[pbn]
+            age = self.appends - self.sealed[pbn]
+            return -((self.ppb - valid) * age / (self.ppb + valid)), valid, pbn
+
+        return min(self.used, key=key)
 
     def collect(self):
         victim = self.victim()
@@ -78,6 +93,8 @@ class ReferenceFTL:
             log[0], log[1] = self.free.popleft(), 0
         ppn = log[0] * self.ppb + log[1]
         log[1] += 1
+        self.sealed[log[0]] = self.appends
+        self.appends += 1
         old = self.l2p.get(lpn)
         if old is not None:
             del self.p2l[old]

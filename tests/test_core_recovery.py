@@ -281,3 +281,54 @@ class TestPowerLossEndToEnd:
         assert report.pages_read > 0
         assert report.latency_us > 0
         assert report.umt_entries_rebuilt >= 0
+
+
+class TestVictimsAfterRecovery:
+    """Cost-benefit ages each victim candidate by its seal, which lives
+    nowhere but the OOB: recovery re-reads it when it refills the victim
+    pools, so a recovered device picks the victims the uncrashed one
+    does.  (A crash with open UBA / CBA blocks changes more than seals -
+    recovery closes some of them - so the power cycle follows a flush.)"""
+
+    @staticmethod
+    def skewed(seed, n):
+        rng = random.Random(seed)
+        return [rng.randrange(LOGICAL // 5) if rng.random() < 0.8
+                else rng.randrange(LOGICAL) for _ in range(n)]
+
+    @staticmethod
+    def next_victims(ftl, lpns, count=20):
+        gc = ftl._gc
+        select = gc.select
+        victims = []
+
+        def recorded():
+            victims.append(select())
+            return victims[-1]
+
+        gc.select = recorded
+        for i, lpn in enumerate(lpns):
+            if len(victims) >= count:
+                break
+            ftl.write(lpn, i)
+        assert len(victims) >= count
+        return victims[:count]
+
+    @pytest.mark.parametrize("power_cycle", [False, True])
+    def test_the_next_20_victims_are_the_uncrashed_devices(self, power_cycle):
+        twins = [make_lazy() for _ in range(2)]
+        for ftl in twins:
+            for i, lpn in enumerate(self.skewed(1, 1500)):
+                ftl.write(lpn, i)
+            ftl.flush()
+        live, crashed = twins
+        if power_cycle:
+            crashed.flash.power_off()
+            crashed, _ = recover(crashed.flash, LOGICAL, CONFIG)
+        else:
+            crashed._restore_blocks(
+                crashed.uba_blocks, crashed.cba_blocks, crashed.dba_blocks,
+                crashed._pool.snapshot(), crashed.mapping_store.snapshot())
+        lpns = self.skewed(2, 1500)
+        assert self.next_victims(crashed, lpns) == \
+            self.next_victims(live, lpns)

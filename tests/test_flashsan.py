@@ -641,6 +641,24 @@ class TestVictimPoolAudit:
                    and "member table" in v.message
                    for v in report.violations)
 
+    @pytest.mark.parametrize("scheme", ["ideal", "DFTL", "LazyFTL"])
+    def test_corrupt_age_index(self, scheme):
+        """Mutation: a seal that is not the last page's seq, and a bucket
+        whose cached oldest member is not its oldest."""
+        flash, ftl = self.make(scheme)
+        pool = ftl._gc.blocks
+        pool.pick_cost_benefit(0)             # every bucket's oldest cached
+        valid, young = max(
+            (v, max(bucket, key=pool._age_rank.__getitem__))
+            for v, bucket in enumerate(pool._buckets) if len(bucket) > 1)
+        pool._oldest[valid] = young
+        pool._age_rank[young] += flash.geometry.num_blocks  # a seq later
+        report = audit_ftl(ftl)
+        for text in ("cached as the oldest", "not sealed at seq"):
+            assert any(v.kind is ViolationKind.COUNTER_DRIFT
+                       and v.pbn == young and text in v.message
+                       for v in report.violations), text
+
 
 class TestLazyFTLAudit:
     def make_lazy(self):

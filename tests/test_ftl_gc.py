@@ -11,9 +11,15 @@ import sys
 
 import pytest
 
-from repro.flash import FlashGeometry, NandFlash, UNIT_TIMING
+from repro.flash import (
+    FlashGeometry, NandFlash, OOBData, SequenceCounter, UNIT_TIMING)
 from repro.ftl import FtlStats, OutOfBlocksError
-from repro.ftl.gc_policy import GarbageCollector, recycle_block
+from repro.ftl.gc_policy import (
+    GarbageCollector,
+    recycle_block,
+    select_cost_benefit,
+    select_greedy,
+)
 from repro.ftl.pool import BlockPool, VictimPool
 from repro.obs import JsonlSink, Tracer
 
@@ -33,9 +39,10 @@ class Owner:
             timing=UNIT_TIMING, **device)
         self.pool = BlockPool.for_device(self.flash)
         self.stats = FtlStats()
+        self.seq = SequenceCounter()
         self.seen_active = []
         self.gc = GarbageCollector(
-            self.flash, self.pool, self.stats, threshold,
+            self.flash, self.pool, self.stats, self.seq, threshold,
             relocate or self.drop, maps)
 
     def drop(self, pbn):
@@ -44,16 +51,28 @@ class Owner:
             self.flash.invalidate_page(ppn)
         return 7.0
 
-    def fill(self, valid):
-        """Program a pool block full, keep ``valid`` pages live, retire
-        it to the collector's victim pool."""
+    def fill(self, valid, programmed=PAGES):
+        """Program ``programmed`` pages of a pool block (full by default),
+        keep ``valid`` of them live, retire it to the victim pool."""
         pbn = self.pool.allocate()
-        for off in range(PAGES):
-            self.flash.program_page(pbn * PAGES + off, off)
-        for off in range(valid, PAGES):
+        for off in range(programmed):
+            self.flash.program_page(
+                pbn * PAGES + off, off, OOBData(off, self.seq.next()))
+        for off in range(valid, programmed):
             self.flash.invalidate_page(pbn * PAGES + off)
         self.gc.blocks.add(pbn)
         return pbn
+
+    def sealed(self, pbn):
+        """A block's seal by definition: its last programmed page's seq."""
+        last = max(self.flash.write_ptr[pbn] - 1, 0)
+        return self.flash.oob_seq[pbn * PAGES + last]
+
+    def definition(self):
+        """:func:`select_cost_benefit` over the victim pool, now."""
+        return select_cost_benefit(
+            self.gc.blocks, self.flash.valid_count, self.sealed,
+            self.seq.current, PAGES)
 
     def trace_to(self, path):
         tracer = Tracer(sinks=[JsonlSink(str(path))])
@@ -69,12 +88,47 @@ def assert_trace_balanced(path):
 
 
 class TestSelect:
+    """The data victim is :func:`select_cost_benefit`'s, greedy's on the
+    free pool's last block."""
+
     def test_fewest_valid_wins(self):
         owner = Owner()
         owner.fill(3)
         best = owner.fill(1)
         owner.fill(2)
-        assert owner.gc.select() == best
+        assert owner.gc.select() == best == owner.definition()
+
+    def test_an_old_block_beats_a_young_emptier_one(self):
+        owner = Owner()
+        old = owner.fill(2)                   # sealed at 3
+        owner.seq.take(40)
+        young = owner.fill(1)                 # sealed at 47; now is 48
+        # 2 * 45 / 6 = 15 against 3 * 1 / 5: age outweighs one page.
+        assert owner.gc.select() == old == owner.definition()
+        assert select_greedy(owner.gc.blocks, owner.flash.valid_count) \
+            == young
+
+    def test_on_the_last_block_greedy_applies(self):
+        owner = Owner()
+        owner.fill(2)
+        owner.seq.take(40)
+        young = owner.fill(1)
+        while len(owner.pool) > 1:
+            owner.pool.allocate()
+        assert owner.gc.select() == young
+
+    def test_a_partially_written_block_is_sealed_at_its_last_page(self):
+        """A block closed before it filled (LazyFTL converts an open
+        frontier block) ages from its last programmed page; its unwritten
+        pages count as reclaimed."""
+        owner = Owner()
+        full = owner.fill(1)                  # sealed at 3
+        owner.seq.take(6)
+        partial = owner.fill(1, programmed=2)  # sealed at 11; now is 12
+        assert owner.gc.blocks.seal(partial) == 11 == owner.sealed(partial)
+        assert owner.gc.blocks.seal(full) == 3
+        # Equal counts: the older block scores higher.
+        assert owner.gc.select() == full == owner.definition()
 
     def test_nothing_reclaimable(self):
         owner = Owner()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flash import FlashGeometry, NandFlash
-from repro.ftl.gc_policy import select_greedy
+from repro.ftl.gc_policy import select_cost_benefit, select_greedy
 from repro.ftl.pool import BlockPool, OutOfBlocksError
 
 
@@ -88,3 +88,32 @@ class TestGreedyPolicy:
             for off in range(valid, PAGES):
                 flash.invalidate_page(pbn * PAGES + off)
         assert select_greedy(range(3), flash.valid_count) == 1
+
+
+class TestCostBenefitPolicy:
+    """``(ppb - v) * age / (ppb + v)`` at ``PAGES`` = 8 pages per block."""
+
+    @staticmethod
+    def pick(candidates, counts, seals, now):
+        return select_cost_benefit(
+            candidates, counts, seals.__getitem__, now, PAGES)
+
+    def test_equal_ages_pick_the_fewest_valid(self):
+        assert self.pick([0, 1, 2], [5, 2, 7], [10, 10, 10], 20) == 1
+
+    def test_age_outweighs_valid_pages(self):
+        # 6 * 90 / 10 = 54 against 7 * 10 / 9 = 7.8.
+        assert self.pick([0, 1], [2, 1], [10, 90], 100) == 0
+
+    def test_ties_break_toward_fewer_valid_then_lower_pbn(self):
+        # 8 * 3 / 8 = 3 = 6 * 5 / 10: the emptier block.
+        assert self.pick([0, 1], [2, 0], [95, 97], 100) == 1
+        assert self.pick([1, 0], [2, 0], [95, 97], 100) == 1
+        assert self.pick([2, 1], [0, 3, 3], [0, 50, 50], 100) == 1
+
+    def test_fully_valid_is_never_chosen_over_a_reclaimable_block(self):
+        assert self.pick([0, 1], [PAGES, PAGES - 1], [0, 99], 100) == 1
+        assert self.pick([0], [PAGES], [0], 100) == 0   # a lone one is
+
+    def test_empty_candidates(self):
+        assert self.pick([], [], [], 0) is None

@@ -1,14 +1,16 @@
 """Deferring translation-block victims must not starve the collector.
 
 :func:`~repro.ftl.gc_policy.select_victim` passes over a translation block
-until it is a quarter as valid as the best data block.  A data pass with
-many live pages *consumes* blocks (the copies, and the translation pages
-rewritten for them) before it frees one, so the rule carries a liveness
-arm: on the free pool's last block the plain greedy order applies.  The
-stress matrix below ran clean on the commit before the rule (the mixed
-greedy order) and must stay clean with it; the seeded case removes the
-arm and shows the starvation it exists to prevent, in the words of the
-error a starved collector now raises.
+until it is a quarter as valid as the data pick, and the data pick is
+cost-benefit, which may take an old block with many live pages.  A data
+pass with many live pages *consumes* blocks (the copies, and the
+translation pages rewritten for them) before it frees one, so the rule
+carries a liveness arm: on the free pool's last block the plain greedy
+order applies, to both pools.  The stress matrix below ran clean on the
+commit before the rule (the mixed greedy order) and must stay clean with
+it and with cost-benefit data victims; the seeded case removes the arm
+between the pools and shows the starvation it exists to prevent, in the
+words of the error a starved collector now raises.
 """
 
 import pytest
@@ -68,7 +70,7 @@ def test_without_the_liveness_arm_dftl_starves(monkeypatch):
     assert "free block pool exhausted" in message
     # The numbers that tell a starved collector from a mis-sized device.
     assert "free pool 0, GC threshold 3" in message
-    assert "data blocks: 249 full, best (valid, pbn) (" in message
+    assert "data blocks: 250 full, best (valid, pbn) (" in message
     assert "translation blocks: 5 full, best (valid, pbn) (" in message
     assert isinstance(failure.value.__cause__, OutOfBlocksError)
 

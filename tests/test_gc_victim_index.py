@@ -1,13 +1,15 @@
 """The GC victim index answers exactly what the linear scan would.
 
-``GarbageCollector.select()`` no longer walks its candidates: they sit in
+``GarbageCollector.select()`` does not walk its candidates: they sit in
 valid-count buckets (:class:`~repro.ftl.pool.VictimPool`) that are
-re-sorted from the device's list of invalidated blocks.  Within a pool
-the policy is still :func:`~repro.ftl.gc_policy.select_greedy` - fewest
-valid pages, then lowest pbn, a fully-valid best refused - and between
-the data and the translation pool it is
+re-sorted from the device's list of invalidated blocks, each bucket with
+its oldest member cached.  Among data blocks the policy is
+:func:`~repro.ftl.gc_policy.select_cost_benefit` - greedy on the free
+pool's last block - and among translation blocks
+:func:`~repro.ftl.gc_policy.select_greedy`, a fully-valid best refused
+by either; between the data and the translation pool it is
 :func:`~repro.ftl.gc_policy.select_victim`.  These tests pin that rule's
-boundary and hold the index to the definition three ways: a hypothesis
+boundary and hold the index to the definitions three ways: a hypothesis
 state machine over a bare device, an oracle wrapped around every pick of
 real steady-state runs, and a count of how many valid counts a pick reads.
 """
@@ -25,10 +27,18 @@ from hypothesis.stateful import (
 )
 
 from repro.core import LazyConfig
-from repro.flash import UNIT_TIMING, FlashGeometry, NandFlash, PageState
+from repro.flash import (
+    UNIT_TIMING,
+    FlashGeometry,
+    NandFlash,
+    OOBData,
+    PageState,
+    SequenceCounter,
+)
 from repro.ftl import FtlStats
 from repro.ftl.gc_policy import (
     GarbageCollector,
+    select_cost_benefit,
     select_greedy,
     select_victim,
 )
@@ -39,12 +49,26 @@ BLOCKS = 8
 PAGES = 4
 
 
-def scan(pool, flash):
-    """A pool's best ``(valid, pbn)`` by the linear scan, a fully-valid
-    best refused: what :meth:`VictimPool.pick` must answer."""
-    best = select_greedy(pool, flash.valid_count)
-    if best is None or \
-            flash.valid_count[best] == flash.geometry.pages_per_block:
+def sealed(flash):
+    """A block's seal by definition: the OOB seq of its last programmed
+    page (an empty block's first page: 0)."""
+    ppb = flash.geometry.pages_per_block
+    return lambda pbn: \
+        flash.oob_seq[pbn * ppb + max(flash.write_ptr[pbn] - 1, 0)]
+
+
+def scan(pool, flash, now=None):
+    """A pool's best ``(valid, pbn)`` by the linear scan - greedy, or
+    cost-benefit at ``now`` - a fully-valid best refused: what
+    :meth:`VictimPool.pick` / :meth:`VictimPool.pick_cost_benefit` must
+    answer."""
+    ppb = flash.geometry.pages_per_block
+    if now is None:
+        best = select_greedy(pool, flash.valid_count)
+    else:
+        best = select_cost_benefit(
+            pool, flash.valid_count, sealed(flash), now, ppb)
+    if best is None or flash.valid_count[best] == ppb:
         return None
     return flash.valid_count[best], best
 
@@ -52,7 +76,9 @@ def scan(pool, flash):
 def oracle(gc):
     """The victim by the definition: the policy over two linear scans."""
     maps = None if gc.maps is None else scan(gc.maps.full_blocks, gc.flash)
-    return select_victim(scan(gc.blocks, gc.flash), maps, len(gc.pool) <= 1)
+    last_block = len(gc.pool) <= 1
+    now = None if last_block else gc.seq.current
+    return select_victim(scan(gc.blocks, gc.flash, now), maps, last_block)
 
 
 class TestSelectVictim:
@@ -90,7 +116,8 @@ class TestSelectVictim:
         class Maps:
             full_blocks = VictimPool(flash)
 
-        gc = GarbageCollector(flash, BlockPool([6, 7]), FtlStats(), 1,
+        gc = GarbageCollector(flash, BlockPool([6, 7]), FtlStats(),
+                              SequenceCounter(), 1,
                               relocate=lambda pbn: 0.0, maps=Maps())
         for pbn in (0, 1):
             for off in range(PAGES):
@@ -163,7 +190,9 @@ class VictimIndexMachine(RuleBasedStateMachine):
 
     The one rule the owners keep is kept here too: a candidate is never
     programmed (it is full, or was closed by conversion), so only
-    invalidation moves its count.
+    invalidation moves its count.  Every program draws a seq from the
+    collector's counter, so seals - and the oldest member each bucket
+    caches - move with the churn.
     """
 
     @initialize()
@@ -175,10 +204,21 @@ class VictimIndexMachine(RuleBasedStateMachine):
         class Maps:
             full_blocks = VictimPool(self.flash)
 
+        self.seq = SequenceCounter()
         self.gc = GarbageCollector(
-            self.flash, BlockPool([]), FtlStats(), 1,
+            self.flash, BlockPool([]), FtlStats(), self.seq, 1,
             relocate=lambda pbn: 0.0, maps=Maps())
         self.pools = (self.gc.blocks, self.gc.maps.full_blocks)
+
+    def program_next(self, pbn):
+        offset = self.flash.write_ptr[pbn]
+        self.flash.program_page(
+            pbn * PAGES + offset, None, OOBData(offset, self.seq.next()))
+
+    @rule(n=st.integers(1, 40))
+    def tick(self, n):
+        """Time passes elsewhere on the device."""
+        self.seq.take(n)
 
     @rule(free=st.integers(0, 3))
     def free_pool(self, free):
@@ -192,8 +232,7 @@ class VictimIndexMachine(RuleBasedStateMachine):
     def program(self, pbn):
         if self.member(pbn) or self.flash.write_ptr[pbn] >= PAGES:
             return
-        self.flash.program_page(
-            pbn * PAGES + self.flash.write_ptr[pbn], None)
+        self.program_next(pbn)
 
     @rule(ppn=st.integers(0, BLOCKS * PAGES - 1))
     def invalidate(self, ppn):
@@ -221,8 +260,8 @@ class VictimIndexMachine(RuleBasedStateMachine):
         for ppn in self.flash.valid_ppns(pbn):
             self.flash.invalidate_page(ppn)
         self.flash.erase_block(pbn)
-        for off in range(refill):
-            self.flash.program_page(pbn * PAGES + off, None)
+        for _ in range(refill):
+            self.program_next(pbn)
         self.pools[which].add(pbn)
 
     @rule(drained=st.booleans())
@@ -245,17 +284,17 @@ class VictimIndexMachine(RuleBasedStateMachine):
     @invariant()
     def picks_equal_the_linear_scan(self):
         flash = self.flash
+        now = self.seq.current
         # Peek, do not drain: refresh is idempotent, and the list keeps
-        # growing across steps until ``select`` takes it.
+        # growing across steps until ``select`` takes it.  Both picks of
+        # both pools: the translation pool is refreshed, never
+        # cost-benefit-picked, by the collector, and must stay exact too.
         for pool in self.pools:
             pool.refresh(set(flash.invalidated))
-            best = select_greedy(iter(pool), flash.valid_count)
-            if best is not None and flash.valid_count[best] == PAGES:
-                best = None                   # a fully-valid best: refused
-            pick = pool.pick()
-            assert (None if pick is None else pick[1]) == best
-            if pick is not None:
-                assert pick[0] == flash.valid_count[best]
+            assert pool.pick() == scan(pool, flash)
+            assert pool.pick_cost_benefit(now) == scan(pool, flash, now)
+            for pbn in pool:
+                assert pool.seal(pbn) == sealed(flash)(pbn)
         assert not set(self.pools[0]) & set(self.pools[1])
 
 
@@ -302,19 +341,24 @@ def test_every_pick_of_a_steady_run_equals_the_linear_scan(scheme, channels):
     gc = ftl._gc
     indexed_select = gc.select
     picks = []
+    unlike_greedy = []
 
     def checked_select():
         expected = oracle(gc)             # reads only; before the drain
+        greedy = scan(gc.blocks, flash)
         victim = indexed_select()
         assert victim == expected
         picks.append(gc.maps is not None and victim in gc.maps.full_blocks)
+        unlike_greedy.append(victim in gc.blocks and victim != greedy[1])
         return victim
 
     gc.select = checked_select
     churn(flash, ftl, logical, rounds=4)
     assert len(picks) > 50
-    # Both pools were in play wherever there are two.
+    # Both pools were in play wherever there are two, and age decided
+    # some data victims.
     assert any(picks) == (gc.maps is not None) and not all(picks)
+    assert any(unlike_greedy)
     for lpn in range(0, logical, 7):
         assert ftl.read(lpn).data is not None
 
