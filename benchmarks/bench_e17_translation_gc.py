@@ -20,7 +20,11 @@ import dataclasses
 from repro.ftl import gc_policy
 from repro.sim import HEADLINE_DEVICE
 from repro.sim.report import format_table
-from repro.sim.runner import DEFAULT_OPTIONS, lazy_headline_options
+from repro.sim.runner import (
+    DEFAULT_OPTIONS,
+    dftl_parity_options,
+    lazy_headline_options,
+)
 from repro.traces import financial1, financial2, hot_cold, tpcc
 from repro.traces.model import merge_traces
 from repro.traces.synthetic import uniform_random, warmup_fill
@@ -99,9 +103,12 @@ def run_sweep():
         merge_traces(warmup_traces(oltp, FULL, FTLBENCH_SEED), name="warmup"),
         oltp.trace(FULL, FTLBENCH_SEED))
     # The headline device, traces and preconditioning of E3: what
-    # run_scheme(..., precondition="steady") replays, FTL kept in hand.
+    # run_scheme(..., precondition="steady") replays, FTL kept in hand,
+    # DFTL at RAM parity as there.
     footprint = int(HEADLINE_DEVICE.logical_pages * 0.8)
-    options = {**DEFAULT_OPTIONS, "LazyFTL": lazy_headline_options()}
+    options = {**DEFAULT_OPTIONS, "LazyFTL": lazy_headline_options(),
+               "DFTL": dftl_parity_options(HEADLINE_DEVICE.num_blocks,
+                                           HEADLINE_DEVICE.pages_per_block)}
     for trace in (
         financial1(N_REQUESTS, footprint, seed=0),
         financial2(N_REQUESTS, footprint, seed=0),

@@ -86,7 +86,7 @@ def lazy_by_page(run):
 
 
 def run_cells(cells, jobs=None):
-    """Run a list of :class:`repro.perf.SweepCell` measurement cells.
+    """Run a list of :class:`repro.perf.sweep.SweepCell` measurement cells.
 
     ``jobs`` defaults to the ``REPRO_BENCH_JOBS`` environment variable
     (``1`` if unset): the benchmarks stay serial by default so

@@ -33,8 +33,7 @@ class TinyKV:
         if self.head >= self.device.capacity_sectors:
             raise RuntimeError("log full (a real store would compact)")
         record = ("record", key, value)
-        result = self.device.write(self.head, [record])
-        self.total_latency_us += result.latency_us
+        self.total_latency_us += self.device.write(self.head, [record])
         self.index[key] = self.head
         self.head += 1
 
@@ -42,9 +41,9 @@ class TinyKV:
         lba = self.index.get(key)
         if lba is None:
             return None
-        result = self.device.read(lba, 1)
-        self.total_latency_us += result.latency_us
-        _, _, value = result.sectors[0]
+        sectors, latency = self.device.read(lba, 1)
+        self.total_latency_us += latency
+        _, _, value = sectors[0]
         return value
 
     @classmethod
@@ -52,7 +51,7 @@ class TinyKV:
         """Rebuild the index by scanning the record log."""
         store = cls(device)
         for lba in range(device.capacity_sectors):
-            sector = device.read(lba, 1).sectors[0]
+            sector = device.read(lba, 1).data[0]
             if sector is None:
                 break
             tag, key, _ = sector

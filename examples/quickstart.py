@@ -18,10 +18,10 @@ def main() -> None:
     )
 
     # --- basic I/O --------------------------------------------------------
-    result = ftl.write(4242, b"hello flash")
-    print(f"write lpn 4242 took {result.latency_us:.0f} us")
-    result = ftl.read(4242)
-    print(f"read  lpn 4242 -> {result.data!r} in {result.latency_us:.0f} us "
+    latency = ftl.write(4242, b"hello flash")  # a write returns its latency
+    print(f"write lpn 4242 took {latency:.0f} us")
+    data, latency = ftl.read(4242)  # a read returns (data, latency_us)
+    print(f"read  lpn 4242 -> {data!r} in {latency:.0f} us "
           "(UMT hit: no mapping page read needed)")
 
     # --- the lazy part ----------------------------------------------------

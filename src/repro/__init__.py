@@ -35,8 +35,8 @@ from .ftl import (
     DftlFTL,
     FastFTL,
     FlashTranslationLayer,
-    HostResult,
     PageFTL,
+    ReadResult,
 )
 from .sim import (
     DeviceSpec,
@@ -83,8 +83,8 @@ __all__ = [
     "DftlFTL",
     "FastFTL",
     "FlashTranslationLayer",
-    "HostResult",
     "PageFTL",
+    "ReadResult",
     "DeviceSpec",
     "SimulationResult",
     "Simulator",

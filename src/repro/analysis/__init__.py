@@ -10,7 +10,6 @@ from .attribution import (
 )
 from .compare import (
     COMPARISON_HEADERS,
-    check_expected_ordering,
     comparison_rows,
     optimality_gap,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "format_attribution",
     "read_trace",
     "COMPARISON_HEADERS",
-    "check_expected_ordering",
     "comparison_rows",
     "optimality_gap",
     "ram_model",

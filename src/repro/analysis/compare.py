@@ -39,23 +39,6 @@ COMPARISON_HEADERS = [
 ]
 
 
-def check_expected_ordering(
-    results: Dict[str, SimulationResult],
-    slower: str,
-    faster: str,
-    margin: float = 1.0,
-) -> bool:
-    """True when ``slower``'s mean response exceeds ``faster``'s by margin.
-
-    Benchmarks use this to assert the paper's qualitative shape (e.g. FAST
-    slower than LazyFTL on random writes) rather than absolute numbers.
-    """
-    return (
-        results[slower].mean_response_us
-        >= results[faster].mean_response_us * margin
-    )
-
-
 def optimality_gap(results: Dict[str, SimulationResult]) -> Dict[str, float]:
     """Each scheme's mean response as a multiple of the ideal FTL's.
 

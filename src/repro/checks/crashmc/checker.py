@@ -178,7 +178,7 @@ def check_case(case: CrashCase) -> CrashPointResult:
             f"{finding.kind.value}: {finding.message}",
         ))
     violations.extend(
-        oracle(model, lambda lpn: recovered.read(lpn).data)
+        oracle(model, lambda lpn: recovered.read(lpn)[0])
     )
     return CrashPointResult(
         crash_index=case.crash_index,

@@ -33,7 +33,7 @@ from ..flash.chip import NandFlash
 from ..flash.errors import FlashError
 from ..flash.oob import OOBData
 from ..flash.page import INVALID
-from ..ftl.base import BeginPage, EndPage, FlashTranslationLayer, HostResult
+from ..ftl.base import BeginPage, EndPage, FlashTranslationLayer, ReadResult
 from .report import (
     AuditReport,
     OpHistory,
@@ -216,31 +216,31 @@ class SanitizedFTL:
     # ------------------------------------------------------------------
     # Host interface (audited)
     # ------------------------------------------------------------------
-    def read(self, lpn: int) -> HostResult:
+    def read(self, lpn: int) -> ReadResult:
         result = self._ftl.read(lpn)
-        self._check(lpn, result.data)
+        self._check(lpn, result[0])
         return result
 
-    def write(self, lpn: int, data: Any = None) -> HostResult:
+    def write(self, lpn: int, data: Any = None) -> float:
         data = self._payload(lpn, data)
         self.model.begin("w", lpn, data)
-        result = self._ftl.write(lpn, data)
+        latency = self._ftl.write(lpn, data)
         self.model.commit()
-        return result
+        return latency
 
     # The run ops are spelled out: ``__getattr__`` would hand the wrapped
     # scheme's to the driver and every multi-page request would skip the
     # model.
     def read_run(self, lpn: int, n: int, begin_page: BeginPage = None,
-                 end_page: EndPage = None) -> HostResult:
+                 end_page: EndPage = None) -> ReadResult:
         result = self._ftl.read_run(lpn, n, begin_page, end_page)
-        for page, data in enumerate(result.data, lpn):
+        for page, data in enumerate(result[0], lpn):
             self._check(page, data)
         return result
 
     def write_run(self, lpn: int, datas: Sequence[Any],
                   begin_page: BeginPage = None,
-                  end_page: EndPage = None) -> HostResult:
+                  end_page: EndPage = None) -> float:
         datas = [self._payload(page, data)
                  for page, data in enumerate(datas, lpn)]
         model = self.model
@@ -255,11 +255,11 @@ class SanitizedFTL:
 
         return self._ftl.write_run(lpn, datas, begin_page, page_written)
 
-    def trim(self, lpn: int) -> HostResult:
+    def trim(self, lpn: int) -> float:
         self.model.begin("d", lpn, None)
-        result = self._ftl.trim(lpn)
+        latency = self._ftl.trim(lpn)
         self.model.commit()
-        return result
+        return latency
 
     def sweep(self) -> None:
         """Read every logical page back against the model (the end of a

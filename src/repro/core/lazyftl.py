@@ -33,7 +33,8 @@ from ..ftl.base import (
     BeginPage,
     EndPage,
     FlashTranslationLayer,
-    HostResult,
+    ReadResult,
+    read_result,
 )
 from ..obs.events import Cause, EventType
 from ..ftl.gc_policy import GarbageCollector
@@ -155,25 +156,24 @@ class LazyFTL(FlashTranslationLayer):
     # ------------------------------------------------------------------
     # Host interface
     # ------------------------------------------------------------------
-    def read(self, lpn: int) -> HostResult:
+    def read(self, lpn: int) -> ReadResult:
         if not 0 <= lpn < self.logical_pages:
             self._check_lpn(lpn)
         self.stats.host_reads += 1
         flash = self.flash
         umt_ppn = self._umt.ppn_at(lpn)
         if umt_ppn >= 0:
-            data, latency = flash.read_page(umt_ppn)
-            return HostResult(latency, data)
+            return read_result(flash.read_page(umt_ppn))
         entries = self.entries_per_page
         content, latency = self._maps.fetch(lpn // entries)
         ppn = -1 if content is None else content[lpn % entries]
         if ppn < 0:
-            return HostResult(latency + UNMAPPED_READ_US)
+            return read_result((None, latency + UNMAPPED_READ_US))
         data, read_lat = flash.read_page(ppn)
-        return HostResult(latency + read_lat, data)
+        return read_result((data, latency + read_lat))
 
     def read_run(self, lpn: int, n: int, begin_page: BeginPage = None,
-                 end_page: EndPage = None) -> HostResult:
+                 end_page: EndPage = None) -> ReadResult:
         """:meth:`read` once per page, in order - except that a GMT page
         fetched for one page of the run is not fetched again while the
         lpns that follow stay inside it.  The controller holds it for the
@@ -249,9 +249,9 @@ class LazyFTL(FlashTranslationLayer):
             self.stats.host_reads += lpn + 1 - first
         if stop < first + n:
             self._check_lpn(stop)  # the run left the logical space here
-        return HostResult(total, datas)
+        return read_result((datas, total))
 
-    def write(self, lpn: int, data: Any = None) -> HostResult:
+    def write(self, lpn: int, data: Any = None) -> float:
         if not 0 <= lpn < self.logical_pages:
             self._check_lpn(lpn)
         self.stats.host_writes += 1
@@ -282,7 +282,7 @@ class LazyFTL(FlashTranslationLayer):
         self._umt.set(lpn, ppn)
         if self._ckpt_interval > 0:
             latency += self._periodic_checkpoint()
-        return HostResult(latency)
+        return latency
 
     def ram_bytes(self) -> int:
         """UMT + GTD: the paper's RAM story.

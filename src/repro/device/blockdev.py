@@ -13,20 +13,11 @@ everywhere in this library); a page stores a list of its sectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
-from ..ftl.base import FlashTranslationLayer
+from ..ftl.base import FlashTranslationLayer, ReadResult, read_result
 
 SECTOR_BYTES = 512
-
-
-@dataclass(frozen=True)
-class DeviceResult:
-    """Outcome of a sector-level operation."""
-
-    latency_us: float
-    sectors: Optional[List[Any]] = None  # for reads
 
 
 class FlashBlockDevice:
@@ -71,23 +62,24 @@ class FlashBlockDevice:
     # ------------------------------------------------------------------
     # Host interface
     # ------------------------------------------------------------------
-    def read(self, lba: int, n_sectors: int = 1) -> DeviceResult:
+    def read(self, lba: int, n_sectors: int = 1) -> ReadResult:
         """Read ``n_sectors`` starting at sector ``lba``: the pages the
-        span touches, as one host run op."""
+        span touches, as one host run op.  Returns ``(sectors,
+        latency_us)``, ``data`` holding the sectors."""
         self._check_range(lba, n_sectors)
         per_page = self.sectors_per_page
         lpn, first = divmod(lba, per_page)
         pages = (first + n_sectors + per_page - 1) // per_page
-        result = self.ftl.read_run(
+        datas, latency = self.ftl.read_run(
             lpn, pages, self.ftl.flash.begin_host_op)
         sectors: List[Any] = []
-        for page in result.data:
+        for page in datas:
             sectors.extend(page if page is not None else [None] * per_page)
-        return DeviceResult(
-            result.latency_us, sectors[first:first + n_sectors])
+        return read_result((sectors[first:first + n_sectors], latency))
 
-    def write(self, lba: int, sectors: Sequence[Any]) -> DeviceResult:
-        """Write consecutive sectors starting at ``lba``.
+    def write(self, lba: int, sectors: Sequence[Any]) -> float:
+        """Write consecutive sectors starting at ``lba``; returns the
+        latency.
 
         The whole pages of the span go straight through, as one host run
         op; a partial page at either end first reads the page's current
@@ -113,12 +105,12 @@ class FlashBlockDevice:
                 [list(sectors[at:at + per_page])
                  for at in range(offset, stop, per_page)],
                 begin_host_op,
-            ).latency_us
+            )
             lpn += whole
             offset = stop
         if offset < n_sectors:  # partial tail
             latency += self._write_partial(lpn, 0, sectors[offset:])
-        return DeviceResult(latency)
+        return latency
 
     def _write_partial(self, lpn: int, first: int,
                        chunk: Sequence[Any]) -> float:
@@ -127,12 +119,12 @@ class FlashBlockDevice:
         self.rmw_count += 1
         ftl = self.ftl
         ftl.flash.begin_host_op()
-        current = ftl.read(lpn)
-        page = (list(current.data) if current.data is not None
+        data, latency = ftl.read(lpn)
+        page = (list(data) if data is not None
                 else [None] * self.sectors_per_page)
         page[first:first + len(chunk)] = chunk
         ftl.flash.begin_host_op()
-        return current.latency_us + ftl.write(lpn, page).latency_us
+        return latency + ftl.write(lpn, page)
 
     def flush(self) -> float:
         """Propagate a host flush/sync (LazyFTL commits its UMT)."""

@@ -1,6 +1,6 @@
 """Flash translation layers: the shared framework and the baseline schemes.
 
-* :class:`FlashTranslationLayer` / :class:`HostResult` - the FTL contract;
+* :class:`FlashTranslationLayer` / :class:`ReadResult` - the FTL contract;
 * :class:`PageFTL` - ideal page mapping (the theoretical optimum baseline);
 * :class:`BastFTL` - block-associative log blocks (switch/partial/full
   merges);
@@ -18,7 +18,7 @@
 LazyFTL itself, the paper's contribution, lives in :mod:`repro.core`.
 """
 
-from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
+from .base import UNMAPPED_READ_US, FlashTranslationLayer, ReadResult
 from .bast import BastFTL
 from .dftl import DftlFTL
 from .fast import FastFTL
@@ -31,7 +31,7 @@ from .stats import FtlStats
 __all__ = [
     "UNMAPPED_READ_US",
     "FlashTranslationLayer",
-    "HostResult",
+    "ReadResult",
     "BastFTL",
     "DftlFTL",
     "FastFTL",

@@ -2,8 +2,11 @@
 
 An FTL receives page-granular host reads and writes, issues raw flash
 operations against its :class:`~repro.flash.chip.NandFlash`, and returns the
-accumulated latency of each host operation.  A multi-page request is a
-*run*: one :meth:`FlashTranslationLayer.read_run` /
+accumulated latency of each host operation the way the device returns its
+own: a write (``write_run``, ``trim``) returns the latency as a float, and a
+read (``read_run``) the pair ``(data, latency_us)`` - a :class:`ReadResult`,
+in the order of ``NandFlash.read_page`` / ``read_run``.  A multi-page
+request is a *run*: one :meth:`FlashTranslationLayer.read_run` /
 :meth:`~FlashTranslationLayer.write_run` call over its consecutive logical
 pages.  The simulator (:mod:`repro.sim.simulator`) issues those calls,
 applies queueing, and aggregates response times.
@@ -31,7 +34,8 @@ signatures of ``flash.begin_host_op`` and ``tracer.host_op``).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from ..flash.chip import NandFlash
 from ..obs.tracer import Tracer
@@ -45,31 +49,27 @@ BeginPage = Optional[Callable[[], None]]
 EndPage = Optional[Callable[[bool, int, float], None]]
 
 
-class HostResult:
-    """Outcome of one host operation: a page op, or a run op's pages.
-
-    One is allocated per host page operation, so this is a slotted plain
-    class: frozen-dataclass construction costs an ``object.__setattr__``
-    per field, which is measurable at millions of ops per run.
+class ReadResult(NamedTuple):
+    """A host read's outcome: ``(data, latency_us)``, the order of
+    :meth:`~repro.flash.chip.NandFlash.read_page`.
 
     Attributes:
-        latency_us: Simulated time the FTL spent serving the operation
-            (raw flash ops it issued, including any GC / merge work it had
-            to do inline - the foreground-GC accounting the paper uses).
+        data: The stored payload (None if the logical page was never
+            written); for ``read_run``, the list of them, one per page.
+        latency_us: Simulated time the FTL spent serving the read (raw
+            flash ops it issued, including any translation-page fetch).
             For a run op, the page latencies summed in order from 0.0.
-        data: For reads, the stored payload (None if the logical page was
-            never written); for ``read_run``, the list of them, one per
-            page.  For writes, None.
     """
 
-    __slots__ = ("latency_us", "data")
+    data: Any
+    latency_us: float
 
-    def __init__(self, latency_us: float, data: Any = None):
-        self.latency_us = latency_us
-        self.data = data
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HostResult(latency_us={self.latency_us!r}, data={self.data!r})"
+#: Build a :class:`ReadResult` from a ``(data, latency_us)`` pair - a
+#: device read's return value as it is - with ``tuple.__new__``, skipping
+#: the generated ``__new__``'s Python frame (one per host page read, as
+#: :func:`~repro.flash.oob.make_oob` per program).
+read_result = partial(tuple.__new__, ReadResult)
 
 
 class FlashTranslationLayer(ABC):
@@ -125,15 +125,17 @@ class FlashTranslationLayer(ABC):
     # Host interface
     # ------------------------------------------------------------------
     @abstractmethod
-    def read(self, lpn: int) -> HostResult:
-        """Serve a host read of one logical page."""
+    def read(self, lpn: int) -> ReadResult:
+        """Serve a host read of one logical page: ``(data, latency_us)``."""
 
     @abstractmethod
-    def write(self, lpn: int, data: Any = None) -> HostResult:
-        """Serve a host write of one logical page."""
+    def write(self, lpn: int, data: Any = None) -> float:
+        """Serve a host write of one logical page; returns its latency: the
+        raw flash ops it issued, including any GC / merge work it had to do
+        inline (the foreground-GC accounting the paper uses)."""
 
     def read_run(self, lpn: int, n: int, begin_page: BeginPage = None,
-                 end_page: EndPage = None) -> HostResult:
+                 end_page: EndPage = None) -> ReadResult:
         """Serve a host read of the ``n`` logical pages from ``lpn``:
         :meth:`read` once per page, in order (module docstring, "Host run
         ops"); ``data`` is the list of payloads."""
@@ -142,30 +144,30 @@ class FlashTranslationLayer(ABC):
         for lpn in range(lpn, lpn + n):
             if begin_page is not None:
                 begin_page()
-            result = self.read(lpn)
-            latency = result.latency_us
+            data, latency = self.read(lpn)
             total += latency
-            datas.append(result.data)
+            datas.append(data)
             if end_page is not None:
                 end_page(False, lpn, latency)
-        return HostResult(total, datas)
+        return read_result((datas, total))
 
     def write_run(self, lpn: int, datas: Sequence[Any],
                   begin_page: BeginPage = None,
-                  end_page: EndPage = None) -> HostResult:
+                  end_page: EndPage = None) -> float:
         """Serve a host write of ``datas`` to the consecutive logical pages
-        from ``lpn``: :meth:`write` once per page, in order."""
+        from ``lpn``: :meth:`write` once per page, in order; returns the
+        latencies summed."""
         total = 0.0
         for lpn, data in enumerate(datas, lpn):
             if begin_page is not None:
                 begin_page()
-            latency = self.write(lpn, data).latency_us
+            latency = self.write(lpn, data)
             total += latency
             if end_page is not None:
                 end_page(True, lpn, latency)
-        return HostResult(total)
+        return total
 
-    def trim(self, lpn: int) -> HostResult:
+    def trim(self, lpn: int) -> float:
         """Discard a logical page (optional; default is a no-op).
 
         Subclasses that do real work on discard should call
@@ -176,11 +178,11 @@ class FlashTranslationLayer(ABC):
         self._check_lpn(lpn)
         return self._note_trim(lpn, 0.0)
 
-    def _note_trim(self, lpn: int, latency_us: float) -> HostResult:
-        """Emit the HostTrim event (when traced) and wrap the result."""
+    def _note_trim(self, lpn: int, latency_us: float) -> float:
+        """Emit the HostTrim event (when traced); returns ``latency_us``."""
         if self._tracer is not None:
             self._tracer.host_trim(lpn, latency_us)
-        return HostResult(latency_us)
+        return latency_us
 
     def background_work(self, budget_us: float) -> float:
         """Use up to ``budget_us`` of device idle time for housekeeping.

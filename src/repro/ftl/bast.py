@@ -27,7 +27,6 @@ from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.page import FREE, VALID
 from ..perf.maptable import MapTable
-from .base import HostResult
 from .logblock import LogBlockFTL
 
 
@@ -73,7 +72,7 @@ class BastFTL(LogBlockFTL):
     # ------------------------------------------------------------------
     # Host interface
     # ------------------------------------------------------------------
-    def write(self, lpn: int, data: Any = None) -> HostResult:
+    def write(self, lpn: int, data: Any = None) -> float:
         self._check_lpn(lpn)
         self.stats.host_writes += 1
         lbn, off = divmod(lpn, self.pages_per_block)
@@ -82,10 +81,10 @@ class BastFTL(LogBlockFTL):
             # First write into this logical block: in-place program.
             data_pbn = self._pool.allocate()
             self._block_map[lbn] = data_pbn
-            return HostResult(self._program(data_pbn, off, lpn, data))
+            return self._program(data_pbn, off, lpn, data)
         if self.flash.page_states[
                 data_pbn * self.pages_per_block + off] == FREE:
-            return HostResult(self._program(data_pbn, off, lpn, data))
+            return self._program(data_pbn, off, lpn, data)
         # Update: must go to this logical block's log block.
         latency = 0.0
         log = self._logs.get(lbn)
@@ -103,7 +102,7 @@ class BastFTL(LogBlockFTL):
         latency += self._program(log.pbn, log_off, lpn, data)
         self._invalidate_current(lpn)
         log.entries[off] = log_off
-        return HostResult(latency)
+        return latency
 
     def ram_bytes(self) -> int:
         """Block map + per-log-block offset tables (2 bytes per entry)."""

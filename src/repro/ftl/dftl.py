@@ -35,7 +35,12 @@ from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import PageKind, SequenceCounter, make_oob
 from ..obs.events import Cause
 from ..perf.maptable import UNMAPPED
-from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
+from .base import (
+    UNMAPPED_READ_US,
+    FlashTranslationLayer,
+    ReadResult,
+    read_result,
+)
 from .gc_policy import GarbageCollector
 from .mapping import LpnsByPage, MappingStore
 from .pool import BlockPool, OutOfBlocksError
@@ -121,16 +126,16 @@ class DftlFTL(FlashTranslationLayer):
     # ------------------------------------------------------------------
     # Host interface
     # ------------------------------------------------------------------
-    def read(self, lpn: int) -> HostResult:
+    def read(self, lpn: int) -> ReadResult:
         self._check_lpn(lpn)
         self.stats.host_reads += 1
         ppn, latency = self._lookup(lpn)
         if ppn is None:
-            return HostResult(latency + UNMAPPED_READ_US)
+            return read_result((None, latency + UNMAPPED_READ_US))
         data, read_lat = self.flash.read_page(ppn)
-        return HostResult(latency + read_lat, data)
+        return read_result((data, latency + read_lat))
 
-    def write(self, lpn: int, data: Any = None) -> HostResult:
+    def write(self, lpn: int, data: Any = None) -> float:
         if not 0 <= lpn < self.logical_pages:
             self._check_lpn(lpn)
         self.stats.host_writes += 1
@@ -154,7 +159,7 @@ class DftlFTL(FlashTranslationLayer):
         entry.ppn = ppn
         self._mark_dirty(lpn, entry)
         self._cmt.move_to_end(lpn)
-        return HostResult(latency)
+        return latency
 
     def ram_bytes(self) -> int:
         """CMT (8 B/entry: lpn + ppn) + GTD (4 B/translation page)."""

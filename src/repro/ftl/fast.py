@@ -20,7 +20,6 @@ from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.page import FREE, VALID
 from ..perf.maptable import MapTable
-from .base import HostResult
 from .logblock import LogBlockFTL
 
 
@@ -65,7 +64,7 @@ class FastFTL(LogBlockFTL):
     # ------------------------------------------------------------------
     # Host interface
     # ------------------------------------------------------------------
-    def write(self, lpn: int, data: Any = None) -> HostResult:
+    def write(self, lpn: int, data: Any = None) -> float:
         self._check_lpn(lpn)
         self.stats.host_writes += 1
         lbn, off = divmod(lpn, self.pages_per_block)
@@ -73,21 +72,21 @@ class FastFTL(LogBlockFTL):
         if data_pbn is None:
             data_pbn = self._pool.allocate()
             self._block_map[lbn] = data_pbn
-            return HostResult(self._program(data_pbn, off, lpn, data))
+            return self._program(data_pbn, off, lpn, data)
         if self.flash.page_states[
                 data_pbn * self.pages_per_block + off] == FREE:
             # A partial merge can leave this slot free while a newer copy
             # still lives in a log block - retire that copy first.
             self._invalidate_current(lpn)
-            return HostResult(self._program(data_pbn, off, lpn, data))
+            return self._program(data_pbn, off, lpn, data)
         # Update: route by locality.
         sw_pbn = self._sw_log(lbn)
         if sw_pbn is not None and self.flash.write_ptr[sw_pbn] == off:
             self._invalidate_current(lpn)
-            return HostResult(self._program(sw_pbn, off, lpn, data))
+            return self._program(sw_pbn, off, lpn, data)
         if off == 0:
-            return HostResult(self._start_sw(lbn, lpn, data))
-        return HostResult(self._append_rw(lpn, data))
+            return self._start_sw(lbn, lpn, data)
+        return self._append_rw(lpn, data)
 
     # ------------------------------------------------------------------
     # Lookup

@@ -27,7 +27,12 @@ from ..flash.chip import NandFlash
 from ..flash.oob import OOBData, SequenceCounter
 from ..flash.page import VALID
 from ..obs.events import Cause, EventType
-from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
+from .base import (
+    UNMAPPED_READ_US,
+    FlashTranslationLayer,
+    ReadResult,
+    read_result,
+)
 from .pool import BlockPool
 
 
@@ -53,14 +58,13 @@ class LogBlockFTL(FlashTranslationLayer):
                 + detail
             )
 
-    def read(self, lpn: int) -> HostResult:
+    def read(self, lpn: int) -> ReadResult:
         self._check_lpn(lpn)
         self.stats.host_reads += 1
         ppn = self._locate(lpn)
         if ppn is None:
-            return HostResult(UNMAPPED_READ_US)
-        data, latency = self.flash.read_page(ppn)
-        return HostResult(latency, data)
+            return read_result((None, UNMAPPED_READ_US))
+        return read_result(self.flash.read_page(ppn))
 
     @abstractmethod
     def _locate(self, lpn: int) -> Optional[int]:

@@ -18,7 +18,12 @@ from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import OOBData, SequenceCounter
 from ..perf.maptable import MapTable
-from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
+from .base import (
+    UNMAPPED_READ_US,
+    FlashTranslationLayer,
+    ReadResult,
+    read_result,
+)
 from .gc_policy import GarbageCollector
 from .pool import BlockPool
 from .stripe import Frontier, relocate, spare_block, stripe_ways
@@ -72,17 +77,16 @@ class PageFTL(FlashTranslationLayer):
     # ------------------------------------------------------------------
     # Host interface
     # ------------------------------------------------------------------
-    def read(self, lpn: int) -> HostResult:
+    def read(self, lpn: int) -> ReadResult:
         if not 0 <= lpn < self.logical_pages:
             self._check_lpn(lpn)
         self.stats.host_reads += 1
         ppn = self._map.raw[lpn]
         if ppn < 0:
-            return HostResult(UNMAPPED_READ_US)
-        data, latency = self.flash.read_page(ppn)
-        return HostResult(latency, data)
+            return read_result((None, UNMAPPED_READ_US))
+        return read_result(self.flash.read_page(ppn))
 
-    def write(self, lpn: int, data: Any = None) -> HostResult:
+    def write(self, lpn: int, data: Any = None) -> float:
         if not 0 <= lpn < self.logical_pages:
             self._check_lpn(lpn)
         self.stats.host_writes += 1
@@ -104,7 +108,7 @@ class PageFTL(FlashTranslationLayer):
         if old >= 0:
             flash.invalidate_page(old)
         map_raw[lpn] = ppn
-        return HostResult(latency)
+        return latency
 
     def ram_bytes(self) -> int:
         return self.logical_pages * MAP_ENTRY_BYTES

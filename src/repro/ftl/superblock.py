@@ -26,7 +26,12 @@ from ..flash.chip import NandFlash
 from ..flash.geometry import MAP_ENTRY_BYTES
 from ..flash.oob import OOBData, SequenceCounter
 from ..obs.events import Cause, EventType
-from .base import UNMAPPED_READ_US, FlashTranslationLayer, HostResult
+from .base import (
+    UNMAPPED_READ_US,
+    FlashTranslationLayer,
+    ReadResult,
+    read_result,
+)
 from .gc_policy import select_greedy
 from .pool import BlockPool
 
@@ -97,16 +102,15 @@ class SuperblockFTL(FlashTranslationLayer):
             return None, None, None
         return group, offset, group.page_map[offset]
 
-    def read(self, lpn: int) -> HostResult:
+    def read(self, lpn: int) -> ReadResult:
         self._check_lpn(lpn)
         self.stats.host_reads += 1
         _, _, ppn = self._locate(lpn)
         if ppn is None:
-            return HostResult(UNMAPPED_READ_US)
-        data, latency = self.flash.read_page(ppn)
-        return HostResult(latency, data)
+            return read_result((None, UNMAPPED_READ_US))
+        return read_result(self.flash.read_page(ppn))
 
-    def write(self, lpn: int, data: Any = None) -> HostResult:
+    def write(self, lpn: int, data: Any = None) -> float:
         self._check_lpn(lpn)
         self.stats.host_writes += 1
         group_id, offset = divmod(lpn, self.group_pages)
@@ -122,7 +126,7 @@ class SuperblockFTL(FlashTranslationLayer):
         if old is not None:
             self.flash.invalidate_page(old)
         group.page_map[offset] = ppn
-        return HostResult(latency)
+        return latency
 
     def ram_bytes(self) -> int:
         """Group directory + per-group page maps (see the modelling note)

@@ -11,7 +11,8 @@ changing what it computes:
   services going to the replay's response column (imported by the
   simulator, not re-exported here);
 * :mod:`repro.perf.sweep` - the multiprocessing sweep runner that fans
-  scheme x trace cells across worker processes.
+  scheme x trace cells across worker processes (import it from there: it
+  pulls in the whole simulator stack, which imports this package).
 
 Statistics invariance is the contract: everything in this package must
 leave simulated results bit-identical (enforced by
@@ -20,25 +21,4 @@ leave simulated results bit-identical (enforced by
 
 from .maptable import UNMAPPED, MapTable
 
-__all__ = [
-    "MapTable",
-    "UNMAPPED",
-    "SweepCell",
-    "SweepWorkerError",
-    "cell_seed",
-    "run_sweep",
-]
-
-_SWEEP_EXPORTS = ("SweepCell", "SweepWorkerError", "cell_seed", "run_sweep")
-
-
-def __getattr__(name):
-    # Lazy: repro.perf.sweep pulls in the whole simulator stack, while the
-    # FTL hot paths import this package for maptable alone - an eager
-    # import here would be circular (mapping -> perf -> sweep -> runner ->
-    # lazyftl -> mapping).
-    if name in _SWEEP_EXPORTS:
-        from . import sweep
-
-        return getattr(sweep, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["MapTable", "UNMAPPED"]

@@ -319,18 +319,16 @@ class Simulator:
                 if count == 1:
                     if begin_host_op is not None:
                         begin_host_op()
-                    service = ftl_write(first_lpn, None).latency_us if op \
-                        else ftl_read(first_lpn).latency_us
+                    service = ftl_write(first_lpn, None) if op \
+                        else ftl_read(first_lpn)[1]
                     if host_op is not None:
                         host_op(op, first_lpn, service)
                 elif op:
                     service = ftl_write_run(
-                        first_lpn, [None] * count, begin_host_op, host_op,
-                    ).latency_us
+                        first_lpn, [None] * count, begin_host_op, host_op)
                 else:
                     service = ftl_read_run(
-                        first_lpn, count, begin_host_op, host_op,
-                    ).latency_us
+                        first_lpn, count, begin_host_op, host_op)[1]
                 completion = start + service
                 if append is not None:
                     append(completion - arrival)

@@ -88,11 +88,20 @@ class FTLConformance:
             ftl.write(-1, "x")
 
     def test_latencies_are_nonnegative_and_finite(self):
+        """Host ops return what device ops return: a write, a run write
+        and a trim their latency as a float, a read and a run read the
+        pair ``(data, latency_us)``."""
         ftl = self.new_ftl()
-        r = ftl.write(0, "x")
-        assert r.latency_us >= 0
-        r = ftl.read(0)
-        assert 0 <= r.latency_us < 1e9
+        for latency in (ftl.write(0, "x"), ftl.write_run(1, ["y", "z"]),
+                        ftl.trim(3)):
+            assert isinstance(latency, float)
+            assert 0 <= latency < 1e9
+        for result, data in ((ftl.read(0), "x"),
+                             (ftl.read_run(0, 3), ["x", "y", "z"])):
+            assert isinstance(result, tuple) and len(result) == 2
+            assert result[0] == result.data == data
+            assert result[1] == result.latency_us
+            assert 0 <= result.latency_us < 1e9
 
     # ------------------------------------------------------------------
     # Sustained pressure: GC correctness
@@ -142,7 +151,7 @@ class FTLConformance:
             lpn = rng.randrange(self.LOGICAL_PAGES - n + 1)
             if rng.random() < 0.6:
                 datas = [(page, i) for page in range(lpn, lpn + n)]
-                assert ftl.write_run(lpn, datas).data is None
+                ftl.write_run(lpn, datas)
                 expected.update(zip(range(lpn, lpn + n), datas))
             else:
                 assert ftl.read_run(lpn, n).data == [
@@ -344,10 +353,10 @@ class FTLConformance:
         for i in range(n_ops):
             lpn = rng.randrange(self.LOGICAL_PAGES)
             if rng.random() < 0.75:
-                latency = ftl.write(lpn, i).latency_us
+                latency = ftl.write(lpn, i)
                 tracer.host_op(True, lpn, latency)
             else:
-                latency = ftl.read(lpn).latency_us
+                _, latency = ftl.read(lpn)
                 tracer.host_op(False, lpn, latency)
             last = recorder.last_op
             assert last is not None

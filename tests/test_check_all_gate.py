@@ -127,7 +127,8 @@ class TestStageList:
         # No differential stage of its own: the pytest stage's golden
         # gates replay every engine configuration against the snapshots.
         assert check_all.STEPS == ("lint", "pytest", "mypy", "trace",
-                                   "report", "ftlbench", "crashmc")
+                                   "report", "examples", "ftlbench",
+                                   "crashmc")
         assert set(check_all.RUNNERS) == set(check_all.STEPS)
 
 
@@ -145,6 +146,17 @@ class TestFtlbenchStage:
         (argv,) = seen
         assert argv[1].endswith("benchmarks/ftlbench/run.py")
         assert argv[2:] == ["--smoke"]
+
+
+class TestExamplesStage:
+    def test_stage_runs_every_example(self, check_all, monkeypatch):
+        seen = []
+        monkeypatch.setattr(check_all, "run_step",
+                            lambda name, argv: seen.append(argv) or True)
+        assert check_all.step_examples({}) is True
+        examples = sorted(_TOOL.parent.parent.glob("examples/*.py"))
+        assert len(examples) == 6
+        assert [argv[1:] for argv in seen] == [[str(p)] for p in examples]
 
 
 class TestSmokeStages:

@@ -173,8 +173,7 @@ class TestExplore:
 
         def misread(self, lpn):
             result = honest(self, lpn)
-            return type(result)(result.latency_us, "garbage") \
-                if lpn == 3 else result
+            return result._replace(data="garbage") if lpn == 3 else result
 
         monkeypatch.setattr(PageFTL, "read", misread)
         result = check_case(CrashCase(scheme="ideal", crash_index=10 ** 6,

@@ -51,30 +51,32 @@ class TestGeometry:
 class TestSectorIO:
     def test_aligned_page_write_and_read(self):
         dev = make_device()
-        dev.write(0, ["a", "b", "c", "d"])
+        assert isinstance(dev.write(0, ["a", "b", "c", "d"]), float)
         result = dev.read(0, 4)
-        assert result.sectors == ["a", "b", "c", "d"]
+        assert isinstance(result, tuple) and len(result) == 2
+        assert result[0] == result.data == ["a", "b", "c", "d"]
+        assert result[1] == result.latency_us == 1.0  # one page read
 
     def test_single_sector_roundtrip(self):
         dev = make_device()
         dev.write(5, ["payload"])
-        assert dev.read(5, 1).sectors == ["payload"]
+        assert dev.read(5, 1).data == ["payload"]
 
     def test_unwritten_sectors_read_none(self):
         dev = make_device()
-        assert dev.read(100, 2).sectors == [None, None]
+        assert dev.read(100, 2).data == [None, None]
 
     def test_cross_page_read_write(self):
         dev = make_device()
         data = [f"s{i}" for i in range(10)]  # spans 3 pages from sector 2
         dev.write(2, data)
-        assert dev.read(2, 10).sectors == data
+        assert dev.read(2, 10).data == data
 
     def test_sub_page_write_preserves_neighbours(self):
         dev = make_device()
         dev.write(0, ["a", "b", "c", "d"])
         dev.write(1, ["B"])  # middle sector of the same page
-        assert dev.read(0, 4).sectors == ["a", "B", "c", "d"]
+        assert dev.read(0, 4).data == ["a", "B", "c", "d"]
 
     def test_rmw_accounting(self):
         dev = make_device()
@@ -86,14 +88,14 @@ class TestSectorIO:
     def test_rmw_costs_a_page_read(self):
         dev = make_device()
         dev.write(0, ["a", "b", "c", "d"])
-        aligned = dev.write(4, ["e", "f", "g", "h"]).latency_us
-        partial = dev.write(1, ["B"]).latency_us
+        aligned = dev.write(4, ["e", "f", "g", "h"])
+        partial = dev.write(1, ["B"])
         assert partial == aligned + 1.0  # one extra page read (UNIT timing)
 
     def test_latency_aggregated_over_pages(self):
         dev = make_device()
-        result = dev.write(0, [f"s{i}" for i in range(8)])  # two pages
-        assert result.latency_us == 2.0
+        latency = dev.write(0, [f"s{i}" for i in range(8)])  # two pages
+        assert latency == 2.0
 
 
 class TestOnLazyFTL:
@@ -110,7 +112,7 @@ class TestOnLazyFTL:
             for j in range(n):
                 shadow[lba + j] = (lba + j, i)
         for lba, value in shadow.items():
-            assert dev.read(lba, 1).sectors == [value]
+            assert dev.read(lba, 1).data == [value]
 
     def test_flush_propagates_to_lazyftl(self):
         dev = make_device(scheme="lazy")

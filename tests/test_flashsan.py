@@ -38,7 +38,6 @@ from repro.flash import (
     UNIT_TIMING,
 )
 from repro.ftl import DftlFTL, PageFTL
-from repro.ftl.base import HostResult
 
 from .test_seeded_hazards import MapsUnprogrammedPage
 
@@ -360,7 +359,7 @@ class TestShadowMap:
 
             def read(self, lpn):
                 real = super().read(lpn)
-                return HostResult(real.latency_us, data="stale!")
+                return real._replace(data="stale!")
 
         flash = make_flash()
         ftl = SanitizedFTL(LyingFTL(flash, logical_pages=16))
@@ -376,8 +375,7 @@ class TestShadowMap:
         class LyingFTL(PageFTL):
             def read_run(self, lpn, n, begin_page=None, end_page=None):
                 real = super().read_run(lpn, n, begin_page, end_page)
-                return HostResult(real.latency_us,
-                                  [*real.data[:-1], "stale!"])
+                return real._replace(data=[*real.data[:-1], "stale!"])
 
         flash = make_flash()
         ftl = SanitizedFTL(LyingFTL(flash, logical_pages=16))
@@ -406,7 +404,7 @@ class TestShadowMap:
         class LyingFTL(PageFTL):
             def read(self, lpn):
                 real = super().read(lpn)
-                return HostResult(real.latency_us, data="other")
+                return real._replace(data="other")
 
         ftl = SanitizedFTL(LyingFTL(make_flash(), logical_pages=16))
         ftl.write(3, "payload")
@@ -421,7 +419,7 @@ class TestShadowMap:
         class LyingFTL(PageFTL):
             def read(self, lpn):
                 real = super().read(lpn)
-                return HostResult(real.latency_us, data="ghost")
+                return real._replace(data="ghost")
 
         ftl = SanitizedFTL(LyingFTL(make_flash(), logical_pages=16))
         v = catch(ftl, lambda: ftl.read(7))
@@ -445,8 +443,7 @@ class TestShadowMap:
         class ForgetsLpn9(PageFTL):
             def read(self, lpn):
                 real = super().read(lpn)
-                return HostResult(real.latency_us,
-                                  None if lpn == 9 else real.data)
+                return real._replace(data=None) if lpn == 9 else real
 
         ftl = SanitizedFTL(ForgetsLpn9(make_flash(), logical_pages=16),
                            on_violation="record")
@@ -724,9 +721,8 @@ class TestBuggyFTLEndToEnd:
                 ppn = self._map[lpn]
                 if ppn is not None:
                     # Bug: reprogram the same physical page, no erase.
-                    latency = self.flash.program_page(
+                    return self.flash.program_page(
                         ppn, data, OOBData(lpn=lpn, seq=0))
-                    return HostResult(latency)
                 return super().write(lpn, data)
 
         flash = make_flash()

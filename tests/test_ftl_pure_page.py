@@ -39,8 +39,7 @@ class TestPageFTLSpecifics:
 
     def test_write_latency_is_one_program_without_gc(self):
         ftl = self.make()
-        r = ftl.write(0, "x")
-        assert r.latency_us == 1.0  # UNIT timing: one program
+        assert ftl.write(0, "x") == 1.0  # UNIT timing: one program
 
     def test_read_latency_is_one_read(self):
         ftl = self.make()

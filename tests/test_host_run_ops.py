@@ -78,15 +78,17 @@ def page_loop(host, is_write, lpn, pages, begin_page):
     if isinstance(host, SanitizedFTL):
         total, datas = 0.0, []
         for page in range(lpn, lpn + (len(pages) if is_write else pages)):
-            result = host.write(page, pages[page - lpn]) if is_write \
-                else host.read(page)
-            total += result.latency_us
-            datas.append(result.data)
+            data, latency = (None, host.write(page, pages[page - lpn])) \
+                if is_write else host.read(page)
+            total += latency
+            datas.append(data)
         return total, None if is_write else datas
-    op = FlashTranslationLayer.write_run if is_write \
-        else FlashTranslationLayer.read_run
-    result = op(host, lpn, pages, begin_page)
-    return result.latency_us, result.data
+    if is_write:
+        return FlashTranslationLayer.write_run(
+            host, lpn, pages, begin_page), None
+    datas, total = FlashTranslationLayer.read_run(host, lpn, pages,
+                                                  begin_page)
+    return total, datas
 
 
 def repeated_lookups(ftl, lpn, n):
@@ -139,8 +141,7 @@ class TestRunOpsAreThePageLoop:
                 got = run_host.write_run(lpn, datas, begin_page)
                 want_us, _ = page_loop(page_host, True, lpn, datas,
                                        begin_twin)
-                assert got.data is None
-                assert got.latency_us == want_us
+                assert got == want_us
                 continue
             saves = repeated_lookups(by_page, lpn, n)
             saved += saves
@@ -286,11 +287,11 @@ def test_block_device_and_simulator_charge_a_span_the_same(how):
         if driver == "blockdev":
             device = FlashBlockDevice(ftl)
             read = device.read(5, 10)
-            assert read.sectors == [1] * 3 + [2] * 4 + [3] * 3
-            write = device.write(6, list(range(13)))
+            assert read.data == [1] * 3 + [2] * 4 + [3] * 3
+            write_us = device.write(6, list(range(13)))
             assert device.rmw_count == 2
-            assert device.read(4, 16).sectors == [1, 1, *range(13), 4]
-            latencies.append((read.latency_us, write.latency_us))
+            assert device.read(4, 16).data == [1, 1, *range(13), 4]
+            latencies.append((read.latency_us, write_us))
             continue
 
         def service(*requests):

@@ -7,7 +7,7 @@ headline scale.
 
 import pytest
 
-from repro.analysis import check_expected_ordering, optimality_gap
+from repro.analysis import optimality_gap
 from repro.checks import SanitizedFTL
 from repro.sim import DeviceSpec, Simulator, compare_schemes
 from repro.sim.factory import standard_setup
@@ -43,12 +43,16 @@ class TestHeadlineShape:
     FTL schemes and is very close to the theoretically optimal solution.'"""
 
     def test_lazyftl_beats_bast_on_random_writes(self, random_results):
-        assert check_expected_ordering(random_results, "BAST", "LazyFTL",
-                                       margin=2.0)
+        assert (
+            random_results["BAST"].mean_response_us
+            >= random_results["LazyFTL"].mean_response_us * 2.0
+        )
 
     def test_lazyftl_beats_fast_on_random_writes(self, random_results):
-        assert check_expected_ordering(random_results, "FAST", "LazyFTL",
-                                       margin=2.0)
+        assert (
+            random_results["FAST"].mean_response_us
+            >= random_results["LazyFTL"].mean_response_us * 2.0
+        )
 
     def test_lazyftl_at_least_matches_dftl(self, random_results):
         assert (

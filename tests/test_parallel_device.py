@@ -374,12 +374,12 @@ def _run(ftl, ops):
     for i, (is_write, lpn) in enumerate(ops):
         ftl.flash.begin_host_op()
         if is_write:
-            result = ftl.write(lpn, (lpn, i))
+            latency = ftl.write(lpn, (lpn, i))
             acked.append(("w", lpn))
         else:
-            result = ftl.read(lpn)
-            acked.append(("r", lpn, result.data))
-        latencies.append(result.latency_us)
+            data, latency = ftl.read(lpn)
+            acked.append(("r", lpn, data))
+        latencies.append(latency)
     return acked, latencies
 
 

@@ -98,11 +98,11 @@ class TestBlockDeviceSectorSemantics:
                 for j in range(n):
                     shadow[lba + j] = payload[j]
             else:
-                got = device.read(lba, n).sectors
+                got = device.read(lba, n).data
                 expect = [shadow.get(lba + j) for j in range(n)]
                 assert got == expect
         for lba, value in shadow.items():
-            assert device.read(lba, 1).sectors == [value]
+            assert device.read(lba, 1).data == [value]
 
 
 # ----------------------------------------------------------------------

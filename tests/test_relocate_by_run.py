@@ -90,7 +90,7 @@ def replay(ftl, overwrites=2500, seed=5):
     latencies = []
     for lpn in range(LOGICAL):
         begin()
-        latencies.append(ftl.write(lpn, ("fill", lpn)).latency_us)
+        latencies.append(ftl.write(lpn, ("fill", lpn)))
     for i in range(overwrites):
         hot = rng.random() < 0.8
         lpn = rng.randrange(LOGICAL // 5) if hot else rng.randrange(LOGICAL)
@@ -98,7 +98,7 @@ def replay(ftl, overwrites=2500, seed=5):
         if rng.random() < 0.15:
             latencies.append(ftl.read(lpn).latency_us)
         else:
-            latencies.append(ftl.write(lpn, (i, lpn)).latency_us)
+            latencies.append(ftl.write(lpn, (i, lpn)))
     return latencies
 
 

@@ -34,7 +34,6 @@ from repro.flash import (
     RedundantInvalidateWarning,
 )
 from repro.ftl import PageFTL
-from repro.ftl.base import HostResult
 from repro.ftl.pool import OutOfBlocksError
 from repro.sim import Simulator
 from repro.traces import uniform_random
@@ -72,7 +71,7 @@ class _BuggyEighthWrite(PageFTL):
         if pbn is None:
             return super().write(lpn, data)
         self.buggy_write(lpn, self._frontier(pbn))
-        return HostResult(0.0)
+        return 0.0
 
 
 class MapsUnprogrammedPage(_BuggyEighthWrite):

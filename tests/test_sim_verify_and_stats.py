@@ -7,7 +7,6 @@ from repro.checks import SanitizedFTL, SanitizerViolation, ViolationKind
 from repro.core import LazyConfig, LazyFTL
 from repro.flash import FlashGeometry, FlashStats, NandFlash, UNIT_TIMING
 from repro.ftl import PageFTL
-from repro.ftl.base import HostResult
 from repro.ftl.stats import FtlStats
 from repro.sim import DeviceSpec, Simulator, run_scheme
 from repro.traces import IORequest, OpType, Trace, uniform_random
@@ -49,7 +48,7 @@ class TestVerifiedReplay:
                 result = super().read(lpn)
                 self.reads += 1
                 if self.reads == 2:
-                    return HostResult(result.latency_us, "garbage")
+                    return result._replace(data="garbage")
                 return result
 
         flash = NandFlash(FlashGeometry(num_blocks=16, pages_per_block=8),

@@ -22,7 +22,9 @@ Runs, in order:
    ``SanitizedFTL`` writes a ``(lpn, version)`` token where the
    simulator sends no payload and checks each read against its
    host-state model;
-6. **ftlbench** - ``benchmarks/ftlbench/run.py --smoke``: one smoke
+6. **examples** - runs every ``examples/*.py`` script (about 12 s), which
+   drive the public API and read its return values;
+7. **ftlbench** - ``benchmarks/ftlbench/run.py --smoke``: one smoke
    round of the repository benchmark (every workload in its own child
    process, about 5 s); exit code 1 on any failed output check (host
    ops match the trace, no redundant invalidates, repeats agree on
@@ -30,7 +32,7 @@ Runs, in order:
    read-your-writes on the aged device).  It gates that the measured
    paths work, not their speed - speed is judged on paired
    parent/change rounds (``--compare``);
-7. **crashmc** - ``python -m repro crashcheck``: crash-consistency
+8. **crashmc** - ``python -m repro crashcheck``: crash-consistency
    smoke (every program/erase boundary of a short mixed workload for
    each recovery-capable scheme, plus the ``--mutate`` oracle
    self-test).
@@ -88,7 +90,7 @@ try:
 except ModuleNotFoundError:  # Python < 3.11
     tomllib = None
 
-STEPS = ("lint", "pytest", "mypy", "trace", "report",
+STEPS = ("lint", "pytest", "mypy", "trace", "report", "examples",
          "ftlbench", "crashmc")
 
 
@@ -207,6 +209,15 @@ def step_report(config: dict) -> bool:
         return True
 
 
+def step_examples(config: dict) -> bool:
+    """Each example script in its own process, stopping at the first
+    that fails."""
+    return all(
+        run_step(f"examples:{script.stem}", [sys.executable, str(script)])
+        for script in sorted((_REPO_ROOT / "examples").glob("*.py"))
+    )
+
+
 def step_ftlbench(config: dict) -> bool:
     return run_step("ftlbench", [
         sys.executable,
@@ -249,6 +260,7 @@ RUNNERS = {
     "mypy": step_mypy,
     "trace": step_trace,
     "report": step_report,
+    "examples": step_examples,
     "ftlbench": step_ftlbench,
     "crashmc": step_crashmc,
 }
