@@ -25,7 +25,7 @@ from .model import (
     DurabilityViolation,
     oracle,
 )
-from .schemes import CRASH_SCHEMES, DEFAULT_DEVICE, DeviceParams
+from .schemes import DEFAULT_DEVICE, DeviceParams
 from .shrink import ShrinkResult, shrink
 from .workload import Op, decode_ops, encode_ops, mixed_ops
 
@@ -39,7 +39,6 @@ __all__ = [
     "CrashReport",
     "DurabilityViolation",
     "oracle",
-    "CRASH_SCHEMES",
     "DEFAULT_DEVICE",
     "DeviceParams",
     "ShrinkResult",

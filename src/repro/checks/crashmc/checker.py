@@ -215,7 +215,7 @@ def explore(
     """Exhaustively explore every crash boundary of one workload.
 
     Args:
-        scheme: One of :data:`~repro.checks.crashmc.schemes.CRASH_SCHEMES`.
+        scheme: One of :data:`~repro.sim.factory.RECOVERABLE_SCHEMES`.
         num_ops / seed: Generative workload parameters.
         ops: Explicit op list (overrides ``num_ops``/``seed``).
         jobs: Worker processes for the fan-out (``<= 1`` = in-process).

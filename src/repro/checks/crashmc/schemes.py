@@ -18,10 +18,7 @@ from ...core import LazyConfig, LazyFTL
 from ...flash import FlashGeometry, NandFlash, UNIT_TIMING
 from ...ftl import FlashTranslationLayer
 from ...ftl.pure_page import PageFTL
-from ...sim.factory import build_ftl
-
-#: Schemes the checker can explore (must all be recovery-capable).
-CRASH_SCHEMES = ("LazyFTL", "ideal")
+from ...sim.factory import RECOVERABLE_SCHEMES, build_ftl
 
 
 @dataclass(frozen=True)
@@ -75,10 +72,10 @@ def build_instance(
     Every worker rebuilds from scratch (FTL instances are not picklable),
     so identical parameters always yield bit-identical replays.
     """
-    if scheme not in CRASH_SCHEMES:
+    if scheme not in RECOVERABLE_SCHEMES:
         raise ValueError(
             f"scheme {scheme!r} is not crash-checkable; "
-            f"choose from {CRASH_SCHEMES}"
+            f"choose from {RECOVERABLE_SCHEMES}"
         )
     geometry = FlashGeometry(
         num_blocks=device.num_blocks,

@@ -32,7 +32,6 @@ from .analysis import (
 )
 from .checks import SanitizerViolation
 from .checks.crashmc import (
-    CRASH_SCHEMES,
     CrashCase,
     DeviceParams,
     check_case,
@@ -43,6 +42,7 @@ from .checks.crashmc import (
 from .obs import JsonlSink, OpLatencyRecorder, Tracer
 from .perf.sweep import SweepWorkerError
 from .sim import HEADLINE_DEVICE, SCHEMES, DeviceSpec, compare_schemes
+from .sim.factory import RECOVERABLE_SCHEMES
 from .sim.report import format_table
 from .traces import (
     Trace,
@@ -344,9 +344,9 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
         return _crashcheck_one_repro(args.repro, args.shrink)
     device = DeviceParams(channels=args.channels)
     schemes = args.scheme or (["LazyFTL"] if not args.full
-                              else list(CRASH_SCHEMES))
+                              else list(RECOVERABLE_SCHEMES))
     if args.full:
-        schemes = list(CRASH_SCHEMES)
+        schemes = list(RECOVERABLE_SCHEMES)
         num_ops = max(args.ops, 2000)
     else:
         num_ops = args.ops
@@ -508,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
              "every program/erase boundary, recover, verify durability",
     )
     crash.add_argument("--scheme", action="append",
-                       choices=list(CRASH_SCHEMES), default=None,
+                       choices=list(RECOVERABLE_SCHEMES), default=None,
                        help="scheme to check (repeatable; default "
                             "LazyFTL, or all with --full)")
     crash.add_argument("--ops", type=int, default=400,

@@ -5,11 +5,10 @@ removes that call for LazyFTL's steady state, the traffic the paper's
 structure makes cheap: writes touch RAM and the update frontier only,
 reads of deferred pages hit the UMT, and translation reads happen only
 on a miss.  :meth:`BatchEngine.run` is one pass over the trace columns
-that tests each request's stop rule and collects its service; a horizon
-of at least :data:`MIN_EPOCH` requests is then applied as one epoch, a
-shorter one declined with nothing changed, and
+that tests each request's stop rule and collects its service, then
+applies the horizon it walked as one epoch, however short;
 :meth:`repro.sim.simulator.Simulator._replay`, the one replay loop,
-serves it and the boundary request that triggers the slow event turn by
+serves the boundary request that triggers the slow event as one scalar
 turn.
 
 The engine engages for an exact :class:`~repro.core.lazyftl.LazyFTL`
@@ -33,8 +32,9 @@ differential tests in ``tests/test_batch_replay.py``):
   appends its services to the column as its responses and advances
   ``device_free_at`` by their sum - its programs and flash reads times
   their latencies, which any association of the whole numbers gives;
-* the pass only reads FTL and device state, so a declined horizon
-  leaves both as they were; an epoch's programs are one
+* the pass only reads FTL and device state, and every bulk step after
+  it is empty for a horizon of zero requests, which thus changes
+  nothing; an epoch's programs are one
   :meth:`~repro.flash.chip.NandFlash.program_run` followed by one
   ``invalidate_run`` of the copies they superseded.
 """
@@ -56,14 +56,6 @@ def backend_name() -> str:
     every response column is recorded on numpy
     (:meth:`~repro.sim.metrics.ResponseStats.record_many`)."""
     return "numpy"
-
-
-#: Horizons shorter than this are declined and replay scalar.  Any
-#: positive value is bit-identical and only moves the crossover, which
-#: measures flat down to 1 (EXPERIMENTS, "One pass per epoch"); the
-#: epoch pins of ``tests/test_one_batch_path.py`` are taken at 8.  Read
-#: at call time.
-MIN_EPOCH = 8
 
 
 def engine_for(ftl: FlashTranslationLayer) -> Optional["BatchEngine"]:
@@ -126,14 +118,13 @@ class BatchEngine:
         limit: int,
         column: Optional["array[float]"],
         device_free_at: float,
-    ) -> Tuple[int, Optional[float]]:
+    ) -> Tuple[int, float]:
         """Serve the single-page requests from ``start`` (before
-        ``limit``) that need no slow event, in one pass: ``(h, None)``
-        with nothing changed when the horizon ``h`` is shorter than
-        :data:`MIN_EPOCH`, else the epoch's state changes are made, its
-        responses appended to ``column`` and ``(h, device_free_at)``
-        returned advanced by their sum - exactly ``h`` turns of the scalar
-        loop (in a closed loop the device-busy total is the same float).
+        ``limit``) that need no slow event, in one pass, as one epoch:
+        its state changes are made, its responses appended to ``column``
+        and ``(h, device_free_at)`` returned advanced by their sum -
+        exactly ``h`` turns of the scalar loop (in a closed loop the
+        device-busy total is the same float); ``h`` = 0 changes nothing.
         ``column=None`` is a warm-up: state only, no timing.
 
         A request stops the horizon when it spans several pages, names an
@@ -212,8 +203,6 @@ class BatchEngine:
                         serve(read_us)  # translation read only
             j += 1
         h = j - start
-        if h < MIN_EPOCH:
-            return h, None
         stats = ftl.stats
         n_writes = len(written)
         if n_writes:

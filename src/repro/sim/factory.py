@@ -32,6 +32,17 @@ SCHEMES = ("BAST", "FAST", "superblock", "DFTL", "LazyFTL", "ideal")
 #: returning a silently corrupted instance.
 RECOVERABLE_SCHEMES = ("LazyFTL", "ideal")
 
+#: Each of :data:`SCHEMES` by its lowercased name (:func:`build_ftl` is
+#: case-insensitive).
+_BUILDERS: Dict[str, Callable[..., FlashTranslationLayer]] = {
+    "bast": BastFTL,
+    "fast": FastFTL,
+    "superblock": SuperblockFTL,
+    "dftl": DftlFTL,
+    "lazyftl": LazyFTL,
+    "ideal": PageFTL,
+}
+
 
 class RecoveryUnsupportedError(RuntimeError):
     """The scheme has no crash-recovery design; its RAM state is gone."""
@@ -50,22 +61,12 @@ def build_ftl(
     (LazyFTL), etc.  The chip's sequential-programming enforcement is
     aligned with the scheme's needs.
     """
-    builders: Dict[str, Callable[..., FlashTranslationLayer]] = {
-        "bast": BastFTL,
-        "fast": FastFTL,
-        "superblock": SuperblockFTL,
-        "dftl": DftlFTL,
-        "lazyftl": LazyFTL,
-        "lazy": LazyFTL,
-        "ideal": PageFTL,
-        "page": PageFTL,
-    }
-    key = scheme.lower()
-    if key not in builders:
+    builder = _BUILDERS.get(scheme.lower())
+    if builder is None:
         raise ValueError(
-            f"unknown scheme {scheme!r}; choose from {sorted(builders)}"
+            f"unknown scheme {scheme!r}; choose from {SCHEMES}"
         )
-    ftl = builders[key](flash, logical_pages, **options)
+    ftl = builder(flash, logical_pages, **options)
     flash.enforce_sequential = not ftl.requires_random_program
     return ftl
 
@@ -132,8 +133,6 @@ def standard_setup(
 
 def supports_recovery(ftl: FlashTranslationLayer) -> bool:
     """True when :func:`recover_ftl` can rebuild this scheme after a crash."""
-    from ..ftl.pure_page import PageFTL
-
     inner = getattr(ftl, "_ftl", ftl)  # unwrap a SanitizedFTL
     return isinstance(inner, (LazyFTL, PageFTL))
 
@@ -152,8 +151,6 @@ def recover_ftl(ftl: FlashTranslationLayer) -> FlashTranslationLayer:
     log-block or cached-mapping state that is unrecoverable without
     scheme-side persistence) - a loud error instead of silent corruption.
     """
-    from ..ftl.pure_page import PageFTL
-
     inner = getattr(ftl, "_ftl", ftl)  # unwrap a SanitizedFTL
     if isinstance(inner, LazyFTL):
         from ..core.recovery import recover

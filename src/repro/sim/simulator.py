@@ -194,11 +194,9 @@ class Simulator:
 
             while requests remain:
                 column full?  record it, empty it
-                engine?  h, served = engine.run(...)
-                         served -> the epoch is done, i += h, continue
-                scalar segment: the declined horizon + the boundary
-                                request (the rest of the chunk when there
-                                is no engine)
+                engine?  h, device_free_at = engine.run(...), i += h
+                scalar segment: the boundary request (the rest of the
+                                chunk when there is no engine)
             record what the column holds
 
         Each response - a scalar turn's, or an epoch's services - is
@@ -220,9 +218,9 @@ class Simulator:
         order, its latency the page latencies summed from 0.0), so a
         single-page request - one page op, asked directly - is the same
         arithmetic.  The engine is asked at single-page requests only:
-        an epoch never starts at a multi-page one.  It alone decides
-        whether a horizon is long enough to serve in bulk; a declined one
-        changed nothing and replays here turn by turn.
+        an epoch never starts at a multi-page one.  Every horizon the
+        engine walks is its epoch, however short (one of zero requests
+        changes nothing); the request that stopped it replays here.
 
         This loop is where a host op starts, so it marks the boundary
         for the device's per-unit clocks (``begin_host_op``) before every
@@ -271,17 +269,16 @@ class Simulator:
                     recorded = i
                 stop = min(n, i + chunk - len(column))
             if engine is not None:
-                h, served = engine.run(cols, i, n, column, device_free_at) \
-                    if npages[i] == 1 else (0, None)
-                if served is not None:
+                if npages[i] == 1:
+                    h, device_free_at = engine.run(cols, i, n, column,
+                                                   device_free_at)
                     # Epochs are closed loop, where the busy total and
                     # device_free_at are the same sums of the same floats.
-                    device_free_at = busy = served
+                    busy = device_free_at
                     i += h
-                    continue
-                # Scalar through the declined horizon plus the boundary
-                # request (the one that triggers the slow event).
-                stop = min(i + h + 1, stop)
+                # Scalar: the boundary request (the one that triggers the
+                # slow event), if the epoch did not end the trace.
+                stop = min(i + 1, n)
             for i in range(i, stop):
                 op = ops[i]
                 first_lpn = lpns[i]

@@ -12,8 +12,8 @@ side:
 * one function is the replay loop: warm-up, the untraced run, the traced
   run and the batch engine's boundary requests are all observed to
   execute it;
-* a horizon the engine declines (shorter than ``MIN_EPOCH``) leaves
-  the FTL, the device and the response column as they were;
+* each stop rule's horizon, however short, ends in the state its scalar
+  turns leave on a twin (one of no requests changes nothing);
 * the eligibility gate is probed directly: sanitized flash subclasses,
   attached tracers, armed fault injectors, powered-off devices and
   serial-timed devices must all decline batching (and therefore
@@ -337,52 +337,64 @@ def engine_visible_state(ftl, column):
     )
 
 
+def frontier_full_golden_lazyftl():
+    """:func:`steady_golden_lazyftl`, its UBA frontier block written full."""
+    ftl = steady_golden_lazyftl()
+    frontier = ftl._uba_frontier
+    lpn = 0
+    while frontier.peek() is None or ftl.flash.write_ptr[
+            frontier.peek()] < ftl.flash.geometry.pages_per_block:
+        ftl.write(lpn)
+        lpn += 1
+    return ftl
+
+
 class TestDeclinedHorizon:
     """``BatchEngine.run`` tests the stop rules and collects the services
-    in one pass: a horizon shorter than ``MIN_EPOCH`` must come back
-    ``(h, None)`` with nothing changed, since the replay then serves those
-    requests again turn by turn."""
+    in one pass, then applies the horizon ``h`` it walked, however short:
+    the FTL, the device and the response column must end as ``h`` scalar
+    turns leave a twin built the same way, and a horizon of none must
+    change nothing."""
 
-    def check_declines(self, ftl, requests, want_h):
+    def check_horizon(self, build, requests, want_h):
+        ftl, twin = build(), build()
         engine = batch.engine_for(ftl)
         assert engine is not None
-        cols = Trace(requests, name="decline")
-        column = array("d", [123.0])
+        column, twin_column = array("d", [123.0]), array("d", [123.0])
         before = engine_visible_state(ftl, column)
-        assert engine.run(cols, 0, len(cols), column, 500.0) == \
-            (want_h, None)
-        assert engine_visible_state(ftl, column) == before
+        h, device_free_at = engine.run(Trace(requests, name="horizon"), 0,
+                                       len(requests), column, 500.0)
+        assert h == want_h
+        for request in requests[:h]:  # h scalar turns on the twin
+            twin_column.append(twin.write(request.lpn, None) if request.op
+                               is OpType.WRITE else twin.read(request.lpn)[1])
+        assert device_free_at == 500.0 + sum(twin_column[1:])
+        after = engine_visible_state(ftl, column)
+        assert after == engine_visible_state(twin, twin_column)
+        assert h > 0 or after == before
 
     def test_multi_page_request_at_start(self):
-        self.check_declines(steady_golden_lazyftl(), [
+        self.check_horizon(steady_golden_lazyftl, [
             IORequest(OpType.READ, 4, npages=2),
             IORequest(OpType.READ, 9),
         ], 0)
 
     def test_out_of_range_lpn(self):
-        ftl = steady_golden_lazyftl()
-        self.check_declines(ftl, [
+        self.check_horizon(steady_golden_lazyftl, [
             IORequest(OpType.READ, 4),
             IORequest(OpType.WRITE, 5),
-            IORequest(OpType.READ, ftl.logical_pages),
+            IORequest(OpType.READ, GOLDEN_DEVICE.logical_pages),
             IORequest(OpType.READ, 6),
         ], 2)
 
     def test_write_with_the_frontier_full(self):
-        ftl = steady_golden_lazyftl()
-        frontier = ftl._uba_frontier
-        lpn = 0
-        while frontier.peek() is None or ftl.flash.write_ptr[
-                frontier.peek()] < ftl.flash.geometry.pages_per_block:
-            ftl.write(lpn)
-            lpn += 1
-        self.check_declines(ftl, [
+        self.check_horizon(frontier_full_golden_lazyftl, [
             IORequest(OpType.WRITE, 7),
             IORequest(OpType.READ, 8),
         ], 0)
 
     def test_short_horizon_before_a_multi_page_request(self):
-        self.check_declines(steady_golden_lazyftl(), [
+        self.check_horizon(steady_golden_lazyftl, [
             IORequest(OpType.READ, 4),
             IORequest(OpType.WRITE, 5),
             IORequest(OpType.READ, 5),

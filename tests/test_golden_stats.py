@@ -22,7 +22,6 @@ import pathlib
 import pytest
 
 from repro.obs import OpLatencyRecorder, Tracer
-from repro.perf import batch
 from repro.sim.factory import SCHEMES
 from repro.sim.golden import (
     GOLDEN_DEVICE,
@@ -89,35 +88,26 @@ def test_snapshot_covers_every_scheme_and_trace(golden):
 
 
 #: The gate runs once per way the one replay loop can be driven: forced
-#: scalar, the batch engine as it runs by default (horizons of at least
-#: ``MIN_EPOCH`` requests served as epochs), the batch engine with every
-#: horizon down to a single request served as an epoch,
-#: traced with a latency recorder attached, and sanitized - all five
-#: must reproduce the committed snapshot bit for bit.  Under
+#: scalar, the batch engine as it runs by default (every horizon it
+#: walks served as an epoch), traced with a latency recorder attached,
+#: and sanitized - all four must reproduce the committed snapshot bit
+#: for bit.  Under
 #: ``sanitized`` the batch engine declines, the device refuses runs
 #: (``takes_runs()`` is False, so GC, commits and host run ops move one
 #: page at a time), every raw op is audited, every read is checked by
 #: content and ``assert_clean()`` audits the end state: the snapshot then
 #: also pins runs allowed == one-page runs, and that flashsan changes no
 #: statistic.
-REPLAY_GATES = ("scalar", "batched", "batched-numpy", "traced", "sanitized")
+REPLAY_GATES = ("scalar", "batched", "traced", "sanitized")
 
 
 def recording_tracer():
     return Tracer(latency=OpLatencyRecorder())
 
 
-def arm(gate, monkeypatch):
-    """``batched-numpy``: serve every horizon, however short, as an
-    epoch (``MIN_EPOCH`` is only a speed knob, read by
-    ``BatchEngine.run`` at call time)."""
-    if gate == "batched-numpy":
-        monkeypatch.setattr(batch, "MIN_EPOCH", 1)
-
-
 def replay_digest(scheme, trace, device, gate):
     """:func:`engine_digest` of one steady-state replay driven as
-    ``gate`` says (armed by :func:`arm` first)."""
+    ``gate`` says."""
     return engine_digest(run_scheme(
         scheme, trace, device=device, precondition="steady",
         replay_mode="scalar" if gate == "scalar" else "auto",
@@ -128,9 +118,8 @@ def replay_digest(scheme, trace, device, gate):
 
 @pytest.mark.parametrize("gate", REPLAY_GATES)
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_scheme_stats_bit_identical(golden, scheme, gate, monkeypatch):
+def test_scheme_stats_bit_identical(golden, scheme, gate):
     """Each scheme's digests match the snapshot exactly, per trace."""
-    arm(gate, monkeypatch)
     for trace in golden_traces():
         key = f"{scheme}/{trace.name}"
         live = replay_digest(scheme, trace, GOLDEN_DEVICE, gate)
@@ -186,15 +175,13 @@ def test_multipage_snapshot_covers_both_devices(golden_multipage):
 
 @pytest.mark.parametrize("gate", REPLAY_GATES)
 @pytest.mark.parametrize("scheme", STRIPED_SCHEMES)
-def test_multipage_stats_bit_identical(golden_multipage, scheme, gate,
-                                      monkeypatch):
+def test_multipage_stats_bit_identical(golden_multipage, scheme, gate):
     """Multi-page requests are host run ops: the same digest from every
     way the one loop can be driven (LazyFTL's one GMT read per request
     and translation page included), serial and on four channels (where
-    the batch engine declines, so its two gates replay scalar).  Under
+    the batch engine declines, so its gate replays scalar).  Under
     ``sanitized`` each host run op meets a device that refuses runs."""
     trace = golden_multipage_trace()
-    arm(gate, monkeypatch)
     for device, label in ((GOLDEN_DEVICE, "1x1x1"),
                           (GOLDEN_DEVICE_4CH, "4x1x1")):
         live = replay_digest(scheme, trace, device, gate)
@@ -228,16 +215,14 @@ def test_merges_snapshot_reaches_every_merge_kind(golden, golden_merges):
 
 @pytest.mark.parametrize("gate", REPLAY_GATES)
 @pytest.mark.parametrize("scheme", LOG_BLOCK_SCHEMES)
-def test_merges_stats_bit_identical(golden_merges, scheme, gate,
-                                   monkeypatch):
+def test_merges_stats_bit_identical(golden_merges, scheme, gate):
     """The log-block schemes over the merge trace: untraced through the
-    other four replay gates the statistics equal the snapshot's engine
+    other three replay gates the statistics equal the snapshot's engine
     half; traced (a latency recorder attached beside the hashing sink)
     the event-stream hash - every ``MergeStart`` / ``MergeEnd`` and the
     addresses between them - equals it too."""
     trace = golden_merges_trace()
     committed = golden_merges[f"{scheme}/{trace.name}"]
-    arm(gate, monkeypatch)
     if gate == "traced":
         live = merges_digest(scheme, latency=OpLatencyRecorder())
     else:

@@ -44,9 +44,10 @@ a per-stage wall-clock summary closes the run, so CI logs show exactly
 which gate failed, which did not run, and where the time went.
 
 The pytest stage is also the one differential gate: every way the one
-replay loop can be driven (scalar, batched with epochs of any length,
-traced, sanitized - where the device refuses runs) must reproduce the
-committed golden snapshots (``tests/test_golden_stats.py``).  Every way
+replay loop can be driven (scalar; batched, where every horizon the
+engine walks is an epoch; traced; sanitized, where the device refuses
+runs) must reproduce the committed golden snapshots
+(``tests/test_golden_stats.py``).  Every way
 records its responses through one column and one numpy kernel
 (``ResponseStats.record_many``, once per ``RESPONSE_CHUNK`` requests);
 ``tests/test_one_batch_path.py`` replays at chunks of 1 and 3.
