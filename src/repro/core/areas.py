@@ -10,14 +10,15 @@ LazyFTL partitions physical blocks into four roles:
   :class:`~repro.ftl.mapping.MappingStore`).
 
 The frontier of the UBA/CBA is the newest block (tail of the FIFO); the
-conversion victim is the oldest (head).  Because conversion moves no data,
+conversion victim is the oldest (head) that the area's frontier does not
+hold open.  Because conversion moves no data,
 a block leaves the UBA/CBA simply by having its mapping entries committed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional
+from typing import Collection, Deque, Iterable, List, Optional
 
 
 class BlockArea:
@@ -59,11 +60,18 @@ class BlockArea:
             raise ValueError(f"block {pbn} already in {self.name}")
         self._fifo.append(pbn)
 
-    def pop_oldest(self) -> int:
-        """Remove and return the conversion victim."""
-        if not self._fifo:
+    def pop_oldest(self, held: Collection[int] = ()) -> int:
+        """Remove and return the conversion victim: the oldest block not
+        in ``held`` (the blocks the area's frontier holds open), or the
+        oldest if it holds every one."""
+        fifo = self._fifo
+        if not fifo:
             raise IndexError(f"{self.name} is empty")
-        return self._fifo.popleft()
+        for pbn in fifo:
+            if pbn not in held:
+                fifo.remove(pbn)
+                return pbn
+        return fifo.popleft()
 
     def remove(self, pbn: int) -> None:
         """Remove a specific block (non-FIFO conversion policies)."""

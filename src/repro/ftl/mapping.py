@@ -201,7 +201,8 @@ class MappingStore:
         can rewrite this very page, so content snapshotted before the
         reservation would clobber GC's update when it is programmed.
         Outside GC, DFTL's every read-modify-write starts here and ends in
-        :meth:`program`; :meth:`commit` keeps the same order per run.
+        :meth:`program`; :meth:`commit` loads first and loads again when
+        the reservation moved the page.
         """
         latency, _ = self._destination(self._frontier)
         content, read_lat = self.load(tvpn)
@@ -216,12 +217,16 @@ class MappingStore:
         """Apply batched mapping updates, one page write per group.
 
         The sorted groups go out by *run* (as pages do in
-        :func:`~repro.ftl.stripe.relocate`): a page's two asks - the first
-        followed by the :meth:`load` of its old copy, as :meth:`checkout`
-        does - then the pages
-        :meth:`~repro.ftl.stripe.Frontier.run_plan` places after it at two
-        asks each, in one :meth:`_commit_run`.  A device that takes no runs
-        gets one-page runs.
+        :func:`~repro.ftl.stripe.relocate`): a page's :meth:`load` of its
+        old copy, then one ask of the destination - so the place of a
+        page is chosen knowing which unit its old copy kept busy - then
+        the pages :meth:`~repro.ftl.stripe.Frontier.run_plan` places after
+        it, each where an ask after its own load would, in one
+        :meth:`_commit_run`.  A device that takes no runs gets one-page
+        runs.  A destination that reclaims may move the very page loaded
+        (GC rewrites the translation pages of what it moves); then the
+        page is loaded again, so the commit never clobbers the move
+        (:meth:`checkout` reserves first instead).
 
         Args:
             groups: tvpn -> the lpns it commits (each once, any order).
@@ -235,17 +240,21 @@ class MappingStore:
         frontier = self._frontier
         destination = self._destination
         runs = self.flash.takes_runs()
+        old_copy = self.gtd.raw.__getitem__
         done = 0
         while done < len(tvpns):
-            room_lat, _ = destination(frontier)
-            content, read_lat = self.load(tvpns[done])
-            latency += room_lat + read_lat
+            tvpn = tvpns[done]
+            content, read_lat = self.load(tvpn)
+            copy = old_copy(tvpn)
             room_lat, pbn = destination(frontier)
-            more = len(tvpns) - done - 1 if runs else 0
-            plan = frontier.run_plan(pbn, more, 2)
-            frontier.advance(len(plan) - 1, 2)
+            if old_copy(tvpn) != copy:  # making room moved this very page
+                content, reread = self.load(tvpn)
+                read_lat += reread
+            later = tvpns[done + 1:] if runs else ()
+            plan, _ = frontier.run_plan(pbn, map(old_copy, later))
+            latency += read_lat + room_lat
             run = tvpns[done:done + len(plan)]
-            latency += room_lat + self._commit_run(
+            latency += self._commit_run(
                 run, plan, content, groups, new_ppn, on_displaced)
             done += len(run)
         tracer = self.flash.tracer

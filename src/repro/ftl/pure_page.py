@@ -66,9 +66,10 @@ class PageFTL(FlashTranslationLayer):
         self._gc = GarbageCollector(
             flash, self._pool, self.stats, self._seq, gc_free_threshold,
             self._collect_data_block)
-        # Host and GC destinations each rotate over up to `ways` open
-        # blocks so program bursts overlap across parallel units (one way
-        # on the serial device); full blocks retire to GC's victim pool.
+        # Host and GC destinations each keep up to `ways` blocks open,
+        # each page to the least-busy unit, so program bursts overlap
+        # (one way on the serial device); full blocks retire to GC's
+        # victim pool.
         ways = stripe_ways(flash.geometry.channels)
         retire = self._gc.blocks.add
         self._active = Frontier(flash, self._pool, ways, retire)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core import LazyConfig, LazyFTL
-from repro.flash import FlashGeometry, NandFlash, UNIT_TIMING
+from repro.flash import SLC_TIMING, UNIT_TIMING, FlashGeometry, NandFlash
 
 
 def make_lazy(policy="fifo", blocks=48, pages=8, page_size=64, logical=96):
@@ -102,3 +102,36 @@ class TestCheapestPolicy:
             got = recovered.read(lpn).data
             assert got == value or (inflight and lpn == inflight[0]
                                     and got == inflight[1])
+
+
+class TestStripedFifo:
+    def test_a_conversion_never_takes_a_block_its_frontier_holds_open(self):
+        # Four channels: the UBA and CBA each keep several blocks open and
+        # fill them unevenly, so the oldest member may still be open.
+        flash = NandFlash(
+            FlashGeometry(num_blocks=96, pages_per_block=8, page_size=64,
+                          channels=4),
+            timing=SLC_TIMING,
+        )
+        config = LazyConfig(uba_blocks=4, cba_blocks=4, gc_free_threshold=3)
+        ftl = LazyFTL(flash, logical_pages=320, config=config)
+        taken = []
+        convert_block = ftl._convert_block
+
+        def spy(pbn):
+            taken.append((pbn, ftl._uba_frontier.open_blocks
+                          + ftl._cba_frontier.open_blocks))
+            return convert_block(pbn)
+
+        ftl._convert_block = spy
+        rng = random.Random(11)
+        for i in range(4000):
+            flash.begin_host_op()
+            lpn = rng.randrange(64) if rng.random() < 0.7 \
+                else rng.randrange(320)
+            ftl.write(lpn, (lpn, i))
+        assert len(taken) > 50
+        assert all(pbn not in held for pbn, held in taken)
+        ftl._convert_block = convert_block
+        ftl.flush()  # a flush converts the open blocks last
+        assert not ftl.uba_blocks and not ftl.cba_blocks

@@ -29,6 +29,7 @@ from repro.flash import (
     NandFlash,
     OOBData,
     SequenceCounter,
+    TimingModel,
 )
 from repro.ftl.pool import BlockPool, OutOfBlocksError
 from repro.ftl.stats import FtlStats
@@ -44,12 +45,18 @@ from repro.obs.tracer import Tracer
 PAGES = 4
 
 
-def make(units=1, ways=None, blocks=16, pool_blocks=None, on_full=None):
+#: Unequal read and program times, so clocks rarely tie.
+TIMING = TimingModel(page_read_us=3.0, page_program_us=7.0,
+                     block_erase_us=20.0)
+
+
+def make(units=1, ways=None, blocks=16, pool_blocks=None, on_full=None,
+         timing=UNIT_TIMING):
     """(flash, pool, frontier, retired) on a ``units``-channel device."""
     flash = NandFlash(
         FlashGeometry(num_blocks=blocks, pages_per_block=PAGES,
                       page_size=64, channels=units),
-        timing=UNIT_TIMING,
+        timing=timing,
     )
     pool = BlockPool(range(blocks) if pool_blocks is None else pool_blocks)
     retired = []
@@ -216,66 +223,124 @@ class TestRunLimit:
     def test_one_way_on_a_plain_device_is_a_block(self):
         _, _, frontier, _ = make()
         pbn = frontier.open()
-        assert list(frontier.run_plan(pbn, 2 * PAGES)) == \
-            list(range(pbn * PAGES, (pbn + 1) * PAGES))
+        plan, drawn = frontier.run_plan(pbn, iter(range(2 * PAGES)))
+        assert list(plan) == list(range(pbn * PAGES, (pbn + 1) * PAGES))
+        assert drawn == list(range(PAGES - 1))
 
     def test_several_ways_rotate_page_by_page(self):
-        # Consecutive pages go to consecutive blocks of the rotation; each
-        # block's pages stay contiguous from its write pointer.
+        # Programs only, from a fresh host op: consecutive pages go to
+        # consecutive blocks of the rotation; each block's pages stay
+        # contiguous from its write pointer.
         flash, _, frontier, _ = make(units=4)
         opened = [frontier.open() for _ in range(4)]
         program(flash, opened[2], 2)
+        flash.begin_host_op()
         held = frontier.take(0)
         assert held == opened[0]
         first = [pbn * PAGES + flash.write_ptr[pbn] for pbn in opened]
-        assert frontier.run_plan(held, 6) == [
-            first[0], first[1], first[2], first[3], first[0] + 1,
-            first[1] + 1, first[2] + 1]
-        # opened[2] takes the 3rd and 7th page; the 11th would find it
-        # full, so the plan ends before it.
-        assert len(frontier.run_plan(held, 20)) == 10
+        plan, drawn = frontier.run_plan(held, iter([-1] * 6))
+        assert plan == [first[0], first[1], first[2], first[3],
+                        first[0] + 1, first[1] + 1, first[2] + 1]
+        assert drawn == [-1] * 6
+        # opened[2] takes the 3rd and 7th page; the 11th page's take
+        # would find it full and evict it, so the plan ends before that
+        # page, whose item it drew.
+        flash.begin_host_op()
+        frontier._cursor = 1
+        plan, drawn = frontier.run_plan(held, iter([-1] * 20))
+        assert len(plan) == 10 and len(drawn) == 10
+
+    def test_a_busy_unit_gets_no_page_until_the_others_catch_up(self):
+        flash, pool, frontier, _ = make(units=4, timing=TIMING)
+        opened = [frontier.open() for _ in range(4)]
+        victim = pool.allocate_on(1, 4)
+        program(flash, victim, PAGES)
+        flash.begin_host_op()
+        flash.read_page(victim * PAGES)  # unit 1 is busy reading
+        held = frontier.take(0)
+        assert held == opened[0]
+        plan, _ = frontier.run_plan(held, iter([-1, -1]))
+        assert [ppn // PAGES for ppn in plan] == \
+            [opened[0], opened[2], opened[3]]
+
+    @pytest.mark.parametrize("runs", [True, False])
+    def test_a_gc_pass_puts_its_copies_on_the_idle_units(self, runs):
+        # The victim's unit is busy erasing, then reading the victim: the
+        # pass programs every copy on the three idle units - in one run
+        # per block fill, or page by page on a device that takes no runs.
+        flash, pool, frontier, _ = make(units=4, timing=TIMING, blocks=32)
+        opened = [frontier.open() for _ in range(4)]
+        victim = pool.allocate_on(1, 4)
+        program(flash, victim, PAGES)
+        if not runs:
+            flash.fault.arm_after_programs(10 ** 12)  # never trips
+        flash.begin_host_op()
+        flash.erase_block(pool.allocate_on(1, 4))
+        moved = []
+        relocate(flash, frontier, flash.valid_ppns(victim), spare_block,
+                 SequenceCounter(), FtlStats(), moved.extend)
+        assert len(moved) == PAGES
+        assert {ppn // PAGES % 4 for _, ppn in moved} == {0, 2, 3}
+        assert flash.write_ptr[opened[1]] == 0
 
     def test_one_way_over_several_units_is_a_block(self):
         _, _, frontier, _ = make(units=2, ways=1)
         pbn = frontier.open()
-        assert len(frontier.run_plan(pbn, 2 * PAGES)) == PAGES
+        assert len(frontier.run_plan(pbn, iter(range(2 * PAGES)))[0]) \
+            == PAGES
 
     def test_a_plan_is_the_takes_it_stands_for(self):
-        # Against the real thing: the pages the plan names are those the
-        # takes would hand out (one or two asks a page), it stops where a
-        # take would evict or return None, and advance() leaves the
-        # cursor where the takes leave it.
+        # Against the real thing, on random fills, clocks and reads: the
+        # pages the plan names are those a take after each page's read
+        # hands out, it draws one read per page after the first (and at
+        # most one more), stops only where the next take evicts or
+        # returns None, and leaves the cursor where the takes leave it.
         rng = random.Random(7)
-        for _ in range(400):
-            units = rng.choice([1, 2, 4])
+        for _ in range(600):
+            units = rng.choice([1, 2, 4, 4])
             ways = rng.randint(1, 4)
-            flash, pool, frontier, _ = make(units=units, ways=ways)
+            flash, pool, frontier, _ = make(units=units, ways=ways,
+                                            blocks=32, timing=TIMING)
+            sources = [pool.allocate() for _ in range(4)]
+            for pbn in sources:
+                program(flash, pbn, PAGES)
             for _ in range(rng.randint(1, ways)):
                 program(flash, frontier.open(), rng.randint(0, PAGES - 1))
             frontier._cursor = rng.randint(0, len(frontier.open_blocks))
-            spare = rng.randint(0, 16)
+            flash.begin_host_op()
+            for _ in range(rng.randint(0, 8)):  # uneven clocks
+                flash.read_page(rng.choice(sources) * PAGES)
+            spare = rng.randint(0, 40)
             held = frontier.take(spare)
             if held is None:
                 held = frontier.open()
-            asks, k = rng.choice([1, 2]), rng.randint(0, 3 * PAGES)
-            plan = frontier.run_plan(held, k, asks)
+            reads = [rng.choice([-1, *range(sources[0] * PAGES,
+                                            (sources[-1] + 1) * PAGES)])
+                     for _ in range(rng.randint(0, 3 * PAGES))]
+            cursor = frontier._cursor
+            plan, drawn = frontier.run_plan(held, iter(reads))
+            planned_cursor = frontier._cursor
+            frontier._cursor = cursor
+            placed = len(plan) - 1
+            assert drawn == reads[:len(drawn)]
+            assert len(drawn) in (placed, placed + 1)
             taken = [held * PAGES + flash.write_ptr[held]]
             program(flash, held)
-            planned = Frontier(flash, pool, ways)
-            planned.open_blocks = list(frontier.open_blocks)
-            planned._cursor = frontier._cursor
-            planned.advance(len(plan) - 1, asks)
-            while len(taken) <= k:
-                rotation = list(frontier.open_blocks)
-                pbns = [frontier.take(spare) for _ in range(asks)]
-                if None in pbns or frontier.open_blocks != rotation:
-                    break
-                taken.append(pbns[-1] * PAGES + flash.write_ptr[pbns[-1]])
-                program(flash, pbns[-1])
-                cursor = frontier._cursor
+            for read in drawn[:placed]:
+                if read >= 0:
+                    flash.read_page(read)
+                pbn = frontier.take(spare)
+                assert pbn is not None
+                taken.append(pbn * PAGES + flash.write_ptr[pbn])
+                program(flash, pbn)
             assert list(plan) == taken
-            if len(taken) > 1:
-                assert planned._cursor == cursor
+            assert frontier._cursor == planned_cursor
+            if placed < len(reads):  # a stop the next take calls for
+                if reads[placed] >= 0:
+                    flash.read_page(reads[placed])
+                rotation = list(frontier.open_blocks)
+                assert frontier.take(spare) is None \
+                    or frontier.open_blocks != rotation
 
     def test_device_refusing_runs_is_one_and_is_never_cached(self):
         flash, _, frontier, _ = make(blocks=32)
@@ -334,6 +399,16 @@ class TestPlacement:
         assert frontier.uncovered_unit() == 3
         frontier.discard(opened[1])
         assert frontier.uncovered_unit() == 1
+
+    def test_least_busy_uncovered_unit_preferred(self):
+        flash, pool, frontier, _ = make(units=4, timing=TIMING)
+        frontier.open()                       # unit 0
+        flash.erase_block(pool.allocate_on(1, 4))
+        program(flash, pool.allocate_on(2, 4))
+        # Unit 1 erased (20), unit 2 programmed (7), unit 3 idle.
+        assert frontier.uncovered_unit() == 3
+        assert frontier.open() % 4 == 3
+        assert frontier.uncovered_unit() == 2
 
     def test_falls_back_to_fifo_when_the_unit_has_no_free_block(self):
         _, _, frontier, _ = make(units=2, pool_blocks=[0, 2, 4])
@@ -394,6 +469,7 @@ class TestReset:
         frontier.reset([3, 4, 5, 6])
         assert frontier.open_blocks == [5, 6]
         assert retired == [3]
+        flash.begin_host_op()                 # clocks tie: rotation order
         assert frontier.take(0) == 5          # cursor restarted
 
     def test_empty_reset(self):

@@ -261,6 +261,19 @@ def aged(scheme, tracer=None, stripe="1x1x1"):
     return ftl
 
 
+def ripe(ftl):
+    """Convert, uncounted, the UBA blocks ahead of the first one whose
+    conversion commits an entry (global batching can leave a full block
+    with none), so the next ``_convert_oldest`` writes GMT pages; returns
+    that block."""
+    while True:
+        held = ftl._uba_frontier.open_blocks
+        pbn = next((b for b in ftl._uba if b not in held), ftl._uba.oldest)
+        if ftl._deferred_lpns(pbn):
+            return pbn
+        ftl._convert_oldest(ftl._uba)
+
+
 def data_victim(ftl):
     """A full data block with live and dead pages (the greedy pick may be
     a translation block; this names a data one)."""
@@ -345,6 +358,7 @@ class TestRunsReallyHappen:
     @pytest.mark.parametrize("stripe", ["1x1x1", "4x1x1"])
     def test_a_traced_conversion_moves_by_run(self, stripe):
         ftl = aged("LazyFTL", tracer=Tracer(), stripe=stripe)
+        ripe(ftl)
         writes = ftl.stats.map_writes
         with counted() as (calls, order, sizes):
             ftl._convert_oldest(ftl._uba)
@@ -368,6 +382,7 @@ class TestRunsReallyHappen:
 
     def test_a_striped_conversion_moves_by_run(self):
         ftl = aged("LazyFTL", stripe="4x1x1")
+        ripe(ftl)
         writes = ftl.stats.map_writes
         with counted() as (calls, order, _):
             ftl._convert_oldest(ftl._uba)
