@@ -21,6 +21,7 @@ Covers the layers the multi-channel work added:
   decomposition exact under overlap timing.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -427,6 +428,27 @@ class TestOverlapNeverChangesResults:
         for serialized_us, overlapped_us in zip(forced_lat, over_lat):
             assert overlapped_us <= serialized_us + 1e-9
             assert overlapped_us >= 0.0
+
+    def test_serialized_conversions_place_as_overlapped(self):
+        # The frontier places by the unit clocks, so serial timing must
+        # leave them as overlap does: a seeded write-heavy run on two
+        # channels, long enough for conversions that read GMT pages.
+        rng = random.Random(0)
+        ops = [(rng.random() < 0.7, rng.randrange(LOGICAL))
+               for _ in range(400)]
+        geometry = FlashGeometry(num_blocks=40, pages_per_block=8,
+                                 page_size=64, channels=2)
+        forced = NandFlash(geometry, timing=UNIT_TIMING)
+        forced.serialize_timing = True
+        overlapped = NandFlash(geometry, timing=UNIT_TIMING)
+        forced_ftl = _lazy_on(forced)
+        forced_acked, _ = _run(forced_ftl, ops)
+        over_acked, _ = _run(_lazy_on(overlapped), ops)
+        assert forced_ftl.stats.converts > 0
+        assert forced_ftl.stats.map_reads > 0
+        assert forced_acked == over_acked
+        assert _placement(forced) == _placement(overlapped)
+        assert forced.busy_until == overlapped.busy_until
 
 
 # ----------------------------------------------------------------------
